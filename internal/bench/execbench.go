@@ -27,7 +27,8 @@ type ExecAblation struct {
 	PredictedBlocking   float64
 	PredictedOverlapped float64
 
-	// Measured wall time of the real runtime (at the injected cost scale).
+	// Measured wall time of the real runtime (at the injected cost scale):
+	// the best of three runs per arm.
 	MeasuredBlocking   time.Duration
 	MeasuredOverlapped time.Duration
 
@@ -128,25 +129,29 @@ func RunExecAblation(m, n int64, par simnet.Params, costScale float64) (*ExecAbl
 	// degenerates to communication-bound.
 	net := par.NetOptions(costScale)
 	pointDelay := time.Duration(par.IterTime * costScale * float64(time.Second))
-	start := time.Now()
-	gB, _, err := p.RunParallelOpts(exec.RunOptions{Net: net, PointDelay: pointDelay})
-	if err != nil {
-		return nil, err
-	}
-	a.MeasuredBlocking = time.Since(start)
-	start = time.Now()
-	gO, stats, err := p.RunParallelOpts(exec.RunOptions{Overlap: true, Net: net, PointDelay: pointDelay})
-	if err != nil {
-		return nil, err
-	}
-	a.MeasuredOverlapped = time.Since(start)
-	a.Stats = stats
-
-	if d, _ := ref.MaxAbsDiff(gB, p.ScanSpace); d > a.MaxDiff {
-		a.MaxDiff = d
-	}
-	if d, _ := ref.MaxAbsDiff(gO, p.ScanSpace); d > a.MaxDiff {
-		a.MaxDiff = d
+	// Best of three per arm with the arms alternated (B O, O B, B O): a
+	// scheduler hiccup inflates one sample, not an arm's minimum, and a slow
+	// stretch of the host lands on both arms instead of picking the winner.
+	for i := 0; i < 3; i++ {
+		for _, overlap := range [2]bool{i%2 == 1, i%2 == 0} {
+			start := time.Now()
+			g, stats, err := p.RunParallelOpts(exec.RunOptions{Overlap: overlap, Net: net, PointDelay: pointDelay})
+			took := time.Since(start)
+			if err != nil {
+				return nil, err
+			}
+			if d, _ := ref.MaxAbsDiff(g, p.ScanSpace); d > a.MaxDiff {
+				a.MaxDiff = d
+			}
+			best := &a.MeasuredBlocking
+			if overlap {
+				best = &a.MeasuredOverlapped
+				a.Stats = stats
+			}
+			if *best == 0 || took < *best {
+				*best = took
+			}
+		}
 	}
 	return a, nil
 }

@@ -19,29 +19,31 @@ import (
 //   - Snapshot (every CheckpointOptions.Every committed tiles): copy the
 //     dirty LDS prefix (a high-water mark maintained by every write site),
 //     record the resume slot, prune the send ledger of delivered entries
-//     and start a fresh receive log.
+//     and release the held payloads (their unpacked cells are in the copy).
 //   - Ledger: every send since the last snapshot is recorded (destination,
 //     tag, payload copy, completion request). Blocking sends deliver
 //     synchronously; Isends carry their Request so delivery is queryable.
-//   - Receive log: every message claimed since the last snapshot is
-//     recorded as a copy — the mailbox cannot replay a claimed message,
-//     so the rank must.
+//   - Held payloads: every message claimed since the last snapshot is
+//     kept as a copy — the mailbox cannot replay a claimed message, and a
+//     restore wipes its unpacked cells from the LDS.
 //   - Crash: mpi.Comm.DropPending discards the NIC's untransmitted queue
 //     and makes every request's delivered/dropped status final; the NIC
 //     transmits in issue order, so the delivered set is a prefix of issue
 //     order and the dropped set a suffix. The LDS is poisoned with NaN
 //     before restoring, so state the snapshot fails to cover corrupts the
 //     differential result instead of silently surviving.
-//   - Restore: copy the snapshot back, resend dropped pre-snapshot sends
-//     (ledger order = issue order, so per-stream FIFO is preserved), turn
-//     the post-snapshot ledger into a resend cursor and the receive log
-//     into a replay queue, and rewind the chain to the resume slot.
-//   - Re-execution: receives pop the replay queue (claimed messages are
-//     not re-received from the wire, so mpi.Stats count them once);
-//     sends consult the cursor — delivered entries are skipped, dropped
-//     entries are sent fresh (re-execution from the restored LDS
-//     reproduces the payload bit for bit). Past the crash point both
-//     queues are empty and the rank runs normally.
+//   - Restore: copy the snapshot back, unpack the held payloads on top of
+//     it (a message claimed early by the dynamic policy may belong to a
+//     tile past the crash point, so all of them go back at once), resend
+//     dropped pre-snapshot sends (ledger order = issue order, so per-stream
+//     FIFO is preserved), turn the post-snapshot ledger into a resend
+//     cursor, and rewind the chain to the resume slot.
+//   - Re-execution: the rewound tiles find their inbound-table rows already
+//     claimed (claimed messages are not re-received from the wire, so
+//     mpi.Stats count them once); sends consult the cursor — delivered
+//     entries are skipped, dropped entries are sent fresh (re-execution
+//     from the restored LDS reproduces the payload bit for bit). Past the
+//     crash point the cursor is empty and the rank runs normally.
 //
 // Counting every message exactly once — at its one successful delivery —
 // keeps mpi.Stats bit-identical to a fault-free run, which the chaos
@@ -68,11 +70,11 @@ type sendRec struct {
 // Definitive only after DropPending has finalized in-flight requests.
 func (r *sendRec) delivered() bool { return r.req == nil || !r.req.Dropped() }
 
-// recvRec is one receive-log entry: a message claimed since the last
-// snapshot, copied because the runtime cannot replay a claimed message.
-type recvRec struct {
-	src, tag int
-	data     []float64
+// heldMsg is the payload of inbound-table row `row`, claimed since the last
+// snapshot and copied because the runtime cannot replay a claimed message.
+type heldMsg struct {
+	row  int
+	data []float64
 }
 
 // ckptState is a rank's checkpoint/recovery state; nil when RunOptions
@@ -86,16 +88,15 @@ type ckptState struct {
 	ldsHi int64
 
 	// The last snapshot: resume slot (tiles < snapT are committed), the
-	// dirty LDS prefix at that moment, the send ledger and receive log
+	// dirty LDS prefix at that moment, the send ledger and held payloads
 	// accumulated since.
-	snapT   int64
-	snapLa  []float64
-	ledger  []sendRec
-	recvLog []recvRec
+	snapT  int64
+	snapLa []float64
+	ledger []sendRec
+	held   []heldMsg
 
-	// Replay state, populated by a crash and drained by re-execution.
+	// The resend cursor, populated by a crash and drained by re-execution.
 	replaySend []sendRec
-	replayRecv []recvRec
 
 	crashed bool // this rank already used its one crash
 	resent  int  // messages resent after the crash
@@ -128,7 +129,7 @@ func (st *rankState) snapshot(resumeT int64) {
 		}
 	}
 	ck.ledger = kept
-	ck.recvLog = ck.recvLog[:0]
+	ck.held = ck.held[:0]
 	ck.snapT = resumeT
 	if int64(cap(ck.snapLa)) < ck.ldsHi {
 		ck.snapLa = make([]float64, ck.ldsHi)
@@ -169,6 +170,11 @@ func (st *rankState) crash(t int64) int64 {
 	}
 	copy(st.la, ck.snapLa)
 	ck.ldsHi = int64(len(ck.snapLa))
+	// No wire activity, no Stats, no tracer counts: each held message was
+	// counted at its one successful receive.
+	for _, h := range ck.held {
+		st.unpack(&st.in.msgs[h.row], h.data)
+	}
 
 	// Split the ledger at the snapshot: pre-snapshot entries are not
 	// re-executed, so their dropped ones are resent here from the recorded
@@ -197,9 +203,6 @@ func (st *rankState) crash(t int64) int64 {
 		}
 	}
 	ck.ledger = kept
-	// Claimed messages cannot be re-received; replay them from the log.
-	ck.replayRecv = append(ck.replayRecv[:0], ck.recvLog...)
-	ck.recvLog = ck.recvLog[:0]
 	if st.tr != nil {
 		st.tr.noteFault("restart", ck.snapT)
 	}
@@ -207,15 +210,15 @@ func (st *rankState) crash(t int64) int64 {
 }
 
 // checkReplayDrained asserts the crash recovery actually converged: once
-// the chain completes, both replay queues must be empty, or re-execution
+// the chain completes the resend cursor must be empty, or re-execution
 // diverged from the first incarnation.
 func (st *rankState) checkReplayDrained() error {
 	ck := st.ckpt
 	if ck == nil {
 		return nil
 	}
-	if len(ck.replaySend) > 0 || len(ck.replayRecv) > 0 {
-		return fmt.Errorf("exec: rank %d finished its chain with %d unconsumed ledger sends and %d unreplayed receives — re-execution diverged from the crashed incarnation", st.rank, len(ck.replaySend), len(ck.replayRecv))
+	if len(ck.replaySend) > 0 {
+		return fmt.Errorf("exec: rank %d finished its chain with %d unconsumed ledger sends — re-execution diverged from the crashed incarnation", st.rank, len(ck.replaySend))
 	}
 	return nil
 }
@@ -283,29 +286,4 @@ func (st *rankState) dispatchSend(dst, tag int, buf []float64, owned bool, t int
 		st.tr.noteSend(len(buf), len(st.pending))
 	}
 	return !owned
-}
-
-// recvCk is the receive used by both executor phases: during post-crash
-// re-execution it pops the replay queue (the wire never sees these again,
-// so Stats count each message exactly once, at its original claim);
-// otherwise it receives normally and, when checkpointing is on, logs a
-// copy for a future replay. Replayed entries are re-logged as fresh
-// copies because the popped buffer's ownership passes to the caller's
-// pool.
-func (st *rankState) recvCk(src, tag int) []float64 {
-	ck := st.ckpt
-	if ck != nil && len(ck.replayRecv) > 0 {
-		rec := ck.replayRecv[0]
-		ck.replayRecv = ck.replayRecv[1:]
-		if rec.src != src || rec.tag != tag {
-			panic(fmt.Sprintf("exec: rank %d receive replay mismatch: re-execution claims (src=%d, tag=%d), log recorded (src=%d, tag=%d) — nondeterministic re-execution", st.rank, src, tag, rec.src, rec.tag))
-		}
-		ck.recvLog = append(ck.recvLog, recvRec{src: src, tag: tag, data: append([]float64(nil), rec.data...)})
-		return rec.data
-	}
-	buf := st.recv(src, tag)
-	if ck != nil {
-		ck.recvLog = append(ck.recvLog, recvRec{src: src, tag: tag, data: append([]float64(nil), buf...)})
-	}
-	return buf
 }

@@ -47,9 +47,11 @@ func TestDynamicMatchesStaticDifferential(t *testing.T) {
 			}
 			for _, wire := range wires {
 				log := &exec.FiringLog{}
-				gD, sD, err := c.p.RunParallelOpts(exec.RunOptions{
-					Dynamic: true, Wire: wire, Firing: log,
-				})
+				run := c.p.RunParallelOpts
+				if wire == mpi.WireTCP {
+					run = func(opt exec.RunOptions) (*exec.Global, mpi.Stats, error) { return runOverTCP(t, c.p, opt) }
+				}
+				gD, sD, err := run(exec.RunOptions{Dynamic: true, Firing: log})
 				if err != nil {
 					t.Fatalf("dynamic wire=%v: %v", wire, err)
 				}

@@ -106,53 +106,3 @@ func (st *rankState) sendPhasePlanned(tile ilin.Vec, pl *tilePlan, t int64) erro
 	}
 	return nil
 }
-
-// receivePhasePlanned is the compiled RECEIVE: the predecessor tile's
-// shape is compiled (or fetched) with this rank's addresser, and its run
-// list is replayed shifted by the constant pack→unpack offset
-// (Addresser.DirShift) plus the predecessor's chain slot — contiguity in
-// pack space is contiguity in unpack space, so unpacking is the same few
-// bulk copies. The unpacked buffer joins this rank's pool.
-func (st *rankState) receivePhasePlanned(tile ilin.Vec, t int64) error {
-	d := st.p.Dist
-	w := st.p.Width
-	for _, si := range st.dsOrder {
-		di := st.dsDmIdx[si]
-		if di < 0 {
-			continue // same-processor dependence: data is already in the LDS
-		}
-		dS := st.p.TS.DS[si]
-		dm := d.DM[di]
-		pred := tile.Sub(dS)
-		if !st.p.TS.ValidTile(pred) {
-			continue
-		}
-		if ms, ok := d.MinSucc(pred, dm); !ok || !ms.Equal(tile) {
-			continue
-		}
-		predPlan := st.planFor(pred)
-		dir := &predPlan.dirs[di]
-		if dir.total == 0 {
-			continue
-		}
-		srcRank := st.recvRank[di]
-		if srcRank < 0 {
-			return fmt.Errorf("exec: predecessor tile %v has no rank", pred)
-		}
-		buf := st.recvCk(srcRank, di)
-		if int64(len(buf)) != dir.total*int64(w) {
-			return fmt.Errorf("exec: rank %d tile %v: message from rank %d tag %d has %d values, expected %d", st.rank, tile, srcRank, di, len(buf), dir.total*int64(w))
-		}
-		base := (pred[d.M]-d.ChainStart[st.rank])*st.chainStep + st.dirShift[di]
-		pos := 0
-		for _, run := range dir.runs {
-			cell := (run.Off + base) * int64(w)
-			nn := int(run.N) * w
-			copy(st.la[cell:cell+int64(nn)], buf[pos:pos+nn])
-			st.markDirty(cell + int64(nn))
-			pos += nn
-		}
-		st.pool.put(buf)
-	}
-	return nil
-}

@@ -46,7 +46,8 @@ type RunOptions struct {
 	// read) and per-point region walks for pack and unpack. Results are
 	// bit-identical to the planned executor — the differential tests under
 	// exec assert this for every app — so the flag exists for those tests
-	// and for before/after benchmarking, not for production use.
+	// and for before/after benchmarking, not for production use: it is an
+	// independent derivation of the protocol, without Checkpoint or Dynamic.
 	Legacy bool
 	// Trace, when non-nil, records a measured per-tile timeline (the
 	// simnet.Event schema) plus per-rank phase metrics into the tracer;
@@ -82,16 +83,10 @@ type RunOptions struct {
 	// any rank starts, so a reused world behaves bit-identically to a
 	// fresh one (internal/exec reuse tests assert Global and Stats). The
 	// world is not torn down on return: the caller owns it and may hand it
-	// to the next run.
+	// to the next run. A world brings its own transport (mpi.NewTCPWorld for
+	// loopback TCP); results and Stats are bit-identical across transports,
+	// only WireStats differ. Nil runs on a fresh in-process channel world.
 	World *mpi.World
-	// Wire selects the transport family when this run constructs its own
-	// world: mpi.WireChannel (default, in-process) or mpi.WireTCP (a
-	// loopback TCP mesh — every message crosses a real socket with framed,
-	// coalesced sends). Results and Stats are bit-identical across wire
-	// kinds; only WireStats differ. Ignored when World is non-nil, which
-	// brings its own transport. A WireTCP world constructed here is closed
-	// before returning.
-	Wire mpi.WireKind
 	// ProcCheckpoint enables rank-process checkpointing for multi-process
 	// deployments (cmd/tilerankd): a periodic snapshot of the rank's chain
 	// position, LDS and wire stream counts that a relaunched process
@@ -99,18 +94,19 @@ type RunOptions struct {
 	// protocol. Mutually exclusive with Checkpoint (the in-process
 	// tile-chain recovery). See ProcCheckpoint.
 	ProcCheckpoint *ProcCheckpoint
-	// Dynamic switches each rank to the hybrid static/dynamic scheduler
-	// (see dynamic.go): every inbound message of the chain is posted up
-	// front and claimed the moment it arrives, tiles fire as soon as their
-	// dependences are satisfied with the static lex-time schedule as the
-	// priority tie-break, and all sends are asynchronous (Overlap is forced
-	// on). Results and mpi.Stats are bit-identical to the static overlap
-	// mode; only timing changes. Requires the compiled plans (not Legacy)
-	// and is mutually exclusive with ProcCheckpoint.
+	// Dynamic switches each rank's receive policy (see receive.go): the
+	// whole chain's inbound messages are enumerated up front and, before
+	// each tile, every message that has already arrived — for that tile or
+	// a later one — is claimed and unpacked; the rank blocks only for the
+	// current tile's missing messages. Tiles still fire in chain order and
+	// all sends are asynchronous (Overlap is forced on). Results and
+	// mpi.Stats are bit-identical to the static overlap mode; only timing
+	// changes. Requires the compiled plans (not Legacy) and is mutually
+	// exclusive with ProcCheckpoint.
 	Dynamic bool
-	// Firing, when non-nil and Dynamic is set, records the observed firing
-	// order for post-hoc certification by verify.CheckDynamicOrder. The
-	// log is reset at run start, so one log can be reused across runs.
+	// Firing, when non-nil, records the observed firing order for post-hoc
+	// certification by verify.CheckDynamicOrder. The log is reset at run
+	// start, so one log can be reused across runs.
 	Firing *FiringLog
 }
 
@@ -152,12 +148,12 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 	if opt.ProcCheckpoint != nil && opt.Checkpoint != nil {
 		return nil, mpi.Stats{}, fmt.Errorf("exec: ProcCheckpoint and Checkpoint are mutually exclusive")
 	}
+	if opt.Legacy && (opt.Dynamic || opt.Checkpoint != nil) {
+		return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and Checkpoint require the compiled tile plans; Legacy is the static reference executor")
+	}
 	if opt.Dynamic {
-		if opt.Legacy {
-			return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic requires the compiled tile plans; Legacy is the static reference executor")
-		}
 		if opt.ProcCheckpoint != nil {
-			return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and ProcCheckpoint are mutually exclusive (process resume replays the static receive order)")
+			return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and ProcCheckpoint are mutually exclusive (a process snapshot's stream counts assume the static claim order)")
 		}
 		// Dynamic sends are always asynchronous: forcing the overlap
 		// primitive here keeps dispatchSend on the Isend path and makes
@@ -179,13 +175,6 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 		if !world.Remote() {
 			world.Reset(opt.Net)
 		}
-	} else if opt.Wire == mpi.WireTCP {
-		tw, err := mpi.NewTCPWorld(p.Dist.NumProcs(), opt.Net)
-		if err != nil {
-			return nil, mpi.Stats{}, fmt.Errorf("exec: tcp world: %w", err)
-		}
-		defer tw.Close()
-		world = tw
 	} else {
 		world = mpi.NewWorldOpts(p.Dist.NumProcs(), opt.Net)
 	}
@@ -196,12 +185,8 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 		mu     sync.Mutex
 		runErr error
 	)
-	rankBody := p.runRank
-	if opt.Dynamic {
-		rankBody = p.runRankDynamic
-	}
 	werr := world.RunE(func(c *mpi.Comm) {
-		if err := rankBody(c, g, opt); err != nil {
+		if err := p.runRank(c, g, opt); err != nil {
 			mu.Lock()
 			if runErr == nil {
 				runErr = err
@@ -249,7 +234,10 @@ type rankState struct {
 	dsOrder  []int
 	dsDmIdx  []int
 
-	// Compiled-plan state (nil/unused when legacy).
+	// Compiled-plan state (nil/unused when legacy). in is the
+	// inbound-message table of receive.go; dynamic selects its policy.
+	in        inbox
+	dynamic   bool
 	plans     *planCache
 	tilePlans []*tilePlan // plan of each chain slot, for writeBack
 	chainStep int64       // flat-address step per chain slot
@@ -308,6 +296,7 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 		tileCounts: map[int64]int64{},
 		tileIdx:    ilin.NewBoxIndexer(p.TS.TileLo, p.TS.TileHi),
 		legacy:     opt.Legacy,
+		dynamic:    opt.Dynamic,
 		overlap:    opt.Overlap,
 		pointDelay: opt.PointDelay,
 		faults:     opt.Faults,
@@ -343,6 +332,8 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 	st.buildCommTables()
 	if !st.legacy {
 		st.plans = newPlanCache()
+		st.in.rows = make([][]int, len(d.DM))
+		st.in.heads = make([]int, len(d.DM))
 		st.tilePlans = make([]*tilePlan, d.ChainLen[r])
 		st.chainStep = st.addr.ChainStep()
 		st.workers = effectiveWorkers(opt.Workers, d.NumProcs())
@@ -353,6 +344,9 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 	return st
 }
 
+// runRank is the rank body: the one loop every mode runs. Per tile it does
+// RECEIVE (receive.go; the legacy reference keeps its own per-point
+// derivation), boundary-value injection, compute and SEND.
 func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	r := c.Rank()
 	d := p.Dist
@@ -372,6 +366,8 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 			return err
 		}
 	}
+	st.in.next = start
+	fired := start // chain slots below fired are in the firing log
 	for t := start; t < d.ChainLen[r]; t++ {
 		// A planned crash fires at the tile boundary, before tile t's
 		// receive — the first incarnation only. With checkpointing the
@@ -384,43 +380,49 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		if st.tr != nil {
 			st.tr.beginTile()
 		}
+		var pl *tilePlan
 		if st.legacy {
-			if err := st.receivePhase(tile, t); err != nil {
+			if err := st.receivePhase(tile); err != nil {
 				return err
 			}
 			st.initPhase(tile, t)
-			if st.tr != nil {
-				st.tr.noteRecvDone()
-			}
-			st.computePhase(tile, t)
-			if st.tr != nil {
-				st.tr.noteCompDone()
-			}
-			if err := st.sendPhase(tile); err != nil {
-				return err
-			}
 		} else {
-			pl := st.planFor(tile)
+			pl = st.planFor(tile)
 			st.tilePlans[t] = pl
-			if err := st.receivePhasePlanned(tile, t); err != nil {
+			if err := st.receive(t); err != nil {
 				return err
 			}
 			mulVecInto(st.pBase, p.TS.T.P, tile)
 			st.initPhasePlanned(pl, tile, t)
-			if st.tr != nil {
-				st.tr.noteRecvDone()
-			}
-			if st.wpool != nil {
-				st.computePhaseParallel(pl, t)
-			} else {
-				st.computePhasePlanned(pl, t)
-			}
-			if st.tr != nil {
-				st.tr.noteCompDone()
-			}
-			if err := st.sendPhasePlanned(tile, pl, t); err != nil {
-				return err
-			}
+		}
+		if st.tr != nil {
+			st.tr.noteRecvDone()
+		}
+		// The tile fires: every dependence is satisfied. Keep-first across
+		// crash rewinds — see FiringLog.
+		if opt.Firing != nil && t >= fired {
+			opt.Firing.note(r, t, tile)
+			fired = t + 1
+		}
+		switch {
+		case st.legacy:
+			st.computePhase(tile, t)
+		case st.wpool != nil:
+			st.computePhaseParallel(pl, t)
+		default:
+			st.computePhasePlanned(pl, t)
+		}
+		if st.tr != nil {
+			st.tr.noteCompDone()
+		}
+		var err error
+		if st.legacy {
+			err = st.sendPhase(tile)
+		} else {
+			err = st.sendPhasePlanned(tile, pl, t)
+		}
+		if err != nil {
+			return err
 		}
 		if st.tr != nil {
 			st.tr.endTile(tile)
@@ -534,7 +536,7 @@ func (st *rankState) chargePointDelay(pts int64) {
 // completed Isend (registered via Request.OnComplete).
 func (st *rankState) noteSendDone() { st.sendsDone.Add(1) }
 
-// recv is the receive used by both executor paths: plain Recv when
+// recv is the blocking receive of both executor paths: plain Recv when
 // tracing is off, and the timestamped RecvMsg — splitting blocked wait
 // from mailbox queueing via Message.Delivered — when it is on.
 func (st *rankState) recv(src, tag int) []float64 {
@@ -568,8 +570,9 @@ func (st *rankState) reapPending() {
 // lexicographically minimum successor along d^m(d^S), receive one message
 // from processor pid − d^m and unpack it into the LDS. This is the legacy
 // per-point path; the message sizing uses the closed-form
-// CommRegionCount, so only the unpack itself walks the region.
-func (st *rankState) receivePhase(tile ilin.Vec, t int64) error {
+// CommRegionCount, so only the unpack itself walks the region. It is the
+// differential reference for receive.go and shares nothing with it.
+func (st *rankState) receivePhase(tile ilin.Vec) error {
 	d := st.p.Dist
 	w := st.p.Width
 	for _, si := range st.dsOrder {
@@ -594,7 +597,7 @@ func (st *rankState) receivePhase(tile ilin.Vec, t int64) error {
 		if srcRank < 0 {
 			return fmt.Errorf("exec: predecessor tile %v has no rank", pred)
 		}
-		buf := st.recvCk(srcRank, di)
+		buf := st.recv(srcRank, di)
 		if int64(len(buf)) != n*int64(w) {
 			return fmt.Errorf("exec: rank %d tile %v: message from rank %d tag %d has %d values, expected %d", st.rank, tile, srcRank, di, len(buf), n*int64(w))
 		}
@@ -604,7 +607,6 @@ func (st *rankState) receivePhase(tile ilin.Vec, t int64) error {
 		st.commRegion(pred, dm, func(z, pp ilin.Vec) bool {
 			cell := st.addr.FlatUnpack(pp, dmF, tau) * int64(w)
 			copy(st.la[cell:cell+int64(w)], buf[i:i+w])
-			st.markDirty(cell + int64(w))
 			i += w
 			return true
 		})
@@ -667,7 +669,6 @@ func (st *rankState) initPhase(tile ilin.Vec, t int64) {
 			st.p.Initial(src, buf)
 			cell := st.addr.FlatRead(jp, st.dps[l], t) * int64(w)
 			copy(st.la[cell:cell+int64(w)], buf)
-			st.markDirty(cell + int64(w))
 		}
 		return true
 	})
@@ -690,7 +691,6 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 		j := st.p.TS.GlobalOf(tile, z)
 		out := st.addr.Flat(jp, t) * int64(w)
 		st.p.Kernel(j, reads, st.la[out:out+int64(w)])
-		st.markDirty(out + int64(w))
 		pts++
 		return true
 	})

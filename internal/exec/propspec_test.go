@@ -139,8 +139,8 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 	}
 	// Crash-restart on generated geometry: recovery must be bit-exact on
 	// workloads nobody hand-tuned, not just the curated apps — in both
-	// scheduling modes (dynamic recovery re-applies eagerly claimed
-	// messages instead of replaying a receive log).
+	// scheduling modes (recovery re-applies every held payload at once,
+	// including the messages the dynamic policy claimed early).
 	if procs := p.Dist.NumProcs(); procs > 1 {
 		mid := procs / 2
 		crash := &mpi.FaultPlan{Crash: map[int]int64{mid: p.Dist.ChainLen[mid] / 2}}

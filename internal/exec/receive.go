@@ -1,0 +1,232 @@
+package exec
+
+import (
+	"fmt"
+	"sync"
+
+	"tilespace/internal/ilin"
+	"tilespace/internal/verify"
+)
+
+// This file is the executor's one receive engine: the paper's §3.2 RECEIVE
+// — one message per (predecessor tile, processor direction), claimed at the
+// minsucc tile — enumerated once into a per-rank inbound-message table and
+// consumed by the one rank loop (runRank) through one unpack.
+//
+// A message carries no tile identity beyond its position on its (source,
+// tag) FIFO stream, and the source of direction di is always pid − DM[di],
+// so a rank has one stream per direction and the table's rows of a
+// direction, in table order, are that stream's wire order. Rows are claimed
+// only at their stream's head, so the next unclaimed row of a direction is
+// always the message at the head of the mailbox queue — no receive needs
+// posting ahead of time.
+//
+// Static and dynamic scheduling are two policies over that table:
+//
+//   - Static extends the table one chain slot at a time and blocks on the
+//     tile's rows in claim order: the paper's generated code. (Enumerating
+//     the whole chain first would put every rank's enumeration ahead of the
+//     pipeline's first tile.)
+//   - Dynamic (RunOptions.Dynamic) extends the table to the end of the
+//     chain and, before each tile, claims every stream head that has
+//     already arrived — for this tile or any later one — then blocks only
+//     for the current tile's still-missing rows. Tiles still fire in chain
+//     order (the wire forces it: reordering sends or receives within a
+//     stream would unpair every message on it); what moves is when the
+//     unpack work happens. Sends are always asynchronous.
+//
+// Each halo cell has exactly one writer (verify's comm-exactness theorem),
+// so early unpacking commutes across streams: results are bit-identical
+// under both policies, and Stats are equal because the wire carries the
+// identical message sequence. The differential and chaos suites assert
+// both.
+//
+// Crash recovery is the same under both policies: a claimed payload is
+// retained (ckptState.held) until a snapshot has captured its unpacked
+// cells, and crash() re-applies the retained payloads on top of the
+// restored LDS. The wire never replays a claimed message, so Stats count
+// it exactly once, and the re-executed tiles find their rows already
+// claimed.
+
+// inMsg is one row of the inbound-message table.
+type inMsg struct {
+	t       int64    // chain slot that claims it: the predecessor's minsucc tile
+	tau     int64    // the predecessor's slot on its own chain: the unpack base
+	di      int      // processor-direction index = message tag = stream
+	dir     *dirPlan // the predecessor shape's compiled region along di
+	claimed bool
+}
+
+// inbox is a rank's inbound-message table with its per-direction claim
+// queues.
+type inbox struct {
+	msgs  []inMsg
+	next  int64   // chain slots below next are enumerated
+	cur   int     // rows below cur belong to tiles before the current one
+	rows  [][]int // per direction: its rows in wire FIFO order
+	heads []int   // per direction: index into rows[di] of the first unclaimed row
+}
+
+// extend enumerates the inbound messages of chain slots [next, to) — the
+// one MinSucc walk of the compiled executor.
+func (st *rankState) extend(to int64) error {
+	d := st.p.Dist
+	in := &st.in
+	for ; in.next < to; in.next++ {
+		tile := d.TileAt(st.rank, in.next)
+		for _, si := range st.dsOrder {
+			di := st.dsDmIdx[si]
+			if di < 0 {
+				continue // same-processor dependence: data is already in the LDS
+			}
+			pred := st.predBuf
+			subInto(pred, tile, st.p.TS.DS[si])
+			if !st.p.TS.ValidTile(pred) {
+				continue
+			}
+			if ms, ok := d.MinSucc(pred, d.DM[di]); !ok || !ms.Equal(tile) {
+				continue
+			}
+			dir := &st.planFor(pred).dirs[di]
+			if dir.total == 0 {
+				continue
+			}
+			if st.recvRank[di] < 0 {
+				return fmt.Errorf("exec: predecessor tile %v has no rank", pred)
+			}
+			in.rows[di] = append(in.rows[di], len(in.msgs))
+			in.msgs = append(in.msgs, inMsg{t: in.next, tau: pred[d.M] - d.ChainStart[st.rank], di: di, dir: dir})
+		}
+	}
+	return nil
+}
+
+// receive is the RECEIVE of chain slot t under the rank's policy.
+func (st *rankState) receive(t int64) error {
+	in := &st.in
+	if st.dynamic {
+		if err := st.extend(st.p.Dist.ChainLen[st.rank]); err != nil {
+			return err
+		}
+		for di, rows := range in.rows {
+			for in.heads[di] < len(rows) {
+				ok, err := st.claim(rows[in.heads[di]], false)
+				if err != nil {
+					return err
+				}
+				if !ok {
+					break // nothing more has arrived on this stream
+				}
+			}
+		}
+	} else if err := st.extend(t + 1); err != nil {
+		return err
+	}
+	// Rows the dynamic intake got to first are already claimed. (Tiles a
+	// crash rewound over lie before cur: their rows were all claimed by the
+	// first incarnation.)
+	for ; in.cur < len(in.msgs) && in.msgs[in.cur].t <= t; in.cur++ {
+		if in.msgs[in.cur].claimed {
+			continue
+		}
+		if _, err := st.claim(in.cur, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// claim takes table row i's message off the head of its stream — blocking
+// for it, or only if it has already arrived — and unpacks it. The blocking
+// receive is the watchdog-aware one.
+func (st *rankState) claim(i int, block bool) (bool, error) {
+	m := &st.in.msgs[i]
+	src := st.recvRank[m.di]
+	var data []float64
+	if block {
+		data = st.recv(src, m.di)
+	} else {
+		var ok bool
+		if data, ok = st.c.TryRecv(src, m.di); !ok {
+			return false, nil
+		}
+		if st.tr != nil {
+			st.tr.noteRecv(0, 0, len(data))
+		}
+	}
+	if want := m.dir.total * int64(st.p.Width); int64(len(data)) != want {
+		return false, fmt.Errorf("exec: rank %d chain slot %d: message from rank %d tag %d has %d values, expected %d", st.rank, m.t, src, m.di, len(data), want)
+	}
+	if ck := st.ckpt; ck != nil {
+		ck.held = append(ck.held, heldMsg{row: i, data: append([]float64(nil), data...)})
+	}
+	st.unpack(m, data)
+	m.claimed = true
+	st.in.heads[m.di]++
+	st.pool.put(data)
+	return true, nil
+}
+
+// unpack replays the predecessor plan's run list shifted by the constant
+// pack→unpack offset (Addresser.DirShift) plus the predecessor's chain
+// slot: contiguity in pack space is contiguity in unpack space, so
+// unpacking is the same few bulk copies as packing.
+func (st *rankState) unpack(m *inMsg, data []float64) {
+	w := st.p.Width
+	base := m.tau*st.chainStep + st.dirShift[m.di]
+	pos := 0
+	for _, run := range m.dir.runs {
+		cell := (run.Off + base) * int64(w)
+		nn := int(run.N) * w
+		copy(st.la[cell:cell+int64(nn)], data[pos:pos+nn])
+		st.markDirty(cell + int64(nn))
+		pos += nn
+	}
+}
+
+// FiringLog records the observed firing order of a run for post-hoc
+// certification by verify.CheckDynamicOrder. One lock serializes all ranks'
+// appends, so a record's Seq is its index in the single observed
+// linearization: any happens-before edge between two firings — program
+// order within a rank, or a message send happening-before its claim —
+// implies Seq order.
+//
+// Under crash-restart a rewound rank re-executes tiles it already fired;
+// only the first firing of each tile is recorded (keep-first). The first
+// incarnation is the one whose outputs the rest of the cluster may have
+// already consumed, so its sequence is the linearization that must extend
+// the dependence order — a re-fire's position would not be (a successor
+// fed by a delivered pre-crash message can legitimately fire before the
+// re-fire).
+type FiringLog struct {
+	mu   sync.Mutex
+	recs []verify.FiringRecord
+}
+
+// note appends the next firing record; called once per tile, at its first
+// firing, before the tile's sends are issued.
+func (fl *FiringLog) note(rank int, slot int64, tile ilin.Vec) {
+	fl.mu.Lock()
+	fl.recs = append(fl.recs, verify.FiringRecord{
+		Seq:  int64(len(fl.recs)),
+		Rank: rank,
+		Slot: slot,
+		Tile: append(ilin.Vec(nil), tile...),
+	})
+	fl.mu.Unlock()
+}
+
+// reset clears the log for a fresh run (RunParallelOpts does this so a
+// log can be reused across runs).
+func (fl *FiringLog) reset() {
+	fl.mu.Lock()
+	fl.recs = fl.recs[:0]
+	fl.mu.Unlock()
+}
+
+// Records returns a copy of the recorded firing order.
+func (fl *FiringLog) Records() []verify.FiringRecord {
+	fl.mu.Lock()
+	defer fl.mu.Unlock()
+	return append([]verify.FiringRecord(nil), fl.recs...)
+}

@@ -19,6 +19,20 @@ import (
 // framed, coalesced sends. WireStats (frames, batches, bytes) are the
 // only permitted difference — they do not exist on the channel fabric.
 
+// runOverTCP runs p under opt on a fresh loopback-TCP world — every message
+// crosses a real socket — and closes the world before returning, so the
+// caller's goroutine-leak check covers the mesh's teardown too.
+func runOverTCP(t *testing.T, p *exec.Program, opt exec.RunOptions) (*exec.Global, mpi.Stats, error) {
+	t.Helper()
+	w, err := mpi.NewTCPWorld(p.Dist.NumProcs(), opt.Net)
+	if err != nil {
+		t.Fatalf("tcp world: %v", err)
+	}
+	defer w.Close()
+	opt.World = w
+	return p.RunParallelOpts(opt)
+}
+
 func TestTransportMatrixDifferential(t *testing.T) {
 	for _, c := range diffCases(t) {
 		c := c
@@ -32,7 +46,7 @@ func TestTransportMatrixDifferential(t *testing.T) {
 					t.Fatalf("channel overlap=%v: %v", overlap, err)
 				}
 				before := runtime.NumGoroutine()
-				gT, sT, err := c.p.RunParallelOpts(exec.RunOptions{Overlap: overlap, Wire: mpi.WireTCP})
+				gT, sT, err := runOverTCP(t, c.p, exec.RunOptions{Overlap: overlap})
 				if err != nil {
 					t.Fatalf("tcp overlap=%v: %v", overlap, err)
 				}
@@ -67,11 +81,10 @@ func TestChaosMatrixOverTCP(t *testing.T) {
 				f := f
 				t.Run(fmt.Sprintf("%s/overlap=%v/%s", c.name, overlap, f.name), func(t *testing.T) {
 					before := runtime.NumGoroutine()
-					got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
+					got, gotStats, err := runOverTCP(t, c.p, exec.RunOptions{
 						Overlap:    overlap,
 						Faults:     f.plan,
 						Checkpoint: f.ck,
-						Wire:       mpi.WireTCP,
 					})
 					if err != nil {
 						t.Fatalf("faulty tcp run: %v", err)
@@ -169,9 +182,8 @@ func TestProcCheckpointSnapshots(t *testing.T) {
 
 	var mu sync.Mutex
 	snaps := map[int][]*exec.RankSnapshot{}
-	got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
-		Wire: mpi.WireTCP,
-		Net:  mpi.Options{Watchdog: 10 * time.Second},
+	got, gotStats, err := runOverTCP(t, c.p, exec.RunOptions{
+		Net: mpi.Options{Watchdog: 10 * time.Second},
 		ProcCheckpoint: &exec.ProcCheckpoint{
 			Every: 2,
 			Save: func(s *exec.RankSnapshot) error {

@@ -53,8 +53,10 @@ type TCPConfig struct {
 // out of Stats deliberately: Stats must compare bit-identically across
 // transports, while these counters only exist when real bytes move.
 type WireStats struct {
-	FramesSent  int64 // data frames written to a socket
-	BytesSent   int64 // data bytes written (frames as encoded)
+	// The three send counters are bumped before the socket write, so a
+	// receiver that already holds a frame never reads stats that miss it.
+	FramesSent  int64 // data frames handed to a socket write
+	BytesSent   int64 // data bytes of those frames (as encoded)
 	Batches     int64 // coalesced writev batches (one net.Buffers write each)
 	FramesRecvd int64 // data frames accepted into mailboxes
 	Suppressed  int64 // regenerated frames skipped at the sender (resume protocol)
@@ -417,18 +419,29 @@ func (l *outLink) takeBatch() ([]wireFrame, bool) {
 func (l *outLink) writeBatch(conn net.Conn, batch []wireFrame) {
 	bufs := make(net.Buffers, 0, len(batch))
 	var kept []wireFrame
+	var frames, bytes int64
 	l.mu.Lock()
 	for _, fr := range batch {
-		if fr.kind == frameData && !l.proto.ShouldTransmit(fr.tag, fr.seq) {
-			l.m.sSuppressed.Add(1)
-			l.m.settle(fr)
-			continue
+		if fr.kind == frameData {
+			if !l.proto.ShouldTransmit(fr.tag, fr.seq) {
+				l.m.sSuppressed.Add(1)
+				l.m.settle(fr)
+				continue
+			}
+			frames++
+			bytes += int64(len(fr.buf))
 		}
 		kept = append(kept, fr)
 		bufs = append(bufs, fr.buf)
 	}
 	l.mu.Unlock()
 	if len(bufs) > 0 {
+		// Counted before the write: the moment a frame is on the socket its
+		// receiver can act on it and read WireStats, and the frame must
+		// already be in them.
+		l.m.sBatches.Add(1)
+		l.m.sFramesSent.Add(frames)
+		l.m.sBytesSent.Add(bytes)
 		if _, err := bufs.WriteTo(conn); err != nil {
 			l.mu.Lock()
 			if l.conn == conn {
@@ -439,18 +452,9 @@ func (l *outLink) writeBatch(conn net.Conn, batch []wireFrame) {
 			l.cond.Broadcast()
 			return
 		}
-		var frames, bytes int64
 		for _, fr := range kept {
-			if fr.kind != frameData {
-				continue
-			}
-			frames++
-			bytes += int64(len(fr.buf))
 			l.m.settle(fr)
 		}
-		l.m.sBatches.Add(1)
-		l.m.sFramesSent.Add(frames)
-		l.m.sBytesSent.Add(bytes)
 	}
 	l.mu.Lock()
 	l.pending = 0

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -385,6 +386,36 @@ func TestStreamCountsRoundTrip(t *testing.T) {
 			}
 		}
 	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTCPWireStatsCoverObservedFrames: a rank that has received a message
+// must find that message's frame in WireStats. The send counters used to
+// be bumped after the socket write returned, so a fast receiver could
+// read them one frame short (seen as a flaky frame count in the wire
+// benchmark). One message per iteration, checked by its receiver the
+// moment Recv returns, many iterations.
+func TestTCPWireStatsCoverObservedFrames(t *testing.T) {
+	const iters = 3000
+	w := newTCPWorldT(t, 2, Options{Watchdog: 10 * time.Second})
+	err := w.RunE(func(c *Comm) {
+		for i := 1; i <= iters; i++ {
+			// Ping-pong, so frame i is the only one in flight and exactly i
+			// data frames have been sent when its receiver looks.
+			if c.Rank() == (i & 1) {
+				c.Send(1-c.Rank(), 0, []float64{float64(i)})
+				continue
+			}
+			c.Recv(1-c.Rank(), 0)
+			ws, _ := w.WireStats()
+			if ws.FramesSent < int64(i) || ws.Batches < int64(i) || ws.BytesSent == 0 {
+				// Aborts the world at once; RunE reports it.
+				panic(fmt.Sprintf("after receiving message %d: WireStats %+v miss its frame", i, ws))
+			}
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 }

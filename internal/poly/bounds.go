@@ -99,7 +99,8 @@ type NestBounds struct {
 // LoopBounds runs Fourier–Motzkin elimination innermost-first over the
 // system and returns per-level affine bounds. An error is reported when the
 // rational polyhedron is detected to be empty or some variable is unbounded
-// (iteration spaces must be bounded for tiling).
+// (iteration spaces must be bounded for tiling), or when an elimination
+// step would exceed maxElimPairs.
 func LoopBounds(s *System) (*NestBounds, error) {
 	cur := s.Clone()
 	if !cur.simplify() {
@@ -128,6 +129,9 @@ func LoopBounds(s *System) (*NestBounds, error) {
 			return nil, fmt.Errorf("poly: variable x%d is unbounded", k)
 		}
 		nb.Vars[k] = vb
+		if err := cur.checkElim(k); err != nil {
+			return nil, err
+		}
 		next, ok := cur.Eliminate(k)
 		if !ok {
 			return nil, fmt.Errorf("poly: empty system (detected eliminating x%d)", k)
@@ -206,6 +210,8 @@ func (nb *NestBounds) String() string {
 // BoundingBox returns per-variable integer bounds [lo_k, hi_k] of the
 // rational polyhedron, by eliminating all other variables for each k. The
 // box is the tightest rational shadow, rounded inward to integers.
+// Like LoopBounds it errors instead of taking an elimination step larger
+// than maxElimPairs.
 func BoundingBox(s *System) (lo, hi ilin.Vec, err error) {
 	lo = make(ilin.Vec, s.NVars)
 	hi = make(ilin.Vec, s.NVars)
@@ -217,6 +223,9 @@ func BoundingBox(s *System) (lo, hi ilin.Vec, err error) {
 		for j := s.NVars - 1; j >= 0; j-- {
 			if j == k {
 				continue
+			}
+			if err := cur.checkElim(j); err != nil {
+				return nil, nil, err
 			}
 			next, ok := cur.Eliminate(j)
 			if !ok {

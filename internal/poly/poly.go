@@ -251,6 +251,35 @@ func (s *System) Eliminate(k int) (*System, bool) {
 	return out, ok
 }
 
+// maxElimPairs bounds one Fourier–Motzkin step of LoopBounds and
+// BoundingBox. A step combines every constraint with a positive x_k
+// coefficient with every one with a negative coefficient, and without
+// redundancy pruning the products compound: a valid 3×3 tiling of a
+// 4×6×4 box (tiling's TestAnalyzeRefusesFourierMotzkinBlowUp) goes
+// 320 → 2 809 → 79 576 pairs over three steps and, unchecked, exhausts
+// memory within seconds, while the shipped workloads and the other test
+// suites peak near 1 200. Past the bound the step is refused, so such
+// input fails fast.
+const maxElimPairs = 1 << 16
+
+// checkElim refuses to eliminate x_k when the step would combine more than
+// maxElimPairs constraint pairs.
+func (s *System) checkElim(k int) error {
+	var pos, neg int
+	for _, c := range s.Cons {
+		switch c.Coef[k].Sign() {
+		case 1:
+			pos++
+		case -1:
+			neg++
+		}
+	}
+	if pos*neg > maxElimPairs {
+		return fmt.Errorf("poly: eliminating x%d would combine %d×%d constraint pairs (limit %d): system too complex for Fourier–Motzkin", k, pos, neg, maxElimPairs)
+	}
+	return nil
+}
+
 // IsEmptyRational reports whether the rational relaxation of the system is
 // empty, by eliminating every variable and checking for contradictions.
 func (s *System) IsEmptyRational() bool {

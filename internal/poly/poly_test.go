@@ -371,3 +371,32 @@ func TestIsEmptyRationalMore(t *testing.T) {
 		t.Error("1/3 ≤ x ≤ 2/3 has no integer point")
 	}
 }
+
+// TestEliminationBound: an elimination step that would combine more than
+// maxElimPairs constraint pairs is refused by both projections instead of
+// being taken (unchecked Fourier–Motzkin growth is how one small tiling
+// used to exhaust memory).
+func TestEliminationBound(t *testing.T) {
+	// fan(n) bounds x1 by n distinct upper and n distinct lower constraints:
+	// eliminating x1 combines n² pairs.
+	fan := func(n int64) *System {
+		s := NewSystem(2)
+		s.AddRange(0, 0, 10)
+		for i := int64(1); i <= n; i++ {
+			coef := ilin.RatVec{rat.FromInt(i), rat.One}
+			s.Add(NewConstraint(coef, rat.FromInt(1000*i)))
+			s.Add(GE(coef, rat.FromInt(-1000*i)))
+		}
+		return s
+	}
+	over := fan(300) // 90 000 pairs
+	if _, err := LoopBounds(over); err == nil || !strings.Contains(err.Error(), "too complex") {
+		t.Errorf("LoopBounds: err = %v, want the elimination bound", err)
+	}
+	if _, _, err := BoundingBox(over); err == nil || !strings.Contains(err.Error(), "too complex") {
+		t.Errorf("BoundingBox: err = %v, want the elimination bound", err)
+	}
+	if _, _, err := BoundingBox(fan(200)); err != nil { // 40 000 pairs: taken
+		t.Errorf("BoundingBox under the bound: %v", err)
+	}
+}
