@@ -14,20 +14,12 @@
 //	clusterbench -fig 6           # one figure
 //	clusterbench -scale 4         # shrink every space dimension 4×
 //	clusterbench -overlap         # also run the overlap ablation (simulator)
-//	clusterbench -execablation    # run blocking vs overlapped in the real runtime
-//	clusterbench -intrabench BENCH_intra.json  # sweep the intra-tile worker pool
-//	clusterbench -wirebench BENCH_wire.json    # ping-pong the wire transports, fit α+β
 //	clusterbench -fig none -wirecheck wirecheck.json  # model-check the resume protocol
 //	clusterbench -trace out.json  # trace the real runtime, export Chrome JSON
 //	clusterbench -gantt           # text Gantt of the measured SOR timeline
 //	clusterbench -faults          # fault-injection degradation, measured vs predicted
-//	clusterbench -fig none -dynbench BENCH_dyn.json  # static vs dynamic scheduling under faults
 //	clusterbench -faulttrace f.json  # also export the crash-restart run's timeline
 //	clusterbench -o results.txt   # tee output to a file
-//
-// -execablation selects between blocking and overlapped (Isend) execution
-// in the in-process runtime under the simulator's injected cost model and
-// checks that the measured winner matches the simulator's prediction.
 //
 // -trace runs SOR/Jacobi/ADI through the real runtime with the per-rank
 // tracer attached, compares measured phase fractions against
@@ -53,17 +45,11 @@ func main() {
 		figFlag  = flag.String("fig", "all", "figure to run: 5..10, all, or none (ablations only)")
 		scale    = flag.Int64("scale", 1, "shrink space dimensions by this factor (1 = paper scale)")
 		overlap  = flag.Bool("overlap", false, "also run the computation-communication overlap ablation")
-		execAbl  = flag.Bool("execablation", false, "run blocking vs overlapped communication in the real runtime and compare with the simulator's prediction")
-		execPerf = flag.String("execbench", "", "measure the compiled-plan executor against the legacy per-point one and write the JSON snapshot to this path (e.g. BENCH_exec.json)")
-		intraPth = flag.String("intrabench", "", "sweep the intra-tile worker pool over a single-rank Jacobi chain and write the JSON snapshot to this path (e.g. BENCH_intra.json)")
 		tracePth = flag.String("trace", "", "trace the real runtime and write the measured SOR timeline as Chrome trace_event JSON to this path")
 		gantt    = flag.Bool("gantt", false, "with -trace (or alone): render a text Gantt of the measured SOR timeline")
 		faults   = flag.Bool("faults", false, "run the fault-injection degradation scenarios in the real runtime and compare with simnet's prediction")
 		faultTr  = flag.String("faulttrace", "", "with -faults: write the measured crash-restart timeline as Chrome trace_event JSON to this path")
-		servePth = flag.String("serve", "", "load-test the tiling service (cold compile vs shared plan cache) and write the JSON snapshot to this path (e.g. BENCH_serve.json)")
-		wirePth  = flag.String("wirebench", "", "ping-pong the wire transports (in-process channel, loopback TCP), fit per-message and per-value costs against the simnet model, and write the JSON snapshot to this path (e.g. BENCH_wire.json)")
 		wireChk  = flag.String("wirecheck", "", "exhaustively model-check the TCP resume protocol (certification matrix plus seeded mutations) and write the JSON report to this path (e.g. wirecheck.json)")
-		dynPth   = flag.String("dynbench", "", "run the static-vs-dynamic scheduling ablation under the fault classes, certify every dynamic firing order, and write the JSON snapshot to this path (e.g. BENCH_dyn.json)")
 		outPath  = flag.String("o", "", "also write the report to this file")
 	)
 	flag.Parse()
@@ -138,18 +124,6 @@ func main() {
 		runOverlapAblation(out, bench.Scale(*scale), par)
 	}
 
-	if *execAbl {
-		runExecAblation(out, par)
-	}
-
-	if *execPerf != "" {
-		runExecPerf(out, *execPerf)
-	}
-
-	if *intraPth != "" {
-		runIntraPerf(out, *intraPth)
-	}
-
 	if *tracePth != "" || *gantt {
 		runTraceReport(out, *tracePth, *gantt, par)
 	}
@@ -158,53 +132,16 @@ func main() {
 		runFaultReport(out, *faultTr, par)
 	}
 
-	if *servePth != "" {
-		runServeBench(out, *servePth)
-	}
-
-	if *wirePth != "" {
-		runWireBench(out, *wirePth)
-	}
-
 	if *wireChk != "" {
 		runWireCheck(out, *wireChk)
 	}
-
-	if *dynPth != "" {
-		runDynBench(out, *dynPth, par)
-	}
 }
 
-// runDynBench runs the static-vs-dynamic fault ablation plus the
-// firing-order certification matrix and writes the committed snapshot.
-// The acceptance bar is enforced here, not only in CI: every run must be
-// bit-identical with a certified firing order, dynamic must never lose to
-// static under a fault, and at least one of the straggler/jittery-link
-// scenarios must recover >= 1.1x makespan.
-func runDynBench(out io.Writer, path string, par simnet.Params) {
-	// Same cost balance as the fault report, scaled into OS-timer range.
-	par.Bandwidth = 3e5
-	par.IterTime = 5e-6
-	e, err := bench.RunDynExperiment(par, 10)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: dynbench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprint(out, e.Render())
-	fmt.Fprintln(out)
-	js, err := e.JSON()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: dynbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(js, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: dynbench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := e.Gate(); err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: dynbench: gate FAILED (snapshot in %s): %v\n", path, err)
-		os.Exit(1)
-	}
+// fail reports a report's runtime error and exits non-zero, so the CI step
+// running it goes red.
+func fail(what string, err error) {
+	fmt.Fprintf(os.Stderr, "clusterbench: %s: %v\n", what, err)
+	os.Exit(1)
 }
 
 // wirecheckReport is the committed/artifacted shape of one full
@@ -292,69 +229,13 @@ func runWireCheck(out io.Writer, path string) {
 
 	js, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: wirecheck: %v\n", err)
-		os.Exit(1)
+		fail("wirecheck", err)
 	}
 	if err := os.WriteFile(path, append(js, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: wirecheck: %v\n", err)
-		os.Exit(1)
+		fail("wirecheck", err)
 	}
 	if !rep.Ok {
 		fmt.Fprintf(os.Stderr, "clusterbench: wirecheck: certification FAILED (report in %s)\n", path)
-		os.Exit(1)
-	}
-}
-
-// runWireBench measures the point-to-point (α, β) of every wire
-// transport by loopback ping-pong and writes the committed snapshot.
-// No timing gate: loopback numbers are host-dependent by nature, and
-// the snapshot records them honestly next to the FastEthernet model.
-func runWireBench(out io.Writer, path string) {
-	perf, err := bench.RunWirePerf(400)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: wirebench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprint(out, perf.Render())
-	fmt.Fprintln(out)
-	js, err := perf.JSON()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: wirebench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, js, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: wirebench: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// runServeBench drives the mixed-workload client fleet against a cold
-// and a warm tiling service and writes the committed snapshot. The
-// acceptance bar lives here, not just in CI: a snapshot that doesn't
-// clear a 5x warm/cold speedup or perturbs a checksum fails the command.
-func runServeBench(out io.Writer, path string) {
-	exp, err := bench.RunServeExperiment(8, 48)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: serve: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprint(out, exp.Render())
-	fmt.Fprintln(out)
-	if !exp.ChecksumsStable {
-		fmt.Fprintln(os.Stderr, "clusterbench: serve: caching changed a computed result")
-		os.Exit(1)
-	}
-	if exp.Speedup < 5 {
-		fmt.Fprintf(os.Stderr, "clusterbench: serve: warm/cold speedup %.1fx, want >= 5x\n", exp.Speedup)
-		os.Exit(1)
-	}
-	js, err := exp.JSON()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: serve: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, js, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: serve: %v\n", err)
 		os.Exit(1)
 	}
 }
@@ -370,8 +251,7 @@ func runFaultReport(out io.Writer, path string, par simnet.Params) {
 	par.IterTime = 5e-6
 	e, err := bench.RunFaultExperiment(par, 10)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: faults: %v\n", err)
-		return
+		fail("faults", err)
 	}
 	fmt.Fprint(out, e.Render())
 	if !e.Agree() {
@@ -383,12 +263,10 @@ func runFaultReport(out io.Writer, path string, par simnet.Params) {
 		crash := e.Rows[len(e.Rows)-1]
 		js, err := crash.Trace.TraceEventJSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "clusterbench: faults: %v\n", err)
-			return
+			fail("faults", err)
 		}
 		if err := os.WriteFile(path, js, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "clusterbench: faults: %v\n", err)
-			return
+			fail("faults", err)
 		}
 		fmt.Fprintf(out, "wrote fault-run Chrome trace_event JSON (%d bytes) to %s — crash/restart appear as instant markers\n\n", len(js), path)
 	}
@@ -399,14 +277,13 @@ func runFaultReport(out io.Writer, path string, par simnet.Params) {
 // renders a text Gantt over the measured timeline, and exports the SOR
 // trace as Chrome trace_event JSON.
 func runTraceReport(out io.Writer, path string, gantt bool, par simnet.Params) {
-	// Same cost balance as the exec ablation: compute vs transfer tuned so
-	// phases are visible, scaled 10× into OS-timer range.
+	// Compute vs transfer tuned so phases are visible, scaled 10× into
+	// OS-timer range.
 	par.Bandwidth = 3e5
 	par.IterTime = 5e-6
 	e, err := bench.RunTraceExperiment(par, 10)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: trace: %v\n", err)
-		return
+		fail("trace", err)
 	}
 	fmt.Fprint(out, e.Render())
 	if !e.Agree() {
@@ -427,94 +304,13 @@ func runTraceReport(out io.Writer, path string, gantt bool, par simnet.Params) {
 	if path != "" {
 		js, err := sor.Trace.TraceEventJSON()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "clusterbench: trace: %v\n", err)
-			return
+			fail("trace", err)
 		}
 		if err := os.WriteFile(path, js, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "clusterbench: trace: %v\n", err)
-			return
+			fail("trace", err)
 		}
 		fmt.Fprintf(out, "wrote Chrome trace_event JSON (%d bytes) to %s — open in chrome://tracing or ui.perfetto.dev\n\n", len(js), path)
 	}
-}
-
-// runIntraPerf sweeps the per-rank worker pool over the single-rank
-// Jacobi chain and writes the committed snapshot. The gate is enforced
-// here, not only in CI: any max_diff breaks the run everywhere, and on a
-// host with ≥ 4 cores the workers=4 compute sweep must clear 2× — on
-// smaller hosts the bar cannot bind and the snapshot just records the
-// honest numbers.
-func runIntraPerf(out io.Writer, path string) {
-	// Large (i, j) fronts (~14k points each) so per-front dispatch cost is
-	// amortized the way real tiles amortize it.
-	perf, err := bench.RunIntraPerf(4, 120, 7)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: intrabench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprint(out, perf.Render())
-	fmt.Fprintln(out)
-	for _, pt := range perf.Sweep {
-		if pt.MaxDiff != 0 {
-			fmt.Fprintf(os.Stderr, "clusterbench: intrabench: workers=%d diverged from serial by %g, want bit-identical\n", pt.Workers, pt.MaxDiff)
-			os.Exit(1)
-		}
-	}
-	if pt := perf.At(4); perf.Cores >= 4 && pt != nil && pt.Speedup < 2 {
-		fmt.Fprintf(os.Stderr, "clusterbench: intrabench: %d cores but workers=4 speedup %.2fx, want >= 2x\n", perf.Cores, pt.Speedup)
-		os.Exit(1)
-	}
-	js, err := perf.JSON()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: intrabench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, js, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: intrabench: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// runExecPerf compares the compiled-plan executor against the legacy
-// per-point reference on the SOR workload (no injected costs — raw
-// executor throughput) and writes the JSON snapshot next to the report.
-func runExecPerf(out io.Writer, path string) {
-	// Large enough that per-point work dominates the fixed per-rank costs
-	// (goroutine spawn, channel setup) the two executors share.
-	perf, err := bench.RunExecPerf(10, 40, 5)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: execbench: %v\n", err)
-		return
-	}
-	fmt.Fprint(out, perf.Render())
-	fmt.Fprintln(out)
-	js, err := perf.JSON()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: execbench: %v\n", err)
-		return
-	}
-	if err := os.WriteFile(path, js, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: execbench: %v\n", err)
-	}
-}
-
-// runExecAblation measures blocking vs overlapped communication in the
-// real in-process runtime under the simulator's injected cost model
-// (wire costs via Params.NetOptions, compute via RunOptions.PointDelay)
-// and reports whether the measured winner matches the simulated one.
-func runExecAblation(out io.Writer, par simnet.Params) {
-	// Balance compute against transfer so the overlap gain is visible,
-	// then scale the model costs into OS-timer range (matching the
-	// parameters validated by TestExecAblationValidatesCostModel).
-	par.Bandwidth = 3e5
-	par.IterTime = 5e-6
-	a, err := bench.RunExecAblation(6, 16, par, 10)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: execablation: %v\n", err)
-		return
-	}
-	fmt.Fprint(out, a.Render())
-	fmt.Fprintln(out)
 }
 
 // runOverlapAblation compares blocking sends with the overlapped scheme of
@@ -522,19 +318,16 @@ func runExecAblation(out io.Writer, par simnet.Params) {
 func runOverlapAblation(out io.Writer, sc bench.Scale, par simnet.Params) {
 	s, err := bench.SORSweep("ablation", 100/int64(sc)+4, 200/int64(sc)+4, []int64{5, 10, 20})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: ablation: %v\n", err)
-		return
+		fail("ablation", err)
 	}
 	blocking, err := s.Run(par)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: ablation: %v\n", err)
-		return
+		fail("ablation", err)
 	}
 	par.Overlap = true
 	overlapped, err := s.Run(par)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "clusterbench: ablation: %v\n", err)
-		return
+		fail("ablation", err)
 	}
 	fmt.Fprintf(out, "== ablation: blocking vs overlapped communication (SOR, %s) ==\n", s.Space)
 	fmt.Fprintf(out, "%8s %12s %12s %8s\n", "z", "S(blocking)", "S(overlap)", "gain%")

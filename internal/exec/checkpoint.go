@@ -122,10 +122,8 @@ func (st *rankState) snapshot(resumeT int64) {
 	ck := st.ckpt
 	kept := ck.ledger[:0]
 	for _, rec := range ck.ledger {
-		if rec.req != nil {
-			if _, done := rec.req.Test(); !done {
-				kept = append(kept, rec)
-			}
+		if rec.req != nil && !rec.req.Test() {
+			kept = append(kept, rec)
 		}
 	}
 	ck.ledger = kept
@@ -239,10 +237,10 @@ func (st *rankState) markDirty(end int64) {
 // cursor is drained — it issues via the mode's primitive and, when
 // checkpointing is on, records a ledger entry with a payload copy.
 //
-// owned says buf's ownership may transfer to the runtime (the planned
-// path's pooled buffers); the return value reports whether the caller
-// still owns buf and should recycle it.
-func (st *rankState) dispatchSend(dst, tag int, buf []float64, owned bool, t int64) bool {
+// buf's ownership transfers to the runtime with the send; the return value
+// reports whether the send was skipped, so the caller still owns buf and
+// should recycle it.
+func (st *rankState) dispatchSend(dst, tag int, buf []float64, t int64) bool {
 	ck := st.ckpt
 	if ck != nil && len(ck.replaySend) > 0 {
 		rec := ck.replaySend[0]
@@ -263,21 +261,12 @@ func (st *rankState) dispatchSend(dst, tag int, buf []float64, owned bool, t int
 		rec = sendRec{dst: dst, tag: tag, tile: t, data: append([]float64(nil), buf...)}
 	}
 	if st.overlap {
-		var req *mpi.Request
-		if owned {
-			req = st.c.IsendOwned(dst, tag, buf)
-		} else {
-			req = st.c.Isend(dst, tag, buf)
-		}
+		req := st.c.IsendOwned(dst, tag, buf)
 		req.OnComplete(st.noteFn)
 		st.pending = append(st.pending, req)
 		rec.req = req
 	} else {
-		if owned {
-			st.c.SendOwned(dst, tag, buf)
-		} else {
-			st.c.Send(dst, tag, buf)
-		}
+		st.c.SendOwned(dst, tag, buf)
 	}
 	if ck != nil {
 		ck.ledger = append(ck.ledger, rec)
@@ -285,5 +274,5 @@ func (st *rankState) dispatchSend(dst, tag int, buf []float64, owned bool, t int
 	if st.tr != nil {
 		st.tr.noteSend(len(buf), len(st.pending))
 	}
-	return !owned
+	return false
 }

@@ -82,7 +82,7 @@ func TestPlannedMatchesLegacyDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, overlap := range []bool{false, true} {
-				gL, sL, err := c.p.RunParallelOpts(exec.RunOptions{Legacy: true, Overlap: overlap})
+				gL, sL, err := c.p.RunLegacy(overlap)
 				if err != nil {
 					t.Fatalf("legacy overlap=%v: %v", overlap, err)
 				}

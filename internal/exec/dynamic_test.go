@@ -146,13 +146,10 @@ func TestDynamicAbortLeaksNothing(t *testing.T) {
 	checkGoroutines(t, before)
 }
 
-// Option validation: the dynamic scheduler requires compiled plans and
-// the in-process recovery layer.
+// Option validation: the dynamic scheduler requires the in-process
+// recovery layer.
 func TestDynamicOptionValidation(t *testing.T) {
 	c := diffCases(t)[0]
-	if _, _, err := c.p.RunParallelOpts(exec.RunOptions{Dynamic: true, Legacy: true}); err == nil {
-		t.Error("Dynamic+Legacy was accepted")
-	}
 	if _, _, err := c.p.RunParallelOpts(exec.RunOptions{Dynamic: true, ProcCheckpoint: &exec.ProcCheckpoint{}}); err == nil {
 		t.Error("Dynamic+ProcCheckpoint was accepted")
 	}

@@ -17,8 +17,8 @@ import (
 // The LDS is seeded deterministically and every worker count computes
 // bit-identical values (the linear-extension theorem verify.Certify
 // proves), so repeated rounds and different pool sizes read identical
-// inputs. Exported for internal/bench's intrabench; not part of the
-// execution API proper.
+// inputs. Exported for benchmark/'s exec.sweep_mpts_per_s_* rows; not part
+// of the execution API proper.
 func (p *Program) ComputeSweep(rank, workers, rounds int) (points int64, seconds float64, err error) {
 	if rank < 0 || rank >= p.Dist.NumProcs() {
 		return 0, 0, fmt.Errorf("exec: ComputeSweep rank %d out of range [0, %d)", rank, p.Dist.NumProcs())

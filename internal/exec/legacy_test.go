@@ -1,0 +1,218 @@
+package exec
+
+import (
+	"fmt"
+	"sync"
+
+	"tilespace/internal/ilin"
+	"tilespace/internal/mpi"
+)
+
+// This file is the reference executor: the §3.2 protocol derived point by
+// point — Addresser evaluation (FloorDiv per dimension per read) for every
+// address, region walks for pack and unpack — with none of the compiled
+// plans, the inbound-message table, tracing, checkpointing, dynamic
+// receives or worker pools. It is the oracle the differential and
+// property suites compare the planned executor against (Global bit for
+// bit, mpi.Stats DeepEqual), so it shares the rank's static tables
+// (newRankState) but no phase code with receive.go, plan.go or pack.go.
+
+// RunLegacy runs the program on the reference executor over a fresh
+// in-process world, with blocking Sends or (overlap) Isends drained at
+// chain end.
+func (p *Program) RunLegacy(overlap bool) (*Global, mpi.Stats, error) {
+	lo, hi, err := p.TS.Nest.BoundingBox()
+	if err != nil {
+		return nil, mpi.Stats{}, err
+	}
+	g := NewGlobal(lo, hi, p.Width)
+	world := mpi.NewWorldOpts(p.Dist.NumProcs(), mpi.Options{})
+	var (
+		mu     sync.Mutex
+		runErr error
+	)
+	werr := world.RunE(func(c *mpi.Comm) {
+		if err := p.runRankLegacy(c, g, overlap); err != nil {
+			mu.Lock()
+			if runErr == nil {
+				runErr = err
+			}
+			mu.Unlock()
+		}
+	})
+	if runErr != nil {
+		return nil, mpi.Stats{}, runErr
+	}
+	if werr != nil {
+		return nil, mpi.Stats{}, werr
+	}
+	return g, world.Stats(), nil
+}
+
+// runRankLegacy is the reference rank body: RECEIVE, boundary-value
+// injection, compute and SEND per tile, then write-back.
+func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
+	r := c.Rank()
+	st := newRankState(p, c, r, RunOptions{Overlap: overlap})
+	for t := int64(0); t < p.Dist.ChainLen[r]; t++ {
+		tile := p.Dist.TileAt(r, t)
+		if err := st.receivePhase(tile); err != nil {
+			return err
+		}
+		st.initPhase(tile, t)
+		st.computePhase(tile, t)
+		if err := st.sendPhase(tile); err != nil {
+			return err
+		}
+	}
+	mpi.Waitall(st.pending)
+	st.writeBackPerPoint(g)
+	return nil
+}
+
+// receivePhase implements the paper's RECEIVE: for every tile dependence
+// d^S whose predecessor is valid and for which this tile is the
+// lexicographically minimum successor along d^m(d^S), receive one message
+// from processor pid − d^m and unpack it into the LDS. The message sizing
+// uses the closed-form CommRegionCount, so only the unpack itself walks
+// the region.
+func (st *rankState) receivePhase(tile ilin.Vec) error {
+	d := st.p.Dist
+	w := st.p.Width
+	for _, si := range st.dsOrder {
+		di := st.dsDmIdx[si]
+		if di < 0 {
+			continue // same-processor dependence: data is already in the LDS
+		}
+		dS := st.p.TS.DS[si]
+		dm := d.DM[di]
+		pred := tile.Sub(dS)
+		if !st.p.TS.ValidTile(pred) {
+			continue
+		}
+		if ms, ok := d.MinSucc(pred, dm); !ok || !ms.Equal(tile) {
+			continue
+		}
+		n := d.CommRegionCount(pred, dm)
+		if n == 0 {
+			continue
+		}
+		srcRank := st.recvRank[di]
+		if srcRank < 0 {
+			return fmt.Errorf("exec: predecessor tile %v has no rank", pred)
+		}
+		buf := st.c.Recv(srcRank, di)
+		if int64(len(buf)) != n*int64(w) {
+			return fmt.Errorf("exec: rank %d tile %v: message from rank %d tag %d has %d values, expected %d", st.rank, tile, srcRank, di, len(buf), n*int64(w))
+		}
+		tau := pred[d.M] - d.ChainStart[st.rank]
+		dmF := st.dmFulls[di]
+		i := 0
+		d.CommRegion(pred, dm, func(z, pp ilin.Vec) bool {
+			cell := st.addr.FlatUnpack(pp, dmF, tau) * int64(w)
+			copy(st.la[cell:cell+int64(w)], buf[i:i+w])
+			i += w
+			return true
+		})
+	}
+	return nil
+}
+
+// initPhase injects Initial values for reads that fall outside the
+// iteration space (boundary tiles only).
+func (st *rankState) initPhase(tile ilin.Vec, t int64) {
+	if st.interiorTile(tile) {
+		return
+	}
+	w := st.p.Width
+	n := st.p.TS.T.N
+	src := make(ilin.Vec, n)
+	buf := make([]float64, w)
+	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+		j := st.p.TS.GlobalOf(tile, z)
+		for l := range st.deps {
+			for k := 0; k < n; k++ {
+				src[k] = j[k] - st.deps[l][k]
+			}
+			if st.p.TS.Nest.Space.Contains(src) {
+				continue
+			}
+			st.p.Initial(src, buf)
+			cell := st.addr.FlatRead(jp, st.dps[l], t) * int64(w)
+			copy(st.la[cell:cell+int64(w)], buf)
+		}
+		return true
+	})
+}
+
+// computePhase sweeps the tile's lattice points, reading each dependence
+// through map(j'−d', t) and writing the result at map(j', t): every
+// address goes through the Addresser's FloorDiv condensation.
+func (st *rankState) computePhase(tile ilin.Vec, t int64) {
+	w := st.p.Width
+	q := len(st.deps)
+	reads := st.reads
+	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+		for l := 0; l < q; l++ {
+			cell := st.addr.FlatRead(jp, st.dps[l], t) * int64(w)
+			reads[l] = st.la[cell : cell+int64(w)]
+		}
+		j := st.p.TS.GlobalOf(tile, z)
+		out := st.addr.Flat(jp, t) * int64(w)
+		st.p.Kernel(j, reads, st.la[out:out+int64(w)])
+		return true
+	})
+}
+
+// sendPhase implements the paper's SEND: one message per processor
+// direction d^m with at least one valid successor tile, packing this
+// tile's communication region point by point (distrib.CommRegion, which
+// sender and receiver evaluate identically, so contents pair up without
+// headers). Send and Isend snapshot the buffer; in overlap mode the rank
+// advances without waiting.
+func (st *rankState) sendPhase(tile ilin.Vec) error {
+	d := st.p.Dist
+	w := st.p.Width
+	t := tile[d.M] - d.ChainStart[st.rank]
+	for i, dm := range d.DM {
+		if !d.HasSuccessor(tile, dm) {
+			continue
+		}
+		n := d.CommRegionCount(tile, dm)
+		if n == 0 {
+			continue
+		}
+		if st.sendRank[i] < 0 {
+			return fmt.Errorf("exec: successor pid of tile %v along %v has no rank", tile, dm)
+		}
+		buf := make([]float64, int(n)*w)
+		pos := 0
+		d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool {
+			cell := st.addr.Flat(jp, t) * int64(w)
+			copy(buf[pos:pos+w], st.la[cell:cell+int64(w)])
+			pos += w
+			return true
+		})
+		if st.overlap {
+			st.pending = append(st.pending, st.c.Isend(st.sendRank[i], i, buf))
+		} else {
+			st.c.Send(st.sendRank[i], i, buf)
+		}
+	}
+	return nil
+}
+
+// writeBackPerPoint copies this rank's computed values to the global data
+// space via the computer-owns rule, re-deriving every address.
+func (st *rankState) writeBackPerPoint(g *Global) {
+	w := st.p.Width
+	for t := int64(0); t < st.p.Dist.ChainLen[st.rank]; t++ {
+		tile := st.p.Dist.TileAt(st.rank, t)
+		st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+			j := st.p.TS.GlobalOf(tile, z)
+			cell := st.addr.Flat(jp, t) * int64(w)
+			g.Set(j, st.la[cell:cell+int64(w)])
+			return true
+		})
+	}
+}

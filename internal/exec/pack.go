@@ -71,8 +71,8 @@ func (p *bufPool) put(b []float64) {
 // sendPhasePlanned is the compiled SEND: for each processor direction the
 // plan's run list turns packing into a few bulk copies, and the packed
 // buffer leaves via an ownership-transfer send, to be recycled by the
-// receiver. Message order, tags and sizes are identical to the legacy
-// sendPhase, so mpi.Stats match bit for bit.
+// receiver. Message order, tags and sizes are identical to the reference
+// executor's per-point SEND (legacy_test.go), so mpi.Stats match bit for bit.
 func (st *rankState) sendPhasePlanned(tile ilin.Vec, pl *tilePlan, t int64) error {
 	d := st.p.Dist
 	w := st.p.Width
@@ -100,7 +100,7 @@ func (st *rankState) sendPhasePlanned(tile ilin.Vec, pl *tilePlan, t int64) erro
 		// Ownership transfers with the send; when the recovery layer skips
 		// an already-delivered replay instead, the buffer stays ours and
 		// goes straight back to the pool.
-		if st.dispatchSend(st.sendRank[i], i, buf, true, t) {
+		if st.dispatchSend(st.sendRank[i], i, buf, t) {
 			st.pool.put(buf)
 		}
 	}

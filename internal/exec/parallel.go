@@ -41,14 +41,6 @@ type RunOptions struct {
 	// point instead of computing wrong values or hanging. The proof
 	// covers both the blocking and the overlap mode.
 	Verify bool
-	// Legacy disables the compiled tile plans and runs the reference
-	// executor: per-point Addresser evaluation (FloorDiv per dimension per
-	// read) and per-point region walks for pack and unpack. Results are
-	// bit-identical to the planned executor — the differential tests under
-	// exec assert this for every app — so the flag exists for those tests
-	// and for before/after benchmarking, not for production use: it is an
-	// independent derivation of the protocol, without Checkpoint or Dynamic.
-	Legacy bool
 	// Trace, when non-nil, records a measured per-tile timeline (the
 	// simnet.Event schema) plus per-rank phase metrics into the tracer;
 	// see Tracer. Nil disables tracing entirely: the executor takes no
@@ -101,8 +93,7 @@ type RunOptions struct {
 	// current tile's missing messages. Tiles still fire in chain order and
 	// all sends are asynchronous (Overlap is forced on). Results and
 	// mpi.Stats are bit-identical to the static overlap mode; only timing
-	// changes. Requires the compiled plans (not Legacy) and is mutually
-	// exclusive with ProcCheckpoint.
+	// changes. Mutually exclusive with ProcCheckpoint.
 	Dynamic bool
 	// Firing, when non-nil, records the observed firing order for post-hoc
 	// certification by verify.CheckDynamicOrder. The log is reset at run
@@ -147,9 +138,6 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 
 	if opt.ProcCheckpoint != nil && opt.Checkpoint != nil {
 		return nil, mpi.Stats{}, fmt.Errorf("exec: ProcCheckpoint and Checkpoint are mutually exclusive")
-	}
-	if opt.Legacy && (opt.Dynamic || opt.Checkpoint != nil) {
-		return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and Checkpoint require the compiled tile plans; Legacy is the static reference executor")
 	}
 	if opt.Dynamic {
 		if opt.ProcCheckpoint != nil {
@@ -234,8 +222,8 @@ type rankState struct {
 	dsOrder  []int
 	dsDmIdx  []int
 
-	// Compiled-plan state (nil/unused when legacy). in is the
-	// inbound-message table of receive.go; dynamic selects its policy.
+	// Compiled-plan state. in is the inbound-message table of receive.go;
+	// dynamic selects its policy.
 	in        inbox
 	dynamic   bool
 	plans     *planCache
@@ -260,7 +248,6 @@ type rankState struct {
 	tileCounts map[int64]int64 // interior-tile detection cache
 	tileIdx    ilin.BoxIndexer // perfect tile-coordinate key for it
 
-	legacy     bool
 	overlap    bool
 	pointDelay time.Duration
 
@@ -285,7 +272,7 @@ type rankState struct {
 }
 
 // newRankState builds a rank's executor state: LDS, dependence tables,
-// communication tables and (unless legacy) the plan cache. c may be nil
+// communication tables and the plan cache. c may be nil
 // for tests and benchmarks that drive individual phases directly.
 func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 	d := p.Dist
@@ -295,7 +282,6 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 		addr:       d.Addresser(r),
 		tileCounts: map[int64]int64{},
 		tileIdx:    ilin.NewBoxIndexer(p.TS.TileLo, p.TS.TileHi),
-		legacy:     opt.Legacy,
 		dynamic:    opt.Dynamic,
 		overlap:    opt.Overlap,
 		pointDelay: opt.PointDelay,
@@ -330,23 +316,20 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 	st.predBuf = make(ilin.Vec, n)
 	st.roBuf = make([]int64, q)
 	st.buildCommTables()
-	if !st.legacy {
-		st.plans = newPlanCache()
-		st.in.rows = make([][]int, len(d.DM))
-		st.in.heads = make([]int, len(d.DM))
-		st.tilePlans = make([]*tilePlan, d.ChainLen[r])
-		st.chainStep = st.addr.ChainStep()
-		st.workers = effectiveWorkers(opt.Workers, d.NumProcs())
-		if st.workers > 1 {
-			st.seqDims = distrib.SeqDims(p.TS.DP)
-		}
+	st.plans = newPlanCache()
+	st.in.rows = make([][]int, len(d.DM))
+	st.in.heads = make([]int, len(d.DM))
+	st.tilePlans = make([]*tilePlan, d.ChainLen[r])
+	st.chainStep = st.addr.ChainStep()
+	st.workers = effectiveWorkers(opt.Workers, d.NumProcs())
+	if st.workers > 1 {
+		st.seqDims = distrib.SeqDims(p.TS.DP)
 	}
 	return st
 }
 
 // runRank is the rank body: the one loop every mode runs. Per tile it does
-// RECEIVE (receive.go; the legacy reference keeps its own per-point
-// derivation), boundary-value injection, compute and SEND.
+// RECEIVE (receive.go), boundary-value injection, compute and SEND.
 func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	r := c.Rank()
 	d := p.Dist
@@ -380,21 +363,13 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		if st.tr != nil {
 			st.tr.beginTile()
 		}
-		var pl *tilePlan
-		if st.legacy {
-			if err := st.receivePhase(tile); err != nil {
-				return err
-			}
-			st.initPhase(tile, t)
-		} else {
-			pl = st.planFor(tile)
-			st.tilePlans[t] = pl
-			if err := st.receive(t); err != nil {
-				return err
-			}
-			mulVecInto(st.pBase, p.TS.T.P, tile)
-			st.initPhasePlanned(pl, tile, t)
+		pl := st.planFor(tile)
+		st.tilePlans[t] = pl
+		if err := st.receive(t); err != nil {
+			return err
 		}
+		mulVecInto(st.pBase, p.TS.T.P, tile)
+		st.initPhasePlanned(pl, tile, t)
 		if st.tr != nil {
 			st.tr.noteRecvDone()
 		}
@@ -404,24 +379,15 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 			opt.Firing.note(r, t, tile)
 			fired = t + 1
 		}
-		switch {
-		case st.legacy:
-			st.computePhase(tile, t)
-		case st.wpool != nil:
+		if st.wpool != nil {
 			st.computePhaseParallel(pl, t)
-		default:
+		} else {
 			st.computePhasePlanned(pl, t)
 		}
 		if st.tr != nil {
 			st.tr.noteCompDone()
 		}
-		var err error
-		if st.legacy {
-			err = st.sendPhase(tile)
-		} else {
-			err = st.sendPhasePlanned(tile, pl, t)
-		}
-		if err != nil {
+		if err := st.sendPhasePlanned(tile, pl, t); err != nil {
 			return err
 		}
 		if st.tr != nil {
@@ -501,13 +467,6 @@ func (st *rankState) buildCommTables() {
 	}
 }
 
-// commRegion delegates to the shared distrib.CommRegion (§3.2 pack/unpack
-// region); sender and receiver evaluate it identically, so message
-// contents pair up without extra headers.
-func (st *rankState) commRegion(s ilin.Vec, dm ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
-	return st.p.Dist.CommRegion(s, dm, fn)
-}
-
 // dmFull re-inserts the mapping dimension (as 0) into a processor
 // direction.
 func (st *rankState) dmFull(dm ilin.Vec) ilin.Vec {
@@ -536,7 +495,7 @@ func (st *rankState) chargePointDelay(pts int64) {
 // completed Isend (registered via Request.OnComplete).
 func (st *rankState) noteSendDone() { st.sendsDone.Add(1) }
 
-// recv is the blocking receive of both executor paths: plain Recv when
+// recv is the executor's blocking receive: plain Recv when
 // tracing is off, and the timestamped RecvMsg — splitting blocked wait
 // from mailbox queueing via Message.Delivered — when it is on.
 func (st *rankState) recv(src, tag int) []float64 {
@@ -563,56 +522,6 @@ func (st *rankState) reapPending() {
 	}
 	st.pending = st.pending[:copy(st.pending, st.pending[done:])]
 	st.reaped += done
-}
-
-// receivePhase implements the paper's RECEIVE: for every tile dependence
-// d^S whose predecessor is valid and for which this tile is the
-// lexicographically minimum successor along d^m(d^S), receive one message
-// from processor pid − d^m and unpack it into the LDS. This is the legacy
-// per-point path; the message sizing uses the closed-form
-// CommRegionCount, so only the unpack itself walks the region. It is the
-// differential reference for receive.go and shares nothing with it.
-func (st *rankState) receivePhase(tile ilin.Vec) error {
-	d := st.p.Dist
-	w := st.p.Width
-	for _, si := range st.dsOrder {
-		di := st.dsDmIdx[si]
-		if di < 0 {
-			continue // same-processor dependence: data is already in the LDS
-		}
-		dS := st.p.TS.DS[si]
-		dm := d.DM[di]
-		pred := tile.Sub(dS)
-		if !st.p.TS.ValidTile(pred) {
-			continue
-		}
-		if ms, ok := d.MinSucc(pred, dm); !ok || !ms.Equal(tile) {
-			continue
-		}
-		n := d.CommRegionCount(pred, dm)
-		if n == 0 {
-			continue
-		}
-		srcRank := st.recvRank[di]
-		if srcRank < 0 {
-			return fmt.Errorf("exec: predecessor tile %v has no rank", pred)
-		}
-		buf := st.recv(srcRank, di)
-		if int64(len(buf)) != n*int64(w) {
-			return fmt.Errorf("exec: rank %d tile %v: message from rank %d tag %d has %d values, expected %d", st.rank, tile, srcRank, di, len(buf), n*int64(w))
-		}
-		tau := pred[d.M] - d.ChainStart[st.rank]
-		dmF := st.dmFulls[di]
-		i := 0
-		st.commRegion(pred, dm, func(z, pp ilin.Vec) bool {
-			cell := st.addr.FlatUnpack(pp, dmF, tau) * int64(w)
-			copy(st.la[cell:cell+int64(w)], buf[i:i+w])
-			i += w
-			return true
-		})
-		st.pool.put(buf)
-	}
-	return nil
 }
 
 // interiorTile reports whether every read of every point of the tile
@@ -647,132 +556,30 @@ func (st *rankState) tileFull(s ilin.Vec) bool {
 	return cnt == st.p.TS.T.TileSize
 }
 
-// initPhase injects Initial values for reads that fall outside the
-// iteration space (boundary tiles only). Legacy per-point path.
-func (st *rankState) initPhase(tile ilin.Vec, t int64) {
-	if st.interiorTile(tile) {
-		return
-	}
-	w := st.p.Width
-	n := st.p.TS.T.N
-	src := make(ilin.Vec, n)
-	buf := make([]float64, w)
-	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-		j := st.p.TS.GlobalOf(tile, z)
-		for l := range st.deps {
-			for k := 0; k < n; k++ {
-				src[k] = j[k] - st.deps[l][k]
-			}
-			if st.p.TS.Nest.Space.Contains(src) {
-				continue
-			}
-			st.p.Initial(src, buf)
-			cell := st.addr.FlatRead(jp, st.dps[l], t) * int64(w)
-			copy(st.la[cell:cell+int64(w)], buf)
-		}
-		return true
-	})
-}
-
-// computePhase sweeps the tile's lattice points, reading each dependence
-// through map(j'−d', t) and writing the result at map(j', t). Legacy
-// per-point path: every address goes through the Addresser's FloorDiv
-// condensation.
-func (st *rankState) computePhase(tile ilin.Vec, t int64) {
-	w := st.p.Width
-	q := len(st.deps)
-	reads := st.reads
-	var pts int64
-	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-		for l := 0; l < q; l++ {
-			cell := st.addr.FlatRead(jp, st.dps[l], t) * int64(w)
-			reads[l] = st.la[cell : cell+int64(w)]
-		}
-		j := st.p.TS.GlobalOf(tile, z)
-		out := st.addr.Flat(jp, t) * int64(w)
-		st.p.Kernel(j, reads, st.la[out:out+int64(w)])
-		pts++
-		return true
-	})
-	st.chargePointDelay(pts)
-}
-
-// sendPhase implements the paper's SEND: one message per processor
-// direction d^m with at least one valid successor tile, packing this
-// tile's communication region. Legacy path: the message is sized with the
-// closed-form CommRegionCount and packed point by point into a pooled
-// buffer; Send/Isend snapshot it, so the buffer returns to the pool
-// immediately. In overlap mode the rank advances without waiting.
-func (st *rankState) sendPhase(tile ilin.Vec) error {
-	d := st.p.Dist
-	w := st.p.Width
-	t := tile[d.M] - d.ChainStart[st.rank]
-	st.reapPending()
-	for i, dm := range d.DM {
-		if !d.HasSuccessor(tile, dm) {
-			continue
-		}
-		n := d.CommRegionCount(tile, dm)
-		if n == 0 {
-			continue
-		}
-		if st.sendRank[i] < 0 {
-			return fmt.Errorf("exec: successor pid of tile %v along %v has no rank", tile, dm)
-		}
-		buf := st.pool.get(int(n) * w)
-		pos := 0
-		st.commRegion(tile, dm, func(z, jp ilin.Vec) bool {
-			cell := st.addr.Flat(jp, t) * int64(w)
-			copy(buf[pos:pos+w], st.la[cell:cell+int64(w)])
-			pos += w
-			return true
-		})
-		// Send/Isend snapshot the buffer, so it returns to the pool either
-		// way — even when the recovery layer skipped an already-delivered
-		// replay.
-		st.dispatchSend(st.sendRank[i], i, buf, false, t)
-		st.pool.put(buf)
-	}
-	return nil
-}
-
 // writeBack copies this rank's computed values to the global data space
 // via the computer-owns rule. Ranks own disjoint iteration points, so the
-// concurrent writes touch disjoint memory. The planned path replays each
-// chain slot's stored offset table; the legacy path re-derives every
-// address.
+// concurrent writes touch disjoint memory. Each chain slot's stored offset
+// table is replayed.
 func (st *rankState) writeBack(g *Global) {
 	w := st.p.Width
-	if st.tilePlans != nil {
-		n := st.p.TS.T.N
-		for t, pl := range st.tilePlans {
-			tile := st.p.Dist.TileAt(st.rank, int64(t))
-			if pl == nil {
-				// A chain resumed from a process snapshot skipped the tiles
-				// before its restore point; their LDS values are restored, and
-				// the (cached, shape-keyed) plan recovers their offset tables.
-				pl = st.planFor(tile)
-			}
-			mulVecInto(st.pBase, st.p.TS.T.P, tile)
-			tOff := int64(t) * st.chainStep
-			for i := 0; i < pl.npts; i++ {
-				uz := pl.uz[i*n : i*n+n]
-				for k := 0; k < n; k++ {
-					st.jBuf[k] = st.pBase[k] + uz[k]
-				}
-				cell := (pl.writeOff[i] + tOff) * int64(w)
-				g.Set(st.jBuf, st.la[cell:cell+int64(w)])
-			}
+	n := st.p.TS.T.N
+	for t, pl := range st.tilePlans {
+		tile := st.p.Dist.TileAt(st.rank, int64(t))
+		if pl == nil {
+			// A chain resumed from a process snapshot skipped the tiles
+			// before its restore point; their LDS values are restored, and
+			// the (cached, shape-keyed) plan recovers their offset tables.
+			pl = st.planFor(tile)
 		}
-		return
-	}
-	for t := int64(0); t < st.p.Dist.ChainLen[st.rank]; t++ {
-		tile := st.p.Dist.TileAt(st.rank, t)
-		st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-			j := st.p.TS.GlobalOf(tile, z)
-			cell := st.addr.Flat(jp, t) * int64(w)
-			g.Set(j, st.la[cell:cell+int64(w)])
-			return true
-		})
+		mulVecInto(st.pBase, st.p.TS.T.P, tile)
+		tOff := int64(t) * st.chainStep
+		for i := 0; i < pl.npts; i++ {
+			uz := pl.uz[i*n : i*n+n]
+			for k := 0; k < n; k++ {
+				st.jBuf[k] = st.pBase[k] + uz[k]
+			}
+			cell := (pl.writeOff[i] + tOff) * int64(w)
+			g.Set(st.jBuf, st.la[cell:cell+int64(w)])
+		}
 	}
 }

@@ -9,9 +9,9 @@ import (
 // executor's static/dynamic split. The paper's central claim is that the
 // TTIS transformation makes everything rectangular and cheap — its
 // generated code walks the LDS with incremental (strength-reduced)
-// addresses, never dividing per point. The legacy executor re-derived
-// every address through rat.FloorDiv, n·(q+1) divisions per iteration
-// point. A tilePlan evaluates the Addresser once per *distinct clamped
+// addresses, never dividing per point. The reference executor
+// (legacy_test.go) re-derives every address through rat.FloorDiv, n·(q+1)
+// divisions per iteration point. A tilePlan evaluates the Addresser once per *distinct clamped
 // tile shape* and replays the result as pure slice arithmetic:
 //
 //   - addresses are affine in the chain slot t (Addresser.ChainStep), so

@@ -180,7 +180,7 @@ func BenchmarkComputePhase(b *testing.B) {
 	p := planProgram(b)
 	r, ti := fullTileSlot(p)
 	stP := newRankState(p, nil, r, RunOptions{})
-	stL := newRankState(p, nil, r, RunOptions{Legacy: true})
+	stL := newRankState(p, nil, r, RunOptions{})
 	tile := p.Dist.TileAt(r, ti)
 	pl := stP.planFor(tile)
 	mulVecInto(stP.pBase, p.TS.T.P, tile)
@@ -228,7 +228,7 @@ func BenchmarkPackUnpack(b *testing.B) {
 	w := p.Width
 	r, ti := fullTileSlot(p)
 	stP := newRankState(p, nil, r, RunOptions{})
-	stL := newRankState(p, nil, r, RunOptions{Legacy: true})
+	stL := newRankState(p, nil, r, RunOptions{})
 	tile := p.Dist.TileAt(r, ti)
 	pl := stP.planFor(tile)
 	var maxVals, totalPts int64
@@ -273,7 +273,7 @@ func BenchmarkPackUnpack(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for di, dm := range d.DM {
 				pos := 0
-				stL.commRegion(tile, dm, func(z, jp ilin.Vec) bool { // pack
+				d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool { // pack
 					cell := stL.addr.Flat(jp, ti) * int64(w)
 					copy(buf[pos:pos+w], stL.la[cell:cell+int64(w)])
 					pos += w
@@ -281,7 +281,7 @@ func BenchmarkPackUnpack(b *testing.B) {
 				})
 				dmF := stL.dmFulls[di]
 				pos = 0
-				stL.commRegion(tile, dm, func(z, pp ilin.Vec) bool { // unpack
+				d.CommRegion(tile, dm, func(z, pp ilin.Vec) bool { // unpack
 					cell := stL.addr.FlatUnpack(pp, dmF, ti) * int64(w)
 					copy(stL.la[cell:cell+int64(w)], buf[pos:pos+w])
 					pos += w

@@ -106,7 +106,7 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 		return fmt.Sprintf("sequential: %v", err), false
 	}
 	for _, overlap := range []bool{false, true} {
-		legacy, _, err := p.RunParallelOpts(exec.RunOptions{Legacy: true, Overlap: overlap})
+		legacy, _, err := p.RunLegacy(overlap)
 		if err != nil {
 			return fmt.Sprintf("legacy overlap=%v: %v", overlap, err), false
 		}

@@ -31,7 +31,7 @@ func runTraced(t *testing.T, opt RunOptions) (*Tracer, mpi.Stats) {
 	return tr, st
 }
 
-// TestTracerRecordsTimeline: every executor variant must produce one
+// TestTracerRecordsTimeline: both send modes must produce one
 // event per tile, per-rank metrics consistent with mpi.Stats, and a
 // timeline the shared simnet analytics can digest.
 func TestTracerRecordsTimeline(t *testing.T) {
@@ -41,8 +41,6 @@ func TestTracerRecordsTimeline(t *testing.T) {
 	}{
 		{"planned-blocking", RunOptions{}},
 		{"planned-overlap", RunOptions{Overlap: true}},
-		{"legacy-blocking", RunOptions{Legacy: true}},
-		{"legacy-overlap", RunOptions{Legacy: true, Overlap: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, st := runTraced(t, tc.opt)
@@ -95,14 +93,12 @@ func TestTracerRecordsTimeline(t *testing.T) {
 					t.Error("overlap run recorded no pending-send high-water mark")
 				}
 			}
-			if !tc.opt.Legacy {
-				hits := 0
-				for _, m := range tr.PerRank() {
-					hits += m.PoolHits
-				}
-				if hits == 0 {
-					t.Error("planned run recorded no buffer-pool hits")
-				}
+			hits := 0
+			for _, m := range tr.PerRank() {
+				hits += m.PoolHits
+			}
+			if hits == 0 {
+				t.Error("planned run recorded no buffer-pool hits")
 			}
 			if _, err := trace.TraceEventJSON(); err != nil {
 				t.Errorf("trace export: %v", err)

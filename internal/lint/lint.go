@@ -1,7 +1,7 @@
 // Package lint is a self-contained go/analysis-style framework plus the
 // repo-specific analyzers enforced by cmd/tilevet. It exists because the
 // runtime invariants the executor relies on — buffer ownership after
-// SendOwned/IsendOwned, request completion for Isend/Irecv, nil-guarded
+// SendOwned/IsendOwned, request completion for Isend/IsendOwned, nil-guarded
 // tracer access — are documented in comments but invisible to go vet.
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) using only the standard library, so it runs in hermetic

@@ -10,7 +10,6 @@ func (r *request) Test() bool { return r.done }
 type world struct{ rank int }
 
 func (w *world) Isend(dst, tag int, buf []int64) *request      { return &request{} }
-func (w *world) Irecv(src, tag int, buf []int64) *request      { return &request{} }
 func (w *world) IsendOwned(dst, tag int, buf []int64) *request { return &request{} }
 func (w *world) Waitall(rs []*request)                         {}
 
@@ -20,13 +19,13 @@ func discarded(w *world, buf []int64) {
 
 func blankDiscard(w *world, buf []int64) {
 	var r *request
-	r = w.Irecv(0, 1, buf)
+	r = w.Isend(0, 1, buf)
 	_ = r
 	_ = w.Isend(0, 1, buf) // want "result of Isend is discarded"
 }
 
 func leakedInLoop(w *world, buf []int64, n int) {
-	r := w.Irecv(0, 1, buf) // want "request r from Irecv may reach the end of its scope"
+	r := w.Isend(0, 1, buf) // want "request r from Isend may reach the end of its scope"
 	for i := 0; i < n; i++ {
 		if buf[i] < 0 {
 			r.Wait()
@@ -50,12 +49,12 @@ func returnLeak(w *world, buf []int64, flag bool) {
 }
 
 func straightWait(w *world, buf []int64) {
-	r := w.Irecv(0, 1, buf)
+	r := w.Isend(0, 1, buf)
 	r.Wait()
 }
 
 func bothBranchesResolve(w *world, buf []int64, flag bool) {
-	r := w.Irecv(0, 1, buf)
+	r := w.Isend(0, 1, buf)
 	if flag {
 		r.Wait()
 	} else {
@@ -65,13 +64,13 @@ func bothBranchesResolve(w *world, buf []int64, flag bool) {
 }
 
 func deferredWait(w *world, buf []int64) int64 {
-	r := w.Irecv(0, 1, buf)
+	r := w.Isend(0, 1, buf)
 	defer r.Wait()
 	return buf[0]
 }
 
 func deferredClosureWait(w *world, buf []int64) int64 {
-	r := w.Irecv(0, 1, buf)
+	r := w.Isend(0, 1, buf)
 	defer func() { r.Wait() }()
 	return buf[0]
 }
@@ -87,7 +86,7 @@ func escapesToPending(w *world, buf []int64) []*request {
 
 // Panic unwinds the stack; the path does not leak the request.
 func panicPath(w *world, buf []int64, flag bool) {
-	r := w.Irecv(0, 1, buf)
+	r := w.Isend(0, 1, buf)
 	if !flag {
 		panic("bad rank")
 	}
@@ -96,6 +95,6 @@ func panicPath(w *world, buf []int64, flag bool) {
 
 // Returning the request transfers responsibility to the caller.
 func returned(w *world, buf []int64) *request {
-	r := w.Irecv(0, 1, buf)
+	r := w.Isend(0, 1, buf)
 	return r
 }

@@ -5,7 +5,7 @@ import (
 	"go/token"
 )
 
-// WaitCheck flags Isend/Irecv/IsendOwned requests that can reach function
+// WaitCheck flags Isend/IsendOwned requests that can reach function
 // exit without Wait, Test or Waitall on some path. The runtime's NIC
 // completes requests asynchronously; dropping one means the chain can be
 // declared done while a transfer is still in flight (or a buffer still
@@ -21,11 +21,11 @@ import (
 // still proving the common straight-line and branchy cases.
 var WaitCheck = &Analyzer{
 	Name: "waitcheck",
-	Doc:  "flags Isend/Irecv requests whose Wait/Test/Waitall is unreachable on some path",
+	Doc:  "flags Isend/IsendOwned requests whose Wait/Test/Waitall is unreachable on some path",
 	Run:  runWaitCheck,
 }
 
-var requestMakers = map[string]bool{"Isend": true, "Irecv": true, "IsendOwned": true}
+var requestMakers = map[string]bool{"Isend": true, "IsendOwned": true}
 var resolverNames = map[string]bool{"Wait": true, "Test": true}
 
 func runWaitCheck(pass *Pass) error {

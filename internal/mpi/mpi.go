@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing runtime with MPI-like
 // semantics: a fixed-size world of ranks (goroutines), blocking typed
 // point-to-point Send/Recv with (source, tag) matching and per-stream FIFO
-// ordering, non-blocking Isend/Irecv with completion Requests, barriers
-// and the collectives the generated programs use.
+// ordering, a polling TryRecv, non-blocking Isend with completion Requests
+// and a barrier.
 //
 // It substitutes for the paper's MPI-over-FastEthernet transport (Go has no
 // mature MPI binding): the compiled tile programs only rely on ordered
@@ -40,8 +40,8 @@ type streamKey struct {
 
 // stream is one (source, tag) FIFO. Arriving messages get consecutive
 // sequence numbers; consumers reserve tickets, and ticket t matches
-// exactly the t-th arrived message — so posted receives complete in
-// posting order no matter which Wait is called first, as in MPI.
+// exactly the t-th arrived message — so concurrent receives on one stream
+// complete in posting order, as in MPI.
 type stream struct {
 	nextSeq    uint64             // sequence of the next arriving message
 	nextTicket uint64             // next consumer reservation to hand out
@@ -157,21 +157,8 @@ func (mb *mailbox) takeTicket(k streamKey, ticket uint64, w *World, rank int, op
 	}
 }
 
-// tryTakeTicket is the non-blocking takeTicket.
-func (mb *mailbox) tryTakeTicket(k streamKey, ticket uint64) (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	s := mb.streamOf(k)
-	m, ok := s.arrived[ticket]
-	if !ok {
-		return Message{}, false
-	}
-	delete(s.arrived, ticket)
-	return m, true
-}
-
 // tryTake polls the stream: it claims the next unreserved message, if
-// arrived (messages matching outstanding Recv/Irecv reservations are off
+// arrived (messages matching outstanding Recv reservations are off
 // limits — posted receives have priority over polling).
 func (mb *mailbox) tryTake(k streamKey) (Message, bool) {
 	mb.mu.Lock()
@@ -224,10 +211,10 @@ type Options struct {
 
 // RankTraffic is one rank's traffic, both directions.
 type RankTraffic struct {
-	BlockingSends   int64 // messages sent with Send/collectives
+	BlockingSends   int64 // messages sent with Send
 	OverlappedSends int64 // messages sent with Isend
 	Values          int64 // float64 values across both
-	Recvs           int64 // messages claimed by Recv/Irecv/TryRecv
+	Recvs           int64 // messages claimed by Recv/TryRecv
 	ValuesRecvd     int64 // float64 values across claimed messages
 	SendRetries     int64 // injected transient send failures survived (Options.Faults)
 }
@@ -657,13 +644,8 @@ func (c *Comm) World() *World { return c.world }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// reserved internal tag space for collectives and runtime protocol.
-const (
-	tagBcast   = -1000
-	tagReduce  = -2000
-	tagGather  = -3000
-	tagBarrier = -6000
-)
+// tagBarrier is the reserved (negative) tag of the wire barrier.
+const tagBarrier = -6000
 
 func (c *Comm) checkRank(r int) {
 	if r < 0 || r >= c.world.size {
@@ -674,15 +656,11 @@ func (c *Comm) checkRank(r int) {
 // Send delivers a copy of data to dst with the given tag. It is eager:
 // the call returns as soon as the message is enqueued (plus any injected
 // wire cost, which the blocking path pays on the caller). Tags must be
-// non-negative (negative tags are reserved for collectives).
+// non-negative (negative tags are reserved for the runtime's protocol).
 func (c *Comm) Send(dst, tag int, data []float64) {
 	if tag < 0 {
 		panic("mpi: negative tags are reserved")
 	}
-	c.send(dst, tag, data)
-}
-
-func (c *Comm) send(dst, tag int, data []float64) {
 	c.checkRank(dst)
 	buf := make([]float64, len(data))
 	copy(buf, data)
@@ -713,16 +691,9 @@ func (c *Comm) SendOwned(dst, tag int, data []float64) {
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. Messages on one (src, tag) stream arrive in send
-// order; interleaved Recv/Irecv on one stream complete in posting order.
+// order.
 func (c *Comm) Recv(src, tag int) []float64 {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved")
-	}
-	return c.recv(src, tag)
-}
-
-func (c *Comm) recv(src, tag int) []float64 {
-	return c.recvMsg(src, tag).Data
+	return c.RecvMsg(src, tag).Data
 }
 
 // RecvMsg is Recv returning the full message envelope, including the
@@ -732,10 +703,6 @@ func (c *Comm) RecvMsg(src, tag int) Message {
 	if tag < 0 {
 		panic("mpi: negative tags are reserved")
 	}
-	return c.recvMsg(src, tag)
-}
-
-func (c *Comm) recvMsg(src, tag int) Message {
 	c.checkRank(src)
 	mb := c.world.boxes[c.rank]
 	k := streamKey{src, tag}
@@ -758,13 +725,6 @@ func (c *Comm) TryRecv(src, tag int) ([]float64, bool) {
 		c.world.noteRecv(c.rank, len(m.Data))
 	}
 	return m.Data, ok
-}
-
-// SendRecv sends to dst and receives from src in one logical step (safe
-// because sends are eager).
-func (c *Comm) SendRecv(dst, sendTag int, data []float64, src, recvTag int) []float64 {
-	c.Send(dst, sendTag, data)
-	return c.Recv(src, recvTag)
 }
 
 // Barrier blocks until all ranks have entered it. A single-process
@@ -798,7 +758,7 @@ func (c *Comm) msgBarrier() {
 	c.recvRaw(0, tagBarrier)
 }
 
-// recvRaw is recvMsg for runtime-internal protocol messages: same
+// recvRaw is RecvMsg for runtime-internal protocol messages: same
 // matching, ordering and watchdog behaviour, but no traffic counting.
 func (c *Comm) recvRaw(src, tag int) []float64 {
 	mb := c.world.boxes[c.rank]
@@ -818,97 +778,6 @@ func (c *Comm) FlushWire() { c.world.wire.Flush(c.rank) }
 // completed tile) so the deadlock watchdog never mistakes a long pipeline
 // stage for a hang.
 func (c *Comm) NoteProgress() { c.world.NoteProgress() }
-
-// Bcast distributes root's data to every rank and returns each rank's
-// copy (root returns a copy of its own input).
-func (c *Comm) Bcast(root int, data []float64) []float64 {
-	c.checkRank(root)
-	if c.rank == root {
-		for r := 0; r < c.world.size; r++ {
-			if r != root {
-				c.send(r, tagBcast, data)
-			}
-		}
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out
-	}
-	return c.recv(root, tagBcast)
-}
-
-// ReduceOp combines two values during reductions.
-type ReduceOp func(a, b float64) float64
-
-// Predefined reduction operators.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
-)
-
-// Reduce combines elementwise contributions from all ranks at root; other
-// ranks return nil.
-func (c *Comm) Reduce(root int, op ReduceOp, data []float64) []float64 {
-	c.checkRank(root)
-	if c.rank != root {
-		c.send(root, tagReduce, data)
-		return nil
-	}
-	acc := make([]float64, len(data))
-	copy(acc, data)
-	for r := 0; r < c.world.size; r++ {
-		if r == root {
-			continue
-		}
-		contrib := c.recv(r, tagReduce)
-		if len(contrib) != len(acc) {
-			panic(fmt.Sprintf("mpi: Reduce length mismatch: %d vs %d", len(contrib), len(acc)))
-		}
-		for i, v := range contrib {
-			acc[i] = op(acc[i], v)
-		}
-	}
-	return acc
-}
-
-// Allreduce is Reduce at rank 0 followed by Bcast.
-func (c *Comm) Allreduce(op ReduceOp, data []float64) []float64 {
-	res := c.Reduce(0, op, data)
-	if c.rank != 0 {
-		res = nil
-	}
-	return c.Bcast(0, res)
-}
-
-// Gather collects each rank's slice at root, indexed by rank; other ranks
-// return nil.
-func (c *Comm) Gather(root int, data []float64) [][]float64 {
-	c.checkRank(root)
-	if c.rank != root {
-		c.send(root, tagGather, data)
-		return nil
-	}
-	out := make([][]float64, c.world.size)
-	out[root] = make([]float64, len(data))
-	copy(out[root], data)
-	for r := 0; r < c.world.size; r++ {
-		if r == root {
-			continue
-		}
-		out[r] = c.recv(r, tagGather)
-	}
-	return out
-}
 
 // barrier is a reusable counting barrier with generations.
 type barrier struct {
@@ -961,65 +830,6 @@ func (b *barrier) poison() {
 	b.poisoned = true
 	b.mu.Unlock()
 	b.cond.Broadcast()
-}
-
-// reserved internal tags for the remaining collectives.
-const (
-	tagScatter   = -4000
-	tagAllgather = -5000
-)
-
-// Scatter distributes root's per-rank slices: rank r receives chunks[r].
-// Non-root ranks pass nil chunks.
-func (c *Comm) Scatter(root int, chunks [][]float64) []float64 {
-	c.checkRank(root)
-	if c.rank == root {
-		if len(chunks) != c.world.size {
-			panic(fmt.Sprintf("mpi: Scatter needs %d chunks, got %d", c.world.size, len(chunks)))
-		}
-		for r := 0; r < c.world.size; r++ {
-			if r != root {
-				c.send(r, tagScatter, chunks[r])
-			}
-		}
-		out := make([]float64, len(chunks[root]))
-		copy(out, chunks[root])
-		return out
-	}
-	return c.recv(root, tagScatter)
-}
-
-// Allgather collects every rank's slice at every rank, indexed by rank.
-// Implemented as Gather at rank 0 followed by a flattened Bcast, which is
-// all the compiled programs need.
-func (c *Comm) Allgather(data []float64) [][]float64 {
-	parts := c.Gather(0, data)
-	var sizes []float64
-	var flat []float64
-	if c.rank == 0 {
-		for _, p := range parts {
-			sizes = append(sizes, float64(len(p)))
-			flat = append(flat, p...)
-		}
-	}
-	sizes = c.Bcast(0, sizes)
-	flat = c.Bcast(0, flat)
-	out := make([][]float64, c.world.size)
-	off := 0
-	for r := range out {
-		n := int(sizes[r])
-		out[r] = make([]float64, n)
-		copy(out[r], flat[off:off+n])
-		off += n
-	}
-	return out
-}
-
-// SendRecvReplace sends buf to dst and overwrites it with the message
-// received from src (both with the given tag).
-func (c *Comm) SendRecvReplace(dst int, buf []float64, src, tag int) {
-	got := c.SendRecv(dst, tag, buf, src, tag)
-	copy(buf, got)
 }
 
 // StreamPos is one (src, tag) inbound or outbound stream position — the

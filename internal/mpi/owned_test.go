@@ -96,26 +96,3 @@ func TestOnCompleteSend(t *testing.T) {
 		t.Fatalf("OnComplete fired %d times, want 1", fired.Load())
 	}
 }
-
-// TestOnCompleteRecv: hooks on receive requests fire when the message is
-// claimed via Wait or Test.
-func TestOnCompleteRecv(t *testing.T) {
-	w := NewWorld(2)
-	var fired atomic.Int64
-	w.Run(func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Send(1, 2, []float64{1})
-		case 1:
-			r := c.Irecv(0, 2)
-			r.OnComplete(func() { fired.Add(1) })
-			if got := r.Wait(); len(got) != 1 || got[0] != 1 {
-				panic("bad payload")
-			}
-			r.Wait() // idempotent; must not re-fire
-		}
-	})
-	if fired.Load() != 1 {
-		t.Fatalf("OnComplete fired %d times, want 1", fired.Load())
-	}
-}

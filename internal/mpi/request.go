@@ -7,11 +7,9 @@ import (
 	"time"
 )
 
-// Request is the completion handle of a non-blocking operation, the
-// analogue of MPI_Request. A send Request completes when the rank's NIC
-// has delivered the message; a receive Request completes when its message
-// has been matched and taken. Wait and Test are safe to call repeatedly;
-// after the first successful completion they return the cached result.
+// Request is the completion handle of a non-blocking send, the analogue
+// of MPI_Request: it completes when the rank's NIC has delivered the
+// message. Wait and Test are safe to call repeatedly.
 //
 // Ordering: Isends issued by one rank are transmitted by a single
 // background NIC goroutine in issue order, so per-(source, tag) FIFO
@@ -19,45 +17,35 @@ import (
 // a blocking Send and a still-in-flight earlier Isend on the same stream.
 // Programs that mix both on one stream must Wait on the Isend first.
 type Request struct {
-	c    *Comm
-	send bool
-	peer int // dst for sends, src for receives
-	tag  int
+	c   *Comm
+	dst int
+	tag int
 
-	// send completion
-	done chan struct{}
+	done chan struct{} // closed on completion
 
-	// receive resolution: resolveMu serializes concurrent Wait/Test claims
-	// of the ticket; mu guards the published result and completion hooks.
-	resolveMu sync.Mutex
-	mu        sync.Mutex
-	ticket    uint64
-	got       bool
-	data      []float64
-
-	// dropped marks a send request whose message was discarded before
+	// dropped marks a request whose message was discarded before
 	// delivery by Comm.DropPending (crash simulation). Set once, before
 	// done is closed, so any Wait/Test that observes completion also
 	// observes the final Dropped answer.
 	dropped atomic.Bool
 
-	// completion hooks (see OnComplete)
+	// completion hooks (see OnComplete), guarded by mu
+	mu    sync.Mutex
 	fired bool
 	cbs   []func()
 }
 
-// Dropped reports whether this send request's message was discarded
+// Dropped reports whether this request's message was discarded
 // undelivered by Comm.DropPending. It is final once the request has
 // completed (done closed): a completed request was either delivered or
-// dropped, never both. Always false for receive requests.
+// dropped, never both.
 func (r *Request) Dropped() bool { return r.dropped.Load() }
 
-// OnComplete registers fn to run exactly once when the request completes:
-// for sends, right after the NIC delivers the message (fn runs on the NIC
-// goroutine); for receives, when the message is claimed by Wait or a
-// successful Test (fn runs on the caller). A request that is already
-// complete runs fn immediately. This is the buffer-recycling hook pooled
-// executors use to reap in-flight Isends without blocking in Wait.
+// OnComplete registers fn to run exactly once when the request completes,
+// right after the NIC delivers the message (fn runs on the NIC goroutine).
+// A request that is already complete runs fn immediately. This is the
+// buffer-recycling hook pooled executors use to reap in-flight Isends
+// without blocking in Wait.
 func (r *Request) OnComplete(fn func()) {
 	r.mu.Lock()
 	if r.fired {
@@ -217,7 +205,7 @@ func (c *Comm) IsendOwned(dst, tag int, data []float64) *Request {
 		panic("mpi: negative tags are reserved")
 	}
 	c.checkRank(dst)
-	req := &Request{c: c, send: true, peer: dst, tag: tag, done: make(chan struct{})}
+	req := &Request{c: c, dst: dst, tag: tag, done: make(chan struct{})}
 	q := c.startNIC()
 	q.mu.Lock()
 	if q.closed {
@@ -233,107 +221,53 @@ func (c *Comm) IsendOwned(dst, tag int, data []float64) *Request {
 	return req
 }
 
-// Irecv posts a non-blocking receive for (src, tag) and returns its
-// Request; the message is claimed at Wait or a successful Test. Posted
-// receives on one stream complete in posting order.
-func (c *Comm) Irecv(src, tag int) *Request {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved")
+// Wait blocks until the NIC has delivered (or dropped) the message. Under
+// a world watchdog a Wait stuck longer than the timeout aborts with a
+// diagnostic instead of hanging.
+func (r *Request) Wait() {
+	w := r.c.world
+	to := w.opts.Watchdog
+	if to <= 0 {
+		<-r.done
+		return
 	}
-	c.checkRank(src)
-	k := streamKey{src, tag}
-	ticket := c.world.boxes[c.rank].reserve(k)
-	return &Request{c: c, peer: src, tag: tag, ticket: ticket}
-}
-
-// Wait blocks until the operation completes. For receives it returns the
-// payload; for sends it returns nil. Under a world watchdog a Wait stuck
-// longer than the timeout aborts with a diagnostic instead of hanging.
-func (r *Request) Wait() []float64 {
-	if r.send {
-		w := r.c.world
-		to := w.opts.Watchdog
-		if to <= 0 {
-			<-r.done
-			return nil
-		}
-		w.blocked.Add(1)
-		defer w.blocked.Add(-1)
-		last := w.progress.Load()
-		strikes := 0
-		for {
-			select {
-			case <-r.done:
-				return nil
-			case <-time.After(to):
-			}
-			// The timer and completion can race: re-check done before
-			// consulting the stall detector so a finished send never trips
-			// the watchdog.
-			select {
-			case <-r.done:
-				return nil
-			default:
-			}
-			var stall bool
-			last, stall = w.stalled(last)
-			if stall {
-				strikes++
-			} else {
-				strikes = 0
-			}
-			if strikes >= 2 {
-				panic(fmt.Sprintf("watchdog: rank %d blocked in Wait(Isend dst=%d, tag=%d) longer than %v with no global progress — deadlock suspected", r.c.rank, r.peer, r.tag, to))
-			}
-		}
-	}
-	data, _ := r.resolveRecv(true)
-	return data
-}
-
-// resolveRecv claims the receive's ticket (blocking or not), publishes the
-// payload and fires completion hooks exactly once.
-func (r *Request) resolveRecv(blocking bool) ([]float64, bool) {
-	r.resolveMu.Lock()
-	defer r.resolveMu.Unlock()
-	r.mu.Lock()
-	if r.got {
-		data := r.data
-		r.mu.Unlock()
-		return data, true
-	}
-	r.mu.Unlock()
-	k := streamKey{r.peer, r.tag}
-	var m Message
-	if blocking {
-		m = r.c.world.boxes[r.c.rank].takeTicket(k, r.ticket, r.c.world, r.c.rank, "Irecv.Wait")
-	} else {
-		var ok bool
-		if m, ok = r.c.world.boxes[r.c.rank].tryTakeTicket(k, r.ticket); !ok {
-			return nil, false
-		}
-	}
-	r.c.world.noteRecv(r.c.rank, len(m.Data))
-	r.mu.Lock()
-	r.data = m.Data
-	r.got = true
-	r.mu.Unlock()
-	r.fireComplete()
-	return m.Data, true
-}
-
-// Test reports whether the operation has completed without blocking,
-// returning the payload for completed receives.
-func (r *Request) Test() ([]float64, bool) {
-	if r.send {
+	w.blocked.Add(1)
+	defer w.blocked.Add(-1)
+	last := w.progress.Load()
+	strikes := 0
+	for {
 		select {
 		case <-r.done:
-			return nil, true
-		default:
-			return nil, false
+			return
+		case <-time.After(to):
+		}
+		// The timer and completion can race: re-check done before
+		// consulting the stall detector so a finished send never trips
+		// the watchdog.
+		if r.Test() {
+			return
+		}
+		var stall bool
+		last, stall = w.stalled(last)
+		if stall {
+			strikes++
+		} else {
+			strikes = 0
+		}
+		if strikes >= 2 {
+			panic(fmt.Sprintf("watchdog: rank %d blocked in Wait(Isend dst=%d, tag=%d) longer than %v with no global progress — deadlock suspected", r.c.rank, r.dst, r.tag, to))
 		}
 	}
-	return r.resolveRecv(false)
+}
+
+// Test reports whether the request has completed, without blocking.
+func (r *Request) Test() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Waitall completes every request; nil entries are skipped.

@@ -9,8 +9,8 @@ import (
 
 // ringTraffic is a fixed deterministic traffic pattern: every rank sends
 // r+1 messages to its ring successor, receives from its predecessor, and
-// the world finishes with an Allreduce — blocking and overlapped paths
-// both exercised.
+// the world finishes with a barrier — blocking and overlapped paths both
+// exercised.
 func ringTraffic(c *Comm) {
 	next := (c.Rank() + 1) % c.Size()
 	prev := (c.Rank() - 1 + c.Size()) % c.Size()
@@ -24,7 +24,6 @@ func ringTraffic(c *Comm) {
 	c.Recv(prev, 8)
 	req.Wait()
 	c.Barrier()
-	c.Allreduce(OpSum, []float64{1})
 }
 
 // TestWorldResetBitIdenticalStats is the pooling seam's contract: a
@@ -44,7 +43,8 @@ func TestWorldResetBitIdenticalStats(t *testing.T) {
 	reused := NewWorldOpts(size, Options{LinkLatency: 50 * time.Microsecond})
 	// Dirty the world with unrelated traffic first.
 	if err := reused.RunE(func(c *Comm) {
-		c.Bcast(0, make([]float64, 100))
+		c.Send((c.Rank()+1)%size, 9, make([]float64, 100))
+		c.Recv((c.Rank()-1+size)%size, 9)
 		c.Barrier()
 		c.Isend((c.Rank()+2)%size, 3, make([]float64, 11)).Wait()
 		c.Recv((c.Rank()-2+size)%size, 3)

@@ -278,9 +278,9 @@ func TestTCPRemoteWorldPair(t *testing.T) {
 			}
 		}
 		c.Barrier()
-		sum := c.Allreduce(OpSum, []float64{float64(c.Rank() + 1)})
-		if sum[0] != 3 {
-			panic("allreduce mismatch")
+		c.Send(peer, 8, []float64{float64(c.Rank() + 1)})
+		if got := c.Recv(peer, 8); got[0] != float64(peer+1) {
+			panic("post-barrier exchange mismatch")
 		}
 		c.Barrier()
 	}
