@@ -82,10 +82,14 @@ func SOR(m, n int64) (*App, error) {
 	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
 		out[0] = w/4*(reads[0][0]+reads[1][0]+reads[2][0]+reads[3][0]) + (1-w)*reads[4][0]
 	}
-	tinv := skew.Inverse().Int() // unimodular: exact integer inverse
+	// Back to the original (t, i, j): only i and j feed the boundary value,
+	// so the closure evaluates those two rows of the (unimodular, exactly
+	// integer) inverse skew directly — no allocation, no shared buffer, safe
+	// for concurrent ranks.
+	tinv := skew.Inverse().Int()
+	ri, rj := tinv.Row(1), tinv.Row(2)
 	initial := func(js ilin.Vec, out []float64) {
-		j := tinv.MulVec(js) // back to original (t, i, j)
-		out[0] = boundaryValue(j[1], j[2])
+		out[0] = boundaryValue(ri.Dot(js), rj.Dot(js))
 	}
 	return &App{
 		Name: "sor", Nest: nest, Width: 1, Kernel: kernel, Initial: initial,
@@ -133,9 +137,9 @@ func Jacobi(tSteps, n int64) (*App, error) {
 		out[0] = 0.2 * (reads[0][0] + reads[1][0] + reads[2][0] + reads[3][0] + reads[4][0])
 	}
 	tinv := skew.Inverse().Int()
+	ri, rj := tinv.Row(1), tinv.Row(2) // as in SOR: rows of the inverse skew, no per-read Vec
 	initial := func(js ilin.Vec, out []float64) {
-		j := tinv.MulVec(js)
-		out[0] = boundaryValue(j[1], j[2])
+		out[0] = boundaryValue(ri.Dot(js), rj.Dot(js))
 	}
 	return &App{
 		Name: "jacobi", Nest: nest, Width: 1, Kernel: kernel, Initial: initial,
@@ -256,9 +260,9 @@ func Heat3D(tSteps, n int64) (*App, error) {
 		out[0] = s / 7
 	}
 	tinv := skew.Inverse().Int()
+	rx, ry, rz := tinv.Row(1), tinv.Row(2), tinv.Row(3)
 	initial := func(js ilin.Vec, out []float64) {
-		j := tinv.MulVec(js)
-		out[0] = boundaryValue(j[1]+j[3], j[2])
+		out[0] = boundaryValue(rx.Dot(js)+rz.Dot(js), ry.Dot(js))
 	}
 	rect4 := func(x, y, z int64) *ilin.RatMat {
 		// The fourth extent reuses z (the API carries three factors).

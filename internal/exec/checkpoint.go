@@ -171,7 +171,7 @@ func (st *rankState) crash(t int64) int64 {
 	// No wire activity, no Stats, no tracer counts: each held message was
 	// counted at its one successful receive.
 	for _, h := range ck.held {
-		st.unpack(&st.in.msgs[h.row], h.data)
+		st.unpack(&st.msgs[h.row], h.data)
 	}
 
 	// Split the ledger at the snapshot: pre-snapshot entries are not

@@ -37,22 +37,21 @@ func (p *Program) ComputeSweep(rank, workers, rounds int) (points int64, seconds
 	for i := range st.la {
 		st.la[i] = float64(i%101)*0.5 - 12.25
 	}
-	chain := p.Dist.ChainLen[rank]
 	sweep := func() {
-		for t := int64(0); t < chain; t++ {
-			pl := st.planFor(p.Dist.TileAt(rank, t))
-			mulVecInto(st.pBase, p.TS.T.P, p.Dist.TileAt(rank, t))
+		for t := range st.slots {
+			sl := &st.slots[t]
+			st.pBase = sl.pBase
 			if st.wpool != nil {
-				st.computePhaseParallel(pl, t)
+				st.computePhaseParallel(sl.plan, int64(t))
 			} else {
-				st.computePhasePlanned(pl, t)
+				st.computePhasePlanned(sl.plan, int64(t))
 			}
 		}
 	}
-	for t := int64(0); t < chain; t++ {
-		points += int64(st.planFor(p.Dist.TileAt(rank, t)).npts)
+	for t := range st.slots {
+		points += int64(st.slots[t].plan.npts)
 	}
-	sweep() // warm up: compile tile and local plans, spin up the pool
+	sweep() // warm up: compile local plans, spin up the pool
 	for r := 0; r < rounds; r++ {
 		start := time.Now()
 		sweep()

@@ -15,7 +15,8 @@ import (
 // receives or worker pools. It is the oracle the differential and
 // property suites compare the planned executor against (Global bit for
 // bit, mpi.Stats DeepEqual), so it shares the rank's static tables
-// (newRankState) but no phase code with receive.go, plan.go or pack.go.
+// (newRankState: comm tables and the receive order) but no phase code with
+// receive.go, plan.go or pack.go.
 
 // RunLegacy runs the program on the reference executor over a fresh
 // in-process world, with blocking Sends or (overlap) Isends drained at
@@ -79,8 +80,8 @@ func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 func (st *rankState) receivePhase(tile ilin.Vec) error {
 	d := st.p.Dist
 	w := st.p.Width
-	for _, si := range st.dsOrder {
-		di := st.dsDmIdx[si]
+	for _, si := range st.p.cp.dsOrder {
+		di := st.p.cp.dsDmIdx[si]
 		if di < 0 {
 			continue // same-processor dependence: data is already in the LDS
 		}
@@ -119,11 +120,10 @@ func (st *rankState) receivePhase(tile ilin.Vec) error {
 }
 
 // initPhase injects Initial values for reads that fall outside the
-// iteration space (boundary tiles only).
+// iteration space, testing every read of every tile — no interior-tile
+// shortcut, so a wrong compiled flag or boundary-read list shows up in the
+// differential suites.
 func (st *rankState) initPhase(tile ilin.Vec, t int64) {
-	if st.interiorTile(tile) {
-		return
-	}
 	w := st.p.Width
 	n := st.p.TS.T.N
 	src := make(ilin.Vec, n)

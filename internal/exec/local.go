@@ -12,11 +12,12 @@ import (
 // wavefronts of mutually independent points (see distrib/local.go for the
 // safety argument); here each wavefront is decomposed into maximal
 // stride-1 footprint runs (write cell and every read cell contiguous, the
-// same strength reduction pack runs use) and the runs are statically
-// pre-partitioned across the rank's worker pool by point count. The local
-// plan is cached on its tilePlan, so steady state allocates nothing: the
-// pool walks precompiled segments, one barrier per wavefront, and the
-// output is bit-identical to the serial sweep for any worker count.
+// same strength reduction pack runs use); a pool splits each front's runs
+// across its workers by point count as it dispatches the front. The local
+// plan is compiled once on its tilePlan and, like it, shared by every rank
+// and run whatever their worker count, so steady state allocates nothing:
+// the pool walks precompiled runs, one barrier per wavefront, and the output
+// is bit-identical to the serial sweep for any worker count.
 
 // localRun is one compiled stride-1 stretch: n points starting at
 // order[start], write cell wo at chain slot 0 (read cells in frontPlan.ro).
@@ -27,43 +28,36 @@ type localRun struct {
 }
 
 // frontPlan is one compiled wavefront: its points (localPlan.order[lo:hi],
-// sorted by write cell), the stride-1 run decomposition, and the static
-// per-worker run segments balanced by point count.
+// sorted by write cell), the stride-1 run decomposition, and each run's
+// point count — the weights a pool balances its workers' segments by.
 type frontPlan struct {
 	lo, hi int32
 	npts   int
 	runs   []localRun
 	// ro[ri·q+l] is the first-point read cell of dependence l in run ri.
-	ro []int64
-	// segs[w] is worker w's [runLo, runHi) slice of runs.
-	segs [][2]int32
+	ro      []int64
+	weights []int64
 }
 
-// localPlan is the compiled intra-tile schedule of one tile shape for a
-// fixed worker count.
+// localPlan is the compiled intra-tile schedule of one tile shape.
 type localPlan struct {
-	workers int
-	order   []int32
-	fronts  []frontPlan
+	order  []int32
+	fronts []frontPlan
 }
 
 // localFor returns the tile shape's compiled local plan, compiling it on
-// first use. Worker count is fixed for the whole run, so a cached plan is
-// always valid for this rank.
+// the first parallel execution of the shape by any rank of any run.
 func (st *rankState) localFor(pl *tilePlan) *localPlan {
-	if pl.local == nil {
-		pl.local = st.compileLocal(pl)
-	}
+	pl.localOnce.Do(func() { pl.local = st.p.compileLocal(pl) })
 	return pl.local
 }
 
-// compileLocal derives the shape's wavefronts, extracts footprint runs
-// per front, and pre-partitions each front's runs across the pool.
-func (st *rankState) compileLocal(pl *tilePlan) *localPlan {
-	q := len(st.dps)
-	workers := st.workers
-	sched := distrib.NewLocalSchedule(st.p.TS, pl.zs, st.seqDims)
-	lp := &localPlan{workers: workers, order: make([]int32, 0, pl.npts)}
+// compileLocal derives the shape's wavefronts and extracts footprint runs
+// per front.
+func (p *Program) compileLocal(pl *tilePlan) *localPlan {
+	q := len(p.cp.dps)
+	sched := distrib.NewLocalSchedule(p.TS, pl.zs, p.cp.seqDims)
+	lp := &localPlan{order: make([]int32, 0, pl.npts)}
 	lp.fronts = make([]frontPlan, 0, len(sched.Fronts))
 	for _, front := range sched.Fronts {
 		f := frontPlan{lo: int32(len(lp.order)), npts: len(front)}
@@ -72,16 +66,11 @@ func (st *rankState) compileLocal(pl *tilePlan) *localPlan {
 		runs := distrib.FootprintRuns(idxs, pl.writeOff, pl.readOff, q)
 		f.runs = make([]localRun, len(runs))
 		f.ro = make([]int64, len(runs)*q)
-		weights := make([]int64, len(runs))
+		f.weights = make([]int64, len(runs))
 		for ri, r := range runs {
 			f.runs[ri] = localRun{start: f.lo + r.Start, n: r.N, wo: r.WO}
 			copy(f.ro[ri*q:ri*q+q], r.RO)
-			weights[ri] = int64(r.N)
-		}
-		segs := ilin.SplitByWeight(weights, workers)
-		f.segs = make([][2]int32, len(segs))
-		for si, s := range segs {
-			f.segs[si] = [2]int32{int32(s[0]), int32(s[1])}
+			f.weights[ri] = int64(r.N)
 		}
 		lp.order = append(lp.order, idxs...)
 		f.hi = int32(len(lp.order))

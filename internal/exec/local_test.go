@@ -35,13 +35,10 @@ func TestComputePhaseParallelMatchesSerial(t *testing.T) {
 			stP.wpool = newWorkerPool(stP, workers)
 			seedLDS(stS, stP)
 			for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
-				tile := p.Dist.TileAt(r, ti)
-				plS := stS.planFor(tile)
-				mulVecInto(stS.pBase, p.TS.T.P, tile)
-				stS.computePhasePlanned(plS, ti)
-				plP := stP.planFor(tile)
-				mulVecInto(stP.pBase, p.TS.T.P, tile)
-				stP.computePhaseParallel(plP, ti)
+				sl := &stS.slots[ti] // one compiled chain behind both states
+				stS.pBase, stP.pBase = sl.pBase, sl.pBase
+				stS.computePhasePlanned(sl.plan, ti)
+				stP.computePhaseParallel(sl.plan, ti)
 			}
 			for i, v := range stS.la {
 				if stP.la[i] != v {
@@ -57,17 +54,17 @@ func TestComputePhaseParallelMatchesSerial(t *testing.T) {
 // TestLocalPlanInvariants: the compiled local plan must fire every point
 // of the shape exactly once, decompose each front into runs covering its
 // points exactly, keep every run's claimed write offset consistent with
-// the tile plan, and partition each front's runs across the workers.
+// the tile plan, and weigh each run by its point count (what a pool of any
+// size splits the front by).
 func TestLocalPlanInvariants(t *testing.T) {
 	p := planProgram(t)
-	const workers = 3
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		st := newRankState(p, nil, r, RunOptions{Workers: workers})
+		st := newRankState(p, nil, r, RunOptions{Workers: 3})
 		for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
-			pl := st.planFor(p.Dist.TileAt(r, ti))
+			pl := st.slots[ti].plan
 			lp := st.localFor(pl)
-			if lp.workers != workers {
-				t.Fatalf("local plan compiled for %d workers, want %d", lp.workers, workers)
+			if again := st.localFor(pl); again != lp {
+				t.Fatal("local plan recompiled on second lookup")
 			}
 			if len(lp.order) != pl.npts {
 				t.Fatalf("order has %d entries, shape has %d points", len(lp.order), pl.npts)
@@ -99,16 +96,12 @@ func TestLocalPlanInvariants(t *testing.T) {
 					t.Fatalf("front %d: %d points, runs cover %d, order range %d",
 						fi, f.npts, runPts, f.hi-f.lo)
 				}
-				if len(f.segs) != workers {
-					t.Fatalf("front %d has %d worker segments, want %d", fi, len(f.segs), workers)
+				if len(f.weights) != len(f.runs) {
+					t.Fatalf("front %d has %d run weights for %d runs", fi, len(f.weights), len(f.runs))
 				}
-				if f.segs[0][0] != 0 || int(f.segs[workers-1][1]) != len(f.runs) {
-					t.Fatalf("front %d segments do not span the run list", fi)
-				}
-				for w := 1; w < workers; w++ {
-					if f.segs[w][0] != f.segs[w-1][1] {
-						t.Fatalf("front %d: segment %d starts at %d, previous ends at %d",
-							fi, w, f.segs[w][0], f.segs[w-1][1])
+				for ri, run := range f.runs {
+					if f.weights[ri] != int64(run.n) {
+						t.Fatalf("front %d run %d: weight %d, %d points", fi, ri, f.weights[ri], run.n)
 					}
 				}
 			}
@@ -123,9 +116,8 @@ func TestComputePhaseParallelZeroAlloc(t *testing.T) {
 	st := newRankState(p, nil, 0, RunOptions{Workers: 3})
 	st.wpool = newWorkerPool(st, 3)
 	defer st.wpool.close()
-	tile := p.Dist.TileAt(0, 0)
-	pl := st.planFor(tile)
-	mulVecInto(st.pBase, p.TS.T.P, tile)
+	pl := st.slots[0].plan
+	st.pBase = st.slots[0].pBase
 	st.computePhaseParallel(pl, 0) // compile local plan, warm the pool
 	if allocs := testing.AllocsPerRun(20, func() {
 		st.computePhaseParallel(pl, 0)
@@ -142,9 +134,8 @@ func TestWorkerPanicPropagates(t *testing.T) {
 	st := newRankState(p, nil, 0, RunOptions{Workers: 3})
 	st.wpool = newWorkerPool(st, 3)
 	defer st.wpool.close()
-	tile := p.Dist.TileAt(0, 0)
-	pl := st.planFor(tile)
-	mulVecInto(st.pBase, p.TS.T.P, tile)
+	pl := st.slots[0].plan
+	st.pBase = st.slots[0].pBase
 
 	kernel := p.Kernel
 	defer func() { p.Kernel = kernel }()

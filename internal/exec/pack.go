@@ -1,11 +1,5 @@
 package exec
 
-import (
-	"fmt"
-
-	"tilespace/internal/ilin"
-)
-
 // This file holds the dynamic half of the compiled communication path:
 // run-based pack/unpack (bulk copies over the plan's contiguous LDS runs)
 // and the message-buffer pool. The pool plus ownership-transfer sends
@@ -68,27 +62,18 @@ func (p *bufPool) put(b []float64) {
 	p.free = append(p.free, b)
 }
 
-// sendPhasePlanned is the compiled SEND: for each processor direction the
-// plan's run list turns packing into a few bulk copies, and the packed
+// sendPhasePlanned is the compiled SEND: for each direction the slot sends
+// along (compiled: a valid successor and a non-empty region) the plan's run
+// list turns packing into a few bulk copies, and the packed
 // buffer leaves via an ownership-transfer send, to be recycled by the
 // receiver. Message order, tags and sizes are identical to the reference
 // executor's per-point SEND (legacy_test.go), so mpi.Stats match bit for bit.
-func (st *rankState) sendPhasePlanned(tile ilin.Vec, pl *tilePlan, t int64) error {
-	d := st.p.Dist
+func (st *rankState) sendPhasePlanned(sl *slotPlan, t int64) {
 	w := st.p.Width
 	st.reapPending()
 	tOff := t * st.chainStep
-	for i, dm := range d.DM {
-		if !d.HasSuccessor(tile, dm) {
-			continue
-		}
-		dir := &pl.dirs[i]
-		if dir.total == 0 {
-			continue
-		}
-		if st.sendRank[i] < 0 {
-			return fmt.Errorf("exec: successor pid of tile %v along %v has no rank", tile, dm)
-		}
+	for _, i := range sl.sends {
+		dir := &sl.plan.dirs[i]
 		buf := st.pool.get(int(dir.total) * w)
 		pos := 0
 		for _, run := range dir.runs {
@@ -104,5 +89,4 @@ func (st *rankState) sendPhasePlanned(tile ilin.Vec, pl *tilePlan, t int64) erro
 			st.pool.put(buf)
 		}
 	}
-	return nil
 }

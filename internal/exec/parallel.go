@@ -2,12 +2,10 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
 	"tilespace/internal/verify"
@@ -86,8 +84,7 @@ type RunOptions struct {
 	// protocol. Mutually exclusive with Checkpoint (the in-process
 	// tile-chain recovery). See ProcCheckpoint.
 	ProcCheckpoint *ProcCheckpoint
-	// Dynamic switches each rank's receive policy (see receive.go): the
-	// whole chain's inbound messages are enumerated up front and, before
+	// Dynamic switches each rank's receive policy (see receive.go): before
 	// each tile, every message that has already arrived — for that tile or
 	// a later one — is claimed and unpacked; the rank blocks only for the
 	// current tile's missing messages. Tiles still fire in chain order and
@@ -194,59 +191,35 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 	return g, world.Stats(), nil
 }
 
-// rankState caches per-rank compiled pieces.
+// rankState is one rank's state for one run: the Program's compiled chain
+// (embedded, shared and read-only) plus everything the run mutates.
 type rankState struct {
 	p    *Program
 	c    *mpi.Comm
 	rank int
+	*rankPlan
 
-	la   []float64 // the LDS backing array, Width values per cell
-	addr *distrib.Addresser
+	la []float64 // the LDS backing array, Width values per cell
 
 	deps []ilin.Vec // original dependence vectors d_l
 	dps  []ilin.Vec // transformed d'_l
 
-	// Communication tables, constant over the whole chain (hoisted out of
-	// the per-tile phases): for each processor-direction index i into
-	// Dist.DM, sendRank[i]/recvRank[i] is the rank of pid ± DM[i] (−1 when
-	// unmapped), dmFulls[i] is the direction with the mapping dimension
-	// re-inserted, and dirShift[i] is the constant pack→unpack flat-address
-	// shift (Addresser.DirShift). dsOrder lists tile-dependence indices in
-	// receive-processing order; dsDmIdx maps each to its DM index (−1 for
-	// the intra-processor direction). The DM index doubles as the message
-	// tag, exactly as in the reference executor.
-	sendRank []int
-	recvRank []int
-	dmFulls  []ilin.Vec
-	dirShift []int64
-	dsOrder  []int
-	dsDmIdx  []int
-
-	// Compiled-plan state. in is the inbound-message table of receive.go;
+	// in is the claim state of the inbound-message table (receive.go);
 	// dynamic selects its policy.
-	in        inbox
-	dynamic   bool
-	plans     *planCache
-	tilePlans []*tilePlan // plan of each chain slot, for writeBack
-	chainStep int64       // flat-address step per chain slot
-	pBase     ilin.Vec    // P·j^S of the current tile
-	jBuf      ilin.Vec    // reused global iteration point
-	srcBuf    ilin.Vec    // reused dependence source point
-	initBuf   []float64   // reused Initial value buffer
-	reads     [][]float64 // reused kernel read views
-	predBuf   ilin.Vec    // reused predecessor tile coordinate
-	roBuf     []int64     // reused read-offset cursors (inline local runs)
+	in      inbox
+	dynamic bool
+	pBase   ilin.Vec    // P·j^S of the current tile (the slot's, not a copy)
+	jBuf    ilin.Vec    // reused global iteration point
+	srcBuf  ilin.Vec    // reused dependence source point
+	initBuf []float64   // reused Initial value buffer
+	reads   [][]float64 // reused kernel read views
+	roBuf   []int64     // reused read-offset cursors (inline local runs)
 
-	// Intra-tile parallelism (workers > 1 only): the sequential dimension
-	// set of the dependence cone and the rank's worker pool.
+	// Intra-tile parallelism (workers > 1 only): the rank's worker pool.
 	workers int
-	seqDims []int
 	wpool   *workerPool
 
 	pool bufPool // recycled message buffers
-
-	tileCounts map[int64]int64 // interior-tile detection cache
-	tileIdx    ilin.BoxIndexer // perfect tile-coordinate key for it
 
 	overlap    bool
 	pointDelay time.Duration
@@ -271,17 +244,19 @@ type rankState struct {
 	noteFn    func()
 }
 
-// newRankState builds a rank's executor state: LDS, dependence tables,
-// communication tables and the plan cache. c may be nil
-// for tests and benchmarks that drive individual phases directly.
+// newRankState builds a rank's per-run state on top of its compiled chain
+// (compiled here on the Program's first use of the rank): the LDS, the
+// inbound claim state and a few reused buffers. c may be nil for tests and
+// benchmarks that drive individual phases directly.
 func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
-	d := p.Dist
+	rp := p.rank(r)
 	n := p.TS.T.N
+	q := len(p.cp.deps)
 	st := &rankState{
 		p: p, c: c, rank: r,
-		addr:       d.Addresser(r),
-		tileCounts: map[int64]int64{},
-		tileIdx:    ilin.NewBoxIndexer(p.TS.TileLo, p.TS.TileHi),
+		rankPlan:   rp,
+		deps:       p.cp.deps,
+		dps:        p.cp.dps,
 		dynamic:    opt.Dynamic,
 		overlap:    opt.Overlap,
 		pointDelay: opt.PointDelay,
@@ -303,28 +278,14 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 		st.tr = newRankTracer(opt.Trace, r)
 	}
 	st.la = make([]float64, st.addr.Size()*int64(p.Width))
-	q := p.TS.Nest.Q()
-	for l := 0; l < q; l++ {
-		st.deps = append(st.deps, p.TS.Nest.Dep(l))
-		st.dps = append(st.dps, p.TS.DP.Col(l))
-	}
 	st.reads = make([][]float64, q)
 	st.initBuf = make([]float64, p.Width)
 	st.jBuf = make(ilin.Vec, n)
 	st.srcBuf = make(ilin.Vec, n)
-	st.pBase = make(ilin.Vec, n)
-	st.predBuf = make(ilin.Vec, n)
 	st.roBuf = make([]int64, q)
-	st.buildCommTables()
-	st.plans = newPlanCache()
-	st.in.rows = make([][]int, len(d.DM))
-	st.in.heads = make([]int, len(d.DM))
-	st.tilePlans = make([]*tilePlan, d.ChainLen[r])
-	st.chainStep = st.addr.ChainStep()
-	st.workers = effectiveWorkers(opt.Workers, d.NumProcs())
-	if st.workers > 1 {
-		st.seqDims = distrib.SeqDims(p.TS.DP)
-	}
+	st.in.claimed = make([]bool, len(rp.msgs))
+	st.in.heads = make([]int, len(rp.rows))
+	st.workers = effectiveWorkers(opt.Workers, p.Dist.NumProcs())
 	return st
 }
 
@@ -334,6 +295,9 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	r := c.Rank()
 	d := p.Dist
 	st := newRankState(p, c, r, opt)
+	if st.err != nil {
+		return st.err
+	}
 	if st.workers > 1 {
 		st.wpool = newWorkerPool(st, st.workers)
 		// Deferred so every exit path — normal completion, error return,
@@ -349,7 +313,7 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 			return err
 		}
 	}
-	st.in.next = start
+	st.skipClaimed(start)
 	fired := start // chain slots below fired are in the firing log
 	for t := start; t < d.ChainLen[r]; t++ {
 		// A planned crash fires at the tile boundary, before tile t's
@@ -359,39 +323,35 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		if t == crashAt && (st.ckpt == nil || !st.ckpt.crashed) {
 			t = st.crash(t)
 		}
-		tile := d.TileAt(r, t)
+		sl := &st.slots[t]
 		if st.tr != nil {
 			st.tr.beginTile()
 		}
-		pl := st.planFor(tile)
-		st.tilePlans[t] = pl
 		if err := st.receive(t); err != nil {
 			return err
 		}
-		mulVecInto(st.pBase, p.TS.T.P, tile)
-		st.initPhasePlanned(pl, tile, t)
+		st.pBase = sl.pBase
+		st.initPhasePlanned(sl, t)
 		if st.tr != nil {
 			st.tr.noteRecvDone()
 		}
 		// The tile fires: every dependence is satisfied. Keep-first across
 		// crash rewinds — see FiringLog.
 		if opt.Firing != nil && t >= fired {
-			opt.Firing.note(r, t, tile)
+			opt.Firing.note(r, t, sl.tile)
 			fired = t + 1
 		}
 		if st.wpool != nil {
-			st.computePhaseParallel(pl, t)
+			st.computePhaseParallel(sl.plan, t)
 		} else {
-			st.computePhasePlanned(pl, t)
+			st.computePhasePlanned(sl.plan, t)
 		}
 		if st.tr != nil {
 			st.tr.noteCompDone()
 		}
-		if err := st.sendPhasePlanned(tile, pl, t); err != nil {
-			return err
-		}
+		st.sendPhasePlanned(sl, t)
 		if st.tr != nil {
-			st.tr.endTile(tile)
+			st.tr.endTile(sl.tile)
 		}
 		// A completed tile is forward progress even if every other rank is
 		// parked waiting for its output — keep the watchdog quiet.
@@ -415,66 +375,6 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	}
 	st.writeBack(g)
 	return nil
-}
-
-// buildCommTables precomputes the per-rank communication tables; the
-// reference executor recomputed all of them (PidOf, Rank, dm.String map
-// lookups, the DS sort) once per tile per direction.
-func (st *rankState) buildCommTables() {
-	d := st.p.Dist
-	pid := d.Pids[st.rank]
-	nd := len(d.DM)
-	st.sendRank = make([]int, nd)
-	st.recvRank = make([]int, nd)
-	st.dmFulls = make([]ilin.Vec, nd)
-	st.dirShift = make([]int64, nd)
-	for i, dm := range d.DM {
-		st.sendRank[i] = -1
-		if r, ok := d.Rank(pid.Add(dm)); ok {
-			st.sendRank[i] = r
-		}
-		st.recvRank[i] = -1
-		if r, ok := d.Rank(pid.Sub(dm)); ok {
-			st.recvRank[i] = r
-		}
-		st.dmFulls[i] = st.dmFull(dm)
-		st.dirShift[i] = st.addr.DirShift(st.dmFulls[i])
-	}
-	// Two tile dependencies with the same d^m but different m-components
-	// deliver on one FIFO stream and can target the same receiving tile;
-	// the sender emits the lower-m predecessor's message first, so process
-	// receives in descending d^S_m (= ascending predecessor m) order.
-	st.dsOrder = make([]int, len(st.p.TS.DS))
-	for i := range st.dsOrder {
-		st.dsOrder[i] = i
-	}
-	sort.SliceStable(st.dsOrder, func(a, b int) bool {
-		return st.p.TS.DS[st.dsOrder[a]][d.M] > st.p.TS.DS[st.dsOrder[b]][d.M]
-	})
-	st.dsDmIdx = make([]int, len(st.p.TS.DS))
-	for i, dS := range st.p.TS.DS {
-		st.dsDmIdx[i] = -1
-		dm := d.DmOf(dS)
-		if dm.IsZero() {
-			continue
-		}
-		for k, v := range d.DM {
-			if v.Equal(dm) {
-				st.dsDmIdx[i] = k
-				break
-			}
-		}
-	}
-}
-
-// dmFull re-inserts the mapping dimension (as 0) into a processor
-// direction.
-func (st *rankState) dmFull(dm ilin.Vec) ilin.Vec {
-	m := st.p.Dist.M
-	out := make(ilin.Vec, 0, len(dm)+1)
-	out = append(out, dm[:m]...)
-	out = append(out, 0)
-	return append(out, dm[m:]...)
 }
 
 // subInto computes dst = a − b without allocating.
@@ -524,62 +424,25 @@ func (st *rankState) reapPending() {
 	st.reaped += done
 }
 
-// interiorTile reports whether every read of every point of the tile
-// resolves inside the iteration space, so the Initial injection can be
-// skipped: the tile and all its D^S predecessors must be full.
-func (st *rankState) interiorTile(tile ilin.Vec) bool {
-	if !st.tileFull(tile) {
-		return false
-	}
-	for _, dS := range st.p.TS.DS {
-		subInto(st.predBuf, tile, dS)
-		if !st.p.TS.ValidTile(st.predBuf) || !st.tileFull(st.predBuf) {
-			return false
-		}
-	}
-	return true
-}
-
-// tileFull reports whether tile s contains all TileSize lattice points,
-// caching counts under the perfect BoxIndexer key (the reference executor
-// keyed this cache by Vec.String, allocating per probe).
-func (st *rankState) tileFull(s ilin.Vec) bool {
-	key, ok := st.tileIdx.Index(s)
-	if !ok {
-		return false
-	}
-	cnt, ok := st.tileCounts[key]
-	if !ok {
-		cnt = st.p.TS.CountTilePoints(s, nil)
-		st.tileCounts[key] = cnt
-	}
-	return cnt == st.p.TS.T.TileSize
-}
-
 // writeBack copies this rank's computed values to the global data space
 // via the computer-owns rule. Ranks own disjoint iteration points, so the
-// concurrent writes touch disjoint memory. Each chain slot's stored offset
-// table is replayed.
+// concurrent writes touch disjoint memory. Each chain slot's offset table
+// is replayed — including the slots a chain resumed from a process snapshot
+// skipped, whose LDS values were restored.
 func (st *rankState) writeBack(g *Global) {
-	w := st.p.Width
+	w := int64(st.p.Width)
 	n := st.p.TS.T.N
-	for t, pl := range st.tilePlans {
-		tile := st.p.Dist.TileAt(st.rank, int64(t))
-		if pl == nil {
-			// A chain resumed from a process snapshot skipped the tiles
-			// before its restore point; their LDS values are restored, and
-			// the (cached, shape-keyed) plan recovers their offset tables.
-			pl = st.planFor(tile)
-		}
-		mulVecInto(st.pBase, st.p.TS.T.P, tile)
+	for t := range st.slots {
+		sl := &st.slots[t]
+		pl := sl.plan
 		tOff := int64(t) * st.chainStep
 		for i := 0; i < pl.npts; i++ {
 			uz := pl.uz[i*n : i*n+n]
 			for k := 0; k < n; k++ {
-				st.jBuf[k] = st.pBase[k] + uz[k]
+				st.jBuf[k] = sl.pBase[k] + uz[k]
 			}
-			cell := (pl.writeOff[i] + tOff) * int64(w)
-			g.Set(st.jBuf, st.la[cell:cell+int64(w)])
+			cell := (pl.writeOff[i] + tOff) * w
+			g.Set(st.jBuf, st.la[cell:cell+w])
 		}
 	}
 }

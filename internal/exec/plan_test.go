@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"tilespace/internal/ilin"
@@ -32,9 +33,9 @@ func TestPlanOffsetsMatchAddresser(t *testing.T) {
 		st := newRankState(p, nil, r, RunOptions{})
 		q := len(st.dps)
 		for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
-			tile := p.Dist.TileAt(r, ti)
-			pl := st.planFor(tile)
-			mulVecInto(st.pBase, p.TS.T.P, tile)
+			sl := &st.slots[ti]
+			tile, pl := sl.tile, sl.plan
+			st.pBase = sl.pBase
 			tOff := ti * st.chainStep
 			i := 0
 			p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
@@ -73,8 +74,7 @@ func TestPlanDirsMatchCommRegion(t *testing.T) {
 	for r := 0; r < p.Dist.NumProcs(); r++ {
 		st := newRankState(p, nil, r, RunOptions{})
 		for ti := int64(0); ti < d.ChainLen[r]; ti++ {
-			tile := d.TileAt(r, ti)
-			pl := st.planFor(tile)
+			tile, pl := d.TileAt(r, ti), st.slots[ti].plan
 			if int64(pl.npts) != p.TS.T.TileSize {
 				boundary++
 			}
@@ -110,31 +110,33 @@ func TestPlanDirsMatchCommRegion(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSharing: all interior tiles must share the single full
-// plan, and re-probing a boundary tile must return its cached plan, not a
-// recompilation.
+// TestPlanCacheSharing: every full tile of equal-ChainLen ranks must share
+// one plan across ranks, and a second look at a rank must return the
+// compiled chain, not a recompilation.
 func TestPlanCacheSharing(t *testing.T) {
 	p := planProgram(t)
-	var fullPlans, boundaryTiles int
+	full := map[int64]*tilePlan{} // ChainLen → the shared full plan
+	var fullTiles, boundaryTiles int
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		st := newRankState(p, nil, r, RunOptions{})
-		for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
-			tile := p.Dist.TileAt(r, ti)
-			pl := st.planFor(tile)
-			if again := st.planFor(tile); again != pl {
-				t.Fatalf("tile %v recompiled on second probe", tile)
-			}
-			if int64(pl.npts) == p.TS.T.TileSize {
-				fullPlans++
-				if pl != st.plans.full {
-					t.Fatalf("full tile %v did not use the shared plan", tile)
-				}
-			} else {
+		rp := p.rank(r)
+		steps := p.cp.steps.Load()
+		if again := p.rank(r); again != rp || p.cp.steps.Load() != steps {
+			t.Fatalf("rank %d recompiled on second lookup", r)
+		}
+		for ti := range rp.slots {
+			pl := rp.slots[ti].plan
+			if int64(pl.npts) != p.TS.T.TileSize {
 				boundaryTiles++
+				continue
 			}
+			fullTiles++
+			if shared, ok := full[pl.chainLen]; ok && shared != pl {
+				t.Fatalf("full tile %v did not use the shared plan", rp.slots[ti].tile)
+			}
+			full[pl.chainLen] = pl
 		}
 	}
-	if fullPlans == 0 {
+	if fullTiles == 0 {
 		t.Fatal("no full tiles anywhere — fixture too small")
 	}
 	if boundaryTiles == 0 {
@@ -147,9 +149,8 @@ func TestPlanCacheSharing(t *testing.T) {
 func TestComputePhasePlannedZeroAlloc(t *testing.T) {
 	p := planProgram(t)
 	st := newRankState(p, nil, 0, RunOptions{})
-	tile := p.Dist.TileAt(0, 0)
-	pl := st.planFor(tile)
-	mulVecInto(st.pBase, p.TS.T.P, tile)
+	pl := st.slots[0].plan
+	st.pBase = st.slots[0].pBase
 	st.computePhasePlanned(pl, 0) // warm up
 	if allocs := testing.AllocsPerRun(20, func() {
 		st.computePhasePlanned(pl, 0)
@@ -161,15 +162,98 @@ func TestComputePhasePlannedZeroAlloc(t *testing.T) {
 // fullTileSlot returns a (rank, chain slot) holding a full tile, falling
 // back to (0, 0) when none exists.
 func fullTileSlot(p *Program) (int, int64) {
-	probe := newRankState(p, nil, 0, RunOptions{})
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
-			if probe.tileFull(p.Dist.TileAt(r, ti)) {
-				return r, ti
+		for ti, sl := range p.rank(r).slots {
+			if int64(sl.plan.npts) == p.TS.T.TileSize {
+				return r, int64(ti)
 			}
 		}
 	}
 	return 0, 0
+}
+
+// boundarySlot returns the (rank, chain slot) with the longest
+// boundary-read list.
+func boundarySlot(tb testing.TB, p *Program) (int, int64) {
+	br, bt, most := 0, int64(0), 0
+	for r := 0; r < p.Dist.NumProcs(); r++ {
+		for ti, sl := range p.rank(r).slots {
+			if len(sl.boundary) > most {
+				br, bt, most = r, int64(ti), len(sl.boundary)
+			}
+		}
+	}
+	if most == 0 {
+		tb.Fatal("no slot reads outside the iteration space — fixture too regular")
+	}
+	return br, bt
+}
+
+// TestInitPhasePlannedZeroAlloc: replaying a boundary-read list must not
+// allocate (nor test containment: the list is all it walks).
+func TestInitPhasePlannedZeroAlloc(t *testing.T) {
+	p := planProgram(t)
+	r, ti := boundarySlot(t, p)
+	st := newRankState(p, nil, r, RunOptions{})
+	sl := &st.slots[ti]
+	if allocs := testing.AllocsPerRun(20, func() {
+		st.initPhasePlanned(sl, ti)
+	}); allocs != 0 {
+		t.Fatalf("planned init phase allocates %.1f times per tile, want 0", allocs)
+	}
+}
+
+// CompileSteps exposes the plan compiler's work counter (lattice scans,
+// plan compilations, boundary-list builds) to the external test package.
+func (p *Program) CompileSteps() int64 { return p.cp.steps.Load() }
+
+// CheckBoundaryReads compares every chain slot's compiled boundary-read
+// list with the brute-force enumeration — every read of every point tested
+// against the whole space — and checks that tiles the retired per-run
+// shortcut called interior (the tile and all its D^S predecessors full)
+// have an empty list. It returns how many slots it saw, how many were
+// interior and how many lists were non-empty.
+func (p *Program) CheckBoundaryReads() (slots, interior, nonEmpty int, err error) {
+	n := p.TS.T.N
+	src := make(ilin.Vec, n)
+	full := func(s ilin.Vec) bool {
+		return p.TS.ValidTile(s) && p.TS.CountTilePoints(s, nil) == p.TS.T.TileSize
+	}
+	for r := 0; r < p.Dist.NumProcs(); r++ {
+		for ti, sl := range p.rank(r).slots {
+			var want []int32
+			i := 0
+			p.TS.ScanTilePoints(sl.tile, func(z, jp ilin.Vec) bool {
+				j := p.TS.GlobalOf(sl.tile, z)
+				for l, dep := range p.cp.deps {
+					subInto(src, j, dep)
+					if !p.TS.Nest.Space.Contains(src) {
+						want = append(want, int32(i*len(p.cp.deps)+l))
+					}
+				}
+				i++
+				return true
+			})
+			if !slices.Equal(sl.boundary, want) {
+				return 0, 0, 0, fmt.Errorf("rank %d slot %d tile %v: compiled boundary reads %v, brute force %v", r, ti, sl.tile, sl.boundary, want)
+			}
+			isInterior := full(sl.tile)
+			for _, dS := range p.TS.DS {
+				isInterior = isInterior && full(sl.tile.Sub(dS))
+			}
+			if isInterior && len(sl.boundary) != 0 {
+				return 0, 0, 0, fmt.Errorf("rank %d slot %d: interior tile %v has %d boundary reads", r, ti, sl.tile, len(sl.boundary))
+			}
+			slots++
+			if isInterior {
+				interior++
+			}
+			if len(sl.boundary) != 0 {
+				nonEmpty++
+			}
+		}
+	}
+	return slots, interior, nonEmpty, nil
 }
 
 // BenchmarkComputePhase compares the compiled compute sweep against the
@@ -182,8 +266,8 @@ func BenchmarkComputePhase(b *testing.B) {
 	stP := newRankState(p, nil, r, RunOptions{})
 	stL := newRankState(p, nil, r, RunOptions{})
 	tile := p.Dist.TileAt(r, ti)
-	pl := stP.planFor(tile)
-	mulVecInto(stP.pBase, p.TS.T.P, tile)
+	pl := stP.slots[ti].plan
+	stP.pBase = stP.slots[ti].pBase
 	pts := float64(pl.npts)
 	b.Run("planned", func(b *testing.B) {
 		b.ReportAllocs()
@@ -206,8 +290,8 @@ func BenchmarkComputePhase(b *testing.B) {
 			stW := newRankState(p, nil, r, RunOptions{Workers: wk})
 			stW.wpool = newWorkerPool(stW, wk)
 			defer stW.wpool.close()
-			plW := stW.planFor(tile)
-			mulVecInto(stW.pBase, p.TS.T.P, tile)
+			plW := stW.slots[ti].plan
+			stW.pBase = stW.slots[ti].pBase
 			stW.computePhaseParallel(plW, ti) // compile local plan, warm pool
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -217,6 +301,32 @@ func BenchmarkComputePhase(b *testing.B) {
 			b.ReportMetric(pts*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 		})
 	}
+}
+
+// BenchmarkInitPhase compares replaying a compiled boundary-read list
+// against the reference per-point injection (a containment test per read)
+// on the slot with the most boundary reads; the planned arm is held to zero
+// allocations by the CI grep.
+func BenchmarkInitPhase(b *testing.B) {
+	p := planProgram(b)
+	r, ti := boundarySlot(b, p)
+	st := newRankState(p, nil, r, RunOptions{})
+	sl := &st.slots[ti]
+	reads := float64(len(sl.boundary))
+	b.Run("planned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st.initPhasePlanned(sl, ti)
+		}
+		b.ReportMetric(reads*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+	})
+	b.Run("legacy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st.initPhase(sl.tile, ti)
+		}
+		b.ReportMetric(reads*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+	})
 }
 
 // BenchmarkPackUnpack compares run-based bulk-copy packing/unpacking
@@ -230,7 +340,7 @@ func BenchmarkPackUnpack(b *testing.B) {
 	stP := newRankState(p, nil, r, RunOptions{})
 	stL := newRankState(p, nil, r, RunOptions{})
 	tile := p.Dist.TileAt(r, ti)
-	pl := stP.planFor(tile)
+	pl := stP.slots[ti].plan
 	var maxVals, totalPts int64
 	for _, dir := range pl.dirs {
 		if dir.total > maxVals {

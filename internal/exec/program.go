@@ -20,13 +20,17 @@ type Kernel func(j ilin.Vec, reads [][]float64, out []float64)
 type Initial func(j ilin.Vec, out []float64)
 
 // Program is a compiled tiled program ready for sequential or parallel
-// execution.
+// execution. It must not be copied after its first parallel run: the
+// executor's compiled plans (plan.go) live in it, are built on first use and
+// are shared read-only by every later run, concurrent ones included.
 type Program struct {
 	TS      *tiling.TiledSpace
 	Dist    *distrib.Distribution
 	Width   int
 	Kernel  Kernel
 	Initial Initial
+
+	cp compiledPlans
 }
 
 // NewProgram validates and assembles a program. The mapping dimension is

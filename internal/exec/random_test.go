@@ -155,3 +155,38 @@ func TestNonRect4D(t *testing.T) {
 	}
 	comparePrograms(t, prog)
 }
+
+// TestEmptyTileInsideChain pins a case the random search above found: under
+// this skewed tiling a chain's span holds a tile with no iteration points,
+// which the plan compiler must accept (no bounding box, no boundary reads).
+func TestEmptyTileInsideChain(t *testing.T) {
+	p := ilin.MatFromRows([]int64{4, -2}, []int64{-1, 1})
+	tr, err := tiling.FromP(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deps := ilin.NewMat(2, 2)
+	deps.SetCol(0, p.Col(0))
+	deps.SetCol(1, p.Col(0).Add(p.Col(1)))
+	nest := loopnest.MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{13, 6}, deps)
+	ts, err := tiling.Analyze(nest, tr.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := NewProgram(ts, 0, 1, sumKernel, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := 0
+	for r := 0; r < prog.Dist.NumProcs(); r++ {
+		for _, sl := range prog.rank(r).slots {
+			if sl.plan.npts == 0 {
+				empty++
+			}
+		}
+	}
+	if empty == 0 {
+		t.Fatal("fixture no longer has an empty tile inside a chain")
+	}
+	comparePrograms(t, prog)
+}

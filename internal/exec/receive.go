@@ -10,8 +10,10 @@ import (
 
 // This file is the executor's one receive engine: the paper's §3.2 RECEIVE
 // — one message per (predecessor tile, processor direction), claimed at the
-// minsucc tile — enumerated once into a per-rank inbound-message table and
-// consumed by the one rank loop (runRank) through one unpack.
+// minsucc tile — enumerated once into a per-rank inbound-message table
+// (compileRank in plan.go: the table is part of the Program's compiled
+// state, built on the rank's first run) and consumed by the one rank loop
+// (runRank) through one unpack. A run owns only the claim state over it.
 //
 // A message carries no tile identity beyond its position on its (source,
 // tag) FIFO stream, and the source of direction di is always pid − DM[di],
@@ -23,17 +25,14 @@ import (
 //
 // Static and dynamic scheduling are two policies over that table:
 //
-//   - Static extends the table one chain slot at a time and blocks on the
-//     tile's rows in claim order: the paper's generated code. (Enumerating
-//     the whole chain first would put every rank's enumeration ahead of the
-//     pipeline's first tile.)
-//   - Dynamic (RunOptions.Dynamic) extends the table to the end of the
-//     chain and, before each tile, claims every stream head that has
-//     already arrived — for this tile or any later one — then blocks only
-//     for the current tile's still-missing rows. Tiles still fire in chain
-//     order (the wire forces it: reordering sends or receives within a
-//     stream would unpair every message on it); what moves is when the
-//     unpack work happens. Sends are always asynchronous.
+//   - Static blocks on the tile's rows in claim order: the paper's
+//     generated code.
+//   - Dynamic (RunOptions.Dynamic), before each tile, claims every stream
+//     head that has already arrived — for this tile or any later one — then
+//     blocks only for the current tile's still-missing rows. Tiles still
+//     fire in chain order (the wire forces it: reordering sends or receives
+//     within a stream would unpair every message on it); what moves is when
+//     the unpack work happens. Sends are always asynchronous.
 //
 // Each halo cell has exactly one writer (verify's comm-exactness theorem),
 // so early unpacking commutes across streams: results are bit-identical
@@ -48,67 +47,39 @@ import (
 // it exactly once, and the re-executed tiles find their rows already
 // claimed.
 
-// inMsg is one row of the inbound-message table.
+// inMsg is one row of the inbound-message table, compiled once per rank
+// (compileRank) in claim order.
 type inMsg struct {
-	t       int64    // chain slot that claims it: the predecessor's minsucc tile
-	tau     int64    // the predecessor's slot on its own chain: the unpack base
-	di      int      // processor-direction index = message tag = stream
-	dir     *dirPlan // the predecessor shape's compiled region along di
-	claimed bool
+	t   int64    // chain slot that claims it: the predecessor's minsucc tile
+	tau int64    // the predecessor's slot on its own chain: the unpack base
+	di  int      // processor-direction index = message tag = stream
+	dir *dirPlan // the predecessor shape's compiled region along di
 }
 
-// inbox is a rank's inbound-message table with its per-direction claim
-// queues.
+// inbox is one run's claim state over the rank's inbound-message table
+// (rankPlan.msgs with its per-direction queues rankPlan.rows).
 type inbox struct {
-	msgs  []inMsg
-	next  int64   // chain slots below next are enumerated
-	cur   int     // rows below cur belong to tiles before the current one
-	rows  [][]int // per direction: its rows in wire FIFO order
-	heads []int   // per direction: index into rows[di] of the first unclaimed row
+	claimed []bool // per table row
+	cur     int    // rows below cur belong to tiles before the current one
+	heads   []int  // per direction: index into rows[di] of the first unclaimed row
 }
 
-// extend enumerates the inbound messages of chain slots [next, to) — the
-// one MinSucc walk of the compiled executor.
-func (st *rankState) extend(to int64) error {
-	d := st.p.Dist
+// skipClaimed marks the rows of chain slots below start as claimed: a chain
+// resumed from a process snapshot consumed them in its earlier incarnation
+// (static claim order — Dynamic excludes ProcCheckpoint).
+func (st *rankState) skipClaimed(start int64) {
 	in := &st.in
-	for ; in.next < to; in.next++ {
-		tile := d.TileAt(st.rank, in.next)
-		for _, si := range st.dsOrder {
-			di := st.dsDmIdx[si]
-			if di < 0 {
-				continue // same-processor dependence: data is already in the LDS
-			}
-			pred := st.predBuf
-			subInto(pred, tile, st.p.TS.DS[si])
-			if !st.p.TS.ValidTile(pred) {
-				continue
-			}
-			if ms, ok := d.MinSucc(pred, d.DM[di]); !ok || !ms.Equal(tile) {
-				continue
-			}
-			dir := &st.planFor(pred).dirs[di]
-			if dir.total == 0 {
-				continue
-			}
-			if st.recvRank[di] < 0 {
-				return fmt.Errorf("exec: predecessor tile %v has no rank", pred)
-			}
-			in.rows[di] = append(in.rows[di], len(in.msgs))
-			in.msgs = append(in.msgs, inMsg{t: in.next, tau: pred[d.M] - d.ChainStart[st.rank], di: di, dir: dir})
-		}
+	for ; in.cur < len(st.msgs) && st.msgs[in.cur].t < start; in.cur++ {
+		in.claimed[in.cur] = true
+		in.heads[st.msgs[in.cur].di]++
 	}
-	return nil
 }
 
 // receive is the RECEIVE of chain slot t under the rank's policy.
 func (st *rankState) receive(t int64) error {
 	in := &st.in
 	if st.dynamic {
-		if err := st.extend(st.p.Dist.ChainLen[st.rank]); err != nil {
-			return err
-		}
-		for di, rows := range in.rows {
+		for di, rows := range st.rows {
 			for in.heads[di] < len(rows) {
 				ok, err := st.claim(rows[in.heads[di]], false)
 				if err != nil {
@@ -119,14 +90,12 @@ func (st *rankState) receive(t int64) error {
 				}
 			}
 		}
-	} else if err := st.extend(t + 1); err != nil {
-		return err
 	}
 	// Rows the dynamic intake got to first are already claimed. (Tiles a
 	// crash rewound over lie before cur: their rows were all claimed by the
 	// first incarnation.)
-	for ; in.cur < len(in.msgs) && in.msgs[in.cur].t <= t; in.cur++ {
-		if in.msgs[in.cur].claimed {
+	for ; in.cur < len(st.msgs) && st.msgs[in.cur].t <= t; in.cur++ {
+		if in.claimed[in.cur] {
 			continue
 		}
 		if _, err := st.claim(in.cur, true); err != nil {
@@ -140,7 +109,7 @@ func (st *rankState) receive(t int64) error {
 // for it, or only if it has already arrived — and unpacks it. The blocking
 // receive is the watchdog-aware one.
 func (st *rankState) claim(i int, block bool) (bool, error) {
-	m := &st.in.msgs[i]
+	m := &st.msgs[i]
 	src := st.recvRank[m.di]
 	var data []float64
 	if block {
@@ -161,7 +130,7 @@ func (st *rankState) claim(i int, block bool) (bool, error) {
 		ck.held = append(ck.held, heldMsg{row: i, data: append([]float64(nil), data...)})
 	}
 	st.unpack(m, data)
-	m.claimed = true
+	st.in.claimed[i] = true
 	st.in.heads[m.di]++
 	st.pool.put(data)
 	return true, nil

@@ -11,10 +11,11 @@ import (
 // workerPool is one rank's fixed intra-tile worker pool. Workers are
 // spawned once per run and live until the rank's chain ends (or aborts —
 // teardown is deferred in runRank, so crash panics unwind through it).
-// A dispatch hands every worker its precompiled run segment of one
-// wavefront and waits for all of them: the pool is always idle between
-// fronts, between tiles, and therefore across checkpoint commits and
-// crash rewinds — the recovery layer never observes a worker mid-flight.
+// A dispatch splits one wavefront's precompiled runs across the workers by
+// point count, hands every worker its segment and waits for all of them:
+// the pool is always idle between fronts, between tiles, and therefore
+// across checkpoint commits and crash rewinds — the recovery layer never
+// observes a worker mid-flight.
 //
 // Steady state allocates nothing: dispatch state travels through fields
 // written before the per-worker channel sends (the send/receive pair and
@@ -33,6 +34,8 @@ type workerPool struct {
 	lp *localPlan
 	fi int
 	t  int64
+	// segs[w] is worker w's [runLo, runHi) slice of the front's runs.
+	segs [][2]int
 
 	// panics[w] captures worker w's panic; the rank re-raises it after the
 	// barrier so abort semantics match the serial path exactly.
@@ -66,6 +69,7 @@ func newWorkerPool(st *rankState, n int) *workerPool {
 	wp := &workerPool{
 		n:      n,
 		sigs:   make([]chan struct{}, n),
+		segs:   make([][2]int, n),
 		panics: make([]any, n),
 		busy:   make([]time.Duration, n),
 		traced: st.tr != nil,
@@ -98,18 +102,18 @@ func (wp *workerPool) work(id int, ws *workerScratch) {
 	}
 }
 
-// runSeg executes this worker's precompiled segment of the dispatched
-// front. The deferred finishSeg (a plain method call — no closure, no
-// allocation) captures a panic and always reaches the barrier, so a
-// panicking kernel cannot deadlock the rank.
+// runSeg executes this worker's segment of the dispatched front. The
+// deferred finishSeg (a plain method call — no closure, no allocation)
+// captures a panic and always reaches the barrier, so a panicking kernel
+// cannot deadlock the rank.
 func (wp *workerPool) runSeg(id int, ws *workerScratch) {
 	defer wp.finishSeg(id)
 	var t0 time.Time
 	if wp.traced {
 		t0 = time.Now()
 	}
-	seg := wp.lp.fronts[wp.fi].segs[id]
-	wp.st.execLocalRuns(wp.pl, wp.lp, wp.fi, int(seg[0]), int(seg[1]), wp.t, ws.j, ws.reads, ws.ro)
+	seg := wp.segs[id]
+	wp.st.execLocalRuns(wp.pl, wp.lp, wp.fi, seg[0], seg[1], wp.t, ws.j, ws.reads, ws.ro)
 	if wp.traced {
 		wp.busy[id] += time.Since(t0)
 	}
@@ -128,6 +132,7 @@ func (wp *workerPool) finishSeg(id int) {
 // path's abort behaviour.
 func (wp *workerPool) dispatch(st *rankState, pl *tilePlan, lp *localPlan, fi int, t int64) {
 	wp.st, wp.pl, wp.lp, wp.fi, wp.t = st, pl, lp, fi, t
+	wp.segs = ilin.SplitByWeight(wp.segs, lp.fronts[fi].weights, wp.n)
 	wp.wg.Add(wp.n)
 	for _, sig := range wp.sigs {
 		sig <- struct{}{}

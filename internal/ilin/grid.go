@@ -7,8 +7,10 @@ package ilin
 // segments), segments may be empty when k exceeds the item count, and
 // weights must be non-negative. This is the local work-grid indexer: the
 // executor splits a wavefront's stride-1 runs across its worker pool by
-// point count, so every worker gets contiguous LDS traffic.
-func SplitByWeight(w []int64, k int) [][2]int {
+// point count, so every worker gets contiguous LDS traffic. The segments are
+// written into dst's backing array when it holds k entries (a worker pool
+// splits per wavefront without allocating); a nil dst allocates.
+func SplitByWeight(dst [][2]int, w []int64, k int) [][2]int {
 	if k < 1 {
 		k = 1
 	}
@@ -16,7 +18,11 @@ func SplitByWeight(w []int64, k int) [][2]int {
 	for _, x := range w {
 		total += x
 	}
-	segs := make([][2]int, k)
+	segs := dst[:0]
+	if cap(segs) < k {
+		segs = make([][2]int, k)
+	}
+	segs = segs[:k]
 	pos := 0
 	var cum int64
 	for i := 0; i < k; i++ {

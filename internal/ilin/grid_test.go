@@ -26,7 +26,7 @@ func TestSplitByWeightBalance(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	segs := SplitByWeight(w, 3)
+	segs := SplitByWeight(nil, w, 3)
 	checkPartition(t, w, 3, segs)
 	want := [][2]int{{0, 4}, {4, 7}, {7, 10}}
 	for i := range segs {
@@ -38,7 +38,7 @@ func TestSplitByWeightBalance(t *testing.T) {
 	// One heavy item cannot be split — it lands alone, neighbours absorb
 	// the rest, and the partition invariants still hold.
 	w = []int64{1, 100, 1, 1, 1}
-	segs = SplitByWeight(w, 3)
+	segs = SplitByWeight(nil, w, 3)
 	checkPartition(t, w, 3, segs)
 	var first int64
 	for i := segs[0][0]; i < segs[0][1]; i++ {
@@ -53,7 +53,7 @@ func TestSplitByWeightEdges(t *testing.T) {
 	// More segments than items: the two items land in singleton segments
 	// (no segment is forced to take both), the rest are empty.
 	w := []int64{5, 5}
-	segs := SplitByWeight(w, 4)
+	segs := SplitByWeight(nil, w, 4)
 	checkPartition(t, w, 4, segs)
 	for i, s := range segs {
 		if s[1]-s[0] > 1 {
@@ -63,22 +63,22 @@ func TestSplitByWeightEdges(t *testing.T) {
 
 	// All-zero weights: everything rides the last segment's tail rule.
 	w = []int64{0, 0, 0}
-	segs = SplitByWeight(w, 2)
+	segs = SplitByWeight(nil, w, 2)
 	checkPartition(t, w, 2, segs)
 
 	// k < 1 clamps to one segment covering everything.
-	segs = SplitByWeight([]int64{1, 2, 3}, 0)
+	segs = SplitByWeight(nil, []int64{1, 2, 3}, 0)
 	checkPartition(t, []int64{1, 2, 3}, 1, segs)
 
 	// Empty input still yields k well-formed empty segments.
-	segs = SplitByWeight(nil, 3)
+	segs = SplitByWeight(nil, nil, 3)
 	checkPartition(t, nil, 3, segs)
 }
 
 func TestSplitByWeightDeterministic(t *testing.T) {
 	w := []int64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5}
-	a := SplitByWeight(w, 4)
-	b := SplitByWeight(w, 4)
+	a := SplitByWeight(nil, w, 4)
+	b := SplitByWeight(nil, w, 4)
 	checkPartition(t, w, 4, a)
 	for i := range a {
 		if a[i] != b[i] {

@@ -87,9 +87,34 @@ func (c Constraint) Eval(x ilin.RatVec) rat.Rat {
 	return c.Coef.Dot(x).Sub(c.Rhs)
 }
 
-// SatisfiedBy reports whether the integer point x satisfies the constraint.
+// SatisfiedBy reports whether the integer point x satisfies the constraint:
+// the same answer as c.Eval(x.Rat()).Sign() <= 0, computed in overflow-
+// checked int64 arithmetic without allocating. The row is scaled by the lcm
+// l of its denominators (1 for the integer rows loop nests produce), so
+// Coef·x ≤ Rhs becomes Σ (l·Coef_i)·x_i ≤ l·Rhs over the integers.
 func (c Constraint) SatisfiedBy(x ilin.Vec) bool {
-	return c.Eval(x.Rat()).Sign() <= 0
+	if len(c.Coef) != len(x) {
+		panic(fmt.Sprintf("poly: point arity %d != constraint arity %d", len(x), len(c.Coef)))
+	}
+	l := c.Rhs.Den
+	for _, a := range c.Coef {
+		if a.Den != 1 {
+			l = rat.Lcm64(l, a.Den)
+		}
+	}
+	var sum int64
+	for i, a := range c.Coef {
+		n := a.Num
+		if a.Den != l {
+			n = rat.CheckedMul(n, l/a.Den)
+		}
+		sum = rat.CheckedAdd(sum, rat.CheckedMul(n, x[i]))
+	}
+	rhs := c.Rhs.Num
+	if c.Rhs.Den != l {
+		rhs = rat.CheckedMul(rhs, l/c.Rhs.Den)
+	}
+	return sum <= rhs
 }
 
 func (c Constraint) String() string {
@@ -166,8 +191,8 @@ func (s *System) Clone() *System {
 
 // Contains reports whether the integer point x satisfies every constraint.
 func (s *System) Contains(x ilin.Vec) bool {
-	for _, c := range s.Cons {
-		if !c.SatisfiedBy(x) {
+	for i := range s.Cons {
+		if !s.Cons[i].SatisfiedBy(x) {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -398,5 +399,131 @@ func TestEliminationBound(t *testing.T) {
 	}
 	if _, _, err := BoundingBox(fan(200)); err != nil { // 40 000 pairs: taken
 		t.Errorf("BoundingBox under the bound: %v", err)
+	}
+}
+
+// skewedSpace is the skewed Jacobi iteration space shape: a box's six faces
+// under a unimodular skew, all-integer rows — what the executor's
+// containment tests actually see.
+func skewedSpace() *System {
+	s := NewSystem(3)
+	rows := [][4]int64{
+		{-1, 0, 0, -1}, {1, 0, 0, 8},
+		{1, -1, 0, -1}, {-1, 1, 0, 192},
+		{1, 0, -1, -1}, {-1, 0, 1, 192},
+	}
+	for _, r := range rows {
+		s.Add(Constraint{Coef: ilin.NewVec(r[0], r[1], r[2]).Rat(), Rhs: rat.FromInt(r[3])})
+	}
+	return s
+}
+
+// TestSatisfiedByMatchesRationalEval: the integer containment test must
+// answer exactly what the exact-rational residual sign answers, on random
+// constraints with rational coefficients and right-hand sides
+// (denominators ≠ 1, negative rhs and all-zero rows included).
+func TestSatisfiedByMatchesRationalEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(20021))
+	randRat := func() rat.Rat {
+		switch rng.Intn(4) {
+		case 0:
+			return rat.Zero
+		case 1:
+			return rat.FromInt(rng.Int63n(41) - 20)
+		default:
+			return rat.New(rng.Int63n(201)-100, rng.Int63n(12)+1)
+		}
+	}
+	var sat, unsat, fractional, zeroRows int
+	for iter := 0; iter < 20000; iter++ {
+		n := rng.Intn(4) + 1
+		c := Constraint{Coef: make(ilin.RatVec, n), Rhs: randRat()}
+		allZero := true
+		if rng.Intn(20) > 0 { // one row in twenty stays all-zero
+			for i := range c.Coef {
+				c.Coef[i] = randRat()
+				allZero = allZero && c.Coef[i].IsZero()
+			}
+		} else {
+			for i := range c.Coef {
+				c.Coef[i] = rat.Zero
+			}
+		}
+		if allZero {
+			zeroRows++
+		}
+		if !c.Rhs.IsInt() {
+			fractional++
+		}
+		x := make(ilin.Vec, n)
+		for i := range x {
+			x[i] = rng.Int63n(2001) - 1000
+		}
+		want := c.Eval(x.Rat()).Sign() <= 0
+		if got := c.SatisfiedBy(x); got != want {
+			t.Fatalf("%v at %v: SatisfiedBy = %v, rational residual says %v", c, x, got, want)
+		}
+		if want {
+			sat++
+		} else {
+			unsat++
+		}
+	}
+	if sat < 1000 || unsat < 1000 || fractional < 1000 || zeroRows < 100 {
+		t.Fatalf("generator too narrow: %d satisfied, %d violated, %d fractional rhs, %d zero rows", sat, unsat, fractional, zeroRows)
+	}
+}
+
+func TestContainsZeroAlloc(t *testing.T) {
+	s := skewedSpace()
+	s.Add(Constraint{Coef: ilin.RatVec{rat.New(1, 2), rat.New(-2, 3), rat.Zero}, Rhs: rat.New(700, 3)})
+	in, out := ilin.NewVec(4, 100, 100), ilin.NewVec(4, 3, 100)
+	if !s.Contains(in) || s.Contains(out) {
+		t.Fatal("fixture points misclassified")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Contains(in)
+		s.Contains(out)
+	}); allocs != 0 {
+		t.Fatalf("Contains allocates %.1f times per call pair, want 0", allocs)
+	}
+}
+
+// TestSatisfiedByOverflowPanics: a product past int64 must fail as loudly as
+// the rational arithmetic did, never wrap into a wrong answer.
+func TestSatisfiedByOverflowPanics(t *testing.T) {
+	cases := map[string]struct {
+		c Constraint
+		x ilin.Vec
+	}{
+		"product":  {Constraint{Coef: ilin.RatVec{rat.FromInt(1 << 40)}, Rhs: rat.Zero}, ilin.NewVec(1 << 40)},
+		"sum":      {Constraint{Coef: ilin.RatVec{rat.FromInt(1 << 31), rat.FromInt(1 << 31)}, Rhs: rat.Zero}, ilin.NewVec(1<<31, 1<<31)},
+		"scaling":  {Constraint{Coef: ilin.RatVec{rat.New(1<<62, 3), rat.New(1, 5)}, Rhs: rat.Zero}, ilin.NewVec(1, 1)},
+		"rhs-side": {Constraint{Coef: ilin.RatVec{rat.New(1, 7)}, Rhs: rat.FromInt(1 << 62)}, ilin.NewVec(1)},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "rat: int64 overflow") {
+					t.Fatalf("recovered %q, want a rat: int64 overflow panic", msg)
+				}
+			}()
+			t.Fatalf("SatisfiedBy returned %v instead of panicking", tc.c.SatisfiedBy(tc.x))
+		})
+	}
+}
+
+var benchContains bool
+
+// BenchmarkContains times the integer containment test on the skewed-box
+// space, alternating an interior point (all six rows evaluated) and a point
+// the third row rejects; CI greps its allocs/op.
+func BenchmarkContains(b *testing.B) {
+	s := skewedSpace()
+	pts := []ilin.Vec{ilin.NewVec(4, 100, 100), ilin.NewVec(4, 3, 100)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchContains = s.Contains(pts[i&1])
 	}
 }

@@ -104,8 +104,8 @@ func (r Rat) Add(s Rat) Rat {
 	// r.Num/r.Den + s.Num/s.Den; use lcm denominator to delay overflow.
 	g := Gcd64(r.Den, s.Den)
 	rd, sd := r.Den/g, s.Den/g
-	num := checkedAdd(checkedMul(r.Num, sd), checkedMul(s.Num, rd))
-	den := checkedMul(rd, s.Den)
+	num := CheckedAdd(CheckedMul(r.Num, sd), CheckedMul(s.Num, rd))
+	den := CheckedMul(rd, s.Den)
 	return norm(num, den)
 }
 
@@ -120,8 +120,8 @@ func (r Rat) Mul(s Rat) Rat {
 	// Cross-cancel before multiplying to keep magnitudes small.
 	g1 := Gcd64(abs64(r.Num), s.Den)
 	g2 := Gcd64(abs64(s.Num), r.Den)
-	num := checkedMul(r.Num/g1, s.Num/g2)
-	den := checkedMul(r.Den/g2, s.Den/g1)
+	num := CheckedMul(r.Num/g1, s.Num/g2)
+	den := CheckedMul(r.Den/g2, s.Den/g1)
 	return norm(num, den)
 }
 
@@ -253,7 +253,7 @@ func Lcm64(a, b int64) int64 {
 		return 0
 	}
 	a, b = abs64(a), abs64(b)
-	return checkedMul(a/Gcd64(a, b), b)
+	return CheckedMul(a/Gcd64(a, b), b)
 }
 
 // ExtGcd returns (g, x, y) such that a*x + b*y == g == gcd(a, b), g ≥ 0.
@@ -326,15 +326,27 @@ func checkedNeg(a int64) int64 {
 	return -a
 }
 
-func checkedAdd(a, b int64) int64 {
+// CheckedAdd returns a + b, panicking with a "rat: int64 overflow" message
+// instead of wrapping. Exported with CheckedMul for integer fast paths that
+// must fail as loudly as the rational arithmetic they replace.
+func CheckedAdd(a, b int64) int64 {
 	s := a + b
-	if (a > 0 && b > 0 && s <= 0) || (a < 0 && b < 0 && s >= 0) {
+	if (a^s)&(b^s) < 0 { // both operands differ in sign from the sum
 		panic(fmt.Sprintf("rat: int64 overflow in %d + %d", a, b))
 	}
 	return s
 }
 
-func checkedMul(a, b int64) int64 {
+// CheckedMul returns a · b, panicking on int64 overflow like CheckedAdd. The
+// wide case lives in its own function so the common one inlines.
+func CheckedMul(a, b int64) int64 {
+	if int64(int32(a)) == a && int64(int32(b)) == b {
+		return a * b // both within ±2³¹: cannot overflow, no division needed
+	}
+	return mulWide(a, b)
+}
+
+func mulWide(a, b int64) int64 {
 	if a == 0 || b == 0 {
 		return 0
 	}
