@@ -130,7 +130,7 @@ func run(rank int, peersPath, specPath, resultPath string, overlap bool, workers
 		World:      world,
 	}
 	if ckptPath != "" {
-		opt.ProcCheckpoint = &exec.ProcCheckpoint{
+		opt.Checkpoint = &exec.CheckpointOptions{
 			Every:  every,
 			Save:   func(s *exec.RankSnapshot) error { return procrun.SaveSnapshot(ckptPath, s) },
 			Resume: snap,

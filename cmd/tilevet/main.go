@@ -1,6 +1,6 @@
 // Command tilevet is the repo's vet tool: it runs the internal/lint
-// analyzers (ownedbuf, waitcheck, traceguard, lockorder, goroleak,
-// sendstats) over Go packages. It speaks the `go vet -vettool`
+// analyzers (ownedbuf, traceguard, lockorder, goroleak, sendstats) over Go
+// packages. It speaks the `go vet -vettool`
 // unitchecker protocol, so the usual invocation is
 //
 //	go build -o /tmp/tilevet ./cmd/tilevet

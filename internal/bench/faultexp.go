@@ -144,8 +144,8 @@ func RunFaultComparison(app *apps.App, h *ilin.RatMat, par simnet.Params, costSc
 			Net:        par.NetOptions(costScale),
 			PointDelay: time.Duration(par.IterTime * costScale * float64(time.Second)),
 			Trace:      tr,
-			Faults:     fp,
 		}
+		opt.Net.Faults = fp
 		if fp != nil && sc.CheckpointEvery > 0 {
 			opt.Checkpoint = &exec.CheckpointOptions{Every: sc.CheckpointEvery}
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"tilespace/internal/distrib"
 	"tilespace/internal/exec"
 	"tilespace/internal/mpi"
 )
@@ -71,34 +72,74 @@ func dropRetries(s mpi.Stats) mpi.Stats {
 	return s
 }
 
-// chaosFaults builds the fault classes for a program with the given
-// geometry. Magnitudes are small (hundreds of microseconds) — the point
-// is exercising every recovery path, not realistic outage lengths.
-func chaosFaults(seed int64, procs int, chain []int64) []struct {
+// chaosFault is one fault class of the matrix: the world options that
+// inject it and the checkpointing it needs to be survivable.
+type chaosFault struct {
 	name string
-	plan *mpi.FaultPlan
+	net  mpi.Options
 	ck   *exec.CheckpointOptions
-} {
-	mid := procs / 2
-	return []struct {
-		name string
-		plan *mpi.FaultPlan
-		ck   *exec.CheckpointOptions
-	}{
-		{"slow-rank", &mpi.FaultPlan{Seed: seed, Slowdown: map[int]float64{mid: 4}}, nil},
-		{"delayed-link", &mpi.FaultPlan{Seed: seed, Links: map[mpi.Link]mpi.LinkFault{
+}
+
+// chaosFaults builds the fault classes for a program's geometry.
+// Magnitudes are small (hundreds of microseconds) — the point is
+// exercising every recovery path, not realistic outage lengths.
+func chaosFaults(t *testing.T, seed int64, d *distrib.Distribution) []chaosFault {
+	mid := d.NumProcs() / 2
+	plan := func(fp mpi.FaultPlan) mpi.Options {
+		fp.Seed = seed
+		return mpi.Options{Faults: &fp}
+	}
+	// crash-inflight crosses DropPending's non-empty path by construction.
+	// Snapshots fall after tiles 1, 3, …; the crashing rank's tile 2 issues
+	// two or more sends back to back and the crash fires right behind them,
+	// microseconds later, while its NIC needs inflightLatency for each: in
+	// overlap mode at most the first is on the wire and the rest are
+	// dropped — a non-empty suffix of the ledger begun at the snapshot.
+	inflight := plan(mpi.FaultPlan{Crash: map[int]int64{inflightRank(t, d): 3}})
+	inflight.LinkLatency = inflightLatency
+	return []chaosFault{
+		{"slow-rank", plan(mpi.FaultPlan{Slowdown: map[int]float64{mid: 4}}), nil},
+		{"delayed-link", plan(mpi.FaultPlan{Links: map[mpi.Link]mpi.LinkFault{
 			{Src: 0, Dst: 1}:         {Delay: 300 * time.Microsecond, Jitter: 300 * time.Microsecond},
 			{Src: mid, Dst: mid - 1}: {Delay: 200 * time.Microsecond},
-		}}, nil},
-		{"transient-send-failure", &mpi.FaultPlan{Seed: seed, Sends: &mpi.SendFaults{
+		}}), nil},
+		{"transient-send-failure", plan(mpi.FaultPlan{Sends: &mpi.SendFaults{
 			Rate: 0.3, MaxRetries: 3, Backoff: 100 * time.Microsecond,
-		}}, nil},
-		{"crash-restart", &mpi.FaultPlan{
-			Seed:         seed,
-			Crash:        map[int]int64{mid: chain[mid] / 2},
+		}}), nil},
+		{"crash-restart", plan(mpi.FaultPlan{
+			Crash:        map[int]int64{mid: d.ChainLen[mid] / 2},
 			RestartDelay: 500 * time.Microsecond,
-		}, &exec.CheckpointOptions{Every: 2}},
+		}), &exec.CheckpointOptions{Every: 2}},
+		{"crash-inflight", inflight, &exec.CheckpointOptions{Every: 2}},
 	}
+}
+
+// inflightLatency is crash-inflight's injected per-message wire cost: far
+// above the gap between a tile's last send and the crash behind it, small
+// enough for the matrix to stay quick.
+const inflightLatency = 3 * time.Millisecond
+
+// inflightRank finds a rank whose chain reaches tile 3 and whose tile 2
+// sends along at least two processor directions (the SEND rule of
+// sendPhasePlanned: a valid successor and a non-empty region).
+func inflightRank(t *testing.T, d *distrib.Distribution) int {
+	t.Helper()
+	for r := 0; r < d.NumProcs(); r++ {
+		if d.ChainLen[r] < 4 {
+			continue
+		}
+		tile, sends := d.TileAt(r, 2), 0
+		for _, dm := range d.DM {
+			if d.HasSuccessor(tile, dm) && d.CommRegionCount(tile, dm) > 0 {
+				sends++
+			}
+		}
+		if sends >= 2 {
+			return r
+		}
+	}
+	t.Fatal("no rank sends two messages from tile 2 of a chain of four — crash-inflight needs another geometry")
+	return -1
 }
 
 // chaosCases picks one representative per application (SOR, Jacobi, ADI)
@@ -122,23 +163,44 @@ func TestChaosMatrix(t *testing.T) {
 	seed := chaosSeed(t)
 	for _, c := range chaosCases(t) {
 		c := c
-		procs := c.p.Dist.NumProcs()
 		for _, overlap := range []bool{false, true} {
 			want, wantStats, err := c.p.RunParallelOpts(exec.RunOptions{Overlap: overlap})
 			if err != nil {
 				t.Fatalf("%s fault-free overlap=%v: %v", c.name, overlap, err)
 			}
-			for _, f := range chaosFaults(seed, procs, c.p.Dist.ChainLen) {
+			for _, f := range chaosFaults(t, seed, c.p.Dist) {
 				f := f
 				t.Run(fmt.Sprintf("%s/overlap=%v/%s", c.name, overlap, f.name), func(t *testing.T) {
 					before := runtime.NumGoroutine()
+					tr := exec.NewTracer()
 					got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
 						Overlap:    overlap,
-						Faults:     f.plan,
+						Net:        f.net,
+						Trace:      tr,
 						Checkpoint: f.ck,
 					})
 					if err != nil {
 						t.Fatalf("faulty run: %v", err)
+					}
+					// A converged recovery re-issues exactly what the crash
+					// dropped — nothing under blocking sends, which are
+					// delivered before they return.
+					var crashes, dropped int
+					for _, m := range tr.PerRank() {
+						crashes += m.Crashes
+						dropped += m.Dropped
+						if m.Resent != m.Dropped {
+							t.Errorf("rank %d: crash dropped %d sends, recovery resent %d", m.Rank, m.Dropped, m.Resent)
+						}
+					}
+					if f.ck != nil && crashes != 1 {
+						t.Errorf("%d ranks crashed, want 1", crashes)
+					}
+					if !overlap && dropped != 0 {
+						t.Errorf("crash dropped %d blocking sends", dropped)
+					}
+					if f.name == "crash-inflight" && overlap && dropped == 0 {
+						t.Error("crash found nothing in flight — the case does not cross the drop path")
 					}
 					if diff, at := want.MaxAbsDiff(got, c.p.ScanSpace); diff != 0 {
 						t.Fatalf("faulty run differs from fault-free by %g at %v", diff, at)
@@ -166,8 +228,10 @@ func TestChaosAbortLeaksNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, _, err := cs[0].p.RunParallelOpts(exec.RunOptions{
 		Overlap: true,
-		Net:     mpi.Options{Watchdog: 2 * time.Second},
-		Faults:  &mpi.FaultPlan{Crash: map[int]int64{1: 0}},
+		Net: mpi.Options{
+			Watchdog: 2 * time.Second,
+			Faults:   &mpi.FaultPlan{Crash: map[int]int64{1: 0}},
+		},
 	})
 	if err == nil {
 		t.Fatal("crash without checkpointing returned no error")
@@ -199,8 +263,7 @@ func TestWatchdogToleratesInjectedFaults(t *testing.T) {
 		}
 		got, _, err := c.p.RunParallelOpts(exec.RunOptions{
 			Overlap:    overlap,
-			Net:        mpi.Options{Watchdog: 5 * time.Millisecond},
-			Faults:     plan,
+			Net:        mpi.Options{Watchdog: 5 * time.Millisecond, Faults: plan},
 			Checkpoint: &exec.CheckpointOptions{Every: 2},
 		})
 		if err != nil {

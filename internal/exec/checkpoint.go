@@ -7,41 +7,42 @@ import (
 	"tilespace/internal/mpi"
 )
 
-// This file is the executor's crash-recovery layer. The compiled tile
+// This file is the executor's checkpoint/recovery layer. The compiled tile
 // protocol makes a rank's state between tiles fully explicit — chain
-// position, LDS contents, in-flight sends — which is exactly what makes
-// restartability cheap: after each committed tile the rank can snapshot
-// that state, and a crash (FaultPlan.Crash) becomes a rewind instead of a
-// lost run.
+// position, LDS contents, stream positions — so every
+// CheckpointOptions.Every committed tiles the rank takes one RankSnapshot,
+// and a lost rank becomes a rewind to it instead of a lost run.
 //
-// The protocol, end to end:
+// A snapshot is taken quiesced: the rank first waits for everything it has
+// sent to be delivered (mpi.Comm.WaitSends) and out of the transport
+// (FlushWire). No send issued before a snapshot can therefore ever need
+// resending, and "sent before the snapshot" is exact on every transport.
 //
-//   - Snapshot (every CheckpointOptions.Every committed tiles): copy the
-//     dirty LDS prefix (a high-water mark maintained by every write site),
-//     record the resume slot, prune the send ledger of delivered entries
-//     and release the held payloads (their unpacked cells are in the copy).
-//   - Ledger: every send since the last snapshot is recorded (destination,
-//     tag, payload copy, completion request). Blocking sends deliver
-//     synchronously; Isends carry their Request so delivery is queryable.
-//   - Held payloads: every message claimed since the last snapshot is
-//     kept as a copy — the mailbox cannot replay a claimed message, and a
-//     restore wipes its unpacked cells from the LDS.
-//   - Crash: mpi.Comm.DropPending discards the NIC's untransmitted queue
-//     and makes every request's delivered/dropped status final; the NIC
-//     transmits in issue order, so the delivered set is a prefix of issue
-//     order and the dropped set a suffix. The LDS is poisoned with NaN
-//     before restoring, so state the snapshot fails to cover corrupts the
-//     differential result instead of silently surviving.
+// With CheckpointOptions.Save the snapshot is persisted and recovery is a
+// new OS process started with Resume (cmd/tilerankd): its peers' meshes
+// retained what it had not consumed and the TCP resume protocol resends it,
+// so the rank keeps no log of its own. Without Save the snapshot stays in
+// memory and a planned crash (FaultPlan.Crash) is recovered in-process,
+// from a recovery log the rank keeps since the snapshot — an in-process
+// mailbox hands a claimed message over for good, and no peer retains it:
+//
+//   - Ledger: the (dst, tag) of every send since the snapshot, in issue
+//     order. The NIC completes sends in issue order, so at a crash the
+//     delivered ones are a prefix: delivered = len(ledger) − DropPending().
+//   - Held payloads: every message claimed since the snapshot is kept as a
+//     copy — a restore wipes its unpacked cells from the LDS.
+//   - Crash: mpi.Comm.DropPending discards the NIC's untransmitted queue.
+//     The LDS is poisoned with NaN before restoring, so state the snapshot
+//     fails to cover corrupts the differential result instead of silently
+//     surviving.
 //   - Restore: copy the snapshot back, unpack the held payloads on top of
 //     it (a message claimed early by the dynamic policy may belong to a
-//     tile past the crash point, so all of them go back at once), resend
-//     dropped pre-snapshot sends (ledger order = issue order, so per-stream
-//     FIFO is preserved), turn the post-snapshot ledger into a resend
-//     cursor, and rewind the chain to the resume slot.
+//     tile past the crash point, so all of them go back at once), turn the
+//     ledger into a resend cursor and rewind the chain to the resume slot.
 //   - Re-execution: the rewound tiles find their inbound-table rows already
 //     claimed (claimed messages are not re-received from the wire, so
-//     mpi.Stats count them once); sends consult the cursor — delivered
-//     entries are skipped, dropped entries are sent fresh (re-execution
+//     mpi.Stats count them once); sends consult the cursor — the delivered
+//     prefix is skipped, the dropped suffix is sent fresh (re-execution
 //     from the restored LDS reproduces the payload bit for bit). Past the
 //     crash point the cursor is empty and the rank runs normally.
 //
@@ -54,21 +55,49 @@ type CheckpointOptions struct {
 	// Every is the snapshot period in committed tiles; 1 snapshots after
 	// every tile (smallest rewind, highest overhead). Values < 1 mean 1.
 	Every int64
+	// Save, when non-nil, persists each snapshot; a non-nil error aborts
+	// the run. The snapshot is only valid during the call (the rank reuses
+	// its buffers). With Save set the rank keeps no recovery log, so a
+	// FaultPlan.Crash is fatal: recovery is a relaunched process with
+	// Resume. Nil keeps the snapshot in memory for in-process recovery.
+	Save func(*RankSnapshot) error
+	// Resume, when non-nil, starts rank Resume.Rank at the snapshot instead
+	// of tile zero. The caller (cmd/tilerankd) must already have seeded the
+	// world's and mesh's stream state from it, before the mesh accepted any
+	// connection.
+	Resume *RankSnapshot
+}
+
+// RankSnapshot is one rank's checkpoint: everything needed to resume its
+// chain mid-conversation.
+//
+// NextTile and LDS restore the compute state (LDS is the dirty prefix of
+// the backing array: every value the chain has produced or received so
+// far, so re-execution starts at the snapshot's tile boundary, not from
+// zero). Recv and Sent are the wire coordinates, filled for Save: the
+// per-(peer, tag) consumed counts seed the fresh world's mailbox matchers
+// (mpi.World.RestoreStreams) and the mesh's accepted watermarks
+// (TCPMesh.RestoreRecvStreams) — so reconnecting peers resend exactly what
+// this rank never consumed — while the sent counts seed the mesh's
+// outbound sequences (TCPMesh.RestoreSentStreams) so regenerated sends are
+// numbered as their lost originals and the suppression/dedup protocol
+// removes every duplicate.
+type RankSnapshot struct {
+	Rank     int
+	NextTile int64
+	LDS      []float64
+	Recv     []mpi.StreamPos
+	Sent     []mpi.StreamPos
+}
+
+// sentCounter is the transport capability the outbound half of a saved
+// snapshot needs; the TCP mesh implements it.
+type sentCounter interface {
+	SentStreamCounts(src int) []mpi.StreamPos
 }
 
 // sendRec is one ledger entry: a send issued since the last snapshot.
-type sendRec struct {
-	dst, tag int
-	tile     int64 // chain slot that issued it
-	data     []float64
-	// req is nil for blocking sends (delivered synchronously); for Isends
-	// it answers delivered-vs-dropped once the crash finalizes it.
-	req *mpi.Request
-}
-
-// delivered reports whether the entry's message reached its mailbox.
-// Definitive only after DropPending has finalized in-flight requests.
-func (r *sendRec) delivered() bool { return r.req == nil || !r.req.Dropped() }
+type sendRec struct{ dst, tag int }
 
 // heldMsg is the payload of inbound-table row `row`, claimed since the last
 // snapshot and copied because the runtime cannot replay a claimed message.
@@ -81,81 +110,104 @@ type heldMsg struct {
 // left checkpointing off, and every hook is guarded on that.
 type ckptState struct {
 	every int64
+	save  func(*RankSnapshot) error
 
 	// ldsHi is the dirty high-water mark of the LDS backing array, in
 	// floats: every write site raises it, so la[:ldsHi] is the only region
 	// a snapshot must copy.
 	ldsHi int64
 
-	// The last snapshot: resume slot (tiles < snapT are committed), the
-	// dirty LDS prefix at that moment, the send ledger and held payloads
-	// accumulated since.
-	snapT  int64
-	snapLa []float64
+	// snap is the last snapshot (tiles < snap.NextTile are committed);
+	// ledger and held are the recovery log accumulated since, kept only
+	// when the snapshot is (save == nil).
+	snap   RankSnapshot
 	ledger []sendRec
 	held   []heldMsg
 
-	// The resend cursor, populated by a crash and drained by re-execution.
+	// The resend cursor, populated by a crash and drained by re-execution:
+	// the crashed incarnation's ledger, whose first skip entries it
+	// delivered.
 	replaySend []sendRec
+	skip       int
 
 	crashed bool // this rank already used its one crash
-	resent  int  // messages resent after the crash
 }
+
+// newCkptState builds the rank's checkpoint state, restored from
+// opt.Resume when that names this rank.
+func (st *rankState) newCkptState(opt *CheckpointOptions) (*ckptState, error) {
+	ck := &ckptState{every: max(opt.Every, 1), save: opt.Save}
+	ck.snap.Rank = st.rank
+	if snap := opt.Resume; snap != nil && snap.Rank == st.rank {
+		if len(snap.LDS) > len(st.la) {
+			return nil, fmt.Errorf("exec: rank %d snapshot LDS has %d values, the rank's has %d", st.rank, len(snap.LDS), len(st.la))
+		}
+		if snap.NextTile < 0 || snap.NextTile > st.p.Dist.ChainLen[st.rank] {
+			return nil, fmt.Errorf("exec: rank %d snapshot resumes at tile %d of %d", st.rank, snap.NextTile, st.p.Dist.ChainLen[st.rank])
+		}
+		ck.snap.NextTile = snap.NextTile
+		ck.snap.LDS = append(ck.snap.LDS, snap.LDS...)
+		ck.ldsHi = int64(copy(st.la, snap.LDS))
+	}
+	return ck, nil
+}
+
+// logs reports whether the rank keeps the in-process recovery log.
+func (ck *ckptState) logs() bool { return ck != nil && ck.save == nil }
 
 // commitTile runs after tile t is fully committed (sent phase done,
-// progress noted): time for a snapshot if the period says so.
-func (st *rankState) commitTile(t int64) {
+// progress noted): time for a snapshot if the period says so. The end of
+// the chain is not snapshotted — nothing is left to resume.
+func (st *rankState) commitTile(t int64) error {
 	ck := st.ckpt
-	if ck == nil {
-		return
+	if ck == nil || (t+1)%ck.every != 0 || t+1 == int64(len(st.slots)) {
+		return nil
 	}
-	if (t+1)%ck.every == 0 {
-		st.snapshot(t + 1)
-	}
+	return st.snapshot(t + 1)
 }
 
-// snapshot records the rank's restartable state as of "resumeT tiles
-// committed": the dirty LDS prefix, plus the still-undelivered suffix of
-// the ledger (delivered entries can never need resending; in-flight
-// Isends might, if a later crash drops them).
-func (st *rankState) snapshot(resumeT int64) {
+// snapshot records the rank's restartable state as of "next tiles
+// committed", quiesced: everything sent so far is delivered and out of the
+// transport, so the recovery log restarts empty.
+func (st *rankState) snapshot(next int64) error {
 	ck := st.ckpt
-	kept := ck.ledger[:0]
-	for _, rec := range ck.ledger {
-		if rec.req != nil && !rec.req.Test() {
-			kept = append(kept, rec)
-		}
-	}
-	ck.ledger = kept
+	st.c.WaitSends()
+	st.c.FlushWire()
+	ck.ledger = ck.ledger[:0]
 	ck.held = ck.held[:0]
-	ck.snapT = resumeT
-	if int64(cap(ck.snapLa)) < ck.ldsHi {
-		ck.snapLa = make([]float64, ck.ldsHi)
+	ck.snap.NextTile = next
+	ck.snap.LDS = append(ck.snap.LDS[:0], st.la[:ck.ldsHi]...)
+	if ck.save == nil {
+		return nil
 	}
-	ck.snapLa = ck.snapLa[:ck.ldsHi]
-	copy(ck.snapLa, st.la[:ck.ldsHi])
+	w := st.c.World()
+	ck.snap.Recv = w.StreamCounts(st.rank)
+	if sc, ok := w.Wire().(sentCounter); ok {
+		ck.snap.Sent = sc.SentStreamCounts(st.rank)
+	}
+	if err := ck.save(&ck.snap); err != nil {
+		return fmt.Errorf("exec: rank %d checkpoint at tile %d: %w", st.rank, next, err)
+	}
+	return nil
 }
 
 // crash simulates losing this rank at the boundary of tile t and returns
-// the chain slot to resume from. Without checkpointing a dead rank is a
-// dead run: panic, which aborts the world with a diagnostic.
+// the chain slot to resume from. Without the in-process recovery log a
+// dead rank is a dead run: panic, which aborts the world with a diagnostic.
 func (st *rankState) crash(t int64) int64 {
-	if st.ckpt == nil {
-		panic(fmt.Sprintf("exec: rank %d crashed at tile %d (FaultPlan.Crash) with no checkpointing enabled — run lost", st.rank, t))
-	}
 	ck := st.ckpt
+	if !ck.logs() {
+		panic(fmt.Sprintf("exec: rank %d crashed at tile %d (FaultPlan.Crash) with no in-memory checkpointing enabled — run lost", st.rank, t))
+	}
 	ck.crashed = true
+	// The node is gone: outbound messages not yet on the wire are lost. The
+	// NIC transmits in issue order and every pre-snapshot send was awaited,
+	// so the dropped ones are exactly the ledger's tail.
+	dropped := st.c.DropPending()
 	if st.tr != nil {
 		st.tr.noteFault("crash", t)
+		st.tr.noteDropped(dropped)
 	}
-	// The node is gone: outbound messages not yet on the wire are lost.
-	// DropPending finalizes every request, so the ledger's delivered-vs-
-	// dropped answers below are definitive.
-	st.c.DropPending()
-	mpi.Waitall(st.pending)
-	st.pending = st.pending[:0]
-	st.reaped = 0
-	st.sendsDone.Store(0)
 	// Reboot/rejoin time; counted as fault activity so the watchdog never
 	// mistakes the outage for a deadlock.
 	st.c.FaultSleep(st.faults.RestartDelay)
@@ -166,45 +218,20 @@ func (st *rankState) crash(t int64) int64 {
 	for i := range st.la {
 		st.la[i] = math.NaN()
 	}
-	copy(st.la, ck.snapLa)
-	ck.ldsHi = int64(len(ck.snapLa))
+	ck.ldsHi = int64(copy(st.la, ck.snap.LDS))
 	// No wire activity, no Stats, no tracer counts: each held message was
 	// counted at its one successful receive.
 	for _, h := range ck.held {
 		st.unpack(&st.msgs[h.row], h.data)
 	}
-
-	// Split the ledger at the snapshot: pre-snapshot entries are not
-	// re-executed, so their dropped ones are resent here from the recorded
-	// payload (ledger order = issue order — and the dropped set is a
-	// suffix of issue order, so these precede every post-snapshot resend
-	// on their stream); post-snapshot entries become the re-execution
-	// cursor. Delivered pre-snapshot entries leave the ledger for good.
-	ck.replaySend = ck.replaySend[:0]
-	kept := ck.ledger[:0]
-	for _, rec := range ck.ledger {
-		if rec.tile >= ck.snapT {
-			ck.replaySend = append(ck.replaySend, rec)
-			continue
-		}
-		if rec.delivered() {
-			continue
-		}
-		// Isend copies the payload, so the fresh ledger entry keeps ours.
-		req := st.c.Isend(rec.dst, rec.tag, rec.data)
-		req.OnComplete(st.noteFn)
-		st.pending = append(st.pending, req)
-		kept = append(kept, sendRec{dst: rec.dst, tag: rec.tag, tile: rec.tile, data: rec.data, req: req})
-		ck.resent++
-		if st.tr != nil {
-			st.tr.noteResend()
-		}
-	}
-	ck.ledger = kept
+	// Re-execution re-issues the ledger in order, rebuilding it as it goes.
+	ck.replaySend = append(ck.replaySend[:0], ck.ledger...)
+	ck.skip = len(ck.ledger) - dropped
+	ck.ledger = ck.ledger[:0]
 	if st.tr != nil {
-		st.tr.noteFault("restart", ck.snapT)
+		st.tr.noteFault("restart", ck.snap.NextTile)
 	}
-	return ck.snapT
+	return ck.snap.NextTile
 }
 
 // checkReplayDrained asserts the crash recovery actually converged: once
@@ -234,45 +261,38 @@ func (st *rankState) markDirty(end int64) {
 // the first incarnation delivered are skipped (the receiver has them;
 // resending would corrupt the stream and double-count Stats), dropped
 // ones fall through and are sent fresh. Outside replay — or once the
-// cursor is drained — it issues via the mode's primitive and, when
-// checkpointing is on, records a ledger entry with a payload copy.
+// cursor is drained — it issues via the mode's primitive. Either way the
+// send joins the ledger when the rank keeps one.
 //
 // buf's ownership transfers to the runtime with the send; the return value
 // reports whether the send was skipped, so the caller still owns buf and
 // should recycle it.
 func (st *rankState) dispatchSend(dst, tag int, buf []float64, t int64) bool {
 	ck := st.ckpt
+	if ck.logs() {
+		ck.ledger = append(ck.ledger, sendRec{dst, tag})
+	}
 	if ck != nil && len(ck.replaySend) > 0 {
 		rec := ck.replaySend[0]
 		ck.replaySend = ck.replaySend[1:]
 		if rec.dst != dst || rec.tag != tag {
 			panic(fmt.Sprintf("exec: rank %d resend cursor mismatch at tile %d: re-execution sends (dst=%d, tag=%d), ledger recorded (dst=%d, tag=%d) — nondeterministic re-execution", st.rank, t, dst, tag, rec.dst, rec.tag))
 		}
-		if rec.delivered() {
+		if ck.skip > 0 {
+			ck.skip--
 			return true // receiver already has it
 		}
-		ck.resent++
 		if st.tr != nil {
 			st.tr.noteResend()
 		}
 	}
-	var rec sendRec
-	if ck != nil {
-		rec = sendRec{dst: dst, tag: tag, tile: t, data: append([]float64(nil), buf...)}
-	}
 	if st.overlap {
-		req := st.c.IsendOwned(dst, tag, buf)
-		req.OnComplete(st.noteFn)
-		st.pending = append(st.pending, req)
-		rec.req = req
+		st.c.IsendOwned(dst, tag, buf)
 	} else {
 		st.c.SendOwned(dst, tag, buf)
 	}
-	if ck != nil {
-		ck.ledger = append(ck.ledger, rec)
-	}
 	if st.tr != nil {
-		st.tr.noteSend(len(buf), len(st.pending))
+		st.tr.noteSend(len(buf), st.c.PendingSends())
 	}
 	return false
 }

@@ -38,7 +38,7 @@ func TestCrashRestartEveryWorkload(t *testing.T) {
 				// cursor, not just a trivial rewind.
 				got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
 					Overlap:    overlap,
-					Faults:     &mpi.FaultPlan{Crash: map[int]int64{crashRank: crashTile}},
+					Net:        mpi.Options{Faults: &mpi.FaultPlan{Crash: map[int]int64{crashRank: crashTile}}},
 					Checkpoint: &exec.CheckpointOptions{Every: 2},
 				})
 				if err != nil {
@@ -67,7 +67,7 @@ func TestCrashRestartAtTileZero(t *testing.T) {
 	}
 	got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
 		Overlap:    true,
-		Faults:     &mpi.FaultPlan{Crash: map[int]int64{0: 0}},
+		Net:        mpi.Options{Faults: &mpi.FaultPlan{Crash: map[int]int64{0: 0}}},
 		Checkpoint: &exec.CheckpointOptions{Every: 1},
 	})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestCrashRestartCoarseCheckpoint(t *testing.T) {
 		}
 		got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
 			Overlap:    overlap,
-			Faults:     &mpi.FaultPlan{Crash: map[int]int64{crashRank: crashTile}, RestartDelay: time.Millisecond},
+			Net:        mpi.Options{Faults: &mpi.FaultPlan{Crash: map[int]int64{crashRank: crashTile}, RestartDelay: time.Millisecond}},
 			Checkpoint: &exec.CheckpointOptions{Every: 1 << 30},
 		})
 		if err != nil {
@@ -121,8 +121,10 @@ func TestCrashWithoutCheckpointAborts(t *testing.T) {
 	c := cs[0]
 	_, _, err := c.p.RunParallelOpts(exec.RunOptions{
 		Overlap: true,
-		Net:     mpi.Options{Watchdog: 2 * time.Second},
-		Faults:  &mpi.FaultPlan{Crash: map[int]int64{1: 1}},
+		Net: mpi.Options{
+			Watchdog: 2 * time.Second,
+			Faults:   &mpi.FaultPlan{Crash: map[int]int64{1: 1}},
+		},
 	})
 	if err == nil {
 		t.Fatal("crash without checkpointing returned no error")
@@ -143,7 +145,7 @@ func TestCrashRestartTraced(t *testing.T) {
 	_, _, err := c.p.RunParallelOpts(exec.RunOptions{
 		Overlap:    true,
 		Trace:      tr,
-		Faults:     &mpi.FaultPlan{Crash: map[int]int64{crashRank: c.p.Dist.ChainLen[crashRank] / 2}},
+		Net:        mpi.Options{Faults: &mpi.FaultPlan{Crash: map[int]int64{crashRank: c.p.Dist.ChainLen[crashRank] / 2}}},
 		Checkpoint: &exec.CheckpointOptions{Every: 2},
 	})
 	if err != nil {

@@ -85,7 +85,6 @@ func TestChaosMatrixDynamic(t *testing.T) {
 	seed := chaosSeed(t)
 	for _, c := range chaosCases(t) {
 		c := c
-		procs := c.p.Dist.NumProcs()
 		for _, w := range workerCounts() {
 			if testing.Short() && w > 1 {
 				continue
@@ -94,7 +93,7 @@ func TestChaosMatrixDynamic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s workers=%d fault-free static: %v", c.name, w, err)
 			}
-			for _, f := range chaosFaults(seed, procs, c.p.Dist.ChainLen) {
+			for _, f := range chaosFaults(t, seed, c.p.Dist) {
 				f := f
 				t.Run(fmt.Sprintf("%s/workers=%d/%s", c.name, w, f.name), func(t *testing.T) {
 					before := runtime.NumGoroutine()
@@ -103,7 +102,7 @@ func TestChaosMatrixDynamic(t *testing.T) {
 						Dynamic:    true,
 						Workers:    w,
 						Firing:     log,
-						Faults:     f.plan,
+						Net:        f.net,
 						Checkpoint: f.ck,
 					})
 					if err != nil {
@@ -138,7 +137,7 @@ func TestDynamicAbortLeaksNothing(t *testing.T) {
 	before := runtime.NumGoroutine()
 	_, _, err := c.p.RunParallelOpts(exec.RunOptions{
 		Dynamic: true,
-		Faults:  &mpi.FaultPlan{Crash: map[int]int64{1: 0}},
+		Net:     mpi.Options{Faults: &mpi.FaultPlan{Crash: map[int]int64{1: 0}}},
 	})
 	if err == nil {
 		t.Fatal("crash without checkpointing returned no error")
@@ -150,8 +149,14 @@ func TestDynamicAbortLeaksNothing(t *testing.T) {
 // recovery layer.
 func TestDynamicOptionValidation(t *testing.T) {
 	c := diffCases(t)[0]
-	if _, _, err := c.p.RunParallelOpts(exec.RunOptions{Dynamic: true, ProcCheckpoint: &exec.ProcCheckpoint{}}); err == nil {
-		t.Error("Dynamic+ProcCheckpoint was accepted")
+	save := func(*exec.RankSnapshot) error { return nil }
+	for name, ck := range map[string]*exec.CheckpointOptions{
+		"Save":   {Save: save},
+		"Resume": {Resume: &exec.RankSnapshot{}},
+	} {
+		if _, _, err := c.p.RunParallelOpts(exec.RunOptions{Dynamic: true, Checkpoint: ck}); err == nil {
+			t.Errorf("Dynamic+Checkpoint.%s was accepted", name)
+		}
 	}
 }
 

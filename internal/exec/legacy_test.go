@@ -66,7 +66,7 @@ func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 			return err
 		}
 	}
-	mpi.Waitall(st.pending)
+	c.WaitSends()
 	st.writeBackPerPoint(g)
 	return nil
 }
@@ -168,7 +168,7 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 // direction d^m with at least one valid successor tile, packing this
 // tile's communication region point by point (distrib.CommRegion, which
 // sender and receiver evaluate identically, so contents pair up without
-// headers). Send and Isend snapshot the buffer; in overlap mode the rank
+// headers). Each message gets a fresh buffer; in overlap mode the rank
 // advances without waiting.
 func (st *rankState) sendPhase(tile ilin.Vec) error {
 	d := st.p.Dist
@@ -194,7 +194,7 @@ func (st *rankState) sendPhase(tile ilin.Vec) error {
 			return true
 		})
 		if st.overlap {
-			st.pending = append(st.pending, st.c.Isend(st.sendRank[i], i, buf))
+			st.c.IsendOwned(st.sendRank[i], i, buf)
 		} else {
 			st.c.Send(st.sendRank[i], i, buf)
 		}

@@ -70,7 +70,6 @@ func (p *bufPool) put(b []float64) {
 // executor's per-point SEND (legacy_test.go), so mpi.Stats match bit for bit.
 func (st *rankState) sendPhasePlanned(sl *slotPlan, t int64) {
 	w := st.p.Width
-	st.reapPending()
 	tOff := t * st.chainStep
 	for _, i := range sl.sends {
 		dir := &sl.plan.dirs[i]

@@ -3,27 +3,31 @@ package exec
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
-	"tilespace/internal/verify"
 )
 
 // RunOptions selects the communication strategy for RunParallel.
 type RunOptions struct {
 	// Overlap switches the SEND phase to non-blocking Isends: after
 	// computing a tile the rank issues one Isend per processor direction
-	// and advances to the next tile immediately, draining the pending
-	// requests at the end of its chain — the computation–communication
+	// and advances to the next tile immediately, waiting for the pending
+	// sends at the end of its chain — the computation–communication
 	// overlapping scheme of the paper's §6 (its ref. [8]), the same mode
 	// simnet.Params.Overlap models. Results are bit-identical to the
 	// blocking mode.
 	Overlap bool
-	// Net configures the runtime world: the deadlock watchdog and the
-	// injected wire-cost model (see mpi.Options). The zero value means no
-	// watchdog and no injected cost.
+	// Net configures the runtime world: the deadlock watchdog, the injected
+	// wire-cost model and the deterministic fault schedule (see mpi.Options).
+	// Of Net.Faults the runtime injects link delay/jitter and transient send
+	// failures into its send paths; the executor consumes the rest: Slowdown
+	// multiplies a rank's PointDelay, and Crash kills a rank at a chosen tile
+	// index — recoverable only with an in-memory Checkpoint, otherwise the
+	// run aborts. Results stay bit-identical to a fault-free run under every
+	// fault class. The zero value means no watchdog, no injected cost and no
+	// faults.
 	Net mpi.Options
 	// PointDelay injects CPU cost per iteration point into the compute
 	// phase, the runtime counterpart of simnet.Params.IterTime (scaled the
@@ -32,31 +36,19 @@ type RunOptions struct {
 	// communication-bound; with it, compute–communication overlap is
 	// measurable at the modelled ratio. Zero injects nothing.
 	PointDelay time.Duration
-	// Verify runs the static certifier (internal/verify) over the
-	// compiled program before any rank starts: comm-set exactness,
-	// deadlock-freedom and LDS bounds safety are proved by pure
-	// arithmetic, and a disproof aborts the run with a counterexample
-	// point instead of computing wrong values or hanging. The proof
-	// covers both the blocking and the overlap mode.
-	Verify bool
 	// Trace, when non-nil, records a measured per-tile timeline (the
 	// simnet.Event schema) plus per-rank phase metrics into the tracer;
 	// see Tracer. Nil disables tracing entirely: the executor takes no
 	// timestamps and allocates nothing for observability.
 	Trace *Tracer
-	// Faults injects a deterministic fault schedule into the run (see
-	// mpi.FaultPlan): link delay/jitter and transient send failures perturb
-	// the runtime's send paths, Slowdown multiplies this rank's PointDelay,
-	// and Crash kills a rank at a chosen tile index — recoverable only
-	// with Checkpoint, otherwise the run aborts. Results stay bit-identical
-	// to a fault-free run under every fault class. Setting this also sets
-	// Net.Faults; a plan already present in Net is used when this is nil.
-	Faults *mpi.FaultPlan
 	// Checkpoint enables tile-chain checkpointing: after every
-	// CheckpointOptions.Every committed tiles a rank snapshots its chain
-	// position, dirty LDS prefix and pending-send ledger, and a crashed
-	// rank restarts from its last snapshot with unacknowledged sends
-	// replayed. Nil disables checkpointing (no per-tile overhead).
+	// CheckpointOptions.Every committed tiles a rank waits for its sends to
+	// be delivered and snapshots its chain position, dirty LDS prefix and
+	// stream counts. Kept in memory, the snapshot lets a crashed rank
+	// restart in-process with its dropped sends re-issued; handed to
+	// CheckpointOptions.Save, it lets a relaunched rank process resume
+	// mid-conversation over the TCP mesh's resume protocol (cmd/tilerankd).
+	// Nil disables checkpointing (no per-tile overhead).
 	Checkpoint *CheckpointOptions
 	// Workers sets the per-rank intra-tile worker pool size: each tile's
 	// wavefronts of independent points (see distrib.NewLocalSchedule)
@@ -77,20 +69,13 @@ type RunOptions struct {
 	// loopback TCP); results and Stats are bit-identical across transports,
 	// only WireStats differ. Nil runs on a fresh in-process channel world.
 	World *mpi.World
-	// ProcCheckpoint enables rank-process checkpointing for multi-process
-	// deployments (cmd/tilerankd): a periodic snapshot of the rank's chain
-	// position, LDS and wire stream counts that a relaunched process
-	// restores to resume mid-conversation over the TCP mesh's resume
-	// protocol. Mutually exclusive with Checkpoint (the in-process
-	// tile-chain recovery). See ProcCheckpoint.
-	ProcCheckpoint *ProcCheckpoint
 	// Dynamic switches each rank's receive policy (see receive.go): before
 	// each tile, every message that has already arrived — for that tile or
 	// a later one — is claimed and unpacked; the rank blocks only for the
 	// current tile's missing messages. Tiles still fire in chain order and
 	// all sends are asynchronous (Overlap is forced on). Results and
 	// mpi.Stats are bit-identical to the static overlap mode; only timing
-	// changes. Mutually exclusive with ProcCheckpoint.
+	// changes. Mutually exclusive with Checkpoint.Save and Checkpoint.Resume.
 	Dynamic bool
 	// Firing, when non-nil, records the observed firing order for post-hoc
 	// certification by verify.CheckDynamicOrder. The log is reset at run
@@ -115,30 +100,15 @@ func (p *Program) RunParallel() (*Global, mpi.Stats, error) {
 
 // RunParallelOpts is RunParallel with an explicit execution strategy.
 func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
-	// One fault plan drives both layers: the runtime injects the wire
-	// perturbations, the executor consumes slowdown and crash points.
-	if opt.Faults != nil {
-		opt.Net.Faults = opt.Faults
-	} else {
-		opt.Faults = opt.Net.Faults
-	}
-	if opt.Verify {
-		if _, err := verify.Certify(p.TS, p.Dist); err != nil {
-			return nil, mpi.Stats{}, err
-		}
-	}
 	lo, hi, err := p.TS.Nest.BoundingBox()
 	if err != nil {
 		return nil, mpi.Stats{}, err
 	}
 	g := NewGlobal(lo, hi, p.Width)
 
-	if opt.ProcCheckpoint != nil && opt.Checkpoint != nil {
-		return nil, mpi.Stats{}, fmt.Errorf("exec: ProcCheckpoint and Checkpoint are mutually exclusive")
-	}
 	if opt.Dynamic {
-		if opt.ProcCheckpoint != nil {
-			return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and ProcCheckpoint are mutually exclusive (a process snapshot's stream counts assume the static claim order)")
+		if ck := opt.Checkpoint; ck != nil && (ck.Save != nil || ck.Resume != nil) {
+			return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and Checkpoint.Save/Resume are mutually exclusive (a saved snapshot's stream counts assume the static claim order)")
 		}
 		// Dynamic sends are always asynchronous: forcing the overlap
 		// primitive here keeps dispatchSend on the Isend path and makes
@@ -229,19 +199,10 @@ type rankState struct {
 	tr *rankTracer
 
 	// faults is the run's fault schedule (never nil to callers: all
-	// FaultPlan methods are nil-safe); ckpt is the crash-recovery state,
-	// nil when checkpointing is off.
+	// FaultPlan methods are nil-safe); ckpt is the checkpoint/recovery
+	// state, nil when checkpointing is off.
 	faults *mpi.FaultPlan
 	ckpt   *ckptState
-
-	// In-flight Isends in issue order. The NIC delivers them FIFO and
-	// noteSendDone counts completions from its goroutine, so reapPending
-	// can drop the completed prefix without blocking; Waitall at chain end
-	// drains the rest.
-	pending   []*mpi.Request
-	sendsDone atomic.Int64
-	reaped    int
-	noteFn    func()
 }
 
 // newRankState builds a rank's per-run state on top of its compiled chain
@@ -260,20 +221,12 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 		dynamic:    opt.Dynamic,
 		overlap:    opt.Overlap,
 		pointDelay: opt.PointDelay,
-		faults:     opt.Faults,
+		faults:     opt.Net.Faults,
 	}
 	// A straggler's injected compute cost is its PointDelay, scaled.
-	if s := opt.Faults.SlowdownOf(r); s > 1 {
+	if s := st.faults.SlowdownOf(r); s > 1 {
 		st.pointDelay = time.Duration(float64(st.pointDelay) * s)
 	}
-	if opt.Checkpoint != nil {
-		every := opt.Checkpoint.Every
-		if every < 1 {
-			every = 1
-		}
-		st.ckpt = &ckptState{every: every}
-	}
-	st.noteFn = st.noteSendDone
 	if opt.Trace != nil {
 		st.tr = newRankTracer(opt.Trace, r)
 	}
@@ -306,12 +259,13 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	}
 	crashAt := st.faults.CrashTile(r)
 
-	start := int64(0)
-	if pc := opt.ProcCheckpoint; pc != nil && pc.Resume != nil && pc.Resume.Rank == r {
+	start := int64(0) // a chain resumed from a snapshot starts past zero
+	if opt.Checkpoint != nil {
 		var err error
-		if start, err = st.restoreProcSnapshot(pc.Resume); err != nil {
+		if st.ckpt, err = st.newCkptState(opt.Checkpoint); err != nil {
 			return err
 		}
+		start = st.ckpt.snap.NextTile
 	}
 	st.skipClaimed(start)
 	fired := start // chain slots below fired are in the firing log
@@ -356,11 +310,8 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		// A completed tile is forward progress even if every other rank is
 		// parked waiting for its output — keep the watchdog quiet.
 		c.NoteProgress()
-		st.commitTile(t)
-		if pc := opt.ProcCheckpoint; pc != nil && pc.Save != nil && (t+1)%pc.every() == 0 && t+1 < d.ChainLen[r] {
-			if err := st.saveProcSnapshot(pc, t+1); err != nil {
-				return err
-			}
+		if err := st.commitTile(t); err != nil {
+			return err
 		}
 	}
 	if err := st.checkReplayDrained(); err != nil {
@@ -369,7 +320,7 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	// Overlap mode: every send so far was an Isend whose transfer runs on
 	// the rank's NIC; make sure all of them completed before declaring the
 	// chain done (receivers need the data, and Stats must be final).
-	mpi.Waitall(st.pending)
+	c.WaitSends()
 	if st.tr != nil {
 		st.tr.finish(&st.pool, st.wpool)
 	}
@@ -391,10 +342,6 @@ func (st *rankState) chargePointDelay(pts int64) {
 	}
 }
 
-// noteSendDone runs on the NIC goroutine, in issue order, once per
-// completed Isend (registered via Request.OnComplete).
-func (st *rankState) noteSendDone() { st.sendsDone.Add(1) }
-
 // recv is the executor's blocking receive: plain Recv when
 // tracing is off, and the timestamped RecvMsg — splitting blocked wait
 // from mailbox queueing via Message.Delivered — when it is on.
@@ -409,26 +356,11 @@ func (st *rankState) recv(src, tag int) []float64 {
 	return m.Data
 }
 
-// reapPending drops the completed prefix of the in-flight Isend list. The
-// NIC completes requests in issue order, so the completion count alone
-// identifies how many leading entries are done — no per-request Test.
-func (st *rankState) reapPending() {
-	done := int(st.sendsDone.Load()) - st.reaped
-	if done <= 0 {
-		return
-	}
-	if done > len(st.pending) {
-		done = len(st.pending)
-	}
-	st.pending = st.pending[:copy(st.pending, st.pending[done:])]
-	st.reaped += done
-}
-
 // writeBack copies this rank's computed values to the global data space
 // via the computer-owns rule. Ranks own disjoint iteration points, so the
 // concurrent writes touch disjoint memory. Each chain slot's offset table
-// is replayed — including the slots a chain resumed from a process snapshot
-// skipped, whose LDS values were restored.
+// is replayed — including the slots a chain resumed from a snapshot skipped,
+// whose LDS values were restored.
 func (st *rankState) writeBack(g *Global) {
 	w := int64(st.p.Width)
 	n := st.p.TS.T.N

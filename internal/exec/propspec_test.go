@@ -143,10 +143,10 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 	// including the messages the dynamic policy claimed early).
 	if procs := p.Dist.NumProcs(); procs > 1 {
 		mid := procs / 2
-		crash := &mpi.FaultPlan{Crash: map[int]int64{mid: p.Dist.ChainLen[mid] / 2}}
+		crash := mpi.Options{Faults: &mpi.FaultPlan{Crash: map[int]int64{mid: p.Dist.ChainLen[mid] / 2}}}
 		restarted, _, err := p.RunParallelOpts(exec.RunOptions{
 			Overlap:    true,
-			Faults:     crash,
+			Net:        crash,
 			Checkpoint: &exec.CheckpointOptions{Every: 2},
 		})
 		if err != nil {
@@ -158,7 +158,7 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 		dynRestarted, _, err := p.RunParallelOpts(exec.RunOptions{
 			Dynamic:    true,
 			Firing:     log,
-			Faults:     crash,
+			Net:        crash,
 			Checkpoint: &exec.CheckpointOptions{Every: 2},
 		})
 		if err != nil {

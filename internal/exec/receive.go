@@ -65,8 +65,8 @@ type inbox struct {
 }
 
 // skipClaimed marks the rows of chain slots below start as claimed: a chain
-// resumed from a process snapshot consumed them in its earlier incarnation
-// (static claim order — Dynamic excludes ProcCheckpoint).
+// resumed from a saved snapshot consumed them in its earlier incarnation
+// (static claim order — Dynamic excludes Checkpoint.Resume).
 func (st *rankState) skipClaimed(start int64) {
 	in := &st.in
 	for ; in.cur < len(st.msgs) && st.msgs[in.cur].t < start; in.cur++ {
@@ -126,7 +126,7 @@ func (st *rankState) claim(i int, block bool) (bool, error) {
 	if want := m.dir.total * int64(st.p.Width); int64(len(data)) != want {
 		return false, fmt.Errorf("exec: rank %d chain slot %d: message from rank %d tag %d has %d values, expected %d", st.rank, m.t, src, m.di, len(data), want)
 	}
-	if ck := st.ckpt; ck != nil {
+	if ck := st.ckpt; ck.logs() {
 		ck.held = append(ck.held, heldMsg{row: i, data: append([]float64(nil), data...)})
 	}
 	st.unpack(m, data)

@@ -23,7 +23,7 @@ import (
 // Recv), Unpack (receive-phase work outside the blocking wait, i.e. LDS
 // unpack plus boundary Initial injection), Compute (kernel sweep incl.
 // injected PointDelay), Send (pack + send issue), Drain (end-of-chain
-// Waitall on in-flight Isends).
+// WaitSends on in-flight Isends).
 type RankMetrics struct {
 	Rank  int
 	Tiles int
@@ -52,11 +52,13 @@ type RankMetrics struct {
 	PendingPeak int
 
 	// Fault-recovery activity: Crashes counts injected crashes this rank
-	// survived (restarting from a checkpoint), Resent the messages the
-	// recovery layer re-issued because the crash dropped them. These are
+	// survived (restarting from a checkpoint), Dropped the in-flight sends
+	// those crashes lost, Resent the messages the recovery layer re-issued
+	// because of it (a converged recovery has Resent == Dropped). These are
 	// measurements (they depend on real delivery timing), which is why
 	// they live here and not in the deterministic mpi.Stats.
 	Crashes int
+	Dropped int
 	Resent  int
 
 	// Intra-tile pool attribution: Workers is the rank's pool size (1 =
@@ -264,8 +266,10 @@ func (rt *rankTracer) noteFault(kind string, slot int64) {
 	}
 }
 
-// noteResend counts one message the recovery layer re-issued.
-func (rt *rankTracer) noteResend() { rt.m.Resent++ }
+// noteDropped counts the sends a crash lost undelivered; noteResend one
+// message the recovery layer re-issued.
+func (rt *rankTracer) noteDropped(n int) { rt.m.Dropped += n }
+func (rt *rankTracer) noteResend()       { rt.m.Resent++ }
 
 func (rt *rankTracer) endTile(tile ilin.Vec) {
 	now := time.Now()
@@ -297,7 +301,7 @@ func (rt *rankTracer) endTile(tile ilin.Vec) {
 	rt.lastEnd = now
 }
 
-// finish closes the rank's timeline after the end-of-chain Waitall and
+// finish closes the rank's timeline after the end-of-chain WaitSends and
 // publishes events and metrics to the shared tracer. wp is the rank's
 // intra-tile worker pool (nil in serial runs).
 func (rt *rankTracer) finish(pool *bufPool, wp *workerPool) {

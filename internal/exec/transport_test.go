@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,19 +72,18 @@ func TestChaosMatrixOverTCP(t *testing.T) {
 	seed := chaosSeed(t)
 	for _, c := range chaosCases(t) {
 		c := c
-		procs := c.p.Dist.NumProcs()
 		for _, overlap := range []bool{false, true} {
 			want, wantStats, err := c.p.RunParallelOpts(exec.RunOptions{Overlap: overlap})
 			if err != nil {
 				t.Fatalf("%s fault-free overlap=%v: %v", c.name, overlap, err)
 			}
-			for _, f := range chaosFaults(seed, procs, c.p.Dist.ChainLen) {
+			for _, f := range chaosFaults(t, seed, c.p.Dist) {
 				f := f
 				t.Run(fmt.Sprintf("%s/overlap=%v/%s", c.name, overlap, f.name), func(t *testing.T) {
 					before := runtime.NumGoroutine()
 					got, gotStats, err := runOverTCP(t, c.p, exec.RunOptions{
 						Overlap:    overlap,
-						Faults:     f.plan,
+						Net:        f.net,
 						Checkpoint: f.ck,
 					})
 					if err != nil {
@@ -159,11 +159,11 @@ func TestPooledTCPWorldReuse(t *testing.T) {
 	}
 }
 
-// TestProcCheckpointSnapshots pins the process-checkpoint save path:
-// snapshots appear at the configured cadence with coherent chain
-// positions and stream counts, and taking them does not perturb the
-// result or the traffic stats.
-func TestProcCheckpointSnapshots(t *testing.T) {
+// TestCheckpointSaveSnapshots pins the Save sink of the one checkpoint
+// option: snapshots appear at the configured cadence with coherent chain
+// positions, LDS prefixes and stream counts, and taking them does not
+// perturb the result or the traffic stats.
+func TestCheckpointSaveSnapshots(t *testing.T) {
 	var c *diffCase
 	for _, dc := range diffCases(t) {
 		if dc.name == "jacobi/rect" {
@@ -180,15 +180,24 @@ func TestProcCheckpointSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A snapshot is only valid during Save, so keep what is checked.
+	type saved struct {
+		next       int64
+		lds, recvd int
+	}
 	var mu sync.Mutex
-	snaps := map[int][]*exec.RankSnapshot{}
+	snaps := map[int][]saved{}
 	got, gotStats, err := runOverTCP(t, c.p, exec.RunOptions{
 		Net: mpi.Options{Watchdog: 10 * time.Second},
-		ProcCheckpoint: &exec.ProcCheckpoint{
+		Checkpoint: &exec.CheckpointOptions{
 			Every: 2,
 			Save: func(s *exec.RankSnapshot) error {
+				var recvd uint64
+				for _, p := range s.Recv {
+					recvd += p.Count
+				}
 				mu.Lock()
-				snaps[s.Rank] = append(snaps[s.Rank], s)
+				snaps[s.Rank] = append(snaps[s.Rank], saved{s.NextTile, len(s.LDS), int(recvd)})
 				mu.Unlock()
 				return nil
 			},
@@ -208,31 +217,34 @@ func TestProcCheckpointSnapshots(t *testing.T) {
 	}
 	for r, list := range snaps {
 		for i, s := range list {
-			if s.NextTile%2 != 0 || s.NextTile <= 0 {
-				t.Fatalf("rank %d snapshot %d at unexpected tile %d", r, i, s.NextTile)
+			if s.next%2 != 0 || s.next <= 0 || s.next >= c.p.Dist.ChainLen[r] {
+				t.Fatalf("rank %d snapshot %d at unexpected tile %d", r, i, s.next)
 			}
-			if len(s.LDS) == 0 {
+			if s.lds == 0 {
 				t.Fatalf("rank %d snapshot %d has empty LDS", r, i)
 			}
-			if i > 0 && s.NextTile <= list[i-1].NextTile {
-				t.Fatalf("rank %d snapshots out of order: %d then %d", r, list[i-1].NextTile, s.NextTile)
+			if i > 0 && (s.next <= list[i-1].next || s.lds < list[i-1].lds || s.recvd < list[i-1].recvd) {
+				t.Fatalf("rank %d snapshots went backwards: %+v then %+v", r, list[i-1], s)
 			}
 		}
 	}
 }
 
-// TestProcCheckpointExclusive pins the misuse guard.
-func TestProcCheckpointExclusive(t *testing.T) {
+// TestCheckpointSaveKeepsNoRecoveryLog pins what the Save sink gives up:
+// the rank keeps no ledger or held payloads (recovery is a relaunched
+// process riding the wire's resume protocol), so an in-process crash is as
+// fatal as with no checkpointing at all — it must abort, not limp on.
+func TestCheckpointSaveKeepsNoRecoveryLog(t *testing.T) {
 	for _, dc := range diffCases(t) {
 		if dc.name != "sor/rect" {
 			continue
 		}
 		_, _, err := dc.p.RunParallelOpts(exec.RunOptions{
-			Checkpoint:     &exec.CheckpointOptions{Every: 1},
-			ProcCheckpoint: &exec.ProcCheckpoint{Every: 1, Save: func(*exec.RankSnapshot) error { return nil }},
+			Net:        mpi.Options{Faults: &mpi.FaultPlan{Crash: map[int]int64{1: 1}}},
+			Checkpoint: &exec.CheckpointOptions{Every: 1, Save: func(*exec.RankSnapshot) error { return nil }},
 		})
-		if err == nil {
-			t.Fatal("Checkpoint+ProcCheckpoint accepted")
+		if err == nil || !strings.Contains(err.Error(), "crashed") {
+			t.Fatalf("crash under Checkpoint.Save: err = %v, want the run-lost diagnostic", err)
 		}
 		return
 	}

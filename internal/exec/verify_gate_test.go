@@ -6,11 +6,14 @@ import (
 	"tilespace/internal/apps"
 	"tilespace/internal/exec"
 	"tilespace/internal/tiling"
+	"tilespace/internal/verify"
 )
 
-// TestRunParallelVerifyGate exercises the opt-in pre-run certification:
-// a sound program runs (and matches the sequential oracle) with the gate
-// on, proving the gate does not reject correct plans.
+// TestRunParallelVerifyGate exercises pre-run certification: a sound
+// program passes verify.Certify — the gate tilec -verify and the serve
+// layer's Artifact.Certificate put in front of a run — and then runs and
+// matches the sequential oracle, proving the gate does not reject correct
+// plans.
 func TestRunParallelVerifyGate(t *testing.T) {
 	app, err := apps.SOR(4, 10)
 	if err != nil {
@@ -28,7 +31,10 @@ func TestRunParallelVerifyGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := p.RunParallelOpts(exec.RunOptions{Verify: true})
+	if _, err := verify.Certify(p.TS, p.Dist); err != nil {
+		t.Fatalf("certifier rejected a sound program: %v", err)
+	}
+	g, _, err := p.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatalf("verified run: %v", err)
 	}

@@ -66,20 +66,19 @@ func TestChaosWorkerPool(t *testing.T) {
 	seed := chaosSeed(t)
 	for _, c := range chaosCases(t) {
 		c := c
-		procs := c.p.Dist.NumProcs()
 		for _, w := range workerCounts()[1:] {
 			want, wantStats, err := c.p.RunParallelOpts(exec.RunOptions{Workers: w, Overlap: true})
 			if err != nil {
 				t.Fatalf("%s workers=%d fault-free: %v", c.name, w, err)
 			}
-			for _, f := range chaosFaults(seed, procs, c.p.Dist.ChainLen) {
+			for _, f := range chaosFaults(t, seed, c.p.Dist) {
 				f := f
 				t.Run(fmt.Sprintf("%s/workers=%d/%s", c.name, w, f.name), func(t *testing.T) {
 					before := runtime.NumGoroutine()
 					got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
 						Workers:    w,
 						Overlap:    true,
-						Faults:     f.plan,
+						Net:        f.net,
 						Checkpoint: f.ck,
 					})
 					if err != nil {
@@ -109,8 +108,10 @@ func TestAbortWithWorkerPoolLeaksNothing(t *testing.T) {
 	_, _, err := cs[0].p.RunParallelOpts(exec.RunOptions{
 		Workers: 3,
 		Overlap: true,
-		Net:     mpi.Options{Watchdog: 2 * time.Second},
-		Faults:  &mpi.FaultPlan{Crash: map[int]int64{1: 0}},
+		Net: mpi.Options{
+			Watchdog: 2 * time.Second,
+			Faults:   &mpi.FaultPlan{Crash: map[int]int64{1: 0}},
+		},
 	})
 	if err == nil {
 		t.Fatal("crash without checkpointing returned no error")

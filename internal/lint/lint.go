@@ -1,8 +1,8 @@
 // Package lint is a self-contained go/analysis-style framework plus the
 // repo-specific analyzers enforced by cmd/tilevet. It exists because the
 // runtime invariants the executor relies on — buffer ownership after
-// SendOwned/IsendOwned, request completion for Isend/IsendOwned, nil-guarded
-// tracer access — are documented in comments but invisible to go vet.
+// SendOwned/IsendOwned, nil-guarded tracer access, mutex order, goroutine
+// teardown — are documented in comments but invisible to go vet.
 // The framework mirrors golang.org/x/tools/go/analysis (Analyzer, Pass,
 // Diagnostic) using only the standard library, so it runs in hermetic
 // builds with no module downloads; cmd/tilevet adapts it to the `go vet
@@ -56,7 +56,7 @@ type Analyzer struct {
 
 // All returns every analyzer tilevet enforces.
 func All() []*Analyzer {
-	return []*Analyzer{OwnedBuf, WaitCheck, TraceGuard, LockOrder, GoroLeak, SendStats}
+	return []*Analyzer{OwnedBuf, TraceGuard, LockOrder, GoroLeak, SendStats}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).

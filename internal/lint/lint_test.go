@@ -116,7 +116,6 @@ func runFixtureDir(t *testing.T, dir string, analyzers []*Analyzer) {
 }
 
 func TestOwnedBufFixture(t *testing.T)   { runFixture(t, OwnedBuf) }
-func TestWaitCheckFixture(t *testing.T)  { runFixture(t, WaitCheck) }
 func TestTraceGuardFixture(t *testing.T) { runFixture(t, TraceGuard) }
 func TestLockOrderFixture(t *testing.T)  { runFixture(t, LockOrder) }
 func TestGoroLeakFixture(t *testing.T)   { runFixture(t, GoroLeak) }

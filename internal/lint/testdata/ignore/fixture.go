@@ -62,7 +62,7 @@ func wrappedTooFar() {
 func wrongName(a *A, b *B) {
 	b.mu.Lock()
 	a.mu.Unlock()
-	//lint:ignore waitcheck names a different analyzer
+	//lint:ignore ownedbuf names a different analyzer
 	b.mu.Lock() // want "reacquired while already held"
 	b.mu.Unlock()
 	_ = a

@@ -2,15 +2,12 @@
 // (no imports) so the test harness can type-check it without an importer.
 package fixture
 
-type request struct{ done bool }
-
-func (r *request) Wait() {}
-
 type world struct{ rank int }
 
-func (w *world) SendOwned(dst, tag int, buf []int64)             {}
-func (w *world) IsendOwned(dst, tag int, buf []int64) *request   { return &request{} }
-func (w *world) Send(dst, tag int, buf []int64)                  {}
+func (w *world) SendOwned(dst, tag int, buf []int64)  {}
+func (w *world) IsendOwned(dst, tag int, buf []int64) {}
+func (w *world) WaitSends()                           {}
+func (w *world) Send(dst, tag int, buf []int64)       {}
 
 func useAfterSend(w *world, buf []int64) {
 	w.SendOwned(0, 1, buf)
@@ -18,8 +15,8 @@ func useAfterSend(w *world, buf []int64) {
 }
 
 func readAfterIsend(w *world, buf []int64) int64 {
-	r := w.IsendOwned(0, 1, buf)
-	r.Wait()
+	w.IsendOwned(0, 1, buf)
+	w.WaitSends()
 	return buf[0] // want "buf is used after being passed to IsendOwned"
 }
 
@@ -37,9 +34,9 @@ func resendAfterSend(w *world, buf []int64) {
 // len and cap read only the copied slice header, never the transferred
 // backing array.
 func headerReadsAreFine(w *world, buf []int64) int {
-	r := w.IsendOwned(0, 1, buf)
+	w.IsendOwned(0, 1, buf)
 	n := len(buf) + cap(buf)
-	r.Wait()
+	w.WaitSends()
 	return n
 }
 

@@ -297,6 +297,15 @@ func terminates(block *ast.BlockStmt) bool {
 	return false
 }
 
+func isPanic(expr ast.Expr) bool {
+	call, ok := expr.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "panic"
+}
+
 func copyEnv(env map[string]bool) map[string]bool {
 	out := make(map[string]bool, len(env))
 	for k, v := range env {

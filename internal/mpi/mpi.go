@@ -1,8 +1,8 @@
 // Package mpi is an in-process message-passing runtime with MPI-like
 // semantics: a fixed-size world of ranks (goroutines), blocking typed
 // point-to-point Send/Recv with (source, tag) matching and per-stream FIFO
-// ordering, a polling TryRecv, non-blocking Isend with completion Requests
-// and a barrier.
+// ordering, a polling TryRecv, non-blocking in-order Isends completed by
+// count (WaitSends) and a barrier.
 //
 // It substitutes for the paper's MPI-over-FastEthernet transport (Go has no
 // mature MPI binding): the compiled tile programs only rely on ordered
@@ -104,28 +104,8 @@ func (mb *mailbox) reserve(k streamKey) uint64 {
 // which every live rank sat parked in a blocking wait with nothing
 // delivered — which is a genuine communication deadlock.
 func (mb *mailbox) takeTicket(k streamKey, ticket uint64, w *World, rank int, op string) Message {
-	to := w.opts.Watchdog
-	var (
-		timer    *time.Timer
-		deadline time.Time
-		last     uint64
-		strikes  int
-	)
-	if to > 0 {
-		last = w.progress.Load()
-		deadline = time.Now().Add(to)
-		// Wake the waiter when the deadline passes. Locking (and
-		// releasing) mu before broadcasting guarantees the waiter is
-		// either inside cond.Wait (and receives the broadcast) or has not
-		// yet checked the deadline (and will see it expired).
-		timer = time.AfterFunc(to, func() {
-			mb.mu.Lock()
-			//lint:ignore SA2001 empty critical section orders the broadcast
-			mb.mu.Unlock()
-			mb.cond.Broadcast()
-		})
-		defer timer.Stop()
-	}
+	watch := w.newStallWatch(&mb.mu, mb.cond)
+	defer watch.stop()
 	w.blocked.Add(1)
 	defer w.blocked.Add(-1)
 	mb.mu.Lock()
@@ -139,21 +119,70 @@ func (mb *mailbox) takeTicket(k streamKey, ticket uint64, w *World, rank int, op
 			delete(s.arrived, ticket)
 			return m
 		}
-		if to > 0 && !time.Now().Before(deadline) {
-			var stall bool
-			last, stall = w.stalled(last)
-			if stall {
-				strikes++
-			} else {
-				strikes = 0
-			}
-			if strikes >= 2 {
-				panic(fmt.Sprintf("watchdog: rank %d blocked in %s(src=%d, tag=%d) longer than %v with no global progress — deadlock suspected (no matching send)", rank, op, k.src, k.tag, to))
-			}
-			deadline = time.Now().Add(to)
-			timer.Reset(to)
+		if watch.deadlocked() {
+			panic(fmt.Sprintf("watchdog: rank %d blocked in %s(src=%d, tag=%d) longer than %v with no global progress — deadlock suspected (no matching send)", rank, op, k.src, k.tag, w.opts.Watchdog))
 		}
 		mb.cond.Wait()
+	}
+}
+
+// stallWatch is the watchdog deadline of one blocking wait on a condition
+// variable (a mailbox ticket, a rank's undelivered sends). A nil watch —
+// the world has no watchdog — never fires.
+type stallWatch struct {
+	w        *World
+	timer    *time.Timer
+	deadline time.Time
+	last     uint64
+	strikes  int
+}
+
+// newStallWatch arms a watch for a waiter about to block on cond (guarded
+// by mu): when the deadline passes the waiter is woken to consult
+// deadlocked.
+func (w *World) newStallWatch(mu *sync.Mutex, cond *sync.Cond) *stallWatch {
+	to := w.opts.Watchdog
+	if to <= 0 {
+		return nil
+	}
+	// Locking (and releasing) mu before broadcasting guarantees the waiter
+	// is either inside cond.Wait (and receives the broadcast) or has not
+	// yet checked the deadline (and will see it expired).
+	timer := time.AfterFunc(to, func() {
+		mu.Lock()
+		//lint:ignore SA2001 empty critical section orders the broadcast
+		mu.Unlock()
+		cond.Broadcast()
+	})
+	return &stallWatch{w: w, timer: timer, deadline: time.Now().Add(to), last: w.progress.Load()}
+}
+
+// deadlocked is called by the waiter, holding the mutex, each time it wakes
+// unsatisfied: it reports true once two consecutive deadline periods have
+// passed with the world stalled (see World.stalled), and otherwise re-arms
+// an expired deadline.
+func (s *stallWatch) deadlocked() bool {
+	if s == nil || time.Now().Before(s.deadline) {
+		return false
+	}
+	var stall bool
+	if s.last, stall = s.w.stalled(s.last); stall {
+		s.strikes++
+	} else {
+		s.strikes = 0
+	}
+	if s.strikes >= 2 {
+		return true
+	}
+	to := s.w.opts.Watchdog
+	s.deadline = time.Now().Add(to)
+	s.timer.Reset(to)
+	return false
+}
+
+func (s *stallWatch) stop() {
+	if s != nil {
+		s.timer.Stop()
 	}
 }
 
@@ -181,8 +210,8 @@ func (a abortPanic) String() string { return a.msg }
 
 // Options configures a World beyond its rank count.
 type Options struct {
-	// Watchdog aborts a Recv or Request.Wait with a diagnostic naming the
-	// stuck rank, source and tag, instead of hanging the process on a
+	// Watchdog aborts a Recv or WaitSends with a diagnostic naming the
+	// stuck rank, peer and tag, instead of hanging the process on a
 	// mis-matched schedule. It is progress-based, not a flat per-call
 	// timeout: a wait only trips it after ~2× this duration with no global
 	// progress — no message delivered, no NIC transfer in flight, no rank
@@ -582,6 +611,7 @@ func (w *World) RunE(fn func(c *Comm)) error {
 		wg.Add(1)
 		go func(rank int) {
 			c := &Comm{world: w, rank: rank}
+			c.nic.cond = sync.NewCond(&c.nic.mu)
 			defer wg.Done()
 			defer c.flushNIC()
 			defer func() {
@@ -630,9 +660,7 @@ func (w *World) Run(fn func(c *Comm)) {
 type Comm struct {
 	world *World
 	rank  int
-
-	nicMu sync.Mutex
-	nic   *nicQueue
+	nic   nicQueue // outbound Isends (nic.go)
 }
 
 // Rank returns this endpoint's rank.

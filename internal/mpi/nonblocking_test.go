@@ -12,12 +12,12 @@ func TestIsendWaitDelivers(t *testing.T) {
 	var got []float64
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			req := c.Isend(1, 7, []float64{1, 2, 3})
-			req.Wait()
-			// Wait must be idempotent, and Test agree with it.
-			req.Wait()
-			if !req.Test() {
-				t.Error("Test reports an already-waited send as incomplete")
+			c.IsendOwned(1, 7, []float64{1, 2, 3})
+			c.WaitSends()
+			// WaitSends must be idempotent, and PendingSends agree with it.
+			c.WaitSends()
+			if n := c.PendingSends(); n != 0 {
+				t.Errorf("PendingSends = %d after WaitSends", n)
 			}
 		} else {
 			got = c.Recv(0, 7)
@@ -28,34 +28,15 @@ func TestIsendWaitDelivers(t *testing.T) {
 	}
 }
 
-func TestIsendSnapshotsBuffer(t *testing.T) {
-	w := NewWorld(2)
-	var got []float64
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			buf := []float64{42}
-			req := c.Isend(1, 0, buf)
-			buf[0] = -1 // caller may reuse immediately
-			req.Wait()
-		} else {
-			got = c.Recv(0, 0)
-		}
-	})
-	if got[0] != 42 {
-		t.Fatalf("got %v, want [42] — Isend must copy at call time", got)
-	}
-}
-
 func TestIsendFIFOOrdering(t *testing.T) {
 	const n = 200
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			var reqs []*Request
 			for i := 0; i < n; i++ {
-				reqs = append(reqs, c.Isend(1, 3, []float64{float64(i)}))
+				c.IsendOwned(1, 3, []float64{float64(i)})
 			}
-			Waitall(reqs)
+			c.WaitSends()
 		} else {
 			for i := 0; i < n; i++ {
 				if v := c.Recv(0, 3); v[0] != float64(i) {
@@ -73,9 +54,11 @@ func TestStatsCountOverlappedVsBlocking(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			c.Send(2, 1, []float64{1, 2})
-			c.Isend(2, 1, []float64{3}).Wait()
+			c.IsendOwned(2, 1, []float64{3})
+			c.WaitSends()
 		case 1:
-			c.Isend(2, 2, []float64{4, 5, 6}).Wait()
+			c.IsendOwned(2, 2, []float64{4, 5, 6})
+			c.WaitSends()
 		case 2:
 			c.Recv(0, 1)
 			c.Recv(0, 1)
@@ -111,8 +94,7 @@ func TestUnwaitedIsendStillDelivered(t *testing.T) {
 	var got atomic.Bool
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			//lint:ignore waitcheck the dropped request is the behavior under test
-			c.Isend(1, 0, []float64{1}) // never Waited; flushed at shutdown
+			c.IsendOwned(1, 0, []float64{1}) // never waited for; flushed at shutdown
 		} else {
 			c.Recv(0, 0)
 			got.Store(true)
@@ -224,7 +206,8 @@ func TestWatchdogSurvivesSlowWire(t *testing.T) {
 	w := NewWorldOpts(2, Options{Watchdog: 20 * time.Millisecond, LinkLatency: 150 * time.Millisecond})
 	err := w.RunE(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.Isend(1, 0, []float64{1}).Wait()
+			c.IsendOwned(1, 0, []float64{1})
+			c.WaitSends()
 		} else {
 			if v := c.Recv(0, 0); v[0] != 1 {
 				t.Errorf("got %v", v)
@@ -246,16 +229,15 @@ func TestInjectedWireCostBlockingVsOverlap(t *testing.T) {
 		w.Run(func(c *Comm) {
 			if c.Rank() == 0 {
 				t0 := time.Now()
-				var reqs []*Request
 				for i := 0; i < msgs; i++ {
 					if overlap {
-						reqs = append(reqs, c.Isend(1, 0, []float64{1}))
+						c.IsendOwned(1, 0, []float64{1})
 					} else {
 						c.Send(1, 0, []float64{1})
 					}
 				}
-				senderBusy = time.Since(t0) // before Waitall: the compute window
-				Waitall(reqs)
+				senderBusy = time.Since(t0) // before WaitSends: the compute window
+				c.WaitSends()
 			} else {
 				for i := 0; i < msgs; i++ {
 					c.Recv(0, 0)

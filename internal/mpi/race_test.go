@@ -63,7 +63,8 @@ func TestRaceConcurrentStreams(t *testing.T) {
 }
 
 // TestRaceIsendWaitConcurrent: many goroutines per rank issue Isends and
-// Wait on them while the receiver drains every stream concurrently.
+// WaitSends on the rank's one counter while the receiver drains every
+// stream concurrently.
 func TestRaceIsendWaitConcurrent(t *testing.T) {
 	const (
 		senders = 6
@@ -77,11 +78,10 @@ func TestRaceIsendWaitConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func(s int) {
 					defer wg.Done()
-					var reqs []*Request
 					for i := 0; i < msgs; i++ {
-						reqs = append(reqs, c.Isend(1, s, []float64{float64(s*msgs + i)}))
+						c.IsendOwned(1, s, []float64{float64(s*msgs + i)})
 					}
-					Waitall(reqs)
+					c.WaitSends()
 				}(s)
 			}
 			wg.Wait()
@@ -110,9 +110,9 @@ func TestRaceIsendWaitConcurrent(t *testing.T) {
 	}
 }
 
-// TestRaceTestPollingVsDelivery: the sender spins on Test() and the
-// receiver on TryRecv while the NIC delivers — exercises request
-// completion and the tryTake path against concurrent put.
+// TestRaceTestPollingVsDelivery: the sender spins on PendingSends and the
+// receiver on TryRecv while the NIC delivers — exercises the completion
+// count and the tryTake path against concurrent put.
 func TestRaceTestPollingVsDelivery(t *testing.T) {
 	const rounds = 50
 	w := NewWorld(2)
@@ -129,8 +129,8 @@ func TestRaceTestPollingVsDelivery(t *testing.T) {
 				}
 				c.Send(1, 1, nil) // ack, keeps rounds in lockstep
 			} else {
-				req := c.Isend(0, 0, []float64{float64(i)})
-				for !req.Test() {
+				c.IsendOwned(0, 0, []float64{float64(i)})
+				for c.PendingSends() != 0 {
 				}
 				c.Recv(0, 1)
 			}
@@ -169,8 +169,7 @@ func TestRaceStatsDuringTraffic(t *testing.T) {
 				if i%2 == 0 {
 					c.Send(1, 0, []float64{1})
 				} else {
-					//lint:ignore waitcheck shutdown-flush of unwaited requests is part of the stress
-					c.Isend(1, 0, []float64{1})
+					c.IsendOwned(1, 0, []float64{1}) // unwaited: flushed at shutdown
 				}
 			}
 		} else {

@@ -17,12 +17,12 @@ func ringTraffic(c *Comm) {
 	for i := 0; i <= c.Rank(); i++ {
 		c.Send(next, 7, []float64{float64(c.Rank()), float64(i)})
 	}
-	req := c.Isend(next, 8, make([]float64, 3+c.Rank()))
+	c.IsendOwned(next, 8, make([]float64, 3+c.Rank()))
 	for i := 0; i <= prev; i++ {
 		c.Recv(prev, 7)
 	}
 	c.Recv(prev, 8)
-	req.Wait()
+	c.WaitSends()
 	c.Barrier()
 }
 
@@ -46,7 +46,8 @@ func TestWorldResetBitIdenticalStats(t *testing.T) {
 		c.Send((c.Rank()+1)%size, 9, make([]float64, 100))
 		c.Recv((c.Rank()-1+size)%size, 9)
 		c.Barrier()
-		c.Isend((c.Rank()+2)%size, 3, make([]float64, 11)).Wait()
+		c.IsendOwned((c.Rank()+2)%size, 3, make([]float64, 11))
+		c.WaitSends()
 		c.Recv((c.Rank()-2+size)%size, 3)
 	}); err != nil {
 		t.Fatal(err)

@@ -73,10 +73,8 @@ func TestTCPWorldResetBitIdentical(t *testing.T) {
 	// then panics; everyone else leaves immediately.
 	err := reused.RunE(func(c *Comm) {
 		if c.Rank() == 0 {
-			big := make([]float64, 4096)
 			for i := 0; i < 32; i++ {
-				//lint:ignore waitcheck abandoning in-flight requests is the abort under test
-				c.Isend(1+(i%(size-1)), 11, big)
+				c.IsendOwned(1+(i%(size-1)), 11, make([]float64, 4096))
 			}
 			panic("injected abort with frames in flight")
 		}

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"math"
 	"net/http"
 	"testing"
+	"time"
 )
 
 // This file extends PR 5's chaos matrix through the service path: the
@@ -109,24 +111,50 @@ func TestCrashWithoutCheckpointFails(t *testing.T) {
 	}
 }
 
-// TestBadFaultPlanRejected checks request validation: an invalid send
-// failure rate is a 400, not a run that explodes later.
+// TestBadFaultPlanRejected checks request validation at the serve
+// boundary: a malformed plan, and a well-formed one whose injected sleeps
+// would park an admitted run slot (days of restart outage, link delay or
+// retry backoff, an absurd slowdown), is a 400 — not a run that explodes, or
+// never ends, later.
 func TestBadFaultPlanRejected(t *testing.T) {
 	leakCheck(t)
 	_, ts, client := newTestServer(t, Config{})
 
-	resp, body := postJSON(t, client, ts.URL+"/v1/run", runRequest{
-		Source: heatSpec(12),
-		Faults: &faultReq{Seed: 1, SendRate: 2.0},
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("rate 2.0: %d %s, want 400", resp.StatusCode, body)
+	const day = int64(24 * time.Hour / time.Microsecond)
+	for name, f := range map[string]*faultReq{
+		"rate 2.0":         {Seed: 1, SendRate: 2.0},
+		"bad crash rank":   {Seed: 1, Crash: map[string]int64{"one": 1}},
+		"restart outage":   {Crash: map[string]int64{"1": 1}, RestartDelayUS: 3 * day},
+		"restart overflow": {Crash: map[string]int64{"1": 1}, RestartDelayUS: math.MaxInt64},
+		"link delay":       {Links: []linkFaultReq{{Src: 0, Dst: 1, DelayUS: day}}},
+		"link jitter":      {Links: []linkFaultReq{{Src: 0, Dst: 1, JitterUS: maxFaultSleepUS + 1}}},
+		"backoff":          {SendRate: 0.5, SendMaxRetries: 1, SendBackoffUS: day},
+		"backoff doubling": {SendRate: 0.5, SendMaxRetries: 30, SendBackoffUS: 100}, // 100 us · 2^30 ≈ 30 h
+		"backoff overflow": {SendRate: 0.5, SendMaxRetries: math.MaxInt32, SendBackoffUS: math.MaxInt64},
+		"slowdown":         {Slowdown: map[int]float64{1: 1e12}},
+		"slowdown +Inf":    {Slowdown: map[int]float64{1: math.Inf(1)}},
+	} {
+		if name == "slowdown +Inf" {
+			// JSON cannot carry +Inf; the bound is checked on the decoded plan.
+			if _, err := f.plan(); err == nil {
+				t.Errorf("%s: plan accepted", name)
+			}
+			continue
+		}
+		resp, body := postJSON(t, client, ts.URL+"/v1/run", runRequest{
+			Source: heatSpec(12), CheckpointEvery: 1, Faults: f,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", name, resp.StatusCode, body)
+		}
 	}
-	resp, body = postJSON(t, client, ts.URL+"/v1/run", runRequest{
-		Source: heatSpec(12),
-		Faults: &faultReq{Seed: 1, Crash: map[string]int64{"one": 1}},
+
+	// The limits themselves are admitted.
+	resp, body := postJSON(t, client, ts.URL+"/v1/run", runRequest{
+		Source: heatSpec(12), CheckpointEvery: 1,
+		Faults: &faultReq{Crash: map[string]int64{"1": 1}, RestartDelayUS: maxFaultSleepUS, Slowdown: map[int]float64{0: maxSlowdown}},
 	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad crash rank: %d %s, want 400", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("plan at the limits: %d %s, want 200", resp.StatusCode, body)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -347,9 +348,45 @@ type faultReq struct {
 	RestartDelayUS int64            `json:"restart_delay_us,omitempty"`
 }
 
+// Every injected sleep runs inside an admitted run slot, so the service
+// bounds what one request may ask for (mpi.FaultPlan.Validate checks only
+// sign and rate): each injected sleep — a restart outage, a link's delay or
+// jitter, a message's total retry backoff — and the compute slowdown factor.
+const (
+	maxFaultSleepUS = 100_000 // 100 ms
+	maxSlowdown     = 1000
+)
+
+// checkBounds rejects a plan whose sleeps could park a run slot. It works on
+// the request's raw integers, before any of them is scaled to a Duration.
+func (f *faultReq) checkBounds() error {
+	if f.RestartDelayUS > maxFaultSleepUS {
+		return fmt.Errorf("faults.restart_delay_us %d exceeds %d", f.RestartDelayUS, maxFaultSleepUS)
+	}
+	for _, l := range f.Links {
+		if l.DelayUS > maxFaultSleepUS || l.JitterUS > maxFaultSleepUS {
+			return fmt.Errorf("faults.links %d→%d: delay_us %d / jitter_us %d exceed %d", l.Src, l.Dst, l.DelayUS, l.JitterUS, maxFaultSleepUS)
+		}
+	}
+	// The backoff doubles per retry (FaultPlan.SendBackoffs), so a message
+	// can sleep backoff·(2^retries − 1) in all.
+	if total := math.Ldexp(float64(f.SendBackoffUS), f.SendMaxRetries) - float64(f.SendBackoffUS); total > maxFaultSleepUS {
+		return fmt.Errorf("faults: send_backoff_us doubling over send_max_retries sleeps up to %g us per message, limit %d", total, maxFaultSleepUS)
+	}
+	for rank, s := range f.Slowdown {
+		if !(s <= maxSlowdown) { // NaN fails too
+			return fmt.Errorf("faults.slowdown of rank %d is %g, limit %d", rank, s, maxSlowdown)
+		}
+	}
+	return nil
+}
+
 func (f *faultReq) plan() (*mpi.FaultPlan, error) {
 	if f == nil {
 		return nil, nil
+	}
+	if err := f.checkBounds(); err != nil {
+		return nil, err
 	}
 	fp := &mpi.FaultPlan{Seed: f.Seed, Slowdown: f.Slowdown,
 		RestartDelay: time.Duration(f.RestartDelayUS) * time.Microsecond}
@@ -396,7 +433,8 @@ type runRequest struct {
 	// the admission budget ranks × workers is exact). Results are
 	// bit-identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// Verify runs the static certifier before any rank starts.
+	// Verify requires the artifact's certificate (the proof /v1/certify
+	// returns, computed once per cached artifact) before any rank starts.
 	Verify bool `json:"verify"`
 	// Faults injects a deterministic fault schedule.
 	Faults *faultReq `json:"faults,omitempty"`
@@ -480,6 +518,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}
+	if req.Verify {
+		if _, err := art.Certificate(); err != nil {
+			return writeError(w, http.StatusUnprocessableEntity, "certification failed: %v", err)
+		}
+	}
 	workers := req.Workers
 	if workers < 1 {
 		workers = 1
@@ -519,9 +562,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 		Overlap: req.Overlap,
 		Dynamic: dynamic,
 		Workers: workers,
-		Verify:  req.Verify,
-		Net:     mpi.Options{Watchdog: s.cfg.Watchdog},
-		Faults:  faults,
+		Net:     mpi.Options{Watchdog: s.cfg.Watchdog, Faults: faults},
 	}
 	if req.CheckpointEvery > 0 {
 		opt.Checkpoint = &exec.CheckpointOptions{Every: req.CheckpointEvery}

@@ -129,6 +129,34 @@ func TestCertifyEndpoint(t *testing.T) {
 	}
 }
 
+// TestVerifiedRunsCertifyOnce: "verify": true gates a run on the cached
+// artifact's one certificate — the proof /v1/certify serves — instead of
+// re-proving the program inside every admitted run slot.
+func TestVerifiedRunsCertifyOnce(t *testing.T) {
+	leakCheck(t)
+	s, ts, client := newTestServer(t, Config{})
+
+	src := heatSpec(12)
+	for i := 0; i < 2; i++ {
+		resp, body := postJSON(t, client, ts.URL+"/v1/run", runRequest{Source: src, Verify: true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("verified run %d: %d %s", i, resp.StatusCode, body)
+		}
+		if hit := decode[runResponse](t, body).CacheHit; hit != (i == 1) {
+			t.Fatalf("verified run %d: cache_hit = %v", i, hit)
+		}
+	}
+	art, hit, err := s.artifact(src)
+	if err != nil || !hit {
+		t.Fatalf("artifact after two runs: hit=%v err=%v", hit, err)
+	}
+	// certOnce makes the proof once per artifact by construction; what is
+	// pinned here is that the runs went through it.
+	if art.cert == nil {
+		t.Fatal("verified runs did not populate the artifact's certificate — they certified privately")
+	}
+}
+
 func TestCodegenEndpoint(t *testing.T) {
 	leakCheck(t)
 	_, ts, client := newTestServer(t, Config{})

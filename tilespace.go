@@ -329,11 +329,11 @@ func (p *Program) RunParallel() (*Result, error) {
 }
 
 // RunOptions selects the parallel execution strategy (re-exported):
-// Overlap switches sends to non-blocking Isends drained at chain end, Net
-// configures the runtime's deadlock watchdog and injected wire costs,
-// Trace attaches a measured per-tile timeline recorder, and
-// Faults/Checkpoint inject a deterministic fault schedule and enable
-// crash recovery from tile-chain snapshots.
+// Overlap switches sends to non-blocking Isends awaited at chain end, Net
+// configures the runtime's deadlock watchdog, injected wire costs and
+// deterministic fault schedule (Net.Faults), Trace attaches a measured
+// per-tile timeline recorder, and Checkpoint enables crash recovery from
+// tile-chain snapshots.
 type RunOptions = exec.RunOptions
 
 // NetOptions configures the runtime world (re-exported from mpi).
@@ -368,8 +368,8 @@ type VerifyReport = verify.Report
 // it proves comm-set exactness, deadlock-freedom (blocking and overlap
 // modes) and LDS bounds safety by pure compile-time arithmetic — no rank
 // is spawned — returning a coverage report, or an error carrying a
-// concrete counterexample point when any proof fails. tilec -verify and
-// RunOptions.Verify are thin wrappers over this.
+// concrete counterexample point when any proof fails. tilec -verify is a
+// thin wrapper over this.
 func (p *Program) Verify() (*VerifyReport, error) {
 	return verify.Certify(p.ts, p.dist)
 }
@@ -404,9 +404,9 @@ func (p *Program) Simulate(par ClusterParams) (*SimReport, error) {
 // FaultPlan is a deterministic, seedable fault-injection schedule
 // (re-exported from mpi): per-rank compute slowdowns, per-link delay and
 // jitter, transient send failures with bounded retry, and hard rank
-// crashes at a chosen tile index. Attach one via RunOptions.Faults; pair
-// a crash with RunOptions.Checkpoint so the rank restarts from its last
-// snapshot instead of aborting the run.
+// crashes at a chosen tile index. Attach one via RunOptions.Net.Faults;
+// pair a crash with RunOptions.Checkpoint so the rank restarts from its
+// last snapshot instead of aborting the run.
 type FaultPlan = mpi.FaultPlan
 
 // Link, LinkFault and SendFaults are FaultPlan building blocks
@@ -418,8 +418,9 @@ type (
 )
 
 // CheckpointOptions enables tile-chain checkpointing (re-exported from
-// exec): each rank snapshots its LDS dirty region and send ledger every
-// Every committed tiles, bounding how far a crashed rank rewinds.
+// exec): every Every committed tiles each rank waits for its sends to be
+// delivered and snapshots its chain position and LDS dirty region,
+// bounding how far a crashed rank rewinds.
 type CheckpointOptions = exec.CheckpointOptions
 
 // FaultModel configures a fault-aware simulation (re-exported from

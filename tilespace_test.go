@@ -321,7 +321,7 @@ func TestFacadeOptimize(t *testing.T) {
 }
 
 // The facade must expose the full fault path: a crash-restart run through
-// RunOptions.Faults/Checkpoint reproduces the fault-free result bit for
+// RunOptions.Net.Faults/Checkpoint reproduces the fault-free result bit for
 // bit, and SimulateFaults predicts a degraded makespan for the same plan.
 func TestFacadeFaultInjection(t *testing.T) {
 	nest := quickNest(t)
@@ -339,7 +339,7 @@ func TestFacadeFaultInjection(t *testing.T) {
 	}
 	plan := &FaultPlan{Crash: map[int]int64{prog.Processors() / 2: 1}}
 	faulty, err := prog.RunParallelOpts(RunOptions{
-		Faults:     plan,
+		Net:        NetOptions{Faults: plan},
 		Checkpoint: &CheckpointOptions{Every: 1},
 	})
 	if err != nil {
