@@ -44,6 +44,10 @@ type Distribution struct {
 	DM []ilin.Vec
 
 	rankOf map[string]int
+
+	// proto is the compiled §3.2 protocol (protocol.go), built lazily; a
+	// Distribution must not be copied once anything has read it.
+	proto Protocol
 }
 
 // ChooseMappingDim returns the dimension with the maximum number of tiles,

@@ -164,3 +164,68 @@ func FootprintRuns(order []int32, writeOff, readOff []int64, q int) []FootprintR
 	}
 	return runs
 }
+
+// LocalRun is one compiled stride-1 stretch of a wavefront: N points starting
+// at LocalPlan.Order[Start], write cell WO at chain slot 0 (read cells in
+// FrontPlan.RO).
+type LocalRun struct {
+	Start int32
+	N     int32
+	WO    int64
+}
+
+// FrontPlan is one compiled wavefront: its points (LocalPlan.Order[Lo:Hi],
+// sorted by write cell), the stride-1 run decomposition, and each run's
+// point count — the weights a worker pool balances its segments by.
+type FrontPlan struct {
+	Lo, Hi int32
+	Npts   int
+	Runs   []LocalRun
+	// RO[ri·q+l] is the first-point read cell of dependence l in run ri.
+	RO      []int64
+	Weights []int64
+}
+
+// LocalPlan is the compiled intra-tile schedule of one tile shape: the
+// wavefronts of its LocalSchedule, each decomposed into maximal stride-1
+// footprint runs (the same strength reduction pack runs use).
+type LocalPlan struct {
+	Order  []int32
+	Fronts []FrontPlan
+}
+
+// LocalPlan returns the tile shape's compiled local plan, compiling it on
+// first use; like the TilePlan it hangs off, it is shared read-only by every
+// rank and run whatever their worker count.
+func (d *Distribution) LocalPlan(pl *TilePlan) *LocalPlan {
+	pl.localOnce.Do(func() { pl.local = d.compileLocal(pl) })
+	return pl.local
+}
+
+// compileLocal derives the shape's wavefronts and extracts footprint runs
+// per front.
+func (d *Distribution) compileLocal(pl *TilePlan) *LocalPlan {
+	pr := d.Protocol()
+	q := len(pr.DPs)
+	sched := NewLocalSchedule(d.TS, pl.Zs, pr.SeqDims)
+	lp := &LocalPlan{Order: make([]int32, 0, pl.Npts)}
+	lp.Fronts = make([]FrontPlan, 0, len(sched.Fronts))
+	for _, front := range sched.Fronts {
+		f := FrontPlan{Lo: int32(len(lp.Order)), Npts: len(front)}
+		idxs := append([]int32(nil), front...)
+		sort.Slice(idxs, func(a, b int) bool { return pl.WriteOff[idxs[a]] < pl.WriteOff[idxs[b]] })
+		runs := FootprintRuns(idxs, pl.WriteOff, pl.ReadOff, q)
+		f.Runs = make([]LocalRun, len(runs))
+		f.RO = make([]int64, len(runs)*q)
+		f.Weights = make([]int64, len(runs))
+		for ri, r := range runs {
+			f.Runs[ri] = LocalRun{Start: f.Lo + r.Start, N: r.N, WO: r.WO}
+			copy(f.RO[ri*q:ri*q+q], r.RO)
+			f.Weights[ri] = int64(r.N)
+		}
+		lp.Order = append(lp.Order, idxs...)
+		f.Hi = int32(len(lp.Order))
+		lp.Fronts = append(lp.Fronts, f)
+	}
+	return lp
+}

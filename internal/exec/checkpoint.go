@@ -160,7 +160,7 @@ func (ck *ckptState) logs() bool { return ck != nil && ck.save == nil }
 // the chain is not snapshotted — nothing is left to resume.
 func (st *rankState) commitTile(t int64) error {
 	ck := st.ckpt
-	if ck == nil || (t+1)%ck.every != 0 || t+1 == int64(len(st.slots)) {
+	if ck == nil || (t+1)%ck.every != 0 || t+1 == int64(len(st.Slots)) {
 		return nil
 	}
 	return st.snapshot(t + 1)
@@ -222,7 +222,7 @@ func (st *rankState) crash(t int64) int64 {
 	// No wire activity, no Stats, no tracer counts: each held message was
 	// counted at its one successful receive.
 	for _, h := range ck.held {
-		st.unpack(&st.msgs[h.row], h.data)
+		st.unpack(&st.Msgs[h.row], h.data)
 	}
 	// Re-execution re-issues the ledger in order, rebuilding it as it goes.
 	ck.replaySend = append(ck.replaySend[:0], ck.ledger...)

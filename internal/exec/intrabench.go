@@ -29,7 +29,10 @@ func (p *Program) ComputeSweep(rank, workers, rounds int) (points int64, seconds
 	if rounds < 1 {
 		rounds = 1
 	}
-	st := newRankState(p, nil, rank, RunOptions{Workers: workers})
+	st, err := newRankState(p, nil, rank, RunOptions{Workers: workers})
+	if err != nil {
+		return 0, 0, err
+	}
 	if st.workers > 1 {
 		st.wpool = newWorkerPool(st, st.workers)
 		defer st.wpool.close()
@@ -38,18 +41,18 @@ func (p *Program) ComputeSweep(rank, workers, rounds int) (points int64, seconds
 		st.la[i] = float64(i%101)*0.5 - 12.25
 	}
 	sweep := func() {
-		for t := range st.slots {
-			sl := &st.slots[t]
-			st.pBase = sl.pBase
+		for t := range st.Slots {
+			sl := &st.Slots[t]
+			st.pBase = sl.PBase
 			if st.wpool != nil {
-				st.computePhaseParallel(sl.plan, int64(t))
+				st.computePhaseParallel(sl.Plan, int64(t))
 			} else {
-				st.computePhasePlanned(sl.plan, int64(t))
+				st.computePhasePlanned(sl.Plan, int64(t))
 			}
 		}
 	}
-	for t := range st.slots {
-		points += int64(st.slots[t].plan.npts)
+	for t := range st.Slots {
+		points += int64(st.Slots[t].Plan.Npts)
 	}
 	sweep() // warm up: compile local plans, spin up the pool
 	for r := 0; r < rounds; r++ {

@@ -54,7 +54,10 @@ func (p *Program) RunLegacy(overlap bool) (*Global, mpi.Stats, error) {
 // injection, compute and SEND per tile, then write-back.
 func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 	r := c.Rank()
-	st := newRankState(p, c, r, RunOptions{Overlap: overlap})
+	st, err := newRankState(p, c, r, RunOptions{Overlap: overlap})
+	if err != nil {
+		return err
+	}
 	for t := int64(0); t < p.Dist.ChainLen[r]; t++ {
 		tile := p.Dist.TileAt(r, t)
 		if err := st.receivePhase(tile); err != nil {
@@ -80,8 +83,9 @@ func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 func (st *rankState) receivePhase(tile ilin.Vec) error {
 	d := st.p.Dist
 	w := st.p.Width
-	for _, si := range st.p.cp.dsOrder {
-		di := st.p.cp.dsDmIdx[si]
+	pr := d.Protocol()
+	for _, si := range pr.DSOrder {
+		di := pr.DSDir[si]
 		if di < 0 {
 			continue // same-processor dependence: data is already in the LDS
 		}
@@ -98,7 +102,7 @@ func (st *rankState) receivePhase(tile ilin.Vec) error {
 		if n == 0 {
 			continue
 		}
-		srcRank := st.recvRank[di]
+		srcRank := st.RecvRank[di]
 		if srcRank < 0 {
 			return fmt.Errorf("exec: predecessor tile %v has no rank", pred)
 		}
@@ -107,10 +111,10 @@ func (st *rankState) receivePhase(tile ilin.Vec) error {
 			return fmt.Errorf("exec: rank %d tile %v: message from rank %d tag %d has %d values, expected %d", st.rank, tile, srcRank, di, len(buf), n*int64(w))
 		}
 		tau := pred[d.M] - d.ChainStart[st.rank]
-		dmF := st.dmFulls[di]
+		dmF := pr.DmFulls[di]
 		i := 0
 		d.CommRegion(pred, dm, func(z, pp ilin.Vec) bool {
-			cell := st.addr.FlatUnpack(pp, dmF, tau) * int64(w)
+			cell := st.Addr.FlatUnpack(pp, dmF, tau) * int64(w)
 			copy(st.la[cell:cell+int64(w)], buf[i:i+w])
 			i += w
 			return true
@@ -138,7 +142,7 @@ func (st *rankState) initPhase(tile ilin.Vec, t int64) {
 				continue
 			}
 			st.p.Initial(src, buf)
-			cell := st.addr.FlatRead(jp, st.dps[l], t) * int64(w)
+			cell := st.Addr.FlatRead(jp, st.dps[l], t) * int64(w)
 			copy(st.la[cell:cell+int64(w)], buf)
 		}
 		return true
@@ -154,11 +158,11 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 	reads := st.reads
 	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
 		for l := 0; l < q; l++ {
-			cell := st.addr.FlatRead(jp, st.dps[l], t) * int64(w)
+			cell := st.Addr.FlatRead(jp, st.dps[l], t) * int64(w)
 			reads[l] = st.la[cell : cell+int64(w)]
 		}
 		j := st.p.TS.GlobalOf(tile, z)
-		out := st.addr.Flat(jp, t) * int64(w)
+		out := st.Addr.Flat(jp, t) * int64(w)
 		st.p.Kernel(j, reads, st.la[out:out+int64(w)])
 		return true
 	})
@@ -182,21 +186,21 @@ func (st *rankState) sendPhase(tile ilin.Vec) error {
 		if n == 0 {
 			continue
 		}
-		if st.sendRank[i] < 0 {
+		if st.SendRank[i] < 0 {
 			return fmt.Errorf("exec: successor pid of tile %v along %v has no rank", tile, dm)
 		}
 		buf := make([]float64, int(n)*w)
 		pos := 0
 		d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool {
-			cell := st.addr.Flat(jp, t) * int64(w)
+			cell := st.Addr.Flat(jp, t) * int64(w)
 			copy(buf[pos:pos+w], st.la[cell:cell+int64(w)])
 			pos += w
 			return true
 		})
 		if st.overlap {
-			st.c.IsendOwned(st.sendRank[i], i, buf)
+			st.c.IsendOwned(st.SendRank[i], i, buf)
 		} else {
-			st.c.Send(st.sendRank[i], i, buf)
+			st.c.Send(st.SendRank[i], i, buf)
 		}
 	}
 	return nil
@@ -210,7 +214,7 @@ func (st *rankState) writeBackPerPoint(g *Global) {
 		tile := st.p.Dist.TileAt(st.rank, t)
 		st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
 			j := st.p.TS.GlobalOf(tile, z)
-			cell := st.addr.Flat(jp, t) * int64(w)
+			cell := st.Addr.Flat(jp, t) * int64(w)
 			g.Set(j, st.la[cell:cell+int64(w)])
 			return true
 		})

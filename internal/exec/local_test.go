@@ -27,18 +27,18 @@ func TestComputePhaseParallelMatchesSerial(t *testing.T) {
 	p := planProgram(t)
 	for _, workers := range []int{2, 3, 8} {
 		for r := 0; r < p.Dist.NumProcs(); r++ {
-			stS := newRankState(p, nil, r, RunOptions{})
-			stP := newRankState(p, nil, r, RunOptions{Workers: workers})
+			stS := mustRankState(t, p, r, RunOptions{})
+			stP := mustRankState(t, p, r, RunOptions{Workers: workers})
 			if stP.workers != workers {
 				t.Fatalf("effective workers = %d, want %d", stP.workers, workers)
 			}
 			stP.wpool = newWorkerPool(stP, workers)
 			seedLDS(stS, stP)
 			for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
-				sl := &stS.slots[ti] // one compiled chain behind both states
-				stS.pBase, stP.pBase = sl.pBase, sl.pBase
-				stS.computePhasePlanned(sl.plan, ti)
-				stP.computePhaseParallel(sl.plan, ti)
+				sl := &stS.Slots[ti] // one compiled chain behind both states
+				stS.pBase, stP.pBase = sl.PBase, sl.PBase
+				stS.computePhasePlanned(sl.Plan, ti)
+				stP.computePhaseParallel(sl.Plan, ti)
 			}
 			for i, v := range stS.la {
 				if stP.la[i] != v {
@@ -59,49 +59,49 @@ func TestComputePhaseParallelMatchesSerial(t *testing.T) {
 func TestLocalPlanInvariants(t *testing.T) {
 	p := planProgram(t)
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		st := newRankState(p, nil, r, RunOptions{Workers: 3})
+		st := mustRankState(t, p, r, RunOptions{Workers: 3})
 		for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
-			pl := st.slots[ti].plan
-			lp := st.localFor(pl)
-			if again := st.localFor(pl); again != lp {
+			pl := st.Slots[ti].Plan
+			lp := p.Dist.LocalPlan(pl)
+			if again := p.Dist.LocalPlan(pl); again != lp {
 				t.Fatal("local plan recompiled on second lookup")
 			}
-			if len(lp.order) != pl.npts {
-				t.Fatalf("order has %d entries, shape has %d points", len(lp.order), pl.npts)
+			if len(lp.Order) != pl.Npts {
+				t.Fatalf("order has %d entries, shape has %d points", len(lp.Order), pl.Npts)
 			}
-			seen := make([]bool, pl.npts)
-			for _, idx := range lp.order {
+			seen := make([]bool, pl.Npts)
+			for _, idx := range lp.Order {
 				if seen[idx] {
 					t.Fatalf("point %d fires twice", idx)
 				}
 				seen[idx] = true
 			}
-			for fi := range lp.fronts {
-				f := &lp.fronts[fi]
+			for fi := range lp.Fronts {
+				f := &lp.Fronts[fi]
 				var runPts int32
-				for ri, run := range f.runs {
-					if run.start < f.lo || run.start+run.n > f.hi {
+				for ri, run := range f.Runs {
+					if run.Start < f.Lo || run.Start+run.N > f.Hi {
 						t.Fatalf("front %d run %d [%d,%d) escapes front [%d,%d)",
-							fi, ri, run.start, run.start+run.n, f.lo, f.hi)
+							fi, ri, run.Start, run.Start+run.N, f.Lo, f.Hi)
 					}
-					for i := int32(0); i < run.n; i++ {
-						if got := pl.writeOff[lp.order[run.start+i]]; got != run.wo+int64(i) {
+					for i := int32(0); i < run.N; i++ {
+						if got := pl.WriteOff[lp.Order[run.Start+i]]; got != run.WO+int64(i) {
 							t.Fatalf("front %d run %d point %d: write offset %d, run claims %d",
-								fi, ri, i, got, run.wo+int64(i))
+								fi, ri, i, got, run.WO+int64(i))
 						}
 					}
-					runPts += run.n
+					runPts += run.N
 				}
-				if int(runPts) != f.npts || int(f.hi-f.lo) != f.npts {
+				if int(runPts) != f.Npts || int(f.Hi-f.Lo) != f.Npts {
 					t.Fatalf("front %d: %d points, runs cover %d, order range %d",
-						fi, f.npts, runPts, f.hi-f.lo)
+						fi, f.Npts, runPts, f.Hi-f.Lo)
 				}
-				if len(f.weights) != len(f.runs) {
-					t.Fatalf("front %d has %d run weights for %d runs", fi, len(f.weights), len(f.runs))
+				if len(f.Weights) != len(f.Runs) {
+					t.Fatalf("front %d has %d run weights for %d runs", fi, len(f.Weights), len(f.Runs))
 				}
-				for ri, run := range f.runs {
-					if f.weights[ri] != int64(run.n) {
-						t.Fatalf("front %d run %d: weight %d, %d points", fi, ri, f.weights[ri], run.n)
+				for ri, run := range f.Runs {
+					if f.Weights[ri] != int64(run.N) {
+						t.Fatalf("front %d run %d: weight %d, %d points", fi, ri, f.Weights[ri], run.N)
 					}
 				}
 			}
@@ -113,11 +113,11 @@ func TestLocalPlanInvariants(t *testing.T) {
 // local plan cached — must not allocate, matching the serial sweep's bar.
 func TestComputePhaseParallelZeroAlloc(t *testing.T) {
 	p := planProgram(t)
-	st := newRankState(p, nil, 0, RunOptions{Workers: 3})
+	st := mustRankState(t, p, 0, RunOptions{Workers: 3})
 	st.wpool = newWorkerPool(st, 3)
 	defer st.wpool.close()
-	pl := st.slots[0].plan
-	st.pBase = st.slots[0].pBase
+	pl := st.Slots[0].Plan
+	st.pBase = st.Slots[0].PBase
 	st.computePhaseParallel(pl, 0) // compile local plan, warm the pool
 	if allocs := testing.AllocsPerRun(20, func() {
 		st.computePhaseParallel(pl, 0)
@@ -131,11 +131,11 @@ func TestComputePhaseParallelZeroAlloc(t *testing.T) {
 // no deadlocked barrier.
 func TestWorkerPanicPropagates(t *testing.T) {
 	p := planProgram(t)
-	st := newRankState(p, nil, 0, RunOptions{Workers: 3})
+	st := mustRankState(t, p, 0, RunOptions{Workers: 3})
 	st.wpool = newWorkerPool(st, 3)
 	defer st.wpool.close()
-	pl := st.slots[0].plan
-	st.pBase = st.slots[0].pBase
+	pl := st.Slots[0].Plan
+	st.pBase = st.Slots[0].PBase
 
 	kernel := p.Kernel
 	defer func() { p.Kernel = kernel }()

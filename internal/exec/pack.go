@@ -1,5 +1,7 @@
 package exec
 
+import "tilespace/internal/distrib"
+
 // This file holds the dynamic half of the compiled communication path:
 // run-based pack/unpack (bulk copies over the plan's contiguous LDS runs)
 // and the message-buffer pool. The pool plus ownership-transfer sends
@@ -68,14 +70,15 @@ func (p *bufPool) put(b []float64) {
 // buffer leaves via an ownership-transfer send, to be recycled by the
 // receiver. Message order, tags and sizes are identical to the reference
 // executor's per-point SEND (legacy_test.go), so mpi.Stats match bit for bit.
-func (st *rankState) sendPhasePlanned(sl *slotPlan, t int64) {
+func (st *rankState) sendPhasePlanned(sl *distrib.SlotPlan, t int64) {
 	w := st.p.Width
-	tOff := t * st.chainStep
-	for _, i := range sl.sends {
-		dir := &sl.plan.dirs[i]
-		buf := st.pool.get(int(dir.total) * w)
+	tOff := t * st.ChainStep
+	for _, snd := range sl.Sends {
+		i := snd.Dir
+		dir := &sl.Plan.Dirs[i]
+		buf := st.pool.get(int(dir.Total) * w)
 		pos := 0
-		for _, run := range dir.runs {
+		for _, run := range dir.Runs {
 			cell := (run.Off + tOff) * int64(w)
 			nn := int(run.N) * w
 			copy(buf[pos:pos+nn], st.la[cell:cell+int64(nn)])
@@ -84,7 +87,7 @@ func (st *rankState) sendPhasePlanned(sl *slotPlan, t int64) {
 		// Ownership transfers with the send; when the recovery layer skips
 		// an already-delivered replay instead, the buffer stays ours and
 		// goes straight back to the pool.
-		if st.dispatchSend(st.sendRank[i], i, buf, t) {
+		if st.dispatchSend(st.SendRank[i], i, buf, t) {
 			st.pool.put(buf)
 		}
 	}

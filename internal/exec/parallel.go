@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
 )
@@ -161,13 +162,13 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 	return g, world.Stats(), nil
 }
 
-// rankState is one rank's state for one run: the Program's compiled chain
-// (embedded, shared and read-only) plus everything the run mutates.
+// rankState is one rank's state for one run: the distribution's compiled
+// chain (embedded, shared and read-only) plus everything the run mutates.
 type rankState struct {
 	p    *Program
 	c    *mpi.Comm
 	rank int
-	*rankPlan
+	*distrib.RankPlan
 
 	la []float64 // the LDS backing array, Width values per cell
 
@@ -206,18 +207,22 @@ type rankState struct {
 }
 
 // newRankState builds a rank's per-run state on top of its compiled chain
-// (compiled here on the Program's first use of the rank): the LDS, the
+// (compiled here on the distribution's first use of the rank): the LDS, the
 // inbound claim state and a few reused buffers. c may be nil for tests and
 // benchmarks that drive individual phases directly.
-func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
-	rp := p.rank(r)
+func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) (*rankState, error) {
+	rp, err := p.Dist.Plan(r)
+	if err != nil {
+		return nil, err
+	}
+	pr := p.Dist.Protocol()
 	n := p.TS.T.N
-	q := len(p.cp.deps)
+	q := len(pr.Deps)
 	st := &rankState{
 		p: p, c: c, rank: r,
-		rankPlan:   rp,
-		deps:       p.cp.deps,
-		dps:        p.cp.dps,
+		RankPlan:   rp,
+		deps:       pr.Deps,
+		dps:        pr.DPs,
 		dynamic:    opt.Dynamic,
 		overlap:    opt.Overlap,
 		pointDelay: opt.PointDelay,
@@ -230,16 +235,16 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 	if opt.Trace != nil {
 		st.tr = newRankTracer(opt.Trace, r)
 	}
-	st.la = make([]float64, st.addr.Size()*int64(p.Width))
+	st.la = make([]float64, st.Addr.Size()*int64(p.Width))
 	st.reads = make([][]float64, q)
 	st.initBuf = make([]float64, p.Width)
 	st.jBuf = make(ilin.Vec, n)
 	st.srcBuf = make(ilin.Vec, n)
 	st.roBuf = make([]int64, q)
-	st.in.claimed = make([]bool, len(rp.msgs))
-	st.in.heads = make([]int, len(rp.rows))
+	st.in.claimed = make([]bool, len(rp.Msgs))
+	st.in.heads = make([]int, len(rp.Rows))
 	st.workers = effectiveWorkers(opt.Workers, p.Dist.NumProcs())
-	return st
+	return st, nil
 }
 
 // runRank is the rank body: the one loop every mode runs. Per tile it does
@@ -247,9 +252,9 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) *rankState {
 func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	r := c.Rank()
 	d := p.Dist
-	st := newRankState(p, c, r, opt)
-	if st.err != nil {
-		return st.err
+	st, err := newRankState(p, c, r, opt)
+	if err != nil {
+		return err
 	}
 	if st.workers > 1 {
 		st.wpool = newWorkerPool(st, st.workers)
@@ -277,14 +282,14 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		if t == crashAt && (st.ckpt == nil || !st.ckpt.crashed) {
 			t = st.crash(t)
 		}
-		sl := &st.slots[t]
+		sl := &st.Slots[t]
 		if st.tr != nil {
 			st.tr.beginTile()
 		}
 		if err := st.receive(t); err != nil {
 			return err
 		}
-		st.pBase = sl.pBase
+		st.pBase = sl.PBase
 		st.initPhasePlanned(sl, t)
 		if st.tr != nil {
 			st.tr.noteRecvDone()
@@ -292,20 +297,20 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		// The tile fires: every dependence is satisfied. Keep-first across
 		// crash rewinds — see FiringLog.
 		if opt.Firing != nil && t >= fired {
-			opt.Firing.note(r, t, sl.tile)
+			opt.Firing.note(r, t, sl.Tile)
 			fired = t + 1
 		}
 		if st.wpool != nil {
-			st.computePhaseParallel(sl.plan, t)
+			st.computePhaseParallel(sl.Plan, t)
 		} else {
-			st.computePhasePlanned(sl.plan, t)
+			st.computePhasePlanned(sl.Plan, t)
 		}
 		if st.tr != nil {
 			st.tr.noteCompDone()
 		}
 		st.sendPhasePlanned(sl, t)
 		if st.tr != nil {
-			st.tr.endTile(sl.tile)
+			st.tr.endTile(sl.Tile)
 		}
 		// A completed tile is forward progress even if every other rank is
 		// parked waiting for its output — keep the watchdog quiet.
@@ -326,13 +331,6 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	}
 	st.writeBack(g)
 	return nil
-}
-
-// subInto computes dst = a − b without allocating.
-func subInto(dst, a, b ilin.Vec) {
-	for k := range dst {
-		dst[k] = a[k] - b[k]
-	}
 }
 
 // chargePointDelay injects the modelled per-point CPU cost.
@@ -364,16 +362,16 @@ func (st *rankState) recv(src, tag int) []float64 {
 func (st *rankState) writeBack(g *Global) {
 	w := int64(st.p.Width)
 	n := st.p.TS.T.N
-	for t := range st.slots {
-		sl := &st.slots[t]
-		pl := sl.plan
-		tOff := int64(t) * st.chainStep
-		for i := 0; i < pl.npts; i++ {
-			uz := pl.uz[i*n : i*n+n]
+	for t := range st.Slots {
+		sl := &st.Slots[t]
+		pl := sl.Plan
+		tOff := int64(t) * st.ChainStep
+		for i := 0; i < pl.Npts; i++ {
+			uz := pl.Uz[i*n : i*n+n]
 			for k := 0; k < n; k++ {
-				st.jBuf[k] = sl.pBase[k] + uz[k]
+				st.jBuf[k] = sl.PBase[k] + uz[k]
 			}
-			cell := (pl.writeOff[i] + tOff) * w
+			cell := (pl.WriteOff[i] + tOff) * w
 			g.Set(st.jBuf, st.la[cell:cell+w])
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
 	"tilespace/internal/rat"
 )
@@ -22,6 +23,26 @@ func planProgram(tb testing.TB) *Program {
 	return buildProgram(tb, nest, h, 2, 1, sumKernel, zeroInit)
 }
 
+// mustRankState is newRankState for fixtures whose chains compile cleanly.
+func mustRankState(tb testing.TB, p *Program, r int, opt RunOptions) *rankState {
+	tb.Helper()
+	st, err := newRankState(p, nil, r, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
+}
+
+// mustPlan is rank r's compiled chain, both levels.
+func mustPlan(tb testing.TB, p *Program, r int) *distrib.RankPlan {
+	tb.Helper()
+	rp, err := p.Dist.Plan(r)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rp
+}
+
 // TestPlanOffsetsMatchAddresser: for every tile of every rank (interior
 // and boundary), the compiled write/read offsets shifted by t·chainStep
 // must equal the per-point Addresser evaluation, and pBase + uz must
@@ -30,34 +51,34 @@ func TestPlanOffsetsMatchAddresser(t *testing.T) {
 	p := planProgram(t)
 	n := p.TS.T.N
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		st := newRankState(p, nil, r, RunOptions{})
+		st := mustRankState(t, p, r, RunOptions{})
 		q := len(st.dps)
 		for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
-			sl := &st.slots[ti]
-			tile, pl := sl.tile, sl.plan
-			st.pBase = sl.pBase
-			tOff := ti * st.chainStep
+			sl := &st.Slots[ti]
+			tile, pl := sl.Tile, sl.Plan
+			st.pBase = sl.PBase
+			tOff := ti * st.ChainStep
 			i := 0
 			p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-				if got, want := pl.writeOff[i]+tOff, st.addr.Flat(jp, ti); got != want {
+				if got, want := pl.WriteOff[i]+tOff, st.Addr.Flat(jp, ti); got != want {
 					t.Fatalf("rank %d tile %v point %d: writeOff %d, Flat %d", r, tile, i, got, want)
 				}
 				for l := 0; l < q; l++ {
-					if got, want := pl.readOff[i*q+l]+tOff, st.addr.FlatRead(jp, st.dps[l], ti); got != want {
+					if got, want := pl.ReadOff[i*q+l]+tOff, st.Addr.FlatRead(jp, st.dps[l], ti); got != want {
 						t.Fatalf("rank %d tile %v point %d dep %d: readOff %d, FlatRead %d", r, tile, i, l, got, want)
 					}
 				}
 				j := p.TS.GlobalOf(tile, z)
 				for k := 0; k < n; k++ {
-					if st.pBase[k]+pl.uz[i*n+k] != j[k] {
+					if st.pBase[k]+pl.Uz[i*n+k] != j[k] {
 						t.Fatalf("rank %d tile %v point %d: pBase+uz reconstructs %v[%d] wrong (want %v)", r, tile, i, st.pBase, k, j)
 					}
 				}
 				i++
 				return true
 			})
-			if i != pl.npts {
-				t.Fatalf("rank %d tile %v: plan has %d points, scan found %d", r, tile, pl.npts, i)
+			if i != pl.Npts {
+				t.Fatalf("rank %d tile %v: plan has %d points, scan found %d", r, tile, pl.Npts, i)
 			}
 		}
 	}
@@ -72,24 +93,24 @@ func TestPlanDirsMatchCommRegion(t *testing.T) {
 	d := p.Dist
 	boundary := 0
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		st := newRankState(p, nil, r, RunOptions{})
+		st := mustRankState(t, p, r, RunOptions{})
 		for ti := int64(0); ti < d.ChainLen[r]; ti++ {
-			tile, pl := d.TileAt(r, ti), st.slots[ti].plan
-			if int64(pl.npts) != p.TS.T.TileSize {
+			tile, pl := d.TileAt(r, ti), st.Slots[ti].Plan
+			if int64(pl.Npts) != p.TS.T.TileSize {
 				boundary++
 			}
 			for di, dm := range d.DM {
-				dir := pl.dirs[di]
-				if got := d.CommRegionCount(tile, dm); dir.total != got {
-					t.Fatalf("rank %d tile %v dm %v: plan total %d, CommRegionCount %d", r, tile, dm, dir.total, got)
+				dir := pl.Dirs[di]
+				if got := d.CommRegionCount(tile, dm); dir.Total != got {
+					t.Fatalf("rank %d tile %v dm %v: plan total %d, CommRegionCount %d", r, tile, dm, dir.Total, got)
 				}
 				var want []int64
 				d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool {
-					want = append(want, st.addr.Flat(jp, 0))
+					want = append(want, st.Addr.Flat(jp, 0))
 					return true
 				})
 				var got []int64
-				for _, run := range dir.runs {
+				for _, run := range dir.Runs {
 					for k := int64(0); k < run.N; k++ {
 						got = append(got, run.Off+k)
 					}
@@ -115,25 +136,25 @@ func TestPlanDirsMatchCommRegion(t *testing.T) {
 // compiled chain, not a recompilation.
 func TestPlanCacheSharing(t *testing.T) {
 	p := planProgram(t)
-	full := map[int64]*tilePlan{} // ChainLen → the shared full plan
+	full := map[int64]*distrib.TilePlan{} // ChainLen → the shared full plan
 	var fullTiles, boundaryTiles int
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		rp := p.rank(r)
-		steps := p.cp.steps.Load()
-		if again := p.rank(r); again != rp || p.cp.steps.Load() != steps {
+		rp := mustPlan(t, p, r)
+		steps := p.Dist.CompileSteps()
+		if again := mustPlan(t, p, r); again != rp || p.Dist.CompileSteps() != steps {
 			t.Fatalf("rank %d recompiled on second lookup", r)
 		}
-		for ti := range rp.slots {
-			pl := rp.slots[ti].plan
-			if int64(pl.npts) != p.TS.T.TileSize {
+		for ti := range rp.Slots {
+			pl := rp.Slots[ti].Plan
+			if int64(pl.Npts) != p.TS.T.TileSize {
 				boundaryTiles++
 				continue
 			}
 			fullTiles++
-			if shared, ok := full[pl.chainLen]; ok && shared != pl {
-				t.Fatalf("full tile %v did not use the shared plan", rp.slots[ti].tile)
+			if shared, ok := full[pl.ChainLen]; ok && shared != pl {
+				t.Fatalf("full tile %v did not use the shared plan", rp.Slots[ti].Tile)
 			}
-			full[pl.chainLen] = pl
+			full[pl.ChainLen] = pl
 		}
 	}
 	if fullTiles == 0 {
@@ -148,9 +169,9 @@ func TestPlanCacheSharing(t *testing.T) {
 // allocate — the acceptance bar for the strength-reduced path.
 func TestComputePhasePlannedZeroAlloc(t *testing.T) {
 	p := planProgram(t)
-	st := newRankState(p, nil, 0, RunOptions{})
-	pl := st.slots[0].plan
-	st.pBase = st.slots[0].pBase
+	st := mustRankState(t, p, 0, RunOptions{})
+	pl := st.Slots[0].Plan
+	st.pBase = st.Slots[0].PBase
 	st.computePhasePlanned(pl, 0) // warm up
 	if allocs := testing.AllocsPerRun(20, func() {
 		st.computePhasePlanned(pl, 0)
@@ -161,10 +182,10 @@ func TestComputePhasePlannedZeroAlloc(t *testing.T) {
 
 // fullTileSlot returns a (rank, chain slot) holding a full tile, falling
 // back to (0, 0) when none exists.
-func fullTileSlot(p *Program) (int, int64) {
+func fullTileSlot(tb testing.TB, p *Program) (int, int64) {
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		for ti, sl := range p.rank(r).slots {
-			if int64(sl.plan.npts) == p.TS.T.TileSize {
+		for ti, sl := range mustPlan(tb, p, r).Slots {
+			if int64(sl.Plan.Npts) == p.TS.T.TileSize {
 				return r, int64(ti)
 			}
 		}
@@ -177,9 +198,9 @@ func fullTileSlot(p *Program) (int, int64) {
 func boundarySlot(tb testing.TB, p *Program) (int, int64) {
 	br, bt, most := 0, int64(0), 0
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		for ti, sl := range p.rank(r).slots {
-			if len(sl.boundary) > most {
-				br, bt, most = r, int64(ti), len(sl.boundary)
+		for ti, sl := range mustPlan(tb, p, r).Slots {
+			if len(sl.Boundary) > most {
+				br, bt, most = r, int64(ti), len(sl.Boundary)
 			}
 		}
 	}
@@ -194,8 +215,8 @@ func boundarySlot(tb testing.TB, p *Program) (int, int64) {
 func TestInitPhasePlannedZeroAlloc(t *testing.T) {
 	p := planProgram(t)
 	r, ti := boundarySlot(t, p)
-	st := newRankState(p, nil, r, RunOptions{})
-	sl := &st.slots[ti]
+	st := mustRankState(t, p, r, RunOptions{})
+	sl := &st.Slots[ti]
 	if allocs := testing.AllocsPerRun(20, func() {
 		st.initPhasePlanned(sl, ti)
 	}); allocs != 0 {
@@ -205,7 +226,7 @@ func TestInitPhasePlannedZeroAlloc(t *testing.T) {
 
 // CompileSteps exposes the plan compiler's work counter (lattice scans,
 // plan compilations, boundary-list builds) to the external test package.
-func (p *Program) CompileSteps() int64 { return p.cp.steps.Load() }
+func (p *Program) CompileSteps() int64 { return p.Dist.CompileSteps() }
 
 // CheckBoundaryReads compares every chain slot's compiled boundary-read
 // list with the brute-force enumeration — every read of every point tested
@@ -219,36 +240,41 @@ func (p *Program) CheckBoundaryReads() (slots, interior, nonEmpty int, err error
 	full := func(s ilin.Vec) bool {
 		return p.TS.ValidTile(s) && p.TS.CountTilePoints(s, nil) == p.TS.T.TileSize
 	}
+	deps := p.Dist.Protocol().Deps
 	for r := 0; r < p.Dist.NumProcs(); r++ {
-		for ti, sl := range p.rank(r).slots {
+		rp, err := p.Dist.Plan(r)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		for ti, sl := range rp.Slots {
 			var want []int32
 			i := 0
-			p.TS.ScanTilePoints(sl.tile, func(z, jp ilin.Vec) bool {
-				j := p.TS.GlobalOf(sl.tile, z)
-				for l, dep := range p.cp.deps {
-					subInto(src, j, dep)
+			p.TS.ScanTilePoints(sl.Tile, func(z, jp ilin.Vec) bool {
+				j := p.TS.GlobalOf(sl.Tile, z)
+				for l, dep := range deps {
+					copy(src, j.Sub(dep))
 					if !p.TS.Nest.Space.Contains(src) {
-						want = append(want, int32(i*len(p.cp.deps)+l))
+						want = append(want, int32(i*len(deps)+l))
 					}
 				}
 				i++
 				return true
 			})
-			if !slices.Equal(sl.boundary, want) {
-				return 0, 0, 0, fmt.Errorf("rank %d slot %d tile %v: compiled boundary reads %v, brute force %v", r, ti, sl.tile, sl.boundary, want)
+			if !slices.Equal(sl.Boundary, want) {
+				return 0, 0, 0, fmt.Errorf("rank %d slot %d tile %v: compiled boundary reads %v, brute force %v", r, ti, sl.Tile, sl.Boundary, want)
 			}
-			isInterior := full(sl.tile)
+			isInterior := full(sl.Tile)
 			for _, dS := range p.TS.DS {
-				isInterior = isInterior && full(sl.tile.Sub(dS))
+				isInterior = isInterior && full(sl.Tile.Sub(dS))
 			}
-			if isInterior && len(sl.boundary) != 0 {
-				return 0, 0, 0, fmt.Errorf("rank %d slot %d: interior tile %v has %d boundary reads", r, ti, sl.tile, len(sl.boundary))
+			if isInterior && len(sl.Boundary) != 0 {
+				return 0, 0, 0, fmt.Errorf("rank %d slot %d: interior tile %v has %d boundary reads", r, ti, sl.Tile, len(sl.Boundary))
 			}
 			slots++
 			if isInterior {
 				interior++
 			}
-			if len(sl.boundary) != 0 {
+			if len(sl.Boundary) != 0 {
 				nonEmpty++
 			}
 		}
@@ -262,13 +288,13 @@ func (p *Program) CheckBoundaryReads() (slots, interior, nonEmpty int, err error
 // allocations for the planned sub-benchmark).
 func BenchmarkComputePhase(b *testing.B) {
 	p := planProgram(b)
-	r, ti := fullTileSlot(p)
-	stP := newRankState(p, nil, r, RunOptions{})
-	stL := newRankState(p, nil, r, RunOptions{})
+	r, ti := fullTileSlot(b, p)
+	stP := mustRankState(b, p, r, RunOptions{})
+	stL := mustRankState(b, p, r, RunOptions{})
 	tile := p.Dist.TileAt(r, ti)
-	pl := stP.slots[ti].plan
-	stP.pBase = stP.slots[ti].pBase
-	pts := float64(pl.npts)
+	pl := stP.Slots[ti].Plan
+	stP.pBase = stP.Slots[ti].PBase
+	pts := float64(pl.Npts)
 	b.Run("planned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -287,11 +313,11 @@ func BenchmarkComputePhase(b *testing.B) {
 	// serial planned sweep (the CI grep covers every /planned* variant).
 	for _, wk := range []int{2, 4} {
 		b.Run(fmt.Sprintf("planned-workers%d", wk), func(b *testing.B) {
-			stW := newRankState(p, nil, r, RunOptions{Workers: wk})
+			stW := mustRankState(b, p, r, RunOptions{Workers: wk})
 			stW.wpool = newWorkerPool(stW, wk)
 			defer stW.wpool.close()
-			plW := stW.slots[ti].plan
-			stW.pBase = stW.slots[ti].pBase
+			plW := stW.Slots[ti].Plan
+			stW.pBase = stW.Slots[ti].PBase
 			stW.computePhaseParallel(plW, ti) // compile local plan, warm pool
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -310,9 +336,9 @@ func BenchmarkComputePhase(b *testing.B) {
 func BenchmarkInitPhase(b *testing.B) {
 	p := planProgram(b)
 	r, ti := boundarySlot(b, p)
-	st := newRankState(p, nil, r, RunOptions{})
-	sl := &st.slots[ti]
-	reads := float64(len(sl.boundary))
+	st := mustRankState(b, p, r, RunOptions{})
+	sl := &st.Slots[ti]
+	reads := float64(len(sl.Boundary))
 	b.Run("planned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -323,7 +349,7 @@ func BenchmarkInitPhase(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			st.initPhase(sl.tile, ti)
+			st.initPhase(sl.Tile, ti)
 		}
 		b.ReportMetric(reads*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
 	})
@@ -336,17 +362,17 @@ func BenchmarkPackUnpack(b *testing.B) {
 	p := planProgram(b)
 	d := p.Dist
 	w := p.Width
-	r, ti := fullTileSlot(p)
-	stP := newRankState(p, nil, r, RunOptions{})
-	stL := newRankState(p, nil, r, RunOptions{})
+	r, ti := fullTileSlot(b, p)
+	stP := mustRankState(b, p, r, RunOptions{})
+	stL := mustRankState(b, p, r, RunOptions{})
 	tile := p.Dist.TileAt(r, ti)
-	pl := stP.slots[ti].plan
+	pl := stP.Slots[ti].Plan
 	var maxVals, totalPts int64
-	for _, dir := range pl.dirs {
-		if dir.total > maxVals {
-			maxVals = dir.total
+	for _, dir := range pl.Dirs {
+		if dir.Total > maxVals {
+			maxVals = dir.Total
 		}
-		totalPts += dir.total
+		totalPts += dir.Total
 	}
 	if totalPts == 0 {
 		b.Fatal("benchmark tile has empty communication regions")
@@ -355,20 +381,20 @@ func BenchmarkPackUnpack(b *testing.B) {
 	pts := float64(totalPts)
 	b.Run("planned", func(b *testing.B) {
 		b.ReportAllocs()
-		tOff := ti * stP.chainStep
+		tOff := ti * stP.ChainStep
 		for i := 0; i < b.N; i++ {
 			for di := range d.DM {
-				dir := &pl.dirs[di]
+				dir := &pl.Dirs[di]
 				pos := 0
-				for _, run := range dir.runs { // pack
+				for _, run := range dir.Runs { // pack
 					cell := (run.Off + tOff) * int64(w)
 					nn := int(run.N) * w
 					copy(buf[pos:pos+nn], stP.la[cell:cell+int64(nn)])
 					pos += nn
 				}
-				base := tOff + stP.dirShift[di]
+				base := tOff + stP.DirShift[di]
 				pos = 0
-				for _, run := range dir.runs { // unpack
+				for _, run := range dir.Runs { // unpack
 					cell := (run.Off + base) * int64(w)
 					nn := int(run.N) * w
 					copy(stP.la[cell:cell+int64(nn)], buf[pos:pos+nn])
@@ -384,15 +410,15 @@ func BenchmarkPackUnpack(b *testing.B) {
 			for di, dm := range d.DM {
 				pos := 0
 				d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool { // pack
-					cell := stL.addr.Flat(jp, ti) * int64(w)
+					cell := stL.Addr.Flat(jp, ti) * int64(w)
 					copy(buf[pos:pos+w], stL.la[cell:cell+int64(w)])
 					pos += w
 					return true
 				})
-				dmF := stL.dmFulls[di]
+				dmF := d.Protocol().DmFulls[di]
 				pos = 0
 				d.CommRegion(tile, dm, func(z, pp ilin.Vec) bool { // unpack
-					cell := stL.addr.FlatUnpack(pp, dmF, ti) * int64(w)
+					cell := stL.Addr.FlatUnpack(pp, dmF, ti) * int64(w)
 					copy(stL.la[cell:cell+int64(w)], buf[pos:pos+w])
 					pos += w
 					return true

@@ -20,17 +20,15 @@ type Kernel func(j ilin.Vec, reads [][]float64, out []float64)
 type Initial func(j ilin.Vec, out []float64)
 
 // Program is a compiled tiled program ready for sequential or parallel
-// execution. It must not be copied after its first parallel run: the
-// executor's compiled plans (plan.go) live in it, are built on first use and
-// are shared read-only by every later run, concurrent ones included.
+// execution. The compiled §3.2 protocol the executor interprets lives on
+// Dist (distrib/protocol.go): built on first use, shared read-only by every
+// later run, concurrent ones included — and by the certifier and simulator.
 type Program struct {
 	TS      *tiling.TiledSpace
 	Dist    *distrib.Distribution
 	Width   int
 	Kernel  Kernel
 	Initial Initial
-
-	cp compiledPlans
 }
 
 // NewProgram validates and assembles a program. The mapping dimension is

@@ -179,8 +179,8 @@ func TestEmptyTileInsideChain(t *testing.T) {
 	}
 	empty := 0
 	for r := 0; r < prog.Dist.NumProcs(); r++ {
-		for _, sl := range prog.rank(r).slots {
-			if sl.plan.npts == 0 {
+		for _, sl := range mustPlan(t, prog, r).Slots {
+			if sl.Npts == 0 {
 				empty++
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
 	"tilespace/internal/verify"
 )
@@ -11,8 +12,8 @@ import (
 // This file is the executor's one receive engine: the paper's §3.2 RECEIVE
 // — one message per (predecessor tile, processor direction), claimed at the
 // minsucc tile — enumerated once into a per-rank inbound-message table
-// (compileRank in plan.go: the table is part of the Program's compiled
-// state, built on the rank's first run) and consumed by the one rank loop
+// (distrib.RankPlan.Msgs: the table is part of the distribution's compiled
+// protocol, built on the rank's first use) and consumed by the one rank loop
 // (runRank) through one unpack. A run owns only the claim state over it.
 //
 // A message carries no tile identity beyond its position on its (source,
@@ -47,17 +48,8 @@ import (
 // it exactly once, and the re-executed tiles find their rows already
 // claimed.
 
-// inMsg is one row of the inbound-message table, compiled once per rank
-// (compileRank) in claim order.
-type inMsg struct {
-	t   int64    // chain slot that claims it: the predecessor's minsucc tile
-	tau int64    // the predecessor's slot on its own chain: the unpack base
-	di  int      // processor-direction index = message tag = stream
-	dir *dirPlan // the predecessor shape's compiled region along di
-}
-
 // inbox is one run's claim state over the rank's inbound-message table
-// (rankPlan.msgs with its per-direction queues rankPlan.rows).
+// (distrib.RankPlan.Msgs with its per-direction queues Rows).
 type inbox struct {
 	claimed []bool // per table row
 	cur     int    // rows below cur belong to tiles before the current one
@@ -69,9 +61,9 @@ type inbox struct {
 // (static claim order — Dynamic excludes Checkpoint.Resume).
 func (st *rankState) skipClaimed(start int64) {
 	in := &st.in
-	for ; in.cur < len(st.msgs) && st.msgs[in.cur].t < start; in.cur++ {
+	for ; in.cur < len(st.Msgs) && st.Msgs[in.cur].T < start; in.cur++ {
 		in.claimed[in.cur] = true
-		in.heads[st.msgs[in.cur].di]++
+		in.heads[st.Msgs[in.cur].Dir]++
 	}
 }
 
@@ -79,7 +71,7 @@ func (st *rankState) skipClaimed(start int64) {
 func (st *rankState) receive(t int64) error {
 	in := &st.in
 	if st.dynamic {
-		for di, rows := range st.rows {
+		for di, rows := range st.Rows {
 			for in.heads[di] < len(rows) {
 				ok, err := st.claim(rows[in.heads[di]], false)
 				if err != nil {
@@ -94,7 +86,7 @@ func (st *rankState) receive(t int64) error {
 	// Rows the dynamic intake got to first are already claimed. (Tiles a
 	// crash rewound over lie before cur: their rows were all claimed by the
 	// first incarnation.)
-	for ; in.cur < len(st.msgs) && st.msgs[in.cur].t <= t; in.cur++ {
+	for ; in.cur < len(st.Msgs) && st.Msgs[in.cur].T <= t; in.cur++ {
 		if in.claimed[in.cur] {
 			continue
 		}
@@ -109,29 +101,29 @@ func (st *rankState) receive(t int64) error {
 // for it, or only if it has already arrived — and unpacks it. The blocking
 // receive is the watchdog-aware one.
 func (st *rankState) claim(i int, block bool) (bool, error) {
-	m := &st.msgs[i]
-	src := st.recvRank[m.di]
+	m := &st.Msgs[i]
+	src := st.RecvRank[m.Dir]
 	var data []float64
 	if block {
-		data = st.recv(src, m.di)
+		data = st.recv(src, m.Dir)
 	} else {
 		var ok bool
-		if data, ok = st.c.TryRecv(src, m.di); !ok {
+		if data, ok = st.c.TryRecv(src, m.Dir); !ok {
 			return false, nil
 		}
 		if st.tr != nil {
 			st.tr.noteRecv(0, 0, len(data))
 		}
 	}
-	if want := m.dir.total * int64(st.p.Width); int64(len(data)) != want {
-		return false, fmt.Errorf("exec: rank %d chain slot %d: message from rank %d tag %d has %d values, expected %d", st.rank, m.t, src, m.di, len(data), want)
+	if want := m.Runs.Total * int64(st.p.Width); int64(len(data)) != want {
+		return false, fmt.Errorf("exec: rank %d chain slot %d: message from rank %d tag %d has %d values, expected %d", st.rank, m.T, src, m.Dir, len(data), want)
 	}
 	if ck := st.ckpt; ck.logs() {
 		ck.held = append(ck.held, heldMsg{row: i, data: append([]float64(nil), data...)})
 	}
 	st.unpack(m, data)
 	st.in.claimed[i] = true
-	st.in.heads[m.di]++
+	st.in.heads[m.Dir]++
 	st.pool.put(data)
 	return true, nil
 }
@@ -140,11 +132,11 @@ func (st *rankState) claim(i int, block bool) (bool, error) {
 // pack→unpack offset (Addresser.DirShift) plus the predecessor's chain
 // slot: contiguity in pack space is contiguity in unpack space, so
 // unpacking is the same few bulk copies as packing.
-func (st *rankState) unpack(m *inMsg, data []float64) {
+func (st *rankState) unpack(m *distrib.InMsg, data []float64) {
 	w := st.p.Width
-	base := m.tau*st.chainStep + st.dirShift[m.di]
+	base := m.Tau*st.ChainStep + st.DirShift[m.Dir]
 	pos := 0
-	for _, run := range m.dir.runs {
+	for _, run := range m.Runs.Runs {
 		cell := (run.Off + base) * int64(w)
 		nn := int(run.N) * w
 		copy(st.la[cell:cell+int64(nn)], data[pos:pos+nn])

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,9 +10,11 @@ import (
 	"tilespace/internal/exec"
 	"tilespace/internal/mpi"
 	"tilespace/internal/tiling"
+	"tilespace/internal/verify"
 )
 
-// This file pins the once-per-Program compiled executor state (plan.go):
+// This file pins the once-per-Distribution compiled protocol the executor
+// interprets (distrib/protocol.go):
 // what the boundary-read lists hold, that compiling is lazy, that it happens
 // once, and that concurrent runs may share it.
 
@@ -76,11 +79,46 @@ func TestNewProgramDoesNoPlanWork(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunsShareProgram: eight concurrent runs on one fresh
-// Program — the first arrivals racing the lazy compile, serial and pooled
-// workers mixed — must all produce the sequential result bit for bit and
-// identical traffic. Run under -race this is the sharing contract serve's
-// concurrent /v1/run requests against one cached Artifact rely on.
+// TestCertifyThenRunCompilesOnce: the certifier and the executor read one
+// compiled protocol, cached on the Program's Distribution, so a run after a
+// certification adds no plan-compilation step — and the chain's compile
+// error, were there one, is the one error both surface.
+func TestCertifyThenRunCompilesOnce(t *testing.T) {
+	c := diffCases(t)[0]
+	if _, err := verify.Certify(c.p.TS, c.p.Dist); err != nil {
+		t.Fatal(err)
+	}
+	certified := c.p.CompileSteps()
+	if certified == 0 {
+		t.Fatal("certification compiled nothing")
+	}
+	if _, _, err := c.p.RunParallelOpts(exec.RunOptions{Overlap: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.p.CompileSteps(); n != certified {
+		t.Fatalf("the run after certification did %d more plan-compilation steps, want 0", n-certified)
+	}
+
+	// Every chain fails alike, so no rank is left waiting on a dead peer.
+	chainErr := errors.New("distrib: successor pid has no rank")
+	for r := 0; r < c.p.Dist.NumProcs(); r++ {
+		rp, err := c.p.Dist.Schedule(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.Err = chainErr
+	}
+	if _, _, err := c.p.RunParallelOpts(exec.RunOptions{}); !errors.Is(err, chainErr) {
+		t.Fatalf("run on chains that failed to compile returned %v, want the chains' error", err)
+	}
+}
+
+// TestConcurrentRunsShareProgram: eight concurrent runs and a certification
+// on one fresh Program — the first arrivals racing the lazy compile, serial
+// and pooled workers mixed — must all produce the sequential result bit for
+// bit and identical traffic. Run under -race this is the sharing contract
+// serve's concurrent /v1/run and /v1/certify requests against one cached
+// Artifact rely on.
 func TestConcurrentRunsShareProgram(t *testing.T) {
 	for _, c := range diffCases(t) {
 		if c.name != "sor/nonrect" && c.name != "adi/rect" {
@@ -97,7 +135,13 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 				globs [runs]*exec.Global
 				stats [runs]mpi.Stats
 				errs  [runs]error
+				cerr  error
 			)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, cerr = verify.Certify(c.p.TS, c.p.Dist)
+			}()
 			for i := 0; i < runs; i++ {
 				wg.Add(1)
 				go func(i int) {
@@ -107,6 +151,9 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 				}(i)
 			}
 			wg.Wait()
+			if cerr != nil {
+				t.Fatalf("concurrent certification: %v", cerr)
+			}
 			for i := 0; i < runs; i++ {
 				if errs[i] != nil {
 					t.Fatalf("run %d: %v", i, errs[i])

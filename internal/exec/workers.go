@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
 )
 
@@ -30,8 +31,8 @@ type workerPool struct {
 
 	// Dispatch arguments for the current front (rank-written, worker-read).
 	st *rankState
-	pl *tilePlan
-	lp *localPlan
+	pl *distrib.TilePlan
+	lp *distrib.LocalPlan
 	fi int
 	t  int64
 	// segs[w] is worker w's [runLo, runHi) slice of the front's runs.
@@ -130,9 +131,9 @@ func (wp *workerPool) finishSeg(id int) {
 // finished its segment; a worker panic is re-raised on the rank goroutine
 // after the barrier (all workers idle again), preserving the serial
 // path's abort behaviour.
-func (wp *workerPool) dispatch(st *rankState, pl *tilePlan, lp *localPlan, fi int, t int64) {
+func (wp *workerPool) dispatch(st *rankState, pl *distrib.TilePlan, lp *distrib.LocalPlan, fi int, t int64) {
 	wp.st, wp.pl, wp.lp, wp.fi, wp.t = st, pl, lp, fi, t
-	wp.segs = ilin.SplitByWeight(wp.segs, lp.fronts[fi].weights, wp.n)
+	wp.segs = ilin.SplitByWeight(wp.segs, lp.Fronts[fi].Weights, wp.n)
 	wp.wg.Add(wp.n)
 	for _, sig := range wp.sigs {
 		sig <- struct{}{}

@@ -56,10 +56,13 @@ func keyOf(source string, p *frontend.Program) Key {
 // Artifact is the immutable compiled bundle one spec maps to: the tiling
 // analysis, distribution and executable program compiled once, plus the
 // certification and generated code materialized lazily (each exactly
-// once, shared by every concurrent holder). Nothing in an Artifact is
-// mutated after construction — per-run state (Global, LDS, plan caches)
-// lives in the executor — which is what makes sharing one Artifact
-// across concurrent runs and surviving cache eviction mid-run safe.
+// once, shared by every concurrent holder). What an Artifact holds is
+// either fixed at construction or built exactly once and read-only
+// afterwards: the compiled protocol the certifier and every run read is one
+// of the latter, cached on Prog.Dist (distrib/protocol.go) and retained as
+// long as the Artifact. Per-run state (Global, LDS, claim state, buffers)
+// lives in the executor. That is what makes sharing one Artifact across
+// concurrent runs and surviving cache eviction mid-run safe.
 type Artifact struct {
 	Key      Key
 	Source   string

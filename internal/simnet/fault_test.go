@@ -1,6 +1,7 @@
 package simnet_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -184,5 +185,28 @@ func TestSimulateFaultsTraced(t *testing.T) {
 	}
 	if _, err := tr.TraceEventJSON(); err != nil {
 		t.Errorf("chrome export failed: %v", err)
+	}
+}
+
+// A chain the protocol compiler could not finish (a neighbour processor
+// without a rank) fails the simulation with the compiler's error, faults or
+// none — it is not skipped over.
+func TestSimulateSurfacesChainError(t *testing.T) {
+	app, err := apps.SOR(6, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := distFor(t, app, app.Rect.H(3, 6, 7))
+	rp, err := d.Schedule(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.Err = errors.New("distrib: rank 0: successor pid has no rank")
+	if _, err := simnet.Simulate(d, simnet.FastEthernetPIII()); !errors.Is(err, rp.Err) {
+		t.Errorf("Simulate returned %v, want the chain's error", err)
+	}
+	plan := &mpi.FaultPlan{Links: map[mpi.Link]mpi.LinkFault{{Src: 0, Dst: 1}: {Delay: time.Second}}}
+	if _, err := simnet.SimulateFaults(d, simnet.FastEthernetPIII(), simnet.FaultModel{Plan: plan}); !errors.Is(err, rp.Err) {
+		t.Errorf("SimulateFaults returned %v, want the chain's error", err)
 	}
 }

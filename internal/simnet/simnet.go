@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"tilespace/internal/distrib"
-	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
 )
 
@@ -125,11 +124,6 @@ type Result struct {
 	Utilization float64
 }
 
-type msgKey struct {
-	tile string
-	dm   string
-}
-
 // Simulate runs the tile schedule of a distribution under the cost model
 // and returns the timing result.
 func Simulate(d *distrib.Distribution, par Params) (*Result, error) {
@@ -155,20 +149,28 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		}
 		fs = newFaultState(fm, d.NumProcs())
 	}
+	// The schedule level of the distribution's compiled protocol: the same
+	// slots, sends and inbound-message table the executor runs.
+	plans := make([]*distrib.RankPlan, d.NumProcs())
+	for r := range plans {
+		var err error
+		if plans[r], err = d.Schedule(r); err != nil {
+			return nil, err
+		}
+	}
 	type tileRef struct {
 		rank int
 		t    int64
 		wave int64
 	}
 	var tiles []tileRef
-	for r := 0; r < d.NumProcs(); r++ {
-		for t := int64(0); t < d.ChainLen[r]; t++ {
-			jS := d.TileAt(r, t)
+	for r, rp := range plans {
+		for t := range rp.Slots {
 			var wave int64
-			for _, x := range jS {
+			for _, x := range rp.Slots[t].Tile {
 				wave += x
 			}
-			tiles = append(tiles, tileRef{rank: r, t: t, wave: wave})
+			tiles = append(tiles, tileRef{rank: r, t: int64(t), wave: wave})
 		}
 	}
 	// Π = [1…1] wavefront order is topological for D^S ≥ 0, and it keeps
@@ -187,9 +189,22 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 	procClock := make([]float64, d.NumProcs())
 	nicFree := make([]float64, d.NumProcs())
 	busy := make([]float64, d.NumProcs())
-	arrivals := map[msgKey]float64{}
-
-	counts := newCountCache(d)
+	// A direction's rows are its stream's wire order, so the k-th message a
+	// neighbour sends along it is the k-th row's: arrivals[r][di] holds the
+	// arrival times in send order, pos[r][i] is row i's place on its stream
+	// and next[r] the first row of rank r's current slot.
+	arrivals := make([][][]float64, d.NumProcs())
+	pos := make([][]int, d.NumProcs())
+	next := make([]int, d.NumProcs())
+	for r, rp := range plans {
+		arrivals[r] = make([][]float64, len(rp.Rows))
+		pos[r] = make([]int, len(rp.Msgs))
+		for _, rows := range rp.Rows {
+			for k, i := range rows {
+				pos[r][i] = k
+			}
+		}
+	}
 	minWave, maxWave := int64(math.MaxInt64), int64(math.MinInt64)
 
 	for _, tr := range tiles {
@@ -199,7 +214,8 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		if tr.wave > maxWave {
 			maxWave = tr.wave
 		}
-		tile := d.TileAt(tr.rank, tr.t)
+		rp := plans[tr.rank]
+		sl := &rp.Slots[tr.t]
 		now := procClock[tr.rank]
 
 		// CRASH: the runtime kills the rank at the top of tile k's loop
@@ -225,48 +241,44 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		// would cost: unpack and pack repeat, the wire and the MPI stack
 		// overheads do not (receives replay locally, delivered sends skip).
 		var redo float64
-		ev := Event{Rank: tr.rank, Tile: tile.String(), Start: now}
+		ev := Event{Rank: tr.rank, Start: now}
 
-		// RECEIVE: wait for each due message, then pay unpack CPU.
-		for _, dS := range d.TS.DS {
-			dm := d.DmOf(dS)
-			if dm.IsZero() {
-				continue
+		// RECEIVE: wait for each of the slot's rows, then pay unpack CPU.
+		// The model charges a tile's receives in tile-dependence order (the
+		// table lists them in claim order), as it always has.
+		lo := next[tr.rank]
+		hi := lo
+		for hi < len(rp.Msgs) && rp.Msgs[hi].T == tr.t {
+			hi++
+		}
+		next[tr.rank] = hi
+		for si := range d.TS.DS {
+			for i := lo; i < hi; i++ {
+				m := &rp.Msgs[i]
+				if m.DS != si {
+					continue
+				}
+				sent := arrivals[tr.rank][m.Dir]
+				if pos[tr.rank][i] >= len(sent) {
+					return nil, fmt.Errorf("simnet: message %d along %v for tile %v not yet sent — schedule order broken", pos[tr.rank][i], d.DM[m.Dir], sl.Tile)
+				}
+				if arr := sent[pos[tr.rank][i]]; arr > now {
+					ev.Waited += arr - now
+					now = arr // idle wait: not busy time
+				}
+				unpack := float64(m.Count*int64(par.Width)) * par.PackTime
+				cpu := par.RecvOverhead + unpack
+				now += cpu
+				busy[tr.rank] += cpu
+				redo += unpack
 			}
-			pred := tile.Sub(dS)
-			if !d.TS.ValidTile(pred) {
-				continue
-			}
-			if ms, ok := d.MinSucc(pred, dm); !ok || !ms.Equal(tile) {
-				continue
-			}
-			n := counts.region(pred, dm)
-			if n == 0 {
-				continue
-			}
-			key := msgKey{pred.String(), dm.String()}
-			arr, ok := arrivals[key]
-			if !ok {
-				return nil, fmt.Errorf("simnet: message for tile %v from %v not yet sent — schedule order broken", tile, pred)
-			}
-			delete(arrivals, key)
-			if arr > now {
-				ev.Waited += arr - now
-				now = arr // idle wait: not busy time
-			}
-			unpack := float64(n*int64(par.Width)) * par.PackTime
-			cpu := par.RecvOverhead + unpack
-			now += cpu
-			busy[tr.rank] += cpu
-			redo += unpack
 		}
 
 		ev.RecvDone = now
 
 		// COMPUTE.
-		pts := counts.points(tile)
-		res.Points += pts
-		comp := float64(pts) * par.IterTime
+		res.Points += sl.Npts
+		comp := float64(sl.Npts) * par.IterTime
 		if fs != nil {
 			comp *= fm.Plan.SlowdownOf(tr.rank)
 		}
@@ -276,24 +288,16 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		ev.CompDone = now
 
 		// SEND: one message per processor direction with a valid successor.
-		for _, dm := range d.DM {
-			if !d.HasSuccessor(tile, dm) {
-				continue
-			}
-			n := counts.region(tile, dm)
-			if n == 0 {
-				continue
-			}
-			bytes := float64(n*int64(par.Width)) * float64(par.ValueBytes)
-			pack := float64(n*int64(par.Width)) * par.PackTime
+		for _, snd := range sl.Sends {
+			dst := rp.SendRank[snd.Dir]
+			bytes := float64(snd.Count*int64(par.Width)) * float64(par.ValueBytes)
+			pack := float64(snd.Count*int64(par.Width)) * par.PackTime
 			// Injected link delay, jitter and retry backoffs hit this
 			// message before transmission, paid where the runtime pays them:
 			// the sender's CPU in blocking mode, its NIC in overlap mode.
 			var pert float64
 			if fs != nil {
-				if dst, ok := d.Rank(d.Pids[tr.rank].Add(dm)); ok {
-					pert = fs.sendPerturbation(tr.rank, dst)
-				}
+				pert = fs.sendPerturbation(tr.rank, dst)
 			}
 			var arrive float64
 			if par.Overlap || par.Dynamic {
@@ -309,7 +313,7 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 				busy[tr.rank] += cpu
 				arrive = now + par.Latency
 			}
-			arrivals[msgKey{tile.String(), dm.String()}] = arrive
+			arrivals[dst][snd.Dir] = append(arrivals[dst][snd.Dir], arrive)
 			res.Messages++
 			res.BytesSent += int64(bytes)
 			redo += pack
@@ -318,6 +322,7 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		procClock[tr.rank] = now
 		ev.End = now
 		if onEvent != nil {
+			ev.Tile = sl.Tile.String()
 			onEvent(ev)
 		}
 		if fs != nil {
@@ -350,63 +355,4 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 		res.Steps = maxWave - minWave + 1
 	}
 	return res, nil
-}
-
-// countCache memoizes per-tile point counts and communication-region
-// sizes, with constant-time answers for tiles fully inside the space.
-type countCache struct {
-	d          *distrib.Distribution
-	full       map[string]bool
-	fullRegion map[string]int64
-	pts        map[string]int64
-	regions    map[msgKey]int64
-}
-
-func newCountCache(d *distrib.Distribution) *countCache {
-	return &countCache{
-		d: d, full: map[string]bool{},
-		fullRegion: map[string]int64{}, pts: map[string]int64{}, regions: map[msgKey]int64{},
-	}
-}
-
-func (c *countCache) fullInside(jS ilin.Vec) bool {
-	key := jS.String()
-	if v, ok := c.full[key]; ok {
-		return v
-	}
-	v := c.d.TS.TileFullyInside(jS)
-	c.full[key] = v
-	return v
-}
-
-func (c *countCache) points(jS ilin.Vec) int64 {
-	if c.fullInside(jS) {
-		return c.d.TS.T.TileSize
-	}
-	key := jS.String()
-	if v, ok := c.pts[key]; ok {
-		return v
-	}
-	v := c.d.TS.CountTilePoints(jS, nil)
-	c.pts[key] = v
-	return v
-}
-
-func (c *countCache) region(jS ilin.Vec, dm ilin.Vec) int64 {
-	if c.fullInside(jS) {
-		key := dm.String()
-		if v, ok := c.fullRegion[key]; ok {
-			return v
-		}
-		v := c.d.FullTileCommCount(dm)
-		c.fullRegion[key] = v
-		return v
-	}
-	k := msgKey{jS.String(), dm.String()}
-	if v, ok := c.regions[k]; ok {
-		return v
-	}
-	v := c.d.CommRegionCount(jS, dm)
-	c.regions[k] = v
-	return v
 }

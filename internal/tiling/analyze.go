@@ -300,24 +300,21 @@ func (ts *TiledSpace) NumTiles() int64 {
 // interior tiles.
 func (ts *TiledSpace) TileFullyInside(jS ilin.Vec) bool {
 	n := ts.T.N
-	corner := make(ilin.RatVec, n)
+	corner := make(ilin.Vec, n)
+	x := make(ilin.Vec, n)
 	for mask := 0; mask < 1<<n; mask++ {
 		for k := 0; k < n; k++ {
-			c := rat.FromInt(jS[k])
-			if mask&(1<<k) != 0 {
-				c = c.AddInt(1)
-			}
-			corner[k] = c
+			corner[k] = jS[k] + int64(mask>>k&1)
 		}
-		// x = P·corner (rational point).
-		for _, con := range ts.Nest.Space.Cons {
-			// coef·(P·corner) ≤ rhs
-			s := rat.Zero
+		// x = P·corner: P is integral, so every vertex is an integer point.
+		for k := 0; k < n; k++ {
+			x[k] = 0
 			for j := 0; j < n; j++ {
-				pj := con.Coef.Dot(ts.T.P.Col(j).Rat())
-				s = s.Add(pj.Mul(corner[j]))
+				x[k] += ts.T.P.At(k, j) * corner[j]
 			}
-			if s.Cmp(con.Rhs) > 0 {
+		}
+		for _, con := range ts.Nest.Space.Cons {
+			if !con.SatisfiedBy(x) {
 				return false
 			}
 		}

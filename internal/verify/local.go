@@ -126,53 +126,27 @@ func CheckLocalSchedule(ts *tiling.TiledSpace, tile ilin.Vec, zs []int64, ls *di
 	return nil
 }
 
-// checkLocalSchedules certifies theorem 4 for every distinct clamped tile
-// shape of the distribution, deriving each shape's schedule exactly the
-// way the executor does (SeqDims of the cone, NewLocalSchedule of the
-// shape's z-list).
-func checkLocalSchedules(ts *tiling.TiledSpace, d *distrib.Distribution, rep *Report) error {
-	seq := distrib.SeqDims(ts.DP)
-	shapes := map[uint64][][]int64{}
-	for r := 0; r < d.NumProcs(); r++ {
-		for t := int64(0); t < d.ChainLen[r]; t++ {
-			tile := d.TileAt(r, t)
-			var zs []int64
-			ts.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-				zs = append(zs, z...)
-				return true
-			})
-			key := ilin.HashInt64s(ilin.HashSeed(), zs)
-			done := false
-			for _, prev := range shapes[key] {
-				if int64sEqual(prev, zs) {
-					done = true
-					break
-				}
-			}
-			if done {
+// checkLocalSchedules certifies theorem 4 for every tile shape of the
+// compiled protocol, deriving each shape's schedule exactly the way the
+// executor's local-plan compiler does: NewLocalSchedule of the plan's own
+// z-list under the protocol's SeqDims.
+func checkLocalSchedules(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) error {
+	seq := d.Protocol().SeqDims
+	done := map[*distrib.TilePlan]bool{}
+	for r, p := range plans {
+		for t := range p.Slots {
+			sl := &p.Slots[t]
+			if done[sl.Plan] {
 				continue
 			}
-			shapes[key] = append(shapes[key], zs)
-			ls := distrib.NewLocalSchedule(ts, zs, seq)
-			if v := CheckLocalSchedule(ts, tile, zs, ls); v != nil {
+			done[sl.Plan] = true
+			ls := distrib.NewLocalSchedule(d.TS, sl.Plan.Zs, seq)
+			if v := CheckLocalSchedule(d.TS, sl.Tile, sl.Plan.Zs, ls); v != nil {
 				v.Rank = r
 				return v
 			}
-			npts := int64(len(zs) / ts.T.N)
-			rep.Checks += npts * int64(1+ts.DP.Cols)
+			rep.Checks += int64(sl.Plan.Npts * (1 + d.TS.DP.Cols))
 		}
 	}
 	return nil
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -81,8 +81,8 @@ func (c *pointCoder) describe(code int64) string {
 }
 
 // message is one in-flight payload on a (src, dst, tag) stream: the
-// sender tile and, per region point in scan order, the code of the
-// iteration whose value the sender packed.
+// sender tile and, in pack order, the code of the iteration whose value
+// each packed cell held.
 type message struct {
 	from    ilin.Vec
 	payload []int64
@@ -92,269 +92,293 @@ type stream struct {
 	src, dst, tag int
 }
 
-// replay executes the whole schedule symbolically, in lexicographic tile
-// order, with per-(src, dst, tag) FIFO message queues — the exact
-// semantics of the mpi package (per-pair-per-tag ordering, eager sends) —
-// and per-rank LDS content arrays holding iteration codes instead of
-// floats. Each tile runs the executor's receive → init → compute → send
-// phases; the compute step asserts that every dependence read resolves to
-// exactly the code of its source iteration. A pass proves comm-set
-// exactness constructively: no missing value (a miss surfaces as a wrong
-// or absent code at the reading point — the counterexample), no stale
-// reuse, FIFO consistency, and every send consumed. It is pure
-// arithmetic: no goroutines, no mpi.World.
-func replay(ts *tiling.TiledSpace, d *distrib.Distribution, rep *Report) error {
-	coder, err := newPointCoder(ts)
+// replayer is the symbolic machine: per-rank LDS content arrays holding
+// iteration codes instead of floats, per-stream FIFO queues with the exact
+// semantics of the mpi package (per-pair-per-tag ordering, eager sends), and
+// the ownership map of the coverage claim.
+type replayer struct {
+	d       *distrib.Distribution
+	plans   []*distrib.RankPlan
+	coder   *pointCoder
+	content [][]int64
+	cur     []int   // per rank: first inbound row not yet claimed
+	heads   [][]int // per rank and direction: rows claimed on that stream
+	owner   []int32 // per iteration code: 1 + the rank that computed it
+	queues  map[stream][]message
+	rep     *Report
+}
+
+// replay executes the compiled protocol — the tables the executor runs —
+// symbolically, in lexicographic tile order. Each tile runs the executor's
+// phases off its rank's tables: claim the slot's inbound rows in table order
+// against the stream FIFOs and unpack each by its runs + τ·ChainStep +
+// DirShift; inject the boundary-read list; read ReadOff and write WriteOff
+// at t·ChainStep; pack each send by the plan's runs. What the tables say is
+// judged against references derived independently of them: the tile's own
+// point scan and iteration codes (every dependence read must resolve to
+// exactly the code of its source iteration, every point is computed once),
+// the containment test (an injected source must lie outside the space), and
+// the CommRegion point order with the Addresser's Flat (CheckRuns: a
+// message carries exactly its region, each cell once). Every offset touched
+// is checked against the rank's LDS box. A pass proves comm-set exactness
+// constructively — no missing value (a miss surfaces as a wrong or absent
+// code at the reading point: the counterexample), no stale reuse, FIFO
+// consistency, every send consumed — about the tables themselves. It is
+// pure arithmetic: no goroutines, no mpi.World.
+func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) error {
+	coder, err := newPointCoder(d.TS)
 	if err != nil {
 		return fmt.Errorf("verify: bounding box: %w", err)
 	}
-	n := ts.T.N
-	q := ts.Nest.Q()
-	deps := make([]ilin.Vec, q)
-	dps := make([]ilin.Vec, q)
-	for l := 0; l < q; l++ {
-		deps[l] = ts.Nest.Dep(l)
-		dps[l] = ts.DP.Col(l)
+	rp := &replayer{
+		d: d, plans: plans, coder: coder, rep: rep,
+		content: make([][]int64, len(plans)),
+		cur:     make([]int, len(plans)),
+		heads:   make([][]int, len(plans)),
+		owner:   make([]int32, coder.size+1),
+		queues:  map[stream][]message{},
 	}
-	dmFulls := make([]ilin.Vec, len(d.DM))
-	for i, dm := range d.DM {
-		dmFulls[i] = dmFull(dm, d.M)
+	for r, p := range plans {
+		rp.content[r] = make([]int64, p.Addr.Size())
+		rp.heads[r] = make([]int, len(p.Rows))
 	}
-	procs := d.NumProcs()
-	addrs := make([]*distrib.Addresser, procs)
-	sizes := make([]int64, procs)
-	content := make([][]int64, procs)
-	sendRank := make([][]int, procs)
-	recvRank := make([][]int, procs)
-	for r := 0; r < procs; r++ {
-		addrs[r] = d.Addresser(r)
-		sizes[r] = addrs[r].Size()
-		content[r] = make([]int64, sizes[r])
-		sendRank[r] = make([]int, len(d.DM))
-		recvRank[r] = make([]int, len(d.DM))
-		for i, dm := range d.DM {
-			sendRank[r][i] = -1
-			if rr, ok := d.Rank(d.Pids[r].Add(dm)); ok {
-				sendRank[r][i] = rr
-			}
-			recvRank[r][i] = -1
-			if rr, ok := d.Rank(d.Pids[r].Sub(dm)); ok {
-				recvRank[r][i] = rr
-			}
-		}
-	}
-	dsOrder := dsRecvOrder(ts, d.M)
-	dsDmIdx := dmIndexOf(d)
-	queues := map[stream][]message{}
-	owners := map[int64]int{}
-	src := make(ilin.Vec, n)
-
 	var vio *Violation
-	ts.ScanTiles(func(s ilin.Vec) bool {
-		r, ok := d.RankOfTile(s)
-		if !ok {
-			vio = &Violation{Rule: "coverage", Rank: -1, Tile: s.Clone(), Detail: "valid tile assigned to no processor"}
-			return false
-		}
-		t := s[d.M] - d.ChainStart[r]
-		addr := addrs[r]
-		rep.Tiles++
+	d.TS.ScanTiles(func(s ilin.Vec) bool {
+		vio = rp.tile(s)
+		return vio == nil
+	})
+	if vio != nil {
+		return vio
+	}
+	return rp.epilogue()
+}
 
-		// RECEIVE — in the executor's dsOrder, asserting FIFO heads match.
-		for _, si := range dsOrder {
-			di := dsDmIdx[si]
-			if di < 0 {
-				continue
+// tile replays one tile; s is ScanTiles' reusable buffer.
+func (rp *replayer) tile(s ilin.Vec) *Violation {
+	d, ts := rp.d, rp.d.TS
+	r, ok := d.RankOfTile(s)
+	if !ok {
+		return &Violation{Rule: "coverage", Rank: -1, Tile: s.Clone(), Detail: "valid tile assigned to no processor"}
+	}
+	p := rp.plans[r]
+	t := s[d.M] - d.ChainStart[r]
+	sl := &p.Slots[t]
+	if !sl.Tile.Equal(s) {
+		return &Violation{Rule: "coverage", Rank: r, Tile: s.Clone(), Detail: fmt.Sprintf("chain slot %d is compiled for tile %v", t, sl.Tile)}
+	}
+	rp.rep.Tiles++
+	pr := d.Protocol()
+	pl := sl.Plan
+	n, q := ts.T.N, len(pr.Deps)
+	content := rp.content[r]
+	tOff := t * p.ChainStep
+	// cell places a slot-0 table offset at this slot; ok reports whether it
+	// lands inside the rank's LDS box, and oob names the access that did not.
+	cell := func(off int64) (c int64, ok bool) {
+		rp.rep.Checks++
+		c = off + tOff
+		return c, c >= 0 && c < int64(len(content))
+	}
+	oob := func(what string, c int64, at ilin.Vec) *Violation {
+		return &Violation{Rule: "lds-bounds", Rank: r, Tile: sl.Tile, Point: at.Clone(),
+			Detail: fmt.Sprintf("%s cell %d outside LDS [0, %d)", what, c, len(content))}
+	}
+	j, g, src := make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n)
+	point := func(i int) ilin.Vec { // the table's global point of shape index i
+		for k := range j {
+			j[k] = sl.PBase[k] + pl.Uz[i*n+k]
+		}
+		return j
+	}
+
+	// RECEIVE — the slot's rows in table order, each against its stream's
+	// FIFO head.
+	for ; rp.cur[r] < len(p.Msgs) && p.Msgs[rp.cur[r]].T <= t; rp.cur[r]++ {
+		m := &p.Msgs[rp.cur[r]]
+		pred := s.Sub(pr.DmFulls[m.Dir])
+		pred[d.M] = d.ChainStart[r] + m.Tau
+		key := stream{p.RecvRank[m.Dir], r, m.Dir}
+		qu := rp.queues[key]
+		if h := &rp.heads[r][m.Dir]; *h >= len(p.Rows[m.Dir]) || p.Rows[m.Dir][*h] != rp.cur[r] {
+			return &Violation{Rule: "fifo-order", Rank: r, Tile: sl.Tile, Point: pred,
+				Detail: fmt.Sprintf("inbound row %d is not entry %d of direction %d's wire-order queue", rp.cur[r], *h, m.Dir)}
+		} else {
+			*h++
+		}
+		if len(qu) == 0 {
+			return &Violation{
+				Rule: "deadlock", Rank: r, Tile: sl.Tile, Point: pred,
+				Detail: fmt.Sprintf("receive from rank %d (tag %d) blocks forever: the message of predecessor tile %v is never sent", key.src, m.Dir, pred),
 			}
-			dS := ts.DS[si]
-			dm := d.DM[di]
-			pred := s.Sub(dS)
-			if !ts.ValidTile(pred) {
-				continue
+		}
+		msg := qu[0]
+		rp.queues[key] = qu[1:]
+		if !msg.from.Equal(pred) {
+			return &Violation{
+				Rule: "fifo-order", Rank: r, Tile: sl.Tile, Point: pred,
+				Detail: fmt.Sprintf("stream %d→%d tag %d delivers the message of tile %v where the row (τ=%d) expects tile %v's", key.src, r, m.Dir, msg.from, m.Tau, pred),
 			}
-			if ms, ok := d.MinSucc(pred, dm); !ok || !ms.Equal(s) {
-				continue
+		}
+		if got := int64(len(msg.payload)); got != m.Count || got != m.Runs.Total {
+			return &Violation{
+				Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: pred,
+				Detail: fmt.Sprintf("message from tile %v carries %d values, the row expects %d and unpacks %d", pred, got, m.Count, m.Runs.Total),
 			}
-			cnt := d.CommRegionCount(pred, dm)
-			if cnt == 0 {
-				continue
-			}
-			from := recvRank[r][di]
-			if from < 0 {
-				vio = &Violation{
-					Rule: "schedule-edge", Rank: r, Tile: s.Clone(), Point: pred,
-					Detail: fmt.Sprintf("predecessor tile %v has no mapped rank at pid − %v", pred, dm),
+		}
+		base := (m.Tau-t)*p.ChainStep + p.DirShift[m.Dir]
+		i := 0
+		for _, run := range m.Runs.Runs {
+			for o := int64(0); o < run.N; o++ {
+				c, ok := cell(run.Off + o + base)
+				if !ok {
+					return oob("unpack", c, rp.coder.dec(msg.payload[i]))
 				}
-				return false
-			}
-			key := stream{from, r, di}
-			qu := queues[key]
-			if len(qu) == 0 {
-				vio = &Violation{
-					Rule: "deadlock", Rank: r, Tile: s.Clone(), Point: pred,
-					Detail: fmt.Sprintf("receive from rank %d (tag %d) blocks forever: the message of predecessor tile %v is never sent", from, di, pred),
-				}
-				return false
-			}
-			msg := qu[0]
-			queues[key] = qu[1:]
-			if !msg.from.Equal(pred) {
-				vio = &Violation{
-					Rule: "fifo-order", Rank: r, Tile: s.Clone(), Point: pred,
-					Detail: fmt.Sprintf("stream %d→%d tag %d delivers the message of tile %v where tile %v's predecessor message is expected", from, r, di, msg.from, pred),
-				}
-				return false
-			}
-			if int64(len(msg.payload)) != cnt {
-				vio = &Violation{
-					Rule: "comm-soundness", Rank: r, Tile: s.Clone(), Point: pred,
-					Detail: fmt.Sprintf("message from tile %v carries %d values, region holds %d", pred, len(msg.payload), cnt),
-				}
-				return false
-			}
-			tau := pred[d.M] - d.ChainStart[r]
-			i := 0
-			d.CommRegion(pred, dm, func(z, pp ilin.Vec) bool {
-				cell := addr.FlatUnpack(pp, dmFulls[di], tau)
-				g := ts.GlobalOf(pred, z)
-				if cell < 0 || cell >= sizes[r] {
-					vio = &Violation{
-						Rule: "lds-bounds", Rank: r, Tile: s.Clone(), Point: g,
-						Detail: fmt.Sprintf("unpack cell %d outside LDS [0, %d)", cell, sizes[r]),
-					}
-					return false
-				}
-				if want := coder.enc(g); msg.payload[i] != want {
-					vio = &Violation{
-						Rule: "comm-soundness", Rank: r, Tile: s.Clone(), Point: g,
-						Detail: fmt.Sprintf("received value #%d is %s, expected the value of iteration %v", i, coder.describe(msg.payload[i]), g),
-					}
-					return false
-				}
-				content[r][cell] = msg.payload[i]
+				content[c] = msg.payload[i]
 				i++
-				return true
-			})
-			if vio != nil {
-				return false
 			}
 		}
+	}
 
-		// INIT — inject codes for read sources outside the iteration
-		// space, exactly where the executor writes Initial values.
-		ts.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
-			g := ts.GlobalOf(s, z)
-			for l := 0; l < q; l++ {
-				subInto(src, g, deps[l])
-				if ts.Nest.Space.Contains(src) {
-					continue
-				}
-				cell := addr.FlatRead(jp, dps[l], t)
-				if cell < 0 || cell >= sizes[r] {
-					vio = &Violation{
-						Rule: "lds-bounds", Rank: r, Tile: s.Clone(), Point: g,
-						Detail: fmt.Sprintf("initial-value cell %d (dependence d_%d) outside LDS [0, %d)", cell, l+1, sizes[r]),
-					}
-					return false
-				}
-				content[r][cell] = coder.enc(src)
+	// INIT — inject codes by the boundary-read list, exactly where the
+	// executor writes Initial values; an entry whose source is inside the
+	// space would overwrite a computed value with an initial one.
+	for _, ri := range sl.Boundary {
+		if ri < 0 || int(ri) >= pl.Npts*q {
+			return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase,
+				Detail: fmt.Sprintf("boundary-read entry %d outside the %d reads of the shape", ri, pl.Npts*q)}
+		}
+		at := point(int(ri) / q)
+		for k := range src {
+			src[k] = at[k] - pr.Deps[int(ri)%q][k]
+		}
+		if ts.Nest.Space.Contains(src) {
+			return &Violation{Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: at.Clone(),
+				Detail: fmt.Sprintf("boundary-read list injects an initial value for dependence d_%d, whose source %v lies inside the iteration space", int(ri)%q+1, src)}
+		}
+		c, ok := cell(pl.ReadOff[ri])
+		if !ok {
+			return oob("initial-value", c, at)
+		}
+		content[c] = rp.coder.enc(src)
+	}
+
+	// COMPUTE — the tile's own scan is the reference: the plan must list
+	// exactly its points, every dependence read must resolve to the code of
+	// its source iteration, and the write claims ownership of the point.
+	var vio *Violation
+	i := 0
+	pS := ts.T.P.MulVec(s)
+	ts.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
+		for k := range g { // j = P·j^S + U·z
+			g[k] = pS[k]
+			for l, zl := range z {
+				g[k] += ts.T.U.At(k, l) * zl
 			}
-			return true
-		})
-		if vio != nil {
+		}
+		if i >= pl.Npts || !g.Equal(point(i)) {
+			vio = &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: g.Clone(),
+				Detail: fmt.Sprintf("point %d of the tile is missing from its compiled plan (%d points)", i, pl.Npts)}
 			return false
 		}
-
-		// COMPUTE — every dependence read must resolve to the code of its
-		// source iteration; the write claims ownership of the point.
-		ts.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
-			g := ts.GlobalOf(s, z)
-			for l := 0; l < q; l++ {
-				cell := addr.FlatRead(jp, dps[l], t)
-				subInto(src, g, deps[l])
-				if want := coder.enc(src); content[r][cell] != want {
-					vio = &Violation{
-						Rule: "comm-soundness", Rank: r, Tile: s.Clone(), Point: g.Clone(),
-						Detail: fmt.Sprintf("read through dependence d_%d resolves to LDS cell %d holding %s; expected the value of iteration %v", l+1, cell, coder.describe(content[r][cell]), src),
-					}
-					return false
-				}
+		for l := 0; l < q; l++ {
+			c, ok := cell(pl.ReadOff[i*q+l])
+			if !ok {
+				vio = oob("read", c, g)
+				return false
 			}
-			wcell := addr.Flat(jp, t)
-			code := coder.enc(g)
-			if prev, dup := owners[code]; dup {
+			for k := range src {
+				src[k] = g[k] - pr.Deps[l][k]
+			}
+			if want := rp.coder.enc(src); content[c] != want {
 				vio = &Violation{
-					Rule: "coverage", Rank: r, Tile: s.Clone(), Point: g.Clone(),
-					Detail: fmt.Sprintf("iteration computed twice (ranks %d and %d)", prev, r),
+					Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: g.Clone(),
+					Detail: fmt.Sprintf("read through dependence d_%d resolves to LDS cell %d holding %s; expected the value of iteration %v", l+1, c, rp.coder.describe(content[c]), src),
 				}
 				return false
 			}
-			owners[code] = r
-			content[r][wcell] = code
-			rep.Points++
-			rep.Checks += int64(q + 1)
-			return true
-		})
-		if vio != nil {
+		}
+		c, ok := cell(pl.WriteOff[i])
+		if !ok {
+			vio = oob("write", c, g)
 			return false
 		}
-
-		// SEND — pack must carry exactly the region's freshly computed
-		// values, each LDS cell at most once per message.
-		for i, dm := range d.DM {
-			if !d.HasSuccessor(s, dm) {
-				continue
+		code := rp.coder.enc(g)
+		if prev := rp.owner[code]; prev != 0 {
+			vio = &Violation{
+				Rule: "coverage", Rank: r, Tile: sl.Tile, Point: g.Clone(),
+				Detail: fmt.Sprintf("iteration computed twice (ranks %d and %d)", prev-1, r),
 			}
-			cnt := d.CommRegionCount(s, dm)
-			if cnt == 0 {
-				continue
-			}
-			dst := sendRank[r][i]
-			if dst < 0 {
-				vio = &Violation{
-					Rule: "schedule-edge", Rank: r, Tile: s.Clone(),
-					Detail: fmt.Sprintf("send along %v has no mapped destination rank", dm),
-				}
-				return false
-			}
-			payload := make([]int64, 0, cnt)
-			packed := make(map[int64]struct{}, cnt)
-			d.CommRegion(s, dm, func(z, jp ilin.Vec) bool {
-				cell := addr.Flat(jp, t)
-				g := ts.GlobalOf(s, z)
-				if _, dup := packed[cell]; dup {
-					vio = &Violation{
-						Rule: "comm-redundancy", Rank: r, Tile: s.Clone(), Point: g,
-						Detail: fmt.Sprintf("LDS cell %d packed twice into the %v message", cell, dm),
-					}
-					return false
-				}
-				packed[cell] = struct{}{}
-				if want := coder.enc(g); content[r][cell] != want {
-					vio = &Violation{
-						Rule: "comm-soundness", Rank: r, Tile: s.Clone(), Point: g,
-						Detail: fmt.Sprintf("packed value for iteration %v is %s", g, coder.describe(content[r][cell])),
-					}
-					return false
-				}
-				payload = append(payload, content[r][cell])
-				return true
-			})
-			if vio != nil {
-				return false
-			}
-			queues[stream{r, dst, i}] = append(queues[stream{r, dst, i}], message{from: s.Clone(), payload: payload})
-			rep.Values += cnt
+			return false
 		}
+		rp.owner[code] = int32(r) + 1
+		content[c] = code
+		rp.rep.Points++
+		i++
 		return true
 	})
 	if vio != nil {
 		return vio
 	}
+	if i != pl.Npts || int64(i) != sl.Npts {
+		return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase,
+			Detail: fmt.Sprintf("tile holds %d points, its plan %d and its schedule slot %d", i, pl.Npts, sl.Npts)}
+	}
 
-	// Exactness epilogue: every sent message was consumed…
+	// SEND — each message packs the plan's runs; they must be exactly the
+	// region in CommRegion order, each cell holding the freshly computed
+	// value of its point.
+	for _, snd := range sl.Sends {
+		dir := &pl.Dirs[snd.Dir]
+		var (
+			pts  []ilin.Vec
+			want []int64
+		)
+		d.CommRegion(s, d.DM[snd.Dir], func(z, jp ilin.Vec) bool {
+			pts = append(pts, ts.GlobalOf(s, z))
+			want = append(want, p.Addr.Flat(jp, 0))
+			return true
+		})
+		if dir.Total != snd.Count || snd.Count != int64(len(pts)) {
+			var at ilin.Vec
+			if len(pts) > 0 {
+				at = pts[len(pts)-1]
+			}
+			return &Violation{Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: at,
+				Detail: fmt.Sprintf("send along %v is scheduled with %d values and its runs pack %d; the region holds %d", d.DM[snd.Dir], snd.Count, dir.Total, len(pts))}
+		}
+		if v := CheckRuns(pts, want, dir.Runs, dir.Total); v != nil {
+			v.Rank, v.Tile = r, sl.Tile
+			return v
+		}
+		payload := make([]int64, 0, dir.Total)
+		for _, run := range dir.Runs {
+			for o := int64(0); o < run.N; o++ {
+				g := pts[len(payload)]
+				c, ok := cell(run.Off + o)
+				if !ok {
+					return oob("pack", c, g)
+				}
+				if content[c] != rp.coder.enc(g) {
+					return &Violation{
+						Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: g,
+						Detail: fmt.Sprintf("packed value for iteration %v is %s", g, rp.coder.describe(content[c])),
+					}
+				}
+				payload = append(payload, content[c])
+			}
+		}
+		key := stream{r, p.SendRank[snd.Dir], snd.Dir}
+		rp.queues[key] = append(rp.queues[key], message{from: sl.Tile, payload: payload})
+		rp.rep.Values += dir.Total
+	}
+	return nil
+}
+
+// epilogue closes the exactness proof: every sent message was consumed and
+// every iteration of the space was computed exactly once.
+func (rp *replayer) epilogue() error {
 	var leftover []stream
-	for key, qu := range queues {
+	for key, qu := range rp.queues {
 		if len(qu) > 0 {
 			leftover = append(leftover, key)
 		}
@@ -371,25 +395,17 @@ func replay(ts *tiling.TiledSpace, d *distrib.Distribution, rep *Report) error {
 			return a.tag < b.tag
 		})
 		key := leftover[0]
-		msg := queues[key][0]
+		msg := rp.queues[key][0]
 		return &Violation{
-			Rule: "comm-redundancy", Rank: key.src, Tile: msg.from,
+			Rule: "comm-redundancy", Rank: key.src, Tile: msg.from, Point: rp.coder.dec(msg.payload[0]),
 			Detail: fmt.Sprintf("message from tile %v to rank %d (tag %d) is sent but never received", msg.from, key.dst, key.tag),
 		}
 	}
-	// …and every iteration of the space was computed exactly once.
-	if total, err := ts.Nest.Size(); err == nil && total != int64(len(owners)) {
+	if total, err := rp.d.TS.Nest.Size(); err == nil && total != rp.rep.Points {
 		return &Violation{
 			Rule: "coverage", Rank: -1,
-			Detail: fmt.Sprintf("%d of %d iterations computed", len(owners), total),
+			Detail: fmt.Sprintf("%d of %d iterations computed", rp.rep.Points, total),
 		}
 	}
 	return nil
-}
-
-// subInto computes dst = a − b without allocating.
-func subInto(dst, a, b ilin.Vec) {
-	for k := range dst {
-		dst[k] = a[k] - b[k]
-	}
 }

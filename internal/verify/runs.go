@@ -5,7 +5,6 @@ import (
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
-	"tilespace/internal/tiling"
 )
 
 // CheckRuns proves a run list is the exact pack decomposition of one
@@ -68,169 +67,5 @@ func CheckRuns(pts []ilin.Vec, want []int64, runs []distrib.Run, total int64) *V
 			Detail: fmt.Sprintf("region point %d (cell %d) is missing from the run list", idx, want[idx]),
 		}
 	}
-	return nil
-}
-
-// checkPlans certifies the strength-reduced address programs the plan
-// compiler relies on, for every rank, every chain slot, and every clamped
-// tile shape that occurs there:
-//
-//   - write/read addresses: Flat(j',t) = Flat(j',0) + t·ChainStep and
-//     FlatRead(j',d',t) = FlatRead(j',d',0) + t·ChainStep, both inside
-//     [0, Size) — LDS bounds safety for the compute sweep;
-//   - pack runs: CommRuns equals the per-point Flat sequence (CheckRuns),
-//     and every run cell placed at slot t stays inside the LDS;
-//   - unpack addresses: FlatUnpack(p',d^m,τ) = Flat(p',0) + τ·ChainStep +
-//     DirShift(d^m), inside [0, Size) — the receiver's replayed runs land
-//     in the allocated box.
-func checkPlans(ts *tiling.TiledSpace, d *distrib.Distribution, rep *Report) error {
-	q := ts.Nest.Q()
-	dps := make([]ilin.Vec, q)
-	for l := 0; l < q; l++ {
-		dps[l] = ts.DP.Col(l)
-	}
-	dmFulls := make([]ilin.Vec, len(d.DM))
-	for i, dm := range d.DM {
-		dmFulls[i] = dmFull(dm, d.M)
-	}
-	shapes := map[uint64]struct{}{}
-
-	for r := 0; r < d.NumProcs(); r++ {
-		addr := d.Addresser(r)
-		size := addr.Size()
-		step := addr.ChainStep()
-		var vio *Violation
-		for t := int64(0); t < d.ChainLen[r]; t++ {
-			tile := d.TileAt(r, t)
-			var zkey []int64
-			ts.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-				zkey = append(zkey, z...)
-				w0 := addr.Flat(jp, 0)
-				wt := addr.Flat(jp, t)
-				g := func() ilin.Vec { return ts.GlobalOf(tile, z) }
-				if wt != w0+t*step {
-					vio = &Violation{
-						Rule: "address-program", Rank: r, Tile: tile.Clone(), Point: g(),
-						Detail: fmt.Sprintf("Flat(j',%d) = %d but Flat(j',0) + t·ChainStep = %d", t, wt, w0+t*step),
-					}
-					return false
-				}
-				if wt < 0 || wt >= size {
-					vio = &Violation{
-						Rule: "lds-bounds", Rank: r, Tile: tile.Clone(), Point: g(),
-						Detail: fmt.Sprintf("write cell %d outside LDS [0, %d)", wt, size),
-					}
-					return false
-				}
-				for l := 0; l < q; l++ {
-					r0 := addr.FlatRead(jp, dps[l], 0)
-					rt := addr.FlatRead(jp, dps[l], t)
-					if rt != r0+t*step {
-						vio = &Violation{
-							Rule: "address-program", Rank: r, Tile: tile.Clone(), Point: g(),
-							Detail: fmt.Sprintf("FlatRead(d'_%d, %d) = %d but FlatRead(d'_%d, 0) + t·ChainStep = %d", l+1, t, rt, l+1, r0+t*step),
-						}
-						return false
-					}
-					if rt < 0 || rt >= size {
-						vio = &Violation{
-							Rule: "lds-bounds", Rank: r, Tile: tile.Clone(), Point: g(),
-							Detail: fmt.Sprintf("read cell %d (dependence d'_%d) outside LDS [0, %d)", rt, l+1, size),
-						}
-						return false
-					}
-				}
-				rep.Checks += int64(2 + 2*q)
-				return true
-			})
-			if vio != nil {
-				return vio
-			}
-			shapes[ilin.HashInt64s(ilin.HashSeed(), zkey)] = struct{}{}
-
-			// Pack side: run decomposition exactness + slot-t bounds.
-			for _, dm := range d.DM {
-				if !d.HasSuccessor(tile, dm) {
-					continue
-				}
-				var (
-					want []int64
-					pts  []ilin.Vec
-				)
-				d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool {
-					want = append(want, addr.Flat(jp, 0))
-					pts = append(pts, ts.GlobalOf(tile, z))
-					return true
-				})
-				if len(want) == 0 {
-					continue
-				}
-				runs, total := d.CommRuns(tile, dm, addr)
-				if v := CheckRuns(pts, want, runs, total); v != nil {
-					v.Rank, v.Tile = r, tile.Clone()
-					return v
-				}
-				for _, run := range runs {
-					lo := run.Off + t*step
-					hi := lo + run.N - 1
-					if lo < 0 || hi >= size {
-						return &Violation{
-							Rule: "lds-bounds", Rank: r, Tile: tile.Clone(), Point: pts[0],
-							Detail: fmt.Sprintf("pack run [%d, %d] at chain slot %d outside LDS [0, %d)", lo, hi, t, size),
-						}
-					}
-				}
-				rep.Checks += total + int64(len(runs))
-			}
-
-			// Unpack side: DirShift identity + bounds for every message
-			// this tile receives, mirroring the executor's receive loop.
-			for _, dS := range ts.DS {
-				dm := d.DmOf(dS)
-				if dm.IsZero() {
-					continue
-				}
-				di := -1
-				for k, v := range d.DM {
-					if v.Equal(dm) {
-						di = k
-						break
-					}
-				}
-				pred := tile.Sub(dS)
-				if di < 0 || !ts.ValidTile(pred) {
-					continue
-				}
-				if ms, ok := d.MinSucc(pred, dm); !ok || !ms.Equal(tile) {
-					continue
-				}
-				tau := pred[d.M] - d.ChainStart[r]
-				shift := addr.DirShift(dmFulls[di])
-				d.CommRegion(pred, dm, func(z, pp ilin.Vec) bool {
-					u := addr.FlatUnpack(pp, dmFulls[di], tau)
-					if u != addr.Flat(pp, 0)+tau*step+shift {
-						vio = &Violation{
-							Rule: "address-program", Rank: r, Tile: tile.Clone(), Point: ts.GlobalOf(pred, z),
-							Detail: fmt.Sprintf("FlatUnpack = %d but Flat(p',0) + τ·ChainStep + DirShift = %d", u, addr.Flat(pp, 0)+tau*step+shift),
-						}
-						return false
-					}
-					if u < 0 || u >= size {
-						vio = &Violation{
-							Rule: "lds-bounds", Rank: r, Tile: tile.Clone(), Point: ts.GlobalOf(pred, z),
-							Detail: fmt.Sprintf("unpack cell %d outside LDS [0, %d)", u, size),
-						}
-						return false
-					}
-					rep.Checks += 2
-					return true
-				})
-				if vio != nil {
-					return vio
-				}
-			}
-		}
-	}
-	rep.Shapes = len(shapes)
 	return nil
 }

@@ -19,31 +19,38 @@ type Edge struct {
 	Values   int64
 }
 
-// ScheduleEdges enumerates every message of the schedule in sender issue
-// order: lexicographic tile order and, within a tile, ascending direction
-// index — exactly the executor's send loop. Mutation tests corrupt this
-// list and hand it to CheckSchedule.
+// ScheduleEdges reads every message of the compiled schedule off the
+// distribution's tables, in sender issue order: lexicographic tile order
+// and, within a tile, the slot's sends in ascending direction. The receiver
+// of a stream's k-th send is the tile claiming the k-th row of the
+// destination rank's queue for that direction (To stays nil when there is no
+// such row; a rank whose schedule did not compile contributes no edges —
+// Certify reports that first). Mutation tests corrupt this list and hand it
+// to CheckSchedule.
 func ScheduleEdges(d *distrib.Distribution) []Edge {
 	var edges []Edge
+	heads := make([][]int, d.NumProcs()) // per rank and direction: rows already paired
+	for r := range heads {
+		heads[r] = make([]int, len(d.DM))
+	}
 	d.TS.ScanTiles(func(s ilin.Vec) bool {
-		for i, dm := range d.DM {
-			if !d.HasSuccessor(s, dm) {
-				continue
+		src, ok := d.RankOfTile(s)
+		if !ok {
+			return true
+		}
+		rp, err := d.Schedule(src)
+		if err != nil {
+			return true
+		}
+		for _, snd := range rp.Slots[s[d.M]-d.ChainStart[src]].Sends {
+			e := Edge{From: s.Clone(), SrcRank: src, DstRank: rp.SendRank[snd.Dir], Dir: snd.Dir, Values: snd.Count}
+			if dp, err := d.Schedule(e.DstRank); err == nil {
+				if h := &heads[e.DstRank][e.Dir]; *h < len(dp.Rows[e.Dir]) {
+					e.To = dp.Slots[dp.Msgs[dp.Rows[e.Dir][*h]].T].Tile
+					*h++
+				}
 			}
-			n := d.CommRegionCount(s, dm)
-			if n == 0 {
-				continue
-			}
-			ms, ok := d.MinSucc(s, dm)
-			if !ok {
-				continue
-			}
-			src, _ := d.RankOfTile(s)
-			dst, _ := d.RankOfTile(ms)
-			edges = append(edges, Edge{
-				From: s.Clone(), To: ms.Clone(),
-				SrcRank: src, DstRank: dst, Dir: i, Values: n,
-			})
+			edges = append(edges, e)
 		}
 		return true
 	})
@@ -78,7 +85,7 @@ func CheckSchedule(d *distrib.Distribution, edges []Edge) error {
 			}
 		}
 		dm := d.DM[e.Dir]
-		if !d.TS.ValidTile(e.From) || !d.TS.ValidTile(e.To) {
+		if n := d.TS.T.N; len(e.From) != n || len(e.To) != n || !d.TS.ValidTile(e.From) || !d.TS.ValidTile(e.To) {
 			return &Violation{
 				Rule: "schedule-edge", Rank: e.SrcRank, Tile: e.From, Point: e.To,
 				Detail: "edge endpoint is not a valid tile",

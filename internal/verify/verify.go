@@ -1,37 +1,37 @@
 // Package verify is the static certification layer: it proves, by pure
-// ilin/distrib arithmetic over the compiled artifacts — no goroutines, no
-// mpi.World, no kernel execution — that a compiled tiled program is
-// correct before a single rank runs.
+// arithmetic over the distribution's compiled protocol
+// (distrib/protocol.go: the tables internal/exec interprets) — no
+// goroutines, no mpi.World, no kernel execution — that a compiled tiled
+// program is correct before a single rank runs.
 //
 // Certify establishes four theorems per spec × tiling × rank-grid:
 //
-//  1. Comm-set exactness. The union of pack runs (distrib.CommRuns) of
-//     every (tile, processor-direction) message equals the dependence
-//     footprint crossing that tile face: every value a remote iteration
-//     reads is packed (soundness) and no LDS cell is packed twice
-//     (non-redundancy). Proved constructively by a symbolic replay of the
-//     whole schedule (see replay.go) plus the per-shape run checks in
-//     runs.go.
+//  1. Comm-set exactness. Every value a remote iteration reads is packed
+//     (soundness) and no LDS cell is packed twice (non-redundancy): each
+//     message's pack runs are exactly the dependence footprint crossing
+//     that tile face. Proved constructively by a symbolic replay of the
+//     compiled tables (see replay.go), judged against references derived
+//     independently of them — the tile scan's iteration codes, the
+//     containment test, CommRegion order with the Addresser (CheckRuns).
 //
-//  2. Deadlock-freedom. The send/receive pattern implied by the tile
-//     schedule embeds into lexicographic tile time: every message flows
-//     from a lex-earlier to a lex-later tile and each rank's chain is lex-
-//     ascending, so global lex order is a topological execution order.
-//     Because sends are eager (buffered) in both the blocking and the
-//     overlap mode — Send enqueues, Isend hands off to the NIC — only
-//     receives block, and the embedding rules out any receive-wait cycle.
-//     The replay additionally proves every posted receive has a matching
-//     in-order send (no rank blocks forever on a message never sent).
+//  2. Deadlock-freedom. The send/receive pattern the tables encode embeds
+//     into lexicographic tile time: every message flows from a lex-earlier
+//     to a lex-later tile and each rank's chain is lex-ascending, so global
+//     lex order is a topological execution order. Because sends are eager
+//     (buffered) in both the blocking and the overlap mode — Send enqueues,
+//     Isend hands off to the NIC — only receives block, and the embedding
+//     rules out any receive-wait cycle. The replay additionally proves
+//     every inbound row has a matching in-order send (no rank blocks
+//     forever on a message never sent).
 //
-//  3. LDS bounds safety. Every strength-reduced address program the plan
-//     compiler emits (Addresser.ChainStep / DirShift chains) both agrees
-//     exactly with the reference map()/map⁻¹ addressing and stays inside
-//     the allocated LDS box, for the interior shape and every boundary
-//     shape, at every chain slot where the shape occurs.
+//  3. LDS bounds safety. Every offset of the compiled address programs the
+//     replay resolves — unpack, initial value, read, write, pack, at every
+//     chain slot — stays inside the allocated LDS box; a wrong offset shows
+//     as a wrong iteration code at a concrete point.
 //
 //  4. Intra-tile linear extension. The wavefront schedule the executor's
-//     worker pool fires (distrib.NewLocalSchedule) covers every point of
-//     every clamped tile shape exactly once, and every intra-tile
+//     worker pool fires (distrib.NewLocalSchedule of each compiled shape)
+//     covers every point of the shape exactly once, and every intra-tile
 //     dependence flows from a strictly earlier front — so any execution
 //     order within a front, including concurrent workers, is a linear
 //     extension of the dependence order and bit-identical to the serial
@@ -95,8 +95,8 @@ type Report struct {
 	Points   int64 // iteration points replayed
 	Messages int64 // schedule messages proved exact
 	Values   int64 // values carried by those messages
-	Checks   int64 // individual address/bounds/identity facts proved
-	Shapes   int   // distinct clamped tile shapes certified
+	Checks   int64 // table offsets resolved and bounds-checked, plus local-schedule facts
+	Shapes   int   // size of the compiled shape table: (ChainLen, clamped shape) plans
 }
 
 // String renders the coverage summary.
@@ -105,28 +105,38 @@ func (r *Report) String() string {
 		r.Procs, r.Tiles, r.Points, r.Messages, r.Values, r.Shapes, r.Checks)
 }
 
-// Certify proves the three certification theorems for the compiled
-// program (ts, d). It returns a coverage report on success and the first
-// *Violation (with a counterexample point) on failure.
+// Certify proves the four certification theorems for the compiled program
+// (ts, d) — about the distribution's compiled protocol, the tables the
+// executor interprets, which it compiles here if no run has yet. ts must be
+// the space d was built over. It returns a coverage report on success and
+// the first *Violation (with a counterexample point) on failure.
 func Certify(ts *tiling.TiledSpace, d *distrib.Distribution) (*Report, error) {
+	if ts != d.TS {
+		return nil, fmt.Errorf("verify: Certify needs the tiled space the distribution was built over (got a different *TiledSpace than d.TS)")
+	}
 	rep := &Report{Procs: d.NumProcs()}
 	if err := checkAnalysisFacts(ts); err != nil {
 		return nil, err
+	}
+	plans := make([]*distrib.RankPlan, d.NumProcs())
+	for r := range plans {
+		var err error
+		if plans[r], err = d.Plan(r); err != nil {
+			return nil, &Violation{Rule: "schedule-edge", Rank: r, Detail: err.Error()}
+		}
 	}
 	edges := ScheduleEdges(d)
 	if err := CheckSchedule(d, edges); err != nil {
 		return nil, err
 	}
 	rep.Messages = int64(len(edges))
-	if err := checkPlans(ts, d, rep); err != nil {
+	if err := checkLocalSchedules(d, plans, rep); err != nil {
 		return nil, err
 	}
-	if err := checkLocalSchedules(ts, d, rep); err != nil {
+	if err := replay(d, plans, rep); err != nil {
 		return nil, err
 	}
-	if err := replay(ts, d, rep); err != nil {
-		return nil, err
-	}
+	rep.Shapes = d.NumShapes()
 	return rep, nil
 }
 
@@ -153,51 +163,4 @@ func checkAnalysisFacts(ts *tiling.TiledSpace) error {
 		}
 	}
 	return nil
-}
-
-// dmFull re-inserts the mapping dimension (as 0) into a processor
-// direction, mirroring the executor's table construction.
-func dmFull(dm ilin.Vec, m int) ilin.Vec {
-	out := make(ilin.Vec, 0, len(dm)+1)
-	out = append(out, dm[:m]...)
-	out = append(out, 0)
-	return append(out, dm[m:]...)
-}
-
-// dsRecvOrder returns tile-dependence indices in the executor's receive
-// processing order: descending d^S_m, i.e. ascending predecessor m, which
-// matches per-stream FIFO emission order on the sending rank.
-func dsRecvOrder(ts *tiling.TiledSpace, m int) []int {
-	order := make([]int, len(ts.DS))
-	for i := range order {
-		order[i] = i
-	}
-	// Stable insertion sort (matches sort.SliceStable semantics without
-	// allocating closures in a hot loop; the list is tiny).
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && ts.DS[order[j]][m] > ts.DS[order[j-1]][m]; j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
-	return order
-}
-
-// dmIndexOf maps each tile dependence to its processor-direction index in
-// d.DM (-1 for the intra-processor direction).
-func dmIndexOf(d *distrib.Distribution) []int {
-	idx := make([]int, len(d.TS.DS))
-	for i, dS := range d.TS.DS {
-		idx[i] = -1
-		dm := d.DmOf(dS)
-		if dm.IsZero() {
-			continue
-		}
-		for k, v := range d.DM {
-			if v.Equal(dm) {
-				idx[i] = k
-				break
-			}
-		}
-	}
-	return idx
 }

@@ -1,7 +1,9 @@
 package verify_test
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -67,10 +69,28 @@ func matrixCases(t *testing.T) []matrixCase {
 	return out
 }
 
+// matrixReports pins what a certification covers per matrix case — procs,
+// tiles, points, messages, values — as recorded before the certifier moved
+// onto the compiled protocol (Messages feeds the exact benchmark metric
+// verify.edges).
+var matrixReports = map[string][5]int64{
+	"sor/rect":        {10, 36, 400, 69, 340},
+	"sor/rect-ragged": {12, 36, 400, 69, 380},
+	"sor/nonrect":     {10, 34, 400, 57, 340},
+	"jacobi/rect":     {43, 116, 1152, 291, 1929},
+	"jacobi/nonrect":  {30, 86, 1152, 197, 1436},
+	"adi/rect":        {16, 80, 800, 120, 480},
+	"adi/nonrect0":    {16, 84, 800, 111, 460},
+	"adi/nonrect1":    {16, 84, 800, 111, 460},
+	"adi/nonrect2":    {16, 98, 800, 116, 470},
+	"heat3d/rect":     {247, 439, 3072, 2694, 20603},
+}
+
 // TestCertifyMatrix runs the static certifier over the full matrix and
 // pins its coverage: every tile and every iteration point replayed, at
-// least one message proved exact wherever more than one rank exists, and
-// the whole sweep finishing far inside the 10 s acceptance budget.
+// least one message proved exact wherever more than one rank exists, the
+// shape count equal to the compiled shape table's size, and the whole sweep
+// finishing far inside the 10 s acceptance budget.
 func TestCertifyMatrix(t *testing.T) {
 	start := time.Now()
 	for _, c := range matrixCases(t) {
@@ -79,6 +99,12 @@ func TestCertifyMatrix(t *testing.T) {
 			rep, err := verify.Certify(c.ts, c.d)
 			if err != nil {
 				t.Fatalf("certify: %v", err)
+			}
+			if got := [5]int64{int64(rep.Procs), rep.Tiles, rep.Points, rep.Messages, rep.Values}; got != matrixReports[c.name] {
+				t.Errorf("report covers %v (procs, tiles, points, messages, values), want %v", got, matrixReports[c.name])
+			}
+			if rep.Shapes != c.d.NumShapes() {
+				t.Errorf("report counts %d shapes, the compiled shape table holds %d", rep.Shapes, c.d.NumShapes())
 			}
 			if rep.Tiles != c.ts.NumTiles() {
 				t.Errorf("replayed %d tiles, space has %d", rep.Tiles, c.ts.NumTiles())
@@ -303,6 +329,185 @@ func TestMutationCorruptedLocalScheduleRejected(t *testing.T) {
 				t.Errorf("rejected under rule %q, want %q", v.Rule, m.rule)
 			}
 			if v.Point == nil {
+				t.Errorf("rejection carries no counterexample point: %v", v)
+			}
+			t.Logf("rejected: %v", v)
+		})
+	}
+}
+
+// TestCertifyRejectsForeignSpace: Certify(ts, d) with a space other than the
+// one d was built over would mix two spaces; it must refuse before any work.
+func TestCertifyRejectsForeignSpace(t *testing.T) {
+	cs := matrixCases(t)
+	if _, err := verify.Certify(cs[1].ts, cs[0].d); err == nil || !strings.Contains(err.Error(), "different *TiledSpace") {
+		t.Fatalf("foreign space accepted: %v", err)
+	}
+	if cs[0].d.CompileSteps() != 0 {
+		t.Error("the refused certification compiled plans first")
+	}
+}
+
+// TestCertifySurfacesChainError: a chain whose compilation failed (a
+// neighbour processor without a rank) is reported as the compiler's error.
+func TestCertifySurfacesChainError(t *testing.T) {
+	c := matrixCases(t)[0]
+	rp, err := c.d.Schedule(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp.Err = errors.New("distrib: rank 1: successor pid of tile [0 0 0] along [1 0] has no rank")
+	_, err = verify.Certify(c.ts, c.d)
+	var v *verify.Violation
+	if !errors.As(err, &v) || v.Rule != "schedule-edge" || v.Rank != 1 || !strings.Contains(v.Detail, rp.Err.Error()) {
+		t.Fatalf("got %v, want a schedule-edge violation on rank 1 carrying the chain's error", err)
+	}
+}
+
+// TestMutationCompiledRowRejected corrupts one row of the distribution's
+// cached compiled protocol — the tables the executor would then run — in
+// each of the ways a buggy plan compiler could, and asserts Certify rejects
+// every one with a counterexample point.
+func TestMutationCompiledRowRejected(t *testing.T) {
+	// plans compiles every chain of a fresh copy of the sor/nonrect case.
+	plans := func(t *testing.T) (matrixCase, []*distrib.RankPlan) {
+		c := matrixCases(t)[2]
+		out := make([]*distrib.RankPlan, c.d.NumProcs())
+		for r := range out {
+			var err error
+			if out[r], err = c.d.Plan(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c, out
+	}
+	// find returns the first rank, in reverse, for which pick returns true.
+	find := func(t *testing.T, ps []*distrib.RankPlan, pick func(*distrib.RankPlan) bool) {
+		for r := len(ps) - 1; r >= 0; r-- {
+			if pick(ps[r]) {
+				return
+			}
+		}
+		t.Fatal("fixture has no row to corrupt")
+	}
+	// sameDir returns two rows of one direction on rp.
+	sameDir := func(rp *distrib.RankPlan) (int, int, bool) {
+		for _, rows := range rp.Rows {
+			if len(rows) >= 2 {
+				return rows[0], rows[1], true
+			}
+		}
+		return 0, 0, false
+	}
+	mutations := map[string]func(*testing.T, matrixCase, []*distrib.RankPlan){
+		"shifted-readoff": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				pl := rp.Slots[len(rp.Slots)-1].Plan
+				if len(pl.ReadOff) == 0 {
+					return false
+				}
+				pl.ReadOff[len(pl.ReadOff)-1]++
+				return true
+			})
+		},
+		"dropped-boundary-entry": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				for i := range rp.Slots {
+					if sl := &rp.Slots[i]; len(sl.Boundary) > 0 {
+						sl.Boundary = sl.Boundary[1:]
+						return true
+					}
+				}
+				return false
+			})
+		},
+		"spurious-boundary-entry": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				for i := range rp.Slots {
+					sl := &rp.Slots[i]
+					for ri := int32(0); int(ri) < len(sl.Plan.ReadOff); ri++ {
+						if !slices.Contains(sl.Boundary, ri) { // a read of a computed value
+							sl.Boundary = append([]int32{ri}, sl.Boundary...)
+							return true
+						}
+					}
+				}
+				return false
+			})
+		},
+		"dropped-inbound-row": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				if len(rp.Msgs) == 0 {
+					return false
+				}
+				rp.Msgs = rp.Msgs[1:]
+				for di := range rp.Rows { // keep the per-direction queues consistent
+					rp.Rows[di] = rp.Rows[di][:0]
+				}
+				for i, m := range rp.Msgs {
+					rp.Rows[m.Dir] = append(rp.Rows[m.Dir], i)
+				}
+				return true
+			})
+		},
+		"swapped-rows": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				a, b, ok := sameDir(rp)
+				if ok { // each row now claims the other's message
+					ma, mb := &rp.Msgs[a], &rp.Msgs[b]
+					ma.Tau, mb.Tau = mb.Tau, ma.Tau
+					ma.Count, mb.Count = mb.Count, ma.Count
+					ma.Runs, mb.Runs = mb.Runs, ma.Runs
+				}
+				return ok
+			})
+		},
+		"wrong-tau": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				if len(rp.Msgs) == 0 {
+					return false
+				}
+				rp.Msgs[len(rp.Msgs)-1].Tau--
+				return true
+			})
+		},
+		"shrunk-pack-run": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				for i := range rp.Slots {
+					if sl := &rp.Slots[i]; len(sl.Sends) > 0 {
+						dir := &sl.Plan.Dirs[sl.Sends[0].Dir]
+						dir.Runs[len(dir.Runs)-1].N--
+						dir.Total--
+						return true
+					}
+				}
+				return false
+			})
+		},
+		"wrong-dirshift": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				if len(rp.Msgs) == 0 {
+					return false
+				}
+				rp.DirShift[rp.Msgs[0].Dir]++
+				return true
+			})
+		},
+	}
+	c, _ := plans(t)
+	if _, err := verify.Certify(c.ts, c.d); err != nil {
+		t.Fatalf("pristine tables rejected: %v", err)
+	}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			c, ps := plans(t)
+			mutate(t, c, ps)
+			_, err := verify.Certify(c.ts, c.d)
+			var v *verify.Violation
+			if !errors.As(err, &v) {
+				t.Fatalf("corrupted table accepted (err = %v)", err)
+			}
+			if v.Point == nil || !strings.Contains(v.Error(), "counterexample point") {
 				t.Errorf("rejection carries no counterexample point: %v", v)
 			}
 			t.Logf("rejected: %v", v)

@@ -1,0 +1,82 @@
+package tilespace
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestOneCompiledProtocol pins the layering that lets the certifier and the
+// simulator read the tables the executor runs: the §3.2 protocol is
+// enumerated in internal/distrib only, so outside it no non-test code walks
+// MinSucc except the certifier's independent CheckSchedule, only codegen
+// (which prints the symbolic protocol) asks HasSuccessor or DmOf, and
+// neither verify nor simnet can reach into the executor.
+func TestOneCompiledProtocol(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path == "benchmark" || (path != "." && strings.HasPrefix(e.Name(), ".")) {
+				return filepath.SkipDir // its own module; build leftovers
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		path = filepath.ToSlash(path)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if strings.HasPrefix(path, "internal/verify/") || strings.HasPrefix(path, "internal/simnet/") {
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "tilespace/internal/exec" {
+					t.Errorf("%s imports the executor", path)
+				}
+			}
+		}
+		if strings.HasPrefix(path, "internal/distrib/") {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				switch sel.Sel.Name {
+				case "MinSucc":
+					if path != "internal/verify/schedule.go" || fn.Name.Name != "CheckSchedule" {
+						t.Errorf("%s: %s walks MinSucc outside distrib and CheckSchedule", fset.Position(call.Pos()), fn.Name.Name)
+					}
+				case "HasSuccessor", "DmOf":
+					if !strings.HasPrefix(path, "internal/codegen/") {
+						t.Errorf("%s: %s calls %s outside distrib and codegen", fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
