@@ -30,7 +30,7 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8421", "listen address")
-		cache      = flag.Int("cache", 256, "compiled-plan cache capacity in entries (0 disables caching)")
+		cache      = flag.Int("cache", 256, "compiled-plan cache capacity in entries (at least 1)")
 		inflight   = flag.Int("inflight", 4, "maximum concurrently executing runs")
 		queue      = flag.Int("queue", 16, "maximum runs queued for a slot before 429")
 		maxranks   = flag.Int("maxranks", 64, "per-request rank budget; larger distributions get 413")
@@ -39,19 +39,20 @@ func main() {
 		drainwait  = flag.Duration("drainwait", 30*time.Second, "how long shutdown waits for in-flight runs")
 	)
 	flag.Parse()
+	if *cache < 1 {
+		fmt.Fprintf(os.Stderr, "tileserved: -cache %d: capacity must be at least 1\n", *cache)
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	cfg := serve.Config{
+	srv := serve.New(serve.Config{
 		CacheCapacity: *cache,
 		MaxInFlight:   *inflight,
 		MaxQueue:      *queue,
 		MaxRanks:      *maxranks,
 		Watchdog:      *watchdog,
 		RetryAfter:    *retryafter,
-	}
-	if *cache <= 0 {
-		cfg = cfg.Uncached()
-	}
-	srv := serve.New(cfg)
+	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 
 	errc := make(chan error, 1)

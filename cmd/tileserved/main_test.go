@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -12,10 +13,10 @@ import (
 	"time"
 )
 
-// TestServedEndToEnd builds the binary, boots it on a free port, drives
-// one request through the full stack, and checks SIGTERM drains to a
-// clean exit. Skipped in -short mode: it compiles the binary.
-func TestServedEndToEnd(t *testing.T) {
+// buildBinary compiles tileserved into a temp dir; its callers skip in
+// -short mode for that reason.
+func buildBinary(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds the binary; skipped in -short")
 	}
@@ -23,6 +24,31 @@ func TestServedEndToEnd(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestCacheFlagRejected checks that a -cache value the plan cache cannot
+// honour (there is no uncached mode) exits 2 with the usage text instead of
+// booting.
+func TestCacheFlagRejected(t *testing.T) {
+	bin := buildBinary(t)
+	for _, v := range []string{"0", "-3"} {
+		out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-cache", v).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-cache %s: err = %v, want exit status 2\n%s", v, err, out)
+		}
+		if !bytes.Contains(out, []byte("-cache "+v)) || !bytes.Contains(out, []byte("Usage of ")) {
+			t.Errorf("-cache %s: output names neither the bad value nor the usage:\n%s", v, out)
+		}
+	}
+}
+
+// TestServedEndToEnd builds the binary, boots it on a free port, drives
+// one request through the full stack, and checks SIGTERM drains to a
+// clean exit.
+func TestServedEndToEnd(t *testing.T) {
+	bin := buildBinary(t)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -41,14 +41,14 @@ func TestDynamicMatchesStaticDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("static overlap: %v", err)
 			}
-			wires := []mpi.WireKind{mpi.WireChannel, mpi.WireTCP}
+			wires := []string{"channel", "tcp"}
 			if testing.Short() {
 				wires = wires[:1] // the TCP transport matrix has its own CI job
 			}
 			for _, wire := range wires {
 				log := &exec.FiringLog{}
 				run := c.p.RunParallelOpts
-				if wire == mpi.WireTCP {
+				if wire == "tcp" {
 					run = func(opt exec.RunOptions) (*exec.Global, mpi.Stats, error) { return runOverTCP(t, c.p, opt) }
 				}
 				gD, sD, err := run(exec.RunOptions{Dynamic: true, Firing: log})

@@ -152,6 +152,12 @@ func parseAtom(t *tokens, refs refResolver) (expr, error) {
 			}
 			return refs(tk.text, indices)
 		}
+		if refs != nil {
+			// A statement computes on values; a loop variable or parameter
+			// has none, and neither the kernel nor the C rendering has a
+			// case for one.
+			return nil, fmt.Errorf("line %d: name %q is not a value in a statement (use an array reference or a number)", t.line, tk.text)
+		}
 		return &varExpr{name: tk.text}, nil
 	case tokPunct:
 		if tk.text == "(" {

@@ -207,6 +207,7 @@ func TestParseErrors(t *testing.T) {
 		"bad char":             "for i = 1 .. 4\nA[i] = A[i-1] ^ 2",
 		"wrong index count":    "for i = 1 .. 4\nfor j = 1 .. 4\nA[i,j] = A[i-1]",
 		"array ref in bounds":  "for i = A[0] .. 4\nA[i] = 1",
+		"bare name in stmt":    "let N = 4\nfor i = 1 .. N\nA[i] = A[i-1] + N",
 	}
 	for name, src := range cases {
 		if _, err := Parse(src); err == nil {

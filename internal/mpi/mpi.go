@@ -425,9 +425,6 @@ func newWorld(size int, local []int, opts Options, tr Transport) *World {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// IsLocal reports whether rank r runs in this process.
-func (w *World) IsLocal(r int) bool { return w.local[r] }
-
 // Remote reports whether this world hosts only a subset of its ranks,
 // with the rest living in peer processes of a shared mesh.
 func (w *World) Remote() bool { return w.remote }

@@ -202,16 +202,11 @@ func NewTCPMesh(cfg TCPConfig) (*TCPMesh, error) {
 	return m, nil
 }
 
-// NewLoopbackTCP is the all-local mesh: every rank of a single-process
-// world, each message crossing a real loopback socket.
-func NewLoopbackTCP(size int) (*TCPMesh, error) {
-	return NewTCPMesh(TCPConfig{Size: size})
-}
-
-// NewTCPWorld is NewWorldOpts over a fresh loopback TCP mesh. The
+// NewTCPWorld is NewWorldOpts over a fresh all-local loopback TCP mesh:
+// every rank in this process, each message crossing a real socket. The
 // caller owns the world's sockets: Close it when done.
 func NewTCPWorld(size int, opts Options) (*World, error) {
-	m, err := NewLoopbackTCP(size)
+	m, err := NewTCPMesh(TCPConfig{Size: size})
 	if err != nil {
 		return nil, err
 	}

@@ -72,26 +72,3 @@ func (w *World) arrive(src, dst, tag int, data []float64) {
 	w.progress.Add(1)
 	w.boxes[dst].put(Message{Source: src, Tag: tag, Delivered: time.Now(), Data: data})
 }
-
-// WireKind names a transport family for the seams that construct worlds
-// on behalf of callers (exec.RunOptions.Wire, the serve world pool).
-type WireKind int
-
-const (
-	// WireChannel is the default in-process channel fabric.
-	WireChannel WireKind = iota
-	// WireTCP is the loopback TCP mesh: every message crosses a real
-	// socket with length-prefixed framing and coalesced batched writes.
-	WireTCP
-)
-
-func (k WireKind) String() string {
-	switch k {
-	case WireChannel:
-		return "channel"
-	case WireTCP:
-		return "tcp"
-	default:
-		return "unknown"
-	}
-}

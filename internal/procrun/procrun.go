@@ -25,7 +25,6 @@ import (
 	"tilespace/internal/frontend"
 	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
-	"tilespace/internal/tiling"
 )
 
 // Rendezvous is the shared bootstrap file: world size and every rank's
@@ -77,18 +76,7 @@ func Compile(source string) (*exec.Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	if p.Tiling == nil {
-		return nil, fmt.Errorf("spec needs a `tile` directive (e.g. `tile 1/8 0 / 0 1/8`)")
-	}
-	ts, err := tiling.Analyze(p.Nest, p.Tiling)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
-	prog, err := exec.NewProgram(ts, p.MapDim, p.Width, p.Kernel, nil)
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	return prog, nil
+	return p.Compile()
 }
 
 // RankResult is the fragment one rank process contributes: its owned

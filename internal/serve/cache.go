@@ -1,230 +1,127 @@
 package serve
 
 import (
+	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
 )
 
-// This file is the shared plan cache: a concurrent, sharded LRU of
-// immutable Artifacts keyed by the spec hash. The contract the
-// concurrency battery enforces:
+// This file is the shared plan cache: one mutex-guarded LRU of immutable
+// Artifacts keyed by the spec's source text. The contract the concurrency
+// battery enforces:
 //
-//   - Single-flight misses: N concurrent requests for one uncached key
+//   - A spec is its text: two sources that differ anywhere — a comment, a
+//     blank — are two keys. A hit is a map probe and a list splice; the
+//     parser runs only inside compile.
+//   - Single-flight misses: N concurrent requests for one uncached source
 //     run the compile function exactly once; the other N−1 block on the
 //     entry's ready channel and share the one Artifact pointer.
-//   - Safe eviction under load: eviction only unlinks the entry from the
-//     shard — holders (including runs in flight on the evicted Program)
-//     keep their pointer and the Artifact is immutable, so there is no
-//     use-after-evict; the next request for the key recompiles.
-//   - Failed compiles are not cached: the entry is removed once the
-//     error is published, so the next request retries.
+//   - Evict on success: an in-flight entry is in the map (so requests join
+//     it) but joins the recency list, and pushes the tail out, only once its
+//     compile has succeeded. A failed or panicking compile is delivered to
+//     its waiters and forgotten — it evicts nothing and the next request
+//     retries.
+//   - Safe eviction under load: eviction only unlinks the entry — holders
+//     (including runs in flight on the evicted Program) keep their pointer
+//     and the Artifact is immutable, so there is no use-after-evict; the next
+//     request for the source recompiles.
+//
+// mu covers the map and the list and nothing else: never a compile, a wait
+// on ready, or I/O.
 
-const cacheShards = 16
-
-// Cache is the concurrent sharded LRU of compiled Artifacts.
+// Cache is the single-flight LRU of compiled Artifacts.
 type Cache struct {
 	capacity int
-	shards   [cacheShards]cacheShard
+
+	mu       sync.Mutex
+	bySource map[string]*cacheEntry
+	lru      list.List // of *cacheEntry: front is most recently used, back next to evict
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	compiles  atomic.Int64
-}
-
-type cacheShard struct {
-	mu     sync.Mutex
-	byHash map[uint64][]*cacheEntry
-	// LRU list: head is most recently used, tail next to evict.
-	head, tail *cacheEntry
-	n          int
-	cap        int
 }
 
 type cacheEntry struct {
-	key        Key
-	prev, next *cacheEntry
-	linked     bool
+	source string
+	elem   *list.Element // nil until the compile succeeds
 
 	ready chan struct{} // closed once art/err are published
 	art   *Artifact
 	err   error
 }
 
-// NewCache returns a cache bounded to roughly capacity entries (split
-// evenly over the shards, at least one per shard). capacity <= 0
-// disables caching entirely: every Get compiles — the bench's
-// cold-compile baseline.
+// NewCache returns a cache that holds at most capacity compiled entries;
+// capacity must be at least 1.
 func NewCache(capacity int) *Cache {
-	c := &Cache{capacity: capacity}
-	per := (capacity + cacheShards - 1) / cacheShards
-	if capacity > 0 && per < 1 {
-		per = 1
+	if capacity < 1 {
+		panic(fmt.Sprintf("serve: NewCache capacity %d, want at least 1", capacity))
 	}
-	for i := range c.shards {
-		c.shards[i].byHash = map[uint64][]*cacheEntry{}
-		c.shards[i].cap = per
-	}
-	return c
+	return &Cache{capacity: capacity, bySource: map[string]*cacheEntry{}}
 }
 
-// Get returns the Artifact for key, compiling it with compile on a miss.
+// Get returns the Artifact for source, compiling it with compile on a miss.
 // hit reports whether the caller shared an already-present entry (either
 // fully compiled or in flight — in both cases no compile ran for this
 // caller).
-func (c *Cache) Get(key Key, compile func() (*Artifact, error)) (art *Artifact, hit bool, err error) {
-	if c.capacity <= 0 {
-		c.misses.Add(1)
-		c.compiles.Add(1)
-		art, err = compile()
-		return art, false, err
-	}
-	sh := &c.shards[key.Hash%cacheShards]
-	sh.mu.Lock()
-	for _, e := range sh.byHash[key.Hash] {
-		if e.key.Ident == key.Ident {
-			sh.moveToFront(e)
-			sh.mu.Unlock()
-			c.hits.Add(1)
-			<-e.ready
-			return e.art, true, e.err
+func (c *Cache) Get(source string, compile func() (*Artifact, error)) (art *Artifact, hit bool, err error) {
+	c.mu.Lock()
+	if e, ok := c.bySource[source]; ok {
+		if e.elem != nil {
+			c.lru.MoveToFront(e.elem)
 		}
+		c.mu.Unlock()
+		c.hits.Add(1)
+		<-e.ready
+		return e.art, true, e.err
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	sh.insertFront(e)
-	c.evictions.Add(int64(sh.evictOver()))
-	sh.mu.Unlock()
+	e := &cacheEntry{source: source, ready: make(chan struct{})}
+	c.bySource[source] = e
+	c.mu.Unlock()
 	c.misses.Add(1)
-	c.compiles.Add(1)
 
-	// Publish exactly once, even if compile panics: waiters must never
-	// block on a ready channel nobody will close.
-	published := false
-	publish := func(a *Artifact, cerr error) {
-		if published {
-			return
-		}
-		published = true
-		e.art, e.err = a, cerr
-		close(e.ready)
-		if cerr != nil {
-			sh.mu.Lock()
-			sh.remove(e)
-			sh.mu.Unlock()
-		}
-	}
+	// Publish even if compile panics: waiters must never block on a ready
+	// channel nobody will close.
 	defer func() {
 		if r := recover(); r != nil {
-			publish(nil, fmt.Errorf("serve: compile panicked: %v", r))
+			c.publish(e, nil, fmt.Errorf("serve: compile panicked: %v", r))
 			panic(r)
 		}
 	}()
 	art, err = compile()
-	publish(art, err)
+	c.publish(e, art, err)
 	return art, false, err
 }
 
-// Len returns the number of cached entries.
+// publish delivers a finished compile to the flight's waiters, then links
+// the entry (evicting past capacity) on success or forgets it on failure.
+func (c *Cache) publish(e *cacheEntry, art *Artifact, err error) {
+	e.art, e.err = art, err
+	close(e.ready)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		delete(c.bySource, e.source)
+		return
+	}
+	e.elem = c.lru.PushFront(e)
+	for c.lru.Len() > c.capacity {
+		old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		delete(c.bySource, old.source)
+		c.evictions.Add(1)
+	}
+}
+
+// Len returns the number of compiled entries the cache holds.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.n
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
-// Stats returns the cache's cumulative counters: hits, misses (= entries
-// whose compile this cache ran or started), evictions and actual compile
-// invocations.
-func (c *Cache) Stats() (hits, misses, evictions, compiles int64) {
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load(), c.compiles.Load()
-}
-
-// insertFront links e as the most recently used entry; callers hold mu.
-func (sh *cacheShard) insertFront(e *cacheEntry) {
-	sh.byHash[e.key.Hash] = append(sh.byHash[e.key.Hash], e)
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-	e.linked = true
-	sh.n++
-}
-
-// moveToFront refreshes e's recency; callers hold mu.
-func (sh *cacheShard) moveToFront(e *cacheEntry) {
-	if !e.linked || sh.head == e {
-		return
-	}
-	// Unlink.
-	if e.prev != nil {
-		e.prev.next = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	}
-	if sh.tail == e {
-		sh.tail = e.prev
-	}
-	// Relink at head.
-	e.prev = nil
-	e.next = sh.head
-	sh.head.prev = e
-	sh.head = e
-}
-
-// remove unlinks e from the list and the hash map; callers hold mu.
-// Safe to call on an already-evicted entry (failed compiles race with
-// eviction under tiny capacities).
-func (sh *cacheShard) remove(e *cacheEntry) {
-	if !e.linked {
-		return
-	}
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	e.linked = false
-	sh.n--
-
-	bucket := sh.byHash[e.key.Hash]
-	for i, be := range bucket {
-		if be == e {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(sh.byHash, e.key.Hash)
-	} else {
-		sh.byHash[e.key.Hash] = bucket
-	}
-}
-
-// evictOver drops least-recently-used entries until the shard is within
-// capacity, returning how many were evicted; callers hold mu.
-func (sh *cacheShard) evictOver() int {
-	evicted := 0
-	for sh.n > sh.cap && sh.tail != nil {
-		sh.remove(sh.tail)
-		evicted++
-	}
-	return evicted
+// Stats returns the cache's cumulative counters: hits, misses (= compile
+// invocations: every miss runs exactly one) and evictions.
+func (c *Cache) Stats() (hits, misses, evictions int64) {
+	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }

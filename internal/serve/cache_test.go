@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,8 +11,11 @@ import (
 )
 
 // testKey builds a distinct key without going through the parser.
-func testKey(i int) Key {
-	return Key{Hash: uint64(i) * 0x9e3779b97f4a7c15, Ident: fmt.Sprintf("spec-%d", i)}
+func testKey(i int) string { return fmt.Sprintf("spec-%d", i) }
+
+// artFor is a stub compile whose Artifact names the key it was built for.
+func artFor(key string) func() (*Artifact, error) {
+	return func() (*Artifact, error) { return &Artifact{Source: key}, nil }
 }
 
 // TestCacheSingleFlight is the satellite contract: 64 goroutines racing
@@ -34,7 +38,7 @@ func TestCacheSingleFlight(t *testing.T) {
 			art, _, err := c.Get(key, func() (*Artifact, error) {
 				compiles.Add(1)
 				time.Sleep(5 * time.Millisecond) // widen the race window
-				return &Artifact{Key: key}, nil
+				return &Artifact{Source: key}, nil
 			})
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
@@ -53,9 +57,8 @@ func TestCacheSingleFlight(t *testing.T) {
 			t.Fatalf("goroutine %d got a different Artifact pointer", i)
 		}
 	}
-	_, _, _, cacheCompiles := c.Stats()
-	if cacheCompiles != 1 {
-		t.Fatalf("cache counted %d compiles, want 1", cacheCompiles)
+	if hits, misses, _ := c.Stats(); misses != 1 || hits != goroutines-1 {
+		t.Fatalf("cache counted %d misses and %d hits, want 1 and %d", misses, hits, goroutines-1)
 	}
 }
 
@@ -64,7 +67,7 @@ func TestCacheSingleFlight(t *testing.T) {
 func TestCacheHitAfterMiss(t *testing.T) {
 	c := NewCache(8)
 	key := testKey(1)
-	compile := func() (*Artifact, error) { return &Artifact{Key: key}, nil }
+	compile := artFor(key)
 
 	a1, hit, err := c.Get(key, compile)
 	if err != nil || hit {
@@ -77,38 +80,47 @@ func TestCacheHitAfterMiss(t *testing.T) {
 	if a1 != a2 {
 		t.Fatal("hit returned a different Artifact pointer")
 	}
-	hits, misses, _, _ := c.Stats()
+	hits, misses, _ := c.Stats()
 	if hits != 1 || misses != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1", hits, misses)
 	}
 }
 
-// TestCacheEvictsLRU fills one shard past capacity and checks that the
-// least recently used entry is the one recompiled.
+// TestCacheEvictsLRU checks that eviction follows true recency order over
+// the whole cache: of keys that used to hash to different shards, the one
+// touched longest ago is the one recompiled.
 func TestCacheEvictsLRU(t *testing.T) {
-	c := NewCache(1) // one entry per shard
-	// Two keys in the same shard: same Hash residue, different Ident.
-	k1 := Key{Hash: cacheShards, Ident: "one"}
-	k2 := Key{Hash: 2 * cacheShards, Ident: "two"}
-	mk := func(k Key) func() (*Artifact, error) {
-		return func() (*Artifact, error) { return &Artifact{Key: k}, nil }
+	c := NewCache(3)
+	get := func(i int) bool {
+		t.Helper()
+		art, hit, err := c.Get(testKey(i), artFor(testKey(i)))
+		if err != nil || art.Source != testKey(i) {
+			t.Fatalf("Get(%d): art=%+v err=%v", i, art, err)
+		}
+		return hit
 	}
-
-	if _, hit, _ := c.Get(k1, mk(k1)); hit {
-		t.Fatal("k1 should miss cold")
+	for i := 1; i <= 3; i++ {
+		if get(i) {
+			t.Fatalf("key %d should miss cold", i)
+		}
 	}
-	if _, hit, _ := c.Get(k2, mk(k2)); hit {
-		t.Fatal("k2 should miss and evict k1")
+	if !get(1) { // recency is now 1, 3, 2
+		t.Fatal("key 1 should be cached")
 	}
-	if _, hit, _ := c.Get(k2, mk(k2)); !hit {
-		t.Fatal("k2 should still be cached")
+	if get(4) { // evicts 2, the least recently used
+		t.Fatal("key 4 should miss")
 	}
-	if _, hit, _ := c.Get(k1, mk(k1)); hit {
-		t.Fatal("k1 should have been evicted")
+	if !get(1) || !get(3) || !get(4) {
+		t.Fatal("keys 1, 3 and 4 should have survived key 2's eviction")
 	}
-	_, _, evictions, _ := c.Stats()
-	if evictions < 2 {
-		t.Fatalf("evictions = %d, want >= 2", evictions)
+	if get(2) { // recency was 4, 3, 1: evicts 1
+		t.Fatal("key 2 should have been evicted")
+	}
+	if !get(3) || !get(4) || get(1) {
+		t.Fatal("re-inserting key 2 should have evicted key 1 and nothing else")
+	}
+	if _, _, evictions := c.Stats(); evictions != 3 || c.Len() != 3 {
+		t.Fatalf("evictions = %d, Len = %d, want 3 and 3", evictions, c.Len())
 	}
 }
 
@@ -125,7 +137,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	art, hit, err := c.Get(key, func() (*Artifact, error) { calls.Add(1); return &Artifact{Key: key}, nil })
+	art, hit, err := c.Get(key, func() (*Artifact, error) { calls.Add(1); return &Artifact{Source: key}, nil })
 	if err != nil || hit || art == nil {
 		t.Fatalf("retry: art=%v hit=%v err=%v, want fresh compile", art, hit, err)
 	}
@@ -173,31 +185,14 @@ func TestCacheCompilePanicUnblocksWaiters(t *testing.T) {
 		t.Fatal("waiter hung after compile panic")
 	}
 	// The key is retryable.
-	if _, _, err := c.Get(key, func() (*Artifact, error) { return &Artifact{Key: key}, nil }); err != nil {
+	if _, _, err := c.Get(key, artFor(key)); err != nil {
 		t.Fatalf("retry after panic: %v", err)
-	}
-}
-
-// TestCacheDisabledAlwaysCompiles checks the capacity<=0 cold-baseline
-// mode used by the bench.
-func TestCacheDisabledAlwaysCompiles(t *testing.T) {
-	c := NewCache(0)
-	key := testKey(1)
-	var calls atomic.Int64
-	for i := 0; i < 3; i++ {
-		_, hit, err := c.Get(key, func() (*Artifact, error) { calls.Add(1); return &Artifact{Key: key}, nil })
-		if err != nil || hit {
-			t.Fatalf("disabled cache: hit=%v err=%v", hit, err)
-		}
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("compile ran %d times, want 3", calls.Load())
 	}
 }
 
 // TestCacheHammer churns a tiny cache from many goroutines with a keyset
 // much larger than capacity — the race detector's playground for the
-// shard locks, the LRU links and the single-flight publish.
+// lock, the LRU links and the single-flight publish.
 func TestCacheHammer(t *testing.T) {
 	c := NewCache(4)
 	const (
@@ -212,24 +207,112 @@ func TestCacheHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				k := testKey((g*7 + i) % keys)
-				art, _, err := c.Get(k, func() (*Artifact, error) {
-					return &Artifact{Key: k}, nil
-				})
+				art, _, err := c.Get(k, artFor(k))
 				if err != nil {
 					t.Errorf("Get: %v", err)
 					return
 				}
-				if art.Key.Ident != k.Ident {
-					t.Errorf("got artifact for %q, want %q", art.Key.Ident, k.Ident)
+				if art.Source != k {
+					t.Errorf("got artifact for %q, want %q", art.Source, k)
+					return
+				}
+				if n := c.Len(); n > 4 {
+					t.Errorf("cache holds %d entries mid-churn, want <= 4", n)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	// Per-shard capacity clamps to at least one entry, so the bound is
-	// max(capacity, cacheShards), not the nominal capacity.
-	if n := c.Len(); n > cacheShards {
-		t.Fatalf("cache holds %d entries, want <= %d", n, cacheShards)
+	if n := c.Len(); n > 4 {
+		t.Fatalf("cache holds %d entries, want <= 4", n)
+	}
+}
+
+// TestCacheHitDoesNoWork pins the hit path of a request: a warm source
+// reaches neither the compile function nor the parser inside it, and costs a
+// map probe and a list splice — no allocation beyond artifact's closure.
+func TestCacheHitDoesNoWork(t *testing.T) {
+	s := New(Config{})
+	src := heatSpec(12)
+	if _, hit, err := s.artifact(src); err != nil || hit {
+		t.Fatalf("cold request: hit=%v err=%v", hit, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, hit, err := s.artifact(src); err != nil || !hit {
+			t.Fatalf("warm request: hit=%v err=%v", hit, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("a cache hit allocates %v times, want <= 1 (a parse alone is dozens)", allocs)
+	}
+	if hits, misses, _ := s.cache.Stats(); misses != 1 || hits != 101 {
+		t.Errorf("%d compiles and %d hits over 102 requests, want 1 and 101", misses, hits)
+	}
+}
+
+// TestCacheKeyIsSourceText documents the keying contract: the key is the
+// source text, not what it parses to, so two sources that differ only in a
+// comment are two entries with two compiles.
+func TestCacheKeyIsSourceText(t *testing.T) {
+	c := NewCache(8)
+	plain := heatSpec(12)
+	commented := "# same nest, same tiling\n" + plain
+	a1, hit1, err1 := c.Get(plain, func() (*Artifact, error) { return compileSpec(plain) })
+	a2, hit2, err2 := c.Get(commented, func() (*Artifact, error) { return compileSpec(commented) })
+	if err1 != nil || err2 != nil {
+		t.Fatalf("compile: %v / %v", err1, err2)
+	}
+	if hit1 || hit2 || a1 == a2 || c.Len() != 2 {
+		t.Fatalf("hit=%v/%v same=%v Len=%d, want two misses, two artifacts, two entries", hit1, hit2, a1 == a2, c.Len())
+	}
+	if a1.Report != a2.Report {
+		t.Fatal("the comment changed the compiled analysis")
+	}
+}
+
+// TestFailedCompileDoesNotEvict is the evict-on-success contract through
+// the server: a stream of bad specs — failing in the parser or, having
+// parsed, in tiling.Analyze — leaves every cached artifact in place.
+func TestFailedCompileDoesNotEvict(t *testing.T) {
+	const capacity = 4
+	s, ts, client := newTestServer(t, Config{CacheCapacity: capacity})
+	analyze := func(src string) (int, analyzeResponse) {
+		t.Helper()
+		resp, body := postJSON(t, client, ts.URL+"/v1/analyze", specRequest{Source: src})
+		if resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, analyzeResponse{}
+		}
+		return resp.StatusCode, decode[analyzeResponse](t, body)
+	}
+	good := make([]string, capacity)
+	for i := range good {
+		good[i] = heatSpec(12 + 4*i)
+		if st, r := analyze(good[i]); st != http.StatusOK || r.CacheHit {
+			t.Fatalf("good spec %d: status %d hit %v, want a fresh 200", i, st, r.CacheHit)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		// Unbalanced bracket: fails in frontend.Parse.
+		if st, _ := analyze(fmt.Sprintf("let N = %d\nfor i = 1 .. N\nA[i = 1\n", i+1)); st != http.StatusBadRequest {
+			t.Fatalf("parse-failing spec %d: status %d, want 400", i, st)
+		}
+		// Parses, but H = [[1/3, 1/5], [0, 1/4]] has a non-integral P = H⁻¹:
+		// fails in tiling.Analyze.
+		bad := fmt.Sprintf("let M = 6\nlet N = %d\nfor t = 1 .. M\nfor i = 1 .. N\nA[t,i] = A[t-1,i] + A[t,i-1]\ntile 1/3 1/5 / 0 1/4\n", i+8)
+		if st, _ := analyze(bad); st != http.StatusBadRequest {
+			t.Fatalf("analyze-failing spec %d: status %d, want 400", i, st)
+		}
+	}
+	for i, src := range good {
+		if st, r := analyze(src); st != http.StatusOK || !r.CacheHit {
+			t.Errorf("good spec %d after the bad stream: status %d hit %v, want a cached 200", i, st, r.CacheHit)
+		}
+	}
+	if n := s.cache.Len(); n != capacity {
+		t.Errorf("cache holds %d entries, want %d", n, capacity)
+	}
+	if _, misses, evictions := s.cache.Stats(); evictions != 0 || misses != capacity+400 {
+		t.Errorf("misses = %d, evictions = %d, want %d and 0", misses, evictions, capacity+400)
 	}
 }

@@ -77,7 +77,7 @@ func TestEvictionUnderLoad(t *testing.T) {
 	}
 	wg.Wait()
 
-	_, _, evictions, compilesBefore := s.cache.Stats()
+	_, compilesBefore, evictions := s.cache.Stats()
 	if evictions == 0 {
 		t.Fatal("churn produced no evictions — the test exercised nothing")
 	}
@@ -93,8 +93,8 @@ func TestEvictionUnderLoad(t *testing.T) {
 		t.Fatalf("post-churn checksum %s, want %s", r.Checksum, want)
 	}
 	if r.CacheHit {
-		t.Log("victim survived the churn (same-shard capacity); recompile path not exercised this run")
-	} else if _, _, _, compiles := s.cache.Stats(); compiles <= compilesBefore {
+		t.Log("victim survived the churn (a slow run re-inserted it last); recompile path not exercised this run")
+	} else if _, compiles, _ := s.cache.Stats(); compiles <= compilesBefore {
 		t.Fatalf("miss did not recompile: compiles %d -> %d", compilesBefore, compiles)
 	}
 }

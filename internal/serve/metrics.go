@@ -90,10 +90,11 @@ func (s *Server) snapshot() MetricsSnapshot {
 		m.MaxLatencyMS = float64(st.maxNs.Load()) / 1e6
 		eps[name] = m
 	}
-	hits, misses, evictions, compiles := s.cache.Stats()
+	hits, misses, evictions := s.cache.Stats()
 	cm := CacheMetrics{
 		Entries: s.cache.Len(), Hits: hits, Misses: misses,
-		Compiles: compiles, Evictions: evictions,
+		Compiles:  misses, // every miss runs exactly one compile
+		Evictions: evictions,
 	}
 	if n := hits + misses; n > 0 {
 		cm.HitRate = float64(hits) / float64(n)

@@ -19,8 +19,8 @@ const poolPerKey = 8
 // goroutines a channel world doesn't, and handing a client the wrong
 // family would silently change what "run over tcp" means.
 type poolKey struct {
-	size int
-	wire mpi.WireKind
+	size      int
+	transport string // handleRun's validated "channel" or "tcp"
 }
 
 // worldPool recycles mpi Worlds by rank count and transport. A World's
@@ -43,18 +43,10 @@ func newWorldPool() *worldPool {
 	return &worldPool{free: map[poolKey][]*mpi.World{}}
 }
 
-// wireKindOf recovers a world's pool key class from its transport.
-func wireKindOf(w *mpi.World) mpi.WireKind {
-	if _, ok := w.Wire().(*mpi.TCPMesh); ok {
-		return mpi.WireTCP
-	}
-	return mpi.WireChannel
-}
-
 // get returns a world of exactly size ranks on the requested transport,
 // reusing an idle one when available.
-func (p *worldPool) get(size int, wire mpi.WireKind) (*mpi.World, error) {
-	k := poolKey{size, wire}
+func (p *worldPool) get(size int, transport string) (*mpi.World, error) {
+	k := poolKey{size, transport}
 	p.mu.Lock()
 	if ws := p.free[k]; len(ws) > 0 {
 		w := ws[len(ws)-1]
@@ -64,7 +56,7 @@ func (p *worldPool) get(size int, wire mpi.WireKind) (*mpi.World, error) {
 		return w, nil
 	}
 	p.mu.Unlock()
-	if wire == mpi.WireTCP {
+	if transport == "tcp" {
 		w, err := mpi.NewTCPWorld(size, mpi.Options{})
 		if err != nil {
 			return nil, err
@@ -76,13 +68,13 @@ func (p *worldPool) get(size int, wire mpi.WireKind) (*mpi.World, error) {
 	return mpi.NewWorld(size), nil
 }
 
-// put returns a world to the pool once its run has fully finished
-// (RunE returned, so no rank or NIC goroutine is alive on it). A world
-// the pool has no room for is Closed, not leaked: TCP worlds hold a
-// listener and per-link goroutines that the GC alone would never
-// release.
-func (p *worldPool) put(w *mpi.World) {
-	k := poolKey{w.Size(), wireKindOf(w)}
+// put returns a world to the pool, under the transport it was got for,
+// once its run has fully finished (RunE returned, so no rank or NIC
+// goroutine is alive on it). A world the pool has no room for is Closed,
+// not leaked: TCP worlds hold a listener and per-link goroutines that the
+// GC alone would never release.
+func (p *worldPool) put(w *mpi.World, transport string) {
+	k := poolKey{w.Size(), transport}
 	p.mu.Lock()
 	if len(p.free[k]) < poolPerKey {
 		p.free[k] = append(p.free[k], w)

@@ -3,9 +3,9 @@
 // generate → execute — built for many concurrent clients sharing one
 // process. Three mechanisms make that safe and fast:
 //
-//   - a sharded single-flight LRU of immutable compiled Artifacts
-//     (cache.go), so a hot spec compiles once and every request after
-//     that reuses the same Program;
+//   - a single-flight LRU of immutable compiled Artifacts keyed by the
+//     spec's source text (cache.go), so a hot spec compiles once and every
+//     request after that reuses the same Program without parsing;
 //   - admission control on the execution side (admission.go): bounded
 //     in-flight runs, a bounded wait queue with fail-fast backpressure
 //     (429 + Retry-After), and a per-request rank budget (413);
@@ -35,9 +35,7 @@ import (
 // Config sizes the service. The zero value is usable: withDefaults
 // fills every field with a sensible bound.
 type Config struct {
-	// CacheCapacity bounds the compiled-plan cache (entries). <= 0
-	// disables caching — every request compiles (the bench's cold
-	// baseline). Unset (0) gets the default.
+	// CacheCapacity bounds the compiled-plan cache (entries).
 	CacheCapacity int
 	// MaxInFlight bounds concurrently executing runs.
 	MaxInFlight int
@@ -55,12 +53,10 @@ type Config struct {
 	Watchdog time.Duration
 	// MaxSourceBytes bounds the request body.
 	MaxSourceBytes int64
-
-	noDefaultCache bool // set internally when CacheCapacity <= 0 was explicit
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheCapacity == 0 && !c.noDefaultCache {
+	if c.CacheCapacity <= 0 {
 		c.CacheCapacity = 256
 	}
 	if c.MaxInFlight <= 0 {
@@ -81,15 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxSourceBytes <= 0 {
 		c.MaxSourceBytes = 1 << 20
 	}
-	return c
-}
-
-// Uncached marks the config as deliberately cache-free (every request
-// compiles), distinguishing it from the zero Config whose capacity
-// defaults to 256.
-func (c Config) Uncached() Config {
-	c.CacheCapacity = 0
-	c.noDefaultCache = true
 	return c
 }
 
@@ -231,13 +218,9 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, dst any) (in
 }
 
 // artifact resolves the request's spec through the cache, compiling at
-// most once per key across all concurrent callers.
+// most once per source across all concurrent callers.
 func (s *Server) artifact(source string) (*Artifact, bool, error) {
-	key, err := parseKey(source)
-	if err != nil {
-		return nil, false, err
-	}
-	return s.cache.Get(key, func() (*Artifact, error) { return compileSpec(source) })
+	return s.cache.Get(source, func() (*Artifact, error) { return compileSpec(source) })
 }
 
 // analyzeResponse is POST /v1/analyze's body: the compile-time facts
@@ -495,12 +478,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "bad fault plan: %v", err)
 	}
-	var wire mpi.WireKind
-	switch req.Transport {
-	case "", "channel":
-		wire = mpi.WireChannel
-	case "tcp":
-		wire = mpi.WireTCP
+	transport := req.Transport
+	switch transport {
+	case "":
+		transport = "channel"
+	case "channel", "tcp":
 	default:
 		return writeError(w, http.StatusBadRequest,
 			"unknown transport %q (want \"channel\" or \"tcp\")", req.Transport)
@@ -567,30 +549,34 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	if req.CheckpointEvery > 0 {
 		opt.Checkpoint = &exec.CheckpointOptions{Every: req.CheckpointEvery}
 	}
-	world, err := s.worlds.get(art.Procs, wire)
+	world, err := s.worlds.get(art.Procs, transport)
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, "transport: %v", err)
 	}
 	opt.World = world
-
-	if req.Stream {
-		return s.streamRun(w, art, opt, hit, world, wire)
-	}
-
-	g, stats, err := art.Prog.RunParallelOpts(opt)
-	if err != nil {
+	run := func(opt exec.RunOptions) (*runResponse, error) {
+		g, stats, err := art.Prog.RunParallelOpts(opt)
 		// A failed run may leave the world aborted; Reset handles that on
 		// reuse, so pool it regardless.
-		s.worlds.put(world)
+		s.worlds.put(world, transport)
+		if err != nil {
+			return nil, err
+		}
+		return &runResponse{
+			Procs: art.Procs, Tiles: art.Tiles, Points: art.Points,
+			Messages: stats.Messages, Values: stats.Values,
+			Checksum: art.Checksum(g), CacheHit: hit, Overlap: opt.Overlap,
+			Transport: transport, Schedule: scheduleName(opt.Dynamic),
+		}, nil
+	}
+	if req.Stream {
+		return streamRun(w, opt, run)
+	}
+	res, err := run(opt)
+	if err != nil {
 		return writeError(w, http.StatusInternalServerError, "run failed: %v", err)
 	}
-	s.worlds.put(world)
-	return writeJSON(w, http.StatusOK, runResponse{
-		Procs: art.Procs, Tiles: art.Tiles, Points: art.Points,
-		Messages: stats.Messages, Values: stats.Values,
-		Checksum: art.Checksum(g), CacheHit: hit, Overlap: opt.Overlap,
-		Transport: wire.String(), Schedule: scheduleName(opt.Dynamic),
-	})
+	return writeJSON(w, http.StatusOK, res)
 }
 
 // scheduleName renders a run's scheduler mode for response bodies.
@@ -613,11 +599,11 @@ func retryAfterSeconds(d time.Duration) int {
 	return secs
 }
 
-// streamRun executes with a live tracer and writes NDJSON progress:
+// streamRun executes run with a live tracer and writes NDJSON progress:
 // each measured tile event the moment its rank records it, then one
 // final result line. The HTTP status is always 200 — errors after the
 // first byte arrive as an error line.
-func (s *Server) streamRun(w http.ResponseWriter, art *Artifact, opt exec.RunOptions, hit bool, world *mpi.World, wire mpi.WireKind) int {
+func streamRun(w http.ResponseWriter, opt exec.RunOptions, run func(exec.RunOptions) (*runResponse, error)) int {
 	live := make(chan simnet.Event, 1024)
 	tr := exec.NewTracer()
 	tr.Live = live
@@ -628,15 +614,14 @@ func (s *Server) streamRun(w http.ResponseWriter, art *Artifact, opt exec.RunOpt
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 
-	type runOut struct {
-		g     *exec.Global
-		stats mpi.Stats
-		err   error
-	}
-	done := make(chan runOut, 1)
+	done := make(chan streamLine, 1)
 	go func() {
-		g, stats, err := art.Prog.RunParallelOpts(opt)
-		done <- runOut{g, stats, err}
+		res, err := run(opt)
+		if err != nil {
+			done <- streamLine{Error: err.Error()}
+			return
+		}
+		done <- streamLine{Result: res}
 	}()
 
 	writeLine := func(line streamLine) {
@@ -649,7 +634,7 @@ func (s *Server) streamRun(w http.ResponseWriter, art *Artifact, opt exec.RunOpt
 		select {
 		case ev := <-live:
 			writeLine(streamLine{Event: &ev})
-		case out := <-done:
+		case last := <-done:
 			// Drain whatever the ranks published before finishing.
 			for {
 				select {
@@ -660,17 +645,7 @@ func (s *Server) streamRun(w http.ResponseWriter, art *Artifact, opt exec.RunOpt
 				}
 				break
 			}
-			s.worlds.put(world)
-			if out.err != nil {
-				writeLine(streamLine{Error: out.err.Error()})
-				return http.StatusOK
-			}
-			writeLine(streamLine{Result: &runResponse{
-				Procs: art.Procs, Tiles: art.Tiles, Points: art.Points,
-				Messages: out.stats.Messages, Values: out.stats.Values,
-				Checksum: art.Checksum(out.g), CacheHit: hit, Overlap: opt.Overlap,
-				Transport: wire.String(), Schedule: scheduleName(opt.Dynamic),
-			}})
+			writeLine(last)
 			return http.StatusOK
 		}
 	}
