@@ -12,11 +12,10 @@
 //
 // With -ckpt the rank snapshots its chain every -every committed tiles
 // (gob, atomic rename); relaunching after a kill with the same flags
-// restores the snapshot, seeds the mesh's stream counters before
-// accepting any peer handshake (the resume protocol's welcome counts
-// must reflect the restored state, not zero), and resumes
-// mid-conversation: peers resend what the dead process never consumed
-// and suppress what it already has.
+// builds the mesh from the snapshot's stream positions (the resume
+// protocol's welcome counts must reflect the restored state, not zero)
+// and resumes mid-conversation: peers resend what the dead process never
+// consumed and suppress what it already has.
 //
 // SIGTERM/SIGINT abort the run via the transport-failure path: in-flight
 // blocking calls unwind, the mesh closes, and the process exits 1 with
@@ -84,37 +83,32 @@ func run(rank int, peersPath, specPath, resultPath string, overlap bool, workers
 		return fmt.Errorf("rank %d outside world of %d", rank, rv.Size)
 	}
 
-	var snap *exec.RankSnapshot
-	if ckptPath != "" {
-		if snap, err = procrun.LoadSnapshot(ckptPath); err != nil {
-			return err
-		}
-	}
-
-	mesh, err := mpi.NewTCPMesh(mpi.TCPConfig{
+	cfg := mpi.TCPConfig{
 		Size:      rv.Size,
 		Local:     []int{rank},
 		Listen:    rv.Addrs[rank],
 		Addrs:     rv.Addrs,
 		Heartbeat: heartbeat,
 		PeerWait:  peerwait,
-		Hold:      snap != nil,
-	})
+	}
+	var snap *exec.RankSnapshot
+	if ckptPath != "" {
+		if snap, err = procrun.LoadSnapshot(ckptPath); err != nil {
+			return err
+		}
+	}
+	if snap != nil {
+		// The welcome counts and outbound sequence numbers must describe
+		// the restored conversation, not a fresh one.
+		cfg.Recv, cfg.Sent = snap.Recv, snap.Sent
+		fmt.Fprintf(os.Stderr, "tilerankd: rank %d restored at tile %d from %s\n", rank, snap.NextTile, ckptPath)
+	}
+	mesh, err := mpi.NewTCPMesh(cfg)
 	if err != nil {
 		return err
 	}
 	world := mpi.NewRemoteWorld(rv.Size, []int{rank}, mpi.Options{Watchdog: watchdog}, mesh)
 	defer world.Close()
-	if snap != nil {
-		// Seed the resume protocol before any peer can handshake: the
-		// welcome counts and outbound sequence numbers must describe the
-		// restored conversation, not a fresh one.
-		mesh.RestoreRecvStreams(rank, snap.Recv)
-		mesh.RestoreSentStreams(rank, snap.Sent)
-		world.RestoreStreams(rank, snap.Recv)
-		mesh.Release()
-		fmt.Fprintf(os.Stderr, "tilerankd: rank %d restored at tile %d from %s\n", rank, snap.NextTile, ckptPath)
-	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

@@ -290,8 +290,8 @@ func TestRankdKillRelaunchRecovers(t *testing.T) {
 	}
 	<-ranks[victim].done
 
-	// Relaunch with identical flags: the process restores the snapshot,
-	// seeds its stream state before accepting peers, and rejoins.
+	// Relaunch with identical flags: the process builds its mesh from the
+	// snapshot's stream positions, restores the chain, and rejoins.
 	relaunched := startRank(t, bin, args(victim)...)
 	if err := relaunched.wait(t, 60*time.Second); err != nil {
 		t.Fatalf("relaunched rank: %v\n%s", err, relaunched.stderr.String())

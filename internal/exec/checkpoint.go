@@ -62,9 +62,8 @@ type CheckpointOptions struct {
 	// Resume. Nil keeps the snapshot in memory for in-process recovery.
 	Save func(*RankSnapshot) error
 	// Resume, when non-nil, starts rank Resume.Rank at the snapshot instead
-	// of tile zero. The caller (cmd/tilerankd) must already have seeded the
-	// world's and mesh's stream state from it, before the mesh accepted any
-	// connection.
+	// of tile zero. The caller (cmd/tilerankd) must have built the world's
+	// mesh from the snapshot's Recv and Sent (mpi.TCPConfig).
 	Resume *RankSnapshot
 }
 
@@ -74,26 +73,20 @@ type CheckpointOptions struct {
 // NextTile and LDS restore the compute state (LDS is the dirty prefix of
 // the backing array: every value the chain has produced or received so
 // far, so re-execution starts at the snapshot's tile boundary, not from
-// zero). Recv and Sent are the wire coordinates, filled for Save: the
-// per-(peer, tag) consumed counts seed the fresh world's mailbox matchers
-// (mpi.World.RestoreStreams) and the mesh's accepted watermarks
-// (TCPMesh.RestoreRecvStreams) — so reconnecting peers resend exactly what
-// this rank never consumed — while the sent counts seed the mesh's
-// outbound sequences (TCPMesh.RestoreSentStreams) so regenerated sends are
-// numbered as their lost originals and the suppression/dedup protocol
-// removes every duplicate.
+// zero). Recv and Sent are the wire coordinates, filled for Save from
+// mpi.World.StreamCounts and SentStreamCounts. A relaunched process hands
+// both to mpi.NewTCPMesh (TCPConfig.Recv/Sent), which seeds the resume
+// protocol at construction: reconnecting peers resend exactly what this
+// rank never consumed, and regenerated sends are numbered as their lost
+// originals so suppression and dedup remove every duplicate. Resume itself
+// consumes only Recv, seeding the fresh mailbox's consumed counts
+// (mpi.World.RestoreStreams) so the next snapshot continues from them.
 type RankSnapshot struct {
 	Rank     int
 	NextTile int64
 	LDS      []float64
 	Recv     []mpi.StreamPos
 	Sent     []mpi.StreamPos
-}
-
-// sentCounter is the transport capability the outbound half of a saved
-// snapshot needs; the TCP mesh implements it.
-type sentCounter interface {
-	SentStreamCounts(src int) []mpi.StreamPos
 }
 
 // sendRec is one ledger entry: a send issued since the last snapshot.
@@ -148,6 +141,7 @@ func (st *rankState) newCkptState(opt *CheckpointOptions) (*ckptState, error) {
 		ck.snap.NextTile = snap.NextTile
 		ck.snap.LDS = append(ck.snap.LDS, snap.LDS...)
 		ck.ldsHi = int64(copy(st.la, snap.LDS))
+		st.c.World().RestoreStreams(st.rank, snap.Recv)
 	}
 	return ck, nil
 }
@@ -182,9 +176,7 @@ func (st *rankState) snapshot(next int64) error {
 	}
 	w := st.c.World()
 	ck.snap.Recv = w.StreamCounts(st.rank)
-	if sc, ok := w.Wire().(sentCounter); ok {
-		ck.snap.Sent = sc.SentStreamCounts(st.rank)
-	}
+	ck.snap.Sent = w.SentStreamCounts(st.rank)
 	if err := ck.save(&ck.snap); err != nil {
 		return fmt.Errorf("exec: rank %d checkpoint at tile %d: %w", st.rank, next, err)
 	}

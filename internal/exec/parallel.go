@@ -125,9 +125,10 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 			return nil, mpi.Stats{}, fmt.Errorf("exec: pooled world has %d ranks, program needs %d", world.Size(), p.Dist.NumProcs())
 		}
 		// A remote world is per-process and single-use: it was just
-		// constructed — possibly with restored checkpoint stream state a
-		// Reset would destroy — and resetting one process of a live mesh
-		// cannot be coordinated from here.
+		// constructed — possibly over a mesh seeded from a checkpoint, with
+		// resent frames already queued that a Reset would destroy — and
+		// resetting one process of a live mesh cannot be coordinated from
+		// here.
 		if !world.Remote() {
 			world.Reset(opt.Net)
 		}

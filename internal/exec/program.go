@@ -57,19 +57,16 @@ func NewProgram(ts *tiling.TiledSpace, m int, width int, kernel Kernel, initial 
 	return &Program{TS: ts, Dist: d, Width: width, Kernel: kernel, Initial: initial}, nil
 }
 
-// RunSequential executes the program in the original lexicographic order
-// (valid because all dependencies are lexicographically positive) and
-// returns the filled global data space.
-func (p *Program) RunSequential() (*Global, error) {
+// reference allocates the global data space and returns the function that
+// computes one point into it, reading each dependence's source from the
+// space — or from Initial where it lies outside. The two sequential
+// references below differ only in the order they visit the points in.
+func (p *Program) reference() (*Global, func(j ilin.Vec), error) {
 	lo, hi, err := p.TS.Nest.BoundingBox()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	g := NewGlobal(lo, hi, p.Width)
-	nb, err := p.TS.Nest.Bounds()
-	if err != nil {
-		return nil, err
-	}
 	q := p.TS.Nest.Q()
 	reads := make([][]float64, q)
 	readBuf := make([]float64, q*p.Width)
@@ -78,7 +75,7 @@ func (p *Program) RunSequential() (*Global, error) {
 		deps[l] = p.TS.Nest.Dep(l)
 	}
 	src := make(ilin.Vec, p.TS.T.N)
-	nb.Scan(func(j ilin.Vec) bool {
+	return g, func(j ilin.Vec) {
 		for l := 0; l < q; l++ {
 			copy(src, j)
 			for k := range src {
@@ -93,6 +90,23 @@ func (p *Program) RunSequential() (*Global, error) {
 			}
 		}
 		p.Kernel(j, reads, g.At(j))
+	}, nil
+}
+
+// RunSequential executes the program in the original lexicographic order
+// (valid because all dependencies are lexicographically positive) and
+// returns the filled global data space.
+func (p *Program) RunSequential() (*Global, error) {
+	g, point, err := p.reference()
+	if err != nil {
+		return nil, err
+	}
+	nb, err := p.TS.Nest.Bounds()
+	if err != nil {
+		return nil, err
+	}
+	nb.Scan(func(j ilin.Vec) bool {
+		point(j)
 		return true
 	})
 	return g, nil
@@ -114,37 +128,14 @@ func (p *Program) ScanSpace(fn func(j ilin.Vec) bool) {
 // the same values as the original order; comparing against RunSequential
 // is an executable proof for a given space.
 func (p *Program) RunTiledSequential() (*Global, error) {
-	lo, hi, err := p.TS.Nest.BoundingBox()
+	g, point, err := p.reference()
 	if err != nil {
 		return nil, err
 	}
-	g := NewGlobal(lo, hi, p.Width)
-	q := p.TS.Nest.Q()
-	reads := make([][]float64, q)
-	readBuf := make([]float64, q*p.Width)
-	deps := make([]ilin.Vec, q)
-	for l := 0; l < q; l++ {
-		deps[l] = p.TS.Nest.Dep(l)
-	}
-	src := make(ilin.Vec, p.TS.T.N)
 	p.TS.ScanTiles(func(jS ilin.Vec) bool {
 		tile := jS.Clone()
 		p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-			j := p.TS.GlobalOf(tile, z)
-			for l := 0; l < q; l++ {
-				copy(src, j)
-				for k := range src {
-					src[k] -= deps[l][k]
-				}
-				if p.TS.Nest.Space.Contains(src) {
-					reads[l] = g.At(src)
-				} else {
-					buf := readBuf[l*p.Width : (l+1)*p.Width]
-					p.Initial(src, buf)
-					reads[l] = buf
-				}
-			}
-			p.Kernel(j, reads, g.At(j))
+			point(p.TS.GlobalOf(tile, z))
 			return true
 		})
 		return true

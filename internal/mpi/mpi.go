@@ -4,6 +4,13 @@
 // ordering, a polling TryRecv, non-blocking in-order Isends completed by
 // count (WaitSends) and a barrier.
 //
+// A (source, tag) stream is a FIFO queue plus a count of the messages taken
+// from it: receivers claim only the head, blocking (Recv) or polling
+// (TryRecv) — there are no posted receives and no per-message numbering —
+// and the count is the stream's checkpoint coordinate (StreamCounts). The
+// barrier is built from the same streams (Comm.Barrier), so it shares their
+// ordering, watchdog and abort behaviour on every transport.
+//
 // It substitutes for the paper's MPI-over-FastEthernet transport (Go has no
 // mature MPI binding): the compiled tile programs only rely on ordered
 // point-to-point delivery plus a barrier, which this package provides with
@@ -38,14 +45,27 @@ type streamKey struct {
 	src, tag int
 }
 
-// stream is one (source, tag) FIFO. Arriving messages get consecutive
-// sequence numbers; consumers reserve tickets, and ticket t matches
-// exactly the t-th arrived message — so concurrent receives on one stream
-// complete in posting order, as in MPI.
+// stream is one (source, tag) FIFO: queue[head:] holds the delivered,
+// unclaimed messages in delivery order, and taken counts the messages
+// claimed so far — the position StreamCounts snapshots and RestoreStreams
+// seeds. Deliveries are not numbered, so seeding taken is valid at any time.
 type stream struct {
-	nextSeq    uint64             // sequence of the next arriving message
-	nextTicket uint64             // next consumer reservation to hand out
-	arrived    map[uint64]Message // arrived but unconsumed, by sequence
+	queue []Message
+	head  int
+	taken uint64
+}
+
+// push appends m, first reclaiming the consumed prefix when the stream has
+// drained or its backing array is full and at least half consumed — so a
+// steady stream neither regrows its array nor holds more than twice its
+// unclaimed messages.
+func (s *stream) push(m Message) {
+	if n := len(s.queue); s.head == n || (n == cap(s.queue) && s.head >= n/2) {
+		live := copy(s.queue, s.queue[s.head:])
+		clear(s.queue[live:])
+		s.queue, s.head = s.queue[:live], 0
+	}
+	s.queue = append(s.queue, m)
 }
 
 // mailbox is one rank's incoming message store: per-(source, tag) FIFO
@@ -66,7 +86,9 @@ func newMailbox() *mailbox {
 func (mb *mailbox) streamOf(k streamKey) *stream {
 	s := mb.queues[k]
 	if s == nil {
-		s = &stream{arrived: map[uint64]Message{}}
+		// One allocation covers the depth a sender running a few messages
+		// ahead of its receiver reaches, in place of append's 1-2-4-8 chain.
+		s = &stream{queue: make([]Message, 0, 8)}
 		mb.queues[k] = s
 	}
 	return s
@@ -74,25 +96,14 @@ func (mb *mailbox) streamOf(k streamKey) *stream {
 
 func (mb *mailbox) put(m Message) {
 	mb.mu.Lock()
-	s := mb.streamOf(streamKey{m.Source, m.Tag})
-	s.arrived[s.nextSeq] = m
-	s.nextSeq++
+	mb.streamOf(streamKey{m.Source, m.Tag}).push(m)
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
 }
 
-// reserve allocates the next consumer ticket on a stream.
-func (mb *mailbox) reserve(k streamKey) uint64 {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	s := mb.streamOf(k)
-	t := s.nextTicket
-	s.nextTicket++
-	return t
-}
-
-// takeTicket blocks until this ticket's message is available and returns
-// it. When the world has a watchdog timeout it panics with a deadlock
+// take claims the head of stream k for rank. A poll (block false) returns
+// ok false when the stream is empty. A blocking take waits for the head:
+// when the world has a watchdog timeout it panics with a deadlock
 // diagnostic instead of waiting forever; when a peer rank has failed it
 // panics with a secondary abort so the world can drain.
 //
@@ -103,21 +114,30 @@ func (mb *mailbox) reserve(k streamKey) uint64 {
 // deadline re-arms. It fires only after two consecutive timeout periods in
 // which every live rank sat parked in a blocking wait with nothing
 // delivered — which is a genuine communication deadlock.
-func (mb *mailbox) takeTicket(k streamKey, ticket uint64, w *World, rank int, op string) Message {
-	watch := w.newStallWatch(&mb.mu, mb.cond)
-	defer watch.stop()
-	w.blocked.Add(1)
-	defer w.blocked.Add(-1)
+func (mb *mailbox) take(k streamKey, block bool, w *World, rank int, op string) (Message, bool) {
+	var watch *stallWatch // stays nil, which never fires, for a poll
+	if block {
+		watch = w.newStallWatch(&mb.mu, mb.cond)
+		defer watch.stop()
+		w.blocked.Add(1)
+		defer w.blocked.Add(-1)
+	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	s := mb.streamOf(k)
 	for {
-		if w.aborted.Load() {
+		if block && w.aborted.Load() {
 			panic(abortPanic{fmt.Sprintf("rank %d abandoned %s(src=%d, tag=%d): a peer rank failed", rank, op, k.src, k.tag)})
 		}
-		if m, ok := s.arrived[ticket]; ok {
-			delete(s.arrived, ticket)
-			return m
+		if s.head < len(s.queue) {
+			m := s.queue[s.head]
+			s.queue[s.head] = Message{} // the payload is the receiver's now
+			s.head++
+			s.taken++
+			return m, true
+		}
+		if !block {
+			return Message{}, false
 		}
 		if watch.deadlocked() {
 			panic(fmt.Sprintf("watchdog: rank %d blocked in %s(src=%d, tag=%d) longer than %v with no global progress — deadlock suspected (no matching send)", rank, op, k.src, k.tag, w.opts.Watchdog))
@@ -127,7 +147,7 @@ func (mb *mailbox) takeTicket(k streamKey, ticket uint64, w *World, rank int, op
 }
 
 // stallWatch is the watchdog deadline of one blocking wait on a condition
-// variable (a mailbox ticket, a rank's undelivered sends). A nil watch —
+// variable (a stream's head, a rank's undelivered sends). A nil watch —
 // the world has no watchdog — never fires.
 type stallWatch struct {
 	w        *World
@@ -184,22 +204,6 @@ func (s *stallWatch) stop() {
 	if s != nil {
 		s.timer.Stop()
 	}
-}
-
-// tryTake polls the stream: it claims the next unreserved message, if
-// arrived (messages matching outstanding Recv reservations are off
-// limits — posted receives have priority over polling).
-func (mb *mailbox) tryTake(k streamKey) (Message, bool) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	s := mb.streamOf(k)
-	m, ok := s.arrived[s.nextTicket]
-	if !ok {
-		return Message{}, false
-	}
-	delete(s.arrived, s.nextTicket)
-	s.nextTicket++
-	return m, true
 }
 
 // abortPanic marks a secondary failure (a rank torn down because a peer
@@ -261,9 +265,10 @@ type Stats struct {
 }
 
 // rankCounters is the mutable form of RankTraffic. Every field is
-// written only by World methods (deliver, noteRecv, the reset loop and
-// the fault injector) so per-rank traffic can never double-count;
-// sendstats enforces that ownership statically.
+// written only by World methods (transmit, noteRecv, start and the fault
+// injector), each message exactly once on its sending side — transports
+// never touch them — so traffic can never double-count; sendstats enforces
+// that ownership statically. The world's totals are their sums.
 //
 //sendstats:owned World
 type rankCounters struct {
@@ -280,7 +285,6 @@ type World struct {
 	size    int
 	opts    Options
 	boxes   []*mailbox
-	barrier *barrier
 	aborted atomic.Bool
 
 	// wire moves delivered messages into destination mailboxes; the
@@ -295,19 +299,14 @@ type World struct {
 	local  []bool
 	remote bool
 
-	// failMu/failErr record a transport-surfaced failure (connection
-	// loss, lost peer) as the run's primary error.
-	failMu  sync.Mutex
-	failErr error
+	// failErr is the first transport-surfaced failure (connection loss,
+	// lost peer): the run's primary error.
+	failErr atomic.Pointer[error]
 
-	// Global traffic counters, bumped exactly once per message on the
-	// send side (World.deliver) — transports must never touch them.
-	messages atomic.Int64 //sendstats:owned World
-	values   atomic.Int64 //sendstats:owned World
-	perRank  []rankCounters
+	perRank []rankCounters
 
 	// Watchdog progress observation (see Options.Watchdog): progress is
-	// bumped on every delivery, barrier completion and NoteProgress call;
+	// bumped on every delivery and NoteProgress call;
 	// active counts ranks inside their RunE function; blocked counts ranks
 	// parked in a blocking wait; nicBusy counts undelivered Isends;
 	// faultBusy counts goroutines sleeping inside an injected fault (link
@@ -327,8 +326,7 @@ type World struct {
 
 // NoteProgress records externally observable forward progress (the
 // executor calls it after every completed tile): any watchdog about to
-// fire re-arms instead. Deliveries and barrier completions count
-// automatically.
+// fire re-arms instead. Deliveries count automatically.
 func (w *World) NoteProgress() { w.progress.Add(1) }
 
 // stalled implements the watchdog's deadlock test. Given the progress
@@ -386,6 +384,22 @@ func NewRemoteWorld(size int, local []int, opts Options, tr Transport) *World {
 	return newWorld(size, local, opts, tr)
 }
 
+// rankMask expands a process's hosted-rank list into a per-rank flag; a nil
+// list hosts every rank.
+func rankMask(size int, local []int) ([]bool, error) {
+	mask := make([]bool, size)
+	for r := range mask {
+		mask[r] = local == nil
+	}
+	for _, r := range local {
+		if r < 0 || r >= size {
+			return nil, fmt.Errorf("mpi: local rank %d outside world of size %d", r, size)
+		}
+		mask[r] = true
+	}
+	return mask, nil
+}
+
 func newWorld(size int, local []int, opts Options, tr Transport) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: world size %d must be positive", size))
@@ -393,27 +407,15 @@ func newWorld(size int, local []int, opts Options, tr Transport) *World {
 	if err := opts.Faults.Validate(); err != nil {
 		panic(err.Error())
 	}
-	w := &World{size: size, opts: opts, barrier: newBarrier(size)}
-	w.local = make([]bool, size)
-	if local == nil {
-		for i := range w.local {
-			w.local[i] = true
-		}
-	} else {
-		w.remote = true
-		for _, r := range local {
-			if r < 0 || r >= size {
-				panic(fmt.Sprintf("mpi: local rank %d outside world of size %d", r, size))
-			}
-			w.local[r] = true
-		}
+	hosted, err := rankMask(size, local)
+	if err != nil {
+		panic(err.Error())
 	}
+	w := &World{size: size, local: hosted, remote: local != nil}
 	w.boxes = make([]*mailbox, size)
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
-	}
 	w.perRank = make([]rankCounters, size)
 	w.linkSeqs = make([]atomic.Int64, size*size)
+	w.start(opts)
 	if tr == nil {
 		tr = &chanFabric{}
 	}
@@ -428,9 +430,6 @@ func (w *World) Size() int { return w.size }
 // Remote reports whether this world hosts only a subset of its ranks,
 // with the rest living in peer processes of a shared mesh.
 func (w *World) Remote() bool { return w.remote }
-
-// Wire returns the world's transport (the channel fabric by default).
-func (w *World) Wire() Transport { return w.wire }
 
 // Close releases the transport's resources (sockets, goroutines). The
 // channel fabric holds none; TCP-backed worlds must be closed when they
@@ -447,27 +446,42 @@ func (w *World) Fail(err error) {
 	if err == nil {
 		return
 	}
-	w.failMu.Lock()
-	if w.failErr == nil {
-		w.failErr = err
-	}
-	w.failMu.Unlock()
+	w.failErr.CompareAndSwap(nil, &err)
 	w.abort()
 }
 
 func (w *World) failure() error {
-	w.failMu.Lock()
-	defer w.failMu.Unlock()
-	return w.failErr
+	if p := w.failErr.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// start puts the world's per-run state — options, abort and failure
+// flags, mailboxes, traffic counters, watchdog observation, fault link
+// sequences — into its initial condition under opts. It is the only
+// initialiser: newWorld and Reset both run it, so a reused world is a
+// fresh one by construction.
+func (w *World) start(opts Options) {
+	w.opts = opts
+	w.aborted.Store(false)
+	w.failErr.Store(nil)
+	for i := range w.boxes {
+		w.boxes[i] = newMailbox()
+	}
+	clear(w.perRank)
+	w.progress.Store(0)
+	w.blocked.Store(0)
+	w.nicBusy.Store(0)
+	w.faultBusy.Store(0)
+	clear(w.linkSeqs)
 }
 
 // Reset returns the world to its just-constructed state under new
 // options, so a pooled World can be reused across runs without paying
-// construction again: traffic counters, watchdog progress state, fault
-// link-sequence counters, the abort flag, the barrier and every mailbox
-// are reinitialized exactly as NewWorldOpts would. A reused world is
-// indistinguishable from a fresh one — the exec reuse tests assert
-// bit-identical Stats against a cold world.
+// construction again. A reused world is indistinguishable from a fresh
+// one — the reset and exec reuse tests assert bit-identical Stats against
+// a cold world.
 //
 // Reset must only be called between runs: RunE has returned (its rank
 // and NIC goroutines are gone by then, even after an abort), and no new
@@ -483,42 +497,12 @@ func (w *World) Reset(opts Options) {
 	// previous (possibly aborted) run is drained or discarded before the
 	// mailboxes are replaced, so it can never leak into the next run.
 	w.wire.Reset()
-	w.opts = opts
-	w.aborted.Store(false)
-	w.failMu.Lock()
-	w.failErr = nil
-	w.failMu.Unlock()
-	w.barrier = newBarrier(w.size)
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
-	}
-	w.messages.Store(0)
-	w.values.Store(0)
-	for i := range w.perRank {
-		rc := &w.perRank[i]
-		rc.blocking.Store(0)
-		rc.overlapped.Store(0)
-		rc.values.Store(0)
-		rc.recvs.Store(0)
-		rc.valuesRecvd.Store(0)
-		rc.sendRetries.Store(0)
-	}
-	w.progress.Store(0)
-	w.blocked.Store(0)
-	w.nicBusy.Store(0)
-	w.faultBusy.Store(0)
-	for i := range w.linkSeqs {
-		w.linkSeqs[i].Store(0)
-	}
+	w.start(opts)
 }
 
 // Stats returns the cumulative traffic counters.
 func (w *World) Stats() Stats {
-	st := Stats{
-		Messages: w.messages.Load(),
-		Values:   w.values.Load(),
-		PerRank:  make([]RankTraffic, w.size),
-	}
+	st := Stats{PerRank: make([]RankTraffic, w.size)}
 	for i := range w.perRank {
 		rc := &w.perRank[i]
 		rt := RankTraffic{
@@ -530,6 +514,8 @@ func (w *World) Stats() Stats {
 			SendRetries:     rc.sendRetries.Load(),
 		}
 		st.PerRank[i] = rt
+		st.Messages += rt.BlockingSends + rt.OverlappedSends
+		st.Values += rt.Values
 		st.BlockingSends += rt.BlockingSends
 		st.OverlappedSends += rt.OverlappedSends
 		st.Recvs += rt.Recvs
@@ -539,19 +525,19 @@ func (w *World) Stats() Stats {
 	return st
 }
 
-// wireDelay is the injected transfer cost for a message of n values.
-func (w *World) wireDelay(n int) time.Duration {
-	return w.opts.LinkLatency + time.Duration(n)*w.opts.PerValue
-}
-
-// deliver counts one message against the sending rank and hands it to
-// the transport. Counters are sender-side and transport-independent, so
-// Stats compare bit-identically across channel and wire-backed worlds;
-// the transport owns everything from here to the destination mailbox
-// (see World.arrive).
-func (w *World) deliver(src, dst, tag int, data []float64, overlapped bool) {
-	w.messages.Add(1)
-	w.values.Add(int64(len(data)))
+// transmit is the one send path, run on the sending goroutine (Send,
+// SendOwned) or the rank's NIC (Isend): pay the fault plan's perturbations
+// and the modelled wire cost — skipped when tearing down after a failure —
+// then count the message against the sending rank and hand it to the
+// transport. Counters are sender-side and transport-independent, so Stats
+// compare bit-identically across channel and wire-backed worlds; the
+// transport owns everything from here to the destination mailbox (see
+// World.arrive).
+func (w *World) transmit(src, dst, tag int, data []float64, overlapped bool) {
+	w.injectSendFaults(src, dst)
+	if d := w.opts.LinkLatency + time.Duration(len(data))*w.opts.PerValue; d > 0 && !w.aborted.Load() {
+		time.Sleep(d)
+	}
 	rc := &w.perRank[src]
 	if overlapped {
 		rc.overlapped.Add(1)
@@ -562,13 +548,6 @@ func (w *World) deliver(src, dst, tag int, data []float64, overlapped bool) {
 	w.wire.Deliver(src, dst, tag, data)
 }
 
-// deliverRaw moves a runtime-internal message (message-based barrier)
-// through the transport without touching the traffic counters, so
-// protocol chatter never perturbs Stats.
-func (w *World) deliverRaw(src, dst, tag int, data []float64) {
-	w.wire.Deliver(src, dst, tag, data)
-}
-
 // noteRecv counts one claimed message against the receiving rank.
 func (w *World) noteRecv(rank int, values int) {
 	rc := &w.perRank[rank]
@@ -576,14 +555,13 @@ func (w *World) noteRecv(rank int, values int) {
 	rc.valuesRecvd.Add(int64(values))
 }
 
-// abort tears the world down after a rank failure: the barrier and every
-// blocked mailbox waiter panic with a secondary diagnostic instead of
-// deadlocking, so RunE can return the primary one.
+// abort tears the world down after a rank failure: every blocked mailbox
+// waiter (receives and barriers alike) panics with a secondary diagnostic
+// instead of deadlocking, so RunE can return the primary one.
 func (w *World) abort() {
 	if !w.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	w.barrier.poison()
 	for _, mb := range w.boxes {
 		mb.mu.Lock()
 		//lint:ignore SA2001 empty critical section orders the broadcast
@@ -669,12 +647,17 @@ func (c *Comm) World() *World { return c.world }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }
 
-// tagBarrier is the reserved (negative) tag of the wire barrier.
+// tagBarrier is the reserved (negative) tag of the barrier's streams.
 const tagBarrier = -6000
 
-func (c *Comm) checkRank(r int) {
-	if r < 0 || r >= c.world.size {
-		panic(fmt.Sprintf("mpi: rank %d outside world of size %d", r, c.world.size))
+// check validates a user message's envelope: negative tags are reserved
+// for the runtime's own protocol (the barrier).
+func (c *Comm) check(peer, tag int) {
+	if tag < 0 {
+		panic("mpi: negative tags are reserved")
+	}
+	if peer < 0 || peer >= c.world.size {
+		panic(fmt.Sprintf("mpi: rank %d outside world of size %d", peer, c.world.size))
 	}
 }
 
@@ -683,17 +666,10 @@ func (c *Comm) checkRank(r int) {
 // wire cost, which the blocking path pays on the caller). Tags must be
 // non-negative (negative tags are reserved for the runtime's protocol).
 func (c *Comm) Send(dst, tag int, data []float64) {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved")
-	}
-	c.checkRank(dst)
+	c.check(dst, tag)
 	buf := make([]float64, len(data))
 	copy(buf, data)
-	c.world.injectSendFaults(c.rank, dst)
-	if d := c.world.wireDelay(len(buf)); d > 0 && !c.world.aborted.Load() {
-		time.Sleep(d)
-	}
-	c.world.deliver(c.rank, dst, tag, buf, false)
+	c.world.transmit(c.rank, dst, tag, buf, false)
 }
 
 // SendOwned is Send without the snapshot copy: ownership of data
@@ -703,15 +679,8 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 // the receiver unpacks the buffer and recycles it into its own send pool.
 // Envelope semantics, ordering and Stats are identical to Send.
 func (c *Comm) SendOwned(dst, tag int, data []float64) {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved")
-	}
-	c.checkRank(dst)
-	c.world.injectSendFaults(c.rank, dst)
-	if d := c.world.wireDelay(len(data)); d > 0 && !c.world.aborted.Load() {
-		time.Sleep(d)
-	}
-	c.world.deliver(c.rank, dst, tag, data, false)
+	c.check(dst, tag)
+	c.world.transmit(c.rank, dst, tag, data, false)
 }
 
 // Recv blocks until a message from src with the given tag arrives and
@@ -725,77 +694,53 @@ func (c *Comm) Recv(src, tag int) []float64 {
 // Delivered timestamp the tracing layer uses to split blocked time from
 // mailbox queue time. Matching and ordering are identical to Recv.
 func (c *Comm) RecvMsg(src, tag int) Message {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved")
-	}
-	c.checkRank(src)
-	mb := c.world.boxes[c.rank]
-	k := streamKey{src, tag}
-	ticket := mb.reserve(k)
-	m := mb.takeTicket(k, ticket, c.world, c.rank, "Recv")
+	c.check(src, tag)
+	m, _ := c.world.boxes[c.rank].take(streamKey{src, tag}, true, c.world, c.rank, "Recv")
 	c.world.noteRecv(c.rank, len(m.Data))
 	return m
 }
 
-// TryRecv is a non-blocking Recv; ok is false when no matching message is
-// queued (or when posted receives on the stream are still pending — they
-// have priority).
+// TryRecv is a non-blocking Recv: it claims the head of the stream if one
+// is queued; ok is false, at once, when none is.
 func (c *Comm) TryRecv(src, tag int) ([]float64, bool) {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved")
-	}
-	c.checkRank(src)
-	m, ok := c.world.boxes[c.rank].tryTake(streamKey{src, tag})
+	c.check(src, tag)
+	m, ok := c.world.boxes[c.rank].take(streamKey{src, tag}, false, c.world, c.rank, "TryRecv")
 	if ok {
 		c.world.noteRecv(c.rank, len(m.Data))
 	}
 	return m.Data, ok
 }
 
-// Barrier blocks until all ranks have entered it. A single-process
-// world uses the shared-memory counting barrier; a multi-process world
-// runs a message-based barrier over the wire (gather-at-0 then
-// release), whose protocol frames bypass the traffic counters so Stats
-// stay comparable across deployments.
+// Barrier blocks until all ranks have entered it: every rank reports to
+// rank 0, which releases everyone once all reports are in. Successive
+// barriers need no generation numbers — the per-(src, tag) FIFO streams
+// order them. The reports and releases are ordinary stream messages that
+// bypass the traffic counters, so a barrier adds nothing to Stats on any
+// transport, and a barrier some rank never enters is a receive nobody
+// sends to: the watchdog names the waiting rank.
 func (c *Comm) Barrier() {
-	if c.world.remote {
-		c.msgBarrier()
-		return
-	}
-	c.world.barrier.await(c.world)
-}
-
-// msgBarrier is the wire barrier: every rank reports to rank 0, which
-// releases everyone once all reports are in. Successive barriers need
-// no generation numbers — the per-(src, tag) FIFO streams order them.
-func (c *Comm) msgBarrier() {
 	w := c.world
 	if c.rank == 0 {
 		for r := 1; r < w.size; r++ {
-			c.recvRaw(r, tagBarrier)
+			c.barrierRecv(r)
 		}
 		for r := 1; r < w.size; r++ {
-			w.deliverRaw(0, r, tagBarrier, nil)
+			w.wire.Deliver(0, r, tagBarrier, nil)
 		}
 		return
 	}
-	w.deliverRaw(c.rank, 0, tagBarrier, nil)
-	c.recvRaw(0, tagBarrier)
+	w.wire.Deliver(c.rank, 0, tagBarrier, nil)
+	c.barrierRecv(0)
 }
 
-// recvRaw is RecvMsg for runtime-internal protocol messages: same
-// matching, ordering and watchdog behaviour, but no traffic counting.
-func (c *Comm) recvRaw(src, tag int) []float64 {
-	mb := c.world.boxes[c.rank]
-	k := streamKey{src, tag}
-	ticket := mb.reserve(k)
-	return mb.takeTicket(k, ticket, c.world, c.rank, "Barrier").Data
+func (c *Comm) barrierRecv(src int) {
+	c.world.boxes[c.rank].take(streamKey{src, tagBarrier}, true, c.world, c.rank, "Barrier")
 }
 
-// FlushWire blocks until every message this rank has delivered is out
-// of the transport's own buffers (arrived in-process; written to the
-// socket cross-process). Checkpointing flushes before a snapshot so
-// "sent before the snapshot" is well defined on wire-backed worlds.
+// FlushWire blocks until every message this rank has delivered is out of
+// the transport's own buffers (Transport.Flush). Checkpointing flushes
+// before a snapshot so "sent before the snapshot" is well defined on
+// wire-backed worlds.
 func (c *Comm) FlushWire() { c.world.wire.Flush(c.rank) }
 
 // NoteProgress is World.NoteProgress from inside a rank: programs call it
@@ -803,59 +748,6 @@ func (c *Comm) FlushWire() { c.world.wire.Flush(c.rank) }
 // completed tile) so the deadlock watchdog never mistakes a long pipeline
 // stage for a hang.
 func (c *Comm) NoteProgress() { c.world.NoteProgress() }
-
-// barrier is a reusable counting barrier with generations.
-type barrier struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	size     int
-	count    int
-	gen      int
-	poisoned bool
-}
-
-func newBarrier(size int) *barrier {
-	b := &barrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await(w *World) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.poisoned {
-		panic(abortPanic{"barrier poisoned by a peer rank's panic"})
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		b.count = 0
-		b.gen++
-		// A completed barrier generation is global progress.
-		w.progress.Add(1)
-		b.cond.Broadcast()
-		return
-	}
-	// Barrier waiters count as blocked so a watchdog elsewhere can tell
-	// "everyone is parked" from "someone is still computing".
-	w.blocked.Add(1)
-	defer w.blocked.Add(-1)
-	for gen == b.gen && !b.poisoned {
-		b.cond.Wait()
-	}
-	if b.poisoned {
-		panic(abortPanic{"barrier poisoned by a peer rank's panic"})
-	}
-}
-
-// poison unblocks barrier waiters after a rank dies, so RunE can finish
-// and report the original panic.
-func (b *barrier) poison() {
-	b.mu.Lock()
-	b.poisoned = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
 
 // StreamPos is one (src, tag) inbound or outbound stream position — the
 // unit of the wire-level resume protocol. For inbound streams Count is
@@ -866,42 +758,58 @@ type StreamPos struct {
 	Count uint64
 }
 
+// sortStreamPos orders positions by (Src, Tag), the one order every
+// snapshot is written in.
+func sortStreamPos(pos []StreamPos) {
+	sort.Slice(pos, func(i, j int) bool {
+		if pos[i].Src != pos[j].Src {
+			return pos[i].Src < pos[j].Src
+		}
+		return pos[i].Tag < pos[j].Tag
+	})
+}
+
 // StreamCounts snapshots rank's consumed position on every inbound
-// stream, sorted for determinism. Together with the transport's sent
-// counts it fully describes a rank's communication state at a quiesced
-// tile boundary; a relaunched rank process restores it with
-// RestoreStreams and the mesh resumes mid-conversation.
+// stream, sorted for determinism. Together with SentStreamCounts it fully
+// describes a rank's communication state at a quiesced tile boundary: a
+// relaunched rank process builds its mesh from both (TCPConfig.Recv/Sent)
+// and seeds its mailbox with RestoreStreams, and the mesh resumes
+// mid-conversation.
 func (w *World) StreamCounts(rank int) []StreamPos {
 	mb := w.boxes[rank]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	out := make([]StreamPos, 0, len(mb.queues))
 	for k, s := range mb.queues {
-		if s.nextTicket == 0 {
+		if s.taken == 0 {
 			continue
 		}
-		out = append(out, StreamPos{Src: k.src, Tag: k.tag, Count: s.nextTicket})
+		out = append(out, StreamPos{Src: k.src, Tag: k.tag, Count: s.taken})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Tag < out[j].Tag
-	})
+	sortStreamPos(out)
 	return out
 }
 
-// RestoreStreams seeds rank's mailbox stream counters from a snapshot:
-// the next arriving message on each listed stream is numbered Count and
-// the next Recv claims it. Must be called before any traffic reaches
-// the mailbox (fresh world, transport not yet connected).
+// SentStreamCounts snapshots rank's sent count on every outbound stream
+// (Src is the destination rank), sorted like StreamCounts. Only a TCP mesh
+// numbers what it sends; on the channel fabric, where a snapshot cannot
+// outlive the process, it is nil.
+func (w *World) SentStreamCounts(rank int) []StreamPos {
+	if m, ok := w.wire.(*TCPMesh); ok {
+		return m.sentStreamCounts(rank)
+	}
+	return nil
+}
+
+// RestoreStreams seeds rank's consumed counts from a snapshot, so
+// StreamCounts continues from where the snapshot's rank left off. A stream
+// does not number its arrivals, so messages the peers resent may already be
+// queued when this runs; it must only precede the rank's first receive.
 func (w *World) RestoreStreams(rank int, pos []StreamPos) {
 	mb := w.boxes[rank]
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for _, p := range pos {
-		s := mb.streamOf(streamKey{p.Src, p.Tag})
-		s.nextSeq = p.Count
-		s.nextTicket = p.Count
+		mb.streamOf(streamKey{p.Src, p.Tag}).taken = p.Count
 	}
 }

@@ -1,6 +1,10 @@
 package mpi
 
 import (
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -106,6 +110,122 @@ func TestTryRecv(t *testing.T) {
 	})
 }
 
+// TestMailboxAgainstModel drives one rank's mailbox with random traffic and
+// checks it against the obvious model, a slice per stream: ranks 1..senders
+// each feed rank 0 on several tags at once while rank 0 drains every stream
+// from its own goroutine, choosing at random between Recv and TryRecv. The
+// i-th message claimed from a stream must be the i-th one sent on it
+// (per-stream FIFO, source and tag selectivity); TryRecv must claim the
+// head whenever the sender has finished delivering it and must never
+// produce anything else; and once drained the mailbox must hold no payload.
+func TestMailboxAgainstModel(t *testing.T) {
+	const (
+		senders = 3
+		tags    = 3
+		msgs    = 400
+	)
+	rng := rand.New(rand.NewSource(1))
+	type key struct{ src, tag int }
+	model := map[key][][]float64{}
+	sent := map[key]*atomic.Int64{} // messages of the stream whose Send has returned
+	for src := 1; src <= senders; src++ {
+		for tag := 0; tag < tags; tag++ {
+			k := key{src, tag}
+			sent[k] = new(atomic.Int64)
+			for i := 0; i < msgs; i++ {
+				model[k] = append(model[k], []float64{float64(src), float64(tag), float64(i), rng.Float64()})
+			}
+		}
+	}
+	w := NewWorld(senders + 1)
+	w.Run(func(c *Comm) {
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		for tag := 0; tag < tags; tag++ {
+			if src := c.Rank(); src != 0 {
+				wg.Add(1)
+				go func(k key) {
+					defer wg.Done()
+					for _, m := range model[k] {
+						c.Send(0, k.tag, m)
+						sent[k].Add(1)
+						runtime.Gosched()
+					}
+				}(key{src, tag})
+				continue
+			}
+			for src := 1; src <= senders; src++ {
+				wg.Add(1)
+				go func(k key, rng *rand.Rand) {
+					defer wg.Done()
+					for i := 0; i < msgs; {
+						var got []float64
+						if rng.Intn(2) == 0 {
+							got = c.Recv(k.src, k.tag)
+						} else {
+							here := sent[k].Load() > int64(i)
+							var ok bool
+							if got, ok = c.TryRecv(k.src, k.tag); !ok {
+								if here {
+									t.Errorf("stream %v: TryRecv missed message %d after its Send returned", k, i)
+									return
+								}
+								runtime.Gosched()
+								continue
+							}
+						}
+						if want := model[k][i]; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || got[3] != want[3] {
+							t.Errorf("stream %v: claim %d is %v, want %v", k, i, got, want)
+							return
+						}
+						i++
+					}
+					if got, ok := c.TryRecv(k.src, k.tag); ok {
+						t.Errorf("stream %v: TryRecv produced %v from a drained stream", k, got)
+					}
+				}(key{src, tag}, rand.New(rand.NewSource(rng.Int63())))
+			}
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	mb := w.boxes[0]
+	if len(mb.queues) != senders*tags {
+		t.Errorf("mailbox holds %d streams, want %d", len(mb.queues), senders*tags)
+	}
+	for k, s := range mb.queues {
+		if s.taken != msgs || s.head != len(s.queue) {
+			t.Errorf("stream %v: taken %d of %d, %d unclaimed", k, s.taken, msgs, len(s.queue)-s.head)
+		}
+		for i, m := range s.queue[:cap(s.queue)] {
+			if m.Data != nil {
+				t.Errorf("stream %v: consumed slot %d still holds its payload", k, i)
+			}
+		}
+	}
+}
+
+// TestStreamBoundedUnderSteadyLag: a stream whose receiver stays one message
+// behind never drains, and must still not grow with the messages passed
+// through it.
+func TestStreamBoundedUnderSteadyLag(t *testing.T) {
+	w := NewWorld(1)
+	w.Run(func(c *Comm) {
+		c.Send(0, 0, []float64{0})
+		for i := 1; i <= 10000; i++ {
+			c.Send(0, 0, []float64{float64(i)})
+			if got := c.Recv(0, 0)[0]; got != float64(i-1) {
+				t.Errorf("message %d arrived as %v", i-1, got)
+				return
+			}
+		}
+	})
+	if n := cap(w.boxes[0].queues[streamKey{0, 0}].queue); n > 8 {
+		t.Errorf("a stream never holding more than 2 messages grew to %d slots", n)
+	}
+}
+
 func TestRing(t *testing.T) {
 	const p = 8
 	w := NewWorld(p)
@@ -140,6 +260,9 @@ func TestBarrierOrdering(t *testing.T) {
 	})
 	if fail.Load() {
 		t.Error("some rank passed the barrier before all entered")
+	}
+	if st := w.Stats(); !reflect.DeepEqual(st, Stats{PerRank: make([]RankTraffic, p)}) {
+		t.Errorf("barriers left traffic in Stats: %+v", st)
 	}
 }
 

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // A rank's non-blocking sends are transmitted by one background goroutine
@@ -60,13 +59,9 @@ func (c *Comm) nicLoop() {
 		it := q.items[q.head]
 		q.busy = true
 		q.mu.Unlock()
-		// Transfer cost (and any injected fault) runs here, concurrent with
-		// the rank's compute; skip it when tearing down after a failure.
-		c.world.injectSendFaults(c.rank, it.dst)
-		if d := c.world.wireDelay(len(it.data)); d > 0 && !c.world.aborted.Load() {
-			time.Sleep(d)
-		}
-		c.world.deliver(c.rank, it.dst, it.tag, it.data, true)
+		// Transfer cost (and any injected fault) is paid here, concurrent
+		// with the rank's compute.
+		c.world.transmit(c.rank, it.dst, it.tag, it.data, true)
 		c.world.nicBusy.Add(-1)
 		q.mu.Lock()
 		q.busy = false
@@ -124,10 +119,7 @@ func (c *Comm) flushNIC() {
 // even after WaitSends. Envelope semantics and Stats are those of Send,
 // counted as overlapped.
 func (c *Comm) IsendOwned(dst, tag int, data []float64) {
-	if tag < 0 {
-		panic("mpi: negative tags are reserved")
-	}
-	c.checkRank(dst)
+	c.check(dst, tag)
 	q := &c.nic
 	q.mu.Lock()
 	if q.closed {

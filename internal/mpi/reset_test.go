@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -68,35 +70,74 @@ func TestWorldResetBitIdenticalStats(t *testing.T) {
 	}
 }
 
-// TestWorldResetAfterAbort proves a world whose previous run died (rank
-// panic, poisoned barrier, stranded mailbox messages) is fully usable
-// again after Reset.
+// TestWorldResetAfterAbort: Reset ≡ fresh. A world whose previous run died
+// the hard way — under a fault plan, with a message nobody claimed, Isends
+// still queued, peers parked in a barrier and the transport reporting the
+// loss (World.Fail) — is, once Reset, indistinguishable from a new world:
+// no per-run state survives, and the same traffic gives DeepEqual Stats and
+// stream positions. The dying run itself must release its barrier waiters
+// and report the transport failure, not a secondary teardown panic.
 func TestWorldResetAfterAbort(t *testing.T) {
 	const size = 4
-	w := NewWorld(size)
-	err := w.RunE(func(c *Comm) {
-		// Rank 2 sends a message nobody claims, then dies; rank 0 parks in
-		// the barrier so teardown has someone to poison.
-		if c.Rank() == 2 {
-			c.Send(0, 9, []float64{1, 2, 3})
-			panic("injected failure")
-		}
-		c.Barrier()
-	})
-	if err == nil {
-		t.Fatal("expected the injected panic to surface")
+	dirty := Options{
+		LinkLatency: 20 * time.Microsecond,
+		Faults: &FaultPlan{
+			Seed:  9,
+			Links: map[Link]LinkFault{{Src: 2, Dst: 1}: {Delay: 100 * time.Microsecond}},
+			Sends: &SendFaults{Rate: 0.9, MaxRetries: 3, Backoff: time.Microsecond},
+		},
 	}
+	clean := Options{Watchdog: 2 * time.Second}
+	fabrics := map[string]func(opts Options) *World{
+		"channel": func(opts Options) *World { return NewWorldOpts(size, opts) },
+		"tcp":     func(opts Options) *World { return newTCPWorldT(t, size, opts) },
+	}
+	for name, newWorld := range fabrics {
+		t.Run(name, func(t *testing.T) {
+			w := newWorld(dirty)
+			err := w.RunE(func(c *Comm) {
+				if c.Rank() != 2 {
+					c.Barrier() // never completes: teardown must release it
+					return
+				}
+				c.Send(0, 9, []float64{1, 2, 3})
+				for i := 0; i < 8; i++ {
+					c.IsendOwned(1, 9, make([]float64, 64))
+				}
+				c.World().Fail(errors.New("injected link loss"))
+			})
+			if err == nil || !strings.Contains(err.Error(), "transport failure: injected link loss") {
+				t.Fatalf("dying run reported %v, want the transport failure", err)
+			}
 
-	w.Reset(Options{})
-	fresh := NewWorld(size)
-	if err := fresh.RunE(ringTraffic); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.RunE(ringTraffic); err != nil {
-		t.Fatalf("reused world after abort: %v", err)
-	}
-	if got, want := w.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-abort reused world stats differ:\n got %+v\nwant %+v", got, want)
+			w.Reset(clean)
+			if w.aborted.Load() || w.failure() != nil || w.progress.Load() != 0 || w.blocked.Load() != 0 || w.nicBusy.Load() != 0 || w.faultBusy.Load() != 0 {
+				t.Errorf("Reset left per-run state behind: aborted %v, failure %v, progress %d, blocked %d, nicBusy %d, faultBusy %d",
+					w.aborted.Load(), w.failure(), w.progress.Load(), w.blocked.Load(), w.nicBusy.Load(), w.faultBusy.Load())
+			}
+			for i := range w.linkSeqs {
+				if n := w.linkSeqs[i].Load(); n != 0 {
+					t.Errorf("Reset left link %d→%d at fault sequence %d", i/size, i%size, n)
+				}
+			}
+			fresh := newWorld(clean)
+			if got, want := w.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Reset left stats %+v, a new world has %+v", got, want)
+			}
+			for _, x := range []*World{w, fresh} {
+				if err := x.RunE(ringTraffic); err != nil {
+					t.Fatalf("ring traffic (reused world first, then fresh): %v", err)
+				}
+			}
+			if got, want := w.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("post-abort reused world stats differ:\n got %+v\nwant %+v", got, want)
+			}
+			for r := 0; r < size; r++ {
+				if got, want := w.StreamCounts(r), fresh.StreamCounts(r); !reflect.DeepEqual(got, want) {
+					t.Errorf("rank %d stream positions differ: reused %+v, fresh %+v", r, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -39,14 +39,15 @@ type TCPConfig struct {
 	// DialDelay sleeps before every dial attempt — a test hook for
 	// injecting slow reconnects against the watchdog. Zero disables.
 	DialDelay time.Duration
-	// Hold keeps the accept loop parked until Release is called. A
-	// relaunched rank process restoring a checkpoint needs this: the
-	// resume protocol's welcome counts come from stream state the process
-	// seeds via RestoreRecvStreams/RestoreSentStreams, so no peer may
-	// complete a handshake before seeding finishes. The listener itself
-	// opens immediately (peers can connect and sit in the backlog); only
-	// frame exchange waits.
-	Hold bool
+	// Recv and Sent resume a relaunched single-rank process (len(Local)
+	// == 1) mid-conversation: the rank's consumed and sent stream
+	// positions at its checkpoint (World.StreamCounts, SentStreamCounts).
+	// NewTCPMesh seeds the resume protocol with them before anything can
+	// handshake, so the first welcome on each inbound link advertises the
+	// consumed counts — live peers resend exactly the frames the dead
+	// process never consumed — and regenerated sends are numbered as their
+	// originals were, so suppression and dedup remove every duplicate.
+	Recv, Sent []StreamPos
 }
 
 // WireStats are the TCP mesh's transport-level counters. They are kept
@@ -114,11 +115,6 @@ type TCPMesh struct {
 	closed atomic.Bool
 	done   chan struct{}
 
-	// hold, when non-nil, parks the accept loop until Release closes it
-	// (TCPConfig.Hold — the checkpoint-restore seeding window).
-	hold     chan struct{}
-	holdOnce sync.Once
-
 	wg sync.WaitGroup
 
 	// epoch stamps data frames; World.Reset bumps it and drains marker
@@ -136,6 +132,11 @@ type TCPMesh struct {
 	// down counts link endpoints currently connecting, reconnecting, or
 	// awaiting a peer's return — wire activity, never a stall.
 	down atomic.Int64
+	// beats counts the progress bumps peers' beacons caused here. The
+	// beacon advertises progress net of them: otherwise two wedged
+	// processes keep each other alive forever, each answering the bump the
+	// other's last beacon caused, and no cross-process watchdog ever fires.
+	beats atomic.Uint64
 
 	// Wire statistics. Send-side counters are bumped by the owning
 	// link's writer goroutine, receive-side by the mesh's inbound frame
@@ -172,22 +173,14 @@ func NewTCPMesh(cfg TCPConfig) (*TCPMesh, error) {
 	}
 	m.markCond = sync.NewCond(&m.markMu)
 	m.marks = map[uint32]int{}
-	if cfg.Hold {
-		m.hold = make(chan struct{})
+	var err error
+	if m.localSet, err = rankMask(cfg.Size, cfg.Local); err != nil {
+		return nil, err
 	}
-	m.localSet = make([]bool, cfg.Size)
-	if cfg.Local == nil {
-		for i := range m.localSet {
-			m.localSet[i] = true
-		}
-	} else {
-		m.isRemote = true
-		for _, r := range cfg.Local {
-			if r < 0 || r >= cfg.Size {
-				return nil, fmt.Errorf("mpi: local rank %d outside world of size %d", r, cfg.Size)
-			}
-			m.localSet[r] = true
-		}
+	m.isRemote = cfg.Local != nil
+	resumed := len(cfg.Recv)+len(cfg.Sent) > 0
+	if resumed && len(cfg.Local) != 1 {
+		return nil, fmt.Errorf("mpi: tcp mesh resume positions describe one rank, config hosts %d", len(cfg.Local))
 	}
 	addr := cfg.Listen
 	if addr == "" {
@@ -199,6 +192,17 @@ func NewTCPMesh(cfg TCPConfig) (*TCPMesh, error) {
 	}
 	m.ln = ln
 	m.lad = ln.Addr().String()
+	if resumed {
+		// The cores are seeded the moment they exist, and nothing
+		// handshakes before Attach: no welcome or stamp can see them fresh.
+		self := cfg.Local[0]
+		for _, p := range cfg.Recv {
+			m.in(linkID{p.Src, self}).proto.SeedAccepted(p.Tag, p.Count)
+		}
+		for _, p := range cfg.Sent {
+			m.out(linkID{self, p.Src}).proto.SeedSent(p.Tag, p.Count)
+		}
+	}
 	return m, nil
 }
 
@@ -234,10 +238,17 @@ func (m *TCPMesh) addrOf(rank int) string {
 	return m.lad
 }
 
-// Attach binds the mesh to its world and starts the accept loop (and,
-// for multi-process meshes, the heartbeat beacon).
+// Attach binds the mesh to its world and starts the accept loop, the
+// writers of links seeded at construction and, for multi-process meshes,
+// the heartbeat beacon.
 func (m *TCPMesh) Attach(w *World) {
+	m.mu.Lock()
 	m.w = w
+	for _, l := range m.outs {
+		m.wg.Add(1)
+		go l.run()
+	}
+	m.mu.Unlock()
 	m.wg.Add(1)
 	go m.acceptLoop()
 	if m.isRemote {
@@ -308,19 +319,36 @@ type outLink struct {
 	epochMark []byte
 }
 
-// out returns (creating and starting if needed) the link src→dst.
+// out returns (creating if needed) the link src→dst. Its writer starts
+// with it, or at Attach for a link created before the mesh has a world.
 func (m *TCPMesh) out(id linkID) *outLink {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	l := m.outs[id]
 	if l == nil {
-		l = &outLink{m: m, id: id, addr: m.addrOf(id.dst), proto: NewSendCore(ProtocolRules{})}
+		l = &outLink{m: m, id: id, proto: NewSendCore(ProtocolRules{})}
 		l.cond = sync.NewCond(&l.mu)
 		m.outs[id] = l
-		m.wg.Add(1)
-		go l.run()
+		if m.w != nil {
+			m.wg.Add(1)
+			go l.run()
+		}
 	}
 	return l
+}
+
+// outLinks snapshots the links sending from rank src (every link when src
+// is negative), so callers can work on them without holding the mesh lock.
+func (m *TCPMesh) outLinks(src int) []*outLink {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	links := make([]*outLink, 0, len(m.outs))
+	for id, l := range m.outs {
+		if src < 0 || id.src == src {
+			links = append(links, l)
+		}
+	}
+	return links
 }
 
 // Deliver encodes one message as a data frame and queues it on its
@@ -364,6 +392,7 @@ func (m *TCPMesh) settle(fr wireFrame) {
 
 func (l *outLink) run() {
 	defer l.m.wg.Done()
+	l.addr = l.m.addrOf(l.id.dst) // Addrs is complete once a world is attached
 	for {
 		conn := l.ensureConn()
 		if conn == nil {
@@ -641,15 +670,7 @@ func flushable(queue []wireFrame) bool {
 // Flush promises "out of our buffers", not end-to-end receipt; receipt
 // is what the per-stream sequence counts settle on reconnect.
 func (m *TCPMesh) Flush(src int) {
-	m.mu.Lock()
-	links := make([]*outLink, 0, len(m.outs))
-	for id, l := range m.outs {
-		if id.src == src {
-			links = append(links, l)
-		}
-	}
-	m.mu.Unlock()
-	for _, l := range links {
+	for _, l := range m.outLinks(src) {
 		l.mu.Lock()
 		for (flushable(l.queue) || l.pending > 0) && !m.closed.Load() {
 			l.cond.Wait()
@@ -694,25 +715,8 @@ func (m *TCPMesh) in(id linkID) *inLink {
 	return il
 }
 
-// Release opens a held mesh for business (TCPConfig.Hold): the accept
-// loop starts serving handshakes. Call after every RestoreRecvStreams/
-// RestoreSentStreams/World.RestoreStreams seed. Idempotent; a no-op on
-// meshes created without Hold.
-func (m *TCPMesh) Release() {
-	if m.hold != nil {
-		m.holdOnce.Do(func() { close(m.hold) })
-	}
-}
-
 func (m *TCPMesh) acceptLoop() {
 	defer m.wg.Done()
-	if m.hold != nil {
-		select {
-		case <-m.hold:
-		case <-m.done:
-			return
-		}
-	}
 	for {
 		conn, err := m.ln.Accept()
 		if err != nil {
@@ -792,6 +796,7 @@ func (m *TCPMesh) readLoop(il *inLink, conn net.Conn) {
 			// A peer whose progress moved, or that reports live wire or
 			// compute activity, is alive: that is watchdog progress here.
 			if alive {
+				m.beats.Add(1)
 				m.w.NoteProgress()
 			}
 		case frameEpoch:
@@ -868,13 +873,6 @@ func (m *TCPMesh) connLost(il *inLink, conn net.Conn) {
 // unchanging, non-busy beacons and the watchdog still fires.
 func (m *TCPMesh) heartbeatLoop() {
 	defer m.wg.Done()
-	if m.hold != nil {
-		select {
-		case <-m.hold:
-		case <-m.done:
-			return
-		}
-	}
 	t := time.NewTicker(m.hb)
 	defer t.Stop()
 	var links []*outLink
@@ -890,7 +888,7 @@ func (m *TCPMesh) heartbeatLoop() {
 		w := m.w
 		busy := w.nicBusy.Load() > 0 || w.faultBusy.Load() > 0 ||
 			w.blocked.Load() < w.active.Load() || m.staged.Load() > 0
-		fr := wireFrame{kind: frameHeartbeat, buf: encodeHeartbeatFrame(w.progress.Load(), busy)}
+		fr := wireFrame{kind: frameHeartbeat, buf: encodeHeartbeatFrame(w.progress.Load()-m.beats.Load(), busy)}
 		for _, l := range links {
 			l.enqueue(fr)
 		}
@@ -945,12 +943,7 @@ func (m *TCPMesh) Reset() {
 	if m.isRemote {
 		panic("mpi: Reset on a multi-process TCP mesh is not supported")
 	}
-	m.mu.Lock()
-	links := make([]*outLink, 0, len(m.outs))
-	for _, l := range m.outs {
-		links = append(links, l)
-	}
-	m.mu.Unlock()
+	links := m.outLinks(-1)
 	ep := m.epoch.Add(1)
 	if len(links) > 0 {
 		fr := wireFrame{kind: frameEpoch, buf: encodeEpochFrame(ep)}
@@ -1000,11 +993,8 @@ func (m *TCPMesh) Close() error {
 	}
 	close(m.done)
 	m.ln.Close()
+	outs := m.outLinks(-1)
 	m.mu.Lock()
-	outs := make([]*outLink, 0, len(m.outs))
-	for _, l := range m.outs {
-		outs = append(outs, l)
-	}
 	ins := make([]*inLink, 0, len(m.ins))
 	for _, il := range m.ins {
 		ins = append(ins, il)
@@ -1034,69 +1024,20 @@ func (m *TCPMesh) Close() error {
 	return nil
 }
 
-// ---------------------------------------------------------------------
-// Resume protocol state seeding (relaunched rank processes).
-
-// RestoreRecvStreams seeds dst's per-stream accepted watermarks from a
-// checkpoint, before the mesh accepts any connection: the next welcome
-// on each link advertises these counts, so live peers resend exactly
-// the frames this process consumed nothing of and suppress the rest.
-// pos entries use Src as the sending rank.
-func (m *TCPMesh) RestoreRecvStreams(dst int, pos []StreamPos) {
-	for _, p := range pos {
-		il := m.in(linkID{p.Src, dst})
-		il.mu.Lock()
-		il.proto.SeedAccepted(p.Tag, p.Count)
-		il.mu.Unlock()
-	}
-}
-
-// RestoreSentStreams seeds src's outbound stream sequence counters from
-// a checkpoint, so sends regenerated by deterministic re-execution are
-// numbered as their originals were — the receiver-side dedup and the
-// sender-side suppression then remove every duplicate. pos entries use
-// Src as the *destination* rank.
-func (m *TCPMesh) RestoreSentStreams(src int, pos []StreamPos) {
-	for _, p := range pos {
-		l := m.out(linkID{src, p.Src})
-		l.mu.Lock()
-		l.proto.SeedSent(p.Tag, p.Count)
-		l.mu.Unlock()
-	}
-}
-
-// SentStreamCounts snapshots src's outbound per-stream sent counts
-// (sorted), the outbound half of a rank checkpoint.
-func (m *TCPMesh) SentStreamCounts(src int) []StreamPos {
-	m.mu.Lock()
-	links := make([]*outLink, 0, len(m.outs))
-	ids := make([]linkID, 0, len(m.outs))
-	for id, l := range m.outs {
-		if id.src == src {
-			links = append(links, l)
-			ids = append(ids, id)
-		}
-	}
-	m.mu.Unlock()
+// sentStreamCounts is World.SentStreamCounts on a TCP mesh: src's
+// per-stream sent counts, the outbound half of a rank checkpoint.
+func (m *TCPMesh) sentStreamCounts(src int) []StreamPos {
 	var out []StreamPos
-	for i, l := range links {
+	for _, l := range m.outLinks(src) {
 		l.mu.Lock()
 		counts := l.proto.SentCounts()
 		l.mu.Unlock()
 		for _, p := range counts {
-			out = append(out, StreamPos{Src: ids[i].dst, Tag: p.Tag, Count: p.Count})
+			out = append(out, StreamPos{Src: l.id.dst, Tag: p.Tag, Count: p.Count})
 		}
 	}
 	sortStreamPos(out)
 	return out
-}
-
-func sortStreamPos(out []StreamPos) {
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && (out[j].Src < out[j-1].Src || (out[j].Src == out[j-1].Src && out[j].Tag < out[j-1].Tag)); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
 }
 
 // ---------------------------------------------------------------------

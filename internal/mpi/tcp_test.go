@@ -189,6 +189,61 @@ func TestTCPWatchdogStillFiresOnRealDeadlock(t *testing.T) {
 	}
 }
 
+// TestBarrierSkippedByPeerTripsWatchdog: a barrier one rank enters and its
+// peers skip is a deadlock like a receive nobody sends to, so the watchdog
+// must end the run with a diagnostic naming the waiting rank — on every
+// fabric, and whether the waiter is the barrier's root or a leaf.
+func TestBarrierSkippedByPeerTripsWatchdog(t *testing.T) {
+	opts := Options{Watchdog: 50 * time.Millisecond}
+	fabrics := []struct {
+		name   string
+		worlds func(t *testing.T) []*World
+	}{
+		{"channel", func(*testing.T) []*World { return []*World{NewWorldOpts(2, opts)} }},
+		{"tcp", func(t *testing.T) []*World { return []*World{newTCPWorldT(t, 2, opts)} }},
+		{"remote-pair", func(t *testing.T) []*World {
+			w0, w1 := twoProcessWorlds(t, opts)
+			return []*World{w0, w1}
+		}},
+	}
+	for _, f := range fabrics {
+		for waiter := 0; waiter < 2; waiter++ {
+			t.Run(fmt.Sprintf("%s/rank%d", f.name, waiter), func(t *testing.T) {
+				worlds := f.worlds(t)
+				errs := make(chan error, len(worlds))
+				for _, w := range worlds {
+					go func() {
+						errs <- w.RunE(func(c *Comm) {
+							if c.Rank() == waiter {
+								c.Barrier()
+							}
+						})
+					}()
+				}
+				var got []error
+				for range worlds {
+					select {
+					case err := <-errs:
+						if err != nil {
+							got = append(got, err)
+						}
+					case <-time.After(10 * time.Second):
+						t.Fatal("RunE still blocked 200 watchdog periods after a peer skipped the barrier")
+					}
+				}
+				if len(got) != 1 {
+					t.Fatalf("want exactly the waiter's world to fail, got %v", got)
+				}
+				for _, want := range []string{"watchdog:", fmt.Sprintf("rank %d blocked in Barrier", waiter)} {
+					if !strings.Contains(got[0].Error(), want) {
+						t.Errorf("diagnostic %q missing %q", got[0], want)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestTCPSurvivesLinkDropsUnderLoad hammers a 3-rank world with
 // repeated traffic while the test keeps severing connections: the
 // retained-frame resend plus receiver dedup must keep every run
@@ -348,8 +403,10 @@ func TestTCPPeerLossSurfacesAsFault(t *testing.T) {
 }
 
 // TestStreamCountsRoundTrip pins the checkpoint coordinate system:
-// consumed counts snapshot deterministically and seed a fresh world's
-// matchers so the next arriving frame numbers correctly.
+// consumed counts snapshot deterministically, and seeding a fresh world
+// with them makes its counts continue from the snapshot. The seed lands
+// *after* the next messages are already queued — a stream does not number
+// its arrivals, so late seeding must neither reorder nor lose them.
 func TestStreamCountsRoundTrip(t *testing.T) {
 	w := NewWorld(2)
 	if err := w.RunE(func(c *Comm) {
@@ -370,21 +427,139 @@ func TestStreamCountsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("stream counts: got %+v want %+v", got, want)
 	}
+	if sent := w.SentStreamCounts(0); sent != nil {
+		t.Fatalf("channel fabric reports sent positions %+v", sent)
+	}
 
 	w2 := NewWorld(2)
-	w2.RestoreStreams(1, got)
-	// After restore, a send numbered as the third frame of stream (0,3)
-	// must match the first Recv.
 	if err := w2.RunE(func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 3, []float64{42})
-		} else {
-			if v := c.Recv(0, 3); v[0] != 42 {
-				panic("restored stream did not match")
+			c.Send(1, 3, []float64{43})
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w2.RestoreStreams(1, got)
+	if err := w2.RunE(func(c *Comm) {
+		if c.Rank() == 1 {
+			if a, b := c.Recv(0, 3)[0], c.Recv(0, 3)[0]; a != 42 || b != 43 {
+				panic(fmt.Sprintf("messages queued before the seed came out as %v, %v", a, b))
 			}
 		}
 	}); err != nil {
 		t.Fatal(err)
+	}
+	want[0].Count = 4
+	if got := w2.StreamCounts(1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stream counts after a seeded run: got %+v want %+v", got, want)
+	}
+}
+
+// TestTCPResumeAtConstruction is the relaunch protocol without the
+// processes: rank 1's side of a two-mesh link dies after a checkpoint and
+// is rebuilt from the checkpoint's stream positions alone
+// (TCPConfig.Recv/Sent — nothing is parked, seeded or released after
+// construction). The live peer must resend exactly the suffix rank 1 never
+// consumed, and the send rank 1 regenerates must be suppressed, not
+// duplicated.
+func TestTCPResumeAtConstruction(t *testing.T) {
+	opts := Options{Watchdog: 5 * time.Second}
+	w0, w1 := twoProcessWorlds(t, opts)
+	both := func(fn func(c *Comm)) { // on w0 and whichever world is rank 1 now
+		t.Helper()
+		errs := make(chan error, 2)
+		go func() { errs <- w0.RunE(fn) }()
+		go func() { errs <- w1.RunE(fn) }()
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	recvWant := func(c *Comm, src, tag int, want float64) {
+		if got := c.Recv(src, tag)[0]; got != want {
+			panic(fmt.Sprintf("rank %d: stream (%d,%d) delivered %v, want %v", c.Rank(), src, tag, got, want))
+		}
+	}
+
+	// Rank 0 sends five messages of which rank 1 consumes two; rank 1 sends
+	// two, both consumed. That is the checkpoint.
+	both(func(c *Comm) {
+		if c.Rank() == 0 {
+			for i := 0; i < 5; i++ {
+				c.Send(1, 3, []float64{float64(i)})
+			}
+			recvWant(c, 1, 4, 0)
+			recvWant(c, 1, 4, 1)
+		} else {
+			recvWant(c, 0, 3, 0)
+			recvWant(c, 0, 3, 1)
+			c.Send(0, 4, []float64{0})
+			c.Send(0, 4, []float64{1})
+		}
+		c.FlushWire()
+	})
+	recv, sent := w1.StreamCounts(1), w1.SentStreamCounts(1)
+	if want := []StreamPos{{Src: 0, Tag: 3, Count: 2}}; !reflect.DeepEqual(recv, want) {
+		t.Fatalf("checkpoint recv positions %+v, want %+v", recv, want)
+	}
+	if want := []StreamPos{{Src: 0, Tag: 4, Count: 2}}; !reflect.DeepEqual(sent, want) {
+		t.Fatalf("checkpoint sent positions %+v, want %+v", sent, want)
+	}
+	// Past the checkpoint rank 1 gets one more send out, then dies.
+	both(func(c *Comm) {
+		if c.Rank() == 0 {
+			recvWant(c, 1, 4, 2)
+		} else {
+			c.Send(0, 4, []float64{2})
+			c.FlushWire()
+		}
+	})
+	addr := w1.wire.(*TCPMesh).Addr()
+	w1.Close()
+
+	m1, err := NewTCPMesh(TCPConfig{
+		Size: 2, Local: []int{1}, Listen: addr, Addrs: map[int]string{0: w0.wire.(*TCPMesh).Addr(), 1: addr},
+		PeerWait: 10 * time.Second, Heartbeat: 10 * time.Millisecond,
+		Recv: recv, Sent: sent,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 = NewRemoteWorld(2, []int{1}, opts, m1)
+	t.Cleanup(func() { w1.Close() })
+	w1.RestoreStreams(1, recv)
+	both(func(c *Comm) {
+		if c.Rank() == 0 {
+			recvWant(c, 1, 4, 3)
+		} else {
+			for i := 2; i < 5; i++ {
+				recvWant(c, 0, 3, float64(i))
+			}
+			c.Send(0, 4, []float64{2}) // regenerated: rank 0 already has it
+			c.Send(0, 4, []float64{3})
+			c.FlushWire()
+		}
+	})
+
+	ws0, _ := w0.WireStats()
+	ws1, _ := w1.WireStats()
+	if ws0.Resent != 3 || ws0.Duplicates != 0 {
+		t.Errorf("live peer: resent %d frames (want the 3 unconsumed), %d duplicates (want 0)", ws0.Resent, ws0.Duplicates)
+	}
+	if ws1.Suppressed != 1 || ws1.Duplicates != 0 || ws1.FramesRecvd != 3 {
+		t.Errorf("rebuilt side: suppressed %d (want the 1 regenerated send), %d duplicates (want 0), %d frames received (want 3)", ws1.Suppressed, ws1.Duplicates, ws1.FramesRecvd)
+	}
+	if got, want := w1.StreamCounts(1), []StreamPos{{Src: 0, Tag: 3, Count: 5}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("recv positions after resume %+v, want %+v", got, want)
+	}
+	if got, want := w1.SentStreamCounts(1), []StreamPos{{Src: 0, Tag: 4, Count: 4}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("sent positions after resume %+v, want %+v", got, want)
+	}
+
+	if _, err := NewTCPMesh(TCPConfig{Size: 2, Recv: recv}); err == nil {
+		t.Error("resume positions on a mesh hosting every rank were accepted")
 	}
 }
 

@@ -16,17 +16,21 @@ import "time"
 //     zero-copy buffers of SendOwned/IsendOwned flow through unchanged
 //     on the channel fabric, and are marshalled once on wire-backed
 //     transports.
-//   - Per-(src, dst) FIFO: messages delivered on one directed link
-//     arrive in Deliver order, which preserves the per-(src, dst, tag)
-//     stream ordering every Recv matcher relies on.
+//   - Per-(src, dst) FIFO: messages delivered on one directed link reach
+//     World.arrive in Deliver order. That is all the receive side asks:
+//     a mailbox stream is a queue whose head is the only claimable
+//     message, so link order is stream order — for user traffic and for
+//     the barrier alike, which is nothing but messages on a reserved tag.
+//     A transport numbers nothing for the mailbox and may hand it frames
+//     before the rank has seeded its consumed counts (a resumed process).
 //   - Completion: a transport may return from Deliver before the
 //     message reaches the mailbox, but must then report Busy() until it
 //     does (or until the frame is irrevocably handed to the OS on a
 //     cross-process link) — the deadlock watchdog treats wire activity
 //     like nicBusy, never as a stall.
 //   - Flush(src) blocks until every frame rank src has delivered is out
-//     of the transport's own buffers (arrived in-process, written to
-//     the socket cross-process). Checkpointing flushes before taking a
+//     of the transport's own buffers (in the mailbox in-process, written
+//     to the socket cross-process). Checkpointing flushes before taking a
 //     snapshot so "sent before the snapshot" is well defined.
 //   - Reset returns the transport to its just-constructed state between
 //     runs (World.Reset): any in-flight frame from the previous run is

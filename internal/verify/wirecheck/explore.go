@@ -17,7 +17,7 @@ import (
 // plan → pending-queue flush — the exact SendCore/RecvCore
 // negotiation), checkpoint a rank at a flushed point, crash-relaunch a
 // rank (fresh cores seeded via the SeedSent/SeedAccepted path
-// RestoreStreams uses; written frames survive in the kernel, queued
+// mpi.NewTCPMesh uses; written frames survive in the kernel, queued
 // frames and the retained archive die), or reset the epoch with frames
 // still in flight. Fault budgets bound the adversary; every
 // interleaving within budget is visited exactly once (states are
@@ -337,8 +337,8 @@ func (e *explorer) consume(ns *state, li int, fl flight) (*violation, bool) {
 
 // crash relaunches rank r from its checkpoint (or scratch): every
 // adjacent link endpoint gets a fresh protocol core seeded exactly the
-// way RestoreRecvStreams/RestoreSentStreams seed a relaunched tilerankd
-// process, and the application re-executes from the checkpoint —
+// way mpi.NewTCPMesh seeds a relaunched tilerankd process from
+// TCPConfig.Recv/Sent, and the application re-executes from the checkpoint —
 // regenerating its sends with their original sequence numbers.
 //
 // Fault semantics: frames rank r already wrote stay deliverable (the

@@ -48,7 +48,7 @@ func DefaultMatrix() []NamedConfig {
 		{
 			// A rank that talks in both directions checkpoints at any
 			// flushed point and crash-relaunches at any later point,
-			// seeding fresh cores through the RestoreStreams path. No
+			// seeding fresh cores the way mpi.NewTCPMesh does. No
 			// network drops: crash recovery is the single-fault
 			// guarantee under certification here (see the fail-stop
 			// entry for the drop+crash double fault).

@@ -4,7 +4,7 @@
 // exploration of every interleaving of a small configuration's events —
 // sends, in-order deliveries, duplicated deliveries, connection drops,
 // reconnect handshakes, rank crash-relaunches from a checkpoint
-// (RestoreStreams), and epoch resets — and proves four invariants on
+// (TCPConfig.Recv/Sent), and epoch resets — and proves four invariants on
 // every reachable state:
 //
 //	no-loss      every stream is fully consumed once the faults stop
@@ -28,7 +28,7 @@
 //     already wrote are still delivered by the kernel, the process's
 //     queued-but-unwritten frames and its retained archive die with
 //     it, and the relaunch reseeds fresh protocol cores through the
-//     exact SeedSent/SeedAccepted path RestoreStreams uses, then
+//     exact SeedSent/SeedAccepted path mpi.NewTCPMesh uses, then
 //     re-executes from the checkpoint — regenerating sends with their
 //     original sequence numbers.
 //   - A *checkpoint* is only enabled at flushed states (every produced
