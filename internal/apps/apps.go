@@ -79,9 +79,10 @@ func SOR(m, n int64) (*App, error) {
 		return nil, err
 	}
 	const w = 1.2 // over-relaxation factor
-	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
-		out[0] = w/4*(reads[0][0]+reads[1][0]+reads[2][0]+reads[3][0]) + (1-w)*reads[4][0]
-	}
+	// out = w/4·(r0 + r1 + r2 + r3) + (1−w)·r4, summed left to right.
+	kernel := exec.Statement(exec.Add(
+		exec.Mul(exec.Const(w/4), addReads(exec.Read(0, 0), 1, 4)),
+		exec.Mul(exec.Const(1-w), exec.Read(4, 0))))
 	// Back to the original (t, i, j): only i and j feed the boundary value,
 	// so the closure evaluates those two rows of the (unimodular, exactly
 	// integer) inverse skew directly — no allocation, no shared buffer, safe
@@ -133,9 +134,7 @@ func Jacobi(tSteps, n int64) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
-		out[0] = 0.2 * (reads[0][0] + reads[1][0] + reads[2][0] + reads[3][0] + reads[4][0])
-	}
+	kernel := exec.Statement(exec.Mul(exec.Const(0.2), addReads(exec.Read(0, 0), 1, 5)))
 	tinv := skew.Inverse().Int()
 	ri, rj := tinv.Row(1), tinv.Row(2) // as in SOR: rows of the inverse skew, no per-read Vec
 	initial := func(js ilin.Vec, out []float64) {
@@ -176,12 +175,17 @@ func ADI(tSteps, n int64) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
-		a := adiCoef(j[1], j[2])
-		up, left, prev := reads[1], reads[2], reads[0]
-		out[0] = prev[0] + left[0]*a/left[1] - up[0]*a/up[1] // X
-		out[1] = prev[1] - a*a/left[1] - a*a/up[1]           // B
-	}
+	// prev, up and left are dependences 0, 1 and 2; slot 0 is X, slot 1 is B.
+	a := exec.Coef(func(j ilin.Vec) float64 { return adiCoef(j[1], j[2]) })
+	x := func(dep int) *exec.Expr { return exec.Read(dep, 0) }
+	b := func(dep int) *exec.Expr { return exec.Read(dep, 1) }
+	aa := exec.Mul(a, a)
+	kernel := exec.Statement(
+		// X = prev.X + left.X·a/left.B − up.X·a/up.B
+		exec.Sub(exec.Add(x(0), exec.Div(exec.Mul(x(2), a), b(2))), exec.Div(exec.Mul(x(1), a), b(1))),
+		// B = prev.B − a·a/left.B − a·a/up.B
+		exec.Sub(exec.Sub(b(0), exec.Div(aa, b(2))), exec.Div(aa, b(1))),
+	)
 	initial := func(j ilin.Vec, out []float64) {
 		out[0] = 1 + boundaryValue(j[1], j[2])
 		out[1] = 2
@@ -208,6 +212,14 @@ func ADI(tSteps, n int64) (*App, error) {
 			{Name: "nr3", H: mkNR(true, true)},
 		},
 	}, nil
+}
+
+// addReads adds slot 0 of dependences from … to−1 to acc, left to right.
+func addReads(acc *exec.Expr, from, to int) *exec.Expr {
+	for l := from; l < to; l++ {
+		acc = exec.Add(acc, exec.Read(l, 0))
+	}
+	return acc
 }
 
 // boundaryValue is a deterministic, smooth-ish boundary/initial condition.
@@ -252,13 +264,8 @@ func Heat3D(tSteps, n int64) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
-		s := 0.0
-		for _, r := range reads {
-			s += r[0]
-		}
-		out[0] = s / 7
-	}
+	// out = (0 + r0 + … + r6) / 7, summed left to right from zero.
+	kernel := exec.Statement(exec.Div(addReads(exec.Const(0), 0, 7), exec.Const(7)))
 	tinv := skew.Inverse().Int()
 	rx, ry, rz := tinv.Row(1), tinv.Row(2), tinv.Row(3)
 	initial := func(js ilin.Vec, out []float64) {

@@ -47,9 +47,9 @@ func TestSequentialCMatchesGoExecutor(t *testing.T) {
 	// are compared with a small relative tolerance because C and Go sum
 	// the cells in different orders.
 	kernelC := "$W[0] = 0.25*$R0[0] + 0.25*$R1[0] + 0.125*$R2[0] + 0.125*$R3[0] + 0.25*$R4[0] + 1.0;"
-	kernelGo := func(j ilin.Vec, reads [][]float64, out []float64) {
+	kernelGo := goexec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		out[0] = 0.25*reads[0][0] + 0.25*reads[1][0] + 0.125*reads[2][0] + 0.125*reads[3][0] + 0.25*reads[4][0] + 1.0
-	}
+	})
 	src, err := GenerateSequential(ts, Options{
 		Name:        "sorseq",
 		KernelStmt:  kernelC,
@@ -235,9 +235,9 @@ func TestParallelCRunsUnderMockMPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernelC := "$W[0] = 0.25*$R0[0] + 0.25*$R1[0] + 0.125*$R2[0] + 0.125*$R3[0] + 0.25*$R4[0] + 1.0;"
-	kernelGo := func(j ilin.Vec, reads [][]float64, out []float64) {
+	kernelGo := goexec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		out[0] = 0.25*reads[0][0] + 0.25*reads[1][0] + 0.125*reads[2][0] + 0.125*reads[3][0] + 0.25*reads[4][0] + 1.0
-	}
+	})
 	g, err := New(d, Options{
 		Name:        "sorpar",
 		KernelStmt:  replacePlaceholders(kernelC, ts.Nest.Q()),

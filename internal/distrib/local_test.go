@@ -4,7 +4,38 @@ import (
 	"testing"
 
 	"tilespace/internal/ilin"
+	"tilespace/internal/loopnest"
+	"tilespace/internal/tiling"
 )
+
+// sorDist is a box nest under the skewed SOR dependences — one of them,
+// (0,0,1), runs along the innermost dimension, so a point reads its own row —
+// tiled rectangularly and mapped along that dimension.
+func sorDist(t *testing.T) *Distribution {
+	t.Helper()
+	deps := ilin.MatFromRows(
+		[]int64{0, 0, 1, 1, 1},
+		[]int64{1, 0, 0, 1, 1},
+		[]int64{0, 1, 2, 1, 2},
+	)
+	nest, err := loopnest.Box([]string{"t", "i", "j"}, []int64{0, 0, 0}, []int64{5, 7, 9}, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tiling.Rectangular(2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := tiling.Analyze(nest, tr.H)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New(ts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
 
 // TestSeqDimsHandCases pins the greedy cover on hand matrices.
 func TestSeqDimsHandCases(t *testing.T) {
@@ -70,112 +101,90 @@ func TestSeqDimsCoverProperty(t *testing.T) {
 }
 
 // TestNewLocalScheduleSafety: on real clamped shapes (interior and
-// boundary), the schedule must partition the point set, keep σ strictly
+// boundary), the schedule must partition the row set, keep σ strictly
 // ascending across fronts and constant within a front, and — the safety
-// theorem — place the source of every intra-tile dependence in a strictly
-// earlier front than its sink.
+// theorem, checked point by point — place the source of every intra-tile
+// dependence either earlier in the sink's own row or in a row of a strictly
+// earlier front.
 func TestNewLocalScheduleSafety(t *testing.T) {
-	d := jacobiDist(t)
-	ts := d.TS
-	n := ts.T.N
-	seq := SeqDims(ts.DP)
-	for r := 0; r < d.NumProcs(); r += d.NumProcs() - 1 {
-		for ti := int64(0); ti < min64(2, d.ChainLen[r]); ti++ {
-			tile := d.TileAt(r, ti)
-			var zs []int64
-			var jps [][]int64
-			ts.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-				zs = append(zs, z...)
-				jps = append(jps, append([]int64(nil), jp...))
-				return true
-			})
-			npts := len(zs) / n
-			ls := NewLocalSchedule(ts, zs, seq)
-			if len(ls.Sigma) != npts {
-				t.Fatalf("Sigma has %d entries, shape has %d points", len(ls.Sigma), npts)
-			}
-			frontOf := make([]int, npts)
-			for i := range frontOf {
-				frontOf[i] = -1
-			}
-			prev := int64(0)
-			for fi, front := range ls.Fronts {
-				if len(front) == 0 {
-					t.Fatalf("front %d is empty", fi)
+	for name, d := range map[string]*Distribution{"jacobi": jacobiDist(t), "sor": sorDist(t)} {
+		ts := d.TS
+		seq := SeqDims(ts.DP)
+		for r := 0; r < d.NumProcs(); r += d.NumProcs() - 1 {
+			for ti := int64(0); ti < min64(2, d.ChainLen[r]); ti++ {
+				tile := d.TileAt(r, ti)
+				var zs []int64
+				ts.ScanTileRows(tile, func(z, jp ilin.Vec, n int64) bool {
+					zs = append(zs, z...)
+					return true
+				})
+				nrows := len(zs) / ts.T.N
+				ls := NewLocalSchedule(ts, zs, seq)
+				if len(ls.Sigma) != nrows {
+					t.Fatalf("%s: Sigma has %d entries, shape has %d rows", name, len(ls.Sigma), nrows)
 				}
-				sig := ls.Sigma[front[0]]
-				if fi > 0 && sig <= prev {
-					t.Fatalf("front %d: σ=%d not above previous front's %d", fi, sig, prev)
+				frontOf := make([]int, nrows)
+				for i := range frontOf {
+					frontOf[i] = -1
 				}
-				prev = sig
-				for _, idx := range front {
-					if ls.Sigma[idx] != sig {
-						t.Fatalf("front %d mixes σ=%d and σ=%d", fi, sig, ls.Sigma[idx])
+				prev := int64(0)
+				for fi, front := range ls.Fronts {
+					if len(front) == 0 {
+						t.Fatalf("%s: front %d is empty", name, fi)
 					}
-					if frontOf[idx] != -1 {
-						t.Fatalf("point %d scheduled twice", idx)
+					sig := ls.Sigma[front[0]]
+					if fi > 0 && sig <= prev {
+						t.Fatalf("%s: front %d: σ=%d not above previous front's %d", name, fi, sig, prev)
 					}
-					frontOf[idx] = fi
-				}
-			}
-			for i, f := range frontOf {
-				if f == -1 {
-					t.Fatalf("point %d never scheduled", i)
-				}
-			}
-			// Safety: every intra-tile dependence crosses fronts forward.
-			at := map[[3]int64]int{}
-			for i, jp := range jps {
-				at[[3]int64{jp[0], jp[1], jp[2]}] = i
-			}
-			for i, jp := range jps {
-				for l := 0; l < ts.DP.Cols; l++ {
-					src := [3]int64{
-						jp[0] - ts.DP.At(0, l),
-						jp[1] - ts.DP.At(1, l),
-						jp[2] - ts.DP.At(2, l),
+					prev = sig
+					for _, row := range front {
+						if ls.Sigma[row] != sig {
+							t.Fatalf("%s: front %d mixes σ=%d and σ=%d", name, fi, sig, ls.Sigma[row])
+						}
+						if frontOf[row] != -1 {
+							t.Fatalf("%s: row %d scheduled twice", name, row)
+						}
+						frontOf[row] = fi
 					}
-					if s, ok := at[src]; ok && frontOf[s] >= frontOf[i] {
-						t.Fatalf("dependence %d: source %v (front %d) not before sink %v (front %d)",
-							l, src, frontOf[s], jp, frontOf[i])
+				}
+				for row, f := range frontOf {
+					if f == -1 {
+						t.Fatalf("%s: row %d never scheduled", name, row)
+					}
+				}
+				// Safety, per point: (row, position in the row) of every j'.
+				type place struct{ row, pos int }
+				at := map[[3]int64]place{}
+				row, pos := -1, 0
+				var last ilin.Vec
+				ts.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+					if last == nil || !last[:2].Equal(z[:2]) {
+						row, pos, last = row+1, 0, z.Clone()
+					}
+					at[[3]int64{jp[0], jp[1], jp[2]}] = place{row, pos}
+					pos++
+					return true
+				})
+				if row != nrows-1 {
+					t.Fatalf("%s: point scan saw %d rows, row scan %d", name, row+1, nrows)
+				}
+				for jp, sink := range at {
+					for l := 0; l < ts.DP.Cols; l++ {
+						src, ok := at[[3]int64{jp[0] - ts.DP.At(0, l), jp[1] - ts.DP.At(1, l), jp[2] - ts.DP.At(2, l)}]
+						if !ok {
+							continue
+						}
+						if src.row == sink.row {
+							if src.pos >= sink.pos {
+								t.Fatalf("%s: dependence %d stays in row %d but points forward (%d → %d)", name, l, sink.row, src.pos, sink.pos)
+							}
+						} else if frontOf[src.row] >= frontOf[sink.row] {
+							t.Fatalf("%s: dependence %d: source row %d (front %d) not before sink row %d (front %d)",
+								name, l, src.row, frontOf[src.row], sink.row, frontOf[sink.row])
+						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestFootprintRuns pins the run extraction on hand-built footprints.
-func TestFootprintRuns(t *testing.T) {
-	// Three points fully contiguous, then a write gap, then two more.
-	writeOff := []int64{10, 11, 12, 20, 21}
-	readOff := []int64{ // q = 2, interleaved per point
-		5, 100, 6, 101, 7, 102,
-		40, 200, 41, 201,
-	}
-	order := []int32{0, 1, 2, 3, 4}
-	runs := FootprintRuns(order, writeOff, readOff, 2)
-	if len(runs) != 2 {
-		t.Fatalf("got %d runs, want 2: %+v", len(runs), runs)
-	}
-	if runs[0].Start != 0 || runs[0].N != 3 || runs[0].WO != 10 ||
-		runs[0].RO[0] != 5 || runs[0].RO[1] != 100 {
-		t.Fatalf("run 0 = %+v", runs[0])
-	}
-	if runs[1].Start != 3 || runs[1].N != 2 || runs[1].WO != 20 {
-		t.Fatalf("run 1 = %+v", runs[1])
-	}
-
-	// Contiguous writes but one read stream jumps: the run must split even
-	// though the write footprint alone would not.
-	writeOff = []int64{0, 1, 2}
-	readOff = []int64{50, 51, 99} // q = 1; point 2's read breaks stride
-	runs = FootprintRuns([]int32{0, 1, 2}, writeOff, readOff, 1)
-	if len(runs) != 2 || runs[0].N != 2 || runs[1].N != 1 || runs[1].WO != 2 {
-		t.Fatalf("read-break runs = %+v", runs)
-	}
-
-	if runs := FootprintRuns(nil, nil, nil, 0); len(runs) != 0 {
-		t.Fatalf("empty order produced %d runs", len(runs))
 	}
 }

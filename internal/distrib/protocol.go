@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -25,8 +26,20 @@ import (
 // and the neighbour ranks; it is built from closed-form counts, never a
 // per-point table, so the simulator can walk it at paper scale. The address
 // level (Plan) attaches to each slot the compiled address program of its
-// clamped shape and its boundary-read list, and to each inbound row the
+// clamped shape and its boundary-read runs, and to each inbound row the
 // predecessor's region as runs in the receiver's address space.
+//
+// The unit of the address level is the TTIS row: one innermost segment of
+// the tile's point loops (tiling.ScanTileRows), along which z_{n-1} steps by
+// one. The innermost TTIS dimension has stride 1 in the LDS, so along a row
+// the write cell and every read cell advance by exactly one cell per point
+// and the global iteration point by the constant U·e_{n-1} (Protocol.RowStep)
+// — the paper's strides c_k (§3.3) seen from the executor. A table therefore
+// holds one entry per row, never one per point, and what walks it (the
+// executor's sweep, injection and write-back; the certifier's replay) steps
+// addresses instead of looking them up. A row is a fact about the scan, not
+// an empirically merged address run: two consecutive rows may happen to be
+// adjacent in every address and still jump in U·z, so they stay two rows.
 //
 // Compilation is lazy and happens once: the rank-independent tables under
 // one sync.Once, each rank's levels under their own, so a process that runs
@@ -50,6 +63,9 @@ type Protocol struct {
 	DSDir   []int
 	// DmFulls[i] is DM[i] with the mapping dimension re-inserted as 0.
 	DmFulls []ilin.Vec
+	// RowStep is U·e_{n-1}: the step of the global iteration point from one
+	// point of a TTIS row to the next.
+	RowStep ilin.Vec
 
 	depLo, depHi ilin.Vec // per-dimension extremes of Deps
 	fullRegion   []int64  // per direction: FullTileCommCount
@@ -68,7 +84,7 @@ type Protocol struct {
 }
 
 // RankPlan is one rank's compiled chain. Everything but Slots[·].Plan,
-// Slots[·].Boundary and Msgs[·].Runs is the schedule level.
+// Slots[·].Boundary, MaxRow and Msgs[·].Runs is the schedule level.
 type RankPlan struct {
 	schedOnce, addrOnce sync.Once
 	// Err is the schedule level's verdict: a tile whose neighbour processor
@@ -86,9 +102,10 @@ type RankPlan struct {
 	RecvRank []int
 	DirShift []int64
 
-	Slots []SlotPlan
-	Msgs  []InMsg // inbound-message table, in claim order
-	Rows  [][]int // per direction: its rows of Msgs in wire FIFO order
+	Slots  []SlotPlan
+	MaxRow int     // address level: the longest TTIS row of any slot's plan, in points
+	Msgs   []InMsg // inbound-message table, in claim order
+	Rows   [][]int // per direction: its rows of Msgs in wire FIFO order
 }
 
 // SlotPlan is the compiled program of one chain slot.
@@ -99,10 +116,27 @@ type SlotPlan struct {
 	Sends []Send // in ascending direction: the slot's SEND
 
 	// Address level. Boundary lists the reads whose source lies outside the
-	// iteration space, as indices i·q+l into Plan.ReadOff in (point,
-	// dependence) order: the Initial injections of this slot.
+	// iteration space — the Initial injections of this slot — as runs along
+	// the plan's rows, in (row, dependence, offset) order.
 	Plan     *TilePlan
-	Boundary []int32
+	Boundary []BoundaryRun
+}
+
+// BoundaryRun is N consecutive points of row Row of a slot's plan, from its
+// point Off on, whose read through dependence Dep has its source outside the
+// iteration space. The cells to inject are Plan.Read[Row·q+Dep] + Off + i and
+// the sources P·j^S + Uz[Row] + (Off+i)·RowStep − d_Dep, for i in [0, N).
+type BoundaryRun struct {
+	Row, Off, N, Dep int32
+}
+
+// BoundaryValues is how many Initial value vectors the slot's runs inject.
+func (sl *SlotPlan) BoundaryValues() int {
+	n := 0
+	for _, b := range sl.Boundary {
+		n += int(b.N)
+	}
+	return n
 }
 
 // Send is one outbound message of a slot: its direction (index into DM =
@@ -125,33 +159,44 @@ type InMsg struct {
 }
 
 // TilePlan is the compiled address program of one clamped tile shape under
-// one ChainLen. All offsets are flat LDS cell indices at chain slot 0; add
-// t·ChainStep to place them at slot t. Flat offsets depend on the rank only
-// through its LDS strides, i.e. through ChainLen (LDSShape), so interior
-// tiles — the vast majority at paper scale — all share one entry.
+// one ChainLen: one entry per TTIS row. All cells are flat LDS cell indices
+// at chain slot 0; add t·ChainStep to place them at slot t. Flat offsets
+// depend on the rank only through its LDS strides, i.e. through ChainLen
+// (LDSShape), so interior tiles — the vast majority at paper scale — all
+// share one entry.
 type TilePlan struct {
 	Npts     int
 	ChainLen int64
-	// Zs is the clamped lattice point list (Npts×n, ScanTilePoints order) —
-	// with ChainLen the plan's identity, compared exactly on lookup.
-	Zs []int64
-	// Uz[i·n+k] = (U·z_i)_k: the tile-relative part of the global iteration
-	// point, j = P·j^S + U·z.
-	Uz         []int64
+	// Rows is the row table in scan order; the rows partition the shape's
+	// points. Z[r·n+k] is the lattice coordinate of row r's first point —
+	// with the row lengths and ChainLen the plan's identity, compared exactly
+	// on lookup — and Uz[r·n+k] = (U·z)_k its tile-relative part of the global
+	// iteration point: point i of row r is j = P·j^S + Uz[r] + i·RowStep.
+	Rows []Row
+	Z    []int64
+	Uz   []int64
+	// Read[r·q+l] = FlatRead(j', d'_l, 0) of row r's first point; point i of
+	// the row reads cell Read[r·q+l] + i and writes Rows[r].Write + i.
+	Read       []int64
+	MaxRow     int      // the longest row, in points
 	uzLo, uzHi ilin.Vec // the shape's bounding box
-	// WriteOff[i] = Flat(j'_i, 0); ReadOff[i·q+l] = FlatRead(j'_i, d'_l, 0).
-	WriteOff []int64
-	ReadOff  []int64
 	// Dirs[d] holds the communication region along DM[d] as contiguous runs
 	// in pack order.
 	Dirs []DirPlan
-	// MaxWrite/MaxRead are the highest write and read offsets (slot 0): the
+	// MaxWrite/MaxRead are the highest write and read cells (slot 0): the
 	// checkpoint layer's O(1) dirty bound.
 	MaxWrite int64
 	MaxRead  int64
 
 	localOnce sync.Once
 	local     *LocalPlan
+}
+
+// Row is one TTIS row of a TilePlan: N points whose write cells are
+// Write, Write+1, … (Flat(j', 0) of the first point on).
+type Row struct {
+	N     int32
+	Write int64
 }
 
 // DirPlan is one processor direction's compiled communication region.
@@ -223,6 +268,7 @@ func (d *Distribution) compileShared() {
 		dm := d.DmOf(dS)
 		pr.DSDir[i] = slices.IndexFunc(d.DM, dm.Equal)
 	}
+	pr.RowStep = ts.T.U.Col(ts.T.N - 1)
 	pr.DmFulls = make([]ilin.Vec, len(d.DM))
 	pr.fullRegion = make([]int64, len(d.DM))
 	for i, dm := range d.DM {
@@ -320,14 +366,15 @@ func (d *Distribution) compileSchedule(r int, rp *RankPlan) {
 }
 
 // compileAddresses attaches rank r's address level: per slot the tile plan
-// and the boundary-read list, per inbound row the predecessor's region runs.
+// and the boundary-read runs, per inbound row the predecessor's region runs.
 func (d *Distribution) compileAddresses(r int, rp *RankPlan) {
 	rp.addrErr = fmt.Errorf("distrib: rank %d: plan compilation did not complete", r)
-	var zs []int64 // lattice buffer reused across the rank's scans
+	var sc rowScan // row buffers reused across the rank's scans
 	for t := range rp.Slots {
 		sl := &rp.Slots[t]
-		sl.Plan = d.planFor(rp, sl.Tile, &zs)
+		sl.Plan = d.planFor(rp, sl.Tile, &sc)
 		sl.Boundary = d.boundaryReads(sl)
+		rp.MaxRow = max(rp.MaxRow, sl.Plan.MaxRow)
 	}
 	last := make([]*DirPlan, len(d.DM)) // per direction: the previous row's region
 	for i := range rp.Msgs {
@@ -345,55 +392,76 @@ func (d *Distribution) compileAddresses(r int, rp *RankPlan) {
 	rp.addrErr = nil
 }
 
+// rowScan is one tile's row scan: per row the first point's lattice
+// coordinate and the length.
+type rowScan struct {
+	z    []int64
+	lens []int64
+}
+
 // planFor returns the plan of tile's clamped shape in rp's address space,
-// compiling it if no rank of the same ChainLen has met the shape yet. zs is
-// the caller's reusable lattice buffer. Candidates are compared exactly, so
+// compiling it if no rank of the same ChainLen has met the shape yet. sc is
+// the caller's reusable scan buffer. Candidates are compared exactly, so
 // hash collisions cannot alias shapes.
-func (d *Distribution) planFor(rp *RankPlan, tile ilin.Vec, zs *[]int64) *TilePlan {
+func (d *Distribution) planFor(rp *RankPlan, tile ilin.Vec, sc *rowScan) *TilePlan {
 	pr := &d.proto
-	*zs = (*zs)[:0]
-	d.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-		*zs = append(*zs, z...)
+	sc.z, sc.lens = sc.z[:0], sc.lens[:0]
+	d.TS.ScanTileRows(tile, func(z, jp ilin.Vec, n int64) bool {
+		sc.z = append(sc.z, z...)
+		sc.lens = append(sc.lens, n)
 		return true
 	})
 	pr.steps.Add(1)
 	chainLen := int64(len(rp.Slots))
-	key := ilin.HashInt64s(ilin.HashInt64(ilin.HashSeed(), chainLen), *zs)
+	key := ilin.HashInt64s(ilin.HashInt64s(ilin.HashInt64(ilin.HashSeed(), chainLen), sc.z), sc.lens)
+	same := func(pl *TilePlan) bool {
+		if pl.ChainLen != chainLen || !slices.Equal(pl.Z, sc.z) {
+			return false
+		}
+		for r, row := range pl.Rows {
+			if int64(row.N) != sc.lens[r] {
+				return false
+			}
+		}
+		return true
+	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
 	for _, pl := range pr.shapes[key] {
-		if pl.ChainLen == chainLen && slices.Equal(pl.Zs, *zs) {
+		if same(pl) {
 			return pl
 		}
 	}
 	pr.steps.Add(1)
-	pl := d.compilePlan(rp.Addr, chainLen, tile, *zs)
+	pl := d.compilePlan(rp.Addr, chainLen, tile, sc)
 	pr.shapes[key] = append(pr.shapes[key], pl)
 	return pl
 }
 
-// compilePlan runs the Addresser over the clamped point list once and
+// compilePlan runs the Addresser over the first point of every row once and
 // records everything the dynamic phases replay. tile is a representative
 // tile of the shape (the communication region depends only on TTIS
 // coordinates, so any same-shape tile yields identical runs).
-func (d *Distribution) compilePlan(addr *Addresser, chainLen int64, tile ilin.Vec, zs []int64) *TilePlan {
+func (d *Distribution) compilePlan(addr *Addresser, chainLen int64, tile ilin.Vec, sc *rowScan) *TilePlan {
 	ts := d.TS
-	dps := d.proto.DPs
+	pr := &d.proto
+	dps := pr.DPs
 	n := ts.T.N
 	q := len(dps)
-	npts := len(zs) / n
+	nrows := len(sc.lens)
 	pl := &TilePlan{
-		Npts:     npts,
 		ChainLen: chainLen,
-		Zs:       slices.Clone(zs),
-		Uz:       make([]int64, npts*n),
-		WriteOff: make([]int64, npts),
-		ReadOff:  make([]int64, npts*q),
+		Rows:     make([]Row, nrows),
+		Z:        slices.Clone(sc.z),
+		Uz:       make([]int64, nrows*n),
+		Read:     make([]int64, nrows*q),
 		Dirs:     make([]DirPlan, len(d.DM)),
 	}
 	jp := make(ilin.Vec, n)
-	for i := 0; i < npts; i++ {
-		z := zs[i*n : i*n+n]
+	end := make(ilin.Vec, n)
+	for r := 0; r < nrows; r++ {
+		z := sc.z[r*n : r*n+n]
+		uz := pl.Uz[r*n : r*n+n]
 		for k := 0; k < n; k++ {
 			var s, u int64
 			for l := 0; l < n; l++ {
@@ -401,14 +469,24 @@ func (d *Distribution) compilePlan(addr *Addresser, chainLen int64, tile ilin.Ve
 				u += ts.T.U.At(k, l) * z[l]
 			}
 			jp[k] = s
-			pl.Uz[i*n+k] = u
+			uz[k] = u
 		}
-		widen(&pl.uzLo, &pl.uzHi, pl.Uz[i*n:i*n+n])
-		pl.WriteOff[i] = addr.Flat(jp, 0)
-		pl.MaxWrite = max(pl.MaxWrite, pl.WriteOff[i])
+		last := sc.lens[r] - 1
+		if last >= math.MaxInt32 {
+			panic(fmt.Sprintf("distrib: TTIS row of %d points exceeds the row table's int32 length", last+1))
+		}
+		for k := range end {
+			end[k] = uz[k] + last*pr.RowStep[k]
+		}
+		widen(&pl.uzLo, &pl.uzHi, uz)
+		widen(&pl.uzLo, &pl.uzHi, end)
+		pl.Rows[r] = Row{N: int32(last + 1), Write: addr.Flat(jp, 0)}
+		pl.Npts += int(last + 1)
+		pl.MaxRow = max(pl.MaxRow, int(last+1))
+		pl.MaxWrite = max(pl.MaxWrite, pl.Rows[r].Write+last)
 		for l := 0; l < q; l++ {
-			pl.ReadOff[i*q+l] = addr.FlatRead(jp, dps[l], 0)
-			pl.MaxRead = max(pl.MaxRead, pl.ReadOff[i*q+l])
+			pl.Read[r*q+l] = addr.FlatRead(jp, dps[l], 0)
+			pl.MaxRead = max(pl.MaxRead, pl.Read[r*q+l]+last)
 		}
 	}
 	for di, dm := range d.DM {
@@ -429,14 +507,15 @@ func widen(lo, hi *ilin.Vec, v []int64) {
 	}
 }
 
-// boundaryReads builds a slot's boundary-read list with the integer
+// boundaryReads builds a slot's boundary-read runs with the integer
 // containment test: the one place the compiled protocol asks whether a
 // point is in the iteration space. Guards only where needed: a face of the
 // space that even the nearest corner of the slot's read-source bounding box
 // satisfies cannot be crossed by any read, so interior slots — no face left
-// — cost nothing and boundary slots test each read against the faces they
-// touch.
-func (d *Distribution) boundaryReads(sl *SlotPlan) []int32 {
+// — cost nothing; and the space is convex, so a row whose two end sources
+// both lie inside has every source inside, and only the rows that touch a
+// face are walked point by point.
+func (d *Distribution) boundaryReads(sl *SlotPlan) []BoundaryRun {
 	pr := &d.proto
 	pl := sl.Plan
 	if pl.Npts == 0 || len(pr.Deps) == 0 {
@@ -461,18 +540,35 @@ func (d *Distribution) boundaryReads(sl *SlotPlan) []int32 {
 	if len(faces) == 0 {
 		return nil
 	}
-	q := len(pr.Deps)
-	var out []int32
-	for i := 0; i < pl.Npts; i++ {
-		uz := pl.Uz[i*n : i*n+n]
-		for l, dep := range pr.Deps {
-			for k := range src {
-				src[k] = sl.PBase[k] + uz[k] - dep[k]
+	// outside reports whether the source of point i of the row at uz,
+	// through dep, violates one of the faces in reach.
+	outside := func(uz, dep []int64, i int64) bool {
+		for k := range src {
+			src[k] = sl.PBase[k] + uz[k] + i*pr.RowStep[k] - dep[k]
+		}
+		for _, c := range faces {
+			if !c.SatisfiedBy(src) {
+				return true
 			}
-			for _, c := range faces {
-				if !c.SatisfiedBy(src) {
-					out = append(out, int32(i*q+l))
-					break
+		}
+		return false
+	}
+	var out []BoundaryRun
+	for r, row := range pl.Rows {
+		uz := pl.Uz[r*n : r*n+n]
+		cnt := int64(row.N)
+		for l, dep := range pr.Deps {
+			if !outside(uz, dep, 0) && !outside(uz, dep, cnt-1) {
+				continue
+			}
+			for i := int64(0); i < cnt; i++ {
+				if !outside(uz, dep, i) {
+					continue
+				}
+				if k := len(out) - 1; k >= 0 && out[k].Row == int32(r) && out[k].Dep == int32(l) && int64(out[k].Off+out[k].N) == i {
+					out[k].N++
+				} else {
+					out = append(out, BoundaryRun{Row: int32(r), Off: int32(i), N: 1, Dep: int32(l)})
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -12,13 +13,23 @@ import (
 )
 
 // sumKernel: out = 1 + Σ reads — integer-valued, any placement error
-// changes the result.
-func sumKernel(j ilin.Vec, reads [][]float64, out []float64) {
+// changes the result. An opaque per-point body.
+var sumKernel = PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 	s := 1.0
 	for _, r := range reads {
 		s += r[0]
 	}
 	out[0] = s
+})
+
+// sumStatement is sumKernel over q dependences as a statement: the same
+// additions in the same order, evaluated a row at a time.
+func sumStatement(q int) Kernel {
+	e := Const(1)
+	for l := 0; l < q; l++ {
+		e = Add(e, Read(l, 0))
+	}
+	return Statement(e)
 }
 
 func zeroInit(j ilin.Vec, out []float64) {
@@ -173,13 +184,30 @@ func TestParallelWidth2(t *testing.T) {
 	deps := ilin.MatFromRows([]int64{1, 1, 1}, []int64{0, 1, 0}, []int64{0, 0, 1})
 	nest := loopnest.MustBox([]string{"t", "i", "j"}, []int64{1, 1, 1}, []int64{6, 8, 8}, deps)
 	tr, _ := tiling.Rectangular(2, 3, 3)
-	k := func(j ilin.Vec, reads [][]float64, out []float64) {
+	k := PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		out[0] = reads[0][0] + reads[1][1] + 1
 		out[1] = reads[2][0] - reads[0][1] + 0.5
-	}
+	})
 	init := func(j ilin.Vec, out []float64) { out[0], out[1] = 1, 2 }
 	p := buildProgram(t, nest, tr.H, 0, 2, k, init)
 	comparePrograms(t, p)
+	// The same body as a statement runs row-wise and must agree with it.
+	stmt := Statement(
+		Add(Add(Read(0, 0), Read(1, 1)), Const(1)),
+		Add(Sub(Read(2, 0), Read(0, 1)), Const(0.5)))
+	ps := buildProgram(t, nest, tr.H, 0, 2, stmt, init)
+	comparePrograms(t, ps)
+	gp, _, err := p.RunParallel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, _, err := ps.RunParallel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff, at := gp.MaxAbsDiff(gs, p.ScanSpace); diff != 0 {
+		t.Fatalf("statement differs from the opaque body by %g at %v", diff, at)
+	}
 }
 
 // TestSelfCheckingKernel directly validates communication placement: the
@@ -210,7 +238,7 @@ func TestSelfCheckingKernel(t *testing.T) {
 	for l := range depCols {
 		depCols[l] = deps.Col(l)
 	}
-	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
+	kernel := PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		for l, r := range reads {
 			src := j.Sub(depCols[l])
 			want := -1.0
@@ -226,7 +254,7 @@ func TestSelfCheckingKernel(t *testing.T) {
 			}
 		}
 		out[0] = enc(j)
-	}
+	})
 	init := func(j ilin.Vec, out []float64) { out[0] = -1 }
 	p, err := NewProgram(ts, 2, 1, kernel, init)
 	if err != nil {
@@ -251,8 +279,17 @@ func TestNewProgramErrors(t *testing.T) {
 	if _, err := NewProgram(ts, 0, 0, sumKernel, nil); err == nil {
 		t.Error("width 0 not rejected")
 	}
-	if _, err := NewProgram(ts, 0, 1, nil, nil); err == nil {
-		t.Error("nil kernel not rejected")
+	if _, err := NewProgram(ts, 0, 1, Kernel{}, nil); err == nil {
+		t.Error("zero kernel not rejected")
+	}
+	for name, k := range map[string]Kernel{
+		"two slots at width 1":    Statement(Const(1), Const(2)),
+		"dependence out of range": Statement(Read(2, 0)),
+		"slot out of range":       Statement(Read(0, 1)),
+	} {
+		if _, err := NewProgram(ts, 0, 1, k, nil); err == nil {
+			t.Errorf("statement with %s not rejected", name)
+		}
 	}
 	if _, err := NewProgram(ts, 5, 1, sumKernel, nil); err == nil {
 		t.Error("bad mapping dim not rejected")
@@ -289,6 +326,53 @@ func TestGlobalBasics(t *testing.T) {
 		}
 	}()
 	g.At(ilin.NewVec(9, 9))
+}
+
+// TestGlobalRows: a fresh Global is NaN throughout (whatever its size: the
+// fill doubles), Row aliases the contiguous innermost run it names and
+// refuses one that leaves the box, and setRow stores adjacent points by copy
+// and strided ones point by point.
+func TestGlobalRows(t *testing.T) {
+	for _, hi := range []int64{0, 1, 2, 6, 15} {
+		g := NewGlobal(ilin.NewVec(0, 0), ilin.NewVec(2, hi), 3)
+		for i, v := range g.data {
+			if !math.IsNaN(v) {
+				t.Fatalf("box up to %d: cell %d of a fresh Global is %v, want NaN", hi, i, v)
+			}
+		}
+	}
+	g := NewGlobal(ilin.NewVec(-1, 0), ilin.NewVec(1, 4), 2)
+	g.setRow(ilin.NewVec(0, 1), ilin.NewVec(0, 3), 3, []float64{1, 2, 3, 4, 5, 6})     // along the innermost dimension
+	g.setRow(ilin.NewVec(-1, 4), ilin.NewVec(1, 0), 3, []float64{7, 8, 9, 10, 11, 12}) // a diagonal
+	g.setRow(ilin.NewVec(1, 4), ilin.NewVec(1, 4), 1, []float64{13, 14})
+	for _, c := range []struct {
+		j    ilin.Vec
+		want [2]float64
+	}{
+		{ilin.NewVec(0, 1), [2]float64{1, 2}}, {ilin.NewVec(0, 3), [2]float64{5, 6}},
+		{ilin.NewVec(-1, 4), [2]float64{7, 8}}, {ilin.NewVec(0, 2), [2]float64{9, 10}}, {ilin.NewVec(1, 0), [2]float64{11, 12}},
+		{ilin.NewVec(1, 4), [2]float64{13, 14}},
+	} {
+		if v := g.At(c.j); v[0] != c.want[0] || v[1] != c.want[1] {
+			t.Errorf("At(%v) = %v, want %v", c.j, v, c.want)
+		}
+	}
+	if row := g.Row(ilin.NewVec(0, 1), 3); len(row) != 6 || row[0] != 1 || row[2] != 9 || row[5] != 6 {
+		t.Errorf("Row((0,1), 3) = %v", row)
+	}
+	for name, bad := range map[string]func(){
+		"row past the box":   func() { g.Row(ilin.NewVec(0, 3), 3) },
+		"setRow end outside": func() { g.setRow(ilin.NewVec(0, 3), ilin.NewVec(0, 5), 3, make([]float64, 6)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			bad()
+		}()
+	}
 }
 
 func TestGlobalMaxAbsDiffNaN(t *testing.T) {

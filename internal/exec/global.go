@@ -41,8 +41,11 @@ func NewGlobal(lo, hi ilin.Vec, width int) *Global {
 		size *= hi[k] - lo[k] + 1
 	}
 	g := &Global{Lo: lo.Clone(), Hi: hi.Clone(), Width: width, stride: stride, data: make([]float64, size*int64(width))}
-	for i := range g.data {
-		g.data[i] = math.NaN()
+	// Fill by doubling copies: this runs serially on every run's critical
+	// path, and memmove is several times faster than a scalar store loop.
+	g.data[0] = math.NaN()
+	for n := 1; n < len(g.data); n *= 2 {
+		copy(g.data[n:], g.data[:n])
 	}
 	return g
 }
@@ -77,6 +80,39 @@ func (g *Global) At(j ilin.Vec) []float64 {
 // Set stores a value vector at j.
 func (g *Global) Set(j ilin.Vec, v []float64) {
 	copy(g.At(j), v)
+}
+
+// Row returns the value vectors of the n points j, j+e, …, j+(n−1)·e along
+// the innermost dimension e = e_{n−1}: contiguous in the backing array, which
+// the slice aliases.
+func (g *Global) Row(j ilin.Vec, n int64) []float64 {
+	i := g.index(j)
+	if last := len(j) - 1; n < 1 || j[last]+n-1 > g.Hi[last] {
+		panic(fmt.Sprintf("exec: row of %d points from %v leaves global box [%v, %v]", n, j, g.Lo, g.Hi))
+	}
+	return g.data[i : i+n*int64(g.Width)]
+}
+
+// setRow stores the value vectors src of n points evenly spaced on the
+// segment from first to last (both checked against the box, so every point
+// between is inside it too): one copy when the points are adjacent in the
+// backing array, a strided loop otherwise.
+func (g *Global) setRow(first, last ilin.Vec, n int, src []float64) {
+	w := g.Width
+	at := g.index(first)
+	if n == 1 {
+		copy(g.data[at:at+int64(w)], src)
+		return
+	}
+	step := (g.index(last) - at) / int64(n-1)
+	if step == int64(w) {
+		copy(g.data[at:at+int64(n*w)], src)
+		return
+	}
+	for i := 0; i < n; i++ {
+		copy(g.data[at:at+int64(w)], src[i*w:(i+1)*w])
+		at += step
+	}
 }
 
 // MaxAbsDiff returns the maximum absolute elementwise difference between

@@ -22,11 +22,7 @@ import (
 // in-process world, with blocking Sends or (overlap) Isends drained at
 // chain end.
 func (p *Program) RunLegacy(overlap bool) (*Global, mpi.Stats, error) {
-	lo, hi, err := p.TS.Nest.BoundingBox()
-	if err != nil {
-		return nil, mpi.Stats{}, err
-	}
-	g := NewGlobal(lo, hi, p.Width)
+	g := NewGlobal(p.lo, p.hi, p.Width)
 	world := mpi.NewWorldOpts(p.Dist.NumProcs(), mpi.Options{})
 	var (
 		mu     sync.Mutex
@@ -155,7 +151,7 @@ func (st *rankState) initPhase(tile ilin.Vec, t int64) {
 func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 	w := st.p.Width
 	q := len(st.deps)
-	reads := st.reads
+	reads := make([][]float64, q)
 	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
 		for l := 0; l < q; l++ {
 			cell := st.Addr.FlatRead(jp, st.dps[l], t) * int64(w)
@@ -163,7 +159,7 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 		}
 		j := st.p.TS.GlobalOf(tile, z)
 		out := st.Addr.Flat(jp, t) * int64(w)
-		st.p.Kernel(j, reads, st.la[out:out+int64(w)])
+		st.p.Kernel.Point(j, reads, st.la[out:out+int64(w)])
 		return true
 	})
 }

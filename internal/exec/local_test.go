@@ -22,7 +22,7 @@ func seedLDS(states ...*rankState) {
 // produce a bit-identical LDS to the serial compiled sweep over whole
 // chains — interior and boundary shapes, several pool sizes, including
 // pools larger than any wavefront (everything inline) and odd sizes that
-// split runs unevenly.
+// split rows unevenly.
 func TestComputePhaseParallelMatchesSerial(t *testing.T) {
 	p := planProgram(t)
 	for _, workers := range []int{2, 3, 8} {
@@ -51,11 +51,10 @@ func TestComputePhaseParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLocalPlanInvariants: the compiled local plan must fire every point
-// of the shape exactly once, decompose each front into runs covering its
-// points exactly, keep every run's claimed write offset consistent with
-// the tile plan, and weigh each run by its point count (what a pool of any
-// size splits the front by).
+// TestLocalPlanInvariants: the compiled local plan must fire every row of
+// the shape exactly once — so every point exactly once — keep each front's
+// rows in scan order, and weigh each row by its point count (what a pool of
+// any size splits the front by).
 func TestLocalPlanInvariants(t *testing.T) {
 	p := planProgram(t)
 	for r := 0; r < p.Dist.NumProcs(); r++ {
@@ -66,44 +65,42 @@ func TestLocalPlanInvariants(t *testing.T) {
 			if again := p.Dist.LocalPlan(pl); again != lp {
 				t.Fatal("local plan recompiled on second lookup")
 			}
-			if len(lp.Order) != pl.Npts {
-				t.Fatalf("order has %d entries, shape has %d points", len(lp.Order), pl.Npts)
-			}
-			seen := make([]bool, pl.Npts)
-			for _, idx := range lp.Order {
-				if seen[idx] {
-					t.Fatalf("point %d fires twice", idx)
-				}
-				seen[idx] = true
-			}
+			seen := make([]bool, len(pl.Rows))
+			pts := 0
 			for fi := range lp.Fronts {
 				f := &lp.Fronts[fi]
-				var runPts int32
-				for ri, run := range f.Runs {
-					if run.Start < f.Lo || run.Start+run.N > f.Hi {
-						t.Fatalf("front %d run %d [%d,%d) escapes front [%d,%d)",
-							fi, ri, run.Start, run.Start+run.N, f.Lo, f.Hi)
+				if len(f.Rows) == 0 {
+					t.Fatalf("front %d is empty", fi)
+				}
+				if len(f.Weights) != len(f.Rows) {
+					t.Fatalf("front %d has %d weights for %d rows", fi, len(f.Weights), len(f.Rows))
+				}
+				frontPts := 0
+				for i, row := range f.Rows {
+					if seen[row] {
+						t.Fatalf("row %d fires twice", row)
 					}
-					for i := int32(0); i < run.N; i++ {
-						if got := pl.WriteOff[lp.Order[run.Start+i]]; got != run.WO+int64(i) {
-							t.Fatalf("front %d run %d point %d: write offset %d, run claims %d",
-								fi, ri, i, got, run.WO+int64(i))
-						}
+					seen[row] = true
+					if i > 0 && f.Rows[i-1] >= row {
+						t.Fatalf("front %d: rows %v not in scan order", fi, f.Rows)
 					}
-					runPts += run.N
-				}
-				if int(runPts) != f.Npts || int(f.Hi-f.Lo) != f.Npts {
-					t.Fatalf("front %d: %d points, runs cover %d, order range %d",
-						fi, f.Npts, runPts, f.Hi-f.Lo)
-				}
-				if len(f.Weights) != len(f.Runs) {
-					t.Fatalf("front %d has %d run weights for %d runs", fi, len(f.Weights), len(f.Runs))
-				}
-				for ri, run := range f.Runs {
-					if f.Weights[ri] != int64(run.N) {
-						t.Fatalf("front %d run %d: weight %d, %d points", fi, ri, f.Weights[ri], run.N)
+					if f.Weights[i] != int64(pl.Rows[row].N) {
+						t.Fatalf("front %d row %d: weight %d, %d points", fi, row, f.Weights[i], pl.Rows[row].N)
 					}
+					frontPts += int(pl.Rows[row].N)
 				}
+				if frontPts != f.Npts {
+					t.Fatalf("front %d: %d points, rows cover %d", fi, f.Npts, frontPts)
+				}
+				pts += frontPts
+			}
+			for row, ok := range seen {
+				if !ok {
+					t.Fatalf("row %d never fires", row)
+				}
+			}
+			if pts != pl.Npts {
+				t.Fatalf("fronts cover %d points, shape has %d", pts, pl.Npts)
 			}
 		}
 	}
@@ -139,7 +136,7 @@ func TestWorkerPanicPropagates(t *testing.T) {
 
 	kernel := p.Kernel
 	defer func() { p.Kernel = kernel }()
-	p.Kernel = func(j ilin.Vec, reads [][]float64, out []float64) { panic("kernel boom") }
+	p.Kernel = PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) { panic("kernel boom") })
 
 	defer func() {
 		if r := recover(); r != "kernel boom" {

@@ -52,9 +52,9 @@ type RunOptions struct {
 	// Nil disables checkpointing (no per-tile overhead).
 	Checkpoint *CheckpointOptions
 	// Workers sets the per-rank intra-tile worker pool size: each tile's
-	// wavefronts of independent points (see distrib.NewLocalSchedule)
-	// execute on Workers goroutines walking precompiled stride-1 runs,
-	// with the dependence-carrying dimensions still walked in order.
+	// wavefronts of independent TTIS rows (see distrib.NewLocalSchedule)
+	// execute on Workers goroutines, each evaluating whole rows, with the
+	// dependence-carrying dimensions still walked in order.
 	// 0 picks a GOMAXPROCS-aware default (GOMAXPROCS / ranks, at least
 	// 1); 1 is the serial sweep. Results are bit-identical to the serial
 	// path for every value — the setting only trades wall-clock.
@@ -101,12 +101,6 @@ func (p *Program) RunParallel() (*Global, mpi.Stats, error) {
 
 // RunParallelOpts is RunParallel with an explicit execution strategy.
 func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
-	lo, hi, err := p.TS.Nest.BoundingBox()
-	if err != nil {
-		return nil, mpi.Stats{}, err
-	}
-	g := NewGlobal(lo, hi, p.Width)
-
 	if opt.Dynamic {
 		if ck := opt.Checkpoint; ck != nil && (ck.Save != nil || ck.Resume != nil) {
 			return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and Checkpoint.Save/Resume are mutually exclusive (a saved snapshot's stream counts assume the static claim order)")
@@ -116,14 +110,16 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 		// Stats bit-identical to a static Overlap run.
 		opt.Overlap = true
 	}
+	world := opt.World
+	if world != nil && world.Size() != p.Dist.NumProcs() {
+		return nil, mpi.Stats{}, fmt.Errorf("exec: pooled world has %d ranks, program needs %d", world.Size(), p.Dist.NumProcs())
+	}
+	// Everything that can refuse the run has: only now allocate the result.
+	g := NewGlobal(p.lo, p.hi, p.Width)
 	if opt.Firing != nil {
 		opt.Firing.reset()
 	}
-	world := opt.World
 	if world != nil {
-		if world.Size() != p.Dist.NumProcs() {
-			return nil, mpi.Stats{}, fmt.Errorf("exec: pooled world has %d ranks, program needs %d", world.Size(), p.Dist.NumProcs())
-		}
 		// A remote world is per-process and single-use: it was just
 		// constructed — possibly over a mesh seeded from a checkpoint, with
 		// resent frames already queued that a Reset would destroy — and
@@ -180,12 +176,10 @@ type rankState struct {
 	// dynamic selects its policy.
 	in      inbox
 	dynamic bool
-	pBase   ilin.Vec    // P·j^S of the current tile (the slot's, not a copy)
-	jBuf    ilin.Vec    // reused global iteration point
-	srcBuf  ilin.Vec    // reused dependence source point
-	initBuf []float64   // reused Initial value buffer
-	reads   [][]float64 // reused kernel read views
-	roBuf   []int64     // reused read-offset cursors (inline local runs)
+	pBase   ilin.Vec  // P·j^S of the current tile (the slot's, not a copy)
+	rowStep ilin.Vec  // the global point's step along a TTIS row
+	ev      *rowEval  // the rank goroutine's row-evaluation scratch
+	init    *rankInit // the rank's boundary values, compiled once per Program
 
 	// Intra-tile parallelism (workers > 1 only): the rank's worker pool.
 	workers int
@@ -217,8 +211,6 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) (*rankState, e
 		return nil, err
 	}
 	pr := p.Dist.Protocol()
-	n := p.TS.T.N
-	q := len(pr.Deps)
 	st := &rankState{
 		p: p, c: c, rank: r,
 		RankPlan:   rp,
@@ -237,11 +229,9 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) (*rankState, e
 		st.tr = newRankTracer(opt.Trace, r)
 	}
 	st.la = make([]float64, st.Addr.Size()*int64(p.Width))
-	st.reads = make([][]float64, q)
-	st.initBuf = make([]float64, p.Width)
-	st.jBuf = make(ilin.Vec, n)
-	st.srcBuf = make(ilin.Vec, n)
-	st.roBuf = make([]int64, q)
+	st.rowStep = pr.RowStep
+	st.ev = newRowEval(st)
+	st.init = p.boundaryValues(r, rp)
 	st.in.claimed = make([]bool, len(rp.Msgs))
 	st.in.heads = make([]int, len(rp.Rows))
 	st.workers = effectiveWorkers(opt.Workers, p.Dist.NumProcs())
@@ -353,27 +343,4 @@ func (st *rankState) recv(src, tag int) []float64 {
 	now := time.Now()
 	st.tr.noteRecv(now.Sub(t0), now.Sub(m.Delivered), len(m.Data))
 	return m.Data
-}
-
-// writeBack copies this rank's computed values to the global data space
-// via the computer-owns rule. Ranks own disjoint iteration points, so the
-// concurrent writes touch disjoint memory. Each chain slot's offset table
-// is replayed — including the slots a chain resumed from a snapshot skipped,
-// whose LDS values were restored.
-func (st *rankState) writeBack(g *Global) {
-	w := int64(st.p.Width)
-	n := st.p.TS.T.N
-	for t := range st.Slots {
-		sl := &st.Slots[t]
-		pl := sl.Plan
-		tOff := int64(t) * st.ChainStep
-		for i := 0; i < pl.Npts; i++ {
-			uz := pl.Uz[i*n : i*n+n]
-			for k := 0; k < n; k++ {
-				st.jBuf[k] = sl.PBase[k] + uz[k]
-			}
-			cell := (pl.WriteOff[i] + tOff) * w
-			g.Set(st.jBuf, st.la[cell:cell+w])
-		}
-	}
 }

@@ -7,7 +7,9 @@ import (
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
+	"tilespace/internal/loopnest"
 	"tilespace/internal/rat"
+	"tilespace/internal/tiling"
 )
 
 // planProgram builds the skewed SOR program with the §4.1 non-rectangular
@@ -20,7 +22,7 @@ func planProgram(tb testing.TB) *Program {
 	h.Set(1, 1, rat.New(1, 5))
 	h.Set(2, 0, rat.New(-1, 4))
 	h.Set(2, 2, rat.New(1, 4))
-	return buildProgram(tb, nest, h, 2, 1, sumKernel, zeroInit)
+	return buildProgram(tb, nest, h, 2, 1, sumStatement(nest.Q()), zeroInit)
 }
 
 // mustRankState is newRankState for fixtures whose chains compile cleanly.
@@ -44,8 +46,9 @@ func mustPlan(tb testing.TB, p *Program, r int) *distrib.RankPlan {
 }
 
 // TestPlanOffsetsMatchAddresser: for every tile of every rank (interior
-// and boundary), the compiled write/read offsets shifted by t·chainStep
-// must equal the per-point Addresser evaluation, and pBase + uz must
+// and boundary), walking the row table with a cursor must visit the tile's
+// scan: the stepped write/read cells shifted by t·chainStep must equal the
+// per-point Addresser evaluation, and pBase + uz + i·RowStep must
 // reconstruct the global iteration point.
 func TestPlanOffsetsMatchAddresser(t *testing.T) {
 	p := planProgram(t)
@@ -56,29 +59,35 @@ func TestPlanOffsetsMatchAddresser(t *testing.T) {
 		for ti := int64(0); ti < p.Dist.ChainLen[r]; ti++ {
 			sl := &st.Slots[ti]
 			tile, pl := sl.Tile, sl.Plan
-			st.pBase = sl.PBase
 			tOff := ti * st.ChainStep
-			i := 0
+			row, i, pts := 0, int64(0), 0
 			p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-				if got, want := pl.WriteOff[i]+tOff, st.Addr.Flat(jp, ti); got != want {
-					t.Fatalf("rank %d tile %v point %d: writeOff %d, Flat %d", r, tile, i, got, want)
+				if row < len(pl.Rows) && i == int64(pl.Rows[row].N) {
+					row, i = row+1, 0
+				}
+				if row >= len(pl.Rows) {
+					t.Fatalf("rank %d tile %v: scan point %d lies past the plan's %d rows", r, tile, pts, len(pl.Rows))
+				}
+				if got, want := pl.Rows[row].Write+i+tOff, st.Addr.Flat(jp, ti); got != want {
+					t.Fatalf("rank %d tile %v row %d point %d: write cell %d, Flat %d", r, tile, row, i, got, want)
 				}
 				for l := 0; l < q; l++ {
-					if got, want := pl.ReadOff[i*q+l]+tOff, st.Addr.FlatRead(jp, st.dps[l], ti); got != want {
-						t.Fatalf("rank %d tile %v point %d dep %d: readOff %d, FlatRead %d", r, tile, i, l, got, want)
+					if got, want := pl.Read[row*q+l]+i+tOff, st.Addr.FlatRead(jp, st.dps[l], ti); got != want {
+						t.Fatalf("rank %d tile %v row %d point %d dep %d: read cell %d, FlatRead %d", r, tile, row, i, l, got, want)
 					}
 				}
 				j := p.TS.GlobalOf(tile, z)
 				for k := 0; k < n; k++ {
-					if st.pBase[k]+pl.Uz[i*n+k] != j[k] {
-						t.Fatalf("rank %d tile %v point %d: pBase+uz reconstructs %v[%d] wrong (want %v)", r, tile, i, st.pBase, k, j)
+					if sl.PBase[k]+pl.Uz[row*n+k]+i*st.rowStep[k] != j[k] {
+						t.Fatalf("rank %d tile %v row %d point %d: pBase+uz+i·step reconstructs component %d wrong (want %v)", r, tile, row, i, k, j)
 					}
 				}
 				i++
+				pts++
 				return true
 			})
-			if i != pl.Npts {
-				t.Fatalf("rank %d tile %v: plan has %d points, scan found %d", r, tile, pl.Npts, i)
+			if pts != pl.Npts || (len(pl.Rows) > 0 && (row != len(pl.Rows)-1 || i != int64(pl.Rows[row].N))) {
+				t.Fatalf("rank %d tile %v: plan has %d points in %d rows, scan found %d and stopped at row %d point %d", r, tile, pl.Npts, len(pl.Rows), pts, row, i)
 			}
 		}
 	}
@@ -180,6 +189,59 @@ func TestComputePhasePlannedZeroAlloc(t *testing.T) {
 	}
 }
 
+// opaquePlanProgram is planProgram with the same body as an opaque
+// per-point kernel: the executor's other path through the same tables.
+func opaquePlanProgram(tb testing.TB) *Program {
+	p := planProgram(tb)
+	p.Kernel = sumKernel
+	return p
+}
+
+// TestWarmRankAllocatesNothing: with the plan, the boundary values and the
+// evaluator scratch warm, one rank's init + sweep over its whole chain and
+// its write-back allocate nothing, for a statement and for an opaque body.
+func TestWarmRankAllocatesNothing(t *testing.T) {
+	for name, p := range map[string]*Program{"statement": planProgram(t), "opaque": opaquePlanProgram(t)} {
+		r, _ := boundarySlot(t, p)
+		st := mustRankState(t, p, r, RunOptions{})
+		g := NewGlobal(p.lo, p.hi, p.Width)
+		rank := func() {
+			for ti := range st.Slots {
+				sl := &st.Slots[ti]
+				st.pBase = sl.PBase
+				st.initPhasePlanned(sl, int64(ti))
+				st.computePhasePlanned(sl.Plan, int64(ti))
+			}
+			st.writeBack(g)
+		}
+		rank() // warm up: the evaluator sizes its registers on first use
+		if allocs := testing.AllocsPerRun(10, rank); allocs != 0 {
+			t.Errorf("%s kernel: a warm rank allocates %.1f times per chain, want 0", name, allocs)
+		}
+	}
+}
+
+// TestRowsAreNotMergedRunsInARun runs the configuration on which a row table
+// built by merging adjacent addresses goes wrong (distrib's
+// TestRowsAreNotMergedAddressRuns): consecutive TTIS rows adjacent in every
+// address, with the global point jumping between them. Kernels that read the
+// point — an opaque body and a Coef statement — must match the sequential
+// reference, which they would not with j stepped across a row end.
+func TestRowsAreNotMergedRunsInARun(t *testing.T) {
+	nest := loopnest.MustBox(nil, []int64{0, 0, 0}, []int64{5, 5, 5}, ilin.MatFromRows([]int64{2}, []int64{1}, []int64{0}))
+	tr, err := tiling.Rectangular(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := func(j ilin.Vec) float64 { return float64(j[0]*10000 + j[1]*100 + j[2]) }
+	opaque := PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) { out[0] = enc(j) + 0.5*reads[0][0] })
+	stmt := Statement(Add(Coef(enc), Mul(Const(0.5), Read(0, 0))))
+	for name, k := range map[string]Kernel{"opaque": opaque, "statement": stmt} {
+		p := buildProgram(t, nest, tr.H, 0, 1, k, func(j ilin.Vec, out []float64) { out[0] = -enc(j) })
+		t.Run(name, func(t *testing.T) { comparePrograms(t, p) })
+	}
+}
+
 // fullTileSlot returns a (rank, chain slot) holding a full tile, falling
 // back to (0, 0) when none exists.
 func fullTileSlot(tb testing.TB, p *Program) (int, int64) {
@@ -247,7 +309,7 @@ func (p *Program) CheckBoundaryReads() (slots, interior, nonEmpty int, err error
 			return 0, 0, 0, err
 		}
 		for ti, sl := range rp.Slots {
-			var want []int32
+			var want, got []int32
 			i := 0
 			p.TS.ScanTilePoints(sl.Tile, func(z, jp ilin.Vec) bool {
 				j := p.TS.GlobalOf(sl.Tile, z)
@@ -260,8 +322,20 @@ func (p *Program) CheckBoundaryReads() (slots, interior, nonEmpty int, err error
 				i++
 				return true
 			})
-			if !slices.Equal(sl.Boundary, want) {
-				return 0, 0, 0, fmt.Errorf("rank %d slot %d tile %v: compiled boundary reads %v, brute force %v", r, ti, sl.Tile, sl.Boundary, want)
+			// The runs list (row, dependence, offset); brute force went (point,
+			// dependence): compare as sets of point·q+dependence.
+			first := make([]int32, len(sl.Plan.Rows)) // per row: its first point's scan index
+			for row := 1; row < len(first); row++ {
+				first[row] = first[row-1] + sl.Plan.Rows[row-1].N
+			}
+			for _, b := range sl.Boundary {
+				for o := b.Off; o < b.Off+b.N; o++ {
+					got = append(got, (first[b.Row]+o)*int32(len(deps))+b.Dep)
+				}
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				return 0, 0, 0, fmt.Errorf("rank %d slot %d tile %v: compiled boundary reads %v, brute force %v", r, ti, sl.Tile, got, want)
 			}
 			isInterior := full(sl.Tile)
 			for _, dS := range p.TS.DS {
@@ -338,7 +412,7 @@ func BenchmarkInitPhase(b *testing.B) {
 	r, ti := boundarySlot(b, p)
 	st := mustRankState(b, p, r, RunOptions{})
 	sl := &st.Slots[ti]
-	reads := float64(len(sl.Boundary))
+	reads := float64(sl.BoundaryValues())
 	b.Run("planned", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -352,6 +426,35 @@ func BenchmarkInitPhase(b *testing.B) {
 			st.initPhase(sl.Tile, ti)
 		}
 		b.ReportMetric(reads*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+	})
+}
+
+// BenchmarkWriteBack compares the row-wise write-back (one checked index per
+// row end, then a copy or a strided loop) against the reference's per-point
+// Global.Set over one rank's whole chain; the planned arm is held to zero
+// allocations by the CI grep.
+func BenchmarkWriteBack(b *testing.B) {
+	p := planProgram(b)
+	r, _ := fullTileSlot(b, p)
+	st := mustRankState(b, p, r, RunOptions{})
+	g := NewGlobal(p.lo, p.hi, p.Width)
+	var pts float64
+	for ti := range st.Slots {
+		pts += float64(st.Slots[ti].Plan.Npts)
+	}
+	b.Run("planned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st.writeBack(g)
+		}
+		b.ReportMetric(pts*float64(b.N)/b.Elapsed().Seconds(), "points/s")
+	})
+	b.Run("legacy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			st.writeBackPerPoint(g)
+		}
+		b.ReportMetric(pts*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})
 }
 

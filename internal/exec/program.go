@@ -5,18 +5,17 @@ import (
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
+	"tilespace/internal/poly"
 	"tilespace/internal/tiling"
 )
 
-// Kernel is the loop body F: given the iteration point j and the value
-// vectors read through each dependence (reads[l] is the value at j − d_l),
-// it writes the point's value vector into out. Implementations must not
-// retain the read slices.
-type Kernel func(j ilin.Vec, reads [][]float64, out []float64)
-
 // Initial supplies the value vector of points outside the iteration space
 // (boundary and initial conditions); the paper's experiments read such
-// points through every dependence that crosses the space boundary.
+// points through every dependence that crosses the space boundary. It must
+// be a pure function of j, safe for concurrent calls: every rank, every
+// crash re-execution and both sequential references evaluate it
+// independently and are compared bit for bit, and the executor evaluates it
+// once per Program and replays the values on every run.
 type Initial func(j ilin.Vec, out []float64)
 
 // Program is a compiled tiled program ready for sequential or parallel
@@ -29,6 +28,14 @@ type Program struct {
 	Width   int
 	Kernel  Kernel
 	Initial Initial
+
+	// Constants of the nest, computed once: the bounding box every Global is
+	// allocated over and the loop bounds every space scan walks.
+	lo, hi ilin.Vec
+	bounds *poly.NestBounds
+	// inits[r] is rank r's boundary values (plan.go), compiled on the rank's
+	// first run.
+	inits []rankInit
 }
 
 // NewProgram validates and assembles a program. The mapping dimension is
@@ -37,8 +44,11 @@ func NewProgram(ts *tiling.TiledSpace, m int, width int, kernel Kernel, initial 
 	if width <= 0 {
 		return nil, fmt.Errorf("exec: width must be positive")
 	}
-	if kernel == nil {
+	if kernel.IsZero() {
 		return nil, fmt.Errorf("exec: kernel is required")
+	}
+	if err := kernel.check(width, ts.Nest.Q()); err != nil {
+		return nil, err
 	}
 	if initial == nil {
 		initial = func(j ilin.Vec, out []float64) {
@@ -54,19 +64,24 @@ func NewProgram(ts *tiling.TiledSpace, m int, width int, kernel Kernel, initial 
 	if err != nil {
 		return nil, err
 	}
-	return &Program{TS: ts, Dist: d, Width: width, Kernel: kernel, Initial: initial}, nil
+	p := &Program{TS: ts, Dist: d, Width: width, Kernel: kernel, Initial: initial, inits: make([]rankInit, d.NumProcs())}
+	if p.lo, p.hi, err = ts.Nest.BoundingBox(); err != nil {
+		return nil, err
+	}
+	if p.bounds, err = ts.Nest.Bounds(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // reference allocates the global data space and returns the function that
 // computes one point into it, reading each dependence's source from the
 // space — or from Initial where it lies outside. The two sequential
-// references below differ only in the order they visit the points in.
-func (p *Program) reference() (*Global, func(j ilin.Vec), error) {
-	lo, hi, err := p.TS.Nest.BoundingBox()
-	if err != nil {
-		return nil, nil, err
-	}
-	g := NewGlobal(lo, hi, p.Width)
+// references below differ only in the order they visit the points in; both
+// stay per point (Kernel.Point): they are the oracle the row-wise executor
+// is compared against.
+func (p *Program) reference() (*Global, func(j ilin.Vec)) {
+	g := NewGlobal(p.lo, p.hi, p.Width)
 	q := p.TS.Nest.Q()
 	reads := make([][]float64, q)
 	readBuf := make([]float64, q*p.Width)
@@ -89,23 +104,16 @@ func (p *Program) reference() (*Global, func(j ilin.Vec), error) {
 				reads[l] = buf
 			}
 		}
-		p.Kernel(j, reads, g.At(j))
-	}, nil
+		p.Kernel.Point(j, reads, g.At(j))
+	}
 }
 
 // RunSequential executes the program in the original lexicographic order
 // (valid because all dependencies are lexicographically positive) and
 // returns the filled global data space.
 func (p *Program) RunSequential() (*Global, error) {
-	g, point, err := p.reference()
-	if err != nil {
-		return nil, err
-	}
-	nb, err := p.TS.Nest.Bounds()
-	if err != nil {
-		return nil, err
-	}
-	nb.Scan(func(j ilin.Vec) bool {
+	g, point := p.reference()
+	p.bounds.Scan(func(j ilin.Vec) bool {
 		point(j)
 		return true
 	})
@@ -114,11 +122,14 @@ func (p *Program) RunSequential() (*Global, error) {
 
 // ScanSpace enumerates the iteration space (convenience for comparisons).
 func (p *Program) ScanSpace(fn func(j ilin.Vec) bool) {
-	nb, err := p.TS.Nest.Bounds()
-	if err != nil {
-		panic(err)
-	}
-	nb.Scan(fn)
+	p.bounds.Scan(fn)
+}
+
+// ScanSpaceRows enumerates the iteration space a row at a time: fn receives
+// the first point of each innermost segment and its length, in
+// lexicographic order.
+func (p *Program) ScanSpaceRows(fn func(j ilin.Vec, n int64) bool) {
+	p.bounds.ScanRows(fn)
 }
 
 // RunTiledSequential executes the paper's §2.3 sequential tiled code: the
@@ -128,10 +139,7 @@ func (p *Program) ScanSpace(fn func(j ilin.Vec) bool) {
 // the same values as the original order; comparing against RunSequential
 // is an executable proof for a given space.
 func (p *Program) RunTiledSequential() (*Global, error) {
-	g, point, err := p.reference()
-	if err != nil {
-		return nil, err
-	}
+	g, point := p.reference()
 	p.TS.ScanTiles(func(jS ilin.Vec) bool {
 		tile := jS.Clone()
 		p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {

@@ -87,13 +87,13 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 	if err != nil {
 		return "", true
 	}
-	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
+	kernel := exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		v := 1.0
 		for _, r := range reads {
 			v += 0.5 * r[0]
 		}
 		out[0] = v
-	}
+	})
 	p, err := exec.NewProgram(ts, -1, 1, kernel, nil)
 	if err != nil {
 		return "", true

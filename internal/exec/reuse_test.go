@@ -80,9 +80,9 @@ func TestPooledWorldSurvivesFailedRun(t *testing.T) {
 	p := reuseProgram(t)
 	world := mpi.NewWorld(p.Dist.NumProcs())
 
-	boom, err := exec.NewProgram(p.TS, -1, p.Width, func(j ilin.Vec, reads [][]float64, out []float64) {
+	boom, err := exec.NewProgram(p.TS, -1, p.Width, exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		panic("injected kernel failure")
-	}, nil)
+	}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

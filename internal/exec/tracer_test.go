@@ -173,15 +173,15 @@ func TestAbortedRunLeavesPoolConsistent(t *testing.T) {
 	p := planProgram(t)
 	var calls atomic.Int64
 	kernel := p.Kernel
-	p.Kernel = func(j ilin.Vec, reads [][]float64, out []float64) {
+	p.Kernel = PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		// Trip partway through the schedule (the fixture has 256 points),
 		// late enough that halo messages and pooled buffers are already
 		// circulating between ranks.
 		if calls.Add(1) == 120 {
 			panic("kernel abort (test)")
 		}
-		kernel(j, reads, out)
-	}
+		kernel.Point(j, reads, out)
+	})
 	for _, overlap := range []bool{false, true} {
 		calls.Store(0)
 		_, _, err := p.RunParallelOpts(RunOptions{Overlap: overlap, Trace: NewTracer()})

@@ -12,7 +12,7 @@ import (
 // workerPool is one rank's fixed intra-tile worker pool. Workers are
 // spawned once per run and live until the rank's chain ends (or aborts —
 // teardown is deferred in runRank, so crash panics unwind through it).
-// A dispatch splits one wavefront's precompiled runs across the workers by
+// A dispatch splits one wavefront's rows across the workers by
 // point count, hands every worker its segment and waits for all of them:
 // the pool is always idle between fronts, between tiles, and therefore
 // across checkpoint commits and crash rewinds — the recovery layer never
@@ -32,10 +32,9 @@ type workerPool struct {
 	// Dispatch arguments for the current front (rank-written, worker-read).
 	st *rankState
 	pl *distrib.TilePlan
-	lp *distrib.LocalPlan
-	fi int
+	f  *distrib.FrontPlan
 	t  int64
-	// segs[w] is worker w's [runLo, runHi) slice of the front's runs.
+	// segs[w] is worker w's [lo, hi) slice of the front's rows.
 	segs [][2]int
 
 	// panics[w] captures worker w's panic; the rank re-raises it after the
@@ -75,31 +74,18 @@ func newWorkerPool(st *rankState, n int) *workerPool {
 		busy:   make([]time.Duration, n),
 		traced: st.tr != nil,
 	}
-	dims := st.p.TS.T.N
-	q := len(st.dps)
 	for i := 0; i < n; i++ {
 		wp.sigs[i] = make(chan struct{}, 1)
-		ws := &workerScratch{
-			j:     make(ilin.Vec, dims),
-			reads: make([][]float64, q),
-			ro:    make([]int64, q),
-		}
-		go wp.work(i, ws)
+		// Each worker evaluates rows on scratch of its own, so concurrent
+		// segments never share mutable state.
+		go wp.work(i, newRowEval(st))
 	}
 	return wp
 }
 
-// workerScratch is one worker's private kernel buffers, so concurrent
-// segments never share mutable state.
-type workerScratch struct {
-	j     ilin.Vec
-	reads [][]float64
-	ro    []int64
-}
-
-func (wp *workerPool) work(id int, ws *workerScratch) {
+func (wp *workerPool) work(id int, ev *rowEval) {
 	for range wp.sigs[id] {
-		wp.runSeg(id, ws)
+		wp.runSeg(id, ev)
 	}
 }
 
@@ -107,14 +93,14 @@ func (wp *workerPool) work(id int, ws *workerScratch) {
 // deferred finishSeg (a plain method call — no closure, no allocation)
 // captures a panic and always reaches the barrier, so a panicking kernel
 // cannot deadlock the rank.
-func (wp *workerPool) runSeg(id int, ws *workerScratch) {
+func (wp *workerPool) runSeg(id int, ev *rowEval) {
 	defer wp.finishSeg(id)
 	var t0 time.Time
 	if wp.traced {
 		t0 = time.Now()
 	}
 	seg := wp.segs[id]
-	wp.st.execLocalRuns(wp.pl, wp.lp, wp.fi, seg[0], seg[1], wp.t, ws.j, ws.reads, ws.ro)
+	ev.rows(wp.st, wp.pl, wp.f.Rows, seg[0], seg[1], wp.t)
 	if wp.traced {
 		wp.busy[id] += time.Since(t0)
 	}
@@ -131,9 +117,9 @@ func (wp *workerPool) finishSeg(id int) {
 // finished its segment; a worker panic is re-raised on the rank goroutine
 // after the barrier (all workers idle again), preserving the serial
 // path's abort behaviour.
-func (wp *workerPool) dispatch(st *rankState, pl *distrib.TilePlan, lp *distrib.LocalPlan, fi int, t int64) {
-	wp.st, wp.pl, wp.lp, wp.fi, wp.t = st, pl, lp, fi, t
-	wp.segs = ilin.SplitByWeight(wp.segs, lp.Fronts[fi].Weights, wp.n)
+func (wp *workerPool) dispatch(st *rankState, pl *distrib.TilePlan, f *distrib.FrontPlan, t int64) {
+	wp.st, wp.pl, wp.f, wp.t = st, pl, f, t
+	wp.segs = ilin.SplitByWeight(wp.segs, f.Weights, wp.n)
 	wp.wg.Add(wp.n)
 	for _, sig := range wp.sigs {
 		sig <- struct{}{}

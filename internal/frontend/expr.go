@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"tilespace/internal/exec"
 	"tilespace/internal/ilin"
 	"tilespace/internal/rat"
 )
@@ -242,29 +243,32 @@ func affineOf(e expr, vars map[string]int, params map[string]int64, n int) (ilin
 	return nil, rat.Zero, fmt.Errorf("unsupported bound expression %v", e)
 }
 
-// evalExpr evaluates a statement expression given the dependence reads.
-func evalExpr(e expr, reads [][]float64) float64 {
+// lowerExpr turns a statement expression into the executor's expression
+// tree: the same operations in the same association, so the row-wise
+// executor, the per-point references and the generated C all compute one
+// value.
+func lowerExpr(e expr) *exec.Expr {
 	switch x := e.(type) {
 	case *numExpr:
-		return x.val
+		return exec.Const(x.val)
 	case *refExpr:
-		return reads[x.dep][x.slot]
+		return exec.Read(x.dep, x.slot)
 	case *negExpr:
-		return -evalExpr(x.x, reads)
+		return exec.Neg(lowerExpr(x.x))
 	case *binExpr:
-		l, r := evalExpr(x.l, reads), evalExpr(x.r, reads)
+		l, r := lowerExpr(x.l), lowerExpr(x.r)
 		switch x.op {
 		case '+':
-			return l + r
+			return exec.Add(l, r)
 		case '-':
-			return l - r
+			return exec.Sub(l, r)
 		case '*':
-			return l * r
+			return exec.Mul(l, r)
 		case '/':
-			return l / r
+			return exec.Div(l, r)
 		}
 	}
-	panic(fmt.Sprintf("frontend: unevaluable expression %v", e))
+	panic(fmt.Sprintf("frontend: unlowerable expression %v", e))
 }
 
 // cExpr renders a statement expression as C, with dependence reads mapped

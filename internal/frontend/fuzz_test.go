@@ -1,12 +1,20 @@
 package frontend
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"tilespace/internal/ilin"
+)
 
 // FuzzParse checks the parser's contract with the service: whatever bytes a
 // request carries, Parse returns a Program or an error — never a panic. The
 // parser is reached only inside the plan cache's single-flight compile, where
-// a panic would fail every request waiting on that flight. Seeds are the DSL
-// sources of this package's tests, README.md and the serve tests.
+// a panic would fail every request waiting on that flight. Every accepted
+// source is also run both ways — its statement a row at a time and point by
+// point — and must agree bit for bit. Seeds are the DSL sources of this
+// package's tests, README.md and the serve tests.
 func FuzzParse(f *testing.F) {
 	for _, src := range []string{
 		sorSource,
@@ -35,5 +43,43 @@ func FuzzParse(f *testing.F) {
 		if (p == nil) == (err == nil) {
 			t.Fatalf("Parse returned program %v and error %v", p, err)
 		}
+		if err == nil {
+			runBothWays(t, p, int64(len(src)))
+		}
 	})
+}
+
+// runBothWays evaluates p's kernel over a row of random reads row-wise
+// (Kernel.Row, the executor's form) and per point (Kernel.Point, the
+// references' form): the values must be the same bits, any NaN equal to any
+// other.
+func runBothWays(t *testing.T, p *Program, seed int64) {
+	const n = 9
+	rng := rand.New(rand.NewSource(seed))
+	w := p.Width
+	reads := make([][]float64, p.Nest.Q())
+	for l := range reads {
+		reads[l] = make([]float64, n*w)
+		for i := range reads[l] {
+			reads[l][i] = []float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(), rng.NormFloat64(), rng.NormFloat64() * 1e3}[rng.Intn(6)]
+		}
+	}
+	j, step := make(ilin.Vec, p.Nest.N), make(ilin.Vec, p.Nest.N)
+	step[p.Nest.N-1] = 1
+	rows := make([]float64, n*w)
+	p.Kernel.Row(n, j, step, reads, rows)
+	pt := make([][]float64, len(reads))
+	out := make([]float64, w)
+	for i := 0; i < n; i++ {
+		for l := range pt {
+			pt[l] = reads[l][i*w : (i+1)*w]
+		}
+		p.Kernel.Point(j, pt, out)
+		for s, v := range out {
+			if got := rows[i*w+s]; math.Float64bits(got) != math.Float64bits(v) && !(math.IsNaN(got) && math.IsNaN(v)) {
+				t.Fatalf("point %d slot %d: row-wise %v, per point %v", i, s, got, v)
+			}
+		}
+		j[p.Nest.N-1]++
+	}
 }

@@ -457,21 +457,19 @@ func (p *parser) finish() (*Program, error) {
 			return nil, fmt.Errorf("frontend: skew: %v", err)
 		}
 	}
-	stmts := append([]stmt(nil), p.stmts...)
-	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
-		for _, st := range stmts {
-			out[st.slot] = evalExpr(st.rhs, reads)
-		}
-	}
+	// Every array is assigned exactly once, so the statements are one tree
+	// per slot of the value vector.
+	slots := make([]*exec.Expr, len(p.arrays))
 	var cParts []string
-	for _, st := range stmts {
+	for _, st := range p.stmts {
+		slots[st.slot] = lowerExpr(st.rhs)
 		cParts = append(cParts, fmt.Sprintf("$W[%d] = %s;", st.slot, cExpr(st.rhs)))
 	}
 	return &Program{
 		Nest:    nest,
 		Arrays:  append([]string(nil), p.arrays...),
 		Width:   len(p.arrays),
-		Kernel:  kernel,
+		Kernel:  exec.Statement(slots...),
 		KernelC: strings.Join(cParts, " "),
 		Tiling:  p.tiling,
 		MapDim:  p.mapDim,

@@ -30,6 +30,10 @@ type Nest struct {
 	// Deps is the n×q dependence matrix D; column l is dependence vector
 	// d_l, meaning iteration j reads the value written by iteration j−d_l.
 	Deps *ilin.Mat
+
+	// bounds is the loop nest of Space, kept from the Fourier–Motzkin pass
+	// that validated the nest so that no scan has to repeat it.
+	bounds *poly.NestBounds
 }
 
 // New constructs and validates a nest. Errors cover: arity mismatches,
@@ -51,7 +55,8 @@ func New(names []string, space *poly.System, deps *ilin.Mat) (*Nest, error) {
 		return nil, fmt.Errorf("loopnest: dependence matrix has %d rows, nest depth is %d", deps.Rows, n)
 	}
 	nest := &Nest{N: n, Names: append([]string(nil), names...), Space: space.Clone(), Deps: deps.Clone()}
-	if err := nest.Validate(); err != nil {
+	var err error
+	if nest.bounds, err = nest.validate(); err != nil {
 		return nil, err
 	}
 	return nest, nil
@@ -77,19 +82,27 @@ func defaultNames(n int) []string {
 
 // Validate re-checks the structural invariants.
 func (nest *Nest) Validate() error {
+	_, err := nest.validate()
+	return err
+}
+
+// validate checks the structural invariants and returns the loop bounds the
+// check of the iteration space computed.
+func (nest *Nest) validate() (*poly.NestBounds, error) {
 	if nest.Space.NVars != nest.N {
-		return fmt.Errorf("loopnest: space arity %d != depth %d", nest.Space.NVars, nest.N)
+		return nil, fmt.Errorf("loopnest: space arity %d != depth %d", nest.Space.NVars, nest.N)
 	}
-	if _, err := poly.LoopBounds(nest.Space); err != nil {
-		return fmt.Errorf("loopnest: iteration space: %w", err)
+	nb, err := poly.LoopBounds(nest.Space)
+	if err != nil {
+		return nil, fmt.Errorf("loopnest: iteration space: %w", err)
 	}
 	for l := 0; l < nest.Deps.Cols; l++ {
 		d := nest.Deps.Col(l)
 		if !d.LexPositive() {
-			return fmt.Errorf("loopnest: dependence d%d = %v is not lexicographically positive", l+1, d)
+			return nil, fmt.Errorf("loopnest: dependence d%d = %v is not lexicographically positive", l+1, d)
 		}
 	}
-	return nil
+	return nb, nil
 }
 
 // Q returns the number of dependence vectors.
@@ -98,8 +111,13 @@ func (nest *Nest) Q() int { return nest.Deps.Cols }
 // Dep returns dependence vector l (0-based column of D).
 func (nest *Nest) Dep(l int) ilin.Vec { return nest.Deps.Col(l) }
 
-// Bounds computes the nested loop bounds of the iteration space.
+// Bounds returns the nested loop bounds of the iteration space: the ones
+// New computed while validating it (shared, read-only), or a fresh
+// Fourier–Motzkin pass for a Nest assembled by hand.
 func (nest *Nest) Bounds() (*poly.NestBounds, error) {
+	if nest.bounds != nil {
+		return nest.bounds, nil
+	}
 	return poly.LoopBounds(nest.Space)
 }
 

@@ -144,24 +144,49 @@ func LoopBounds(s *System) (*NestBounds, error) {
 // Scan enumerates every integer point of the nest in lexicographic order,
 // invoking fn with a reusable buffer (fn must copy the point if it retains
 // it). fn returning false stops the scan early. Scan returns the number of
-// points visited.
+// points visited. It is ScanRows with every row walked point by point.
 //
 // Because each level's bounds come from a system that still contains all
 // original constraints on that variable, every visited point satisfies the
 // original system exactly; no post-filtering is needed.
 func (nb *NestBounds) Scan(fn func(x ilin.Vec) bool) int64 {
+	var count int64
+	nb.ScanRows(func(x ilin.Vec, n int64) bool {
+		for i := int64(0); i < n; i++ {
+			count++
+			if !fn(x) {
+				return false
+			}
+			x[nb.N-1]++
+		}
+		return true
+	})
+	return count
+}
+
+// ScanRows enumerates the nest a row at a time: one call per non-empty
+// innermost segment, in lexicographic order, with the segment's first point
+// (a reusable buffer) and its length — the points x, x+e, …, x+(n−1)·e along
+// the innermost dimension e. Expanding the rows in order reproduces Scan. fn
+// returning false stops the scan; ScanRows returns the number of points
+// covered.
+func (nb *NestBounds) ScanRows(fn func(x ilin.Vec, n int64) bool) int64 {
 	x := make(ilin.Vec, nb.N)
 	var count int64
 	var rec func(k int) bool
 	rec = func(k int) bool {
-		if k == nb.N {
-			count++
-			return fn(x)
-		}
 		lo, okL := nb.Vars[k].EvalLower(x[:k])
 		hi, okU := nb.Vars[k].EvalUpper(x[:k])
 		if !okL || !okU {
-			panic("poly: unbounded variable in Scan")
+			panic("poly: unbounded variable in ScanRows")
+		}
+		if k == nb.N-1 {
+			if hi < lo {
+				return true
+			}
+			x[k] = lo
+			count += hi - lo + 1
+			return fn(x, hi-lo+1)
 		}
 		for v := lo; v <= hi; v++ {
 			x[k] = v
@@ -171,13 +196,15 @@ func (nb *NestBounds) Scan(fn func(x ilin.Vec) bool) int64 {
 		}
 		return true
 	}
-	rec(0)
+	if nb.N > 0 {
+		rec(0)
+	}
 	return count
 }
 
 // Count returns the number of integer points in the nest.
 func (nb *NestBounds) Count() int64 {
-	return nb.Scan(func(ilin.Vec) bool { return true })
+	return nb.ScanRows(func(ilin.Vec, int64) bool { return true })
 }
 
 // HasIntPoint reports whether the nest contains at least one integer point.

@@ -274,6 +274,58 @@ func TestScanEarlyStop(t *testing.T) {
 	}
 }
 
+// TestScanRowsExpandsToScan: on a box, a triangle and a skewed space, the
+// rows (first point, length) expanded along the innermost dimension are
+// exactly Scan's points in Scan's order, and an early stop is honoured.
+func TestScanRowsExpandsToScan(t *testing.T) {
+	tri := NewSystem(2)
+	tri.AddRange(0, 0, 6)
+	tri.Add(Constraint{Coef: ilin.RatVec{rat.FromInt(1), rat.FromInt(-1)}, Rhs: rat.Zero})       // x0 ≤ x1
+	tri.Add(Constraint{Coef: ilin.RatVec{rat.FromInt(-2), rat.FromInt(1)}, Rhs: rat.FromInt(1)}) // x1 ≤ 2·x0+1
+	box3 := NewSystem(3)
+	box3.AddRange(0, -1, 2)
+	box3.AddRange(1, 0, 3)
+	box3.AddRange(2, 5, 9)
+	for name, sys := range map[string]*System{"box": box2(0, 9, -3, 4), "triangle": tri, "box3": box3} {
+		nb, err := LoopBounds(sys)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var want, got []ilin.Vec
+		nb.Scan(func(x ilin.Vec) bool {
+			want = append(want, x.Clone())
+			return true
+		})
+		total := nb.ScanRows(func(x ilin.Vec, n int64) bool {
+			if n < 1 {
+				t.Fatalf("%s: empty row at %v", name, x)
+			}
+			for i := int64(0); i < n; i++ {
+				p := x.Clone()
+				p[len(p)-1] += i
+				got = append(got, p)
+			}
+			return true
+		})
+		if total != int64(len(want)) || len(got) != len(want) {
+			t.Fatalf("%s: rows cover %d points (returned %d), Scan %d", name, len(got), total, len(want))
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("%s: point %d: rows give %v, Scan %v", name, i, got[i], want[i])
+			}
+		}
+		rows := 0
+		nb.ScanRows(func(ilin.Vec, int64) bool {
+			rows++
+			return rows < 2
+		})
+		if rows != 2 {
+			t.Fatalf("%s: early stop visited %d rows", name, rows)
+		}
+	}
+}
+
 func TestSystemString(t *testing.T) {
 	s := box2(0, 1, 0, 1)
 	if s.String() == "" {

@@ -101,14 +101,15 @@ func (a *Artifact) GeneratedC() (string, error) {
 }
 
 // Checksum folds every computed value of a finished run into one 64-bit
-// FNV-1a digest, scanning the iteration space in lexicographic order.
+// FNV-1a digest, scanning the iteration space in lexicographic order — a
+// row at a time, each row one contiguous slice of the global array.
 // Two runs of one spec agree bit for bit iff their checksums agree,
 // which is what the concurrency battery asserts across cache hits,
 // evictions, pooled-world reuse and fault recovery.
 func (a *Artifact) Checksum(g *exec.Global) string {
 	h := ilin.HashSeed()
-	a.Prog.ScanSpace(func(j ilin.Vec) bool {
-		for _, v := range g.At(j) {
+	a.Prog.ScanSpaceRows(func(j ilin.Vec, n int64) bool {
+		for _, v := range g.Row(j, n) {
 			h = ilin.HashInt64(h, int64(math.Float64bits(v)))
 		}
 		return true

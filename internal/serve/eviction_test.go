@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"testing"
+
+	"tilespace/internal/ilin"
 )
 
 // TestEvictionUnderLoad is the satellite contract for safe eviction:
@@ -28,6 +32,18 @@ func TestEvictionUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := art.Checksum(g)
+	// The digest folds the space a row at a time; it must be the digest of
+	// the same values point by point.
+	h := ilin.HashSeed()
+	art.Prog.ScanSpace(func(j ilin.Vec) bool {
+		for _, v := range g.At(j) {
+			h = ilin.HashInt64(h, int64(math.Float64bits(v)))
+		}
+		return true
+	})
+	if perPoint := fmt.Sprintf("%016x", h); perPoint != want {
+		t.Fatalf("row-wise checksum %s, per-point %s", want, perPoint)
+	}
 
 	// Slow the victim runs down with deterministic per-link delay so the
 	// churn below overlaps them; injected delay never changes results.

@@ -175,22 +175,21 @@ func (ts *TiledSpace) ScanTiles(fn func(jS ilin.Vec) bool) int64 {
 	return count
 }
 
-// ScanTilePoints enumerates the lattice points of tile j^S in
-// lexicographic z order, with boundary clamping applied. fn receives the
-// lattice coordinate z and the TTIS coordinate j' = H̃'·z in reusable
-// buffers. Returns the number of points visited.
-func (ts *TiledSpace) ScanTilePoints(jS ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
+// ScanTileRows enumerates tile j^S row by row: a row is one innermost
+// segment of the clamped point loops — the outer lattice coordinates fixed,
+// z_{n-1} running over count consecutive values — in lexicographic order of
+// the outer coordinates. fn receives the row's first point as lattice
+// coordinate z and TTIS coordinate j' = H̃'·z, in reusable buffers. Along a
+// row j'_{n-1} advances by c_{n-1} and the global point by U·e_{n-1} per
+// point. Empty segments are skipped. Returns the number of points covered.
+func (ts *TiledSpace) ScanTileRows(jS ilin.Vec, fn func(z, jp ilin.Vec, count int64) bool) int64 {
 	n := ts.T.N
 	x := make(ilin.Vec, 2*n)
 	copy(x, jS)
 	jp := make(ilin.Vec, n)
-	var count int64
+	var total int64
 	var rec func(k int) bool
 	rec = func(k int) bool {
-		if k == n {
-			count++
-			return fn(x[n:], jp)
-		}
 		lo, okL := ts.Combined.Vars[n+k].EvalLower(x[:n+k])
 		hi, okU := ts.Combined.Vars[n+k].EvalUpper(x[:n+k])
 		if !okL || !okU {
@@ -199,6 +198,15 @@ func (ts *TiledSpace) ScanTilePoints(jS ilin.Vec, fn func(z, jp ilin.Vec) bool) 
 		var base int64
 		for l := 0; l < k; l++ {
 			base += ts.T.HT.At(k, l) * x[n+l]
+		}
+		if k == n-1 {
+			if hi < lo {
+				return true
+			}
+			x[n+k] = lo
+			jp[k] = base + ts.T.C[k]*lo
+			total += hi - lo + 1
+			return fn(x[n:], jp, hi-lo+1)
 		}
 		for zk := lo; zk <= hi; zk++ {
 			x[n+k] = zk
@@ -210,6 +218,28 @@ func (ts *TiledSpace) ScanTilePoints(jS ilin.Vec, fn func(z, jp ilin.Vec) bool) 
 		return true
 	}
 	rec(0)
+	return total
+}
+
+// ScanTilePoints enumerates the lattice points of tile j^S in
+// lexicographic z order, with boundary clamping applied: the rows of
+// ScanTileRows, each walked point by point. fn receives the lattice
+// coordinate z and the TTIS coordinate j' = H̃'·z in reusable buffers.
+// Returns the number of points visited.
+func (ts *TiledSpace) ScanTilePoints(jS ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
+	last := ts.T.N - 1
+	var count int64
+	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
+		for i := int64(0); i < n; i++ {
+			count++
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += ts.T.C[last]
+		}
+		return true
+	})
 	return count
 }
 

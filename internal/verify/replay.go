@@ -112,8 +112,9 @@ type replayer struct {
 // symbolically, in lexicographic tile order. Each tile runs the executor's
 // phases off its rank's tables: claim the slot's inbound rows in table order
 // against the stream FIFOs and unpack each by its runs + τ·ChainStep +
-// DirShift; inject the boundary-read list; read ReadOff and write WriteOff
-// at t·ChainStep; pack each send by the plan's runs. What the tables say is
+// DirShift; inject the boundary-read runs; walk the plan's rows with a
+// cursor, reading and writing each row's stepped cells at t·ChainStep; pack
+// each send by the plan's runs. What the tables say is
 // judged against references derived independently of them: the tile's own
 // point scan and iteration codes (every dependence read must resolve to
 // exactly the code of its source iteration, every point is computed once),
@@ -184,11 +185,15 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 			Detail: fmt.Sprintf("%s cell %d outside LDS [0, %d)", what, c, len(content))}
 	}
 	j, g, src := make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n)
-	point := func(i int) ilin.Vec { // the table's global point of shape index i
+	point := func(row, i int) ilin.Vec { // the table's global point i of row `row`
 		for k := range j {
-			j[k] = sl.PBase[k] + pl.Uz[i*n+k]
+			j[k] = sl.PBase[k] + pl.Uz[row*n+k] + int64(i)*pr.RowStep[k]
 		}
 		return j
+	}
+	if len(pl.Uz) != len(pl.Rows)*n || len(pl.Read) != len(pl.Rows)*q {
+		return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase,
+			Detail: fmt.Sprintf("row table of %d rows carries %d point and %d read-cell entries", len(pl.Rows), len(pl.Uz), len(pl.Read))}
 	}
 
 	// RECEIVE — the slot's rows in table order, each against its stream's
@@ -239,34 +244,43 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 		}
 	}
 
-	// INIT — inject codes by the boundary-read list, exactly where the
-	// executor writes Initial values; an entry whose source is inside the
+	// INIT — inject codes by the boundary-read runs, exactly where the
+	// executor copies Initial values; an entry whose source is inside the
 	// space would overwrite a computed value with an initial one.
-	for _, ri := range sl.Boundary {
-		if ri < 0 || int(ri) >= pl.Npts*q {
+	for _, b := range sl.Boundary {
+		if b.Row < 0 || int(b.Row) >= len(pl.Rows) || b.Dep < 0 || int(b.Dep) >= q ||
+			b.Off < 0 || b.N < 1 || int64(b.Off)+int64(b.N) > int64(pl.Rows[b.Row].N) {
 			return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase,
-				Detail: fmt.Sprintf("boundary-read entry %d outside the %d reads of the shape", ri, pl.Npts*q)}
+				Detail: fmt.Sprintf("boundary-read run %+v lies outside the shape's %d rows × %d dependences", b, len(pl.Rows), q)}
 		}
-		at := point(int(ri) / q)
-		for k := range src {
-			src[k] = at[k] - pr.Deps[int(ri)%q][k]
+		for i := int(b.Off); i < int(b.Off+b.N); i++ {
+			at := point(int(b.Row), i)
+			for k := range src {
+				src[k] = at[k] - pr.Deps[b.Dep][k]
+			}
+			if ts.Nest.Space.Contains(src) {
+				return &Violation{Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: at.Clone(),
+					Detail: fmt.Sprintf("boundary-read run injects an initial value for dependence d_%d, whose source %v lies inside the iteration space", b.Dep+1, src)}
+			}
+			c, ok := cell(pl.Read[int(b.Row)*q+int(b.Dep)] + int64(i))
+			if !ok {
+				return oob("initial-value", c, at)
+			}
+			content[c] = rp.coder.enc(src)
 		}
-		if ts.Nest.Space.Contains(src) {
-			return &Violation{Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: at.Clone(),
-				Detail: fmt.Sprintf("boundary-read list injects an initial value for dependence d_%d, whose source %v lies inside the iteration space", int(ri)%q+1, src)}
-		}
-		c, ok := cell(pl.ReadOff[ri])
-		if !ok {
-			return oob("initial-value", c, at)
-		}
-		content[c] = rp.coder.enc(src)
 	}
 
-	// COMPUTE — the tile's own scan is the reference: the plan must list
-	// exactly its points, every dependence read must resolve to the code of
-	// its source iteration, and the write claims ownership of the point.
+	// COMPUTE — the tile's own scan is the reference: the plan's rows,
+	// walked point by point with a cursor (row, i), must list exactly its
+	// points, every dependence read must resolve to the code of its source
+	// iteration, and the write claims ownership of the point.
 	var vio *Violation
-	i := 0
+	row, i, npts := 0, 0, 0
+	skipDone := func() { // move the cursor off rows it has exhausted (or that hold no point)
+		for row < len(pl.Rows) && i >= int(pl.Rows[row].N) {
+			row, i = row+1, 0
+		}
+	}
 	pS := ts.T.P.MulVec(s)
 	ts.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
 		for k := range g { // j = P·j^S + U·z
@@ -275,13 +289,14 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 				g[k] += ts.T.U.At(k, l) * zl
 			}
 		}
-		if i >= pl.Npts || !g.Equal(point(i)) {
+		skipDone()
+		if row >= len(pl.Rows) || !g.Equal(point(row, i)) {
 			vio = &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: g.Clone(),
-				Detail: fmt.Sprintf("point %d of the tile is missing from its compiled plan (%d points)", i, pl.Npts)}
+				Detail: fmt.Sprintf("point %d of the tile is missing from its compiled plan (%d points in %d rows)", npts, pl.Npts, len(pl.Rows))}
 			return false
 		}
 		for l := 0; l < q; l++ {
-			c, ok := cell(pl.ReadOff[i*q+l])
+			c, ok := cell(pl.Read[row*q+l] + int64(i))
 			if !ok {
 				vio = oob("read", c, g)
 				return false
@@ -297,7 +312,7 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 				return false
 			}
 		}
-		c, ok := cell(pl.WriteOff[i])
+		c, ok := cell(pl.Rows[row].Write + int64(i))
 		if !ok {
 			vio = oob("write", c, g)
 			return false
@@ -314,14 +329,20 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 		content[c] = code
 		rp.rep.Points++
 		i++
+		npts++
 		return true
 	})
 	if vio != nil {
 		return vio
 	}
-	if i != pl.Npts || int64(i) != sl.Npts {
+	skipDone()
+	if row < len(pl.Rows) {
+		return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: point(row, i).Clone(),
+			Detail: fmt.Sprintf("the plan's row %d lists a point the tile does not hold (the tile has %d points)", row, npts)}
+	}
+	if npts != pl.Npts || int64(npts) != sl.Npts {
 		return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase,
-			Detail: fmt.Sprintf("tile holds %d points, its plan %d and its schedule slot %d", i, pl.Npts, sl.Npts)}
+			Detail: fmt.Sprintf("tile holds %d points, its plan %d and its schedule slot %d", npts, pl.Npts, sl.Npts)}
 	}
 
 	// SEND — each message packs the plan's runs; they must be exactly the

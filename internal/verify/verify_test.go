@@ -259,10 +259,11 @@ func TestCertifyRejectsMutatedSpace(t *testing.T) {
 }
 
 // TestMutationCorruptedLocalScheduleRejected corrupts the intra-tile
-// wavefront schedule in each of the ways a buggy derivation could — a
-// skipped point, a doubly-fired point, and fronts merged so a dependence
-// no longer crosses them — and asserts CheckLocalSchedule rejects each
-// with a concrete counterexample.
+// wavefront schedule in each of the ways a buggy derivation could — points
+// skipped (their row dropped from its front), points fired twice (their row
+// listed twice), and fronts merged so a dependence no longer crosses them —
+// and asserts CheckLocalSchedule rejects each with a concrete
+// counterexample.
 func TestMutationCorruptedLocalScheduleRejected(t *testing.T) {
 	c := matrixCases(t)[0]
 	seq := distrib.SeqDims(c.ts.DP)
@@ -272,8 +273,8 @@ func TestMutationCorruptedLocalScheduleRejected(t *testing.T) {
 		ls   *distrib.LocalSchedule
 	)
 	c.ts.ScanTiles(func(s ilin.Vec) bool {
-		var cand []int64
-		c.ts.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
+		var cand []int64 // the rows' first points
+		c.ts.ScanTileRows(s, func(z, jp ilin.Vec, n int64) bool {
 			cand = append(cand, z...)
 			return true
 		})
@@ -390,6 +391,32 @@ func TestMutationCompiledRowRejected(t *testing.T) {
 		}
 		t.Fatal("fixture has no row to corrupt")
 	}
+	// lastRow corrupts the last row of the last slot's plan of the last rank
+	// that has one.
+	lastRow := func(t *testing.T, ps []*distrib.RankPlan, corrupt func(pl *distrib.TilePlan, r int)) {
+		find(t, ps, func(rp *distrib.RankPlan) bool {
+			pl := rp.Slots[len(rp.Slots)-1].Plan
+			if len(pl.Rows) == 0 {
+				return false
+			}
+			corrupt(pl, len(pl.Rows)-1)
+			return true
+		})
+	}
+	// boundaryRun corrupts the first boundary-read run corrupt accepts.
+	boundaryRun := func(t *testing.T, ps []*distrib.RankPlan, corrupt func(*distrib.SlotPlan, *distrib.BoundaryRun) bool) {
+		find(t, ps, func(rp *distrib.RankPlan) bool {
+			for i := range rp.Slots {
+				sl := &rp.Slots[i]
+				for bi := range sl.Boundary {
+					if corrupt(sl, &sl.Boundary[bi]) {
+						return true
+					}
+				}
+			}
+			return false
+		})
+	}
 	// sameDir returns two rows of one direction on rp.
 	sameDir := func(rp *distrib.RankPlan) (int, int, bool) {
 		for _, rows := range rp.Rows {
@@ -401,12 +428,54 @@ func TestMutationCompiledRowRejected(t *testing.T) {
 	}
 	mutations := map[string]func(*testing.T, matrixCase, []*distrib.RankPlan){
 		"shifted-readoff": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
-			find(t, ps, func(rp *distrib.RankPlan) bool {
+			find(t, ps, func(rp *distrib.RankPlan) bool { // a row's first read cell + 1
 				pl := rp.Slots[len(rp.Slots)-1].Plan
-				if len(pl.ReadOff) == 0 {
+				if len(pl.Read) == 0 {
 					return false
 				}
-				pl.ReadOff[len(pl.ReadOff)-1]++
+				pl.Read[len(pl.Read)-1]++
+				return true
+			})
+		},
+		"row-one-longer": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			lastRow(t, ps, func(pl *distrib.TilePlan, r int) { pl.Rows[r].N++ })
+		},
+		"row-one-shorter": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			lastRow(t, ps, func(pl *distrib.TilePlan, r int) { pl.Rows[r].N-- })
+		},
+		"inner-row-one-longer": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool {
+				pl := rp.Slots[0].Plan
+				if len(pl.Rows) < 2 {
+					return false
+				}
+				pl.Rows[0].N++
+				return true
+			})
+		},
+		"row-start-off-by-a-step": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			step := c.d.Protocol().RowStep
+			lastRow(t, ps, func(pl *distrib.TilePlan, r int) { // first-point U·z one point along the row
+				for k, s := range step {
+					pl.Uz[r*len(step)+k] += s
+				}
+			})
+		},
+		"boundary-run-too-long": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			boundaryRun(t, ps, func(sl *distrib.SlotPlan, b *distrib.BoundaryRun) bool {
+				if b.Off+b.N >= sl.Plan.Rows[b.Row].N {
+					return false // would leave the row: pick one that stays inside it
+				}
+				b.N++
+				return true
+			})
+		},
+		"boundary-run-too-short": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			boundaryRun(t, ps, func(sl *distrib.SlotPlan, b *distrib.BoundaryRun) bool {
+				if b.N < 2 {
+					return false
+				}
+				b.N--
 				return true
 			})
 		},
@@ -423,11 +492,15 @@ func TestMutationCompiledRowRejected(t *testing.T) {
 		},
 		"spurious-boundary-entry": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
 			find(t, ps, func(rp *distrib.RankPlan) bool {
+				q := int32(c.ts.Nest.Q())
 				for i := range rp.Slots {
 					sl := &rp.Slots[i]
-					for ri := int32(0); int(ri) < len(sl.Plan.ReadOff); ri++ {
-						if !slices.Contains(sl.Boundary, ri) { // a read of a computed value
-							sl.Boundary = append([]int32{ri}, sl.Boundary...)
+					for ri := int32(0); int(ri) < len(sl.Plan.Read); ri++ {
+						b := distrib.BoundaryRun{Row: ri / q, Off: 0, N: 1, Dep: ri % q}
+						if !slices.ContainsFunc(sl.Boundary, func(x distrib.BoundaryRun) bool {
+							return x.Row == b.Row && x.Dep == b.Dep && x.Off == 0
+						}) { // the row's first read of a computed (or received) value
+							sl.Boundary = append([]distrib.BoundaryRun{b}, sl.Boundary...)
 							return true
 						}
 					}

@@ -274,9 +274,9 @@ func Compile(ln *LoopNest, t Tiling, opts CompileOptions) (*Program, error) {
 	if opts.Kernel == nil {
 		opts.Kernel = func(j []int64, reads [][]float64, out []float64) {}
 	}
-	kernel := func(j ilin.Vec, reads [][]float64, out []float64) {
+	kernel := exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		opts.Kernel(j, reads, out)
-	}
+	})
 	var initial exec.Initial
 	if opts.Initial != nil {
 		init := opts.Initial
@@ -546,7 +546,7 @@ func ParseSource(text string) (*Source, error) {
 	}
 	k := p.Kernel
 	src.Kernel = func(j []int64, reads [][]float64, out []float64) {
-		k(j, reads, out)
+		k.Point(j, reads, out)
 	}
 	if p.Tiling != nil {
 		src.Tiling = Tiling{h: p.Tiling}
