@@ -121,7 +121,7 @@ const inflightLatency = 3 * time.Millisecond
 
 // inflightRank finds a rank whose chain reaches tile 3 and whose tile 2
 // sends along at least two processor directions (the SEND rule of
-// sendPhasePlanned: a valid successor and a non-empty region).
+// pack: a valid successor and a non-empty region).
 func inflightRank(t *testing.T, d *distrib.Distribution) int {
 	t.Helper()
 	for r := 0; r < d.NumProcs(); r++ {

@@ -7,16 +7,20 @@ import (
 	"tilespace/internal/mpi"
 )
 
-// This file is the executor's checkpoint/recovery layer. The compiled tile
+// This file is the recovery half of the rank machine. The compiled tile
 // protocol makes a rank's state between tiles fully explicit — chain
 // position, LDS contents, stream positions — so every
 // CheckpointOptions.Every committed tiles the rank takes one RankSnapshot,
-// and a lost rank becomes a rewind to it instead of a lost run.
+// and a lost rank becomes a rewind to it instead of a lost run. snapshot and
+// crash are pure transitions of the machine's state; their wire effects
+// (quiesce, stream counts, Save, dropping the unsent queue, the restart
+// outage) are runRank's.
 //
-// A snapshot is taken quiesced: the rank first waits for everything it has
-// sent to be delivered (mpi.Comm.WaitSends) and out of the transport
-// (FlushWire). No send issued before a snapshot can therefore ever need
-// resending, and "sent before the snapshot" is exact on every transport.
+// A snapshot is taken quiesced: the driver first waits for everything the
+// rank has sent to be delivered (mpi.Comm.WaitSends) and out of the
+// transport (FlushWire). No send issued before a snapshot can therefore
+// ever need resending, and "sent before the snapshot" is exact on every
+// transport.
 //
 // With CheckpointOptions.Save the snapshot is persisted and recovery is a
 // new OS process started with Resume (cmd/tilerankd): its peers' meshes
@@ -28,23 +32,25 @@ import (
 //
 //   - Ledger: the (dst, tag) of every send since the snapshot, in issue
 //     order. The NIC completes sends in issue order, so at a crash the
-//     delivered ones are a prefix: delivered = len(ledger) − DropPending().
+//     delivered ones are a prefix: the driver's mpi.Comm.DropPending
+//     discards the untransmitted rest and reports how many, and crash takes
+//     delivered = len(ledger) − dropped.
 //   - Held payloads: every message claimed since the snapshot is kept as a
 //     copy — a restore wipes its unpacked cells from the LDS.
-//   - Crash: mpi.Comm.DropPending discards the NIC's untransmitted queue.
-//     The LDS is poisoned with NaN before restoring, so state the snapshot
-//     fails to cover corrupts the differential result instead of silently
-//     surviving.
+//   - Crash: the LDS is poisoned with NaN before restoring, so state the
+//     snapshot fails to cover corrupts the differential result instead of
+//     silently surviving.
 //   - Restore: copy the snapshot back, unpack the held payloads on top of
 //     it (a message claimed early by the dynamic policy may belong to a
 //     tile past the crash point, so all of them go back at once), turn the
 //     ledger into a resend cursor and rewind the chain to the resume slot.
 //   - Re-execution: the rewound tiles find their inbound-table rows already
 //     claimed (claimed messages are not re-received from the wire, so
-//     mpi.Stats count them once); sends consult the cursor — the delivered
-//     prefix is skipped, the dropped suffix is sent fresh (re-execution
-//     from the restored LDS reproduces the payload bit for bit). Past the
-//     crash point the cursor is empty and the rank runs normally.
+//     mpi.Stats count them once); packing consults the cursor — the
+//     delivered prefix stays out of the outbox, the dropped suffix is sent
+//     fresh (re-execution from the restored LDS reproduces the payload bit
+//     for bit). Past the crash point the cursor is empty and the rank runs
+//     normally.
 //
 // Counting every message exactly once — at its one successful delivery —
 // keeps mpi.Stats bit-identical to a fault-free run, which the chaos
@@ -79,8 +85,9 @@ type CheckpointOptions struct {
 // protocol at construction: reconnecting peers resend exactly what this
 // rank never consumed, and regenerated sends are numbered as their lost
 // originals so suppression and dedup remove every duplicate. Resume itself
-// consumes only Recv, seeding the fresh mailbox's consumed counts
-// (mpi.World.RestoreStreams) so the next snapshot continues from them.
+// consumes only Recv: runRank seeds the fresh mailbox's consumed counts
+// from it (mpi.World.RestoreStreams) so the next snapshot continues from
+// them.
 type RankSnapshot struct {
 	Rank     int
 	NextTile int64
@@ -103,7 +110,7 @@ type heldMsg struct {
 // left checkpointing off, and every hook is guarded on that.
 type ckptState struct {
 	every int64
-	save  func(*RankSnapshot) error
+	saved bool // snapshots go to CheckpointOptions.Save: no recovery log
 
 	// ldsHi is the dirty high-water mark of the LDS backing array, in
 	// floats: every write site raises it, so la[:ldsHi] is the only region
@@ -112,7 +119,7 @@ type ckptState struct {
 
 	// snap is the last snapshot (tiles < snap.NextTile are committed);
 	// ledger and held are the recovery log accumulated since, kept only
-	// when the snapshot is (save == nil).
+	// when the snapshot is (!saved).
 	snap   RankSnapshot
 	ledger []sendRec
 	held   []heldMsg
@@ -122,14 +129,12 @@ type ckptState struct {
 	// delivered.
 	replaySend []sendRec
 	skip       int
-
-	crashed bool // this rank already used its one crash
 }
 
 // newCkptState builds the rank's checkpoint state, restored from
 // opt.Resume when that names this rank.
 func (st *rankState) newCkptState(opt *CheckpointOptions) (*ckptState, error) {
-	ck := &ckptState{every: max(opt.Every, 1), save: opt.Save}
+	ck := &ckptState{every: max(opt.Every, 1), saved: opt.Save != nil}
 	ck.snap.Rank = st.rank
 	if snap := opt.Resume; snap != nil && snap.Rank == st.rank {
 		if len(snap.LDS) > len(st.la) {
@@ -141,69 +146,47 @@ func (st *rankState) newCkptState(opt *CheckpointOptions) (*ckptState, error) {
 		ck.snap.NextTile = snap.NextTile
 		ck.snap.LDS = append(ck.snap.LDS, snap.LDS...)
 		ck.ldsHi = int64(copy(st.la, snap.LDS))
-		st.c.World().RestoreStreams(st.rank, snap.Recv)
 	}
 	return ck, nil
 }
 
 // logs reports whether the rank keeps the in-process recovery log.
-func (ck *ckptState) logs() bool { return ck != nil && ck.save == nil }
+func (ck *ckptState) logs() bool { return ck != nil && !ck.saved }
 
-// commitTile runs after tile t is fully committed (sent phase done,
-// progress noted): time for a snapshot if the period says so. The end of
-// the chain is not snapshotted — nothing is left to resume.
-func (st *rankState) commitTile(t int64) error {
+// snapshotDue reports whether the slot just fired ends a snapshot period.
+// The end of the chain is not snapshotted — nothing is left to resume.
+func (st *rankState) snapshotDue() bool {
 	ck := st.ckpt
-	if ck == nil || (t+1)%ck.every != 0 || t+1 == int64(len(st.Slots)) {
-		return nil
-	}
-	return st.snapshot(t + 1)
+	return ck != nil && st.t%ck.every == 0 && st.t != int64(len(st.Slots))
 }
 
-// snapshot records the rank's restartable state as of "next tiles
-// committed", quiesced: everything sent so far is delivered and out of the
-// transport, so the recovery log restarts empty.
-func (st *rankState) snapshot(next int64) error {
+// snapshot records the rank's restartable state as of the current slot —
+// chain position and dirty LDS prefix — and restarts the recovery log
+// empty. The driver has quiesced the wire and fills in the stream counts
+// a Save needs; the snapshot is the rank's, valid until the next one.
+func (st *rankState) snapshot() *RankSnapshot {
 	ck := st.ckpt
-	st.c.WaitSends()
-	st.c.FlushWire()
 	ck.ledger = ck.ledger[:0]
 	ck.held = ck.held[:0]
-	ck.snap.NextTile = next
+	ck.snap.NextTile = st.t
 	ck.snap.LDS = append(ck.snap.LDS[:0], st.la[:ck.ldsHi]...)
-	if ck.save == nil {
-		return nil
-	}
-	w := st.c.World()
-	ck.snap.Recv = w.StreamCounts(st.rank)
-	ck.snap.Sent = w.SentStreamCounts(st.rank)
-	if err := ck.save(&ck.snap); err != nil {
-		return fmt.Errorf("exec: rank %d checkpoint at tile %d: %w", st.rank, next, err)
-	}
-	return nil
+	return &ck.snap
 }
 
-// crash simulates losing this rank at the boundary of tile t and returns
-// the chain slot to resume from. Without the in-process recovery log a
-// dead rank is a dead run: panic, which aborts the world with a diagnostic.
-func (st *rankState) crash(t int64) int64 {
+// crash loses the rank at the boundary of its current slot and restarts it
+// in-process from the last snapshot; the driver has already discarded the
+// newest `dropped` sends of the ledger, which never reached the wire.
+// Without the in-process recovery log a dead rank is a dead run: panic,
+// which aborts the world with a diagnostic.
+func (st *rankState) crash(dropped int) {
 	ck := st.ckpt
 	if !ck.logs() {
-		panic(fmt.Sprintf("exec: rank %d crashed at tile %d (FaultPlan.Crash) with no in-memory checkpointing enabled — run lost", st.rank, t))
+		panic(fmt.Sprintf("exec: rank %d crashed at tile %d (FaultPlan.Crash) with no in-memory checkpointing enabled — run lost", st.rank, st.t))
 	}
-	ck.crashed = true
-	// The node is gone: outbound messages not yet on the wire are lost. The
-	// NIC transmits in issue order and every pre-snapshot send was awaited,
-	// so the dropped ones are exactly the ledger's tail.
-	dropped := st.c.DropPending()
 	if st.tr != nil {
-		st.tr.noteFault("crash", t)
+		st.tr.noteFault("crash", st.t)
 		st.tr.noteDropped(dropped)
 	}
-	// Reboot/rejoin time; counted as fault activity so the watchdog never
-	// mistakes the outage for a deadlock.
-	st.c.FaultSleep(st.faults.RestartDelay)
-
 	// The replacement process starts blank: poison the LDS so any state
 	// the snapshot fails to cover shows up as NaN in the result, then
 	// restore the snapshot prefix.
@@ -220,21 +203,17 @@ func (st *rankState) crash(t int64) int64 {
 	ck.replaySend = append(ck.replaySend[:0], ck.ledger...)
 	ck.skip = len(ck.ledger) - dropped
 	ck.ledger = ck.ledger[:0]
+	st.t = ck.snap.NextTile
 	if st.tr != nil {
-		st.tr.noteFault("restart", ck.snap.NextTile)
+		st.tr.noteFault("restart", st.t)
 	}
-	return ck.snap.NextTile
 }
 
 // checkReplayDrained asserts the crash recovery actually converged: once
 // the chain completes the resend cursor must be empty, or re-execution
 // diverged from the first incarnation.
 func (st *rankState) checkReplayDrained() error {
-	ck := st.ckpt
-	if ck == nil {
-		return nil
-	}
-	if len(ck.replaySend) > 0 {
+	if ck := st.ckpt; ck != nil && len(ck.replaySend) > 0 {
 		return fmt.Errorf("exec: rank %d finished its chain with %d unconsumed ledger sends — re-execution diverged from the crashed incarnation", st.rank, len(ck.replaySend))
 	}
 	return nil
@@ -248,43 +227,31 @@ func (st *rankState) markDirty(end int64) {
 	}
 }
 
-// dispatchSend routes one outbound message through the recovery layer.
-// During post-crash re-execution it consults the resend cursor: messages
-// the first incarnation delivered are skipped (the receiver has them;
-// resending would corrupt the stream and double-count Stats), dropped
-// ones fall through and are sent fresh. Outside replay — or once the
-// cursor is drained — it issues via the mode's primitive. Either way the
-// send joins the ledger when the rank keeps one.
-//
-// buf's ownership transfers to the runtime with the send; the return value
-// reports whether the send was skipped, so the caller still owns buf and
-// should recycle it.
-func (st *rankState) dispatchSend(dst, tag int, buf []float64, t int64) bool {
+// delivered runs one packed send of slot t through the recovery layer and
+// reports whether it stays out of the outbox. The send joins the ledger when
+// the rank keeps one. During post-crash re-execution it consults the resend
+// cursor: a message the first incarnation delivered is skipped (the
+// receiver has it; resending would corrupt the stream and double-count
+// Stats), a dropped one is sent again.
+func (st *rankState) delivered(dst, tag int, t int64) bool {
 	ck := st.ckpt
 	if ck.logs() {
 		ck.ledger = append(ck.ledger, sendRec{dst, tag})
 	}
-	if ck != nil && len(ck.replaySend) > 0 {
-		rec := ck.replaySend[0]
-		ck.replaySend = ck.replaySend[1:]
-		if rec.dst != dst || rec.tag != tag {
-			panic(fmt.Sprintf("exec: rank %d resend cursor mismatch at tile %d: re-execution sends (dst=%d, tag=%d), ledger recorded (dst=%d, tag=%d) — nondeterministic re-execution", st.rank, t, dst, tag, rec.dst, rec.tag))
-		}
-		if ck.skip > 0 {
-			ck.skip--
-			return true // receiver already has it
-		}
-		if st.tr != nil {
-			st.tr.noteResend()
-		}
+	if ck == nil || len(ck.replaySend) == 0 {
+		return false
 	}
-	if st.overlap {
-		st.c.IsendOwned(dst, tag, buf)
-	} else {
-		st.c.SendOwned(dst, tag, buf)
+	rec := ck.replaySend[0]
+	ck.replaySend = ck.replaySend[1:]
+	if rec.dst != dst || rec.tag != tag {
+		panic(fmt.Sprintf("exec: rank %d resend cursor mismatch at tile %d: re-execution sends (dst=%d, tag=%d), ledger recorded (dst=%d, tag=%d) — nondeterministic re-execution", st.rank, t, dst, tag, rec.dst, rec.tag))
+	}
+	if ck.skip > 0 {
+		ck.skip--
+		return true
 	}
 	if st.tr != nil {
-		st.tr.noteSend(len(buf), st.c.PendingSends())
+		st.tr.noteResend()
 	}
 	return false
 }

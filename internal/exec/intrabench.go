@@ -29,7 +29,7 @@ func (p *Program) ComputeSweep(rank, workers, rounds int) (points int64, seconds
 	if rounds < 1 {
 		rounds = 1
 	}
-	st, err := newRankState(p, nil, rank, RunOptions{Workers: workers})
+	st, err := newRankState(p, rank, RunOptions{Workers: workers})
 	if err != nil {
 		return 0, 0, err
 	}

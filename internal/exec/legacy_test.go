@@ -15,8 +15,8 @@ import (
 // receives or worker pools. It is the oracle the differential and
 // property suites compare the planned executor against (Global bit for
 // bit, mpi.Stats DeepEqual), so it shares the rank's static tables
-// (newRankState: comm tables and the receive order) but no phase code with
-// receive.go, plan.go or pack.go.
+// (newRankState: comm tables and the LDS) but no phase code with
+// receive.go, plan.go or pack.go, and makes its own runtime calls.
 
 // RunLegacy runs the program on the reference executor over a fresh
 // in-process world, with blocking Sends or (overlap) Isends drained at
@@ -50,18 +50,18 @@ func (p *Program) RunLegacy(overlap bool) (*Global, mpi.Stats, error) {
 // injection, compute and SEND per tile, then write-back.
 func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 	r := c.Rank()
-	st, err := newRankState(p, c, r, RunOptions{Overlap: overlap})
+	st, err := newRankState(p, r, RunOptions{})
 	if err != nil {
 		return err
 	}
 	for t := int64(0); t < p.Dist.ChainLen[r]; t++ {
 		tile := p.Dist.TileAt(r, t)
-		if err := st.receivePhase(tile); err != nil {
+		if err := st.receivePhase(c, tile); err != nil {
 			return err
 		}
 		st.initPhase(tile, t)
 		st.computePhase(tile, t)
-		if err := st.sendPhase(tile); err != nil {
+		if err := st.sendPhase(c, tile, overlap); err != nil {
 			return err
 		}
 	}
@@ -76,7 +76,7 @@ func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 // from processor pid − d^m and unpack it into the LDS. The message sizing
 // uses the closed-form CommRegionCount, so only the unpack itself walks
 // the region.
-func (st *rankState) receivePhase(tile ilin.Vec) error {
+func (st *rankState) receivePhase(c *mpi.Comm, tile ilin.Vec) error {
 	d := st.p.Dist
 	w := st.p.Width
 	pr := d.Protocol()
@@ -102,7 +102,7 @@ func (st *rankState) receivePhase(tile ilin.Vec) error {
 		if srcRank < 0 {
 			return fmt.Errorf("exec: predecessor tile %v has no rank", pred)
 		}
-		buf := st.c.Recv(srcRank, di)
+		buf := c.Recv(srcRank, di)
 		if int64(len(buf)) != n*int64(w) {
 			return fmt.Errorf("exec: rank %d tile %v: message from rank %d tag %d has %d values, expected %d", st.rank, tile, srcRank, di, len(buf), n*int64(w))
 		}
@@ -170,7 +170,7 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 // sender and receiver evaluate identically, so contents pair up without
 // headers). Each message gets a fresh buffer; in overlap mode the rank
 // advances without waiting.
-func (st *rankState) sendPhase(tile ilin.Vec) error {
+func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool) error {
 	d := st.p.Dist
 	w := st.p.Width
 	t := tile[d.M] - d.ChainStart[st.rank]
@@ -193,10 +193,10 @@ func (st *rankState) sendPhase(tile ilin.Vec) error {
 			pos += w
 			return true
 		})
-		if st.overlap {
-			st.c.IsendOwned(st.SendRank[i], i, buf)
+		if overlap {
+			c.IsendOwned(st.SendRank[i], i, buf)
 		} else {
-			st.c.Send(st.SendRank[i], i, buf)
+			c.Send(st.SendRank[i], i, buf)
 		}
 	}
 	return nil

@@ -3,8 +3,9 @@ package exec
 import "tilespace/internal/distrib"
 
 // This file holds the dynamic half of the compiled communication path:
-// run-based pack/unpack (bulk copies over the plan's contiguous LDS runs)
-// and the message-buffer pool. The pool plus ownership-transfer sends
+// run-based packing into the rank's outbox (bulk copies over the plan's
+// contiguous LDS runs; unpack is its mirror in receive.go) and the
+// message-buffer pool. The pool plus ownership-transfer sends
 // (mpi.SendOwned/IsendOwned) close the allocation loop: a sender packs
 // into a pooled buffer, ownership rides the message to the receiver, and
 // the receiver recycles the unpacked buffer into its own pool for its next
@@ -44,11 +45,11 @@ func (p *bufPool) get(n int) []float64 {
 	return make([]float64, n)
 }
 
-// put recycles a buffer the rank owns (a packed buffer after a copying
-// Send, or a received message after unpacking). Recycling the same buffer
-// twice would hand one backing array to two future messages — silent data
-// corruption — so aliasing an entry already in the freelist panics. The
-// scan is at most maxPoolBufs pointer compares, off the hot path.
+// put recycles a buffer the rank owns (a received message after
+// unpacking). Recycling the same buffer twice would hand one backing array
+// to two future messages — silent data corruption — so aliasing an entry
+// already in the freelist panics. The scan is at most maxPoolBufs pointer
+// compares, off the hot path.
 func (p *bufPool) put(b []float64) {
 	if cap(b) == 0 {
 		return
@@ -64,17 +65,29 @@ func (p *bufPool) put(b []float64) {
 	p.free = append(p.free, b)
 }
 
-// sendPhasePlanned is the compiled SEND: for each direction the slot sends
-// along (compiled: a valid successor and a non-empty region) the plan's run
-// list turns packing into a few bulk copies, and the packed
-// buffer leaves via an ownership-transfer send, to be recycled by the
-// receiver. Message order, tags and sizes are identical to the reference
-// executor's per-point SEND (legacy_test.go), so mpi.Stats match bit for bit.
-func (st *rankState) sendPhasePlanned(sl *distrib.SlotPlan, t int64) {
+// outMsg is one message of the outbox: a packed buffer and its envelope.
+// runRank issues it with an ownership-transferring send.
+type outMsg struct {
+	dst, tag int
+	data     []float64
+}
+
+// pack is the compiled SEND into the outbox: for each direction the slot
+// sends along (compiled: a valid successor and a non-empty region) the
+// plan's run list turns packing into a few bulk copies into a pooled buffer,
+// which the receiver recycles. A send the resend cursor says was delivered
+// is not packed at all. Message order, tags and sizes are identical to the
+// reference executor's per-point SEND (legacy_test.go), so mpi.Stats match
+// bit for bit.
+func (st *rankState) pack(sl *distrib.SlotPlan, t int64) {
 	w := st.p.Width
 	tOff := t * st.ChainStep
+	st.out = st.out[:0]
 	for _, snd := range sl.Sends {
 		i := snd.Dir
+		if st.delivered(st.SendRank[i], i, t) {
+			continue
+		}
 		dir := &sl.Plan.Dirs[i]
 		buf := st.pool.get(int(dir.Total) * w)
 		pos := 0
@@ -84,11 +97,6 @@ func (st *rankState) sendPhasePlanned(sl *distrib.SlotPlan, t int64) {
 			copy(buf[pos:pos+nn], st.la[cell:cell+int64(nn)])
 			pos += nn
 		}
-		// Ownership transfers with the send; when the recovery layer skips
-		// an already-delivered replay instead, the buffer stays ours and
-		// goes straight back to the pool.
-		if st.dispatchSend(st.SendRank[i], i, buf, t) {
-			st.pool.put(buf)
-		}
+		st.out = append(st.out, outMsg{st.SendRank[i], i, buf})
 	}
 }

@@ -70,7 +70,7 @@ type RunOptions struct {
 	// loopback TCP); results and Stats are bit-identical across transports,
 	// only WireStats differ. Nil runs on a fresh in-process channel world.
 	World *mpi.World
-	// Dynamic switches each rank's receive policy (see receive.go): before
+	// Dynamic switches each rank's receive policy (see runRank): before
 	// each tile, every message that has already arrived — for that tile or
 	// a later one — is claimed and unpacked; the rank blocks only for the
 	// current tile's missing messages. Tiles still fire in chain order and
@@ -106,8 +106,8 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 			return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and Checkpoint.Save/Resume are mutually exclusive (a saved snapshot's stream counts assume the static claim order)")
 		}
 		// Dynamic sends are always asynchronous: forcing the overlap
-		// primitive here keeps dispatchSend on the Isend path and makes
-		// Stats bit-identical to a static Overlap run.
+		// primitive here keeps runRank on the Isend path and makes Stats
+		// bit-identical to a static Overlap run.
 		opt.Overlap = true
 	}
 	world := opt.World
@@ -159,11 +159,13 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 	return g, world.Stats(), nil
 }
 
-// rankState is one rank's state for one run: the distribution's compiled
-// chain (embedded, shared and read-only) plus everything the run mutates.
+// rankState is one rank's machine for one run: the distribution's compiled
+// chain (embedded, shared and read-only) plus everything the run mutates. It
+// makes no runtime call. runRank steps it — next names the inbound row the
+// current slot waits for, offer claims a row, fire executes the slot into the
+// outbox — and a crash or a snapshot is a transition of the same state.
 type rankState struct {
 	p    *Program
-	c    *mpi.Comm
 	rank int
 	*distrib.RankPlan
 
@@ -172,10 +174,10 @@ type rankState struct {
 	deps []ilin.Vec // original dependence vectors d_l
 	dps  []ilin.Vec // transformed d'_l
 
-	// in is the claim state of the inbound-message table (receive.go);
-	// dynamic selects its policy.
+	// t is the chain slot the rank fires next; in is the claim state of the
+	// inbound-message table (receive.go).
+	t       int64
 	in      inbox
-	dynamic bool
 	pBase   ilin.Vec  // P·j^S of the current tile (the slot's, not a copy)
 	rowStep ilin.Vec  // the global point's step along a TTIS row
 	ev      *rowEval  // the rank goroutine's row-evaluation scratch
@@ -185,44 +187,38 @@ type rankState struct {
 	workers int
 	wpool   *workerPool
 
-	pool bufPool // recycled message buffers
+	pool bufPool  // recycled message buffers
+	out  []outMsg // the outbox: the last fired slot's messages (pack.go)
 
-	overlap    bool
 	pointDelay time.Duration
 
 	// tr is this rank's measured-timeline recorder; nil when tracing is
 	// off, and every instrumentation site is guarded on that.
 	tr *rankTracer
 
-	// faults is the run's fault schedule (never nil to callers: all
-	// FaultPlan methods are nil-safe); ckpt is the checkpoint/recovery
-	// state, nil when checkpointing is off.
-	faults *mpi.FaultPlan
-	ckpt   *ckptState
+	// ckpt is the checkpoint/recovery state, nil when checkpointing is off.
+	ckpt *ckptState
 }
 
 // newRankState builds a rank's per-run state on top of its compiled chain
 // (compiled here on the distribution's first use of the rank): the LDS, the
-// inbound claim state and a few reused buffers. c may be nil for tests and
-// benchmarks that drive individual phases directly.
-func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) (*rankState, error) {
+// inbound claim state, a few reused buffers and the checkpoint state — a
+// chain resumed from opt.Checkpoint.Resume starts at the snapshot.
+func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 	rp, err := p.Dist.Plan(r)
 	if err != nil {
 		return nil, err
 	}
 	pr := p.Dist.Protocol()
 	st := &rankState{
-		p: p, c: c, rank: r,
+		p: p, rank: r,
 		RankPlan:   rp,
 		deps:       pr.Deps,
 		dps:        pr.DPs,
-		dynamic:    opt.Dynamic,
-		overlap:    opt.Overlap,
 		pointDelay: opt.PointDelay,
-		faults:     opt.Net.Faults,
 	}
 	// A straggler's injected compute cost is its PointDelay, scaled.
-	if s := st.faults.SlowdownOf(r); s > 1 {
+	if s := opt.Net.Faults.SlowdownOf(r); s > 1 {
 		st.pointDelay = time.Duration(float64(st.pointDelay) * s)
 	}
 	if opt.Trace != nil {
@@ -234,16 +230,33 @@ func newRankState(p *Program, c *mpi.Comm, r int, opt RunOptions) (*rankState, e
 	st.init = p.boundaryValues(r, rp)
 	st.in.claimed = make([]bool, len(rp.Msgs))
 	st.in.heads = make([]int, len(rp.Rows))
+	st.out = make([]outMsg, 0, len(rp.SendRank))
 	st.workers = effectiveWorkers(opt.Workers, p.Dist.NumProcs())
+	if opt.Checkpoint != nil {
+		if st.ckpt, err = st.newCkptState(opt.Checkpoint); err != nil {
+			return nil, err
+		}
+		// A resumed chain starts at its snapshot; its earlier incarnation
+		// claimed every row before (static claim order: Dynamic excludes
+		// Checkpoint.Resume).
+		st.t = st.ckpt.snap.NextTile
+		for in := &st.in; in.cur < len(rp.Msgs) && rp.Msgs[in.cur].T < st.t; in.cur++ {
+			in.claimed[in.cur] = true
+			in.heads[rp.Msgs[in.cur].Dir]++
+		}
+	}
 	return st, nil
 }
 
-// runRank is the rank body: the one loop every mode runs. Per tile it does
-// RECEIVE (receive.go), boundary-value injection, compute and SEND.
+// runRank is the rank's driver, and the one place the executor calls the
+// runtime. Per chain slot it receives the rows next names — after draining
+// every stream head that has already arrived, under the Dynamic policy —
+// fires the slot and issues its outbox. It carries out a planned crash (drop
+// the unsent queue, sit out the restart, then crash the machine) and a due
+// snapshot (quiesce the wire, snapshot, hand the result to Save).
 func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	r := c.Rank()
-	d := p.Dist
-	st, err := newRankState(p, c, r, opt)
+	st, err := newRankState(p, r, opt)
 	if err != nil {
 		return err
 	}
@@ -253,69 +266,104 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		// abort panic — winds the pool down without leaking goroutines.
 		defer st.wpool.close()
 	}
-	crashAt := st.faults.CrashTile(r)
-
-	start := int64(0) // a chain resumed from a snapshot starts past zero
-	if opt.Checkpoint != nil {
-		var err error
-		if st.ckpt, err = st.newCkptState(opt.Checkpoint); err != nil {
-			return err
-		}
-		start = st.ckpt.snap.NextTile
+	ck := opt.Checkpoint
+	if ck != nil && ck.Resume != nil && ck.Resume.Rank == r {
+		// Before the first receive, so the next snapshot continues the counts.
+		c.World().RestoreStreams(r, ck.Resume.Recv)
 	}
-	st.skipClaimed(start)
-	fired := start // chain slots below fired are in the firing log
-	for t := start; t < d.ChainLen[r]; t++ {
-		// A planned crash fires at the tile boundary, before tile t's
-		// receive — the first incarnation only. With checkpointing the
-		// rank rewinds to its last snapshot and re-executes; without,
-		// crash() panics and the world aborts.
-		if t == crashAt && (st.ckpt == nil || !st.ckpt.crashed) {
-			t = st.crash(t)
+	faults := opt.Net.Faults
+	crashAt := faults.CrashTile(r)
+	fired := st.t // chain slots below fired are in the firing log
+	for t, _ := st.next(); t < int64(len(st.Slots)); t, _ = st.next() {
+		// A planned crash fires once, at the tile boundary before tile t's
+		// receive. The node is gone: its sends not yet on the wire are lost,
+		// and the outage is fault activity, so the watchdog never mistakes it
+		// for a deadlock. Without in-memory checkpointing crash panics.
+		if t == crashAt {
+			crashAt = -1
+			dropped := c.DropPending()
+			c.FaultSleep(faults.RestartDelay)
+			st.crash(dropped)
+			continue
 		}
-		sl := &st.Slots[t]
 		if st.tr != nil {
 			st.tr.beginTile()
 		}
-		if err := st.receive(t); err != nil {
-			return err
+		if opt.Dynamic {
+			for di := range st.Rows {
+				for h := st.head(di); h >= 0; h = st.head(di) {
+					data, ok := c.TryRecv(st.RecvRank[di], di)
+					if !ok {
+						break // nothing more has arrived on this stream
+					}
+					if st.tr != nil {
+						st.tr.noteRecv(0, 0, len(data))
+					}
+					if err := st.offer(h, data); err != nil {
+						return err
+					}
+				}
+			}
 		}
-		st.pBase = sl.PBase
-		st.initPhasePlanned(sl, t)
-		if st.tr != nil {
-			st.tr.noteRecvDone()
+		for _, row := st.next(); row >= 0; _, row = st.next() {
+			var t0 time.Time
+			if st.tr != nil {
+				t0 = time.Now()
+			}
+			m := c.RecvMsg(st.RecvRank[st.Msgs[row].Dir], st.Msgs[row].Dir)
+			if st.tr != nil {
+				// Blocked wait apart from time spent queued in the mailbox.
+				now := time.Now()
+				st.tr.noteRecv(now.Sub(t0), now.Sub(m.Delivered), len(m.Data))
+			}
+			if err := st.offer(row, m.Data); err != nil {
+				return err
+			}
 		}
 		// The tile fires: every dependence is satisfied. Keep-first across
 		// crash rewinds — see FiringLog.
 		if opt.Firing != nil && t >= fired {
-			opt.Firing.note(r, t, sl.Tile)
+			opt.Firing.note(r, t, st.Slots[t].Tile)
 			fired = t + 1
 		}
-		if st.wpool != nil {
-			st.computePhaseParallel(sl.Plan, t)
-		} else {
-			st.computePhasePlanned(sl.Plan, t)
+		st.fire()
+		for _, m := range st.out {
+			if opt.Overlap {
+				c.IsendOwned(m.dst, m.tag, m.data)
+			} else {
+				c.SendOwned(m.dst, m.tag, m.data)
+			}
+			if st.tr != nil {
+				st.tr.noteSend(len(m.data), c.PendingSends())
+			}
 		}
 		if st.tr != nil {
-			st.tr.noteCompDone()
-		}
-		st.sendPhasePlanned(sl, t)
-		if st.tr != nil {
-			st.tr.endTile(sl.Tile)
+			st.tr.endTile(st.Slots[t].Tile)
 		}
 		// A completed tile is forward progress even if every other rank is
 		// parked waiting for its output — keep the watchdog quiet.
 		c.NoteProgress()
-		if err := st.commitTile(t); err != nil {
-			return err
+		if st.snapshotDue() {
+			// Quiesced: everything sent so far is delivered and out of the
+			// transport, so no send before the snapshot can need resending.
+			c.WaitSends()
+			c.FlushWire()
+			snap := st.snapshot()
+			if ck.Save != nil {
+				snap.Recv = c.World().StreamCounts(r)
+				snap.Sent = c.World().SentStreamCounts(r)
+				if err := ck.Save(snap); err != nil {
+					return fmt.Errorf("exec: rank %d checkpoint at tile %d: %w", r, snap.NextTile, err)
+				}
+			}
 		}
 	}
 	if err := st.checkReplayDrained(); err != nil {
 		return err
 	}
-	// Overlap mode: every send so far was an Isend whose transfer runs on
-	// the rank's NIC; make sure all of them completed before declaring the
-	// chain done (receivers need the data, and Stats must be final).
+	// Every Isend's transfer runs on the rank's NIC: wait for all of them
+	// before declaring the chain done (receivers need the data, and Stats
+	// must be final).
 	c.WaitSends()
 	if st.tr != nil {
 		st.tr.finish(&st.pool, st.wpool)
@@ -324,23 +372,32 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	return nil
 }
 
+// fire executes the current chain slot, once next reports none of its
+// inbound rows missing: boundary-value injection, compute (serial or on the
+// worker pool) and pack into the outbox. Then the chain advances.
+func (st *rankState) fire() {
+	t := st.t
+	sl := &st.Slots[t]
+	st.pBase = sl.PBase
+	st.initPhasePlanned(sl, t)
+	if st.tr != nil {
+		st.tr.noteRecvDone()
+	}
+	if st.wpool != nil {
+		st.computePhaseParallel(sl.Plan, t)
+	} else {
+		st.computePhasePlanned(sl.Plan, t)
+	}
+	if st.tr != nil {
+		st.tr.noteCompDone()
+	}
+	st.pack(sl, t)
+	st.t++
+}
+
 // chargePointDelay injects the modelled per-point CPU cost.
 func (st *rankState) chargePointDelay(pts int64) {
 	if st.pointDelay > 0 {
 		time.Sleep(time.Duration(pts) * st.pointDelay)
 	}
-}
-
-// recv is the executor's blocking receive: plain Recv when
-// tracing is off, and the timestamped RecvMsg — splitting blocked wait
-// from mailbox queueing via Message.Delivered — when it is on.
-func (st *rankState) recv(src, tag int) []float64 {
-	if st.tr == nil {
-		return st.c.Recv(src, tag)
-	}
-	t0 := time.Now()
-	m := st.c.RecvMsg(src, tag)
-	now := time.Now()
-	st.tr.noteRecv(now.Sub(t0), now.Sub(m.Delivered), len(m.Data))
-	return m.Data
 }

@@ -28,7 +28,7 @@ func planProgram(tb testing.TB) *Program {
 // mustRankState is newRankState for fixtures whose chains compile cleanly.
 func mustRankState(tb testing.TB, p *Program, r int, opt RunOptions) *rankState {
 	tb.Helper()
-	st, err := newRankState(p, nil, r, opt)
+	st, err := newRankState(p, r, opt)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -137,10 +137,3 @@ func LatticeSolve(h *Mat, v Vec) (Vec, bool) {
 	}
 	return z, true
 }
-
-// LatticeContains reports whether v lies in the column lattice of the lower
-// triangular matrix h.
-func LatticeContains(h *Mat, v Vec) bool {
-	_, ok := LatticeSolve(h, v)
-	return ok
-}

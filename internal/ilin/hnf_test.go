@@ -75,7 +75,7 @@ func TestLatticeSolve(t *testing.T) {
 		t.Errorf("LatticeSolve = %v, %v", z, ok)
 	}
 	// (3, 4, 7): 3+2z2=4 has no integer solution.
-	if LatticeContains(h, NewVec(3, 4, 7)) {
+	if _, ok := LatticeSolve(h, NewVec(3, 4, 7)); ok {
 		t.Error("(3,4,7) should not be in lattice")
 	}
 }
@@ -113,7 +113,8 @@ func TestQuickHNFProperties(t *testing.T) {
 		}
 		// A·probe is in the lattice of A, hence must be in the lattice of H.
 		v := a.MulVec(NewVec(int64(probe[0]), int64(probe[1]), int64(probe[2])))
-		return LatticeContains(res.H, v)
+		_, ok := LatticeSolve(res.H, v)
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -133,7 +134,7 @@ func TestQuickHNFLatticeBothWays(t *testing.T) {
 			return false
 		}
 		v := res.H.MulVec(NewVec(int64(probe[0]), int64(probe[1]), int64(probe[2])))
-		z := a.Inverse().MulIntVec(v)
+		z := a.Inverse().MulVec(v.Rat())
 		return z.IsInt()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -542,9 +542,6 @@ func (m *RatMat) MulVec(v RatVec) RatVec {
 	return out
 }
 
-// MulIntVec returns m·v for an integer vector v.
-func (m *RatMat) MulIntVec(v Vec) RatVec { return m.MulVec(v.Rat()) }
-
 // Transpose returns mᵀ.
 func (m *RatMat) Transpose() *RatMat {
 	out := NewRatMat(m.Cols, m.Rows)

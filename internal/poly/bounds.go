@@ -207,16 +207,6 @@ func (nb *NestBounds) Count() int64 {
 	return nb.ScanRows(func(ilin.Vec, int64) bool { return true })
 }
 
-// HasIntPoint reports whether the nest contains at least one integer point.
-func (nb *NestBounds) HasIntPoint() bool {
-	found := false
-	nb.Scan(func(ilin.Vec) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
 func (nb *NestBounds) String() string {
 	var b strings.Builder
 	for k, vb := range nb.Vars {

@@ -146,18 +146,6 @@ type System struct {
 // NewSystem returns an empty system over n variables.
 func NewSystem(n int) *System { return &System{NVars: n} }
 
-// FromIneqs builds the system A·x ≤ b from an integer matrix and vector.
-func FromIneqs(a *ilin.Mat, b ilin.Vec) *System {
-	if a.Rows != len(b) {
-		panic("poly: FromIneqs shape mismatch")
-	}
-	s := NewSystem(a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		s.Add(NewConstraint(a.Row(i).Rat(), rat.FromInt(b[i])))
-	}
-	return s
-}
-
 // Add appends a constraint; the coefficient length must match NVars.
 func (s *System) Add(c Constraint) {
 	if len(c.Coef) != s.NVars {
@@ -303,28 +291,6 @@ func (s *System) checkElim(k int) error {
 		return fmt.Errorf("poly: eliminating x%d would combine %d×%d constraint pairs (limit %d): system too complex for Fourier–Motzkin", k, pos, neg, maxElimPairs)
 	}
 	return nil
-}
-
-// IsEmptyRational reports whether the rational relaxation of the system is
-// empty, by eliminating every variable and checking for contradictions.
-func (s *System) IsEmptyRational() bool {
-	cur := s.Clone()
-	if !cur.simplify() {
-		return true
-	}
-	for k := s.NVars - 1; k >= 0; k-- {
-		next, ok := cur.Eliminate(k)
-		if !ok {
-			return true
-		}
-		cur = next
-	}
-	for _, c := range cur.Cons {
-		if triv, feas := c.isTrivial(); triv && !feas {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *System) String() string {

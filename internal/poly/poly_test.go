@@ -114,19 +114,8 @@ func TestLoopBoundsRationalCoefficients(t *testing.T) {
 func TestEmptySystems(t *testing.T) {
 	s := NewSystem(1)
 	s.AddRange(0, 3, 1) // 3 ≤ x ≤ 1: empty
-	if !s.IsEmptyRational() {
-		t.Error("3 ≤ x ≤ 1 should be empty")
-	}
 	if _, err := LoopBounds(s); err == nil {
 		t.Error("LoopBounds should fail on empty system")
-	}
-
-	s2 := NewSystem(2)
-	s2.AddRange(0, 0, 10)
-	s2.AddRange(1, 0, 10)
-	s2.Add(NewConstraint(ilin.RatVec{rat.One, rat.One}, rat.FromInt(-1))) // x+y ≤ -1
-	if !s2.IsEmptyRational() {
-		t.Error("x+y ≤ -1 in positive box should be empty")
 	}
 }
 
@@ -153,19 +142,6 @@ func TestEliminateProjection(t *testing.T) {
 	}
 	if proj.Contains(ilin.NewVec(4, 0)) || proj.Contains(ilin.NewVec(-1, 0)) {
 		t.Error("projection should reject x outside [0,3]")
-	}
-}
-
-func TestFromIneqs(t *testing.T) {
-	// -x ≤ 0, x ≤ 2 → x ∈ [0,2].
-	a := ilin.MatFromRows([]int64{-1}, []int64{1})
-	s := FromIneqs(a, ilin.NewVec(0, 2))
-	nb, err := LoopBounds(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nb.Count() != 3 {
-		t.Errorf("Count = %d, want 3", nb.Count())
 	}
 }
 
@@ -268,9 +244,6 @@ func TestScanEarlyStop(t *testing.T) {
 	})
 	if seen != 5 {
 		t.Errorf("early stop visited %d points", seen)
-	}
-	if !nb.HasIntPoint() {
-		t.Error("box should have integer points")
 	}
 }
 
@@ -390,39 +363,6 @@ func TestAddArityPanics(t *testing.T) {
 	}()
 	s := NewSystem(2)
 	s.Add(NewConstraint(ilin.RatVec{rat.One}, rat.Zero))
-}
-
-func TestIsEmptyRationalMore(t *testing.T) {
-	// Feasible full-dimensional system.
-	s := box2(0, 3, 0, 3)
-	if s.IsEmptyRational() {
-		t.Error("box should be non-empty")
-	}
-	// Direct contradiction on identical coefficient vectors: x ≤ 1, x ≥ 3.
-	c := NewSystem(1)
-	c.Add(NewConstraint(ilin.RatVec{rat.One}, rat.One))
-	c.Add(GE(ilin.RatVec{rat.One}, rat.FromInt(3)))
-	if !c.IsEmptyRational() {
-		t.Error("x ≤ 1 ∧ x ≥ 3 should be empty")
-	}
-	// Trivial infeasible constant row: 0 ≤ -1.
-	z := NewSystem(1)
-	z.AddRange(0, 0, 1)
-	z.Add(NewConstraint(ilin.RatVec{rat.Zero}, rat.FromInt(-1)))
-	if !z.IsEmptyRational() {
-		t.Error("0 ≤ -1 should be empty")
-	}
-	// Rational point but no integer point: 1/3 ≤ x ≤ 2/3 — rationally
-	// non-empty (integer emptiness is the scanner's job).
-	r := NewSystem(1)
-	r.Add(GE(ilin.RatVec{rat.FromInt(3)}, rat.One))
-	r.Add(NewConstraint(ilin.RatVec{rat.FromInt(3)}, rat.FromInt(2)))
-	if r.IsEmptyRational() {
-		t.Error("1/3 ≤ x ≤ 2/3 is rationally non-empty")
-	}
-	if nb, err := LoopBounds(r); err == nil && nb.HasIntPoint() {
-		t.Error("1/3 ≤ x ≤ 2/3 has no integer point")
-	}
 }
 
 // TestEliminationBound: an elimination step that would combine more than

@@ -144,9 +144,6 @@ func (r Rat) Inv() Rat {
 // MulInt returns r * n.
 func (r Rat) MulInt(n int64) Rat { return r.Mul(FromInt(n)) }
 
-// AddInt returns r + n.
-func (r Rat) AddInt(n int64) Rat { return r.Add(FromInt(n)) }
-
 // Cmp compares r and s, returning -1, 0, or +1.
 func (r Rat) Cmp(s Rat) int {
 	// r - s sign without building the difference is cheaper but subtler;
@@ -219,14 +216,6 @@ func (r Rat) Float() float64 { return float64(r.Num) / float64(r.Den) }
 
 // Equal reports whether r == s exactly.
 func (r Rat) Equal(s Rat) bool { return r.Num == s.Num && r.Den == s.Den }
-
-// Min returns the smaller of r and s.
-func Min(r, s Rat) Rat {
-	if r.Cmp(s) <= 0 {
-		return r
-	}
-	return s
-}
 
 // Max returns the larger of r and s.
 func Max(r, s Rat) Rat {

@@ -61,9 +61,6 @@ func TestArithmetic(t *testing.T) {
 	if got := half.MulInt(4); !got.Equal(FromInt(2)) {
 		t.Errorf("1/2*4 = %v", got)
 	}
-	if got := half.AddInt(1); !got.Equal(New(3, 2)) {
-		t.Errorf("1/2+1 = %v", got)
-	}
 }
 
 func TestDivByZeroPanics(t *testing.T) {
@@ -163,8 +160,8 @@ func TestString(t *testing.T) {
 
 func TestMinMaxAbs(t *testing.T) {
 	a, b := New(1, 3), New(1, 2)
-	if !Min(a, b).Equal(a) || !Max(a, b).Equal(b) {
-		t.Error("Min/Max mismatch")
+	if !Max(a, b).Equal(b) {
+		t.Error("Max mismatch")
 	}
 	if !New(-5, 3).Abs().Equal(New(5, 3)) {
 		t.Error("Abs mismatch")
@@ -369,8 +366,8 @@ func TestAbsMinMaxBranches(t *testing.T) {
 		t.Error("Abs of positive")
 	}
 	a, b := New(2, 3), New(1, 3)
-	if !Min(a, b).Equal(b) || !Max(b, a).Equal(a) {
-		t.Error("Min/Max other branch")
+	if !Max(b, a).Equal(a) {
+		t.Error("Max other branch")
 	}
 }
 

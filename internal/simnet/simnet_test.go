@@ -286,9 +286,6 @@ func TestSimulateTraced(t *testing.T) {
 	if _, idle := tr.CriticalRank(); idle < 0 || idle > 1 {
 		t.Errorf("idle fraction %v out of range", idle)
 	}
-	if len(tr.PerRankIdle()) != d.NumProcs() {
-		t.Error("PerRankIdle length mismatch")
-	}
 	// The traced run must not perturb the untraced result.
 	plain, err := simnet.Simulate(d, simnet.FastEthernetPIII())
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"tilespace/internal/distrib"
-	"tilespace/internal/ilin"
 )
 
 // Event is one tile's simulated execution record.
@@ -219,20 +218,4 @@ func (tr *Trace) ComputeWaitFractions() (compute, wait float64) {
 	}
 	n := float64(len(fr))
 	return compute / n, wait / n
-}
-
-// PerRankIdle sums each rank's receive-wait time.
-func (tr *Trace) PerRankIdle() ilin.Vec {
-	max := 0
-	for _, e := range tr.Events {
-		if e.Rank > max {
-			max = e.Rank
-		}
-	}
-	// scaled to microseconds so the integer vector is readable
-	out := make(ilin.Vec, max+1)
-	for _, e := range tr.Events {
-		out[e.Rank] += int64(e.Waited * 1e6)
-	}
-	return out
 }

@@ -72,15 +72,6 @@ func Analyze(nest *loopnest.Nest, h *ilin.RatMat) (*TiledSpace, error) {
 	return ts, nil
 }
 
-// MustAnalyze is Analyze that panics on error.
-func MustAnalyze(nest *loopnest.Nest, h *ilin.RatMat) *TiledSpace {
-	ts, err := Analyze(nest, h)
-	if err != nil {
-		panic(err)
-	}
-	return ts
-}
-
 // buildCombinedBounds constructs the 2n-variable system
 //
 //	A·(P·j^S + U·z) ≤ b        (original iteration space)
@@ -350,15 +341,6 @@ func (ts *TiledSpace) TileFullyInside(jS ilin.Vec) bool {
 		}
 	}
 	return true
-}
-
-// TilePointCountFast returns the tile's lattice point count, using the
-// convexity shortcut for interior tiles and a scan otherwise.
-func (ts *TiledSpace) TilePointCountFast(jS ilin.Vec) int64 {
-	if ts.TileFullyInside(jS) {
-		return ts.T.TileSize
-	}
-	return ts.TilePointCount(jS)
 }
 
 // CountTilePoints counts the lattice points of tile j^S whose TTIS

@@ -80,3 +80,66 @@ func TestOneCompiledProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRankCoreMakesNoRuntimeCall pins the executor's split into a rank
+// machine and its driver: rankState holds no handle on the runtime, and the
+// calls that block on, issue to or account to the runtime appear in
+// internal/exec only inside runRank, the one driver loop. The machine can
+// then be stepped by hand, or by another driver, with no world at all.
+func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
+	runtimeCalls := map[string]bool{
+		"Recv": true, "RecvMsg": true, "TryRecv": true, "SendOwned": true, "IsendOwned": true,
+		"WaitSends": true, "FlushWire": true, "DropPending": true, "FaultSleep": true,
+		"PendingSends": true, "NoteProgress": true, "RestoreStreams": true,
+	}
+	files, err := filepath.Glob("internal/exec/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	sawState, sawDriver := false, false
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		path = filepath.ToSlash(path)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			driver := false
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "runRank" && path == "internal/exec/parallel.go" {
+				driver, sawDriver = true, true
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					st, ok := n.Type.(*ast.StructType)
+					if !ok || n.Name.Name != "rankState" {
+						return true
+					}
+					sawState = true
+					for _, field := range st.Fields.List {
+						ast.Inspect(field.Type, func(m ast.Node) bool {
+							if sel, ok := m.(*ast.SelectorExpr); ok {
+								if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "mpi" && (sel.Sel.Name == "Comm" || sel.Sel.Name == "World") {
+									t.Errorf("%s: rankState holds a runtime handle (mpi.%s)", fset.Position(field.Pos()), sel.Sel.Name)
+								}
+							}
+							return true
+						})
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && runtimeCalls[sel.Sel.Name] && !driver {
+						t.Errorf("%s: runtime call %s outside the driver (runRank)", fset.Position(n.Pos()), sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	if !sawState || !sawDriver {
+		t.Fatalf("found rankState %v, runRank %v: the layering this test pins has moved", sawState, sawDriver)
+	}
+}
