@@ -2,168 +2,66 @@ package main
 
 import (
 	"fmt"
+	"strings"
 
-	"tilespace"
+	"tilespace/internal/apps"
+	"tilespace/internal/codegen"
+	"tilespace/internal/exec"
+	"tilespace/internal/tiling"
 )
 
-// builtin describes one of the paper's workloads expressed through the
-// public API (the same definitions internal/apps provides for the Go
-// executor, rebuilt here with C kernel statements for codegen).
-type builtin struct {
+// builtins are the paper's workloads as internal/apps defines them; tilec
+// adds only the space and tile factors each compiles at by default.
+var builtins = []struct {
 	name           string
-	defaultSpace   []int64
-	defaultFactors []int64
-	build          func(space, factors []int64, family string) (*tilespace.Program, tilespace.CodegenOptions, error)
+	app            func(a, b int64) (*apps.App, error)
+	space, factors []int64
+}{
+	{"sor", apps.SOR, []int64{100, 200}, []int64{50, 38, 20}},
+	{"jacobi", apps.Jacobi, []int64{50, 100}, []int64{10, 38, 38}},
+	{"adi", apps.ADI, []int64{100, 256}, []int64{10, 65, 65}},
 }
 
-func fromBuiltin(name string, space, factors []int64, family string) (*tilespace.Program, tilespace.CodegenOptions, error) {
+// fromBuiltin compiles a built-in app under one of its tiling families; the
+// generated C prints the app's own kernel and boundary values.
+func fromBuiltin(name string, space, factors []int64, family string) (*exec.Program, codegen.Options, error) {
 	for _, b := range builtins {
-		if b.name == name {
-			if len(space) == 0 {
-				space = b.defaultSpace
-			}
-			if len(factors) == 0 {
-				factors = b.defaultFactors
-			}
-			return b.build(space, factors, family)
+		if b.name != name {
+			continue
 		}
+		if len(space) == 0 {
+			space = b.space
+		}
+		if len(factors) == 0 {
+			factors = b.factors
+		}
+		if len(space) != 2 || len(factors) != 3 {
+			return nil, codegen.Options{}, fmt.Errorf("%s needs -space of two sizes and -factors x,y,z", name)
+		}
+		app, err := b.app(space[0], space[1])
+		if err != nil {
+			return nil, codegen.Options{}, err
+		}
+		var names []string
+		for _, f := range append([]apps.TilingFamily{app.Rect}, app.NonRect...) {
+			if f.Name != family {
+				names = append(names, f.Name)
+				continue
+			}
+			ts, err := tiling.Analyze(app.Nest, f.H(factors[0], factors[1], factors[2]))
+			if err != nil {
+				return nil, codegen.Options{}, err
+			}
+			prog, err := exec.NewProgram(ts, app.MapDim, app.Width, app.Kernel, app.Initial)
+			if err != nil {
+				return nil, codegen.Options{}, err
+			}
+			kernelC, err := app.Kernel.C()
+			return prog, codegen.Options{
+				Name: name + "_" + family, Width: app.Width, KernelStmt: kernelC, InitialStmt: app.InitialC,
+			}, err
+		}
+		return nil, codegen.Options{}, fmt.Errorf("%s families: %s", name, strings.Join(names, ", "))
 	}
-	return nil, tilespace.CodegenOptions{}, fmt.Errorf("unknown app %q (have sor, jacobi, adi)", name)
+	return nil, codegen.Options{}, fmt.Errorf("unknown app %q (have sor, jacobi, adi)", name)
 }
-
-var builtins = []builtin{
-	{
-		name:           "sor",
-		defaultSpace:   []int64{100, 200},
-		defaultFactors: []int64{50, 38, 20},
-		build: func(space, f []int64, family string) (*tilespace.Program, tilespace.CodegenOptions, error) {
-			if len(space) != 2 || len(f) != 3 {
-				return nil, tilespace.CodegenOptions{}, fmt.Errorf("sor needs -space M,N and -factors x,y,z")
-			}
-			m, n := space[0], space[1]
-			nest, err := tilespace.NewLoopNest([]string{"t", "i", "j"},
-				[]int64{1, 1, 1}, []int64{m, n, n},
-				[][]int64{{0, 1, 0}, {0, 0, 1}, {1, -1, 0}, {1, 0, -1}, {1, 0, 0}})
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			if nest, err = nest.Skew([][]int64{{1, 0, 0}, {1, 1, 0}, {2, 0, 1}}); err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			x, y, z := itoa(f[0]), itoa(f[1]), itoa(f[2])
-			var rows [][]string
-			switch family {
-			case "rect":
-				rows = [][]string{{"1/" + x, "0", "0"}, {"0", "1/" + y, "0"}, {"0", "0", "1/" + z}}
-			case "nr":
-				rows = [][]string{{"1/" + x, "0", "0"}, {"0", "1/" + y, "0"}, {"-1/" + z, "0", "1/" + z}}
-			default:
-				return nil, tilespace.CodegenOptions{}, fmt.Errorf("sor families: rect, nr")
-			}
-			tl, err := tilespace.TilingFromRows(rows)
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			prog, err := tilespace.Compile(nest, tl, tilespace.CompileOptions{MapDim: 2})
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			return prog, tilespace.CodegenOptions{
-				Name:        "sor_" + family,
-				KernelStmt:  "out[0] = 0.3*(R0[0] + R1[0] + R2[0] + R3[0]) - 0.2*R4[0];",
-				InitialStmt: "out[0] = 0.5;",
-			}, nil
-		},
-	},
-	{
-		name:           "jacobi",
-		defaultSpace:   []int64{50, 100},
-		defaultFactors: []int64{10, 38, 38},
-		build: func(space, f []int64, family string) (*tilespace.Program, tilespace.CodegenOptions, error) {
-			if len(space) != 2 || len(f) != 3 {
-				return nil, tilespace.CodegenOptions{}, fmt.Errorf("jacobi needs -space T,N and -factors x,y,z")
-			}
-			tt, n := space[0], space[1]
-			nest, err := tilespace.NewLoopNest([]string{"t", "i", "j"},
-				[]int64{1, 1, 1}, []int64{tt, n, n},
-				[][]int64{{1, 0, 0}, {1, 1, 0}, {1, -1, 0}, {1, 0, 1}, {1, 0, -1}})
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			if nest, err = nest.Skew([][]int64{{1, 0, 0}, {1, 1, 0}, {1, 0, 1}}); err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			x, y, z := itoa(f[0]), itoa(f[1]), itoa(f[2])
-			var rows [][]string
-			switch family {
-			case "rect":
-				rows = [][]string{{"1/" + x, "0", "0"}, {"0", "1/" + y, "0"}, {"0", "0", "1/" + z}}
-			case "nr":
-				rows = [][]string{{"1/" + x, "-1/" + itoa(2*f[0]), "0"}, {"0", "1/" + y, "0"}, {"0", "0", "1/" + z}}
-			default:
-				return nil, tilespace.CodegenOptions{}, fmt.Errorf("jacobi families: rect, nr")
-			}
-			tl, err := tilespace.TilingFromRows(rows)
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			prog, err := tilespace.Compile(nest, tl, tilespace.CompileOptions{MapDim: 0})
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			return prog, tilespace.CodegenOptions{
-				Name:        "jacobi_" + family,
-				KernelStmt:  "out[0] = 0.2*(R0[0] + R1[0] + R2[0] + R3[0] + R4[0]);",
-				InitialStmt: "out[0] = 0.5;",
-			}, nil
-		},
-	},
-	{
-		name:           "adi",
-		defaultSpace:   []int64{100, 256},
-		defaultFactors: []int64{10, 65, 65},
-		build: func(space, f []int64, family string) (*tilespace.Program, tilespace.CodegenOptions, error) {
-			if len(space) != 2 || len(f) != 3 {
-				return nil, tilespace.CodegenOptions{}, fmt.Errorf("adi needs -space T,N and -factors x,y,z")
-			}
-			tt, n := space[0], space[1]
-			nest, err := tilespace.NewLoopNest([]string{"t", "i", "j"},
-				[]int64{1, 1, 1}, []int64{tt, n, n},
-				[][]int64{{1, 0, 0}, {1, 1, 0}, {1, 0, 1}})
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			x, y, z := itoa(f[0]), itoa(f[1]), itoa(f[2])
-			rows := [][]string{{"1/" + x, "0", "0"}, {"0", "1/" + y, "0"}, {"0", "0", "1/" + z}}
-			switch family {
-			case "rect":
-			case "nr1":
-				rows[0][1] = "-1/" + x
-			case "nr2":
-				rows[0][2] = "-1/" + x
-			case "nr3":
-				rows[0][1], rows[0][2] = "-1/"+x, "-1/"+x
-			default:
-				return nil, tilespace.CodegenOptions{}, fmt.Errorf("adi families: rect, nr1, nr2, nr3")
-			}
-			tl, err := tilespace.TilingFromRows(rows)
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			prog, err := tilespace.Compile(nest, tl, tilespace.CompileOptions{MapDim: 0, Width: 2})
-			if err != nil {
-				return nil, tilespace.CodegenOptions{}, err
-			}
-			return prog, tilespace.CodegenOptions{
-				Name:  "adi_" + family,
-				Width: 2,
-				KernelStmt: "double a = 0.05; " +
-					"out[0] = R0[0] + R2[0]*a/R2[1] - R1[0]*a/R1[1]; " +
-					"out[1] = R0[1] - a*a/R2[1] - a*a/R1[1];",
-				InitialStmt: "out[0] = 1.0; out[1] = 2.0;",
-			}, nil
-		},
-	},
-}
-
-func itoa(v int64) string { return fmt.Sprintf("%d", v) }

@@ -1,15 +1,20 @@
 // Command tilec is the tiling compiler CLI: it reads a loop-nest
-// specification (JSON, or one of the built-in paper workloads), prints the
-// complete compile-time analysis — tiling cone, H' and its Hermite normal
-// form, strides, communication vector, tile dependencies, LDS layout — and
-// emits the generated C+MPI program.
+// specification (DSL source, JSON, or one of the paper's workloads as
+// internal/apps defines them), prints the complete compile-time analysis —
+// tiling cone, H' and its Hermite normal form, strides, communication
+// vector, tile dependencies, LDS layout — and emits the generated C+MPI
+// program.
 //
 // Usage:
 //
+//	tilec -src loop.nest [-o out.c] [-report] [-sim] [-verify]
 //	tilec -spec nest.json [-o out.c] [-report] [-sim] [-verify]
 //	tilec -app sor -space 100,200 -factors 50,38,10 -family nr [-o out.c]
 //
-// Spec format (JSON):
+// A DSL source or a built-in app carries its kernel: the generated C prints
+// the statement the executor runs. A JSON spec gives the kernel as C text
+// instead — a statement block that fills out[0..width) from the dependence
+// reads R0…R{q-1}, as codegen.Options.KernelStmt describes. Spec format:
 //
 //	{
 //	  "name":   "sor",
@@ -36,7 +41,17 @@ import (
 	"strconv"
 	"strings"
 
-	"tilespace"
+	"tilespace/internal/codegen"
+	"tilespace/internal/exec"
+	"tilespace/internal/frontend"
+	"tilespace/internal/ilin"
+	"tilespace/internal/loopnest"
+	"tilespace/internal/opt"
+	"tilespace/internal/poly"
+	"tilespace/internal/rat"
+	"tilespace/internal/simnet"
+	"tilespace/internal/tiling"
+	"tilespace/internal/verify"
 )
 
 type specTiling struct {
@@ -105,8 +120,8 @@ func main() {
 	flag.Parse()
 
 	var (
-		prog *tilespace.Program
-		opts tilespace.CodegenOptions
+		prog *exec.Program
+		opts codegen.Options
 		err  error
 	)
 	switch {
@@ -125,20 +140,22 @@ func main() {
 	}
 
 	if *report {
-		fmt.Fprintln(os.Stderr, prog.Report())
+		fmt.Fprintln(os.Stderr, codegen.Report(prog.Dist))
 	}
 	if *doVerify {
-		rep, err := prog.Verify()
+		rep, err := verify.Certify(prog.TS, prog.Dist)
 		if err != nil {
 			fail("%v", err)
 		}
 		fmt.Fprintln(os.Stderr, rep)
 	}
 	if *suggest {
-		runSuggest(prog)
+		runSuggest(prog.TS.Nest)
 	}
+	par := simnet.FastEthernetPIII()
+	par.Width = prog.Width
 	if *sim {
-		res, err := prog.Simulate(tilespace.FastEthernetPIII())
+		res, err := simnet.Simulate(prog.Dist, par)
 		if err != nil {
 			fail("simulate: %v", err)
 		}
@@ -146,7 +163,7 @@ func main() {
 			res.Procs, res.Tiles, res.Steps, res.Makespan, res.Speedup, res.Utilization*100, res.Messages, res.BytesSent)
 	}
 	if *gantt {
-		tr, err := prog.SimulateTraced(tilespace.FastEthernetPIII())
+		tr, err := simnet.SimulateTraced(prog.Dist, par)
 		if err != nil {
 			fail("gantt: %v", err)
 		}
@@ -158,12 +175,13 @@ func main() {
 		return
 	}
 	if opts.KernelStmt == "" {
-		fail(`codegen: the spec has no "kernel" statement; add one (e.g. "out[0] = 0.25*(R0[0]+R1[0]);") or pass -emit=false for analysis only`)
+		fail(`codegen: the spec has no "kernel" (a C statement block filling out from R0…); add one or pass -emit=false for analysis only`)
 	}
-	src, err := prog.GenerateC(opts)
+	g, err := codegen.New(prog.Dist, opts)
 	if err != nil {
 		fail("codegen: %v", err)
 	}
+	src := g.Generate()
 	if *out == "" {
 		fmt.Print(src)
 		return
@@ -174,15 +192,10 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, len(src))
 }
 
-// fromSource compiles a program written in the textual loop-nest notation
-// (see ParseSource): bounds, dependencies, kernel, skew, tiling and
-// mapping dimension all come from the source file.
 // runSuggest reruns the tile-shape search for the compiled nest and
 // prints the ranking (the paper's experiment, automated).
-func runSuggest(prog *tilespace.Program) {
-	res, err := prog.OptimizeShape(tilespace.SearchOptions{
-		Params: tilespace.FastEthernetPIII(), MapDim: -1,
-	})
+func runSuggest(nest *loopnest.Nest) {
+	res, err := opt.Search(nest, opt.Options{Params: simnet.FastEthernetPIII(), MapDim: -1})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tilec: suggest: %v\n", err)
 		return
@@ -198,103 +211,111 @@ func runSuggest(prog *tilespace.Program) {
 	}
 }
 
-func fromSource(path string) (*tilespace.Program, tilespace.CodegenOptions, error) {
-	var data []byte
-	var err error
+// readInput reads a file, or stdin for "-".
+func readInput(path string) ([]byte, error) {
 	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
+		return io.ReadAll(os.Stdin)
 	}
-	if err != nil {
-		return nil, tilespace.CodegenOptions{}, err
-	}
-	src, err := tilespace.ParseSource(string(data))
-	if err != nil {
-		return nil, tilespace.CodegenOptions{}, err
-	}
-	if !src.HasTiling {
-		return nil, tilespace.CodegenOptions{}, fmt.Errorf("%s: add a `tile` directive (rows of H)", path)
-	}
-	prog, err := tilespace.Compile(src.Nest, src.Tiling, tilespace.CompileOptions{
-		MapDim: src.MapDim, Width: src.Width, Kernel: src.Kernel,
-	})
-	if err != nil {
-		return nil, tilespace.CodegenOptions{}, err
-	}
-	return prog, tilespace.CodegenOptions{Name: "tiled", Width: src.Width, KernelStmt: src.KernelC}, nil
+	return os.ReadFile(path)
 }
 
-func fromSpec(path string) (*tilespace.Program, tilespace.CodegenOptions, error) {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
+// fromSource compiles a program written in the textual loop-nest notation
+// (internal/frontend): bounds, dependencies, kernel, skew, tiling and mapping
+// dimension all come from the source file.
+func fromSource(path string) (*exec.Program, codegen.Options, error) {
+	data, err := readInput(path)
 	if err != nil {
-		return nil, tilespace.CodegenOptions{}, err
+		return nil, codegen.Options{}, err
+	}
+	p, err := frontend.Parse(string(data))
+	if err != nil {
+		return nil, codegen.Options{}, err
+	}
+	prog, err := p.Compile()
+	if err != nil {
+		return nil, codegen.Options{}, fmt.Errorf("%s: %w", path, err)
+	}
+	kernelC, err := p.Kernel.C()
+	return prog, codegen.Options{Name: "tiled", Width: p.Width, KernelStmt: kernelC}, err
+}
+
+func fromSpec(path string) (*exec.Program, codegen.Options, error) {
+	data, err := readInput(path)
+	if err != nil {
+		return nil, codegen.Options{}, err
 	}
 	var sp spec
 	if err := json.Unmarshal(data, &sp); err != nil {
-		return nil, tilespace.CodegenOptions{}, fmt.Errorf("parse spec: %w", err)
+		return nil, codegen.Options{}, fmt.Errorf("parse spec: %w", err)
 	}
 	if len(sp.Vars) == 0 {
-		return nil, tilespace.CodegenOptions{}, fmt.Errorf("spec needs vars")
+		return nil, codegen.Options{}, fmt.Errorf("spec needs vars")
 	}
 
-	b := tilespace.NewNestBuilder(sp.Vars...)
+	sys := poly.NewSystem(len(sp.Vars))
 	for k := range sp.Lo {
 		if k < len(sp.Hi) {
-			b.Range(k, sp.Lo[k], sp.Hi[k])
+			sys.AddRange(k, sp.Lo[k], sp.Hi[k])
 		}
 	}
 	for _, c := range sp.Constraints {
-		b.Constraint(c.Coef, c.Rhs)
+		if len(c.Coef) != len(sp.Vars) {
+			return nil, codegen.Options{}, fmt.Errorf("constraint arity %d, nest depth %d", len(c.Coef), len(sp.Vars))
+		}
+		sys.Add(poly.NewConstraint(ilin.NewVec(c.Coef...).Rat(), rat.FromInt(c.Rhs)))
 	}
-	for _, d := range sp.Deps {
-		b.Dep(d...)
+	var deps *ilin.Mat
+	if len(sp.Deps) > 0 {
+		deps = ilin.MatFromRows(sp.Deps...).Transpose() // rows d_l -> columns of D
 	}
-	nest, err := b.Build()
+	nest, err := loopnest.New(sp.Vars, sys, deps)
 	if err != nil {
-		return nil, tilespace.CodegenOptions{}, err
+		return nil, codegen.Options{}, err
 	}
 	if len(sp.Skew) > 0 {
-		if nest, err = nest.Skew(sp.Skew); err != nil {
-			return nil, tilespace.CodegenOptions{}, err
+		if nest, err = nest.Skew(ilin.MatFromRows(sp.Skew...)); err != nil {
+			return nil, codegen.Options{}, err
 		}
 	}
 
-	var tl tilespace.Tiling
+	var t *tiling.Transform
 	switch {
 	case len(sp.Tiling.Rect) > 0:
-		tl, err = tilespace.RectangularTiling(sp.Tiling.Rect...)
+		t, err = tiling.Rectangular(sp.Tiling.Rect...)
 	case len(sp.Tiling.Rows) > 0:
-		tl, err = tilespace.TilingFromRows(sp.Tiling.Rows)
+		var h *ilin.RatMat
+		if h, err = ilin.ParseRatMat(sp.Tiling.Rows); err == nil {
+			t, err = tiling.New(h)
+		}
 	case len(sp.Tiling.Edges) > 0:
-		tl, err = tilespace.TilingFromEdges(sp.Tiling.Edges)
+		t, err = tiling.FromP(ilin.MatFromRows(sp.Tiling.Edges...))
 	default:
 		err = fmt.Errorf("spec needs a tiling (rect, rows or edges)")
 	}
 	if err != nil {
-		return nil, tilespace.CodegenOptions{}, err
+		return nil, codegen.Options{}, err
+	}
+	ts, err := tiling.Analyze(nest, t.H)
+	if err != nil {
+		return nil, codegen.Options{}, err
 	}
 
 	mapDim := -1
 	if sp.MapDim != nil {
 		mapDim = *sp.MapDim
 	}
-	prog, err := tilespace.Compile(nest, tl, tilespace.CompileOptions{MapDim: mapDim, Width: max(1, sp.Width)})
+	// The spec's kernel is C text only: the program gets a no-op kernel, for
+	// analysis. No placeholder for a missing one either — emitting
+	// "out[0] = 0.0;" would compile to a silently-wrong program. KernelStmt
+	// stays empty and emission (only) is refused, so analysis-only runs
+	// (-emit=false) still work on kernel-less specs.
+	width := max(1, sp.Width)
+	prog, err := exec.NewProgram(ts, mapDim, width, exec.PointKernel(func(ilin.Vec, [][]float64, []float64) {}), nil)
 	if err != nil {
-		return nil, tilespace.CodegenOptions{}, err
+		return nil, codegen.Options{}, err
 	}
-	// No placeholder for a missing kernel: emitting "out[0] = 0.0;" would
-	// compile to a silently-wrong program. KernelStmt stays empty and
-	// codegen rejects it when (and only when) emission is requested, so
-	// analysis-only runs (-emit=false) still work on kernel-less specs.
-	return prog, tilespace.CodegenOptions{
-		Name: defaultStr(sp.Name, "tiled"), Width: max(1, sp.Width),
+	return prog, codegen.Options{
+		Name: defaultStr(sp.Name, "tiled"), Width: width,
 		KernelStmt: sp.Kernel, InitialStmt: sp.Initial,
 	}, nil
 }

@@ -5,7 +5,19 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tilespace/internal/codegen"
+	"tilespace/internal/exec"
 )
+
+// generate emits the C program tilec writes for prog.
+func generate(prog *exec.Program, opts codegen.Options) (string, error) {
+	g, err := codegen.New(prog.Dist, opts)
+	if err != nil {
+		return "", err
+	}
+	return g.Generate(), nil
+}
 
 func TestParseInts(t *testing.T) {
 	got := parseInts("1, 2,3")
@@ -38,15 +50,20 @@ func TestFromBuiltinAll(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", c.app, c.family, err)
 		}
-		if prog.Processors() < 1 {
+		if prog.Dist.NumProcs() < 1 {
 			t.Errorf("%s/%s: no processors", c.app, c.family)
 		}
-		src, err := prog.GenerateC(opts)
+		src, err := generate(prog, opts)
 		if err != nil {
 			t.Fatalf("%s/%s codegen: %v", c.app, c.family, err)
 		}
 		if !strings.Contains(src, "MPI_Init") {
 			t.Errorf("%s/%s: incomplete C", c.app, c.family)
+		}
+		// The program prints the app's own kernel and boundary values.
+		if opts.KernelStmt == "" || opts.InitialStmt == "" ||
+			!strings.Contains(src, opts.KernelStmt) || !strings.Contains(src, opts.InitialStmt) {
+			t.Errorf("%s/%s: the kernel or the boundary values are missing from the C", c.app, c.family)
 		}
 	}
 }
@@ -89,10 +106,10 @@ func TestFromSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.TileSize() != 16 {
-		t.Errorf("TileSize = %d", prog.TileSize())
+	if prog.TS.T.TileSize != 16 {
+		t.Errorf("TileSize = %d", prog.TS.T.TileSize)
 	}
-	src, err := prog.GenerateC(opts)
+	src, err := generate(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +141,7 @@ func TestFromSpecWithConstraintsAndSkew(t *testing.T) {
 	if opts.KernelStmt != "" {
 		t.Fatalf("kernel-less spec produced KernelStmt %q, want empty", opts.KernelStmt)
 	}
-	if src, err := prog.GenerateC(opts); err == nil || strings.Contains(src, "TODO") {
+	if src, err := generate(prog, opts); err == nil || strings.Contains(src, "TODO") {
 		t.Fatalf("emission without a kernel must error, got err=%v", err)
 	}
 }
@@ -170,10 +187,10 @@ map 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.TileSize() != 9 {
-		t.Errorf("TileSize = %d", prog.TileSize())
+	if prog.TS.T.TileSize != 9 {
+		t.Errorf("TileSize = %d", prog.TS.T.TileSize)
 	}
-	cSrc, err := prog.GenerateC(opts)
+	cSrc, err := generate(prog, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,18 @@
 // Codegen: emit the complete C+MPI program for a non-rectangularly tiled
-// SOR — the deliverable of the paper's automatic code generation tool.
-// The output compiles with `mpicc sor_nr.c -o sor_nr` on any MPI
-// installation and runs with `mpirun -np <procs> ./sor_nr`.
+// SOR — the deliverable of the paper's automatic code generation tool. The
+// loop nest, its skew, the tiling and the kernel all come from the DSL
+// program sor.nest (`tilec -src examples/codegen/sor.nest` compiles the same
+// file); the C kernel is the parsed statement printed (Source.KernelC), the
+// statement the Go executor runs. The output compiles with
+// `mpicc sor_nr.c -o sor_nr` on any MPI installation and runs with
+// `mpirun -np <procs> ./sor_nr`.
 //
 //	go run ./examples/codegen            # print to stdout
 //	go run ./examples/codegen sor_nr.c   # write to a file
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 	"os"
@@ -15,38 +20,22 @@ import (
 	"tilespace"
 )
 
+//go:embed sor.nest
+var sor string
+
 func main() {
-	nest, err := tilespace.NewLoopNest(
-		[]string{"t", "i", "j"},
-		[]int64{1, 1, 1}, []int64{100, 200, 200},
-		[][]int64{
-			{0, 1, 0}, {0, 0, 1}, {1, -1, 0}, {1, 0, -1}, {1, 0, 0},
-		})
+	parsed, err := tilespace.ParseSource(sor)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nest, err = nest.Skew([][]int64{{1, 0, 0}, {1, 1, 0}, {2, 0, 1}})
-	if err != nil {
-		log.Fatal(err)
-	}
-	h, err := tilespace.TilingFromRows([][]string{
-		{"1/51", "0", "0"},
-		{"0", "1/38", "0"},
-		{"-1/20", "0", "1/20"},
+	prog, err := tilespace.Compile(parsed.Nest, parsed.Tiling, tilespace.CompileOptions{
+		MapDim: parsed.MapDim, Width: parsed.Width, Kernel: parsed.Kernel,
 	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	prog, err := tilespace.Compile(nest, h, tilespace.CompileOptions{MapDim: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	src, err := prog.GenerateC(tilespace.CodegenOptions{
-		Name:        "sor_nr",
-		KernelStmt:  "out[0] = 0.3*(R0[0] + R1[0] + R2[0] + R3[0]) - 0.2*R4[0];",
-		InitialStmt: "out[0] = 0.5;",
-	})
+	src, err := prog.GenerateC(tilespace.CodegenOptions{Name: "sor_nr", KernelStmt: parsed.KernelC})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package apps
 
 import (
 	"fmt"
+	"strings"
 
 	"tilespace/internal/exec"
 	"tilespace/internal/ilin"
@@ -32,9 +33,11 @@ type App struct {
 	Nest *loopnest.Nest
 	// Width is the number of values per iteration point (2 for ADI: X, B).
 	Width int
-	// Kernel and Initial drive real execution.
-	Kernel  exec.Kernel
-	Initial exec.Initial
+	// Kernel and Initial drive real execution; InitialC is Initial in C (fills
+	// out[0…Width) for the point j[0…n)), as Kernel.C is Kernel.
+	Kernel   exec.Kernel
+	Initial  exec.Initial
+	InitialC string
 	// MapDim is the paper's mapping dimension (0-based): SOR maps along
 	// the third dimension, Jacobi and ADI along the first.
 	MapDim int
@@ -83,17 +86,9 @@ func SOR(m, n int64) (*App, error) {
 	kernel := exec.Statement(exec.Add(
 		exec.Mul(exec.Const(w/4), addReads(exec.Read(0, 0), 1, 4)),
 		exec.Mul(exec.Const(1-w), exec.Read(4, 0))))
-	// Back to the original (t, i, j): only i and j feed the boundary value,
-	// so the closure evaluates those two rows of the (unimodular, exactly
-	// integer) inverse skew directly — no allocation, no shared buffer, safe
-	// for concurrent ranks.
-	tinv := skew.Inverse().Int()
-	ri, rj := tinv.Row(1), tinv.Row(2)
-	initial := func(js ilin.Vec, out []float64) {
-		out[0] = boundaryValue(ri.Dot(js), rj.Dot(js))
-	}
+	initial, initialC := skewedBoundary(skew)
 	return &App{
-		Name: "sor", Nest: nest, Width: 1, Kernel: kernel, Initial: initial,
+		Name: "sor", Nest: nest, Width: 1, Kernel: kernel, Initial: initial, InitialC: initialC,
 		MapDim: 2,
 		Rect:   TilingFamily{Name: "rect", H: rectH},
 		NonRect: []TilingFamily{{
@@ -135,13 +130,9 @@ func Jacobi(tSteps, n int64) (*App, error) {
 		return nil, err
 	}
 	kernel := exec.Statement(exec.Mul(exec.Const(0.2), addReads(exec.Read(0, 0), 1, 5)))
-	tinv := skew.Inverse().Int()
-	ri, rj := tinv.Row(1), tinv.Row(2) // as in SOR: rows of the inverse skew, no per-read Vec
-	initial := func(js ilin.Vec, out []float64) {
-		out[0] = boundaryValue(ri.Dot(js), rj.Dot(js))
-	}
+	initial, initialC := skewedBoundary(skew)
 	return &App{
-		Name: "jacobi", Nest: nest, Width: 1, Kernel: kernel, Initial: initial,
+		Name: "jacobi", Nest: nest, Width: 1, Kernel: kernel, Initial: initial, InitialC: initialC,
 		MapDim: 0,
 		Rect:   TilingFamily{Name: "rect", H: rectH},
 		NonRect: []TilingFamily{{
@@ -176,7 +167,7 @@ func ADI(tSteps, n int64) (*App, error) {
 		return nil, err
 	}
 	// prev, up and left are dependences 0, 1 and 2; slot 0 is X, slot 1 is B.
-	a := exec.Coef(func(j ilin.Vec) float64 { return adiCoef(j[1], j[2]) })
+	a := exec.Coef(func(j ilin.Vec) float64 { return adiCoef(j[1], j[2]) }, "(0.01 + (double)((j[1]*13 + j[2]*7) % 8) / 100)")
 	x := func(dep int) *exec.Expr { return exec.Read(dep, 0) }
 	b := func(dep int) *exec.Expr { return exec.Read(dep, 1) }
 	aa := exec.Mul(a, a)
@@ -204,8 +195,9 @@ func ADI(tSteps, n int64) (*App, error) {
 	}
 	return &App{
 		Name: "adi", Nest: nest, Width: 2, Kernel: kernel, Initial: initial,
-		MapDim: 0,
-		Rect:   TilingFamily{Name: "rect", H: rectH},
+		InitialC: "out[0] = 1.0 + (" + boundaryC("j[1]", "j[2]") + "); out[1] = 2.0;",
+		MapDim:   0,
+		Rect:     TilingFamily{Name: "rect", H: rectH},
 		NonRect: []TilingFamily{
 			{Name: "nr1", H: mkNR(true, false)},
 			{Name: "nr2", H: mkNR(false, true)},
@@ -222,9 +214,36 @@ func addReads(acc *exec.Expr, from, to int) *exec.Expr {
 	return acc
 }
 
-// boundaryValue is a deterministic, smooth-ish boundary/initial condition.
+// skewedBoundary is the boundary value of a skewed 3-D nest's original
+// (t, i, j) point, and its C form. Only i and j feed it, so it evaluates those
+// two rows of the (unimodular, exactly integer) inverse skew directly — no
+// allocation, no shared buffer, safe for concurrent ranks.
+func skewedBoundary(skew *ilin.Mat) (exec.Initial, string) {
+	tinv := skew.Inverse().Int()
+	ri, rj := tinv.Row(1), tinv.Row(2)
+	return func(js ilin.Vec, out []float64) { out[0] = boundaryValue(ri.Dot(js), rj.Dot(js)) },
+		"out[0] = " + boundaryC(dotC(ri), dotC(rj)) + ";"
+}
+
+// boundaryValue is a deterministic, smooth-ish boundary/initial condition;
+// boundaryC is the same over the C expressions of i and j.
 func boundaryValue(i, j int64) float64 {
 	return 0.5 + float64((i*31+j*17)%23)/46
+}
+
+func boundaryC(i, j string) string {
+	return fmt.Sprintf("0.5 + (double)(((%s)*31 + (%s)*17) %% 23) / 46", i, j)
+}
+
+// dotC is row·j in C, for a row of an inverse skew.
+func dotC(row ilin.Vec) string {
+	var terms []string
+	for k, c := range row {
+		if c != 0 {
+			terms = append(terms, fmt.Sprintf("%d*j[%d]", c, k))
+		}
+	}
+	return strings.Join(terms, " + ")
 }
 
 // adiCoef is the ADI coefficient array A[i,j] (the paper's input data);
@@ -282,8 +301,9 @@ func Heat3D(tSteps, n int64) (*App, error) {
 	}
 	return &App{
 		Name: "heat3d", Nest: nest, Width: 1, Kernel: kernel, Initial: initial,
-		MapDim: 0,
-		Rect:   TilingFamily{Name: "rect", H: rect4},
+		InitialC: "out[0] = " + boundaryC(dotC(rx)+" + "+dotC(rz), dotC(ry)) + ";",
+		MapDim:   0,
+		Rect:     TilingFamily{Name: "rect", H: rect4},
 		NonRect: []TilingFamily{{
 			Name: "nr",
 			H: func(x, y, z int64) *ilin.RatMat {

@@ -81,11 +81,7 @@ func TestGenerateStructure(t *testing.T) {
 			t.Errorf("generated C missing %q", want)
 		}
 	}
-	// Kernel placeholders must be substituted.
-	if strings.Contains(src, "$W") || strings.Contains(src, "$R0") {
-		t.Error("unsubstituted kernel placeholders")
-	}
-	// The kernel statement itself must appear.
+	// The kernel statement appears as given.
 	if !strings.Contains(src, "0.3*(R0[0] + R1[0] + R2[0] + R3[0]) - 0.2*R4[0]") {
 		t.Error("kernel statement not emitted")
 	}
@@ -112,13 +108,11 @@ func TestGenerateADIWidth2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(d, Options{
-		Name:  "adi",
-		Width: 2,
-		KernelStmt: "double a = 0.05; out[0] = R0[0] + R2[0]*a/R2[1] - R1[0]*a/R1[1]; " +
-			"out[1] = R0[1] - a*a/R2[1] - a*a/R1[1];",
-		InitialStmt: "out[0] = 1.0; out[1] = 2.0;",
-	})
+	kernelC, err := app.Kernel.C()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(d, Options{Name: "adi", Width: 2, KernelStmt: kernelC, InitialStmt: app.InitialC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +121,7 @@ func TestGenerateADIWidth2(t *testing.T) {
 	if !strings.Contains(src, "#define WIDTH 2") {
 		t.Error("width 2 not emitted")
 	}
-	if !strings.Contains(src, "out[1] = R0[1]") {
+	if !strings.Contains(src, "out[1] = ((R0[1] - ") {
 		t.Error("two-array kernel missing")
 	}
 }
@@ -238,64 +232,5 @@ func TestVecRowsHelper(t *testing.T) {
 	tbl := cTable("X", rows)
 	if !strings.Contains(tbl[0], "X[1][2]") {
 		t.Errorf("cTable header = %s", tbl[0])
-	}
-}
-
-func TestGenerateSequential(t *testing.T) {
-	app, err := apps.SOR(8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := tiling.Analyze(app.Nest, app.NonRect[0].H(2, 8, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := GenerateSequential(ts, Options{
-		Name:       "sor_seq",
-		KernelStmt: "$W[0] = 0.3*($R0[0] + $R1[0]) - 0.2*$R4[0];",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	braceBalance(t, src)
-	for _, want := range []string{
-		"int main(void)", "static int in_space", "gidx", "sor_seq",
-		"for (long jS0", "for (long z0",
-	} {
-		if !strings.Contains(src, want) {
-			t.Errorf("sequential C missing %q", want)
-		}
-	}
-	if strings.Contains(src, "$W") || strings.Contains(src, "$R0") {
-		t.Error("unsubstituted placeholders")
-	}
-	if strings.Contains(src, "mpi.h") {
-		t.Error("sequential code must not need MPI")
-	}
-	if _, err := GenerateSequential(ts, Options{}); err == nil {
-		t.Error("missing kernel not rejected")
-	}
-}
-
-func TestGenerateSequentialDeterministic(t *testing.T) {
-	app, err := apps.ADI(6, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := tiling.Analyze(app.Nest, app.NonRect[2].H(2, 3, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Name: "adi_seq", Width: 2, KernelStmt: "$W[0] = $R0[0]; $W[1] = $R0[1];"}
-	a, err := GenerateSequential(ts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := GenerateSequential(ts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("non-deterministic sequential generation")
 	}
 }

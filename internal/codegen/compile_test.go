@@ -13,7 +13,6 @@ import (
 	"tilespace/internal/apps"
 	"tilespace/internal/distrib"
 	goexec "tilespace/internal/exec"
-	"tilespace/internal/frontend"
 	"tilespace/internal/ilin"
 	"tilespace/internal/tiling"
 )
@@ -27,77 +26,6 @@ func requireCC(t *testing.T) string {
 		}
 	}
 	return cc
-}
-
-// TestSequentialCMatchesGoExecutor compiles and runs the generated §2.3
-// sequential tiled C program and compares its checksum against the Go
-// tiled executor running the same kernel — an end-to-end proof that the
-// emitted loop bounds, lattice traversal and addressing are correct C.
-func TestSequentialCMatchesGoExecutor(t *testing.T) {
-	cc := requireCC(t)
-	app, err := apps.SOR(8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := tiling.Analyze(app.Nest, app.NonRect[0].H(3, 7, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bounded, order-robust kernel: values stay O(1); the final checksums
-	// are compared with a small relative tolerance because C and Go sum
-	// the cells in different orders.
-	kernelC := "$W[0] = 0.25*$R0[0] + 0.25*$R1[0] + 0.125*$R2[0] + 0.125*$R3[0] + 0.25*$R4[0] + 1.0;"
-	kernelGo := goexec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-		out[0] = 0.25*reads[0][0] + 0.25*reads[1][0] + 0.125*reads[2][0] + 0.125*reads[3][0] + 0.25*reads[4][0] + 1.0
-	})
-	src, err := GenerateSequential(ts, Options{
-		Name:        "sorseq",
-		KernelStmt:  kernelC,
-		InitialStmt: "out[0] = 0.5;",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	cPath := filepath.Join(dir, "sorseq.c")
-	if err := os.WriteFile(cPath, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(dir, "sorseq")
-	if out, err := exec.Command(cc, "-O1", "-o", bin, cPath, "-lm").CombinedOutput(); err != nil {
-		t.Fatalf("compile failed: %v\n%s", err, out)
-	}
-	out, err := exec.Command(bin).CombinedOutput()
-	if err != nil {
-		t.Fatalf("run failed: %v\n%s", err, out)
-	}
-	fields := strings.Fields(string(out))
-	if len(fields) < 3 {
-		t.Fatalf("unexpected output %q", out)
-	}
-	cSum, err := strconv.ParseFloat(fields[len(fields)-1], 64)
-	if err != nil {
-		t.Fatalf("parse checksum from %q: %v", out, err)
-	}
-
-	prog, err := goexec.NewProgram(ts, app.MapDim, 1, kernelGo,
-		func(j ilin.Vec, out []float64) { out[0] = 0.5 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := prog.RunTiledSequential()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var goSum float64
-	prog.ScanSpace(func(j ilin.Vec) bool {
-		goSum += g.At(j)[0]
-		return true
-	})
-	rel := math.Abs(cSum-goSum) / math.Max(1, math.Abs(goSum))
-	if rel > 1e-9 {
-		t.Errorf("C checksum %.17g differs from Go %.17g (rel %.2e)", cSum, goSum, rel)
-	}
 }
 
 // mockMPIHeader is a minimal mpi.h sufficient to syntax-check the
@@ -214,137 +142,19 @@ func TestParallelCCompiles(t *testing.T) {
 	}
 }
 
-// TestParallelCRunsUnderMockMPI is the deepest codegen test: it compiles
-// the generated MPI program against the fork-based mock MPI in
-// testdata/mockmpi, executes it with one OS process per rank, and
-// compares the reduced checksum against the Go parallel executor running
-// the same kernel — the full §3.2 protocol validated twice, in two
-// languages, over two runtimes.
-func TestParallelCRunsUnderMockMPI(t *testing.T) {
+// runMockMPI compiles the program generated for d against the fork-based
+// mock MPI in testdata/mockmpi — without floating-point contraction, so
+// every operation rounds as the Go executor rounds it — runs it with one OS
+// process per rank and returns the checksum it prints (%.17g: exact).
+func runMockMPI(t *testing.T, d *distrib.Distribution, opts Options) float64 {
+	t.Helper()
 	cc := requireCC(t)
-	app, err := apps.SOR(8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := tiling.Analyze(app.Nest, app.NonRect[0].H(3, 7, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := distrib.New(ts, app.MapDim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kernelC := "$W[0] = 0.25*$R0[0] + 0.25*$R1[0] + 0.125*$R2[0] + 0.125*$R3[0] + 0.25*$R4[0] + 1.0;"
-	kernelGo := goexec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-		out[0] = 0.25*reads[0][0] + 0.25*reads[1][0] + 0.125*reads[2][0] + 0.125*reads[3][0] + 0.25*reads[4][0] + 1.0
-	})
-	g, err := New(d, Options{
-		Name:        "sorpar",
-		KernelStmt:  replacePlaceholders(kernelC, ts.Nest.Q()),
-		InitialStmt: "out[0] = 0.5;",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := g.Generate()
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "sorpar.c"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	mockDir, err := filepath.Abs("testdata/mockmpi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := filepath.Join(dir, "sorpar")
-	cmd := exec.Command(cc, "-O1", "-std=gnu99", "-I", mockDir,
-		"-o", bin, filepath.Join(dir, "sorpar.c"), filepath.Join(mockDir, "mpi.c"))
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("compile failed: %v\n%s", err, out)
-	}
-	run := exec.Command(bin)
-	run.Env = append(os.Environ(), fmt.Sprintf("MOCK_MPI_SIZE=%d", d.NumProcs()))
-	out, err := run.CombinedOutput()
-	if err != nil {
-		t.Fatalf("mock-MPI run failed: %v\n%s", err, out)
-	}
-	// Output: "sorpar: N procs, checksum X, T s"
-	fields := strings.Fields(string(out))
-	var cSum float64
-	found := false
-	for i, f := range fields {
-		if f == "checksum" && i+1 < len(fields) {
-			cSum, err = strconv.ParseFloat(strings.TrimSuffix(fields[i+1], ","), 64)
-			if err != nil {
-				t.Fatalf("parse checksum from %q: %v", out, err)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no checksum in output %q", out)
-	}
-
-	prog, err := goexec.NewProgram(ts, app.MapDim, 1, kernelGo,
-		func(j ilin.Vec, out []float64) { out[0] = 0.5 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	gres, _, err := prog.RunParallel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var goSum float64
-	prog.ScanSpace(func(j ilin.Vec) bool {
-		goSum += gres.At(j)[0]
-		return true
-	})
-	rel := math.Abs(cSum-goSum) / math.Max(1, math.Abs(goSum))
-	if rel > 1e-9 {
-		t.Errorf("C parallel checksum %.17g differs from Go %.17g (rel %.2e)", cSum, goSum, rel)
-	}
-}
-
-// TestDSLToMockMPIPipeline is the complete compiler pipeline in one test:
-// parse a two-array ADI program from the paper's loop notation, compile it
-// to MPI C, execute the C under the fork-based mock MPI, and compare the
-// checksum against the Go runtime executing the *same parsed program*.
-func TestDSLToMockMPIPipeline(t *testing.T) {
-	cc := requireCC(t)
-	src := `
-let T = 5
-let N = 9
-for t = 1 .. T
-for i = 1 .. N
-for j = 1 .. N
-X[t,i,j] = X[t-1,i,j] + X[t-1,i,j-1]*0.05/B[t-1,i,j-1] - X[t-1,i-1,j]*0.05/B[t-1,i-1,j]
-B[t,i,j] = B[t-1,i,j] - 0.05*0.05/B[t-1,i,j-1] - 0.05*0.05/B[t-1,i-1,j]
-tile 1/2 0 0 / 0 1/3 0 / 0 0 1/3
-map 1
-`
-	parsed, err := frontend.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := tiling.Analyze(parsed.Nest, parsed.Tiling)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := distrib.New(ts, parsed.MapDim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := New(d, Options{
-		Name:        "adidsl",
-		Width:       parsed.Width,
-		KernelStmt:  replacePlaceholders(parsed.KernelC, ts.Nest.Q()),
-		InitialStmt: "out[0] = 1.0; out[1] = 2.0;",
-	})
+	g, err := New(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	cPath := filepath.Join(dir, "adidsl.c")
+	cPath := filepath.Join(dir, "prog.c")
 	if err := os.WriteFile(cPath, []byte(g.Generate()), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -352,8 +162,8 @@ map 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin := filepath.Join(dir, "adidsl")
-	if out, err := exec.Command(cc, "-O1", "-std=gnu99", "-I", mockDir,
+	bin := filepath.Join(dir, "prog")
+	if out, err := exec.Command(cc, "-O1", "-ffp-contract=off", "-std=gnu99", "-I", mockDir,
 		"-o", bin, cPath, filepath.Join(mockDir, "mpi.c")).CombinedOutput(); err != nil {
 		t.Fatalf("compile failed: %v\n%s", err, out)
 	}
@@ -363,39 +173,149 @@ map 1
 	if err != nil {
 		t.Fatalf("mock-MPI run failed: %v\n%s", err, out)
 	}
-	var cSum float64
-	found := false
+	// Output: "<name>: N procs, checksum X, T s"
 	fields := strings.Fields(string(out))
 	for i, f := range fields {
 		if f == "checksum" && i+1 < len(fields) {
-			cSum, err = strconv.ParseFloat(strings.TrimSuffix(fields[i+1], ","), 64)
+			sum, err := strconv.ParseFloat(strings.TrimSuffix(fields[i+1], ","), 64)
+			if err != nil {
+				t.Fatalf("parse checksum from %q: %v", out, err)
+			}
+			return sum
+		}
+	}
+	t.Fatalf("no checksum in output %q", out)
+	return 0
+}
+
+// goChecksum runs prog on the Go executor and sums its values in the order
+// the generated program does: a rank sums its chain's tiles in chain order,
+// each tile's points in TTIS scan order and each point's slots in order; the
+// ranks' sums then add up in rank order, as mockmpi's MPI_Reduce adds them.
+func goChecksum(t *testing.T, prog *goexec.Program) float64 {
+	t.Helper()
+	g, _, err := prog.RunParallel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := prog.Dist
+	var total float64
+	for r := range d.Pids {
+		local := 0.0
+		for s := int64(0); s < d.ChainLen[r]; s++ {
+			tile := d.TileAt(r, s)
+			prog.TS.ScanTilePoints(tile, func(z, _ ilin.Vec) bool {
+				for _, v := range g.At(prog.TS.GlobalOf(tile, z)) {
+					local += v
+				}
+				return true
+			})
+		}
+		if r == 0 {
+			total = local
+		} else {
+			total += local
+		}
+	}
+	return total
+}
+
+// sameBits compares the C program's checksum with the Go executor's exactly.
+func sameBits(t *testing.T, c, g float64) {
+	t.Helper()
+	if math.Float64bits(c) != math.Float64bits(g) {
+		t.Errorf("C checksum %.17g (%#x) differs from Go %.17g (%#x)", c, math.Float64bits(c), g, math.Float64bits(g))
+	}
+}
+
+// TestParallelCRunsUnderMockMPI is the deepest codegen test: for every
+// shipped app and tiling family it generates the MPI program with the app's
+// own kernel and boundary C (what tilec -app emits), executes it under the
+// mock MPI with one OS process per rank, and requires the checksum the Go
+// executor's run of the same app gives, bit for bit — the full §3.2
+// protocol and the one kernel validated in two languages over two runtimes.
+func TestParallelCRunsUnderMockMPI(t *testing.T) {
+	requireCC(t)
+	for _, c := range []struct {
+		app     func() (*apps.App, error)
+		x, y, z int64
+	}{
+		{func() (*apps.App, error) { return apps.SOR(8, 16) }, 3, 7, 5},
+		{func() (*apps.App, error) { return apps.Jacobi(6, 10) }, 2, 4, 4},
+		{func() (*apps.App, error) { return apps.ADI(8, 12) }, 2, 4, 4},
+		{func() (*apps.App, error) { return apps.Heat3D(3, 4) }, 2, 4, 4},
+	} {
+		app, err := c.app()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fam := range append([]apps.TilingFamily{app.Rect}, app.NonRect...) {
+			t.Run(app.Name+"/"+fam.Name, func(t *testing.T) {
+				ts, err := tiling.Analyze(app.Nest, fam.H(c.x, c.y, c.z))
+				if err != nil {
+					t.Fatal(err)
+				}
+				prog, err := goexec.NewProgram(ts, app.MapDim, app.Width, app.Kernel, app.Initial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kernelC, err := app.Kernel.C()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, runMockMPI(t, prog.Dist, Options{
+					Name: app.Name, Width: app.Width, KernelStmt: kernelC, InitialStmt: app.InitialC,
+				}), goChecksum(t, prog))
+			})
+		}
+	}
+}
+
+// runDSL compiles a DSL source to MPI C and to the Go executor, runs both,
+// and requires one checksum; initialC is initial in C.
+func runDSL(t *testing.T, name, src string, initial goexec.Initial, initialC string) {
+	t.Helper()
+	p, prog := compileDSL(t, src, initial)
+	sameBits(t, runMockMPI(t, prog.Dist, Options{
+		Name: name, Width: p.Width, KernelStmt: p.KernelC, InitialStmt: initialC,
+	}), goChecksum(t, prog))
+}
+
+// TestDSLToMockMPIPipeline is the complete compiler pipeline in one test:
+// parse a two-array ADI program from the paper's loop notation, compile it
+// to MPI C, execute the C under the fork-based mock MPI, and compare the
+// checksum against the Go runtime executing the *same parsed program*.
+func TestDSLToMockMPIPipeline(t *testing.T) {
+	requireCC(t)
+	src, err := os.ReadFile(filepath.Join(seedDir, "adi.nest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDSL(t, "adidsl", string(src), func(j ilin.Vec, o []float64) { o[0], o[1] = 1, 2 }, "out[0] = 1.0; out[1] = 2.0;")
+}
+
+// TestDSLSeedsRunUnderMockMPI runs every accepted FuzzParse seed as C under
+// the mock MPI and on the Go executor, with boundary values of one (zeros
+// would divide ADI's B by zero), and requires one checksum.
+func TestDSLSeedsRunUnderMockMPI(t *testing.T) {
+	requireCC(t)
+	seeds, err := filepath.Glob(filepath.Join(seedDir, "*.nest"))
+	if err != nil || len(seeds) == 0 {
+		t.Fatalf("no seeds in %s (%v)", seedDir, err)
+	}
+	for _, path := range seeds {
+		name := strings.TrimSuffix(filepath.Base(path), ".nest")
+		t.Run(name, func(t *testing.T) {
+			src, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no checksum in %q", out)
-	}
-
-	initial := func(j ilin.Vec, o []float64) { o[0], o[1] = 1, 2 }
-	prog, err := goexec.NewProgram(ts, parsed.MapDim, parsed.Width, parsed.Kernel, initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gres, _, err := prog.RunParallel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var goSum float64
-	prog.ScanSpace(func(j ilin.Vec) bool {
-		v := gres.At(j)
-		goSum += v[0] + v[1]
-		return true
-	})
-	rel := math.Abs(cSum-goSum) / math.Max(1, math.Abs(goSum))
-	if rel > 1e-9 {
-		t.Errorf("DSL pipeline: C %.17g vs Go %.17g (rel %.2e)", cSum, goSum, rel)
+			ones := func(j ilin.Vec, o []float64) {
+				for s := range o {
+					o[s] = 1
+				}
+			}
+			runDSL(t, name, string(src), ones, "for (int w = 0; w < WIDTH; w++) out[w] = 1.0;")
+		})
 	}
 }

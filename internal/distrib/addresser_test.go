@@ -82,7 +82,7 @@ func TestAddresserUnpackConsistency(t *testing.T) {
 	a := d.Addresser(0)
 	n := d.TS.T.N
 	for _, dS := range d.TS.DS {
-		dm := d.DmOf(dS)
+		dm := d.dmOf(dS)
 		if dm.IsZero() {
 			continue
 		}

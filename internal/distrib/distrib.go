@@ -194,8 +194,8 @@ func (d *Distribution) TIndex(jS ilin.Vec) (int64, bool) {
 	return jS[d.M] - d.ChainStart[r], true
 }
 
-// DmOf projects a tile dependence to its processor dependence.
-func (d *Distribution) DmOf(dS ilin.Vec) ilin.Vec { return projectOut(dS, d.M) }
+// dmOf projects a tile dependence to its processor dependence.
+func (d *Distribution) dmOf(dS ilin.Vec) ilin.Vec { return projectOut(dS, d.M) }
 
 // MinSucc returns the paper's minsucc(s, d^m): the lexicographically
 // minimum valid successor tile of s in processor direction d^m, i.e. the
@@ -204,7 +204,7 @@ func (d *Distribution) DmOf(dS ilin.Vec) ilin.Vec { return projectOut(dS, d.M) }
 func (d *Distribution) MinSucc(s ilin.Vec, dm ilin.Vec) (ilin.Vec, bool) {
 	var best ilin.Vec
 	for _, dS := range d.TS.DS {
-		if !d.DmOf(dS).Equal(dm) {
+		if !d.dmOf(dS).Equal(dm) {
 			continue
 		}
 		succ := s.Add(dS)
@@ -403,7 +403,7 @@ func (d *Distribution) FullTileCommCount(dm ilin.Vec) int64 {
 // tile in processor direction d^m (the paper's send condition).
 func (d *Distribution) HasSuccessor(s, dm ilin.Vec) bool {
 	for _, dS := range d.TS.DS {
-		if d.DmOf(dS).Equal(dm) && d.TS.ValidTile(s.Add(dS)) {
+		if d.dmOf(dS).Equal(dm) && d.TS.ValidTile(s.Add(dS)) {
 			return true
 		}
 	}

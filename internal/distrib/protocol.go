@@ -265,7 +265,7 @@ func (d *Distribution) compileShared() {
 	})
 	pr.DSDir = make([]int, len(ts.DS))
 	for i, dS := range ts.DS {
-		dm := d.DmOf(dS)
+		dm := d.dmOf(dS)
 		pr.DSDir[i] = slices.IndexFunc(d.DM, dm.Equal)
 	}
 	pr.RowStep = ts.T.U.Col(ts.T.N - 1)

@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"tilespace/internal/ilin"
 )
@@ -28,6 +30,7 @@ type Expr struct {
 	val       float64                  // opConst
 	dep, slot int                      // opRead
 	coef      func(j ilin.Vec) float64 // opCoef
+	coefC     string                   // opCoef: coef in C
 	l, r      *Expr
 }
 
@@ -57,9 +60,10 @@ func Read(dep, slot int) *Expr { return &Expr{op: opRead, dep: dep, slot: slot} 
 
 // Coef is a coefficient that depends on the iteration point only (an input
 // array such as ADI's A[i,j]): f must be a pure function of j, safe for
-// concurrent calls, and must not retain j. It is the one node that makes the
-// executor materialise the iteration point.
-func Coef(f func(j ilin.Vec) float64) *Expr { return &Expr{op: opCoef, coef: f} }
+// concurrent calls, and must not retain j. c is f as a C expression over the
+// iteration point j[0…n), operation for operation: what Kernel.C prints. It is
+// the one node that makes the executor materialise the iteration point.
+func Coef(f func(j ilin.Vec) float64, c string) *Expr { return &Expr{op: opCoef, coef: f, coefC: c} }
 
 // Add is l + r.
 func Add(l, r *Expr) *Expr { return &Expr{op: opAdd, l: l, r: r} }
@@ -167,6 +171,48 @@ func (k Kernel) Row(n int, j, step ilin.Vec, reads [][]float64, out []float64) {
 	}
 }
 
+// C prints the kernel as the C statement block the generated program inlines
+// in its TTIS loop: one `out[s] = …;` per slot over the reads R<l>[s] (slot s
+// read through dependence l) and the point j, every operation parenthesised
+// in the executor's order, a shared node printed at each use, a constant as
+// its shortest round-trip decimal and a Coef as its C form. Compiled with
+// -ffp-contract=off it computes what Point computes, bit for bit. An opaque
+// PointKernel or a non-finite constant has no C form.
+func (k Kernel) C() (string, error) {
+	if k.stmt == nil {
+		return "", fmt.Errorf("exec: an opaque PointKernel has no C form")
+	}
+	for _, v := range k.stmt.consts {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return "", fmt.Errorf("exec: the constant %v has no C literal", v)
+		}
+	}
+	stores := make([]string, len(k.stmt.slots))
+	for s, e := range k.stmt.slots {
+		stores[s] = fmt.Sprintf("out[%d] = %s;", s, e.c())
+	}
+	return strings.Join(stores, " "), nil
+}
+
+// c prints e in C, as Kernel.C describes.
+func (e *Expr) c() string {
+	switch e.op {
+	case opConst:
+		s := strconv.FormatFloat(e.val, 'g', -1, 64)
+		if !strings.ContainsAny(s, ".e") {
+			s += ".0" // a double, not an int
+		}
+		return s
+	case opRead:
+		return fmt.Sprintf("R%d[%d]", e.dep, e.slot)
+	case opCoef:
+		return e.coefC
+	case opNeg:
+		return "(-" + e.l.c() + ")"
+	}
+	return "(" + e.l.c() + " " + "+-*/"[e.op-opAdd:][:1] + " " + e.r.c() + ")"
+}
+
 // statement is a lowered Statement: straight-line code over a register file.
 // Registers [0, len(consts)) hold the constants and are never written;
 // the rest are temporaries. An operand x ≥ 0 names register x; at width 1 an
@@ -175,6 +221,7 @@ func (k Kernel) Row(n int, j, step ilin.Vec, reads [][]float64, out []float64) {
 // registers (opLoad) and every slot is scattered at the end (opStore), all
 // loads before all stores.
 type statement struct {
+	slots  []*Expr // the trees, which C prints
 	width  int
 	ndeps  int // 1 + the highest dependence read
 	nslots int // 1 + the highest slot read
@@ -205,7 +252,7 @@ func lower(slots []*Expr) *statement {
 		panic("exec: Statement needs at least one slot")
 	}
 	lw := &lowerer{
-		st:   &statement{width: len(slots)},
+		st:   &statement{slots: append([]*Expr(nil), slots...), width: len(slots)},
 		uses: map[*Expr]int{}, at: map[*Expr]int32{}, creg: map[uint64]int32{},
 	}
 	for s, e := range slots {
@@ -258,8 +305,8 @@ func (lw *lowerer) count(e *Expr) {
 		st.ndeps = max(st.ndeps, e.dep+1)
 		st.nslots = max(st.nslots, e.slot+1)
 	case opCoef:
-		if e.coef == nil {
-			panic("exec: Coef(nil)")
+		if e.coef == nil || e.coefC == "" {
+			panic("exec: Coef needs a function and its C form")
 		}
 	case opNeg:
 		lw.count(e.l)

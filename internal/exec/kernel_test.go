@@ -29,8 +29,11 @@ func (ts *treeSource) next() int {
 // are drawn from them as often as from ordinary numbers.
 var specials = []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64, 0.1, -2.5, 7}
 
-// testCoef is the Coef of generated trees: a pure function of the point.
+// testCoef is the Coef of generated trees: a pure function of the point, and
+// testCoefC the same in C.
 func testCoef(j ilin.Vec) float64 { return float64(j[0]*3-j[1]) * 0.25 }
+
+const testCoefC = "((double)(j[0]*3 - j[1]) * 0.25)"
 
 // tree builds one expression of at most the given depth over q dependences
 // of the given width.
@@ -42,7 +45,7 @@ func (ts *treeSource) tree(depth, q, width int) *Expr {
 		case 0:
 			e = Const(specials[ts.next()%len(specials)])
 		case 1:
-			e = Coef(testCoef)
+			e = Coef(testCoef, testCoefC)
 		default:
 			e = Read(ts.next()%q, ts.next()%width)
 		}
@@ -167,7 +170,7 @@ func TestStatementLowering(t *testing.T) {
 	if leaf := Statement(Read(0, 0)).stmt; len(leaf.code) != 1 || leaf.code[0].op != opMove {
 		t.Fatalf("a leaf root lowered to %+v, want one move", leaf.code)
 	}
-	a := Coef(testCoef)
+	a := Coef(testCoef, testCoefC)
 	aa := Mul(a, a)
 	shared := Statement(Add(aa, Read(0, 0)), Sub(aa, Read(0, 1))).stmt
 	coefs, muls := 0, 0
@@ -209,5 +212,35 @@ func TestPointManyRegisters(t *testing.T) {
 	k.Point(ilin.Vec{0}, [][]float64{{1}}, out)
 	if want := float64(depth*(depth+1)/2 + 1); out[0] != want {
 		t.Fatalf("deep statement = %v, want %v", out[0], want)
+	}
+}
+
+// TestKernelC pins the C a statement prints: slots in order, every operation
+// parenthesised as evaluated, shared nodes at each use, constants as shortest
+// round-trip decimals that read as doubles, Coef as its C form — and the
+// kernels that have no C form.
+func TestKernelC(t *testing.T) {
+	a := Coef(testCoef, testCoefC)
+	aa := Mul(a, a)
+	k := Statement(
+		Sub(Add(Read(0, 0), Div(Mul(Read(2, 0), Const(0.05)), Read(2, 1))), Neg(Const(3))),
+		Add(aa, Sub(aa, Mul(Const(1e21), Const(-0.2)))),
+	)
+	got, err := k.C()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "out[0] = ((R0[0] + ((R2[0] * 0.05) / R2[1])) - (-3.0)); " +
+		"out[1] = ((" + testCoefC + " * " + testCoefC + ") + ((" + testCoefC + " * " + testCoefC + ") - (1e+21 * -0.2)));"
+	if got != want {
+		t.Errorf("C() =\n%s\nwant\n%s", got, want)
+	}
+	if _, err := PointKernel(func(ilin.Vec, [][]float64, []float64) {}).C(); err == nil {
+		t.Error("an opaque PointKernel printed as C")
+	}
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		if c, err := Statement(Add(Read(0, 0), Const(v))).C(); err == nil {
+			t.Errorf("the constant %v printed as %q", v, c)
+		}
 	}
 }

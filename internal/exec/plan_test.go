@@ -235,7 +235,7 @@ func TestRowsAreNotMergedRunsInARun(t *testing.T) {
 	}
 	enc := func(j ilin.Vec) float64 { return float64(j[0]*10000 + j[1]*100 + j[2]) }
 	opaque := PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) { out[0] = enc(j) + 0.5*reads[0][0] })
-	stmt := Statement(Add(Coef(enc), Mul(Const(0.5), Read(0, 0))))
+	stmt := Statement(Add(Coef(enc, "(double)(j[0]*10000 + j[1]*100 + j[2])"), Mul(Const(0.5), Read(0, 0))))
 	for name, k := range map[string]Kernel{"opaque": opaque, "statement": stmt} {
 		p := buildProgram(t, nest, tr.H, 0, 1, k, func(j ilin.Vec, out []float64) { out[0] = -enc(j) })
 		t.Run(name, func(t *testing.T) { comparePrograms(t, p) })

@@ -3,7 +3,6 @@ package frontend
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"tilespace/internal/exec"
 	"tilespace/internal/ilin"
@@ -14,7 +13,7 @@ import (
 type expr interface{ String() string }
 
 type numExpr struct {
-	text string // original literal, preserved for C output
+	text string // the literal as written
 	val  float64
 }
 
@@ -244,9 +243,9 @@ func affineOf(e expr, vars map[string]int, params map[string]int64, n int) (ilin
 }
 
 // lowerExpr turns a statement expression into the executor's expression
-// tree: the same operations in the same association, so the row-wise
-// executor, the per-point references and the generated C all compute one
-// value.
+// tree: the same operations in the same association. The row-wise executor
+// and the per-point references evaluate that tree, and the generated C is
+// printed from it (exec.Kernel.C), so all three compute one value.
 func lowerExpr(e expr) *exec.Expr {
 	switch x := e.(type) {
 	case *numExpr:
@@ -269,23 +268,4 @@ func lowerExpr(e expr) *exec.Expr {
 		}
 	}
 	panic(fmt.Sprintf("frontend: unlowerable expression %v", e))
-}
-
-// cExpr renders a statement expression as C, with dependence reads mapped
-// to the generator's $Rl placeholders.
-func cExpr(e expr) string {
-	switch x := e.(type) {
-	case *numExpr:
-		if strings.ContainsAny(x.text, ".eE") {
-			return x.text
-		}
-		return x.text + ".0"
-	case *refExpr:
-		return fmt.Sprintf("$R%d[%d]", x.dep, x.slot)
-	case *negExpr:
-		return "(-" + cExpr(x.x) + ")"
-	case *binExpr:
-		return "(" + cExpr(x.l) + " " + string(x.op) + " " + cExpr(x.r) + ")"
-	}
-	panic(fmt.Sprintf("frontend: unrenderable expression %v", e))
 }

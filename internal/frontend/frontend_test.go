@@ -9,18 +9,7 @@ import (
 	"tilespace/internal/tiling"
 )
 
-const sorSource = `
-# SOR, §4.1 of the paper
-let M = 6
-let N = 10
-for t = 1 .. M
-for i = 1 .. N
-for j = 1 .. N
-A[t,i,j] = 0.3*(A[t,i-1,j] + A[t,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1]) - 0.2*A[t-1,i,j]
-skew 1 0 0 / 1 1 0 / 2 0 1
-tile 1/3 0 0 / 0 1/7 0 / -1/4 0 1/4
-map 3
-`
+var sorSource = seed("sor")
 
 func TestParseSOR(t *testing.T) {
 	prog, err := Parse(sorSource)
@@ -54,7 +43,7 @@ func TestParseSOR(t *testing.T) {
 	if prog.Tiling == nil || prog.Tiling.Rows != 3 {
 		t.Fatal("missing tile directive")
 	}
-	if !strings.Contains(prog.KernelC, "$R0[0]") || !strings.HasPrefix(prog.KernelC, "$W[0] = ") {
+	if !strings.Contains(prog.KernelC, "R0[0]") || !strings.HasPrefix(prog.KernelC, "out[0] = ") {
 		t.Errorf("KernelC = %q", prog.KernelC)
 	}
 	if prog.Params["M"] != 6 || prog.Params["N"] != 10 {
@@ -237,19 +226,9 @@ func TestSplitRows(t *testing.T) {
 	}
 }
 
-// adiSource expresses the paper's Table 3 two-array ADI statement in the
-// DSL (constant coefficient stands in for the A[i,j] input array).
-const adiSource = `
-let T = 5
-let N = 9
-for t = 1 .. T
-for i = 1 .. N
-for j = 1 .. N
-X[t,i,j] = X[t-1,i,j] + X[t-1,i,j-1]*0.05/B[t-1,i,j-1] - X[t-1,i-1,j]*0.05/B[t-1,i-1,j]
-B[t,i,j] = B[t-1,i,j] - 0.05*0.05/B[t-1,i,j-1] - 0.05*0.05/B[t-1,i-1,j]
-tile 1/2 0 0 / 0 1/3 0 / 0 0 1/3
-map 1
-`
+// adiSource is the paper's Table 3 two-array ADI statement, a constant
+// coefficient standing in for the A[i,j] input array.
+var adiSource = seed("adi")
 
 // TestMultiArrayADI: the paper's "multiple statements on multiple arrays"
 // form parses, infers width 2, and executes correctly end to end.
@@ -265,7 +244,7 @@ func TestMultiArrayADI(t *testing.T) {
 	if prog.Nest.Q() != 3 {
 		t.Fatalf("q = %d, want 3 (deps deduplicated across arrays)", prog.Nest.Q())
 	}
-	if !strings.Contains(prog.KernelC, "$W[0] = ") || !strings.Contains(prog.KernelC, "$W[1] = ") {
+	if !strings.Contains(prog.KernelC, "out[0] = ") || !strings.Contains(prog.KernelC, "out[1] = ") {
 		t.Errorf("KernelC = %q", prog.KernelC)
 	}
 	ts, err := tiling.Analyze(prog.Nest, prog.Tiling)

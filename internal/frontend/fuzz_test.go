@@ -3,6 +3,9 @@ package frontend
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"tilespace/internal/ilin"
@@ -13,18 +16,19 @@ import (
 // parser is reached only inside the plan cache's single-flight compile, where
 // a panic would fail every request waiting on that flight. Every accepted
 // source is also run both ways — its statement a row at a time and point by
-// point — and must agree bit for bit. Seeds are the DSL sources of this
-// package's tests, README.md and the serve tests.
+// point — and must agree bit for bit. The accepted seeds are the DSL sources
+// of this package's tests, README.md and the serve tests, kept in
+// testdata/seeds (internal/codegen compiles them to C and runs them too); the
+// rejected ones are TestParseErrors' cases.
 func FuzzParse(f *testing.F) {
+	seeds, err := filepath.Glob(filepath.Join("testdata", "seeds", "*.nest"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no accepted seeds in testdata/seeds (%v)", err)
+	}
+	for _, path := range seeds {
+		f.Add(seed(strings.TrimSuffix(filepath.Base(path), ".nest")))
+	}
 	for _, src := range []string{
-		sorSource,
-		adiSource,
-		"let N = 8\nfor i = 0 .. N\nfor j = i .. N\nA[i,j] = A[i-1,j] + A[i,j-1] + 1\n",
-		"let T = 5\nfor t = 1 .. T\nfor i = t+1 .. t+6\nfor j = 2*t+1 .. 2*t+4\nA[t,i,j] = A[t-1,i,j] + 0.5\n",
-		"for i = 1 .. 4\nA[i] = -A[i-1] + -2.5\n",
-		"\n# header\n\nfor i = 1 .. 4   # inline comment\n\nA[i] = A[i-1] + 1\n#trailer\n",
-		"let M = 6\nlet N = 12\nfor t = 1 .. M\nfor i = 1 .. N\nA[t,i] = 0.5*(A[t-1,i] + A[t,i-1]) + 3\ntile 1/3 0 / 0 1/4\n",
-		"let M = 100\nlet N = 200\nfor t = 1 .. M\nfor i = 1 .. N\nfor j = 1 .. N\nA[t,i,j] = 0.3*(A[t,i-1,j] + A[t,i,j-1] + A[t-1,i+1,j] + A[t-1,i,j+1]) - 0.2*A[t-1,i,j]\nskew 1 0 0 / 1 1 0 / 2 0 1\ntile 1/51 0 0 / 0 1/38 0 / -1/20 0 1/20\nmap 3\n",
 		// TestParseErrors' rejects, one per error site.
 		"A[i] = 1",
 		"for i = 1 .. 4\nA[i] = 1\nA[i] = 2",
@@ -47,6 +51,15 @@ func FuzzParse(f *testing.F) {
 			runBothWays(t, p, int64(len(src)))
 		}
 	})
+}
+
+// seed reads the accepted seed testdata/seeds/<name>.nest.
+func seed(name string) string {
+	data, err := os.ReadFile(filepath.Join("testdata", "seeds", name+".nest"))
+	if err != nil {
+		panic(err)
+	}
+	return string(data)
 }
 
 // runBothWays evaluates p's kernel over a row of random reads row-wise

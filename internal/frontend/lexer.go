@@ -2,9 +2,9 @@
 // into analyzable programs: it extracts the iteration space (affine
 // bounds, including max/min forms through multiple constraints), derives
 // the uniform dependence vectors from the array references of the
-// statement, builds an executable kernel for the Go runtime by compiling
-// the right-hand side to a small expression tree, and renders the same
-// statement as C for the code generator.
+// statement, and compiles the right-hand sides to the executor's statement
+// (exec.Statement) — the one kernel the Go runtime evaluates and the code
+// generator prints as C.
 //
 // Grammar (line oriented; '#' starts a comment):
 //

@@ -26,8 +26,8 @@ type Program struct {
 	Width int
 	// Kernel evaluates all statements for the Go executor.
 	Kernel exec.Kernel
-	// KernelC is the statement block rendered with the code generator's
-	// $W/$Rl placeholders.
+	// KernelC is Kernel printed as C (exec.Kernel.C): the statement block
+	// codegen.Options.KernelStmt takes.
 	KernelC string
 	// Tiling, when the source carried a `tile` directive, holds the rows
 	// of H as parsed rationals (nil otherwise).
@@ -316,18 +316,9 @@ func (p *parser) parseTile(line string, lineNo int) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("line %d: empty tile directive", lineNo)
 	}
-	h := ilin.NewRatMat(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != h.Cols {
-			return fmt.Errorf("line %d: ragged tile matrix", lineNo)
-		}
-		for j, s := range r {
-			v, err := rat.Parse(s)
-			if err != nil {
-				return fmt.Errorf("line %d: %v", lineNo, err)
-			}
-			h.Set(i, j, v)
-		}
+	h, err := ilin.ParseRatMat(rows)
+	if err != nil {
+		return fmt.Errorf("line %d: tile matrix: %v", lineNo, err)
 	}
 	p.tiling = h
 	return nil
@@ -460,17 +451,20 @@ func (p *parser) finish() (*Program, error) {
 	// Every array is assigned exactly once, so the statements are one tree
 	// per slot of the value vector.
 	slots := make([]*exec.Expr, len(p.arrays))
-	var cParts []string
 	for _, st := range p.stmts {
 		slots[st.slot] = lowerExpr(st.rhs)
-		cParts = append(cParts, fmt.Sprintf("$W[%d] = %s;", st.slot, cExpr(st.rhs)))
+	}
+	kernel := exec.Statement(slots...)
+	kernelC, err := kernel.C()
+	if err != nil {
+		return nil, fmt.Errorf("frontend: %v", err)
 	}
 	return &Program{
 		Nest:    nest,
 		Arrays:  append([]string(nil), p.arrays...),
 		Width:   len(p.arrays),
-		Kernel:  exec.Statement(slots...),
-		KernelC: strings.Join(cParts, " "),
+		Kernel:  kernel,
+		KernelC: kernelC,
 		Tiling:  p.tiling,
 		MapDim:  p.mapDim,
 		Params:  p.params,

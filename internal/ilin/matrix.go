@@ -440,21 +440,37 @@ func NewRatMat(rows, cols int) *RatMat {
 	return &RatMat{Rows: rows, Cols: cols, a: a}
 }
 
-// RatMatFromRows builds a rational matrix from rows of strings parsed by
-// rat.Parse ("1/2", "-3", …). It panics on malformed input; intended for
-// matrix literals in tests, examples and app definitions.
-func RatMatFromRows(rows ...[]string) *RatMat {
+// ParseRatMat builds a rational matrix from rows of strings parsed by
+// rat.Parse ("1/2", "-3", …): at least one row, all of one length.
+func ParseRatMat(rows [][]string) (*RatMat, error) {
 	if len(rows) == 0 {
-		return NewRatMat(0, 0)
+		return nil, fmt.Errorf("ilin: empty matrix")
 	}
 	m := NewRatMat(len(rows), len(rows[0]))
 	for i, r := range rows {
 		if len(r) != m.Cols {
-			panic("ilin: ragged rows")
+			return nil, fmt.Errorf("ilin: ragged rows")
 		}
 		for j, s := range r {
-			m.Set(i, j, rat.MustParse(s))
+			v, err := rat.Parse(s)
+			if err != nil {
+				return nil, err
+			}
+			m.Set(i, j, v)
 		}
+	}
+	return m, nil
+}
+
+// RatMatFromRows is ParseRatMat for matrix literals in tests, examples and
+// app definitions: it panics on malformed input.
+func RatMatFromRows(rows ...[]string) *RatMat {
+	if len(rows) == 0 {
+		return NewRatMat(0, 0)
+	}
+	m, err := ParseRatMat(rows)
+	if err != nil {
+		panic(err)
 	}
 	return m
 }

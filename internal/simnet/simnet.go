@@ -48,15 +48,6 @@ type Params struct {
 	// SendOverhead and the transfer itself proceeds on the NIC in the
 	// background.
 	Overlap bool
-	// Dynamic models the executor's hybrid static/dynamic scheduler
-	// (exec.RunOptions.Dynamic): sends are always asynchronous, so the
-	// model charges them exactly like Overlap — pack + SendOverhead on
-	// the sender's CPU, transfer and fault perturbations on its NIC.
-	// Eager message intake shifts unpack CPU earlier but leaves per-tile
-	// totals unchanged, so in this cost model the dynamic arm's makespan
-	// equals the overlap arm's; the flag exists so ablation code can ask
-	// for a prediction per schedule mode by name.
-	Dynamic bool
 }
 
 // FastEthernetPIII returns the cost model of the paper's testbed: 500 MHz
@@ -300,7 +291,7 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 				pert = fs.sendPerturbation(tr.rank, dst)
 			}
 			var arrive float64
-			if par.Overlap || par.Dynamic {
+			if par.Overlap {
 				cpu := pack + par.SendOverhead
 				now += cpu
 				busy[tr.rank] += cpu

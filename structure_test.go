@@ -14,8 +14,8 @@ import (
 // TestOneCompiledProtocol pins the layering that lets the certifier and the
 // simulator read the tables the executor runs: the §3.2 protocol is
 // enumerated in internal/distrib only, so outside it no non-test code walks
-// MinSucc except the certifier's independent CheckSchedule, only codegen
-// (which prints the symbolic protocol) asks HasSuccessor or DmOf, and
+// MinSucc except the certifier's independent CheckSchedule or asks
+// HasSuccessor (codegen prints the compiled protocol's own tables), and
 // neither verify nor simnet can reach into the executor.
 func TestOneCompiledProtocol(t *testing.T) {
 	fset := token.NewFileSet()
@@ -66,10 +66,8 @@ func TestOneCompiledProtocol(t *testing.T) {
 					if path != "internal/verify/schedule.go" || fn.Name.Name != "CheckSchedule" {
 						t.Errorf("%s: %s walks MinSucc outside distrib and CheckSchedule", fset.Position(call.Pos()), fn.Name.Name)
 					}
-				case "HasSuccessor", "DmOf":
-					if !strings.HasPrefix(path, "internal/codegen/") {
-						t.Errorf("%s: %s calls %s outside distrib and codegen", fset.Position(call.Pos()), fn.Name.Name, sel.Sel.Name)
-					}
+				case "HasSuccessor":
+					t.Errorf("%s: %s calls HasSuccessor outside distrib", fset.Position(call.Pos()), fn.Name.Name)
 				}
 				return true
 			})
@@ -141,5 +139,46 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	}
 	if !sawState || !sawDriver {
 		t.Fatalf("found rankState %v, runRank %v: the layering this test pins has moved", sawState, sawDriver)
+	}
+}
+
+// TestOneKernelText pins that the loop body is written once: no non-test Go
+// holds C kernel text (a dependence read R0[…] or an `out[0] =` store) but
+// internal/apps, whose Coef and Initial C forms sit beside the Go functions
+// they mirror. Every other kernel's C is printed from the statement the
+// executor runs (exec.Kernel.C). The benchmark module is not walked: it
+// still hands codegen kernel text of its own.
+func TestOneKernelText(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if e.IsDir() {
+			if path == "benchmark" || path == "internal/apps" || (path != "." && strings.HasPrefix(e.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil && (strings.Contains(s, "R0[") || strings.Contains(s, "out[0] =")) {
+					t.Errorf("%s: C kernel text %q", fset.Position(lit.Pos()), s)
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

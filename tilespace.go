@@ -202,21 +202,9 @@ func RectangularTiling(sizes ...int64) (Tiling, error) {
 // TilingFromRows parses H from rational strings, e.g.
 // {{"1/8","0","0"},{"0","1/8","0"},{"-1/8","0","1/8"}}.
 func TilingFromRows(rows [][]string) (Tiling, error) {
-	if len(rows) == 0 {
-		return Tiling{}, fmt.Errorf("tilespace: empty tiling matrix")
-	}
-	h := ilin.NewRatMat(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != h.Cols {
-			return Tiling{}, fmt.Errorf("tilespace: ragged tiling matrix")
-		}
-		for j, s := range r {
-			v, err := rat.Parse(s)
-			if err != nil {
-				return Tiling{}, err
-			}
-			h.Set(i, j, v)
-		}
+	h, err := ilin.ParseRatMat(rows)
+	if err != nil {
+		return Tiling{}, fmt.Errorf("tilespace: tiling matrix: %w", err)
 	}
 	return Tiling{h: h}, nil
 }
@@ -511,7 +499,8 @@ type Source struct {
 	Width int
 	// Kernel evaluates all statements for the Go executor.
 	Kernel Kernel
-	// KernelC is the statement rendered for GenerateC ($W/$R placeholders).
+	// KernelC is the parsed statement printed as C, the block
+	// CodegenOptions.KernelStmt takes: the same operations Kernel applies.
 	KernelC string
 	// Tiling is the parsed `tile` directive, or a zero Tiling when absent
 	// (check HasTiling).
