@@ -1,6 +1,5 @@
 // Command tilevet is the repo's vet tool: it runs the internal/lint
-// analyzers (ownedbuf, traceguard, lockorder, goroleak, sendstats) over Go
-// packages. It speaks the `go vet -vettool`
+// analyzer (lockorder) over Go packages. It speaks the `go vet -vettool`
 // unitchecker protocol, so the usual invocation is
 //
 //	go build -o /tmp/tilevet ./cmd/tilevet
@@ -12,13 +11,8 @@
 //     content hash of the executable, used as the vet cache key;
 //   - tilevet -flags             → print a JSON description of the
 //     tool's flags (none beyond the standard ones);
-//   - tilevet [flags] foo.cfg    → analyze one package described by the
+//   - tilevet foo.cfg            → analyze one package described by the
 //     JSON config cmd/go wrote, exiting 2 if there are findings.
-//
-// tilevet can also be pointed at a directory of import-free Go files
-// (`tilevet ./internal/lint/testdata/ownedbuf`) for quick experiments;
-// full builds should go through `go vet` so imports resolve from export
-// data.
 package main
 
 import (
@@ -34,7 +28,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"tilespace/internal/lint"
@@ -52,44 +45,26 @@ func main() {
 		return
 	}
 
-	analyzers := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tilevet [-analyzers=a,b] <config.cfg | package-dir>...\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: go vet -vettool=/path/to/tilevet ./...  (or tilevet <config.cfg>...)\n\nanalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-
-	selected, err := lint.ByName(*analyzers)
-	if err != nil {
-		fatal("%v", err)
-	}
 	if flag.NArg() == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
 
 	exit := 0
-	for _, arg := range flag.Args() {
-		var diags []diagJSON
-		var err error
-		if strings.HasSuffix(arg, ".cfg") {
-			diags, err = runConfig(arg, selected)
-		} else {
-			diags, err = runDir(arg, selected)
-		}
+	for _, cfg := range flag.Args() {
+		findings, err := runConfig(cfg)
 		if err != nil {
 			fatal("%v", err)
 		}
-		for _, d := range diags {
-			if *jsonOut {
-				enc, _ := json.Marshal(d)
-				fmt.Println(string(enc))
-			} else {
-				fmt.Fprintf(os.Stderr, "%s: %s\n", d.Posn, d.Message)
-			}
+		for _, f := range findings {
+			fmt.Fprintln(os.Stderr, f)
 			exit = 2
 		}
 	}
@@ -115,26 +90,15 @@ func printVersion() {
 	fmt.Printf("tilevet version devel buildID=%s\n", id)
 }
 
-type diagJSON struct {
-	Posn     string `json:"posn"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// vetConfig mirrors the JSON cmd/go writes for each vetted package.
+// vetConfig is the part tilevet reads of the JSON cmd/go writes for each
+// vetted package.
 type vetConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -144,8 +108,9 @@ type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-// runConfig analyzes the single package described by a cmd/go vet config.
-func runConfig(path string, analyzers []*lint.Analyzer) ([]diagJSON, error) {
+// runConfig analyzes the single package described by a cmd/go vet config
+// and returns its findings as "file:line:col: message" lines.
+func runConfig(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -200,7 +165,12 @@ func runConfig(path string, analyzers []*lint.Analyzer) ([]diagJSON, error) {
 		return compilerImp.Import(pkgPath)
 	})
 
-	info := newInfo()
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
 	tc := &types.Config{
 		Importer:  imp,
 		Sizes:     types.SizesFor(cfg.Compiler, build.Default.GOARCH),
@@ -213,64 +183,13 @@ func runConfig(path string, analyzers []*lint.Analyzer) ([]diagJSON, error) {
 		}
 		return nil, fmt.Errorf("typecheck %s: %w", cfg.ImportPath, err)
 	}
-	return collect(fset, files, pkg, info, analyzers)
-}
-
-// runDir analyzes an import-free directory of Go files (fixture mode).
-func runDir(dir string, analyzers []*lint.Analyzer) ([]diagJSON, error) {
-	entries, err := os.ReadDir(dir)
+	diags, err := lint.Run(fset, files, pkg, info, lint.All())
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
-	}
-	info := newInfo()
-	tc := &types.Config{
-		Importer: importerFunc(func(path string) (*types.Package, error) {
-			return nil, fmt.Errorf("directory mode cannot resolve import %q; run via go vet -vettool", path)
-		}),
-	}
-	pkg, err := tc.Check(dir, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %w", dir, err)
-	}
-	return collect(fset, files, pkg, info, analyzers)
-}
-
-func newInfo() *types.Info {
-	return &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-}
-
-func collect(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*lint.Analyzer) ([]diagJSON, error) {
-	diags, err := lint.Run(fset, files, pkg, info, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]diagJSON, len(diags))
+	out := make([]string, len(diags))
 	for i, d := range diags {
-		out[i] = diagJSON{
-			Posn:     fset.Position(d.Pos).String(),
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		}
+		out[i] = fmt.Sprintf("%s: %s", fset.Position(d.Pos), d.Message)
 	}
 	return out, nil
 }

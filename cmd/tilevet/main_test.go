@@ -64,8 +64,9 @@ func TestVetToolCleanOnTree(t *testing.T) {
 }
 
 // TestVetToolCatchesSeededViolation proves the tool actually fires under
-// the go vet protocol, not just in-process: a throwaway module with a
-// buffer-reuse bug must make the vet run fail.
+// the go vet protocol, not just in-process: a throwaway module whose two
+// methods lock the same two mutex classes in opposite orders (an ABBA
+// deadlock no single-threaded test can hit) must make the vet run fail.
 func TestVetToolCatchesSeededViolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go vet on a scratch module")
@@ -76,13 +77,32 @@ func TestVetToolCatchesSeededViolation(t *testing.T) {
 		"go.mod": "module scratch\n\ngo 1.22\n",
 		"scratch.go": `package scratch
 
-type world struct{}
+import "sync"
 
-func (w *world) SendOwned(dst, tag int, buf []float64) {}
+type mesh struct {
+	mu    sync.Mutex
+	links []*link
+}
 
-func leak(w *world, buf []float64) float64 {
-	w.SendOwned(0, 1, buf)
-	return buf[0]
+type link struct {
+	mu sync.Mutex
+	m  *mesh
+}
+
+func (m *mesh) reset() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, l := range m.links {
+		l.mu.Lock()
+		l.mu.Unlock()
+	}
+}
+
+func (l *link) monitor() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.m.mu.Lock()
+	l.m.mu.Unlock()
 }
 `,
 	}
@@ -95,9 +115,9 @@ func leak(w *world, buf []float64) float64 {
 	cmd.Dir = dir
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("go vet passed on a seeded ownedbuf violation:\n%s", out)
+		t.Fatalf("go vet passed on a seeded lock-order cycle:\n%s", out)
 	}
-	if !strings.Contains(string(out), "buf is used after being passed to SendOwned") {
+	if !strings.Contains(string(out), "lock order cycle: mesh.mu acquired while holding link.mu") {
 		t.Fatalf("vet failed for the wrong reason: %v\n%s", err, out)
 	}
 }

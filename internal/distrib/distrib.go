@@ -185,15 +185,6 @@ func (d *Distribution) TileAt(r int, t int64) ilin.Vec {
 	return insertAt(d.Pids[r], d.M, d.ChainStart[r]+t)
 }
 
-// TIndex returns the chain position of tile j^S on its own processor.
-func (d *Distribution) TIndex(jS ilin.Vec) (int64, bool) {
-	r, ok := d.RankOfTile(jS)
-	if !ok {
-		return 0, false
-	}
-	return jS[d.M] - d.ChainStart[r], true
-}
-
 // dmOf projects a tile dependence to its processor dependence.
 func (d *Distribution) dmOf(dS ilin.Vec) ilin.Vec { return projectOut(dS, d.M) }
 

@@ -95,8 +95,7 @@ func TestRankPidRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("tile %v unassigned", jS)
 		}
-		ti, _ := d.TIndex(jS)
-		if got := d.TileAt(r, ti); !got.Equal(jS) {
+		if got := d.TileAt(r, jS[d.M]-d.ChainStart[r]); !got.Equal(jS) {
 			t.Fatalf("TileAt(RankOfTile) = %v, want %v", got, jS)
 		}
 		return true

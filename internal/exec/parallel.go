@@ -78,10 +78,6 @@ type RunOptions struct {
 	// mpi.Stats are bit-identical to the static overlap mode; only timing
 	// changes. Mutually exclusive with Checkpoint.Save and Checkpoint.Resume.
 	Dynamic bool
-	// Firing, when non-nil, records the observed firing order for post-hoc
-	// certification by verify.CheckDynamicOrder. The log is reset at run
-	// start, so one log can be reused across runs.
-	Firing *FiringLog
 }
 
 // RunParallel executes the program as the paper's generated data-parallel
@@ -116,9 +112,6 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 	}
 	// Everything that can refuse the run has: only now allocate the result.
 	g := NewGlobal(p.lo, p.hi, p.Width)
-	if opt.Firing != nil {
-		opt.Firing.reset()
-	}
 	if world != nil {
 		// A remote world is per-process and single-use: it was just
 		// constructed — possibly over a mesh seeded from a checkpoint, with
@@ -273,7 +266,6 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	}
 	faults := opt.Net.Faults
 	crashAt := faults.CrashTile(r)
-	fired := st.t // chain slots below fired are in the firing log
 	for t, _ := st.next(); t < int64(len(st.Slots)); t, _ = st.next() {
 		// A planned crash fires once, at the tile boundary before tile t's
 		// receive. The node is gone: its sends not yet on the wire are lost,
@@ -320,12 +312,7 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 				return err
 			}
 		}
-		// The tile fires: every dependence is satisfied. Keep-first across
-		// crash rewinds — see FiringLog.
-		if opt.Firing != nil && t >= fired {
-			opt.Firing.note(r, t, st.Slots[t].Tile)
-			fired = t + 1
-		}
+		// The tile fires: every dependence is satisfied.
 		st.fire()
 		for _, m := range st.out {
 			if opt.Overlap {

@@ -122,20 +122,14 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 		}
 	}
 	// The hybrid static/dynamic scheduler on generated geometry: results
-	// must match the oracle bit for bit and the observed firing order must
-	// certify as a linear extension of the dependence order. A static-vs-
-	// dynamic divergence shrinks to a minimal reproducer like any other
-	// property failure.
-	log := &exec.FiringLog{}
-	dyn, _, err := p.RunParallelOpts(exec.RunOptions{Dynamic: true, Firing: log})
+	// must match the oracle bit for bit. A static-vs-dynamic divergence
+	// shrinks to a minimal reproducer like any other property failure.
+	dyn, _, err := p.RunParallelOpts(exec.RunOptions{Dynamic: true})
 	if err != nil {
 		return fmt.Sprintf("dynamic: %v", err), false
 	}
 	if d, at := seq.MaxAbsDiff(dyn, p.ScanSpace); d != 0 {
 		return fmt.Sprintf("dynamic differs from sequential by %g at %v", d, at), false
-	}
-	if _, err := verify.CheckDynamicOrder(ts, p.Dist, log.Records()); err != nil {
-		return fmt.Sprintf("dynamic firing order not certified: %v", err), false
 	}
 	// Crash-restart on generated geometry: recovery must be bit-exact on
 	// workloads nobody hand-tuned, not just the curated apps — in both
@@ -157,7 +151,6 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 		}
 		dynRestarted, _, err := p.RunParallelOpts(exec.RunOptions{
 			Dynamic:    true,
-			Firing:     log,
 			Net:        crash,
 			Checkpoint: &exec.CheckpointOptions{Every: 2},
 		})
@@ -166,9 +159,6 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 		}
 		if d, at := seq.MaxAbsDiff(dynRestarted, p.ScanSpace); d != 0 {
 			return fmt.Sprintf("dynamic crash-restart differs from sequential by %g at %v", d, at), false
-		}
-		if _, err := verify.CheckDynamicOrder(ts, p.Dist, log.Records()); err != nil {
-			return fmt.Sprintf("dynamic crash-restart firing order not certified: %v", err), false
 		}
 	}
 	return "", false

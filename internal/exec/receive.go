@@ -2,11 +2,8 @@ package exec
 
 import (
 	"fmt"
-	"sync"
 
 	"tilespace/internal/distrib"
-	"tilespace/internal/ilin"
-	"tilespace/internal/verify"
 )
 
 // This file is the receive side of the rank machine: the paper's §3.2
@@ -110,51 +107,4 @@ func (st *rankState) unpack(m *distrib.InMsg, data []float64) {
 		st.markDirty(cell + int64(nn))
 		pos += nn
 	}
-}
-
-// FiringLog records the observed firing order of a run for post-hoc
-// certification by verify.CheckDynamicOrder. One lock serializes all ranks'
-// appends, so a record's Seq is its index in the single observed
-// linearization: any happens-before edge between two firings — program
-// order within a rank, or a message send happening-before its claim —
-// implies Seq order.
-//
-// Under crash-restart a rewound rank re-executes tiles it already fired;
-// only the first firing of each tile is recorded (keep-first). The first
-// incarnation is the one whose outputs the rest of the cluster may have
-// already consumed, so its sequence is the linearization that must extend
-// the dependence order — a re-fire's position would not be (a successor
-// fed by a delivered pre-crash message can legitimately fire before the
-// re-fire).
-type FiringLog struct {
-	mu   sync.Mutex
-	recs []verify.FiringRecord
-}
-
-// note appends the next firing record; called once per tile, at its first
-// firing, before the tile's sends are issued.
-func (fl *FiringLog) note(rank int, slot int64, tile ilin.Vec) {
-	fl.mu.Lock()
-	fl.recs = append(fl.recs, verify.FiringRecord{
-		Seq:  int64(len(fl.recs)),
-		Rank: rank,
-		Slot: slot,
-		Tile: append(ilin.Vec(nil), tile...),
-	})
-	fl.mu.Unlock()
-}
-
-// reset clears the log for a fresh run (RunParallelOpts does this so a
-// log can be reused across runs).
-func (fl *FiringLog) reset() {
-	fl.mu.Lock()
-	fl.recs = fl.recs[:0]
-	fl.mu.Unlock()
-}
-
-// Records returns a copy of the recorded firing order.
-func (fl *FiringLog) Records() []verify.FiringRecord {
-	fl.mu.Lock()
-	defer fl.mu.Unlock()
-	return append([]verify.FiringRecord(nil), fl.recs...)
 }

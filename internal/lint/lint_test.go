@@ -80,15 +80,8 @@ func collectWants(t *testing.T, fset *token.FileSet, files []*ast.File) map[stri
 // negatives).
 func runFixture(t *testing.T, a *Analyzer) {
 	t.Helper()
-	runFixtureDir(t, filepath.Join("testdata", a.Name), []*Analyzer{a})
-}
-
-// runFixtureDir runs a set of analyzers over one fixture directory and
-// checks diagnostics against the want comments.
-func runFixtureDir(t *testing.T, dir string, analyzers []*Analyzer) {
-	t.Helper()
-	fset, files, pkg, info := typecheckDir(t, dir)
-	diags, err := Run(fset, files, pkg, info, analyzers)
+	fset, files, pkg, info := typecheckDir(t, filepath.Join("testdata", a.Name))
+	diags, err := Run(fset, files, pkg, info, []*Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,29 +108,4 @@ func runFixtureDir(t *testing.T, dir string, analyzers []*Analyzer) {
 	}
 }
 
-func TestOwnedBufFixture(t *testing.T)   { runFixture(t, OwnedBuf) }
-func TestTraceGuardFixture(t *testing.T) { runFixture(t, TraceGuard) }
-func TestLockOrderFixture(t *testing.T)  { runFixture(t, LockOrder) }
-func TestGoroLeakFixture(t *testing.T)   { runFixture(t, GoroLeak) }
-func TestSendStatsFixture(t *testing.T)  { runFixture(t, SendStats) }
-
-// TestIgnoreDirectives runs every analyzer over the ignore fixture: the
-// want comments there encode which findings survive multi-analyzer
-// directives, wrapped statements, and out-of-reach directives.
-func TestIgnoreDirectives(t *testing.T) {
-	runFixtureDir(t, filepath.Join("testdata", "ignore"), All())
-}
-
-func TestByName(t *testing.T) {
-	all, err := ByName("")
-	if err != nil || len(all) != len(All()) {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want all %d", len(all), err, len(All()))
-	}
-	two, err := ByName("ownedbuf, traceguard")
-	if err != nil || len(two) != 2 || two[0] != OwnedBuf || two[1] != TraceGuard {
-		t.Fatalf("ByName(ownedbuf, traceguard) = %v, err %v", two, err)
-	}
-	if _, err := ByName("nosuch"); err == nil {
-		t.Fatal("ByName(nosuch) should fail")
-	}
-}
+func TestLockOrderFixture(t *testing.T) { runFixture(t, LockOrder) }

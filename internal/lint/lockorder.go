@@ -294,6 +294,16 @@ func calleeKey(pass *Pass, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
+// methodName returns the selector name of a call ("" when the call is not
+// a selector call), plus the receiver expression.
+func methodName(call *ast.CallExpr) (string, ast.Expr) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", nil
+	}
+	return sel.Sel.Name, sel.X
+}
+
 // exprString renders a selector chain ("l.m.mu"); non-chain shapes get
 // a stable placeholder so they never equal each other.
 func exprString(e ast.Expr) string {

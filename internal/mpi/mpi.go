@@ -267,10 +267,8 @@ type Stats struct {
 // rankCounters is the mutable form of RankTraffic. Every field is
 // written only by World methods (transmit, noteRecv, start and the fault
 // injector), each message exactly once on its sending side — transports
-// never touch them — so traffic can never double-count; sendstats enforces
-// that ownership statically. The world's totals are their sums.
-//
-//sendstats:owned World
+// never touch them — so traffic can never double-count. The world's totals
+// are their sums.
 type rankCounters struct {
 	blocking    atomic.Int64
 	overlapped  atomic.Int64

@@ -16,7 +16,6 @@ func TestSendOwnedTransfersOwnership(t *testing.T) {
 			got = c.Recv(0, 7)
 		}
 	})
-	//lint:ignore ownedbuf reading sent after transfer is the aliasing assertion itself
 	if len(got) != 3 || &got[0] != &sent[0] {
 		t.Fatalf("Recv returned a different backing array (copy made)")
 	}

@@ -140,18 +140,17 @@ type TCPMesh struct {
 
 	// Wire statistics. Send-side counters are bumped by the owning
 	// link's writer goroutine, receive-side by the mesh's inbound frame
-	// handlers; nothing outside the transport may mutate them
-	// (sendstats enforces this).
-	sFramesSent  atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sBytesSent   atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sBatches     atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sFramesRecvd atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sSuppressed  atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sDuplicates  atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sResent      atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sReconnects  atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sHeartbeats  atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
-	sStale       atomic.Int64 //sendstats:owned TCPMesh,outLink,inLink
+	// handlers; nothing outside the transport may mutate them.
+	sFramesSent  atomic.Int64
+	sBytesSent   atomic.Int64
+	sBatches     atomic.Int64
+	sFramesRecvd atomic.Int64
+	sSuppressed  atomic.Int64
+	sDuplicates  atomic.Int64
+	sResent      atomic.Int64
+	sReconnects  atomic.Int64
+	sHeartbeats  atomic.Int64
+	sStale       atomic.Int64
 }
 
 // NewTCPMesh opens the process's listener and prepares the mesh; link

@@ -16,7 +16,9 @@ import (
 // enumerated in internal/distrib only, so outside it no non-test code walks
 // MinSucc except the certifier's independent CheckSchedule or asks
 // HasSuccessor (codegen prints the compiled protocol's own tables), and
-// neither verify nor simnet can reach into the executor.
+// neither verify nor simnet can reach into the executor — nor the executor
+// into the certifier: exec runs the tables, verify proves them, and no
+// run-time record of an execution goes back to verify for checking.
 func TestOneCompiledProtocol(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
@@ -37,11 +39,13 @@ func TestOneCompiledProtocol(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if strings.HasPrefix(path, "internal/verify/") || strings.HasPrefix(path, "internal/simnet/") {
-			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "tilespace/internal/exec" {
-					t.Errorf("%s imports the executor", path)
-				}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p == "tilespace/internal/exec" && (strings.HasPrefix(path, "internal/verify/") || strings.HasPrefix(path, "internal/simnet/")) {
+				t.Errorf("%s imports the executor", path)
+			}
+			if p == "tilespace/internal/verify" && strings.HasPrefix(path, "internal/exec/") {
+				t.Errorf("%s imports the certifier", path)
 			}
 		}
 		if strings.HasPrefix(path, "internal/distrib/") {
