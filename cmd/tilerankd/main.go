@@ -42,7 +42,6 @@ func main() {
 		spec       = flag.String("spec", "", "DSL spec file (required)")
 		result     = flag.String("result", "", "result fragment output path (required)")
 		overlap    = flag.Bool("overlap", false, "use non-blocking Isends (computation-communication overlap)")
-		workers    = flag.Int("workers", 1, "intra-tile worker pool size (0 = GOMAXPROCS-aware)")
 		watchdog   = flag.Duration("watchdog", 30*time.Second, "deadlock watchdog (0 disables)")
 		ckpt       = flag.String("ckpt", "", "checkpoint file; enables snapshot/restore when set")
 		every      = flag.Int64("every", 2, "checkpoint cadence in committed tiles")
@@ -51,14 +50,14 @@ func main() {
 		pointdelay = flag.Duration("pointdelay", 0, "injected per-point compute cost (test pacing)")
 	)
 	flag.Parse()
-	if err := run(*rank, *peers, *spec, *result, *overlap, *workers,
+	if err := run(*rank, *peers, *spec, *result, *overlap,
 		*watchdog, *ckpt, *every, *peerwait, *heartbeat, *pointdelay); err != nil {
 		fmt.Fprintf(os.Stderr, "tilerankd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(rank int, peersPath, specPath, resultPath string, overlap bool, workers int,
+func run(rank int, peersPath, specPath, resultPath string, overlap bool,
 	watchdog time.Duration, ckptPath string, every int64,
 	peerwait, heartbeat, pointdelay time.Duration) error {
 	if rank < 0 || peersPath == "" || specPath == "" || resultPath == "" {
@@ -119,7 +118,6 @@ func run(rank int, peersPath, specPath, resultPath string, overlap bool, workers
 
 	opt := exec.RunOptions{
 		Overlap:    overlap,
-		Workers:    workers,
 		PointDelay: pointdelay,
 		World:      world,
 	}

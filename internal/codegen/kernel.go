@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"tilespace/internal/distrib"
 	"tilespace/internal/rat"
 )
 
@@ -56,7 +55,7 @@ func (g *Generator) kernelFns(w *writer) {
 	w.blank()
 	w.line("/* inject_boundary: place Initial values for reads that leave the space. */")
 	w.open("static void inject_boundary(const long jS[NDIM], long t, double *LA)")
-	g.emitZLoops(w, "jS", "", nil, func() {
+	g.emitZLoops(w, "jS", "", func() {
 		w.line("long j[NDIM];")
 		w.line("for (int k = 0; k < NDIM; k++) {")
 		w.indent++
@@ -80,7 +79,7 @@ func (g *Generator) kernelFns(w *writer) {
 	w.blank()
 	w.line("/* compute_tile: sweep the (boundary-clamped) TTIS lattice. */")
 	w.open("static void compute_tile(const long jS[NDIM], long t, double *LA)")
-	g.emitZLoops(w, "jS", "", g.ompPragmas(), func() {
+	g.emitZLoops(w, "jS", "", func() {
 		w.line("long j[NDIM];")
 		w.line("for (int k = 0; k < NDIM; k++) {")
 		w.indent++
@@ -97,35 +96,4 @@ func (g *Generator) kernelFns(w *writer) {
 		w.line("%s", g.opts.KernelStmt)
 	})
 	w.close()
-}
-
-// ompPragmas derives the compute sweep's OpenMP annotation from the
-// dependence cone. Dimensions up to max(SeqDims) carry every dependence
-// (each transformed dependence has a positive component there, and the
-// sweep walks them in order), so the first dimension after them — and
-// everything inside it — iterates over mutually independent points once
-// the outer coordinates are fixed: `parallel for` goes on that dimension,
-// with zv/jp firstprivate so each thread owns the coordinate scratch the
-// outer loops seeded, and the innermost loop gets `simd` when it lies
-// deeper still. Returns nil when OpenMP is off or every dimension is
-// sequential.
-func (g *Generator) ompPragmas() []string {
-	if !g.opts.OpenMP {
-		return nil
-	}
-	par := 0
-	for _, k := range distrib.SeqDims(g.ts.DP) {
-		if k+1 > par {
-			par = k + 1
-		}
-	}
-	if par >= g.n {
-		return nil
-	}
-	pr := make([]string, g.n)
-	pr[par] = "#pragma omp parallel for schedule(static) firstprivate(zv, jp)"
-	if g.n-1 > par {
-		pr[g.n-1] = "#pragma omp simd"
-	}
-	return pr
 }

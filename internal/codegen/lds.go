@@ -20,19 +20,14 @@ func (g *Generator) varsFor(arr string) []string {
 // declaring z0…zn-1, zv[] and jp[] (the TTIS coordinate); filter, when
 // non-empty, is the name of a full-dimension direction array and restricts
 // the body to communication points (jp[k] ≥ CC[k] on its non-mapping
-// 1-dimensions). pragmas, when non-nil, holds one pragma line per
-// dimension, emitted immediately before that dimension's for statement
-// (empty entries emit nothing).
-func (g *Generator) emitZLoops(w *writer, arr, filter string, pragmas []string, body func()) {
+// 1-dimensions).
+func (g *Generator) emitZLoops(w *writer, arr, filter string, body func()) {
 	vars := g.varsFor(arr)
 	w.line("long zv[NDIM], jp[NDIM];")
 	w.line("(void)zv;")
 	for k := 0; k < g.n; k++ {
 		lb := cLowerBound(g.nb.Vars[g.n+k], vars)
 		ub := cUpperBound(g.nb.Vars[g.n+k], vars)
-		if pragmas != nil && pragmas[k] != "" {
-			w.line("%s", pragmas[k])
-		}
 		w.open("for (long z%d = %s; z%d <= (%s); z%d++)", k, lb, k, ub, k)
 		w.line("zv[%d] = z%d;", k, k)
 		terms := ""

@@ -49,9 +49,8 @@ import (
 // Protocol holds the rank-independent tables of a Distribution's compiled
 // protocol; Distribution.Protocol returns it.
 type Protocol struct {
-	Deps    []ilin.Vec // original dependence vectors d_l
-	DPs     []ilin.Vec // transformed d'_l
-	SeqDims []int      // sequential dimension set of the dependence cone
+	Deps []ilin.Vec // original dependence vectors d_l
+	DPs  []ilin.Vec // transformed d'_l
 	// DSOrder lists tile-dependence indices in receive-processing order:
 	// two tile dependencies with the same d^m but different m-components
 	// deliver on one FIFO stream and can target the same receiving tile, and
@@ -187,9 +186,6 @@ type TilePlan struct {
 	// checkpoint layer's O(1) dirty bound.
 	MaxWrite int64
 	MaxRead  int64
-
-	localOnce sync.Once
-	local     *LocalPlan
 }
 
 // Row is one TTIS row of a TilePlan: N points whose write cells are
@@ -255,7 +251,6 @@ func (d *Distribution) compileShared() {
 		pr.Deps = append(pr.Deps, dep)
 		pr.DPs = append(pr.DPs, ts.DP.Col(l))
 	}
-	pr.SeqDims = SeqDims(ts.DP)
 	pr.DSOrder = make([]int, len(ts.DS))
 	for i := range pr.DSOrder {
 		pr.DSOrder[i] = i

@@ -210,7 +210,7 @@ func sliceElems(v reflect.Value, seen map[uintptr]bool) int {
 }
 
 // TestPlanTablesDoNotGrowWithRowLength: no slice reachable from a SlotPlan —
-// its TilePlan, local plan and boundary runs included — has a length
+// its TilePlan and boundary runs included — has a length
 // proportional to the tile's point count: the same nest with rows eight
 // times as long compiles to tables of exactly the same size.
 func TestPlanTablesDoNotGrowWithRowLength(t *testing.T) {
@@ -225,7 +225,6 @@ func TestPlanTablesDoNotGrowWithRowLength(t *testing.T) {
 			}
 			for ti := range rp.Slots {
 				sl := &rp.Slots[ti]
-				d.LocalPlan(sl.Plan)
 				points += sl.Npts
 				elems += sliceElems(reflect.ValueOf(sl), seen)
 			}

@@ -42,7 +42,7 @@ type handStream struct{ src, dst, tag int }
 // returns the global array and the number of messages and values offered.
 func handRun(t *testing.T, p *Program, seed int64, crash *handCrash) (*Global, int64, int64) {
 	t.Helper()
-	opt := RunOptions{Workers: 1}
+	var opt RunOptions
 	if crash != nil {
 		opt.Checkpoint = &CheckpointOptions{Every: 2}
 	}

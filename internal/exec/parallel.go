@@ -51,13 +51,11 @@ type RunOptions struct {
 	// mid-conversation over the TCP mesh's resume protocol (cmd/tilerankd).
 	// Nil disables checkpointing (no per-tile overhead).
 	Checkpoint *CheckpointOptions
-	// Workers sets the per-rank intra-tile worker pool size: each tile's
-	// wavefronts of independent TTIS rows (see distrib.NewLocalSchedule)
-	// execute on Workers goroutines, each evaluating whole rows, with the
-	// dependence-carrying dimensions still walked in order.
-	// 0 picks a GOMAXPROCS-aware default (GOMAXPROCS / ranks, at least
-	// 1); 1 is the serial sweep. Results are bit-identical to the serial
-	// path for every value — the setting only trades wall-clock.
+	// Workers is ignored: a rank sweeps each tile's rows serially, as the
+	// paper's generated code does, and the rank is the only unit of
+	// parallelism.
+	//
+	// Deprecated: the executor has no intra-tile worker pool; leave it unset.
 	Workers int
 	// World, when non-nil, supplies a pooled runtime world instead of
 	// constructing a fresh one per run — the reuse seam the serve layer's
@@ -173,12 +171,8 @@ type rankState struct {
 	in      inbox
 	pBase   ilin.Vec  // P·j^S of the current tile (the slot's, not a copy)
 	rowStep ilin.Vec  // the global point's step along a TTIS row
-	ev      *rowEval  // the rank goroutine's row-evaluation scratch
+	ev      *rowEval  // the row-evaluation scratch
 	init    *rankInit // the rank's boundary values, compiled once per Program
-
-	// Intra-tile parallelism (workers > 1 only): the rank's worker pool.
-	workers int
-	wpool   *workerPool
 
 	pool bufPool  // recycled message buffers
 	out  []outMsg // the outbox: the last fired slot's messages (pack.go)
@@ -224,7 +218,6 @@ func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 	st.in.claimed = make([]bool, len(rp.Msgs))
 	st.in.heads = make([]int, len(rp.Rows))
 	st.out = make([]outMsg, 0, len(rp.SendRank))
-	st.workers = effectiveWorkers(opt.Workers, p.Dist.NumProcs())
 	if opt.Checkpoint != nil {
 		if st.ckpt, err = st.newCkptState(opt.Checkpoint); err != nil {
 			return nil, err
@@ -252,12 +245,6 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	st, err := newRankState(p, r, opt)
 	if err != nil {
 		return err
-	}
-	if st.workers > 1 {
-		st.wpool = newWorkerPool(st, st.workers)
-		// Deferred so every exit path — normal completion, error return,
-		// abort panic — winds the pool down without leaking goroutines.
-		defer st.wpool.close()
 	}
 	ck := opt.Checkpoint
 	if ck != nil && ck.Resume != nil && ck.Resume.Rank == r {
@@ -353,15 +340,15 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	// must be final).
 	c.WaitSends()
 	if st.tr != nil {
-		st.tr.finish(&st.pool, st.wpool)
+		st.tr.finish(&st.pool)
 	}
 	st.writeBack(g)
 	return nil
 }
 
 // fire executes the current chain slot, once next reports none of its
-// inbound rows missing: boundary-value injection, compute (serial or on the
-// worker pool) and pack into the outbox. Then the chain advances.
+// inbound rows missing: boundary-value injection, compute and pack into the
+// outbox. Then the chain advances.
 func (st *rankState) fire() {
 	t := st.t
 	sl := &st.Slots[t]
@@ -370,11 +357,7 @@ func (st *rankState) fire() {
 	if st.tr != nil {
 		st.tr.noteRecvDone()
 	}
-	if st.wpool != nil {
-		st.computePhaseParallel(sl.Plan, t)
-	} else {
-		st.computePhasePlanned(sl.Plan, t)
-	}
+	st.computePhasePlanned(sl.Plan, t)
 	if st.tr != nil {
 		st.tr.noteCompDone()
 	}

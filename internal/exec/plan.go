@@ -28,8 +28,7 @@ import (
 // once, so that the register file stays cache-resident however long the row.
 const maxChunk = 1024
 
-// rowEval is one goroutine's scratch for evaluating rows: the rank's own on
-// the serial sweep, one per worker on the pool.
+// rowEval is a rank's scratch for evaluating rows.
 type rowEval struct {
 	stmt   *statement // the statement regs is laid out for
 	regs   []float64  // stmt.nreg registers of stride floats, constants filled
@@ -70,14 +69,13 @@ func (ev *rowEval) fit(s *statement, maxRow int) {
 // point by point than an instruction at a time.
 const minChunk = 4
 
-// rows evaluates the kernel over rows idx[lo:hi] of pl placed at chain slot
-// t (idx nil: rows lo … hi−1 themselves) — the one row evaluator under the
-// serial sweep and the worker pool. A row is evaluated in point order as far
-// as anyone can tell: a statement runs over chunks no longer than the
-// distance from any read cell up to the write cell, so a point that reads an
-// earlier point of its own row (SOR's innermost dependence) finds it written,
-// and all of a chunk's loads precede its stores.
-func (ev *rowEval) rows(st *rankState, pl *distrib.TilePlan, idx []int32, lo, hi int, t int64) {
+// rows evaluates the kernel over every row of pl placed at chain slot t, in
+// scan order. A row is evaluated in point order as far as anyone can tell: a
+// statement runs over chunks no longer than the distance from any read cell
+// up to the write cell, so a point that reads an earlier point of its own row
+// (SOR's innermost dependence) finds it written, and all of a chunk's loads
+// precede its stores.
+func (ev *rowEval) rows(st *rankState, pl *distrib.TilePlan, t int64) {
 	k := st.p.Kernel
 	w := int64(st.p.Width)
 	n := st.p.TS.T.N
@@ -90,12 +88,7 @@ func (ev *rowEval) rows(st *rankState, pl *distrib.TilePlan, idx []int32, lo, hi
 		ev.fit(k.stmt, st.MaxRow) // a no-op unless the program's kernel was replaced
 		needJ = len(k.stmt.coefs) > 0
 	}
-	for i := lo; i < hi; i++ {
-		r := i
-		if idx != nil {
-			r = int(idx[i])
-		}
-		row := pl.Rows[r]
+	for r, row := range pl.Rows {
 		cnt := int64(row.N)
 		read := pl.Read[r*q : r*q+q]
 		if needJ {
@@ -155,7 +148,7 @@ func (ev *rowEval) rows(st *rankState, pl *distrib.TilePlan, idx []int32, lo, hi
 // computePhasePlanned sweeps the tile through the compiled address
 // program: zero divisions, zero map lookups, zero allocations.
 func (st *rankState) computePhasePlanned(pl *distrib.TilePlan, t int64) {
-	st.ev.rows(st, pl, nil, 0, len(pl.Rows), t)
+	st.ev.rows(st, pl, t)
 	st.markDirty((pl.MaxWrite + t*st.ChainStep + 1) * int64(st.p.Width))
 	st.chargePointDelay(int64(pl.Npts))
 }

@@ -383,24 +383,6 @@ func BenchmarkComputePhase(b *testing.B) {
 		}
 		b.ReportMetric(pts*float64(b.N)/b.Elapsed().Seconds(), "points/s")
 	})
-	// Pooled steady state is held to the same zero-allocation bar as the
-	// serial planned sweep (the CI grep covers every /planned* variant).
-	for _, wk := range []int{2, 4} {
-		b.Run(fmt.Sprintf("planned-workers%d", wk), func(b *testing.B) {
-			stW := mustRankState(b, p, r, RunOptions{Workers: wk})
-			stW.wpool = newWorkerPool(stW, wk)
-			defer stW.wpool.close()
-			plW := stW.Slots[ti].Plan
-			stW.pBase = stW.Slots[ti].PBase
-			stW.computePhaseParallel(plW, ti) // compile local plan, warm pool
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stW.computePhaseParallel(plW, ti)
-			}
-			b.ReportMetric(pts*float64(b.N)/b.Elapsed().Seconds(), "points/s")
-		})
-	}
 }
 
 // BenchmarkInitPhase compares replaying a compiled boundary-read list

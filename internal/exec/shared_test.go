@@ -114,9 +114,9 @@ func TestCertifyThenRunCompilesOnce(t *testing.T) {
 }
 
 // TestConcurrentRunsShareProgram: eight concurrent runs and a certification
-// on one fresh Program — the first arrivals racing the lazy compile, serial
-// and pooled workers mixed — must all produce the sequential result bit for
-// bit and identical traffic. Run under -race this is the sharing contract
+// on one fresh Program — the first arrivals racing the lazy compile, static
+// and dynamic runs mixed — must all produce the sequential result bit for bit
+// and identical traffic. Run under -race this is the sharing contract
 // serve's concurrent /v1/run and /v1/certify requests against one cached
 // Artifact rely on.
 func TestConcurrentRunsShareProgram(t *testing.T) {
@@ -146,7 +146,7 @@ func TestConcurrentRunsShareProgram(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					opt := exec.RunOptions{Overlap: true, Dynamic: i == 7, Workers: 1 + 2*(i%2)}
+					opt := exec.RunOptions{Overlap: true, Dynamic: i == 7}
 					globs[i], stats[i], errs[i] = c.p.RunParallelOpts(opt)
 				}(i)
 			}

@@ -61,13 +61,10 @@ type RankMetrics struct {
 	Dropped int
 	Resent  int
 
-	// Intra-tile pool attribution: Workers is the rank's pool size (1 =
-	// serial compute), WorkerBusy[w] the wall time worker w spent inside
-	// wavefront segments. The gap between max and min WorkerBusy is the
-	// pool's load imbalance; Compute minus max(WorkerBusy) is the
-	// dispatch/barrier overhead plus the inline small-front share.
-	Workers    int
-	WorkerBusy []time.Duration
+	// Workers is always 1: a rank computes its tiles itself.
+	//
+	// Deprecated: the executor has no intra-tile worker pool.
+	Workers int
 }
 
 // Tracer collects per-rank measured timelines from one RunParallelOpts
@@ -302,9 +299,8 @@ func (rt *rankTracer) endTile(tile ilin.Vec) {
 }
 
 // finish closes the rank's timeline after the end-of-chain WaitSends and
-// publishes events and metrics to the shared tracer. wp is the rank's
-// intra-tile worker pool (nil in serial runs).
-func (rt *rankTracer) finish(pool *bufPool, wp *workerPool) {
+// publishes events and metrics to the shared tracer.
+func (rt *rankTracer) finish(pool *bufPool) {
 	now := time.Now()
 	if !rt.lastEnd.IsZero() {
 		rt.m.Drain = now.Sub(rt.lastEnd)
@@ -315,10 +311,6 @@ func (rt *rankTracer) finish(pool *bufPool, wp *workerPool) {
 	rt.m.PoolHits = pool.hits
 	rt.m.PoolMisses = pool.misses
 	rt.m.Workers = 1
-	if wp != nil {
-		rt.m.Workers = wp.n
-		rt.m.WorkerBusy = append([]time.Duration(nil), wp.busy...)
-	}
 	if rt.rank < len(rt.tr.ranks) {
 		rt.tr.ranks[rt.rank] = rt.m
 	}

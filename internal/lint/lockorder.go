@@ -20,11 +20,13 @@ import (
 // cycles); held-set tracking is a source-order walk, with `defer
 // Unlock` correctly keeping the class held to function end; function
 // literals are walked with an empty held set (goroutine bodies start
-// fresh). Same-class self-edges are reported only when the two lock
-// sites name the syntactically identical receiver — `l.mu` locked twice
-// is a certain self-deadlock, while locking two different instances of
-// one class is an instance-ordering question this analyzer stays silent
-// on.
+// fresh), and so is the callee of a go statement: its operands are
+// evaluated under the spawner's held set, but the call itself runs on a
+// goroutine that holds nothing. Same-class self-edges are reported only
+// when the two lock sites name the syntactically identical receiver —
+// `l.mu` locked twice is a certain self-deadlock, while locking two
+// different instances of one class is an instance-ordering question this
+// analyzer stays silent on.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc:  "flags cyclic mutex acquisition orders (static ABBA deadlocks)",
@@ -179,6 +181,19 @@ func walkLockBody(pass *Pass, body *ast.BlockStmt, fn *loFunc, lits *[]*loFunc) 
 				return false
 			case *ast.DeferStmt:
 				walk(x.Call, true)
+				return false
+			case *ast.GoStmt:
+				fun := x.Call.Fun
+				if sel, ok := fun.(*ast.SelectorExpr); ok {
+					fun = sel.X // the receiver is an operand; the method is the callee
+				}
+				walk(fun, false)
+				for _, arg := range x.Call.Args {
+					walk(arg, false)
+				}
+				if callee, ok := calleeKey(pass, x.Call); ok {
+					fn.calls = append(fn.calls, loCall{callee: callee, pos: x.Call.Pos()})
+				}
 				return false
 			case *ast.CallExpr:
 				name, recv := methodName(x)

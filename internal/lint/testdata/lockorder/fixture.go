@@ -139,6 +139,61 @@ func spawned(a *A, b *B) {
 	_ = b
 }
 
+// A goroutine spawned under a lock does not run under it: spawnUnderP
+// starts q.work while P.mu is held, but work locks Q.mu on a goroutine that
+// holds nothing, so qThenP's Q-then-P order closes no cycle.
+type P struct{ mu Mutex }
+
+type Q struct{ mu Mutex }
+
+func (q *Q) work() {
+	q.mu.Lock()
+	q.mu.Unlock()
+}
+
+func spawnUnderP(p *P, q *Q) {
+	p.mu.Lock()
+	go q.work()
+	p.mu.Unlock()
+}
+
+func qThenP(p *P, q *Q) {
+	q.mu.Lock()
+	p.mu.Lock()
+	p.mu.Unlock()
+	q.mu.Unlock()
+}
+
+// The operands of a go statement are evaluated by the spawner, under its
+// held set: snapshot locks T.mu while S.mu is held.
+type S struct{ mu Mutex }
+
+type T struct {
+	mu Mutex
+	n  int
+}
+
+func (t *T) snapshot() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n
+}
+
+func consume(int) {}
+
+func spawnWithOperand(s *S, t *T) {
+	s.mu.Lock()
+	go consume(t.snapshot()) // want "lock order cycle: T.mu acquired while holding S.mu"
+	s.mu.Unlock()
+}
+
+func tThenS(s *S, t *T) {
+	t.mu.Lock()
+	s.mu.Lock() // want "lock order cycle: S.mu acquired while holding T.mu"
+	s.mu.Unlock()
+	t.mu.Unlock()
+}
+
 // localOnly uses a function-local mutex: out of scope, never reported.
 func localOnly(a *A) {
 	var mu Mutex

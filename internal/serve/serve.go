@@ -42,10 +42,9 @@ type Config struct {
 	// MaxQueue bounds runs waiting for a slot; beyond it requests are
 	// rejected with 429 + Retry-After.
 	MaxQueue int
-	// MaxRanks is the per-request concurrency budget, charged in
-	// goroutine-equivalents: a request costs ranks × workers (the
-	// intra-tile pool size, default 1), and anything over budget is
-	// rejected with 413 before it can monopolize the machine.
+	// MaxRanks is the per-request concurrency budget: a request costs its
+	// distribution's rank count, and anything over budget is rejected with
+	// 413 before it can monopolize the machine.
 	MaxRanks int
 	// RetryAfter is the hint returned with 429 responses.
 	RetryAfter time.Duration
@@ -411,11 +410,6 @@ type runRequest struct {
 	// Overlap selects non-blocking Isends (computation–communication
 	// overlap); results are bit-identical either way.
 	Overlap bool `json:"overlap"`
-	// Workers sets the per-rank intra-tile worker pool size (default and
-	// minimum 1 — the service never applies the GOMAXPROCS heuristic, so
-	// the admission budget ranks × workers is exact). Results are
-	// bit-identical for every value.
-	Workers int `json:"workers,omitempty"`
 	// Verify requires the artifact's certificate (the proof /v1/certify
 	// returns, computed once per cached artifact) before any rank starts.
 	Verify bool `json:"verify"`
@@ -505,19 +499,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 			return writeError(w, http.StatusUnprocessableEntity, "certification failed: %v", err)
 		}
 	}
-	workers := req.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// The budget is charged in goroutine-equivalents: every rank runs
-	// `workers` intra-tile workers, so a spec's effective cost is
-	// ranks × workers — a small mesh with a deep pool can be as heavy as a
-	// big mesh.
-	if art.Procs*workers > s.cfg.MaxRanks {
+	if art.Procs > s.cfg.MaxRanks {
 		s.budgetRejected.Add(1)
 		return writeError(w, http.StatusRequestEntityTooLarge,
-			"spec needs %d ranks × %d workers = %d, budget is %d",
-			art.Procs, workers, art.Procs*workers, s.cfg.MaxRanks)
+			"spec needs %d ranks, budget is %d", art.Procs, s.cfg.MaxRanks)
 	}
 	release, err := s.adm.acquire(r.Context())
 	if err != nil {
@@ -543,7 +528,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	opt := exec.RunOptions{
 		Overlap: req.Overlap,
 		Dynamic: dynamic,
-		Workers: workers,
 		Net:     mpi.Options{Watchdog: s.cfg.Watchdog, Faults: faults},
 	}
 	if req.CheckpointEvery > 0 {

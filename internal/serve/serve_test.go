@@ -184,10 +184,19 @@ func TestBadSpecRejected(t *testing.T) {
 			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, body)
 		}
 	}
-	// Unknown fields are rejected too — schema typos fail loud.
-	resp, _ := postJSON(t, client, ts.URL+"/v1/analyze", map[string]any{"sauce": "x"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
+	// Unknown fields are rejected too — schema typos fail loud, and so does
+	// a field the schema no longer has.
+	for name, c := range map[string]struct {
+		path string
+		body map[string]any
+	}{
+		"unknown field":         {"/v1/analyze", map[string]any{"sauce": "x"}},
+		"removed field workers": {"/v1/run", map[string]any{"source": heatSpec(12), "workers": 2}},
+	} {
+		resp, body := postJSON(t, client, ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -238,48 +247,6 @@ func TestRunRankBudget(t *testing.T) {
 	}
 	if s.budgetRejected.Load() != 1 {
 		t.Fatalf("budgetRejected = %d, want 1", s.budgetRejected.Load())
-	}
-}
-
-// TestRunWorkersBudget: the admission budget charges ranks × workers, so
-// a spec that fits serially is rejected once a worker pool multiplies its
-// cost — with a 413 naming the effective demand.
-func TestRunWorkersBudget(t *testing.T) {
-	leakCheck(t)
-	src := heatSpec(12)
-	art, err := compileSpec(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts, client := newTestServer(t, Config{MaxRanks: art.Procs})
-
-	resp, body := postJSON(t, client, ts.URL+"/v1/run", runRequest{Source: src, Workers: 1})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("workers=1 inside budget: status %d (%s)", resp.StatusCode, body)
-	}
-	want := decode[runResponse](t, body).Checksum
-
-	resp, body = postJSON(t, client, ts.URL+"/v1/run", runRequest{Source: src, Workers: 2})
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("workers=2 over budget: status %d (%s), want 413", resp.StatusCode, body)
-	}
-	msg := string(body)
-	wantMsg := fmt.Sprintf("%d ranks × 2 workers = %d", art.Procs, art.Procs*2)
-	if !strings.Contains(msg, wantMsg) {
-		t.Fatalf("413 body %q does not name the effective demand %q", msg, wantMsg)
-	}
-	if s.budgetRejected.Load() != 1 {
-		t.Fatalf("budgetRejected = %d, want 1", s.budgetRejected.Load())
-	}
-
-	// A pooled run inside a wider budget stays bit-identical to serial.
-	_, ts2, client2 := newTestServer(t, Config{MaxRanks: art.Procs * 4})
-	resp, body = postJSON(t, client2, ts2.URL+"/v1/run", runRequest{Source: src, Workers: 3})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("workers=3: status %d (%s)", resp.StatusCode, body)
-	}
-	if got := decode[runResponse](t, body).Checksum; got != want {
-		t.Fatalf("workers=3 checksum %s, serial %s", got, want)
 	}
 }
 

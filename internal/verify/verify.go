@@ -4,7 +4,7 @@
 // goroutines, no mpi.World, no kernel execution — that a compiled tiled
 // program is correct before a single rank runs.
 //
-// Certify establishes four theorems per spec × tiling × rank-grid:
+// Certify establishes three theorems per spec × tiling × rank-grid:
 //
 //  1. Comm-set exactness. Every value a remote iteration reads is packed
 //     (soundness) and no LDS cell is packed twice (non-redundancy): each
@@ -29,14 +29,6 @@
 //     chain slot — stays inside the allocated LDS box; a wrong offset shows
 //     as a wrong iteration code at a concrete point.
 //
-//  4. Intra-tile linear extension. The wavefront schedule the executor's
-//     worker pool fires (distrib.NewLocalSchedule of each compiled shape)
-//     covers every point of the shape exactly once, and every intra-tile
-//     dependence flows from a strictly earlier front — so any execution
-//     order within a front, including concurrent workers, is a linear
-//     extension of the dependence order and bit-identical to the serial
-//     sweep (see local.go).
-//
 // A failed proof is reported as a *Violation carrying the offending rank,
 // tile and a concrete counterexample point, so the diagnostic names the
 // exact iteration (or LDS cell) that would have been computed wrongly.
@@ -56,8 +48,7 @@ import (
 
 // Violation is one disproved certification claim. Rule names the theorem
 // ("comm-soundness", "comm-redundancy", "fifo-order", "deadlock",
-// "schedule-edge", "lds-bounds", "address-program", "coverage",
-// "local-coverage", "local-order"), and
+// "schedule-edge", "lds-bounds", "address-program", "coverage"), and
 // Point is the concrete counterexample — a global iteration point, or the
 // predecessor tile / LDS cell named in Detail when no single iteration
 // identifies the failure.
@@ -95,7 +86,7 @@ type Report struct {
 	Points   int64 // iteration points replayed
 	Messages int64 // schedule messages proved exact
 	Values   int64 // values carried by those messages
-	Checks   int64 // table offsets resolved and bounds-checked, plus local-schedule facts
+	Checks   int64 // table offsets resolved and bounds-checked
 	Shapes   int   // size of the compiled shape table: (ChainLen, clamped shape) plans
 }
 
@@ -105,7 +96,7 @@ func (r *Report) String() string {
 		r.Procs, r.Tiles, r.Points, r.Messages, r.Values, r.Shapes, r.Checks)
 }
 
-// Certify proves the four certification theorems for the compiled program
+// Certify proves the three certification theorems for the compiled program
 // (ts, d) — about the distribution's compiled protocol, the tables the
 // executor interprets, which it compiles here if no run has yet. ts must be
 // the space d was built over. It returns a coverage report on success and
@@ -130,9 +121,6 @@ func Certify(ts *tiling.TiledSpace, d *distrib.Distribution) (*Report, error) {
 		return nil, err
 	}
 	rep.Messages = int64(len(edges))
-	if err := checkLocalSchedules(d, plans, rep); err != nil {
-		return nil, err
-	}
 	if err := replay(d, plans, rep); err != nil {
 		return nil, err
 	}

@@ -258,85 +258,6 @@ func TestCertifyRejectsMutatedSpace(t *testing.T) {
 	}
 }
 
-// TestMutationCorruptedLocalScheduleRejected corrupts the intra-tile
-// wavefront schedule in each of the ways a buggy derivation could — points
-// skipped (their row dropped from its front), points fired twice (their row
-// listed twice), and fronts merged so a dependence no longer crosses them —
-// and asserts CheckLocalSchedule rejects each with a concrete
-// counterexample.
-func TestMutationCorruptedLocalScheduleRejected(t *testing.T) {
-	c := matrixCases(t)[0]
-	seq := distrib.SeqDims(c.ts.DP)
-	var (
-		tile ilin.Vec
-		zs   []int64
-		ls   *distrib.LocalSchedule
-	)
-	c.ts.ScanTiles(func(s ilin.Vec) bool {
-		var cand []int64 // the rows' first points
-		c.ts.ScanTileRows(s, func(z, jp ilin.Vec, n int64) bool {
-			cand = append(cand, z...)
-			return true
-		})
-		sched := distrib.NewLocalSchedule(c.ts, cand, seq)
-		if len(sched.Fronts) >= 2 {
-			tile, zs, ls = s.Clone(), cand, sched
-			return false
-		}
-		return true
-	})
-	if ls == nil {
-		t.Fatal("no tile with a multi-front schedule in the space")
-	}
-	if v := verify.CheckLocalSchedule(c.ts, tile, zs, ls); v != nil {
-		t.Fatalf("pristine schedule rejected: %v", v)
-	}
-
-	clone := func() *distrib.LocalSchedule {
-		cp := &distrib.LocalSchedule{Seq: ls.Seq, Sigma: ls.Sigma}
-		for _, f := range ls.Fronts {
-			cp.Fronts = append(cp.Fronts, append([]int32(nil), f...))
-		}
-		return cp
-	}
-	mutations := map[string]struct {
-		mutate func(*distrib.LocalSchedule)
-		rule   string
-	}{
-		"dropped-point": {func(s *distrib.LocalSchedule) {
-			last := s.Fronts[len(s.Fronts)-1]
-			s.Fronts[len(s.Fronts)-1] = last[:len(last)-1]
-		}, "local-coverage"},
-		"doubled-point": {func(s *distrib.LocalSchedule) {
-			s.Fronts[0] = append(s.Fronts[0], s.Fronts[0][0])
-		}, "local-coverage"},
-		"merged-fronts": {func(s *distrib.LocalSchedule) {
-			var all []int32
-			for _, f := range s.Fronts {
-				all = append(all, f...)
-			}
-			s.Fronts = [][]int32{all}
-		}, "local-order"},
-	}
-	for name, m := range mutations {
-		t.Run(name, func(t *testing.T) {
-			s := clone()
-			m.mutate(s)
-			v := verify.CheckLocalSchedule(c.ts, tile, zs, s)
-			if v == nil {
-				t.Fatal("corrupted schedule accepted")
-			}
-			if v.Rule != m.rule {
-				t.Errorf("rejected under rule %q, want %q", v.Rule, m.rule)
-			}
-			if v.Point == nil {
-				t.Errorf("rejection carries no counterexample point: %v", v)
-			}
-			t.Logf("rejected: %v", v)
-		})
-	}
-}
-
 // TestCertifyRejectsForeignSpace: Certify(ts, d) with a space other than the
 // one d was built over would mix two spaces; it must refuse before any work.
 func TestCertifyRejectsForeignSpace(t *testing.T) {

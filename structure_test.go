@@ -186,3 +186,35 @@ func TestOneKernelText(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestExecSpawnsNoGoroutine pins that the executor has one level of
+// parallelism: no non-test file of internal/exec holds a go statement, so
+// every goroutine of a run is a rank started by mpi.World.RunE, and a rank
+// sweeps its tiles' rows itself.
+func TestExecSpawnsNoGoroutine(t *testing.T) {
+	files, err := filepath.Glob("internal/exec/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	parsed := 0
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: go statement in the executor", fset.Position(g.Pos()))
+			}
+			return true
+		})
+	}
+	if parsed == 0 {
+		t.Fatal("no executor source found")
+	}
+}
