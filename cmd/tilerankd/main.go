@@ -97,6 +97,9 @@ func run(rank int, peersPath, specPath, resultPath string, overlap bool,
 		}
 	}
 	if snap != nil {
+		if snap.Rank != rank {
+			return fmt.Errorf("checkpoint %s is a snapshot of rank %d, this process is rank %d", ckptPath, snap.Rank, rank)
+		}
 		// The welcome counts and outbound sequence numbers must describe
 		// the restored conversation, not a fresh one.
 		cfg.Recv, cfg.Sent = snap.Recv, snap.Sent

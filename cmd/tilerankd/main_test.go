@@ -9,11 +9,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	texec "tilespace/internal/exec"
 	"tilespace/internal/procrun"
 )
 
@@ -117,6 +119,36 @@ func writeRankdFixture(t *testing.T, dir string, procs int) (peers, spec string)
 		t.Fatal(err)
 	}
 	return peers, spec
+}
+
+// TestRankdRefusesAnotherRanksCheckpoint: a -ckpt file saved by rank 1 must
+// not seed rank 0's mesh — its welcome counts would claim a conversation
+// rank 0 never had — so run refuses it, naming both ranks, before any mesh
+// is built.
+func TestRankdRefusesAnotherRanksCheckpoint(t *testing.T) {
+	prog, err := procrun.Compile(rankdSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	peers, spec := writeRankdFixture(t, dir, prog.Dist.NumProcs())
+	ckpt := filepath.Join(dir, "rank1.ckpt")
+	if err := procrun.SaveSnapshot(ckpt, &texec.RankSnapshot{Rank: 1, NextTile: 1}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(0, peers, spec, filepath.Join(dir, "rank0.json"), false,
+			time.Second, ckpt, 2, 500*time.Millisecond, 0, 0)
+	}()
+	select {
+	case err = <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("run accepted rank 1's checkpoint and went on to wait for its peers")
+	}
+	if err == nil || !strings.Contains(err.Error(), "snapshot of rank 1, this process is rank 0") {
+		t.Fatalf("run with rank 1's checkpoint as rank 0: err = %v", err)
+	}
 }
 
 // TestRankdEndToEnd is the multi-process differential: build the

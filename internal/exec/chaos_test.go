@@ -159,6 +159,57 @@ func chaosCases(t *testing.T) []diffCase {
 	return out
 }
 
+// checkChaos runs c under fault f and holds it to the fault-free run of the
+// same communication mode: bit-identical Global, identical traffic, one
+// crash where one is planned, every dropped send resent, no goroutine left.
+func checkChaos(t *testing.T, c diffCase, overlap bool, f chaosFault, want *exec.Global, wantStats mpi.Stats) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	tr := exec.NewTracer()
+	got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
+		Overlap:    overlap,
+		Net:        f.net,
+		Trace:      tr,
+		Checkpoint: f.ck,
+	})
+	if err != nil {
+		t.Fatalf("faulty run: %v", err)
+	}
+	// A converged recovery re-issues exactly what the crash dropped —
+	// nothing under blocking sends, which are delivered before they return.
+	var crashes, dropped int
+	for _, m := range tr.PerRank() {
+		crashes += m.Crashes
+		dropped += m.Dropped
+		if m.Resent != m.Dropped {
+			t.Errorf("rank %d: crash dropped %d sends, recovery resent %d", m.Rank, m.Dropped, m.Resent)
+		}
+	}
+	if f.ck != nil && crashes != 1 {
+		t.Errorf("%d ranks crashed, want 1", crashes)
+	}
+	if !overlap && dropped != 0 {
+		t.Errorf("crash dropped %d blocking sends", dropped)
+	}
+	if f.name == "crash-inflight" && overlap && dropped == 0 {
+		t.Error("crash found nothing in flight — the case does not cross the drop path")
+	}
+	if diff, at := want.MaxAbsDiff(got, c.p.ScanSpace); diff != 0 {
+		t.Fatalf("faulty run differs from fault-free by %g at %v", diff, at)
+	}
+	if f.name == "transient-send-failure" {
+		if gotStats.SendRetries == 0 {
+			t.Error("no retries injected — the fault class is inert at this seed")
+		}
+		gotStats = dropRetries(gotStats)
+	}
+	if !reflect.DeepEqual(wantStats, gotStats) {
+		t.Fatalf("traffic stats drifted under faults\nfault-free: %+v\nfaulty:     %+v", wantStats, gotStats)
+	}
+	checkGoroutines(t, before)
+}
+
+// TestChaosMatrix runs every fault class in both communication modes.
 func TestChaosMatrix(t *testing.T) {
 	seed := chaosSeed(t)
 	for _, c := range chaosCases(t) {
@@ -171,50 +222,34 @@ func TestChaosMatrix(t *testing.T) {
 			for _, f := range chaosFaults(t, seed, c.p.Dist) {
 				f := f
 				t.Run(fmt.Sprintf("%s/overlap=%v/%s", c.name, overlap, f.name), func(t *testing.T) {
-					before := runtime.NumGoroutine()
-					tr := exec.NewTracer()
-					got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
-						Overlap:    overlap,
-						Net:        f.net,
-						Trace:      tr,
-						Checkpoint: f.ck,
-					})
-					if err != nil {
-						t.Fatalf("faulty run: %v", err)
-					}
-					// A converged recovery re-issues exactly what the crash
-					// dropped — nothing under blocking sends, which are
-					// delivered before they return.
-					var crashes, dropped int
-					for _, m := range tr.PerRank() {
-						crashes += m.Crashes
-						dropped += m.Dropped
-						if m.Resent != m.Dropped {
-							t.Errorf("rank %d: crash dropped %d sends, recovery resent %d", m.Rank, m.Dropped, m.Resent)
-						}
-					}
-					if f.ck != nil && crashes != 1 {
-						t.Errorf("%d ranks crashed, want 1", crashes)
-					}
-					if !overlap && dropped != 0 {
-						t.Errorf("crash dropped %d blocking sends", dropped)
-					}
-					if f.name == "crash-inflight" && overlap && dropped == 0 {
-						t.Error("crash found nothing in flight — the case does not cross the drop path")
-					}
-					if diff, at := want.MaxAbsDiff(got, c.p.ScanSpace); diff != 0 {
-						t.Fatalf("faulty run differs from fault-free by %g at %v", diff, at)
-					}
-					if f.name == "transient-send-failure" {
-						if gotStats.SendRetries == 0 {
-							t.Error("no retries injected — the fault class is inert at this seed")
-						}
-						gotStats = dropRetries(gotStats)
-					}
-					if !reflect.DeepEqual(wantStats, gotStats) {
-						t.Fatalf("traffic stats drifted under faults\nfault-free: %+v\nfaulty:     %+v", wantStats, gotStats)
-					}
-					checkGoroutines(t, before)
+					checkChaos(t, c, overlap, f, want, wantStats)
+				})
+			}
+		}
+	}
+}
+
+// TestChaosMatrixDynamic reruns the overlap arm of TestChaosMatrix at every
+// runtime thread count (workerCounts), where the NIC goroutines and the
+// ranks race hardest: the result and the traffic must not depend on how
+// many OS threads run the ranks. The name and the workers=N subtests are
+// kept from the dynamic receive policy this matrix once exercised.
+func TestChaosMatrixDynamic(t *testing.T) {
+	seed := chaosSeed(t)
+	for _, c := range chaosCases(t) {
+		c := c
+		want, wantStats, err := c.p.RunParallelOpts(exec.RunOptions{Overlap: true})
+		if err != nil {
+			t.Fatalf("%s fault-free overlap: %v", c.name, err)
+		}
+		for _, w := range workerCounts() {
+			if testing.Short() && w > 1 {
+				continue
+			}
+			for _, f := range chaosFaults(t, seed, c.p.Dist) {
+				f := f
+				t.Run(fmt.Sprintf("%s/workers=%d/%s", c.name, w, f.name), func(t *testing.T) {
+					withWorkers(w, func() { checkChaos(t, c, true, f, want, wantStats) })
 				})
 			}
 		}

@@ -41,9 +41,9 @@ import (
 //     snapshot fails to cover corrupts the differential result instead of
 //     silently surviving.
 //   - Restore: copy the snapshot back, unpack the held payloads on top of
-//     it (a message claimed early by the dynamic policy may belong to a
-//     tile past the crash point, so all of them go back at once), turn the
-//     ledger into a resend cursor and rewind the chain to the resume slot.
+//     it (rows are claimed in table order, so every held payload belongs to
+//     a slot between the snapshot and the crash), turn the ledger into a
+//     resend cursor and rewind the chain to the resume slot.
 //   - Re-execution: the rewound tiles find their inbound-table rows already
 //     claimed (claimed messages are not re-received from the wire, so
 //     mpi.Stats count them once); packing consults the cursor — the
@@ -67,9 +67,9 @@ type CheckpointOptions struct {
 	// FaultPlan.Crash is fatal: recovery is a relaunched process with
 	// Resume. Nil keeps the snapshot in memory for in-process recovery.
 	Save func(*RankSnapshot) error
-	// Resume, when non-nil, starts rank Resume.Rank at the snapshot instead
-	// of tile zero. The caller (cmd/tilerankd) must have built the world's
-	// mesh from the snapshot's Recv and Sent (mpi.TCPConfig).
+	// Resume, when non-nil, starts rank Resume.Rank (one of the program's,
+	// or the run is refused) at the snapshot instead of tile zero. The caller
+	// (cmd/tilerankd) must build the mesh from its Recv/Sent (mpi.TCPConfig).
 	Resume *RankSnapshot
 }
 

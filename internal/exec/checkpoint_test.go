@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -131,6 +132,20 @@ func TestCrashWithoutCheckpointAborts(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "crashed") || !strings.Contains(err.Error(), "rank 1") {
 		t.Fatalf("abort diagnostic does not name the crash: %v", err)
+	}
+}
+
+// A Resume snapshot of a rank the program does not have refuses the run,
+// naming the rank, instead of being ignored by every rank.
+func TestResumeOfUnknownRankRejected(t *testing.T) {
+	c := diffCases(t)[0]
+	for _, rank := range []int{-1, c.p.Dist.NumProcs()} {
+		_, _, err := c.p.RunParallelOpts(exec.RunOptions{
+			Checkpoint: &exec.CheckpointOptions{Resume: &exec.RankSnapshot{Rank: rank}},
+		})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("rank %d", rank)) {
+			t.Errorf("Resume.Rank = %d: err = %v, want a refusal naming the rank", rank, err)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // This file is the reference executor: the §3.2 protocol derived point by
 // point — Addresser evaluation (FloorDiv per dimension per read) for every
 // address, region walks for pack and unpack — with none of the compiled
-// plans, the inbound-message table, tracing, checkpointing or dynamic
-// receives. It is the oracle the differential and property suites compare
+// plans, the inbound-message table, tracing or checkpointing. It is the
+// oracle the differential and property suites compare
 // the planned executor against (Global bit for bit, mpi.Stats DeepEqual),
 // so it shares the rank's static tables
 // (newRankState: comm tables and the LDS) but no phase code with

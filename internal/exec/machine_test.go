@@ -186,22 +186,26 @@ func TestRankCoresByHand(t *testing.T) {
 					})
 				}
 			}
-			// offer accepts a row only at its stream's head.
+			// offer accepts only the row next names: a row of the slot's own
+			// stream behind it, or of a later slot, is refused.
 			for r := 0; r < p.Dist.NumProcs(); r++ {
 				st := mustRankState(t, p, r, RunOptions{})
-				for _, rows := range st.Rows {
-					if len(rows) < 2 {
+				if len(st.Msgs) < 2 {
+					continue
+				}
+				_, named := st.next()
+				for row := range st.Msgs {
+					if row == named {
 						continue
 					}
-					row := rows[1]
 					data := make([]float64, st.Msgs[row].Runs.Total*int64(p.Width))
-					if err := st.offer(row, data); err == nil || !strings.Contains(err.Error(), "out of stream order") {
-						t.Fatalf("rank %d: offer of row %d behind its stream's head: err = %v", r, row, err)
+					if err := st.offer(row, data); err == nil || !strings.Contains(err.Error(), "out of order") {
+						t.Fatalf("rank %d: offer of row %d while next names row %d: err = %v", r, row, named, err)
 					}
-					return
 				}
+				return
 			}
-			t.Fatal("no stream carries two messages — the out-of-order case needs another geometry")
+			t.Fatal("no rank receives two messages — the out-of-order case needs another geometry")
 		})
 	}
 }

@@ -68,13 +68,11 @@ type RunOptions struct {
 	// loopback TCP); results and Stats are bit-identical across transports,
 	// only WireStats differ. Nil runs on a fresh in-process channel world.
 	World *mpi.World
-	// Dynamic switches each rank's receive policy (see runRank): before
-	// each tile, every message that has already arrived — for that tile or
-	// a later one — is claimed and unpacked; the rank blocks only for the
-	// current tile's missing messages. Tiles still fire in chain order and
-	// all sends are asynchronous (Overlap is forced on). Results and
-	// mpi.Stats are bit-identical to the static overlap mode; only timing
-	// changes. Mutually exclusive with Checkpoint.Save and Checkpoint.Resume.
+	// Dynamic is ignored: a rank receives each slot's messages in the
+	// order its inbound-message table names them, as the paper's generated
+	// code does (see receive.go).
+	//
+	// Deprecated: the executor has one receive policy; leave it unset.
 	Dynamic bool
 }
 
@@ -95,14 +93,10 @@ func (p *Program) RunParallel() (*Global, mpi.Stats, error) {
 
 // RunParallelOpts is RunParallel with an explicit execution strategy.
 func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
-	if opt.Dynamic {
-		if ck := opt.Checkpoint; ck != nil && (ck.Save != nil || ck.Resume != nil) {
-			return nil, mpi.Stats{}, fmt.Errorf("exec: Dynamic and Checkpoint.Save/Resume are mutually exclusive (a saved snapshot's stream counts assume the static claim order)")
+	if ck := opt.Checkpoint; ck != nil && ck.Resume != nil {
+		if r, n := ck.Resume.Rank, p.Dist.NumProcs(); r < 0 || r >= n {
+			return nil, mpi.Stats{}, fmt.Errorf("exec: Checkpoint.Resume is a snapshot of rank %d, the program has ranks 0..%d", r, n-1)
 		}
-		// Dynamic sends are always asynchronous: forcing the overlap
-		// primitive here keeps runRank on the Isend path and makes Stats
-		// bit-identical to a static Overlap run.
-		opt.Overlap = true
 	}
 	world := opt.World
 	if world != nil && world.Size() != p.Dist.NumProcs() {
@@ -165,10 +159,10 @@ type rankState struct {
 	deps []ilin.Vec // original dependence vectors d_l
 	dps  []ilin.Vec // transformed d'_l
 
-	// t is the chain slot the rank fires next; in is the claim state of the
-	// inbound-message table (receive.go).
+	// t is the chain slot the rank fires next; cur is the claim cursor of
+	// the inbound-message table: the rows below it are claimed (receive.go).
 	t       int64
-	in      inbox
+	cur     int
 	pBase   ilin.Vec  // P·j^S of the current tile (the slot's, not a copy)
 	rowStep ilin.Vec  // the global point's step along a TTIS row
 	ev      *rowEval  // the row-evaluation scratch
@@ -215,31 +209,26 @@ func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 	st.rowStep = pr.RowStep
 	st.ev = newRowEval(st)
 	st.init = p.boundaryValues(r, rp)
-	st.in.claimed = make([]bool, len(rp.Msgs))
-	st.in.heads = make([]int, len(rp.Rows))
 	st.out = make([]outMsg, 0, len(rp.SendRank))
 	if opt.Checkpoint != nil {
 		if st.ckpt, err = st.newCkptState(opt.Checkpoint); err != nil {
 			return nil, err
 		}
 		// A resumed chain starts at its snapshot; its earlier incarnation
-		// claimed every row before (static claim order: Dynamic excludes
-		// Checkpoint.Resume).
+		// claimed every row of the slots before.
 		st.t = st.ckpt.snap.NextTile
-		for in := &st.in; in.cur < len(rp.Msgs) && rp.Msgs[in.cur].T < st.t; in.cur++ {
-			in.claimed[in.cur] = true
-			in.heads[rp.Msgs[in.cur].Dir]++
+		for st.cur < len(rp.Msgs) && rp.Msgs[st.cur].T < st.t {
+			st.cur++
 		}
 	}
 	return st, nil
 }
 
 // runRank is the rank's driver, and the one place the executor calls the
-// runtime. Per chain slot it receives the rows next names — after draining
-// every stream head that has already arrived, under the Dynamic policy —
-// fires the slot and issues its outbox. It carries out a planned crash (drop
-// the unsent queue, sit out the restart, then crash the machine) and a due
-// snapshot (quiesce the wire, snapshot, hand the result to Save).
+// runtime. Per chain slot it receives the rows next names, fires the slot
+// and issues its outbox. It carries out a planned crash (drop the unsent
+// queue, sit out the restart, then crash the machine) and a due snapshot
+// (quiesce the wire, snapshot, hand the result to Save).
 func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	r := c.Rank()
 	st, err := newRankState(p, r, opt)
@@ -267,22 +256,6 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		}
 		if st.tr != nil {
 			st.tr.beginTile()
-		}
-		if opt.Dynamic {
-			for di := range st.Rows {
-				for h := st.head(di); h >= 0; h = st.head(di) {
-					data, ok := c.TryRecv(st.RecvRank[di], di)
-					if !ok {
-						break // nothing more has arrived on this stream
-					}
-					if st.tr != nil {
-						st.tr.noteRecv(0, 0, len(data))
-					}
-					if err := st.offer(h, data); err != nil {
-						return err
-					}
-				}
-			}
 		}
 		for _, row := st.next(); row >= 0; _, row = st.next() {
 			var t0 time.Time

@@ -1,13 +1,13 @@
 // Package mpi is an in-process message-passing runtime with MPI-like
 // semantics: a fixed-size world of ranks (goroutines), blocking typed
 // point-to-point Send/Recv with (source, tag) matching and per-stream FIFO
-// ordering, a polling TryRecv, non-blocking in-order Isends completed by
-// count (WaitSends) and a barrier.
+// ordering, non-blocking in-order Isends completed by count (WaitSends) and
+// a barrier.
 //
 // A (source, tag) stream is a FIFO queue plus a count of the messages taken
-// from it: receivers claim only the head, blocking (Recv) or polling
-// (TryRecv) — there are no posted receives and no per-message numbering —
-// and the count is the stream's checkpoint coordinate (StreamCounts). The
+// from it: a receiver blocks for the head and claims it (Recv) — there are
+// no posted receives, no polling and no per-message numbering — and the
+// count is the stream's checkpoint coordinate (StreamCounts). The
 // barrier is built from the same streams (Comm.Barrier), so it shares their
 // ordering, watchdog and abort behaviour on every transport.
 //
@@ -101,11 +101,10 @@ func (mb *mailbox) put(m Message) {
 	mb.cond.Broadcast()
 }
 
-// take claims the head of stream k for rank. A poll (block false) returns
-// ok false when the stream is empty. A blocking take waits for the head:
-// when the world has a watchdog timeout it panics with a deadlock
-// diagnostic instead of waiting forever; when a peer rank has failed it
-// panics with a secondary abort so the world can drain.
+// take claims the head of stream k for rank, waiting for it: when the world
+// has a watchdog timeout it panics with a deadlock diagnostic instead of
+// waiting forever; when a peer rank has failed it panics with a secondary
+// abort so the world can drain.
 //
 // The watchdog observes *global* progress, not a flat per-call timeout: a
 // receiver blocked here while another rank is still running (long compute
@@ -114,19 +113,16 @@ func (mb *mailbox) put(m Message) {
 // deadline re-arms. It fires only after two consecutive timeout periods in
 // which every live rank sat parked in a blocking wait with nothing
 // delivered — which is a genuine communication deadlock.
-func (mb *mailbox) take(k streamKey, block bool, w *World, rank int, op string) (Message, bool) {
-	var watch *stallWatch // stays nil, which never fires, for a poll
-	if block {
-		watch = w.newStallWatch(&mb.mu, mb.cond)
-		defer watch.stop()
-		w.blocked.Add(1)
-		defer w.blocked.Add(-1)
-	}
+func (mb *mailbox) take(k streamKey, w *World, rank int, op string) Message {
+	watch := w.newStallWatch(&mb.mu, mb.cond)
+	defer watch.stop()
+	w.blocked.Add(1)
+	defer w.blocked.Add(-1)
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	s := mb.streamOf(k)
 	for {
-		if block && w.aborted.Load() {
+		if w.aborted.Load() {
 			panic(abortPanic{fmt.Sprintf("rank %d abandoned %s(src=%d, tag=%d): a peer rank failed", rank, op, k.src, k.tag)})
 		}
 		if s.head < len(s.queue) {
@@ -134,10 +130,7 @@ func (mb *mailbox) take(k streamKey, block bool, w *World, rank int, op string) 
 			s.queue[s.head] = Message{} // the payload is the receiver's now
 			s.head++
 			s.taken++
-			return m, true
-		}
-		if !block {
-			return Message{}, false
+			return m
 		}
 		if watch.deadlocked() {
 			panic(fmt.Sprintf("watchdog: rank %d blocked in %s(src=%d, tag=%d) longer than %v with no global progress — deadlock suspected (no matching send)", rank, op, k.src, k.tag, w.opts.Watchdog))
@@ -247,7 +240,7 @@ type RankTraffic struct {
 	BlockingSends   int64 // messages sent with Send
 	OverlappedSends int64 // messages sent with Isend
 	Values          int64 // float64 values across both
-	Recvs           int64 // messages claimed by Recv/TryRecv
+	Recvs           int64 // messages claimed by Recv
 	ValuesRecvd     int64 // float64 values across claimed messages
 	SendRetries     int64 // injected transient send failures survived (Options.Faults)
 }
@@ -693,20 +686,9 @@ func (c *Comm) Recv(src, tag int) []float64 {
 // mailbox queue time. Matching and ordering are identical to Recv.
 func (c *Comm) RecvMsg(src, tag int) Message {
 	c.check(src, tag)
-	m, _ := c.world.boxes[c.rank].take(streamKey{src, tag}, true, c.world, c.rank, "Recv")
+	m := c.world.boxes[c.rank].take(streamKey{src, tag}, c.world, c.rank, "Recv")
 	c.world.noteRecv(c.rank, len(m.Data))
 	return m
-}
-
-// TryRecv is a non-blocking Recv: it claims the head of the stream if one
-// is queued; ok is false, at once, when none is.
-func (c *Comm) TryRecv(src, tag int) ([]float64, bool) {
-	c.check(src, tag)
-	m, ok := c.world.boxes[c.rank].take(streamKey{src, tag}, false, c.world, c.rank, "TryRecv")
-	if ok {
-		c.world.noteRecv(c.rank, len(m.Data))
-	}
-	return m.Data, ok
 }
 
 // Barrier blocks until all ranks have entered it: every rank reports to
@@ -732,7 +714,7 @@ func (c *Comm) Barrier() {
 }
 
 func (c *Comm) barrierRecv(src int) {
-	c.world.boxes[c.rank].take(streamKey{src, tagBarrier}, true, c.world, c.rank, "Barrier")
+	c.world.boxes[c.rank].take(streamKey{src, tagBarrier}, c.world, c.rank, "Barrier")
 }
 
 // FlushWire blocks until every message this rank has delivered is out of

@@ -90,34 +90,12 @@ func TestTagSelectivity(t *testing.T) {
 	})
 }
 
-func TestTryRecv(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			if _, ok := c.TryRecv(1, 0); ok {
-				t.Error("TryRecv should find nothing before barrier")
-			}
-			c.Barrier()
-			c.Barrier()
-			if got, ok := c.TryRecv(1, 0); !ok || got[0] != 5 {
-				t.Errorf("TryRecv after send = %v, %v", got, ok)
-			}
-		} else {
-			c.Barrier()
-			c.Send(0, 0, []float64{5})
-			c.Barrier()
-		}
-	})
-}
-
 // TestMailboxAgainstModel drives one rank's mailbox with random traffic and
 // checks it against the obvious model, a slice per stream: ranks 1..senders
 // each feed rank 0 on several tags at once while rank 0 drains every stream
-// from its own goroutine, choosing at random between Recv and TryRecv. The
-// i-th message claimed from a stream must be the i-th one sent on it
-// (per-stream FIFO, source and tag selectivity); TryRecv must claim the
-// head whenever the sender has finished delivering it and must never
-// produce anything else; and once drained the mailbox must hold no payload.
+// with Recv from its own goroutine. The i-th message claimed from a stream
+// must be the i-th one sent on it (per-stream FIFO, source and tag
+// selectivity), and once drained the mailbox must hold no payload.
 func TestMailboxAgainstModel(t *testing.T) {
 	const (
 		senders = 3
@@ -127,11 +105,9 @@ func TestMailboxAgainstModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	type key struct{ src, tag int }
 	model := map[key][][]float64{}
-	sent := map[key]*atomic.Int64{} // messages of the stream whose Send has returned
 	for src := 1; src <= senders; src++ {
 		for tag := 0; tag < tags; tag++ {
 			k := key{src, tag}
-			sent[k] = new(atomic.Int64)
 			for i := 0; i < msgs; i++ {
 				model[k] = append(model[k], []float64{float64(src), float64(tag), float64(i), rng.Float64()})
 			}
@@ -148,7 +124,6 @@ func TestMailboxAgainstModel(t *testing.T) {
 					defer wg.Done()
 					for _, m := range model[k] {
 						c.Send(0, k.tag, m)
-						sent[k].Add(1)
 						runtime.Gosched()
 					}
 				}(key{src, tag})
@@ -156,34 +131,15 @@ func TestMailboxAgainstModel(t *testing.T) {
 			}
 			for src := 1; src <= senders; src++ {
 				wg.Add(1)
-				go func(k key, rng *rand.Rand) {
+				go func(k key) {
 					defer wg.Done()
-					for i := 0; i < msgs; {
-						var got []float64
-						if rng.Intn(2) == 0 {
-							got = c.Recv(k.src, k.tag)
-						} else {
-							here := sent[k].Load() > int64(i)
-							var ok bool
-							if got, ok = c.TryRecv(k.src, k.tag); !ok {
-								if here {
-									t.Errorf("stream %v: TryRecv missed message %d after its Send returned", k, i)
-									return
-								}
-								runtime.Gosched()
-								continue
-							}
-						}
-						if want := model[k][i]; len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || got[3] != want[3] {
+					for i, want := range model[k] {
+						if got := c.Recv(k.src, k.tag); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] || got[3] != want[3] {
 							t.Errorf("stream %v: claim %d is %v, want %v", k, i, got, want)
 							return
 						}
-						i++
 					}
-					if got, ok := c.TryRecv(k.src, k.tag); ok {
-						t.Errorf("stream %v: TryRecv produced %v from a drained stream", k, got)
-					}
-				}(key{src, tag}, rand.New(rand.NewSource(rng.Int63())))
+				}(key{src, tag})
 			}
 		}
 	})
@@ -312,7 +268,7 @@ func TestInvalidUsePanics(t *testing.T) {
 		"negative tag send": func(c *Comm) { c.Send(0, -1, nil) },
 		"negative tag recv": func(c *Comm) { c.Recv(0, -5) },
 		"bad dst":           func(c *Comm) { c.Send(9, 0, nil) },
-		"bad try src":       func(c *Comm) { c.TryRecv(-1, 0) },
+		"bad recv src":      func(c *Comm) { c.Recv(-1, 0) },
 	}
 	for name, f := range cases {
 		func() {

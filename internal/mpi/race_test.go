@@ -4,8 +4,8 @@ package mpi
 // goroutines at once and is meant to run under -race in CI. The point is
 // not the arithmetic but the interleavings — concurrent Send/Recv on one
 // mailbox, Isend NIC traffic racing blocking traffic on other streams,
-// Test and TryRecv polling racing delivery, and Stats reads racing
-// in-flight sends.
+// PendingSends polling racing delivery, and Stats reads racing in-flight
+// sends.
 
 import (
 	"sync"
@@ -110,22 +110,17 @@ func TestRaceIsendWaitConcurrent(t *testing.T) {
 	}
 }
 
-// TestRaceTestPollingVsDelivery: the sender spins on PendingSends and the
-// receiver on TryRecv while the NIC delivers — exercises the completion
-// count and the tryTake path against concurrent put.
+// TestRaceTestPollingVsDelivery: the sender spins on PendingSends while the
+// NIC delivers to a receiver blocked in Recv — exercises the completion
+// count and the take path against concurrent put.
 func TestRaceTestPollingVsDelivery(t *testing.T) {
 	const rounds = 50
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		for i := 0; i < rounds; i++ {
 			if c.Rank() == 0 {
-				for {
-					if v, ok := c.TryRecv(1, 0); ok {
-						if v[0] != float64(i) {
-							t.Errorf("round %d got %v", i, v[0])
-						}
-						break
-					}
+				if v := c.Recv(1, 0); v[0] != float64(i) {
+					t.Errorf("round %d got %v", i, v[0])
 				}
 				c.Send(1, 1, nil) // ack, keeps rounds in lockstep
 			} else {

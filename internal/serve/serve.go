@@ -429,13 +429,6 @@ type runRequest struct {
 	// bit-identical across transports; the knob exists for soak testing
 	// the wire path and for measuring it.
 	Transport string `json:"transport,omitempty"`
-	// Schedule selects the tile scheduler: "static" (default — the
-	// paper's lex-time wavefront) or "dynamic" (the hybrid
-	// static/dynamic mode: tiles fire as their dependences arrive, with
-	// the static order as the tie-break and all sends asynchronous).
-	// Results, checksums and traffic stats are bit-identical across
-	// schedules; only timing under faults differs.
-	Schedule string `json:"schedule,omitempty"`
 }
 
 // runResponse is the final result of an execution.
@@ -449,7 +442,6 @@ type runResponse struct {
 	CacheHit  bool   `json:"cache_hit"`
 	Overlap   bool   `json:"overlap"`
 	Transport string `json:"transport"`
-	Schedule  string `json:"schedule"`
 }
 
 // streamLine is one NDJSON line of a streamed run: either a tile/fault
@@ -480,15 +472,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	default:
 		return writeError(w, http.StatusBadRequest,
 			"unknown transport %q (want \"channel\" or \"tcp\")", req.Transport)
-	}
-	var dynamic bool
-	switch req.Schedule {
-	case "", "static":
-	case "dynamic":
-		dynamic = true
-	default:
-		return writeError(w, http.StatusBadRequest,
-			"unknown schedule %q (want \"static\" or \"dynamic\")", req.Schedule)
 	}
 	art, hit, err := s.artifact(req.Source)
 	if err != nil {
@@ -527,7 +510,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 
 	opt := exec.RunOptions{
 		Overlap: req.Overlap,
-		Dynamic: dynamic,
 		Net:     mpi.Options{Watchdog: s.cfg.Watchdog, Faults: faults},
 	}
 	if req.CheckpointEvery > 0 {
@@ -550,7 +532,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 			Procs: art.Procs, Tiles: art.Tiles, Points: art.Points,
 			Messages: stats.Messages, Values: stats.Values,
 			Checksum: art.Checksum(g), CacheHit: hit, Overlap: opt.Overlap,
-			Transport: transport, Schedule: scheduleName(opt.Dynamic),
+			Transport: transport,
 		}, nil
 	}
 	if req.Stream {
@@ -561,14 +543,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusInternalServerError, "run failed: %v", err)
 	}
 	return writeJSON(w, http.StatusOK, res)
-}
-
-// scheduleName renders a run's scheduler mode for response bodies.
-func scheduleName(dynamic bool) string {
-	if dynamic {
-		return "dynamic"
-	}
-	return "static"
 }
 
 // retryAfterSeconds renders an admission backoff hint as a Retry-After

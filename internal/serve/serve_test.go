@@ -190,8 +190,9 @@ func TestBadSpecRejected(t *testing.T) {
 		path string
 		body map[string]any
 	}{
-		"unknown field":         {"/v1/analyze", map[string]any{"sauce": "x"}},
-		"removed field workers": {"/v1/run", map[string]any{"source": heatSpec(12), "workers": 2}},
+		"unknown field":          {"/v1/analyze", map[string]any{"sauce": "x"}},
+		"removed field workers":  {"/v1/run", map[string]any{"source": heatSpec(12), "workers": 2}},
+		"removed field schedule": {"/v1/run", map[string]any{"source": heatSpec(12), "schedule": "static"}},
 	} {
 		resp, body := postJSON(t, client, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -90,7 +90,7 @@ func TestOneCompiledProtocol(t *testing.T) {
 // then be stepped by hand, or by another driver, with no world at all.
 func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	runtimeCalls := map[string]bool{
-		"Recv": true, "RecvMsg": true, "TryRecv": true, "SendOwned": true, "IsendOwned": true,
+		"Recv": true, "RecvMsg": true, "SendOwned": true, "IsendOwned": true,
 		"WaitSends": true, "FlushWire": true, "DropPending": true, "FaultSleep": true,
 		"PendingSends": true, "NoteProgress": true, "RestoreStreams": true,
 	}
