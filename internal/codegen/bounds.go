@@ -117,45 +117,36 @@ func (g *Generator) boundsHelpers(w *writer) {
 	w.close()
 }
 
-// cAffine renders an affine bound as an integer C expression under ceild
-// (lower bounds) or floord (upper bounds): the rational expression
-// Σ (p_i/q_i)·x_i + c is scaled by the lcm L of all denominators and
-// becomes {ceild,floord}(Σ a_i·x_i + c', L).
+// cAffine renders a bound in poly's integer form (Σ a_i·x_i + c)/L as a C
+// expression: the numerator alone when L is 1, otherwise under ceild (lower
+// bounds) or floord (upper bounds). The scan that enumerates tiles and
+// points in Go evaluates the very same form.
 func cAffine(a poly.Affine, vars []string, ceil bool) string {
-	l := a.Const.Den
-	for _, c := range a.Coef {
-		l = rat.Lcm64(l, c.Den)
-	}
-	if l == 0 {
-		l = 1
-	}
 	terms := []string{}
 	for i, c := range a.Coef {
-		if c.IsZero() {
+		switch c {
+		case 0:
 			continue
-		}
-		coef := c.MulInt(l).Int()
-		switch coef {
 		case 1:
 			terms = append(terms, vars[i])
 		case -1:
 			terms = append(terms, "-"+vars[i])
 		default:
-			terms = append(terms, fmt.Sprintf("%d*%s", coef, vars[i]))
+			terms = append(terms, fmt.Sprintf("%d*%s", c, vars[i]))
 		}
 	}
-	if cst := a.Const.MulInt(l).Int(); cst != 0 || len(terms) == 0 {
-		terms = append(terms, fmt.Sprintf("%d", cst))
+	if a.Const != 0 || len(terms) == 0 {
+		terms = append(terms, fmt.Sprintf("%d", a.Const))
 	}
 	expr := strings.Join(terms, " + ")
 	expr = strings.ReplaceAll(expr, "+ -", "- ")
-	if l == 1 {
+	if a.Den == 1 {
 		return expr
 	}
 	if ceil {
-		return fmt.Sprintf("ceild(%s, %d)", expr, l)
+		return fmt.Sprintf("ceild(%s, %d)", expr, a.Den)
 	}
-	return fmt.Sprintf("floord(%s, %d)", expr, l)
+	return fmt.Sprintf("floord(%s, %d)", expr, a.Den)
 }
 
 // cLowerBound renders max(⌈L_1⌉, …) for a variable's lower bounds.

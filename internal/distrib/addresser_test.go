@@ -9,7 +9,7 @@ import (
 	"tilespace/internal/tiling"
 )
 
-func jacobiDist(t *testing.T) *Distribution {
+func jacobiDist(t testing.TB) *Distribution {
 	t.Helper()
 	h := ilin.NewRatMat(3, 3)
 	h.Set(0, 0, rat.New(1, 2))

@@ -9,6 +9,7 @@ package distrib
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tilespace/internal/ilin"
@@ -43,7 +44,14 @@ type Distribution struct {
 	// projections of D^S onto the non-mapping dimensions.
 	DM []ilin.Vec
 
-	rankOf map[string]int
+	// pidBox indexes the pid box — the tile-space box with dimension M
+	// dropped — in row-major, hence lexicographic, order; rankOf[i] is the
+	// rank of the pid with index i, −1 for a cell no tile maps to.
+	pidBox ilin.BoxIndexer
+	rankOf []int32
+	// dsDir[i] is the index into DM of tile dependence i's projection, −1
+	// when it projects to zero (the dependence stays on one processor).
+	dsDir []int
 
 	// proto is the compiled §3.2 protocol (protocol.go), built lazily; a
 	// Distribution must not be copied once anything has read it.
@@ -77,7 +85,7 @@ func New(ts *tiling.TiledSpace, m int) (*Distribution, error) {
 			return nil, fmt.Errorf("distrib: stride c_%d = %d does not divide tile extent v_%d = %d; LDS addressing needs c_k | v_k", k+1, ts.T.C[k], k+1, ts.T.V[k])
 		}
 	}
-	d := &Distribution{TS: ts, M: m, rankOf: map[string]int{}}
+	d := &Distribution{TS: ts, M: m}
 
 	d.Off = make(ilin.Vec, n)
 	for k := 0; k < n; k++ {
@@ -88,61 +96,59 @@ func New(ts *tiling.TiledSpace, m int) (*Distribution, error) {
 		}
 	}
 
-	// Group tiles by pid, collecting each chain's m-range.
+	// Group tiles by pid, collecting each chain's m-range in a table over
+	// the pid box (an empty tile space still gets a one-cell box).
+	lo, hi := projectOut(ts.TileLo, m), projectOut(ts.TileHi, m)
+	for k := range hi {
+		hi[k] = max(hi[k], lo[k])
+	}
+	d.pidBox = ilin.NewBoxIndexer(lo, hi)
 	type chain struct {
 		pid      ilin.Vec
 		min, max int64
 		count    int64
 	}
-	chains := map[string]*chain{}
+	chains := make([]chain, d.pidBox.Size())
 	ts.ScanTiles(func(jS ilin.Vec) bool {
-		pid := projectOut(jS, m)
-		key := pid.String()
-		c, ok := chains[key]
+		i, ok := d.pidBox.IndexOmit(jS, m)
 		if !ok {
-			c = &chain{pid: pid.Clone(), min: jS[m], max: jS[m]}
-			chains[key] = c
+			panic(fmt.Sprintf("distrib: tile %v lies outside the tile-space box [%v, %v]", jS, ts.TileLo, ts.TileHi))
 		}
-		if jS[m] < c.min {
-			c.min = jS[m]
+		c := &chains[i]
+		if c.count == 0 {
+			c.pid, c.min, c.max = projectOut(jS, m), jS[m], jS[m]
 		}
-		if jS[m] > c.max {
-			c.max = jS[m]
-		}
+		c.min, c.max = min(c.min, jS[m]), max(c.max, jS[m])
 		c.count++
 		return true
 	})
-	keys := make([]string, 0, len(chains))
-	for k := range chains {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		return chains[keys[i]].pid.LexLess(chains[keys[j]].pid)
-	})
-	for r, k := range keys {
-		c := chains[k]
+	d.rankOf = make([]int32, len(chains))
+	for i := range chains {
+		c := &chains[i]
+		if c.count == 0 {
+			d.rankOf[i] = -1
+			continue
+		}
 		if c.count != c.max-c.min+1 {
 			return nil, fmt.Errorf("distrib: tile chain of processor %v is not contiguous (%d tiles over [%d, %d])", c.pid, c.count, c.min, c.max)
 		}
+		d.rankOf[i] = int32(len(d.Pids))
 		d.Pids = append(d.Pids, c.pid)
 		d.ChainStart = append(d.ChainStart, c.min)
 		d.ChainLen = append(d.ChainLen, c.count)
-		d.rankOf[k] = r
 	}
 
 	// Processor dependencies D^m: distinct nonzero projections of D^S.
-	seen := map[string]bool{}
 	for _, dS := range ts.DS {
-		dm := projectOut(dS, m)
-		if dm.IsZero() {
-			continue
-		}
-		if key := dm.String(); !seen[key] {
-			seen[key] = true
+		if dm := d.dmOf(dS); !dm.IsZero() && !slices.ContainsFunc(d.DM, dm.Equal) {
 			d.DM = append(d.DM, dm)
 		}
 	}
 	sort.Slice(d.DM, func(i, j int) bool { return d.DM[i].LexLess(d.DM[j]) })
+	d.dsDir = make([]int, len(ts.DS))
+	for i, dS := range ts.DS {
+		d.dsDir[i] = slices.IndexFunc(d.DM, d.dmOf(dS).Equal)
+	}
 	return d, nil
 }
 
@@ -164,19 +170,28 @@ func insertAt(v ilin.Vec, m int, x int64) ilin.Vec {
 // NumProcs returns the number of processors (mesh cells with ≥ 1 tile).
 func (d *Distribution) NumProcs() int { return len(d.Pids) }
 
-// PidOf returns the processor identifier of tile j^S.
-func (d *Distribution) PidOf(jS ilin.Vec) ilin.Vec { return projectOut(jS, d.M) }
-
 // Rank returns the linear rank of a pid; ok is false for pids with no
 // tiles.
 func (d *Distribution) Rank(pid ilin.Vec) (int, bool) {
-	r, ok := d.rankOf[pid.String()]
-	return r, ok
+	if len(pid) != len(d.pidBox.Lo) {
+		return 0, false
+	}
+	i, ok := d.pidBox.Index(pid)
+	return d.rankAt(i, ok)
 }
 
-// RankOfTile returns the rank executing tile j^S.
+// RankOfTile returns the rank executing tile j^S. It indexes the rank table
+// with j^S's mapping coordinate skipped, so it allocates nothing.
 func (d *Distribution) RankOfTile(jS ilin.Vec) (int, bool) {
-	return d.Rank(d.PidOf(jS))
+	i, ok := d.pidBox.IndexOmit(jS, d.M)
+	return d.rankAt(i, ok)
+}
+
+func (d *Distribution) rankAt(i int64, inBox bool) (int, bool) {
+	if !inBox || d.rankOf[i] < 0 {
+		return 0, false
+	}
+	return int(d.rankOf[i]), true
 }
 
 // TileAt reconstructs the tile j^S of processor rank r at chain position t
@@ -188,25 +203,34 @@ func (d *Distribution) TileAt(r int, t int64) ilin.Vec {
 // dmOf projects a tile dependence to its processor dependence.
 func (d *Distribution) dmOf(dS ilin.Vec) ilin.Vec { return projectOut(dS, d.M) }
 
-// MinSucc returns the paper's minsucc(s, d^m): the lexicographically
-// minimum valid successor tile of s in processor direction d^m, i.e. the
-// tile that performs the (single) receive of s's message along d^m. ok is
-// false when no valid successor exists.
-func (d *Distribution) MinSucc(s ilin.Vec, dm ilin.Vec) (ilin.Vec, bool) {
-	var best ilin.Vec
-	for _, dS := range d.TS.DS {
-		if !d.dmOf(dS).Equal(dm) {
+// MinSucc returns the paper's minsucc(s, d^m) for d^m = DM[dir]: the
+// lexicographically minimum valid successor tile of s in that processor
+// direction, i.e. the tile that performs the (single) receive of s's
+// message along it. The successor is returned as the index ds of the tile
+// dependence that reaches it, minsucc = s + TS.DS[ds]; ok is false when no
+// valid successor exists. MinSucc allocates nothing: candidates are built
+// in one stack buffer and filtered through the per-dependence dsDir table.
+func (d *Distribution) MinSucc(s ilin.Vec, dir int) (ds int, ok bool) {
+	var buf [8]int64
+	succ := buf[:0]
+	if len(s) > len(buf) {
+		succ = make(ilin.Vec, 0, len(s))
+	}
+	succ = succ[:len(s)]
+	ds = -1
+	for i, dS := range d.TS.DS {
+		// s + a <lex s + b exactly when a <lex b: compare the dependences.
+		if d.dsDir[i] != dir || (ds >= 0 && !dS.LexLess(d.TS.DS[ds])) {
 			continue
 		}
-		succ := s.Add(dS)
-		if !d.TS.ValidTile(succ) {
-			continue
+		for k := range succ {
+			succ[k] = s[k] + dS[k]
 		}
-		if best == nil || succ.LexLess(best) {
-			best = succ
+		if d.TS.ValidTile(succ) {
+			ds = i
 		}
 	}
-	return best, best != nil
+	return ds, ds >= 0
 }
 
 // LDSShape returns the per-dimension extents of processor r's Local Data
@@ -391,21 +415,23 @@ func (d *Distribution) FullTileCommCount(dm ilin.Vec) int64 {
 }
 
 // HasSuccessor reports whether tile s has at least one valid successor
-// tile in processor direction d^m (the paper's send condition).
-func (d *Distribution) HasSuccessor(s, dm ilin.Vec) bool {
-	for _, dS := range d.TS.DS {
-		if d.dmOf(dS).Equal(dm) && d.TS.ValidTile(s.Add(dS)) {
-			return true
-		}
-	}
-	return false
+// tile in processor direction DM[dir] (the paper's send condition).
+func (d *Distribution) HasSuccessor(s ilin.Vec, dir int) bool {
+	_, ok := d.MinSucc(s, dir)
+	return ok
 }
 
 // CommRegionCount counts the §3.2 communication region of tile s along
 // d^m without enumerating the innermost loop (closed form via
 // tiling.CountTilePoints); always equals CommRegion(s, dm, nil).
 func (d *Distribution) CommRegionCount(s, dm ilin.Vec) int64 {
-	minJP := make(ilin.Vec, d.TS.T.N)
+	var buf [8]int64
+	minJP := buf[:0]
+	if d.TS.T.N > len(buf) {
+		minJP = make(ilin.Vec, 0, d.TS.T.N)
+	}
+	minJP = minJP[:d.TS.T.N]
+	clear(minJP)
 	idx := 0
 	for k := 0; k < d.TS.T.N; k++ {
 		if k == d.M {

@@ -111,14 +111,17 @@ func TestMinSucc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(d.DM) != 1 || !d.DM[0].Equal(ilin.NewVec(1)) {
+		t.Fatalf("DM = %v, want the one direction (1)", d.DM)
+	}
 	// Successors of tile (2,2) in direction (1): only d^S = (0,1) projects
 	// to (1), so minsucc = (2,3).
-	succ, ok := d.MinSucc(ilin.NewVec(2, 2), ilin.NewVec(1))
-	if !ok || !succ.Equal(ilin.NewVec(2, 3)) {
-		t.Errorf("MinSucc = %v, %v", succ, ok)
+	ds, ok := d.MinSucc(ilin.NewVec(2, 2), 0)
+	if !ok || !ilin.NewVec(2, 2).Add(ts.DS[ds]).Equal(ilin.NewVec(2, 3)) {
+		t.Errorf("MinSucc = d^S #%d, %v", ds, ok)
 	}
 	// Boundary tile (2,4) has no successor in direction (1).
-	if _, ok := d.MinSucc(ilin.NewVec(2, 4), ilin.NewVec(1)); ok {
+	if _, ok := d.MinSucc(ilin.NewVec(2, 4), 0); ok || d.HasSuccessor(ilin.NewVec(2, 4), 0) {
 		t.Error("boundary tile should have no successor")
 	}
 }
@@ -314,5 +317,42 @@ func TestMapInversePaperAgrees(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+var benchRank int
+
+// benchTiles lists d's tiles, each a copy.
+func benchTiles(d *Distribution) []ilin.Vec {
+	var tiles []ilin.Vec
+	d.TS.ScanTiles(func(jS ilin.Vec) bool {
+		tiles = append(tiles, jS.Clone())
+		return true
+	})
+	return tiles
+}
+
+// BenchmarkRankOfTile times the rank-table lookup of a tile, cycling through
+// the skewed Jacobi space's tiles; CI greps its allocs/op.
+func BenchmarkRankOfTile(b *testing.B) {
+	d := jacobiDist(b)
+	tiles := benchTiles(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRank, _ = d.RankOfTile(tiles[i%len(tiles)])
+	}
+}
+
+// BenchmarkMinSucc times minsucc over every (tile, direction) pair of the
+// skewed Jacobi space in turn; CI greps its allocs/op.
+func BenchmarkMinSucc(b *testing.B) {
+	d := jacobiDist(b)
+	tiles := benchTiles(d)
+	nd := len(d.DM)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchRank, _ = d.MinSucc(tiles[i/nd%len(tiles)], i%nd)
 	}
 }

@@ -258,11 +258,7 @@ func (d *Distribution) compileShared() {
 	sort.SliceStable(pr.DSOrder, func(a, b int) bool {
 		return ts.DS[pr.DSOrder[a]][d.M] > ts.DS[pr.DSOrder[b]][d.M]
 	})
-	pr.DSDir = make([]int, len(ts.DS))
-	for i, dS := range ts.DS {
-		dm := d.dmOf(dS)
-		pr.DSDir[i] = slices.IndexFunc(d.DM, dm.Equal)
-	}
+	pr.DSDir = d.dsDir
 	pr.RowStep = ts.T.U.Col(ts.T.N - 1)
 	pr.DmFulls = make([]ilin.Vec, len(d.DM))
 	pr.fullRegion = make([]int64, len(d.DM))
@@ -330,8 +326,8 @@ func (d *Distribution) compileSchedule(r int, rp *RankPlan) {
 			if !ts.ValidTile(pred) {
 				continue
 			}
-			if ms, ok := d.MinSucc(pred, d.DM[di]); !ok || !ms.Equal(sl.Tile) {
-				continue
+			if ms, ok := d.MinSucc(pred, di); !ok || ms != si {
+				continue // pred's message along di is received by another tile
 			}
 			cnt := d.regionCount(pred, di, ts.TileFullyInside(pred))
 			if cnt == 0 {
@@ -344,7 +340,7 @@ func (d *Distribution) compileSchedule(r int, rp *RankPlan) {
 			rp.Msgs = append(rp.Msgs, InMsg{T: int64(t), Tau: pred[d.M] - d.ChainStart[r], Dir: di, DS: si, Count: cnt})
 		}
 		for di, dm := range d.DM {
-			if !d.HasSuccessor(sl.Tile, dm) {
+			if !d.HasSuccessor(sl.Tile, di) {
 				continue
 			}
 			cnt := d.regionCount(sl.Tile, di, full)

@@ -74,7 +74,11 @@ func TestOneRankCompilesOneRank(t *testing.T) {
 func TestNeighbourWithoutRankFailsTheChain(t *testing.T) {
 	d := jacobiDist(t)
 	lost := d.NumProcs() - 1
-	delete(d.rankOf, d.Pids[lost].String())
+	cell, ok := d.pidBox.Index(d.Pids[lost])
+	if !ok {
+		t.Fatalf("pid %v outside the pid box", d.Pids[lost])
+	}
+	d.rankOf[cell] = -1
 	var failed int
 	for r := 0; r < d.NumProcs(); r++ {
 		_, err := d.Schedule(r)

@@ -129,8 +129,8 @@ func inflightRank(t *testing.T, d *distrib.Distribution) int {
 			continue
 		}
 		tile, sends := d.TileAt(r, 2), 0
-		for _, dm := range d.DM {
-			if d.HasSuccessor(tile, dm) && d.CommRegionCount(tile, dm) > 0 {
+		for i, dm := range d.DM {
+			if d.HasSuccessor(tile, i) && d.CommRegionCount(tile, dm) > 0 {
 				sends++
 			}
 		}

@@ -91,7 +91,7 @@ func (st *rankState) receivePhase(c *mpi.Comm, tile ilin.Vec) error {
 		if !st.p.TS.ValidTile(pred) {
 			continue
 		}
-		if ms, ok := d.MinSucc(pred, dm); !ok || !ms.Equal(tile) {
+		if ms, ok := d.MinSucc(pred, di); !ok || ms != si {
 			continue
 		}
 		n := d.CommRegionCount(pred, dm)
@@ -175,7 +175,7 @@ func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool) error {
 	w := st.p.Width
 	t := tile[d.M] - d.ChainStart[st.rank]
 	for i, dm := range d.DM {
-		if !d.HasSuccessor(tile, dm) {
+		if !d.HasSuccessor(tile, i) {
 			continue
 		}
 		n := d.CommRegionCount(tile, dm)

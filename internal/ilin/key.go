@@ -91,3 +91,20 @@ func (b BoxIndexer) Index(v Vec) (int64, bool) {
 	}
 	return idx, true
 }
+
+// IndexOmit is Index of v with coordinate m removed, for a box with one
+// dimension fewer than v; it allocates nothing.
+func (b BoxIndexer) IndexOmit(v Vec, m int) (int64, bool) {
+	var idx int64
+	for k := range b.Lo {
+		x := v[k]
+		if k >= m {
+			x = v[k+1]
+		}
+		if x < b.Lo[k] || x > b.Hi[k] {
+			return 0, false
+		}
+		idx += (x - b.Lo[k]) * b.stride[k]
+	}
+	return idx, true
+}

@@ -9,23 +9,41 @@ import (
 	"tilespace/internal/rat"
 )
 
-// Affine is an affine expression Coef·x + Const over a prefix of the loop
-// variables. Bounds for loop level k only reference x_0 … x_{k-1}.
+// Affine is one loop bound in the integer form the generated C prints:
+// (Coef·x + Const) / Den over a prefix of the loop variables, with Den > 0.
+// A lower bound takes its ceiling, an upper bound its floor. Bounds for
+// loop level k only reference x_0 … x_{k-1}.
 type Affine struct {
-	Coef  ilin.RatVec
-	Const rat.Rat
+	Coef  []int64
+	Const int64
+	Den   int64
 }
 
-// Eval returns the rational value of the expression at the integer prefix
-// x (only the first len(Coef) entries are read; trailing zero coefficients
-// are skipped).
-func (a Affine) Eval(x []int64) rat.Rat {
+// affineOf brings the rational bound coef·x + cst into integer form: every
+// term is scaled by the lcm of the denominators, which becomes Den. No prime
+// divides Den and every scaled numerator, so the form is already reduced.
+func affineOf(coef ilin.RatVec, cst rat.Rat) Affine {
+	l := cst.Den
+	for _, c := range coef {
+		l = rat.Lcm64(l, c.Den)
+	}
+	a := Affine{Coef: make([]int64, len(coef)), Const: rat.CheckedMul(cst.Num, l/cst.Den), Den: l}
+	for i, c := range coef {
+		a.Coef[i] = rat.CheckedMul(c.Num, l/c.Den)
+	}
+	return a
+}
+
+// Num returns the numerator Coef·x + Const at the integer prefix x (only
+// the first len(Coef) entries are read), in overflow-checked int64
+// arithmetic: a sum past int64 panics with "rat: int64 overflow" instead of
+// wrapping into a wrong bound.
+func (a *Affine) Num(x []int64) int64 {
 	s := a.Const
 	for i, c := range a.Coef {
-		if c.IsZero() {
-			continue
+		if c != 0 {
+			s = rat.CheckedAdd(s, rat.CheckedMul(c, x[i]))
 		}
-		s = s.Add(c.MulInt(x[i]))
 	}
 	return s
 }
@@ -33,19 +51,22 @@ func (a Affine) Eval(x []int64) rat.Rat {
 func (a Affine) String() string {
 	var b strings.Builder
 	for i, c := range a.Coef {
-		if c.IsZero() {
+		if c == 0 {
 			continue
 		}
 		if b.Len() > 0 {
 			b.WriteString(" + ")
 		}
-		fmt.Fprintf(&b, "%v·x%d", c, i)
+		fmt.Fprintf(&b, "%d·x%d", c, i)
 	}
-	if b.Len() == 0 || !a.Const.IsZero() {
+	if b.Len() == 0 || a.Const != 0 {
 		if b.Len() > 0 {
 			b.WriteString(" + ")
 		}
-		b.WriteString(a.Const.String())
+		fmt.Fprintf(&b, "%d", a.Const)
+	}
+	if a.Den > 1 {
+		return fmt.Sprintf("(%s)/%d", b.String(), a.Den)
 	}
 	return b.String()
 }
@@ -66,10 +87,13 @@ func (vb VarBounds) EvalLower(x []int64) (int64, bool) {
 		return 0, false
 	}
 	best := int64(math.MinInt64)
-	for _, a := range vb.Lower {
-		if v := a.Eval(x).Ceil(); v > best {
-			best = v
+	for i := range vb.Lower {
+		a := &vb.Lower[i]
+		v := a.Num(x)
+		if a.Den != 1 {
+			v = rat.CeilDiv(v, a.Den)
 		}
+		best = max(best, v)
 	}
 	return best, true
 }
@@ -81,10 +105,13 @@ func (vb VarBounds) EvalUpper(x []int64) (int64, bool) {
 		return 0, false
 	}
 	best := int64(math.MaxInt64)
-	for _, a := range vb.Upper {
-		if v := a.Eval(x).Floor(); v < best {
-			best = v
+	for i := range vb.Upper {
+		a := &vb.Upper[i]
+		v := a.Num(x)
+		if a.Den != 1 {
+			v = rat.FloorDiv(v, a.Den)
 		}
+		best = min(best, v)
 	}
 	return best, true
 }
@@ -116,13 +143,13 @@ func LoopBounds(s *System) (*NestBounds, error) {
 				// a·x_k ≤ rhs - rest → x_k ≤ (rhs - rest)/a
 				coef := c.Coef.Scale(a.Inv().Neg())
 				coef[k] = rat.Zero
-				vb.Upper = append(vb.Upper, Affine{Coef: coef[:k].Clone(), Const: c.Rhs.Div(a)})
+				vb.Upper = append(vb.Upper, affineOf(coef[:k], c.Rhs.Div(a)))
 			case -1:
 				// -|a|·x_k ≤ rhs - rest → x_k ≥ (rest - rhs)/|a|
 				na := a.Neg()
 				coef := c.Coef.Scale(na.Inv())
 				coef[k] = rat.Zero
-				vb.Lower = append(vb.Lower, Affine{Coef: coef[:k].Clone(), Const: c.Rhs.Div(na).Neg()})
+				vb.Lower = append(vb.Lower, affineOf(coef[:k], c.Rhs.Div(na).Neg()))
 			}
 		}
 		if len(vb.Lower) == 0 || len(vb.Upper) == 0 {
@@ -255,9 +282,9 @@ func BoundingBox(s *System) (lo, hi ilin.Vec, err error) {
 			a := c.Coef[k]
 			switch a.Sign() {
 			case 1:
-				vb.Upper = append(vb.Upper, Affine{Coef: nil, Const: c.Rhs.Div(a)})
+				vb.Upper = append(vb.Upper, affineOf(nil, c.Rhs.Div(a)))
 			case -1:
-				vb.Lower = append(vb.Lower, Affine{Coef: nil, Const: c.Rhs.Div(a.Neg()).Neg()})
+				vb.Lower = append(vb.Lower, affineOf(nil, c.Rhs.Div(a.Neg()).Neg()))
 			}
 		}
 		l, okL := vb.EvalLower(nil)

@@ -10,6 +10,12 @@
 // level k, a set of affine lower/upper bounds in the outer variables; a
 // scan that takes max-of-ceilings and min-of-floors enumerates exactly the
 // integer points of the polyhedron.
+//
+// The elimination runs in exact rationals, at compile time only. Each bound
+// it yields is stored once as the integer expression (Σ a_i·x_i + c)/L that
+// the generated C prints under ceild/floord (Affine), and every scan — here
+// and in internal/tiling — evaluates that form in overflow-checked int64
+// arithmetic, so the Go loops and the C loops are the same loops.
 package poly
 
 import (

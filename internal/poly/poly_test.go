@@ -1,6 +1,8 @@
 package poly
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -161,12 +163,23 @@ func TestSimplifyKeepsTightest(t *testing.T) {
 }
 
 func TestAffineEvalString(t *testing.T) {
-	a := Affine{Coef: ilin.RatVec{rat.New(1, 2), rat.Zero}, Const: rat.FromInt(3)}
-	if got := a.Eval([]int64{4, 7}); !got.Equal(rat.FromInt(5)) {
-		t.Errorf("Eval = %v", got)
+	// x0/2 + 3/2 over (x0, x1) in integer form: (x0 + 3)/2.
+	a := affineOf(ilin.RatVec{rat.New(1, 2), rat.Zero}, rat.New(3, 2))
+	if a.Den != 2 || a.Const != 3 || a.Coef[0] != 1 || a.Coef[1] != 0 {
+		t.Fatalf("integer form = %+v, want (x0 + 3)/2", a)
 	}
-	if a.String() == "" || (Affine{Coef: ilin.RatVec{}, Const: rat.Zero}).String() != "0" {
-		t.Error("String rendering")
+	if got := a.Num([]int64{4, 7}); got != 7 {
+		t.Errorf("Num = %d, want 7", got)
+	}
+	vb := VarBounds{Lower: []Affine{a}, Upper: []Affine{a}}
+	if lo, _ := vb.EvalLower([]int64{4, 7}); lo != 4 {
+		t.Errorf("⌈7/2⌉ = %d", lo)
+	}
+	if hi, _ := vb.EvalUpper([]int64{4, 7}); hi != 3 {
+		t.Errorf("⌊7/2⌋ = %d", hi)
+	}
+	if a.String() != "(1·x0 + 3)/2" || (Affine{Den: 1}).String() != "0" {
+		t.Errorf("String rendering: %q", a.String())
 	}
 }
 
@@ -518,4 +531,180 @@ func BenchmarkContains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchContains = s.Contains(pts[i&1])
 	}
+}
+
+// TestBoundFormMatchesRationalEval: the integer bound form must answer
+// exactly what the rational expression it was built from answers — ⌈Σ⌉ for
+// a lower bound, ⌊Σ⌋ for an upper bound, and the max/min over several —
+// on random rational affines (denominators ≠ 1, zero terms and constant-only
+// rows included) at random integer points. The rational side is computed
+// here, with rat, as the oracle.
+func TestBoundFormMatchesRationalEval(t *testing.T) {
+	rng := rand.New(rand.NewSource(20032))
+	randRat := func() rat.Rat {
+		switch rng.Intn(4) {
+		case 0:
+			return rat.Zero
+		case 1:
+			return rat.FromInt(rng.Int63n(41) - 20)
+		default:
+			return rat.New(rng.Int63n(201)-100, rng.Int63n(12)+1)
+		}
+	}
+	type row struct {
+		coef ilin.RatVec
+		cst  rat.Rat
+	}
+	value := func(r row, x []int64) rat.Rat { // Σ coef_i·x_i + cst, exactly
+		s := r.cst
+		for i, c := range r.coef {
+			s = s.Add(c.MulInt(x[i]))
+		}
+		return s
+	}
+	var fractional, ties int
+	for iter := 0; iter < 20000; iter++ {
+		n := rng.Intn(4)
+		x := make([]int64, n)
+		for i := range x {
+			x[i] = rng.Int63n(2001) - 1000
+		}
+		rows := make([]row, rng.Intn(3)+1)
+		var vb VarBounds
+		wantLo, wantHi := int64(math.MinInt64), int64(math.MaxInt64)
+		for k := range rows {
+			r := row{coef: make(ilin.RatVec, n), cst: randRat()}
+			for i := range r.coef {
+				r.coef[i] = randRat()
+			}
+			a := affineOf(r.coef, r.cst)
+			if a.Den < 1 {
+				t.Fatalf("%v: integer form has Den %d", r, a.Den)
+			}
+			v := value(r, x)
+			if !v.IsInt() {
+				fractional++
+			} else if k > 0 {
+				ties++
+			}
+			wantLo, wantHi = max(wantLo, v.Ceil()), min(wantHi, v.Floor())
+			vb.Lower = append(vb.Lower, a)
+			vb.Upper = append(vb.Upper, a)
+		}
+		lo, okL := vb.EvalLower(x)
+		hi, okU := vb.EvalUpper(x)
+		if !okL || !okU || lo != wantLo || hi != wantHi {
+			t.Fatalf("bounds %v at %v: integer form gives [%d, %d], rational [%d, %d]", vb.Lower, x, lo, hi, wantLo, wantHi)
+		}
+	}
+	if fractional < 5000 || ties < 100 {
+		t.Fatalf("generator too narrow: %d fractional values, %d integral later rows", fractional, ties)
+	}
+}
+
+// TestBoundFormOverflowPanics: where the scaled numerator leaves int64 the
+// integer form must fail as loudly as the rational arithmetic did, never
+// return a wrapped bound.
+func TestBoundFormOverflowPanics(t *testing.T) {
+	cases := map[string]struct {
+		coef ilin.RatVec
+		cst  rat.Rat
+		x    []int64
+	}{
+		"product":  {ilin.RatVec{rat.FromInt(1 << 40)}, rat.Zero, []int64{1 << 40}},
+		"sum":      {ilin.RatVec{rat.FromInt(1 << 31), rat.FromInt(1 << 31)}, rat.Zero, []int64{1 << 31, 1 << 31}},
+		"scaled":   {ilin.RatVec{rat.New(1, 3), rat.New(1<<40, 5)}, rat.Zero, []int64{1, 1 << 30}},
+		"constant": {ilin.RatVec{rat.FromInt(1)}, rat.FromInt(math.MaxInt64 - 1), []int64{2}},
+		"scaling":  {ilin.RatVec{rat.New(1<<62, 3), rat.New(1, 5)}, rat.Zero, []int64{1, 1}},
+	}
+	for name, tc := range cases {
+		for _, lower := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/lower=%v", name, lower), func(t *testing.T) {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.HasPrefix(msg, "rat: int64 overflow") {
+						t.Fatalf("recovered %q, want a rat: int64 overflow panic", msg)
+					}
+				}()
+				vb := VarBounds{Lower: []Affine{affineOf(tc.coef, tc.cst)}}
+				vb.Upper = vb.Lower
+				if lower {
+					v, _ := vb.EvalLower(tc.x)
+					t.Fatalf("EvalLower returned %d instead of panicking", v)
+				}
+				v, _ := vb.EvalUpper(tc.x)
+				t.Fatalf("EvalUpper returned %d instead of panicking", v)
+			})
+		}
+	}
+}
+
+// FuzzLoopBounds: on a random system over 2–3 variables — a box of at most
+// 12 integers per side cut by up to four half-spaces with coefficients
+// |a| ≤ 6 — the loop nest LoopBounds builds must scan exactly the box's
+// points that System.Contains accepts, in lexicographic order.
+func FuzzLoopBounds(f *testing.F) {
+	f.Add([]byte{0, 0, 11, 6, 11})
+	f.Add([]byte{1, 3, 9, 0, 7, 2, 5, 7, 5, 9, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int64 {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int64(b)
+		}
+		n := 2 + int(next()%2)
+		s := NewSystem(n)
+		lo, hi := make([]int64, n), make([]int64, n)
+		for k := 0; k < n; k++ {
+			lo[k] = next()%13 - 6
+			hi[k] = lo[k] + next()%12 // at most 12 integers per side
+			s.AddRange(k, lo[k], hi[k])
+		}
+		for c := 0; c < 4 && len(data) > 0; c++ {
+			coef := make(ilin.RatVec, n)
+			for k := range coef {
+				coef[k] = rat.FromInt(next()%13 - 6)
+			}
+			s.Add(NewConstraint(coef, rat.New(next()%61-30, 1+next()%3)))
+		}
+		var want []ilin.Vec
+		x := make(ilin.Vec, n)
+		var brute func(k int)
+		brute = func(k int) {
+			if k == n {
+				if s.Contains(x) {
+					want = append(want, x.Clone())
+				}
+				return
+			}
+			for v := lo[k]; v <= hi[k]; v++ {
+				x[k] = v
+				brute(k + 1)
+			}
+		}
+		brute(0)
+		nb, err := LoopBounds(s)
+		if err != nil {
+			if len(want) > 0 {
+				t.Fatalf("LoopBounds: %v, but %d points satisfy\n%v", err, len(want), s)
+			}
+			return
+		}
+		var got []ilin.Vec
+		nb.Scan(func(p ilin.Vec) bool {
+			got = append(got, p.Clone())
+			return true
+		})
+		if len(got) != len(want) {
+			t.Fatalf("scan visits %d points, brute force %d\n%v\nbounds:\n%v", len(got), len(want), s, nb)
+		}
+		for i := range want {
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("point %d: scan %v, brute force %v\n%v", i, got[i], want[i], s)
+			}
+		}
+	})
 }

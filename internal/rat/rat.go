@@ -317,13 +317,18 @@ func checkedNeg(a int64) int64 {
 
 // CheckedAdd returns a + b, panicking with a "rat: int64 overflow" message
 // instead of wrapping. Exported with CheckedMul for integer fast paths that
-// must fail as loudly as the rational arithmetic they replace.
+// must fail as loudly as the rational arithmetic they replace. The panic
+// lives in its own function so the check inlines.
 func CheckedAdd(a, b int64) int64 {
 	s := a + b
 	if (a^s)&(b^s) < 0 { // both operands differ in sign from the sum
-		panic(fmt.Sprintf("rat: int64 overflow in %d + %d", a, b))
+		addOverflow(a, b)
 	}
 	return s
+}
+
+func addOverflow(a, b int64) {
+	panic(fmt.Sprintf("rat: int64 overflow in %d + %d", a, b))
 }
 
 // CheckedMul returns a · b, panicking on int64 overflow like CheckedAdd. The

@@ -122,23 +122,32 @@ func PipelinedLength(d *distrib.Distribution) int64 {
 		}
 		return tiles[i].t < tiles[j].t
 	})
-	finish := map[string]int64{} // tile -> completion step (1-based)
+	if len(tiles) == 0 {
+		return 0
+	}
+	// Completion step (1-based) per tile, indexed over the tile-space box:
+	// every valid tile lies inside it.
+	box := ilin.NewBoxIndexer(ts.TileLo, ts.TileHi)
+	finish := make([]int64, box.Size())
 	procFree := make([]int64, d.NumProcs())
+	pred := make(ilin.Vec, ts.T.N)
 	var makespan int64
 	for _, tr := range tiles {
 		tile := d.TileAt(tr.rank, tr.t)
 		start := procFree[tr.rank]
 		for _, dS := range ts.DS {
-			pred := tile.Sub(dS)
+			for k := range pred {
+				pred[k] = tile[k] - dS[k]
+			}
 			if !ts.ValidTile(pred) {
 				continue
 			}
-			if f := finish[pred.String()]; f > start {
-				start = f
-			}
+			i, _ := box.Index(pred)
+			start = max(start, finish[i])
 		}
 		end := start + 1
-		finish[tile.String()] = end
+		i, _ := box.Index(tile)
+		finish[i] = end
 		procFree[tr.rank] = end
 		if end > makespan {
 			makespan = end

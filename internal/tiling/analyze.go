@@ -3,6 +3,7 @@ package tiling
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"tilespace/internal/ilin"
 	"tilespace/internal/loopnest"
@@ -140,30 +141,63 @@ func (ts *TiledSpace) ValidTile(jS ilin.Vec) bool {
 	return true
 }
 
+// scanBuf holds one scan's coordinates: x = (j^S, z) over the combined
+// nest's 2n levels and jp = j'. Scans draw it from scanBufs, so a warm scan
+// allocates nothing however many tiles, rows or points it visits; a scan
+// nested in another's callback draws a buffer of its own.
+type scanBuf struct {
+	x, jp ilin.Vec
+	count int64
+}
+
+var scanBufs = sync.Pool{New: func() any { return new(scanBuf) }}
+
+func (ts *TiledSpace) getScanBuf() *scanBuf {
+	n := ts.T.N
+	b := scanBufs.Get().(*scanBuf)
+	if cap(b.x) < 2*n {
+		b.x, b.jp = make(ilin.Vec, 2*n), make(ilin.Vec, n)
+	}
+	b.x, b.jp, b.count = b.x[:2*n], b.jp[:n], 0
+	return b
+}
+
 // ScanTiles enumerates all valid tiles in lexicographic order. fn receives
 // a reusable buffer; returning false stops the scan. Returns the number of
 // tiles visited.
 func (ts *TiledSpace) ScanTiles(fn func(jS ilin.Vec) bool) int64 {
+	b := ts.getScanBuf()
+	defer scanBufs.Put(b)
+	b.tiles(ts, 0, fn)
+	return b.count
+}
+
+func (b *scanBuf) tiles(ts *TiledSpace, k int, fn func(jS ilin.Vec) bool) bool {
 	n := ts.T.N
-	x := make(ilin.Vec, n)
-	var count int64
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		if k == n {
-			count++
-			return fn(x)
-		}
-		lo, hi := ts.TileBounds(k, x[:k])
-		for v := lo; v <= hi; v++ {
-			x[k] = v
-			if !rec(k + 1) {
-				return false
-			}
-		}
-		return true
+	if k == n {
+		b.count++
+		return fn(b.x[:n:n])
 	}
-	rec(0)
-	return count
+	lo, hi := ts.TileBounds(k, b.x[:k])
+	for v := lo; v <= hi; v++ {
+		b.x[k] = v
+		if !b.tiles(ts, k+1, fn) {
+			return false
+		}
+	}
+	return true
+}
+
+// pointBounds evaluates the clamped point-loop bounds of level n+k at the
+// prefix x[:n+k] = (j^S, z_0 … z_{k-1}).
+func (ts *TiledSpace) pointBounds(k int, x ilin.Vec) (lo, hi int64) {
+	n := ts.T.N
+	lo, okL := ts.Combined.Vars[n+k].EvalLower(x[:n+k])
+	hi, okU := ts.Combined.Vars[n+k].EvalUpper(x[:n+k])
+	if !okL || !okU {
+		panic("tiling: unbounded point loop")
+	}
+	return lo, hi
 }
 
 // ScanTileRows enumerates tile j^S row by row: a row is one innermost
@@ -174,42 +208,38 @@ func (ts *TiledSpace) ScanTiles(fn func(jS ilin.Vec) bool) int64 {
 // row j'_{n-1} advances by c_{n-1} and the global point by U·e_{n-1} per
 // point. Empty segments are skipped. Returns the number of points covered.
 func (ts *TiledSpace) ScanTileRows(jS ilin.Vec, fn func(z, jp ilin.Vec, count int64) bool) int64 {
+	b := ts.getScanBuf()
+	defer scanBufs.Put(b)
+	copy(b.x, jS)
+	b.rows(ts, 0, fn)
+	return b.count
+}
+
+func (b *scanBuf) rows(ts *TiledSpace, k int, fn func(z, jp ilin.Vec, count int64) bool) bool {
 	n := ts.T.N
-	x := make(ilin.Vec, 2*n)
-	copy(x, jS)
-	jp := make(ilin.Vec, n)
-	var total int64
-	var rec func(k int) bool
-	rec = func(k int) bool {
-		lo, okL := ts.Combined.Vars[n+k].EvalLower(x[:n+k])
-		hi, okU := ts.Combined.Vars[n+k].EvalUpper(x[:n+k])
-		if !okL || !okU {
-			panic("tiling: unbounded point loop")
-		}
-		var base int64
-		for l := 0; l < k; l++ {
-			base += ts.T.HT.At(k, l) * x[n+l]
-		}
-		if k == n-1 {
-			if hi < lo {
-				return true
-			}
-			x[n+k] = lo
-			jp[k] = base + ts.T.C[k]*lo
-			total += hi - lo + 1
-			return fn(x[n:], jp, hi-lo+1)
-		}
-		for zk := lo; zk <= hi; zk++ {
-			x[n+k] = zk
-			jp[k] = base + ts.T.C[k]*zk
-			if !rec(k + 1) {
-				return false
-			}
-		}
-		return true
+	x := b.x
+	lo, hi := ts.pointBounds(k, x)
+	var base int64
+	for l := 0; l < k; l++ {
+		base += ts.T.HT.At(k, l) * x[n+l]
 	}
-	rec(0)
-	return total
+	if k == n-1 {
+		if hi < lo {
+			return true
+		}
+		x[n+k] = lo
+		b.jp[k] = base + ts.T.C[k]*lo
+		b.count += hi - lo + 1
+		return fn(x[n:], b.jp, hi-lo+1)
+	}
+	for zk := lo; zk <= hi; zk++ {
+		x[n+k] = zk
+		b.jp[k] = base + ts.T.C[k]*zk
+		if !b.rows(ts, k+1, fn) {
+			return false
+		}
+	}
+	return true
 }
 
 // ScanTilePoints enumerates the lattice points of tile j^S in
@@ -321,8 +351,9 @@ func (ts *TiledSpace) NumTiles() int64 {
 // interior tiles.
 func (ts *TiledSpace) TileFullyInside(jS ilin.Vec) bool {
 	n := ts.T.N
-	corner := make(ilin.Vec, n)
-	x := make(ilin.Vec, n)
+	b := ts.getScanBuf()
+	defer scanBufs.Put(b)
+	corner, x := b.x[:n], b.x[n:]
 	for mask := 0; mask < 1<<n; mask++ {
 		for k := 0; k < n; k++ {
 			corner[k] = jS[k] + int64(mask>>k&1)
@@ -349,38 +380,34 @@ func (ts *TiledSpace) TileFullyInside(jS ilin.Vec) bool {
 // the innermost level in O(1), so boundary tiles cost O(area) instead of
 // O(volume) — what makes paper-scale simulation sweeps affordable.
 func (ts *TiledSpace) CountTilePoints(jS ilin.Vec, minJP ilin.Vec) int64 {
+	b := ts.getScanBuf()
+	defer scanBufs.Put(b)
+	copy(b.x, jS)
+	return b.points(ts, 0, minJP)
+}
+
+func (b *scanBuf) points(ts *TiledSpace, k int, minJP ilin.Vec) int64 {
 	n := ts.T.N
-	x := make(ilin.Vec, 2*n)
-	copy(x, jS)
-	var rec func(k int) int64
-	rec = func(k int) int64 {
-		lo, okL := ts.Combined.Vars[n+k].EvalLower(x[:n+k])
-		hi, okU := ts.Combined.Vars[n+k].EvalUpper(x[:n+k])
-		if !okL || !okU {
-			panic("tiling: unbounded point loop")
-		}
-		var base int64
-		for l := 0; l < k; l++ {
-			base += ts.T.HT.At(k, l) * x[n+l]
-		}
-		if minJP != nil && minJP[k] > 0 {
-			// j'_k = base + c_k·z_k ≥ minJP[k]
-			if zlo := rat.CeilDiv(minJP[k]-base, ts.T.C[k]); zlo > lo {
-				lo = zlo
-			}
-		}
-		if hi < lo {
-			return 0
-		}
-		if k == n-1 {
-			return hi - lo + 1
-		}
-		var total int64
-		for zk := lo; zk <= hi; zk++ {
-			x[n+k] = zk
-			total += rec(k + 1)
-		}
-		return total
+	x := b.x
+	lo, hi := ts.pointBounds(k, x)
+	var base int64
+	for l := 0; l < k; l++ {
+		base += ts.T.HT.At(k, l) * x[n+l]
 	}
-	return rec(0)
+	if minJP != nil && minJP[k] > 0 {
+		// j'_k = base + c_k·z_k ≥ minJP[k]
+		lo = max(lo, rat.CeilDiv(minJP[k]-base, ts.T.C[k]))
+	}
+	if hi < lo {
+		return 0
+	}
+	if k == n-1 {
+		return hi - lo + 1
+	}
+	var total int64
+	for zk := lo; zk <= hi; zk++ {
+		x[n+k] = zk
+		total += b.points(ts, k+1, minJP)
+	}
+	return total
 }

@@ -288,3 +288,36 @@ func TestTileFullyInsideConsistent(t *testing.T) {
 		t.Error("expected some fully-inside tiles")
 	}
 }
+
+var benchPoints int64
+
+func countRow(z, jp ilin.Vec, n int64) bool { return n > 0 }
+
+// BenchmarkScanTileRows times the row scan of one tile of a skewed SOR space
+// under its non-rectangular tiling, cycling through interior and clamped
+// tiles; CI greps its allocs/op.
+func BenchmarkScanTileRows(b *testing.B) {
+	d := ilin.MatFromRows(
+		[]int64{1, 0, 1, 1, 0},
+		[]int64{1, 1, 0, 1, 0},
+		[]int64{2, 0, 2, 1, 1},
+	)
+	nest, err := loopnest.Box([]string{"t", "i", "j"}, []int64{0, 0, 0}, []int64{15, 15, 15}, d)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts, err := Analyze(nest, sorHnr(4, 4, 4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var tiles []ilin.Vec
+	ts.ScanTiles(func(jS ilin.Vec) bool {
+		tiles = append(tiles, jS.Clone())
+		return true
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchPoints = ts.ScanTileRows(tiles[i%len(tiles)], countRow)
+	}
+}

@@ -106,6 +106,14 @@ type replayer struct {
 	owner   []int32 // per iteration code: 1 + the rank that computed it
 	queues  map[stream][]message
 	rep     *Report
+
+	// Per-point scratch, reused from tile to tile: a table point, the
+	// scan's reference point, a read source, the tile's P·j^S; and one
+	// send's region reference (its global points, n coordinates each in
+	// flat, viewed as vectors in pts, and the cells they pack in want).
+	j, g, src, pS ilin.Vec
+	flat, want    []int64
+	pts           []ilin.Vec
 }
 
 // replay executes the compiled protocol — the tables the executor runs —
@@ -139,6 +147,8 @@ func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) err
 		owner:   make([]int32, coder.size+1),
 		queues:  map[stream][]message{},
 	}
+	n := d.TS.T.N
+	rp.j, rp.g, rp.src, rp.pS = make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n)
 	for r, p := range plans {
 		rp.content[r] = make([]int64, p.Addr.Size())
 		rp.heads[r] = make([]int, len(p.Rows))
@@ -184,7 +194,13 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 		return &Violation{Rule: "lds-bounds", Rank: r, Tile: sl.Tile, Point: at.Clone(),
 			Detail: fmt.Sprintf("%s cell %d outside LDS [0, %d)", what, c, len(content))}
 	}
-	j, g, src := make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n)
+	j, g, src, pS := rp.j, rp.g, rp.src, rp.pS
+	for k := range pS { // P·j^S
+		pS[k] = 0
+		for l, x := range s {
+			pS[k] += ts.T.P.At(k, l) * x
+		}
+	}
 	point := func(row, i int) ilin.Vec { // the table's global point i of row `row`
 		for k := range j {
 			j[k] = sl.PBase[k] + pl.Uz[row*n+k] + int64(i)*pr.RowStep[k]
@@ -281,7 +297,6 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 			row, i = row+1, 0
 		}
 	}
-	pS := ts.T.P.MulVec(s)
 	ts.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
 		for k := range g { // j = P·j^S + U·z
 			g[k] = pS[k]
@@ -350,15 +365,7 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 	// value of its point.
 	for _, snd := range sl.Sends {
 		dir := &pl.Dirs[snd.Dir]
-		var (
-			pts  []ilin.Vec
-			want []int64
-		)
-		d.CommRegion(s, d.DM[snd.Dir], func(z, jp ilin.Vec) bool {
-			pts = append(pts, ts.GlobalOf(s, z))
-			want = append(want, p.Addr.Flat(jp, 0))
-			return true
-		})
+		pts, want := rp.region(s, d.DM[snd.Dir], p.Addr)
 		if dir.Total != snd.Count || snd.Count != int64(len(pts)) {
 			var at ilin.Vec
 			if len(pts) > 0 {
@@ -393,6 +400,31 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 		rp.rep.Values += dir.Total
 	}
 	return nil
+}
+
+// region lists tile s's communication region along dm in CommRegion order:
+// each point's global iteration and the flat cell addr assigns it. Both
+// live in the replayer's buffers until the next call.
+func (rp *replayer) region(s, dm ilin.Vec, addr *distrib.Addresser) ([]ilin.Vec, []int64) {
+	ts := rp.d.TS
+	n := ts.T.N
+	rp.flat, rp.want = rp.flat[:0], rp.want[:0]
+	rp.d.CommRegion(s, dm, func(z, jp ilin.Vec) bool {
+		for k := 0; k < n; k++ { // j = P·j^S + U·z
+			g := rp.pS[k]
+			for l, zl := range z {
+				g += ts.T.U.At(k, l) * zl
+			}
+			rp.flat = append(rp.flat, g)
+		}
+		rp.want = append(rp.want, addr.Flat(jp, 0))
+		return true
+	})
+	rp.pts = rp.pts[:0]
+	for i := 0; i < len(rp.flat); i += n {
+		rp.pts = append(rp.pts, rp.flat[i:i+n:i+n])
+	}
+	return rp.pts, rp.want
 }
 
 // epilogue closes the exactness proof: every sent message was consumed and

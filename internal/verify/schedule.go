@@ -77,6 +77,7 @@ func CheckSchedule(d *distrib.Distribution, edges []Edge) error {
 			}
 		}
 	}
+	next := make(ilin.Vec, d.TS.T.N) // scratch: an edge's minsucc, then its neighbour-pid tile
 	for _, e := range edges {
 		if e.Dir < 0 || e.Dir >= len(d.DM) {
 			return &Violation{
@@ -97,8 +98,17 @@ func CheckSchedule(d *distrib.Distribution, edges []Edge) error {
 				Detail: fmt.Sprintf("message from tile %v to tile %v flows against lexicographic tile time", e.From, e.To),
 			}
 		}
-		ms, ok := d.MinSucc(e.From, dm)
-		if !ok || !ms.Equal(e.To) {
+		ds, ok := d.MinSucc(e.From, e.Dir)
+		if ok {
+			for k := range next {
+				next[k] = e.From[k] + d.TS.DS[ds][k]
+			}
+		}
+		if !ok || !next.Equal(e.To) {
+			var ms ilin.Vec
+			if ok {
+				ms = next
+			}
 			return &Violation{
 				Rule: "schedule-edge", Rank: e.SrcRank, Tile: e.From, Point: e.To,
 				Detail: fmt.Sprintf("receiver is not minsucc(%v, %v) = %v", e.From, dm, ms),
@@ -112,7 +122,15 @@ func CheckSchedule(d *distrib.Distribution, edges []Edge) error {
 				Detail: fmt.Sprintf("edge ranks %d→%d disagree with tile owners %d→%d", e.SrcRank, e.DstRank, src, dst),
 			}
 		}
-		if want, okR := d.Rank(d.PidOf(e.From).Add(dm)); !okR || want != e.DstRank {
+		// The tile e.From + d^m (mapping coordinate kept) lies on pid + d^m.
+		for k, i := 0, 0; k < len(next); k++ {
+			next[k] = e.From[k]
+			if k != d.M {
+				next[k] += dm[i]
+				i++
+			}
+		}
+		if want, okR := d.RankOfTile(next); !okR || want != e.DstRank {
 			return &Violation{
 				Rule: "schedule-edge", Rank: e.SrcRank, Tile: e.From, Point: e.To,
 				Detail: fmt.Sprintf("destination rank %d is not the pid+%v neighbour", e.DstRank, dm),

@@ -133,7 +133,7 @@ func firstMessageTile(t *testing.T, d *distrib.Distribution) (tile ilin.Vec, dir
 	dir = -1
 	d.TS.ScanTiles(func(s ilin.Vec) bool {
 		for i, dm := range d.DM {
-			if d.HasSuccessor(s, dm) && d.CommRegionCount(s, dm) > 0 {
+			if d.HasSuccessor(s, i) && d.CommRegionCount(s, dm) > 0 {
 				tile, dir = s.Clone(), i
 				return false
 			}
