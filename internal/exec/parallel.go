@@ -57,16 +57,17 @@ type RunOptions struct {
 	//
 	// Deprecated: the executor has no intra-tile worker pool; leave it unset.
 	Workers int
-	// World, when non-nil, supplies a pooled runtime world instead of
-	// constructing a fresh one per run — the reuse seam the serve layer's
-	// world pool relies on. It must have exactly Dist.NumProcs() ranks and
-	// no run in flight; it is Reset under this run's Net options before
-	// any rank starts, so a reused world behaves bit-identically to a
-	// fresh one (internal/exec reuse tests assert Global and Stats). The
-	// world is not torn down on return: the caller owns it and may hand it
-	// to the next run. A world brings its own transport (mpi.NewTCPWorld for
-	// loopback TCP); results and Stats are bit-identical across transports,
-	// only WireStats differ. Nil runs on a fresh in-process channel world.
+	// World, when non-nil, supplies a caller-owned runtime world instead
+	// of constructing a fresh one per run — how a run goes over loopback
+	// TCP, or one world serves run after run. It must have exactly
+	// Dist.NumProcs() ranks and no run in flight; it is Reset under this
+	// run's Net options before any rank starts, so a reused world behaves
+	// bit-identically to a fresh one (internal/exec reuse tests assert
+	// Global and Stats). The world is not torn down on return: the caller
+	// owns it and may hand it to the next run. A world brings its own
+	// transport (mpi.NewTCPWorld for loopback TCP); results and Stats are
+	// bit-identical across transports, only WireStats differ. Nil runs on
+	// a fresh in-process channel world.
 	World *mpi.World
 	// Dynamic is ignored: a rank receives each slot's messages in the
 	// order its inbound-message table names them, as the paper's generated

@@ -73,15 +73,6 @@ type RankMetrics struct {
 // two time.Now calls per phase and no cross-rank synchronization to the
 // steady state. A Tracer may be reused across runs; each run resets it.
 type Tracer struct {
-	// Live, when non-nil, receives every tile's measured event the moment
-	// its rank records it — the streaming feed the serve layer forwards to
-	// clients as per-rank progress. Delivery is best-effort: a full channel
-	// drops the event rather than stalling the executing rank, and the
-	// tracer never closes the channel (the owner does, after the run
-	// returns). Aggregate metrics and the collected timeline are complete
-	// regardless of drops. Set it before attaching the tracer to a run.
-	Live chan<- simnet.Event
-
 	epoch  time.Time
 	events chan []simnet.Event
 	ranks  []RankMetrics
@@ -252,12 +243,6 @@ func (rt *rankTracer) noteFault(kind string, slot int64) {
 		Start: s, RecvDone: s, CompDone: s, End: s,
 	}
 	rt.events = append(rt.events, ev)
-	if rt.tr.Live != nil {
-		select {
-		case rt.tr.Live <- ev:
-		default:
-		}
-	}
 	if kind == "crash" {
 		rt.m.Crashes++
 	}
@@ -289,12 +274,6 @@ func (rt *rankTracer) endTile(tile ilin.Vec) {
 		Waited:   rt.wait.Seconds(),
 	}
 	rt.events = append(rt.events, ev)
-	if rt.tr.Live != nil {
-		select {
-		case rt.tr.Live <- ev:
-		default:
-		}
-	}
 	rt.lastEnd = now
 }
 

@@ -423,8 +423,8 @@ func (w *World) Size() int { return w.size }
 func (w *World) Remote() bool { return w.remote }
 
 // Close releases the transport's resources (sockets, goroutines). The
-// channel fabric holds none; TCP-backed worlds must be closed when they
-// leave a pool or go out of scope, or their mesh goroutines leak.
+// channel fabric holds none; TCP-backed worlds must be closed when their
+// owner is done with them, or their mesh goroutines leak.
 func (w *World) Close() error { return w.wire.Close() }
 
 // Fail records err as the world's primary failure and aborts every
@@ -469,10 +469,12 @@ func (w *World) start(opts Options) {
 }
 
 // Reset returns the world to its just-constructed state under new
-// options, so a pooled World can be reused across runs without paying
-// construction again. A reused world is indistinguishable from a fresh
-// one — the reset and exec reuse tests assert bit-identical Stats against
-// a cold world.
+// options, so one World can serve run after run. It runs the same start
+// the constructor runs — every rank gets a fresh mailbox — so what reuse
+// spares is the transport (a TCP world's listener and links), not the
+// per-run state. A reused world is indistinguishable from a fresh one —
+// the reset and exec reuse tests assert bit-identical Stats against a
+// cold world.
 //
 // Reset must only be called between runs: RunE has returned (its rank
 // and NIC goroutines are gone by then, even after an abort), and no new

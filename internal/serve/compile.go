@@ -104,8 +104,8 @@ func (a *Artifact) GeneratedC() (string, error) {
 // FNV-1a digest, scanning the iteration space in lexicographic order — a
 // row at a time, each row one contiguous slice of the global array.
 // Two runs of one spec agree bit for bit iff their checksums agree,
-// which is what the concurrency battery asserts across cache hits,
-// evictions, pooled-world reuse and fault recovery.
+// which is what the concurrency battery asserts across cache hits and
+// evictions.
 func (a *Artifact) Checksum(g *exec.Global) string {
 	h := ilin.HashSeed()
 	a.Prog.ScanSpaceRows(func(j ilin.Vec, n int64) bool {

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
+	"tilespace/internal/exec"
 	"tilespace/internal/ilin"
 )
 
@@ -45,26 +47,36 @@ func TestEvictionUnderLoad(t *testing.T) {
 		t.Fatalf("row-wise checksum %s, per-point %s", want, perPoint)
 	}
 
-	// Slow the victim runs down with deterministic per-link delay so the
-	// churn below overlaps them; injected delay never changes results.
-	slowRun := runRequest{
-		Source: victim,
-		Faults: &faultReq{Seed: 1, Links: []linkFaultReq{
-			{Src: 0, Dst: 1, DelayUS: 1500}, {Src: 1, Dst: 2, DelayUS: 1500},
-			{Src: 2, Dst: 3, DelayUS: 1500}, {Src: 3, Dst: 4, DelayUS: 1500},
-		}},
+	// Slow the victim runs down so the churn below overlaps them: seed the
+	// cache with an artifact of the victim whose kernel sleeps per point
+	// and then computes the compiled statement, so its values stay bit for
+	// bit those of the reference.
+	stmt := art.Prog.Kernel
+	slowProg, err := exec.NewProgram(art.Prog.TS, art.Prog.Dist.M, art.Prog.Width,
+		exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
+			time.Sleep(time.Millisecond)
+			stmt.Point(j, reads, out)
+		}), art.Prog.Initial)
+	if err != nil {
+		t.Fatal(err)
 	}
+	slow := &Artifact{Source: victim, Width: art.Width, Procs: art.Procs, Tiles: art.Tiles,
+		Points: art.Points, TileSize: art.TileSize, Prog: slowProg, Report: art.Report}
+	if _, _, err := s.cache.Get(victim, func() (*Artifact, error) { return slow, nil }); err != nil {
+		t.Fatal(err)
+	}
+	slowRun := runRequest{Source: victim}
 
 	const (
 		runners  = 4
 		churners = 4
 		churnSet = 48 // distinct specs, vs capacity 1 — constant eviction
 	)
-	var wg sync.WaitGroup
+	var wg, running sync.WaitGroup
 	for r := 0; r < runners; r++ {
-		wg.Add(1)
+		running.Add(1)
 		go func(r int) {
-			defer wg.Done()
+			defer running.Done()
 			for i := 0; i < 3; i++ {
 				resp, body := postJSON(t, client, ts.URL+"/v1/run", slowRun)
 				if resp.StatusCode != http.StatusOK {
@@ -77,12 +89,37 @@ func TestEvictionUnderLoad(t *testing.T) {
 			}
 		}(r)
 	}
+	// Churn only once every runner is executing on the seeded artifact, so
+	// their first runs are evicted mid-flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.adm.inFlight() < runners {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d slow runs ever in flight", s.adm.inFlight(), runners)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runnersDone := make(chan struct{})
+	go func() {
+		running.Wait()
+		close(runnersDone)
+	}()
+	// Each churner walks its share of the churn set at least once and
+	// keeps cycling through it until the last runner is done, so the
+	// victim is evicted after its last re-insertion too.
+	const share = churnSet / churners
 	for c := 0; c < churners; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for i := 0; i < churnSet/churners; i++ {
-				src := heatSpec(16 + 4*(c*(churnSet/churners)+i))
+			for i := 0; ; i++ {
+				if i >= share {
+					select {
+					case <-runnersDone:
+						return
+					default:
+					}
+				}
+				src := heatSpec(16 + 4*(c*share+i%share))
 				resp, body := postJSON(t, client, ts.URL+"/v1/analyze", specRequest{Source: src})
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("churner %d: %d %s", c, resp.StatusCode, body)
@@ -92,6 +129,7 @@ func TestEvictionUnderLoad(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+	<-runnersDone
 
 	_, compilesBefore, evictions := s.cache.Stats()
 	if evictions == 0 {

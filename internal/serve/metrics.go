@@ -61,7 +61,9 @@ type RunMetrics struct {
 	BudgetRejected int64 `json:"budget_rejected"`
 }
 
-// WorldMetrics is the world pool's snapshot.
+// WorldMetrics is always zero: every run executes on a fresh world.
+//
+// Deprecated: the service keeps no world pool.
 type WorldMetrics struct {
 	Created int64 `json:"created"`
 	Reused  int64 `json:"reused"`
@@ -72,7 +74,10 @@ type MetricsSnapshot struct {
 	Endpoints map[string]EndpointMetrics `json:"endpoints"`
 	Cache     CacheMetrics               `json:"cache"`
 	Runs      RunMetrics                 `json:"runs"`
-	Worlds    WorldMetrics               `json:"worlds"`
+	// Worlds is always zero.
+	//
+	// Deprecated: the service keeps no world pool.
+	Worlds WorldMetrics `json:"worlds"`
 }
 
 // snapshot assembles the full metrics document.
@@ -99,7 +104,6 @@ func (s *Server) snapshot() MetricsSnapshot {
 	if n := hits + misses; n > 0 {
 		cm.HitRate = float64(hits) / float64(n)
 	}
-	created, reused := s.worlds.stats()
 	return MetricsSnapshot{
 		Endpoints: eps,
 		Cache:     cm,
@@ -110,6 +114,5 @@ func (s *Server) snapshot() MetricsSnapshot {
 			QueueRejected:  s.adm.rejected.Load(),
 			BudgetRejected: s.budgetRejected.Load(),
 		},
-		Worlds: WorldMetrics{Created: created, Reused: reused},
 	}
 }

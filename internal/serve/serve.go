@@ -1,17 +1,18 @@
 // Package serve is the tiling-as-a-service layer: an HTTP facade over
 // the whole pipeline — parse → analyze → distribute → certify →
 // generate → execute — built for many concurrent clients sharing one
-// process. Three mechanisms make that safe and fast:
+// process. Two mechanisms make that safe and fast:
 //
 //   - a single-flight LRU of immutable compiled Artifacts keyed by the
 //     spec's source text (cache.go), so a hot spec compiles once and every
 //     request after that reuses the same Program without parsing;
 //   - admission control on the execution side (admission.go): bounded
 //     in-flight runs, a bounded wait queue with fail-fast backpressure
-//     (429 + Retry-After), and a per-request rank budget (413);
-//   - a pool of reusable mpi Worlds (pool.go), Reset by the executor
-//     under each run's options, so steady-state runs allocate no new
-//     rank fabric.
+//     (429 + Retry-After), and a per-request rank budget (413).
+//
+// A run takes a spec and returns its answer: POST /v1/run carries only
+// the source, the send mode and whether to certify first, and each
+// admitted run executes on a fresh in-process channel world.
 //
 // Everything is stdlib net/http; cmd/tileserved wraps it in a binary.
 package serve
@@ -20,7 +21,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -29,7 +29,6 @@ import (
 
 	"tilespace/internal/exec"
 	"tilespace/internal/mpi"
-	"tilespace/internal/simnet"
 )
 
 // Config sizes the service. The zero value is usable: withDefaults
@@ -82,12 +81,11 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP service. Create with New; it implements
 // http.Handler.
 type Server struct {
-	cfg    Config
-	cache  *Cache
-	adm    *admission
-	worlds *worldPool
-	mux    *http.ServeMux
-	eps    map[string]*endpointStats
+	cfg   Config
+	cache *Cache
+	adm   *admission
+	mux   *http.ServeMux
+	eps   map[string]*endpointStats
 
 	// drainMu serializes run registration against Drain's flag flip:
 	// checking draining and joining the runs WaitGroup must be atomic,
@@ -105,12 +103,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		cache:  NewCache(cfg.CacheCapacity),
-		adm:    newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.RetryAfter),
-		worlds: newWorldPool(),
-		mux:    http.NewServeMux(),
-		eps:    map[string]*endpointStats{},
+		cfg:   cfg,
+		cache: NewCache(cfg.CacheCapacity),
+		adm:   newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.RetryAfter),
+		mux:   http.NewServeMux(),
+		eps:   map[string]*endpointStats{},
 	}
 	for _, ep := range []struct {
 		name, pattern string
@@ -308,102 +305,6 @@ func (s *Server) handleCodegen(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusOK, codegenResponse{Code: code, CacheHit: hit})
 }
 
-// linkFaultReq is one link's injected perturbation in a run request —
-// the wire form of mpi.Link → mpi.LinkFault (struct map keys don't
-// survive JSON).
-type linkFaultReq struct {
-	Src      int   `json:"src"`
-	Dst      int   `json:"dst"`
-	DelayUS  int64 `json:"delay_us"`
-	JitterUS int64 `json:"jitter_us"`
-}
-
-// faultReq is the wire form of mpi.FaultPlan.
-type faultReq struct {
-	Seed           int64            `json:"seed"`
-	Slowdown       map[int]float64  `json:"slowdown,omitempty"`
-	Links          []linkFaultReq   `json:"links,omitempty"`
-	SendRate       float64          `json:"send_rate,omitempty"`
-	SendMaxRetries int              `json:"send_max_retries,omitempty"`
-	SendBackoffUS  int64            `json:"send_backoff_us,omitempty"`
-	Crash          map[string]int64 `json:"crash,omitempty"`
-	RestartDelayUS int64            `json:"restart_delay_us,omitempty"`
-}
-
-// Every injected sleep runs inside an admitted run slot, so the service
-// bounds what one request may ask for (mpi.FaultPlan.Validate checks only
-// sign and rate): each injected sleep — a restart outage, a link's delay or
-// jitter, a message's total retry backoff — and the compute slowdown factor.
-const (
-	maxFaultSleepUS = 100_000 // 100 ms
-	maxSlowdown     = 1000
-)
-
-// checkBounds rejects a plan whose sleeps could park a run slot. It works on
-// the request's raw integers, before any of them is scaled to a Duration.
-func (f *faultReq) checkBounds() error {
-	if f.RestartDelayUS > maxFaultSleepUS {
-		return fmt.Errorf("faults.restart_delay_us %d exceeds %d", f.RestartDelayUS, maxFaultSleepUS)
-	}
-	for _, l := range f.Links {
-		if l.DelayUS > maxFaultSleepUS || l.JitterUS > maxFaultSleepUS {
-			return fmt.Errorf("faults.links %d→%d: delay_us %d / jitter_us %d exceed %d", l.Src, l.Dst, l.DelayUS, l.JitterUS, maxFaultSleepUS)
-		}
-	}
-	// The backoff doubles per retry (FaultPlan.SendBackoffs), so a message
-	// can sleep backoff·(2^retries − 1) in all.
-	if total := math.Ldexp(float64(f.SendBackoffUS), f.SendMaxRetries) - float64(f.SendBackoffUS); total > maxFaultSleepUS {
-		return fmt.Errorf("faults: send_backoff_us doubling over send_max_retries sleeps up to %g us per message, limit %d", total, maxFaultSleepUS)
-	}
-	for rank, s := range f.Slowdown {
-		if !(s <= maxSlowdown) { // NaN fails too
-			return fmt.Errorf("faults.slowdown of rank %d is %g, limit %d", rank, s, maxSlowdown)
-		}
-	}
-	return nil
-}
-
-func (f *faultReq) plan() (*mpi.FaultPlan, error) {
-	if f == nil {
-		return nil, nil
-	}
-	if err := f.checkBounds(); err != nil {
-		return nil, err
-	}
-	fp := &mpi.FaultPlan{Seed: f.Seed, Slowdown: f.Slowdown,
-		RestartDelay: time.Duration(f.RestartDelayUS) * time.Microsecond}
-	if len(f.Links) > 0 {
-		fp.Links = map[mpi.Link]mpi.LinkFault{}
-		for _, l := range f.Links {
-			fp.Links[mpi.Link{Src: l.Src, Dst: l.Dst}] = mpi.LinkFault{
-				Delay:  time.Duration(l.DelayUS) * time.Microsecond,
-				Jitter: time.Duration(l.JitterUS) * time.Microsecond,
-			}
-		}
-	}
-	if f.SendRate > 0 {
-		fp.Sends = &mpi.SendFaults{
-			Rate:       f.SendRate,
-			MaxRetries: f.SendMaxRetries,
-			Backoff:    time.Duration(f.SendBackoffUS) * time.Microsecond,
-		}
-	}
-	if len(f.Crash) > 0 {
-		fp.Crash = map[int]int64{}
-		for rs, tile := range f.Crash {
-			rank, err := strconv.Atoi(rs)
-			if err != nil {
-				return nil, fmt.Errorf("faults.crash: rank %q is not an integer", rs)
-			}
-			fp.Crash[rank] = tile
-		}
-	}
-	if err := fp.Validate(); err != nil {
-		return nil, err
-	}
-	return fp, nil
-}
-
 // runRequest is POST /v1/run's body.
 type runRequest struct {
 	Source string `json:"source"`
@@ -413,43 +314,18 @@ type runRequest struct {
 	// Verify requires the artifact's certificate (the proof /v1/certify
 	// returns, computed once per cached artifact) before any rank starts.
 	Verify bool `json:"verify"`
-	// Faults injects a deterministic fault schedule.
-	Faults *faultReq `json:"faults,omitempty"`
-	// CheckpointEvery enables tile-chain checkpointing with the given
-	// snapshot period; required when Faults crashes a rank.
-	CheckpointEvery int64 `json:"checkpoint_every,omitempty"`
-	// Stream switches the response to NDJSON: one line per completed
-	// tile (the measured simnet.Event) as it happens, then one final
-	// line carrying the runResponse.
-	Stream bool `json:"stream,omitempty"`
-	// Transport selects the wire family the run's ranks communicate
-	// over: "channel" (default — the in-process fabric) or "tcp" (a
-	// loopback TCP mesh; every message crosses a real socket with
-	// framed, coalesced sends). Results and traffic stats are
-	// bit-identical across transports; the knob exists for soak testing
-	// the wire path and for measuring it.
-	Transport string `json:"transport,omitempty"`
 }
 
-// runResponse is the final result of an execution.
+// runResponse is the result of an execution.
 type runResponse struct {
-	Procs     int    `json:"procs"`
-	Tiles     int64  `json:"tiles"`
-	Points    int64  `json:"points"`
-	Messages  int64  `json:"messages"`
-	Values    int64  `json:"values"`
-	Checksum  string `json:"checksum"`
-	CacheHit  bool   `json:"cache_hit"`
-	Overlap   bool   `json:"overlap"`
-	Transport string `json:"transport"`
-}
-
-// streamLine is one NDJSON line of a streamed run: either a tile/fault
-// event or the final result.
-type streamLine struct {
-	Event  *simnet.Event `json:"event,omitempty"`
-	Result *runResponse  `json:"result,omitempty"`
-	Error  string        `json:"error,omitempty"`
+	Procs    int    `json:"procs"`
+	Tiles    int64  `json:"tiles"`
+	Points   int64  `json:"points"`
+	Messages int64  `json:"messages"`
+	Values   int64  `json:"values"`
+	Checksum string `json:"checksum"`
+	CacheHit bool   `json:"cache_hit"`
+	Overlap  bool   `json:"overlap"`
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
@@ -460,32 +336,21 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 	if s.draining.Load() {
 		return writeError(w, http.StatusServiceUnavailable, "server is draining")
 	}
-	faults, err := req.Faults.plan()
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, "bad fault plan: %v", err)
-	}
-	transport := req.Transport
-	switch transport {
-	case "":
-		transport = "channel"
-	case "channel", "tcp":
-	default:
-		return writeError(w, http.StatusBadRequest,
-			"unknown transport %q (want \"channel\" or \"tcp\")", req.Transport)
-	}
 	art, hit, err := s.artifact(req.Source)
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
+	}
+	// The budget is checked before the certificate: a spec the service will
+	// refuse to run must not cost it a certify first.
+	if art.Procs > s.cfg.MaxRanks {
+		s.budgetRejected.Add(1)
+		return writeError(w, http.StatusRequestEntityTooLarge,
+			"spec needs %d ranks, budget is %d", art.Procs, s.cfg.MaxRanks)
 	}
 	if req.Verify {
 		if _, err := art.Certificate(); err != nil {
 			return writeError(w, http.StatusUnprocessableEntity, "certification failed: %v", err)
 		}
-	}
-	if art.Procs > s.cfg.MaxRanks {
-		s.budgetRejected.Add(1)
-		return writeError(w, http.StatusRequestEntityTooLarge,
-			"spec needs %d ranks, budget is %d", art.Procs, s.cfg.MaxRanks)
 	}
 	release, err := s.adm.acquire(r.Context())
 	if err != nil {
@@ -508,41 +373,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 		s.runsDone.Add(1)
 	}()
 
-	opt := exec.RunOptions{
+	// RunOptions.World is left nil: each run gets a fresh channel world.
+	g, stats, err := art.Prog.RunParallelOpts(exec.RunOptions{
 		Overlap: req.Overlap,
-		Net:     mpi.Options{Watchdog: s.cfg.Watchdog, Faults: faults},
-	}
-	if req.CheckpointEvery > 0 {
-		opt.Checkpoint = &exec.CheckpointOptions{Every: req.CheckpointEvery}
-	}
-	world, err := s.worlds.get(art.Procs, transport)
-	if err != nil {
-		return writeError(w, http.StatusInternalServerError, "transport: %v", err)
-	}
-	opt.World = world
-	run := func(opt exec.RunOptions) (*runResponse, error) {
-		g, stats, err := art.Prog.RunParallelOpts(opt)
-		// A failed run may leave the world aborted; Reset handles that on
-		// reuse, so pool it regardless.
-		s.worlds.put(world, transport)
-		if err != nil {
-			return nil, err
-		}
-		return &runResponse{
-			Procs: art.Procs, Tiles: art.Tiles, Points: art.Points,
-			Messages: stats.Messages, Values: stats.Values,
-			Checksum: art.Checksum(g), CacheHit: hit, Overlap: opt.Overlap,
-			Transport: transport,
-		}, nil
-	}
-	if req.Stream {
-		return streamRun(w, opt, run)
-	}
-	res, err := run(opt)
+		Net:     mpi.Options{Watchdog: s.cfg.Watchdog},
+	})
 	if err != nil {
 		return writeError(w, http.StatusInternalServerError, "run failed: %v", err)
 	}
-	return writeJSON(w, http.StatusOK, res)
+	return writeJSON(w, http.StatusOK, runResponse{
+		Procs: art.Procs, Tiles: art.Tiles, Points: art.Points,
+		Messages: stats.Messages, Values: stats.Values,
+		Checksum: art.Checksum(g), CacheHit: hit, Overlap: req.Overlap,
+	})
 }
 
 // retryAfterSeconds renders an admission backoff hint as a Retry-After
@@ -555,56 +398,4 @@ func retryAfterSeconds(d time.Duration) int {
 		secs = 1
 	}
 	return secs
-}
-
-// streamRun executes run with a live tracer and writes NDJSON progress:
-// each measured tile event the moment its rank records it, then one
-// final result line. The HTTP status is always 200 — errors after the
-// first byte arrive as an error line.
-func streamRun(w http.ResponseWriter, opt exec.RunOptions, run func(exec.RunOptions) (*runResponse, error)) int {
-	live := make(chan simnet.Event, 1024)
-	tr := exec.NewTracer()
-	tr.Live = live
-	opt.Trace = tr
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-
-	done := make(chan streamLine, 1)
-	go func() {
-		res, err := run(opt)
-		if err != nil {
-			done <- streamLine{Error: err.Error()}
-			return
-		}
-		done <- streamLine{Result: res}
-	}()
-
-	writeLine := func(line streamLine) {
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	for {
-		select {
-		case ev := <-live:
-			writeLine(streamLine{Event: &ev})
-		case last := <-done:
-			// Drain whatever the ranks published before finishing.
-			for {
-				select {
-				case ev := <-live:
-					writeLine(streamLine{Event: &ev})
-					continue
-				default:
-				}
-				break
-			}
-			writeLine(last)
-			return http.StatusOK
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -190,9 +189,13 @@ func TestBadSpecRejected(t *testing.T) {
 		path string
 		body map[string]any
 	}{
-		"unknown field":          {"/v1/analyze", map[string]any{"sauce": "x"}},
-		"removed field workers":  {"/v1/run", map[string]any{"source": heatSpec(12), "workers": 2}},
-		"removed field schedule": {"/v1/run", map[string]any{"source": heatSpec(12), "schedule": "static"}},
+		"unknown field":                  {"/v1/analyze", map[string]any{"sauce": "x"}},
+		"removed field workers":          {"/v1/run", map[string]any{"source": heatSpec(12), "workers": 2}},
+		"removed field schedule":         {"/v1/run", map[string]any{"source": heatSpec(12), "schedule": "static"}},
+		"removed field faults":           {"/v1/run", map[string]any{"source": heatSpec(12), "faults": map[string]any{"seed": 1}}},
+		"removed field checkpoint_every": {"/v1/run", map[string]any{"source": heatSpec(12), "checkpoint_every": 1}},
+		"removed field stream":           {"/v1/run", map[string]any{"source": heatSpec(12), "stream": true}},
+		"removed field transport":        {"/v1/run", map[string]any{"source": heatSpec(12), "transport": "tcp"}},
 	} {
 		resp, body := postJSON(t, client, ts.URL+c.path, c.body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -204,7 +207,7 @@ func TestBadSpecRejected(t *testing.T) {
 // TestRunBitIdenticalToInProcess is the service's ground truth: the
 // checksum served over HTTP equals the checksum of a direct in-process
 // run of the same spec, for both send modes, and repeat requests (warm
-// cache, pooled world) never change it.
+// cache) never change it.
 func TestRunBitIdenticalToInProcess(t *testing.T) {
 	leakCheck(t)
 	_, ts, client := newTestServer(t, Config{})
@@ -248,6 +251,21 @@ func TestRunRankBudget(t *testing.T) {
 	}
 	if s.budgetRejected.Load() != 1 {
 		t.Fatalf("budgetRejected = %d, want 1", s.budgetRejected.Load())
+	}
+
+	// A verified over-budget run is refused before it certifies: the
+	// service must not prove a program it will not run.
+	src := heatSpec(16)
+	resp, body = postJSON(t, client, ts.URL+"/v1/run", runRequest{Source: src, Verify: true})
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("verified run: status %d (%s), want 413", resp.StatusCode, body)
+	}
+	art, hit, err := s.artifact(src)
+	if err != nil || !hit {
+		t.Fatalf("artifact after the refused run: hit=%v err=%v", hit, err)
+	}
+	if art.cert != nil || art.certErr != nil {
+		t.Fatal("an over-budget verified run certified the artifact")
 	}
 }
 
@@ -340,55 +358,6 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestStreamedRun reads the NDJSON feed: every tile event arrives, then
-// the final result line with the same checksum a buffered run returns.
-func TestStreamedRun(t *testing.T) {
-	leakCheck(t)
-	_, ts, client := newTestServer(t, Config{})
-	src := heatSpec(12)
-
-	// Reference checksum from the buffered path.
-	_, body := postJSON(t, client, ts.URL+"/v1/run", runRequest{Source: src})
-	want := decode[runResponse](t, body).Checksum
-
-	buf, _ := json.Marshal(runRequest{Source: src, Stream: true})
-	resp, err := client.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	var events int
-	var result *runResponse
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := decode[streamLine](t, sc.Bytes())
-		switch {
-		case line.Event != nil:
-			events++
-		case line.Result != nil:
-			result = line.Result
-		case line.Error != "":
-			t.Fatalf("stream error: %s", line.Error)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if result == nil {
-		t.Fatal("stream ended without a result line")
-	}
-	if result.Checksum != want {
-		t.Fatalf("streamed checksum %s, want %s", result.Checksum, want)
-	}
-	if int64(events) != result.Tiles {
-		t.Fatalf("streamed %d tile events, want %d", events, result.Tiles)
-	}
-}
-
 // TestMetricsEndpoint drives a little traffic and checks the snapshot
 // adds up.
 func TestMetricsEndpoint(t *testing.T) {
@@ -421,38 +390,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Runs.Completed != 1 || m.Runs.InFlight != 0 {
 		t.Fatalf("runs = %+v, want 1 completed, 0 in flight", m.Runs)
 	}
-	if m.Worlds.Created != 1 {
-		t.Fatalf("worlds = %+v, want 1 created", m.Worlds)
-	}
 	if m.Endpoints["analyze"].AvgLatencyMS <= 0 {
 		t.Fatalf("analyze avg latency %v, want > 0", m.Endpoints["analyze"].AvgLatencyMS)
-	}
-}
-
-// TestWorldPoolReuseAcrossRequests checks the pooled-World path: serial
-// runs of one spec reuse the same world, and the results stay
-// bit-identical (checksum) across reuses.
-func TestWorldPoolReuseAcrossRequests(t *testing.T) {
-	leakCheck(t)
-	s, ts, client := newTestServer(t, Config{})
-	src := heatSpec(12)
-
-	var sums []string
-	for i := 0; i < 4; i++ {
-		resp, body := postJSON(t, client, ts.URL+"/v1/run", runRequest{Source: src})
-		if resp.StatusCode != 200 {
-			t.Fatalf("run %d: %d %s", i, resp.StatusCode, body)
-		}
-		sums = append(sums, decode[runResponse](t, body).Checksum)
-	}
-	for i, sum := range sums {
-		if sum != sums[0] {
-			t.Fatalf("run %d checksum %s != run 0 %s", i, sum, sums[0])
-		}
-	}
-	created, reused := s.worlds.stats()
-	if created != 1 || reused != 3 {
-		t.Fatalf("worlds created=%d reused=%d, want 1/3", created, reused)
 	}
 }
 

@@ -580,7 +580,7 @@ type TileServerConfig = serve.Config
 // TileServer is the tiling-as-a-service HTTP handler (re-exported from
 // serve): POST /v1/analyze, /v1/certify, /v1/codegen and /v1/run share
 // compiled plans through a single-flight LRU, runs are
-// admission-controlled on pooled runtime worlds, and GET /metrics
+// admission-controlled, each on a fresh in-process world, and GET /metrics
 // exposes the live counters. See cmd/tileserved for the binary.
 type TileServer = serve.Server
 
