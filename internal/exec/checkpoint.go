@@ -13,14 +13,11 @@ import (
 // CheckpointOptions.Every committed tiles the rank takes one RankSnapshot,
 // and a lost rank becomes a rewind to it instead of a lost run. snapshot and
 // crash are pure transitions of the machine's state; their wire effects
-// (quiesce, stream counts, Save, dropping the unsent queue, the restart
-// outage) are runRank's.
+// (quiesce, stream counts, Save, the restart outage) are runRank's.
 //
 // A snapshot is taken quiesced: the driver first waits for everything the
-// rank has sent to be delivered (mpi.Comm.WaitSends) and out of the
-// transport (FlushWire). No send issued before a snapshot can therefore
-// ever need resending, and "sent before the snapshot" is exact on every
-// transport.
+// rank has sent to be due (mpi.Comm.WaitSends) and out of the transport
+// (FlushWire), so "sent before the snapshot" is exact on every transport.
 //
 // With CheckpointOptions.Save the snapshot is persisted and recovery is a
 // new OS process started with Resume (cmd/tilerankd): its peers' meshes
@@ -31,10 +28,8 @@ import (
 // mailbox hands a claimed message over for good, and no peer retains it:
 //
 //   - Ledger: the (dst, tag) of every send since the snapshot, in issue
-//     order. The NIC completes sends in issue order, so at a crash the
-//     delivered ones are a prefix: the driver's mpi.Comm.DropPending
-//     discards the untransmitted rest and reports how many, and crash takes
-//     delivered = len(ledger) − dropped.
+//     order. A send is with the transport the moment it is issued, so a
+//     crash loses none of them: every ledger send arrives, exactly once.
 //   - Held payloads: every message claimed since the snapshot is kept as a
 //     copy — a restore wipes its unpacked cells from the LDS.
 //   - Crash: the LDS is poisoned with NaN before restoring, so state the
@@ -43,18 +38,18 @@ import (
 //   - Restore: copy the snapshot back, unpack the held payloads on top of
 //     it (rows are claimed in table order, so every held payload belongs to
 //     a slot between the snapshot and the crash), turn the ledger into a
-//     resend cursor and rewind the chain to the resume slot.
+//     replay cursor and rewind the chain to the resume slot.
 //   - Re-execution: the rewound tiles find their inbound-table rows already
 //     claimed (claimed messages are not re-received from the wire, so
-//     mpi.Stats count them once); packing consults the cursor — the
-//     delivered prefix stays out of the outbox, the dropped suffix is sent
-//     fresh (re-execution from the restored LDS reproduces the payload bit
-//     for bit). Past the crash point the cursor is empty and the rank runs
-//     normally.
+//     mpi.Stats count them once); packing consults the cursor, and every
+//     ledger send stays out of the outbox — its receiver has it. The cursor
+//     also checks that re-execution issues the same (dst, tag) sequence:
+//     a mismatch is nondeterministic re-execution and panics. Past the
+//     crash point the cursor is empty and the rank runs normally.
 //
-// Counting every message exactly once — at its one successful delivery —
-// keeps mpi.Stats bit-identical to a fault-free run, which the chaos
-// suite asserts.
+// Counting every message exactly once — when it is first issued — keeps
+// mpi.Stats bit-identical to a fault-free run, which the chaos suite
+// asserts.
 
 // CheckpointOptions enables tile-chain checkpointing (RunOptions).
 type CheckpointOptions struct {
@@ -124,11 +119,9 @@ type ckptState struct {
 	ledger []sendRec
 	held   []heldMsg
 
-	// The resend cursor, populated by a crash and drained by re-execution:
-	// the crashed incarnation's ledger, whose first skip entries it
-	// delivered.
+	// The replay cursor, populated by a crash and drained by re-execution:
+	// the crashed incarnation's ledger, every entry of which it delivered.
 	replaySend []sendRec
-	skip       int
 }
 
 // newCkptState builds the rank's checkpoint state, restored from
@@ -174,18 +167,15 @@ func (st *rankState) snapshot() *RankSnapshot {
 }
 
 // crash loses the rank at the boundary of its current slot and restarts it
-// in-process from the last snapshot; the driver has already discarded the
-// newest `dropped` sends of the ledger, which never reached the wire.
-// Without the in-process recovery log a dead rank is a dead run: panic,
-// which aborts the world with a diagnostic.
-func (st *rankState) crash(dropped int) {
+// in-process from the last snapshot. Without the in-process recovery log a
+// dead rank is a dead run: panic, which aborts the world with a diagnostic.
+func (st *rankState) crash() {
 	ck := st.ckpt
 	if !ck.logs() {
 		panic(fmt.Sprintf("exec: rank %d crashed at tile %d (FaultPlan.Crash) with no in-memory checkpointing enabled — run lost", st.rank, st.t))
 	}
 	if st.tr != nil {
 		st.tr.noteFault("crash", st.t)
-		st.tr.noteDropped(dropped)
 	}
 	// The replacement process starts blank: poison the LDS so any state
 	// the snapshot fails to cover shows up as NaN in the result, then
@@ -199,9 +189,8 @@ func (st *rankState) crash(dropped int) {
 	for _, h := range ck.held {
 		st.unpack(&st.Msgs[h.row], h.data)
 	}
-	// Re-execution re-issues the ledger in order, rebuilding it as it goes.
+	// Re-execution replays the ledger in order, rebuilding it as it goes.
 	ck.replaySend = append(ck.replaySend[:0], ck.ledger...)
-	ck.skip = len(ck.ledger) - dropped
 	ck.ledger = ck.ledger[:0]
 	st.t = ck.snap.NextTile
 	if st.tr != nil {
@@ -210,7 +199,7 @@ func (st *rankState) crash(dropped int) {
 }
 
 // checkReplayDrained asserts the crash recovery actually converged: once
-// the chain completes the resend cursor must be empty, or re-execution
+// the chain completes the replay cursor must be empty, or re-execution
 // diverged from the first incarnation.
 func (st *rankState) checkReplayDrained() error {
 	if ck := st.ckpt; ck != nil && len(ck.replaySend) > 0 {
@@ -229,10 +218,9 @@ func (st *rankState) markDirty(end int64) {
 
 // delivered runs one packed send of slot t through the recovery layer and
 // reports whether it stays out of the outbox. The send joins the ledger when
-// the rank keeps one. During post-crash re-execution it consults the resend
-// cursor: a message the first incarnation delivered is skipped (the
-// receiver has it; resending would corrupt the stream and double-count
-// Stats), a dropped one is sent again.
+// the rank keeps one. During post-crash re-execution it consults the replay
+// cursor: the first incarnation issued the message, and the receiver has it
+// — resending would corrupt the stream and double-count Stats.
 func (st *rankState) delivered(dst, tag int, t int64) bool {
 	ck := st.ckpt
 	if ck.logs() {
@@ -244,14 +232,7 @@ func (st *rankState) delivered(dst, tag int, t int64) bool {
 	rec := ck.replaySend[0]
 	ck.replaySend = ck.replaySend[1:]
 	if rec.dst != dst || rec.tag != tag {
-		panic(fmt.Sprintf("exec: rank %d resend cursor mismatch at tile %d: re-execution sends (dst=%d, tag=%d), ledger recorded (dst=%d, tag=%d) — nondeterministic re-execution", st.rank, t, dst, tag, rec.dst, rec.tag))
+		panic(fmt.Sprintf("exec: rank %d replay cursor mismatch at tile %d: re-execution sends (dst=%d, tag=%d), ledger recorded (dst=%d, tag=%d) — nondeterministic re-execution", st.rank, t, dst, tag, rec.dst, rec.tag))
 	}
-	if ck.skip > 0 {
-		ck.skip--
-		return true
-	}
-	if st.tr != nil {
-		st.tr.noteResend()
-	}
-	return false
+	return true
 }

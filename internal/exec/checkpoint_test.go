@@ -15,8 +15,9 @@ import (
 // tiling family of the differential matrix, killing a mid-chain rank
 // halfway through its chain and restarting it from its last checkpoint
 // must reproduce the fault-free Global bit for bit — and the fault-free
-// mpi.Stats too, because recovery resends dropped messages exactly once
-// and replays claimed receives from the local log instead of the wire.
+// mpi.Stats too, because a crash loses no issued send, re-execution sends
+// none of them again, and claimed receives replay from the local log
+// instead of the wire.
 // The restore path poisons the LDS with NaN before copying the snapshot
 // back, so any state the snapshot fails to cover corrupts the comparison
 // instead of passing silently.
@@ -145,6 +146,21 @@ func TestResumeOfUnknownRankRejected(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("rank %d", rank)) {
 			t.Errorf("Resume.Rank = %d: err = %v, want a refusal naming the rank", rank, err)
+		}
+	}
+}
+
+// An invalid fault plan refuses the run with the plan's error, on a fresh
+// world and on a caller's world alike, instead of panicking.
+func TestInvalidFaultPlanRejected(t *testing.T) {
+	c := diffCases(t)[0]
+	net := mpi.Options{Faults: &mpi.FaultPlan{Sends: &mpi.SendFaults{Rate: 2}}}
+	w := mpi.NewWorld(c.p.Dist.NumProcs())
+	defer w.Close()
+	for name, world := range map[string]*mpi.World{"fresh": nil, "caller": w} {
+		_, _, err := c.p.RunParallelOpts(exec.RunOptions{Net: net, World: world})
+		if err == nil || !strings.Contains(err.Error(), "send-failure rate 2 outside [0,1]") {
+			t.Errorf("%s world: err = %v, want the plan's validation error", name, err)
 		}
 	}
 }

@@ -37,9 +37,9 @@ type handStream struct{ src, dst, tag int }
 // handRun drives every rank's machine with no world: outboxes go into
 // test-owned FIFOs, and a seeded random order picks among the ranks that can
 // step — the row next names is queued, or the slot is ready. With crash set,
-// every rank snapshots every two slots, and the crash's rank withholds the
-// last k messages of its slot's outbox and crashes right behind them. It
-// returns the global array and the number of messages and values offered.
+// every rank snapshots every two slots, and the crash's rank sends its
+// slot's whole outbox and crashes right behind it. It returns the global
+// array and the number of messages and values offered.
 func handRun(t *testing.T, p *Program, seed int64, crash *handCrash) (*Global, int64, int64) {
 	t.Helper()
 	var opt RunOptions
@@ -82,13 +82,8 @@ func handRun(t *testing.T, p *Program, seed int64, crash *handCrash) (*Global, i
 			}
 		} else {
 			st.fire()
-			out := st.out
 			crashing := crash != nil && !crashed && st.rank == crash.rank && slot == crash.slot
-			if crashing {
-				crashed = true
-				out = out[:len(out)-crash.k]
-			}
-			for _, m := range out {
+			for _, m := range st.out {
 				k := handStream{st.rank, m.dst, m.tag}
 				fifo[k] = append(fifo[k], m.data)
 			}
@@ -96,7 +91,8 @@ func handRun(t *testing.T, p *Program, seed int64, crash *handCrash) (*Global, i
 				if st.ckpt.snap.NextTile == 0 {
 					t.Fatalf("rank %d crashes at slot %d before any snapshot", st.rank, slot)
 				}
-				st.crash(crash.k)
+				crashed = true
+				st.crash()
 			} else if st.snapshotDue() {
 				st.snapshot()
 			}
@@ -123,19 +119,18 @@ func handRun(t *testing.T, p *Program, seed int64, crash *handCrash) (*Global, i
 	return g, msgs, vals
 }
 
-// handCrash is where handRun crashes a rank: after firing slot, with its
-// last k outbox messages never sent.
+// handCrash is where handRun crashes a rank: right after sending slot's
+// outbox.
 type handCrash struct {
 	rank int
 	slot int64
-	k    int
 }
 
 // TestRankCoresByHand steps the rank machines of a small SOR nr and a small
 // ADI nr3 program with no mpi.World: the result must be RunSequential's bit
 // for bit, and the messages and values offered exactly RunParallel's Stats —
-// also across a crash that loses sends in flight, which recovery must resend
-// exactly once.
+// also across a crash right behind a slot's sends, whose re-execution must
+// send none of them again.
 func TestRankCoresByHand(t *testing.T) {
 	for name, p := range map[string]*Program{"sor-nr": planProgram(t), "adi-nr3": adiProgram(t)} {
 		t.Run(name, func(t *testing.T) {
@@ -149,9 +144,9 @@ func TestRankCoresByHand(t *testing.T) {
 			}
 			// The crash: a slot past the first snapshot that sends twice or
 			// more, the one with the most messages claimed since its snapshot
-			// (held payloads the restore must re-apply); the last send is lost
-			// in flight.
-			crash := &handCrash{k: 1}
+			// (held payloads the restore must re-apply). Its sends are in
+			// flight when the rank crashes.
+			crash := &handCrash{}
 			held := 0
 			for r := 0; r < p.Dist.NumProcs(); r++ {
 				rp := mustPlan(t, p, r)

@@ -75,7 +75,7 @@ type outMsg struct {
 // pack is the compiled SEND into the outbox: for each direction the slot
 // sends along (compiled: a valid successor and a non-empty region) the
 // plan's run list turns packing into a few bulk copies into a pooled buffer,
-// which the receiver recycles. A send the resend cursor says was delivered
+// which the receiver recycles. A send the replay cursor says was delivered
 // is not packed at all. Message order, tags and sizes are identical to the
 // reference executor's per-point SEND (legacy_test.go), so mpi.Stats match
 // bit for bit.

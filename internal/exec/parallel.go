@@ -44,9 +44,9 @@ type RunOptions struct {
 	Trace *Tracer
 	// Checkpoint enables tile-chain checkpointing: after every
 	// CheckpointOptions.Every committed tiles a rank waits for its sends to
-	// be delivered and snapshots its chain position, dirty LDS prefix and
+	// be due and snapshots its chain position, dirty LDS prefix and
 	// stream counts. Kept in memory, the snapshot lets a crashed rank
-	// restart in-process with its dropped sends re-issued; handed to
+	// restart in-process, its issued sends delivered once; handed to
 	// CheckpointOptions.Save, it lets a relaunched rank process resume
 	// mid-conversation over the TCP mesh's resume protocol (cmd/tilerankd).
 	// Nil disables checkpointing (no per-tile overhead).
@@ -94,6 +94,9 @@ func (p *Program) RunParallel() (*Global, mpi.Stats, error) {
 
 // RunParallelOpts is RunParallel with an explicit execution strategy.
 func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
+	if err := opt.Net.Faults.Validate(); err != nil {
+		return nil, mpi.Stats{}, err
+	}
 	if ck := opt.Checkpoint; ck != nil && ck.Resume != nil {
 		if r, n := ck.Resume.Rank, p.Dist.NumProcs(); r < 0 || r >= n {
 			return nil, mpi.Stats{}, fmt.Errorf("exec: Checkpoint.Resume is a snapshot of rank %d, the program has ranks 0..%d", r, n-1)
@@ -227,9 +230,9 @@ func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 
 // runRank is the rank's driver, and the one place the executor calls the
 // runtime. Per chain slot it receives the rows next names, fires the slot
-// and issues its outbox. It carries out a planned crash (drop the unsent
-// queue, sit out the restart, then crash the machine) and a due snapshot
-// (quiesce the wire, snapshot, hand the result to Save).
+// and issues its outbox. It carries out a planned crash (sit out the
+// restart, then crash the machine) and a due snapshot (quiesce the wire,
+// snapshot, hand the result to Save).
 func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	r := c.Rank()
 	st, err := newRankState(p, r, opt)
@@ -245,14 +248,14 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	crashAt := faults.CrashTile(r)
 	for t, _ := st.next(); t < int64(len(st.Slots)); t, _ = st.next() {
 		// A planned crash fires once, at the tile boundary before tile t's
-		// receive. The node is gone: its sends not yet on the wire are lost,
-		// and the outage is fault activity, so the watchdog never mistakes it
-		// for a deadlock. Without in-memory checkpointing crash panics.
+		// receive. The node is gone, but every send it issued is already
+		// with the transport and arrives; the outage is fault activity, so
+		// the watchdog never mistakes it for a deadlock. Without in-memory
+		// checkpointing crash panics.
 		if t == crashAt {
 			crashAt = -1
-			dropped := c.DropPending()
 			c.FaultSleep(faults.RestartDelay)
-			st.crash(dropped)
+			st.crash()
 			continue
 		}
 		if st.tr != nil {
@@ -292,8 +295,8 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 		// parked waiting for its output — keep the watchdog quiet.
 		c.NoteProgress()
 		if st.snapshotDue() {
-			// Quiesced: everything sent so far is delivered and out of the
-			// transport, so no send before the snapshot can need resending.
+			// Quiesced: everything sent so far is due and out of the
+			// transport, so "sent before the snapshot" is exact.
 			c.WaitSends()
 			c.FlushWire()
 			snap := st.snapshot()
@@ -309,9 +312,7 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	if err := st.checkReplayDrained(); err != nil {
 		return err
 	}
-	// Every Isend's transfer runs on the rank's NIC: wait for all of them
-	// before declaring the chain done (receivers need the data, and Stats
-	// must be final).
+	// The chain is done once its last Isend is due.
 	c.WaitSends()
 	if st.tr != nil {
 		st.tr.finish(&st.pool)

@@ -51,15 +51,9 @@ type RankMetrics struct {
 	PoolMisses  int
 	PendingPeak int
 
-	// Fault-recovery activity: Crashes counts injected crashes this rank
-	// survived (restarting from a checkpoint), Dropped the in-flight sends
-	// those crashes lost, Resent the messages the recovery layer re-issued
-	// because of it (a converged recovery has Resent == Dropped). These are
-	// measurements (they depend on real delivery timing), which is why
-	// they live here and not in the deterministic mpi.Stats.
+	// Crashes counts injected crashes this rank survived (restarting from
+	// a checkpoint).
 	Crashes int
-	Dropped int
-	Resent  int
 
 	// Workers is always 1: a rank computes its tiles itself.
 	//
@@ -247,11 +241,6 @@ func (rt *rankTracer) noteFault(kind string, slot int64) {
 		rt.m.Crashes++
 	}
 }
-
-// noteDropped counts the sends a crash lost undelivered; noteResend one
-// message the recovery layer re-issued.
-func (rt *rankTracer) noteDropped(n int) { rt.m.Dropped += n }
-func (rt *rankTracer) noteResend()       { rt.m.Resent++ }
 
 func (rt *rankTracer) endTile(tile ilin.Vec) {
 	now := time.Now()

@@ -40,7 +40,10 @@ func TestTracerRecordsTimeline(t *testing.T) {
 		opt  RunOptions
 	}{
 		{"planned-blocking", RunOptions{}},
-		{"planned-overlap", RunOptions{Overlap: true}},
+		// Without injected wire cost every send is due when issued and
+		// nothing is ever pending: a small latency gives PendingPeak
+		// something to record.
+		{"planned-overlap", RunOptions{Overlap: true, Net: mpi.Options{LinkLatency: 200 * time.Microsecond}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, st := runTraced(t, tc.opt)

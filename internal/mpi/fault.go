@@ -11,17 +11,17 @@ import (
 // rank crash — and every decision the plan makes is a pure function of
 // (Seed, link, per-link message sequence number, attempt). Per-link
 // message order is fixed by the program (each rank issues its sends from
-// one goroutine, and the NIC preserves issue order), so two runs with the
-// same plan perturb exactly the same messages by exactly the same
+// one goroutine, and transmit numbers them as they are issued), so two runs
+// with the same plan perturb exactly the same messages by exactly the same
 // amounts, no matter how the goroutines interleave. That determinism is
 // what lets the chaos tests assert bit-identical results and lets
 // internal/simnet predict the degradation of a measured run.
 //
 // Injection sites: link delay, jitter and transient-failure backoff are
-// paid on the sending goroutine (blocking Send) or the rank's NIC
-// goroutine (Isend), exactly where Options.LinkLatency is paid. Compute
-// slowdown and the crash point are consumed by the executor
-// (exec.RunOptions.Faults), which owns the compute phase and the tile
+// added to the message's wire cost, exactly like Options.LinkLatency: they
+// push its due time out, and a blocking Send sleeps them on the caller.
+// Compute slowdown and the crash point are consumed by the executor
+// (exec.RunOptions.Net.Faults), which owns the compute phase and the tile
 // chain; the runtime carries them so one plan describes the whole run.
 
 // Link identifies a directed rank pair.
@@ -69,7 +69,7 @@ type FaultPlan struct {
 	Sends *SendFaults
 	// Crash[r] = k makes rank r crash when it reaches tile index k of its
 	// chain (first incarnation only). The executor simulates the crash:
-	// undelivered sends are dropped, and the rank either restarts from its
+	// issued sends are delivered, and the rank either restarts from its
 	// last checkpoint (RunOptions.Checkpoint) or aborts the run.
 	Crash map[int]int64
 	// RestartDelay models the time a crashed rank needs to come back
@@ -108,9 +108,9 @@ const (
 
 // LinkExtraDelay returns the injected extra delay of the seq-th message
 // on src→dst: the link's fixed Delay plus its seeded jitter share. Both
-// the runtime (which sleeps it) and the simulator (which adds it to the
-// modelled arrival) call this, so prediction and measurement perturb the
-// same messages identically.
+// the runtime (which adds it to the message's due time) and the simulator
+// (which adds it to the modelled arrival) call this, so prediction and
+// measurement perturb the same messages identically.
 func (fp *FaultPlan) LinkExtraDelay(src, dst int, seq int64) time.Duration {
 	if fp == nil || fp.Links == nil {
 		return 0
@@ -126,10 +126,10 @@ func (fp *FaultPlan) LinkExtraDelay(src, dst int, seq int64) time.Duration {
 	return d
 }
 
-// SendBackoffs returns the backoff sleeps the seq-th message on src→dst
-// suffers before its transmission finally succeeds: one entry per failed
-// attempt, exponentially growing, at most MaxRetries long. The runtime
-// sleeps each entry; the simulator sums them.
+// SendBackoffs returns the backoffs the seq-th message on src→dst suffers
+// before its transmission finally succeeds: one entry per failed attempt,
+// exponentially growing, at most MaxRetries long. The runtime and the
+// simulator both add their sum to the message's wire cost.
 func (fp *FaultPlan) SendBackoffs(src, dst int, seq int64) []time.Duration {
 	if fp == nil || fp.Sends == nil || fp.Sends.Rate <= 0 || fp.Sends.MaxRetries <= 0 {
 		return nil
@@ -192,9 +192,9 @@ func (fp *FaultPlan) Validate() error {
 }
 
 // linkSeq hands out the next per-link message sequence number. Only the
-// owning rank's send path (its goroutine or its NIC) increments a given
-// link, so the sequence mirrors issue order; the atomic keeps mixed or
-// collective traffic race-free.
+// owning rank's send path increments a given link, so the sequence mirrors
+// issue order; the atomic keeps a rank sending from several goroutines
+// race-free.
 func (w *World) linkSeq(src, dst int) int64 {
 	return w.linkSeqs[src*w.size+dst].Add(1) - 1
 }
@@ -213,37 +213,20 @@ func (c *Comm) FaultSleep(d time.Duration) {
 	c.world.progress.Add(1)
 }
 
-// injectSendFaults pays the plan's per-message perturbations for one
-// transmission on src→dst: the link's extra delay, then each transient
-// failure's backoff. It runs on the sending goroutine (blocking path) or
-// the NIC (overlapped path) and counts itself in faultBusy, so the
-// deadlock watchdog treats an injected stall as activity, never as a
-// hang; every survived retry also counts as global progress. Teardown
-// after an abort skips the sleeps so a dying world drains promptly.
-func (w *World) injectSendFaults(src, dst int) {
+// sendFaultDelay returns the plan's extra wire cost of one transmission on
+// src→dst — the link's delay, then each transient failure's backoff — and
+// counts the failures survived against src.
+func (w *World) sendFaultDelay(src, dst int) time.Duration {
 	fp := w.opts.Faults
 	if fp == nil {
-		return
+		return 0
 	}
 	seq := w.linkSeq(src, dst)
-	delay := fp.LinkExtraDelay(src, dst, seq)
+	d := fp.LinkExtraDelay(src, dst, seq)
 	backoffs := fp.SendBackoffs(src, dst, seq)
-	if delay <= 0 && len(backoffs) == 0 {
-		return
-	}
-	w.faultBusy.Add(1)
-	defer w.faultBusy.Add(-1)
-	if delay > 0 && !w.aborted.Load() {
-		time.Sleep(delay)
-	}
 	for _, b := range backoffs {
-		if w.aborted.Load() {
-			return
-		}
-		w.perRank[src].sendRetries.Add(1)
-		time.Sleep(b)
-		// The retry got through (or is about to): forward progress, even
-		// though no message was delivered during the backoff window.
-		w.progress.Add(1)
+		d += b
 	}
+	w.perRank[src].sendRetries.Add(int64(len(backoffs)))
+	return d
 }

@@ -1,8 +1,10 @@
 // Package mpi is an in-process message-passing runtime with MPI-like
 // semantics: a fixed-size world of ranks (goroutines), blocking typed
 // point-to-point Send/Recv with (source, tag) matching and per-stream FIFO
-// ordering, non-blocking in-order Isends completed by count (WaitSends) and
-// a barrier.
+// ordering, non-blocking Isends completed together (WaitSends) and a
+// barrier. Every send takes one path (Comm.transmit): it is handed to the
+// transport when issued, stamped with the time it is due, and a blocking
+// Send differs from an Isend only in that its sender sleeps until then.
 //
 // A (source, tag) stream is a FIFO queue plus a count of the messages taken
 // from it: a receiver blocks for the head and claims it (Recv) — there are
@@ -14,9 +16,9 @@
 // It substitutes for the paper's MPI-over-FastEthernet transport (Go has no
 // mature MPI binding): the compiled tile programs only rely on ordered
 // point-to-point delivery plus a barrier, which this package provides with
-// the same semantics. Sends are "eager" (buffered, non-blocking) as in
-// MPI's small-message path; timing behaviour is modelled by the simnet
-// package, and can additionally be *injected* into this runtime through
+// the same semantics. Sends are "eager" (buffered) as in MPI's small-message
+// path; timing behaviour is modelled by the simnet package, and can
+// additionally be *injected* into this runtime through
 // Options.LinkLatency/PerValue so overlap effects become measurable
 // in-process (see Options).
 package mpi
@@ -33,10 +35,10 @@ import (
 type Message struct {
 	Source int
 	Tag    int
-	// Delivered is when the runtime placed the message into the receiver's
-	// mailbox (after any injected wire cost). Receivers can subtract it
-	// from their claim time to measure how long a message sat queued —
-	// the tracing layer's send→recv timestamp delta.
+	// Delivered is the message's due time: when its injected wire cost
+	// has been paid and a receiver may claim it. Receivers can subtract
+	// it from their claim time to measure how long a message sat queued
+	// — the tracing layer's send→recv timestamp delta.
 	Delivered time.Time
 	Data      []float64
 }
@@ -106,9 +108,14 @@ func (mb *mailbox) put(m Message) {
 // waiting forever; when a peer rank has failed it panics with a secondary
 // abort so the world can drain.
 //
+// A head is claimable once it is due (Message.Delivered). Waiting for a head
+// still on the wire is wire activity, not a parked rank: a timer wakes the
+// receiver at the due time. A head, once there, stays until its receiver
+// claims it, so a wait leaves the parked count at most once.
+//
 // The watchdog observes *global* progress, not a flat per-call timeout: a
 // receiver blocked here while another rank is still running (long compute
-// phase), a NIC transfer is in flight, or any message has been delivered
+// phase), a message is on the wire, or any message has been delivered
 // since the deadline was armed is waiting, not deadlocked, and the
 // deadline re-arms. It fires only after two consecutive timeout periods in
 // which every live rank sat parked in a blocking wait with nothing
@@ -117,7 +124,14 @@ func (mb *mailbox) take(k streamKey, w *World, rank int, op string) Message {
 	watch := w.newStallWatch(&mb.mu, mb.cond)
 	defer watch.stop()
 	w.blocked.Add(1)
-	defer w.blocked.Add(-1)
+	var due *time.Timer // wakes the wait for a head still on the wire
+	defer func() {
+		if due == nil {
+			w.blocked.Add(-1)
+		} else {
+			due.Stop()
+		}
+	}()
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	s := mb.streamOf(k)
@@ -127,10 +141,17 @@ func (mb *mailbox) take(k streamKey, w *World, rank int, op string) Message {
 		}
 		if s.head < len(s.queue) {
 			m := s.queue[s.head]
-			s.queue[s.head] = Message{} // the payload is the receiver's now
-			s.head++
-			s.taken++
-			return m
+			wire := time.Until(m.Delivered)
+			if wire <= 0 {
+				s.queue[s.head] = Message{} // the payload is the receiver's now
+				s.head++
+				s.taken++
+				return m
+			}
+			if due == nil {
+				w.blocked.Add(-1)
+				due = wakeAfter(wire, &mb.mu, mb.cond)
+			}
 		}
 		if watch.deadlocked() {
 			panic(fmt.Sprintf("watchdog: rank %d blocked in %s(src=%d, tag=%d) longer than %v with no global progress — deadlock suspected (no matching send)", rank, op, k.src, k.tag, w.opts.Watchdog))
@@ -139,9 +160,24 @@ func (mb *mailbox) take(k streamKey, w *World, rank int, op string) Message {
 	}
 }
 
-// stallWatch is the watchdog deadline of one blocking wait on a condition
-// variable (a stream's head, a rank's undelivered sends). A nil watch —
-// the world has no watchdog — never fires.
+// wake broadcasts cond. Locking (and releasing) mu first guarantees that a
+// waiter which checked its condition under mu is either inside cond.Wait
+// (and receives the broadcast) or has not yet checked (and will see the new
+// state).
+func wake(mu *sync.Mutex, cond *sync.Cond) {
+	mu.Lock()
+	//lint:ignore SA2001 empty critical section orders the broadcast
+	mu.Unlock()
+	cond.Broadcast()
+}
+
+// wakeAfter wakes cond's waiters after d.
+func wakeAfter(d time.Duration, mu *sync.Mutex, cond *sync.Cond) *time.Timer {
+	return time.AfterFunc(d, func() { wake(mu, cond) })
+}
+
+// stallWatch is the watchdog deadline of one blocking wait for a stream's
+// head. A nil watch — the world has no watchdog — never fires.
 type stallWatch struct {
 	w        *World
 	timer    *time.Timer
@@ -158,16 +194,11 @@ func (w *World) newStallWatch(mu *sync.Mutex, cond *sync.Cond) *stallWatch {
 	if to <= 0 {
 		return nil
 	}
-	// Locking (and releasing) mu before broadcasting guarantees the waiter
-	// is either inside cond.Wait (and receives the broadcast) or has not
-	// yet checked the deadline (and will see it expired).
-	timer := time.AfterFunc(to, func() {
-		mu.Lock()
-		//lint:ignore SA2001 empty critical section orders the broadcast
-		mu.Unlock()
-		cond.Broadcast()
-	})
-	return &stallWatch{w: w, timer: timer, deadline: time.Now().Add(to), last: w.progress.Load()}
+	// Read the deadline before the timer starts, so the timer never fires
+	// before it: such a wake-up would re-arm nothing and hang the wait.
+	s := &stallWatch{w: w, deadline: time.Now().Add(to), last: w.progress.Load()}
+	s.timer = wakeAfter(to, mu, cond)
+	return s
 }
 
 // deadlocked is called by the waiter, holding the mutex, each time it wakes
@@ -207,31 +238,31 @@ func (a abortPanic) String() string { return a.msg }
 
 // Options configures a World beyond its rank count.
 type Options struct {
-	// Watchdog aborts a Recv or WaitSends with a diagnostic naming the
+	// Watchdog aborts a Recv or Barrier with a diagnostic naming the
 	// stuck rank, peer and tag, instead of hanging the process on a
 	// mis-matched schedule. It is progress-based, not a flat per-call
 	// timeout: a wait only trips it after ~2× this duration with no global
-	// progress — no message delivered, no NIC transfer in flight, no rank
-	// running outside a blocking wait, and no NoteProgress call. A
+	// progress — no message delivered, none on the wire, no rank running
+	// outside a blocking wait, and no NoteProgress call. A
 	// receiver stalled behind a peer's long compute phase therefore waits
 	// as long as it takes; only a genuine deadlock (every live rank
 	// parked, nothing moving) fires. Zero disables it.
 	Watchdog time.Duration
 	// LinkLatency and PerValue inject synthetic wire cost: each message
-	// costs LinkLatency plus PerValue per float64 carried. A blocking Send
-	// pays it on the sending goroutine (the transfer occupies the CPU, as
-	// with blocking MPI over TCP); an Isend charges it to the rank's
-	// background NIC goroutine so the sender computes on — which is what
-	// makes computation–communication overlap measurable in-process.
-	// Zero (the default) injects nothing.
+	// costs LinkLatency plus PerValue per float64 carried, and a rank's
+	// messages pay their costs one after another — a message is due once
+	// the rank's earlier messages are and its own cost has passed. A
+	// blocking Send sleeps until its message is due (the transfer occupies
+	// the CPU, as with blocking MPI over TCP); an Isend returns at once and
+	// the sender computes on — which is what makes computation–communication
+	// overlap measurable in-process. Zero (the default) injects nothing.
 	LinkLatency time.Duration
 	PerValue    time.Duration
-	// Faults, when non-nil, injects the plan's deterministic perturbations
-	// (per-link delay/jitter, transient send failures with backoff) into
-	// every send path; compute slowdown and crash points are carried for
-	// the executor. Injected sleeps count as watchdog activity, never as a
-	// stall (see World.stalled), and failed transmissions are retried below
-	// the traffic counters so Stats stay deterministic.
+	// Faults, when non-nil, adds the plan's deterministic perturbations
+	// (per-link delay/jitter, transient send failures with backoff) to
+	// every message's wire cost; compute slowdown and crash points are
+	// carried for the executor. Failed transmissions are retried below the
+	// traffic counters so Stats stay deterministic.
 	Faults *FaultPlan
 }
 
@@ -258,8 +289,8 @@ type Stats struct {
 }
 
 // rankCounters is the mutable form of RankTraffic. Every field is
-// written only by World methods (transmit, noteRecv, start and the fault
-// injector), each message exactly once on its sending side — transports
+// written only by the runtime (transmit, noteRecv, start and the fault
+// plan's cost), each message exactly once on its sending side — transports
 // never touch them — so traffic can never double-count. The world's totals
 // are their sums.
 type rankCounters struct {
@@ -299,14 +330,12 @@ type World struct {
 	// Watchdog progress observation (see Options.Watchdog): progress is
 	// bumped on every delivery and NoteProgress call;
 	// active counts ranks inside their RunE function; blocked counts ranks
-	// parked in a blocking wait; nicBusy counts undelivered Isends;
-	// faultBusy counts goroutines sleeping inside an injected fault (link
-	// delay or retry backoff) so degraded-but-healthy runs never trip the
-	// watchdog.
+	// parked in a blocking wait; faultBusy counts ranks sitting out an
+	// injected outage (FaultSleep) so degraded-but-healthy runs never trip
+	// the watchdog.
 	progress  atomic.Uint64
 	active    atomic.Int64
 	blocked   atomic.Int64
-	nicBusy   atomic.Int64
 	faultBusy atomic.Int64
 
 	// linkSeqs[src*size+dst] numbers the messages transmitted on each
@@ -323,20 +352,21 @@ func (w *World) NoteProgress() { w.progress.Add(1) }
 // stalled implements the watchdog's deadlock test. Given the progress
 // counter observed when the deadline was armed, it reports whether the
 // world is stalled: no progress since, every live rank parked in a
-// blocking wait, and no NIC transfer pending. When progress has occurred
-// it returns the fresh counter so the caller re-arms against it.
+// blocking wait, and nothing on the wire. A rank waiting for a message
+// that is not yet due is not parked (see mailbox.take). When progress has
+// occurred it returns the fresh counter so the caller re-arms against it.
 func (w *World) stalled(last uint64) (uint64, bool) {
 	if p := w.progress.Load(); p != last {
 		return p, false
 	}
-	// A goroutine sleeping out an injected fault (link delay, retry
-	// backoff) is degraded, not deadlocked — it will wake and deliver.
-	if w.nicBusy.Load() > 0 || w.faultBusy.Load() > 0 || w.blocked.Load() < w.active.Load() {
+	// A rank sitting out an injected outage is degraded, not deadlocked —
+	// it will wake and carry on.
+	if w.faultBusy.Load() > 0 || w.blocked.Load() < w.active.Load() {
 		return last, false
 	}
-	// Frames still inside the transport (queued for a coalesced write,
-	// on the socket, or stalled behind a peer mid-reconnect) are wire
-	// activity, exactly like nicBusy — never a stall.
+	// Frames still inside the transport (held until due, queued for a
+	// coalesced write, on the socket, or stalled behind a peer
+	// mid-reconnect) are wire activity — never a stall.
 	if w.wire.Busy() {
 		return last, false
 	}
@@ -463,7 +493,6 @@ func (w *World) start(opts Options) {
 	clear(w.perRank)
 	w.progress.Store(0)
 	w.blocked.Store(0)
-	w.nicBusy.Store(0)
 	w.faultBusy.Store(0)
 	clear(w.linkSeqs)
 }
@@ -477,7 +506,7 @@ func (w *World) start(opts Options) {
 // cold world.
 //
 // Reset must only be called between runs: RunE has returned (its rank
-// and NIC goroutines are gone by then, even after an abort), and no new
+// goroutines are gone by then, even after an abort), and no new
 // RunE has started. Calling it while ranks are active panics.
 func (w *World) Reset(opts Options) {
 	if w.active.Load() != 0 {
@@ -518,27 +547,58 @@ func (w *World) Stats() Stats {
 	return st
 }
 
-// transmit is the one send path, run on the sending goroutine (Send,
-// SendOwned) or the rank's NIC (Isend): pay the fault plan's perturbations
-// and the modelled wire cost — skipped when tearing down after a failure —
-// then count the message against the sending rank and hand it to the
-// transport. Counters are sender-side and transport-independent, so Stats
-// compare bit-identically across channel and wire-backed worlds; the
-// transport owns everything from here to the destination mailbox (see
-// World.arrive).
-func (w *World) transmit(src, dst, tag int, data []float64, overlapped bool) {
-	w.injectSendFaults(src, dst)
-	if d := w.opts.LinkLatency + time.Duration(len(data))*w.opts.PerValue; d > 0 && !w.aborted.Load() {
-		time.Sleep(d)
+// transmit is the one send path, run on the sending goroutine for every
+// kind of send. It stamps the message with its due time, counts it against
+// the sending rank and hands it to the transport at once. A message's cost
+// is LinkLatency plus PerValue per value plus the fault plan's link delay
+// and retry backoffs, and a rank pays its messages' costs one after another:
+// due = max(now, busyUntil) + cost, then busyUntil = due — simnet's nicFree
+// rule. It returns how far in the future the due time lies. Counters are
+// sender-side and transport-independent, so Stats compare bit-identically
+// across channel and wire-backed worlds; the transport owns everything from
+// here to the destination mailbox (see World.arrive).
+func (c *Comm) transmit(dst, tag int, data []float64, overlapped bool) time.Duration {
+	w := c.world
+	cost := w.opts.LinkLatency + time.Duration(len(data))*w.opts.PerValue + w.sendFaultDelay(c.rank, dst)
+	now := time.Now()
+	c.mu.Lock()
+	due := c.busyUntil
+	if due.Before(now) {
+		due = now
 	}
-	rc := &w.perRank[src]
+	due = due.Add(cost)
+	c.busyUntil = due
+	if due.After(now) {
+		c.dues = append(stillDue(c.dues, now), due)
+	}
+	c.mu.Unlock()
+	rc := &w.perRank[c.rank]
 	if overlapped {
 		rc.overlapped.Add(1)
 	} else {
 		rc.blocking.Add(1)
 	}
 	rc.values.Add(int64(len(data)))
-	w.wire.Deliver(src, dst, tag, data)
+	w.wire.Deliver(c.rank, dst, tag, data, due)
+	return due.Sub(now)
+}
+
+// stillDue drops the due times that have passed from the front of dues,
+// which is in issue order and so ascending.
+func stillDue(dues []time.Time, now time.Time) []time.Time {
+	i := 0
+	for i < len(dues) && !dues[i].After(now) {
+		i++
+	}
+	return append(dues[:0], dues[i:]...)
+}
+
+// sleep pays d of wire time on the calling goroutine; a world tearing down
+// after a failure skips it, so it drains promptly.
+func (c *Comm) sleep(d time.Duration) {
+	if d > 0 && !c.world.aborted.Load() {
+		time.Sleep(d)
+	}
 }
 
 // noteRecv counts one claimed message against the receiving rank.
@@ -556,10 +616,7 @@ func (w *World) abort() {
 		return
 	}
 	for _, mb := range w.boxes {
-		mb.mu.Lock()
-		//lint:ignore SA2001 empty critical section orders the broadcast
-		mb.mu.Unlock()
-		mb.cond.Broadcast()
+		wake(&mb.mu, mb.cond)
 	}
 }
 
@@ -567,8 +624,8 @@ func (w *World) abort() {
 // until all ranks return. A panic in any rank aborts the world (peers
 // blocked in receives or barriers are torn down promptly) and is returned
 // as an error, preferring the original diagnostic over secondary
-// teardown panics. Outstanding Isends are flushed before RunE returns, so
-// Stats are complete.
+// teardown panics. A message is counted when it is issued, so Stats are
+// complete when RunE returns.
 func (w *World) RunE(fn func(c *Comm)) error {
 	var wg sync.WaitGroup
 	panics := make([]any, w.size)
@@ -579,9 +636,7 @@ func (w *World) RunE(fn func(c *Comm)) error {
 		wg.Add(1)
 		go func(rank int) {
 			c := &Comm{world: w, rank: rank}
-			c.nic.cond = sync.NewCond(&c.nic.mu)
 			defer wg.Done()
-			defer c.flushNIC()
 			defer func() {
 				if p := recover(); p != nil {
 					panics[rank] = p
@@ -628,7 +683,14 @@ func (w *World) Run(fn func(c *Comm)) {
 type Comm struct {
 	world *World
 	rank  int
-	nic   nicQueue // outbound Isends (nic.go)
+
+	// The rank's wire clock (transmit): busyUntil is the due time of its
+	// latest send, and dues the due times of its sends not yet due, in
+	// issue order. mu guards both, so a rank may send from several
+	// goroutines.
+	mu        sync.Mutex
+	busyUntil time.Time
+	dues      []time.Time
 }
 
 // Rank returns this endpoint's rank.
@@ -655,14 +717,14 @@ func (c *Comm) check(peer, tag int) {
 }
 
 // Send delivers a copy of data to dst with the given tag. It is eager:
-// the call returns as soon as the message is enqueued (plus any injected
-// wire cost, which the blocking path pays on the caller). Tags must be
+// the message goes to the transport at once, and the call returns when it
+// is due (any injected wire cost is paid on the caller). Tags must be
 // non-negative (negative tags are reserved for the runtime's protocol).
 func (c *Comm) Send(dst, tag int, data []float64) {
 	c.check(dst, tag)
 	buf := make([]float64, len(data))
 	copy(buf, data)
-	c.world.transmit(c.rank, dst, tag, buf, false)
+	c.sleep(c.transmit(dst, tag, buf, false))
 }
 
 // SendOwned is Send without the snapshot copy: ownership of data
@@ -673,7 +735,36 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 // Envelope semantics, ordering and Stats are identical to Send.
 func (c *Comm) SendOwned(dst, tag int, data []float64) {
 	c.check(dst, tag)
-	c.world.transmit(c.rank, dst, tag, data, false)
+	c.sleep(c.transmit(dst, tag, data, false))
+}
+
+// IsendOwned is SendOwned without the wait: the message is with the
+// transport when the call returns, and the caller computes on while its
+// wire cost passes. The caller must not touch data after the call — not
+// even after WaitSends. Envelope semantics, ordering and Stats are those
+// of Send, counted as overlapped.
+func (c *Comm) IsendOwned(dst, tag int, data []float64) {
+	c.check(dst, tag)
+	c.transmit(dst, tag, data, true)
+}
+
+// PendingSends returns how many of this rank's sends are not yet due —
+// the overlap depth at this instant. Without injected wire cost every
+// send is due when issued, and it is always zero.
+func (c *Comm) PendingSends() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.dues = stillDue(c.dues, time.Now())
+	return len(c.dues)
+}
+
+// WaitSends blocks until every send this rank has issued is due. It waits
+// on the rank's own clock, never on a peer, so it cannot deadlock.
+func (c *Comm) WaitSends() {
+	c.mu.Lock()
+	d := time.Until(c.busyUntil)
+	c.mu.Unlock()
+	c.sleep(d)
 }
 
 // Recv blocks until a message from src with the given tag arrives and
@@ -696,10 +787,11 @@ func (c *Comm) RecvMsg(src, tag int) Message {
 // Barrier blocks until all ranks have entered it: every rank reports to
 // rank 0, which releases everyone once all reports are in. Successive
 // barriers need no generation numbers — the per-(src, tag) FIFO streams
-// order them. The reports and releases are ordinary stream messages that
-// bypass the traffic counters, so a barrier adds nothing to Stats on any
-// transport, and a barrier some rank never enters is a receive nobody
-// sends to: the watchdog names the waiting rank.
+// order them. The reports and releases are ordinary stream messages, due
+// at once, that bypass the traffic counters and the wire clock, so a
+// barrier adds nothing to Stats on any transport, and a barrier some rank
+// never enters is a receive nobody sends to: the watchdog names the
+// waiting rank.
 func (c *Comm) Barrier() {
 	w := c.world
 	if c.rank == 0 {
@@ -707,11 +799,11 @@ func (c *Comm) Barrier() {
 			c.barrierRecv(r)
 		}
 		for r := 1; r < w.size; r++ {
-			w.wire.Deliver(0, r, tagBarrier, nil)
+			w.wire.Deliver(0, r, tagBarrier, nil, time.Time{})
 		}
 		return
 	}
-	w.wire.Deliver(c.rank, 0, tagBarrier, nil)
+	w.wire.Deliver(c.rank, 0, tagBarrier, nil, time.Time{})
 	c.barrierRecv(0)
 }
 

@@ -94,7 +94,7 @@ func TestUnwaitedIsendStillDelivered(t *testing.T) {
 	var got atomic.Bool
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.IsendOwned(1, 0, []float64{1}) // never waited for; flushed at shutdown
+			c.IsendOwned(1, 0, []float64{1}) // never waited for; with the transport once issued
 		} else {
 			c.Recv(0, 0)
 			got.Store(true)
@@ -199,9 +199,9 @@ func TestWatchdogSurvivesSlowCompute(t *testing.T) {
 	}
 }
 
-// TestWatchdogSurvivesSlowWire: every rank parked while a NIC is still
-// paying wire cost on an undelivered transfer is progress in flight, not
-// deadlock.
+// TestWatchdogSurvivesSlowWire: a receiver waiting for a message that is
+// still paying its wire cost, while its sender waits for it to be due, is
+// progress in flight, not deadlock.
 func TestWatchdogSurvivesSlowWire(t *testing.T) {
 	w := NewWorldOpts(2, Options{Watchdog: 20 * time.Millisecond, LinkLatency: 150 * time.Millisecond})
 	err := w.RunE(func(c *Comm) {
@@ -216,6 +216,55 @@ func TestWatchdogSurvivesSlowWire(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("in-flight transfer tripped the watchdog: %v", err)
+	}
+}
+
+// TestWaitOnWireQuietWatchdog: a rank whose only wait is for heads not yet
+// due is not parked, so a 5 ms watchdog never fires while every other rank
+// sits in a blocking receive and nothing is delivered.
+func TestWaitOnWireQuietWatchdog(t *testing.T) {
+	const msgs = 3
+	w := NewWorldOpts(2, Options{Watchdog: 5 * time.Millisecond, LinkLatency: 40 * time.Millisecond})
+	err := w.RunE(func(c *Comm) {
+		if c.Rank() == 0 {
+			for i := 0; i < msgs; i++ {
+				c.IsendOwned(1, 0, []float64{float64(i)})
+			}
+			c.Recv(1, 1) // parked until rank 1 has every message
+		} else {
+			for i := 0; i < msgs; i++ {
+				if v := c.Recv(0, 0); v[0] != float64(i) {
+					t.Errorf("message %d carries %v", i, v[0])
+				}
+			}
+			c.Send(0, 1, nil)
+		}
+	})
+	if err != nil {
+		t.Fatalf("waits on the wire tripped the watchdog: %v", err)
+	}
+}
+
+// TestAbortWakesWaitOnWire: a peer's panic wakes a rank waiting for a head
+// due far in the future, and RunE reports the peer's own diagnostic at
+// once instead of waiting out the wire cost.
+func TestAbortWakesWaitOnWire(t *testing.T) {
+	w := NewWorldOpts(2, Options{LinkLatency: 10 * time.Second})
+	start := time.Now()
+	err := w.RunE(func(c *Comm) {
+		if c.Rank() == 0 {
+			c.IsendOwned(1, 0, []float64{1})
+			time.Sleep(20 * time.Millisecond) // rank 1 is waiting on the head
+			panic("sender lost")
+		}
+		c.Recv(0, 0)
+		t.Error("claimed a message ten seconds before it is due")
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 0 panicked: sender lost") {
+		t.Fatalf("err = %v, want rank 0's diagnostic", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("RunE took %v to return after the panic", elapsed)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestIsendOwnedTransfersOwnership(t *testing.T) {
 }
 
 // TestIsendOwnedSteadyStateAllocs: send completion is a count, not an
-// object — once the NIC queue and the stream exist, an IsendOwned plus the
+// object — once the stream exists, an IsendOwned plus the
 // WaitSends that retires it allocates at most one object per message
 // (receiver included: AllocsPerRun counts the whole process).
 func TestIsendOwnedSteadyStateAllocs(t *testing.T) {

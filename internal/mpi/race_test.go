@@ -3,7 +3,7 @@ package mpi
 // Race-focused coverage: every test here drives the runtime from many
 // goroutines at once and is meant to run under -race in CI. The point is
 // not the arithmetic but the interleavings — concurrent Send/Recv on one
-// mailbox, Isend NIC traffic racing blocking traffic on other streams,
+// mailbox, Isend traffic racing blocking traffic on other streams,
 // PendingSends polling racing delivery, and Stats reads racing in-flight
 // sends.
 
@@ -110,9 +110,9 @@ func TestRaceIsendWaitConcurrent(t *testing.T) {
 	}
 }
 
-// TestRaceTestPollingVsDelivery: the sender spins on PendingSends while the
-// NIC delivers to a receiver blocked in Recv — exercises the completion
-// count and the take path against concurrent put.
+// TestRaceTestPollingVsDelivery: the sender spins on PendingSends while its
+// message reaches a receiver blocked in Recv — exercises the wire clock and
+// the take path against concurrent put.
 func TestRaceTestPollingVsDelivery(t *testing.T) {
 	const rounds = 50
 	w := NewWorld(2)
@@ -164,7 +164,7 @@ func TestRaceStatsDuringTraffic(t *testing.T) {
 				if i%2 == 0 {
 					c.Send(1, 0, []float64{1})
 				} else {
-					c.IsendOwned(1, 0, []float64{1}) // unwaited: flushed at shutdown
+					c.IsendOwned(1, 0, []float64{1}) // unwaited: with the transport once issued
 				}
 			}
 		} else {

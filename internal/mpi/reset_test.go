@@ -111,9 +111,9 @@ func TestWorldResetAfterAbort(t *testing.T) {
 			}
 
 			w.Reset(clean)
-			if w.aborted.Load() || w.failure() != nil || w.progress.Load() != 0 || w.blocked.Load() != 0 || w.nicBusy.Load() != 0 || w.faultBusy.Load() != 0 {
-				t.Errorf("Reset left per-run state behind: aborted %v, failure %v, progress %d, blocked %d, nicBusy %d, faultBusy %d",
-					w.aborted.Load(), w.failure(), w.progress.Load(), w.blocked.Load(), w.nicBusy.Load(), w.faultBusy.Load())
+			if w.aborted.Load() || w.failure() != nil || w.progress.Load() != 0 || w.blocked.Load() != 0 || w.faultBusy.Load() != 0 {
+				t.Errorf("Reset left per-run state behind: aborted %v, failure %v, progress %d, blocked %d, faultBusy %d",
+					w.aborted.Load(), w.failure(), w.progress.Load(), w.blocked.Load(), w.faultBusy.Load())
 			}
 			for i := range w.linkSeqs {
 				if n := w.linkSeqs[i].Load(); n != 0 {

@@ -70,14 +70,16 @@ type WireStats struct {
 
 type linkID struct{ src, dst int }
 
-// wireFrame is one encoded frame staged for a link's writer. acct is
-// the exactly-once settlement flag for the mesh's in-custody counter on
+// wireFrame is one encoded frame staged for a link's writer, which holds
+// it until due (zero for protocol frames: at once). acct is the
+// exactly-once settlement flag for the mesh's in-custody counter on
 // cross-process frames (nil for protocol frames and in-process data,
 // which settle at the receiver).
 type wireFrame struct {
 	kind byte
 	tag  int
 	seq  uint64
+	due  time.Time
 	acct *atomic.Bool
 	buf  []byte
 }
@@ -85,11 +87,11 @@ type wireFrame struct {
 // TCPMesh is the Transport that moves every message over TCP with
 // length-prefixed frames. Each directed link with traffic gets one
 // connection (dialed by the sender) and one writer goroutine; the
-// writer drains whatever has been queued since its last wake into a
-// single net.Buffers writev, which coalesces the per-(dest, superstep)
-// send bursts the tile schedules produce without adding latency to
-// isolated sends. Readers reassemble frames into the existing Message
-// path via World.arrive.
+// writer holds each frame until it is due, then drains whatever is due
+// since its last wake into a single net.Buffers writev, which coalesces
+// the per-(dest, superstep) send bursts the tile schedules produce
+// without adding latency to isolated sends. Readers reassemble frames
+// into the existing Message path via World.arrive.
 //
 // Loss handling: every data frame carries a per-(src, dst, tag)
 // sequence number and senders retain sent frames; a reconnect replays
@@ -125,9 +127,9 @@ type TCPMesh struct {
 	markCond *sync.Cond
 	marks    map[uint32]int
 
-	// staged counts frames in the mesh's custody: queued, mid-write, or
-	// (in-process) inside a socket buffer. Busy() reports them to the
-	// watchdog, exactly like nicBusy.
+	// staged counts frames in the mesh's custody: held until due, queued,
+	// mid-write, or (in-process) inside a socket buffer. Busy() reports
+	// them to the watchdog as wire activity.
 	staged atomic.Int64
 	// down counts link endpoints currently connecting, reconnecting, or
 	// awaiting a peer's return — wire activity, never a stall.
@@ -351,9 +353,10 @@ func (m *TCPMesh) outLinks(src int) []*outLink {
 }
 
 // Deliver encodes one message as a data frame and queues it on its
-// link. Eager: it never blocks on the network, so the channel fabric's
-// no-deadlock send semantics carry over unchanged.
-func (m *TCPMesh) Deliver(src, dst, tag int, data []float64) {
+// link, where the writer holds it until due. Eager: it never blocks on
+// the network, so the channel fabric's no-deadlock send semantics carry
+// over unchanged.
+func (m *TCPMesh) Deliver(src, dst, tag int, data []float64, due time.Time) {
 	l := m.out(linkID{src, dst})
 	l.mu.Lock()
 	seq := l.proto.Stamp(tag)
@@ -361,6 +364,7 @@ func (m *TCPMesh) Deliver(src, dst, tag int, data []float64) {
 		kind: frameData,
 		tag:  tag,
 		seq:  seq,
+		due:  due,
 		buf:  encodeDataFrame(m.epoch.Load(), tag, seq, data),
 	}
 	if !m.isLocalRank(dst) {
@@ -408,24 +412,39 @@ func (l *outLink) run() {
 	}
 }
 
-// takeBatch blocks until frames are queued (or the connection died, or
-// the mesh closed) and claims everything queued so far — the coalescing
-// step: one wake drains one burst into one writev.
+// takeBatch blocks until frames are due (or the connection died, or the
+// mesh closed) and claims every frame due so far — the coalescing step:
+// one wake drains one burst into one writev. A frame not yet due holds
+// the frames behind it, which keeps the link in order: due times never
+// decrease per sending rank.
 func (l *outLink) takeBatch() ([]wireFrame, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for len(l.queue) == 0 && !l.connDead && !l.m.closed.Load() {
+	var hold *time.Timer // wakes the writer when the head frame is due
+	n := 0
+	for {
+		if l.m.closed.Load() {
+			l.closeConnLocked()
+			return nil, false
+		}
+		now := time.Now()
+		for n < len(l.queue) && !l.queue[n].due.After(now) {
+			n++
+		}
+		if n > 0 || l.connDead {
+			break
+		}
+		if len(l.queue) > 0 && hold == nil {
+			hold = wakeAfter(l.queue[0].due.Sub(now), &l.mu, l.cond)
+			defer hold.Stop()
+		}
 		l.cond.Wait()
 	}
-	if l.m.closed.Load() {
-		l.closeConnLocked()
-		return nil, false
+	if n == 0 {
+		return nil, true // woken by a dead connection: reconnect
 	}
-	if len(l.queue) == 0 {
-		return nil, true
-	}
-	batch := l.queue
-	l.queue = nil
+	batch := l.queue[:n:n]
+	l.queue = l.queue[n:]
 	l.pending = len(batch)
 	for _, fr := range batch {
 		if fr.kind == frameData {
@@ -831,7 +850,8 @@ func (m *TCPMesh) acceptData(il *inLink, f dataFrame) {
 	if m.isLocalRank(il.id.src) {
 		m.staged.Add(-1)
 	}
-	m.w.arrive(il.id.src, il.id.dst, f.tag, f.data)
+	// The sender held the frame until it was due.
+	m.w.arrive(il.id.src, il.id.dst, f.tag, f.data, time.Now())
 }
 
 // connLost marks a link's active connection dead and arms the PeerWait
@@ -885,8 +905,7 @@ func (m *TCPMesh) heartbeatLoop() {
 		case <-t.C:
 		}
 		w := m.w
-		busy := w.nicBusy.Load() > 0 || w.faultBusy.Load() > 0 ||
-			w.blocked.Load() < w.active.Load() || m.staged.Load() > 0
+		busy := w.faultBusy.Load() > 0 || w.blocked.Load() < w.active.Load() || m.staged.Load() > 0
 		fr := wireFrame{kind: frameHeartbeat, buf: encodeHeartbeatFrame(w.progress.Load()-m.beats.Load(), busy)}
 		for _, l := range links {
 			l.enqueue(fr)
@@ -932,8 +951,9 @@ func (m *TCPMesh) noteMark(ep uint32) {
 }
 
 // Reset quiesces the mesh between runs: it bumps the epoch (readers
-// drop every frame still carrying the old one), pushes a marker frame
-// down each link behind any leftover traffic, and waits until every
+// drop every frame still carrying the old one), releases leftover frames
+// still held until due, pushes a marker frame down each link behind
+// them, and waits until every
 // marker has come back around — after which no frame from the previous
 // run can ever reach a mailbox, and all stream state restarts from
 // zero. Only all-local meshes support Reset; multi-process deployments
@@ -948,6 +968,9 @@ func (m *TCPMesh) Reset() {
 		fr := wireFrame{kind: frameEpoch, buf: encodeEpochFrame(ep)}
 		for _, l := range links {
 			l.mu.Lock()
+			for i := range l.queue {
+				l.queue[i].due = time.Time{}
+			}
 			l.epochMark = fr.buf
 			l.queue = append(l.queue, fr)
 			l.mu.Unlock()

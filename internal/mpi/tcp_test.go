@@ -159,7 +159,7 @@ func dropAndRecover(t *testing.T, dialDelay, watchdog time.Duration) error {
 }
 
 // TestTCPWatchdogToleratesReconnect is the satellite-3 contract: a peer
-// mid-reconnect counts as wire activity (like nicBusy), never as a
+// mid-reconnect counts as wire activity, never as a
 // two-strike stall — with the injected reconnect delay both just under
 // and well over the watchdog's two-strike threshold.
 func TestTCPWatchdogToleratesReconnect(t *testing.T) {

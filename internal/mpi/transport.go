@@ -2,20 +2,24 @@ package mpi
 
 import "time"
 
-// Transport is the runtime's wire seam: everything between a sender's
-// completed injection (traffic counters bumped, fault perturbations and
-// modelled wire cost paid) and the receiver's mailbox. The default
-// channel fabric delivers synchronously in-process; the TCP mesh puts
-// real bytes on a socket (see tcp.go) and a process-per-rank deployment
-// spans machines with the same interface (cmd/tilerankd).
+// Transport is the runtime's wire seam: everything between an issued send
+// (traffic counters bumped, due time stamped) and the receiver's mailbox.
+// The default channel fabric delivers synchronously in-process; the TCP
+// mesh puts real bytes on a socket (see tcp.go) and a process-per-rank
+// deployment spans machines with the same interface (cmd/tilerankd).
 //
 // Contract:
 //
-//   - Deliver moves one message src→dst. Ownership of data transfers
-//     through the transport to the receiving mailbox — the pooled
-//     zero-copy buffers of SendOwned/IsendOwned flow through unchanged
-//     on the channel fabric, and are marshalled once on wire-backed
-//     transports.
+//   - Deliver moves one message src→dst, called on the sender the moment
+//     the message is issued. Ownership of data transfers through the
+//     transport to the receiving mailbox — the pooled zero-copy buffers of
+//     SendOwned/IsendOwned flow through unchanged on the channel fabric,
+//     and are marshalled once on wire-backed transports.
+//   - Due time: no receiver may claim the message before due (a barrier
+//     message's due is zero: at once). The channel fabric stamps it on the
+//     message, and the mailbox holds the stream head until then; the TCP
+//     mesh holds the frame until due, then writes it. Due times never
+//     decrease per sending rank, so holding keeps link order.
 //   - Per-(src, dst) FIFO: messages delivered on one directed link reach
 //     World.arrive in Deliver order. That is all the receive side asks:
 //     a mailbox stream is a queue whose head is the only claimable
@@ -27,7 +31,7 @@ import "time"
 //     message reaches the mailbox, but must then report Busy() until it
 //     does (or until the frame is irrevocably handed to the OS on a
 //     cross-process link) — the deadlock watchdog treats wire activity
-//     like nicBusy, never as a stall.
+//     as progress in flight, never as a stall.
 //   - Flush(src) blocks until every frame rank src has delivered is out
 //     of the transport's own buffers (in the mailbox in-process, written
 //     to the socket cross-process). Checkpointing flushes before taking a
@@ -42,7 +46,7 @@ type Transport interface {
 	// Attach binds the transport to the world it delivers into; called
 	// exactly once, by the World constructor, before any Deliver.
 	Attach(w *World)
-	Deliver(src, dst, tag int, data []float64)
+	Deliver(src, dst, tag int, data []float64, due time.Time)
 	Flush(src int)
 	Busy() bool
 	Reset()
@@ -57,8 +61,8 @@ type chanFabric struct{ w *World }
 
 func (f *chanFabric) Attach(w *World) { f.w = w }
 
-func (f *chanFabric) Deliver(src, dst, tag int, data []float64) {
-	f.w.arrive(src, dst, tag, data)
+func (f *chanFabric) Deliver(src, dst, tag int, data []float64, due time.Time) {
+	f.w.arrive(src, dst, tag, data, due)
 }
 
 func (f *chanFabric) Flush(int) {}
@@ -69,10 +73,10 @@ func (f *chanFabric) Reset() {}
 
 func (f *chanFabric) Close() error { return nil }
 
-// arrive is the receive side of every transport: it stamps the
-// delivery time, counts global progress (a delivery is the watchdog's
-// strongest liveness signal) and enqueues into the destination mailbox.
-func (w *World) arrive(src, dst, tag int, data []float64) {
+// arrive is the receive side of every transport: it counts global
+// progress (a delivery is the watchdog's strongest liveness signal) and
+// enqueues into the destination mailbox a message claimable from due on.
+func (w *World) arrive(src, dst, tag int, data []float64, due time.Time) {
 	w.progress.Add(1)
-	w.boxes[dst].put(Message{Source: src, Tag: tag, Delivered: time.Now(), Data: data})
+	w.boxes[dst].put(Message{Source: src, Tag: tag, Delivered: due, Data: data})
 }

@@ -68,7 +68,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *http.C
 }
 
 // leakCheck polls until the goroutine count returns to the pre-test
-// level — no rank, NIC, watchdog or handler goroutine may survive.
+// level — no rank, watchdog or handler goroutine may survive.
 func leakCheck(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()

@@ -24,12 +24,9 @@ import (
 //   - Crash[r] = k charges rank r, at tile k, the restart delay plus the
 //     re-execution of the tiles since its last checkpoint. Re-execution
 //     repeats unpack and compute and repacks messages, but skips the
-//     wire: receives replay from the local log and already-delivered
-//     sends are skipped — which is exact for blocking mode, where every
-//     issued send was delivered before the crash. In overlap mode
-//     in-flight messages can drop and be resent, a timing detail the
-//     model absorbs into the same re-execution charge (close, not
-//     exact).
+//     wire: receives replay from the local log and every send the crashed
+//     incarnation issued is skipped. That is exact in both modes: the
+//     runtime's crash loses no issued send, in flight or not.
 
 // FaultModel configures a faulty simulation.
 type FaultModel struct {

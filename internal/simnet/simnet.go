@@ -72,9 +72,10 @@ func FastEthernetPIII() Params {
 // costs Latency + SendOverhead plus (ValueBytes/Bandwidth + PackTime) per
 // value. scale multiplies the modelled durations — the paper's µs-scale
 // costs sit below OS timer resolution, so measurements scale them up.
-// Whether the cost lands on the sending CPU (blocking) or the background
-// NIC (Isend) is the runtime's overlap decision, mirroring the Overlap
-// branch of Simulate.
+// The runtime pays a rank's message costs one after another on one clock,
+// as Simulate's NIC does; whether the sending CPU also waits them out
+// (blocking) or computes on (Isend) is the runtime's overlap decision,
+// mirroring the Overlap branch of Simulate.
 func (p Params) NetOptions(scale float64) mpi.Options {
 	perMsg := (p.Latency + p.SendOverhead) * scale
 	perVal := (float64(p.ValueBytes)/p.Bandwidth + p.PackTime) * scale

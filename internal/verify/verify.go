@@ -18,8 +18,8 @@
 //     into lexicographic tile time: every message flows from a lex-earlier
 //     to a lex-later tile and each rank's chain is lex-ascending, so global
 //     lex order is a topological execution order. Because sends are eager
-//     (buffered) in both the blocking and the overlap mode — Send enqueues,
-//     Isend hands off to the NIC — only receives block, and the embedding
+//     (buffered) in both the blocking and the overlap mode — every send is
+//     with the transport once issued — only receives block, and the embedding
 //     rules out any receive-wait cycle. The replay additionally proves
 //     every inbound row has a matching in-order send (no rank blocks
 //     forever on a message never sent).

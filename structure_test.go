@@ -91,7 +91,7 @@ func TestOneCompiledProtocol(t *testing.T) {
 func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	runtimeCalls := map[string]bool{
 		"Recv": true, "RecvMsg": true, "SendOwned": true, "IsendOwned": true,
-		"WaitSends": true, "FlushWire": true, "DropPending": true, "FaultSleep": true,
+		"WaitSends": true, "FlushWire": true, "FaultSleep": true,
 		"PendingSends": true, "NoteProgress": true, "RestoreStreams": true,
 	}
 	files, err := filepath.Glob("internal/exec/*.go")
@@ -216,5 +216,43 @@ func TestExecSpawnsNoGoroutine(t *testing.T) {
 	}
 	if parsed == 0 {
 		t.Fatal("no executor source found")
+	}
+}
+
+// TestMPISpawnsOnlyRanks pins that a send is on the wire when it is issued:
+// outside the TCP mesh's own socket goroutines, non-test internal/mpi holds
+// exactly one go statement, World.RunE's rank goroutine. No rank has a
+// background sender, so a wire cost is a due time, never a sleeping
+// goroutine.
+func TestMPISpawnsOnlyRanks(t *testing.T) {
+	files, err := filepath.Glob("internal/mpi/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var spawns []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") || filepath.Base(path) == "tcp.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					fn, _ := decl.(*ast.FuncDecl)
+					if fn == nil || fn.Name.Name != "RunE" {
+						t.Errorf("%s: go statement outside RunE", fset.Position(g.Pos()))
+					}
+					spawns = append(spawns, fset.Position(g.Pos()).String())
+				}
+				return true
+			})
+		}
+	}
+	if len(spawns) != 1 {
+		t.Errorf("internal/mpi outside tcp.go spawns at %v, want exactly RunE's rank goroutine", spawns)
 	}
 }
