@@ -1,7 +1,9 @@
 package main
 
 import (
+	"errors"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -204,5 +206,31 @@ map 1
 	}
 	if _, _, err := fromSource(noTile); err == nil {
 		t.Error("missing tile directive not rejected")
+	}
+}
+
+// TestOverflowingSourceFailsCleanly runs tilec on a spec whose bound leaves
+// int64 in the compiler's exact arithmetic: the process must exit 1 with a
+// diagnostic naming the overflow, not crash with a panic and goroutine dump.
+func TestOverflowingSourceFailsCleanly(t *testing.T) {
+	if src := os.Getenv("TILEC_TEST_SRC"); src != "" {
+		os.Args = []string{"tilec", "-src", src, "-emit=false"}
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "huge.nest")
+	src := "let M = 4611686018427387904\nfor i = 1 .. M\nfor j = 1 .. 4\nA[i,j] = A[i-1,j] + A[i,j-1]\ntile 1/2 0 / 0 1/2\n"
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := osexec.Command(os.Args[0], "-test.run=^TestOverflowingSourceFailsCleanly$")
+	cmd.Env = append(os.Environ(), "TILEC_TEST_SRC="+path)
+	out, err := cmd.CombinedOutput()
+	var exit *osexec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("tilec exited with %v, want status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "overflow") || strings.Contains(string(out), "goroutine ") {
+		t.Fatalf("tilec output does not name the overflow, or dumps goroutines:\n%s", out)
 	}
 }

@@ -12,9 +12,10 @@
 //
 // With -ckpt the rank snapshots its chain every -every committed tiles
 // (gob, atomic rename); relaunching after a kill with the same flags
-// builds the mesh from the snapshot's stream positions (the resume
-// protocol's welcome counts must reflect the restored state, not zero)
-// and resumes mid-conversation: peers resend what the dead process never
+// builds the mesh from the rank's stream positions at the snapshot's
+// slot, read off the compiled tables (the resume protocol's welcome counts
+// must reflect the restored state, not zero), and resumes
+// mid-conversation: peers resend what the dead process never
 // consumed and suppress what it already has.
 //
 // SIGTERM/SIGINT abort the run via the transport-failure path: in-flight
@@ -101,8 +102,12 @@ func run(rank int, peersPath, specPath, resultPath string, overlap bool,
 			return fmt.Errorf("checkpoint %s is a snapshot of rank %d, this process is rank %d", ckptPath, snap.Rank, rank)
 		}
 		// The welcome counts and outbound sequence numbers must describe
-		// the restored conversation, not a fresh one.
-		cfg.Recv, cfg.Sent = snap.Recv, snap.Sent
+		// the restored conversation, not a fresh one: the compiled tables
+		// give them at the snapshot's slot, and refuse a slot the rank's
+		// chain does not have before any socket opens.
+		if cfg.Recv, cfg.Sent, err = prog.StreamPositions(rank, snap.NextTile); err != nil {
+			return fmt.Errorf("checkpoint %s: %w", ckptPath, err)
+		}
 		fmt.Fprintf(os.Stderr, "tilerankd: rank %d restored at tile %d from %s\n", rank, snap.NextTile, ckptPath)
 	}
 	mesh, err := mpi.NewTCPMesh(cfg)

@@ -93,8 +93,8 @@ func chaosFaults(t *testing.T, seed int64, d *distrib.Distribution) []chaosFault
 	// Snapshots fall after tiles 1, 3, …; the crashing rank's tile 2 issues
 	// two or more sends back to back and the crash fires right behind them,
 	// microseconds later, while each is due inflightLatency after the one
-	// before: in overlap mode none is due yet — every send of the ledger
-	// begun at the snapshot is in flight, and must arrive exactly once.
+	// before: in overlap mode none is due yet — every send issued since the
+	// snapshot is in flight, and must arrive exactly once.
 	inflight := plan(mpi.FaultPlan{Crash: map[int]int64{inflightRank(t, d): 3}})
 	inflight.LinkLatency = inflightLatency
 	return []chaosFault{

@@ -8,44 +8,44 @@ import (
 )
 
 // This file is the recovery half of the rank machine. The compiled tile
-// protocol makes a rank's state between tiles fully explicit — chain
-// position, LDS contents, stream positions — so every
-// CheckpointOptions.Every committed tiles the rank takes one RankSnapshot,
-// and a lost rank becomes a rewind to it instead of a lost run. snapshot and
-// crash are pure transitions of the machine's state; their wire effects
-// (quiesce, stream counts, Save, the restart outage) are runRank's.
+// protocol makes a rank's state between tiles fully explicit: its chain
+// position and its LDS contents. Its wire position — how many messages it
+// has claimed and sent on every stream — is a function of the chain
+// position, read off the compiled tables (StreamPositions). So every
+// CheckpointOptions.Every committed tiles the rank takes one RankSnapshot
+// {Rank, NextTile, LDS}, and a lost rank becomes a rewind to it instead of
+// a lost run. snapshot and crash are pure transitions of the machine's
+// state; their wire effects (quiesce, Save, the restart outage) are
+// runRank's.
 //
 // A snapshot is taken quiesced: the driver first waits for everything the
 // rank has sent to be due (mpi.Comm.WaitSends) and out of the transport
 // (FlushWire), so "sent before the snapshot" is exact on every transport.
 //
 // With CheckpointOptions.Save the snapshot is persisted and recovery is a
-// new OS process started with Resume (cmd/tilerankd): its peers' meshes
-// retained what it had not consumed and the TCP resume protocol resends it,
-// so the rank keeps no log of its own. Without Save the snapshot stays in
-// memory and a planned crash (FaultPlan.Crash) is recovered in-process,
-// from a recovery log the rank keeps since the snapshot — an in-process
-// mailbox hands a claimed message over for good, and no peer retains it:
+// new OS process started with Resume (cmd/tilerankd): it builds its mesh
+// from StreamPositions at the snapshot's slot, its peers' meshes retained
+// what it had not consumed and the TCP resume protocol resends it, so the
+// rank keeps no log of its own. Without Save the snapshot stays in memory
+// and a planned crash (FaultPlan.Crash) is recovered in-process:
 //
-//   - Ledger: the (dst, tag) of every send since the snapshot, in issue
-//     order. A send is with the transport the moment it is issued, so a
-//     crash loses none of them: every ledger send arrives, exactly once.
 //   - Held payloads: every message claimed since the snapshot is kept as a
-//     copy — a restore wipes its unpacked cells from the LDS.
+//     copy. An in-process mailbox hands a claimed message over for good and
+//     no peer retains it, and a restore wipes its unpacked cells from the
+//     LDS — these payloads are the one part of recovery no table holds.
 //   - Crash: the LDS is poisoned with NaN before restoring, so state the
 //     snapshot fails to cover corrupts the differential result instead of
 //     silently surviving.
 //   - Restore: copy the snapshot back, unpack the held payloads on top of
 //     it (rows are claimed in table order, so every held payload belongs to
-//     a slot between the snapshot and the crash), turn the ledger into a
-//     replay cursor and rewind the chain to the resume slot.
+//     a slot between the snapshot and the crash), note the crash slot as
+//     the replay bound and rewind the chain to the snapshot's slot.
 //   - Re-execution: the rewound tiles find their inbound-table rows already
 //     claimed (claimed messages are not re-received from the wire, so
-//     mpi.Stats count them once); packing consults the cursor, and every
-//     ledger send stays out of the outbox — its receiver has it. The cursor
-//     also checks that re-execution issues the same (dst, tag) sequence:
-//     a mismatch is nondeterministic re-execution and panics. Past the
-//     crash point the cursor is empty and the rank runs normally.
+//     mpi.Stats count them once), and a slot below the replay bound packs
+//     nothing: the crashed incarnation issued its sends, every issued send
+//     is with the transport, and its receivers have them. Past the bound
+//     the rank runs normally.
 //
 // Counting every message exactly once — when it is first issued — keeps
 // mpi.Stats bit-identical to a fault-free run, which the chaos suite
@@ -58,41 +58,28 @@ type CheckpointOptions struct {
 	Every int64
 	// Save, when non-nil, persists each snapshot; a non-nil error aborts
 	// the run. The snapshot is only valid during the call (the rank reuses
-	// its buffers). With Save set the rank keeps no recovery log, so a
+	// its buffers). With Save set the rank keeps no held payloads, so a
 	// FaultPlan.Crash is fatal: recovery is a relaunched process with
 	// Resume. Nil keeps the snapshot in memory for in-process recovery.
 	Save func(*RankSnapshot) error
 	// Resume, when non-nil, starts rank Resume.Rank (one of the program's,
-	// or the run is refused) at the snapshot instead of tile zero. The caller
-	// (cmd/tilerankd) must build the mesh from its Recv/Sent (mpi.TCPConfig).
+	// or the run is refused) at the snapshot instead of tile zero. The
+	// caller (cmd/tilerankd) must build the mesh from the rank's stream
+	// positions at Resume.NextTile (StreamPositions, mpi.TCPConfig).
 	Resume *RankSnapshot
 }
 
 // RankSnapshot is one rank's checkpoint: everything needed to resume its
-// chain mid-conversation.
-//
-// NextTile and LDS restore the compute state (LDS is the dirty prefix of
-// the backing array: every value the chain has produced or received so
-// far, so re-execution starts at the snapshot's tile boundary, not from
-// zero). Recv and Sent are the wire coordinates, filled for Save from
-// mpi.World.StreamCounts and SentStreamCounts. A relaunched process hands
-// both to mpi.NewTCPMesh (TCPConfig.Recv/Sent), which seeds the resume
-// protocol at construction: reconnecting peers resend exactly what this
-// rank never consumed, and regenerated sends are numbered as their lost
-// originals so suppression and dedup remove every duplicate. Resume itself
-// consumes only Recv: runRank seeds the fresh mailbox's consumed counts
-// from it (mpi.World.RestoreStreams) so the next snapshot continues from
-// them.
+// chain mid-conversation. NextTile is the first slot not yet fired, and LDS
+// is the dirty prefix of the backing array: every value the chain has
+// produced or received so far, so re-execution starts at the snapshot's
+// tile boundary, not from zero. The wire position is not stored: it is
+// StreamPositions(Rank, NextTile).
 type RankSnapshot struct {
 	Rank     int
 	NextTile int64
 	LDS      []float64
-	Recv     []mpi.StreamPos
-	Sent     []mpi.StreamPos
 }
-
-// sendRec is one ledger entry: a send issued since the last snapshot.
-type sendRec struct{ dst, tag int }
 
 // heldMsg is the payload of inbound-table row `row`, claimed since the last
 // snapshot and copied because the runtime cannot replay a claimed message.
@@ -105,7 +92,7 @@ type heldMsg struct {
 // left checkpointing off, and every hook is guarded on that.
 type ckptState struct {
 	every int64
-	saved bool // snapshots go to CheckpointOptions.Save: no recovery log
+	saved bool // snapshots go to CheckpointOptions.Save: no held payloads
 
 	// ldsHi is the dirty high-water mark of the LDS backing array, in
 	// floats: every write site raises it, so la[:ldsHi] is the only region
@@ -113,15 +100,14 @@ type ckptState struct {
 	ldsHi int64
 
 	// snap is the last snapshot (tiles < snap.NextTile are committed);
-	// ledger and held are the recovery log accumulated since, kept only
-	// when the snapshot is (!saved).
-	snap   RankSnapshot
-	ledger []sendRec
-	held   []heldMsg
+	// held are the payloads claimed since, kept only when the snapshot is
+	// (!saved).
+	snap RankSnapshot
+	held []heldMsg
 
-	// The replay cursor, populated by a crash and drained by re-execution:
-	// the crashed incarnation's ledger, every entry of which it delivered.
-	replaySend []sendRec
+	// replayTo is the slot a crash struck: the crashed incarnation issued
+	// every send of the slots below it, so re-execution packs none of them.
+	replayTo int64
 }
 
 // newCkptState builds the rank's checkpoint state, restored from
@@ -143,7 +129,51 @@ func (st *rankState) newCkptState(opt *CheckpointOptions) (*ckptState, error) {
 	return ck, nil
 }
 
-// logs reports whether the rank keeps the in-process recovery log.
+// StreamPositions reads rank's wire position at chain slot next off its
+// compiled tables: the §3.2 protocol fixes which slot claims every inbound
+// row and which messages every slot sends, so the position is a function of
+// next. recv counts, per inbound direction, the table rows of the slots
+// below next (Src is the sending rank); sent counts, per outbound direction,
+// the sends of those slots (Src is the destination rank). The tag is the
+// direction, and a stream with no traffic yet is left out. A relaunched rank
+// builds its mesh from them (mpi.TCPConfig.Recv/Sent). A rank or slot
+// outside the program is refused.
+func (p *Program) StreamPositions(rank int, next int64) (recv, sent []mpi.StreamPos, err error) {
+	if n := p.Dist.NumProcs(); rank < 0 || rank >= n {
+		return nil, nil, fmt.Errorf("exec: rank %d outside the program's ranks 0..%d", rank, n-1)
+	}
+	rp, err := p.Dist.Schedule(rank)
+	if err != nil {
+		return nil, nil, err
+	}
+	if next < 0 || next > int64(len(rp.Slots)) {
+		return nil, nil, fmt.Errorf("exec: rank %d has no chain slot %d (its chain has %d)", rank, next, len(rp.Slots))
+	}
+	in := make([]uint64, len(rp.RecvRank))
+	for _, m := range rp.Msgs {
+		if m.T >= next {
+			break // the table is in claim order
+		}
+		in[m.Dir]++
+	}
+	out := make([]uint64, len(rp.SendRank))
+	for _, sl := range rp.Slots[:next] {
+		for _, s := range sl.Sends {
+			out[s.Dir]++
+		}
+	}
+	for dir := range in {
+		if in[dir] > 0 {
+			recv = append(recv, mpi.StreamPos{Src: rp.RecvRank[dir], Tag: dir, Count: in[dir]})
+		}
+		if out[dir] > 0 {
+			sent = append(sent, mpi.StreamPos{Src: rp.SendRank[dir], Tag: dir, Count: out[dir]})
+		}
+	}
+	return recv, sent, nil
+}
+
+// logs reports whether the rank keeps held payloads for in-process recovery.
 func (ck *ckptState) logs() bool { return ck != nil && !ck.saved }
 
 // snapshotDue reports whether the slot just fired ends a snapshot period.
@@ -154,12 +184,11 @@ func (st *rankState) snapshotDue() bool {
 }
 
 // snapshot records the rank's restartable state as of the current slot —
-// chain position and dirty LDS prefix — and restarts the recovery log
-// empty. The driver has quiesced the wire and fills in the stream counts
-// a Save needs; the snapshot is the rank's, valid until the next one.
+// chain position and dirty LDS prefix — and restarts the held payloads
+// empty. runRank has quiesced the wire; the snapshot is the rank's,
+// valid until the next one.
 func (st *rankState) snapshot() *RankSnapshot {
 	ck := st.ckpt
-	ck.ledger = ck.ledger[:0]
 	ck.held = ck.held[:0]
 	ck.snap.NextTile = st.t
 	ck.snap.LDS = append(ck.snap.LDS[:0], st.la[:ck.ldsHi]...)
@@ -167,8 +196,8 @@ func (st *rankState) snapshot() *RankSnapshot {
 }
 
 // crash loses the rank at the boundary of its current slot and restarts it
-// in-process from the last snapshot. Without the in-process recovery log a
-// dead rank is a dead run: panic, which aborts the world with a diagnostic.
+// in-process from the last snapshot. Without held payloads a dead rank is a
+// dead run: panic, which aborts the world with a diagnostic.
 func (st *rankState) crash() {
 	ck := st.ckpt
 	if !ck.logs() {
@@ -189,23 +218,12 @@ func (st *rankState) crash() {
 	for _, h := range ck.held {
 		st.unpack(&st.Msgs[h.row], h.data)
 	}
-	// Re-execution replays the ledger in order, rebuilding it as it goes.
-	ck.replaySend = append(ck.replaySend[:0], ck.ledger...)
-	ck.ledger = ck.ledger[:0]
+	// Every slot below the crash has issued its sends.
+	ck.replayTo = st.t
 	st.t = ck.snap.NextTile
 	if st.tr != nil {
 		st.tr.noteFault("restart", st.t)
 	}
-}
-
-// checkReplayDrained asserts the crash recovery actually converged: once
-// the chain completes the replay cursor must be empty, or re-execution
-// diverged from the first incarnation.
-func (st *rankState) checkReplayDrained() error {
-	if ck := st.ckpt; ck != nil && len(ck.replaySend) > 0 {
-		return fmt.Errorf("exec: rank %d finished its chain with %d unconsumed ledger sends — re-execution diverged from the crashed incarnation", st.rank, len(ck.replaySend))
-	}
-	return nil
 }
 
 // markDirty raises the LDS dirty high-water mark to end (in floats).
@@ -214,25 +232,4 @@ func (st *rankState) markDirty(end int64) {
 	if st.ckpt != nil && end > st.ckpt.ldsHi {
 		st.ckpt.ldsHi = end
 	}
-}
-
-// delivered runs one packed send of slot t through the recovery layer and
-// reports whether it stays out of the outbox. The send joins the ledger when
-// the rank keeps one. During post-crash re-execution it consults the replay
-// cursor: the first incarnation issued the message, and the receiver has it
-// — resending would corrupt the stream and double-count Stats.
-func (st *rankState) delivered(dst, tag int, t int64) bool {
-	ck := st.ckpt
-	if ck.logs() {
-		ck.ledger = append(ck.ledger, sendRec{dst, tag})
-	}
-	if ck == nil || len(ck.replaySend) == 0 {
-		return false
-	}
-	rec := ck.replaySend[0]
-	ck.replaySend = ck.replaySend[1:]
-	if rec.dst != dst || rec.tag != tag {
-		panic(fmt.Sprintf("exec: rank %d replay cursor mismatch at tile %d: re-execution sends (dst=%d, tag=%d), ledger recorded (dst=%d, tag=%d) — nondeterministic re-execution", st.rank, t, dst, tag, rec.dst, rec.tag))
-	}
-	return true
 }

@@ -84,8 +84,9 @@ func TestCrashRestartAtTileZero(t *testing.T) {
 }
 
 // Coarse checkpoints (Every larger than the chain) mean the crash rewinds
-// to tile 0 with every claimed payload still held and a populated ledger —
-// the deepest replay the recovery layer supports.
+// to tile 0 with every claimed payload still held and every slot before the
+// crash below the replay bound — the deepest replay the recovery layer
+// supports.
 func TestCrashRestartCoarseCheckpoint(t *testing.T) {
 	cs := diffCases(t)
 	c := cs[0]

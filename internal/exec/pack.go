@@ -75,19 +75,19 @@ type outMsg struct {
 // pack is the compiled SEND into the outbox: for each direction the slot
 // sends along (compiled: a valid successor and a non-empty region) the
 // plan's run list turns packing into a few bulk copies into a pooled buffer,
-// which the receiver recycles. A send the replay cursor says was delivered
-// is not packed at all. Message order, tags and sizes are identical to the
-// reference executor's per-point SEND (legacy_test.go), so mpi.Stats match
-// bit for bit.
+// which the receiver recycles. A slot below a crash's replay bound packs
+// nothing: the crashed incarnation issued its sends (checkpoint.go).
+// Message order, tags and sizes are identical to the reference executor's
+// per-point SEND (legacy_test.go), so mpi.Stats match bit for bit.
 func (st *rankState) pack(sl *distrib.SlotPlan, t int64) {
+	st.out = st.out[:0]
+	if st.ckpt != nil && t < st.ckpt.replayTo {
+		return
+	}
 	w := st.p.Width
 	tOff := t * st.ChainStep
-	st.out = st.out[:0]
 	for _, snd := range sl.Sends {
 		i := snd.Dir
-		if st.delivered(st.SendRank[i], i, t) {
-			continue
-		}
 		dir := &sl.Plan.Dirs[i]
 		buf := st.pool.get(int(dir.Total) * w)
 		pos := 0

@@ -44,12 +44,12 @@ type RunOptions struct {
 	Trace *Tracer
 	// Checkpoint enables tile-chain checkpointing: after every
 	// CheckpointOptions.Every committed tiles a rank waits for its sends to
-	// be due and snapshots its chain position, dirty LDS prefix and
-	// stream counts. Kept in memory, the snapshot lets a crashed rank
-	// restart in-process, its issued sends delivered once; handed to
-	// CheckpointOptions.Save, it lets a relaunched rank process resume
-	// mid-conversation over the TCP mesh's resume protocol (cmd/tilerankd).
-	// Nil disables checkpointing (no per-tile overhead).
+	// be due and snapshots its chain position and dirty LDS prefix. Kept in
+	// memory, the snapshot lets a crashed rank restart in-process, every
+	// send it issued counted once; handed to CheckpointOptions.Save, it
+	// lets a relaunched rank process resume mid-conversation over the TCP
+	// mesh's resume protocol (cmd/tilerankd). Nil disables checkpointing
+	// (no per-tile overhead).
 	Checkpoint *CheckpointOptions
 	// Workers is ignored: a rank sweeps each tile's rows serially, as the
 	// paper's generated code does, and the rank is the only unit of
@@ -239,11 +239,6 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 	if err != nil {
 		return err
 	}
-	ck := opt.Checkpoint
-	if ck != nil && ck.Resume != nil && ck.Resume.Rank == r {
-		// Before the first receive, so the next snapshot continues the counts.
-		c.World().RestoreStreams(r, ck.Resume.Recv)
-	}
 	faults := opt.Net.Faults
 	crashAt := faults.CrashTile(r)
 	for t, _ := st.next(); t < int64(len(st.Slots)); t, _ = st.next() {
@@ -300,17 +295,12 @@ func (p *Program) runRank(c *mpi.Comm, g *Global, opt RunOptions) error {
 			c.WaitSends()
 			c.FlushWire()
 			snap := st.snapshot()
-			if ck.Save != nil {
-				snap.Recv = c.World().StreamCounts(r)
-				snap.Sent = c.World().SentStreamCounts(r)
-				if err := ck.Save(snap); err != nil {
+			if save := opt.Checkpoint.Save; save != nil {
+				if err := save(snap); err != nil {
 					return fmt.Errorf("exec: rank %d checkpoint at tile %d: %w", r, snap.NextTile, err)
 				}
 			}
 		}
-	}
-	if err := st.checkReplayDrained(); err != nil {
-		return err
 	}
 	// The chain is done once its last Isend is due.
 	c.WaitSends()

@@ -41,7 +41,7 @@ func (st *rankState) next() (int64, int) {
 
 // offer claims table row i with the payload its stream delivered: the row
 // must be the one next names and the payload the size the table says. The
-// payload is unpacked and recycled; the recovery log keeps a copy.
+// payload is unpacked and recycled; in-memory recovery holds a copy.
 func (st *rankState) offer(i int, data []float64) error {
 	if _, want := st.next(); i != want {
 		return fmt.Errorf("exec: rank %d chain slot %d: row %d offered out of order (the slot waits for row %d)", st.rank, st.t, i, want)

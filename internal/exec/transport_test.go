@@ -1,9 +1,11 @@
 package exec_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"tilespace/internal/exec"
 	"tilespace/internal/mpi"
+	"tilespace/internal/procrun"
 )
 
 // This file is the transport differential matrix: every workload ×
@@ -192,8 +195,12 @@ func TestCheckpointSaveSnapshots(t *testing.T) {
 		Checkpoint: &exec.CheckpointOptions{
 			Every: 2,
 			Save: func(s *exec.RankSnapshot) error {
+				recv, _, err := c.p.StreamPositions(s.Rank, s.NextTile)
+				if err != nil {
+					return err
+				}
 				var recvd uint64
-				for _, p := range s.Recv {
+				for _, p := range recv {
 					recvd += p.Count
 				}
 				mu.Lock()
@@ -231,7 +238,7 @@ func TestCheckpointSaveSnapshots(t *testing.T) {
 }
 
 // TestCheckpointSaveKeepsNoRecoveryLog pins what the Save sink gives up:
-// the rank keeps no ledger or held payloads (recovery is a relaunched
+// the rank keeps no held payloads (recovery is a relaunched
 // process riding the wire's resume protocol), so an in-process crash is as
 // fatal as with no checkpointing at all — it must abort, not limp on.
 func TestCheckpointSaveKeepsNoRecoveryLog(t *testing.T) {
@@ -249,4 +256,144 @@ func TestCheckpointSaveKeepsNoRecoveryLog(t *testing.T) {
 		return
 	}
 	t.Fatal("sor/rect case missing")
+}
+
+// TestRelaunchFromSnapshot is cmd/tilerankd's kill-and-relaunch in one
+// process, where the race detector sees it: every rank runs on a mesh of
+// its own, as a rank process would. The victim's Save hook keeps its first
+// snapshot and fails the run; its world is closed, and a new mesh on the
+// same address is built from StreamPositions at the snapshot's slot and
+// resumes the chain from the snapshot. The merged fragments must equal
+// RunSequential.
+func TestRelaunchFromSnapshot(t *testing.T) {
+	cases := map[string]bool{"sor/rect": false, "sor/nonrect": true} // name → overlap
+	for _, c := range diffCases(t) {
+		overlap, ok := cases[c.name]
+		if !ok {
+			continue
+		}
+		delete(cases, c.name)
+		t.Run(c.name, func(t *testing.T) { relaunchFromSnapshot(t, c.p, overlap) })
+	}
+	if len(cases) != 0 {
+		t.Fatalf("differential cases missing: %v", cases)
+	}
+}
+
+func relaunchFromSnapshot(t *testing.T, p *exec.Program, overlap bool) {
+	want, err := p.RunSequential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The victim: the first rank whose mid-chain snapshot has traffic both
+	// claimed and sent, so the relaunch resumes every kind of stream.
+	procs := p.Dist.NumProcs()
+	victim, every := -1, int64(0)
+	for r := 0; r < procs && victim < 0; r++ {
+		next := p.Dist.ChainLen[r] / 2
+		if next < 1 {
+			continue
+		}
+		recv, sent, err := p.StreamPositions(r, next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recv) > 0 && len(sent) > 0 {
+			victim, every = r, next
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no rank claims and sends before its mid-chain snapshot")
+	}
+
+	net := mpi.Options{Watchdog: 10 * time.Second}
+	addrs := map[int]string{}
+	newMesh := func(r int, recv, sent []mpi.StreamPos) *mpi.TCPMesh {
+		m, err := mpi.NewTCPMesh(mpi.TCPConfig{
+			Size: procs, Local: []int{r}, Listen: addrs[r], Addrs: addrs,
+			PeerWait: 10 * time.Second, Heartbeat: 10 * time.Millisecond,
+			Recv: recv, Sent: sent,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	meshes := make([]*mpi.TCPMesh, procs)
+	for r := range meshes {
+		meshes[r] = newMesh(r, nil, nil)
+		addrs[r] = meshes[r].Addr()
+	}
+	worlds := make([]*mpi.World, procs)
+	for r, m := range meshes {
+		worlds[r] = mpi.NewRemoteWorld(procs, []int{r}, net, m)
+	}
+	t.Cleanup(func() {
+		for _, w := range worlds {
+			w.Close()
+		}
+	})
+
+	killed := errors.New("killed after its first snapshot")
+	var snap *exec.RankSnapshot
+	frags := make([]*exec.Global, procs)
+	errs := make([]error, procs)
+	var wg sync.WaitGroup
+	run := func(r int, opt exec.RunOptions) *sync.WaitGroup {
+		opt.Overlap, opt.Net, opt.World = overlap, net, worlds[r]
+		var done sync.WaitGroup
+		for _, g := range []*sync.WaitGroup{&wg, &done} {
+			g.Add(1)
+		}
+		go func() {
+			defer wg.Done()
+			defer done.Done()
+			frags[r], _, errs[r] = p.RunParallelOpts(opt)
+		}()
+		return &done
+	}
+	var victimRun *sync.WaitGroup
+	for r := range worlds {
+		if r != victim {
+			run(r, exec.RunOptions{})
+			continue
+		}
+		victimRun = run(r, exec.RunOptions{Checkpoint: &exec.CheckpointOptions{Every: every, Save: func(s *exec.RankSnapshot) error {
+			snap = &exec.RankSnapshot{Rank: s.Rank, NextTile: s.NextTile, LDS: slices.Clone(s.LDS)}
+			return killed
+		}}})
+	}
+	// The victim's run ends at its failed Save while its peers wait on it.
+	victimRun.Wait()
+	if !errors.Is(errs[victim], killed) || snap == nil {
+		t.Fatalf("victim rank %d: err = %v, snapshot %v; want its Save's error after one snapshot", victim, errs[victim], snap != nil)
+	}
+	worlds[victim].Close()
+
+	recv, sent, err := p.StreamPositions(victim, snap.NextTile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds[victim] = mpi.NewRemoteWorld(procs, []int{victim}, net, newMesh(victim, recv, sent))
+	run(victim, exec.RunOptions{Checkpoint: &exec.CheckpointOptions{Every: every, Resume: snap}})
+	wg.Wait()
+
+	results := make([]*procrun.RankResult, procs)
+	for r, g := range frags {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		vals, err := procrun.OwnedValues(p, g, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[r] = &procrun.RankResult{Rank: r, Values: vals}
+	}
+	got, _, err := procrun.Merge(p, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diff, at := want.MaxAbsDiff(got, p.ScanSpace); diff != 0 {
+		t.Fatalf("rank %d relaunched at slot %d: the merged result differs from RunSequential by %g at %v", victim, snap.NextTile, diff, at)
+	}
 }

@@ -199,17 +199,16 @@ func (w *World) linkSeq(src, dst int) int64 {
 	return w.linkSeqs[src*w.size+dst].Add(1) - 1
 }
 
-// FaultSleep sleeps d as injected fault time: counted in faultBusy so the
-// deadlock watchdog treats it as activity, and as progress on wake. The
-// executor uses it for modelled outage time (FaultPlan.RestartDelay).
-// Skipped when the world is already tearing down.
+// FaultSleep sleeps d as injected fault time, counted as progress on wake.
+// The executor uses it for modelled outage time (FaultPlan.RestartDelay).
+// The sleeping rank is active and not parked in a wait, so the deadlock
+// watchdog reads the outage as activity. Skipped when the world is already
+// tearing down.
 func (c *Comm) FaultSleep(d time.Duration) {
 	if d <= 0 || c.world.aborted.Load() {
 		return
 	}
-	c.world.faultBusy.Add(1)
 	time.Sleep(d)
-	c.world.faultBusy.Add(-1)
 	c.world.progress.Add(1)
 }
 

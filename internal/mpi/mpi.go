@@ -6,10 +6,10 @@
 // transport when issued, stamped with the time it is due, and a blocking
 // Send differs from an Isend only in that its sender sleeps until then.
 //
-// A (source, tag) stream is a FIFO queue plus a count of the messages taken
-// from it: a receiver blocks for the head and claims it (Recv) — there are
-// no posted receives, no polling and no per-message numbering — and the
-// count is the stream's checkpoint coordinate (StreamCounts). The
+// A (source, tag) stream is a FIFO queue: a receiver blocks for the head and
+// claims it (Recv) — there are no posted receives, no polling and no
+// per-message numbering. A stream's position is not the runtime's to keep:
+// the executor's compiled tables fix it at every chain slot. The
 // barrier is built from the same streams (Comm.Barrier), so it shares their
 // ordering, watchdog and abort behaviour on every transport.
 //
@@ -25,7 +25,6 @@ package mpi
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,13 +47,10 @@ type streamKey struct {
 }
 
 // stream is one (source, tag) FIFO: queue[head:] holds the delivered,
-// unclaimed messages in delivery order, and taken counts the messages
-// claimed so far — the position StreamCounts snapshots and RestoreStreams
-// seeds. Deliveries are not numbered, so seeding taken is valid at any time.
+// unclaimed messages in delivery order.
 type stream struct {
 	queue []Message
 	head  int
-	taken uint64
 }
 
 // push appends m, first reclaiming the consumed prefix when the stream has
@@ -145,7 +141,6 @@ func (mb *mailbox) take(k streamKey, w *World, rank int, op string) Message {
 			if wire <= 0 {
 				s.queue[s.head] = Message{} // the payload is the receiver's now
 				s.head++
-				s.taken++
 				return m
 			}
 			if due == nil {
@@ -330,13 +325,12 @@ type World struct {
 	// Watchdog progress observation (see Options.Watchdog): progress is
 	// bumped on every delivery and NoteProgress call;
 	// active counts ranks inside their RunE function; blocked counts ranks
-	// parked in a blocking wait; faultBusy counts ranks sitting out an
-	// injected outage (FaultSleep) so degraded-but-healthy runs never trip
-	// the watchdog.
-	progress  atomic.Uint64
-	active    atomic.Int64
-	blocked   atomic.Int64
-	faultBusy atomic.Int64
+	// parked in a blocking wait. A rank sitting out an injected outage
+	// (FaultSleep) is active and not parked, so degraded-but-healthy runs
+	// never trip the watchdog.
+	progress atomic.Uint64
+	active   atomic.Int64
+	blocked  atomic.Int64
 
 	// linkSeqs[src*size+dst] numbers the messages transmitted on each
 	// directed link, in issue order — the coordinate every FaultPlan
@@ -359,9 +353,9 @@ func (w *World) stalled(last uint64) (uint64, bool) {
 	if p := w.progress.Load(); p != last {
 		return p, false
 	}
-	// A rank sitting out an injected outage is degraded, not deadlocked —
-	// it will wake and carry on.
-	if w.faultBusy.Load() > 0 || w.blocked.Load() < w.active.Load() {
+	// A rank not parked — computing, or sitting out an injected outage —
+	// will carry on.
+	if w.blocked.Load() < w.active.Load() {
 		return last, false
 	}
 	// Frames still inside the transport (held until due, queued for a
@@ -493,7 +487,6 @@ func (w *World) start(opts Options) {
 	clear(w.perRank)
 	w.progress.Store(0)
 	w.blocked.Store(0)
-	w.faultBusy.Store(0)
 	clear(w.linkSeqs)
 }
 
@@ -822,68 +815,3 @@ func (c *Comm) FlushWire() { c.world.wire.Flush(c.rank) }
 // completed tile) so the deadlock watchdog never mistakes a long pipeline
 // stage for a hang.
 func (c *Comm) NoteProgress() { c.world.NoteProgress() }
-
-// StreamPos is one (src, tag) inbound or outbound stream position — the
-// unit of the wire-level resume protocol. For inbound streams Count is
-// messages consumed; for outbound streams it is messages sent.
-type StreamPos struct {
-	Src   int
-	Tag   int
-	Count uint64
-}
-
-// sortStreamPos orders positions by (Src, Tag), the one order every
-// snapshot is written in.
-func sortStreamPos(pos []StreamPos) {
-	sort.Slice(pos, func(i, j int) bool {
-		if pos[i].Src != pos[j].Src {
-			return pos[i].Src < pos[j].Src
-		}
-		return pos[i].Tag < pos[j].Tag
-	})
-}
-
-// StreamCounts snapshots rank's consumed position on every inbound
-// stream, sorted for determinism. Together with SentStreamCounts it fully
-// describes a rank's communication state at a quiesced tile boundary: a
-// relaunched rank process builds its mesh from both (TCPConfig.Recv/Sent)
-// and seeds its mailbox with RestoreStreams, and the mesh resumes
-// mid-conversation.
-func (w *World) StreamCounts(rank int) []StreamPos {
-	mb := w.boxes[rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	out := make([]StreamPos, 0, len(mb.queues))
-	for k, s := range mb.queues {
-		if s.taken == 0 {
-			continue
-		}
-		out = append(out, StreamPos{Src: k.src, Tag: k.tag, Count: s.taken})
-	}
-	sortStreamPos(out)
-	return out
-}
-
-// SentStreamCounts snapshots rank's sent count on every outbound stream
-// (Src is the destination rank), sorted like StreamCounts. Only a TCP mesh
-// numbers what it sends; on the channel fabric, where a snapshot cannot
-// outlive the process, it is nil.
-func (w *World) SentStreamCounts(rank int) []StreamPos {
-	if m, ok := w.wire.(*TCPMesh); ok {
-		return m.sentStreamCounts(rank)
-	}
-	return nil
-}
-
-// RestoreStreams seeds rank's consumed counts from a snapshot, so
-// StreamCounts continues from where the snapshot's rank left off. A stream
-// does not number its arrivals, so messages the peers resent may already be
-// queued when this runs; it must only precede the rank's first receive.
-func (w *World) RestoreStreams(rank int, pos []StreamPos) {
-	mb := w.boxes[rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for _, p := range pos {
-		mb.streamOf(streamKey{p.Src, p.Tag}).taken = p.Count
-	}
-}

@@ -1,7 +1,5 @@
 package mpi
 
-import "sort"
-
 // This file is the resume protocol's decision core: every choice the TCP
 // mesh makes about sequence numbers, retained-frame resends, sender-side
 // suppression, receiver-side dedup/gap detection, epoch filtering and
@@ -134,23 +132,11 @@ func (s *SendCore) ResendPlan() []Retained {
 func (s *SendCore) RetainedFrames() []Retained { return s.retained }
 
 // SeedSent seeds one outbound stream's sequence counter from a
-// checkpoint (RestoreSentStreams): sends regenerated by deterministic
-// re-execution are stamped as their originals were, so receiver dedup
-// and sender suppression remove every duplicate.
+// relaunched rank's checkpoint position (TCPConfig.Sent): sends
+// regenerated by deterministic re-execution are stamped as their
+// originals were, so receiver dedup and sender suppression remove every
+// duplicate.
 func (s *SendCore) SeedSent(tag int, count uint64) { s.next[tag] = count }
-
-// SentCounts snapshots the per-tag sent counts (streams with traffic
-// only), sorted by tag — the outbound half of a rank checkpoint.
-func (s *SendCore) SentCounts() []StreamPos {
-	out := make([]StreamPos, 0, len(s.next))
-	for tag, n := range s.next {
-		if n > 0 {
-			out = append(out, StreamPos{Tag: tag, Count: n})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tag < out[j].Tag })
-	return out
-}
 
 // NextSeq reports the next sequence the tag's stream would stamp.
 func (s *SendCore) NextSeq(tag int) uint64 { return s.next[tag] }

@@ -111,9 +111,9 @@ func TestWorldResetAfterAbort(t *testing.T) {
 			}
 
 			w.Reset(clean)
-			if w.aborted.Load() || w.failure() != nil || w.progress.Load() != 0 || w.blocked.Load() != 0 || w.faultBusy.Load() != 0 {
-				t.Errorf("Reset left per-run state behind: aborted %v, failure %v, progress %d, blocked %d, faultBusy %d",
-					w.aborted.Load(), w.failure(), w.progress.Load(), w.blocked.Load(), w.faultBusy.Load())
+			if w.aborted.Load() || w.failure() != nil || w.progress.Load() != 0 || w.blocked.Load() != 0 {
+				t.Errorf("Reset left per-run state behind: aborted %v, failure %v, progress %d, blocked %d",
+					w.aborted.Load(), w.failure(), w.progress.Load(), w.blocked.Load())
 			}
 			for i := range w.linkSeqs {
 				if n := w.linkSeqs[i].Load(); n != 0 {
@@ -131,11 +131,6 @@ func TestWorldResetAfterAbort(t *testing.T) {
 			}
 			if got, want := w.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("post-abort reused world stats differ:\n got %+v\nwant %+v", got, want)
-			}
-			for r := 0; r < size; r++ {
-				if got, want := w.StreamCounts(r), fresh.StreamCounts(r); !reflect.DeepEqual(got, want) {
-					t.Errorf("rank %d stream positions differ: reused %+v, fresh %+v", r, got, want)
-				}
 			}
 		})
 	}

@@ -41,13 +41,24 @@ type TCPConfig struct {
 	DialDelay time.Duration
 	// Recv and Sent resume a relaunched single-rank process (len(Local)
 	// == 1) mid-conversation: the rank's consumed and sent stream
-	// positions at its checkpoint (World.StreamCounts, SentStreamCounts).
-	// NewTCPMesh seeds the resume protocol with them before anything can
-	// handshake, so the first welcome on each inbound link advertises the
-	// consumed counts — live peers resend exactly the frames the dead
-	// process never consumed — and regenerated sends are numbered as their
-	// originals were, so suppression and dedup remove every duplicate.
+	// positions at its checkpoint, which the executor reads off its
+	// compiled tables (exec.Program.StreamPositions). NewTCPMesh seeds the
+	// resume protocol with them before anything can handshake, so the
+	// first welcome on each inbound link advertises the consumed counts —
+	// live peers resend exactly the frames the dead process never
+	// consumed — and regenerated sends are numbered as their originals
+	// were, so suppression and dedup remove every duplicate.
 	Recv, Sent []StreamPos
+}
+
+// StreamPos is one (src, tag) stream position of a resuming rank
+// (TCPConfig.Recv/Sent). For an inbound stream Src is the sending rank and
+// Count the messages consumed; for an outbound stream Src is the
+// destination rank and Count the messages sent.
+type StreamPos struct {
+	Src   int
+	Tag   int
+	Count uint64
 }
 
 // WireStats are the TCP mesh's transport-level counters. They are kept
@@ -718,6 +729,7 @@ type inLink struct {
 	proto     *RecvCore // resume-protocol receiver state, guarded by mu
 	hb        BeatCore  // heartbeat liveness state, guarded by mu
 	conn      net.Conn
+	drained   chan struct{} // closed when conn's reader has returned
 	downLink  bool
 	downTimer *time.Timer
 }
@@ -747,11 +759,15 @@ func (m *TCPMesh) acceptLoop() {
 
 // serveConn handshakes one inbound connection (hello → welcome) and
 // adopts it as its link's active connection, then reads frames until it
-// dies. A replaced connection (the peer reconnected) is closed and its
-// reader exits without marking the link down.
+// dies. The connection it replaces (the peer reconnected) is read to its
+// end first: its sender closed it or died, and a relaunched sender keeps no
+// archive of the frames still buffered there, so the welcome must count
+// them.
 func (m *TCPMesh) serveConn(conn net.Conn) {
 	defer m.wg.Done()
 	defer conn.Close()
+	drained := make(chan struct{})
+	defer close(drained)
 	_ = conn.SetReadDeadline(time.Now().Add(m.peerWait()))
 	body, err := readFrame(conn)
 	if err != nil || body[0] != frameHello {
@@ -764,9 +780,22 @@ func (m *TCPMesh) serveConn(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Time{})
 	il := m.in(linkID{src, dst})
 	il.mu.Lock()
+	if old := il.conn; old != nil {
+		prev := il.drained
+		il.mu.Unlock()
+		_ = old.SetReadDeadline(time.Now().Add(m.peerWait()))
+		<-prev
+		il.mu.Lock()
+	}
+	if m.closed.Load() {
+		// Close has swept, or is sweeping, the links' connections: one
+		// installed now would outlive it.
+		il.mu.Unlock()
+		return
+	}
 	welcome := encodeWelcomeFrame(il.proto.WelcomeCounts())
 	old := il.conn
-	il.conn = conn
+	il.conn, il.drained = conn, drained
 	if il.downLink {
 		il.downLink = false
 		m.down.Add(-1)
@@ -905,7 +934,7 @@ func (m *TCPMesh) heartbeatLoop() {
 		case <-t.C:
 		}
 		w := m.w
-		busy := w.faultBusy.Load() > 0 || w.blocked.Load() < w.active.Load() || m.staged.Load() > 0
+		busy := w.blocked.Load() < w.active.Load() || m.staged.Load() > 0
 		fr := wireFrame{kind: frameHeartbeat, buf: encodeHeartbeatFrame(w.progress.Load()-m.beats.Load(), busy)}
 		for _, l := range links {
 			l.enqueue(fr)
@@ -1044,22 +1073,6 @@ func (m *TCPMesh) Close() error {
 	m.markCond.Broadcast()
 	m.wg.Wait()
 	return nil
-}
-
-// sentStreamCounts is World.SentStreamCounts on a TCP mesh: src's
-// per-stream sent counts, the outbound half of a rank checkpoint.
-func (m *TCPMesh) sentStreamCounts(src int) []StreamPos {
-	var out []StreamPos
-	for _, l := range m.outLinks(src) {
-		l.mu.Lock()
-		counts := l.proto.SentCounts()
-		l.mu.Unlock()
-		for _, p := range counts {
-			out = append(out, StreamPos{Src: l.id.dst, Tag: p.Tag, Count: p.Count})
-		}
-	}
-	sortStreamPos(out)
-	return out
 }
 
 // ---------------------------------------------------------------------

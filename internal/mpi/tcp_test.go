@@ -402,65 +402,11 @@ func TestTCPPeerLossSurfacesAsFault(t *testing.T) {
 	}
 }
 
-// TestStreamCountsRoundTrip pins the checkpoint coordinate system:
-// consumed counts snapshot deterministically, and seeding a fresh world
-// with them makes its counts continue from the snapshot. The seed lands
-// *after* the next messages are already queued — a stream does not number
-// its arrivals, so late seeding must neither reorder nor lose them.
-func TestStreamCountsRoundTrip(t *testing.T) {
-	w := NewWorld(2)
-	if err := w.RunE(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 3, []float64{1})
-			c.Send(1, 3, []float64{2})
-			c.Send(1, 9, []float64{3})
-		} else {
-			c.Recv(0, 3)
-			c.Recv(0, 3)
-			c.Recv(0, 9)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got := w.StreamCounts(1)
-	want := []StreamPos{{Src: 0, Tag: 3, Count: 2}, {Src: 0, Tag: 9, Count: 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("stream counts: got %+v want %+v", got, want)
-	}
-	if sent := w.SentStreamCounts(0); sent != nil {
-		t.Fatalf("channel fabric reports sent positions %+v", sent)
-	}
-
-	w2 := NewWorld(2)
-	if err := w2.RunE(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 3, []float64{42})
-			c.Send(1, 3, []float64{43})
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	w2.RestoreStreams(1, got)
-	if err := w2.RunE(func(c *Comm) {
-		if c.Rank() == 1 {
-			if a, b := c.Recv(0, 3)[0], c.Recv(0, 3)[0]; a != 42 || b != 43 {
-				panic(fmt.Sprintf("messages queued before the seed came out as %v, %v", a, b))
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want[0].Count = 4
-	if got := w2.StreamCounts(1); !reflect.DeepEqual(got, want) {
-		t.Fatalf("stream counts after a seeded run: got %+v want %+v", got, want)
-	}
-}
-
 // TestTCPResumeAtConstruction is the relaunch protocol without the
 // processes: rank 1's side of a two-mesh link dies after a checkpoint and
 // is rebuilt from the checkpoint's stream positions alone
-// (TCPConfig.Recv/Sent — nothing is parked, seeded or released after
-// construction). The live peer must resend exactly the suffix rank 1 never
+// (TCPConfig.Recv/Sent — the literal positions the conversation below
+// reaches; nothing is parked, seeded or released after construction). The live peer must resend exactly the suffix rank 1 never
 // consumed, and the send rank 1 regenerates must be suppressed, not
 // duplicated.
 func TestTCPResumeAtConstruction(t *testing.T) {
@@ -500,13 +446,8 @@ func TestTCPResumeAtConstruction(t *testing.T) {
 		}
 		c.FlushWire()
 	})
-	recv, sent := w1.StreamCounts(1), w1.SentStreamCounts(1)
-	if want := []StreamPos{{Src: 0, Tag: 3, Count: 2}}; !reflect.DeepEqual(recv, want) {
-		t.Fatalf("checkpoint recv positions %+v, want %+v", recv, want)
-	}
-	if want := []StreamPos{{Src: 0, Tag: 4, Count: 2}}; !reflect.DeepEqual(sent, want) {
-		t.Fatalf("checkpoint sent positions %+v, want %+v", sent, want)
-	}
+	recv := []StreamPos{{Src: 0, Tag: 3, Count: 2}}
+	sent := []StreamPos{{Src: 0, Tag: 4, Count: 2}}
 	// Past the checkpoint rank 1 gets one more send out, then dies.
 	both(func(c *Comm) {
 		if c.Rank() == 0 {
@@ -529,7 +470,6 @@ func TestTCPResumeAtConstruction(t *testing.T) {
 	}
 	w1 = NewRemoteWorld(2, []int{1}, opts, m1)
 	t.Cleanup(func() { w1.Close() })
-	w1.RestoreStreams(1, recv)
 	both(func(c *Comm) {
 		if c.Rank() == 0 {
 			recvWant(c, 1, 4, 3)
@@ -550,12 +490,6 @@ func TestTCPResumeAtConstruction(t *testing.T) {
 	}
 	if ws1.Suppressed != 1 || ws1.Duplicates != 0 || ws1.FramesRecvd != 3 {
 		t.Errorf("rebuilt side: suppressed %d (want the 1 regenerated send), %d duplicates (want 0), %d frames received (want 3)", ws1.Suppressed, ws1.Duplicates, ws1.FramesRecvd)
-	}
-	if got, want := w1.StreamCounts(1), []StreamPos{{Src: 0, Tag: 3, Count: 5}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("recv positions after resume %+v, want %+v", got, want)
-	}
-	if got, want := w1.SentStreamCounts(1), []StreamPos{{Src: 0, Tag: 4, Count: 4}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("sent positions after resume %+v, want %+v", got, want)
 	}
 
 	if _, err := NewTCPMesh(TCPConfig{Size: 2, Recv: recv}); err == nil {

@@ -36,7 +36,7 @@ func affineOf(coef ilin.RatVec, cst rat.Rat) Affine {
 
 // Num returns the numerator Coef·x + Const at the integer prefix x (only
 // the first len(Coef) entries are read), in overflow-checked int64
-// arithmetic: a sum past int64 panics with "rat: int64 overflow" instead of
+// arithmetic: a sum past int64 panics with a rat.Overflow instead of
 // wrapping into a wrong bound.
 func (a *Affine) Num(x []int64) int64 {
 	s := a.Const

@@ -509,9 +509,9 @@ func TestSatisfiedByOverflowPanics(t *testing.T) {
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
-				msg, _ := recover().(string)
-				if !strings.HasPrefix(msg, "rat: int64 overflow") {
-					t.Fatalf("recovered %q, want a rat: int64 overflow panic", msg)
+				r := recover()
+				if _, ok := r.(rat.Overflow); !ok {
+					t.Fatalf("recovered %v, want a rat.Overflow panic", r)
 				}
 			}()
 			t.Fatalf("SatisfiedBy returned %v instead of panicking", tc.c.SatisfiedBy(tc.x))
@@ -621,9 +621,9 @@ func TestBoundFormOverflowPanics(t *testing.T) {
 		for _, lower := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/lower=%v", name, lower), func(t *testing.T) {
 				defer func() {
-					msg, _ := recover().(string)
-					if !strings.HasPrefix(msg, "rat: int64 overflow") {
-						t.Fatalf("recovered %q, want a rat: int64 overflow panic", msg)
+					r := recover()
+					if _, ok := r.(rat.Overflow); !ok {
+						t.Fatalf("recovered %v, want a rat.Overflow panic", r)
 					}
 				}()
 				vb := VarBounds{Lower: []Affine{affineOf(tc.coef, tc.cst)}}

@@ -6,8 +6,10 @@
 // lengths). All run-time hot loops operate on precomputed integers. We
 // therefore use an int64 numerator/denominator pair with explicit overflow
 // checking rather than math/big: values stay small, operations stay cheap,
-// and any overflow (which would indicate a misuse of the package) panics
-// with a descriptive message instead of silently wrapping.
+// and any overflow panics with an Overflow value instead of silently
+// wrapping. Within the compiler's own sizes an overflow is a bug; a caller
+// that takes sizes from outside (tiling.Analyze) recovers exactly that
+// type into an error.
 package rat
 
 import (
@@ -27,6 +29,12 @@ type Rat struct {
 	Num int64
 	Den int64
 }
+
+// Overflow is the panic value of an operation whose result leaves int64;
+// Op names the operation and its operands.
+type Overflow struct{ Op string }
+
+func (o Overflow) Error() string { return "rat: int64 overflow in " + o.Op }
 
 // Zero and One are the additive and multiplicative identities.
 var (
@@ -300,7 +308,7 @@ func Mod(a, b int64) int64 {
 
 func abs64(a int64) int64 {
 	if a == math.MinInt64 {
-		panic("rat: int64 overflow in abs")
+		panic(Overflow{"abs"})
 	}
 	if a < 0 {
 		return -a
@@ -310,13 +318,13 @@ func abs64(a int64) int64 {
 
 func checkedNeg(a int64) int64 {
 	if a == math.MinInt64 {
-		panic("rat: int64 overflow in negation")
+		panic(Overflow{"negation"})
 	}
 	return -a
 }
 
-// CheckedAdd returns a + b, panicking with a "rat: int64 overflow" message
-// instead of wrapping. Exported with CheckedMul for integer fast paths that
+// CheckedAdd returns a + b, panicking with an Overflow instead of
+// wrapping. Exported with CheckedMul for integer fast paths that
 // must fail as loudly as the rational arithmetic they replace. The panic
 // lives in its own function so the check inlines.
 func CheckedAdd(a, b int64) int64 {
@@ -328,7 +336,7 @@ func CheckedAdd(a, b int64) int64 {
 }
 
 func addOverflow(a, b int64) {
-	panic(fmt.Sprintf("rat: int64 overflow in %d + %d", a, b))
+	panic(Overflow{fmt.Sprintf("%d + %d", a, b)})
 }
 
 // CheckedMul returns a · b, panicking on int64 overflow like CheckedAdd. The
@@ -346,7 +354,7 @@ func mulWide(a, b int64) int64 {
 	}
 	p := a * b
 	if p/b != a || (a == math.MinInt64 && b == -1) {
-		panic(fmt.Sprintf("rat: int64 overflow in %d * %d", a, b))
+		panic(Overflow{fmt.Sprintf("%d * %d", a, b)})
 	}
 	return p
 }

@@ -204,6 +204,34 @@ func TestBadSpecRejected(t *testing.T) {
 	}
 }
 
+// TestOverflowingSpecRejected: a spec whose sizes leave int64 in the
+// compiler's exact arithmetic — a huge bound, a tile edge finer than
+// 1/MaxInt64 can invert — is a 400 naming the overflow on every endpoint,
+// and the server keeps serving after it.
+func TestOverflowingSpecRejected(t *testing.T) {
+	leakCheck(t)
+	_, ts, client := newTestServer(t, Config{})
+	spec := func(m, tile string) string {
+		return "let M = " + m + "\nfor i = 1 .. M\nfor j = 1 .. 4\nA[i,j] = A[i-1,j] + A[i,j-1]\ntile " + tile
+	}
+	specs := map[string]string{
+		"bound 2^62":      spec("4611686018427387904", "1/2 0 / 0 1/2"),
+		"bound MaxInt64":  spec("9223372036854775807", "1/2 0 / 0 1/2"),
+		"tile 1/MaxInt64": spec("4", "1/9223372036854775807 0 / 0 1/2"),
+	}
+	for name, src := range specs {
+		for _, path := range []string{"/v1/analyze", "/v1/certify", "/v1/codegen", "/v1/run"} {
+			resp, body := postJSON(t, client, ts.URL+path, specRequest{Source: src})
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "overflow") {
+				t.Errorf("%s %s: status %d (%s), want 400 naming the overflow", name, path, resp.StatusCode, body)
+			}
+		}
+	}
+	if resp, body := postJSON(t, client, ts.URL+"/v1/analyze", specRequest{Source: heatSpec(12)}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("after the overflowing specs: status %d (%s), want 200", resp.StatusCode, body)
+	}
+}
+
 // TestRunBitIdenticalToInProcess is the service's ground truth: the
 // checksum served over HTTP equals the checksum of a direct in-process
 // run of the same spec, for both send modes, and repeat requests (warm

@@ -41,8 +41,18 @@ type TiledSpace struct {
 }
 
 // Analyze validates that h legally tiles the nest and precomputes the
-// complete tiled-space description.
-func Analyze(nest *loopnest.Nest, h *ilin.RatMat) (*TiledSpace, error) {
+// complete tiled-space description. Sizes come from outside the compiler,
+// so arithmetic that leaves int64 is an *OverflowError, not a panic.
+func Analyze(nest *loopnest.Nest, h *ilin.RatMat) (ts *TiledSpace, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			o, ok := r.(rat.Overflow)
+			if !ok {
+				panic(r)
+			}
+			ts, err = nil, &OverflowError{o}
+		}
+	}()
 	t, err := New(h)
 	if err != nil {
 		return nil, err
@@ -53,7 +63,7 @@ func Analyze(nest *loopnest.Nest, h *ilin.RatMat) (*TiledSpace, error) {
 	if !t.Legal(nest.Deps) {
 		return nil, ErrIllegalTransform()
 	}
-	ts := &TiledSpace{T: t, Nest: nest}
+	ts = &TiledSpace{T: t, Nest: nest}
 
 	if err := ts.buildCombinedBounds(); err != nil {
 		return nil, err

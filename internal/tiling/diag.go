@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tilespace/internal/ilin"
+	"tilespace/internal/rat"
 )
 
 // Shared compile-time diagnostics. Analyze rejects an illegal tiling with
@@ -38,3 +39,14 @@ func ErrTileDepRange(d ilin.Vec, k int) error {
 func ErrTileDepNotLexPositive(d ilin.Vec) error {
 	return fmt.Errorf("tiling: tile dependence %v is not lexicographically positive", d)
 }
+
+// OverflowError is Analyze's verdict on a nest or tiling whose exact
+// arithmetic leaves int64 — a space too large, or a tile edge too fine, for
+// the compiler's integer rationals. It wraps the rat.Overflow raised.
+type OverflowError struct{ Overflow rat.Overflow }
+
+func (e *OverflowError) Error() string {
+	return fmt.Sprintf("tiling: the iteration space or the tiling is too large for exact int64 arithmetic (%v)", e.Overflow)
+}
+
+func (e *OverflowError) Unwrap() error { return e.Overflow }

@@ -1,6 +1,8 @@
 package tiling
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"tilespace/internal/ilin"
@@ -80,5 +82,25 @@ func TestDiagTileDepConstructors(t *testing.T) {
 	wantLex := "tiling: tile dependence (0, -1) is not lexicographically positive"
 	if got := ErrTileDepNotLexPositive(neg).Error(); got != wantLex {
 		t.Errorf("ErrTileDepNotLexPositive drifted:\n got %q\nwant %q", got, wantLex)
+	}
+}
+
+// TestDiagOverflow: sizes that leave int64 in the exact arithmetic — a
+// bound of 2^62 tiled by 2, a tile edge of 1/MaxInt64 — are an
+// *OverflowError from Analyze, not a panic.
+func TestDiagOverflow(t *testing.T) {
+	for name, c := range map[string]struct {
+		hi1 int64
+		row string
+	}{
+		"bound": {1 << 62, "1/2"},
+		"tile":  {4, "1/9223372036854775807"},
+	} {
+		h := ilin.RatMatFromRows([]string{c.row, "0"}, []string{"0", "1/2"})
+		_, err := Analyze(box2(t, c.hi1, 4, unitDeps2()), h)
+		var oe *OverflowError
+		if !errors.As(err, &oe) || !strings.Contains(err.Error(), "int64 overflow") {
+			t.Errorf("%s: err = %v, want an *OverflowError", name, err)
+		}
 	}
 }

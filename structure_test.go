@@ -92,7 +92,7 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	runtimeCalls := map[string]bool{
 		"Recv": true, "RecvMsg": true, "SendOwned": true, "IsendOwned": true,
 		"WaitSends": true, "FlushWire": true, "FaultSleep": true,
-		"PendingSends": true, "NoteProgress": true, "RestoreStreams": true,
+		"PendingSends": true, "NoteProgress": true,
 	}
 	files, err := filepath.Glob("internal/exec/*.go")
 	if err != nil {

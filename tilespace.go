@@ -407,8 +407,9 @@ type (
 
 // CheckpointOptions enables tile-chain checkpointing (re-exported from
 // exec): every Every committed tiles each rank waits for its sends to be
-// delivered and snapshots its chain position and LDS dirty region,
-// bounding how far a crashed rank rewinds.
+// due and snapshots its chain position and LDS dirty region, bounding how
+// far a crashed rank rewinds. Its wire position is not stored: the
+// compiled tables give it at any chain slot.
 type CheckpointOptions = exec.CheckpointOptions
 
 // FaultModel configures a fault-aware simulation (re-exported from
