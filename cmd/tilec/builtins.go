@@ -5,9 +5,7 @@ import (
 	"strings"
 
 	"tilespace/internal/apps"
-	"tilespace/internal/codegen"
-	"tilespace/internal/exec"
-	"tilespace/internal/tiling"
+	"tilespace/internal/compile"
 )
 
 // builtins are the paper's workloads as internal/apps defines them; tilec
@@ -22,9 +20,9 @@ var builtins = []struct {
 	{"adi", apps.ADI, []int64{100, 256}, []int64{10, 65, 65}},
 }
 
-// fromBuiltin compiles a built-in app under one of its tiling families; the
+// fromBuiltin is a built-in app under one of its tiling families; the
 // generated C prints the app's own kernel and boundary values.
-func fromBuiltin(name string, space, factors []int64, family string) (*exec.Program, codegen.Options, error) {
+func fromBuiltin(name string, space, factors []int64, family string) (compile.Spec, error) {
 	for _, b := range builtins {
 		if b.name != name {
 			continue
@@ -36,11 +34,11 @@ func fromBuiltin(name string, space, factors []int64, family string) (*exec.Prog
 			factors = b.factors
 		}
 		if len(space) != 2 || len(factors) != 3 {
-			return nil, codegen.Options{}, fmt.Errorf("%s needs -space of two sizes and -factors x,y,z", name)
+			return compile.Spec{}, fmt.Errorf("%s needs -space of two sizes and -factors x,y,z", name)
 		}
 		app, err := b.app(space[0], space[1])
 		if err != nil {
-			return nil, codegen.Options{}, err
+			return compile.Spec{}, err
 		}
 		var names []string
 		for _, f := range append([]apps.TilingFamily{app.Rect}, app.NonRect...) {
@@ -48,20 +46,11 @@ func fromBuiltin(name string, space, factors []int64, family string) (*exec.Prog
 				names = append(names, f.Name)
 				continue
 			}
-			ts, err := tiling.Analyze(app.Nest, f.H(factors[0], factors[1], factors[2]))
-			if err != nil {
-				return nil, codegen.Options{}, err
-			}
-			prog, err := exec.NewProgram(ts, app.MapDim, app.Width, app.Kernel, app.Initial)
-			if err != nil {
-				return nil, codegen.Options{}, err
-			}
-			kernelC, err := app.Kernel.C()
-			return prog, codegen.Options{
-				Name: name + "_" + family, Width: app.Width, KernelStmt: kernelC, InitialStmt: app.InitialC,
-			}, err
+			spec := compile.App(app, f.H(factors[0], factors[1], factors[2]))
+			spec.Name = name + "_" + family
+			return spec, nil
 		}
-		return nil, codegen.Options{}, fmt.Errorf("%s families: %s", name, strings.Join(names, ", "))
+		return compile.Spec{}, fmt.Errorf("%s families: %s", name, strings.Join(names, ", "))
 	}
-	return nil, codegen.Options{}, fmt.Errorf("unknown app %q (have sor, jacobi, adi)", name)
+	return compile.Spec{}, fmt.Errorf("unknown app %q (have sor, jacobi, adi)", name)
 }

@@ -41,9 +41,7 @@ import (
 	"strconv"
 	"strings"
 
-	"tilespace/internal/codegen"
-	"tilespace/internal/exec"
-	"tilespace/internal/frontend"
+	"tilespace/internal/compile"
 	"tilespace/internal/ilin"
 	"tilespace/internal/loopnest"
 	"tilespace/internal/opt"
@@ -51,7 +49,6 @@ import (
 	"tilespace/internal/rat"
 	"tilespace/internal/simnet"
 	"tilespace/internal/tiling"
-	"tilespace/internal/verify"
 )
 
 type specTiling struct {
@@ -119,18 +116,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var (
-		prog *exec.Program
-		opts codegen.Options
-		err  error
-	)
+	var art *compile.Artifact
+	var err error
 	switch {
 	case *srcPath != "":
-		prog, opts, err = fromSource(*srcPath)
+		art, err = build(fromSource(*srcPath))
 	case *specPath != "":
-		prog, opts, err = fromSpec(*specPath)
+		art, err = build(fromSpec(*specPath))
 	case *appName != "":
-		prog, opts, err = fromBuiltin(*appName, parseInts(*space), parseInts(*factors), *family)
+		art, err = build(fromBuiltin(*appName, parseInts(*space), parseInts(*factors), *family))
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -140,22 +134,22 @@ func main() {
 	}
 
 	if *report {
-		fmt.Fprintln(os.Stderr, codegen.Report(prog.Dist))
+		fmt.Fprintln(os.Stderr, art.Report())
 	}
 	if *doVerify {
-		rep, err := verify.Certify(prog.TS, prog.Dist)
+		rep, err := art.Certificate()
 		if err != nil {
 			fail("%v", err)
 		}
 		fmt.Fprintln(os.Stderr, rep)
 	}
 	if *suggest {
-		runSuggest(prog.TS.Nest)
+		runSuggest(art.Prog.TS.Nest)
 	}
 	par := simnet.FastEthernetPIII()
-	par.Width = prog.Width
+	par.Width = art.Width
 	if *sim {
-		res, err := simnet.Simulate(prog.Dist, par)
+		res, err := simnet.Simulate(art.Prog.Dist, par)
 		if err != nil {
 			fail("simulate: %v", err)
 		}
@@ -163,7 +157,7 @@ func main() {
 			res.Procs, res.Tiles, res.Steps, res.Makespan, res.Speedup, res.Utilization*100, res.Messages, res.BytesSent)
 	}
 	if *gantt {
-		tr, err := simnet.SimulateTraced(prog.Dist, par)
+		tr, err := simnet.SimulateTraced(art.Prog.Dist, par)
 		if err != nil {
 			fail("gantt: %v", err)
 		}
@@ -174,14 +168,10 @@ func main() {
 	if !*emit {
 		return
 	}
-	if opts.KernelStmt == "" {
-		fail(`codegen: the spec has no "kernel" (a C statement block filling out from R0…); add one or pass -emit=false for analysis only`)
-	}
-	g, err := codegen.New(prog.Dist, opts)
+	src, err := art.C()
 	if err != nil {
-		fail("codegen: %v", err)
+		fail("%v", err)
 	}
-	src := g.Generate()
 	if *out == "" {
 		fmt.Print(src)
 		return
@@ -190,6 +180,14 @@ func main() {
 		fail("write %s: %v", *out, err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, len(src))
+}
+
+// build compiles the spec an input reader returned.
+func build(spec compile.Spec, err error) (*compile.Artifact, error) {
+	if err != nil {
+		return nil, err
+	}
+	return compile.Compile(spec)
 }
 
 // runSuggest reruns the tile-shape search for the compiled nest and
@@ -219,62 +217,58 @@ func readInput(path string) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
-// fromSource compiles a program written in the textual loop-nest notation
+// fromSource reads a program written in the textual loop-nest notation
 // (internal/frontend): bounds, dependencies, kernel, skew, tiling and mapping
 // dimension all come from the source file.
-func fromSource(path string) (*exec.Program, codegen.Options, error) {
+func fromSource(path string) (compile.Spec, error) {
 	data, err := readInput(path)
-	if err != nil {
-		return nil, codegen.Options{}, err
-	}
-	p, err := frontend.Parse(string(data))
-	if err != nil {
-		return nil, codegen.Options{}, err
-	}
-	prog, err := p.Compile()
-	if err != nil {
-		return nil, codegen.Options{}, fmt.Errorf("%s: %w", path, err)
-	}
-	kernelC, err := p.Kernel.C()
-	return prog, codegen.Options{Name: "tiled", Width: p.Width, KernelStmt: kernelC}, err
+	return compile.Spec{Source: string(data)}, err
 }
 
-func fromSpec(path string) (*exec.Program, codegen.Options, error) {
+// fromSpec reads a JSON spec. Its kernel is C text only, so the program
+// gets a no-op kernel, for analysis; a spec without one still analyzes
+// (-emit=false), and emission alone is refused rather than given a
+// placeholder that would compile to a silently wrong program.
+func fromSpec(path string) (compile.Spec, error) {
 	data, err := readInput(path)
 	if err != nil {
-		return nil, codegen.Options{}, err
+		return compile.Spec{}, err
 	}
 	var sp spec
 	if err := json.Unmarshal(data, &sp); err != nil {
-		return nil, codegen.Options{}, fmt.Errorf("parse spec: %w", err)
+		return compile.Spec{}, fmt.Errorf("parse spec: %w", err)
 	}
 	if len(sp.Vars) == 0 {
-		return nil, codegen.Options{}, fmt.Errorf("spec needs vars")
+		return compile.Spec{}, fmt.Errorf("spec needs vars")
 	}
-
+	if len(sp.Lo) != len(sp.Hi) || len(sp.Lo) > 0 && len(sp.Lo) != len(sp.Vars) {
+		return compile.Spec{}, fmt.Errorf("spec has %d lo and %d hi bounds for %d vars", len(sp.Lo), len(sp.Hi), len(sp.Vars))
+	}
 	sys := poly.NewSystem(len(sp.Vars))
 	for k := range sp.Lo {
-		if k < len(sp.Hi) {
-			sys.AddRange(k, sp.Lo[k], sp.Hi[k])
-		}
+		sys.AddRange(k, sp.Lo[k], sp.Hi[k])
 	}
 	for _, c := range sp.Constraints {
 		if len(c.Coef) != len(sp.Vars) {
-			return nil, codegen.Options{}, fmt.Errorf("constraint arity %d, nest depth %d", len(c.Coef), len(sp.Vars))
+			return compile.Spec{}, fmt.Errorf("constraint arity %d, nest depth %d", len(c.Coef), len(sp.Vars))
 		}
 		sys.Add(poly.NewConstraint(ilin.NewVec(c.Coef...).Rat(), rat.FromInt(c.Rhs)))
 	}
-	var deps *ilin.Mat
-	if len(sp.Deps) > 0 {
-		deps = ilin.MatFromRows(sp.Deps...).Transpose() // rows d_l -> columns of D
+	deps, err := loopnest.DepMatrix(sp.Deps)
+	if err != nil {
+		return compile.Spec{}, err
 	}
 	nest, err := loopnest.New(sp.Vars, sys, deps)
 	if err != nil {
-		return nil, codegen.Options{}, err
+		return compile.Spec{}, err
 	}
 	if len(sp.Skew) > 0 {
-		if nest, err = nest.Skew(ilin.MatFromRows(sp.Skew...)); err != nil {
-			return nil, codegen.Options{}, err
+		skew, err := ilin.IntMat(sp.Skew)
+		if err != nil {
+			return compile.Spec{}, fmt.Errorf("skew: %w", err)
+		}
+		if nest, err = nest.Skew(skew); err != nil {
+			return compile.Spec{}, err
 		}
 	}
 
@@ -288,41 +282,22 @@ func fromSpec(path string) (*exec.Program, codegen.Options, error) {
 			t, err = tiling.New(h)
 		}
 	case len(sp.Tiling.Edges) > 0:
-		t, err = tiling.FromP(ilin.MatFromRows(sp.Tiling.Edges...))
+		var p *ilin.Mat
+		if p, err = ilin.IntMat(sp.Tiling.Edges); err == nil {
+			t, err = tiling.FromP(p)
+		}
 	default:
 		err = fmt.Errorf("spec needs a tiling (rect, rows or edges)")
 	}
 	if err != nil {
-		return nil, codegen.Options{}, err
+		return compile.Spec{}, err
 	}
-	ts, err := tiling.Analyze(nest, t.H)
-	if err != nil {
-		return nil, codegen.Options{}, err
-	}
-
 	mapDim := -1
 	if sp.MapDim != nil {
 		mapDim = *sp.MapDim
 	}
-	// The spec's kernel is C text only: the program gets a no-op kernel, for
-	// analysis. No placeholder for a missing one either — emitting
-	// "out[0] = 0.0;" would compile to a silently-wrong program. KernelStmt
-	// stays empty and emission (only) is refused, so analysis-only runs
-	// (-emit=false) still work on kernel-less specs.
-	width := max(1, sp.Width)
-	prog, err := exec.NewProgram(ts, mapDim, width, exec.PointKernel(func(ilin.Vec, [][]float64, []float64) {}), nil)
-	if err != nil {
-		return nil, codegen.Options{}, err
-	}
-	return prog, codegen.Options{
-		Name: defaultStr(sp.Name, "tiled"), Width: width,
-		KernelStmt: sp.Kernel, InitialStmt: sp.Initial,
+	return compile.Spec{
+		Nest: nest, H: t.H, MapDim: mapDim, Width: sp.Width,
+		KernelC: sp.Kernel, InitialC: sp.Initial, Name: sp.Name,
 	}, nil
-}
-
-func defaultStr(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
 }

@@ -7,19 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"tilespace/internal/codegen"
-	"tilespace/internal/exec"
 )
-
-// generate emits the C program tilec writes for prog.
-func generate(prog *exec.Program, opts codegen.Options) (string, error) {
-	g, err := codegen.New(prog.Dist, opts)
-	if err != nil {
-		return "", err
-	}
-	return g.Generate(), nil
-}
 
 func TestParseInts(t *testing.T) {
 	got := parseInts("1, 2,3")
@@ -48,43 +36,45 @@ func TestFromBuiltinAll(t *testing.T) {
 		{"adi", []int64{8, 16}, []int64{2, 4, 4}, "nr3"},
 	}
 	for _, c := range cases {
-		prog, opts, err := fromBuiltin(c.app, c.space, c.factors, c.family)
+		spec, err := fromBuiltin(c.app, c.space, c.factors, c.family)
+		art, err := build(spec, err)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", c.app, c.family, err)
 		}
-		if prog.Dist.NumProcs() < 1 {
+		if art.Procs < 1 {
 			t.Errorf("%s/%s: no processors", c.app, c.family)
 		}
-		src, err := generate(prog, opts)
+		src, err := art.C()
 		if err != nil {
 			t.Fatalf("%s/%s codegen: %v", c.app, c.family, err)
 		}
-		if !strings.Contains(src, "MPI_Init") {
+		if !strings.Contains(src, "MPI_Init") || !strings.Contains(src, c.app+"_"+c.family) {
 			t.Errorf("%s/%s: incomplete C", c.app, c.family)
 		}
 		// The program prints the app's own kernel and boundary values.
-		if opts.KernelStmt == "" || opts.InitialStmt == "" ||
-			!strings.Contains(src, opts.KernelStmt) || !strings.Contains(src, opts.InitialStmt) {
+		kernelC, err := spec.Kernel.C()
+		if err != nil || kernelC == "" || spec.InitialC == "" ||
+			!strings.Contains(src, kernelC) || !strings.Contains(src, spec.InitialC) {
 			t.Errorf("%s/%s: the kernel or the boundary values are missing from the C", c.app, c.family)
 		}
 	}
 }
 
 func TestFromBuiltinDefaultsAndErrors(t *testing.T) {
-	if _, _, err := fromBuiltin("nosuch", nil, nil, "rect"); err == nil {
+	if _, err := build(fromBuiltin("nosuch", nil, nil, "rect")); err == nil {
 		t.Error("unknown app not rejected")
 	}
-	if _, _, err := fromBuiltin("sor", []int64{1}, []int64{1, 2, 3}, "rect"); err == nil {
+	if _, err := build(fromBuiltin("sor", []int64{1}, []int64{1, 2, 3}, "rect")); err == nil {
 		t.Error("bad space arity not rejected")
 	}
-	if _, _, err := fromBuiltin("sor", []int64{12, 24}, []int64{6, 10, 8}, "bogus"); err == nil {
+	if _, err := build(fromBuiltin("sor", []int64{12, 24}, []int64{6, 10, 8}, "bogus")); err == nil {
 		t.Error("unknown family not rejected")
 	}
-	if _, _, err := fromBuiltin("adi", []int64{8, 16}, []int64{2, 4, 4}, "nr"); err == nil {
+	if _, err := build(fromBuiltin("adi", []int64{8, 16}, []int64{2, 4, 4}, "nr")); err == nil {
 		t.Error("adi family 'nr' should be rejected (nr1/nr2/nr3)")
 	}
 	// Defaults resolve to the paper's configurations.
-	if _, _, err := fromBuiltin("jacobi", nil, nil, "rect"); err != nil {
+	if _, err := build(fromBuiltin("jacobi", nil, nil, "rect")); err != nil {
 		t.Errorf("jacobi defaults failed: %v", err)
 	}
 }
@@ -104,14 +94,14 @@ func TestFromSpec(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	prog, opts, err := fromSpec(path)
+	art, err := build(fromSpec(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.TS.T.TileSize != 16 {
-		t.Errorf("TileSize = %d", prog.TS.T.TileSize)
+	if art.TileSize != 16 {
+		t.Errorf("TileSize = %d", art.TileSize)
 	}
-	src, err := generate(prog, opts)
+	src, err := art.C()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +124,13 @@ func TestFromSpecWithConstraintsAndSkew(t *testing.T) {
 	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	prog, opts, err := fromSpec(path)
+	art, err := build(fromSpec(path))
 	if err != nil {
 		t.Fatalf("constrained spec failed: %v", err)
 	}
 	// A kernel-less spec is fine for analysis, but emission must hard-fail
 	// rather than generate a silently-wrong placeholder kernel.
-	if opts.KernelStmt != "" {
-		t.Fatalf("kernel-less spec produced KernelStmt %q, want empty", opts.KernelStmt)
-	}
-	if src, err := generate(prog, opts); err == nil || strings.Contains(src, "TODO") {
+	if src, err := art.C(); err == nil || strings.Contains(src, "TODO") {
 		t.Fatalf("emission without a kernel must error, got err=%v", err)
 	}
 }
@@ -162,13 +149,20 @@ func TestFromSpecErrors(t *testing.T) {
 		"no vars":   `{"deps": [], "tiling": {"rect": [2]}}`,
 		"no tiling": `{"vars": ["i"], "lo": [0], "hi": [5], "deps": [[1]], "tiling": {}}`,
 		"bad rows":  `{"vars": ["i"], "lo": [0], "hi": [5], "deps": [[1]], "tiling": {"rows": [["x"]]}}`,
+		// Malformed integer inputs are errors, not panics.
+		"ragged deps":    `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1, 4]], "tiling": {"rect": [2, 2]}}`,
+		"ragged skew":    `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "skew": [[1, 0], [1]], "tiling": {"rect": [2, 2]}}`,
+		"ragged edges":   `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"edges": [[2, 0], [1]]}}`,
+		"long bounds":    `{"vars": ["i", "j"], "lo": [0, 0, 0], "hi": [9, 9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}}`,
+		"lo beyond hi":   `{"vars": ["i", "j"], "lo": [0, 0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}}`,
+		"negative width": `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}, "width": -1}`,
 	}
 	for name, body := range cases {
-		if _, _, err := fromSpec(write(strings.ReplaceAll(name, " ", "_")+".json", body)); err == nil {
+		if _, err := build(fromSpec(write(strings.ReplaceAll(name, " ", "_")+".json", body))); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
-	if _, _, err := fromSpec(filepath.Join(dir, "missing.json")); err == nil {
+	if _, err := build(fromSpec(filepath.Join(dir, "missing.json"))); err == nil {
 		t.Error("missing file not reported")
 	}
 }
@@ -185,14 +179,14 @@ map 1
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	prog, opts, err := fromSource(path)
+	art, err := build(fromSource(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prog.TS.T.TileSize != 9 {
-		t.Errorf("TileSize = %d", prog.TS.T.TileSize)
+	if art.TileSize != 9 {
+		t.Errorf("TileSize = %d", art.TileSize)
 	}
-	cSrc, err := generate(prog, opts)
+	cSrc, err := art.C()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +198,7 @@ map 1
 	if err := os.WriteFile(noTile, []byte("for i = 0 .. 4\nA[i] = A[i-1]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fromSource(noTile); err == nil {
+	if _, err := build(fromSource(noTile)); err == nil {
 		t.Error("missing tile directive not rejected")
 	}
 }
@@ -232,5 +226,35 @@ func TestOverflowingSourceFailsCleanly(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "overflow") || strings.Contains(string(out), "goroutine ") {
 		t.Fatalf("tilec output does not name the overflow, or dumps goroutines:\n%s", out)
+	}
+}
+
+// TestSpecMatchesSource: the committed JSON spec is the SOR seed with its
+// kernel as C, so the two inputs compile to one program: under one name,
+// the same analysis and the same C, byte for byte.
+func TestSpecMatchesSource(t *testing.T) {
+	spec, err := fromSpec("testdata/sor.json")
+	spec.Name = ""
+	fromJSON, err := build(spec, err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromDSL, err := build(fromSource("../../internal/frontend/testdata/seeds/sor.nest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromJSON.Report() != fromDSL.Report() {
+		t.Error("the JSON spec and the DSL seed analyze differently")
+	}
+	cJSON, err := fromJSON.C()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cDSL, err := fromDSL.C()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cJSON != cDSL {
+		t.Error("the JSON spec and the DSL seed emit different C")
 	}
 }

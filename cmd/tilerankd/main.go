@@ -31,6 +31,7 @@ import (
 	"syscall"
 	"time"
 
+	"tilespace/internal/compile"
 	"tilespace/internal/exec"
 	"tilespace/internal/mpi"
 	"tilespace/internal/procrun"
@@ -68,10 +69,12 @@ func run(rank int, peersPath, specPath, resultPath string, overlap bool,
 	if err != nil {
 		return err
 	}
-	prog, err := procrun.Compile(string(source))
+	// Every rank compiles the identical spec: one distribution and plan.
+	art, err := compile.Compile(compile.Spec{Source: string(source)})
 	if err != nil {
 		return err
 	}
+	prog := art.Prog
 	rv, err := procrun.ReadRendezvous(peersPath)
 	if err != nil {
 		return err

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"tilespace/internal/compile"
 	texec "tilespace/internal/exec"
 	"tilespace/internal/procrun"
 )
@@ -121,15 +122,22 @@ func writeRankdFixture(t *testing.T, dir string, procs int) (peers, spec string)
 	return peers, spec
 }
 
+// rankdProgram compiles rankdSpec as every rank process does.
+func rankdProgram(t *testing.T) *texec.Program {
+	t.Helper()
+	art, err := compile.Compile(compile.Spec{Source: rankdSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art.Prog
+}
+
 // TestRankdRefusesAnotherRanksCheckpoint: a -ckpt file saved by rank 1 must
 // not seed rank 0's mesh — its welcome counts would claim a conversation
 // rank 0 never had — so run refuses it, naming both ranks, before any mesh
 // is built.
 func TestRankdRefusesAnotherRanksCheckpoint(t *testing.T) {
-	prog, err := procrun.Compile(rankdSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := rankdProgram(t)
 	dir := t.TempDir()
 	peers, spec := writeRankdFixture(t, dir, prog.Dist.NumProcs())
 	ckpt := filepath.Join(dir, "rank1.ckpt")
@@ -141,6 +149,7 @@ func TestRankdRefusesAnotherRanksCheckpoint(t *testing.T) {
 		done <- run(0, peers, spec, filepath.Join(dir, "rank0.json"), false,
 			time.Second, ckpt, 2, 500*time.Millisecond, 0, 0)
 	}()
+	var err error
 	select {
 	case err = <-done:
 	case <-time.After(20 * time.Second):
@@ -159,10 +168,7 @@ func TestRankdEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and boots rank processes; skipped in -short")
 	}
-	prog, err := procrun.Compile(rankdSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := rankdProgram(t)
 	procs := prog.Dist.NumProcs()
 	if procs < 2 {
 		t.Fatalf("spec distributes over %d ranks; the driver test needs at least 2", procs)
@@ -219,10 +225,7 @@ func TestRankdSIGTERM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and boots rank processes; skipped in -short")
 	}
-	prog, err := procrun.Compile(rankdSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := rankdProgram(t)
 	procs := prog.Dist.NumProcs()
 	bin := rankdBin(t)
 	dir := t.TempDir()
@@ -271,10 +274,7 @@ func TestRankdKillRelaunchRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and boots rank processes; skipped in -short")
 	}
-	prog, err := procrun.Compile(rankdSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := rankdProgram(t)
 	procs := prog.Dist.NumProcs()
 	if procs < 2 {
 		t.Fatalf("need at least 2 ranks, got %d", procs)

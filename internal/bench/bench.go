@@ -11,10 +11,9 @@ import (
 	"strings"
 
 	"tilespace/internal/apps"
-	"tilespace/internal/distrib"
+	"tilespace/internal/compile"
 	"tilespace/internal/rat"
 	"tilespace/internal/simnet"
-	"tilespace/internal/tiling"
 )
 
 // tilesCount is the number of tiles covering [lo, hi] with extent x.
@@ -92,18 +91,14 @@ func (s *Sweep) Run(par simnet.Params) (*Series, error) {
 		x, y, z := s.Factors(v)
 		pt := Point{Value: v, X: x, Y: y, Z: z, Results: map[string]*simnet.Result{}}
 		for _, f := range families {
-			ts, err := tiling.Analyze(s.App.Nest, f.H(x, y, z))
+			d, err := compile.Distribute(s.App.Nest, f.H(x, y, z), s.App.MapDim)
 			if err != nil {
 				return nil, fmt.Errorf("%s %s %s (x=%d,y=%d,z=%d): %w", s.Fig, s.Space, f.Name, x, y, z, err)
 			}
-			if pt.TileSize == 0 {
-				pt.TileSize = ts.T.TileSize
-			} else if pt.TileSize != ts.T.TileSize {
-				return nil, fmt.Errorf("%s: tile sizes differ between families (%d vs %d)", s.Fig, pt.TileSize, ts.T.TileSize)
-			}
-			d, err := distrib.New(ts, s.App.MapDim)
-			if err != nil {
-				return nil, err
+			if size := d.TS.T.TileSize; pt.TileSize == 0 {
+				pt.TileSize = size
+			} else if pt.TileSize != size {
+				return nil, fmt.Errorf("%s: tile sizes differ between families (%d vs %d)", s.Fig, pt.TileSize, size)
 			}
 			res, err := simnet.Simulate(d, par)
 			if err != nil {

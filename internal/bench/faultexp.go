@@ -6,12 +6,12 @@ import (
 	"time"
 
 	"tilespace/internal/apps"
+	"tilespace/internal/compile"
 	"tilespace/internal/distrib"
 	"tilespace/internal/exec"
 	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
 	"tilespace/internal/simnet"
-	"tilespace/internal/tiling"
 )
 
 // FaultComparison validates the simulator's fault model against the real
@@ -112,14 +112,11 @@ func DefaultFaultScenarios() []FaultScenario {
 // RunFaultComparison runs one workload fault-free and under the scenario,
 // both simulated and measured, and returns the degradation comparison.
 func RunFaultComparison(app *apps.App, h *ilin.RatMat, par simnet.Params, costScale float64, sc FaultScenario) (*FaultComparison, error) {
-	ts, err := tiling.Analyze(app.Nest, h)
+	art, err := compile.Compile(compile.App(app, h))
 	if err != nil {
 		return nil, err
 	}
-	p, err := exec.NewProgram(ts, app.MapDim, app.Width, app.Kernel, app.Initial)
-	if err != nil {
-		return nil, err
-	}
+	p := art.Prog
 	par.Width = p.Width
 	// Blocking mode: injected link delays and retry backoffs stall the
 	// sender's CPU in both layers, and a crash can drop no in-flight

@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"tilespace/internal/apps"
+	"tilespace/internal/compile"
 	"tilespace/internal/exec"
 	"tilespace/internal/ilin"
 	"tilespace/internal/simnet"
-	"tilespace/internal/tiling"
 )
 
 // PhaseComparison validates the simulator's cost model against the real
@@ -51,14 +51,11 @@ func abs(x float64) float64 {
 // RunTraceComparison runs one workload both ways under the same cost
 // model and returns the phase-fraction comparison.
 func RunTraceComparison(name string, app *apps.App, h *ilin.RatMat, par simnet.Params, costScale float64, overlap bool) (*PhaseComparison, error) {
-	ts, err := tiling.Analyze(app.Nest, h)
+	art, err := compile.Compile(compile.App(app, h))
 	if err != nil {
 		return nil, err
 	}
-	p, err := exec.NewProgram(ts, app.MapDim, app.Width, app.Kernel, app.Initial)
-	if err != nil {
-		return nil, err
-	}
+	p := art.Prog
 	par.Width = p.Width
 	par.Overlap = overlap
 	sim, err := simnet.SimulateTraced(p.Dist, par)
@@ -81,8 +78,8 @@ func RunTraceComparison(name string, app *apps.App, h *ilin.RatMat, par simnet.P
 
 	pc := &PhaseComparison{
 		App:         name,
-		Procs:       p.Dist.NumProcs(),
-		Tiles:       ts.NumTiles(),
+		Procs:       art.Procs,
+		Tiles:       art.Tiles,
 		SimMakespan: time.Duration(sim.Result.Makespan * costScale * float64(time.Second)),
 		Trace:       tr.Trace(),
 		Metrics:     tr.PerRank(),

@@ -10,7 +10,6 @@ import (
 	"tilespace/internal/loopnest"
 	"tilespace/internal/poly"
 	"tilespace/internal/rat"
-	"tilespace/internal/tiling"
 )
 
 // Program is a fully parsed loop-nest program.
@@ -37,25 +36,6 @@ type Program struct {
 	MapDim int
 	// Params echoes the bound `let` parameters.
 	Params map[string]int64
-}
-
-// Compile builds the executable program the parsed spec describes: analyze
-// the tiling the `tile` directive gave, then distribute and assemble. It is
-// the one DSL → exec.Program path, shared by the service (internal/serve)
-// and the rank-per-process deployment (internal/procrun).
-func (p *Program) Compile() (*exec.Program, error) {
-	if p.Tiling == nil {
-		return nil, fmt.Errorf("spec needs a `tile` directive (e.g. `tile 1/8 0 / 0 1/8`)")
-	}
-	ts, err := tiling.Analyze(p.Nest, p.Tiling)
-	if err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
-	}
-	prog, err := exec.NewProgram(ts, p.MapDim, p.Width, p.Kernel, nil)
-	if err != nil {
-		return nil, fmt.Errorf("compile: %w", err)
-	}
-	return prog, nil
 }
 
 type loopLevel struct {

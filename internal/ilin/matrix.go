@@ -257,6 +257,20 @@ func MatFromRows(rows ...[]int64) *Mat {
 	return m
 }
 
+// IntMat is MatFromRows for input that may be malformed: at least one row,
+// all of one length, or an error (the twin of ParseRatMat).
+func IntMat(rows [][]int64) (*Mat, error) {
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("ilin: empty matrix")
+	}
+	for _, r := range rows {
+		if len(r) != len(rows[0]) {
+			return nil, fmt.Errorf("ilin: ragged rows")
+		}
+	}
+	return MatFromRows(rows...), nil
+}
+
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Mat {
 	m := NewMat(n, n)

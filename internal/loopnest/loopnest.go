@@ -191,6 +191,19 @@ func Box(names []string, lo, hi []int64, deps *ilin.Mat) (*Nest, error) {
 	return New(names, s, deps)
 }
 
+// DepMatrix turns dependence vectors d_l, given as rows, into the columns
+// of D: nil for none, an error for ragged rows.
+func DepMatrix(rows [][]int64) (*ilin.Mat, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	m, err := ilin.IntMat(rows)
+	if err != nil {
+		return nil, fmt.Errorf("loopnest: dependences: %w", err)
+	}
+	return m.Transpose(), nil
+}
+
 // MustBox is Box that panics on error.
 func MustBox(names []string, lo, hi []int64, deps *ilin.Mat) *Nest {
 	n, err := Box(names, lo, hi, deps)

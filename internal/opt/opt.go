@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"sort"
 
+	"tilespace/internal/compile"
 	"tilespace/internal/cone"
-	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
 	"tilespace/internal/loopnest"
 	"tilespace/internal/schedule"
@@ -147,19 +147,8 @@ func evaluate(nest *loopnest.Nest, name string, build func([]int64) (*ilin.RatMa
 	if err != nil {
 		return nil, false, nil
 	}
-	ts, err := tiling.Analyze(nest, h)
-	if err != nil {
-		return nil, false, nil
-	}
-	if o.MaxTileSize > 0 && ts.T.TileSize > o.MaxTileSize {
-		return nil, false, nil
-	}
-	m := o.MapDim
-	if m < 0 {
-		m = distrib.ChooseMappingDim(ts)
-	}
-	d, err := distrib.New(ts, m)
-	if err != nil {
+	d, err := compile.Distribute(nest, h, o.MapDim)
+	if err != nil || o.MaxTileSize > 0 && d.TS.T.TileSize > o.MaxTileSize {
 		return nil, false, nil
 	}
 	cm := schedule.CostModel{Params: o.Params}
@@ -171,22 +160,9 @@ func evaluate(nest *loopnest.Nest, name string, build func([]int64) (*ilin.RatMa
 		Family:   name,
 		H:        h,
 		Factors:  append([]int64(nil), scale...),
-		TileSize: ts.T.TileSize,
+		TileSize: d.TS.T.TileSize,
 		Procs:    d.NumProcs(),
-		MapDim:   m,
+		MapDim:   d.M,
 		Estimate: est,
 	}, true, nil
-}
-
-// Confirm re-scores a candidate with the discrete-event simulator.
-func Confirm(nest *loopnest.Nest, cand *Candidate, o Options) (*simnet.Result, error) {
-	ts, err := tiling.Analyze(nest, cand.H)
-	if err != nil {
-		return nil, err
-	}
-	d, err := distrib.New(ts, cand.MapDim)
-	if err != nil {
-		return nil, err
-	}
-	return simnet.Simulate(d, o.Params)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tilespace/internal/apps"
+	"tilespace/internal/compile"
 	"tilespace/internal/cone"
 	"tilespace/internal/simnet"
 )
@@ -122,7 +123,12 @@ func TestConfirmAgreesOnWinner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := Confirm(app.Nest, res.Best, o)
+	// Re-score the winner with the discrete-event simulator.
+	d, err := compile.Distribute(app.Nest, res.Best.H, res.Best.MapDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := simnet.Simulate(d, o.Params)
 	if err != nil {
 		t.Fatal(err)
 	}

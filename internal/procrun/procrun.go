@@ -1,9 +1,8 @@
 // Package procrun is the multi-process deployment kit shared by
-// cmd/tilerankd and its driver tests: the rendezvous file that tells
-// every rank process where its peers listen, the spec-to-program
-// compile path, the per-rank result fragment a process emits, and the
-// merge that reassembles fragments into the one Global and the one
-// mpi.Stats a single-process run of the same spec would produce.
+// cmd/tilerankd and its driver tests: the rendezvous file that tells every
+// rank process where its peers listen, the per-rank result fragment a process
+// emits, and the merge that reassembles fragments into the one Global and the
+// one mpi.Stats a single-process run of the same spec would produce.
 //
 // The merge is exact, not approximate: each iteration point is owned by
 // exactly one rank (the computer-owns rule, Distribution.Loc), so each
@@ -22,7 +21,6 @@ import (
 	"path/filepath"
 
 	"tilespace/internal/exec"
-	"tilespace/internal/frontend"
 	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
 )
@@ -64,19 +62,6 @@ func ReadRendezvous(path string) (*Rendezvous, error) {
 		}
 	}
 	return &r, nil
-}
-
-// Compile turns one DSL spec source into an executable program — the
-// same parse → analyze → compile pipeline the serve layer runs, without
-// the caching. Every rank process compiles the identical spec, which is
-// what guarantees identical distributions and tile plans across the
-// mesh.
-func Compile(source string) (*exec.Program, error) {
-	p, err := frontend.Parse(source)
-	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
-	}
-	return p.Compile()
 }
 
 // RankResult is the fragment one rank process contributes: its owned

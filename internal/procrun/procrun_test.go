@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tilespace/internal/compile"
 	"tilespace/internal/exec"
 	"tilespace/internal/ilin"
 )
@@ -14,6 +15,15 @@ const testSpec = "let M = 6\nlet N = 12\n" +
 	"for t = 1 .. M\nfor i = 1 .. N\n" +
 	"A[t,i] = 0.5*(A[t-1,i] + A[t,i-1]) + 3\n" +
 	"tile 1/3 0 / 0 1/4\n"
+
+func testProgram(t *testing.T) *exec.Program {
+	t.Helper()
+	art, err := compile.Compile(compile.Spec{Source: testSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art.Prog
+}
 
 func TestRendezvousRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "peers.json")
@@ -47,10 +57,7 @@ func TestRendezvousRejectsGaps(t *testing.T) {
 // fragments and merging them back must reproduce the Global bit for bit
 // and the Stats exactly (totals resummed from the per-rank rows).
 func TestSplitMergeRoundTrip(t *testing.T) {
-	prog, err := Compile(testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := testProgram(t)
 	g, stats, err := prog.RunParallel()
 	if err != nil {
 		t.Fatal(err)
@@ -88,10 +95,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 }
 
 func TestMergeRejectsMissingAndDuplicate(t *testing.T) {
-	prog, err := Compile(testSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := testProgram(t)
 	g, _, err := prog.RunParallel()
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,13 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"tilespace/internal/compile"
 )
+
+// Artifact is the compiled bundle one spec maps to (internal/compile),
+// immutable and shared by every holder.
+type Artifact = compile.Artifact
 
 // This file is the shared plan cache: one mutex-guarded LRU of immutable
 // Artifacts keyed by the spec's source text. The contract the concurrency

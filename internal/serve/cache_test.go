@@ -258,15 +258,15 @@ func TestCacheKeyIsSourceText(t *testing.T) {
 	c := NewCache(8)
 	plain := heatSpec(12)
 	commented := "# same nest, same tiling\n" + plain
-	a1, hit1, err1 := c.Get(plain, func() (*Artifact, error) { return compileSpec(plain) })
-	a2, hit2, err2 := c.Get(commented, func() (*Artifact, error) { return compileSpec(commented) })
+	a1, hit1, err1 := c.Get(plain, func() (*Artifact, error) { return compileSource(plain) })
+	a2, hit2, err2 := c.Get(commented, func() (*Artifact, error) { return compileSource(commented) })
 	if err1 != nil || err2 != nil {
 		t.Fatalf("compile: %v / %v", err1, err2)
 	}
 	if hit1 || hit2 || a1 == a2 || c.Len() != 2 {
 		t.Fatalf("hit=%v/%v same=%v Len=%d, want two misses, two artifacts, two entries", hit1, hit2, a1 == a2, c.Len())
 	}
-	if a1.Report != a2.Report {
+	if a1.Report() != a2.Report() {
 		t.Fatal("the comment changed the compiled analysis")
 	}
 }

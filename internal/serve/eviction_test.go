@@ -25,7 +25,7 @@ func TestEvictionUnderLoad(t *testing.T) {
 	// The spec whose artifact we want evicted mid-run, plus its
 	// reference checksum from a direct in-process execution.
 	victim := heatSpec(12)
-	art, err := compileSpec(victim)
+	art, err := compileSource(victim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestEvictionUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	slow := &Artifact{Source: victim, Width: art.Width, Procs: art.Procs, Tiles: art.Tiles,
-		Points: art.Points, TileSize: art.TileSize, Prog: slowProg, Report: art.Report}
+		TileSize: art.TileSize, Prog: slowProg}
 	if _, _, err := s.cache.Get(victim, func() (*Artifact, error) { return slow, nil }); err != nil {
 		t.Fatal(err)
 	}

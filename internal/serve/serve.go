@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tilespace/internal/compile"
 	"tilespace/internal/exec"
 	"tilespace/internal/mpi"
 )
@@ -216,7 +217,9 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, dst any) (in
 // artifact resolves the request's spec through the cache, compiling at
 // most once per source across all concurrent callers.
 func (s *Server) artifact(source string) (*Artifact, bool, error) {
-	return s.cache.Get(source, func() (*Artifact, error) { return compileSpec(source) })
+	return s.cache.Get(source, func() (*Artifact, error) {
+		return compile.Compile(compile.Spec{Source: source, Name: "tileserved"})
+	})
 }
 
 // analyzeResponse is POST /v1/analyze's body: the compile-time facts
@@ -241,8 +244,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}
 	return writeJSON(w, http.StatusOK, analyzeResponse{
-		Procs: art.Procs, Tiles: art.Tiles, Points: art.Points,
-		TileSize: art.TileSize, Width: art.Width, Report: art.Report,
+		Procs: art.Procs, Tiles: art.Tiles, Points: art.Points(),
+		TileSize: art.TileSize, Width: art.Width, Report: art.Report(),
 		CacheHit: hit,
 	})
 }
@@ -298,7 +301,7 @@ func (s *Server) handleCodegen(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "%v", err)
 	}
-	code, err := art.GeneratedC()
+	code, err := art.C()
 	if err != nil {
 		return writeError(w, http.StatusUnprocessableEntity, "codegen failed: %v", err)
 	}
@@ -382,7 +385,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, http.StatusInternalServerError, "run failed: %v", err)
 	}
 	return writeJSON(w, http.StatusOK, runResponse{
-		Procs: art.Procs, Tiles: art.Tiles, Points: art.Points,
+		Procs: art.Procs, Tiles: art.Tiles, Points: art.Points(),
 		Messages: stats.Messages, Values: stats.Values,
 		Checksum: art.Checksum(g), CacheHit: hit, Overlap: req.Overlap,
 	})

@@ -256,3 +256,86 @@ func TestMPISpawnsOnlyRanks(t *testing.T) {
 		t.Errorf("internal/mpi outside tcp.go spawns at %v, want exactly RunE's rank goroutine", spawns)
 	}
 }
+
+// TestOneCompileDriver pins that the pipeline nest → H → tiled space →
+// program → certificate and C is wired once, in internal/compile: no other
+// non-test code calls tiling.Analyze, exec.NewProgram, verify.Certify or
+// codegen.New, and none but the driver and the executor calls distrib.New.
+// Every entry point then shares one order, one set of defaults and one
+// error wrapping. The benchmark module is not walked: it times the stages
+// one by one.
+func TestOneCompileDriver(t *testing.T) {
+	stages := map[string]string{ // import path + "." + func -> where it may be called
+		"tilespace/internal/tiling.Analyze":  "internal/compile/",
+		"tilespace/internal/exec.NewProgram": "internal/compile/",
+		"tilespace/internal/verify.Certify":  "internal/compile/",
+		"tilespace/internal/codegen.New":     "internal/compile/",
+		"tilespace/internal/distrib.New":     "internal/compile/ internal/exec/",
+	}
+	inDriver := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if e.IsDir() {
+			if path == "benchmark" || (path != "." && strings.HasPrefix(e.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			stage := imports[pkg.Name] + "." + sel.Sel.Name
+			allowed, ok := stages[stage]
+			if !ok {
+				return true
+			}
+			dir := path[:strings.LastIndex(path, "/")+1]
+			if !strings.Contains(" "+allowed+" ", " "+dir+" ") {
+				t.Errorf("%s: %s.%s outside the compile driver (internal/compile)", fset.Position(call.Pos()), pkg.Name, sel.Sel.Name)
+			}
+			if dir == "internal/compile/" {
+				inDriver[stage] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for stage := range stages {
+		if !inDriver[stage] {
+			t.Errorf("the driver does not call %s: the layering this test pins has moved", stage)
+		}
+	}
+}

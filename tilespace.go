@@ -42,8 +42,8 @@ import (
 	"fmt"
 
 	"tilespace/internal/codegen"
+	"tilespace/internal/compile"
 	"tilespace/internal/cone"
-	"tilespace/internal/distrib"
 	"tilespace/internal/exec"
 	"tilespace/internal/frontend"
 	"tilespace/internal/ilin"
@@ -65,20 +65,13 @@ type LoopNest struct {
 	nest *loopnest.Nest
 }
 
-func intMat(rows [][]int64) *ilin.Mat {
-	if len(rows) == 0 {
-		return nil
-	}
-	return ilin.MatFromRows(rows...)
-}
-
 // NewLoopNest builds a rectangular-space nest lo_k ≤ j_k ≤ hi_k. deps
 // lists the dependence vectors d_l as rows; every d_l must be
 // lexicographically positive.
 func NewLoopNest(names []string, lo, hi []int64, deps [][]int64) (*LoopNest, error) {
-	var d *ilin.Mat
-	if len(deps) > 0 {
-		d = intMat(deps).Transpose() // rows d_l -> columns of D
+	d, err := loopnest.DepMatrix(deps)
+	if err != nil {
+		return nil, err
 	}
 	n, err := loopnest.Box(names, lo, hi, d)
 	if err != nil {
@@ -88,7 +81,7 @@ func NewLoopNest(names []string, lo, hi []int64, deps [][]int64) (*LoopNest, err
 }
 
 // NestBuilder assembles a nest over a general convex space defined by
-// affine inequalities.
+// affine inequalities. A malformed input is recorded and returned by Build.
 type NestBuilder struct {
 	names []string
 	sys   *poly.System
@@ -103,19 +96,20 @@ func NewNestBuilder(names ...string) *NestBuilder {
 
 // Constraint adds Σ coef_k·j_k ≤ rhs.
 func (b *NestBuilder) Constraint(coef []int64, rhs int64) *NestBuilder {
-	if b.err != nil {
-		return b
-	}
-	if len(coef) != b.sys.NVars {
+	if b.err == nil && len(coef) != b.sys.NVars {
 		b.err = fmt.Errorf("tilespace: constraint arity %d, nest depth %d", len(coef), b.sys.NVars)
-		return b
 	}
-	b.sys.Add(poly.NewConstraint(ilin.NewVec(coef...).Rat(), rat.FromInt(rhs)))
+	if b.err == nil {
+		b.sys.Add(poly.NewConstraint(ilin.NewVec(coef...).Rat(), rat.FromInt(rhs)))
+	}
 	return b
 }
 
 // Range adds lo ≤ j_k ≤ hi.
 func (b *NestBuilder) Range(k int, lo, hi int64) *NestBuilder {
+	if b.err == nil && (k < 0 || k >= b.sys.NVars) {
+		b.err = fmt.Errorf("tilespace: range of variable %d, nest depth %d", k, b.sys.NVars)
+	}
 	if b.err == nil {
 		b.sys.AddRange(k, lo, hi)
 	}
@@ -133,9 +127,9 @@ func (b *NestBuilder) Build() (*LoopNest, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	var d *ilin.Mat
-	if len(b.deps) > 0 {
-		d = intMat(b.deps).Transpose()
+	d, err := loopnest.DepMatrix(b.deps)
+	if err != nil {
+		return nil, err
 	}
 	n, err := loopnest.New(b.names, b.sys, d)
 	if err != nil {
@@ -148,7 +142,11 @@ func (b *NestBuilder) Build() (*LoopNest, error) {
 // returning the skewed nest — required before rectangular tiling when some
 // dependence component is negative (SOR, Jacobi).
 func (ln *LoopNest) Skew(t [][]int64) (*LoopNest, error) {
-	sk, err := ln.nest.Skew(intMat(t))
+	m, err := ilin.IntMat(t)
+	if err != nil {
+		return nil, fmt.Errorf("tilespace: skew matrix: %w", err)
+	}
+	sk, err := ln.nest.Skew(m)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +210,11 @@ func TilingFromRows(rows [][]string) (Tiling, error) {
 // TilingFromEdges builds H = P⁻¹ from the integer tile edge vectors
 // (columns of P).
 func TilingFromEdges(p [][]int64) (Tiling, error) {
-	t, err := tiling.FromP(intMat(p))
+	m, err := ilin.IntMat(p)
+	if err != nil {
+		return Tiling{}, fmt.Errorf("tilespace: tile edges: %w", err)
+	}
+	t, err := tiling.FromP(m)
 	if err != nil {
 		return Tiling{}, err
 	}
@@ -242,46 +244,23 @@ type CompileOptions struct {
 
 // Program is a compiled tiled program.
 type Program struct {
-	ts   *tiling.TiledSpace
-	dist *distrib.Distribution
-	prog *exec.Program
+	art *compile.Artifact
 }
 
 // Compile analyzes the tiling against the nest and prepares execution.
 func Compile(ln *LoopNest, t Tiling, opts CompileOptions) (*Program, error) {
-	if t.h == nil {
-		return nil, fmt.Errorf("tilespace: zero Tiling")
+	s := compile.Spec{Nest: ln.nest, H: t.h, MapDim: opts.MapDim, Width: opts.Width}
+	if k := opts.Kernel; k != nil {
+		s.Kernel = exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) { k(j, reads, out) })
 	}
-	ts, err := tiling.Analyze(ln.nest, t.h)
+	if init := opts.Initial; init != nil {
+		s.Initial = func(j ilin.Vec, out []float64) { init(j, out) }
+	}
+	art, err := compile.Compile(s)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Width == 0 {
-		opts.Width = 1
-	}
-	if opts.Kernel == nil {
-		opts.Kernel = func(j []int64, reads [][]float64, out []float64) {}
-	}
-	kernel := exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-		opts.Kernel(j, reads, out)
-	})
-	var initial exec.Initial
-	if opts.Initial != nil {
-		init := opts.Initial
-		initial = func(j ilin.Vec, out []float64) { init(j, out) }
-	}
-	m := opts.MapDim
-	if m >= ln.nest.N {
-		return nil, fmt.Errorf("tilespace: mapping dimension %d out of range", m)
-	}
-	if m < 0 {
-		m = -1
-	}
-	p, err := exec.NewProgram(ts, m, opts.Width, kernel, initial)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{ts: ts, dist: p.Dist, prog: p}, nil
+	return &Program{art: art}, nil
 }
 
 // Result is a filled global data space.
@@ -302,11 +281,11 @@ func (r *Result) MaxAbsDiff(o *Result) (float64, []int64) {
 
 // RunSequential executes the program in original iteration order.
 func (p *Program) RunSequential() (*Result, error) {
-	g, err := p.prog.RunSequential()
+	g, err := p.art.Prog.RunSequential()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{g: g, prog: p.prog}, nil
+	return &Result{g: g, prog: p.art.Prog}, nil
 }
 
 // RunParallel executes the compiled data-parallel program: one runtime
@@ -341,11 +320,11 @@ type RankMetrics = exec.RankMetrics
 
 // RunParallelOpts is RunParallel with an explicit execution strategy.
 func (p *Program) RunParallelOpts(opt RunOptions) (*Result, error) {
-	g, stats, err := p.prog.RunParallelOpts(opt)
+	g, stats, err := p.art.Prog.RunParallelOpts(opt)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{g: g, prog: p.prog, Stats: stats}, nil
+	return &Result{g: g, prog: p.art.Prog, Stats: stats}, nil
 }
 
 // VerifyReport summarizes what a successful static certification covered
@@ -356,23 +335,23 @@ type VerifyReport = verify.Report
 // it proves comm-set exactness, deadlock-freedom (blocking and overlap
 // modes) and LDS bounds safety by pure compile-time arithmetic — no rank
 // is spawned — returning a coverage report, or an error carrying a
-// concrete counterexample point when any proof fails. tilec -verify is a
-// thin wrapper over this.
+// concrete counterexample point when any proof fails. The proof is made
+// once per Program.
 func (p *Program) Verify() (*VerifyReport, error) {
-	return verify.Certify(p.ts, p.dist)
+	return p.art.Certificate()
 }
 
 // Processors returns the size of the processor mesh.
-func (p *Program) Processors() int { return p.dist.NumProcs() }
+func (p *Program) Processors() int { return p.art.Procs }
 
 // Tiles returns the number of tiles.
-func (p *Program) Tiles() int64 { return p.ts.NumTiles() }
+func (p *Program) Tiles() int64 { return p.art.Tiles }
 
 // TileSize returns the iterations per full tile, 1/|det H|.
-func (p *Program) TileSize() int64 { return p.ts.T.TileSize }
+func (p *Program) TileSize() int64 { return p.art.TileSize }
 
 // Report renders the full compile-time analysis.
-func (p *Program) Report() string { return codegen.Report(p.dist) }
+func (p *Program) Report() string { return p.art.Report() }
 
 // ClusterParams is the simulator cost model (re-exported).
 type ClusterParams = simnet.Params
@@ -385,8 +364,8 @@ type SimReport = simnet.Result
 
 // Simulate predicts the program's cluster execution under the cost model.
 func (p *Program) Simulate(par ClusterParams) (*SimReport, error) {
-	par.Width = p.prog.Width
-	return simnet.Simulate(p.dist, par)
+	par.Width = p.art.Prog.Width
+	return simnet.Simulate(p.art.Prog.Dist, par)
 }
 
 // FaultPlan is a deterministic, seedable fault-injection schedule
@@ -422,15 +401,15 @@ type FaultModel = simnet.FaultModel
 // model with the fault model applied — the prediction side of the
 // measured-vs-predicted degradation comparison (clusterbench -faults).
 func (p *Program) SimulateFaults(par ClusterParams, fm FaultModel) (*SimReport, error) {
-	par.Width = p.prog.Width
-	return simnet.SimulateFaults(p.dist, par, fm)
+	par.Width = p.art.Prog.Width
+	return simnet.SimulateFaults(p.art.Prog.Dist, par, fm)
 }
 
 // SimulateFaultsTraced is SimulateFaults recording a per-tile timeline
 // with crash/restart instants marked.
 func (p *Program) SimulateFaultsTraced(par ClusterParams, fm FaultModel) (*SimTrace, error) {
-	par.Width = p.prog.Width
-	return simnet.SimulateFaultsTraced(p.dist, par, fm)
+	par.Width = p.art.Prog.Width
+	return simnet.SimulateFaultsTraced(p.art.Prog.Dist, par, fm)
 }
 
 // SimTrace is a traced simulation (re-exported).
@@ -439,8 +418,8 @@ type SimTrace = simnet.Trace
 // SimulateTraced runs the simulator recording a per-tile timeline; its
 // Gantt method renders a text chart of the pipeline fill and drain.
 func (p *Program) SimulateTraced(par ClusterParams) (*SimTrace, error) {
-	par.Width = p.prog.Width
-	return simnet.SimulateTraced(p.dist, par)
+	par.Width = p.art.Prog.Width
+	return simnet.SimulateTraced(p.art.Prog.Dist, par)
 }
 
 // CodegenOptions configure GenerateC (re-exported).
@@ -448,24 +427,17 @@ type CodegenOptions = codegen.Options
 
 // GenerateC emits the equivalent standalone C+MPI program.
 func (p *Program) GenerateC(opts CodegenOptions) (string, error) {
-	if opts.Width == 0 {
-		opts.Width = p.prog.Width
-	}
-	g, err := codegen.New(p.dist, opts)
-	if err != nil {
-		return "", err
-	}
-	return g.Generate(), nil
+	return p.art.Emit(opts)
 }
 
 // RunTiledSequential executes the §2.3 reordered sequential tiled code on
 // one node — an executable legality check for the chosen tiling.
 func (p *Program) RunTiledSequential() (*Result, error) {
-	g, err := p.prog.RunTiledSequential()
+	g, err := p.art.Prog.RunTiledSequential()
 	if err != nil {
 		return nil, err
 	}
-	return &Result{g: g, prog: p.prog}, nil
+	return &Result{g: g, prog: p.art.Prog}, nil
 }
 
 // ScheduleEstimate is the closed-form performance model (re-exported).
@@ -477,15 +449,15 @@ type ScheduleEstimate = schedule.Estimate
 // message timing; Predict is what a compiler would use for fast tile-shape
 // search.
 func (p *Program) PredictSchedule(par ClusterParams) (*ScheduleEstimate, error) {
-	par.Width = p.prog.Width
+	par.Width = p.art.Prog.Width
 	cm := schedule.CostModel{Params: par}
-	return cm.Predict(p.dist)
+	return cm.Predict(p.art.Prog.Dist)
 }
 
 // ScheduleSteps returns the pipelined schedule length in steps — the
 // paper's t_r/t_nr quantity; comparing tilings by this number alone
 // reproduces the §4 orderings without a cost model.
-func (p *Program) ScheduleSteps() int64 { return schedule.PipelinedLength(p.dist) }
+func (p *Program) ScheduleSteps() int64 { return schedule.PipelinedLength(p.art.Prog.Dist) }
 
 // Source is a loop-nest program parsed from the textual front-end notation
 // (see internal/frontend for the grammar): bounds, dependencies and the
@@ -569,7 +541,7 @@ func CandidateTiling(c *TilingCandidate) Tiling { return Tiling{h: c.H} }
 // tiling used to compile the program is ignored; the search covers the
 // rectangular and cone families over the option grid).
 func (p *Program) OptimizeShape(o SearchOptions) (*SearchResult, error) {
-	return opt.Search(p.ts.Nest, o)
+	return opt.Search(p.art.Prog.TS.Nest, o)
 }
 
 // TileServerConfig sizes the tiling service (re-exported from serve):

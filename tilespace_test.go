@@ -147,6 +147,20 @@ func TestNestBuilderErrors(t *testing.T) {
 	if _, err := NewNestBuilder("i").Range(0, 0, 5).Dep(-1).Build(); err == nil {
 		t.Error("negative dep not rejected")
 	}
+	// Malformed integer inputs are errors, not panics.
+	if _, err := NewNestBuilder("i", "j").Range(2, 0, 9).Build(); err == nil {
+		t.Error("range of a variable beyond the nest not rejected")
+	}
+	if _, err := NewNestBuilder("i", "j").Range(0, 0, 9).Range(1, 0, 9).Dep(1, 0).Dep(0, 1, 4).Build(); err == nil {
+		t.Error("ragged builder deps not rejected")
+	}
+	if _, err := NewLoopNest([]string{"i", "j"}, []int64{0, 0}, []int64{9, 9}, [][]int64{{1, 0}, {0, 1, 4}}); err == nil {
+		t.Error("ragged deps not rejected")
+	}
+	nest := quickNest(t)
+	if _, err := nest.Skew([][]int64{{1, 0}, {1}}); err == nil {
+		t.Error("ragged skew not rejected")
+	}
 }
 
 func TestSkewAndConeRays(t *testing.T) {
@@ -186,6 +200,9 @@ func TestTilingConstructors(t *testing.T) {
 	}
 	if _, err := TilingFromRows([][]string{{"x", "0"}, {"0", "1"}}); err == nil {
 		t.Error("bad rational not rejected")
+	}
+	if _, err := TilingFromEdges([][]int64{{2, 0}, {1}}); err == nil {
+		t.Error("ragged edges not rejected")
 	}
 	tl, err := TilingFromEdges([][]int64{{2, 0}, {-2, 4}})
 	if err != nil {
