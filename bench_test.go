@@ -218,7 +218,7 @@ func BenchmarkParallelExecSOR(b *testing.B) {
 	b.SetBytes(size * 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.RunParallel(); err != nil {
+		if _, _, err := p.RunParallelOpts(exec.RunOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

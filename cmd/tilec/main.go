@@ -33,6 +33,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -234,9 +235,16 @@ func fromSpec(path string) (compile.Spec, error) {
 	if err != nil {
 		return compile.Spec{}, err
 	}
+	// Exactly one object of the spec's schema: a misspelt field would
+	// otherwise be silently defaulted and compile a different program.
 	var sp spec
-	if err := json.Unmarshal(data, &sp); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sp); err != nil {
 		return compile.Spec{}, fmt.Errorf("parse spec: %w", err)
+	}
+	if dec.Decode(new(json.RawMessage)) != io.EOF {
+		return compile.Spec{}, fmt.Errorf("parse spec: trailing data after the JSON object")
 	}
 	if len(sp.Vars) == 0 {
 		return compile.Spec{}, fmt.Errorf("spec needs vars")

@@ -156,6 +156,13 @@ func TestFromSpecErrors(t *testing.T) {
 		"long bounds":    `{"vars": ["i", "j"], "lo": [0, 0, 0], "hi": [9, 9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}}`,
 		"lo beyond hi":   `{"vars": ["i", "j"], "lo": [0, 0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}}`,
 		"negative width": `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}, "width": -1}`,
+		// Misspelt fields fail loud instead of being silently defaulted, at
+		// the top level and inside the tiling; so does trailing data.
+		"misspelt width":  `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}, "widht": 3}`,
+		"misspelt skew":   `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "skwe": [[1, 0], [1, 1]], "tiling": {"rect": [2, 2]}}`,
+		"misspelt tiling": `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rects": [2, 2], "rect": [2, 2]}}`,
+		"trailing bytes":  `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}}xyz`,
+		"second object":   `{"vars": ["i", "j"], "lo": [0, 0], "hi": [9, 9], "deps": [[1, 0], [0, 1]], "tiling": {"rect": [2, 2]}} {"vars": ["i"]}`,
 	}
 	for name, body := range cases {
 		if _, err := build(fromSpec(write(strings.ReplaceAll(name, " ", "_")+".json", body))); err == nil {

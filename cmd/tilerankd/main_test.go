@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"os"
@@ -173,7 +174,7 @@ func TestRankdEndToEnd(t *testing.T) {
 	if procs < 2 {
 		t.Fatalf("spec distributes over %d ranks; the driver test needs at least 2", procs)
 	}
-	want, wantStats, err := prog.RunParallel()
+	want, wantStats, err := prog.RunParallelOpts(texec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestRankdEndToEnd(t *testing.T) {
 		if err := p.wait(t, 60*time.Second); err != nil {
 			t.Fatalf("rank %d: %v\n%s", r, err, p.stderr.String())
 		}
-		frag, err := procrun.ReadResult(filepath.Join(dir, fmt.Sprintf("rank%d.json", r)))
+		frag, err := readResult(filepath.Join(dir, fmt.Sprintf("rank%d.json", r)))
 		if err != nil {
 			t.Fatalf("rank %d result: %v", r, err)
 		}
@@ -279,7 +280,7 @@ func TestRankdKillRelaunchRecovers(t *testing.T) {
 	if procs < 2 {
 		t.Fatalf("need at least 2 ranks, got %d", procs)
 	}
-	want, _, err := prog.RunParallel()
+	want, _, err := prog.RunParallelOpts(texec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +343,7 @@ func TestRankdKillRelaunchRecovers(t *testing.T) {
 
 	var results []*procrun.RankResult
 	for r := 0; r < procs; r++ {
-		frag, err := procrun.ReadResult(filepath.Join(dir, fmt.Sprintf("rank%d.json", r)))
+		frag, err := readResult(filepath.Join(dir, fmt.Sprintf("rank%d.json", r)))
 		if err != nil {
 			t.Fatalf("rank %d result: %v", r, err)
 		}
@@ -355,4 +356,17 @@ func TestRankdKillRelaunchRecovers(t *testing.T) {
 	if diff, at := want.MaxAbsDiff(got, prog.ScanSpace); diff != 0 {
 		t.Fatalf("recovered run differs from reference by %g at %v", diff, at)
 	}
+}
+
+// readResult loads the fragment a rank process wrote with -result.
+func readResult(path string) (*procrun.RankResult, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var r procrun.RankResult
+	if err := json.Unmarshal(data, &r); err != nil {
+		return nil, fmt.Errorf("result %s: %w", path, err)
+	}
+	return &r, nil
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"reflect"
 	"testing"
 
 	"tilespace/internal/cone"
@@ -70,7 +71,7 @@ func TestADIDepsMatchPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ilin.MatFromRows([]int64{1, 1, 1}, []int64{0, 1, 0}, []int64{0, 0, 1})
-	if !app.Nest.Deps.Equal(want) {
+	if !reflect.DeepEqual(app.Nest.Deps, want) {
 		t.Errorf("ADI D =\n%v", app.Nest.Deps)
 	}
 }
@@ -114,7 +115,8 @@ func TestTilingsLegalAndConePlacement(t *testing.T) {
 		// cone surface.
 		for _, f := range app.NonRect {
 			h := f.H(x, y, z)
-			if !c.OnSurface(h.Row(0)) && !c.OnSurface(h.Row(2)) {
+			onSurface := func(row ilin.RatVec) bool { return c.Contains(row) && !c.InInterior(row) }
+			if !onSurface(h.Row(0)) && !onSurface(h.Row(2)) {
 				t.Errorf("%s/%s: no modified row on the cone surface", app.Name, f.Name)
 			}
 		}
@@ -154,7 +156,7 @@ func runBoth(t *testing.T, app *App, h *ilin.RatMat) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := p.RunParallel()
+	par, _, err := p.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

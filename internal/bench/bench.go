@@ -7,7 +7,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tilespace/internal/apps"
@@ -167,14 +166,4 @@ func (s *Series) Table() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// sortedFamilies is a helper for deterministic map iteration in reports.
-func sortedFamilies(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

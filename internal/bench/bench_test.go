@@ -146,10 +146,3 @@ func TestFigureRunAndRender(t *testing.T) {
 		t.Errorf("average improvement %.2f%% should be positive", imp)
 	}
 }
-
-func TestSortedFamilies(t *testing.T) {
-	got := sortedFamilies(map[string]float64{"b": 1, "a": 2})
-	if len(got) != 2 || got[0] != "a" {
-		t.Errorf("sortedFamilies = %v", got)
-	}
-}

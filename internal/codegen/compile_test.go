@@ -194,7 +194,7 @@ func runMockMPI(t *testing.T, d *distrib.Distribution, opts Options) float64 {
 // ranks' sums then add up in rank order, as mockmpi's MPI_Reduce adds them.
 func goChecksum(t *testing.T, prog *goexec.Program) float64 {
 	t.Helper()
-	g, _, err := prog.RunParallel()
+	g, _, err := prog.RunParallelOpts(goexec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tilespace/internal/apps"
+	"tilespace/internal/exec"
 	"tilespace/internal/frontend"
 	"tilespace/internal/ilin"
 	"tilespace/internal/loopnest"
@@ -183,7 +184,7 @@ func TestOncePerArtifact(t *testing.T) {
 	if !strings.Contains(codes[0], app.InitialC) {
 		t.Error("the app's boundary values are missing from the C")
 	}
-	g, _, err := art.Prog.RunParallel()
+	g, _, err := art.Prog.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

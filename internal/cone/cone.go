@@ -55,12 +55,6 @@ func (c *Cone) InInterior(h ilin.RatVec) bool {
 	return true
 }
 
-// OnSurface reports whether h lies in the cone with h·d = 0 for at least
-// one dependence (i.e. on a facet).
-func (c *Cone) OnSurface(h ilin.RatVec) bool {
-	return c.Contains(h) && !c.InInterior(h)
-}
-
 // LegalTiling reports whether every row of the tiling matrix H lies in the
 // cone, i.e. H·D ≥ 0 elementwise, the classical tiling legality condition.
 func (c *Cone) LegalTiling(h *ilin.RatMat) bool {

@@ -46,7 +46,7 @@ func TestAddresserMatchesMapFlatten(t *testing.T) {
 	}
 	for ti := int64(0); ti < min64(3, d.ChainLen[0]); ti++ {
 		d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
-			want := d.Flatten(0, d.Map(jp, ti))
+			want := d.flatten(0, d.Map(jp, ti))
 			if got := a.Flat(jp, ti); got != want {
 				t.Fatalf("Flat(%v, %d) = %d, want %d", jp, ti, got, want)
 			}
@@ -65,7 +65,7 @@ func TestAddresserFlatRead(t *testing.T) {
 			for k := range shifted {
 				shifted[k] = jp[k] - dp[k]
 			}
-			want := d.Flatten(0, d.Map(shifted, 1))
+			want := d.flatten(0, d.Map(shifted, 1))
 			if got := a.FlatRead(jp, dp, 1); got != want {
 				t.Fatalf("FlatRead(%v, %v) = %d, want %d", jp, dp, got, want)
 			}
@@ -106,7 +106,7 @@ func TestAddresserUnpackConsistency(t *testing.T) {
 				}
 				const t0 = int64(2)
 				tau := t0 - dS[d.M]
-				if got, want := a.FlatUnpack(pp, dmF, tau), a.FlatRead(jp, dp, t0); got != want {
+				if got, want := a.flatUnpack(pp, dmF, tau), a.FlatRead(jp, dp, t0); got != want {
 					t.Fatalf("unpack cell %d != read cell %d (j'=%v d'=%v dS=%v)", got, want, jp, dp, dS)
 				}
 				return true
@@ -120,4 +120,24 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// flatUnpack is the per-point unpack address DirShift replaces: the flat
+// cell where received data is stored, the owner-tile point p' of
+// predecessor tile s (whose m-coordinate places it at chain offset
+// tau = s_m − chainStart on this processor), shifted by the processor
+// direction d^m on the non-mapping dimensions. Every future read of this
+// value through any dependence resolves to this cell.
+func (a *Addresser) flatUnpack(pp ilin.Vec, dmFull ilin.Vec, tau int64) int64 {
+	var idx int64
+	for k := 0; k < a.n; k++ {
+		var cell int64
+		if k == a.m {
+			cell = rat.FloorDiv(tau*a.v[k]+pp[k], a.c[k]) + a.off[k]
+		} else {
+			cell = rat.FloorDiv(pp[k]-a.v[k]*dmFull[k], a.c[k]) + a.off[k]
+		}
+		idx += cell * a.stride[k]
+	}
+	return idx
 }

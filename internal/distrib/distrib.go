@@ -277,40 +277,6 @@ func (d *Distribution) Map(jp ilin.Vec, t int64) ilin.Vec {
 	return out
 }
 
-// MapInverse inverts Map for cells in the computation region: given an LDS
-// cell j” it returns the chain position t and the TTIS point j'. The
-// reconstruction walks the Hermite form H̃' top-down, recovering each
-// lattice coordinate and the stride remainders the paper's Table 2
-// expresses with modulo sums. ok is false for cells that correspond to no
-// lattice point (padding or unused cells).
-func (d *Distribution) MapInverse(jpp ilin.Vec) (t int64, jp ilin.Vec, ok bool) {
-	n := d.TS.T.N
-	ht := d.TS.T.HT
-	c := d.TS.T.C
-	v := d.TS.T.V
-	jp = make(ilin.Vec, n)
-	z := make(ilin.Vec, n)
-	for k := 0; k < n; k++ {
-		var base int64
-		for l := 0; l < k; l++ {
-			base += ht.At(k, l) * z[l]
-		}
-		rem := rat.Mod(base, c[k])
-		if k == d.M {
-			x := c[k]*(jpp[k]-d.Off[k]) + rem
-			t = rat.FloorDiv(x, v[k])
-			jp[k] = x - t*v[k]
-		} else {
-			jp[k] = c[k]*(jpp[k]-d.Off[k]) + rem
-		}
-		if jp[k] < 0 || jp[k] >= v[k] {
-			return 0, nil, false
-		}
-		z[k] = (jp[k] - base) / c[k]
-	}
-	return t, jp, true
-}
-
 // Loc is the paper's loc(j) (Table 1): the processor rank and LDS cell
 // where iteration j's result is stored.
 func (d *Distribution) Loc(j ilin.Vec) (rank int, jpp ilin.Vec, err error) {
@@ -322,39 +288,6 @@ func (d *Distribution) Loc(j ilin.Vec) (rank int, jpp ilin.Vec, err error) {
 	jp := d.TS.T.TTISCoord(j, jS)
 	t := jS[d.M] - d.ChainStart[r]
 	return r, d.Map(jp, t), nil
-}
-
-// LocInverse is the paper's loc⁻¹(j”, pid) (Table 2): the original
-// iteration whose result lives in cell j” of processor rank r. ok is
-// false for pad/unused cells.
-func (d *Distribution) LocInverse(r int, jpp ilin.Vec) (ilin.Vec, bool) {
-	t, jp, ok := d.MapInverse(jpp)
-	if !ok {
-		return nil, false
-	}
-	if t < 0 || t >= d.ChainLen[r] {
-		return nil, false
-	}
-	jS := d.TileAt(r, t)
-	z, ok := d.TS.T.ZOf(jp)
-	if !ok {
-		return nil, false
-	}
-	return d.TS.T.Global(jS, z), true
-}
-
-// Flatten converts a multi-dimensional LDS cell to a linear index for
-// processor r's backing array, row-major.
-func (d *Distribution) Flatten(r int, jpp ilin.Vec) int64 {
-	shape := d.LDSShape(r)
-	var idx int64
-	for k := 0; k < len(shape); k++ {
-		if jpp[k] < 0 || jpp[k] >= shape[k] {
-			panic(fmt.Sprintf("distrib: LDS cell %v outside shape %v (rank %d)", jpp, shape, r))
-		}
-		idx = idx*shape[k] + jpp[k]
-	}
-	return idx
 }
 
 // String summarizes the distribution.
@@ -443,38 +376,4 @@ func (d *Distribution) CommRegionCount(s, dm ilin.Vec) int64 {
 		idx++
 	}
 	return d.TS.CountTilePoints(s, minJP)
-}
-
-// MapInversePaper is the literal Table 2 map⁻¹ formula of the paper:
-//
-//	t    = (j''_m − off_m)·c_m / v_m
-//	j'_k = c_k·(j''_k − off_k) + (Σ_{l<k} h̃'_kl·j'_l) mod c_k   (k ≠ m)
-//	j'_m = c_m·(j''_m − off_m) − t·v_m + (Σ_{l<m} h̃'_ml·j'_l) mod c_m
-//
-// using previously recovered j'_l values (not lattice coordinates) inside
-// the modulo sums. MapInverse recovers the strides' remainders through the
-// lattice coordinates instead; the two agree on every computation cell
-// (pinned by tests), because modulo c_k the Hermite column relations make
-// Σ h̃'_kl·j'_l ≡ Σ h̃'_kl·z_l. Kept as a faithful reference.
-func (d *Distribution) MapInversePaper(jpp ilin.Vec) (t int64, jp ilin.Vec) {
-	n := d.TS.T.N
-	ht := d.TS.T.HT
-	c := d.TS.T.C
-	v := d.TS.T.V
-	jp = make(ilin.Vec, n)
-	// The paper evaluates t first from the mapping coordinate alone.
-	t = rat.FloorDiv((jpp[d.M]-d.Off[d.M])*c[d.M], v[d.M])
-	for k := 0; k < n; k++ {
-		var sum int64
-		for l := 0; l < k; l++ {
-			sum += ht.At(k, l) * jp[l]
-		}
-		rem := rat.Mod(sum, c[k])
-		if k == d.M {
-			jp[k] = c[k]*(jpp[k]-d.Off[k]) - t*v[k] + rem
-		} else {
-			jp[k] = c[k]*(jpp[k]-d.Off[k]) + rem
-		}
-	}
-	return t, jp
 }

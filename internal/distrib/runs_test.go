@@ -6,7 +6,7 @@ import (
 	"tilespace/internal/ilin"
 )
 
-// TestChainStepExact: Flat/FlatRead/FlatUnpack must be affine in the chain
+// TestChainStepExact: Flat/FlatRead must be affine in the chain
 // slot with slope ChainStep, for every TTIS point — the identity compiled
 // tile plans rely on.
 func TestChainStepExact(t *testing.T) {
@@ -32,8 +32,8 @@ func TestChainStepExact(t *testing.T) {
 	})
 }
 
-// TestDirShiftExact: FlatUnpack must equal Flat shifted by the constant
-// DirShift for every processor direction and every chain slot.
+// TestDirShiftExact: the per-point unpack address must equal Flat shifted
+// by the constant DirShift for every processor direction and every chain slot.
 func TestDirShiftExact(t *testing.T) {
 	d := jacobiDist(t)
 	a := d.Addresser(0)
@@ -45,9 +45,9 @@ func TestDirShiftExact(t *testing.T) {
 		shift := a.DirShift(dmF)
 		d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
 			for tau := int64(0); tau < 3; tau++ {
-				want := a.FlatUnpack(jp, dmF, tau)
+				want := a.flatUnpack(jp, dmF, tau)
 				if got := a.Flat(jp, tau) + shift; got != want {
-					t.Fatalf("Flat(%v,%d)+DirShift(%v) = %d, want FlatUnpack = %d", jp, tau, dmF, got, want)
+					t.Fatalf("Flat(%v,%d)+DirShift(%v) = %d, want flatUnpack = %d", jp, tau, dmF, got, want)
 				}
 			}
 			return true

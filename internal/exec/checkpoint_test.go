@@ -156,7 +156,7 @@ func TestResumeOfUnknownRankRejected(t *testing.T) {
 func TestInvalidFaultPlanRejected(t *testing.T) {
 	c := diffCases(t)[0]
 	net := mpi.Options{Faults: &mpi.FaultPlan{Sends: &mpi.SendFaults{Rate: 2}}}
-	w := mpi.NewWorld(c.p.Dist.NumProcs())
+	w := mpi.NewWorldOpts(c.p.Dist.NumProcs(), mpi.Options{})
 	defer w.Close()
 	for name, world := range map[string]*mpi.World{"fresh": nil, "caller": w} {
 		_, _, err := c.p.RunParallelOpts(exec.RunOptions{Net: net, World: world})

@@ -50,16 +50,6 @@ func NewGlobal(lo, hi ilin.Vec, width int) *Global {
 	return g
 }
 
-// Contains reports whether j lies in the box.
-func (g *Global) Contains(j ilin.Vec) bool {
-	for k := range j {
-		if j[k] < g.Lo[k] || j[k] > g.Hi[k] {
-			return false
-		}
-	}
-	return true
-}
-
 func (g *Global) index(j ilin.Vec) int64 {
 	var idx int64
 	for k := range j {

@@ -110,7 +110,7 @@ func (st *rankState) receivePhase(c *mpi.Comm, tile ilin.Vec) error {
 		dmF := pr.DmFulls[di]
 		i := 0
 		d.CommRegion(pred, dm, func(z, pp ilin.Vec) bool {
-			cell := st.Addr.FlatUnpack(pp, dmF, tau) * int64(w)
+			cell := (st.Addr.Flat(pp, tau) + st.Addr.DirShift(dmF)) * int64(w)
 			copy(st.la[cell:cell+int64(w)], buf[i:i+w])
 			i += w
 			return true

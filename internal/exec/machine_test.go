@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tilespace/internal/ilin"
-	"tilespace/internal/loopnest"
 	"tilespace/internal/rat"
 )
 
@@ -16,7 +15,7 @@ import (
 // paper's §4.3: both off-diagonal entries of the time row set.
 func adiProgram(tb testing.TB) *Program {
 	deps := ilin.MatFromRows([]int64{1, 1, 1}, []int64{0, 1, 0}, []int64{0, 0, 1})
-	nest := loopnest.MustBox([]string{"t", "i", "j"}, []int64{1, 1, 1}, []int64{6, 8, 8}, deps)
+	nest := mustBox(tb, []string{"t", "i", "j"}, []int64{1, 1, 1}, []int64{6, 8, 8}, deps)
 	h := ilin.NewRatMat(3, 3)
 	h.Set(0, 0, rat.New(1, 2))
 	h.Set(0, 1, rat.New(-1, 2))
@@ -135,7 +134,7 @@ func TestRankCoresByHand(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, stats, err := p.RunParallel()
+			_, stats, err := p.RunParallelOpts(RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tilespace/internal/ilin"
-	"tilespace/internal/loopnest"
 	"tilespace/internal/mpi"
 	"tilespace/internal/rat"
 	"tilespace/internal/tiling"
@@ -16,7 +15,7 @@ import (
 // traffic must show up in its per-rank overlapped counter, and the per-
 // rank counters must sum to the world totals.
 func TestOverlapPerRankTraffic(t *testing.T) {
-	nest := loopnest.MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{19, 23},
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{19, 23},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(4, 4)
 	p := buildProgram(t, nest, tr.H, 0, 1, sumKernel, zeroInit)
@@ -112,7 +111,7 @@ func TestOverlapInjectedCostFasterThanBlocking(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement; long mode only")
 	}
-	nest := loopnest.MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{29, 31},
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{29, 31},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(5, 4)
 	p := buildProgram(t, nest, tr.H, 0, 1, sumKernel, zeroInit)

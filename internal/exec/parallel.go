@@ -10,7 +10,7 @@ import (
 	"tilespace/internal/mpi"
 )
 
-// RunOptions selects the communication strategy for RunParallel.
+// RunOptions selects the communication strategy for RunParallelOpts.
 type RunOptions struct {
 	// Overlap switches the SEND phase to non-blocking Isends: after
 	// computing a tile the rank issues one Isend per processor direction
@@ -77,22 +77,16 @@ type RunOptions struct {
 	Dynamic bool
 }
 
-// RunParallel executes the program as the paper's generated data-parallel
-// code: one mpi rank per processor, each running its tile chain with the
-// §3.2 protocol — RECEIVE (one message per (predecessor tile, processor
-// direction), delivered at the minsucc tile), compute over the clamped
-// TTIS lattice reading/writing the LDS through map(), SEND (one message
-// per processor direction packing the union region j'_k ≥ cc_k). Results
-// are written back to the global data space via the computer-owns rule.
+// RunParallelOpts executes the program as the paper's generated
+// data-parallel code: one mpi rank per processor, each running its tile
+// chain with the §3.2 protocol — RECEIVE (one message per (predecessor
+// tile, processor direction), delivered at the minsucc tile), compute over
+// the clamped TTIS lattice reading/writing the LDS through map(), SEND (one
+// message per processor direction packing the union region j'_k ≥ cc_k).
+// Results are written back to the global data space via the computer-owns
+// rule. The zero RunOptions sends blocking, on a fresh in-process world.
 //
 // It returns the global array and the runtime's traffic statistics.
-// RunParallel uses blocking sends; see RunParallelOpts for the overlapped
-// mode and watchdog/cost injection.
-func (p *Program) RunParallel() (*Global, mpi.Stats, error) {
-	return p.RunParallelOpts(RunOptions{})
-}
-
-// RunParallelOpts is RunParallel with an explicit execution strategy.
 func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 	if err := opt.Net.Faults.Validate(); err != nil {
 		return nil, mpi.Stats{}, err

@@ -7,7 +7,6 @@ import (
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
-	"tilespace/internal/loopnest"
 	"tilespace/internal/rat"
 	"tilespace/internal/tiling"
 )
@@ -228,7 +227,7 @@ func TestWarmRankAllocatesNothing(t *testing.T) {
 // point — an opaque body and a Coef statement — must match the sequential
 // reference, which they would not with j stepped across a row end.
 func TestRowsAreNotMergedRunsInARun(t *testing.T) {
-	nest := loopnest.MustBox(nil, []int64{0, 0, 0}, []int64{5, 5, 5}, ilin.MatFromRows([]int64{2}, []int64{1}, []int64{0}))
+	nest := mustBox(t, nil, []int64{0, 0, 0}, []int64{5, 5, 5}, ilin.MatFromRows([]int64{2}, []int64{1}, []int64{0}))
 	tr, err := tiling.Rectangular(2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -503,7 +502,7 @@ func BenchmarkPackUnpack(b *testing.B) {
 				dmF := d.Protocol().DmFulls[di]
 				pos = 0
 				d.CommRegion(tile, dm, func(z, pp ilin.Vec) bool { // unpack
-					cell := stL.Addr.FlatUnpack(pp, dmF, ti) * int64(w)
+					cell := (stL.Addr.Flat(pp, ti) + stL.Addr.DirShift(dmF)) * int64(w)
 					copy(stL.la[cell:cell+int64(w)], buf[pos:pos+w])
 					pos += w
 					return true

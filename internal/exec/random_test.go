@@ -70,7 +70,7 @@ func TestQuickRandomTilings2D(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		par, _, err := prog.RunParallel()
+		par, _, err := prog.RunParallelOpts(RunOptions{})
 		if err != nil {
 			return false
 		}
@@ -101,7 +101,7 @@ func TestFourDimensionalNest(t *testing.T) {
 		[]int64{0, 0, 1, 0, 0},
 		[]int64{0, 0, 0, 1, 1},
 	)
-	nest := loopnest.MustBox([]string{"a", "b", "c", "d"},
+	nest := mustBox(t, []string{"a", "b", "c", "d"},
 		[]int64{0, 0, 0, 0}, []int64{5, 7, 5, 6}, deps)
 	tr, err := tiling.Rectangular(2, 3, 2, 3)
 	if err != nil {
@@ -143,7 +143,7 @@ func TestNonRect4D(t *testing.T) {
 	if !tr.Legal(deps) {
 		t.Fatal("expected legal 4-D tiling")
 	}
-	nest := loopnest.MustBox([]string{"a", "b", "c", "d"},
+	nest := mustBox(t, []string{"a", "b", "c", "d"},
 		[]int64{0, 0, 0, 0}, []int64{7, 5, 5, 8}, deps)
 	ts, err := tiling.Analyze(nest, tr.H)
 	if err != nil {
@@ -168,7 +168,7 @@ func TestEmptyTileInsideChain(t *testing.T) {
 	deps := ilin.NewMat(2, 2)
 	deps.SetCol(0, p.Col(0))
 	deps.SetCol(1, p.Col(0).Add(p.Col(1)))
-	nest := loopnest.MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{13, 6}, deps)
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{13, 6}, deps)
 	ts, err := tiling.Analyze(nest, tr.H)
 	if err != nil {
 		t.Fatal(err)

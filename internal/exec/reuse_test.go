@@ -38,7 +38,7 @@ func reuseProgram(t *testing.T) *exec.Program {
 // constructs its own world — in both communication modes.
 func TestPooledWorldReuseBitIdentical(t *testing.T) {
 	p := reuseProgram(t)
-	world := mpi.NewWorld(p.Dist.NumProcs())
+	world := mpi.NewWorldOpts(p.Dist.NumProcs(), mpi.Options{})
 	for _, overlap := range []bool{false, true} {
 		opt := exec.RunOptions{Overlap: overlap, Net: mpi.Options{Watchdog: 5 * time.Second}}
 		gCold, sCold, err := p.RunParallelOpts(opt)
@@ -66,7 +66,7 @@ func TestPooledWorldReuseBitIdentical(t *testing.T) {
 // TestPooledWorldSizeMismatch pins the seam's misuse diagnostic.
 func TestPooledWorldSizeMismatch(t *testing.T) {
 	p := reuseProgram(t)
-	wrong := mpi.NewWorld(p.Dist.NumProcs() + 1)
+	wrong := mpi.NewWorldOpts(p.Dist.NumProcs()+1, mpi.Options{})
 	_, _, err := p.RunParallelOpts(exec.RunOptions{World: wrong})
 	if err == nil || !strings.Contains(err.Error(), "pooled world") {
 		t.Fatalf("expected a pooled-world size error, got %v", err)
@@ -78,7 +78,7 @@ func TestPooledWorldSizeMismatch(t *testing.T) {
 // world matches a cold run exactly.
 func TestPooledWorldSurvivesFailedRun(t *testing.T) {
 	p := reuseProgram(t)
-	world := mpi.NewWorld(p.Dist.NumProcs())
+	world := mpi.NewWorldOpts(p.Dist.NumProcs(), mpi.Options{})
 
 	boom, err := exec.NewProgram(p.TS, -1, p.Width, exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		panic("injected kernel failure")

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"tilespace/internal/ilin"
@@ -137,41 +136,6 @@ func (tr *Tracer) Trace() *simnet.Trace {
 	}
 	return &simnet.Trace{Result: res, Events: tr.collected}
 }
-
-// Summary renders the per-rank phase table plus the straggler line: which
-// rank bounds the makespan and which tile chain tail it spent waiting on.
-func (tr *Tracer) Summary() string {
-	t := tr.Trace()
-	var b strings.Builder
-	fmt.Fprintf(&b, "measured run: %d ranks, %d tiles, %d msgs, %d bytes, makespan %.4fs\n",
-		t.Result.Procs, t.Result.Tiles, t.Result.Messages, t.Result.BytesSent, t.Result.Makespan)
-	fmt.Fprintf(&b, "%5s %6s %10s %10s %10s %10s %10s %6s %6s %8s\n",
-		"rank", "tiles", "wait", "unpack", "compute", "send", "drain", "msgs", "pend", "pool")
-	for _, m := range tr.ranks {
-		hitRate := 0.0
-		if n := m.PoolHits + m.PoolMisses; n > 0 {
-			hitRate = float64(m.PoolHits) / float64(n)
-		}
-		fmt.Fprintf(&b, "%5d %6d %10s %10s %10s %10s %10s %6d %6d %7.0f%%\n",
-			m.Rank, m.Tiles, round(m.Wait), round(m.Unpack), round(m.Compute),
-			round(m.Send), round(m.Drain), m.MsgsRecvd, m.PendingPeak, hitRate*100)
-	}
-	if len(t.Events) > 0 {
-		crit, idle := t.CriticalRank()
-		last := ""
-		var lastEnd float64
-		for _, e := range t.Events {
-			if e.Rank == crit && e.End >= lastEnd {
-				lastEnd, last = e.End, e.Tile
-			}
-		}
-		fmt.Fprintf(&b, "critical rank %d (%.0f%% idle), last tile %s at %.4fs\n",
-			crit, idle*100, last, lastEnd)
-	}
-	return b.String()
-}
-
-func round(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
 
 // rankTracer is one rank's private recording state; it touches no shared
 // memory until the single flush at chain end.

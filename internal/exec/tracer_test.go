@@ -82,8 +82,8 @@ func TestTracerRecordsTimeline(t *testing.T) {
 			if int64(msgsIn) != st.Recvs || int64(valsIn) != st.ValuesRecvd {
 				t.Errorf("mpi recv counters (%d, %d) disagree with tracer (%d, %d)", st.Recvs, st.ValuesRecvd, msgsIn, valsIn)
 			}
-			if sum := tr.Summary(); !strings.Contains(sum, "critical rank") {
-				t.Errorf("summary missing straggler line:\n%s", sum)
+			if crit, idle := trace.CriticalRank(); crit < 0 || crit >= trace.Result.Procs || idle < 0 || idle > 1 {
+				t.Errorf("critical rank %d (%.2f idle) of %d ranks", crit, idle, trace.Result.Procs)
 			}
 			if tc.opt.Overlap {
 				peak := 0

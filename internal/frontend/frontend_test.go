@@ -71,7 +71,7 @@ func TestParsedProgramExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := p.RunParallel()
+	par, _, err := p.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestMultiArrayADI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := p.RunParallel()
+	par, _, err := p.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,48 +92,3 @@ func addColMultiple(m *Mat, dst, src int, mult int64) {
 		m.Set(r, dst, m.At(r, dst)+mult*m.At(r, src))
 	}
 }
-
-// IsLowerTriangularHNF reports whether h satisfies the column-HNF shape:
-// lower triangular, positive diagonal, and 0 ≤ h_kl < h_kk for l < k.
-func IsLowerTriangularHNF(h *Mat) bool {
-	if h.Rows != h.Cols {
-		return false
-	}
-	for k := 0; k < h.Rows; k++ {
-		if h.At(k, k) <= 0 {
-			return false
-		}
-		for l := 0; l < h.Cols; l++ {
-			switch {
-			case l > k && h.At(k, l) != 0:
-				return false
-			case l < k && (h.At(k, l) < 0 || h.At(k, l) >= h.At(k, k)):
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// LatticeSolve solves H·z = v for a lower triangular H with nonzero
-// diagonal by forward substitution. It returns (z, true) when v lies in the
-// column lattice of H, and (nil, false) otherwise.
-func LatticeSolve(h *Mat, v Vec) (Vec, bool) {
-	if h.Rows != h.Cols || len(v) != h.Rows {
-		panic("ilin: LatticeSolve shape mismatch")
-	}
-	n := h.Rows
-	z := make(Vec, n)
-	for k := 0; k < n; k++ {
-		rem := v[k]
-		for l := 0; l < k; l++ {
-			rem -= h.At(k, l) * z[l]
-		}
-		d := h.At(k, k)
-		if d == 0 || rem%d != 0 {
-			return nil, false
-		}
-		z[k] = rem / d
-	}
-	return z, true
-}

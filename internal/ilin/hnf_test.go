@@ -1,6 +1,7 @@
 package ilin
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -10,7 +11,7 @@ func TestHNFIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.H.Equal(Identity(3)) || !res.U.Equal(Identity(3)) {
+	if !reflect.DeepEqual(res.H, Identity(3)) || !reflect.DeepEqual(res.U, Identity(3)) {
 		t.Errorf("HNF(I) = \n%v\nU=\n%v", res.H, res.U)
 	}
 }
@@ -26,10 +27,10 @@ func TestHNFJacobiCase(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := MatFromRows([]int64{1, 0, 0}, []int64{1, 2, 0}, []int64{0, 0, 1})
-	if !res.H.Equal(want) {
+	if !reflect.DeepEqual(res.H, want) {
 		t.Errorf("HNF = \n%v, want \n%v", res.H, want)
 	}
-	if !hp.Mul(res.U).Equal(res.H) {
+	if !reflect.DeepEqual(hp.Mul(res.U), res.H) {
 		t.Error("A·U != H")
 	}
 	if !res.U.IsUnimodular() {
@@ -51,7 +52,7 @@ func TestHNFSingular(t *testing.T) {
 
 func TestHNFShapeChecker(t *testing.T) {
 	good := MatFromRows([]int64{1, 0}, []int64{1, 2})
-	if !IsLowerTriangularHNF(good) {
+	if !isLowerTriangularHNF(good) {
 		t.Error("good HNF rejected")
 	}
 	bad := []*Mat{
@@ -61,7 +62,7 @@ func TestHNFShapeChecker(t *testing.T) {
 		NewMat(2, 3), // not square
 	}
 	for i, m := range bad {
-		if IsLowerTriangularHNF(m) {
+		if isLowerTriangularHNF(m) {
 			t.Errorf("bad case %d accepted", i)
 		}
 	}
@@ -70,12 +71,12 @@ func TestHNFShapeChecker(t *testing.T) {
 func TestLatticeSolve(t *testing.T) {
 	h := MatFromRows([]int64{1, 0, 0}, []int64{1, 2, 0}, []int64{0, 0, 1})
 	// (3, 5, 7): z1=3, 3+2z2=5 -> z2=1, z3=7.
-	z, ok := LatticeSolve(h, NewVec(3, 5, 7))
+	z, ok := latticeSolve(h, NewVec(3, 5, 7))
 	if !ok || !z.Equal(NewVec(3, 1, 7)) {
-		t.Errorf("LatticeSolve = %v, %v", z, ok)
+		t.Errorf("latticeSolve = %v, %v", z, ok)
 	}
 	// (3, 4, 7): 3+2z2=4 has no integer solution.
-	if _, ok := LatticeSolve(h, NewVec(3, 4, 7)); ok {
+	if _, ok := latticeSolve(h, NewVec(3, 4, 7)); ok {
 		t.Error("(3,4,7) should not be in lattice")
 	}
 }
@@ -93,10 +94,10 @@ func TestQuickHNFProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !IsLowerTriangularHNF(res.H) {
+		if !isLowerTriangularHNF(res.H) {
 			return false
 		}
-		if !a.Mul(res.U).Equal(res.H) {
+		if !reflect.DeepEqual(a.Mul(res.U), res.H) {
 			return false
 		}
 		if !res.U.IsUnimodular() {
@@ -113,7 +114,7 @@ func TestQuickHNFProperties(t *testing.T) {
 		}
 		// A·probe is in the lattice of A, hence must be in the lattice of H.
 		v := a.MulVec(NewVec(int64(probe[0]), int64(probe[1]), int64(probe[2])))
-		_, ok := LatticeSolve(res.H, v)
+		_, ok := latticeSolve(res.H, v)
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -134,10 +135,60 @@ func TestQuickHNFLatticeBothWays(t *testing.T) {
 			return false
 		}
 		v := res.H.MulVec(NewVec(int64(probe[0]), int64(probe[1]), int64(probe[2])))
-		z := a.Inverse().MulVec(v.Rat())
-		return z.IsInt()
+		for _, z := range ratMulVec(a.Inverse(), v.Rat()) {
+			if !z.IsInt() {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// isLowerTriangularHNF reports whether h satisfies the column-HNF shape
+// HermiteNormalForm must produce:
+// lower triangular, positive diagonal, and 0 ≤ h_kl < h_kk for l < k.
+func isLowerTriangularHNF(h *Mat) bool {
+	if h.Rows != h.Cols {
+		return false
+	}
+	for k := 0; k < h.Rows; k++ {
+		if h.At(k, k) <= 0 {
+			return false
+		}
+		for l := 0; l < h.Cols; l++ {
+			switch {
+			case l > k && h.At(k, l) != 0:
+				return false
+			case l < k && (h.At(k, l) < 0 || h.At(k, l) >= h.At(k, k)):
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// latticeSolve solves H·z = v for a lower triangular H with nonzero
+// diagonal by forward substitution. It returns (z, true) when v lies in the
+// column lattice of H, and (nil, false) otherwise.
+func latticeSolve(h *Mat, v Vec) (Vec, bool) {
+	if h.Rows != h.Cols || len(v) != h.Rows {
+		panic("ilin: latticeSolve shape mismatch")
+	}
+	n := h.Rows
+	z := make(Vec, n)
+	for k := 0; k < n; k++ {
+		rem := v[k]
+		for l := 0; l < k; l++ {
+			rem -= h.At(k, l) * z[l]
+		}
+		d := h.At(k, k)
+		if d == 0 || rem%d != 0 {
+			return nil, false
+		}
+		z[k] = rem / d
+	}
+	return z, true
 }

@@ -191,34 +191,6 @@ func (v RatVec) IsZero() bool {
 	return true
 }
 
-// IsInt reports whether every element is an integer.
-func (v RatVec) IsInt() bool {
-	for _, x := range v {
-		if !x.IsInt() {
-			return false
-		}
-	}
-	return true
-}
-
-// Int converts v to an integer vector; it panics unless v.IsInt().
-func (v RatVec) Int() Vec {
-	out := make(Vec, len(v))
-	for i, x := range v {
-		out[i] = x.Int()
-	}
-	return out
-}
-
-// Floor returns the elementwise floor of v.
-func (v RatVec) Floor() Vec {
-	out := make(Vec, len(v))
-	for i, x := range v {
-		out[i] = x.Floor()
-	}
-	return out
-}
-
 func (v RatVec) String() string {
 	parts := make([]string, len(v))
 	for i, x := range v {
@@ -280,15 +252,6 @@ func Identity(n int) *Mat {
 	return m
 }
 
-// Diag returns the diagonal matrix with the given diagonal entries.
-func Diag(d ...int64) *Mat {
-	m := NewMat(len(d), len(d))
-	for i, x := range d {
-		m.Set(i, i, x)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Mat) At(i, j int) int64 { return m.a[i*m.Cols+j] }
 
@@ -300,19 +263,6 @@ func (m *Mat) Clone() *Mat {
 	c := NewMat(m.Rows, m.Cols)
 	copy(c.a, m.a)
 	return c
-}
-
-// Equal reports whether m and n have identical shape and elements.
-func (m *Mat) Equal(n *Mat) bool {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i := range m.a {
-		if m.a[i] != n.a[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Row returns a copy of row i.
@@ -476,19 +426,6 @@ func ParseRatMat(rows [][]string) (*RatMat, error) {
 	return m, nil
 }
 
-// RatMatFromRows is ParseRatMat for matrix literals in tests, examples and
-// app definitions: it panics on malformed input.
-func RatMatFromRows(rows ...[]string) *RatMat {
-	if len(rows) == 0 {
-		return NewRatMat(0, 0)
-	}
-	m, err := ParseRatMat(rows)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // RatIdentity returns the n×n rational identity.
 func RatIdentity(n int) *RatMat {
 	m := NewRatMat(n, n)
@@ -511,19 +448,6 @@ func (m *RatMat) Clone() *RatMat {
 	return c
 }
 
-// Equal reports whether m and n have identical shape and elements.
-func (m *RatMat) Equal(n *RatMat) bool {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i := range m.a {
-		if !m.a[i].Equal(n.a[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Row returns a copy of row i.
 func (m *RatMat) Row(i int) RatVec {
 	out := make(RatVec, m.Cols)
@@ -536,58 +460,6 @@ func (m *RatMat) Col(j int) RatVec {
 	out := make(RatVec, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		out[i] = m.At(i, j)
-	}
-	return out
-}
-
-// Mul returns m·n.
-func (m *RatMat) Mul(n *RatMat) *RatMat {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("ilin: Mul dimension mismatch %dx%d · %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewRatMat(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < n.Cols; j++ {
-			s := rat.Zero
-			for k := 0; k < m.Cols; k++ {
-				s = s.Add(m.At(i, k).Mul(n.At(k, j)))
-			}
-			out.Set(i, j, s)
-		}
-	}
-	return out
-}
-
-// MulVec returns m·v.
-func (m *RatMat) MulVec(v RatVec) RatVec {
-	mustSameLen(len(v), m.Cols)
-	out := make(RatVec, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := rat.Zero
-		for j := 0; j < m.Cols; j++ {
-			s = s.Add(m.At(i, j).Mul(v[j]))
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *RatMat) Transpose() *RatMat {
-	out := NewRatMat(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Scale returns c·m.
-func (m *RatMat) Scale(c rat.Rat) *RatMat {
-	out := m.Clone()
-	for i := range out.a {
-		out.a[i] = out.a[i].Mul(c)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package ilin
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,13 +59,13 @@ func TestMatMul(t *testing.T) {
 	a := MatFromRows([]int64{1, 2}, []int64{3, 4})
 	b := MatFromRows([]int64{5, 6}, []int64{7, 8})
 	want := MatFromRows([]int64{19, 22}, []int64{43, 50})
-	if got := a.Mul(b); !got.Equal(want) {
+	if got := a.Mul(b); !reflect.DeepEqual(got, want) {
 		t.Errorf("Mul = \n%v", got)
 	}
 	if got := a.MulVec(NewVec(1, 1)); !got.Equal(NewVec(3, 7)) {
 		t.Errorf("MulVec = %v", got)
 	}
-	if got := Identity(2).Mul(a); !got.Equal(a) {
+	if got := Identity(2).Mul(a); !reflect.DeepEqual(got, a) {
 		t.Error("I·a != a")
 	}
 }
@@ -122,8 +123,8 @@ func TestIsUnimodular(t *testing.T) {
 func TestInverse(t *testing.T) {
 	a := MatFromRows([]int64{1, 0, 0}, []int64{1, 1, 0}, []int64{2, 0, 1})
 	inv := a.Inverse()
-	prod := a.Rat().Mul(inv)
-	if !prod.Equal(RatIdentity(3)) {
+	prod := ratMul(a.Rat(), inv)
+	if !reflect.DeepEqual(prod, RatIdentity(3)) {
 		t.Errorf("a·a⁻¹ = \n%v", prod)
 	}
 }
@@ -138,16 +139,13 @@ func TestInverseSingularPanics(t *testing.T) {
 }
 
 func TestRatMatFromRows(t *testing.T) {
-	h := RatMatFromRows(
-		[]string{"1/2", "0"},
-		[]string{"-1/3", "1/3"},
-	)
+	h := ratMat(t, []string{"1/2", "0"}, []string{"-1/3", "1/3"})
 	if !h.At(0, 0).Equal(rat.New(1, 2)) || !h.At(1, 0).Equal(rat.New(-1, 3)) {
-		t.Errorf("RatMatFromRows = \n%v", h)
+		t.Errorf("ParseRatMat = \n%v", h)
 	}
 	inv := h.Inverse()
-	want := RatMatFromRows([]string{"2", "0"}, []string{"2", "3"})
-	if !inv.Equal(want) {
+	want := ratMat(t, []string{"2", "0"}, []string{"2", "3"})
+	if !reflect.DeepEqual(inv, want) {
 		t.Errorf("Inverse = \n%v, want \n%v", inv, want)
 	}
 	if !inv.IsInt() {
@@ -159,17 +157,13 @@ func TestRatMatFromRows(t *testing.T) {
 }
 
 func TestRatMatDetScale(t *testing.T) {
-	h := RatMatFromRows(
+	h := ratMat(t,
 		[]string{"1/2", "0", "0"},
 		[]string{"0", "1/3", "0"},
 		[]string{"-1/4", "0", "1/4"},
 	)
 	if !h.Det().Equal(rat.New(1, 24)) {
 		t.Errorf("Det = %v", h.Det())
-	}
-	s := h.Scale(rat.FromInt(12))
-	if !s.At(0, 0).Equal(rat.FromInt(6)) {
-		t.Errorf("Scale = \n%v", s)
 	}
 }
 
@@ -182,19 +176,8 @@ func TestRatVecOps(t *testing.T) {
 	if !v.Sub(v).IsZero() {
 		t.Error("v-v should be zero")
 	}
-	fl := RatVec{rat.New(-1, 2), rat.New(5, 2)}.Floor()
-	if !fl.Equal(NewVec(-1, 2)) {
-		t.Errorf("Floor = %v", fl)
-	}
-	if !v.Scale(rat.FromInt(6)).Int().Equal(NewVec(3, 2)) {
-		t.Error("Scale/Int mismatch")
-	}
-}
-
-func TestDiag(t *testing.T) {
-	d := Diag(2, 3, 4)
-	if d.At(0, 0) != 2 || d.At(1, 1) != 3 || d.At(2, 2) != 4 || d.At(0, 1) != 0 {
-		t.Errorf("Diag = \n%v", d)
+	if got := v.Scale(rat.FromInt(6)); !got[0].Equal(rat.FromInt(3)) || !got[1].Equal(rat.FromInt(2)) {
+		t.Errorf("Scale = %v", got)
 	}
 }
 
@@ -231,8 +214,8 @@ func TestQuickInverseRoundTrip(t *testing.T) {
 		if a.Det() == 0 {
 			return true
 		}
-		return a.Rat().Mul(a.Inverse()).Equal(RatIdentity(3)) &&
-			a.Inverse().Mul(a.Rat()).Equal(RatIdentity(3))
+		return reflect.DeepEqual(ratMul(a.Rat(), a.Inverse()), RatIdentity(3)) &&
+			reflect.DeepEqual(ratMul(a.Inverse(), a.Rat()), RatIdentity(3))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -268,12 +251,6 @@ func TestEqualShapeMismatch(t *testing.T) {
 	if NewVec(1).Equal(NewVec(1, 2)) {
 		t.Error("different-length vectors equal")
 	}
-	if NewMat(1, 2).Equal(NewMat(2, 1)) {
-		t.Error("different-shape matrices equal")
-	}
-	if NewRatMat(1, 2).Equal(NewRatMat(2, 1)) {
-		t.Error("different-shape rat matrices equal")
-	}
 }
 
 func TestRatVecCloneIsIntTransposeRowCol(t *testing.T) {
@@ -283,22 +260,15 @@ func TestRatVecCloneIsIntTransposeRowCol(t *testing.T) {
 	if !v[0].Equal(rat.One) {
 		t.Error("RatVec Clone aliases")
 	}
-	if v.IsInt() {
-		t.Error("1/2 is not integral")
-	}
 	if v.IsZero() {
 		t.Error("v is not zero")
 	}
-	m := RatMatFromRows([]string{"1", "2"}, []string{"3", "4"})
+	m := ratMat(t, []string{"1", "2"}, []string{"3", "4"})
 	if !m.Row(1).Dot(RatVec{rat.One, rat.One}).Equal(rat.FromInt(7)) {
 		t.Error("RatMat Row")
 	}
 	if !m.Col(0).Dot(RatVec{rat.One, rat.One}).Equal(rat.FromInt(4)) {
 		t.Error("RatMat Col")
-	}
-	tp := m.Transpose()
-	if !tp.At(0, 1).Equal(rat.FromInt(3)) {
-		t.Error("RatMat Transpose")
 	}
 }
 
@@ -307,8 +277,6 @@ func TestConstructorPanics(t *testing.T) {
 		"negative Mat dims":    func() { NewMat(-1, 2) },
 		"negative RatMat dims": func() { NewRatMat(2, -1) },
 		"ragged MatFromRows":   func() { MatFromRows([]int64{1, 2}, []int64{3}) },
-		"ragged RatMatRows":    func() { RatMatFromRows([]string{"1", "2"}, []string{"3"}) },
-		"bad rat literal":      func() { RatMatFromRows([]string{"q"}) },
 		"length mismatch dot":  func() { NewVec(1).Dot(NewVec(1, 2)) },
 		"det non-square":       func() { NewRatMat(1, 2).Det() },
 	} {
@@ -321,15 +289,54 @@ func TestConstructorPanics(t *testing.T) {
 			f()
 		}()
 	}
-	if MatFromRows() == nil || RatMatFromRows() == nil {
-		t.Error("empty FromRows should give empty matrices")
+	if MatFromRows() == nil {
+		t.Error("empty MatFromRows should give an empty matrix")
+	}
+	for name, rows := range map[string][][]string{
+		"ragged rows":     {{"1", "2"}, {"3"}},
+		"bad rat literal": {{"q"}},
+		"no rows":         nil,
+	} {
+		if _, err := ParseRatMat(rows); err == nil {
+			t.Errorf("ParseRatMat accepts %s", name)
+		}
 	}
 }
 
 func TestDetNeedsRowSwap(t *testing.T) {
 	// Leading zero forces the pivot swap path.
-	m := RatMatFromRows([]string{"0", "1"}, []string{"1", "0"})
+	m := ratMat(t, []string{"0", "1"}, []string{"1", "0"})
 	if !m.Det().Equal(rat.FromInt(-1)) {
 		t.Errorf("Det = %v", m.Det())
 	}
+}
+
+func ratMat(t *testing.T, rows ...[]string) *RatMat {
+	t.Helper()
+	m, err := ParseRatMat(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// ratMul returns a·b entry by entry (row of a · column of b): the product
+// the tests check Inverse against.
+func ratMul(a, b *RatMat) *RatMat {
+	out := NewRatMat(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			out.Set(i, j, a.Row(i).Dot(b.Col(j)))
+		}
+	}
+	return out
+}
+
+// ratMulVec returns m·v, row by row.
+func ratMulVec(m *RatMat, v RatVec) RatVec {
+	out := make(RatVec, m.Rows)
+	for i := range out {
+		out[i] = m.Row(i).Dot(v)
+	}
+	return out
 }

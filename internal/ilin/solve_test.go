@@ -26,7 +26,7 @@ func TestNullSpace(t *testing.T) {
 	if len(ns) != 1 {
 		t.Fatalf("nullity = %d, want 1", len(ns))
 	}
-	if !m.MulVec(ns[0]).IsZero() {
+	if !ratMulVec(m, ns[0]).IsZero() {
 		t.Errorf("m·v != 0 for v = %v", ns[0])
 	}
 	p := Primitive(ns[0])
@@ -67,7 +67,7 @@ func TestQuickRankNullity(t *testing.T) {
 			return false
 		}
 		for _, v := range ns {
-			if !m.MulVec(v).IsZero() {
+			if !ratMulVec(m, v).IsZero() {
 				return false
 			}
 		}

@@ -62,28 +62,12 @@ func New(names []string, space *poly.System, deps *ilin.Mat) (*Nest, error) {
 	return nest, nil
 }
 
-// MustNew is New that panics on error; for literals in tests and app
-// definitions.
-func MustNew(names []string, space *poly.System, deps *ilin.Mat) *Nest {
-	n, err := New(names, space, deps)
-	if err != nil {
-		panic(err)
-	}
-	return n
-}
-
 func defaultNames(n int) []string {
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("j%d", i+1)
 	}
 	return names
-}
-
-// Validate re-checks the structural invariants.
-func (nest *Nest) Validate() error {
-	_, err := nest.validate()
-	return err
 }
 
 // validate checks the structural invariants and returns the loop bounds the
@@ -202,13 +186,4 @@ func DepMatrix(rows [][]int64) (*ilin.Mat, error) {
 		return nil, fmt.Errorf("loopnest: dependences: %w", err)
 	}
 	return m.Transpose(), nil
-}
-
-// MustBox is Box that panics on error.
-func MustBox(names []string, lo, hi []int64, deps *ilin.Mat) *Nest {
-	n, err := Box(names, lo, hi, deps)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }

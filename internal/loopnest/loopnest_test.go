@@ -1,6 +1,7 @@
 package loopnest
 
 import (
+	"reflect"
 	"testing"
 
 	"tilespace/internal/ilin"
@@ -13,7 +14,7 @@ func simpleDeps() *ilin.Mat {
 }
 
 func TestBox(t *testing.T) {
-	n := MustBox([]string{"i", "j"}, []int64{1, 1}, []int64{4, 5}, simpleDeps())
+	n := mustBox(t, []string{"i", "j"}, []int64{1, 1}, []int64{4, 5}, simpleDeps())
 	size, err := n.Size()
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +69,7 @@ func TestRejectsNonLexPositiveDep(t *testing.T) {
 func TestRejectsUnboundedSpace(t *testing.T) {
 	s := poly.NewSystem(1)
 	// only j ≥ 0
-	s.Add(poly.GE(ilin.RatVec{ilin.NewVec(1).Rat()[0]}, ilin.NewVec(0).Rat()[0]))
+	s.Add(poly.NewConstraint(ilin.NewVec(-1).Rat(), ilin.NewVec(0).Rat()[0]))
 	if _, err := New([]string{"j"}, s, nil); err == nil {
 		t.Error("unbounded space not rejected")
 	}
@@ -97,7 +98,7 @@ func TestSkewSOR(t *testing.T) {
 		[]int64{1, 0, -1, 0, 0},
 		[]int64{0, 1, 0, -1, 0},
 	)
-	nest := MustBox([]string{"t", "i", "j"}, []int64{1, 1, 1}, []int64{3, 4, 4}, d)
+	nest := mustBox(t, []string{"t", "i", "j"}, []int64{1, 1, 1}, []int64{3, 4, 4}, d)
 	skew := ilin.MatFromRows([]int64{1, 0, 0}, []int64{1, 1, 0}, []int64{2, 0, 1})
 	sk, err := nest.Skew(skew)
 	if err != nil {
@@ -106,7 +107,7 @@ func TestSkewSOR(t *testing.T) {
 	// Skewed dependence matrix must match the paper's §4.1 D (columns in
 	// our order): T·D.
 	want := skew.Mul(d)
-	if !sk.Deps.Equal(want) {
+	if !reflect.DeepEqual(sk.Deps, want) {
 		t.Errorf("skewed D =\n%v, want\n%v", sk.Deps, want)
 	}
 	for l := 0; l < sk.Q(); l++ {
@@ -126,7 +127,7 @@ func TestSkewSOR(t *testing.T) {
 
 // TestSkewPreservesMembership: j ∈ J^n ⇔ T·j ∈ skewed space.
 func TestSkewPreservesMembership(t *testing.T) {
-	nest := MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{5, 5}, simpleDeps())
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{5, 5}, simpleDeps())
 	skew := ilin.MatFromRows([]int64{1, 0}, []int64{1, 1})
 	sk, err := nest.Skew(skew)
 	if err != nil {
@@ -143,8 +144,8 @@ func TestSkewPreservesMembership(t *testing.T) {
 }
 
 func TestSkewRejectsNonUnimodular(t *testing.T) {
-	nest := MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{3, 3}, simpleDeps())
-	if _, err := nest.Skew(ilin.Diag(2, 1)); err == nil {
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{3, 3}, simpleDeps())
+	if _, err := nest.Skew(ilin.MatFromRows([]int64{2, 0}, []int64{0, 1})); err == nil {
 		t.Error("non-unimodular skew not rejected")
 	}
 	if _, err := nest.Skew(ilin.NewMat(3, 3)); err == nil {
@@ -153,8 +154,17 @@ func TestSkewRejectsNonUnimodular(t *testing.T) {
 }
 
 func TestString(t *testing.T) {
-	nest := MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{3, 3}, simpleDeps())
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{3, 3}, simpleDeps())
 	if nest.String() == "" {
 		t.Error("empty String")
 	}
+}
+
+func mustBox(t *testing.T, names []string, lo, hi []int64, deps *ilin.Mat) *Nest {
+	t.Helper()
+	n, err := Box(names, lo, hi, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

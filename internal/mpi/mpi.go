@@ -310,7 +310,7 @@ type World struct {
 	wire Transport
 
 	// local[r] reports whether rank r runs in this process. A world
-	// constructed by NewWorld/NewWorldOpts/NewWorldTransport hosts every
+	// constructed by NewWorldOpts/NewWorldTransport hosts every
 	// rank (remote == false); NewRemoteWorld hosts a subset and relies
 	// on the transport to reach the rest.
 	local  []bool
@@ -366,10 +366,6 @@ func (w *World) stalled(last uint64) (uint64, bool) {
 	}
 	return last, true
 }
-
-// NewWorld creates a world with the given number of ranks and default
-// options (no watchdog, no injected wire cost).
-func NewWorld(size int) *World { return NewWorldOpts(size, Options{}) }
 
 // NewWorldOpts creates a world with explicit options.
 func NewWorldOpts(size int, opts Options) *World {
@@ -664,14 +660,6 @@ func (w *World) RunE(fn func(c *Comm)) error {
 	return secondary
 }
 
-// Run is RunE for callers that treat rank failures as programming errors:
-// it re-raises the collected failure as a panic.
-func (w *World) Run(fn func(c *Comm)) {
-	if err := w.RunE(fn); err != nil {
-		panic(err.Error())
-	}
-}
-
 // Comm is one rank's endpoint.
 type Comm struct {
 	world *World
@@ -688,9 +676,6 @@ type Comm struct {
 
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }
-
-// World returns the world this endpoint belongs to.
-func (c *Comm) World() *World { return c.world }
 
 // Size returns the world size.
 func (c *Comm) Size() int { return c.world.size }

@@ -4,15 +4,16 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 func TestPingPong(t *testing.T) {
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	var got atomic.Value
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			c.Send(1, 7, []float64{1, 2, 3})
@@ -37,8 +38,8 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestSendCopiesData(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(2, Options{})
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := []float64{42}
 			c.Send(1, 0, buf)
@@ -53,9 +54,9 @@ func TestSendCopiesData(t *testing.T) {
 
 // TestFIFOOrdering: messages on one (src, tag) stream arrive in send order.
 func TestFIFOOrdering(t *testing.T) {
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	const n = 200
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
 				c.Send(1, 5, []float64{float64(i)})
@@ -74,8 +75,8 @@ func TestFIFOOrdering(t *testing.T) {
 // TestTagSelectivity: a receive for tag B is not satisfied by a tag-A
 // message even if it arrived first.
 func TestTagSelectivity(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(2, Options{})
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{1})
 			c.Send(1, 2, []float64{2})
@@ -113,8 +114,8 @@ func TestMailboxAgainstModel(t *testing.T) {
 			}
 		}
 	}
-	w := NewWorld(senders + 1)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(senders+1, Options{})
+	runRanks(t, w, func(c *Comm) {
 		var wg sync.WaitGroup
 		defer wg.Wait()
 		for tag := 0; tag < tags; tag++ {
@@ -166,8 +167,8 @@ func TestMailboxAgainstModel(t *testing.T) {
 // behind never drains, and must still not grow with the messages passed
 // through it.
 func TestStreamBoundedUnderSteadyLag(t *testing.T) {
-	w := NewWorld(1)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(1, Options{})
+	runRanks(t, w, func(c *Comm) {
 		c.Send(0, 0, []float64{0})
 		for i := 1; i <= 10000; i++ {
 			c.Send(0, 0, []float64{float64(i)})
@@ -184,9 +185,9 @@ func TestStreamBoundedUnderSteadyLag(t *testing.T) {
 
 func TestRing(t *testing.T) {
 	const p = 8
-	w := NewWorld(p)
+	w := NewWorldOpts(p, Options{})
 	sums := make([]float64, p)
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		next := (c.Rank() + 1) % p
 		prev := (c.Rank() - 1 + p) % p
 		c.Send(next, 3, []float64{float64(c.Rank())}) // eager, so no ring deadlock
@@ -203,10 +204,10 @@ func TestRing(t *testing.T) {
 
 func TestBarrierOrdering(t *testing.T) {
 	const p = 6
-	w := NewWorld(p)
+	w := NewWorldOpts(p, Options{})
 	var phase1 atomic.Int32
 	fail := atomic.Bool{}
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		phase1.Add(1)
 		c.Barrier()
 		if int(phase1.Load()) != p {
@@ -225,9 +226,9 @@ func TestBarrierOrdering(t *testing.T) {
 func TestManyToOneStress(t *testing.T) {
 	const p = 8
 	const msgs = 100
-	w := NewWorld(p)
+	w := NewWorldOpts(p, Options{})
 	var total atomic.Int64
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			sum := 0.0
 			for src := 1; src < p; src++ {
@@ -248,22 +249,20 @@ func TestManyToOneStress(t *testing.T) {
 }
 
 func TestRankPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run should re-raise rank panic")
-		}
-	}()
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(2, Options{})
+	err := w.RunE(func(c *Comm) {
 		if c.Rank() == 1 {
 			panic("boom")
 		}
 		c.Barrier() // must be poisoned, not deadlock
 	})
+	if err == nil || !strings.Contains(err.Error(), "rank 1 panicked: boom") {
+		t.Fatalf("RunE returned %v, want rank 1's panic", err)
+	}
 }
 
 func TestInvalidUsePanics(t *testing.T) {
-	w := NewWorld(1)
+	w := NewWorldOpts(1, Options{})
 	cases := map[string]func(c *Comm){
 		"negative tag send": func(c *Comm) { c.Send(0, -1, nil) },
 		"negative tag recv": func(c *Comm) { c.Recv(0, -5) },
@@ -271,21 +270,25 @@ func TestInvalidUsePanics(t *testing.T) {
 		"bad recv src":      func(c *Comm) { c.Recv(-1, 0) },
 	}
 	for name, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic (re-raised by Run)", name)
-				}
-			}()
-			w.Run(f)
-		}()
+		if err := w.RunE(f); err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("%s: RunE returned %v, want the rank's panic", name, err)
+		}
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("NewWorld(0) should panic")
+				t.Error("a world of 0 ranks should panic")
 			}
 		}()
-		NewWorld(0)
+		NewWorldOpts(0, Options{})
 	}()
+}
+
+// runRanks runs fn on every rank of w and fails the test on the first
+// rank failure RunE reports.
+func runRanks(t testing.TB, w *World, fn func(c *Comm)) {
+	t.Helper()
+	if err := w.RunE(fn); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 func TestIsendWaitDelivers(t *testing.T) {
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	var got []float64
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.IsendOwned(1, 7, []float64{1, 2, 3})
 			c.WaitSends()
@@ -30,8 +30,8 @@ func TestIsendWaitDelivers(t *testing.T) {
 
 func TestIsendFIFOOrdering(t *testing.T) {
 	const n = 200
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(2, Options{})
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
 				c.IsendOwned(1, 3, []float64{float64(i)})
@@ -49,8 +49,8 @@ func TestIsendFIFOOrdering(t *testing.T) {
 }
 
 func TestStatsCountOverlappedVsBlocking(t *testing.T) {
-	w := NewWorld(3)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(3, Options{})
+	runRanks(t, w, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			c.Send(2, 1, []float64{1, 2})
@@ -90,9 +90,9 @@ func TestStatsCountOverlappedVsBlocking(t *testing.T) {
 }
 
 func TestUnwaitedIsendStillDelivered(t *testing.T) {
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	var got atomic.Bool
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.IsendOwned(1, 0, []float64{1}) // never waited for; with the transport once issued
 		} else {
@@ -163,7 +163,7 @@ func TestWatchdogAbortsPeers(t *testing.T) {
 
 func TestWatchdogQuietWhenMatched(t *testing.T) {
 	w := NewWorldOpts(2, Options{Watchdog: 5 * time.Second})
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			time.Sleep(20 * time.Millisecond) // matched, just late
 			c.Send(1, 0, []float64{1})
@@ -275,7 +275,7 @@ func TestInjectedWireCostBlockingVsOverlap(t *testing.T) {
 		w := NewWorldOpts(2, Options{LinkLatency: lat})
 		start := time.Now()
 		var senderBusy time.Duration
-		w.Run(func(c *Comm) {
+		runRanks(t, w, func(c *Comm) {
 			if c.Rank() == 0 {
 				t0 := time.Now()
 				for i := 0; i < msgs; i++ {

@@ -5,9 +5,9 @@ import "testing"
 // TestSendOwnedTransfersOwnership: the receiver must get the sender's
 // exact backing array, with no snapshot copy in between.
 func TestSendOwnedTransfersOwnership(t *testing.T) {
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	var sent, got []float64
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			sent = []float64{1, 2, 3}
@@ -29,10 +29,10 @@ func TestSendOwnedTransfersOwnership(t *testing.T) {
 // the payload must arrive intact and in order with respect to later
 // owned Isends on the same stream.
 func TestIsendOwnedTransfersOwnership(t *testing.T) {
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	var first []float64
 	var order []float64
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		switch c.Rank() {
 		case 0:
 			first = []float64{10}
@@ -65,9 +65,9 @@ func TestIsendOwnedTransfersOwnership(t *testing.T) {
 // (receiver included: AllocsPerRun counts the whole process).
 func TestIsendOwnedSteadyStateAllocs(t *testing.T) {
 	const runs = 200
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	var allocs float64
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 1 {
 			for i := 0; i <= runs; i++ { // AllocsPerRun adds one warm-up call
 				c.Recv(0, 5)

@@ -20,8 +20,8 @@ func TestRaceConcurrentStreams(t *testing.T) {
 		workers = 4
 		msgs    = 25
 	)
-	w := NewWorld(ranks)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(ranks, Options{})
+	runRanks(t, w, func(c *Comm) {
 		var wg sync.WaitGroup
 		for wk := 0; wk < workers; wk++ {
 			wg.Add(1)
@@ -70,8 +70,8 @@ func TestRaceIsendWaitConcurrent(t *testing.T) {
 		senders = 6
 		msgs    = 30
 	)
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(2, Options{})
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			var wg sync.WaitGroup
 			for s := 0; s < senders; s++ {
@@ -115,8 +115,8 @@ func TestRaceIsendWaitConcurrent(t *testing.T) {
 // the take path against concurrent put.
 func TestRaceTestPollingVsDelivery(t *testing.T) {
 	const rounds = 50
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
+	w := NewWorldOpts(2, Options{})
+	runRanks(t, w, func(c *Comm) {
 		for i := 0; i < rounds; i++ {
 			if c.Rank() == 0 {
 				if v := c.Recv(1, 0); v[0] != float64(i) {
@@ -137,7 +137,7 @@ func TestRaceTestPollingVsDelivery(t *testing.T) {
 // flight; counters must be torn-read-safe (atomics), values only grow.
 func TestRaceStatsDuringTraffic(t *testing.T) {
 	const msgs = 200
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -158,7 +158,7 @@ func TestRaceStatsDuringTraffic(t *testing.T) {
 			last = st.Messages
 		}
 	}()
-	w.Run(func(c *Comm) {
+	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
 				if i%2 == 0 {

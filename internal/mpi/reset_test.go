@@ -104,7 +104,7 @@ func TestWorldResetAfterAbort(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					c.IsendOwned(1, 9, make([]float64, 64))
 				}
-				c.World().Fail(errors.New("injected link loss"))
+				w.Fail(errors.New("injected link loss"))
 			})
 			if err == nil || !strings.Contains(err.Error(), "transport failure: injected link loss") {
 				t.Fatalf("dying run reported %v, want the transport failure", err)
@@ -180,7 +180,7 @@ func TestWorldResetClearsFaultState(t *testing.T) {
 
 // TestWorldResetWhileActivePanics pins the misuse guard.
 func TestWorldResetWhileActivePanics(t *testing.T) {
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	done := make(chan error, 1)
@@ -210,7 +210,7 @@ func TestWorldResetWhileActivePanics(t *testing.T) {
 // TestWorldResetValidatesFaults pins that Reset rejects an invalid plan
 // exactly like NewWorldOpts.
 func TestWorldResetValidatesFaults(t *testing.T) {
-	w := NewWorld(2)
+	w := NewWorldOpts(2, Options{})
 	bad := &FaultPlan{Sends: &SendFaults{Rate: 2}}
 	defer func() {
 		if recover() == nil {

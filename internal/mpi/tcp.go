@@ -1074,31 +1074,3 @@ func (m *TCPMesh) Close() error {
 	m.wg.Wait()
 	return nil
 }
-
-// ---------------------------------------------------------------------
-// Test hooks.
-
-// DropLink forcibly closes the connection carrying src→dst traffic, as
-// if the network dropped it; both endpoints observe the loss and run
-// the reconnect protocol. Test hook for watchdog/recovery coverage.
-func (m *TCPMesh) DropLink(src, dst int) {
-	id := linkID{src, dst}
-	m.mu.Lock()
-	l := m.outs[id]
-	il := m.ins[id]
-	m.mu.Unlock()
-	if l != nil {
-		l.mu.Lock()
-		if l.conn != nil {
-			l.conn.Close()
-		}
-		l.mu.Unlock()
-	}
-	if il != nil {
-		il.mu.Lock()
-		if il.conn != nil {
-			il.conn.Close()
-		}
-		il.mu.Unlock()
-	}
-}

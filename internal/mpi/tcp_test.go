@@ -141,7 +141,7 @@ func dropAndRecover(t *testing.T, dialDelay, watchdog time.Duration) error {
 		// Let the first frame cross, then sever the link while rank 1 is
 		// already parked in its second Recv under the watchdog.
 		time.Sleep(20 * time.Millisecond)
-		mesh.DropLink(0, 1)
+		mesh.dropLink(0, 1)
 		time.Sleep(10 * time.Millisecond)
 		close(dropped)
 	}()
@@ -274,7 +274,7 @@ func TestTCPSurvivesLinkDropsUnderLoad(t *testing.T) {
 				return
 			case <-time.After(3 * time.Millisecond):
 			}
-			mesh.DropLink(i%size, (i+1)%size)
+			mesh.dropLink(i%size, (i+1)%size)
 		}
 	}()
 	for run := 0; run < 5; run++ {
@@ -524,5 +524,30 @@ func TestTCPWireStatsCoverObservedFrames(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dropLink forcibly closes the connection carrying src→dst traffic, as
+// if the network dropped it; both endpoints observe the loss and run
+// the reconnect protocol.
+func (m *TCPMesh) dropLink(src, dst int) {
+	id := linkID{src, dst}
+	m.mu.Lock()
+	l := m.outs[id]
+	il := m.ins[id]
+	m.mu.Unlock()
+	if l != nil {
+		l.mu.Lock()
+		if l.conn != nil {
+			l.conn.Close()
+		}
+		l.mu.Unlock()
+	}
+	if il != nil {
+		il.mu.Lock()
+		if il.conn != nil {
+			il.conn.Close()
+		}
+		il.mu.Unlock()
 	}
 }

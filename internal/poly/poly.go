@@ -38,11 +38,6 @@ func NewConstraint(coef ilin.RatVec, rhs rat.Rat) Constraint {
 	return Constraint{Coef: coef.Clone(), Rhs: rhs}
 }
 
-// GE builds the inequality Coef·x ≥ Rhs in ≤ form.
-func GE(coef ilin.RatVec, rhs rat.Rat) Constraint {
-	return Constraint{Coef: coef.Scale(rat.FromInt(-1)), Rhs: rhs.Neg()}
-}
-
 // normalize scales the constraint by a positive rational so the
 // coefficients become integers with gcd 1; direction is preserved. Returns
 // the canonical form used for deduplication.

@@ -31,12 +31,12 @@ func TestContains(t *testing.T) {
 
 func TestGEConstraint(t *testing.T) {
 	// x0 ≥ 2 over one variable.
-	c := GE(ilin.RatVec{rat.One}, rat.FromInt(2))
+	c := ge(ilin.RatVec{rat.One}, rat.FromInt(2))
 	if !c.SatisfiedBy(ilin.NewVec(2)) || !c.SatisfiedBy(ilin.NewVec(5)) {
-		t.Error("GE should hold at/above the bound")
+		t.Error("ge should hold at/above the bound")
 	}
 	if c.SatisfiedBy(ilin.NewVec(1)) {
-		t.Error("GE should fail below the bound")
+		t.Error("ge should fail below the bound")
 	}
 }
 
@@ -58,8 +58,8 @@ func TestLoopBoundsBox(t *testing.T) {
 // Triangle {x ≥ 0, y ≥ 0, x + y ≤ 3} has 10 integer points.
 func TestLoopBoundsTriangle(t *testing.T) {
 	s := NewSystem(2)
-	s.Add(GE(ilin.RatVec{rat.One, rat.Zero}, rat.Zero))
-	s.Add(GE(ilin.RatVec{rat.Zero, rat.One}, rat.Zero))
+	s.Add(ge(ilin.RatVec{rat.One, rat.Zero}, rat.Zero))
+	s.Add(ge(ilin.RatVec{rat.Zero, rat.One}, rat.Zero))
 	s.Add(NewConstraint(ilin.RatVec{rat.One, rat.One}, rat.FromInt(3)))
 	nb, err := LoopBounds(s)
 	if err != nil {
@@ -79,7 +79,7 @@ func TestLoopBoundsTriangle(t *testing.T) {
 func TestLoopBoundsSkewed(t *testing.T) {
 	s := NewSystem(2)
 	s.AddRange(0, 0, 4)
-	s.Add(GE(ilin.RatVec{rat.FromInt(-1), rat.One}, rat.Zero)) // y - x ≥ 0
+	s.Add(ge(ilin.RatVec{rat.FromInt(-1), rat.One}, rat.Zero)) // y - x ≥ 0
 	s.Add(NewConstraint(ilin.RatVec{rat.FromInt(-1), rat.One}, rat.FromInt(2)))
 	nb, err := LoopBounds(s)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestLoopBoundsRationalCoefficients(t *testing.T) {
 	s := NewSystem(2)
 	s.AddRange(0, 0, 5)
 	half := rat.New(1, 2)
-	s.Add(GE(ilin.RatVec{half.Neg(), rat.One}, rat.Zero))        // y ≥ x/2
+	s.Add(ge(ilin.RatVec{half.Neg(), rat.One}, rat.Zero))        // y ≥ x/2
 	s.Add(NewConstraint(ilin.RatVec{half.Neg(), rat.One}, half)) // y ≤ x/2 + 1/2
 	nb, err := LoopBounds(s)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestEmptySystems(t *testing.T) {
 
 func TestUnboundedDetected(t *testing.T) {
 	s := NewSystem(1)
-	s.Add(GE(ilin.RatVec{rat.One}, rat.Zero)) // x ≥ 0 only
+	s.Add(ge(ilin.RatVec{rat.One}, rat.Zero)) // x ≥ 0 only
 	if _, err := LoopBounds(s); err == nil {
 		t.Error("LoopBounds should fail for unbounded variable")
 	}
@@ -132,8 +132,8 @@ func TestUnboundedDetected(t *testing.T) {
 func TestEliminateProjection(t *testing.T) {
 	// Project the triangle x+y ≤ 3, x,y ≥ 0 onto x: expect 0 ≤ x ≤ 3.
 	s := NewSystem(2)
-	s.Add(GE(ilin.RatVec{rat.One, rat.Zero}, rat.Zero))
-	s.Add(GE(ilin.RatVec{rat.Zero, rat.One}, rat.Zero))
+	s.Add(ge(ilin.RatVec{rat.One, rat.Zero}, rat.Zero))
+	s.Add(ge(ilin.RatVec{rat.Zero, rat.One}, rat.Zero))
 	s.Add(NewConstraint(ilin.RatVec{rat.One, rat.One}, rat.FromInt(3)))
 	proj, ok := s.Eliminate(1)
 	if !ok {
@@ -151,7 +151,7 @@ func TestSimplifyKeepsTightest(t *testing.T) {
 	s := NewSystem(1)
 	s.Add(NewConstraint(ilin.RatVec{rat.One}, rat.FromInt(10)))
 	s.Add(NewConstraint(ilin.RatVec{rat.FromInt(2)}, rat.FromInt(8))) // x ≤ 4, tighter
-	s.Add(GE(ilin.RatVec{rat.One}, rat.Zero))
+	s.Add(ge(ilin.RatVec{rat.One}, rat.Zero))
 	nb, err := LoopBounds(s)
 	if err != nil {
 		t.Fatal(err)
@@ -325,8 +325,8 @@ func TestSystemString(t *testing.T) {
 func TestBoundingBox(t *testing.T) {
 	// Triangle x,y ≥ 0, x + y ≤ 5: box [0,5]×[0,5].
 	s := NewSystem(2)
-	s.Add(GE(ilin.RatVec{rat.One, rat.Zero}, rat.Zero))
-	s.Add(GE(ilin.RatVec{rat.Zero, rat.One}, rat.Zero))
+	s.Add(ge(ilin.RatVec{rat.One, rat.Zero}, rat.Zero))
+	s.Add(ge(ilin.RatVec{rat.Zero, rat.One}, rat.Zero))
 	s.Add(NewConstraint(ilin.RatVec{rat.One, rat.One}, rat.FromInt(5)))
 	lo, hi, err := BoundingBox(s)
 	if err != nil {
@@ -343,7 +343,7 @@ func TestBoundingBox(t *testing.T) {
 	}
 	// Unbounded system.
 	u := NewSystem(1)
-	u.Add(GE(ilin.RatVec{rat.One}, rat.Zero))
+	u.Add(ge(ilin.RatVec{rat.One}, rat.Zero))
 	if _, _, err := BoundingBox(u); err == nil {
 		t.Error("unbounded box should fail")
 	}
@@ -351,7 +351,7 @@ func TestBoundingBox(t *testing.T) {
 	// x ≥ 0, x ≤ 3, y - x ≥ 10, y + x ≤ 2.
 	c := NewSystem(2)
 	c.AddRange(0, 0, 3)
-	c.Add(GE(ilin.RatVec{rat.FromInt(-1), rat.One}, rat.FromInt(10)))
+	c.Add(ge(ilin.RatVec{rat.FromInt(-1), rat.One}, rat.FromInt(10)))
 	c.Add(NewConstraint(ilin.RatVec{rat.One, rat.One}, rat.FromInt(2)))
 	if _, _, err := BoundingBox(c); err == nil {
 		t.Error("inconsistent system box should fail")
@@ -391,7 +391,7 @@ func TestEliminationBound(t *testing.T) {
 		for i := int64(1); i <= n; i++ {
 			coef := ilin.RatVec{rat.FromInt(i), rat.One}
 			s.Add(NewConstraint(coef, rat.FromInt(1000*i)))
-			s.Add(GE(coef, rat.FromInt(-1000*i)))
+			s.Add(ge(coef, rat.FromInt(-1000*i)))
 		}
 		return s
 	}
@@ -587,7 +587,7 @@ func TestBoundFormMatchesRationalEval(t *testing.T) {
 			} else if k > 0 {
 				ties++
 			}
-			wantLo, wantHi = max(wantLo, v.Ceil()), min(wantHi, v.Floor())
+			wantLo, wantHi = max(wantLo, rat.CeilDiv(v.Num, v.Den)), min(wantHi, rat.FloorDiv(v.Num, v.Den))
 			vb.Lower = append(vb.Lower, a)
 			vb.Upper = append(vb.Upper, a)
 		}
@@ -707,4 +707,9 @@ func FuzzLoopBounds(f *testing.F) {
 			}
 		}
 	})
+}
+
+// ge builds the inequality Coef·x ≥ Rhs in ≤ form.
+func ge(coef ilin.RatVec, rhs rat.Rat) Constraint {
+	return NewConstraint(coef.Scale(rat.FromInt(-1)), rhs.Neg())
 }

@@ -84,19 +84,6 @@ func WriteResult(path string, r *RankResult) error {
 	return atomicWrite(path, data)
 }
 
-// ReadResult loads one rank's fragment.
-func ReadResult(path string) (*RankResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r RankResult
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("procrun: result %s: %w", path, err)
-	}
-	return &r, nil
-}
-
 // OwnedValues extracts rank's contribution from a run's global array:
 // the value vectors of every iteration point the computer-owns rule
 // assigns to rank, concatenated in global scan order.

@@ -58,7 +58,7 @@ func TestRendezvousRejectsGaps(t *testing.T) {
 // and the Stats exactly (totals resummed from the per-rank rows).
 func TestSplitMergeRoundTrip(t *testing.T) {
 	prog := testProgram(t)
-	g, stats, err := prog.RunParallel()
+	g, stats, err := prog.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSplitMergeRoundTrip(t *testing.T) {
 
 func TestMergeRejectsMissingAndDuplicate(t *testing.T) {
 	prog := testProgram(t)
-	g, _, err := prog.RunParallel()
+	g, _, err := prog.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

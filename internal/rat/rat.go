@@ -84,16 +84,6 @@ func Parse(s string) (Rat, error) {
 	return FromInt(n), nil
 }
 
-// MustParse is Parse that panics on error; intended for literals in tests
-// and example programs.
-func MustParse(s string) Rat {
-	r, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // String renders the rational as "n" or "n/d".
 func (r Rat) String() string {
 	if r.Den == 1 || r.Num == 0 {
@@ -193,45 +183,8 @@ func (r Rat) Int() int64 {
 	return r.Num
 }
 
-// Floor returns ⌊r⌋.
-func (r Rat) Floor() int64 {
-	q := r.Num / r.Den
-	if r.Num%r.Den != 0 && r.Num < 0 {
-		q--
-	}
-	return q
-}
-
-// Ceil returns ⌈r⌉.
-func (r Rat) Ceil() int64 {
-	q := r.Num / r.Den
-	if r.Num%r.Den != 0 && r.Num > 0 {
-		q++
-	}
-	return q
-}
-
-// Abs returns |r|.
-func (r Rat) Abs() Rat {
-	if r.Num < 0 {
-		return r.Neg()
-	}
-	return r
-}
-
-// Float returns the nearest float64; only intended for reporting.
-func (r Rat) Float() float64 { return float64(r.Num) / float64(r.Den) }
-
 // Equal reports whether r == s exactly.
 func (r Rat) Equal(s Rat) bool { return r.Num == s.Num && r.Den == s.Den }
-
-// Max returns the larger of r and s.
-func Max(r, s Rat) Rat {
-	if r.Cmp(s) >= 0 {
-		return r
-	}
-	return s
-}
 
 // Gcd64 returns the non-negative greatest common divisor of |a| and |b|;
 // Gcd64(0, 0) == 0.
@@ -292,18 +245,6 @@ func CeilDiv(a, b int64) int64 {
 		q++
 	}
 	return q
-}
-
-// Mod returns a mod b in [0, |b|), the mathematical (Euclidean) remainder.
-func Mod(a, b int64) int64 {
-	if b == 0 {
-		panic("rat: Mod by zero")
-	}
-	m := a % b
-	if m < 0 {
-		m += abs64(b)
-	}
-	return m
 }
 
 func abs64(a int64) int64 {

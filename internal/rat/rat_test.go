@@ -110,11 +110,11 @@ func TestFloorCeil(t *testing.T) {
 		{New(-1, 100), -1, 0},
 	}
 	for _, c := range cases {
-		if got := c.r.Floor(); got != c.floor {
-			t.Errorf("Floor(%v) = %d, want %d", c.r, got, c.floor)
+		if got, div := floor(c.r), FloorDiv(c.r.Num, c.r.Den); got != c.floor || div != c.floor {
+			t.Errorf("floor(%v) = %d, FloorDiv = %d, want %d", c.r, got, div, c.floor)
 		}
-		if got := c.r.Ceil(); got != c.ceil {
-			t.Errorf("Ceil(%v) = %d, want %d", c.r, got, c.ceil)
+		if got, div := ceil(c.r), CeilDiv(c.r.Num, c.r.Den); got != c.ceil || div != c.ceil {
+			t.Errorf("ceil(%v) = %d, CeilDiv = %d, want %d", c.r, got, div, c.ceil)
 		}
 	}
 }
@@ -158,16 +158,6 @@ func TestString(t *testing.T) {
 	}
 }
 
-func TestMinMaxAbs(t *testing.T) {
-	a, b := New(1, 3), New(1, 2)
-	if !Max(a, b).Equal(b) {
-		t.Error("Max mismatch")
-	}
-	if !New(-5, 3).Abs().Equal(New(5, 3)) {
-		t.Error("Abs mismatch")
-	}
-}
-
 func TestGcdLcm(t *testing.T) {
 	if Gcd64(12, 18) != 6 || Gcd64(-12, 18) != 6 || Gcd64(0, 5) != 5 || Gcd64(0, 0) != 0 {
 		t.Error("Gcd64 mismatch")
@@ -208,9 +198,6 @@ func TestFloorCeilDivMod(t *testing.T) {
 		if got := CeilDiv(c.a, c.b); got != c.cd {
 			t.Errorf("CeilDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.cd)
 		}
-	}
-	if Mod(-7, 3) != 2 || Mod(7, 3) != 1 || Mod(-6, 3) != 0 || Mod(-7, -3) != 2 {
-		t.Error("Mod mismatch")
 	}
 }
 
@@ -269,7 +256,7 @@ func TestQuickFloorCeilConsistency(t *testing.T) {
 			den = 1
 		}
 		r := New(int64(n), den)
-		fl, ce := r.Floor(), r.Ceil()
+		fl, ce := floor(r), ceil(r)
 		if r.IsInt() {
 			return fl == ce && fl == r.Int()
 		}
@@ -288,7 +275,7 @@ func TestQuickFloorDivMatchesRat(t *testing.T) {
 			bb = 1
 		}
 		r := New(int64(a), bb)
-		return FloorDiv(int64(a), bb) == r.Floor() && CeilDiv(int64(a), bb) == r.Ceil()
+		return FloorDiv(int64(a), bb) == floor(r) && CeilDiv(int64(a), bb) == ceil(r)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -322,24 +309,6 @@ func TestOverflowPanics(t *testing.T) {
 	}
 }
 
-func TestFloat(t *testing.T) {
-	if New(1, 2).Float() != 0.5 {
-		t.Error("Float(1/2) != 0.5")
-	}
-}
-
-func TestMustParse(t *testing.T) {
-	if !MustParse("3/4").Equal(New(3, 4)) {
-		t.Error("MustParse(3/4)")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustParse on bad input should panic")
-		}
-	}()
-	MustParse("x")
-}
-
 func TestIntAccessor(t *testing.T) {
 	if FromInt(7).Int() != 7 {
 		t.Error("Int(7)")
@@ -361,21 +330,10 @@ func TestCmpEqualAndGreater(t *testing.T) {
 	}
 }
 
-func TestAbsMinMaxBranches(t *testing.T) {
-	if !New(5, 3).Abs().Equal(New(5, 3)) {
-		t.Error("Abs of positive")
-	}
-	a, b := New(2, 3), New(1, 3)
-	if !Max(b, a).Equal(a) {
-		t.Error("Max other branch")
-	}
-}
-
 func TestDivisionByZeroPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"FloorDiv": func() { FloorDiv(1, 0) },
 		"CeilDiv":  func() { CeilDiv(1, 0) },
-		"Mod":      func() { Mod(1, 0) },
 	} {
 		func() {
 			defer func() {
@@ -395,4 +353,22 @@ func TestNegOverflowPanics(t *testing.T) {
 		}
 	}()
 	Rat{math.MinInt64, 1}.Neg()
+}
+
+// floor returns ⌊r⌋ and ceil ⌈r⌉, from the normalized fraction alone: the
+// references FloorDiv and CeilDiv are checked against.
+func floor(r Rat) int64 {
+	q := r.Num / r.Den
+	if r.Num%r.Den != 0 && r.Num < 0 {
+		q--
+	}
+	return q
+}
+
+func ceil(r Rat) int64 {
+	q := r.Num / r.Den
+	if r.Num%r.Den != 0 && r.Num > 0 {
+		q++
+	}
+	return q
 }

@@ -45,8 +45,8 @@ func TestSORScheduleAlgebra(t *testing.T) {
 		t.Fatal(err)
 	}
 	pi := Uniform(3)
-	lenR := pi.Length(analyzed(t, app, app.Rect.H(x, y, z)))
-	lenNR := pi.Length(analyzed(t, app, app.NonRect[0].H(x, y, z)))
+	lenR := pi.length(analyzed(t, app, app.Rect.H(x, y, z)))
+	lenNR := pi.length(analyzed(t, app, app.NonRect[0].H(x, y, z)))
 	want := int64(M / z) // the paper's t_r − t_nr = M/z
 	got := lenR - lenNR
 	if got < want-1 || got > want+1 {
@@ -73,7 +73,7 @@ func TestADIScheduleAlgebra(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pi.Step(tr.TileOf(jMax))
+		return pi.step(tr.TileOf(jMax))
 	}
 	tR := step(app.Rect.H(x, y, z))
 	if got := tR - step(app.NonRect[0].H(x, y, z)); got != N/x {
@@ -134,7 +134,7 @@ func TestJacobiScheduleAlgebra(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return pi.Step(tr.TileOf(jMax))
+		return pi.step(tr.TileOf(jMax))
 	}
 	got := step(app.Rect.H(x, y, z)) - step(app.NonRect[0].H(x, y, z))
 	if want := int64((T + N) / (2 * x)); got != want {
@@ -173,8 +173,8 @@ func TestLengthMatchesSimulatorSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Uniform(3).Length(ts); got != res.Steps {
-		t.Errorf("schedule Length %d != simulator Steps %d", got, res.Steps)
+	if got := Uniform(3).length(ts); got != res.Steps {
+		t.Errorf("schedule length %d != simulator Steps %d", got, res.Steps)
 	}
 }
 
@@ -190,8 +190,8 @@ func TestLengthFromExtremes(t *testing.T) {
 	pi := Uniform(3)
 	jMin := ilin.NewVec(1, 2, 3)       // first skewed iteration
 	jMax := ilin.NewVec(M, M+N, 2*M+N) // the paper's j_max
-	closed := LengthFromExtremes(ts.T, jMin, jMax, pi)
-	if scan := pi.Length(ts); closed != scan {
+	closed := lengthFromExtremes(ts.T, jMin, jMax, pi)
+	if scan := pi.length(ts); closed != scan {
 		t.Errorf("closed form %d != scanned %d", closed, scan)
 	}
 }
@@ -212,11 +212,15 @@ func TestPredictTracksSimulation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, sim, ratio, err := cm.Compare(d)
+		est, err := cm.Predict(d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ratio < 0.5 || ratio > 2.0 {
+		sim, err := simnet.Simulate(d, cm.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio := est.Total / sim.Makespan; ratio < 0.5 || ratio > 2.0 {
 			t.Errorf("%s: model/sim ratio %.2f out of band (est %.4f, sim %.4f)", f.Name, ratio, est.Total, sim.Makespan)
 		}
 		makespans[f.Name] = struct{ est, sim float64 }{est.Total, sim.Makespan}
@@ -246,7 +250,42 @@ func TestPredictErrors(t *testing.T) {
 }
 
 func TestLengthEmpty(t *testing.T) {
-	if got := (Linear{Pi: ilin.NewVec(1)}).Step(ilin.NewVec(5)); got != 5 {
-		t.Errorf("Step = %d", got)
+	if got := (Linear{Pi: ilin.NewVec(1)}).step(ilin.NewVec(5)); got != 5 {
+		t.Errorf("step = %d", got)
 	}
+}
+
+// step returns the (unshifted) schedule step of a tile.
+func (l Linear) step(jS ilin.Vec) int64 { return l.Pi.Dot(jS) }
+
+// length returns the number of schedule steps over all valid tiles:
+// max Π·j^S − min Π·j^S + 1. This is the quantity the paper computes as
+// Π·⌊H·j_max⌋ − Π·⌊H·j_min⌋ + 1.
+func (l Linear) length(ts *tiling.TiledSpace) int64 {
+	first := true
+	var lo, hi int64
+	ts.ScanTiles(func(jS ilin.Vec) bool {
+		s := l.step(jS)
+		if first {
+			lo, hi = s, s
+			first = false
+		} else {
+			lo, hi = min(lo, s), max(hi, s)
+		}
+		return true
+	})
+	if first {
+		return 0
+	}
+	return hi - lo + 1
+}
+
+// lengthFromExtremes evaluates the paper's closed form using only the last
+// and first iteration points: Π·⌊H·j_max⌋ − Π·⌊H·j_min⌋ + 1 — the §4
+// quantity behind t_r and t_nr. For skewed tilings this is *not* the
+// global wavefront range (some tiles have larger Π·j^S than j_max's tile);
+// it is the completion step of the pipelined execution, which
+// PipelinedLength computes exactly from the tile graph.
+func lengthFromExtremes(t *tiling.Transform, jMin, jMax ilin.Vec, pi Linear) int64 {
+	return pi.step(t.TileOf(jMax)) - pi.step(t.TileOf(jMin)) + 1
 }

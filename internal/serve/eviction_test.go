@@ -29,7 +29,7 @@ func TestEvictionUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := art.Prog.RunParallel()
+	g, _, err := art.Prog.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -204,11 +206,25 @@ type specRequest struct {
 	Source string `json:"source"`
 }
 
+// decodeSpec decodes a request body that must be exactly one JSON object
+// of dst's schema: unknown fields and trailing data are a 400, a body over
+// MaxSourceBytes a 413.
 func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, dst any) (int, bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes)
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if err = dec.Decode(new(json.RawMessage)); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON object")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		return writeError(w, http.StatusRequestEntityTooLarge, "request body larger than %d bytes", tooLarge.Limit), false
+	case err != nil:
 		return writeError(w, http.StatusBadRequest, "bad request body: %v", err), false
 	}
 	return 0, true

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"tilespace/internal/compile"
+	"tilespace/internal/exec"
 )
 
 // heatSpec is the battery's workhorse: a 2D skewed heat recurrence whose
@@ -205,6 +207,52 @@ func TestBadSpecRejected(t *testing.T) {
 			t.Errorf("%s: status %d (%s), want 400", name, resp.StatusCode, body)
 		}
 	}
+	// A body is exactly one JSON object: anything after it is refused, not
+	// ignored, on every endpoint.
+	spec, err := json.Marshal(specRequest{Source: heatSpec(12)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, trailer := range map[string]string{
+		"trailing bytes":  "xyz",
+		"a second object": ` {"source":"junk"}`,
+	} {
+		for _, path := range []string{"/v1/analyze", "/v1/certify", "/v1/codegen", "/v1/run"} {
+			resp, body := postRaw(t, client, ts.URL+path, string(spec)+trailer)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "trailing data") {
+				t.Errorf("%s %s: status %d (%s), want 400 for trailing data", name, path, resp.StatusCode, body)
+			}
+		}
+	}
+}
+
+// TestOversizedBodyRejected: a body over MaxSourceBytes is a 413, which
+// /metrics counts as a rejection, not a malformed request.
+func TestOversizedBodyRejected(t *testing.T) {
+	leakCheck(t)
+	_, ts, client := newTestServer(t, Config{MaxSourceBytes: 256})
+	spec, err := json.Marshal(specRequest{Source: strings.Repeat(" ", 1024) + heatSpec(12)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postRaw(t, client, ts.URL+"/v1/analyze", string(spec))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "larger than 256 bytes") {
+		t.Fatalf("status %d (%s), want 413", resp.StatusCode, body)
+	}
+}
+
+func postRaw(t *testing.T, client *http.Client, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := client.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
 }
 
 // TestOverflowingSpecRejected: a spec whose sizes leave int64 in the
@@ -260,7 +308,7 @@ func TestRunBitIdenticalToInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := art.Prog.RunParallel()
+	g, _, err := art.Prog.RunParallelOpts(exec.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func TestSimulateDeterministic(t *testing.T) {
 // TestSingleProcessorSpeedupIsOne: with one processor there is no
 // communication and makespan equals the sequential time exactly.
 func TestSingleProcessorSpeedupIsOne(t *testing.T) {
-	nest := loopnest.MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{19, 3},
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{19, 3},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(4, 4) // 5×1 tiles mapped along dim 0
 	ts, err := tiling.Analyze(nest, tr.H)
@@ -188,7 +188,7 @@ func TestOverlapAtLeastAsFast(t *testing.T) {
 // TestStepsMatchTheory: for a rectangular tiling of a box, the schedule
 // length is Σ_k (⌈size_k/tile_k⌉ − 1) + 1.
 func TestStepsMatchTheory(t *testing.T) {
-	nest := loopnest.MustBox([]string{"i", "j"}, []int64{0, 0}, []int64{23, 15},
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{23, 15},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(4, 4) // 6×4 tiles
 	ts, err := tiling.Analyze(nest, tr.H)
@@ -301,4 +301,13 @@ func TestGanttEmptyAndTiny(t *testing.T) {
 	if !strings.Contains(tr.Gantt(5), "empty") {
 		t.Error("empty trace rendering")
 	}
+}
+
+func mustBox(t *testing.T, names []string, lo, hi []int64, deps *ilin.Mat) *loopnest.Nest {
+	t.Helper()
+	nest, err := loopnest.Box(names, lo, hi, deps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nest
 }

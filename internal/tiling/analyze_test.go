@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"reflect"
 	"testing"
 
 	"tilespace/internal/ilin"
@@ -68,7 +69,7 @@ func TestAnalyzeBoundaryClamping(t *testing.T) {
 // TestAnalyzeNonRect2D uses a skewed tile H = [[1/2,0],[1/4,1/4]] (rows in
 // the cone of unit deps), P = [[2,0],[-2,4]].
 func TestAnalyzeNonRect2D(t *testing.T) {
-	h := ilin.RatMatFromRows(
+	h := ratMat(t,
 		[]string{"1/2", "0"},
 		[]string{"1/4", "1/4"},
 	)
@@ -106,7 +107,7 @@ func TestAnalyzeNonRect2D(t *testing.T) {
 // TestAnalyzePartition: the tiles partition the iteration space — every
 // point appears in exactly one tile.
 func TestAnalyzePartition(t *testing.T) {
-	h := ilin.RatMatFromRows(
+	h := ratMat(t,
 		[]string{"1/2", "0"},
 		[]string{"1/4", "1/4"},
 	)
@@ -137,7 +138,7 @@ func TestAnalyzePartition(t *testing.T) {
 
 func TestAnalyzeIllegalTiling(t *testing.T) {
 	// Dep (1,0) with tile row (-1/2, 1/2): H·d < 0.
-	h := ilin.RatMatFromRows(
+	h := ratMat(t,
 		[]string{"-1/2", "1/2"},
 		[]string{"0", "1/2"},
 	)
@@ -189,7 +190,7 @@ func TestTileDepsSkewedSOR(t *testing.T) {
 		[]int64{1, 1, 0, 1, 0},
 		[]int64{1, 0, 1, 0, 1},
 	)
-	if !ts.DP.Equal(wantDP) {
+	if !reflect.DeepEqual(ts.DP, wantDP) {
 		t.Errorf("D' =\n%v, want\n%v", ts.DP, wantDP)
 	}
 	for _, dS := range ts.DS {
@@ -235,7 +236,7 @@ func TestJacobiAnalyzeTotal(t *testing.T) {
 // the explicit scan on interior, boundary and empty tiles, with and
 // without minimum-TTIS constraints.
 func TestCountTilePointsMatchesScan(t *testing.T) {
-	h := ilin.RatMatFromRows(
+	h := ratMat(t,
 		[]string{"1/2", "0"},
 		[]string{"1/4", "1/4"},
 	)

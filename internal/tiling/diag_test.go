@@ -7,6 +7,7 @@ import (
 
 	"tilespace/internal/ilin"
 	"tilespace/internal/loopnest"
+	"tilespace/internal/rat"
 )
 
 // These tests pin the exact diagnostic text of every analysis-time
@@ -16,7 +17,7 @@ import (
 // vocabulary (a drift here would show users two names for one defect).
 
 func TestDiagIllegalTransform(t *testing.T) {
-	h := ilin.RatMatFromRows(
+	h := ratMat(t,
 		[]string{"-1/2", "1/2"},
 		[]string{"0", "1/2"},
 	)
@@ -96,11 +97,21 @@ func TestDiagOverflow(t *testing.T) {
 		"bound": {1 << 62, "1/2"},
 		"tile":  {4, "1/9223372036854775807"},
 	} {
-		h := ilin.RatMatFromRows([]string{c.row, "0"}, []string{"0", "1/2"})
+		h := ratMat(t, []string{c.row, "0"}, []string{"0", "1/2"})
 		_, err := Analyze(box2(t, c.hi1, 4, unitDeps2()), h)
 		var oe *OverflowError
-		if !errors.As(err, &oe) || !strings.Contains(err.Error(), "int64 overflow") {
-			t.Errorf("%s: err = %v, want an *OverflowError", name, err)
+		var ov rat.Overflow
+		if !errors.As(err, &oe) || !errors.As(err, &ov) || !strings.Contains(err.Error(), "int64 overflow") {
+			t.Errorf("%s: err = %v, want an *OverflowError wrapping the rat.Overflow", name, err)
 		}
 	}
+}
+
+func ratMat(t *testing.T, rows ...[]string) *ilin.RatMat {
+	t.Helper()
+	m, err := ilin.ParseRatMat(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }

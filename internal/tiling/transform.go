@@ -92,15 +92,6 @@ func New(h *ilin.RatMat) (*Transform, error) {
 	return t, nil
 }
 
-// MustNew is New that panics on error.
-func MustNew(h *ilin.RatMat) *Transform {
-	t, err := New(h)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // FromP builds the transformation from the integer side-vector matrix P
 // (columns are tile edges), computing H = P⁻¹.
 func FromP(p *ilin.Mat) (*Transform, error) {
@@ -149,31 +140,6 @@ func (t *Transform) TTISCoord(j, jS ilin.Vec) ilin.Vec {
 // specialized to lattice points: P'·j' = P'·H̃'·z = U·z, all-integer.
 func (t *Transform) Global(jS, z ilin.Vec) ilin.Vec {
 	return t.P.MulVec(jS).Add(t.U.MulVec(z))
-}
-
-// JPrime returns j' = H̃'·z.
-func (t *Transform) JPrime(z ilin.Vec) ilin.Vec { return t.HT.MulVec(z) }
-
-// ZOf solves j' = H̃'·z for a TTIS point j'; ok is false when j' is not a
-// lattice point of the TTIS (a "hole").
-func (t *Transform) ZOf(jp ilin.Vec) (ilin.Vec, bool) {
-	return ilin.LatticeSolve(t.HT, jp)
-}
-
-// Locate decomposes a global iteration j into its tile j^S, TTIS
-// coordinate j', and lattice coordinate z. Every integer j decomposes
-// uniquely; ok is false only on internal inconsistency (never for valid
-// transforms — pinned by property tests).
-func (t *Transform) Locate(j ilin.Vec) (jS, jp, z ilin.Vec, ok bool) {
-	jS = t.TileOf(j)
-	jp = t.TTISCoord(j, jS)
-	z, ok = t.ZOf(jp)
-	return jS, jp, z, ok
-}
-
-// InTIS reports whether j belongs to the tile at the origin (⌊H·j⌋ = 0).
-func (t *Transform) InTIS(j ilin.Vec) bool {
-	return t.TileOf(j).IsZero()
 }
 
 // ScanTTIS enumerates the lattice points of the TTIS — the actual
