@@ -36,6 +36,11 @@ func fromBuiltin(name string, space, factors []int64, family string) (compile.Sp
 		if len(space) != 2 || len(factors) != 3 {
 			return compile.Spec{}, fmt.Errorf("%s needs -space of two sizes and -factors x,y,z", name)
 		}
+		for _, f := range factors {
+			if f < 1 {
+				return compile.Spec{}, fmt.Errorf("%s: tile factor %d is below 1", name, f)
+			}
+		}
 		app, err := b.app(space[0], space[1])
 		if err != nil {
 			return compile.Spec{}, err

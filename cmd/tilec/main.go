@@ -116,6 +116,16 @@ func main() {
 		gantt    = flag.Bool("gantt", false, "render a per-processor timeline of the simulated execution")
 	)
 	flag.Parse()
+	inputs := 0
+	for _, in := range []string{*srcPath, *specPath, *appName} {
+		if in != "" {
+			inputs++
+		}
+	}
+	if inputs != 1 {
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var art *compile.Artifact
 	var err error
@@ -124,11 +134,8 @@ func main() {
 		art, err = build(fromSource(*srcPath))
 	case *specPath != "":
 		art, err = build(fromSpec(*specPath))
-	case *appName != "":
-		art, err = build(fromBuiltin(*appName, parseInts(*space), parseInts(*factors), *family))
 	default:
-		flag.Usage()
-		os.Exit(2)
+		art, err = build(fromBuiltin(*appName, parseInts(*space), parseInts(*factors), *family))
 	}
 	if err != nil {
 		fail("%v", err)

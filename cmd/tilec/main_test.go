@@ -73,6 +73,11 @@ func TestFromBuiltinDefaultsAndErrors(t *testing.T) {
 	if _, err := build(fromBuiltin("adi", []int64{8, 16}, []int64{2, 4, 4}, "nr")); err == nil {
 		t.Error("adi family 'nr' should be rejected (nr1/nr2/nr3)")
 	}
+	for _, app := range []string{"sor", "jacobi", "adi"} {
+		if _, err := build(fromBuiltin(app, nil, []int64{2, 0, 3}, "rect")); err == nil || !strings.Contains(err.Error(), "tile factor 0") {
+			t.Errorf("%s: zero tile factor gives %v, want an error naming it", app, err)
+		}
+	}
 	// Defaults resolve to the paper's configurations.
 	if _, err := build(fromBuiltin("jacobi", nil, nil, "rect")); err != nil {
 		t.Errorf("jacobi defaults failed: %v", err)
@@ -233,6 +238,23 @@ func TestOverflowingSourceFailsCleanly(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "overflow") || strings.Contains(string(out), "goroutine ") {
 		t.Fatalf("tilec output does not name the overflow, or dumps goroutines:\n%s", out)
+	}
+}
+
+// TestOneInputFlag runs tilec with both -src and -app: naming more than one
+// input is a usage error (exit 2), not a compile of the first.
+func TestOneInputFlag(t *testing.T) {
+	if os.Getenv("TILEC_TEST_TWO_INPUTS") != "" {
+		os.Args = []string{"tilec", "-src", "../../internal/frontend/testdata/seeds/sor.nest", "-app", "jacobi", "-emit=false"}
+		main()
+		return
+	}
+	cmd := osexec.Command(os.Args[0], "-test.run=^TestOneInputFlag$")
+	cmd.Env = append(os.Environ(), "TILEC_TEST_TWO_INPUTS=1")
+	out, err := cmd.CombinedOutput()
+	var exit *osexec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "Usage of tilec") {
+		t.Fatalf("tilec -src … -app … exited with %v, want status 2 and the usage\n%s", err, out)
 	}
 }
 

@@ -34,16 +34,20 @@ func main() {
 		inflight   = flag.Int("inflight", 4, "maximum concurrently executing runs")
 		queue      = flag.Int("queue", 16, "maximum runs queued for a slot before 429")
 		maxranks   = flag.Int("maxranks", 64, "per-request rank budget; larger distributions get 413")
-		watchdog   = flag.Duration("watchdog", 30*time.Second, "per-run deadlock watchdog (0 disables)")
+		watchdog   = flag.Duration("watchdog", 30*time.Second, "per-run deadlock watchdog")
 		retryafter = flag.Duration("retryafter", time.Second, "Retry-After hint on 429 responses")
 		drainwait  = flag.Duration("drainwait", 30*time.Second, "how long shutdown waits for in-flight runs")
 	)
 	flag.Parse()
-	if *cache < 1 {
-		fmt.Fprintf(os.Stderr, "tileserved: -cache %d: capacity must be at least 1\n", *cache)
-		flag.Usage()
-		os.Exit(2)
-	}
+	positive := map[string]bool{"cache": *cache > 0, "inflight": *inflight > 0, "queue": *queue > 0,
+		"maxranks": *maxranks > 0, "watchdog": *watchdog > 0, "retryafter": *retryafter > 0}
+	flag.VisitAll(func(f *flag.Flag) {
+		if ok, bound := positive[f.Name]; bound && !ok {
+			fmt.Fprintf(os.Stderr, "tileserved: -%s %v: must be positive\n", f.Name, f.Value)
+			flag.Usage()
+			os.Exit(2)
+		}
+	})
 
 	srv := serve.New(serve.Config{
 		CacheCapacity: *cache,

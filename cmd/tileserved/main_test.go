@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -28,18 +29,25 @@ func buildBinary(t *testing.T) string {
 }
 
 // TestCacheFlagRejected checks that a -cache value the plan cache cannot
-// honour (there is no uncached mode) exits 2 with the usage text instead of
-// booting.
+// honour (there is no uncached mode), or a bound that is not positive (none
+// has a "disabled" setting), exits 2 with the usage text instead of booting.
+// A binary that boots is stopped by the timeout.
 func TestCacheFlagRejected(t *testing.T) {
 	bin := buildBinary(t)
-	for _, v := range []string{"0", "-3"} {
-		out, err := exec.Command(bin, "-addr", "127.0.0.1:0", "-cache", v).CombinedOutput()
+	for _, row := range [][2]string{
+		{"-cache", "0"}, {"-cache", "-3"}, {"-inflight", "0"}, {"-queue", "0"},
+		{"-maxranks", "0"}, {"-watchdog", "0s"}, {"-retryafter", "0s"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", row[0], row[1]).CombinedOutput()
+		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("-cache %s: err = %v, want exit status 2\n%s", v, err, out)
+			t.Errorf("%s %s: err = %v, want exit status 2\n%s", row[0], row[1], err, out)
+			continue
 		}
-		if !bytes.Contains(out, []byte("-cache "+v)) || !bytes.Contains(out, []byte("Usage of ")) {
-			t.Errorf("-cache %s: output names neither the bad value nor the usage:\n%s", v, out)
+		if !bytes.Contains(out, []byte(row[0]+" "+row[1])) || !bytes.Contains(out, []byte("Usage of ")) {
+			t.Errorf("%s %s: output names neither the bad value nor the usage:\n%s", row[0], row[1], out)
 		}
 	}
 }

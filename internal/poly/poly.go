@@ -82,14 +82,8 @@ func (c Constraint) isTrivial() (trivial, feasible bool) {
 	return true, c.Rhs.Sign() >= 0
 }
 
-// Eval returns Coef·x - Rhs ≤ 0 residual sign: negative or zero means x
-// satisfies the constraint.
-func (c Constraint) Eval(x ilin.RatVec) rat.Rat {
-	return c.Coef.Dot(x).Sub(c.Rhs)
-}
-
 // SatisfiedBy reports whether the integer point x satisfies the constraint:
-// the same answer as c.Eval(x.Rat()).Sign() <= 0, computed in overflow-
+// the same answer as Coef·x - Rhs ≤ 0 in rationals, computed in overflow-
 // checked int64 arithmetic without allocating. The row is scaled by the lcm
 // l of its denominators (1 for the integer rows loop nests produce), so
 // Coef·x ≤ Rhs becomes Σ (l·Coef_i)·x_i ≤ l·Rhs over the integers.

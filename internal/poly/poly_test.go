@@ -12,6 +12,12 @@ import (
 	"tilespace/internal/rat"
 )
 
+// Eval returns Coef·x - Rhs ≤ 0 residual sign: negative or zero means x
+// satisfies the constraint.
+func (c Constraint) Eval(x ilin.RatVec) rat.Rat {
+	return c.Coef.Dot(x).Sub(c.Rhs)
+}
+
 func box2(lo1, hi1, lo2, hi2 int64) *System {
 	s := NewSystem(2)
 	s.AddRange(0, lo1, hi1)

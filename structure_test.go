@@ -10,16 +10,201 @@ import (
 	"go/token"
 	"go/types"
 	"io"
-	"io/fs"
 	"os"
 	osexec "os/exec"
+	"path"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// The static checks of this file and lockorder_test.go read the tree through
+// one load: the pins below, the reachability census and LockOrder.
+
+// listedPackage is the part of `go list -json` the loader reads.
+type listedPackage struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string // a test variant's include its _test.go files too
+	Export     string   // compiled export data, read for the standard library
+	ForTest    string   // set on p [p.test], p_test [p.test] and q [p.test]
+	ImportMap  map[string]string
+	Standard   bool
+	Module     *struct{ Path string }
+}
+
+// A loadedPackage is one listed package, parsed with comments and
+// type-checked from source.
+type loadedPackage struct {
+	*listedPackage
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+}
+
+// A load is the packages of one or more modules, dependencies first. File
+// names are relative to the working directory, so positions print as paths
+// from the repo root.
+type load struct {
+	fset *token.FileSet
+	pkgs []*loadedPackage
+}
+
+// loadModules runs `go list -test -deps -export -json ./...` in each module
+// directory and type-checks every package it names outside the standard
+// library: the non-test packages, their test variants and the dependencies
+// recompiled for a test, each variant's imports resolved through its
+// ImportMap. The standard library comes from the export data go list names.
+func loadModules(dirs ...string) (*load, error) {
+	var listed []*listedPackage
+	seen := map[string]bool{}
+	exports := map[string]string{}
+	for _, dir := range dirs {
+		cmd := osexec.Command("go", "list", "-test", "-deps", "-export", "-json", "./...")
+		cmd.Dir = dir
+		cmd.Stderr = new(bytes.Buffer)
+		out, err := cmd.Output()
+		if err != nil {
+			return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, cmd.Stderr)
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+			p := new(listedPackage)
+			if err := dec.Decode(p); err == io.EOF {
+				break
+			} else if err != nil {
+				return nil, err
+			}
+			switch {
+			case p.Standard:
+				exports[p.ImportPath] = p.Export
+			case !seen[p.ImportPath] && !strings.HasSuffix(p.ImportPath, ".test"): // not a generated test main
+				seen[p.ImportPath] = true
+				listed = append(listed, p)
+			}
+		}
+	}
+
+	l := &load{fset: token.NewFileSet()}
+	std := importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	checked := map[string]*types.Package{}
+	parsed := map[string]*ast.File{} // a variant shares its package's files
+	cwd, err := os.Getwd()
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range listed {
+		lp := &loadedPackage{listedPackage: p, Info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}}
+		for _, name := range p.GoFiles {
+			name, err := filepath.Rel(cwd, filepath.Join(p.Dir, name))
+			if err != nil {
+				return nil, err
+			}
+			if parsed[name] == nil {
+				if parsed[name], err = parser.ParseFile(l.fset, name, nil, parser.ParseComments|parser.SkipObjectResolution); err != nil {
+					return nil, err
+				}
+			}
+			lp.Files = append(lp.Files, parsed[name])
+		}
+		conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+			if id, ok := p.ImportMap[path]; ok {
+				path = id
+			}
+			if pkg, ok := checked[path]; ok {
+				return pkg, nil
+			}
+			return std.Import(path)
+		})}
+		path, _, _ := strings.Cut(p.ImportPath, " ")
+		if lp.Types, err = conf.Check(path, l.fset, lp.Files, lp.Info); err != nil {
+			return nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = lp.Types
+		l.pkgs = append(l.pkgs, lp)
+	}
+	return l, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+var (
+	treeOnce sync.Once
+	tree     *load
+	treeErr  error
+)
+
+// loadTree returns the load of this module and the benchmark module, made
+// once per test binary.
+func loadTree(t *testing.T) *load {
+	treeOnce.Do(func() { tree, treeErr = loadModules(".", "benchmark") })
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return tree
+}
+
+// A srcFile is a non-test file of this module with its package's types.
+type srcFile struct {
+	path string // from the repo root, slash-separated
+	*ast.File
+	info *types.Info
+}
+
+// moduleFiles lists the non-test files of this module, not the benchmark's.
+func (l *load) moduleFiles() []srcFile {
+	var files []srcFile
+	for _, p := range l.pkgs {
+		if p.ForTest == "" && p.Module.Path == "tilespace" {
+			for _, f := range p.Files {
+				files = append(files, srcFile{filepath.ToSlash(l.fset.File(f.Pos()).Name()), f, p.Info})
+			}
+		}
+	}
+	return files
+}
+
+// object returns the non-test declaration name ("Func", "Type" or
+// "Type.Method") of the package at path.
+func (l *load) object(t *testing.T, path, name string) types.Object {
+	t.Helper()
+	for _, p := range l.pkgs {
+		if p.ImportPath != path {
+			continue
+		}
+		typ, method, ok := strings.Cut(name, ".")
+		obj := p.Types.Scope().Lookup(typ)
+		if ok && obj != nil {
+			obj, _, _ = types.LookupFieldOrMethod(types.NewPointer(obj.Type()), false, p.Types, method)
+		}
+		if obj != nil {
+			return obj
+		}
+	}
+	t.Fatalf("%s.%s is gone: the layering this test pins has moved", path, name)
+	return nil
+}
+
+// eachUse calls fn for every identifier under n that refers to an object.
+func eachUse(n ast.Node, info *types.Info, fn func(*ast.Ident, types.Object)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+			fn(id, info.Uses[id])
+		}
+		return true
+	})
+}
 
 // TestOneCompiledProtocol pins the layering that lets the certifier and the
 // simulator read the tables the executor runs: the §3.2 protocol is
@@ -30,124 +215,80 @@ import (
 // into the certifier: exec runs the tables, verify proves them, and no
 // run-time record of an execution goes back to verify for checking.
 func TestOneCompiledProtocol(t *testing.T) {
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if path == "benchmark" || (path != "." && strings.HasPrefix(e.Name(), ".")) {
-				return filepath.SkipDir // its own module; build leftovers
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		path = filepath.ToSlash(path)
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	l := loadTree(t)
+	minSucc := l.object(t, "tilespace/internal/distrib", "Distribution.MinSucc")
+	hasSucc := l.object(t, "tilespace/internal/distrib", "Distribution.HasSuccessor")
+	for _, f := range l.moduleFiles() {
 		for _, imp := range f.Imports {
 			p, _ := strconv.Unquote(imp.Path.Value)
-			if p == "tilespace/internal/exec" && (strings.HasPrefix(path, "internal/verify/") || strings.HasPrefix(path, "internal/simnet/")) {
-				t.Errorf("%s imports the executor", path)
+			if p == "tilespace/internal/exec" && (strings.HasPrefix(f.path, "internal/verify/") || strings.HasPrefix(f.path, "internal/simnet/")) {
+				t.Errorf("%s imports the executor", f.path)
 			}
-			if p == "tilespace/internal/verify" && strings.HasPrefix(path, "internal/exec/") {
-				t.Errorf("%s imports the certifier", path)
+			if p == "tilespace/internal/verify" && strings.HasPrefix(f.path, "internal/exec/") {
+				t.Errorf("%s imports the certifier", f.path)
 			}
 		}
-		if strings.HasPrefix(path, "internal/distrib/") {
-			return nil
+		if strings.HasPrefix(f.path, "internal/distrib/") {
+			continue
 		}
 		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
+			name := ""
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				name = fn.Name.Name
 			}
-			ast.Inspect(fn, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+			eachUse(decl, f.info, func(id *ast.Ident, obj types.Object) {
+				switch {
+				case obj == minSucc && (f.path != "internal/verify/schedule.go" || name != "CheckSchedule"):
+					t.Errorf("%s: %s walks MinSucc outside distrib and CheckSchedule", l.fset.Position(id.Pos()), name)
+				case obj == hasSucc:
+					t.Errorf("%s: %s calls HasSuccessor outside distrib", l.fset.Position(id.Pos()), name)
 				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				switch sel.Sel.Name {
-				case "MinSucc":
-					if path != "internal/verify/schedule.go" || fn.Name.Name != "CheckSchedule" {
-						t.Errorf("%s: %s walks MinSucc outside distrib and CheckSchedule", fset.Position(call.Pos()), fn.Name.Name)
-					}
-				case "HasSuccessor":
-					t.Errorf("%s: %s calls HasSuccessor outside distrib", fset.Position(call.Pos()), fn.Name.Name)
-				}
-				return true
 			})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
 // TestRankCoreMakesNoRuntimeCall pins the executor's split into a rank
 // machine and its driver: rankState holds no handle on the runtime, and the
-// calls that block on, issue to or account to the runtime appear in
-// internal/exec only inside runRank, the one driver loop. The machine can
-// then be stepped by hand, or by another driver, with no world at all.
+// methods of mpi.Comm and mpi.World that block on, issue to or account to
+// the runtime are used in internal/exec only inside runRank, the one driver
+// loop. The machine can then be stepped by hand, or by another driver, with
+// no world at all.
 func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
-	runtimeCalls := map[string]bool{
-		"Recv": true, "RecvMsg": true, "SendOwned": true, "IsendOwned": true,
-		"WaitSends": true, "FlushWire": true, "FaultSleep": true,
-		"PendingSends": true, "NoteProgress": true,
+	l := loadTree(t)
+	const mpi = "tilespace/internal/mpi"
+	handles := map[types.Object]bool{l.object(t, mpi, "Comm"): true, l.object(t, mpi, "World"): true}
+	runtimeCalls := map[types.Object]bool{}
+	for _, m := range []string{
+		"Comm.Recv", "Comm.RecvMsg", "Comm.SendOwned", "Comm.IsendOwned", "Comm.WaitSends",
+		"Comm.FlushWire", "Comm.FaultSleep", "Comm.PendingSends", "Comm.NoteProgress", "World.NoteProgress",
+	} {
+		runtimeCalls[l.object(t, mpi, m)] = true
 	}
-	files, err := filepath.Glob("internal/exec/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
 	sawState, sawDriver := false, false
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
+	for _, f := range l.moduleFiles() {
+		if path.Dir(f.path) != "internal/exec" {
 			continue
 		}
-		path = filepath.ToSlash(path)
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, decl := range f.Decls {
-			driver := false
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "runRank" && path == "internal/exec/parallel.go" {
-				driver, sawDriver = true, true
-			}
+			fn, _ := decl.(*ast.FuncDecl)
+			driver := fn != nil && fn.Name.Name == "runRank" && f.path == "internal/exec/parallel.go"
+			sawDriver = sawDriver || driver
 			ast.Inspect(decl, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.TypeSpec:
-					st, ok := n.Type.(*ast.StructType)
-					if !ok || n.Name.Name != "rankState" {
-						return true
-					}
+				if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "rankState" {
 					sawState = true
-					for _, field := range st.Fields.List {
-						ast.Inspect(field.Type, func(m ast.Node) bool {
-							if sel, ok := m.(*ast.SelectorExpr); ok {
-								if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "mpi" && (sel.Sel.Name == "Comm" || sel.Sel.Name == "World") {
-									t.Errorf("%s: rankState holds a runtime handle (mpi.%s)", fset.Position(field.Pos()), sel.Sel.Name)
-								}
-							}
-							return true
-						})
-					}
-				case *ast.CallExpr:
-					if sel, ok := n.Fun.(*ast.SelectorExpr); ok && runtimeCalls[sel.Sel.Name] && !driver {
-						t.Errorf("%s: runtime call %s outside the driver (runRank)", fset.Position(n.Pos()), sel.Sel.Name)
-					}
+					eachUse(ts.Type, f.info, func(id *ast.Ident, obj types.Object) {
+						if handles[obj] {
+							t.Errorf("%s: rankState holds a runtime handle (mpi.%s)", l.fset.Position(id.Pos()), id.Name)
+						}
+					})
 				}
 				return true
+			})
+			eachUse(decl, f.info, func(id *ast.Ident, obj types.Object) {
+				if runtimeCalls[obj] && !driver {
+					t.Errorf("%s: runtime call %s outside the driver (runRank)", l.fset.Position(id.Pos()), id.Name)
+				}
 			})
 		}
 	}
@@ -160,41 +301,45 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 // holds C kernel text (a dependence read R0[…] or an `out[0] =` store) but
 // internal/apps, whose Coef and Initial C forms sit beside the Go functions
 // they mirror. Every other kernel's C is printed from the statement the
-// executor runs (exec.Kernel.C). The benchmark module is not walked: it
+// executor runs (exec.Kernel.C). The benchmark module is not read: it
 // still hands codegen kernel text of its own.
 func TestOneKernelText(t *testing.T) {
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	l := loadTree(t)
+	for _, f := range l.moduleFiles() {
+		if strings.HasPrefix(f.path, "internal/apps/") {
+			continue
 		}
-		path = filepath.ToSlash(path)
-		if e.IsDir() {
-			if path == "benchmark" || path == "internal/apps" || (path != "." && strings.HasPrefix(e.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(f.File, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if s, err := strconv.Unquote(lit.Value); err == nil && (strings.Contains(s, "R0[") || strings.Contains(s, "out[0] =")) {
-					t.Errorf("%s: C kernel text %q", fset.Position(lit.Pos()), s)
+					t.Errorf("%s: C kernel text %q", l.fset.Position(lit.Pos()), s)
 				}
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+}
+
+// goStmts calls fn for every go statement in the non-test files of the
+// package in dir, with the function declaration it sits in, and returns how
+// many files it read.
+func goStmts(l *load, dir string, fn func(f srcFile, decl ast.Decl, g *ast.GoStmt)) int {
+	read := 0
+	for _, f := range l.moduleFiles() {
+		if path.Dir(f.path) != dir {
+			continue
+		}
+		read++
+		for _, decl := range f.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					fn(f, decl, g)
+				}
+				return true
+			})
+		}
+	}
+	return read
 }
 
 // TestExecSpawnsNoGoroutine pins that the executor has one level of
@@ -202,29 +347,11 @@ func TestOneKernelText(t *testing.T) {
 // every goroutine of a run is a rank started by mpi.World.RunE, and a rank
 // sweeps its tiles' rows itself.
 func TestExecSpawnsNoGoroutine(t *testing.T) {
-	files, err := filepath.Glob("internal/exec/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	parsed := 0
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parsed++
-		ast.Inspect(f, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				t.Errorf("%s: go statement in the executor", fset.Position(g.Pos()))
-			}
-			return true
-		})
-	}
-	if parsed == 0 {
+	l := loadTree(t)
+	read := goStmts(l, "internal/exec", func(_ srcFile, _ ast.Decl, g *ast.GoStmt) {
+		t.Errorf("%s: go statement in the executor", l.fset.Position(g.Pos()))
+	})
+	if read == 0 {
 		t.Fatal("no executor source found")
 	}
 }
@@ -235,33 +362,17 @@ func TestExecSpawnsNoGoroutine(t *testing.T) {
 // background sender, so a wire cost is a due time, never a sleeping
 // goroutine.
 func TestMPISpawnsOnlyRanks(t *testing.T) {
-	files, err := filepath.Glob("internal/mpi/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
+	l := loadTree(t)
 	var spawns []string
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") || filepath.Base(path) == "tcp.go" {
-			continue
+	goStmts(l, "internal/mpi", func(f srcFile, decl ast.Decl, g *ast.GoStmt) {
+		if f.path == "internal/mpi/tcp.go" {
+			return
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
+		if fn, _ := decl.(*ast.FuncDecl); fn == nil || fn.Name.Name != "RunE" {
+			t.Errorf("%s: go statement outside RunE", l.fset.Position(g.Pos()))
 		}
-		for _, decl := range f.Decls {
-			ast.Inspect(decl, func(n ast.Node) bool {
-				if g, ok := n.(*ast.GoStmt); ok {
-					fn, _ := decl.(*ast.FuncDecl)
-					if fn == nil || fn.Name.Name != "RunE" {
-						t.Errorf("%s: go statement outside RunE", fset.Position(g.Pos()))
-					}
-					spawns = append(spawns, fset.Position(g.Pos()).String())
-				}
-				return true
-			})
-		}
-	}
+		spawns = append(spawns, l.fset.Position(g.Pos()).String())
+	})
 	if len(spawns) != 1 {
 		t.Errorf("internal/mpi outside tcp.go spawns at %v, want exactly RunE's rank goroutine", spawns)
 	}
@@ -269,81 +380,42 @@ func TestMPISpawnsOnlyRanks(t *testing.T) {
 
 // TestOneCompileDriver pins that the pipeline nest → H → tiled space →
 // program → certificate and C is wired once, in internal/compile: no other
-// non-test code calls tiling.Analyze, exec.NewProgram, verify.Certify or
-// codegen.New, and none but the driver and the executor calls distrib.New.
-// Every entry point then shares one order, one set of defaults and one
-// error wrapping. The benchmark module is not walked: it times the stages
-// one by one.
+// non-test code uses tiling.Analyze, exec.NewProgram, verify.Certify or
+// codegen.New — called, or taken as a value — and none but the driver and
+// the executor uses distrib.New. Every entry point then shares one order,
+// one set of defaults and one error wrapping. The benchmark module is not
+// read: it times the stages one by one.
 func TestOneCompileDriver(t *testing.T) {
-	stages := map[string]string{ // import path + "." + func -> where it may be called
-		"tilespace/internal/tiling.Analyze":  "internal/compile/",
-		"tilespace/internal/exec.NewProgram": "internal/compile/",
-		"tilespace/internal/verify.Certify":  "internal/compile/",
-		"tilespace/internal/codegen.New":     "internal/compile/",
-		"tilespace/internal/distrib.New":     "internal/compile/ internal/exec/",
+	l := loadTree(t)
+	stages := map[string]string{ // stage -> the directories that may use it
+		"tiling.Analyze":  "internal/compile",
+		"exec.NewProgram": "internal/compile",
+		"verify.Certify":  "internal/compile",
+		"codegen.New":     "internal/compile",
+		"distrib.New":     "internal/compile internal/exec",
+	}
+	stageOf := map[types.Object]string{}
+	for stage := range stages {
+		pkg, name, _ := strings.Cut(stage, ".")
+		stageOf[l.object(t, "tilespace/internal/"+pkg, name)] = stage
 	}
 	inDriver := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		path = filepath.ToSlash(path)
-		if e.IsDir() {
-			if path == "benchmark" || (path != "." && strings.HasPrefix(e.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		imports := map[string]string{} // local name -> import path
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			name := p[strings.LastIndex(p, "/")+1:]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			imports[name] = p
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
+	for _, f := range l.moduleFiles() {
+		dir := path.Dir(f.path)
+		eachUse(f.File, f.info, func(id *ast.Ident, obj types.Object) {
+			stage, ok := stageOf[obj]
 			if !ok {
-				return true
+				return
 			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
+			if !strings.Contains(" "+stages[stage]+" ", " "+dir+" ") {
+				t.Errorf("%s: %s outside the compile driver (internal/compile)", l.fset.Position(id.Pos()), stage)
 			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			stage := imports[pkg.Name] + "." + sel.Sel.Name
-			allowed, ok := stages[stage]
-			if !ok {
-				return true
-			}
-			dir := path[:strings.LastIndex(path, "/")+1]
-			if !strings.Contains(" "+allowed+" ", " "+dir+" ") {
-				t.Errorf("%s: %s.%s outside the compile driver (internal/compile)", fset.Position(call.Pos()), pkg.Name, sel.Sel.Name)
-			}
-			if dir == "internal/compile/" {
+			if dir == "internal/compile" {
 				inDriver[stage] = true
 			}
-			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	for stage := range stages {
+	for _, stage := range sortedKeys(stages) {
 		if !inDriver[stage] {
 			t.Errorf("the driver does not call %s: the layering this test pins has moved", stage)
 		}
@@ -364,19 +436,16 @@ var censusAllowed = map[string]string{
 }
 
 // TestEveryDeclarationReachable pins that every declaration under
-// internal/ has a non-test caller. It loads the non-test packages of this
-// module and of the benchmark module, type-checks them (a type error in
-// either fails the test, so a root change that deletes a name the
-// benchmark spells fails here too) and follows every use from the roots:
-// every declaration outside tilespace/internal/ (cmd, examples, the facade,
-// the benchmark), every init and every package-level var. A declaration
-// that only tests reach moves into its package's _test.go or goes;
-// censusAllowed holds the rest, each with its reason.
+// internal/ has a non-test caller. It runs on the non-test packages of this
+// module and of the benchmark module (the load fails on a type error in
+// either, so a root change that deletes a name the benchmark spells fails
+// here too) and follows every use from the roots: every declaration outside
+// tilespace/internal/ (cmd, examples, the facade, the benchmark), every init
+// and every package-level var. A declaration that only tests reach moves
+// into its package's _test.go or goes; censusAllowed holds the rest, each
+// with its reason.
 func TestEveryDeclarationReachable(t *testing.T) {
-	got, err := unreachedDecls(".", "benchmark")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := unreachedDecls(loadTree(t))
 	for _, name := range sortedKeys(got) {
 		if _, ok := censusAllowed[name]; !ok {
 			t.Errorf("%s: %s has no non-test caller", got[name], name)
@@ -393,17 +462,17 @@ func TestEveryDeclarationReachable(t *testing.T) {
 // with one live function, an export that only a test uses, an unused
 // function, a dead chain A → B and a String method on a live type.
 func TestCensusFixture(t *testing.T) {
-	got, err := unreachedDecls("testdata/census")
+	l, err := loadModules("testdata/census")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"lib.A", "lib.B", "lib.TestOnly", "lib.unused"}
-	if keys := sortedKeys(got); !reflect.DeepEqual(keys, want) {
+	if keys := sortedKeys(unreachedDecls(l)); !reflect.DeepEqual(keys, want) {
 		t.Errorf("census of the fixture reports %v, want %v", keys, want)
 	}
 }
 
-func sortedKeys(m map[string]string) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -412,19 +481,8 @@ func sortedKeys(m map[string]string) []string {
 	return keys
 }
 
-// listedPackage is the part of `go list -json` the census reads.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Standard   bool
-	Module     *struct{ Path string }
-}
-
-// unreachedDecls loads the non-test packages that `go list -deps ./...`
-// names in each module directory, type-checks them from source (the
-// standard library from export data), and returns every package-level
-// declaration under a module's internal/ tree that no root reaches, keyed
+// unreachedDecls returns every package-level declaration under a module's
+// internal/ tree that no root of the load's non-test packages reaches, keyed
 // "pkg.Name" or "pkg.Type.Method" (pkg relative to internal/) with its
 // file:line.
 //
@@ -435,41 +493,7 @@ type listedPackage struct {
 // is a method of some interface type in the loaded program, standard
 // library included: String, Error, ServeHTTP and the like are called
 // through an interface no use names.
-func unreachedDecls(dirs ...string) (map[string]string, error) {
-	var pkgs []*listedPackage
-	seen := map[string]bool{}
-	for _, dir := range dirs {
-		cmd := osexec.Command("go", "list", "-json", "-deps", "./...")
-		cmd.Dir = dir
-		cmd.Stderr = new(bytes.Buffer)
-		out, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, cmd.Stderr)
-		}
-		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-			p := new(listedPackage)
-			if err := dec.Decode(p); err == io.EOF {
-				break
-			} else if err != nil {
-				return nil, err
-			}
-			if !p.Standard && !seen[p.ImportPath] {
-				seen[p.ImportPath] = true
-				pkgs = append(pkgs, p) // -deps lists dependencies first
-			}
-		}
-	}
-
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "gc", nil)
-	checked := map[string]*types.Package{}
-	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
-		if p, ok := checked[path]; ok {
-			return p, nil
-		}
-		return std.Import(path)
-	})}
-
+func unreachedDecls(l *load) map[string]string {
 	var roots []types.Object
 	uses := map[types.Object][]types.Object{} // declaration -> what it names
 	methods := map[*types.TypeName][]types.Object{}
@@ -482,25 +506,13 @@ func unreachedDecls(dirs ...string) (map[string]string, error) {
 			}
 		}
 	}
-	for _, p := range pkgs {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, err
-			}
-			files = append(files, f)
+	var checked []*types.Package
+	for _, p := range l.pkgs {
+		if p.ForTest != "" {
+			continue
 		}
-		info := &types.Info{
-			Defs:  map[*ast.Ident]types.Object{},
-			Uses:  map[*ast.Ident]types.Object{},
-			Types: map[ast.Expr]types.TypeAndValue{},
-		}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("type-check %s: %v", p.ImportPath, err)
-		}
-		checked[p.ImportPath] = pkg
+		pkg, info := p.Types, p.Info
+		checked = append(checked, pkg)
 		for _, tv := range info.Types {
 			if tv.Type != nil {
 				addIface(tv.Type)
@@ -513,18 +525,15 @@ func unreachedDecls(dirs ...string) (map[string]string, error) {
 		}
 		named := func(n ast.Node) []types.Object {
 			var objs []types.Object
-			ast.Inspect(n, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok {
-					switch obj := info.Uses[id].(type) {
-					case *types.Func:
-						objs = append(objs, obj.Origin())
-					case *types.Var:
-						objs = append(objs, obj.Origin())
-					case *types.Const, *types.TypeName:
-						objs = append(objs, obj)
-					}
+			eachUse(n, info, func(_ *ast.Ident, obj types.Object) {
+				switch obj := obj.(type) {
+				case *types.Func:
+					objs = append(objs, obj.Origin())
+				case *types.Var:
+					objs = append(objs, obj.Origin())
+				case *types.Const, *types.TypeName:
+					objs = append(objs, obj)
 				}
-				return true
 			})
 			return objs
 		}
@@ -541,7 +550,7 @@ func unreachedDecls(dirs ...string) (map[string]string, error) {
 				internal[obj] = strings.TrimPrefix(pkg.Path(), prefix) + "." + key
 			}
 		}
-		for _, f := range files {
+		for _, f := range p.Files {
 			for _, d := range f.Decls {
 				switch d := d.(type) {
 				case *ast.FuncDecl:
@@ -612,20 +621,12 @@ func unreachedDecls(dirs ...string) (map[string]string, error) {
 			}
 		}
 	}
-	cwd, _ := os.Getwd()
 	dead := map[string]string{}
 	for obj, key := range internal {
 		if !reached[obj] {
-			pos := fset.Position(obj.Pos())
-			if rel, err := filepath.Rel(cwd, pos.Filename); err == nil {
-				pos.Filename = filepath.ToSlash(rel)
-			}
-			dead[key] = fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+			pos := l.fset.Position(obj.Pos())
+			dead[key] = fmt.Sprintf("%s:%d", filepath.ToSlash(pos.Filename), pos.Line)
 		}
 	}
-	return dead, nil
+	return dead
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
