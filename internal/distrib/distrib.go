@@ -49,6 +49,9 @@ type Distribution struct {
 	// rank of the pid with index i, −1 for a cell no tile maps to.
 	pidBox ilin.BoxIndexer
 	rankOf []int32
+	// The tile table numbers valid tiles chain by chain, ranks aside: pid
+	// cell i's tiles j^S_m = chainLo[i], … are tileBase[i] … tileBase[i+1]−1.
+	chainLo, tileBase []int64
 	// dsDir[i] is the index into DM of tile dependence i's projection, −1
 	// when it projects to zero (the dependence stays on one processor).
 	dsDir []int
@@ -123,8 +126,10 @@ func New(ts *tiling.TiledSpace, m int) (*Distribution, error) {
 		return true
 	})
 	d.rankOf = make([]int32, len(chains))
+	d.chainLo, d.tileBase = make([]int64, len(chains)), make([]int64, len(chains)+1)
 	for i := range chains {
 		c := &chains[i]
+		d.chainLo[i], d.tileBase[i+1] = c.min, d.tileBase[i]+c.count
 		if c.count == 0 {
 			d.rankOf[i] = -1
 			continue
@@ -187,6 +192,18 @@ func (d *Distribution) RankOfTile(jS ilin.Vec) (int, bool) {
 	return d.rankAt(i, ok)
 }
 
+// tileIndex returns j^S's index into the tile table; ok is false when j^S
+// is not a valid tile. Chains are contiguous, so this is exactly the paper's
+// valid() predicate (TiledSpace.ValidTile) with no bound evaluated.
+func (d *Distribution) tileIndex(jS ilin.Vec) (int64, bool) {
+	i, ok := d.pidBox.IndexOmit(jS, d.M)
+	if !ok {
+		return 0, false
+	}
+	at := d.tileBase[i] + jS[d.M] - d.chainLo[i]
+	return at, at >= d.tileBase[i] && at < d.tileBase[i+1]
+}
+
 func (d *Distribution) rankAt(i int64, inBox bool) (int, bool) {
 	if !inBox || d.rankOf[i] < 0 {
 		return 0, false
@@ -209,7 +226,8 @@ func (d *Distribution) dmOf(dS ilin.Vec) ilin.Vec { return projectOut(dS, d.M) }
 // message along it. The successor is returned as the index ds of the tile
 // dependence that reaches it, minsucc = s + TS.DS[ds]; ok is false when no
 // valid successor exists. MinSucc allocates nothing: candidates are built
-// in one stack buffer and filtered through the per-dependence dsDir table.
+// in one stack buffer, filtered through the per-dependence dsDir table and
+// looked up in the tile table.
 func (d *Distribution) MinSucc(s ilin.Vec, dir int) (ds int, ok bool) {
 	var buf [8]int64
 	succ := buf[:0]
@@ -226,7 +244,7 @@ func (d *Distribution) MinSucc(s ilin.Vec, dir int) (ds int, ok bool) {
 		for k := range succ {
 			succ[k] = s[k] + dS[k]
 		}
-		if d.TS.ValidTile(succ) {
+		if _, valid := d.tileIndex(succ); valid {
 			ds = i
 		}
 	}
@@ -295,85 +313,14 @@ func (d *Distribution) String() string {
 	return fmt.Sprintf("distrib: m=%d, %d processors, offsets %v, %d processor deps", d.M+1, d.NumProcs(), d.Off, len(d.DM))
 }
 
-// CommRegion enumerates the communication points of tile s along processor
-// direction d^m: the (boundary-clamped) lattice points of s whose TTIS
-// coordinate satisfies j'_k ≥ cc_k on every non-mapping dimension where
-// d^m is 1 (§3.2). Sender pack, receiver unpack and the simulator all
-// evaluate this identically, so message contents pair up by construction.
-// fn may be nil to just count.
-func (d *Distribution) CommRegion(s, dm ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
-	cc := d.TS.CC
-	var count int64
-	d.TS.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
-		idx := 0
-		for k := 0; k < d.TS.T.N; k++ {
-			if k == d.M {
-				continue
-			}
-			if dm[idx] == 1 && jp[k] < cc[k] {
-				return true
-			}
-			idx++
-		}
-		count++
-		if fn != nil {
-			return fn(z, jp)
-		}
-		return true
-	})
-	return count
-}
-
-// FullTileCommCount returns the communication-region size of a tile that
-// is fully inside the iteration space — a tile-independent constant per
-// direction, so large simulations can cache it.
-func (d *Distribution) FullTileCommCount(dm ilin.Vec) int64 {
-	cc := d.TS.CC
-	var count int64
-	d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
-		idx := 0
-		for k := 0; k < d.TS.T.N; k++ {
-			if k == d.M {
-				continue
-			}
-			if dm[idx] == 1 && jp[k] < cc[k] {
-				return true
-			}
-			idx++
-		}
-		count++
-		return true
-	})
-	return count
-}
+// FullTileCommCount returns the communication-region size along DM[di] of
+// a tile that is fully inside the iteration space — a tile-independent
+// constant per direction, so large simulations can cache it.
+func (d *Distribution) FullTileCommCount(di int) int64 { return d.Protocol().full.region[di] }
 
 // HasSuccessor reports whether tile s has at least one valid successor
 // tile in processor direction DM[dir] (the paper's send condition).
 func (d *Distribution) HasSuccessor(s ilin.Vec, dir int) bool {
 	_, ok := d.MinSucc(s, dir)
 	return ok
-}
-
-// CommRegionCount counts the §3.2 communication region of tile s along
-// d^m without enumerating the innermost loop (closed form via
-// tiling.CountTilePoints); always equals CommRegion(s, dm, nil).
-func (d *Distribution) CommRegionCount(s, dm ilin.Vec) int64 {
-	var buf [8]int64
-	minJP := buf[:0]
-	if d.TS.T.N > len(buf) {
-		minJP = make(ilin.Vec, 0, d.TS.T.N)
-	}
-	minJP = minJP[:d.TS.T.N]
-	clear(minJP)
-	idx := 0
-	for k := 0; k < d.TS.T.N; k++ {
-		if k == d.M {
-			continue
-		}
-		if dm[idx] == 1 {
-			minJP[k] = d.TS.CC[k]
-		}
-		idx++
-	}
-	return d.TS.CountTilePoints(s, minJP)
 }

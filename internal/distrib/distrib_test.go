@@ -261,22 +261,30 @@ func TestFlattenPanicsOutside(t *testing.T) {
 	d.flatten(0, ilin.NewVec(-1, 0))
 }
 
-// TestCommRegionCountMatchesScan: closed form vs enumerated region.
+// TestCommRegionCountMatchesScan: the tile table's point counts and region
+// sizes against the enumerated region and the closed-form minJP counts, on
+// every tile.
 func TestCommRegionCountMatchesScan(t *testing.T) {
 	ts := rect2D(t, 13, 10, 3, 4)
 	d, err := New(ts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Protocol()
 	ts.ScanTiles(func(jS ilin.Vec) bool {
-		for _, dm := range d.DM {
-			if got, want := d.CommRegionCount(jS, dm), d.CommRegion(jS, dm, nil); got != want {
-				t.Fatalf("tile %v dm %v: closed %d, scan %d", jS, dm, got, want)
+		f := d.tileOf(jS, true).shape
+		if got, want := f.npts, d.countMinJP(jS, nil); got != want || got != ts.TilePointCount(jS) {
+			t.Fatalf("tile %v: table %d points, closed %d, scan %d", jS, got, want, ts.TilePointCount(jS))
+		}
+		for di, dm := range d.DM {
+			got, want := f.region[di], d.commRegion(jS, dm, nil)
+			if got != want || d.regionCountMinJP(jS, dm) != want {
+				t.Fatalf("tile %v dm %v: table %d, closed %d, scan %d", jS, dm, got, d.regionCountMinJP(jS, dm), want)
 			}
 		}
 		return true
 	})
-	if d.FullTileCommCount(d.DM[0]) != d.CommRegionCount(ilin.NewVec(1, 1), d.DM[0]) {
+	if d.FullTileCommCount(0) != d.commRegion(ilin.NewVec(1, 1), d.DM[0], nil) {
 		t.Error("full-tile comm count mismatch on interior tile")
 	}
 }

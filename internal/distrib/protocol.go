@@ -10,6 +10,7 @@ import (
 
 	"tilespace/internal/ilin"
 	"tilespace/internal/poly"
+	"tilespace/internal/rat"
 )
 
 // This file compiles the paper's §3.2 protocol — per chain slot: which
@@ -23,11 +24,15 @@ import (
 // The tables have two levels. The schedule level (Schedule) holds, per rank,
 // the chain's slots (tile, P·j^S, point count, sends with value counts), the
 // inbound-message table in claim order with its per-direction FIFO queues,
-// and the neighbour ranks; it is built from closed-form counts, never a
-// per-point table, so the simulator can walk it at paper scale. The address
-// level (Plan) attaches to each slot the compiled address program of its
-// clamped shape and its boundary-read runs, and to each inbound row the
-// predecessor's region as runs in the receiver's address space.
+// and the neighbour ranks: counts only, no per-point table, so the simulator
+// can walk it at paper scale. The address level (Plan) attaches to each slot
+// the compiled address program of its clamped shape and its boundary-read
+// runs, and to each inbound row the predecessor's region as runs in the
+// receiver's address space. Both derive every per-tile fact — the point
+// count, each direction's region size and runs, the shape key — from one
+// row scan of the tile kept in the tile table (tileShape, shared by equal
+// shapes; a schedule-only compile keeps the counts alone); a tile wholly
+// inside the space is never scanned.
 //
 // The unit of the address level is the TTIS row: one innermost segment of
 // the tile's point loops (tiling.ScanTileRows), along which z_{n-1} steps by
@@ -67,19 +72,42 @@ type Protocol struct {
 	RowStep ilin.Vec
 
 	depLo, depHi ilin.Vec // per-dimension extremes of Deps
-	fullRegion   []int64  // per direction: FullTileCommCount
 
 	once  sync.Once
 	ranks []RankPlan // each level compiled under its own Once
 
-	// mu guards the shape table: the distinct (ChainLen, shape) plans,
-	// chained under their hash. It is taken only while a rank compiles.
-	mu     sync.Mutex
-	shapes map[uint64][]*TilePlan
+	// tiles is the tile table (Distribution.tileIndex), each entry found
+	// on first use; full is the shape of tiles wholly inside the space.
+	tiles []tileEntry
+	full  *tileShape
 
-	// steps counts lattice scans, plan compilations and boundary-list
-	// builds: the compile work a run on a warm Distribution must not repeat.
-	steps atomic.Int64
+	// mu guards the shape table — the distinct shapes, chained under their
+	// rows' hash, with nplans plans in all; it is taken only while compiling.
+	mu     sync.Mutex
+	shapes map[uint64][]*tileShape
+	nplans int
+
+	// scans counts tile row scans; steps counts plan compilations, region
+	// runs and boundary-list builds. Neither may grow on a warm Distribution.
+	scans, steps atomic.Int64
+}
+
+// tileEntry is one tile's entry of the tile table: its counts, and the
+// shape with its rows that the address level reads.
+type tileEntry struct {
+	once, rowsOnce sync.Once
+	counts, shape  *tileShape
+}
+
+// tileShape is one clamped tile shape's row scan — per row the first point's
+// lattice coordinate and the length — with the counts derived from it; a
+// schedule-only compile keeps the counts alone.
+type tileShape struct {
+	z      []int64 // n per row
+	lens   []int64
+	npts   int64
+	region []int64     // per direction: the communication region's size
+	plans  []*TilePlan // one per ChainLen compiled so far, under Protocol.mu
 }
 
 // RankPlan is one rank's compiled chain. Everything but Slots[·].Plan,
@@ -167,12 +195,10 @@ type TilePlan struct {
 	Npts     int
 	ChainLen int64
 	// Rows is the row table in scan order; the rows partition the shape's
-	// points. Z[r·n+k] is the lattice coordinate of row r's first point —
-	// with the row lengths and ChainLen the plan's identity, compared exactly
-	// on lookup — and Uz[r·n+k] = (U·z)_k its tile-relative part of the global
-	// iteration point: point i of row r is j = P·j^S + Uz[r] + i·RowStep.
+	// points. Uz[r·n+k] = (U·z)_k is the tile-relative part of the global
+	// iteration point of row r's first point z: point i of row r is
+	// j = P·j^S + Uz[r] + i·RowStep.
 	Rows []Row
-	Z    []int64
 	Uz   []int64
 	// Read[r·q+l] = FlatRead(j', d'_l, 0) of row r's first point; point i of
 	// the row reads cell Read[r·q+l] + i and writes Rows[r].Write + i.
@@ -201,6 +227,16 @@ type DirPlan struct {
 	Total int64
 }
 
+// Run is one maximal contiguous stretch of LDS cells inside a
+// communication region: N cells starting at flat address Off (cell units,
+// evaluated at chain slot 0 — add t·Addresser.ChainStep() to place it at
+// chain slot t, and Addresser.DirShift(dmFull) to turn a pack run into its
+// unpack counterpart).
+type Run struct {
+	Off int64
+	N   int64
+}
+
 // Protocol returns the rank-independent tables, building them on first use.
 func (d *Distribution) Protocol() *Protocol {
 	d.proto.once.Do(d.compileShared)
@@ -216,23 +252,23 @@ func (d *Distribution) CompileSteps() int64 { return d.proto.steps.Load() }
 func (d *Distribution) NumShapes() int {
 	d.proto.mu.Lock()
 	defer d.proto.mu.Unlock()
-	n := 0
-	for _, chain := range d.proto.shapes {
-		n += len(chain)
-	}
-	return n
+	return d.proto.nplans
 }
 
 // Schedule returns rank r's chain with the schedule level compiled.
-func (d *Distribution) Schedule(r int) (*RankPlan, error) {
+func (d *Distribution) Schedule(r int) (*RankPlan, error) { return d.schedule(r, false) }
+
+// schedule compiles rank r's schedule level once; with rows, the tiles it
+// scans keep their rows for the address level to come.
+func (d *Distribution) schedule(r int, rows bool) (*RankPlan, error) {
 	rp := &d.Protocol().ranks[r]
-	rp.schedOnce.Do(func() { d.compileSchedule(r, rp) })
+	rp.schedOnce.Do(func() { d.compileSchedule(r, rp, rows) })
 	return rp, rp.Err
 }
 
 // Plan returns rank r's chain with both levels compiled.
 func (d *Distribution) Plan(r int) (*RankPlan, error) {
-	rp, err := d.Schedule(r)
+	rp, err := d.schedule(r, true)
 	if err != nil {
 		return rp, err
 	}
@@ -261,27 +297,162 @@ func (d *Distribution) compileShared() {
 	pr.DSDir = d.dsDir
 	pr.RowStep = ts.T.U.Col(ts.T.N - 1)
 	pr.DmFulls = make([]ilin.Vec, len(d.DM))
-	pr.fullRegion = make([]int64, len(d.DM))
 	for i, dm := range d.DM {
 		pr.DmFulls[i] = insertAt(dm, d.M, 0)
-		pr.fullRegion[i] = d.FullTileCommCount(dm)
 	}
-	pr.shapes = map[uint64][]*TilePlan{}
+	pr.tiles = make([]tileEntry, d.tileBase[len(d.tileBase)-1])
+	pr.shapes = map[uint64][]*tileShape{}
+	// A full tile's rows are the TTIS lattice's, in its lexicographic order.
+	rows, full := &tileShape{}, &tileShape{region: make([]int64, len(d.DM))}
+	n := ts.T.N
+	ts.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+		if r := len(rows.lens) - 1; r < 0 || !slices.Equal(rows.z[r*n:r*n+n-1], z[:n-1]) {
+			rows.z, rows.lens = append(rows.z, z...), append(rows.lens, 0)
+		}
+		rows.lens[len(rows.lens)-1]++
+		d.countRow(full, jp, 1)
+		return true
+	})
+	pr.full = d.addShape(rows, full)
 }
 
-// regionCount is the closed-form size of tile's communication region along
-// DM[di]; full short-cuts tiles wholly inside the space.
-func (d *Distribution) regionCount(tile ilin.Vec, di int, full bool) int64 {
-	if full {
-		return d.proto.fullRegion[di]
+// tileOf returns valid tile's entry of the tile table, found on first use:
+// a tile wholly inside the space has the full shape; any other is scanned,
+// its rows kept when rows asks for them, as a two-level compile does — a
+// second scan if a schedule-only compile counted the tile first.
+func (d *Distribution) tileOf(tile ilin.Vec, rows bool) *tileEntry {
+	i, ok := d.tileIndex(tile)
+	if !ok {
+		panic(fmt.Sprintf("distrib: tile %v is not a valid tile", tile))
 	}
-	return d.CommRegionCount(tile, d.DM[di])
+	e := &d.proto.tiles[i]
+	e.once.Do(func() {
+		if e.counts = d.proto.full; !d.TS.TileFullyInside(tile) {
+			e.counts = d.scan(tile, rows)
+		}
+		if rows || e.counts == d.proto.full {
+			e.shape = e.counts
+		}
+	})
+	if rows {
+		e.rowsOnce.Do(func() {
+			if e.shape == nil {
+				e.shape = d.scan(tile, true)
+			}
+		})
+	}
+	return e
+}
+
+// scan walks tile's rows once, counting its points and each direction's
+// region. With keep it returns the shape table's entry for the rows, else a
+// shape of counts alone.
+func (d *Distribution) scan(tile ilin.Vec, keep bool) *tileShape {
+	d.proto.scans.Add(1)
+	counts := &tileShape{region: make([]int64, len(d.DM))}
+	buf := rowBufs.Get().(*tileShape)
+	defer rowBufs.Put(buf)
+	buf.z, buf.lens = buf.z[:0], buf.lens[:0]
+	d.TS.ScanTileRows(tile, func(z, jp ilin.Vec, n int64) bool {
+		d.countRow(counts, jp, n)
+		if keep {
+			buf.z, buf.lens = append(buf.z, z...), append(buf.lens, n)
+		}
+		return true
+	})
+	if !keep {
+		return counts
+	}
+	return d.addShape(buf, counts)
+}
+
+// rowBufs recycles scan's row buffers: a known shape costs no allocation.
+var rowBufs = sync.Pool{New: func() any { return new(tileShape) }}
+
+// countRow adds the n-point row from TTIS point jp to sh's counts.
+func (d *Distribution) countRow(sh *tileShape, jp ilin.Vec, n int64) {
+	sh.npts += n
+	for di := range d.DM {
+		sh.region[di] += n - d.regionFrom(jp, di, n)
+	}
+}
+
+// addShape returns the shape table's entry for the rows of rows, adding
+// counts, with copies of the rows, if they are new.
+func (d *Distribution) addShape(rows, counts *tileShape) *tileShape {
+	pr := &d.proto
+	key := ilin.HashInt64s(ilin.HashInt64s(ilin.HashSeed(), rows.z), rows.lens)
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	for _, sh := range pr.shapes[key] {
+		if slices.Equal(sh.z, rows.z) && slices.Equal(sh.lens, rows.lens) {
+			return sh
+		}
+	}
+	counts.z, counts.lens = slices.Clone(rows.z), slices.Clone(rows.lens)
+	pr.shapes[key] = append(pr.shapes[key], counts)
+	return counts
+}
+
+// rowJP sets jp to the TTIS coordinate H̃'·z of row r's first point.
+func (d *Distribution) rowJP(sh *tileShape, r int, jp ilin.Vec) {
+	z := sh.z[r*len(jp) : (r+1)*len(jp)]
+	for k := range jp {
+		jp[k] = 0
+		for l := 0; l <= k; l++ { // H̃' is lower-triangular
+			jp[k] += d.TS.T.HT.At(k, l) * z[l]
+		}
+	}
+}
+
+// regionFrom returns where the §3.2 communication region along DM[di] —
+// j'_k ≥ cc_k on every non-mapping k where d^m is 1 — starts in the n-point
+// row from TTIS point jp, n if it misses the row. Only j'_{n-1} moves along
+// a row, so the row's share of the region is a suffix.
+func (d *Distribution) regionFrom(jp ilin.Vec, di int, n int64) int64 {
+	cc, last, from := d.TS.CC, len(jp)-1, int64(0)
+	for k, i := 0, 0; k <= last; k++ {
+		if k == d.M {
+			continue
+		}
+		if d.DM[di][i] == 1 && jp[k] < cc[k] {
+			if k != last {
+				return n
+			}
+			from = rat.CeilDiv(cc[k]-jp[k], d.TS.T.C[k])
+		}
+		i++
+	}
+	return min(from, n)
+}
+
+// regionRuns returns shape sh's region along DM[di] as maximal runs of a's
+// LDS cells at slot 0, in scan order: a row's share is one run (the
+// innermost dimension has stride 1), merged with the last when they meet.
+func (d *Distribution) regionRuns(sh *tileShape, di int, a *Addresser) DirPlan {
+	var dp DirPlan
+	jp := make(ilin.Vec, d.TS.T.N)
+	for r, n := range sh.lens {
+		d.rowJP(sh, r, jp)
+		from := d.regionFrom(jp, di, n)
+		if from == n {
+			continue
+		}
+		off := a.Flat(jp, 0) + from
+		if k := len(dp.Runs) - 1; k >= 0 && dp.Runs[k].Off+dp.Runs[k].N == off {
+			dp.Runs[k].N += n - from
+		} else {
+			dp.Runs = append(dp.Runs, Run{Off: off, N: n - from})
+		}
+		dp.Total += n - from
+	}
+	return dp
 }
 
 // compileSchedule compiles rank r's schedule level: per slot the tile, its
 // point count and its sends, and — the one MinSucc walk of the system — the
 // §3.2 RECEIVE enumerated into the inbound-message table.
-func (d *Distribution) compileSchedule(r int, rp *RankPlan) {
+func (d *Distribution) compileSchedule(r int, rp *RankPlan, rows bool) {
 	pr := &d.proto
 	ts := d.TS
 	// Stands if a panic unwinds through the rank's Once: later callers then
@@ -311,10 +482,8 @@ func (d *Distribution) compileSchedule(r int, rp *RankPlan) {
 		sl := &rp.Slots[t]
 		sl.Tile = d.TileAt(r, int64(t))
 		sl.PBase = ts.T.P.MulVec(sl.Tile)
-		full := ts.TileFullyInside(sl.Tile)
-		if sl.Npts = ts.T.TileSize; !full {
-			sl.Npts = ts.CountTilePoints(sl.Tile, nil)
-		}
+		own := d.tileOf(sl.Tile, rows).counts
+		sl.Npts = own.npts
 		for _, si := range pr.DSOrder {
 			di := pr.DSDir[si]
 			if di < 0 {
@@ -323,13 +492,13 @@ func (d *Distribution) compileSchedule(r int, rp *RankPlan) {
 			for k := range pred {
 				pred[k] = sl.Tile[k] - ts.DS[si][k]
 			}
-			if !ts.ValidTile(pred) {
+			if _, valid := d.tileIndex(pred); !valid {
 				continue
 			}
 			if ms, ok := d.MinSucc(pred, di); !ok || ms != si {
 				continue // pred's message along di is received by another tile
 			}
-			cnt := d.regionCount(pred, di, ts.TileFullyInside(pred))
+			cnt := d.tileOf(pred, rows).counts.region[di]
 			if cnt == 0 {
 				continue
 			}
@@ -343,7 +512,7 @@ func (d *Distribution) compileSchedule(r int, rp *RankPlan) {
 			if !d.HasSuccessor(sl.Tile, di) {
 				continue
 			}
-			cnt := d.regionCount(sl.Tile, di, full)
+			cnt := own.region[di]
 			if cnt == 0 {
 				continue
 			}
@@ -360,109 +529,75 @@ func (d *Distribution) compileSchedule(r int, rp *RankPlan) {
 // and the boundary-read runs, per inbound row the predecessor's region runs.
 func (d *Distribution) compileAddresses(r int, rp *RankPlan) {
 	rp.addrErr = fmt.Errorf("distrib: rank %d: plan compilation did not complete", r)
-	var sc rowScan // row buffers reused across the rank's scans
 	for t := range rp.Slots {
 		sl := &rp.Slots[t]
-		sl.Plan = d.planFor(rp, sl.Tile, &sc)
+		sl.Plan = d.planFor(rp, d.tileOf(sl.Tile, true).shape, true)
 		sl.Boundary = d.boundaryReads(sl)
 		rp.MaxRow = max(rp.MaxRow, sl.Plan.MaxRow)
 	}
-	last := make([]*DirPlan, len(d.DM)) // per direction: the previous row's region
 	for i := range rp.Msgs {
 		m := &rp.Msgs[i]
-		pred := rp.Slots[m.T].Tile.Sub(d.TS.DS[m.DS])
-		m.Runs.Runs, m.Runs.Total = d.CommRuns(pred, d.DM[m.Dir], rp.Addr)
-		d.proto.steps.Add(1)
-		// Consecutive predecessors along a chain mostly share a shape: keep
-		// one copy of equal run lists so the table stays small and warm.
-		if prev := last[m.Dir]; prev != nil && slices.Equal(prev.Runs, m.Runs.Runs) {
-			m.Runs.Runs = prev.Runs
+		sh := d.tileOf(rp.Slots[m.T].Tile.Sub(d.TS.DS[m.DS]), true).shape
+		if pl := d.planFor(rp, sh, false); pl != nil { // shared with the plan: the table stays small
+			m.Runs = pl.Dirs[m.Dir]
+		} else {
+			m.Runs = d.regionRuns(sh, m.Dir, rp.Addr)
+			d.proto.steps.Add(1)
 		}
-		last[m.Dir] = &m.Runs
 	}
 	rp.addrErr = nil
 }
 
-// rowScan is one tile's row scan: per row the first point's lattice
-// coordinate and the length.
-type rowScan struct {
-	z    []int64
-	lens []int64
-}
-
-// planFor returns the plan of tile's clamped shape in rp's address space,
-// compiling it if no rank of the same ChainLen has met the shape yet. sc is
-// the caller's reusable scan buffer. Candidates are compared exactly, so
-// hash collisions cannot alias shapes.
-func (d *Distribution) planFor(rp *RankPlan, tile ilin.Vec, sc *rowScan) *TilePlan {
+// planFor returns the plan of shape sh in rp's address space, compiling it,
+// when compile asks, if no rank of the same ChainLen has met the shape yet.
+func (d *Distribution) planFor(rp *RankPlan, sh *tileShape, compile bool) *TilePlan {
 	pr := &d.proto
-	sc.z, sc.lens = sc.z[:0], sc.lens[:0]
-	d.TS.ScanTileRows(tile, func(z, jp ilin.Vec, n int64) bool {
-		sc.z = append(sc.z, z...)
-		sc.lens = append(sc.lens, n)
-		return true
-	})
-	pr.steps.Add(1)
 	chainLen := int64(len(rp.Slots))
-	key := ilin.HashInt64s(ilin.HashInt64s(ilin.HashInt64(ilin.HashSeed(), chainLen), sc.z), sc.lens)
-	same := func(pl *TilePlan) bool {
-		if pl.ChainLen != chainLen || !slices.Equal(pl.Z, sc.z) {
-			return false
-		}
-		for r, row := range pl.Rows {
-			if int64(row.N) != sc.lens[r] {
-				return false
-			}
-		}
-		return true
-	}
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	for _, pl := range pr.shapes[key] {
-		if same(pl) {
+	for _, pl := range sh.plans {
+		if pl.ChainLen == chainLen {
 			return pl
 		}
 	}
+	if !compile {
+		return nil
+	}
 	pr.steps.Add(1)
-	pl := d.compilePlan(rp.Addr, chainLen, tile, sc)
-	pr.shapes[key] = append(pr.shapes[key], pl)
+	pl := d.compilePlan(rp.Addr, chainLen, sh)
+	sh.plans = append(sh.plans, pl)
+	pr.nplans++
 	return pl
 }
 
-// compilePlan runs the Addresser over the first point of every row once and
-// records everything the dynamic phases replay. tile is a representative
-// tile of the shape (the communication region depends only on TTIS
-// coordinates, so any same-shape tile yields identical runs).
-func (d *Distribution) compilePlan(addr *Addresser, chainLen int64, tile ilin.Vec, sc *rowScan) *TilePlan {
+// compilePlan runs the Addresser over the first point of every row of
+// shape sh once and records everything the dynamic phases replay.
+func (d *Distribution) compilePlan(addr *Addresser, chainLen int64, sh *tileShape) *TilePlan {
 	ts := d.TS
 	pr := &d.proto
 	dps := pr.DPs
 	n := ts.T.N
 	q := len(dps)
-	nrows := len(sc.lens)
+	nrows := len(sh.lens)
 	pl := &TilePlan{
 		ChainLen: chainLen,
 		Rows:     make([]Row, nrows),
-		Z:        slices.Clone(sc.z),
 		Uz:       make([]int64, nrows*n),
 		Read:     make([]int64, nrows*q),
 		Dirs:     make([]DirPlan, len(d.DM)),
 	}
-	jp := make(ilin.Vec, n)
-	end := make(ilin.Vec, n)
+	jp, end := make(ilin.Vec, n), make(ilin.Vec, n)
 	for r := 0; r < nrows; r++ {
-		z := sc.z[r*n : r*n+n]
-		uz := pl.Uz[r*n : r*n+n]
+		z, uz := sh.z[r*n:r*n+n], pl.Uz[r*n:r*n+n]
+		d.rowJP(sh, r, jp)
 		for k := 0; k < n; k++ {
-			var s, u int64
+			var u int64
 			for l := 0; l < n; l++ {
-				s += ts.T.HT.At(k, l) * z[l] // H̃' is lower-triangular
 				u += ts.T.U.At(k, l) * z[l]
 			}
-			jp[k] = s
 			uz[k] = u
 		}
-		last := sc.lens[r] - 1
+		last := sh.lens[r] - 1
 		if last >= math.MaxInt32 {
 			panic(fmt.Sprintf("distrib: TTIS row of %d points exceeds the row table's int32 length", last+1))
 		}
@@ -480,9 +615,8 @@ func (d *Distribution) compilePlan(addr *Addresser, chainLen int64, tile ilin.Ve
 			pl.MaxRead = max(pl.MaxRead, pl.Read[r*q+l]+last)
 		}
 	}
-	for di, dm := range d.DM {
-		runs, total := d.CommRuns(tile, dm, addr)
-		pl.Dirs[di] = DirPlan{Runs: runs, Total: total}
+	for di := range d.DM {
+		pl.Dirs[di] = d.regionRuns(sh, di, addr)
 	}
 	return pl
 }

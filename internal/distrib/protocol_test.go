@@ -3,13 +3,16 @@ package distrib
 import (
 	"strings"
 	"testing"
+
+	"tilespace/internal/ilin"
+	"tilespace/internal/tiling"
 )
 
 // TestScheduleLevelAgreesWithAddressLevel: the schedule level is compiled
-// from closed-form counts and touches no per-point table; once the address
-// level attaches, every count it promised must be what the scanned plans
-// hold — per slot the point count and each send's region, per inbound row
-// the predecessor's region.
+// from the tile table's counts and compiles no plan; once the address level
+// attaches, every count it promised must be what the plans hold — per slot
+// the point count and each send's region, per inbound row the
+// predecessor's region.
 func TestScheduleLevelAgreesWithAddressLevel(t *testing.T) {
 	d := jacobiDist(t)
 	var rows, sends int
@@ -95,5 +98,70 @@ func TestNeighbourWithoutRankFailsTheChain(t *testing.T) {
 	}
 	if failed == 0 {
 		t.Fatal("no chain noticed the unmapped neighbour")
+	}
+}
+
+// TestColdPlanScansEachTileOnce: compiling every rank of a cold
+// distribution scans the rows of each tile not wholly inside the space
+// exactly once — whichever ranks ask for it, as a slot or as a predecessor —
+// and no other tile; compiling again scans nothing.
+func TestColdPlanScansEachTileOnce(t *testing.T) {
+	for _, d := range []*Distribution{jacobiDist(t), mustNew(t, rect2D(t, 13, 10, 3, 4), 0)} {
+		var clamped int64
+		d.TS.ScanTiles(func(jS ilin.Vec) bool {
+			if !d.TS.TileFullyInside(jS) {
+				clamped++
+			}
+			return true
+		})
+		for r := 0; r < d.NumProcs(); r++ {
+			if _, err := d.Plan(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := d.proto.scans.Load(); got != clamped || clamped == 0 {
+			t.Fatalf("a cold all-ranks Plan scanned %d tiles' rows, want the %d clamped tiles once each", got, clamped)
+		}
+		for r := 0; r < d.NumProcs(); r++ {
+			d.Plan(r)
+			d.tileOf(d.TileAt(r, 0), true)
+		}
+		if got := d.proto.scans.Load(); got != clamped {
+			t.Fatalf("a warm distribution scanned %d more tiles", got-clamped)
+		}
+	}
+}
+
+func mustNew(t *testing.T, ts *tiling.TiledSpace, m int) *Distribution {
+	t.Helper()
+	d, err := New(ts, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestScheduleOnlyKeepsCounts: a schedule-only compile — what the simulator
+// runs at paper scale — scans each clamped tile once and keeps its counts
+// alone: the shape table holds the full shape and nothing else.
+func TestScheduleOnlyKeepsCounts(t *testing.T) {
+	d := jacobiDist(t)
+	for r := 0; r < d.NumProcs(); r++ {
+		if _, err := d.Schedule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var clamped int64
+	d.TS.ScanTiles(func(jS ilin.Vec) bool {
+		if !d.TS.TileFullyInside(jS) {
+			clamped++
+		}
+		return true
+	})
+	if got := d.proto.scans.Load(); got != clamped {
+		t.Fatalf("schedule-only compile scanned %d tiles' rows, want the %d clamped tiles once each", got, clamped)
+	}
+	if len(d.proto.shapes) != 1 || d.proto.full.lens == nil {
+		t.Fatalf("schedule-only compile kept %d row lists, want the full shape's alone", len(d.proto.shapes))
 	}
 }

@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"reflect"
 	"testing"
 
 	"tilespace/internal/ilin"
@@ -56,43 +57,26 @@ func TestDirShiftExact(t *testing.T) {
 }
 
 // TestCommRunsCoverRegion: for every tile (interior and boundary) and
-// every direction, the run list must enumerate exactly the CommRegion's
-// flat addresses in order, with maximal contiguous runs, and the fused
-// count must match CommRegion's.
+// every direction, the runs derived from the tile's row scan must be the
+// ones merged point by point from the enumerated region: the region's flat
+// addresses in order, in maximal contiguous runs.
 func TestCommRunsCoverRegion(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		d := jacobiDist(t)
+		d.Protocol()
 		a := d.Addresser(r)
 		d.TS.ScanTiles(func(s ilin.Vec) bool {
-			tile := s.Clone()
-			for _, dm := range d.DM {
-				runs, total := d.CommRuns(tile, dm, a)
-				var want []int64
-				n := d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool {
-					want = append(want, a.Flat(jp, 0))
-					return true
-				})
-				if total != n {
-					t.Fatalf("tile %v dm %v: fused count %d, CommRegion %d", tile, dm, total, n)
+			for di, dm := range d.DM {
+				got, want := d.regionRuns(d.tileOf(s, true).shape, di, a), d.commRuns(s, dm, a)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("tile %v dm %v: runs %+v, region merged point by point %+v", s, dm, got, want)
 				}
-				var got []int64
-				for i, run := range runs {
+				for i, run := range got.Runs {
 					if run.N <= 0 {
-						t.Fatalf("tile %v dm %v: empty run", tile, dm)
+						t.Fatalf("tile %v dm %v: empty run", s, dm)
 					}
-					if i > 0 && runs[i-1].Off+runs[i-1].N == run.Off {
-						t.Fatalf("tile %v dm %v: runs %d and %d are adjacent (not maximal)", tile, dm, i-1, i)
-					}
-					for j := int64(0); j < run.N; j++ {
-						got = append(got, run.Off+j)
-					}
-				}
-				if len(got) != len(want) {
-					t.Fatalf("tile %v dm %v: runs cover %d cells, region has %d", tile, dm, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("tile %v dm %v: cell %d: run address %d, region address %d", tile, dm, i, got[i], want[i])
+					if i > 0 && got.Runs[i-1].Off+got.Runs[i-1].N == run.Off {
+						t.Fatalf("tile %v dm %v: runs %d and %d are adjacent (not maximal)", s, dm, i-1, i)
 					}
 				}
 			}
@@ -106,13 +90,13 @@ func TestCommRunsCoverRegion(t *testing.T) {
 // least one direction, exercising the boundary branch of run extraction.
 func TestCommRunsBoundaryTileSmaller(t *testing.T) {
 	d := jacobiDist(t)
+	d.Protocol()
 	a := d.Addresser(0)
-	for _, dm := range d.DM {
-		full := d.FullTileCommCount(dm)
+	for di, dm := range d.DM {
+		full := d.FullTileCommCount(di)
 		sawSmaller := false
 		d.TS.ScanTiles(func(s ilin.Vec) bool {
-			_, total := d.CommRuns(s, dm, a)
-			if total < full {
+			if d.regionRuns(d.tileOf(s, true).shape, di, a).Total < full {
 				sawSmaller = true
 				return false
 			}

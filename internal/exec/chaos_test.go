@@ -128,13 +128,11 @@ func inflightRank(t *testing.T, d *distrib.Distribution) int {
 		if d.ChainLen[r] < 4 {
 			continue
 		}
-		tile, sends := d.TileAt(r, 2), 0
-		for i, dm := range d.DM {
-			if d.HasSuccessor(tile, i) && d.CommRegionCount(tile, dm) > 0 {
-				sends++
-			}
+		rp, err := d.Schedule(r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sends >= 2 {
+		if len(rp.Slots[2].Sends) >= 2 {
 			return r
 		}
 	}

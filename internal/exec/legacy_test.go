@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
 )
@@ -73,9 +74,8 @@ func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 // receivePhase implements the paper's RECEIVE: for every tile dependence
 // d^S whose predecessor is valid and for which this tile is the
 // lexicographically minimum successor along d^m(d^S), receive one message
-// from processor pid − d^m and unpack it into the LDS. The message sizing
-// uses the closed-form CommRegionCount, so only the unpack itself walks
-// the region.
+// from processor pid − d^m and unpack it into the LDS, walking the
+// predecessor's region point by point (commRegion) to size and to unpack.
 func (st *rankState) receivePhase(c *mpi.Comm, tile ilin.Vec) error {
 	d := st.p.Dist
 	w := st.p.Width
@@ -94,7 +94,7 @@ func (st *rankState) receivePhase(c *mpi.Comm, tile ilin.Vec) error {
 		if ms, ok := d.MinSucc(pred, di); !ok || ms != si {
 			continue
 		}
-		n := d.CommRegionCount(pred, dm)
+		n := commRegion(d, pred, dm, nil)
 		if n == 0 {
 			continue
 		}
@@ -109,7 +109,7 @@ func (st *rankState) receivePhase(c *mpi.Comm, tile ilin.Vec) error {
 		tau := pred[d.M] - d.ChainStart[st.rank]
 		dmF := pr.DmFulls[di]
 		i := 0
-		d.CommRegion(pred, dm, func(z, pp ilin.Vec) bool {
+		commRegion(d, pred, dm, func(z, pp ilin.Vec) bool {
 			cell := (st.Addr.Flat(pp, tau) + st.Addr.DirShift(dmF)) * int64(w)
 			copy(st.la[cell:cell+int64(w)], buf[i:i+w])
 			i += w
@@ -166,8 +166,8 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 
 // sendPhase implements the paper's SEND: one message per processor
 // direction d^m with at least one valid successor tile, packing this
-// tile's communication region point by point (distrib.CommRegion, which
-// sender and receiver evaluate identically, so contents pair up without
+// tile's communication region point by point (commRegion, which sender
+// and receiver evaluate identically, so contents pair up without
 // headers). Each message gets a fresh buffer; in overlap mode the rank
 // advances without waiting.
 func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool) error {
@@ -178,7 +178,7 @@ func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool) error {
 		if !d.HasSuccessor(tile, i) {
 			continue
 		}
-		n := d.CommRegionCount(tile, dm)
+		n := commRegion(d, tile, dm, nil)
 		if n == 0 {
 			continue
 		}
@@ -187,7 +187,7 @@ func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool) error {
 		}
 		buf := make([]float64, int(n)*w)
 		pos := 0
-		d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool {
+		commRegion(d, tile, dm, func(z, jp ilin.Vec) bool {
 			cell := st.Addr.Flat(jp, t) * int64(w)
 			copy(buf[pos:pos+w], st.la[cell:cell+int64(w)])
 			pos += w
@@ -215,4 +215,29 @@ func (st *rankState) writeBackPerPoint(g *Global) {
 			return true
 		})
 	}
+}
+
+// commRegion enumerates the §3.2 communication points of tile s along
+// processor direction d^m point by point: the clamped lattice points whose
+// TTIS coordinate satisfies j'_k ≥ cc_k on every non-mapping dimension where
+// d^m is 1. fn may be nil to just count.
+func commRegion(d *distrib.Distribution, s, dm ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
+	var count int64
+	d.TS.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
+		for k, i := 0, 0; k < len(jp); k++ {
+			if k == d.M {
+				continue
+			}
+			if dm[i] == 1 && jp[k] < d.TS.CC[k] {
+				return true
+			}
+			i++
+		}
+		count++
+		if fn != nil {
+			return fn(z, jp)
+		}
+		return true
+	})
+	return count
 }

@@ -109,14 +109,13 @@ func TestPlanDirsMatchCommRegion(t *testing.T) {
 			}
 			for di, dm := range d.DM {
 				dir := pl.Dirs[di]
-				if got := d.CommRegionCount(tile, dm); dir.Total != got {
-					t.Fatalf("rank %d tile %v dm %v: plan total %d, CommRegionCount %d", r, tile, dm, dir.Total, got)
-				}
 				var want []int64
-				d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool {
+				if got := commRegion(d, tile, dm, func(z, jp ilin.Vec) bool {
 					want = append(want, st.Addr.Flat(jp, 0))
 					return true
-				})
+				}); dir.Total != got {
+					t.Fatalf("rank %d tile %v dm %v: plan total %d, region %d", r, tile, dm, dir.Total, got)
+				}
 				var got []int64
 				for _, run := range dir.Runs {
 					for k := int64(0); k < run.N; k++ {
@@ -299,7 +298,7 @@ func (p *Program) CheckBoundaryReads() (slots, interior, nonEmpty int, err error
 	n := p.TS.T.N
 	src := make(ilin.Vec, n)
 	full := func(s ilin.Vec) bool {
-		return p.TS.ValidTile(s) && p.TS.CountTilePoints(s, nil) == p.TS.T.TileSize
+		return p.TS.ValidTile(s) && p.TS.CountTilePoints(s) == p.TS.T.TileSize
 	}
 	deps := p.Dist.Protocol().Deps
 	for r := 0; r < p.Dist.NumProcs(); r++ {
@@ -493,7 +492,7 @@ func BenchmarkPackUnpack(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for di, dm := range d.DM {
 				pos := 0
-				d.CommRegion(tile, dm, func(z, jp ilin.Vec) bool { // pack
+				commRegion(d, tile, dm, func(z, jp ilin.Vec) bool { // pack
 					cell := stL.Addr.Flat(jp, ti) * int64(w)
 					copy(buf[pos:pos+w], stL.la[cell:cell+int64(w)])
 					pos += w
@@ -501,7 +500,7 @@ func BenchmarkPackUnpack(b *testing.B) {
 				})
 				dmF := d.Protocol().DmFulls[di]
 				pos = 0
-				d.CommRegion(tile, dm, func(z, pp ilin.Vec) bool { // unpack
+				commRegion(d, tile, dm, func(z, pp ilin.Vec) bool { // unpack
 					cell := (stL.Addr.Flat(pp, ti) + stL.Addr.DirShift(dmF)) * int64(w)
 					copy(stL.la[cell:cell+int64(w)], buf[pos:pos+w])
 					pos += w

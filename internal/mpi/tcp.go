@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -815,9 +816,14 @@ func (m *TCPMesh) serveConn(conn net.Conn) {
 	m.readLoop(il, conn)
 }
 
+// readLoop reads the frames of an adopted inbound connection until it dies.
+// The hello was read unbuffered and the peer sends nothing but frames after
+// the welcome, so one buffer per connection takes a burst of frames off the
+// socket in a few reads instead of two per frame.
 func (m *TCPMesh) readLoop(il *inLink, conn net.Conn) {
+	r := bufio.NewReader(conn)
 	for {
-		body, err := readFrame(conn)
+		body, err := readFrame(r)
 		if err != nil {
 			m.connLost(il, conn)
 			return

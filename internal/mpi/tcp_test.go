@@ -2,8 +2,10 @@ package mpi
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -549,5 +551,48 @@ func (m *TCPMesh) dropLink(src, dst int) {
 			il.conn.Close()
 		}
 		il.mu.Unlock()
+	}
+}
+
+// countingConn counts the Read calls made on a connection.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestReadLoopBuffersFrames: a burst of frames written in one go is taken
+// off the connection in a few reads, not a header read and a body read per
+// frame, and every frame of it is still handled.
+func TestReadLoopBuffersFrames(t *testing.T) {
+	m, err := NewTCPMesh(TCPConfig{Size: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	const frames = 64
+	var burst []byte
+	for ep := uint32(0); ep < frames; ep++ {
+		burst = append(burst, encodeEpochFrame(ep)...)
+	}
+	local, peer := net.Pipe()
+	conn := &countingConn{Conn: local}
+	go func() {
+		peer.Write(burst)
+		peer.Close()
+	}()
+	m.readLoop(m.in(linkID{0, 1}), conn) // returns at the peer's close
+	m.markMu.Lock()
+	handled := len(m.marks)
+	m.markMu.Unlock()
+	if handled != frames {
+		t.Fatalf("%d of %d epoch frames handled", handled, frames)
+	}
+	if n := conn.reads.Load(); n > frames/8 {
+		t.Fatalf("%d reads for a burst of %d frames", n, frames)
 	}
 }

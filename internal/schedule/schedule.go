@@ -150,8 +150,8 @@ func (cm CostModel) Predict(d *distrib.Distribution) (*Estimate, error) {
 	}
 	est := &Estimate{Steps: PipelinedLength(d)}
 	est.TileComp = float64(ts.T.TileSize) * cm.Params.IterTime
-	for _, dm := range d.DM {
-		n := d.FullTileCommCount(dm)
+	for di := range d.DM {
+		n := d.FullTileCommCount(di)
 		if n == 0 {
 			continue
 		}
@@ -164,7 +164,7 @@ func (cm CostModel) Predict(d *distrib.Distribution) (*Estimate, error) {
 	est.Total = float64(est.Steps) * est.StepTime
 	var points int64
 	ts.ScanTiles(func(jS ilin.Vec) bool {
-		points += ts.CountTilePoints(jS, nil)
+		points += ts.CountTilePoints(jS)
 		return true
 	})
 	est.SeqTime = float64(points) * cm.Params.IterTime

@@ -384,30 +384,20 @@ func (ts *TiledSpace) TileFullyInside(jS ilin.Vec) bool {
 	return true
 }
 
-// CountTilePoints counts the lattice points of tile j^S whose TTIS
-// coordinate satisfies j'_k ≥ minJP[k] for every k (pass nil for no
-// constraint). It recurses over the outer lattice dimensions and closes
-// the innermost level in O(1), so boundary tiles cost O(area) instead of
-// O(volume) — what makes paper-scale simulation sweeps affordable.
-func (ts *TiledSpace) CountTilePoints(jS ilin.Vec, minJP ilin.Vec) int64 {
+// CountTilePoints counts the lattice points of tile j^S. It recurses over
+// the outer lattice dimensions and closes the innermost level in O(1), so
+// boundary tiles cost O(area) instead of O(volume) — what makes paper-scale
+// simulation sweeps affordable.
+func (ts *TiledSpace) CountTilePoints(jS ilin.Vec) int64 {
 	b := ts.getScanBuf()
 	defer scanBufs.Put(b)
 	copy(b.x, jS)
-	return b.points(ts, 0, minJP)
+	return b.points(ts, 0)
 }
 
-func (b *scanBuf) points(ts *TiledSpace, k int, minJP ilin.Vec) int64 {
+func (b *scanBuf) points(ts *TiledSpace, k int) int64 {
 	n := ts.T.N
-	x := b.x
-	lo, hi := ts.pointBounds(k, x)
-	var base int64
-	for l := 0; l < k; l++ {
-		base += ts.T.HT.At(k, l) * x[n+l]
-	}
-	if minJP != nil && minJP[k] > 0 {
-		// j'_k = base + c_k·z_k ≥ minJP[k]
-		lo = max(lo, rat.CeilDiv(minJP[k]-base, ts.T.C[k]))
-	}
+	lo, hi := ts.pointBounds(k, b.x)
 	if hi < lo {
 		return 0
 	}
@@ -416,8 +406,8 @@ func (b *scanBuf) points(ts *TiledSpace, k int, minJP ilin.Vec) int64 {
 	}
 	var total int64
 	for zk := lo; zk <= hi; zk++ {
-		x[n+k] = zk
-		total += b.points(ts, k+1, minJP)
+		b.x[n+k] = zk
+		total += b.points(ts, k+1)
 	}
 	return total
 }

@@ -107,13 +107,16 @@ type replayer struct {
 	queues  map[stream][]message
 	rep     *Report
 
-	// Per-point scratch, reused from tile to tile: a table point, the
-	// scan's reference point, a read source, the tile's P·j^S; and one
-	// send's region reference (its global points, n coordinates each in
-	// flat, viewed as vectors in pts, and the cells they pack in want).
-	j, g, src, pS ilin.Vec
-	flat, want    []int64
-	pts           []ilin.Vec
+	// U·e_{n-1}, the global step along a row; per-point scratch: a table
+	// point, the walk's point, a read source, P·j^S; and per direction the
+	// walk's region reference: its points, n coordinates each in flat[d],
+	// and their cells in want[d].
+	ustep, j, g, src, pS ilin.Vec
+	flat, want           [][]int64
+
+	// sent[r][t·|D^m|+dir] is 1 + the region size the walk of rank r's
+	// slot t counted for its send along dir, 0 where it sends none.
+	sent [][]int64
 }
 
 // replay executes the compiled protocol — the tables the executor runs —
@@ -122,22 +125,22 @@ type replayer struct {
 // against the stream FIFOs and unpack each by its runs + τ·ChainStep +
 // DirShift; inject the boundary-read runs; walk the plan's rows with a
 // cursor, reading and writing each row's stepped cells at t·ChainStep; pack
-// each send by the plan's runs. What the tables say is
-// judged against references derived independently of them: the tile's own
-// point scan and iteration codes (every dependence read must resolve to
-// exactly the code of its source iteration, every point is computed once),
-// the containment test (an injected source must lie outside the space), and
-// the CommRegion point order with the Addresser's Flat (CheckRuns: a
-// message carries exactly its region, each cell once). Every offset touched
-// is checked against the rank's LDS box. A pass proves comm-set exactness
-// constructively — no missing value (a miss surfaces as a wrong or absent
-// code at the reading point: the counterexample), no stale reuse, FIFO
-// consistency, every send consumed — about the tables themselves. It is
-// pure arithmetic: no goroutines, no mpi.World.
-func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) error {
+// each send by the plan's runs. The references the tables are judged
+// against come from one walk of the tile's own rows (ScanTileRows), none
+// from the tables: iteration codes of P·j^S + U·z (every read must resolve
+// to its source's code, every point is computed once), the containment test
+// (an injected source lies outside the space), and the region's points in
+// walk order with the Addresser's cells (a message carries exactly its
+// region). Every offset touched is checked against the rank's LDS box. A
+// pass proves comm-set exactness constructively — no missing value (a miss
+// surfaces as a wrong or absent code at the reading point: the
+// counterexample), no stale reuse, FIFO consistency, every send consumed —
+// about the tables themselves. It is pure arithmetic: no goroutines, no
+// mpi.World.
+func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) (*replayer, error) {
 	coder, err := newPointCoder(d.TS)
 	if err != nil {
-		return fmt.Errorf("verify: bounding box: %w", err)
+		return nil, fmt.Errorf("verify: bounding box: %w", err)
 	}
 	rp := &replayer{
 		d: d, plans: plans, coder: coder, rep: rep,
@@ -146,12 +149,16 @@ func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) err
 		heads:   make([][]int, len(plans)),
 		owner:   make([]int32, coder.size+1),
 		queues:  map[stream][]message{},
+		sent:    make([][]int64, len(plans)),
 	}
 	n := d.TS.T.N
+	rp.ustep = d.TS.T.U.Col(n - 1)
 	rp.j, rp.g, rp.src, rp.pS = make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n)
+	rp.flat, rp.want = make([][]int64, len(d.DM)), make([][]int64, len(d.DM))
 	for r, p := range plans {
 		rp.content[r] = make([]int64, p.Addr.Size())
 		rp.heads[r] = make([]int, len(p.Rows))
+		rp.sent[r] = make([]int64, len(p.Slots)*len(d.DM))
 	}
 	var vio *Violation
 	d.TS.ScanTiles(func(s ilin.Vec) bool {
@@ -159,9 +166,17 @@ func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) err
 		return vio == nil
 	})
 	if vio != nil {
-		return vio
+		return rp, vio
 	}
-	return rp.epilogue()
+	return rp, rp.epilogue()
+}
+
+// sentRegion returns the region size the replay's walk of tile counted for
+// its send along dir, −1 when it made no such send. CheckSchedule asks it
+// only about a valid tile on its rank and a direction of D^m.
+func (rp *replayer) sentRegion(tile ilin.Vec, dir int) int64 {
+	r, _ := rp.d.RankOfTile(tile)
+	return rp.sent[r][(tile[rp.d.M]-rp.d.ChainStart[r])*int64(len(rp.d.DM))+int64(dir)] - 1
 }
 
 // tile replays one tile; s is ScanTiles' reusable buffer.
@@ -286,10 +301,12 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 		}
 	}
 
-	// COMPUTE — the tile's own scan is the reference: the plan's rows,
+	// COMPUTE — the tile's own row walk is the reference: the plan's rows,
 	// walked point by point with a cursor (row, i), must list exactly its
 	// points, every dependence read must resolve to the code of its source
-	// iteration, and the write claims ownership of the point.
+	// iteration, and the write claims ownership of the point. Per direction
+	// the slot sends along, the walk also collects the region reference: the
+	// points in the communication region, in walk order, with their cells.
 	var vio *Violation
 	row, i, npts := 0, 0, 0
 	skipDone := func() { // move the cursor off rows it has exhausted (or that hold no point)
@@ -297,54 +314,73 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 			row, i = row+1, 0
 		}
 	}
-	ts.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
-		for k := range g { // j = P·j^S + U·z
+	last := n - 1
+	ts.ScanTileRows(s, func(z, jp ilin.Vec, cnt int64) bool {
+		for k := range g { // j = P·j^S + U·z, then one U·e_{n-1} per point
 			g[k] = pS[k]
 			for l, zl := range z {
 				g[k] += ts.T.U.At(k, l) * zl
 			}
 		}
-		skipDone()
-		if row >= len(pl.Rows) || !g.Equal(point(row, i)) {
-			vio = &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: g.Clone(),
-				Detail: fmt.Sprintf("point %d of the tile is missing from its compiled plan (%d points in %d rows)", npts, pl.Npts, len(pl.Rows))}
-			return false
-		}
-		for l := 0; l < q; l++ {
-			c, ok := cell(pl.Read[row*q+l] + int64(i))
-			if !ok {
-				vio = oob("read", c, g)
+		for ; cnt > 0; cnt, jp[last] = cnt-1, jp[last]+ts.T.C[last] {
+			skipDone()
+			if row >= len(pl.Rows) || !g.Equal(point(row, i)) {
+				vio = &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: g.Clone(),
+					Detail: fmt.Sprintf("point %d of the tile is missing from its compiled plan (%d points in %d rows)", npts, pl.Npts, len(pl.Rows))}
 				return false
 			}
-			for k := range src {
-				src[k] = g[k] - pr.Deps[l][k]
+			for l := 0; l < q; l++ {
+				c, ok := cell(pl.Read[row*q+l] + int64(i))
+				if !ok {
+					vio = oob("read", c, g)
+					return false
+				}
+				for k := range src {
+					src[k] = g[k] - pr.Deps[l][k]
+				}
+				if want := rp.coder.enc(src); content[c] != want {
+					vio = &Violation{
+						Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: g.Clone(),
+						Detail: fmt.Sprintf("read through dependence d_%d resolves to LDS cell %d holding %s; expected the value of iteration %v", l+1, c, rp.coder.describe(content[c]), src),
+					}
+					return false
+				}
 			}
-			if want := rp.coder.enc(src); content[c] != want {
+			c, ok := cell(pl.Rows[row].Write + int64(i))
+			if !ok {
+				vio = oob("write", c, g)
+				return false
+			}
+			code := rp.coder.enc(g)
+			if prev := rp.owner[code]; prev != 0 {
 				vio = &Violation{
-					Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: g.Clone(),
-					Detail: fmt.Sprintf("read through dependence d_%d resolves to LDS cell %d holding %s; expected the value of iteration %v", l+1, c, rp.coder.describe(content[c]), src),
+					Rule: "coverage", Rank: r, Tile: sl.Tile, Point: g.Clone(),
+					Detail: fmt.Sprintf("iteration computed twice (ranks %d and %d)", prev-1, r),
 				}
 				return false
 			}
-		}
-		c, ok := cell(pl.Rows[row].Write + int64(i))
-		if !ok {
-			vio = oob("write", c, g)
-			return false
-		}
-		code := rp.coder.enc(g)
-		if prev := rp.owner[code]; prev != 0 {
-			vio = &Violation{
-				Rule: "coverage", Rank: r, Tile: sl.Tile, Point: g.Clone(),
-				Detail: fmt.Sprintf("iteration computed twice (ranks %d and %d)", prev-1, r),
+			rp.owner[code] = int32(r) + 1
+			content[c] = code
+		region:
+			for _, snd := range sl.Sends { // j'_k ≥ cc_k on every non-mapping k where d^m is 1
+				for k, e := 0, 0; k < n; k++ {
+					if k != d.M {
+						if d.DM[snd.Dir][e] == 1 && jp[k] < ts.CC[k] {
+							continue region
+						}
+						e++
+					}
+				}
+				rp.flat[snd.Dir] = append(rp.flat[snd.Dir], g...)
+				rp.want[snd.Dir] = append(rp.want[snd.Dir], p.Addr.Flat(jp, 0))
 			}
-			return false
+			rp.rep.Points++
+			i++
+			npts++
+			for k := range g {
+				g[k] += rp.ustep[k]
+			}
 		}
-		rp.owner[code] = int32(r) + 1
-		content[c] = code
-		rp.rep.Points++
-		i++
-		npts++
 		return true
 	})
 	if vio != nil {
@@ -360,71 +396,59 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 			Detail: fmt.Sprintf("tile holds %d points, its plan %d and its schedule slot %d", npts, pl.Npts, sl.Npts)}
 	}
 
-	// SEND — each message packs the plan's runs; they must be exactly the
-	// region in CommRegion order, each cell holding the freshly computed
-	// value of its point.
+	// SEND — each message packs the plan's runs. Cell by cell they must be
+	// the region's cells in walk order — none missing, extra or reordered —
+	// each holding the freshly computed value of its point; so no cell is
+	// packed twice either: it holds one point's value.
 	for _, snd := range sl.Sends {
 		dir := &pl.Dirs[snd.Dir]
-		pts, want := rp.region(s, d.DM[snd.Dir], p.Addr)
-		if dir.Total != snd.Count || snd.Count != int64(len(pts)) {
-			var at ilin.Vec
-			if len(pts) > 0 {
-				at = pts[len(pts)-1]
+		want, flat := rp.want[snd.Dir], rp.flat[snd.Dir]
+		at := func(i int) ilin.Vec { // region point i, or the last one
+			if i = min(i, len(want)-1); i < 0 {
+				return nil
 			}
-			return &Violation{Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: at,
-				Detail: fmt.Sprintf("send along %v is scheduled with %d values and its runs pack %d; the region holds %d", d.DM[snd.Dir], snd.Count, dir.Total, len(pts))}
+			return flat[i*n : i*n+n : i*n+n]
 		}
-		if v := CheckRuns(pts, want, dir.Runs, dir.Total); v != nil {
-			v.Rank, v.Tile = r, sl.Tile
-			return v
+		fail := func(rule string, i int, format string, args ...any) *Violation {
+			return &Violation{Rule: rule, Rank: r, Tile: sl.Tile, Point: at(i),
+				Detail: fmt.Sprintf("send along %v: ", d.DM[snd.Dir]) + fmt.Sprintf(format, args...)}
+		}
+		if dir.Total != snd.Count || snd.Count != int64(len(want)) {
+			return fail("comm-soundness", len(want), "scheduled with %d values, its runs pack %d, the region holds %d", snd.Count, dir.Total, len(want))
 		}
 		payload := make([]int64, 0, dir.Total)
-		for _, run := range dir.Runs {
-			for o := int64(0); o < run.N; o++ {
-				g := pts[len(payload)]
-				c, ok := cell(run.Off + o)
-				if !ok {
-					return oob("pack", c, g)
+		for ri, run := range dir.Runs {
+			if run.N <= 0 {
+				return fail("comm-soundness", len(payload), "run %d has non-positive length %d", ri, run.N)
+			}
+			for off := run.Off; off < run.Off+run.N; off++ {
+				i := len(payload)
+				if i == len(want) {
+					return fail("comm-redundancy", i, "runs cover more cells than the region: extra cell %d in run %d", off, ri)
 				}
-				if content[c] != rp.coder.enc(g) {
-					return &Violation{
-						Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: g,
-						Detail: fmt.Sprintf("packed value for iteration %v is %s", g, rp.coder.describe(content[c])),
-					}
+				if want[i] != off {
+					return fail("comm-soundness", i, "region point %d packs cell %d, runs pack cell %d", i, want[i], off)
+				}
+				c, ok := cell(off)
+				if !ok {
+					return oob("pack", c, at(i))
+				}
+				if content[c] != rp.coder.enc(at(i)) {
+					return fail("comm-soundness", i, "packed value for iteration %v is %s", at(i), rp.coder.describe(content[c]))
 				}
 				payload = append(payload, content[c])
 			}
 		}
+		if i := len(payload); i < len(want) {
+			return fail("comm-soundness", i, "region point %d (cell %d) is missing from the run list", i, want[i])
+		}
+		rp.sent[r][t*int64(len(d.DM))+int64(snd.Dir)] = 1 + int64(len(want))
+		rp.flat[snd.Dir], rp.want[snd.Dir] = flat[:0], want[:0]
 		key := stream{r, p.SendRank[snd.Dir], snd.Dir}
 		rp.queues[key] = append(rp.queues[key], message{from: sl.Tile, payload: payload})
 		rp.rep.Values += dir.Total
 	}
 	return nil
-}
-
-// region lists tile s's communication region along dm in CommRegion order:
-// each point's global iteration and the flat cell addr assigns it. Both
-// live in the replayer's buffers until the next call.
-func (rp *replayer) region(s, dm ilin.Vec, addr *distrib.Addresser) ([]ilin.Vec, []int64) {
-	ts := rp.d.TS
-	n := ts.T.N
-	rp.flat, rp.want = rp.flat[:0], rp.want[:0]
-	rp.d.CommRegion(s, dm, func(z, jp ilin.Vec) bool {
-		for k := 0; k < n; k++ { // j = P·j^S + U·z
-			g := rp.pS[k]
-			for l, zl := range z {
-				g += ts.T.U.At(k, l) * zl
-			}
-			rp.flat = append(rp.flat, g)
-		}
-		rp.want = append(rp.want, addr.Flat(jp, 0))
-		return true
-	})
-	rp.pts = rp.pts[:0]
-	for i := 0; i < len(rp.flat); i += n {
-		rp.pts = append(rp.pts, rp.flat[i:i+n:i+n])
-	}
-	return rp.pts, rp.want
 }
 
 // epilogue closes the exactness proof: every sent message was consumed and

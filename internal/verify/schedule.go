@@ -64,8 +64,11 @@ func ScheduleEdges(d *distrib.Distribution) []Edge {
 // these embed the send/receive pattern into lexicographic tile time, so
 // the pattern is a DAG and global lex order is a deadlock-free execution
 // order for both the blocking and the overlap mode (sends are eager in
-// both; only receives block).
-func CheckSchedule(d *distrib.Distribution, edges []Edge) error {
+// both; only receives block). Each edge must also carry what its sending
+// tile's region holds: region(From, Dir), a count the caller takes from its
+// own walk of the tile (Certify: the replay's), asked last, once the edge's
+// direction, endpoints and ranks have passed.
+func CheckSchedule(d *distrib.Distribution, edges []Edge, region func(tile ilin.Vec, dir int) int64) error {
 	for r := 0; r < d.NumProcs(); r++ {
 		for t := int64(1); t < d.ChainLen[r]; t++ {
 			prev, cur := d.TileAt(r, t-1), d.TileAt(r, t)
@@ -142,7 +145,7 @@ func CheckSchedule(d *distrib.Distribution, edges []Edge) error {
 				Detail: "self-message: a rank would block receiving from itself",
 			}
 		}
-		if want := d.CommRegionCount(e.From, dm); want != e.Values {
+		if want := region(e.From, e.Dir); want != e.Values {
 			return &Violation{
 				Rule: "schedule-edge", Rank: e.SrcRank, Tile: e.From, Point: e.To,
 				Detail: fmt.Sprintf("edge carries %d values, communication region holds %d", e.Values, want),

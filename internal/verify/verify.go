@@ -11,8 +11,9 @@
 //     message's pack runs are exactly the dependence footprint crossing
 //     that tile face. Proved constructively by a symbolic replay of the
 //     compiled tables (see replay.go), judged against references derived
-//     independently of them — the tile scan's iteration codes, the
-//     containment test, CommRegion order with the Addresser (CheckRuns).
+//     independently of them by one walk of each tile's rows: iteration
+//     codes, the containment test, region membership and order, and the
+//     Addresser's cells.
 //
 //  2. Deadlock-freedom. The send/receive pattern the tables encode embeds
 //     into lexicographic tile time: every message flows from a lex-earlier
@@ -116,14 +117,17 @@ func Certify(ts *tiling.TiledSpace, d *distrib.Distribution) (*Report, error) {
 			return nil, &Violation{Rule: "schedule-edge", Rank: r, Detail: err.Error()}
 		}
 	}
+	// The replay goes first: the schedule's payload check reads the region
+	// sizes its tile walks counted.
+	rp, err := replay(d, plans, rep)
+	if err != nil {
+		return nil, err
+	}
 	edges := ScheduleEdges(d)
-	if err := CheckSchedule(d, edges); err != nil {
+	if err := CheckSchedule(d, edges, rp.sentRegion); err != nil {
 		return nil, err
 	}
 	rep.Messages = int64(len(edges))
-	if err := replay(d, plans, rep); err != nil {
-		return nil, err
-	}
 	rep.Shapes = d.NumShapes()
 	return rep, nil
 }

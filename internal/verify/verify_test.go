@@ -26,7 +26,7 @@ type matrixCase struct {
 // The certifier's schedule and comm proofs cover blocking and overlap
 // modes at once: the two modes share the identical send/recv pattern and
 // differ only in Send vs Isend, both eager.
-func matrixCases(t *testing.T) []matrixCase {
+func matrixCases(t testing.TB) []matrixCase {
 	t.Helper()
 	var out []matrixCase
 	add := func(name string, app *apps.App, err error, fam apps.TilingFamily, x, y, z int64) {
@@ -70,20 +70,21 @@ func matrixCases(t *testing.T) []matrixCase {
 }
 
 // matrixReports pins what a certification covers per matrix case — procs,
-// tiles, points, messages, values — as recorded before the certifier moved
-// onto the compiled protocol (Messages feeds the exact benchmark metric
-// verify.edges).
-var matrixReports = map[string][5]int64{
-	"sor/rect":        {10, 36, 400, 69, 340},
-	"sor/rect-ragged": {12, 36, 400, 69, 380},
-	"sor/nonrect":     {10, 34, 400, 57, 340},
-	"jacobi/rect":     {43, 116, 1152, 291, 1929},
-	"jacobi/nonrect":  {30, 86, 1152, 197, 1436},
-	"adi/rect":        {16, 80, 800, 120, 480},
-	"adi/nonrect0":    {16, 84, 800, 111, 460},
-	"adi/nonrect1":    {16, 84, 800, 111, 460},
-	"adi/nonrect2":    {16, 98, 800, 116, 470},
-	"heat3d/rect":     {247, 439, 3072, 2694, 20603},
+// tiles, points, messages, values, shapes, address facts checked — as
+// recorded before the certifier moved onto the compiled protocol (the first
+// five; Messages feeds the exact benchmark metric verify.edges) and before
+// the compiler derived its per-tile facts from one row scan (the last two).
+var matrixReports = map[string][7]int64{
+	"sor/rect":        {10, 36, 400, 69, 340, 25, 3520},
+	"sor/rect-ragged": {12, 36, 400, 69, 380, 21, 3600},
+	"sor/nonrect":     {10, 34, 400, 57, 340, 22, 3520},
+	"jacobi/rect":     {43, 116, 1152, 291, 1929, 50, 11826},
+	"jacobi/nonrect":  {30, 86, 1152, 197, 1436, 59, 10840},
+	"adi/rect":        {16, 80, 800, 120, 480, 27, 4600},
+	"adi/nonrect0":    {16, 84, 800, 111, 460, 39, 4560},
+	"adi/nonrect1":    {16, 84, 800, 111, 460, 39, 4560},
+	"adi/nonrect2":    {16, 98, 800, 116, 470, 56, 4580},
+	"heat3d/rect":     {247, 439, 3072, 2694, 20603, 62, 71286},
 }
 
 // TestCertifyMatrix runs the static certifier over the full matrix and
@@ -100,8 +101,8 @@ func TestCertifyMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("certify: %v", err)
 			}
-			if got := [5]int64{int64(rep.Procs), rep.Tiles, rep.Points, rep.Messages, rep.Values}; got != matrixReports[c.name] {
-				t.Errorf("report covers %v (procs, tiles, points, messages, values), want %v", got, matrixReports[c.name])
+			if got := [7]int64{int64(rep.Procs), rep.Tiles, rep.Points, rep.Messages, rep.Values, int64(rep.Shapes), rep.Checks}; got != matrixReports[c.name] {
+				t.Errorf("report covers %v (procs, tiles, points, messages, values, shapes, checks), want %v", got, matrixReports[c.name])
 			}
 			if rep.Shapes != c.d.NumShapes() {
 				t.Errorf("report counts %d shapes, the compiled shape table holds %d", rep.Shapes, c.d.NumShapes())
@@ -132,11 +133,14 @@ func firstMessageTile(t *testing.T, d *distrib.Distribution) (tile ilin.Vec, dir
 	t.Helper()
 	dir = -1
 	d.TS.ScanTiles(func(s ilin.Vec) bool {
-		for i, dm := range d.DM {
-			if d.HasSuccessor(s, i) && d.CommRegionCount(s, dm) > 0 {
-				tile, dir = s.Clone(), i
-				return false
-			}
+		r, _ := d.RankOfTile(s)
+		rp, err := d.Schedule(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sends := rp.Slots[s[d.M]-d.ChainStart[r]].Sends; len(sends) > 0 {
+			tile, dir = s.Clone(), sends[0].Dir
+			return false
 		}
 		return true
 	})
@@ -146,25 +150,72 @@ func firstMessageTile(t *testing.T, d *distrib.Distribution) (tile ilin.Vec, dir
 	return tile, dir
 }
 
-// TestMutationCorruptedRunRejected corrupts one CommRuns run and asserts
-// the verifier rejects the plan naming a counterexample point.
-func TestMutationCorruptedRunRejected(t *testing.T) {
-	c := matrixCases(t)[0]
-	tile, dir := firstMessageTile(t, c.d)
-	r, _ := c.d.RankOfTile(tile)
-	addr := c.d.Addresser(r)
-	var (
-		want []int64
-		pts  []ilin.Vec
-	)
-	c.d.CommRegion(tile, c.d.DM[dir], func(z, jp ilin.Vec) bool {
-		want = append(want, addr.Flat(jp, 0))
-		pts = append(pts, c.ts.GlobalOf(tile, z))
+// region lists tile's communication region along DM[dir] point by point:
+// each point's global iteration and, with an addr, the flat cell addr maps
+// it to.
+func region(d *distrib.Distribution, tile ilin.Vec, dir int, addr *distrib.Addresser) (pts []ilin.Vec, cells []int64) {
+	dm := d.DM[dir]
+	d.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+		for k, i := 0, 0; k < len(jp); k++ {
+			if k == d.M {
+				continue
+			}
+			if dm[i] == 1 && jp[k] < d.TS.CC[k] {
+				return true
+			}
+			i++
+		}
+		pts = append(pts, d.TS.GlobalOf(tile, z))
+		if addr != nil {
+			cells = append(cells, addr.Flat(jp, 0))
+		}
 		return true
 	})
-	runs, total := c.d.CommRuns(tile, c.d.DM[dir], addr)
-	if v := verify.CheckRuns(pts, want, runs, total); v != nil {
-		t.Fatalf("pristine runs rejected: %v", v)
+	return pts, cells
+}
+
+// regionSize counts tile's region along DM[dir] point by point: the
+// reference CheckSchedule checks payloads against.
+func regionSize(d *distrib.Distribution) func(ilin.Vec, int) int64 {
+	return func(tile ilin.Vec, dir int) int64 {
+		pts, _ := region(d, tile, dir, nil)
+		return int64(len(pts))
+	}
+}
+
+// TestMutationCorruptedRunRejected: a tile's compiled pack runs are its
+// region's cells, point by point, in maximal runs; corrupting them in the
+// compiled plan must make Certify reject it, naming a counterexample point.
+func TestMutationCorruptedRunRejected(t *testing.T) {
+	// target returns a fresh copy of the sor/rect case with a communicating
+	// tile's compiled region along dir.
+	target := func(t *testing.T) (matrixCase, ilin.Vec, int, *distrib.DirPlan) {
+		c := matrixCases(t)[0]
+		tile, dir := firstMessageTile(t, c.d)
+		r, _ := c.d.RankOfTile(tile)
+		rp, err := c.d.Plan(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, tile, dir, &rp.Slots[tile[c.d.M]-c.d.ChainStart[r]].Plan.Dirs[dir]
+	}
+	c, tile, dir, dp := target(t)
+	r, _ := c.d.RankOfTile(tile)
+	_, want := region(c.d, tile, dir, c.d.Addresser(r))
+	var got []int64
+	for i, run := range dp.Runs {
+		if i > 0 && dp.Runs[i-1].Off+dp.Runs[i-1].N == run.Off {
+			t.Fatalf("runs %d and %d of %+v are adjacent (not maximal)", i-1, i, dp.Runs)
+		}
+		for k := int64(0); k < run.N; k++ {
+			got = append(got, run.Off+k)
+		}
+	}
+	if !slices.Equal(got, want) || dp.Total != int64(len(want)) {
+		t.Fatalf("compiled runs %+v (total %d) pack cells %v, the region's are %v", dp.Runs, dp.Total, got, want)
+	}
+	if _, err := verify.Certify(c.ts, c.d); err != nil {
+		t.Fatalf("pristine runs rejected: %v", err)
 	}
 
 	for name, mutate := range map[string]func([]distrib.Run) []distrib.Run{
@@ -181,12 +232,14 @@ func TestMutationCorruptedRunRejected(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			mutated := mutate(append([]distrib.Run(nil), runs...))
-			v := verify.CheckRuns(pts, want, mutated, total)
-			if v == nil {
-				t.Fatal("corrupted run list accepted")
+			c, _, _, dp := target(t)
+			dp.Runs = mutate(slices.Clone(dp.Runs))
+			_, err := verify.Certify(c.ts, c.d)
+			var v *verify.Violation
+			if !errors.As(err, &v) {
+				t.Fatalf("corrupted run list accepted (err = %v)", err)
 			}
-			if !strings.Contains(v.Error(), "counterexample point") {
+			if v.Point == nil || !strings.Contains(v.Error(), "counterexample point") {
 				t.Errorf("rejection carries no counterexample point: %v", v)
 			}
 			t.Logf("rejected: %v", v)
@@ -203,7 +256,7 @@ func TestMutationCorruptedScheduleRejected(t *testing.T) {
 	if len(edges) == 0 {
 		t.Fatal("no schedule edges in the matrix case")
 	}
-	if err := verify.CheckSchedule(c.d, edges); err != nil {
+	if err := verify.CheckSchedule(c.d, edges, regionSize(c.d)); err != nil {
 		t.Fatalf("pristine schedule rejected: %v", err)
 	}
 
@@ -226,7 +279,7 @@ func TestMutationCorruptedScheduleRejected(t *testing.T) {
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
 			mutated := mutate(append([]verify.Edge(nil), edges...))
-			err := verify.CheckSchedule(c.d, mutated)
+			err := verify.CheckSchedule(c.d, mutated, regionSize(c.d))
 			if err == nil {
 				t.Fatal("corrupted schedule accepted")
 			}
@@ -506,5 +559,27 @@ func TestMutationCompiledRowRejected(t *testing.T) {
 			}
 			t.Logf("rejected: %v", v)
 		})
+	}
+}
+
+// BenchmarkCertify times Certify over the whole matrix on warm
+// distributions — every chain already compiled, as after a run — so it
+// measures the certifier alone: the replay's tile walks and the schedule
+// check.
+func BenchmarkCertify(b *testing.B) {
+	cases := matrixCases(b)
+	for _, c := range cases {
+		if _, err := verify.Certify(c.ts, c.d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cases {
+			if _, err := verify.Certify(c.ts, c.d); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -248,6 +248,43 @@ func TestOneCompiledProtocol(t *testing.T) {
 	}
 }
 
+// TestOneRowWalkPerTile pins where the compiler and the certifier walk a
+// tile's points. In internal/distrib only Distribution.scan scans a tile's
+// rows, called under the tile table's per-tile Once (distrib's
+// TestColdPlanScansEachTileOnce counts the scans of a cold compile); in
+// internal/verify only replayer.tile walks them, and only replay calls it,
+// once per tile of its ScanTiles. No other code of either package
+// enumerates or counts a tile's points, so Certify walks each tile once.
+func TestOneRowWalkPerTile(t *testing.T) {
+	l := loadTree(t)
+	walks := map[types.Object]bool{}
+	for _, name := range []string{"ScanTileRows", "ScanTilePoints", "CountTilePoints", "TilePointCount", "TotalPoints"} {
+		walks[l.object(t, "tilespace/internal/tiling", "TiledSpace."+name)] = true
+	}
+	tileWalk := l.object(t, "tilespace/internal/verify", "replayer.tile")
+	walker := map[string]string{"internal/distrib": "scan", "internal/verify": "tile"}
+	for _, f := range l.moduleFiles() {
+		want, ok := walker[path.Dir(f.path)]
+		if !ok {
+			continue
+		}
+		for _, decl := range f.Decls {
+			name := ""
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				name = fn.Name.Name
+			}
+			eachUse(decl, f.info, func(id *ast.Ident, obj types.Object) {
+				if walks[obj] && name != want {
+					t.Errorf("%s: %s walks a tile's points outside %s", l.fset.Position(id.Pos()), name, want)
+				}
+				if obj == tileWalk && name != "replay" {
+					t.Errorf("%s: %s replays a tile outside replay", l.fset.Position(id.Pos()), name)
+				}
+			})
+		}
+	}
+}
+
 // TestRankCoreMakesNoRuntimeCall pins the executor's split into a rank
 // machine and its driver: rankState holds no handle on the runtime, and the
 // methods of mpi.Comm and mpi.World that block on, issue to or account to
