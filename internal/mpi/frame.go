@@ -15,7 +15,6 @@ import (
 //	hello     i32 src · i32 dst                       (dialer → accepter, once per connect)
 //	welcome   u32 n · n × (i32 tag · u64 count)       (accepter → dialer reply: frames accepted per stream)
 //	heartbeat u64 progress · u8 busy                  (liveness for the cross-process watchdog)
-//	epoch     u32 epoch                               (Reset quiesce marker)
 //
 // The (src, dst) link identity is established once by hello and implied
 // for every later frame on the connection, so steady-state data frames
@@ -23,13 +22,14 @@ import (
 // (src, dst, tag) stream from 0 in send order — the resume protocol's
 // coordinate: a welcome tells the dialer how far each stream got, the
 // dialer resends retained frames from there and suppresses regenerated
-// ones below it, and the reader drops the duplicates that remain.
+// ones below it, and the reader drops the duplicates that remain. A data
+// frame carries the mesh's epoch at Deliver, and the reader drops it once
+// Reset has moved the epoch on: a reset sends no frame of its own.
 const (
 	frameData      byte = 1
 	frameHello     byte = 2
 	frameWelcome   byte = 3
 	frameHeartbeat byte = 4
-	frameEpoch     byte = 5
 )
 
 // maxFrameBody bounds a frame body read from the network (64 MiB —
@@ -99,25 +99,25 @@ func encodeHeartbeatFrame(progress uint64, busy bool) []byte {
 	return b
 }
 
-func encodeEpochFrame(epoch uint32) []byte {
-	b := make([]byte, 0, 4+5)
-	b = appendU32(b, 5)
-	b = append(b, frameEpoch)
-	b = appendU32(b, epoch)
-	return b
-}
-
-// readFrame reads one complete frame body (kind byte first) from r.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// readFrame reads one complete frame body (kind byte first) from r into
+// buf, grown if the frame does not fit. The body aliases buf, so a reader
+// that passes it back in reads every frame into one buffer.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 256)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 || n > maxFrameBody {
 		return nil, fmt.Errorf("mpi: frame body length %d out of range", n)
 	}
-	body := make([]byte, n)
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, err
 	}
@@ -131,6 +131,7 @@ type dataFrame struct {
 	data  []float64
 }
 
+// decodeDataFrame decodes a data frame body into a fresh payload.
 func decodeDataFrame(body []byte) (dataFrame, error) {
 	var f dataFrame
 	if len(body) < 1+4+4+8+4 {
@@ -190,11 +191,4 @@ func decodeHeartbeatFrame(body []byte) (progress uint64, busy bool, err error) {
 		return 0, false, fmt.Errorf("mpi: heartbeat frame %d bytes, want 10", len(body))
 	}
 	return binary.LittleEndian.Uint64(body[1:]), body[9] != 0, nil
-}
-
-func decodeEpochFrame(body []byte) (uint32, error) {
-	if len(body) != 5 {
-		return 0, fmt.Errorf("mpi: epoch frame %d bytes, want 5", len(body))
-	}
-	return binary.LittleEndian.Uint32(body[1:]), nil
 }

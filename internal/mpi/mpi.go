@@ -92,6 +92,16 @@ func (mb *mailbox) streamOf(k streamKey) *stream {
 	return s
 }
 
+// reset empties the mailbox for a new run, keeping its streams' capacity.
+func (mb *mailbox) reset() {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	for _, s := range mb.queues {
+		clear(s.queue)
+		s.queue, s.head = s.queue[:0], 0
+	}
+}
+
 func (mb *mailbox) put(m Message) {
 	mb.mu.Lock()
 	mb.streamOf(streamKey{m.Source, m.Tag}).push(m)
@@ -472,13 +482,18 @@ func (w *World) failure() error {
 // flags, mailboxes, traffic counters, watchdog observation, fault link
 // sequences — into its initial condition under opts. It is the only
 // initialiser: newWorld and Reset both run it, so a reused world is a
-// fresh one by construction.
+// fresh one by construction: a reused world's mailboxes are emptied in
+// place, since nothing of a finished run reaches them any more (Reset).
 func (w *World) start(opts Options) {
 	w.opts = opts
 	w.aborted.Store(false)
 	w.failErr.Store(nil)
-	for i := range w.boxes {
-		w.boxes[i] = newMailbox()
+	for i, mb := range w.boxes {
+		if mb == nil {
+			w.boxes[i] = newMailbox()
+		} else {
+			mb.reset()
+		}
 	}
 	clear(w.perRank)
 	w.progress.Store(0)
@@ -488,11 +503,11 @@ func (w *World) start(opts Options) {
 
 // Reset returns the world to its just-constructed state under new
 // options, so one World can serve run after run. It runs the same start
-// the constructor runs — every rank gets a fresh mailbox — so what reuse
-// spares is the transport (a TCP world's listener and links), not the
-// per-run state. A reused world is indistinguishable from a fresh one —
-// the reset and exec reuse tests assert bit-identical Stats against a
-// cold world.
+// the constructor runs, which empties every rank's mailbox in place, so
+// what reuse spares is the transport (a TCP world's listener and links)
+// and the mailboxes' capacity, not any per-run state. A reused world is
+// indistinguishable from a fresh one — the reset and exec reuse tests
+// assert bit-identical Stats against a cold world.
 //
 // Reset must only be called between runs: RunE has returned (its rank
 // goroutines are gone by then, even after an abort), and no new
@@ -504,9 +519,9 @@ func (w *World) Reset(opts Options) {
 	if err := opts.Faults.Validate(); err != nil {
 		panic(err.Error())
 	}
-	// Quiesce the wire first: any frame still in flight from the
-	// previous (possibly aborted) run is drained or discarded before the
-	// mailboxes are replaced, so it can never leak into the next run.
+	// The transport's reset is a barrier: once it returns, no frame of the
+	// previous (possibly aborted) run can reach a mailbox — frames still on
+	// the wire are dropped on arrival — so start may empty them in place.
 	w.wire.Reset()
 	w.start(opts)
 }

@@ -40,8 +40,8 @@ type ProtocolRules struct {
 }
 
 // Retained is one data frame in a sender's retain-until-acknowledged
-// archive. Payload is opaque to the core: the transport stores its
-// encoded wireFrame, the model checker stores nothing.
+// archive. Payload is opaque to the core: the transport stores a pointer
+// to its wireFrame, the model checker the frame's stamp epoch.
 type Retained struct {
 	Tag     int
 	Seq     uint64
@@ -153,11 +153,12 @@ func (s *SendCore) PeerCount(tag int) (uint64, bool) {
 // ResetEpoch returns the core to its just-constructed state: stream
 // sequences restart at zero, the archive is dropped (an epoch reset
 // means the previous run's frames no longer need delivery) and the
-// handshake state is forgotten.
+// handshake state is forgotten. Table and archive keep their capacity.
 func (s *SendCore) ResetEpoch() {
-	s.next = map[int]uint64{}
+	clear(s.next)
 	s.peer = nil
-	s.retained = nil
+	clear(s.retained)
+	s.retained = s.retained[:0]
 }
 
 // Clone deep-copies the core (model-checker state forking). Payloads
@@ -267,7 +268,7 @@ func (r *RecvCore) Accepted(tag int) uint64 { return r.accepted[tag] }
 
 // ResetEpoch clears every accepted watermark: the next run's streams
 // restart at sequence zero.
-func (r *RecvCore) ResetEpoch() { r.accepted = map[int]uint64{} }
+func (r *RecvCore) ResetEpoch() { clear(r.accepted) }
 
 // Clone deep-copies the core.
 func (r *RecvCore) Clone() *RecvCore {

@@ -12,7 +12,9 @@ import (
 // ringTraffic is a fixed deterministic traffic pattern: every rank sends
 // r+1 messages to its ring successor, receives from its predecessor, and
 // the world finishes with a barrier — blocking and overlapped paths both
-// exercised.
+// exercised. Every payload received is checked, so a message another run
+// left in a mailbox fails the run instead of passing for the one it
+// displaced.
 func ringTraffic(c *Comm) {
 	next := (c.Rank() + 1) % c.Size()
 	prev := (c.Rank() - 1 + c.Size()) % c.Size()
@@ -21,9 +23,13 @@ func ringTraffic(c *Comm) {
 	}
 	c.IsendOwned(next, 8, make([]float64, 3+c.Rank()))
 	for i := 0; i <= prev; i++ {
-		c.Recv(prev, 7)
+		if got := c.Recv(prev, 7); len(got) != 2 || got[0] != float64(prev) || got[1] != float64(i) {
+			panic(fmt.Sprintf("rank %d: message %d from rank %d reads %v", c.Rank(), i, prev, got))
+		}
 	}
-	c.Recv(prev, 8)
+	if got := c.Recv(prev, 8); len(got) != 3+prev {
+		panic(fmt.Sprintf("rank %d: overlapped message from rank %d has %d values, want %d", c.Rank(), prev, len(got), 3+prev))
+	}
 	c.WaitSends()
 	c.Barrier()
 }

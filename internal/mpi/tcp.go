@@ -77,13 +77,13 @@ type WireStats struct {
 	Resent      int64 // retained frames retransmitted after a reconnect
 	Reconnects  int64 // connections re-established after a loss
 	Heartbeats  int64 // heartbeat frames received
-	StaleFrames int64 // frames discarded by an epoch reset
+	StaleFrames int64 // frames of a dead epoch: dropped from a sender's queue by Reset, or on arrival
 }
 
 type linkID struct{ src, dst int }
 
 // wireFrame is one encoded frame staged for a link's writer, which holds
-// it until due (zero for protocol frames: at once). acct is the
+// it until due (zero for heartbeats: at once). acct is the
 // exactly-once settlement flag for the mesh's in-custody counter on
 // cross-process frames (nil for protocol frames and in-process data,
 // which settle at the receiver).
@@ -131,13 +131,9 @@ type TCPMesh struct {
 
 	wg sync.WaitGroup
 
-	// epoch stamps data frames; World.Reset bumps it and drains marker
-	// frames so no frame from an aborted run can cross into the next.
+	// epoch stamps data frames; Reset bumps it, and readers drop every
+	// frame stamped with an older one.
 	epoch atomic.Uint32
-
-	markMu   sync.Mutex
-	markCond *sync.Cond
-	marks    map[uint32]int
 
 	// staged counts frames in the mesh's custody: held until due, queued,
 	// mid-write, or (in-process) inside a socket buffer. Busy() reports
@@ -184,8 +180,6 @@ func NewTCPMesh(cfg TCPConfig) (*TCPMesh, error) {
 	if m.hb <= 0 {
 		m.hb = 50 * time.Millisecond
 	}
-	m.markCond = sync.NewCond(&m.markMu)
-	m.marks = map[uint32]int{}
 	var err error
 	if m.localSet, err = rankMask(cfg.Size, cfg.Local); err != nil {
 		return nil, err
@@ -323,13 +317,15 @@ type outLink struct {
 	connDead bool
 	everUp   bool
 	proto    *SendCore // resume-protocol sender state, guarded by mu
-	// epochMark is the newest Reset marker this link still owes the
-	// peer. Unlike data frames it carries no stream sequence, so the
-	// retained-frame machinery can't replay it; the reconnect handshake
-	// resends it verbatim until Reset observes every marker home and
-	// clears it (duplicates are safe: marks are counted per epoch and
-	// stale epochs are swept on the next Reset).
-	epochMark []byte
+	// slab holds the archived frames proto's Retained payloads point to;
+	// entries never change once appended, so a pointer into an outgrown
+	// array stays good. Reset empties it and keeps its capacity.
+	slab []wireFrame
+
+	// The writer goroutine's scratch, reused batch after batch.
+	batch []wireFrame
+	bufs  net.Buffers
+	accts []*atomic.Bool // custody flags to settle once the write succeeds
 }
 
 // out returns (creating if needed) the link src→dst. Its writer starts
@@ -388,7 +384,7 @@ func (m *TCPMesh) Deliver(src, dst, tag int, data []float64, due time.Time) {
 	l.cond.Broadcast()
 }
 
-// enqueue queues a protocol frame (heartbeat, epoch mark) on the link.
+// enqueue queues a heartbeat frame on the link.
 func (l *outLink) enqueue(fr wireFrame) {
 	l.mu.Lock()
 	l.queue = append(l.queue, fr)
@@ -399,8 +395,8 @@ func (l *outLink) enqueue(fr wireFrame) {
 // settle marks one cross-process frame as out of mesh custody, exactly
 // once no matter how many transmissions (first write, resend,
 // suppression) race to report it.
-func (m *TCPMesh) settle(fr wireFrame) {
-	if fr.acct != nil && fr.acct.CompareAndSwap(false, true) {
+func (m *TCPMesh) settle(acct *atomic.Bool) {
+	if acct != nil && acct.CompareAndSwap(false, true) {
 		m.staged.Add(-1)
 	}
 }
@@ -413,31 +409,32 @@ func (l *outLink) run() {
 		if conn == nil {
 			return // mesh closed, or peer declared lost (run already failed)
 		}
-		batch, ok := l.takeBatch()
-		if !ok {
+		if !l.takeBatch() {
 			return
 		}
-		if len(batch) == 0 {
+		if len(l.batch) == 0 {
 			continue // woken by a dead connection: reconnect
 		}
-		l.writeBatch(conn, batch)
+		l.writeBatch(conn)
 	}
 }
 
 // takeBatch blocks until frames are due (or the connection died, or the
-// mesh closed) and claims every frame due so far — the coalescing step:
-// one wake drains one burst into one writev. A frame not yet due holds
-// the frames behind it, which keeps the link in order: due times never
-// decrease per sending rank.
-func (l *outLink) takeBatch() ([]wireFrame, bool) {
+// mesh closed) and moves every frame due so far into l.batch — the
+// coalescing step: one wake drains one burst into one writev. A frame not
+// yet due holds the frames behind it, which keeps the link in order: due
+// times never decrease per sending rank. It reports false once the mesh
+// has closed.
+func (l *outLink) takeBatch() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.batch = l.batch[:0]
 	var hold *time.Timer // wakes the writer when the head frame is due
 	n := 0
 	for {
 		if l.m.closed.Load() {
 			l.closeConnLocked()
-			return nil, false
+			return false
 		}
 		now := time.Now()
 		for n < len(l.queue) && !l.queue[n].due.After(now) {
@@ -453,42 +450,47 @@ func (l *outLink) takeBatch() ([]wireFrame, bool) {
 		l.cond.Wait()
 	}
 	if n == 0 {
-		return nil, true // woken by a dead connection: reconnect
+		return true // woken by a dead connection: reconnect
 	}
-	batch := l.queue[:n:n]
-	l.queue = l.queue[n:]
-	l.pending = len(batch)
-	for _, fr := range batch {
+	l.batch = append(l.batch, l.queue[:n]...)
+	rest := copy(l.queue, l.queue[n:])
+	clear(l.queue[rest:])
+	l.queue = l.queue[:rest]
+	l.pending = n
+	for _, fr := range l.batch {
 		if fr.kind == frameData {
-			l.proto.Retain(fr.tag, fr.seq, fr)
+			l.slab = append(l.slab, fr)
+			l.proto.Retain(fr.tag, fr.seq, &l.slab[len(l.slab)-1])
 		}
 	}
-	return batch, true
+	return true
 }
 
-// writeBatch filters suppressed frames and writes the rest as one
-// vectored send. On failure the connection is marked dead; the frames
-// are already retained, so the reconnect handshake redelivers whatever
-// the peer is missing.
-func (l *outLink) writeBatch(conn net.Conn, batch []wireFrame) {
-	bufs := make(net.Buffers, 0, len(batch))
-	var kept []wireFrame
+// writeBatch filters suppressed frames out of l.batch and writes the rest
+// as one vectored send. On failure the connection is marked dead; the
+// frames are already retained, so the reconnect handshake redelivers
+// whatever the peer is missing.
+func (l *outLink) writeBatch(conn net.Conn) {
+	bufs, accts := l.bufs[:0], l.accts[:0]
 	var frames, bytes int64
 	l.mu.Lock()
-	for _, fr := range batch {
+	for _, fr := range l.batch {
 		if fr.kind == frameData {
 			if !l.proto.ShouldTransmit(fr.tag, fr.seq) {
 				l.m.sSuppressed.Add(1)
-				l.m.settle(fr)
+				l.m.settle(fr.acct)
 				continue
 			}
 			frames++
 			bytes += int64(len(fr.buf))
 		}
-		kept = append(kept, fr)
+		if fr.acct != nil {
+			accts = append(accts, fr.acct)
+		}
 		bufs = append(bufs, fr.buf)
 	}
 	l.mu.Unlock()
+	var err error
 	if len(bufs) > 0 {
 		// Counted before the write: the moment a frame is on the socket its
 		// receiver can act on it and read WireStats, and the frame must
@@ -496,21 +498,22 @@ func (l *outLink) writeBatch(conn net.Conn, batch []wireFrame) {
 		l.m.sBatches.Add(1)
 		l.m.sFramesSent.Add(frames)
 		l.m.sBytesSent.Add(bytes)
-		if _, err := bufs.WriteTo(conn); err != nil {
-			l.mu.Lock()
-			if l.conn == conn {
-				l.connDead = true
+		l.bufs = bufs // the write consumes l.bufs; bufs keeps the array
+		if _, err = l.bufs.WriteTo(conn); err == nil {
+			for _, a := range accts {
+				l.m.settle(a)
 			}
-			l.pending = 0
-			l.mu.Unlock()
-			l.cond.Broadcast()
-			return
-		}
-		for _, fr := range kept {
-			l.m.settle(fr)
 		}
 	}
+	// Keep the grown scratch, but none of the frames it pointed at.
+	clear(bufs)
+	clear(accts)
+	clear(l.batch)
+	l.bufs, l.accts = bufs[:0], accts
 	l.mu.Lock()
+	if err != nil && l.conn == conn {
+		l.connDead = true
+	}
 	l.pending = 0
 	l.mu.Unlock()
 	l.cond.Broadcast()
@@ -590,11 +593,12 @@ func (l *outLink) dialOnce() (net.Conn, error) {
 	}
 	hsDeadline := time.Now().Add(l.m.peerWait())
 	_ = conn.SetDeadline(hsDeadline)
+	ep := l.m.epoch.Load()
 	if _, err := conn.Write(encodeHelloFrame(l.id.src, l.id.dst)); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	body, err := readFrame(conn)
+	body, err := readFrame(conn, nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -610,43 +614,42 @@ func (l *outLink) dialOnce() (net.Conn, error) {
 	}
 	_ = conn.SetDeadline(time.Time{})
 	l.mu.Lock()
-	l.proto.ObserveWelcome(counts)
+	// A welcome answered across a Reset may count the dead run's frames;
+	// the reset core keeps no peer counts then, as a fresh one has none.
+	if l.m.epoch.Load() == ep {
+		l.proto.ObserveWelcome(counts)
+	}
 	l.mu.Unlock()
 	return conn, nil
 }
 
 // resendRetained redelivers every retained frame the welcome says the
-// peer has not accepted, in stream order.
+// peer has not accepted, in stream order. Every retained frame is then
+// out of custody: the peer holds it, or the kernel has it to deliver.
 func (l *outLink) resendRetained(conn net.Conn) bool {
 	l.mu.Lock()
 	plan := l.proto.ResendPlan()
-	var resend net.Buffers
+	resend := make(net.Buffers, 0, len(plan))
 	for _, fr := range plan {
-		resend = append(resend, fr.Payload.(wireFrame).buf)
+		resend = append(resend, fr.Payload.(*wireFrame).buf)
 	}
-	// An unconfirmed Reset marker rides behind the data so it still
-	// arrives after any old-epoch traffic; without this a marker lost to
-	// a dropped connection would wedge Reset forever.
-	if l.epochMark != nil {
-		resend = append(resend, l.epochMark)
-	}
-	retained := l.proto.RetainedFrames()
 	l.mu.Unlock()
-	if len(resend) == 0 {
-		return true
-	}
-	if _, err := resend.WriteTo(conn); err != nil {
-		l.mu.Lock()
-		if l.conn == conn {
-			l.connDead = true
+	if len(resend) > 0 {
+		if _, err := resend.WriteTo(conn); err != nil {
+			l.mu.Lock()
+			if l.conn == conn {
+				l.connDead = true
+			}
+			l.mu.Unlock()
+			return false
 		}
-		l.mu.Unlock()
-		return false
+		l.m.sResent.Add(int64(len(plan)))
 	}
-	for _, fr := range retained {
-		l.m.settle(fr.Payload.(wireFrame))
+	l.mu.Lock()
+	for _, fr := range l.proto.RetainedFrames() {
+		l.m.settle(fr.Payload.(*wireFrame).acct)
 	}
-	l.m.sResent.Add(int64(len(plan)))
+	l.mu.Unlock()
 	return true
 }
 
@@ -770,7 +773,7 @@ func (m *TCPMesh) serveConn(conn net.Conn) {
 	drained := make(chan struct{})
 	defer close(drained)
 	_ = conn.SetReadDeadline(time.Now().Add(m.peerWait()))
-	body, err := readFrame(conn)
+	body, err := readFrame(conn, nil)
 	if err != nil || body[0] != frameHello {
 		return
 	}
@@ -819,15 +822,19 @@ func (m *TCPMesh) serveConn(conn net.Conn) {
 // readLoop reads the frames of an adopted inbound connection until it dies.
 // The hello was read unbuffered and the peer sends nothing but frames after
 // the welcome, so one buffer per connection takes a burst of frames off the
-// socket in a few reads instead of two per frame.
+// socket in a few reads instead of two per frame, and every frame body is
+// read into one frame buffer the loop owns: a data frame costs the receiver
+// only the payload it keeps.
 func (m *TCPMesh) readLoop(il *inLink, conn net.Conn) {
 	r := bufio.NewReader(conn)
+	var buf []byte
 	for {
-		body, err := readFrame(r)
+		body, err := readFrame(r, buf)
 		if err != nil {
 			m.connLost(il, conn)
 			return
 		}
+		buf = body
 		switch body[0] {
 		case frameData:
 			f, err := decodeDataFrame(body)
@@ -852,41 +859,38 @@ func (m *TCPMesh) readLoop(il *inLink, conn net.Conn) {
 				m.beats.Add(1)
 				m.w.NoteProgress()
 			}
-		case frameEpoch:
-			if ep, err := decodeEpochFrame(body); err == nil {
-				m.noteMark(ep)
-			}
 		}
 	}
 }
 
 // acceptData applies the dedup/ordering protocol and delivers the frame
-// into the destination mailbox.
+// into the destination mailbox. The verdict, the put and the custody
+// settle are one critical section of il.mu (wirecheck's atomic delivery),
+// which is what Reset's lock barrier relies on.
 func (m *TCPMesh) acceptData(il *inLink, f dataFrame) {
 	il.mu.Lock()
 	verdict := il.proto.Accept(f.epoch, m.epoch.Load(), f.tag, f.seq)
+	if verdict == VerdictAccept {
+		m.sFramesRecvd.Add(1)
+		// The sender held the frame until it was due.
+		m.w.arrive(il.id.src, il.id.dst, f.tag, f.data, time.Now())
+		if m.isLocalRank(il.id.src) {
+			m.staged.Add(-1)
+		}
+	}
 	expect := il.proto.Accepted(f.tag)
 	il.mu.Unlock()
 	switch verdict {
 	case VerdictStale:
 		// A frame from a dead epoch never reaches a mailbox; its custody
-		// count is resolved by Reset's final zeroing of staged.
+		// count went with Reset's zeroing of staged.
 		m.sStale.Add(1)
-		return
 	case VerdictDuplicate:
 		m.sDuplicates.Add(1)
-		return
 	case VerdictGap:
 		m.fail(fmt.Errorf("mpi: link %d→%d tag %d: stream gap (got frame %d, expected %d)",
 			il.id.src, il.id.dst, f.tag, f.seq, expect))
-		return
 	}
-	m.sFramesRecvd.Add(1)
-	if m.isLocalRank(il.id.src) {
-		m.staged.Add(-1)
-	}
-	// The sender held the frame until it was due.
-	m.w.arrive(il.id.src, il.id.dst, f.tag, f.data, time.Now())
 }
 
 // connLost marks a link's active connection dead and arms the PeerWait
@@ -976,69 +980,43 @@ func (m *TCPMesh) beaconTargets() []int {
 }
 
 // ---------------------------------------------------------------------
-// Reset (epoch quiesce) and Close.
+// Reset and Close.
 
-func (m *TCPMesh) noteMark(ep uint32) {
-	m.markMu.Lock()
-	m.marks[ep]++
-	m.markMu.Unlock()
-	m.markCond.Broadcast()
-}
-
-// Reset quiesces the mesh between runs: it bumps the epoch (readers
-// drop every frame still carrying the old one), releases leftover frames
-// still held until due, pushes a marker frame down each link behind
-// them, and waits until every
-// marker has come back around — after which no frame from the previous
-// run can ever reach a mailbox, and all stream state restarts from
-// zero. Only all-local meshes support Reset; multi-process deployments
-// are one run per process by construction.
+// Reset returns the mesh's streams to their just-constructed state between
+// runs and puts nothing on the wire. It bumps the epoch, so readers drop
+// the previous run's frames from now on; drops that run's frames still
+// queued at their senders; takes every inbound link's lock once, as a
+// barrier — a reader that judged a frame under the old epoch holds it until
+// the frame is in its mailbox (acceptData); resets every link's cores; and
+// zeroes custody, since frames left on a socket settle nothing. Only
+// all-local meshes support Reset; multi-process deployments are one run per
+// process by construction.
 func (m *TCPMesh) Reset() {
 	if m.isRemote {
 		panic("mpi: Reset on a multi-process TCP mesh is not supported")
 	}
-	links := m.outLinks(-1)
-	ep := m.epoch.Add(1)
-	if len(links) > 0 {
-		fr := wireFrame{kind: frameEpoch, buf: encodeEpochFrame(ep)}
-		for _, l := range links {
-			l.mu.Lock()
-			for i := range l.queue {
-				l.queue[i].due = time.Time{}
-			}
-			l.epochMark = fr.buf
-			l.queue = append(l.queue, fr)
-			l.mu.Unlock()
-			l.cond.Broadcast()
-		}
-		m.markMu.Lock()
-		for m.marks[ep] < len(links) && !m.closed.Load() {
-			m.markCond.Wait()
-		}
-		for e := range m.marks {
-			if e <= ep {
-				delete(m.marks, e)
-			}
-		}
-		m.markMu.Unlock()
-		for _, l := range links {
-			l.mu.Lock()
-			l.epochMark = nil
-			l.mu.Unlock()
-		}
-	}
+	m.epoch.Add(1)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, l := range m.outs {
 		l.mu.Lock()
-		l.proto.ResetEpoch()
+		m.sStale.Add(int64(len(l.queue)))
+		clear(l.queue)
+		l.queue = l.queue[:0]
 		l.mu.Unlock()
 	}
 	for _, il := range m.ins {
-		il.mu.Lock()
+		il.mu.Lock() // the barrier, and the receive core's reset behind it
 		il.proto.ResetEpoch()
 		il.mu.Unlock()
 	}
-	m.mu.Unlock()
+	for _, l := range m.outs {
+		l.mu.Lock()
+		l.proto.ResetEpoch()
+		clear(l.slab)
+		l.slab = l.slab[:0]
+		l.mu.Unlock()
+	}
 	m.staged.Store(0)
 }
 
@@ -1076,7 +1054,6 @@ func (m *TCPMesh) Close() error {
 		}
 		il.mu.Unlock()
 	}
-	m.markCond.Broadcast()
 	m.wg.Wait()
 	return nil
 }

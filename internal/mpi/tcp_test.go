@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -56,9 +57,10 @@ func TestTCPWorldMatchesChannelStats(t *testing.T) {
 	}
 }
 
-// TestTCPWorldResetBitIdentical is the satellite-4 contract: a TCP
-// world reused via Reset — including after an aborted run that left
-// frames in flight on real sockets — is bit-identical to a fresh one.
+// TestTCPWorldResetBitIdentical: a TCP world reused via Reset — after an
+// aborted run whose frames were all still in the mesh's custody — is
+// bit-identical to a fresh one, and Reset dropped every one of those
+// frames at its sender.
 func TestTCPWorldResetBitIdentical(t *testing.T) {
 	const size = 4
 	opts := Options{Watchdog: 5 * time.Second}
@@ -69,16 +71,18 @@ func TestTCPWorldResetBitIdentical(t *testing.T) {
 	}
 	want := fresh.Stats()
 
-	reused := newTCPWorldT(t, size, opts)
 	// Aborted dirty run: rank 0 pumps large unclaimed messages at its
-	// peers (guaranteed in flight through the mesh when the run dies),
-	// then panics; everyone else leaves immediately.
+	// peers, then panics; everyone else leaves immediately. The injected
+	// latency holds every frame at its sender until long after the run
+	// has died, so all 32 are in custody when Reset comes.
+	const held = 32
+	reused := newTCPWorldT(t, size, Options{Watchdog: 5 * time.Second, LinkLatency: time.Minute})
 	err := reused.RunE(func(c *Comm) {
 		if c.Rank() == 0 {
-			for i := 0; i < 32; i++ {
+			for i := 0; i < held; i++ {
 				c.IsendOwned(1+(i%(size-1)), 11, make([]float64, 4096))
 			}
-			panic("injected abort with frames in flight")
+			panic("injected abort with frames in custody")
 		}
 	})
 	if err == nil {
@@ -86,6 +90,9 @@ func TestTCPWorldResetBitIdentical(t *testing.T) {
 	}
 
 	reused.Reset(opts)
+	if ws, _ := reused.WireStats(); ws.StaleFrames != held || ws.FramesSent != 0 {
+		t.Fatalf("Reset dropped %d of the %d frames in custody (%d written): %+v", ws.StaleFrames, held, ws.FramesSent, ws)
+	}
 	if got := reused.Stats(); !reflect.DeepEqual(got, Stats{PerRank: make([]RankTraffic, size)}) {
 		t.Fatalf("Reset left non-zero stats: %+v", got)
 	}
@@ -95,9 +102,99 @@ func TestTCPWorldResetBitIdentical(t *testing.T) {
 	if got := reused.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reused TCP world stats differ from fresh:\n got %+v\nwant %+v", got, want)
 	}
-	ws, _ := reused.WireStats()
-	if ws.StaleFrames == 0 {
-		t.Logf("note: no stale frames observed (abort drained before reset); %+v", ws)
+}
+
+// TestTCPResetRacesLateFrames: a run that dies with frames on every link —
+// some written and still being read, some held at their senders — and is
+// Reset at once leaves nothing behind. The dying run sends on the very
+// streams the next run uses, so a frame of it that a reader put into a
+// mailbox after Reset would be claimed by the ring run in place of its own
+// message, and ringTraffic checks every payload. Looped: the race is a
+// reader that judged a frame before the epoch bump and puts it after.
+func TestTCPResetRacesLateFrames(t *testing.T) {
+	const size, rounds, held = 4, 10, 4
+	opts := Options{Watchdog: 5 * time.Second}
+	fresh := newTCPWorldT(t, size, opts)
+	if err := fresh.RunE(ringTraffic); err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Stats()
+
+	w := newTCPWorldT(t, size, opts)
+	var stale int64
+	for round := 0; round < rounds; round++ {
+		// A message costs PerValue per value: an empty one is due at once
+		// and goes straight onto the wire, a 1000-value one is held for ten
+		// seconds — and holds everything its rank sends after it.
+		w.Reset(Options{PerValue: 10 * time.Millisecond})
+		err := w.RunE(func(c *Comm) {
+			next := (c.Rank() + 1) % size
+			for i := 0; i < 8; i++ {
+				c.IsendOwned(next, 7+i%2, nil)
+			}
+			for i := 0; i < held; i++ {
+				c.IsendOwned(next, 7, make([]float64, 1000))
+			}
+			if c.Rank() == 0 {
+				panic("injected abort with frames in flight")
+			}
+		})
+		if err == nil {
+			t.Fatal("expected the injected abort to surface")
+		}
+		w.Reset(opts)
+		ws, _ := w.WireStats()
+		if ws.StaleFrames-stale < size*held {
+			t.Fatalf("round %d: Reset dropped %d frames, want at least the %d held at their senders", round, ws.StaleFrames-stale, size*held)
+		}
+		if err := w.RunE(ringTraffic); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if got := w.Stats(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: stats after Reset differ from a fresh world's:\n got %+v\nwant %+v", round, got, want)
+		}
+		ws, _ = w.WireStats()
+		stale = ws.StaleFrames
+	}
+}
+
+// TestTCPResetAfterCleanRunWritesNothing: Reset is an epoch bump and a lock
+// barrier, not a round trip — after a clean run it moves no send counter.
+func TestTCPResetAfterCleanRunWritesNothing(t *testing.T) {
+	const size = 6
+	opts := Options{Watchdog: 5 * time.Second}
+	w := newTCPWorldT(t, size, opts)
+	for run := 0; run < 3; run++ {
+		if err := w.RunE(ringTraffic); err != nil {
+			t.Fatal(err)
+		}
+		before, _ := w.WireStats()
+		w.Reset(opts)
+		after, _ := w.WireStats()
+		if after.FramesSent != before.FramesSent || after.BytesSent != before.BytesSent || after.Batches != before.Batches ||
+			after.Suppressed != before.Suppressed || after.Resent != before.Resent {
+			t.Fatalf("run %d: Reset wrote to the wire:\nbefore %+v\n after %+v", run, before, after)
+		}
+	}
+}
+
+// BenchmarkTCPWorldReset times a warm reset, the one a pooled TCP world
+// pays per run: the world's ring run has just finished, so every link it
+// used is connected and idle, and only the Reset is timed.
+func BenchmarkTCPWorldReset(b *testing.B) {
+	w, err := NewTCPWorld(16, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := w.RunE(ringTraffic); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		w.Reset(Options{})
 	}
 }
 
@@ -565,19 +662,23 @@ func (c *countingConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
-// TestReadLoopBuffersFrames: a burst of frames written in one go is taken
-// off the connection in a few reads, not a header read and a body read per
-// frame, and every frame of it is still handled.
+// TestReadLoopBuffersFrames: a burst of data frames written in one go is
+// taken off the connection in a few reads, not a header read and a body
+// read per frame; every frame of it reaches its mailbox in order; and the
+// reader allocates one object per frame — the payload the receiver keeps —
+// beyond a few per connection (its buffers, the stream, and the stream's
+// queue growing while the whole burst sits unclaimed).
 func TestReadLoopBuffersFrames(t *testing.T) {
 	m, err := NewTCPMesh(TCPConfig{Size: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	const frames = 64
+	w := NewWorldTransport(2, Options{}, m)
+	defer w.Close()
+	const frames, perConn = 512, 32
 	var burst []byte
-	for ep := uint32(0); ep < frames; ep++ {
-		burst = append(burst, encodeEpochFrame(ep)...)
+	for seq := uint64(0); seq < frames; seq++ {
+		burst = append(burst, encodeDataFrame(0, 3, seq, []float64{float64(seq)})...)
 	}
 	local, peer := net.Pipe()
 	conn := &countingConn{Conn: local}
@@ -585,14 +686,27 @@ func TestReadLoopBuffersFrames(t *testing.T) {
 		peer.Write(burst)
 		peer.Close()
 	}()
-	m.readLoop(m.in(linkID{0, 1}), conn) // returns at the peer's close
-	m.markMu.Lock()
-	handled := len(m.marks)
-	m.markMu.Unlock()
-	if handled != frames {
-		t.Fatalf("%d of %d epoch frames handled", handled, frames)
+	il := m.in(linkID{0, 1})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.readLoop(il, conn) // returns at the peer's close
+	runtime.ReadMemStats(&after)
+	if ws := m.WireStats(); ws.FramesRecvd != frames {
+		t.Fatalf("%d of %d data frames accepted: %+v", ws.FramesRecvd, frames, ws)
 	}
 	if n := conn.reads.Load(); n > frames/8 {
 		t.Fatalf("%d reads for a burst of %d frames", n, frames)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > frames+perConn {
+		t.Fatalf("reading %d data frames allocated %d objects, want at most one per frame plus %d", frames, allocs, perConn)
+	}
+	if err := w.RunE(func(c *Comm) {
+		for i := 0; c.Rank() == 1 && i < frames; i++ {
+			if got := c.Recv(0, 3); len(got) != 1 || got[0] != float64(i) {
+				panic(fmt.Sprintf("frame %d delivered %v", i, got))
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

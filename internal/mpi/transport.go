@@ -37,9 +37,9 @@ import "time"
 //     to the socket cross-process). Checkpointing flushes before taking a
 //     snapshot so "sent before the snapshot" is well defined.
 //   - Reset returns the transport to its just-constructed state between
-//     runs (World.Reset): any in-flight frame from the previous run is
-//     quiesced and discarded, never delivered into the next run's
-//     mailboxes.
+//     runs (World.Reset) and is a barrier: once it returns, no frame of the
+//     previous run reaches a mailbox — one still in flight is discarded
+//     when it arrives.
 //   - Close releases sockets and goroutines; the channel fabric has
 //     nothing to release.
 type Transport interface {

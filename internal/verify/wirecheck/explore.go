@@ -11,7 +11,9 @@ import (
 //
 // The model is the adversary's view of the transport: at every state it
 // may produce an application send on any stream, deliver the oldest
-// written frame of any link, deliver it *again* without consuming it (a
+// written frame of any link (verdict and mailbox put in one step, as
+// acceptData does both under inLink.mu — or, under the SplitDelivery
+// mutation, as two events), deliver it *again* without consuming it (a
 // duplicated delivery), kill a connection (losing every written frame
 // to the network), complete a reconnect handshake (welcome → resend
 // plan → pending-queue flush — the exact SendCore/RecvCore
@@ -153,6 +155,20 @@ func (e *explorer) expand(id int, st *state) (bool, *Trace) {
 				}
 			}
 		}
+		// put: under SplitDelivery, the oldest accepted frame reaches the
+		// mailbox, where the application consumes it.
+		if len(l.accepted) > 0 {
+			fl := l.accepted[0]
+			ev := fmt.Sprintf("link %d→%d puts accepted frame (tag %d, seq %d) into rank %d's mailbox", ln.Src, ln.Dst, ln.Tags[fl.tagIdx], fl.seq, ln.Dst)
+			ns := st.clone()
+			nl := &ns.links[li]
+			nl.accepted = nl.accepted[1:]
+			if v := e.oracle(ns, li, fl); v != nil {
+				return true, e.trace(id, ev, v)
+			}
+			e.transitions++
+			e.add(ns, id, ev)
+		}
 		// drop: network loss. Every written frame dies; the live
 		// sender's retained archive is what recovers them.
 		if l.up && l.drops < cfg.MaxDrops {
@@ -240,7 +256,9 @@ func (e *explorer) expand(id int, st *state) (bool, *Trace) {
 			nl.total = uint64(cfg.ResetMsgs)
 			// The wire is deliberately NOT cleared: frames stamped by the
 			// dead epoch stay in flight and the receiver's epoch filter is
-			// all that keeps them out of the new run's mailboxes.
+			// all that keeps them out of the new run's mailboxes. Nor are
+			// frames between verdict and put (SplitDelivery only): the
+			// shipped Reset's lock barrier is what rules those out.
 		}
 		e.transitions++
 		e.add(ns, id, ev)
@@ -289,7 +307,8 @@ func (e *explorer) judge(id int, ns *state, li int, fl flight, ev string) (bool,
 }
 
 // consume runs one frame through the receiver core and judges the
-// verdict against the model's oracle cursor.
+// verdict against the model's oracle cursor. Under SplitDelivery an
+// accepted frame waits for its put event instead.
 func (e *explorer) consume(ns *state, li int, fl flight) (*violation, bool) {
 	nl := &ns.links[li]
 	ln := e.cfg.Links[li]
@@ -308,13 +327,26 @@ func (e *explorer) consume(ns *state, li int, fl flight) (*violation, bool) {
 				ln.Src, ln.Dst, tag, fl.seq, nl.recv.Accepted(tag)),
 		}, false
 	}
+	if e.cfg.SplitDelivery {
+		nl.accepted = append(nl.accepted, fl)
+		return nil, false
+	}
 	// VerdictAccept: the application consumes the frame here.
+	return e.oracle(ns, li, fl), false
+}
+
+// oracle judges the application's consumption of an accepted frame
+// against the model's consumer cursor.
+func (e *explorer) oracle(ns *state, li int, fl flight) *violation {
+	nl := &ns.links[li]
+	ln := e.cfg.Links[li]
+	tag := ln.Tags[fl.tagIdx]
 	if fl.epoch != ns.epoch {
 		return &violation{
 			invariant: "reset-safety",
 			detail: fmt.Sprintf("link %d→%d tag %d: frame (seq %d) stamped by dead epoch %d consumed in epoch %d",
 				ln.Src, ln.Dst, tag, fl.seq, fl.epoch, ns.epoch),
-		}, false
+		}
 	}
 	want := nl.consumed[fl.tagIdx]
 	switch {
@@ -323,16 +355,16 @@ func (e *explorer) consume(ns *state, li int, fl flight) (*violation, bool) {
 			invariant: "no-dup",
 			detail: fmt.Sprintf("link %d→%d tag %d: frame %d consumed twice (consumer already at %d)",
 				ln.Src, ln.Dst, tag, fl.seq, want),
-		}, false
+		}
 	case fl.seq > want:
 		return &violation{
 			invariant: "fifo",
 			detail: fmt.Sprintf("link %d→%d tag %d: frame %d consumed before frame %d",
 				ln.Src, ln.Dst, tag, fl.seq, want),
-		}, false
+		}
 	}
 	nl.consumed[fl.tagIdx] = want + 1
-	return nil, false
+	return nil
 }
 
 // crash relaunches rank r from its checkpoint (or scratch): every
@@ -365,6 +397,7 @@ func (e *explorer) crash(ns *state, r int) {
 			}
 			nl.up = false
 			nl.wire = nil
+			nl.accepted = nil
 		}
 		if ln.Src == r {
 			nl.send = mpi.NewSendCore(e.cfg.Rules)
@@ -399,8 +432,8 @@ func (e *explorer) quiescent(st *state) *violation {
 	}
 	for li := range st.links {
 		l := &st.links[li]
-		if !l.up || len(l.wire) > 0 {
-			return nil // reconnect or deliver still enabled
+		if !l.up || len(l.wire) > 0 || len(l.accepted) > 0 {
+			return nil // reconnect, deliver or put still enabled
 		}
 		for ti := range l.cursor {
 			if l.cursor[ti] < l.total {

@@ -122,7 +122,8 @@ func DefaultMatrix() []NamedConfig {
 
 // NamedMutation is one seeded protocol bug the matrix must reject.
 type NamedMutation struct {
-	Name  string
+	Name string
+	// Rules is the mutated core; zero for a transport mutation.
 	Rules mpi.ProtocolRules
 	// Cfg is a small configuration on which the mutation is provably
 	// fatal (kept tiny so the counterexample trace is short).
@@ -184,6 +185,21 @@ func Mutations() []NamedMutation {
 				Reset:     true,
 				ResetMsgs: 1,
 				Rules:     mpi.ProtocolRules{NoEpochFilter: true},
+			},
+		},
+		{
+			// Delivery split in two: the receiver core accepts a frame
+			// under the old epoch, the reset completes, and the put lands
+			// the dead run's frame in the next run's mailbox. The cores
+			// are the shipped ones; what is mutated is the transport's
+			// inLink.mu critical section (Config.SplitDelivery).
+			Name: "split-delivery",
+			Cfg: Config{
+				Ranks:         2,
+				Links:         []Link{{Src: 0, Dst: 1, Tags: []int{0}, Msgs: 1}},
+				Reset:         true,
+				ResetMsgs:     1,
+				SplitDelivery: true,
 			},
 		},
 	}

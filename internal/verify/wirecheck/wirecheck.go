@@ -34,6 +34,16 @@
 //   - A *checkpoint* is only enabled at flushed states (every produced
 //     frame written), because saveProcSnapshot flushes the wire before
 //     snapshotting stream counts.
+//   - A *delivery* is one atomic step: the receiver core's verdict and the
+//     mailbox put happen together. The transport makes that true by doing
+//     both — and the custody settle — in one critical section of the
+//     inbound link's mutex (inLink.mu, acceptData).
+//   - An epoch *reset* is one atomic step with frames still on the wire,
+//     but never between a verdict and its put: TCPMesh.Reset bumps the
+//     epoch and then takes every inLink.mu once as a barrier, so a reader
+//     that judged a frame under the old epoch has put it before the reset
+//     completes. The split-delivery mutation (Config.SplitDelivery) is the
+//     transport without that critical section, and reset-safety rejects it.
 //
 // Combining network loss with a sender crash before its reconnect
 // exceeds the single-fault recovery guarantee by design: the only copy
@@ -51,6 +61,8 @@
 // mutation knob (NoDedup, ResendOffByOne, OverSuppress, NoEpochFilter)
 // must — and does — produce a counterexample, which is how the suite
 // proves every decision point in the protocol core is load-bearing.
+// SplitDelivery does the same for the transport's one modelling
+// assumption, atomic delivery.
 package wirecheck
 
 import (
@@ -109,6 +121,13 @@ type Config struct {
 	// Rules selects the protocol variant; the zero value is the
 	// shipped protocol.
 	Rules mpi.ProtocolRules
+	// SplitDelivery is a seeded transport bug: a receiver that releases
+	// inLink.mu between the core's verdict and the mailbox put. Delivery
+	// becomes two events — the verdict, then the put of the link's oldest
+	// accepted frame — and a reset may fall between them. The shipped
+	// transport does both in one critical section (see the package
+	// comment); only Mutations sets it.
+	SplitDelivery bool
 	// MaxStates aborts exploration beyond this many states (a
 	// configuration-too-big guard, not a soundness bound). 0 means 4M.
 	MaxStates int
@@ -188,6 +207,10 @@ type linkState struct {
 	// blocked writer holds. They flush through the suppression filter
 	// on reconnect and die with a sender crash.
 	pend []flight
+	// accepted holds, under Config.SplitDelivery only, frames the
+	// receiver core accepted that are not yet in the mailbox, oldest
+	// first. They die with a receiver crash.
+	accepted []flight
 
 	// cursor is how many frames the sender's re-execution has produced
 	// per tag — rewound to the checkpoint on a crash, so the model
@@ -256,6 +279,7 @@ func (s *state) clone() *state {
 			up:       l.up,
 			wire:     append([]flight(nil), l.wire...),
 			pend:     append([]flight(nil), l.pend...),
+			accepted: append([]flight(nil), l.accepted...),
 			cursor:   append([]uint64(nil), l.cursor...),
 			consumed: append([]uint64(nil), l.consumed...),
 			total:    l.total,
@@ -308,6 +332,11 @@ func (s *state) key(cfg *Config) string {
 		for _, fl := range l.pend {
 			fmt.Fprintf(&b, "%d.%d.%d ", fl.tagIdx, fl.seq, fl.epoch)
 		}
+		b.WriteString(">[")
+		for _, fl := range l.accepted {
+			fmt.Fprintf(&b, "%d.%d.%d ", fl.tagIdx, fl.seq, fl.epoch)
+		}
+		b.WriteString("]")
 		// Retained archive shape (including stamp epochs) matters for
 		// resend behavior.
 		b.WriteString(">(")

@@ -43,6 +43,7 @@ func TestMutationsRejected(t *testing.T) {
 		"resend-off-by-one":    "no-loss",
 		"over-suppress":        "no-loss",
 		"epoch-filter-dropped": "reset-safety",
+		"split-delivery":       "reset-safety",
 	}
 	for _, m := range Mutations() {
 		m := m
@@ -85,6 +86,42 @@ func TestCounterexampleIsMinimalAndConcrete(t *testing.T) {
 		if !strings.Contains(text, frag) {
 			t.Fatalf("trace missing %q:\n%s", frag, text)
 		}
+	}
+}
+
+// TestSplitDeliveryTraceIsMinimal pins the counterexample that makes
+// acceptData one critical section: connect, send, a verdict under the old
+// epoch, the reset, and the put that lands the dead frame in the new run.
+func TestSplitDeliveryTraceIsMinimal(t *testing.T) {
+	var cfg Config
+	for _, m := range Mutations() {
+		if m.Name == "split-delivery" {
+			cfg = m.Cfg
+		}
+	}
+	res := Check(cfg)
+	if res.Violation == nil || res.Violation.Invariant != "reset-safety" {
+		t.Fatalf("split delivery not rejected under reset-safety: %+v", res.Violation)
+	}
+	// The connect and the send come first, in either order.
+	want := []string{"", "", "delivers frame", "epoch reset", "puts accepted frame"}
+	steps := res.Violation.Steps
+	if len(steps) != len(want) {
+		t.Fatalf("counterexample has %d steps, want the minimal %d:\n%s", len(steps), len(want), res.Violation)
+	}
+	for i, frag := range want {
+		if !strings.Contains(steps[i].Event, frag) {
+			t.Fatalf("step %d is %q, want it to mention %q:\n%s", i+1, steps[i].Event, frag, res.Violation)
+		}
+	}
+	if opening := steps[0].Event + steps[1].Event; !strings.Contains(opening, "reconnects") || !strings.Contains(opening, "sends msg 0") {
+		t.Fatalf("counterexample does not open with the connect and the send:\n%s", res.Violation)
+	}
+	// The same configuration with delivery atomic — the shipped transport
+	// — certifies.
+	cfg.SplitDelivery = false
+	if res := Check(cfg); !res.Ok() {
+		t.Fatalf("atomic delivery failed the split-delivery configuration:\n%v", res.Violation)
 	}
 }
 
