@@ -632,14 +632,14 @@ func widen(lo, hi *ilin.Vec, v []int64) {
 	}
 }
 
-// boundaryReads builds a slot's boundary-read runs with the integer
-// containment test: the one place the compiled protocol asks whether a
-// point is in the iteration space. Guards only where needed: a face of the
-// space that even the nearest corner of the slot's read-source bounding box
-// satisfies cannot be crossed by any read, so interior slots — no face left
-// — cost nothing; and the space is convex, so a row whose two end sources
-// both lie inside has every source inside, and only the rows that touch a
-// face are walked point by point.
+// boundaryReads builds a slot's boundary-read runs: the one place the
+// compiled protocol asks which points lie in the iteration space. Guards
+// only where needed: a face of the space that even the nearest corner of the
+// slot's read-source bounding box satisfies cannot be crossed by any read,
+// so interior slots — no face left — cost nothing. The space is convex, so
+// the sources of a row through one dependence that satisfy the faces in
+// reach are one interval of the row (poly.LineInterval), and the reads
+// outside are at most a prefix run and a suffix run.
 func (d *Distribution) boundaryReads(sl *SlotPlan) []BoundaryRun {
 	pr := &d.proto
 	pl := sl.Plan
@@ -665,36 +665,23 @@ func (d *Distribution) boundaryReads(sl *SlotPlan) []BoundaryRun {
 	if len(faces) == 0 {
 		return nil
 	}
-	// outside reports whether the source of point i of the row at uz,
-	// through dep, violates one of the faces in reach.
-	outside := func(uz, dep []int64, i int64) bool {
-		for k := range src {
-			src[k] = sl.PBase[k] + uz[k] + i*pr.RowStep[k] - dep[k]
-		}
-		for _, c := range faces {
-			if !c.SatisfiedBy(src) {
-				return true
-			}
-		}
-		return false
-	}
 	var out []BoundaryRun
 	for r, row := range pl.Rows {
 		uz := pl.Uz[r*n : r*n+n]
 		cnt := int64(row.N)
 		for l, dep := range pr.Deps {
-			if !outside(uz, dep, 0) && !outside(uz, dep, cnt-1) {
-				continue
+			for k := range src {
+				src[k] = sl.PBase[k] + uz[k] - dep[k]
 			}
-			for i := int64(0); i < cnt; i++ {
-				if !outside(uz, dep, i) {
-					continue
-				}
-				if k := len(out) - 1; k >= 0 && out[k].Row == int32(r) && out[k].Dep == int32(l) && int64(out[k].Off+out[k].N) == i {
-					out[k].N++
-				} else {
-					out = append(out, BoundaryRun{Row: int32(r), Off: int32(i), N: 1, Dep: int32(l)})
-				}
+			lo, hi := poly.LineInterval(faces, src, pr.RowStep, cnt)
+			if lo == hi {
+				lo, hi = cnt, cnt // no source inside: one run of the whole row
+			}
+			if lo > 0 {
+				out = append(out, BoundaryRun{Row: int32(r), Off: 0, N: int32(lo), Dep: int32(l)})
+			}
+			if hi < cnt {
+				out = append(out, BoundaryRun{Row: int32(r), Off: int32(hi), N: int32(cnt - hi), Dep: int32(l)})
 			}
 		}
 	}

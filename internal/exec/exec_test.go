@@ -383,6 +383,35 @@ func TestGlobalMaxAbsDiffNaN(t *testing.T) {
 	}
 }
 
+// TestGlobalMaxAbsDiffFirstWorst: over the same box and over different
+// boxes alike, the answer is the largest difference (+Inf for a NaN) at the
+// first point that reaches it.
+func TestGlobalMaxAbsDiffFirstWorst(t *testing.T) {
+	pts := func(fn func(j ilin.Vec) bool) {
+		for i := int64(1); i <= 4; i++ {
+			fn(ilin.NewVec(i, 1))
+		}
+	}
+	fill := func(lo, hi ilin.Vec, vals ...float64) *Global {
+		g := NewGlobal(lo, hi, 1)
+		for i, v := range vals {
+			g.Set(ilin.NewVec(int64(i+1), 1), []float64{v})
+		}
+		return g
+	}
+	a := fill(ilin.NewVec(0, 0), ilin.NewVec(5, 2), 1, 2, 3, 4)
+	for _, lo := range []ilin.Vec{ilin.NewVec(0, 0), ilin.NewVec(1, 1)} {
+		b := fill(lo, ilin.NewVec(5, 2), 1, 4, 3, 6)
+		if d, at := a.MaxAbsDiff(b, pts); d != 2 || !at.Equal(ilin.NewVec(2, 1)) {
+			t.Errorf("boxes from %v: MaxAbsDiff = %v at %v, want 2 at [2 1]", lo, d, at)
+		}
+		b.Set(ilin.NewVec(3, 1), []float64{math.NaN()})
+		if d, at := a.MaxAbsDiff(b, pts); !math.IsInf(d, 1) || !at.Equal(ilin.NewVec(3, 1)) {
+			t.Errorf("boxes from %v: MaxAbsDiff with a NaN = %v at %v, want +Inf at [3 1]", lo, d, at)
+		}
+	}
+}
+
 // TestTiledSequentialMatchesOriginal: the §2.3 reordered (tiled) sequential
 // execution equals the original-order execution — the executable legality
 // proof — on rectangular, non-rectangular and stride-2 tilings.

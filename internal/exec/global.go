@@ -108,16 +108,24 @@ func (g *Global) setRow(first, last ilin.Vec, n int, src []float64) {
 // MaxAbsDiff returns the maximum absolute elementwise difference between
 // two globals over the points where fn returns true (typically the
 // iteration space), along with the first point achieving it. NaN in either
-// operand yields +Inf.
+// operand yields +Inf. Globals over the same box — every caller's — are
+// indexed once per point.
 func (g *Global) MaxAbsDiff(o *Global, points func(fn func(j ilin.Vec) bool)) (float64, ilin.Vec) {
 	if g.Width != o.Width {
 		panic("exec: width mismatch in MaxAbsDiff")
 	}
+	same := g.Lo.Equal(o.Lo) && g.Hi.Equal(o.Hi)
 	worst := 0.0
 	var at ilin.Vec
 	points(func(j ilin.Vec) bool {
-		a, b := g.At(j), o.At(j)
-		for w := 0; w < g.Width; w++ {
+		var a, b []float64
+		if same {
+			i := g.index(j)
+			a, b = g.data[i:i+int64(g.Width)], o.data[i:i+int64(g.Width)]
+		} else {
+			a, b = g.At(j), o.At(j)
+		}
+		for w := range a {
 			d := math.Abs(a[w] - b[w])
 			if math.IsNaN(a[w]) || math.IsNaN(b[w]) {
 				d = math.Inf(1)

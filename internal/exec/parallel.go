@@ -205,7 +205,7 @@ func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 	}
 	st.la = make([]float64, st.Addr.Size()*int64(p.Width))
 	st.rowStep = pr.RowStep
-	st.ev = newRowEval(st)
+	st.ev = newRowEval(p.Kernel, p.Width, p.TS.T.N, len(st.dps), st.MaxRow)
 	st.init = p.boundaryValues(r, rp)
 	st.out = make([]outMsg, 0, len(rp.SendRank))
 	if opt.Checkpoint != nil {

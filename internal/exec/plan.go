@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"sync"
 
 	"tilespace/internal/distrib"
@@ -28,33 +29,35 @@ import (
 // once, so that the register file stays cache-resident however long the row.
 const maxChunk = 1024
 
-// rowEval is a rank's scratch for evaluating rows.
+// rowEval is the scratch for evaluating rows: a rank's, or the sequential
+// reference's.
 type rowEval struct {
+	width  int64      // values per point
 	stmt   *statement // the statement regs is laid out for
 	regs   []float64  // stmt.nreg registers of stride floats, constants filled
 	stride int
 	scalar []float64   // stmt.nreg scalar registers for point-by-point evaluation
-	reads  [][]float64 // per dependence: the current row's view of the LDS
+	reads  [][]float64 // per dependence: the current row's reads
 	pt     [][]float64 // per dependence: the current chunk's (or point's) part of it
 	j, jb  ilin.Vec
 }
 
-// newRowEval builds evaluation scratch for st's rank, laid out for the
-// kernel the program carries now.
-func newRowEval(st *rankState) *rowEval {
-	n, q := st.p.TS.T.N, len(st.dps)
+// newRowEval builds scratch for evaluating kernel k, width values per point,
+// over rows of up to maxRow n-dimensional points that read through q
+// dependences.
+func newRowEval(k Kernel, width, n, q, maxRow int) *rowEval {
 	views := make([][]float64, 2*q)
 	js := make(ilin.Vec, 2*n)
-	ev := &rowEval{reads: views[:q:q], pt: views[q:], j: js[:n:n], jb: js[n:]}
-	if s := st.p.Kernel.stmt; s != nil {
-		ev.fit(s, st.MaxRow)
+	ev := &rowEval{width: int64(width), reads: views[:q:q], pt: views[q:], j: js[:n:n], jb: js[n:]}
+	if k.stmt != nil {
+		ev.fit(k.stmt, maxRow)
 	}
 	return ev
 }
 
 // fit lays the register file out for statement s over rows of up to maxRow
-// points: sized from the rank's longest row, not a fixed chunk, so a rank of
-// short rows carries a few hundred bytes.
+// points: sized from the longest row, not a fixed chunk, so a rank of short
+// rows carries a few hundred bytes.
 func (ev *rowEval) fit(s *statement, maxRow int) {
 	stride := min(maxRow, maxChunk)
 	if ev.stmt == s && ev.stride >= stride {
@@ -69,79 +72,86 @@ func (ev *rowEval) fit(s *statement, maxRow int) {
 // point by point than an instruction at a time.
 const minChunk = 4
 
+// row evaluates kernel k at the cnt points of a row, the first at ev.j,
+// stepped by step (only Coef and opaque bodies read it): ev.reads[l] holds
+// the values read through dependence l and out receives the results. A read
+// may alias out hazard points back, where a point reads an earlier point of
+// its own row (SOR's innermost dependence); math.MaxInt64 means no read
+// does. The row is evaluated in point order as far as anyone can tell: a
+// statement runs over chunks no longer than the hazard, so every read finds
+// its point written and all of a chunk's loads precede its stores, and a
+// chunk shorter than minChunk goes point by point.
+func (ev *rowEval) row(k Kernel, cnt, hazard int64, out []float64, step ilin.Vec) {
+	w := ev.width
+	if k.stmt == nil {
+		for s := int64(0); s < cnt; s++ {
+			for l := range ev.reads {
+				ev.pt[l] = ev.reads[l][s*w:][:w]
+			}
+			k.point(ev.j, ev.pt, out[s*w:][:w])
+			for d := range ev.j {
+				ev.j[d] += step[d]
+			}
+		}
+		return
+	}
+	needJ := len(k.stmt.coefs) > 0
+	chunk := min(cnt, int64(ev.stride), hazard)
+	if chunk < minChunk {
+		for s := 0; s < int(cnt); s++ {
+			k.stmt.point(ev.scalar, ev.reads, out, s, ev.j)
+			if needJ {
+				for d := range ev.j {
+					ev.j[d] += step[d]
+				}
+			}
+		}
+		return
+	}
+	for s := int64(0); s < cnt; s += chunk {
+		c := min(chunk, cnt-s)
+		for l := range ev.reads {
+			ev.pt[l] = ev.reads[l][s*w:][:c*w]
+		}
+		k.stmt.run(ev.regs, ev.stride, int(c), ev.pt, out[s*w:][:c*w], ev.j, step, ev.jb)
+		if needJ {
+			for d := range ev.j {
+				ev.j[d] += c * step[d]
+			}
+		}
+	}
+}
+
 // rows evaluates the kernel over every row of pl placed at chain slot t, in
-// scan order. A row is evaluated in point order as far as anyone can tell: a
-// statement runs over chunks no longer than the distance from any read cell
-// up to the write cell, so a point that reads an earlier point of its own row
-// (SOR's innermost dependence) finds it written, and all of a chunk's loads
-// precede its stores.
+// scan order. A row reads the LDS cells its table names; one that lies
+// before the row's write cell in the same row is a hazard (row).
 func (ev *rowEval) rows(st *rankState, pl *distrib.TilePlan, t int64) {
 	k := st.p.Kernel
-	w := int64(st.p.Width)
+	w := ev.width
 	n := st.p.TS.T.N
 	q := len(ev.reads)
 	tOff := t * st.ChainStep
 	la := st.la
-	step := st.rowStep
-	needJ := true // only Coef and opaque bodies read the iteration point
 	if k.stmt != nil {
 		ev.fit(k.stmt, st.MaxRow) // a no-op unless the program's kernel was replaced
-		needJ = len(k.stmt.coefs) > 0
 	}
+	needJ := k.stmt == nil || len(k.stmt.coefs) > 0
 	for r, row := range pl.Rows {
 		cnt := int64(row.N)
-		read := pl.Read[r*q : r*q+q]
 		if needJ {
 			uz := pl.Uz[r*n : r*n+n]
 			for d := range ev.j {
 				ev.j[d] = st.pBase[d] + uz[d]
 			}
 		}
-		out := la[(row.Write+tOff)*w:][:cnt*w]
-		for l, c := range read {
+		hazard := int64(math.MaxInt64)
+		for l, c := range pl.Read[r*q : r*q+q] {
 			ev.reads[l] = la[(c+tOff)*w:][:cnt*w]
-		}
-		if k.stmt == nil {
-			for s := int64(0); s < cnt; s++ {
-				for l := range ev.reads {
-					ev.pt[l] = ev.reads[l][s*w:][:w]
-				}
-				k.point(ev.j, ev.pt, out[s*w:][:w])
-				for d := range ev.j {
-					ev.j[d] += step[d]
-				}
-			}
-			continue
-		}
-		chunk := min(cnt, int64(ev.stride))
-		for _, c := range read {
-			if d := row.Write - c; d > 0 && d < chunk {
-				chunk = d
+			if d := row.Write - c; d > 0 {
+				hazard = min(hazard, d)
 			}
 		}
-		if chunk < minChunk {
-			for s := 0; s < int(cnt); s++ {
-				k.stmt.point(ev.scalar, ev.reads, out, s, ev.j)
-				if needJ {
-					for d := range ev.j {
-						ev.j[d] += step[d]
-					}
-				}
-			}
-			continue
-		}
-		for s := int64(0); s < cnt; s += chunk {
-			c := min(chunk, cnt-s)
-			for l := range ev.reads {
-				ev.pt[l] = ev.reads[l][s*w:][:c*w]
-			}
-			k.stmt.run(ev.regs, ev.stride, int(c), ev.pt, out[s*w:][:c*w], ev.j, step, ev.jb)
-			if needJ {
-				for d := range ev.j {
-					ev.j[d] += c * step[d]
-				}
-			}
-		}
+		ev.row(k, cnt, hazard, la[(row.Write+tOff)*w:][:cnt*w], st.rowStep)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
@@ -76,10 +77,10 @@ func NewProgram(ts *tiling.TiledSpace, m int, width int, kernel Kernel, initial 
 
 // reference allocates the global data space and returns the function that
 // computes one point into it, reading each dependence's source from the
-// space — or from Initial where it lies outside. The two sequential
-// references below differ only in the order they visit the points in; both
-// stay per point (Kernel.Point): they are the oracle the row-wise executor
-// is compared against.
+// space — or from Initial where it lies outside: the paper's per-point
+// sequential code, which RunTiledSequential runs. It shares nothing with the
+// row sweeps of RunSequential and the executor but the kernel, so it is
+// the oracle both are checked against.
 func (p *Program) reference() (*Global, func(j ilin.Vec)) {
 	g := NewGlobal(p.lo, p.hi, p.Width)
 	q := p.TS.Nest.Q()
@@ -110,11 +111,80 @@ func (p *Program) reference() (*Global, func(j ilin.Vec)) {
 
 // RunSequential executes the program in the original lexicographic order
 // (valid because all dependencies are lexicographically positive) and
-// returns the filled global data space.
+// returns the filled global data space: the baseline every speedup is
+// quoted against and the reference every run is checked against. It sweeps
+// the space a row at a time along the innermost dimension e, as the
+// executor sweeps a tile. A dependence whose source lies in another row
+// reads that row of the Global; the space is convex, so the sources inside
+// it are one interval of the row (poly.LineInterval) and only the ends
+// outside come from Initial, into scratch. A dependence c·e reads the row
+// itself, c points back: its first min(c, n) sources precede the row's first
+// point, so lie outside the space and come from Initial, and the rest of the
+// row is evaluated under the executor's hazard rule (rowEval.row). Each
+// point's value is what the per-point order computes, bit for bit.
 func (p *Program) RunSequential() (*Global, error) {
-	g, point := p.reference()
-	p.bounds.Scan(func(j ilin.Vec) bool {
-		point(j)
+	g := NewGlobal(p.lo, p.hi, p.Width)
+	n, q, w := p.TS.T.N, p.TS.Nest.Q(), int64(p.Width)
+	last := n - 1
+	maxRow := p.hi[last] - p.lo[last] + 1
+	ev := newRowEval(p.Kernel, p.Width, n, q, int(maxRow))
+	cons := p.TS.Nest.Space.Cons
+	// inner[l] is c > 0 for a dependence c·e, 0 for one that reads another
+	// row; back is the largest c.
+	deps := make([]ilin.Vec, q)
+	inner := make([]int64, q)
+	var back int64
+	for l := range deps {
+		deps[l] = p.TS.Nest.Dep(l)
+		if !deps[l][:last].IsZero() {
+			continue
+		}
+		inner[l] = deps[l][last]
+		back = max(back, inner[l])
+	}
+	// own holds the back points before the row, then the row's results,
+	// which are copied to the Global.
+	own := make([]float64, (back+maxRow)*w)
+	ends := make([]float64, int64(q)*maxRow*w) // per dependence, a row of reads with outside ends
+	step := make(ilin.Vec, n)
+	step[last] = 1
+	src := make(ilin.Vec, n)
+	p.bounds.ScanRows(func(x ilin.Vec, cnt int64) bool {
+		hazard := int64(math.MaxInt64)
+		for l, dep := range deps {
+			for k := range src {
+				src[k] = x[k] - dep[k]
+			}
+			if c := inner[l]; c > 0 {
+				for i := int64(0); i < min(c, cnt); i++ {
+					p.Initial(src, own[(back-c+i)*w:][:w])
+					src[last]++
+				}
+				ev.reads[l] = own[(back-c)*w:][:cnt*w]
+				hazard = min(hazard, c)
+				continue
+			}
+			lo, hi := poly.LineInterval(cons, src, step, cnt)
+			if lo == 0 && hi == cnt {
+				ev.reads[l] = g.Row(src, cnt)
+				continue
+			}
+			buf := ends[int64(l)*maxRow*w:][:cnt*w]
+			first := src[last]
+			for i := int64(0); i < cnt; i++ {
+				src[last] = first + i
+				if i < lo || i >= hi {
+					p.Initial(src, buf[i*w:][:w])
+				} else if i == lo {
+					copy(buf[lo*w:], g.Row(src, hi-lo))
+				}
+			}
+			ev.reads[l] = buf
+		}
+		copy(ev.j, x)
+		out := own[back*w:][:cnt*w]
+		ev.row(p.Kernel, cnt, hazard, out, step)
+		copy(g.Row(x, cnt), out)
 		return true
 	})
 	return g, nil

@@ -88,6 +88,13 @@ func (c Constraint) isTrivial() (trivial, feasible bool) {
 // l of its denominators (1 for the integer rows loop nests produce), so
 // Coef·x ≤ Rhs becomes Σ (l·Coef_i)·x_i ≤ l·Rhs over the integers.
 func (c Constraint) SatisfiedBy(x ilin.Vec) bool {
+	sum, rhs := c.scaled(x)
+	return sum <= rhs
+}
+
+// scaled returns Σ (l·Coef_i)·x_i and l·Rhs: the constraint over the
+// integers at x, as SatisfiedBy describes.
+func (c Constraint) scaled(x ilin.Vec) (sum, rhs int64) {
 	if len(c.Coef) != len(x) {
 		panic(fmt.Sprintf("poly: point arity %d != constraint arity %d", len(x), len(c.Coef)))
 	}
@@ -97,7 +104,6 @@ func (c Constraint) SatisfiedBy(x ilin.Vec) bool {
 			l = rat.Lcm64(l, a.Den)
 		}
 	}
-	var sum int64
 	for i, a := range c.Coef {
 		n := a.Num
 		if a.Den != l {
@@ -105,11 +111,41 @@ func (c Constraint) SatisfiedBy(x ilin.Vec) bool {
 		}
 		sum = rat.CheckedAdd(sum, rat.CheckedMul(n, x[i]))
 	}
-	rhs := c.Rhs.Num
+	rhs = c.Rhs.Num
 	if c.Rhs.Den != l {
 		rhs = rat.CheckedMul(rhs, l/c.Rhs.Den)
 	}
-	return sum <= rhs
+	return sum, rhs
+}
+
+// LineInterval returns the indices i ∈ [0, n) at which the integer point
+// x0 + i·step satisfies every constraint of cons — a system's or a subset of
+// its faces — as the interval [lo, hi): one interval, because the
+// constraints cut out a convex set; (0, 0) when no index does. A constraint
+// becomes a·i ≤ b along the line, in SatisfiedBy's overflow-checked integer
+// arithmetic, so the answer is SatisfiedBy's point by point without a test
+// per point.
+func LineInterval(cons []Constraint, x0, step ilin.Vec, n int64) (lo, hi int64) {
+	lo, hi = 0, n
+	for i := range cons {
+		sum, rhs := cons[i].scaled(x0)
+		a, _ := cons[i].scaled(step)
+		b := rat.CheckedAdd(rhs, rat.CheckedMul(sum, -1)) // a·i ≤ b
+		switch {
+		case a > 0:
+			if f := rat.FloorDiv(b, a); f < hi {
+				hi = f + 1
+			}
+		case a < 0: // i ≥ ⌈−b/−a⌉: a positive divisor, so MinInt64 ÷ −1 cannot wrap
+			lo = max(lo, rat.CeilDiv(rat.CheckedMul(b, -1), rat.CheckedMul(a, -1)))
+		case b < 0:
+			return 0, 0
+		}
+		if lo >= hi {
+			return 0, 0
+		}
+	}
+	return lo, hi
 }
 
 func (c Constraint) String() string {

@@ -525,6 +525,110 @@ func TestSatisfiedByOverflowPanics(t *testing.T) {
 	}
 }
 
+// TestLineIntervalMatchesSatisfiedBy: on random systems with rational
+// coefficients and right-hand sides, and random lines through them (zero
+// steps, negative steps and empty lines included), the indices LineInterval
+// returns are exactly those whose point satisfies every constraint by
+// SatisfiedBy — for the whole system and for a subset of its rows.
+func TestLineIntervalMatchesSatisfiedBy(t *testing.T) {
+	rng := rand.New(rand.NewSource(20041))
+	randRat := func() rat.Rat {
+		switch rng.Intn(4) {
+		case 0:
+			return rat.Zero
+		case 1:
+			return rat.FromInt(rng.Int63n(21) - 10)
+		default:
+			return rat.New(rng.Int63n(61)-30, rng.Int63n(6)+1)
+		}
+	}
+	var empty, full, prefix, suffix, middle int
+	for iter := 0; iter < 20000; iter++ {
+		nv := rng.Intn(3) + 1
+		s := NewSystem(nv)
+		for c := rng.Intn(5) + 1; c > 0; c-- {
+			coef := make(ilin.RatVec, nv)
+			for i := range coef {
+				coef[i] = randRat()
+			}
+			s.Add(Constraint{Coef: coef, Rhs: rat.FromInt(rng.Int63n(201) - 50).Add(randRat())})
+		}
+		x0, step := make(ilin.Vec, nv), make(ilin.Vec, nv)
+		for i := range x0 {
+			x0[i] = rng.Int63n(61) - 30
+			step[i] = rng.Int63n(7) - 3
+		}
+		n := rng.Int63n(41)
+		cons := s.Cons
+		if rng.Intn(3) == 0 {
+			cons = cons[rng.Intn(len(cons)):]
+		}
+		var want []int64
+		x := make(ilin.Vec, nv)
+		for i := int64(0); i < n; i++ {
+			ok := true
+			for k := range x {
+				x[k] = x0[k] + i*step[k]
+			}
+			for _, c := range cons {
+				ok = ok && c.SatisfiedBy(x)
+			}
+			if ok {
+				want = append(want, i)
+			}
+		}
+		lo, hi := LineInterval(cons, x0, step, n)
+		var got []int64
+		for i := lo; i < hi; i++ {
+			got = append(got, i)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || (lo == hi && lo != 0) {
+			t.Fatalf("%v along %v+i·%v, n=%d: LineInterval = [%d, %d), SatisfiedBy holds at %v", cons, x0, step, n, lo, hi, want)
+		}
+		switch {
+		case lo == hi:
+			empty++
+		case lo == 0 && hi == n:
+			full++
+		case lo == 0:
+			prefix++
+		case hi == n:
+			suffix++
+		default:
+			middle++
+		}
+	}
+	if empty < 1000 || full < 1000 || prefix < 500 || suffix < 500 || middle < 500 {
+		t.Fatalf("generator too narrow: %d empty, %d full, %d prefix, %d suffix, %d middle intervals", empty, full, prefix, suffix, middle)
+	}
+}
+
+// TestLineIntervalOverflowPanics: a product past int64, at the line's first
+// point or along its step, fails with the rat.Overflow SatisfiedBy fails
+// with at that point.
+func TestLineIntervalOverflowPanics(t *testing.T) {
+	c := Constraint{Coef: ilin.RatVec{rat.FromInt(1 << 40)}, Rhs: rat.Zero}
+	cases := map[string]struct{ x0, step ilin.Vec }{
+		"point": {ilin.NewVec(1 << 40), ilin.NewVec(1)},
+		"step":  {ilin.NewVec(0), ilin.NewVec(1 << 40)},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			overflows := func(f func()) (ok bool) {
+				defer func() { _, ok = recover().(rat.Overflow) }()
+				f()
+				return false
+			}
+			if !overflows(func() { c.SatisfiedBy(tc.x0.Add(tc.step)) }) {
+				t.Fatal("fixture: SatisfiedBy does not overflow at the line's second point")
+			}
+			if !overflows(func() { LineInterval([]Constraint{c}, tc.x0, tc.step, 2) }) {
+				t.Fatal("LineInterval returned instead of panicking with a rat.Overflow")
+			}
+		})
+	}
+}
+
 var benchContains bool
 
 // BenchmarkContains times the integer containment test on the skewed-box

@@ -62,6 +62,18 @@ func (c *pointCoder) enc(v ilin.Vec) int64 {
 	return idx + 1
 }
 
+// shift returns how far a code moves when its point moves by −v:
+// enc(x − v) = enc(x) − shift(v) wherever x and x − v both lie in the box,
+// since enc is linear over it — which, by the pad, every one-hop source of
+// an in-space point does.
+func (c *pointCoder) shift(v ilin.Vec) int64 {
+	var s int64
+	for k := range v {
+		s = s*c.dim[k] + v[k]
+	}
+	return s
+}
+
 // dec inverts enc for display in counterexamples.
 func (c *pointCoder) dec(code int64) ilin.Vec {
 	idx := code - 1
@@ -108,10 +120,12 @@ type replayer struct {
 	rep     *Report
 
 	// U·e_{n-1}, the global step along a row; per-point scratch: a table
-	// point, the walk's point, a read source, P·j^S; and per direction the
-	// walk's region reference: its points, n coordinates each in flat[d],
-	// and their cells in want[d].
+	// point, the walk's point, a read source, P·j^S; per dependence d_l, the
+	// code shift of a read (shift(d_l)); and per direction the walk's region
+	// reference: its points, n coordinates each in flat[d], and their cells
+	// in want[d].
 	ustep, j, g, src, pS ilin.Vec
+	depShift             []int64
 	flat, want           [][]int64
 
 	// sent[r][t·|D^m|+dir] is 1 + the region size the walk of rank r's
@@ -155,6 +169,11 @@ func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) (*r
 	rp.ustep = d.TS.T.U.Col(n - 1)
 	rp.j, rp.g, rp.src, rp.pS = make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n)
 	rp.flat, rp.want = make([][]int64, len(d.DM)), make([][]int64, len(d.DM))
+	deps := d.Protocol().Deps
+	rp.depShift = make([]int64, len(deps))
+	for l, dep := range deps {
+		rp.depShift[l] = coder.shift(dep)
+	}
 	for r, p := range plans {
 		rp.content[r] = make([]int64, p.Addr.Size())
 		rp.heads[r] = make([]int, len(p.Rows))
@@ -329,16 +348,17 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 					Detail: fmt.Sprintf("point %d of the tile is missing from its compiled plan (%d points in %d rows)", npts, pl.Npts, len(pl.Rows))}
 				return false
 			}
+			code := rp.coder.enc(g)
 			for l := 0; l < q; l++ {
 				c, ok := cell(pl.Read[row*q+l] + int64(i))
 				if !ok {
 					vio = oob("read", c, g)
 					return false
 				}
-				for k := range src {
-					src[k] = g[k] - pr.Deps[l][k]
-				}
-				if want := rp.coder.enc(src); content[c] != want {
+				if content[c] != code-rp.depShift[l] {
+					for k := range src {
+						src[k] = g[k] - pr.Deps[l][k]
+					}
 					vio = &Violation{
 						Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: g.Clone(),
 						Detail: fmt.Sprintf("read through dependence d_%d resolves to LDS cell %d holding %s; expected the value of iteration %v", l+1, c, rp.coder.describe(content[c]), src),
@@ -351,7 +371,6 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 				vio = oob("write", c, g)
 				return false
 			}
-			code := rp.coder.enc(g)
 			if prev := rp.owner[code]; prev != 0 {
 				vio = &Violation{
 					Rule: "coverage", Rank: r, Tile: sl.Tile, Point: g.Clone(),

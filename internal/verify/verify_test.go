@@ -127,6 +127,21 @@ func TestCertifyMatrix(t *testing.T) {
 	}
 }
 
+// TestCoderShiftMatchesEnc: over the matrix, the code the replay expects
+// for a read through d_l, enc(g) − shift(d_l), is the code of the read's
+// source, enc(g − d_l), at every point g of the space.
+func TestCoderShiftMatchesEnc(t *testing.T) {
+	for _, c := range matrixCases(t) {
+		pairs, err := verify.CheckCoderShifts(c.ts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := c.ts.TotalPoints() * int64(c.ts.Nest.Q()); pairs != want {
+			t.Fatalf("%s: checked %d (point, dependence) pairs, want %d", c.name, pairs, want)
+		}
+	}
+}
+
 // firstMessageTile finds a tile that sends at least one message, with its
 // direction index — the mutation target.
 func firstMessageTile(t *testing.T, d *distrib.Distribution) (tile ilin.Vec, dir int) {
