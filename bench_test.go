@@ -306,7 +306,7 @@ func BenchmarkTTISScan(b *testing.B) {
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {
-		total += tr.ScanTTIS(func(z, jp ilin.Vec) bool { return true })
+		total += tr.ScanTTIS(func(z, jp ilin.Vec, n int64) bool { return true })
 	}
 	_ = total
 }

@@ -45,7 +45,7 @@ func TestAddresserMatchesMapFlatten(t *testing.T) {
 		t.Fatalf("Size = %d, want %d", a.Size(), d.LDSSize(0))
 	}
 	for ti := int64(0); ti < min64(3, d.ChainLen[0]); ti++ {
-		d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+		ttisPoints(d.TS.T, func(z, jp ilin.Vec) bool {
 			want := d.flatten(0, d.Map(jp, ti))
 			if got := a.Flat(jp, ti); got != want {
 				t.Fatalf("Flat(%v, %d) = %d, want %d", jp, ti, got, want)
@@ -61,7 +61,7 @@ func TestAddresserFlatRead(t *testing.T) {
 	shifted := make(ilin.Vec, 3)
 	for l := 0; l < d.TS.DP.Cols; l++ {
 		dp := d.TS.DP.Col(l)
-		d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+		ttisPoints(d.TS.T, func(z, jp ilin.Vec) bool {
 			for k := range shifted {
 				shifted[k] = jp[k] - dp[k]
 			}
@@ -91,7 +91,7 @@ func TestAddresserUnpackConsistency(t *testing.T) {
 		// owner point is p' = j' − d' + V·dS.
 		for l := 0; l < d.TS.DP.Cols; l++ {
 			dp := d.TS.DP.Col(l)
-			d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+			ttisPoints(d.TS.T, func(z, jp ilin.Vec) bool {
 				// Does this read resolve to owner offset dS?
 				match := true
 				pp := make(ilin.Vec, n)

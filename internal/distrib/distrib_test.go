@@ -138,7 +138,7 @@ func TestMapDense(t *testing.T) {
 	seen := map[int64]bool{}
 	var points int64
 	for ti := int64(0); ti < d.ChainLen[0]; ti++ {
-		ts.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+		ttisPoints(ts.T, func(z, jp ilin.Vec) bool {
 			cell := d.Map(jp, ti)
 			idx := d.flatten(0, cell)
 			if seen[idx] {
@@ -179,7 +179,7 @@ func TestMapInverseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for ti := int64(0); ti < 3; ti++ {
-		ts.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+		ttisPoints(ts.T, func(z, jp ilin.Vec) bool {
 			cell := d.Map(jp, ti)
 			gt, gjp, _, ok := d.mapInverse(cell)
 			if !ok || gt != ti || !gjp.Equal(jp) {
@@ -307,7 +307,7 @@ func TestMapInversePaperAgrees(t *testing.T) {
 	}{{dj, min64(3, dj.ChainLen[0])}, {dd, dd.ChainLen[0]}} {
 		d := c.d
 		for ti := int64(0); ti < c.slots; ti++ {
-			d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+			ttisPoints(d.TS.T, func(z, jp ilin.Vec) bool {
 				cell := d.Map(jp, ti)
 				if wt, wjp, _, ok := d.mapInverse(cell); !ok || wt != ti || !wjp.Equal(jp) {
 					t.Fatalf("reconstruction gives (%d, %v, %v) at cell %v, Map came from (%d, %v)",

@@ -6,6 +6,7 @@ import (
 
 	"tilespace/internal/ilin"
 	"tilespace/internal/rat"
+	"tilespace/internal/tiling"
 )
 
 // This file keeps the per-point derivations the protocol compiler used
@@ -13,6 +14,23 @@ import (
 // point by point, its runs merged cell by cell, and the closed-form counts
 // of the clamped point loops under a minimum TTIS coordinate. None of them
 // reads a row scan of the tile table.
+
+// ttisPoints walks the rows of tr's TTIS — a full tile's points — point by
+// point: fn sees each lattice point z with j' = H̃'·z, in ScanTTIS order,
+// and returning false stops the walk.
+func ttisPoints(tr *tiling.Transform, fn func(z, jp ilin.Vec) bool) {
+	last := tr.N - 1
+	tr.ScanTTIS(func(z, jp ilin.Vec, n int64) bool {
+		for i := int64(0); i < n; i++ {
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += tr.C[last]
+		}
+		return true
+	})
+}
 
 // commRegion enumerates the communication points of tile s along processor
 // direction d^m point by point: the clamped lattice points of s whose TTIS

@@ -302,15 +302,11 @@ func (d *Distribution) compileShared() {
 	}
 	pr.tiles = make([]tileEntry, d.tileBase[len(d.tileBase)-1])
 	pr.shapes = map[uint64][]*tileShape{}
-	// A full tile's rows are the TTIS lattice's, in its lexicographic order.
+	// A full tile's rows are the TTIS's, in its lexicographic order.
 	rows, full := &tileShape{}, &tileShape{region: make([]int64, len(d.DM))}
-	n := ts.T.N
-	ts.T.ScanTTIS(func(z, jp ilin.Vec) bool {
-		if r := len(rows.lens) - 1; r < 0 || !slices.Equal(rows.z[r*n:r*n+n-1], z[:n-1]) {
-			rows.z, rows.lens = append(rows.z, z...), append(rows.lens, 0)
-		}
-		rows.lens[len(rows.lens)-1]++
-		d.countRow(full, jp, 1)
+	ts.T.ScanTTIS(func(z, jp ilin.Vec, n int64) bool {
+		rows.z, rows.lens = append(rows.z, z...), append(rows.lens, n)
+		d.countRow(full, jp, n)
 		return true
 	})
 	pr.full = d.addShape(rows, full)

@@ -18,7 +18,7 @@ func TestChainStepExact(t *testing.T) {
 		t.Fatalf("ChainStep = %d, want positive", step)
 	}
 	dp := d.TS.DP.Col(0)
-	d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+	ttisPoints(d.TS.T, func(z, jp ilin.Vec) bool {
 		base := a.Flat(jp, 0)
 		baseR := a.FlatRead(jp, dp, 0)
 		for ti := int64(1); ti < 4; ti++ {
@@ -44,7 +44,7 @@ func TestDirShiftExact(t *testing.T) {
 		dmF = append(dmF, 0)
 		dmF = append(dmF, dm[d.M:]...)
 		shift := a.DirShift(dmF)
-		d.TS.T.ScanTTIS(func(z, jp ilin.Vec) bool {
+		ttisPoints(d.TS.T, func(z, jp ilin.Vec) bool {
 			for tau := int64(0); tau < 3; tau++ {
 				want := a.flatUnpack(jp, dmF, tau)
 				if got := a.Flat(jp, tau) + shift; got != want {

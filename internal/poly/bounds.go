@@ -252,30 +252,34 @@ func (nb *NestBounds) String() string {
 }
 
 // BoundingBox returns per-variable integer bounds [lo_k, hi_k] of the
-// rational polyhedron, by eliminating all other variables for each k. The
-// box is the tightest rational shadow, rounded inward to integers.
-// Like LoopBounds it errors instead of taking an elimination step larger
-// than maxElimPairs.
+// rational polyhedron, by eliminating all other variables for each k:
+// x_{N−1} … x_{k+1}, then x_{k−1} … x_0. The first part is shared — it is
+// S_{k+1}, one step of x_0's chain — so the chain runs once and each
+// variable runs only its own tail from there, on the same systems in the
+// same order as eliminating from scratch. The box is the tightest rational
+// shadow, rounded inward to integers. Like LoopBounds it errors instead of
+// taking an elimination step larger than maxElimPairs.
 func BoundingBox(s *System) (lo, hi ilin.Vec, err error) {
-	lo = make(ilin.Vec, s.NVars)
-	hi = make(ilin.Vec, s.NVars)
-	for k := 0; k < s.NVars; k++ {
-		cur := s.Clone()
-		if !cur.simplify() {
-			return nil, nil, fmt.Errorf("poly: empty system")
-		}
-		for j := s.NVars - 1; j >= 0; j-- {
-			if j == k {
-				continue
-			}
-			if err := cur.checkElim(j); err != nil {
+	n := s.NVars
+	lo, hi = make(ilin.Vec, n), make(ilin.Vec, n)
+	above := make([]*System, n) // above[k] = S_{k+1}: x_{N−1} … x_{k+1} eliminated
+	cur := s.Clone()
+	if !cur.simplify() {
+		return nil, nil, fmt.Errorf("poly: empty system")
+	}
+	for k := n - 1; k >= 0; k-- {
+		if above[k] = cur; k > 0 {
+			if cur, err = eliminate(cur, k); err != nil {
 				return nil, nil, err
 			}
-			next, ok := cur.Eliminate(j)
-			if !ok {
-				return nil, nil, fmt.Errorf("poly: empty system (eliminating x%d)", j)
+		}
+	}
+	for k := 0; k < n; k++ {
+		cur := above[k]
+		for j := k - 1; j >= 0; j-- {
+			if cur, err = eliminate(cur, j); err != nil {
+				return nil, nil, err
 			}
-			cur = next
 		}
 		var vb VarBounds
 		for _, c := range cur.Cons {
@@ -295,4 +299,16 @@ func BoundingBox(s *System) (lo, hi ilin.Vec, err error) {
 		lo[k], hi[k] = l, h
 	}
 	return lo, hi, nil
+}
+
+// eliminate is one bounded Fourier–Motzkin step of BoundingBox.
+func eliminate(s *System, j int) (*System, error) {
+	if err := s.checkElim(j); err != nil {
+		return nil, err
+	}
+	next, ok := s.Eliminate(j)
+	if !ok {
+		return nil, fmt.Errorf("poly: empty system (eliminating x%d)", j)
+	}
+	return next, nil
 }

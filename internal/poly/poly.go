@@ -220,11 +220,23 @@ func (s *System) Contains(x ilin.Vec) bool {
 
 // simplify normalizes all constraints, removes duplicates, keeps only the
 // tightest rhs per coefficient vector, and detects trivially infeasible
-// rows. It returns false if the system is certainly infeasible.
+// rows. It returns false if the system is certainly infeasible. The kept
+// constraints are chained under a hash of their normalized coefficients
+// (collisions resolved by equal coefficients), in order of first appearance.
 func (s *System) simplify() bool {
-	type key string
-	best := map[key]Constraint{}
-	order := []key{}
+	var kept []Constraint
+	chains := map[uint64][]int{} // coefficient hash → indices into kept
+	// find returns the index of the kept constraint whose coefficients are
+	// sign·coef, −1 if none, and the hash of sign·coef.
+	find := func(coef ilin.RatVec, sign int64) (int, uint64) {
+		h := coefHash(coef, sign)
+		for _, i := range chains[h] {
+			if sameCoef(kept[i].Coef, coef, sign) {
+				return i, h
+			}
+		}
+		return -1, h
+	}
 	for _, c := range s.Cons {
 		n := c.normalize()
 		if triv, feas := n.isTrivial(); triv {
@@ -233,29 +245,44 @@ func (s *System) simplify() bool {
 			}
 			continue
 		}
-		k := key(n.Coef.String())
-		if prev, ok := best[k]; ok {
-			if n.Rhs.Cmp(prev.Rhs) < 0 {
-				best[k] = n
-			}
-		} else {
-			best[k] = n
-			order = append(order, k)
+		if i, h := find(n.Coef, 1); i < 0 {
+			chains[h] = append(chains[h], len(kept))
+			kept = append(kept, n)
+		} else if n.Rhs.Cmp(kept[i].Rhs) < 0 {
+			kept[i] = n
 		}
 	}
 	// Detect direct contradictions c·x ≤ r1 and -c·x ≤ r2 with r1+r2 < 0.
-	for _, k := range order {
-		c := best[k]
-		nk := key(c.Coef.Scale(rat.FromInt(-1)).String())
-		if opp, ok := best[nk]; ok {
-			if c.Rhs.Add(opp.Rhs).Sign() < 0 {
-				return false
-			}
+	for _, c := range kept {
+		if i, _ := find(c.Coef, -1); i >= 0 && c.Rhs.Add(kept[i].Rhs).Sign() < 0 {
+			return false
 		}
 	}
-	s.Cons = s.Cons[:0]
-	for _, k := range order {
-		s.Cons = append(s.Cons, best[k])
+	s.Cons = append(s.Cons[:0], kept...)
+	return true
+}
+
+// coefHash hashes sign·coef (sign ±1) exactly, component by component.
+func coefHash(coef ilin.RatVec, sign int64) uint64 {
+	h := ilin.HashSeed()
+	for _, a := range coef {
+		if sign < 0 {
+			a = a.Neg()
+		}
+		h = ilin.HashInt64(ilin.HashInt64(h, a.Num), a.Den)
+	}
+	return h
+}
+
+// sameCoef reports whether a = sign·b (sign ±1), component by component.
+func sameCoef(a, b ilin.RatVec, sign int64) bool {
+	for i, x := range b {
+		if sign < 0 {
+			x = x.Neg()
+		}
+		if a[i] != x {
+			return false
+		}
 	}
 	return true
 }

@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -290,50 +291,12 @@ func (ts *TiledSpace) TotalPoints() int64 {
 	return total
 }
 
-// computeTileDeps derives D^S = {⌊H(j+d)⌋ : j ∈ TIS, d ∈ D} exactly by
-// enumerating the TIS lattice (its size is the tile size) and collecting
-// the distinct nonzero offsets, then validates the {0,1} range the §3.2
-// communication scheme requires.
+// computeTileDeps derives D^S (tileDeps) and validates the {0,1} range the
+// §3.2 communication scheme requires.
 func (ts *TiledSpace) computeTileDeps() error {
-	n := ts.T.N
-	// Chained under the vector hash (collisions resolved by Equal), so the
-	// TileSize·q-iteration sweep allocates only per distinct offset instead
-	// of building a string key per lattice point.
-	seen := map[uint64][]ilin.Vec{}
-	off := make(ilin.Vec, n)
-	ts.T.ScanTTIS(func(z, jp ilin.Vec) bool {
-		for l := 0; l < ts.DP.Cols; l++ {
-			zero := true
-			for k := 0; k < n; k++ {
-				off[k] = rat.FloorDiv(jp[k]+ts.DP.At(k, l), ts.T.V[k])
-				if off[k] != 0 {
-					zero = false
-				}
-			}
-			if zero {
-				continue
-			}
-			key := ilin.VecHash(off)
-			dup := false
-			for _, v := range seen[key] {
-				if v.Equal(off) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				seen[key] = append(seen[key], off.Clone())
-			}
-		}
-		return true
-	})
-	ts.DS = ts.DS[:0]
-	for _, vs := range seen {
-		ts.DS = append(ts.DS, vs...)
-	}
-	sort.Slice(ts.DS, func(i, j int) bool { return ts.DS[i].LexLess(ts.DS[j]) })
+	ts.DS = tileDeps(ts.T, ts.DP)
 	for _, d := range ts.DS {
-		for k := 0; k < n; k++ {
+		for k := 0; k < ts.T.N; k++ {
 			if d[k] < 0 || d[k] > 1 {
 				return ErrTileDepRange(d, k)
 			}
@@ -343,6 +306,48 @@ func (ts *TiledSpace) computeTileDeps() error {
 		}
 	}
 	return nil
+}
+
+// tileDeps returns D^S = {⌊H(j+d)⌋ : j ∈ TIS, d ∈ D} exactly, the distinct
+// nonzero offsets in lexicographic order, by sweeping the TIS lattice (its
+// size is the tile size) row by row with dp = D'. Along a row only
+// j'_{n-1} moves, so of an offset ⌊(j' + d'_l)/v⌋ only the last component
+// changes: each (row, dependence) pair is evaluated at its first point and
+// then at each index where ⌊(j'_{n-1} + d'_{n-1,l})/v_{n-1}⌋ steps, found
+// in closed form for any stride c_{n-1}.
+func tileDeps(t *Transform, dp *ilin.Mat) []ilin.Vec {
+	n := t.N
+	last, c, v := n-1, t.C[n-1], t.V[n-1]
+	// Chained under the vector hash (collisions resolved by Equal), so the
+	// sweep allocates only per distinct offset instead of building a string
+	// key per offset it meets.
+	seen := map[uint64][]ilin.Vec{}
+	off := make(ilin.Vec, n)
+	t.ScanTTIS(func(z, jp ilin.Vec, count int64) bool {
+		for l := 0; l < dp.Cols; l++ {
+			for k := 0; k < last; k++ {
+				off[k] = rat.FloorDiv(jp[k]+dp.At(k, l), t.V[k])
+			}
+			a := jp[last] + dp.At(last, l) // j'_{n-1} + d'_{n-1,l} at the row's first point
+			for i := int64(0); i < count; i = rat.CeilDiv((off[last]+1)*v-a, c) {
+				off[last] = rat.FloorDiv(a+i*c, v)
+				if off.IsZero() {
+					continue
+				}
+				key := ilin.VecHash(off)
+				if !slices.ContainsFunc(seen[key], off.Equal) {
+					seen[key] = append(seen[key], off.Clone())
+				}
+			}
+		}
+		return true
+	})
+	var ds []ilin.Vec
+	for _, vs := range seen {
+		ds = append(ds, vs...)
+	}
+	sort.Slice(ds, func(i, j int) bool { return ds[i].LexLess(ds[j]) })
+	return ds
 }
 
 // GlobalOf maps (j^S, z) to the original iteration j = P·j^S + U·z.

@@ -60,7 +60,7 @@ func TestRandomTilings(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if cnt := tr.ScanTTIS(func(z, jp ilin.Vec) bool { return true }); cnt != tr.TileSize {
+				if cnt := tr.ScanTTIS(func(z, jp ilin.Vec, n int64) bool { return true }); cnt != tr.TileSize {
 					t.Fatalf("ScanTTIS count %d != TileSize %d, P=%v", cnt, tr.TileSize, p)
 				}
 				s := poly.NewSystem(n)

@@ -142,21 +142,20 @@ func (t *Transform) Global(jS, z ilin.Vec) ilin.Vec {
 	return t.P.MulVec(jS).Add(t.U.MulVec(z))
 }
 
-// ScanTTIS enumerates the lattice points of the TTIS — the actual
-// iteration points of one full tile in transformed coordinates — in the
-// lexicographic order of z. fn receives both z and j' = H̃'·z in reusable
-// buffers; returning false stops the scan. The visit count is returned and
-// always equals TileSize for a full scan.
-func (t *Transform) ScanTTIS(fn func(z, jp ilin.Vec) bool) int64 {
+// ScanTTIS enumerates the TTIS — the iteration points of one full tile in
+// transformed coordinates — row by row, as ScanTileRows does a clamped
+// tile: a row is the innermost lattice coordinate z_{n-1} running over
+// count consecutive values with the outer coordinates fixed, and the rows
+// come in lexicographic order of z. Along a row j'_{n-1} advances by c_{n-1}
+// per point. fn receives the row's first point as z and j' = H̃'·z in
+// reusable buffers; returning false stops the scan. The points covered are
+// returned: TileSize for a full scan.
+func (t *Transform) ScanTTIS(fn func(z, jp ilin.Vec, count int64) bool) int64 {
 	z := make(ilin.Vec, t.N)
 	jp := make(ilin.Vec, t.N)
-	var count int64
+	var total int64
 	var rec func(k int) bool
 	rec = func(k int) bool {
-		if k == t.N {
-			count++
-			return fn(z, jp)
-		}
 		// j'_k = base + c_k·z_k with base from outer lattice coordinates.
 		var base int64
 		for l := 0; l < k; l++ {
@@ -164,6 +163,14 @@ func (t *Transform) ScanTTIS(fn func(z, jp ilin.Vec) bool) int64 {
 		}
 		zlo := rat.CeilDiv(-base, t.C[k])
 		zhi := rat.FloorDiv(t.V[k]-1-base, t.C[k])
+		if k == t.N-1 {
+			if zhi < zlo {
+				return true
+			}
+			z[k], jp[k] = zlo, base+t.C[k]*zlo
+			total += zhi - zlo + 1
+			return fn(z, jp, zhi-zlo+1)
+		}
 		for zk := zlo; zk <= zhi; zk++ {
 			z[k] = zk
 			jp[k] = base + t.C[k]*zk
@@ -174,7 +181,7 @@ func (t *Transform) ScanTTIS(fn func(z, jp ilin.Vec) bool) int64 {
 		return true
 	}
 	rec(0)
-	return count
+	return total
 }
 
 // TransformedDeps returns D' = H'·D, the dependence vectors expressed in

@@ -146,7 +146,7 @@ func TestScanTTISCountsTileSize(t *testing.T) {
 		mustRect(t, 2, 3),
 	}
 	for i, tr := range cases {
-		if got := tr.ScanTTIS(func(z, jp ilin.Vec) bool { return true }); got != tr.TileSize {
+		if got := tr.ScanTTIS(func(z, jp ilin.Vec, n int64) bool { return true }); got != tr.TileSize {
 			t.Errorf("case %d: TTIS count = %d, want %d", i, got, tr.TileSize)
 		}
 	}
@@ -166,7 +166,7 @@ func mustRect(t *testing.T, sizes ...int64) *Transform {
 // the box and on the lattice.
 func TestScanTTISPointsAreInTIS(t *testing.T) {
 	tr := mustNew(t, jacobiHnr(2, 4, 3))
-	tr.ScanTTIS(func(z, jp ilin.Vec) bool {
+	ttisPoints(tr, func(z, jp ilin.Vec) bool {
 		j := tr.U.MulVec(z)
 		if !tr.TileOf(j).IsZero() {
 			t.Errorf("z=%v: global %v is not in the TIS", z, j)
@@ -295,11 +295,31 @@ func mustNew(t *testing.T, h *ilin.RatMat) *Transform {
 	return tr
 }
 
+// ttisPoints walks the rows of tr's TTIS point by point: fn sees each
+// lattice point z with j' = H̃'·z, in ScanTTIS order, and returning false
+// stops the walk. It returns the number of points visited.
+func ttisPoints(tr *Transform, fn func(z, jp ilin.Vec) bool) int64 {
+	last := tr.N - 1
+	var count int64
+	tr.ScanTTIS(func(z, jp ilin.Vec, n int64) bool {
+		for i := int64(0); i < n; i++ {
+			count++
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += tr.C[last]
+		}
+		return true
+	})
+	return count
+}
+
 // lattice maps every lattice point j' of tr's TTIS, by its String, to its
 // lattice coordinate z (j' = H̃'·z), as ScanTTIS enumerates them.
 func lattice(tr *Transform) map[string]ilin.Vec {
 	lat := map[string]ilin.Vec{}
-	tr.ScanTTIS(func(z, jp ilin.Vec) bool {
+	ttisPoints(tr, func(z, jp ilin.Vec) bool {
 		lat[jp.String()] = z.Clone()
 		return true
 	})

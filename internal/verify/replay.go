@@ -6,6 +6,8 @@ import (
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
+	"tilespace/internal/poly"
+	"tilespace/internal/rat"
 	"tilespace/internal/tiling"
 )
 
@@ -119,12 +121,14 @@ type replayer struct {
 	queues  map[stream][]message
 	rep     *Report
 
-	// U·e_{n-1}, the global step along a row; per-point scratch: a table
-	// point, the walk's point, a read source, P·j^S; per dependence d_l, the
-	// code shift of a read (shift(d_l)); and per direction the walk's region
-	// reference: its points, n coordinates each in flat[d], and their cells
-	// in want[d].
+	// U·e_{n-1}, the global step along a row, and sstep, the code's step
+	// along it (enc(g + U·e_{n-1}) = enc(g) + sstep); per-point scratch: a
+	// table point, the walk's point, a read source, P·j^S; per dependence
+	// d_l, the code shift of a read (shift(d_l)); and per direction the
+	// walk's region reference: its points, n coordinates each in flat[d], and
+	// their cells in want[d].
 	ustep, j, g, src, pS ilin.Vec
+	sstep                int64
 	depShift             []int64
 	flat, want           [][]int64
 
@@ -138,20 +142,38 @@ type replayer struct {
 // phases off its rank's tables: claim the slot's inbound rows in table order
 // against the stream FIFOs and unpack each by its runs + τ·ChainStep +
 // DirShift; inject the boundary-read runs; walk the plan's rows with a
-// cursor, reading and writing each row's stepped cells at t·ChainStep; pack
-// each send by the plan's runs. The references the tables are judged
-// against come from one walk of the tile's own rows (ScanTileRows), none
-// from the tables: iteration codes of P·j^S + U·z (every read must resolve
-// to its source's code, every point is computed once), the containment test
-// (an injected source lies outside the space), and the region's points in
-// walk order with the Addresser's cells (a message carries exactly its
-// region). Every offset touched is checked against the rank's LDS box. A
-// pass proves comm-set exactness constructively — no missing value (a miss
-// surfaces as a wrong or absent code at the reading point: the
-// counterexample), no stale reuse, FIFO consistency, every send consumed —
-// about the tables themselves. It is pure arithmetic: no goroutines, no
-// mpi.World.
+// cursor, segment by segment, reading and writing each row's stepped cells
+// at t·ChainStep; pack each send by the plan's runs. The references the
+// tables are judged against come from one walk of the tile's own rows
+// (ScanTileRows), none from the tables: iteration codes of P·j^S + U·z
+// (every read must resolve to its source's code, every point is computed
+// once), the containment test (an injected source lies outside the space),
+// and the region's points in walk order with the Addresser's cells (a
+// message carries exactly its region). Every offset touched is checked
+// against the rank's LDS box. A pass proves comm-set exactness
+// constructively — no missing value (a miss surfaces as a wrong or absent
+// code at the reading point: the counterexample), no stale reuse, FIFO
+// consistency, every send consumed — about the tables themselves. It is
+// pure arithmetic: no goroutines, no mpi.World.
 func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) (*replayer, error) {
+	rp, err := newReplayer(d, plans, rep)
+	if err != nil {
+		return nil, err
+	}
+	var vio *Violation
+	d.TS.ScanTiles(func(s ilin.Vec) bool {
+		vio = rp.tile(s)
+		return vio == nil
+	})
+	if vio != nil {
+		return rp, vio
+	}
+	return rp, rp.epilogue()
+}
+
+// newReplayer sets up the machine over d's compiled plans: empty LDS
+// content, queues and ownership.
+func newReplayer(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) (*replayer, error) {
 	coder, err := newPointCoder(d.TS)
 	if err != nil {
 		return nil, fmt.Errorf("verify: bounding box: %w", err)
@@ -167,6 +189,7 @@ func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) (*r
 	}
 	n := d.TS.T.N
 	rp.ustep = d.TS.T.U.Col(n - 1)
+	rp.sstep = coder.shift(rp.ustep)
 	rp.j, rp.g, rp.src, rp.pS = make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n)
 	rp.flat, rp.want = make([][]int64, len(d.DM)), make([][]int64, len(d.DM))
 	deps := d.Protocol().Deps
@@ -179,15 +202,7 @@ func replay(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report) (*r
 		rp.heads[r] = make([]int, len(p.Rows))
 		rp.sent[r] = make([]int64, len(p.Slots)*len(d.DM))
 	}
-	var vio *Violation
-	d.TS.ScanTiles(func(s ilin.Vec) bool {
-		vio = rp.tile(s)
-		return vio == nil
-	})
-	if vio != nil {
-		return rp, vio
-	}
-	return rp, rp.epilogue()
+	return rp, nil
 }
 
 // sentRegion returns the region size the replay's walk of tile counted for
@@ -296,23 +311,51 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 
 	// INIT — inject codes by the boundary-read runs, exactly where the
 	// executor copies Initial values; an entry whose source is inside the
-	// space would overwrite a computed value with an initial one.
+	// space would overwrite a computed value with an initial one. The space
+	// is convex, so a run's sources inside it are one interval of the run
+	// (poly.LineInterval); the points before it are injected at once.
 	for _, b := range sl.Boundary {
 		if b.Row < 0 || int(b.Row) >= len(pl.Rows) || b.Dep < 0 || int(b.Dep) >= q ||
 			b.Off < 0 || b.N < 1 || int64(b.Off)+int64(b.N) > int64(pl.Rows[b.Row].N) {
 			return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase,
 				Detail: fmt.Sprintf("boundary-read run %+v lies outside the shape's %d rows × %d dependences", b, len(pl.Rows), q)}
 		}
-		for i := int(b.Off); i < int(b.Off+b.N); i++ {
-			at := point(int(b.Row), i)
+		for i, end := int64(b.Off), int64(b.Off)+int64(b.N); i < end; i++ {
+			at := point(int(b.Row), int(i))
 			for k := range src {
 				src[k] = at[k] - pr.Deps[b.Dep][k]
 			}
+			good := end - i
+			if lo, hi := poly.LineInterval(ts.Nest.Space.Cons, src, pr.RowStep, good); lo < hi {
+				good = lo
+			}
+			cells := lds(content, pl.Read[int(b.Row)*q+int(b.Dep)]+i+tOff, good)
+			for k := range j { // the last source
+				j[k] = src[k] + int64(len(cells)-1)*pr.RowStep[k]
+			}
+			// With the first and the last source inside the coder's box, all
+			// are, and their codes step by shift(RowStep); else go point by point.
+			code, step := rp.coder.enc(src), rp.coder.shift(pr.RowStep)
+			if code == 0 || rp.coder.enc(j) == 0 {
+				cells = cells[:min(len(cells), 1)]
+			}
+			for c := range cells {
+				cells[c], code = code, code+step
+			}
+			good = int64(len(cells))
+			for k := range src {
+				src[k] += good * pr.RowStep[k]
+			}
+			rp.rep.Checks += good
+			if i += good; i == end {
+				break
+			}
+			at = point(int(b.Row), int(i)) // src is its source
 			if ts.Nest.Space.Contains(src) {
 				return &Violation{Rule: "comm-soundness", Rank: r, Tile: sl.Tile, Point: at.Clone(),
 					Detail: fmt.Sprintf("boundary-read run injects an initial value for dependence d_%d, whose source %v lies inside the iteration space", b.Dep+1, src)}
 			}
-			c, ok := cell(pl.Read[int(b.Row)*q+int(b.Dep)] + int64(i))
+			c, ok := cell(pl.Read[int(b.Row)*q+int(b.Dep)] + i)
 			if !ok {
 				return oob("initial-value", c, at)
 			}
@@ -321,11 +364,16 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 	}
 
 	// COMPUTE — the tile's own row walk is the reference: the plan's rows,
-	// walked point by point with a cursor (row, i), must list exactly its
-	// points, every dependence read must resolve to the code of its source
-	// iteration, and the write claims ownership of the point. Per direction
-	// the slot sends along, the walk also collects the region reference: the
-	// points in the communication region, in walk order, with their cells.
+	// walked with a cursor (row, i), must list exactly its points, every
+	// dependence read must resolve to the code of its source iteration, and
+	// the write claims ownership of the point. Per direction the slot sends
+	// along, the walk also collects the region reference: the points in the
+	// communication region, in walk order, with their cells. The unit is the
+	// segment, where a walk row and a plan row overlap: along its m points
+	// the code steps by sstep and every cell by one, so each check is a
+	// bounds test and a tight loop (segment). The good prefix is committed
+	// at once and the first failing point is judged alone by the per-point
+	// rule, so its violation is that rule's.
 	var vio *Violation
 	row, i, npts := 0, 0, 0
 	skipDone := func() { // move the cursor off rows it has exhausted (or that hold no point)
@@ -334,6 +382,35 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 		}
 	}
 	last := n - 1
+	// commit records the len(w) points from the cursor on as computed —
+	// point k claims code + k·sstep and writes it to its cell w[k] — adds
+	// them to the regions they lie in, and moves the cursor, g and jp past
+	// them.
+	commit := func(jp ilin.Vec, code int64, w []int64) {
+		m := int64(len(w))
+		for k := range w {
+			rp.owner[code+int64(k)*rp.sstep] = int32(r) + 1
+			w[k] = code + int64(k)*rp.sstep
+		}
+		jl := jp[last]
+		for _, snd := range sl.Sends {
+			jp[last] = jl
+			for k := rp.regionFrom(jp, snd.Dir, m); k < m; k++ {
+				for x := range g {
+					rp.flat[snd.Dir] = append(rp.flat[snd.Dir], g[x]+k*rp.ustep[x])
+				}
+				jp[last] = jl + k*ts.T.C[last]
+				rp.want[snd.Dir] = append(rp.want[snd.Dir], p.Addr.Flat(jp, 0))
+			}
+		}
+		rp.rep.Points += m
+		i, npts = i+int(m), npts+int(m)
+		for k := range g {
+			g[k] += m * rp.ustep[k]
+		}
+		jp[last] = jl + m*ts.T.C[last]
+	}
+	stepped := rp.ustep.Equal(pr.RowStep) // else the plan's row leaves the walk's after a point
 	ts.ScanTileRows(s, func(z, jp ilin.Vec, cnt int64) bool {
 		for k := range g { // j = P·j^S + U·z, then one U·e_{n-1} per point
 			g[k] = pS[k]
@@ -341,14 +418,25 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 				g[k] += ts.T.U.At(k, l) * zl
 			}
 		}
-		for ; cnt > 0; cnt, jp[last] = cnt-1, jp[last]+ts.T.C[last] {
+		for cnt > 0 {
 			skipDone()
 			if row >= len(pl.Rows) || !g.Equal(point(row, i)) {
 				vio = &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: g.Clone(),
 					Detail: fmt.Sprintf("point %d of the tile is missing from its compiled plan (%d points in %d rows)", npts, pl.Npts, len(pl.Rows))}
 				return false
 			}
+			m := int64(1)
+			if stepped {
+				m = min(cnt, int64(pl.Rows[row].N)-int64(i))
+			}
 			code := rp.coder.enc(g)
+			good, w := rp.segment(content, pl.Read[row*q:row*q+q], pl.Rows[row].Write, int64(i)+tOff, code, m)
+			if commit(jp, code, w); good == m {
+				cnt -= m
+				continue
+			}
+			cnt -= good + 1
+			code = rp.coder.enc(g) // the failing point, judged alone by the per-point rule
 			for l := 0; l < q; l++ {
 				c, ok := cell(pl.Read[row*q+l] + int64(i))
 				if !ok {
@@ -378,27 +466,7 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 				}
 				return false
 			}
-			rp.owner[code] = int32(r) + 1
-			content[c] = code
-		region:
-			for _, snd := range sl.Sends { // j'_k ≥ cc_k on every non-mapping k where d^m is 1
-				for k, e := 0, 0; k < n; k++ {
-					if k != d.M {
-						if d.DM[snd.Dir][e] == 1 && jp[k] < ts.CC[k] {
-							continue region
-						}
-						e++
-					}
-				}
-				rp.flat[snd.Dir] = append(rp.flat[snd.Dir], g...)
-				rp.want[snd.Dir] = append(rp.want[snd.Dir], p.Addr.Flat(jp, 0))
-			}
-			rp.rep.Points++
-			i++
-			npts++
-			for k := range g {
-				g[k] += rp.ustep[k]
-			}
+			commit(jp, code, content[c:c+1])
 		}
 		return true
 	})
@@ -468,6 +536,75 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 		rp.rep.Values += dir.Total
 	}
 	return nil
+}
+
+// segment judges m points of a tile's walk on a rank with LDS content — a
+// stretch of one walk row and one plan row — without writing: point k has
+// code code + k·sstep, reads cell reads[l] + off + k through d_l and writes
+// cell write + off + k. It returns how many points, from the first, pass
+// every check of tile's per-point rule, and their write cells. Reads see the
+// content from before the segment except where a row reads its own writes:
+// with h = write − reads[l] in [1, m), point k ≥ h reads what point k − h
+// wrote, its source's code exactly when h·sstep = shift(d_l).
+func (rp *replayer) segment(content, reads []int64, write, off, code, m int64) (good int64, w []int64) {
+	good = m
+	for l, shift := range rp.depShift {
+		cells := lds(content, reads[l]+off, good)
+		good = int64(len(cells))
+		if h := write - reads[l]; h >= 1 && h < good {
+			if cells = cells[:h]; h*rp.sstep != shift {
+				good = h
+			}
+		}
+		want := code - shift
+		for k, v := range cells {
+			if v != want {
+				good = int64(k)
+				break
+			}
+			want += rp.sstep
+		}
+	}
+	w = lds(content, write+off, good)
+	good = int64(len(w))
+	for k := range w {
+		if rp.owner[code+int64(k)*rp.sstep] != 0 {
+			good = int64(k)
+			break
+		}
+	}
+	rp.rep.Checks += good * int64(len(reads)+1)
+	return good, w[:good]
+}
+
+// lds returns content's cells from c on, at most m of them, up to the first
+// outside the rank's LDS box.
+func lds(content []int64, c, m int64) []int64 {
+	if c < 0 || c >= int64(len(content)) {
+		return nil
+	}
+	return content[c:min(c+m, int64(len(content)))]
+}
+
+// regionFrom returns the first of the m points from TTIS point jp along a
+// row that lies in the communication region along DM[dir] — j'_k ≥ cc_k on
+// every non-mapping k where d^m is 1 — m if none does. Only j'_{n-1} moves
+// along a row, so the row's share of the region is a suffix.
+func (rp *replayer) regionFrom(jp ilin.Vec, dir int, m int64) int64 {
+	d, last, from := rp.d, len(jp)-1, int64(0)
+	for k, e := 0, 0; k <= last; k++ {
+		if k == d.M {
+			continue
+		}
+		if d.DM[dir][e] == 1 && jp[k] < d.TS.CC[k] {
+			if k != last {
+				return m
+			}
+			from = rat.CeilDiv(d.TS.CC[k]-jp[k], d.TS.T.C[k])
+		}
+		e++
+	}
+	return min(from, m)
 }
 
 // epilogue closes the exactness proof: every sent message was consumed and

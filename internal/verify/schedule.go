@@ -25,10 +25,19 @@ type Edge struct {
 // of a stream's k-th send is the tile claiming the k-th row of the
 // destination rank's queue for that direction (To stays nil when there is no
 // such row; a rank whose schedule did not compile contributes no edges —
-// Certify reports that first). Mutation tests corrupt this list and hand it
-// to CheckSchedule.
+// Certify reports that first). From is the sender slot's tile, shared, not
+// copied (Certify's replay has proved it the scanned tile): mutation tests
+// clone the list before they corrupt it and hand it to CheckSchedule.
 func ScheduleEdges(d *distrib.Distribution) []Edge {
-	var edges []Edge
+	n := 0
+	for r := 0; r < d.NumProcs(); r++ {
+		if rp, err := d.Schedule(r); err == nil {
+			for _, sl := range rp.Slots {
+				n += len(sl.Sends)
+			}
+		}
+	}
+	edges := make([]Edge, 0, n)
 	heads := make([][]int, d.NumProcs()) // per rank and direction: rows already paired
 	for r := range heads {
 		heads[r] = make([]int, len(d.DM))
@@ -42,8 +51,9 @@ func ScheduleEdges(d *distrib.Distribution) []Edge {
 		if err != nil {
 			return true
 		}
-		for _, snd := range rp.Slots[s[d.M]-d.ChainStart[src]].Sends {
-			e := Edge{From: s.Clone(), SrcRank: src, DstRank: rp.SendRank[snd.Dir], Dir: snd.Dir, Values: snd.Count}
+		sl := &rp.Slots[s[d.M]-d.ChainStart[src]]
+		for _, snd := range sl.Sends {
+			e := Edge{From: sl.Tile, SrcRank: src, DstRank: rp.SendRank[snd.Dir], Dir: snd.Dir, Values: snd.Count}
 			if dp, err := d.Schedule(e.DstRank); err == nil {
 				if h := &heads[e.DstRank][e.Dir]; *h < len(dp.Rows[e.Dir]) {
 					e.To = dp.Slots[dp.Msgs[dp.Rows[e.Dir][*h]].T].Tile

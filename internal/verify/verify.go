@@ -13,7 +13,11 @@
 //     compiled tables (see replay.go), judged against references derived
 //     independently of them by one walk of each tile's rows: iteration
 //     codes, the containment test, region membership and order, and the
-//     Addresser's cells.
+//     Addresser's cells. The replay judges each segment — a stretch where
+//     a walk row and a plan row overlap — as arithmetic progressions, with
+//     one hazard rule for a row that reads its own writes, and judges the
+//     first failing point alone, so a counterexample is the one a
+//     point-by-point replay names.
 //
 //  2. Deadlock-freedom. The send/receive pattern the tables encode embeds
 //     into lexicographic tile time: every message flows from a lex-earlier

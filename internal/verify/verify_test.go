@@ -3,6 +3,8 @@ package verify_test
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -30,24 +32,9 @@ func matrixCases(t testing.TB) []matrixCase {
 	t.Helper()
 	var out []matrixCase
 	add := func(name string, app *apps.App, err error, fam apps.TilingFamily, x, y, z int64) {
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if c, ok := buildCase(t, name, app, err, fam, x, y, z); ok {
+			out = append(out, c)
 		}
-		ts, err := tiling.Analyze(app.Nest, fam.H(x, y, z))
-		if err != nil {
-			t.Logf("skip %s (%s x=%d y=%d z=%d): %v", name, fam.Name, x, y, z, err)
-			return
-		}
-		m := app.MapDim
-		if m < 0 {
-			m = distrib.ChooseMappingDim(ts)
-		}
-		d, err := distrib.New(ts, m)
-		if err != nil {
-			t.Logf("skip %s (%s x=%d y=%d z=%d): %v", name, fam.Name, x, y, z, err)
-			return
-		}
-		out = append(out, matrixCase{name, ts, d})
 	}
 	sor, err := apps.SOR(4, 10)
 	add("sor/rect", sor, err, sor.Rect, 2, 4, 4)
@@ -67,6 +54,43 @@ func matrixCases(t testing.TB) []matrixCase {
 		t.Fatalf("only %d matrix cases built — factor choices too restrictive", len(out))
 	}
 	return out
+}
+
+// buildCase analyzes app under fam's tiling with factors x, y, z and
+// distributes it along the app's mapping dimension; ok is false (logged)
+// when the tiling does not apply.
+func buildCase(t testing.TB, name string, app *apps.App, err error, fam apps.TilingFamily, x, y, z int64) (c matrixCase, ok bool) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	ts, err := tiling.Analyze(app.Nest, fam.H(x, y, z))
+	if err != nil {
+		t.Logf("skip %s (%s x=%d y=%d z=%d): %v", name, fam.Name, x, y, z, err)
+		return c, false
+	}
+	m := app.MapDim
+	if m < 0 {
+		m = distrib.ChooseMappingDim(ts)
+	}
+	d, err := distrib.New(ts, m)
+	if err != nil {
+		t.Logf("skip %s (%s x=%d y=%d z=%d): %v", name, fam.Name, x, y, z, err)
+		return c, false
+	}
+	return matrixCase{name, ts, d}, true
+}
+
+// coarseCase is the benchmark's jacobi_coarse plan: Jacobi 8×192 under the
+// rectangular tiling (2, 102, 204), 10 tiles of ~41 600 points.
+func coarseCase(t testing.TB) matrixCase {
+	t.Helper()
+	jac, err := apps.Jacobi(8, 192)
+	c, ok := buildCase(t, "jacobi_coarse", jac, err, jac.Rect, 2, 102, 204)
+	if !ok {
+		t.Fatal("jacobi_coarse's tiling does not apply")
+	}
+	return c
 }
 
 // matrixReports pins what a certification covers per matrix case — procs,
@@ -257,9 +281,49 @@ func TestMutationCorruptedRunRejected(t *testing.T) {
 			if v.Point == nil || !strings.Contains(v.Error(), "counterexample point") {
 				t.Errorf("rejection carries no counterexample point: %v", v)
 			}
+			if got := pin(v); got != runPins[name] {
+				t.Errorf("rejected as %s, pinned %s", got, runPins[name])
+			}
 			t.Logf("rejected: %v", v)
 		})
 	}
+}
+
+// pin renders what the mutation tests pin of a violation: its rule, rank,
+// tile and counterexample point.
+func pin(v *verify.Violation) string {
+	return fmt.Sprintf("%s|%d|%v|%v", v.Rule, v.Rank, v.Tile, v.Point)
+}
+
+// runPins, schedulePins and rowPins are the violations each mutation drew
+// from the per-point replay, recorded before the replay judged segments.
+var runPins = map[string]string{
+	"doubled-run":    "comm-redundancy|0|(0, 0, 0)|(1, 3, 3)",
+	"dropped-tail":   "comm-soundness|0|(0, 0, 0)|(1, 3, 3)",
+	"shifted-offset": "comm-soundness|0|(0, 0, 0)|(1, 3, 3)",
+}
+
+var schedulePins = map[string]string{
+	"inflated-payload": "schedule-edge|0|(0, 0, 0)|(0, 1, 0)",
+	"reversed-edge":    "deadlock|1|(0, 1, 0)|(0, 0, 0)",
+	"wrong-receiver":   "schedule-edge|0|(0, 0, 0)|(0, 1, 1)",
+}
+
+var rowPins = map[string]string{
+	"boundary-run-too-long":   "comm-soundness|9|(2, 3, 1)|(4, 12, 10)",
+	"boundary-run-too-short":  "comm-soundness|9|(2, 3, 1)|(4, 14, 11)",
+	"dropped-boundary-entry":  "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"dropped-inbound-row":     "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"inner-row-one-longer":    "address-program|9|(2, 3, 1)|(4, 13, 9)",
+	"row-one-longer":          "address-program|9|(2, 3, 3)|(4, 14, 19)",
+	"row-one-shorter":         "address-program|9|(2, 3, 3)|(4, 12, 16)",
+	"row-start-off-by-a-step": "address-program|9|(2, 3, 3)|(4, 14, 16)",
+	"shifted-readoff":         "comm-soundness|9|(2, 3, 3)|(4, 14, 16)",
+	"shrunk-pack-run":         "comm-soundness|8|(2, 2, 1)|(4, 11, 11)",
+	"spurious-boundary-entry": "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"swapped-rows":            "fifo-order|9|(2, 3, 1)|(2, 2, 2)",
+	"wrong-dirshift":          "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"wrong-tau":               "fifo-order|9|(2, 3, 3)|(1, 2, 2)",
 }
 
 // TestMutationCorruptedScheduleRejected corrupts one schedule edge and
@@ -303,6 +367,10 @@ func TestMutationCorruptedScheduleRejected(t *testing.T) {
 			}
 			if name == "reversed-edge" && !strings.Contains(err.Error(), "deadlock") {
 				t.Errorf("reversed edge not reported as a deadlock: %v", err)
+			}
+			var v *verify.Violation
+			if !errors.As(err, &v) || pin(v) != schedulePins[name] {
+				t.Errorf("rejected as %v, pinned %s", err, schedulePins[name])
 			}
 			t.Logf("rejected: %v", err)
 		})
@@ -546,6 +614,35 @@ func TestMutationCompiledRowRejected(t *testing.T) {
 				return false
 			})
 		},
+		"read-ahead-in-row": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			lastRow(t, ps, func(pl *distrib.TilePlan, r int) { // d_1 reads the cell the row's next point writes
+				if pl.Rows[r].N < 2 {
+					t.Fatal("fixture's last row holds one point")
+				}
+				pl.Read[r*c.ts.Nest.Q()] = pl.Rows[r].Write + 1
+			})
+		},
+		"in-row-read-one-further-back": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			q := c.ts.Nest.Q()
+			find(t, ps, func(rp *distrib.RankPlan) bool { // a read of an earlier point of its own row
+				for i := range rp.Slots {
+					pl := rp.Slots[i].Plan
+					for ri, row := range pl.Rows {
+						for l := 0; l < q; l++ {
+							if h := row.Write - pl.Read[ri*q+l]; h >= 1 && h+1 < int64(row.N) {
+								pl.Read[ri*q+l]--
+								return true
+							}
+						}
+					}
+				}
+				return false
+			})
+		},
+		"wrong-rowstep": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			step := c.d.Protocol().RowStep
+			step[len(step)-1]++
+		},
 		"wrong-dirshift": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
 			find(t, ps, func(rp *distrib.RankPlan) bool {
 				if len(rp.Msgs) == 0 {
@@ -572,29 +669,151 @@ func TestMutationCompiledRowRejected(t *testing.T) {
 			if v.Point == nil || !strings.Contains(v.Error(), "counterexample point") {
 				t.Errorf("rejection carries no counterexample point: %v", v)
 			}
+			if want, ok := rowPins[name]; ok && pin(v) != want {
+				t.Errorf("rejected as %s, pinned %s", pin(v), want)
+			}
+			if _, perr := verify.CertifyPointwise(c.ts, c.d); !reflect.DeepEqual(err, perr) {
+				t.Errorf("rejected with %v, the per-point replay with %v", err, perr)
+			}
 			t.Logf("rejected: %v", v)
 		})
 	}
 }
 
-// BenchmarkCertify times Certify over the whole matrix on warm
-// distributions — every chain already compiled, as after a run — so it
-// measures the certifier alone: the replay's tile walks and the schedule
-// check.
-func BenchmarkCertify(b *testing.B) {
-	cases := matrixCases(b)
-	for _, c := range cases {
-		if _, err := verify.Certify(c.ts, c.d); err != nil {
-			b.Fatal(err)
+// TestRowReplayMatchesPointwise: the replay judges segments, the oracle
+// (CertifyPointwise) judges points; both must give the same report, or the
+// same violation, over the matrix, over jacobi_coarse's plan, and over a
+// seeded battery of single-entry corruptions of freshly compiled plans
+// (corruptEntry).
+func TestRowReplayMatchesPointwise(t *testing.T) {
+	same := func(t *testing.T, what string, c matrixCase) error {
+		t.Helper()
+		rep, err := verify.Certify(c.ts, c.d)
+		prep, perr := verify.CertifyPointwise(c.ts, c.d)
+		if !reflect.DeepEqual(rep, prep) || !reflect.DeepEqual(err, perr) {
+			t.Fatalf("%s: segments give %v, %v; points give %v, %v", what, rep, err, prep, perr)
+		}
+		return err
+	}
+	cases := matrixCases(t)
+	for _, c := range append(cases, coarseCase(t)) {
+		if err := same(t, c.name, c); err != nil {
+			t.Fatalf("%s: pristine tables rejected: %v", c.name, err)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cases {
-			if _, err := verify.Certify(c.ts, c.d); err != nil {
-				b.Fatal(err)
+	rng := rand.New(rand.NewSource(1))
+	const trials = 400
+	rejected := 0
+	for trial := 0; trial < trials; {
+		base := cases[rng.Intn(len(cases))]
+		d, err := distrib.New(base.ts, base.d.M)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans := make([]*distrib.RankPlan, d.NumProcs())
+		for r := range plans {
+			if plans[r], err = d.Plan(r); err != nil {
+				t.Fatal(err)
 			}
 		}
+		what, ok := corruptEntry(rng, d, plans, trial, base.ts.Nest.Q())
+		if !ok {
+			continue // the drawn slot has no such entry: draw again
+		}
+		if same(t, base.name+": "+what, matrixCase{base.name, base.ts, d}) != nil {
+			rejected++
+		}
+		trial++
+	}
+	if rejected < trials*9/10 { // some corruptions leave a correct program: a read cell moved with its own injection
+		t.Errorf("only %d of %d corruptions rejected", rejected, trials)
+	}
+	t.Logf("%d of %d corruptions rejected", rejected, trials)
+}
+
+// corruptEntry changes one entry, drawn by rng, of d's compiled tables:
+// ±1 on a slot's read cell, row length, write cell, row-start component,
+// boundary-run offset or length; a read or write cell moved by the LDS
+// size; a row start moved far outside the space; or ±1 on a component of
+// the protocol's row step. Which kind cycles with trial. It reports what it
+// changed, or false when the drawn slot has no entry of that kind.
+func corruptEntry(rng *rand.Rand, d *distrib.Distribution, plans []*distrib.RankPlan, trial, q int) (string, bool) {
+	rp := plans[rng.Intn(len(plans))]
+	if len(rp.Slots) == 0 {
+		return "", false
+	}
+	sl := &rp.Slots[rng.Intn(len(rp.Slots))]
+	pl, delta := sl.Plan, int64(1-2*rng.Intn(2))
+	kind := trial % 10
+	switch {
+	case kind == 6 || kind == 7:
+		delta *= rp.Addr.Size()
+	case kind == 8:
+		delta *= 1000
+	}
+	if n := [...]int{len(pl.Read), len(pl.Rows), len(pl.Rows), len(pl.Uz), len(sl.Boundary), len(sl.Boundary),
+		len(pl.Read), len(pl.Rows), len(pl.Uz), 1}[kind]; n == 0 {
+		return "", false
+	}
+	var what string
+	switch kind {
+	case 0, 6:
+		i := rng.Intn(len(pl.Read))
+		pl.Read[i] += delta
+		what = fmt.Sprintf("Read[%d] (row %d, d_%d)", i, i/q, i%q+1)
+	case 1:
+		i := rng.Intn(len(pl.Rows))
+		pl.Rows[i].N += int32(delta)
+		what = fmt.Sprintf("Rows[%d].N", i)
+	case 2, 7:
+		i := rng.Intn(len(pl.Rows))
+		pl.Rows[i].Write += delta
+		what = fmt.Sprintf("Rows[%d].Write", i)
+	case 3, 8:
+		i := rng.Intn(len(pl.Uz))
+		pl.Uz[i] += delta
+		what = fmt.Sprintf("Uz[%d]", i)
+	case 4:
+		i := rng.Intn(len(sl.Boundary))
+		sl.Boundary[i].Off += int32(delta)
+		what = fmt.Sprintf("Boundary[%d].Off", i)
+	case 5:
+		i := rng.Intn(len(sl.Boundary))
+		sl.Boundary[i].N += int32(delta)
+		what = fmt.Sprintf("Boundary[%d].N", i)
+	case 9:
+		step := d.Protocol().RowStep
+		k := rng.Intn(len(step))
+		step[k] += delta
+		return fmt.Sprintf("RowStep[%d] %+d", k, delta), true
+	}
+	return fmt.Sprintf("%s %+d on slot %v", what, delta, sl.Tile), true
+}
+
+// BenchmarkCertify times Certify on warm distributions — every chain
+// already compiled, as after a run — so it measures the certifier alone: the
+// replay's tile walks and the schedule check. /matrix certifies the whole
+// matrix per iteration, /coarse jacobi_coarse's plan.
+func BenchmarkCertify(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		cases []matrixCase
+	}{{"matrix", matrixCases(b)}, {"coarse", []matrixCase{coarseCase(b)}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for _, c := range bc.cases {
+				if _, err := verify.Certify(c.ts, c.d); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, c := range bc.cases {
+					if _, err := verify.Certify(c.ts, c.d); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
