@@ -7,49 +7,19 @@ import (
 	"tilespace/internal/mpi"
 )
 
-// This file is the recovery half of the rank machine. The compiled tile
-// protocol makes a rank's state between tiles fully explicit: its chain
-// position and its LDS contents. Its wire position — how many messages it
-// has claimed and sent on every stream — is a function of the chain
-// position, read off the compiled tables (StreamPositions). So every
-// CheckpointOptions.Every committed tiles the rank takes one RankSnapshot
-// {Rank, NextTile, LDS}, and a lost rank becomes a rewind to it instead of
-// a lost run. snapshot and crash are pure transitions of the machine's
-// state; their wire effects (quiesce, Save, the restart outage) are
-// runRank's.
-//
-// A snapshot is taken quiesced: the driver first waits for everything the
-// rank has sent to be due (mpi.Comm.WaitSends) and out of the transport
-// (FlushWire), so "sent before the snapshot" is exact on every transport.
-//
-// With CheckpointOptions.Save the snapshot is persisted and recovery is a
-// new OS process started with Resume (cmd/tilerankd): it builds its mesh
-// from StreamPositions at the snapshot's slot, its peers' meshes retained
-// what it had not consumed and the TCP resume protocol resends it, so the
-// rank keeps no log of its own. Without Save the snapshot stays in memory
-// and a planned crash (FaultPlan.Crash) is recovered in-process:
-//
-//   - Held payloads: every message claimed since the snapshot is kept as a
-//     copy. An in-process mailbox hands a claimed message over for good and
-//     no peer retains it, and a restore wipes its unpacked cells from the
-//     LDS — these payloads are the one part of recovery no table holds.
-//   - Crash: the LDS is poisoned with NaN before restoring, so state the
-//     snapshot fails to cover corrupts the differential result instead of
-//     silently surviving.
-//   - Restore: copy the snapshot back, unpack the held payloads on top of
-//     it (rows are claimed in table order, so every held payload belongs to
-//     a slot between the snapshot and the crash), note the crash slot as
-//     the replay bound and rewind the chain to the snapshot's slot.
-//   - Re-execution: the rewound tiles find their inbound-table rows already
-//     claimed (claimed messages are not re-received from the wire, so
-//     mpi.Stats count them once), and a slot below the replay bound packs
-//     nothing: the crashed incarnation issued its sends, every issued send
-//     is with the transport, and its receivers have them. Past the bound
-//     the rank runs normally.
-//
-// Counting every message exactly once — when it is first issued — keeps
-// mpi.Stats bit-identical to a fault-free run, which the chaos suite
-// asserts.
+// This file is the recovery half of the rank machine (DESIGN.md, "Fault
+// injection & recovery"). A rank's state between tiles is its chain position and LDS;
+// its wire position is read off the compiled tables (StreamPositions). So
+// every CheckpointOptions.Every tiles the rank takes a RankSnapshot
+// {Rank, NextTile, LDS}, quiesced (its sends due and flushed), and a lost
+// rank becomes a rewind to it. snapshot and crash are pure transitions of
+// the machine; their wire effects are the driver's (parallel.go). With Save
+// the snapshot is persisted and recovery is a relaunched process; without,
+// a planned crash is recovered in-process: the rank holds a copy of every
+// payload claimed since the snapshot (no peer retains it), NaN-poisons its
+// LDS, restores the snapshot and the held payloads, and re-executes from
+// the snapshot's slot — re-claiming nothing and, below the crash slot (the
+// replay bound), packing nothing, so mpi.Stats count every message once.
 
 // CheckpointOptions enables tile-chain checkpointing (RunOptions).
 type CheckpointOptions struct {
@@ -130,14 +100,11 @@ func (st *rankState) newCkptState(opt *CheckpointOptions) (*ckptState, error) {
 }
 
 // StreamPositions reads rank's wire position at chain slot next off its
-// compiled tables: the §3.2 protocol fixes which slot claims every inbound
-// row and which messages every slot sends, so the position is a function of
-// next. recv counts, per inbound direction, the table rows of the slots
-// below next (Src is the sending rank); sent counts, per outbound direction,
-// the sends of those slots (Src is the destination rank). The tag is the
-// direction, and a stream with no traffic yet is left out. A relaunched rank
-// builds its mesh from them (mpi.TCPConfig.Recv/Sent). A rank or slot
-// outside the program is refused.
+// compiled tables: recv counts, per inbound direction (the tag), the table
+// rows of the slots below next (Src: the sender); sent counts those slots'
+// sends per outbound direction (Src: the destination). A stream with no
+// traffic yet is left out. A relaunched rank builds its mesh from them
+// (mpi.TCPConfig.Recv/Sent). A rank or slot outside the program is refused.
 func (p *Program) StreamPositions(rank int, next int64) (recv, sent []mpi.StreamPos, err error) {
 	if n := p.Dist.NumProcs(); rank < 0 || rank >= n {
 		return nil, nil, fmt.Errorf("exec: rank %d outside the program's ranks 0..%d", rank, n-1)
@@ -185,7 +152,7 @@ func (st *rankState) snapshotDue() bool {
 
 // snapshot records the rank's restartable state as of the current slot —
 // chain position and dirty LDS prefix — and restarts the held payloads
-// empty. runRank has quiesced the wire; the snapshot is the rank's,
+// empty. The driver has quiesced the wire; the snapshot is the rank's,
 // valid until the next one.
 func (st *rankState) snapshot() *RankSnapshot {
 	ck := st.ckpt

@@ -5,18 +5,12 @@ import (
 	"time"
 )
 
-// ComputeSweep times `rounds` compute-phase sweeps over rank `rank`'s whole
-// tile chain — the serial row sweep a run executes — and returns the number
-// of points one sweep computes plus the best-of-rounds wall time.
+// ComputeSweep times `rounds` compute-phase sweeps (no communication, init
+// or write-back, over a deterministically seeded LDS) of rank `rank`'s whole
+// tile chain, and returns the points of one sweep and the best wall time.
 //
-// The sweep isolates the compute phase — no communication, init or
-// write-back — so points per second is the kernel's own rate. The LDS is
-// seeded deterministically, so repeated rounds read identical inputs.
-// Exported for benchmark/'s exec.sweep_mpts_per_s_* rows; not part of the
-// execution API proper.
-//
-// Deprecated: the executor has no intra-tile worker pool, so workers is
-// ignored; the function stays only for benchmark/'s sweep rows.
+// Deprecated: workers is ignored; the function stays only for benchmark/'s
+// exec.sweep_mpts_per_s_* rows.
 func (p *Program) ComputeSweep(rank, workers, rounds int) (points int64, seconds float64, err error) {
 	if rank < 0 || rank >= p.Dist.NumProcs() {
 		return 0, 0, fmt.Errorf("exec: ComputeSweep rank %d out of range [0, %d)", rank, p.Dist.NumProcs())

@@ -10,17 +10,13 @@ import (
 )
 
 // This file is the loop body F as data. The paper's generated code inlines F
-// in the TTIS loop (§3.2); an interpreter gets the same effect by being
-// handed F as a statement — one expression tree per output slot over the
-// dependence reads — lowering it once to straight-line register code, and
-// evaluating that code one operation at a time over a whole TTIS row: every
-// instruction is a tight loop over contiguous floats, so the per-point cost
-// of interpretation (dispatch, operand lookup, the indirect call of a
-// closure) is paid once per row. Every operation is one IEEE operation
-// applied in the order the tree gives — nothing is fused, re-associated or
-// folded — so a row of length L computes bit for bit what L per-point
-// evaluations compute, and the per-point form (Kernel.Point) is the same
-// code at length 1.
+// in the TTIS loop (§3.2); an interpreter gets the same effect from F as a
+// statement — one expression tree per output slot over the dependence reads
+// — lowered once to straight-line register code and evaluated an operation
+// at a time over a whole TTIS row, so interpretation is paid once per row.
+// Every operation is one IEEE operation in the tree's order (nothing fused,
+// re-associated or folded), so a row of length L computes bit for bit what
+// L per-point evaluations (Kernel.Point: the same code at length 1) do.
 
 // Expr is a node of a statement's expression tree, built with Const, Read,
 // Coef, Add, Sub, Mul, Div and Neg. A node may be used more than once (a

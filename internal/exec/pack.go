@@ -2,15 +2,12 @@ package exec
 
 import "tilespace/internal/distrib"
 
-// This file holds the dynamic half of the compiled communication path:
-// run-based packing into the rank's outbox (bulk copies over the plan's
-// contiguous LDS runs; unpack is its mirror in receive.go) and the
-// message-buffer pool. The pool plus ownership-transfer sends
-// (mpi.SendOwned/IsendOwned) close the allocation loop: a sender packs
-// into a pooled buffer, ownership rides the message to the receiver, and
-// the receiver recycles the unpacked buffer into its own pool for its next
-// send. Buffers circulate around the processor ring, so steady-state
-// execution allocates nothing per tile.
+// This file holds run-based packing into the rank's outbox (bulk copies over
+// the plan's LDS runs; unpack is its mirror in receive.go) and the buffer
+// pool. A sender packs into a pooled buffer, ownership rides the message
+// (mpi.SendOwned/IsendOwned) to the receiver, which recycles it into its own
+// pool — or, within a group, back into the sender's: steady state allocates
+// nothing per tile.
 
 // maxPoolBufs bounds the freelist; a rank rarely holds more live buffers
 // than it has processor directions, but unbalanced chains can briefly
@@ -66,7 +63,8 @@ func (p *bufPool) put(b []float64) {
 }
 
 // outMsg is one message of the outbox: a packed buffer and its envelope.
-// runRank issues it with an ownership-transferring send.
+// The driver issues it with an ownership-transferring send, or queues it for
+// a rank of its own group.
 type outMsg struct {
 	dst, tag int
 	data     []float64

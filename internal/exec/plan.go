@@ -9,21 +9,16 @@ import (
 )
 
 // This file interprets the address level of the distribution's compiled
-// protocol (distrib/protocol.go) — the static half of the executor's
-// static/dynamic split, plain tables shared read-only by every rank of every
-// run and read by the certifier and the simulator too. The paper's generated
-// code walks the LDS with incremental (strength-reduced) addresses, never
-// dividing per point; the reference executor (legacy_test.go) re-derives
-// every address through rat.FloorDiv, n·(q+1) divisions per iteration point.
-// Here the unit is the TTIS row: a distrib.TilePlan gives, per row, the cells
-// of its first point at chain slot 0 (add t·ChainStep for any tile of the
-// shape) and along the row every cell steps by one and the global iteration
-// point by Protocol.RowStep. So the sweep hands the kernel whole rows — a
-// statement is evaluated one operation at a time over the row (kernel.go), an
-// opaque body is called per point with stepped addresses — boundary injection
-// copies precompiled values over each boundary run, and write-back copies
-// each row into the global array. What remains per run is the LDS, the
-// message buffers and a little scratch (newRankState).
+// protocol (distrib/protocol.go): plain tables shared read-only by every
+// rank of every run, and by the certifier and the simulator. Like the
+// paper's generated code it never divides per point (the reference executor,
+// legacy_test.go, does n·(q+1) rat.FloorDivs per point). The unit is the
+// TTIS row: a distrib.TilePlan gives each row's first cells at chain slot 0
+// (add t·ChainStep for any tile of the shape), and along a row every cell
+// steps by one and the global point by Protocol.RowStep. So the sweep hands
+// the kernel whole rows (kernel.go), boundary injection copies precompiled
+// values over each boundary run, and write-back copies each row into the
+// global array.
 
 // maxChunk caps how many points of a row a statement is evaluated over at
 // once, so that the register file stays cache-resident however long the row.

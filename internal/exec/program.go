@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
@@ -35,8 +36,9 @@ type Program struct {
 	lo, hi ilin.Vec
 	bounds *poly.NestBounds
 	// inits[r] is rank r's boundary values (plan.go), compiled on the rank's
-	// first run.
+	// first run; idle[r] holds rank states whose run finished (newRankState).
 	inits []rankInit
+	idle  []sync.Pool
 }
 
 // NewProgram validates and assembles a program. The mapping dimension is
@@ -65,7 +67,7 @@ func NewProgram(ts *tiling.TiledSpace, m int, width int, kernel Kernel, initial 
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{TS: ts, Dist: d, Width: width, Kernel: kernel, Initial: initial, inits: make([]rankInit, d.NumProcs())}
+	p := &Program{TS: ts, Dist: d, Width: width, Kernel: kernel, Initial: initial, inits: make([]rankInit, d.NumProcs()), idle: make([]sync.Pool, d.NumProcs())}
 	if p.lo, p.hi, err = ts.Nest.BoundingBox(); err != nil {
 		return nil, err
 	}
@@ -110,18 +112,14 @@ func (p *Program) reference() (*Global, func(j ilin.Vec)) {
 }
 
 // RunSequential executes the program in the original lexicographic order
-// (valid because all dependencies are lexicographically positive) and
-// returns the filled global data space: the baseline every speedup is
-// quoted against and the reference every run is checked against. It sweeps
-// the space a row at a time along the innermost dimension e, as the
-// executor sweeps a tile. A dependence whose source lies in another row
-// reads that row of the Global; the space is convex, so the sources inside
-// it are one interval of the row (poly.LineInterval) and only the ends
-// outside come from Initial, into scratch. A dependence c·e reads the row
-// itself, c points back: its first min(c, n) sources precede the row's first
-// point, so lie outside the space and come from Initial, and the rest of the
-// row is evaluated under the executor's hazard rule (rowEval.row). Each
-// point's value is what the per-point order computes, bit for bit.
+// (all dependences are lexicographically positive) and returns the filled
+// global data space: the baseline of every speedup and the reference of
+// every run. It sweeps a row at a time along the innermost dimension e. A
+// dependence whose source lies in another row reads that row of the Global,
+// the sources inside the (convex) space being one interval
+// (poly.LineInterval), the ends outside coming from Initial; a dependence
+// c·e reads the row itself c points back, under the executor's hazard rule
+// (rowEval.row). Each value is the per-point order's, bit for bit.
 func (p *Program) RunSequential() (*Global, error) {
 	g := NewGlobal(p.lo, p.hi, p.Width)
 	n, q, w := p.TS.T.N, p.TS.Nest.Q(), int64(p.Width)

@@ -65,11 +65,9 @@ func randSpec(rng *rand.Rand) propSpec {
 	return s
 }
 
-// checkSpec runs the whole pipeline on one spec. It returns a non-empty
-// failure description when a property is violated, "" when the spec
-// passes, and skip=true when the spec is rejected upstream (analysis or
-// program construction) — rejection is not a differential failure.
-func checkSpec(s propSpec) (failure string, skip bool) {
+// specProgram compiles one spec, or reports false when the spec is rejected
+// upstream (analysis or program construction).
+func specProgram(s propSpec) (*exec.Program, bool) {
 	names := make([]string, len(s.hi))
 	lo := make([]int64, len(s.hi))
 	for k := range names {
@@ -77,15 +75,15 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 	}
 	nest, err := loopnest.Box(names, lo, s.hi, ilin.MatFromRows(s.deps...).Transpose())
 	if err != nil {
-		return "", true
+		return nil, false
 	}
 	rect, err := tiling.Rectangular(s.sizes...)
 	if err != nil {
-		return "", true
+		return nil, false
 	}
 	ts, err := tiling.Analyze(nest, rect.H)
 	if err != nil {
-		return "", true
+		return nil, false
 	}
 	kernel := exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
 		v := 1.0
@@ -95,9 +93,19 @@ func checkSpec(s propSpec) (failure string, skip bool) {
 		out[0] = v
 	})
 	p, err := exec.NewProgram(ts, -1, 1, kernel, nil)
-	if err != nil {
+	return p, err == nil
+}
+
+// checkSpec runs the whole pipeline on one spec. It returns a non-empty
+// failure description when a property is violated, "" when the spec
+// passes, and skip=true when the spec is rejected upstream (analysis or
+// program construction) — rejection is not a differential failure.
+func checkSpec(s propSpec) (failure string, skip bool) {
+	p, ok := specProgram(s)
+	if !ok {
 		return "", true
 	}
+	ts := p.TS
 	if _, err := verify.Certify(ts, p.Dist); err != nil {
 		return fmt.Sprintf("certifier rejected a legal spec: %v", err), false
 	}

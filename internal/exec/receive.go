@@ -8,25 +8,15 @@ import (
 
 // This file is the receive side of the rank machine: the paper's §3.2
 // RECEIVE — one message per (predecessor tile, processor direction), claimed
-// at the minsucc tile — enumerated once into a per-rank inbound-message table
-// (distrib.RankPlan.Msgs: the table is part of the distribution's compiled
-// protocol, built on the rank's first use). A run owns only one cursor over
-// it, rankState.cur: the rows below it are claimed. next names the row the
-// current slot still waits for, offer claims that row and unpacks it.
-// Neither touches the runtime; runRank receives what next names and offers
-// it — the order of the paper's generated code.
-//
-// The table is in claim order, slot by slot. A message carries no tile
-// identity beyond its position on its (source, tag) FIFO stream, and the
-// source of direction di is always pid − DM[di], so a rank has one stream
-// per direction and the table's rows of a direction, in table order, are
-// that stream's wire order (distrib.RankPlan.Rows). Claiming in table order
-// therefore always takes the message at the head of the mailbox queue — no
-// receive needs posting ahead of time.
-//
-// Claiming only in table order loses nothing: the wire FIFO already fixes
-// which slot a payload belongs to, so claiming a later slot's messages early
-// could only move unpack work, never the firing order.
+// at the minsucc tile — as the distribution's per-rank inbound-message table
+// (distrib.RankPlan.Msgs), in claim order. A run keeps one cursor over it,
+// rankState.cur. next names the row the current slot still waits for, offer
+// claims and unpacks it; neither touches the runtime. A rank has one stream
+// per direction (the source of direction di is pid − DM[di]) and a table's
+// rows of a direction are that stream's wire order, so claiming in table
+// order always takes a stream's head. It loses nothing: the stream already
+// fixes which slot a payload belongs to, so claiming early could only move
+// unpack work, never the firing order.
 
 // next reports the chain slot the rank fires next and the inbound row it
 // still waits for — −1 when it has them all and can fire. The slot is
@@ -41,7 +31,8 @@ func (st *rankState) next() (int64, int) {
 
 // offer claims table row i with the payload its stream delivered: the row
 // must be the one next names and the payload the size the table says. The
-// payload is unpacked and recycled; in-memory recovery holds a copy.
+// payload is unpacked (the driver recycles it); in-memory recovery holds a
+// copy.
 func (st *rankState) offer(i int, data []float64) error {
 	if _, want := st.next(); i != want {
 		return fmt.Errorf("exec: rank %d chain slot %d: row %d offered out of order (the slot waits for row %d)", st.rank, st.t, i, want)
@@ -55,7 +46,6 @@ func (st *rankState) offer(i int, data []float64) error {
 	}
 	st.unpack(m, data)
 	st.cur++
-	st.pool.put(data)
 	return nil
 }
 

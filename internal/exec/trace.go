@@ -2,27 +2,23 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"tilespace/internal/ilin"
 	"tilespace/internal/simnet"
 )
 
-// This file is the measured counterpart of internal/simnet's event
-// timeline: a per-rank tracer that records wall-clock spans for each
-// tile's receive/unpack, compute and pack/send phases in the real
-// runtime. Measured events use the simnet.Event schema (seconds since the
-// run's epoch), so the simulator's Gantt, critical-rank and phase-fraction
-// analytics apply unchanged to real traces — which is exactly what lets
-// the cost model be validated against measurement.
+// This file is the measured counterpart of internal/simnet's timeline: a
+// per-rank tracer of each tile's receive/unpack, compute and pack/send
+// spans, as simnet.Events (seconds since the run's epoch), so the
+// simulator's analytics apply to real traces and validate the cost model.
 
 // RankMetrics aggregates one rank's measured runtime behaviour over its
 // whole tile chain. Durations partition the rank's span: Wait (blocked in
-// Recv), Unpack (receive-phase work outside the blocking wait, i.e. LDS
-// unpack plus boundary Initial injection), Compute (kernel sweep incl.
-// injected PointDelay), Send (pack + send issue), Drain (end-of-chain
-// WaitSends on in-flight Isends).
+// Recv — for a rank folded into a group, also the time its group spent on
+// sibling ranks while this one waited), Unpack (LDS unpack plus boundary
+// Initial injection), Compute (kernel sweep incl. injected PointDelay),
+// Send (pack + send issue), Drain (end-of-chain WaitSends).
 type RankMetrics struct {
 	Rank  int
 	Tiles int
@@ -61,17 +57,15 @@ type RankMetrics struct {
 }
 
 // Tracer collects per-rank measured timelines from one RunParallelOpts
-// run; attach it via RunOptions.Trace. Each rank records into private
-// state during the run and publishes once at chain end, so tracing adds
-// two time.Now calls per phase and no cross-rank synchronization to the
-// steady state. A Tracer may be reused across runs; each run resets it.
+// run (RunOptions.Trace). Each rank records privately and publishes once at
+// chain end: a few time.Now calls per phase and no cross-rank
+// synchronization. A Tracer may be reused across runs; each run resets it.
 type Tracer struct {
 	epoch  time.Time
-	events chan []simnet.Event
+	events [][]simnet.Event // per rank, in time order
 	ranks  []RankMetrics
 
 	collected []simnet.Event
-	drained   bool
 }
 
 // NewTracer returns an empty tracer ready to attach to RunOptions.Trace.
@@ -80,33 +74,19 @@ func NewTracer() *Tracer { return &Tracer{} }
 // reset prepares the tracer for a run over the given number of ranks.
 func (tr *Tracer) reset(ranks int) {
 	tr.epoch = time.Now()
-	tr.events = make(chan []simnet.Event, ranks)
+	tr.events = make([][]simnet.Event, ranks)
 	tr.ranks = make([]RankMetrics, ranks)
 	tr.collected = nil
-	tr.drained = false
 }
 
-// drain gathers the per-rank event batches published at chain end. Called
-// after World.RunE returns, so every rank has either flushed or died.
+// drain gathers the per-rank event batches published at chain end, ordered
+// by rank, then start. Called after World.RunGroups returns, so every rank
+// has either flushed or died.
 func (tr *Tracer) drain() {
-	if tr.drained {
-		return
+	for _, evs := range tr.events {
+		tr.collected = append(tr.collected, evs...)
 	}
-	tr.drained = true
-	for {
-		select {
-		case evs := <-tr.events:
-			tr.collected = append(tr.collected, evs...)
-		default:
-			sort.Slice(tr.collected, func(i, j int) bool {
-				if tr.collected[i].Rank != tr.collected[j].Rank {
-					return tr.collected[i].Rank < tr.collected[j].Rank
-				}
-				return tr.collected[i].Start < tr.collected[j].Start
-			})
-			return
-		}
-	}
+	tr.events = nil
 }
 
 // PerRank returns the per-rank aggregate metrics of the last run.
@@ -151,7 +131,8 @@ type rankTracer struct {
 	recvDone  time.Time
 	compDone  time.Time
 	lastEnd   time.Time
-	wait      time.Duration // blocking receive wait within the current tile
+	parked    time.Time     // when the rank's group last left it waiting; zero when it is not
+	wait      time.Duration // receive wait within the current tile
 }
 
 func newRankTracer(tr *Tracer, rank int) *rankTracer {
@@ -160,19 +141,32 @@ func newRankTracer(tr *Tracer, rank int) *rankTracer {
 
 func (rt *rankTracer) sec(t time.Time) float64 { return t.Sub(rt.tr.epoch).Seconds() }
 
+// beginTile opens the current slot's tile, or, when the rank's group left
+// the tile waiting (park), resumes it: the time since — the group's on
+// sibling ranks, or asleep — is the rank's wait.
 func (rt *rankTracer) beginTile() {
-	rt.tileStart = time.Now()
+	now := time.Now()
+	if !rt.parked.IsZero() {
+		rt.wait += now.Sub(rt.parked)
+		rt.parked = time.Time{}
+		return
+	}
+	rt.tileStart = now
 	if rt.first.IsZero() {
-		rt.first = rt.tileStart
+		rt.first = now
 	}
 	rt.wait = 0
 }
 
-// noteRecv records one received message: how long the rank blocked for it
-// and how long it had been sitting delivered before the rank asked.
-func (rt *rankTracer) noteRecv(wait, queued time.Duration, values int) {
+// park notes that the rank's group leaves its tile waiting for a row.
+func (rt *rankTracer) park() { rt.parked = time.Now() }
+
+// noteRecv records one message claimed at now: how long the rank blocked
+// for it and how long it had been sitting delivered (zero delivered: handed
+// over by a sibling, never queued in a mailbox).
+func (rt *rankTracer) noteRecv(wait time.Duration, delivered, now time.Time, values int) {
 	rt.wait += wait
-	if queued > 0 {
+	if queued := now.Sub(delivered); !delivered.IsZero() && queued > 0 {
 		rt.m.Queued += queued
 	}
 	rt.m.MsgsRecvd++
@@ -243,8 +237,6 @@ func (rt *rankTracer) finish(pool *bufPool) {
 	rt.m.PoolHits = pool.hits
 	rt.m.PoolMisses = pool.misses
 	rt.m.Workers = 1
-	if rt.rank < len(rt.tr.ranks) {
-		rt.tr.ranks[rt.rank] = rt.m
-	}
-	rt.tr.events <- rt.events
+	rt.tr.ranks[rt.rank] = rt.m
+	rt.tr.events[rt.rank] = rt.events
 }

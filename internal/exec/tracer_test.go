@@ -132,16 +132,9 @@ func TestTracerReuse(t *testing.T) {
 // fails the suite.
 func TestStatsDuringRunRaceFree(t *testing.T) {
 	p := planProgram(t)
-	lo, hi, err := p.TS.Nest.BoundingBox()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewGlobal(lo, hi, p.Width)
 	tr := NewTracer()
 	opt := RunOptions{Overlap: true, Trace: tr}
-	tr.reset(p.Dist.NumProcs())
-
-	world := mpi.NewWorldOpts(p.Dist.NumProcs(), opt.Net)
+	world := mpi.NewGroupedWorld(p.Dist.NumProcs(), executors(p.Dist.NumProcs(), opt), opt.Net)
 	var stop atomic.Bool
 	pollDone := make(chan struct{})
 	go func() {
@@ -151,11 +144,7 @@ func TestStatsDuringRunRaceFree(t *testing.T) {
 			_ = st.Messages + st.Recvs + st.ValuesRecvd
 		}
 	}()
-	err = world.RunE(func(c *mpi.Comm) {
-		if err := p.runRank(c, g, opt); err != nil {
-			t.Error(err)
-		}
-	})
+	_, _, err := p.runOn(world, opt)
 	stop.Store(true)
 	<-pollDone
 	if err != nil {

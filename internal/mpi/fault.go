@@ -6,23 +6,15 @@ import (
 )
 
 // This file is the runtime's deterministic fault-injection layer. A
-// FaultPlan describes perturbations of an otherwise reliable world —
-// slow ranks, slow or jittery links, transient send failures, a hard
-// rank crash — and every decision the plan makes is a pure function of
-// (Seed, link, per-link message sequence number, attempt). Per-link
-// message order is fixed by the program (each rank issues its sends from
-// one goroutine, and transmit numbers them as they are issued), so two runs
-// with the same plan perturb exactly the same messages by exactly the same
-// amounts, no matter how the goroutines interleave. That determinism is
-// what lets the chaos tests assert bit-identical results and lets
-// internal/simnet predict the degradation of a measured run.
-//
-// Injection sites: link delay, jitter and transient-failure backoff are
-// added to the message's wire cost, exactly like Options.LinkLatency: they
-// push its due time out, and a blocking Send sleeps them on the caller.
-// Compute slowdown and the crash point are consumed by the executor
-// (exec.RunOptions.Net.Faults), which owns the compute phase and the tile
-// chain; the runtime carries them so one plan describes the whole run.
+// FaultPlan perturbs an otherwise reliable world — slow ranks, slow or
+// jittery links, transient send failures, a rank crash — and every decision
+// is a pure function of (Seed, link, per-link message sequence, attempt).
+// Per-link message order is the program's, so two runs with one plan
+// perturb the same messages by the same amounts however goroutines
+// interleave: the chaos tests assert bit-identical results, and simnet
+// predicts a measured run's degradation. Link delay, jitter and retry
+// backoff add to a message's wire cost like Options.LinkLatency; compute
+// slowdown and the crash point are the executor's (exec.RunOptions.Net).
 
 // Link identifies a directed rank pair.
 type Link struct {
@@ -37,15 +29,11 @@ type LinkFault struct {
 	Jitter time.Duration
 }
 
-// SendFaults injects transient send failures: each transmission attempt
-// fails with probability Rate (decided by the seeded hash, so
-// deterministically per message), the sender backs off Backoff·2^k after
-// the k-th consecutive failure and retries, and after MaxRetries
-// consecutive failures the next attempt is forced to succeed — the
-// paper-world analogue of a TCP retransmit storm that eventually gets
-// through. Failures happen below the traffic counters: a message is
-// counted once, when it is finally delivered, so Stats stay deterministic
-// under any Rate.
+// SendFaults injects transient send failures: each attempt fails with
+// probability Rate (by the seeded hash, so deterministically per message),
+// the sender backs off Backoff·2^k after the k-th consecutive failure, and
+// the attempt after MaxRetries failures succeeds — a retransmit storm that
+// gets through. A message is counted once, so Stats stay deterministic.
 type SendFaults struct {
 	Rate       float64
 	MaxRetries int

@@ -16,15 +16,10 @@ import (
 //	welcome   u32 n · n × (i32 tag · u64 count)       (accepter → dialer reply: frames accepted per stream)
 //	heartbeat u64 progress · u8 busy                  (liveness for the cross-process watchdog)
 //
-// The (src, dst) link identity is established once by hello and implied
-// for every later frame on the connection, so steady-state data frames
-// carry only the 21-byte envelope. seq numbers the data frames of one
-// (src, dst, tag) stream from 0 in send order — the resume protocol's
-// coordinate: a welcome tells the dialer how far each stream got, the
-// dialer resends retained frames from there and suppresses regenerated
-// ones below it, and the reader drops the duplicates that remain. A data
-// frame carries the mesh's epoch at Deliver, and the reader drops it once
-// Reset has moved the epoch on: a reset sends no frame of its own.
+// hello fixes the (src, dst) link for the connection, so a data frame
+// carries a 21-byte envelope. seq numbers a (src, dst, tag) stream's data
+// frames from 0 — the resume protocol's coordinate (protocol.go) — and a
+// data frame's epoch lets the reader drop frames from before a Reset.
 const (
 	frameData      byte = 1
 	frameHello     byte = 2

@@ -1,30 +1,28 @@
 // Package mpi is an in-process message-passing runtime with MPI-like
-// semantics: a fixed-size world of ranks (goroutines), blocking typed
+// semantics: a fixed-size world of ranks, run by goroutines one block of
+// ranks each (RunGroups; RunE for one rank each), blocking typed
 // point-to-point Send/Recv with (source, tag) matching and per-stream FIFO
 // ordering, non-blocking Isends completed together (WaitSends) and a
 // barrier. Every send takes one path (Comm.transmit): it is handed to the
-// transport when issued, stamped with the time it is due, and a blocking
-// Send differs from an Isend only in that its sender sleeps until then.
+// transport when issued, stamped with the time it is due; a blocking Send
+// differs from an Isend only in that its sender sleeps until then.
 //
-// A (source, tag) stream is a FIFO queue: a receiver blocks for the head and
-// claims it (Recv) — there are no posted receives, no polling and no
-// per-message numbering. A stream's position is not the runtime's to keep:
-// the executor's compiled tables fix it at every chain slot. The
-// barrier is built from the same streams (Comm.Barrier), so it shares their
-// ordering, watchdog and abort behaviour on every transport.
+// A (source, tag) stream is a FIFO queue whose head a receiver claims —
+// waiting for it (Recv) or only if it is there (TryRecvMsg); there are no
+// posted receives and no per-message numbering: the executor's compiled
+// tables fix a stream's position at every chain slot. The barrier is built
+// from the same streams, so it shares their ordering, watchdog and abort.
 //
-// It substitutes for the paper's MPI-over-FastEthernet transport (Go has no
-// mature MPI binding): the compiled tile programs only rely on ordered
-// point-to-point delivery plus a barrier, which this package provides with
-// the same semantics. Sends are "eager" (buffered) as in MPI's small-message
-// path; timing behaviour is modelled by the simnet package, and can
-// additionally be *injected* into this runtime through
-// Options.LinkLatency/PerValue so overlap effects become measurable
-// in-process (see Options).
+// It substitutes for the paper's MPI-over-FastEthernet transport: the
+// compiled tile programs rely only on ordered point-to-point delivery plus
+// a barrier. Sends are eager (buffered), as on MPI's small-message path;
+// timing is modelled by simnet and can be injected here through
+// Options.LinkLatency/PerValue so overlap becomes measurable in-process.
 package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,54 +40,55 @@ type Message struct {
 	Data      []float64
 }
 
-type streamKey struct {
-	src, tag int
-}
+// Stream names one receive stream: the messages to rank Rank from rank Src
+// with tag Tag, in send order.
+type Stream struct{ Rank, Src, Tag int }
 
-// stream is one (source, tag) FIFO: queue[head:] holds the delivered,
-// unclaimed messages in delivery order.
-type stream struct {
-	queue []Message
+// Queue is a stream's FIFO store — a mailbox's per stream, and the
+// executor's between two ranks of one group: queue[head:] holds the items
+// not yet taken, oldest first.
+type Queue[T any] struct {
+	queue []T
 	head  int
 }
 
-// push appends m, first reclaiming the consumed prefix when the stream has
-// drained or its backing array is full and at least half consumed — so a
+// Push appends v, first reclaiming the taken prefix when the queue has
+// drained or its backing array is full and at least half taken — so a
 // steady stream neither regrows its array nor holds more than twice its
-// unclaimed messages.
-func (s *stream) push(m Message) {
-	if n := len(s.queue); s.head == n || (n == cap(s.queue) && s.head >= n/2) {
-		live := copy(s.queue, s.queue[s.head:])
-		clear(s.queue[live:])
-		s.queue, s.head = s.queue[:live], 0
+// live items.
+func (q *Queue[T]) Push(v T) {
+	if n := len(q.queue); q.head == n || (n == cap(q.queue) && q.head >= n/2) {
+		live := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[live:])
+		q.queue, q.head = q.queue[:live], 0
 	}
-	s.queue = append(s.queue, m)
+	q.queue = append(q.queue, v)
 }
 
-// mailbox is one rank's incoming message store: per-(source, tag) FIFO
-// queues guarded by a single condition variable.
+// Len returns how many items are not yet taken.
+func (q *Queue[T]) Len() int { return len(q.queue) - q.head }
+
+// Pop takes the oldest item, which must exist.
+func (q *Queue[T]) Pop() T {
+	v := q.queue[q.head]
+	clear(q.queue[q.head : q.head+1]) // the item is the taker's now
+	q.head++
+	return v
+}
+
+// mailbox is the incoming message store of one rank, or of a group of ranks
+// (NewGroupedWorld): per-stream FIFO queues guarded by a single condition
+// variable.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queues map[streamKey]*stream
+	queues map[Stream]*Queue[Message]
 }
 
 func newMailbox() *mailbox {
-	mb := &mailbox{queues: map[streamKey]*stream{}}
+	mb := &mailbox{queues: map[Stream]*Queue[Message]{}}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
-}
-
-// streamOf returns (creating if needed) the stream for k; callers hold mu.
-func (mb *mailbox) streamOf(k streamKey) *stream {
-	s := mb.queues[k]
-	if s == nil {
-		// One allocation covers the depth a sender running a few messages
-		// ahead of its receiver reaches, in place of append's 1-2-4-8 chain.
-		s = &stream{queue: make([]Message, 0, 8)}
-		mb.queues[k] = s
-	}
-	return s
 }
 
 // reset empties the mailbox for a new run, keeping its streams' capacity.
@@ -102,64 +101,82 @@ func (mb *mailbox) reset() {
 	}
 }
 
-func (mb *mailbox) put(m Message) {
+func (mb *mailbox) put(dst int, m Message) {
 	mb.mu.Lock()
-	mb.streamOf(streamKey{m.Source, m.Tag}).push(m)
+	k := Stream{dst, m.Source, m.Tag}
+	s := mb.queues[k]
+	if s == nil {
+		// One allocation covers the depth a sender running a few messages
+		// ahead of its receiver reaches, in place of append's 1-2-4-8 chain.
+		s = &Queue[Message]{queue: make([]Message, 0, 8)}
+		mb.queues[k] = s
+	}
+	s.Push(m)
 	mb.mu.Unlock()
 	mb.cond.Broadcast()
 }
 
-// take claims the head of stream k for rank, waiting for it: when the world
-// has a watchdog timeout it panics with a deadlock diagnostic instead of
-// waiting forever; when a peer rank has failed it panics with a secondary
-// abort so the world can drain.
-//
-// A head is claimable once it is due (Message.Delivered). Waiting for a head
-// still on the wire is wire activity, not a parked rank: a timer wakes the
-// receiver at the due time. A head, once there, stays until its receiver
-// claims it, so a wait leaves the parked count at most once.
-//
-// The watchdog observes *global* progress, not a flat per-call timeout: a
-// receiver blocked here while another rank is still running (long compute
-// phase), a message is on the wire, or any message has been delivered
-// since the deadline was armed is waiting, not deadlocked, and the
-// deadline re-arms. It fires only after two consecutive timeout periods in
-// which every live rank sat parked in a blocking wait with nothing
-// delivered — which is a genuine communication deadlock.
-func (mb *mailbox) take(k streamKey, w *World, rank int, op string) Message {
+// head returns stream k's queue when it has a head, and how long until that
+// head is due (≤ 0: claimable). Callers hold mu.
+func (mb *mailbox) head(k Stream) (*Queue[Message], time.Duration) {
+	s := mb.queues[k]
+	if s == nil || s.Len() == 0 {
+		return nil, 0
+	}
+	return s, time.Until(s.queue[s.head].Delivered)
+}
+
+// take waits until the head of one of the streams ss is claimable and
+// returns its index, claiming it when claim is set; the waiter's parked
+// ranks (its own, or its whole group's) count as parked meanwhile. With a
+// watchdog it panics with a deadlock diagnostic naming ss[0] once the world
+// stalls (Options.Watchdog); when a peer has failed it panics with a
+// secondary abort so the world can drain. A head is claimable once due:
+// waiting for one still on the wire is wire activity, not a parked rank —
+// a timer wakes the waiter at the due time — and a head, once there, stays
+// until claimed, so a wait leaves the parked count at most once.
+func (mb *mailbox) take(ss []Stream, claim bool, w *World, parked int64, op string) (int, Message) {
 	watch := w.newStallWatch(&mb.mu, mb.cond)
 	defer watch.stop()
-	w.blocked.Add(1)
+	w.blocked.Add(parked)
 	var due *time.Timer // wakes the wait for a head still on the wire
 	defer func() {
 		if due == nil {
-			w.blocked.Add(-1)
+			w.blocked.Add(-parked)
 		} else {
 			due.Stop()
 		}
 	}()
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	s := mb.streamOf(k)
+	k := ss[0]
 	for {
 		if w.aborted.Load() {
-			panic(abortPanic{fmt.Sprintf("rank %d abandoned %s(src=%d, tag=%d): a peer rank failed", rank, op, k.src, k.tag)})
+			panic(abortPanic{fmt.Sprintf("rank %d abandoned %s(src=%d, tag=%d): a peer rank failed", k.Rank, op, k.Src, k.Tag)})
 		}
-		if s.head < len(s.queue) {
-			m := s.queue[s.head]
-			wire := time.Until(m.Delivered)
-			if wire <= 0 {
-				s.queue[s.head] = Message{} // the payload is the receiver's now
-				s.head++
-				return m
+		soonest := time.Duration(0)
+		for i, want := range ss {
+			s, wire := mb.head(want)
+			if s != nil && wire <= 0 {
+				if !claim {
+					return i, Message{}
+				}
+				return i, s.Pop()
 			}
+			if wire > 0 && (soonest == 0 || wire < soonest) {
+				soonest = wire
+			}
+		}
+		if soonest > 0 {
 			if due == nil {
-				w.blocked.Add(-1)
-				due = wakeAfter(wire, &mb.mu, mb.cond)
+				w.blocked.Add(-parked)
+				due = wakeAfter(soonest, &mb.mu, mb.cond)
+			} else {
+				due.Reset(soonest)
 			}
 		}
 		if watch.deadlocked() {
-			panic(fmt.Sprintf("watchdog: rank %d blocked in %s(src=%d, tag=%d) longer than %v with no global progress — deadlock suspected (no matching send)", rank, op, k.src, k.tag, w.opts.Watchdog))
+			panic(fmt.Sprintf("watchdog: rank %d blocked in %s(src=%d, tag=%d) longer than %v with no global progress — deadlock suspected (no matching send)", k.Rank, op, k.Src, k.Tag, w.opts.Watchdog))
 		}
 		mb.cond.Wait()
 	}
@@ -236,31 +253,25 @@ func (s *stallWatch) stop() {
 }
 
 // abortPanic marks a secondary failure (a rank torn down because a peer
-// already panicked); World.RunE reports the primary diagnostic instead.
+// already panicked); World.RunGroups reports the primary diagnostic instead.
 type abortPanic struct{ msg string }
 
 func (a abortPanic) String() string { return a.msg }
 
 // Options configures a World beyond its rank count.
 type Options struct {
-	// Watchdog aborts a Recv or Barrier with a diagnostic naming the
-	// stuck rank, peer and tag, instead of hanging the process on a
-	// mis-matched schedule. It is progress-based, not a flat per-call
-	// timeout: a wait only trips it after ~2× this duration with no global
-	// progress — no message delivered, none on the wire, no rank running
-	// outside a blocking wait, and no NoteProgress call. A
-	// receiver stalled behind a peer's long compute phase therefore waits
-	// as long as it takes; only a genuine deadlock (every live rank
-	// parked, nothing moving) fires. Zero disables it.
+	// Watchdog aborts a Recv, Barrier or Group.Wait with a diagnostic
+	// naming the stuck rank, peer and tag instead of hanging. It is
+	// progress-based: a wait trips it only after ~2× this duration with no
+	// message delivered, none on the wire, no rank running outside a
+	// blocking wait and no NoteProgress call — a genuine deadlock, never a
+	// peer's long compute phase. Zero disables it.
 	Watchdog time.Duration
-	// LinkLatency and PerValue inject synthetic wire cost: each message
-	// costs LinkLatency plus PerValue per float64 carried, and a rank's
-	// messages pay their costs one after another — a message is due once
-	// the rank's earlier messages are and its own cost has passed. A
-	// blocking Send sleeps until its message is due (the transfer occupies
-	// the CPU, as with blocking MPI over TCP); an Isend returns at once and
-	// the sender computes on — which is what makes computation–communication
-	// overlap measurable in-process. Zero (the default) injects nothing.
+	// LinkLatency and PerValue inject synthetic wire cost: a message costs
+	// LinkLatency plus PerValue per float64, paid after the rank's earlier
+	// messages. A blocking Send sleeps until its message is due (as blocking
+	// MPI over TCP occupies the CPU); an Isend returns at once, which makes
+	// overlap measurable in-process. Zero injects nothing.
 	LinkLatency time.Duration
 	PerValue    time.Duration
 	// Faults, when non-nil, adds the plan's deterministic perturbations
@@ -293,11 +304,9 @@ type Stats struct {
 	PerRank         []RankTraffic
 }
 
-// rankCounters is the mutable form of RankTraffic. Every field is
-// written only by the runtime (transmit, noteRecv, start and the fault
-// plan's cost), each message exactly once on its sending side — transports
-// never touch them — so traffic can never double-count. The world's totals
-// are their sums.
+// rankCounters is the mutable form of RankTraffic, written only by the
+// runtime (countSend, noteRecv, start, the fault plan's cost), each message
+// once — never by a transport. The world's totals are their sums.
 type rankCounters struct {
 	blocking    atomic.Int64
 	overlapped  atomic.Int64
@@ -314,15 +323,10 @@ type World struct {
 	boxes   []*mailbox
 	aborted atomic.Bool
 
-	// wire moves delivered messages into destination mailboxes; the
-	// default chanFabric does it synchronously in-process (see
-	// transport.go, tcp.go).
-	wire Transport
+	wire Transport // moves delivered messages into mailboxes (transport.go)
 
-	// local[r] reports whether rank r runs in this process. A world
-	// constructed by NewWorldOpts/NewWorldTransport hosts every
-	// rank (remote == false); NewRemoteWorld hosts a subset and relies
-	// on the transport to reach the rest.
+	// local[r] reports whether rank r runs in this process: every rank but
+	// on a NewRemoteWorld (remote), whose transport reaches the rest.
 	local  []bool
 	remote bool
 
@@ -333,11 +337,10 @@ type World struct {
 	perRank []rankCounters
 
 	// Watchdog progress observation (see Options.Watchdog): progress is
-	// bumped on every delivery and NoteProgress call;
-	// active counts ranks inside their RunE function; blocked counts ranks
-	// parked in a blocking wait. A rank sitting out an injected outage
-	// (FaultSleep) is active and not parked, so degraded-but-healthy runs
-	// never trip the watchdog.
+	// bumped on every delivery and NoteProgress call; active counts ranks
+	// of running groups; blocked counts ranks parked in a blocking wait (a
+	// group's all at once). A rank sitting out an injected outage
+	// (FaultSleep) is active and not parked.
 	progress atomic.Uint64
 	active   atomic.Int64
 	blocked  atomic.Int64
@@ -348,9 +351,8 @@ type World struct {
 	linkSeqs []atomic.Int64
 }
 
-// NoteProgress records externally observable forward progress (the
-// executor calls it after every completed tile): any watchdog about to
-// fire re-arms instead. Deliveries count automatically.
+// NoteProgress records forward progress (the executor's completed tiles):
+// any watchdog about to fire re-arms instead. Deliveries count by themselves.
 func (w *World) NoteProgress() { w.progress.Add(1) }
 
 // stalled implements the watchdog's deadlock test. Given the progress
@@ -382,11 +384,19 @@ func NewWorldOpts(size int, opts Options) *World {
 	return NewWorldTransport(size, opts, nil)
 }
 
+// NewGroupedWorld creates an in-process channel world whose ranks fall into
+// groups contiguous blocks (clamped to 1..size): block b holds ranks
+// [b·size/groups, (b+1)·size/groups) and one mailbox, and RunGroups steps
+// it on one goroutine. RunE needs groups == size.
+func NewGroupedWorld(size, groups int, opts Options) *World {
+	return newWorld(size, min(max(groups, 1), size), nil, opts, nil)
+}
+
 // NewWorldTransport creates a world whose messages move over the given
 // transport; nil selects the default in-process channel fabric. All
 // ranks run in this process.
 func NewWorldTransport(size int, opts Options, tr Transport) *World {
-	return newWorld(size, nil, opts, tr)
+	return newWorld(size, size, nil, opts, tr)
 }
 
 // NewRemoteWorld creates a world of the given global size in which only
@@ -402,7 +412,7 @@ func NewRemoteWorld(size int, local []int, opts Options, tr Transport) *World {
 	if len(local) == 0 {
 		panic("mpi: NewRemoteWorld requires at least one local rank")
 	}
-	return newWorld(size, local, opts, tr)
+	return newWorld(size, size, local, opts, tr)
 }
 
 // rankMask expands a process's hosted-rank list into a per-rank flag; a nil
@@ -421,7 +431,7 @@ func rankMask(size int, local []int) ([]bool, error) {
 	return mask, nil
 }
 
-func newWorld(size int, local []int, opts Options, tr Transport) *World {
+func newWorld(size, groups int, local []int, opts Options, tr Transport) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: world size %d must be positive", size))
 	}
@@ -434,6 +444,12 @@ func newWorld(size int, local []int, opts Options, tr Transport) *World {
 	}
 	w := &World{size: size, local: hosted, remote: local != nil}
 	w.boxes = make([]*mailbox, size)
+	for b := 0; b < groups; b++ {
+		mb := newMailbox()
+		for r := b * size / groups; r < (b+1)*size/groups; r++ {
+			w.boxes[r] = mb
+		}
+	}
 	w.perRank = make([]rankCounters, size)
 	w.linkSeqs = make([]atomic.Int64, size*size)
 	w.start(opts)
@@ -458,11 +474,9 @@ func (w *World) Remote() bool { return w.remote }
 func (w *World) Close() error { return w.wire.Close() }
 
 // Fail records err as the world's primary failure and aborts every
-// blocked rank. Transports call it when a link is irrecoverably lost
-// (peer process gone past its reconnect window) so RunE reports the
-// connection loss rather than a secondary watchdog panic; the
-// checkpointed-restart machinery treats it like any other injected
-// fault surfaced through the run error.
+// blocked rank. Transports call it when a link is irrecoverably lost (a
+// peer process gone past its reconnect window), so RunGroups reports the
+// connection loss rather than a secondary watchdog panic.
 func (w *World) Fail(err error) {
 	if err == nil {
 		return
@@ -488,12 +502,8 @@ func (w *World) start(opts Options) {
 	w.opts = opts
 	w.aborted.Store(false)
 	w.failErr.Store(nil)
-	for i, mb := range w.boxes {
-		if mb == nil {
-			w.boxes[i] = newMailbox()
-		} else {
-			mb.reset()
-		}
+	for _, mb := range w.boxes {
+		mb.reset()
 	}
 	clear(w.perRank)
 	w.progress.Store(0)
@@ -501,17 +511,11 @@ func (w *World) start(opts Options) {
 	clear(w.linkSeqs)
 }
 
-// Reset returns the world to its just-constructed state under new
-// options, so one World can serve run after run. It runs the same start
-// the constructor runs, which empties every rank's mailbox in place, so
-// what reuse spares is the transport (a TCP world's listener and links)
-// and the mailboxes' capacity, not any per-run state. A reused world is
-// indistinguishable from a fresh one — the reset and exec reuse tests
-// assert bit-identical Stats against a cold world.
-//
-// Reset must only be called between runs: RunE has returned (its rank
-// goroutines are gone by then, even after an abort), and no new
-// RunE has started. Calling it while ranks are active panics.
+// Reset returns the world to its just-constructed state under new options
+// by the constructor's own start, so a reused world is a fresh one with the
+// transport (a TCP world's listener and links) and the mailboxes' capacity
+// spared. It must only be called between runs (RunGroups has returned, even
+// after an abort); while ranks are active it panics.
 func (w *World) Reset(opts Options) {
 	if w.active.Load() != 0 {
 		panic("mpi: Reset while ranks are active")
@@ -551,16 +555,12 @@ func (w *World) Stats() Stats {
 	return st
 }
 
-// transmit is the one send path, run on the sending goroutine for every
-// kind of send. It stamps the message with its due time, counts it against
-// the sending rank and hands it to the transport at once. A message's cost
-// is LinkLatency plus PerValue per value plus the fault plan's link delay
-// and retry backoffs, and a rank pays its messages' costs one after another:
-// due = max(now, busyUntil) + cost, then busyUntil = due — simnet's nicFree
-// rule. It returns how far in the future the due time lies. Counters are
-// sender-side and transport-independent, so Stats compare bit-identically
-// across channel and wire-backed worlds; the transport owns everything from
-// here to the destination mailbox (see World.arrive).
+// transmit is the one send path through the transport: it stamps the
+// message with its due time, counts it against the sender (so Stats are
+// transport-independent) and hands it over, returning how far off the due
+// time is. A message costs LinkLatency plus PerValue per value plus the
+// fault plan's delay and backoffs, and a rank pays its costs one after
+// another: due = max(now, busyUntil) + cost — simnet's nicFree rule.
 func (c *Comm) transmit(dst, tag int, data []float64, overlapped bool) time.Duration {
 	w := c.world
 	cost := w.opts.LinkLatency + time.Duration(len(data))*w.opts.PerValue + w.sendFaultDelay(c.rank, dst)
@@ -576,13 +576,7 @@ func (c *Comm) transmit(dst, tag int, data []float64, overlapped bool) time.Dura
 		c.dues = append(stillDue(c.dues, now), due)
 	}
 	c.mu.Unlock()
-	rc := &w.perRank[c.rank]
-	if overlapped {
-		rc.overlapped.Add(1)
-	} else {
-		rc.blocking.Add(1)
-	}
-	rc.values.Add(int64(len(data)))
+	w.countSend(c.rank, len(data), overlapped)
 	w.wire.Deliver(c.rank, dst, tag, data, due)
 	return due.Sub(now)
 }
@@ -605,6 +599,17 @@ func (c *Comm) sleep(d time.Duration) {
 	}
 }
 
+// countSend counts one issued message against the sending rank.
+func (w *World) countSend(src, values int, overlapped bool) {
+	rc := &w.perRank[src]
+	if overlapped {
+		rc.overlapped.Add(1)
+	} else {
+		rc.blocking.Add(1)
+	}
+	rc.values.Add(int64(values))
+}
+
 // noteRecv counts one claimed message against the receiving rank.
 func (w *World) noteRecv(rank int, values int) {
 	rc := &w.perRank[rank]
@@ -614,7 +619,7 @@ func (w *World) noteRecv(rank int, values int) {
 
 // abort tears the world down after a rank failure: every blocked mailbox
 // waiter (receives and barriers alike) panics with a secondary diagnostic
-// instead of deadlocking, so RunE can return the primary one.
+// instead of deadlocking, so RunGroups can return the primary one.
 func (w *World) abort() {
 	if !w.aborted.CompareAndSwap(false, true) {
 		return
@@ -624,35 +629,68 @@ func (w *World) abort() {
 	}
 }
 
-// RunE executes fn once per rank, each on its own goroutine, and blocks
-// until all ranks return. A panic in any rank aborts the world (peers
-// blocked in receives or barriers are torn down promptly) and is returned
-// as an error, preferring the original diagnostic over secondary
-// teardown panics. A message is counted when it is issued, so Stats are
-// complete when RunE returns.
-func (w *World) RunE(fn func(c *Comm)) error {
+// Group is the block of ranks one goroutine of RunGroups steps: the ranks
+// of one mailbox (NewGroupedWorld), or a single rank of any other world.
+type Group struct {
+	Comms []*Comm
+}
+
+// Wait blocks until the head of one of the streams ss — each a receive of
+// one of the group's ranks — is claimable; claiming it is the caller's.
+// Meanwhile the whole group counts as parked, so the watchdog and abort
+// hold as for a rank blocked in Recv, naming ss[0].
+func (g *Group) Wait(ss []Stream) {
+	c := g.Comms[0]
+	c.world.boxes[c.rank].take(ss, false, c.world, int64(len(g.Comms)), "Recv")
+}
+
+// RunGroups executes fn once per group of local ranks (maximal runs of
+// consecutive ranks sharing a mailbox), each group on its own goroutine, and
+// blocks until all return. A panic, or an error fn returns, aborts the world
+// (peers blocked in receives or barriers are torn down promptly) and is
+// returned, preferring the original diagnostic over secondary teardown
+// panics. A message is counted when it is issued, so Stats are complete
+// when RunGroups returns.
+func (w *World) RunGroups(fn func(g *Group) error) error {
 	var wg sync.WaitGroup
+	errs := make([]error, w.size)
 	panics := make([]any, w.size)
-	for r := 0; r < w.size; r++ {
-		if !w.local[r] {
+	for first := 0; first < w.size; first++ {
+		if !w.local[first] {
 			continue
 		}
+		end := first + 1
+		for end < w.size && w.boxes[end] == w.boxes[first] {
+			end++
+		}
 		wg.Add(1)
-		go func(rank int) {
-			c := &Comm{world: w, rank: rank}
+		go func(first, end int) {
+			g := &Group{Comms: make([]*Comm, end-first)}
+			for i := range g.Comms {
+				g.Comms[i] = &Comm{world: w, rank: first + i}
+			}
+			n := int64(len(g.Comms))
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					panics[rank] = p
+					panics[first] = p
 					w.abort()
 				}
 			}()
-			w.active.Add(1)
-			defer w.active.Add(-1)
-			fn(c)
-		}(r)
+			w.active.Add(n)
+			defer w.active.Add(-n)
+			if errs[first] = fn(g); errs[first] != nil {
+				w.abort()
+			}
+		}(first, end)
+		first = end - 1
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 	var secondary error
 	for r, p := range panics {
 		if p == nil {
@@ -673,6 +711,18 @@ func (w *World) RunE(fn func(c *Comm)) error {
 		return fmt.Errorf("mpi: transport failure: %w", ferr)
 	}
 	return secondary
+}
+
+// RunE is RunGroups with fn run once per local rank, on a world whose
+// groups are single ranks (any but a NewGroupedWorld one).
+func (w *World) RunE(fn func(c *Comm)) error {
+	return w.RunGroups(func(g *Group) error {
+		if len(g.Comms) > 1 {
+			panic("mpi: RunE on a grouped world")
+		}
+		fn(g.Comms[0])
+		return nil
+	})
 }
 
 // Comm is one rank's endpoint.
@@ -709,22 +759,17 @@ func (c *Comm) check(peer, tag int) {
 	}
 }
 
-// Send delivers a copy of data to dst with the given tag. It is eager:
-// the message goes to the transport at once, and the call returns when it
-// is due (any injected wire cost is paid on the caller). Tags must be
-// non-negative (negative tags are reserved for the runtime's protocol).
+// Send delivers a copy of data to dst with the given (non-negative) tag.
+// It is eager: the message goes to the transport at once, and the call
+// returns when it is due (injected wire cost is paid on the caller).
 func (c *Comm) Send(dst, tag int, data []float64) {
 	c.check(dst, tag)
-	buf := make([]float64, len(data))
-	copy(buf, data)
-	c.sleep(c.transmit(dst, tag, buf, false))
+	c.sleep(c.transmit(dst, tag, slices.Clone(data), false))
 }
 
-// SendOwned is Send without the snapshot copy: ownership of data
-// transfers through the runtime to the receiver, whose Recv returns the
-// very same slice. The caller must not touch data after the call. Pooled
-// executors use this to make steady-state communication allocation-free:
-// the receiver unpacks the buffer and recycles it into its own send pool.
+// SendOwned is Send without the copy: data passes to the receiver, whose
+// Recv returns the very same slice, so a pooled executor's communication
+// allocates nothing; the caller must not touch data after the call.
 // Envelope semantics, ordering and Stats are identical to Send.
 func (c *Comm) SendOwned(dst, tag int, data []float64) {
 	c.check(dst, tag)
@@ -733,9 +778,8 @@ func (c *Comm) SendOwned(dst, tag int, data []float64) {
 
 // IsendOwned is SendOwned without the wait: the message is with the
 // transport when the call returns, and the caller computes on while its
-// wire cost passes. The caller must not touch data after the call — not
-// even after WaitSends. Envelope semantics, ordering and Stats are those
-// of Send, counted as overlapped.
+// wire cost passes; data is the receiver's, as with SendOwned. Counted as
+// overlapped.
 func (c *Comm) IsendOwned(dst, tag int, data []float64) {
 	c.check(dst, tag)
 	c.transmit(dst, tag, data, true)
@@ -772,19 +816,47 @@ func (c *Comm) Recv(src, tag int) []float64 {
 // mailbox queue time. Matching and ordering are identical to Recv.
 func (c *Comm) RecvMsg(src, tag int) Message {
 	c.check(src, tag)
-	m := c.world.boxes[c.rank].take(streamKey{src, tag}, c.world, c.rank, "Recv")
+	_, m := c.world.boxes[c.rank].take([]Stream{{c.rank, src, tag}}, true, c.world, 1, "Recv")
 	c.world.noteRecv(c.rank, len(m.Data))
 	return m
 }
 
+// TryRecvMsg is RecvMsg without the wait: it claims the stream's head if it
+// is there and due, and reports whether it did.
+func (c *Comm) TryRecvMsg(src, tag int) (Message, bool) {
+	c.check(src, tag)
+	mb := c.world.boxes[c.rank]
+	mb.mu.Lock()
+	s, wire := mb.head(Stream{c.rank, src, tag})
+	if s == nil || wire > 0 {
+		mb.mu.Unlock()
+		return Message{}, false
+	}
+	m := s.Pop()
+	mb.mu.Unlock()
+	c.world.noteRecv(c.rank, len(m.Data))
+	return m, true
+}
+
+// SendLocal counts a message of values floats from this rank to dst, a rank
+// of its group whose driver hands the payload over itself, as the send
+// (overlapped or blocking) and as dst's claim: Stats read as if it had gone
+// through the world. It delivers nothing and pays no wire cost.
+func (c *Comm) SendLocal(dst, values int, overlapped bool) {
+	w := c.world
+	if w.boxes[dst] != w.boxes[c.rank] {
+		panic(fmt.Sprintf("mpi: SendLocal from rank %d to rank %d of another group", c.rank, dst))
+	}
+	w.countSend(c.rank, values, overlapped)
+	w.noteRecv(dst, values)
+}
+
 // Barrier blocks until all ranks have entered it: every rank reports to
-// rank 0, which releases everyone once all reports are in. Successive
-// barriers need no generation numbers — the per-(src, tag) FIFO streams
-// order them. The reports and releases are ordinary stream messages, due
-// at once, that bypass the traffic counters and the wire clock, so a
-// barrier adds nothing to Stats on any transport, and a barrier some rank
-// never enters is a receive nobody sends to: the watchdog names the
-// waiting rank.
+// rank 0, which releases everyone. The reports and releases are stream
+// messages on a reserved tag, due at once and uncounted, so FIFO order
+// separates successive barriers, Stats never see one, and a barrier some
+// rank never enters is a receive the watchdog names. On a grouped world
+// two ranks of one group cannot both enter it.
 func (c *Comm) Barrier() {
 	w := c.world
 	if c.rank == 0 {
@@ -801,7 +873,7 @@ func (c *Comm) Barrier() {
 }
 
 func (c *Comm) barrierRecv(src int) {
-	c.world.boxes[c.rank].take(streamKey{src, tagBarrier}, c.world, c.rank, "Barrier")
+	c.world.boxes[c.rank].take([]Stream{{c.rank, src, tagBarrier}}, true, c.world, 1, "Barrier")
 }
 
 // FlushWire blocks until every message this rank has delivered is out of

@@ -178,7 +178,7 @@ func TestStreamBoundedUnderSteadyLag(t *testing.T) {
 			}
 		}
 	})
-	if n := cap(w.boxes[0].queues[streamKey{0, 0}].queue); n > 8 {
+	if n := cap(w.boxes[0].queues[Stream{0, 0, 0}].queue); n > 8 {
 		t.Errorf("a stream never holding more than 2 messages grew to %d slots", n)
 	}
 }

@@ -1,23 +1,15 @@
 package mpi
 
-// This file is the resume protocol's decision core: every choice the TCP
-// mesh makes about sequence numbers, retained-frame resends, sender-side
-// suppression, receiver-side dedup/gap detection, epoch filtering and
-// heartbeat liveness lives here as a pure state transition with no
-// sockets, goroutines or locks. tcp.go drives these cores from the real
-// transport (each guarded by its link's mutex); verify/wirecheck drives
-// the very same cores from an exhaustive model checker that explores
-// every interleaving of sends, deliveries, connection drops, duplicated
-// frames, crash-relaunches and epoch resets on small configurations —
-// so the no-loss / no-duplication / per-stream-FIFO / reset-safety
-// guarantees the chaos suites sample are instead *proved*, about the
-// exact code the wire runs.
-//
-// ProtocolRules carries deliberate mutation knobs. The zero value is the
-// shipped protocol and the only value the transport ever uses; wirecheck
-// flips each knob and proves the mutated protocol loses or duplicates
-// frames, with a minimal counterexample trace — certifying that every
-// decision point below is load-bearing.
+// This file is the resume protocol's decision core: sequence numbers,
+// retained-frame resends, suppression, dedup and gap detection, epoch
+// filtering and heartbeat liveness, as pure state transitions with no
+// sockets, goroutines or locks. tcp.go drives these cores under its links'
+// mutexes; verify/wirecheck drives the very same cores through every
+// interleaving of sends, deliveries, drops, duplicates, relaunches and
+// resets on small configurations, so no-loss, no-duplication, per-stream
+// FIFO and reset safety are proved about the code the wire runs.
+// ProtocolRules' mutation knobs (zero: the shipped protocol) let wirecheck
+// show that every decision point is load-bearing.
 
 // ProtocolRules parameterizes the resume protocol's decision points.
 // The zero value is the correct, shipped protocol. Each knob re-creates

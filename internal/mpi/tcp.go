@@ -41,14 +41,11 @@ type TCPConfig struct {
 	// injecting slow reconnects against the watchdog. Zero disables.
 	DialDelay time.Duration
 	// Recv and Sent resume a relaunched single-rank process (len(Local)
-	// == 1) mid-conversation: the rank's consumed and sent stream
-	// positions at its checkpoint, which the executor reads off its
-	// compiled tables (exec.Program.StreamPositions). NewTCPMesh seeds the
-	// resume protocol with them before anything can handshake, so the
-	// first welcome on each inbound link advertises the consumed counts —
-	// live peers resend exactly the frames the dead process never
-	// consumed — and regenerated sends are numbered as their originals
-	// were, so suppression and dedup remove every duplicate.
+	// == 1) mid-conversation: its consumed and sent stream positions at its
+	// checkpoint (exec.Program.StreamPositions), seeded into the resume
+	// protocol before anything handshakes — peers resend exactly what it
+	// never consumed, and its regenerated sends are numbered as the
+	// originals were, so suppression and dedup remove every duplicate.
 	Recv, Sent []StreamPos
 }
 
@@ -98,21 +95,14 @@ type wireFrame struct {
 
 // TCPMesh is the Transport that moves every message over TCP with
 // length-prefixed frames. Each directed link with traffic gets one
-// connection (dialed by the sender) and one writer goroutine; the
-// writer holds each frame until it is due, then drains whatever is due
-// since its last wake into a single net.Buffers writev, which coalesces
-// the per-(dest, superstep) send bursts the tile schedules produce
-// without adding latency to isolated sends. Readers reassemble frames
-// into the existing Message path via World.arrive.
-//
-// Loss handling: every data frame carries a per-(src, dst, tag)
-// sequence number and senders retain sent frames; a reconnect replays
-// the handshake (hello → welcome with the receiver's per-stream
-// accepted counts), resends retained frames the peer missed, and
-// suppresses regenerated frames the peer already has — which is what
-// lets a killed and relaunched rank process resume mid-conversation. A
-// peer missing past PeerWait surfaces as the run's primary fault via
-// World.Fail.
+// connection (dialed by the sender) and one writer goroutine, which holds
+// each frame until due and writes whatever is due in one net.Buffers
+// writev, coalescing send bursts; readers hand frames to World.arrive.
+// Senders retain sequence-numbered frames, and a reconnect's handshake
+// (hello → welcome with the receiver's per-stream accepted counts) resends
+// what the peer missed and suppresses what it has, so a relaunched rank
+// process resumes mid-conversation. A peer missing past PeerWait fails the
+// run (World.Fail).
 type TCPMesh struct {
 	cfg TCPConfig
 	w   *World
@@ -983,14 +973,11 @@ func (m *TCPMesh) beaconTargets() []int {
 // Reset and Close.
 
 // Reset returns the mesh's streams to their just-constructed state between
-// runs and puts nothing on the wire. It bumps the epoch, so readers drop
-// the previous run's frames from now on; drops that run's frames still
-// queued at their senders; takes every inbound link's lock once, as a
-// barrier — a reader that judged a frame under the old epoch holds it until
-// the frame is in its mailbox (acceptData); resets every link's cores; and
-// zeroes custody, since frames left on a socket settle nothing. Only
-// all-local meshes support Reset; multi-process deployments are one run per
-// process by construction.
+// runs, putting nothing on the wire: it bumps the epoch (readers drop older
+// frames), drops the old run's queued frames, takes every inbound link's
+// lock once as a barrier (a reader judging a frame under the old epoch
+// holds it until it is in the mailbox, acceptData), resets every core and
+// zeroes custody. Only all-local meshes support it.
 func (m *TCPMesh) Reset() {
 	if m.isRemote {
 		panic("mpi: Reset on a multi-process TCP mesh is not supported")

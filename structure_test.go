@@ -287,10 +287,11 @@ func TestOneRowWalkPerTile(t *testing.T) {
 
 // TestRankCoreMakesNoRuntimeCall pins the executor's split into a rank
 // machine and its driver: rankState holds no handle on the runtime, and the
-// methods of mpi.Comm and mpi.World that block on, issue to or account to
-// the runtime are used in internal/exec only inside runRank, the one driver
-// loop. The machine can then be stepped by hand, or by another driver, with
-// no world at all.
+// methods of mpi.Comm, mpi.Group and mpi.World that block on, issue to or
+// account to the runtime are used in internal/exec only inside the methods
+// of group, the one driver (parallel.go), which steps a block of machines.
+// The machine can then be stepped by hand, or by another driver, with no
+// world at all.
 func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	l := loadTree(t)
 	const mpi = "tilespace/internal/mpi"
@@ -299,6 +300,7 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	for _, m := range []string{
 		"Comm.Recv", "Comm.RecvMsg", "Comm.SendOwned", "Comm.IsendOwned", "Comm.WaitSends",
 		"Comm.FlushWire", "Comm.FaultSleep", "Comm.PendingSends", "Comm.NoteProgress", "World.NoteProgress",
+		"Comm.TryRecvMsg", "Comm.SendLocal", "Group.Wait",
 	} {
 		runtimeCalls[l.object(t, mpi, m)] = true
 	}
@@ -309,7 +311,7 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 		}
 		for _, decl := range f.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
-			driver := fn != nil && fn.Name.Name == "runRank" && f.path == "internal/exec/parallel.go"
+			driver := fn != nil && fn.Recv != nil && types.ExprString(fn.Recv.List[0].Type) == "*group" && f.path == "internal/exec/parallel.go"
 			sawDriver = sawDriver || driver
 			ast.Inspect(decl, func(n ast.Node) bool {
 				if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "rankState" {
@@ -324,13 +326,13 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 			})
 			eachUse(decl, f.info, func(id *ast.Ident, obj types.Object) {
 				if runtimeCalls[obj] && !driver {
-					t.Errorf("%s: runtime call %s outside the driver (runRank)", l.fset.Position(id.Pos()), id.Name)
+					t.Errorf("%s: runtime call %s outside the driver (group's methods)", l.fset.Position(id.Pos()), id.Name)
 				}
 			})
 		}
 	}
 	if !sawState || !sawDriver {
-		t.Fatalf("found rankState %v, runRank %v: the layering this test pins has moved", sawState, sawDriver)
+		t.Fatalf("found rankState %v, group's methods %v: the layering this test pins has moved", sawState, sawDriver)
 	}
 }
 
@@ -381,8 +383,8 @@ func goStmts(l *load, dir string, fn func(f srcFile, decl ast.Decl, g *ast.GoStm
 
 // TestExecSpawnsNoGoroutine pins that the executor has one level of
 // parallelism: no non-test file of internal/exec holds a go statement, so
-// every goroutine of a run is a rank started by mpi.World.RunE, and a rank
-// sweeps its tiles' rows itself.
+// every goroutine of a run is a group of ranks started by
+// mpi.World.RunGroups, and a rank sweeps its tiles' rows itself.
 func TestExecSpawnsNoGoroutine(t *testing.T) {
 	l := loadTree(t)
 	read := goStmts(l, "internal/exec", func(_ srcFile, _ ast.Decl, g *ast.GoStmt) {
@@ -395,7 +397,7 @@ func TestExecSpawnsNoGoroutine(t *testing.T) {
 
 // TestMPISpawnsOnlyRanks pins that a send is on the wire when it is issued:
 // outside the TCP mesh's own socket goroutines, non-test internal/mpi holds
-// exactly one go statement, World.RunE's rank goroutine. No rank has a
+// exactly one go statement, World.RunGroups' group goroutine. No rank has a
 // background sender, so a wire cost is a due time, never a sleeping
 // goroutine.
 func TestMPISpawnsOnlyRanks(t *testing.T) {
@@ -405,13 +407,13 @@ func TestMPISpawnsOnlyRanks(t *testing.T) {
 		if f.path == "internal/mpi/tcp.go" {
 			return
 		}
-		if fn, _ := decl.(*ast.FuncDecl); fn == nil || fn.Name.Name != "RunE" {
-			t.Errorf("%s: go statement outside RunE", l.fset.Position(g.Pos()))
+		if fn, _ := decl.(*ast.FuncDecl); fn == nil || fn.Name.Name != "RunGroups" {
+			t.Errorf("%s: go statement outside RunGroups", l.fset.Position(g.Pos()))
 		}
 		spawns = append(spawns, l.fset.Position(g.Pos()).String())
 	})
 	if len(spawns) != 1 {
-		t.Errorf("internal/mpi outside tcp.go spawns at %v, want exactly RunE's rank goroutine", spawns)
+		t.Errorf("internal/mpi outside tcp.go spawns at %v, want exactly RunGroups' group goroutine", spawns)
 	}
 }
 
