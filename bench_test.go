@@ -173,7 +173,7 @@ func BenchmarkAblationLDSCompression(b *testing.B) {
 		for t := int64(0); t < d.ChainLen[rank]; t++ {
 			tile := d.TileAt(rank, t)
 			ts.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-				j := unskew.MulVec(ts.GlobalOf(tile, z))
+				j := unskew.MulVec(ts.T.P.MulVec(tile).Add(ts.T.U.MulVec(z)))
 				if lo == nil {
 					lo, hi = j.Clone(), j.Clone()
 				}

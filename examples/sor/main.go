@@ -69,7 +69,10 @@ func run(name string, nest *tilespace.LoopNest, rows [][]string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	diff, _ := seq.MaxAbsDiff(par)
+	diff, at := seq.MaxAbsDiff(par)
+	if diff != 0 {
+		log.Fatalf("%s: parallel run differs from serial by %g at %v", name, diff, at)
+	}
 	// Same program with computation-communication overlap (§6 / ref [8]):
 	// halos go out as non-blocking Isends drained at chain end. Results
 	// must be identical; Stats shows the halos took the overlapped path.

@@ -205,7 +205,7 @@ func goChecksum(t *testing.T, prog *goexec.Program) float64 {
 		for s := int64(0); s < d.ChainLen[r]; s++ {
 			tile := d.TileAt(r, s)
 			prog.TS.ScanTilePoints(tile, func(z, _ ilin.Vec) bool {
-				for _, v := range g.At(prog.TS.GlobalOf(tile, z)) {
+				for _, v := range g.At(prog.TS.T.P.MulVec(tile).Add(prog.TS.T.U.MulVec(z))) {
 					local += v
 				}
 				return true

@@ -401,7 +401,7 @@ func (d *Distribution) locInverse(r int, jpp ilin.Vec) (ilin.Vec, bool) {
 	if !ok || t < 0 || t >= d.ChainLen[r] {
 		return nil, false
 	}
-	return d.TS.T.Global(d.TileAt(r, t), z), true
+	return d.TS.T.P.MulVec(d.TileAt(r, t)).Add(d.TS.T.U.MulVec(z)), true
 }
 
 // flatten converts a multi-dimensional LDS cell to a linear index for

@@ -86,7 +86,7 @@ func checkRows(t *testing.T, name string, d *distrib.Distribution) (full, clampe
 				if i == 0 {
 					longest = max(longest, int(pl.Rows[row].N))
 				}
-				j := ts.GlobalOf(sl.Tile, z)
+				j := ts.T.P.MulVec(sl.Tile).Add(ts.T.U.MulVec(z))
 				for k := 0; k < n; k++ {
 					if got := sl.PBase[k] + pl.Uz[row*n+k] + i*pr.RowStep[k]; got != j[k] {
 						t.Fatalf("%s: rank %d tile %v row %d point %d: component %d of P·j^S+U·z is %d, the table gives %d", name, r, sl.Tile, row, i, k, j[k], got)

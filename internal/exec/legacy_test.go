@@ -129,7 +129,7 @@ func (st *rankState) initPhase(tile ilin.Vec, t int64) {
 	src := make(ilin.Vec, n)
 	buf := make([]float64, w)
 	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-		j := st.p.TS.GlobalOf(tile, z)
+		j := global(st.p.TS, tile, z)
 		for l := range st.deps {
 			for k := 0; k < n; k++ {
 				src[k] = j[k] - st.deps[l][k]
@@ -157,7 +157,7 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 			cell := st.Addr.FlatRead(jp, st.dps[l], t) * int64(w)
 			reads[l] = st.la[cell : cell+int64(w)]
 		}
-		j := st.p.TS.GlobalOf(tile, z)
+		j := global(st.p.TS, tile, z)
 		out := st.Addr.Flat(jp, t) * int64(w)
 		st.p.Kernel.Point(j, reads, st.la[out:out+int64(w)])
 		return true
@@ -209,7 +209,7 @@ func (st *rankState) writeBackPerPoint(g *Global) {
 	for t := int64(0); t < st.p.Dist.ChainLen[st.rank]; t++ {
 		tile := st.p.Dist.TileAt(st.rank, t)
 		st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-			j := st.p.TS.GlobalOf(tile, z)
+			j := global(st.p.TS, tile, z)
 			cell := st.Addr.Flat(jp, t) * int64(w)
 			g.Set(j, st.la[cell:cell+int64(w)])
 			return true

@@ -75,7 +75,7 @@ func TestPlanOffsetsMatchAddresser(t *testing.T) {
 						t.Fatalf("rank %d tile %v row %d point %d dep %d: read cell %d, FlatRead %d", r, tile, row, i, l, got, want)
 					}
 				}
-				j := p.TS.GlobalOf(tile, z)
+				j := global(p.TS, tile, z)
 				for k := 0; k < n; k++ {
 					if sl.PBase[k]+pl.Uz[row*n+k]+i*st.rowStep[k] != j[k] {
 						t.Fatalf("rank %d tile %v row %d point %d: pBase+uz+i·step reconstructs component %d wrong (want %v)", r, tile, row, i, k, j)
@@ -310,7 +310,7 @@ func (p *Program) CheckBoundaryReads() (slots, interior, nonEmpty int, err error
 			var want, got []int32
 			i := 0
 			p.TS.ScanTilePoints(sl.Tile, func(z, jp ilin.Vec) bool {
-				j := p.TS.GlobalOf(sl.Tile, z)
+				j := global(p.TS, sl.Tile, z)
 				for l, dep := range deps {
 					copy(src, j.Sub(dep))
 					if !p.TS.Nest.Space.Contains(src) {

@@ -9,6 +9,7 @@ package ilin
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"tilespace/internal/rat"
@@ -125,11 +126,15 @@ func (v Vec) Rat() RatVec {
 }
 
 func (v Vec) String() string {
-	parts := make([]string, len(v))
+	var buf [64]byte
+	b := append(buf[:0], '(')
 	for i, x := range v {
-		parts[i] = fmt.Sprint(x)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(b, x, 10)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return string(append(b, ')'))
 }
 
 // RatVec is a rational column vector.

@@ -47,20 +47,6 @@ func SimulateFaults(d *distrib.Distribution, par Params, fm FaultModel) (*Result
 	return simulateFaults(d, par, fm.normalize(), nil)
 }
 
-// SimulateFaultsTraced is SimulateFaults recording one Event per tile
-// plus crash/restart instants (Event.Kind).
-func SimulateFaultsTraced(d *distrib.Distribution, par Params, fm FaultModel) (*Trace, error) {
-	tr := &Trace{}
-	res, err := simulateFaults(d, par, fm.normalize(), func(e Event) {
-		tr.Events = append(tr.Events, e)
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr.Result = res
-	return tr, nil
-}
-
 func (fm FaultModel) normalize() *FaultModel {
 	if fm.CheckpointEvery < 1 {
 		fm.CheckpointEvery = 1

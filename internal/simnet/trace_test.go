@@ -4,7 +4,23 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"tilespace/internal/distrib"
 )
+
+// SimulateFaultsTraced is SimulateFaults recording one Event per tile
+// plus crash/restart instants (Event.Kind).
+func SimulateFaultsTraced(d *distrib.Distribution, par Params, fm FaultModel) (*Trace, error) {
+	tr := &Trace{}
+	res, err := simulateFaults(d, par, fm.normalize(), func(e Event) {
+		tr.Events = append(tr.Events, e)
+	})
+	if err != nil {
+		return nil, err
+	}
+	tr.Result = res
+	return tr, nil
+}
 
 // ganttRow extracts the cells of one rank's row from a Gantt rendering.
 func ganttRow(t *testing.T, g string, rank int) string {

@@ -350,9 +350,6 @@ func tileDeps(t *Transform, dp *ilin.Mat) []ilin.Vec {
 	return ds
 }
 
-// GlobalOf maps (j^S, z) to the original iteration j = P·j^S + U·z.
-func (ts *TiledSpace) GlobalOf(jS, z ilin.Vec) ilin.Vec { return ts.T.Global(jS, z) }
-
 // NumTiles returns the number of valid tiles.
 func (ts *TiledSpace) NumTiles() int64 {
 	return ts.ScanTiles(func(ilin.Vec) bool { return true })

@@ -89,7 +89,7 @@ func TestAnalyzeNonRect2D(t *testing.T) {
 	ts.ScanTiles(func(jS ilin.Vec) bool {
 		tile := jS.Clone()
 		ts.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-			j := ts.GlobalOf(tile, z)
+			j := ts.T.Global(tile, z)
 			if !nest.Space.Contains(j) {
 				t.Errorf("tile %v point %v outside space", tile, j)
 				return false
@@ -120,7 +120,7 @@ func TestAnalyzePartition(t *testing.T) {
 	ts.ScanTiles(func(jS ilin.Vec) bool {
 		tile := jS.Clone()
 		ts.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
-			seen[ts.GlobalOf(tile, z).String()]++
+			seen[ts.T.Global(tile, z).String()]++
 			return true
 		})
 		return true

@@ -135,13 +135,6 @@ func (t *Transform) TTISCoord(j, jS ilin.Vec) ilin.Vec {
 	return t.HP.MulVec(j.Sub(t.P.MulVec(jS)))
 }
 
-// Global returns j = P·j^S + U·z for a tile j^S and TTIS lattice
-// coordinate z (where j' = H̃'·z). This is the paper's j = P·j^S + P'·j'
-// specialized to lattice points: P'·j' = P'·H̃'·z = U·z, all-integer.
-func (t *Transform) Global(jS, z ilin.Vec) ilin.Vec {
-	return t.P.MulVec(jS).Add(t.U.MulVec(z))
-}
-
 // ScanTTIS enumerates the TTIS — the iteration points of one full tile in
 // transformed coordinates — row by row, as ScanTileRows does a clamped
 // tile: a row is the innermost lattice coordinate z_{n-1} running over

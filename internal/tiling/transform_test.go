@@ -326,6 +326,13 @@ func lattice(tr *Transform) map[string]ilin.Vec {
 	return lat
 }
 
+// Global returns j = P·j^S + U·z for a tile j^S and TTIS lattice
+// coordinate z (where j' = H̃'·z): the paper's j = P·j^S + P'·j'
+// specialized to lattice points, P'·j' = P'·H̃'·z = U·z, all-integer.
+func (t *Transform) Global(jS, z ilin.Vec) ilin.Vec {
+	return t.P.MulVec(jS).Add(t.U.MulVec(z))
+}
+
 // locate decomposes a global iteration j into its tile j^S, TTIS
 // coordinate j' and lattice coordinate z; ok is false when j' is not a
 // lattice point of the TTIS.

@@ -204,7 +204,7 @@ func region(d *distrib.Distribution, tile ilin.Vec, dir int, addr *distrib.Addre
 			}
 			i++
 		}
-		pts = append(pts, d.TS.GlobalOf(tile, z))
+		pts = append(pts, d.TS.T.P.MulVec(tile).Add(d.TS.T.U.MulVec(z)))
 		if addr != nil {
 			cells = append(cells, addr.Flat(jp, 0))
 		}

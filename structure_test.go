@@ -461,8 +461,8 @@ func TestOneCompileDriver(t *testing.T) {
 	}
 }
 
-// censusAllowed names the declarations under internal/ that no non-test
-// code reaches but that stay, each with the reason it stays.
+// censusAllowed names the library declarations that no non-test code
+// reaches but that stay, each with the reason it stays.
 var censusAllowed = map[string]string{
 	// Interface satisfiers the census cannot see through.
 	"tiling.OverflowError.Unwrap": "errors.As calls it through interface{ Unwrap() error }, a literal inside package errors that export data does not carry; tiling's TestDiagOverflow unwraps the rat.Overflow",
@@ -474,15 +474,16 @@ var censusAllowed = map[string]string{
 	"procrun.Merge":                     "the launcher half of a multi-process run: cmd/tilerankd's TestRankdEndToEnd and TestRankdKillRelaunchRecovers and exec's TestRelaunchFromSnapshot merge rank fragments with it, and procrun's TestSplitMergeRoundTrip and TestMergeRejectsMissingAndDuplicate pin it",
 }
 
-// TestEveryDeclarationReachable pins that every declaration under
-// internal/ has a non-test caller. It runs on the non-test packages of this
-// module and of the benchmark module (the load fails on a type error in
-// either, so a root change that deletes a name the benchmark spells fails
-// here too) and follows every use from the roots: every declaration outside
-// tilespace/internal/ (cmd, examples, the facade, the benchmark), every init
-// and every package-level var. A declaration that only tests reach moves
-// into its package's _test.go or goes; censusAllowed holds the rest, each
-// with its reason.
+// TestEveryDeclarationReachable pins that every declaration of a library
+// package — internal/ and the root facade alike — has a non-test caller. It
+// runs on the non-test packages of this module and of the benchmark module
+// (the load fails on a type error in either, so a root change that deletes
+// a name the benchmark spells fails here too) and follows every use from
+// the roots: every declaration of a main package (cmd, examples, the
+// benchmark), every init and every package-level var. A facade name then
+// stays only while a program calls it. A declaration that only tests reach
+// moves into its package's _test.go or goes; censusAllowed holds the rest,
+// each with its reason.
 func TestEveryDeclarationReachable(t *testing.T) {
 	got := unreachedDecls(loadTree(t))
 	for _, name := range sortedKeys(got) {
@@ -499,13 +500,14 @@ func TestEveryDeclarationReachable(t *testing.T) {
 
 // TestCensusFixture runs the census on testdata/census, a module of its own
 // with one live function, an export that only a test uses, an unused
-// function, a dead chain A → B and a String method on a live type.
+// function, a dead chain A → B, a String method on a live type, and a
+// library outside internal/ with one export main calls and one it does not.
 func TestCensusFixture(t *testing.T) {
 	l, err := loadModules("testdata/census")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib.A", "lib.B", "lib.TestOnly", "lib.unused"}
+	want := []string{"facade.Uncalled", "lib.A", "lib.B", "lib.TestOnly", "lib.unused"}
 	if keys := sortedKeys(unreachedDecls(l)); !reflect.DeepEqual(keys, want) {
 		t.Errorf("census of the fixture reports %v, want %v", keys, want)
 	}
@@ -520,12 +522,13 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// unreachedDecls returns every package-level declaration under a module's
-// internal/ tree that no root of the load's non-test packages reaches, keyed
-// "pkg.Name" or "pkg.Type.Method" (pkg relative to internal/) with its
-// file:line.
+// unreachedDecls returns every package-level declaration of a non-main
+// package that no root of the load's non-test packages reaches, keyed
+// "pkg.Name" or "pkg.Type.Method" with its file:line; pkg is the import path
+// relative to the module and to its internal/, or the package name for the
+// module's root package.
 //
-// The roots are every declaration outside internal/, every init and every
+// The roots are every declaration of a main package, every init and every
 // package-level var (its initializer runs at import). A declaration reaches
 // each package-level object or method it names (generic instances by their
 // origin). A method is also reached when its receiver type is, if its name
@@ -536,7 +539,7 @@ func unreachedDecls(l *load) map[string]string {
 	var roots []types.Object
 	uses := map[types.Object][]types.Object{} // declaration -> what it names
 	methods := map[*types.TypeName][]types.Object{}
-	internal := map[types.Object]string{} // declarations under internal/ -> key
+	library := map[types.Object]string{} // declarations of non-main packages -> key
 	ifaceNames := map[string]bool{}
 	addIface := func(typ types.Type) {
 		if it, ok := typ.Underlying().(*types.Interface); ok {
@@ -558,9 +561,10 @@ func unreachedDecls(l *load) map[string]string {
 			}
 		}
 
-		prefix := ""
-		if p.Module != nil && strings.HasPrefix(p.ImportPath+"/", p.Module.Path+"/internal/") {
-			prefix = p.Module.Path + "/internal/"
+		isMain := pkg.Name() == "main"
+		key := pkg.Name() // the module's root package
+		if p.Module != nil && pkg.Path() != p.Module.Path {
+			key = strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), p.Module.Path+"/"), "internal/")
 		}
 		named := func(n ast.Node) []types.Object {
 			var objs []types.Object
@@ -576,17 +580,17 @@ func unreachedDecls(l *load) map[string]string {
 			})
 			return objs
 		}
-		declare := func(id *ast.Ident, n ast.Node, key string, root bool) {
+		declare := func(id *ast.Ident, n ast.Node, name string, root bool) {
 			obj := info.Defs[id]
 			if obj == nil || id.Name == "_" || id.Name == "init" {
 				roots = append(roots, named(n)...)
 				return
 			}
 			uses[obj] = named(n)
-			if root || prefix == "" {
+			if root || isMain {
 				roots = append(roots, obj)
 			} else {
-				internal[obj] = strings.TrimPrefix(pkg.Path(), prefix) + "." + key
+				library[obj] = key + "." + name
 			}
 		}
 		for _, f := range p.Files {
@@ -661,7 +665,7 @@ func unreachedDecls(l *load) map[string]string {
 		}
 	}
 	dead := map[string]string{}
-	for obj, key := range internal {
+	for obj, key := range library {
 		if !reached[obj] {
 			pos := l.fset.Position(obj.Pos())
 			dead[key] = fmt.Sprintf("%s:%d", filepath.ToSlash(pos.Filename), pos.Line)

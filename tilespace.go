@@ -7,8 +7,8 @@
 // general parallelepiped tiling transformation H, it:
 //
 //   - validates legality against the dependence cone and computes the
-//     tiling cone's extreme rays (and can suggest scheduling-optimal
-//     non-rectangular tilings from them);
+//     tiling cone's extreme rays, from which Optimize draws
+//     scheduling-optimal non-rectangular tilings;
 //   - transforms the non-rectangular tile into a rectangular one via the
 //     non-unimodular H' = V·H and its Hermite normal form, yielding loop
 //     strides, incremental offsets, and exact Fourier–Motzkin loop bounds
@@ -50,13 +50,8 @@ import (
 	"tilespace/internal/loopnest"
 	"tilespace/internal/mpi"
 	"tilespace/internal/opt"
-	"tilespace/internal/poly"
-	"tilespace/internal/rat"
-	"tilespace/internal/schedule"
-	"tilespace/internal/serve"
 	"tilespace/internal/simnet"
 	"tilespace/internal/tiling"
-	"tilespace/internal/verify"
 )
 
 // LoopNest is a perfectly nested loop with uniform constant dependencies
@@ -80,64 +75,6 @@ func NewLoopNest(names []string, lo, hi []int64, deps [][]int64) (*LoopNest, err
 	return &LoopNest{nest: n}, nil
 }
 
-// NestBuilder assembles a nest over a general convex space defined by
-// affine inequalities. A malformed input is recorded and returned by Build.
-type NestBuilder struct {
-	names []string
-	sys   *poly.System
-	deps  [][]int64
-	err   error
-}
-
-// NewNestBuilder starts a builder for the given loop variables.
-func NewNestBuilder(names ...string) *NestBuilder {
-	return &NestBuilder{names: names, sys: poly.NewSystem(len(names))}
-}
-
-// Constraint adds Σ coef_k·j_k ≤ rhs.
-func (b *NestBuilder) Constraint(coef []int64, rhs int64) *NestBuilder {
-	if b.err == nil && len(coef) != b.sys.NVars {
-		b.err = fmt.Errorf("tilespace: constraint arity %d, nest depth %d", len(coef), b.sys.NVars)
-	}
-	if b.err == nil {
-		b.sys.Add(poly.NewConstraint(ilin.NewVec(coef...).Rat(), rat.FromInt(rhs)))
-	}
-	return b
-}
-
-// Range adds lo ≤ j_k ≤ hi.
-func (b *NestBuilder) Range(k int, lo, hi int64) *NestBuilder {
-	if b.err == nil && (k < 0 || k >= b.sys.NVars) {
-		b.err = fmt.Errorf("tilespace: range of variable %d, nest depth %d", k, b.sys.NVars)
-	}
-	if b.err == nil {
-		b.sys.AddRange(k, lo, hi)
-	}
-	return b
-}
-
-// Dep adds a dependence vector.
-func (b *NestBuilder) Dep(d ...int64) *NestBuilder {
-	b.deps = append(b.deps, d)
-	return b
-}
-
-// Build validates and returns the nest.
-func (b *NestBuilder) Build() (*LoopNest, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	d, err := loopnest.DepMatrix(b.deps)
-	if err != nil {
-		return nil, err
-	}
-	n, err := loopnest.New(b.names, b.sys, d)
-	if err != nil {
-		return nil, err
-	}
-	return &LoopNest{nest: n}, nil
-}
-
 // Skew applies a unimodular transformation (rows of t) to the nest,
 // returning the skewed nest — required before rectangular tiling when some
 // dependence component is negative (SOR, Jacobi).
@@ -152,9 +89,6 @@ func (ln *LoopNest) Skew(t [][]int64) (*LoopNest, error) {
 	}
 	return &LoopNest{nest: sk}, nil
 }
-
-// Depth returns the nesting depth n.
-func (ln *LoopNest) Depth() int { return ln.nest.N }
 
 // Size returns the number of iterations.
 func (ln *LoopNest) Size() (int64, error) { return ln.nest.Size() }
@@ -171,16 +105,6 @@ func (ln *LoopNest) ConeRays() ([][]int64, error) {
 		out[i] = r
 	}
 	return out, nil
-}
-
-// SuggestTiling returns a scheduling-optimal tiling whose rows are cone
-// extreme rays scaled by 1/scale_k.
-func (ln *LoopNest) SuggestTiling(scale []int64) (Tiling, error) {
-	h, err := cone.New(ln.nest.Deps).SuggestTiling(scale)
-	if err != nil {
-		return Tiling{}, err
-	}
-	return Tiling{h: h}, nil
 }
 
 // Tiling is a validated-on-Compile tiling transformation H.
@@ -205,20 +129,6 @@ func TilingFromRows(rows [][]string) (Tiling, error) {
 		return Tiling{}, fmt.Errorf("tilespace: tiling matrix: %w", err)
 	}
 	return Tiling{h: h}, nil
-}
-
-// TilingFromEdges builds H = P⁻¹ from the integer tile edge vectors
-// (columns of P).
-func TilingFromEdges(p [][]int64) (Tiling, error) {
-	m, err := ilin.IntMat(p)
-	if err != nil {
-		return Tiling{}, fmt.Errorf("tilespace: tile edges: %w", err)
-	}
-	t, err := tiling.FromP(m)
-	if err != nil {
-		return Tiling{}, err
-	}
-	return Tiling{h: t.H}, nil
 }
 
 // Kernel computes one iteration: reads[l] is the value vector at j − d_l,
@@ -296,27 +206,8 @@ func (p *Program) RunParallel() (*Result, error) {
 }
 
 // RunOptions selects the parallel execution strategy (re-exported):
-// Overlap switches sends to non-blocking Isends awaited at chain end, Net
-// configures the runtime's deadlock watchdog, injected wire costs and
-// deterministic fault schedule (Net.Faults), Trace attaches a measured
-// per-tile timeline recorder, and Checkpoint enables crash recovery from
-// tile-chain snapshots.
+// Overlap switches sends to non-blocking Isends awaited at chain end.
 type RunOptions = exec.RunOptions
-
-// NetOptions configures the runtime world (re-exported from mpi).
-type NetOptions = mpi.Options
-
-// Tracer records a measured per-rank timeline of a real parallel run
-// (re-exported); attach one via RunOptions.Trace. Its Trace() method
-// returns a SimTrace, so every simulator analytic — Gantt, CriticalRank,
-// PhaseFractions, TraceEventJSON — works over measurements too.
-type Tracer = exec.Tracer
-
-// NewTracer returns an empty tracer ready for RunOptions.Trace.
-func NewTracer() *Tracer { return exec.NewTracer() }
-
-// RankMetrics is one rank's aggregate measured behaviour (re-exported).
-type RankMetrics = exec.RankMetrics
 
 // RunParallelOpts is RunParallel with an explicit execution strategy.
 func (p *Program) RunParallelOpts(opt RunOptions) (*Result, error) {
@@ -325,20 +216,6 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Result, error) {
 		return nil, err
 	}
 	return &Result{g: g, prog: p.art.Prog, Stats: stats}, nil
-}
-
-// VerifyReport summarizes what a successful static certification covered
-// (re-exported from internal/verify).
-type VerifyReport = verify.Report
-
-// Verify runs the static certification layer over the compiled program:
-// it proves comm-set exactness, deadlock-freedom (blocking and overlap
-// modes) and LDS bounds safety by pure compile-time arithmetic — no rank
-// is spawned — returning a coverage report, or an error carrying a
-// concrete counterexample point when any proof fails. The proof is made
-// once per Program.
-func (p *Program) Verify() (*VerifyReport, error) {
-	return p.art.Certificate()
 }
 
 // Processors returns the size of the processor mesh.
@@ -368,60 +245,6 @@ func (p *Program) Simulate(par ClusterParams) (*SimReport, error) {
 	return simnet.Simulate(p.art.Prog.Dist, par)
 }
 
-// FaultPlan is a deterministic, seedable fault-injection schedule
-// (re-exported from mpi): per-rank compute slowdowns, per-link delay and
-// jitter, transient send failures with bounded retry, and hard rank
-// crashes at a chosen tile index. Attach one via RunOptions.Net.Faults;
-// pair a crash with RunOptions.Checkpoint so the rank restarts from its
-// last snapshot instead of aborting the run.
-type FaultPlan = mpi.FaultPlan
-
-// Link, LinkFault and SendFaults are FaultPlan building blocks
-// (re-exported from mpi).
-type (
-	Link       = mpi.Link
-	LinkFault  = mpi.LinkFault
-	SendFaults = mpi.SendFaults
-)
-
-// CheckpointOptions enables tile-chain checkpointing (re-exported from
-// exec): every Every committed tiles each rank waits for its sends to be
-// due and snapshots its chain position and LDS dirty region, bounding how
-// far a crashed rank rewinds. Its wire position is not stored: the
-// compiled tables give it at any chain slot.
-type CheckpointOptions = exec.CheckpointOptions
-
-// FaultModel configures a fault-aware simulation (re-exported from
-// simnet): the same FaultPlan the runtime injects, plus the checkpoint
-// period and the duration scale that maps the plan's wall-clock sleeps
-// into model seconds.
-type FaultModel = simnet.FaultModel
-
-// SimulateFaults predicts the program's cluster execution under the cost
-// model with the fault model applied — the prediction side of the
-// measured-vs-predicted degradation comparison (clusterbench -faults).
-func (p *Program) SimulateFaults(par ClusterParams, fm FaultModel) (*SimReport, error) {
-	par.Width = p.art.Prog.Width
-	return simnet.SimulateFaults(p.art.Prog.Dist, par, fm)
-}
-
-// SimulateFaultsTraced is SimulateFaults recording a per-tile timeline
-// with crash/restart instants marked.
-func (p *Program) SimulateFaultsTraced(par ClusterParams, fm FaultModel) (*SimTrace, error) {
-	par.Width = p.art.Prog.Width
-	return simnet.SimulateFaultsTraced(p.art.Prog.Dist, par, fm)
-}
-
-// SimTrace is a traced simulation (re-exported).
-type SimTrace = simnet.Trace
-
-// SimulateTraced runs the simulator recording a per-tile timeline; its
-// Gantt method renders a text chart of the pipeline fill and drain.
-func (p *Program) SimulateTraced(par ClusterParams) (*SimTrace, error) {
-	par.Width = p.art.Prog.Width
-	return simnet.SimulateTraced(p.art.Prog.Dist, par)
-}
-
 // CodegenOptions configure GenerateC (re-exported).
 type CodegenOptions = codegen.Options
 
@@ -429,35 +252,6 @@ type CodegenOptions = codegen.Options
 func (p *Program) GenerateC(opts CodegenOptions) (string, error) {
 	return p.art.Emit(opts)
 }
-
-// RunTiledSequential executes the §2.3 reordered sequential tiled code on
-// one node — an executable legality check for the chosen tiling.
-func (p *Program) RunTiledSequential() (*Result, error) {
-	g, err := p.art.Prog.RunTiledSequential()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{g: g, prog: p.art.Prog}, nil
-}
-
-// ScheduleEstimate is the closed-form performance model (re-exported).
-type ScheduleEstimate = schedule.Estimate
-
-// PredictSchedule evaluates the analytic Hodzic–Shang-style model: the
-// pipelined schedule length in steps times the per-step (compute +
-// communicate) cost. The simulator refines this with boundary effects and
-// message timing; Predict is what a compiler would use for fast tile-shape
-// search.
-func (p *Program) PredictSchedule(par ClusterParams) (*ScheduleEstimate, error) {
-	par.Width = p.art.Prog.Width
-	cm := schedule.CostModel{Params: par}
-	return cm.Predict(p.art.Prog.Dist)
-}
-
-// ScheduleSteps returns the pipelined schedule length in steps — the
-// paper's t_r/t_nr quantity; comparing tilings by this number alone
-// reproduces the §4 orderings without a cost model.
-func (p *Program) ScheduleSteps() int64 { return schedule.PipelinedLength(p.art.Prog.Dist) }
 
 // Source is a loop-nest program parsed from the textual front-end notation
 // (see internal/frontend for the grammar): bounds, dependencies and the
@@ -536,26 +330,3 @@ func Optimize(ln *LoopNest, o SearchOptions) (*SearchResult, error) {
 
 // CandidateTiling converts a search candidate into a compilable Tiling.
 func CandidateTiling(c *TilingCandidate) Tiling { return Tiling{h: c.H} }
-
-// OptimizeShape runs the tile-shape search for this program's nest (the
-// tiling used to compile the program is ignored; the search covers the
-// rectangular and cone families over the option grid).
-func (p *Program) OptimizeShape(o SearchOptions) (*SearchResult, error) {
-	return opt.Search(p.art.Prog.TS.Nest, o)
-}
-
-// TileServerConfig sizes the tiling service (re-exported from serve):
-// plan-cache capacity, in-flight run and queue bounds, the per-request
-// rank budget, and the run watchdog. The zero value gets sensible
-// defaults.
-type TileServerConfig = serve.Config
-
-// TileServer is the tiling-as-a-service HTTP handler (re-exported from
-// serve): POST /v1/analyze, /v1/certify, /v1/codegen and /v1/run share
-// compiled plans through a single-flight LRU, runs are
-// admission-controlled, each on a fresh in-process world, and GET /metrics
-// exposes the live counters. See cmd/tileserved for the binary.
-type TileServer = serve.Server
-
-// NewTileServer returns a ready-to-mount service handler.
-func NewTileServer(cfg TileServerConfig) *TileServer { return serve.New(cfg) }

@@ -1,14 +1,13 @@
 package tilespace
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
+	"fmt"
+	"math"
+	"os"
 	"strings"
 	"testing"
-	"time"
+
+	"tilespace/internal/ilin"
 )
 
 func quickNest(t *testing.T) *LoopNest {
@@ -107,55 +106,13 @@ func TestFacadeGenerateC(t *testing.T) {
 	}
 }
 
-func TestNestBuilderTriangle(t *testing.T) {
-	// Triangular space 0 ≤ i, i ≤ j ≤ 9 with dep (1,0) and (0,1).
-	nest, err := NewNestBuilder("i", "j").
-		Range(1, 0, 9).
-		Constraint([]int64{-1, 0}, 0). // -i ≤ 0
-		Constraint([]int64{1, -1}, 0). // i - j ≤ 0
-		Dep(1, 0).Dep(0, 1).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := nest.Size()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != 55 {
-		t.Errorf("triangle size = %d, want 55", size)
-	}
-	h, _ := RectangularTiling(3, 3)
-	prog, err := Compile(nest, h, CompileOptions{Kernel: sumKernel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, _ := prog.RunSequential()
-	par, err := prog.RunParallel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := seq.MaxAbsDiff(par); d != 0 {
-		t.Fatal("triangle space mismatch")
-	}
-}
-
-func TestNestBuilderErrors(t *testing.T) {
-	if _, err := NewNestBuilder("i").Constraint([]int64{1, 2}, 0).Build(); err == nil {
-		t.Error("arity mismatch not rejected")
-	}
-	if _, err := NewNestBuilder("i").Range(0, 0, 5).Dep(-1).Build(); err == nil {
-		t.Error("negative dep not rejected")
-	}
+func TestLoopNestErrors(t *testing.T) {
 	// Malformed integer inputs are errors, not panics.
-	if _, err := NewNestBuilder("i", "j").Range(2, 0, 9).Build(); err == nil {
-		t.Error("range of a variable beyond the nest not rejected")
-	}
-	if _, err := NewNestBuilder("i", "j").Range(0, 0, 9).Range(1, 0, 9).Dep(1, 0).Dep(0, 1, 4).Build(); err == nil {
-		t.Error("ragged builder deps not rejected")
-	}
 	if _, err := NewLoopNest([]string{"i", "j"}, []int64{0, 0}, []int64{9, 9}, [][]int64{{1, 0}, {0, 1, 4}}); err == nil {
 		t.Error("ragged deps not rejected")
+	}
+	if _, err := NewLoopNest([]string{"i"}, []int64{0}, []int64{5}, [][]int64{{-1}}); err == nil {
+		t.Error("negative dep not rejected")
 	}
 	nest := quickNest(t)
 	if _, err := nest.Skew([][]int64{{1, 0}, {1}}); err == nil {
@@ -176,15 +133,9 @@ func TestSkewAndConeRays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sk.Depth() != 2 {
-		t.Error("depth changed by skew")
-	}
-	sug, err := sk.SuggestTiling([]int64{4, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compile(sk, sug, CompileOptions{Kernel: sumKernel}); err != nil {
-		t.Fatalf("suggested tiling failed to compile: %v", err)
+	h, _ := RectangularTiling(4, 4)
+	if _, err := Compile(sk, h, CompileOptions{Kernel: sumKernel}); err != nil {
+		t.Fatalf("skewed nest failed to compile: %v", err)
 	}
 }
 
@@ -201,10 +152,8 @@ func TestTilingConstructors(t *testing.T) {
 	if _, err := TilingFromRows([][]string{{"x", "0"}, {"0", "1"}}); err == nil {
 		t.Error("bad rational not rejected")
 	}
-	if _, err := TilingFromEdges([][]int64{{2, 0}, {1}}); err == nil {
-		t.Error("ragged edges not rejected")
-	}
-	tl, err := TilingFromEdges([][]int64{{2, 0}, {-2, 4}})
+	// A parallelogram tile: H = P⁻¹ for P = [[2, 0], [-2, 4]].
+	tl, err := TilingFromRows([][]string{{"1/2", "0"}, {"1/4", "1/4"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,36 +179,6 @@ func TestCompileErrors(t *testing.T) {
 	h2, _ := RectangularTiling(4, 4)
 	if _, err := Compile(nest, h2, CompileOptions{MapDim: 7}); err == nil {
 		t.Error("bad map dim not rejected")
-	}
-}
-
-func TestFacadeTiledSequentialAndSchedule(t *testing.T) {
-	nest := quickNest(t)
-	h, _ := RectangularTiling(4, 5)
-	prog, err := Compile(nest, h, CompileOptions{Kernel: sumKernel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := prog.RunSequential()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiled, err := prog.RunTiledSequential()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, _ := seq.MaxAbsDiff(tiled); d != 0 {
-		t.Fatal("tiled sequential differs")
-	}
-	if prog.ScheduleSteps() <= 0 {
-		t.Error("ScheduleSteps should be positive")
-	}
-	est, err := prog.PredictSchedule(FastEthernetPIII())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.Steps != prog.ScheduleSteps() || est.Total <= 0 {
-		t.Errorf("estimate %+v inconsistent", est)
 	}
 }
 
@@ -306,6 +225,40 @@ map 1
 	if _, err := ParseSource("garbage ["); err == nil {
 		t.Error("bad source not rejected")
 	}
+
+	// A non-box space: the triangle 0 ≤ i ≤ j ≤ 8, tiled 3×3, runs in
+	// parallel bit for bit as in sequence.
+	text, err := os.ReadFile("internal/frontend/testdata/seeds/triangle.nest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri, err := ParseSource(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size, err := tri.Nest.Size(); err != nil || size != 45 {
+		t.Fatalf("triangle size = %d, %v; want 45", size, err)
+	}
+	h, _ := RectangularTiling(3, 3)
+	prog, err = Compile(tri.Nest, h, CompileOptions{MapDim: -1, Kernel: tri.Kernel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq, err = prog.RunSequential(); err != nil {
+		t.Fatal(err)
+	}
+	if par, err = prog.RunParallel(); err != nil {
+		t.Fatal(err)
+	}
+	prog.art.Prog.ScanSpace(func(j ilin.Vec) bool {
+		s, p := seq.At(j), par.At(j)
+		for k := range s {
+			if math.Float64bits(s[k]) != math.Float64bits(p[k]) {
+				t.Fatalf("triangle at %v: parallel %v, sequential %v", j, p, s)
+			}
+		}
+		return true
+	})
 }
 
 func TestFacadeOptimize(t *testing.T) {
@@ -337,84 +290,25 @@ func TestFacadeOptimize(t *testing.T) {
 	}
 }
 
-// The facade must expose the full fault path: a crash-restart run through
-// RunOptions.Net.Faults/Checkpoint reproduces the fault-free result bit for
-// bit, and SimulateFaults predicts a degraded makespan for the same plan.
-func TestFacadeFaultInjection(t *testing.T) {
-	nest := quickNest(t)
-	h, err := RectangularTiling(4, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Compile(nest, h, CompileOptions{MapDim: -1, Kernel: sumKernel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := prog.RunParallel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := &FaultPlan{Crash: map[int]int64{prog.Processors() / 2: 1}}
-	faulty, err := prog.RunParallelOpts(RunOptions{
-		Net:        NetOptions{Faults: plan},
-		Checkpoint: &CheckpointOptions{Every: 1},
+// ExampleCompile is README's quick start: tile a 2-D recurrence, run it in
+// parallel and in sequence, simulate it on the paper's testbed and emit its
+// C+MPI program.
+func ExampleCompile() {
+	nest, _ := NewLoopNest([]string{"i", "j"},
+		[]int64{0, 0}, []int64{399, 399},
+		[][]int64{{1, 0}, {0, 1}}) // dependence vectors
+	h, _ := RectangularTiling(50, 50) // or TilingFromRows
+	prog, _ := Compile(nest, h, CompileOptions{
+		Kernel: func(j []int64, reads [][]float64, out []float64) {
+			out[0] = 1 + reads[0][0] + reads[1][0]
+		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d, at := clean.MaxAbsDiff(faulty); d != 0 {
-		t.Fatalf("crash-restart run differs by %g at %v", d, at)
-	}
-
-	par := FastEthernetPIII()
-	base, err := prog.Simulate(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := prog.SimulateFaults(par, FaultModel{
-		Plan: &FaultPlan{Links: map[Link]LinkFault{{Src: 0, Dst: 1}: {Delay: time.Second}}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred.Makespan <= base.Makespan {
-		t.Errorf("predicted makespan %v not degraded from %v", pred.Makespan, base.Makespan)
-	}
-	tr, err := prog.SimulateFaultsTraced(par, FaultModel{
-		Plan: &FaultPlan{Crash: map[int]int64{0: 1}, RestartDelay: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var marks int
-	for _, e := range tr.Events {
-		if e.Kind != "" {
-			marks++
-		}
-	}
-	if marks != 2 {
-		t.Errorf("traced fault simulation has %d markers, want crash+restart", marks)
-	}
-}
-
-// TestFacadeTileServer mounts the re-exported service handler and
-// drives one spec through analyze and run.
-func TestFacadeTileServer(t *testing.T) {
-	srv := NewTileServer(TileServerConfig{})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	spec := "let M = 6\nlet N = 12\nfor t = 1 .. M\nfor i = 1 .. N\nA[t,i] = 0.5*(A[t-1,i] + A[t,i-1]) + 3\ntile 1/3 0 / 0 1/4\n"
-	body, _ := json.Marshal(map[string]string{"source": spec})
-	for _, path := range []string{"/v1/analyze", "/v1/run"} {
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, raw)
-		}
-	}
+	par, _ := prog.RunParallel()                // real message-passing execution
+	seq, _ := prog.RunSequential()              // reference
+	diff, _ := seq.MaxAbsDiff(par)              // == 0
+	rep, _ := prog.Simulate(FastEthernetPIII()) // paper's testbed model
+	src, _ := prog.GenerateC(CodegenOptions{    // the paper's deliverable
+		Name: "demo", KernelStmt: "out[0] = 1 + R0[0] + R1[0];"})
+	fmt.Println(diff, rep.Procs, strings.Contains(src, "MPI_Init"))
+	// Output: 0 8 true
 }
