@@ -13,8 +13,10 @@ import (
 // TestFoldEveryGroupCount runs two fixtures folded into every group count
 // from one executor to one per rank, whatever GOMAXPROCS says, against the
 // same program on a world of groups of one: bit-identical Global, DeepEqual
-// Stats, and with tracing on one event per tile and the tracer's traffic
-// equal to the runtime's.
+// Stats, and with tracing on one event per tile, the tracer's traffic
+// equal to the runtime's, and the ranks' busy time (unpack, compute, send)
+// at most E times the run's span: members of a group take turns, so no
+// member's tile time may count a sibling's.
 func TestFoldEveryGroupCount(t *testing.T) {
 	for name, p := range map[string]*Program{"sor": planProgram(t), "adi": adiProgram(t)} {
 		n := p.Dist.NumProcs()
@@ -39,15 +41,20 @@ func TestFoldEveryGroupCount(t *testing.T) {
 					t.Fatalf("%s E=%d: %d events for %d tiles", name, e, evs, p.TS.NumTiles())
 				}
 				var msgs, vals int64
+				var busy time.Duration
 				for _, m := range tr.PerRank() {
 					msgs += int64(m.MsgsRecvd)
 					vals += int64(m.ValuesRecvd)
+					busy += m.Unpack + m.Compute + m.Send
 					if m.Tiles > 0 && m.Span <= 0 || m.Wait < 0 || m.Unpack < 0 {
 						t.Fatalf("%s E=%d: rank %d metrics %+v", name, e, m.Rank, m)
 					}
 				}
 				if msgs != stats.Recvs || vals != stats.ValuesRecvd {
 					t.Fatalf("%s E=%d: tracer received %d/%d, mpi counted %d/%d", name, e, msgs, vals, stats.Recvs, stats.ValuesRecvd)
+				}
+				if span := tr.Trace().Result.Makespan; busy.Seconds() > float64(e)*span+1e-9 {
+					t.Fatalf("%s E=%d overlap=%v: ranks busy %.6f s in a %.6f s run", name, e, overlap, busy.Seconds(), span)
 				}
 			}
 		}

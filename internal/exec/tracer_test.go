@@ -111,7 +111,8 @@ func TestTracerRecordsTimeline(t *testing.T) {
 }
 
 // TestTracerReuse: attaching the same tracer to a second run must reset
-// it, not accumulate the first run's events.
+// it, not accumulate the first run's events; the events name every tile
+// once.
 func TestTracerReuse(t *testing.T) {
 	p := planProgram(t)
 	tr := NewTracer()
@@ -120,9 +121,20 @@ func TestTracerReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := int64(len(tr.Trace().Events)), p.TS.NumTiles(); got != want {
+	evs := tr.Trace().Events
+	if got, want := int64(len(evs)), p.TS.NumTiles(); got != want {
 		t.Fatalf("after reuse: %d events, want %d", got, want)
 	}
+	named := map[string]int{}
+	for _, e := range evs {
+		named[e.Tile]++
+	}
+	p.TS.ScanTiles(func(jS ilin.Vec) bool {
+		if named[jS.String()] != 1 {
+			t.Errorf("tile %v named by %d events", jS, named[jS.String()])
+		}
+		return true
+	})
 }
 
 // TestStatsDuringRunRaceFree drives the executor exactly as
