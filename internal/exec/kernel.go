@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -12,11 +13,10 @@ import (
 // This file is the loop body F as data. The paper's generated code inlines F
 // in the TTIS loop (§3.2); an interpreter gets the same effect from F as a
 // statement — one expression tree per output slot over the dependence reads
-// — lowered once to straight-line register code and evaluated an operation
-// at a time over a whole TTIS row, so interpretation is paid once per row.
-// Every operation is one IEEE operation in the tree's order (nothing fused,
-// re-associated or folded), so a row of length L computes bit for bit what
-// L per-point evaluations (Kernel.Point: the same code at length 1) do.
+// — lowered once to register code run an instruction at a time over a whole
+// TTIS row, a width-1 sum of scaled folds as one fused instruction (sum).
+// Every IEEE operation stays in the tree's order, so a row of length L
+// computes bit for bit what L per-point evaluations (Kernel.Point) do.
 
 // Expr is a node of a statement's expression tree, built with Const, Read,
 // Coef, Add, Sub, Mul, Div and Neg. A node may be used more than once (a
@@ -45,6 +45,7 @@ const (
 	opMove  // dst = a
 	opLoad  // dst = slot b of dependence a (strided)
 	opStore // slot b of out = a (strided)
+	opSum   // dst = the statement's fused sum
 )
 
 // Const is the constant v.
@@ -126,45 +127,29 @@ func (k Kernel) check(width, q int) error {
 // pointRegs is how many registers Point keeps on the stack.
 const pointRegs = 32
 
-// Point evaluates the kernel at one iteration point: the per-point form the
-// sequential references use. A statement runs its lowered code at length 1.
+// Point evaluates the kernel at one iteration point: the per-point form. A
+// statement runs its lowered code at length 1, on registers on the stack.
 func (k Kernel) Point(j ilin.Vec, reads [][]float64, out []float64) {
-	if k.stmt == nil {
+	st := k.stmt
+	if st == nil {
 		k.point(j, reads, out)
 		return
 	}
 	var buf [pointRegs]float64
-	regs := buf[:]
-	if k.stmt.nreg > len(buf) {
-		regs = make([]float64, k.stmt.nreg)
-	}
-	copy(regs, k.stmt.consts)
-	k.stmt.point(regs, reads, out, 0, j)
+	regs := slices.Grow(buf[:0], st.nreg)[:st.nreg] // the heap only past pointRegs
+	copy(regs, st.consts)
+	st.run(regs, 1, 1, reads, out, j, nil, j) // no step: nothing moves j
 }
 
 // Row evaluates the kernel at the n consecutive points j, j+step, …: reads[l]
 // holds the n value vectors read through dependence l and out receives the n
-// results, Width values per point. A statement runs an instruction at a time
-// over all n points, which is what the executor does with a TTIS row (on
-// scratch it keeps; Row allocates its own); the results equal n calls of
-// Point bit for bit, provided no read aliases an earlier point's output.
+// results, Width values per point, as the executor evaluates a TTIS row
+// (rowEval.row): n calls of Point bit for bit, if no read aliases an output.
 func (k Kernel) Row(n int, j, step ilin.Vec, reads [][]float64, out []float64) {
-	jb := j.Clone()
-	if st := k.stmt; st != nil {
-		st.run(st.registers(n), n, n, reads, out, j, step, jb)
-		return
-	}
-	w := len(out) / n
-	pt := make([][]float64, len(reads))
-	for i := 0; i < n; i++ {
-		for l := range reads {
-			pt[l] = reads[l][i*w:][:w]
-		}
-		k.point(jb, pt, out[i*w:][:w])
-		for d := range jb {
-			jb[d] += step[d]
-		}
-	}
+	ev := newRowEval(k, len(out)/n, len(j), len(reads), n)
+	copy(ev.reads, reads)
+	copy(ev.j, j)
+	ev.row(k, int64(n), math.MaxInt64, out, step)
 }
 
 // C prints the kernel as the C statement block the generated program inlines
@@ -209,22 +194,24 @@ func (e *Expr) c() string {
 	return "(" + e.l.c() + " " + "+-*/"[e.op-opAdd:][:1] + " " + e.r.c() + ")"
 }
 
-// statement is a lowered Statement: straight-line code over a register file.
-// Registers [0, len(consts)) hold the constants and are never written;
-// the rest are temporaries. An operand x ≥ 0 names register x; at width 1 an
+// statement is a lowered Statement: straight-line code over a register file
+// whose registers [0, len(consts)) hold the constants and are never written,
+// the rest temporaries. An operand x ≥ 0 names register x; at width 1 an
 // operand x < 0 names dependence ^x read in place, and outOperand as a
-// destination names the output itself. At width > 1 reads are gathered into
-// registers (opLoad) and every slot is scattered at the end (opStore), all
-// loads before all stores.
+// destination the output. At width > 1 reads are gathered into registers
+// (opLoad) and every slot is scattered at the end (opStore), all loads
+// before all stores.
 type statement struct {
-	slots  []*Expr // the trees, which C prints
-	width  int
-	ndeps  int // 1 + the highest dependence read
-	nslots int // 1 + the highest slot read
-	consts []float64
-	nreg   int
-	coefs  []func(j ilin.Vec) float64
-	code   []instr
+	slots   []*Expr // the trees, which C prints
+	width   int
+	ndeps   int // 1 + the highest dependence read
+	nslots  int // 1 + the highest slot read
+	consts  []float64
+	nreg    int
+	coefs   []func(j ilin.Vec) float64
+	sum     sum // opSum's
+	code    []instr
+	onePass bool // the code is one loop whose every point reads before it writes
 }
 
 type instr struct {
@@ -257,9 +244,19 @@ func lower(slots []*Expr) *statement {
 		}
 		lw.count(e)
 	}
-	lw.st.nreg = len(lw.st.consts)
 	st := lw.st
-	if st.width == 1 {
+	f, leaves, fused := lw.fuse(slots[0]) // may add a constant: the folds' padding
+	st.nreg = len(st.consts)
+	switch {
+	case fused:
+		for t := range leaves {
+			for m, l := range leaves[t] {
+				f.x[t][m] = lw.emit(l)
+			}
+		}
+		st.sum = f
+		st.code = append(st.code, instr{op: opSum, dst: outOperand})
+	case st.width == 1:
 		e := slots[0]
 		x := lw.emit(e)
 		if last := len(st.code) - 1; last >= 0 && st.code[last].dst == x && lw.uses[e] == 1 {
@@ -267,15 +264,16 @@ func lower(slots []*Expr) *statement {
 		} else {
 			st.code = append(st.code, instr{op: opMove, dst: outOperand, a: x})
 		}
-		return st
+	default:
+		out := make([]int32, len(slots))
+		for s, e := range slots {
+			out[s] = lw.emit(e) // the count pass's use keeps the register held
+		}
+		for s, x := range out {
+			st.code = append(st.code, instr{op: opStore, a: x, b: int32(s)})
+		}
 	}
-	out := make([]int32, len(slots))
-	for s, e := range slots {
-		out[s] = lw.emit(e) // the count pass's use keeps the register held
-	}
-	for s, x := range out {
-		st.code = append(st.code, instr{op: opStore, a: x, b: int32(s)})
-	}
+	st.onePass = len(st.code) == 1 && st.code[0].op != opMove // a move copies a block
 	return st
 }
 
@@ -289,11 +287,7 @@ func (lw *lowerer) count(e *Expr) {
 	st := lw.st
 	switch e.op {
 	case opConst:
-		bits := math.Float64bits(e.val)
-		if _, ok := lw.creg[bits]; !ok {
-			lw.creg[bits] = int32(len(st.consts))
-			st.consts = append(st.consts, e.val)
-		}
+		lw.constant(e.val)
 	case opRead:
 		if e.dep < 0 || e.slot < 0 {
 			panic(fmt.Sprintf("exec: Read(%d, %d): negative index", e.dep, e.slot))
@@ -323,7 +317,7 @@ func (lw *lowerer) emit(e *Expr) int32 {
 	var x int32
 	switch e.op {
 	case opConst:
-		x = lw.creg[math.Float64bits(e.val)]
+		x = lw.constant(e.val)
 	case opRead:
 		if st.width == 1 && e.slot == 0 {
 			x = ^int32(e.dep)
@@ -370,25 +364,94 @@ func (lw *lowerer) release(e *Expr) {
 	}
 }
 
-// registers allocates a register file of the given stride for run, the
-// constants' registers filled.
-func (st *statement) registers(stride int) []float64 {
-	regs := make([]float64, st.nreg*stride)
-	for x, v := range st.consts {
-		reg := regs[x*stride : (x+1)*stride]
-		for i := range reg {
-			reg[i] = v
+// constant returns the register of the constant v, assigned on first use.
+func (lw *lowerer) constant(v float64) int32 {
+	x, ok := lw.creg[math.Float64bits(v)]
+	if !ok {
+		x = int32(len(lw.st.consts))
+		lw.creg[math.Float64bits(v)] = x
+		lw.st.consts = append(lw.st.consts, v)
+	}
+	return x
+}
+
+const foldMax = 8 // the most operands a fused sum's fold reads
+
+// sum is the fused instruction c0·F0, F0/c0 or c0·F0 + c1·F1 (− c·F1 is
+// + (−c)·F1), a fold F = ((x0 + x1) + …) + x7 adding operands in place from
+// the LDS, temporaries or constants. Past its k operands a fold adds −0,
+// which leaves every value as it is. An unscaled term is 1·F.
+type sum struct {
+	x        [2][foldMax]int32
+	c        [2]float64
+	div, two bool
+}
+
+// fold8 is ((x0 + x1) + …) + x7.
+func fold8(x0, x1, x2, x3, x4, x5, x6, x7 float64) float64 {
+	return ((((((x0 + x1) + x2) + x3) + x4) + x5) + x6) + x7
+}
+
+// fuse matches e, the root of a width-1 statement, as a sum: one term, or
+// e's operands as two terms joined by e's ±, whichever absorbs more of the
+// tree's operations; not a fold longer than foldMax, nor a sum absorbing
+// fewer than two (a plain instruction's one). leaves[t] are term t's
+// operands, padded, which the caller emits.
+func (lw *lowerer) fuse(e *Expr) (f sum, leaves [2][]*Expr, ok bool) {
+	var ops int
+	leaves[0], f.c[0], f.div, ops = lw.term(e, true)
+	if leaves[0] != nil && (e.op == opAdd || e.op == opSub) {
+		la, ca, da, na := lw.term(e.l, lw.uses[e.l] == 1)
+		lb, cb, db, nb := lw.term(e.r, lw.uses[e.r] == 1)
+		if e.op == opSub {
+			cb = -cb
+		}
+		if la != nil && lb != nil && !da && !db && 1+na+nb > ops {
+			f = sum{c: [2]float64{ca, cb}}
+			leaves, ops = [2][]*Expr{la, lb}, 1+na+nb
 		}
 	}
-	return regs
+	if leaves[0] == nil || ops < 2 || lw.st.width > 1 {
+		return f, leaves, false
+	}
+	f.two = leaves[1] != nil
+	pad := Const(math.Copysign(0, -1))
+	for t := range leaves {
+		for len(leaves[t]) > 0 && len(leaves[t]) < foldMax {
+			leaves[t] = append(leaves[t], pad)
+		}
+	}
+	lw.constant(pad.val) // a register below the temporaries
+	return f, leaves, true
+}
+
+// term matches n as c·F, F·c, F/c or F, with c a constant and F the fold of
+// additions at n (absorbed only if open): F's operands (nil if more than
+// foldMax), c (1 for F), whether it divides, and the operations absorbed.
+func (lw *lowerer) term(n *Expr, open bool) (leaves []*Expr, c float64, div bool, ops int) {
+	c = 1
+	switch {
+	case open && (n.op == opMul || n.op == opDiv) && n.r.op == opConst:
+		c, div, n, ops = n.r.val, n.op == opDiv, n.l, 1
+	case open && n.op == opMul && n.l.op == opConst:
+		c, n, ops = n.l.val, n.r, 1
+	}
+	for open = open && lw.uses[n] == 1; open && n.op == opAdd; open = lw.uses[n] == 1 {
+		leaves, n = append(leaves, n.r), n.l
+	}
+	if leaves = append(leaves, n); len(leaves) > foldMax {
+		return nil, c, div, 0
+	}
+	slices.Reverse(leaves)
+	return leaves, c, div, ops + len(leaves) - 1
 }
 
 // run evaluates the statement at n consecutive points, one instruction at a
 // time over all of them. Register x is regs[x·stride : x·stride+n] (the
-// constants' registers already filled to at least n); reads[l] holds the n
-// value vectors read through dependence l and out receives the n results,
-// both Width-interleaved. j is the first point and step the point-to-point
-// step: only Coef reads them, walking a copy in jb.
+// constants' filled); reads[l] holds the n value vectors read through
+// dependence l and out receives the n results, both Width-interleaved. Only
+// Coef reads j (the first point) and step, walking a copy in jb (which may
+// be j itself if step is empty).
 func (st *statement) run(regs []float64, stride, n int, reads [][]float64, out []float64, j, step, jb ilin.Vec) {
 	w := st.width
 	operand := func(x int32) []float64 { // at least n long
@@ -444,12 +507,14 @@ func (st *statement) run(regs []float64, stride, n int, reads [][]float64, out [
 			for i := range x {
 				dst[i*w] = x[i]
 			}
+		case opSum:
+			st.sum.run(d, regs, stride, reads)
 		case opCoef:
 			f := st.coefs[in.a]
 			copy(jb, j)
 			for i := range d {
 				d[i] = f(jb)
-				for k := range jb {
+				for k := range step {
 					jb[k] += step[k]
 				}
 			}
@@ -457,46 +522,34 @@ func (st *statement) run(regs []float64, stride, n int, reads [][]float64, out [
 	}
 }
 
-// point evaluates the statement at the single point i of reads and out (laid
-// out as for run), the same code on scalars: register x is regs[x], the
-// constants' already filled.
-// It is the length-1 form — what Kernel.Point runs, and what a row runs
-// point by point where a point reads the one just before it.
-func (st *statement) point(regs []float64, reads [][]float64, out []float64, i int, j ilin.Vec) {
-	w := st.width
-	val := func(x int32) float64 {
-		if x >= 0 {
-			return regs[x]
+// run evaluates the sum over d in one pass, every point's reads before its
+// write (the [:n] reslices drop the bounds checks). Every product is rounded
+// explicitly, so that no target contracts it into a fused multiply-add.
+func (f *sum) run(d, regs []float64, stride int, reads [][]float64) {
+	n := len(d)
+	operand := func(o int32) []float64 {
+		if o >= 0 {
+			return regs[int(o)*stride:]
 		}
-		return reads[^x][i]
+		return reads[^o]
 	}
-	for _, in := range st.code {
-		var v float64
-		switch in.op {
-		case opAdd:
-			v = val(in.a) + val(in.b)
-		case opSub:
-			v = val(in.a) - val(in.b)
-		case opMul:
-			v = val(in.a) * val(in.b)
-		case opDiv:
-			v = val(in.a) / val(in.b)
-		case opNeg:
-			v = -val(in.a)
-		case opMove:
-			v = val(in.a)
-		case opLoad:
-			v = reads[in.a][i*w+int(in.b)]
-		case opCoef:
-			v = st.coefs[in.a](j)
-		case opStore:
-			out[i*w+int(in.b)] = val(in.a)
-			continue
+	x, c0 := &f.x[0], f.c[0]
+	a0, a1, a2, a3, a4, a5, a6, a7 := operand(x[0])[:n], operand(x[1])[:n], operand(x[2])[:n], operand(x[3])[:n], operand(x[4])[:n], operand(x[5])[:n], operand(x[6])[:n], operand(x[7])[:n]
+	switch {
+	case f.div:
+		for i := range d {
+			d[i] = fold8(a0[i], a1[i], a2[i], a3[i], a4[i], a5[i], a6[i], a7[i]) / c0
 		}
-		if in.dst == outOperand {
-			out[i] = v
-		} else {
-			regs[in.dst] = v
+	case !f.two:
+		for i := range d {
+			d[i] = float64(c0 * fold8(a0[i], a1[i], a2[i], a3[i], a4[i], a5[i], a6[i], a7[i]))
+		}
+	default:
+		y, c1 := &f.x[1], f.c[1]
+		b0, b1, b2, b3, b4, b5, b6, b7 := operand(y[0])[:n], operand(y[1])[:n], operand(y[2])[:n], operand(y[3])[:n], operand(y[4])[:n], operand(y[5])[:n], operand(y[6])[:n], operand(y[7])[:n]
+		for i := range d {
+			d[i] = float64(c0*fold8(a0[i], a1[i], a2[i], a3[i], a4[i], a5[i], a6[i], a7[i])) +
+				float64(c1*fold8(b0[i], b1[i], b2[i], b3[i], b4[i], b5[i], b6[i], b7[i]))
 		}
 	}
 }

@@ -10,9 +10,10 @@ import (
 // reference allocates the global data space and returns the function that
 // computes one point into it, reading each dependence's source from the
 // space — or from Initial where it lies outside: the paper's per-point
-// sequential code. It shares nothing with the row sweeps of RunSequential
-// and the executor but the kernel, so it is the oracle both are checked
-// against.
+// sequential code. It evaluates a statement by walking its trees
+// (treePoint), so it shares nothing with the row sweeps of RunSequential
+// and the executor — not even the lowered kernel — and is the oracle both
+// are checked against.
 func (p *Program) reference() (*Global, func(j ilin.Vec)) {
 	g := NewGlobal(p.lo, p.hi, p.Width)
 	q := p.TS.Nest.Q()
@@ -37,7 +38,7 @@ func (p *Program) reference() (*Global, func(j ilin.Vec)) {
 				reads[l] = buf
 			}
 		}
-		p.Kernel.Point(j, reads, g.At(j))
+		p.Kernel.treePoint(j, reads, g.At(j))
 	}
 }
 

@@ -24,22 +24,19 @@ import (
 // once, so that the register file stays cache-resident however long the row.
 const maxChunk = 1024
 
-// rowEval is the scratch for evaluating rows: a rank's, or the sequential
-// reference's.
+// rowEval is the row-evaluation scratch of a rank or of RunSequential.
 type rowEval struct {
 	width  int64      // values per point
 	stmt   *statement // the statement regs is laid out for
 	regs   []float64  // stmt.nreg registers of stride floats, constants filled
 	stride int
-	scalar []float64   // stmt.nreg scalar registers for point-by-point evaluation
 	reads  [][]float64 // per dependence: the current row's reads
 	pt     [][]float64 // per dependence: the current chunk's (or point's) part of it
 	j, jb  ilin.Vec
 }
 
-// newRowEval builds scratch for evaluating kernel k, width values per point,
-// over rows of up to maxRow n-dimensional points that read through q
-// dependences.
+// newRowEval builds scratch for kernel k, width values per point, over rows
+// of up to maxRow n-dimensional points that read through q dependences.
 func newRowEval(k Kernel, width, n, q, maxRow int) *rowEval {
 	views := make([][]float64, 2*q)
 	js := make(ilin.Vec, 2*n)
@@ -59,23 +56,22 @@ func (ev *rowEval) fit(s *statement, maxRow int) {
 		return
 	}
 	ev.stmt, ev.stride = s, stride
-	ev.regs = s.registers(stride)
-	ev.scalar = s.registers(1)
+	ev.regs = make([]float64, s.nreg*stride)
+	for x, v := range s.consts {
+		for i := range stride {
+			ev.regs[x*stride+i] = v
+		}
+	}
 }
-
-// minChunk is the chunk length below which a statement is cheaper evaluated
-// point by point than an instruction at a time.
-const minChunk = 4
 
 // row evaluates kernel k at the cnt points of a row, the first at ev.j,
 // stepped by step (only Coef and opaque bodies read it): ev.reads[l] holds
 // the values read through dependence l and out receives the results. A read
-// may alias out hazard points back, where a point reads an earlier point of
-// its own row (SOR's innermost dependence); math.MaxInt64 means no read
-// does. The row is evaluated in point order as far as anyone can tell: a
-// statement runs over chunks no longer than the hazard, so every read finds
-// its point written and all of a chunk's loads precede its stores, and a
-// chunk shorter than minChunk goes point by point.
+// may alias out hazard points back (SOR's innermost dependence);
+// math.MaxInt64 means none does. Point order is kept: a statement runs over
+// chunks no longer than the hazard, so each read finds its point written,
+// unless it is one pass (onePass): a point reads before it writes, and point
+// i−hazard was written hazard points earlier.
 func (ev *rowEval) row(k Kernel, cnt, hazard int64, out []float64, step ilin.Vec) {
 	w := ev.width
 	if k.stmt == nil {
@@ -91,17 +87,9 @@ func (ev *rowEval) row(k Kernel, cnt, hazard int64, out []float64, step ilin.Vec
 		return
 	}
 	needJ := len(k.stmt.coefs) > 0
-	chunk := min(cnt, int64(ev.stride), hazard)
-	if chunk < minChunk {
-		for s := 0; s < int(cnt); s++ {
-			k.stmt.point(ev.scalar, ev.reads, out, s, ev.j)
-			if needJ {
-				for d := range ev.j {
-					ev.j[d] += step[d]
-				}
-			}
-		}
-		return
+	chunk := min(cnt, int64(ev.stride))
+	if !k.stmt.onePass {
+		chunk = min(chunk, hazard)
 	}
 	for s := int64(0); s < cnt; s += chunk {
 		c := min(chunk, cnt-s)

@@ -141,8 +141,9 @@ func seqCases(t *testing.T) []seqCase {
 		return tr.H
 	}
 	coef := exec.Coef(func(j ilin.Vec) float64 { return float64(j[0]-2*j[1]) / 32 }, "((double)(j[0] - 2*j[1]) / 32)")
-	// Innermost dependences at distance 2 (under minChunk: point by point)
-	// and 5 (chunks of 5), alone and together with a Coef.
+	// Innermost dependences at distance 2 and 5 under a statement that is
+	// not one pass (its products run first): chunks of 2 and of 5, alone and
+	// together with a Coef.
 	add("hand/inner-2", box(9, 40), depMat([]int64{1, 0}, []int64{0, 2}), rect(3, 8), weighted(2))
 	add("hand/inner-5", box(9, 40), depMat([]int64{1, 0}, []int64{0, 5}), rect(3, 8), weighted(2))
 	add("hand/inner-5-2-coef", box(9, 40), depMat([]int64{0, 5}, []int64{1, 3}, []int64{0, 2}), rect(3, 8), weighted(3, coef))
@@ -238,5 +239,37 @@ func BenchmarkRunSequential(b *testing.B) {
 		if _, err := p.RunSequential(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestShippedStatementsFuse: the statements of SOR, Jacobi and Heat3D and of
+// the heat2d and sor3d DSL templates lower to one fused pass, ADI's does not;
+// and every one of them, run by RunSequential and by RunParallelOpts, leaves
+// the Global bit for bit where the per-point tree walk (RunPointwise) does.
+func TestShippedStatementsFuse(t *testing.T) {
+	for _, c := range seqCases(t) {
+		if strings.HasPrefix(c.name, "hand/") {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			if want := !strings.HasPrefix(c.name, "adi/"); c.p.Kernel.Fused() != want {
+				t.Errorf("kernel fused = %v, want %v", c.p.Kernel.Fused(), want)
+			}
+			ref := c.p.RunPointwise()
+			seq, err := c.p.RunSequential()
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, _, err := c.p.RunParallelOpts(exec.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at, ok := ref.FirstBitDiff(seq); ok {
+				t.Errorf("RunSequential differs from the per-point tree walk at %v", at)
+			}
+			if at, ok := ref.FirstBitDiff(par); ok {
+				t.Errorf("RunParallelOpts differs from the per-point tree walk at %v", at)
+			}
+		})
 	}
 }

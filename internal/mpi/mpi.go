@@ -787,11 +787,13 @@ func (c *Comm) IsendOwned(dst, tag int, data []float64) {
 
 // PendingSends returns how many of this rank's sends are not yet due —
 // the overlap depth at this instant. Without injected wire cost every
-// send is due when issued, and it is always zero.
+// send is due when issued: nothing is ever pending, and it reads no clock.
 func (c *Comm) PendingSends() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.dues = stillDue(c.dues, time.Now())
+	if len(c.dues) > 0 {
+		c.dues = stillDue(c.dues, time.Now())
+	}
 	return len(c.dues)
 }
 
