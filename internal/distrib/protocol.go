@@ -202,9 +202,14 @@ type TilePlan struct {
 	Uz   []int64
 	// Read[r·q+l] = FlatRead(j', d'_l, 0) of row r's first point; point i of
 	// the row reads cell Read[r·q+l] + i and writes Rows[r].Write + i.
-	Read       []int64
-	MaxRow     int      // the longest row, in points
-	uzLo, uzHi ilin.Vec // the shape's bounding box
+	Read []int64
+	// Segs is the row table again, cut into row classes with one constant
+	// read offset per dependence: what the executor's compute phase walks.
+	Segs   []Segment
+	MaxRow int // the longest row, in points
+	// UzLo and UzHi bound the tile-relative points U·z of every row, ends
+	// included: the shape's box, which P·j^S places.
+	UzLo, UzHi ilin.Vec
 	// Dirs[d] holds the communication region along DM[d] as contiguous runs
 	// in pack order.
 	Dirs []DirPlan
@@ -212,6 +217,25 @@ type TilePlan struct {
 	// checkpoint layer's O(1) dirty bound.
 	MaxWrite int64
 	MaxRead  int64
+}
+
+// Segment is a maximal run of consecutive rows of a TilePlan, in scan
+// order, that read at one offset vector from their writes: point i of each
+// of its rows writes cell Write + i and reads cell Write + i + Off[l]
+// through dependence l. This is the paper's §3 argument that a rectangular
+// TTIS makes LDS addressing cheap, seen per row: the offset is
+// Read[r·q+l] − Rows[r].Write, one vector per plan on every rectangular
+// tiling of the shipped apps and on SOR's non-rectangular one, while
+// Jacobi's and Heat3D's non-rectangular tilings cut a plan into a few that
+// interleave. Segments follow scan order, so evaluating them in turn visits
+// the points in the order the rows do.
+type Segment struct {
+	Off   []int64 // per dependence
+	Rows  []Row   // the window TilePlan.Rows[First : First+len(Rows)]
+	First int
+	// Back is the least −Off[l] > 0, math.MaxInt64 if none: a point reads
+	// the point Back before it in its row, if the row is longer.
+	Back int64
 }
 
 // Row is one TTIS row of a TilePlan: N points whose write cells are
@@ -600,8 +624,8 @@ func (d *Distribution) compilePlan(addr *Addresser, chainLen int64, sh *tileShap
 		for k := range end {
 			end[k] = uz[k] + last*pr.RowStep[k]
 		}
-		widen(&pl.uzLo, &pl.uzHi, uz)
-		widen(&pl.uzLo, &pl.uzHi, end)
+		widen(&pl.UzLo, &pl.UzHi, uz)
+		widen(&pl.UzLo, &pl.UzHi, end)
 		pl.Rows[r] = Row{N: int32(last + 1), Write: addr.Flat(jp, 0)}
 		pl.Npts += int(last + 1)
 		pl.MaxRow = max(pl.MaxRow, int(last+1))
@@ -611,10 +635,35 @@ func (d *Distribution) compilePlan(addr *Addresser, chainLen int64, sh *tileShap
 			pl.MaxRead = max(pl.MaxRead, pl.Read[r*q+l]+last)
 		}
 	}
+	pl.Segs = segments(pl, q)
 	for di := range d.DM {
 		pl.Dirs[di] = d.regionRuns(sh, di, addr)
 	}
 	return pl
+}
+
+// segments cuts pl's rows into row classes: a new segment wherever a row's
+// offset vector differs from the row's before.
+func segments(pl *TilePlan, q int) []Segment {
+	var segs []Segment
+	off := make([]int64, q)
+	for r, row := range pl.Rows {
+		for l := range off {
+			off[l] = pl.Read[r*q+l] - row.Write
+		}
+		if k := len(segs) - 1; k >= 0 && slices.Equal(segs[k].Off, off) {
+			segs[k].Rows = pl.Rows[segs[k].First : r+1]
+			continue
+		}
+		sg := Segment{Off: slices.Clone(off), Rows: pl.Rows[r : r+1], First: r, Back: math.MaxInt64}
+		for _, o := range off {
+			if o < 0 {
+				sg.Back = min(sg.Back, -o)
+			}
+		}
+		segs = append(segs, sg)
+	}
+	return segs
 }
 
 // widen grows the box [lo, hi] to hold v; a nil box starts at v.
@@ -649,9 +698,9 @@ func (d *Distribution) boundaryReads(sl *SlotPlan) []BoundaryRun {
 	for _, c := range d.TS.Nest.Space.Cons {
 		for k := range src {
 			if c.Coef[k].Sign() > 0 {
-				src[k] = sl.PBase[k] + pl.uzHi[k] - pr.depLo[k]
+				src[k] = sl.PBase[k] + pl.UzHi[k] - pr.depLo[k]
 			} else {
-				src[k] = sl.PBase[k] + pl.uzLo[k] - pr.depHi[k]
+				src[k] = sl.PBase[k] + pl.UzLo[k] - pr.depHi[k]
 			}
 		}
 		if !c.SatisfiedBy(src) {

@@ -1,7 +1,10 @@
 package distrib_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tilespace/internal/apps"
@@ -16,7 +19,8 @@ import (
 // heat nest, under rectangular and non-rectangular tilings, on interior and
 // clamped shapes, expanding the rows reproduces ScanTilePoints order,
 // Addresser.Flat / FlatRead for every point and dependence, and the global
-// point P·j^S + U·z.
+// point P·j^S + U·z; and the row classes are its rows cut into maximal runs
+// of one read-to-write offset vector (checkSegments).
 func TestRowsAreTheScan(t *testing.T) {
 	type appCase struct {
 		name    string
@@ -110,9 +114,54 @@ func checkRows(t *testing.T, name string, d *distrib.Distribution) (full, clampe
 			if longest != pl.MaxRow {
 				t.Fatalf("%s: rank %d tile %v: MaxRow %d, longest row %d", name, r, sl.Tile, pl.MaxRow, longest)
 			}
+			checkSegments(t, fmt.Sprintf("%s: rank %d tile %v", name, r, sl.Tile), pl, n, q, pr.RowStep)
 		}
 	}
 	return full, clamped
+}
+
+// checkSegments checks pl's row classes: its segments cut the rows, in
+// order, into maximal runs whose reads lie at one offset vector from their
+// writes, Back is the least backward offset, and the box [UzLo, UzHi] holds
+// every point of every row.
+func checkSegments(t *testing.T, name string, pl *distrib.TilePlan, n, q int, step ilin.Vec) {
+	t.Helper()
+	r := 0
+	for k, sg := range pl.Segs {
+		if sg.First != r || len(sg.Rows) == 0 || &sg.Rows[0] != &pl.Rows[r] {
+			t.Fatalf("%s: segment %d starts at row %d, not at row %d", name, k, sg.First, r)
+		}
+		if k > 0 && slices.Equal(sg.Off, pl.Segs[k-1].Off) {
+			t.Fatalf("%s: segments %d and %d share their offsets: not maximal", name, k-1, k)
+		}
+		back := int64(math.MaxInt64)
+		for l, o := range sg.Off {
+			if o < 0 {
+				back = min(back, -o)
+			}
+			for i, row := range sg.Rows {
+				if got := pl.Read[(r+i)*q+l] - row.Write; got != o {
+					t.Fatalf("%s: row %d reads dependence %d at offset %d, its segment says %d", name, r+i, l, got, o)
+				}
+			}
+		}
+		if sg.Back != back {
+			t.Fatalf("%s: segment %d: Back %d, want %d", name, k, sg.Back, back)
+		}
+		r += len(sg.Rows)
+	}
+	if r != len(pl.Rows) {
+		t.Fatalf("%s: segments hold %d of %d rows", name, r, len(pl.Rows))
+	}
+	for r, row := range pl.Rows {
+		for _, i := range []int64{0, int64(row.N) - 1} {
+			for k := 0; k < n; k++ {
+				if u := pl.Uz[r*n+k] + i*step[k]; u < pl.UzLo[k] || u > pl.UzHi[k] {
+					t.Fatalf("%s: row %d point %d lies outside the box [%v, %v]", name, r, i, pl.UzLo, pl.UzHi)
+				}
+			}
+		}
+	}
 }
 
 // boxDist tiles the box [0, hi] rectangularly and maps it along dimension 0.

@@ -83,28 +83,6 @@ func (g *Global) Row(j ilin.Vec, n int64) []float64 {
 	return g.data[i : i+n*int64(g.Width)]
 }
 
-// setRow stores the value vectors src of n points evenly spaced on the
-// segment from first to last (both checked against the box, so every point
-// between is inside it too): one copy when the points are adjacent in the
-// backing array, a strided loop otherwise.
-func (g *Global) setRow(first, last ilin.Vec, n int, src []float64) {
-	w := g.Width
-	at := g.index(first)
-	if n == 1 {
-		copy(g.data[at:at+int64(w)], src)
-		return
-	}
-	step := (g.index(last) - at) / int64(n-1)
-	if step == int64(w) {
-		copy(g.data[at:at+int64(n*w)], src)
-		return
-	}
-	for i := 0; i < n; i++ {
-		copy(g.data[at:at+int64(w)], src[i*w:(i+1)*w])
-		at += step
-	}
-}
-
 // MaxAbsDiff returns the maximum absolute elementwise difference between
 // two globals over the points where fn returns true (typically the
 // iteration space), along with the first point achieving it. NaN in either

@@ -249,9 +249,11 @@ func lower(slots []*Expr) *statement {
 	st.nreg = len(st.consts)
 	switch {
 	case fused:
+		pad := lw.constant(math.Copysign(0, -1))
 		for t := range leaves {
+			f.x[t] = [foldMax]int32{pad, pad, pad, pad, pad, pad, pad, pad}
 			for m, l := range leaves[t] {
-				f.x[t][m] = lw.emit(l)
+				f.x[t][foldMax-len(leaves[t])+m] = lw.emit(l)
 			}
 		}
 		st.sum = f
@@ -379,8 +381,10 @@ const foldMax = 8 // the most operands a fused sum's fold reads
 
 // sum is the fused instruction c0·F0, F0/c0 or c0·F0 + c1·F1 (− c·F1 is
 // + (−c)·F1), a fold F = ((x0 + x1) + …) + x7 adding operands in place from
-// the LDS, temporaries or constants. Past its k operands a fold adds −0,
-// which leaves every value as it is. An unscaled term is 1·F.
+// the LDS, temporaries or constants. A fold of k operands starts with 8 − k
+// operands −0, which leave every value as it is (−0 + x is x) and read
+// nothing: a read of the point just written (SOR's) heads a chain of no
+// more additions than the k operands make. An unscaled term is 1·F.
 type sum struct {
 	x        [2][foldMax]int32
 	c        [2]float64
@@ -396,7 +400,7 @@ func fold8(x0, x1, x2, x3, x4, x5, x6, x7 float64) float64 {
 // e's operands as two terms joined by e's ±, whichever absorbs more of the
 // tree's operations; not a fold longer than foldMax, nor a sum absorbing
 // fewer than two (a plain instruction's one). leaves[t] are term t's
-// operands, padded, which the caller emits.
+// operands, which the caller emits after the padding.
 func (lw *lowerer) fuse(e *Expr) (f sum, leaves [2][]*Expr, ok bool) {
 	var ops int
 	leaves[0], f.c[0], f.div, ops = lw.term(e, true)
@@ -415,13 +419,7 @@ func (lw *lowerer) fuse(e *Expr) (f sum, leaves [2][]*Expr, ok bool) {
 		return f, leaves, false
 	}
 	f.two = leaves[1] != nil
-	pad := Const(math.Copysign(0, -1))
-	for t := range leaves {
-		for len(leaves[t]) > 0 && len(leaves[t]) < foldMax {
-			leaves[t] = append(leaves[t], pad)
-		}
-	}
-	lw.constant(pad.val) // a register below the temporaries
+	lw.constant(math.Copysign(0, -1)) // the folds' padding: a register below the temporaries
 	return f, leaves, true
 }
 

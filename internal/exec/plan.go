@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"math"
 	"sync"
 
 	"tilespace/internal/distrib"
@@ -73,6 +72,10 @@ func (ev *rowEval) fit(s *statement, maxRow int) {
 // unless it is one pass (onePass): a point reads before it writes, and point
 // i−hazard was written hazard points earlier.
 func (ev *rowEval) row(k Kernel, cnt, hazard int64, out []float64, step ilin.Vec) {
+	if s := k.stmt; s != nil && s.onePass && s.code[0].op == opSum && cnt <= int64(ev.stride) {
+		s.sum.run(out, ev.regs, ev.stride, ev.reads) // the fused sum alone, straight from the reads
+		return
+	}
 	w := ev.width
 	if k.stmt == nil {
 		for s := int64(0); s < cnt; s++ {
@@ -105,69 +108,78 @@ func (ev *rowEval) row(k Kernel, cnt, hazard int64, out []float64, step ilin.Vec
 	}
 }
 
-// rows evaluates the kernel over every row of pl placed at chain slot t, in
-// scan order. A row reads the LDS cells its table names; one that lies
-// before the row's write cell in the same row is a hazard (row).
-func (ev *rowEval) rows(st *rankState, pl *distrib.TilePlan, t int64) {
-	k := st.p.Kernel
+// computePhasePlanned sweeps the tile through the compiled address
+// program: zero divisions, zero map lookups, zero allocations. It evaluates
+// the rows of pl placed at chain slot t a segment at a time, in scan order:
+// across a segment each dependence reads at one offset from the written
+// cell, so a row is its write cell and length, and a read Back cells back in
+// the row is a hazard (row).
+func (st *rankState) computePhasePlanned(pl *distrib.TilePlan, t int64) {
+	ev, k := st.ev, st.p.Kernel
 	w := ev.width
 	n := st.p.TS.T.N
-	q := len(ev.reads)
 	tOff := t * st.ChainStep
 	la := st.la
 	if k.stmt != nil {
 		ev.fit(k.stmt, st.MaxRow) // a no-op unless the program's kernel was replaced
 	}
 	needJ := k.stmt == nil || len(k.stmt.coefs) > 0
-	for r, row := range pl.Rows {
-		cnt := int64(row.N)
-		if needJ {
-			uz := pl.Uz[r*n : r*n+n]
-			for d := range ev.j {
-				ev.j[d] = st.pBase[d] + uz[d]
+	for _, sg := range pl.Segs {
+		for i, row := range sg.Rows {
+			if needJ {
+				for d, u := range pl.Uz[(sg.First+i)*n:][:n] {
+					ev.j[d] = st.pBase[d] + u
+				}
 			}
-		}
-		hazard := int64(math.MaxInt64)
-		for l, c := range pl.Read[r*q : r*q+q] {
-			ev.reads[l] = la[(c+tOff)*w:][:cnt*w]
-			if d := row.Write - c; d > 0 {
-				hazard = min(hazard, d)
+			c, cnt := row.Write+tOff, int64(row.N)
+			for l, o := range sg.Off {
+				ev.reads[l] = la[(c+o)*w:][:cnt*w]
 			}
+			ev.row(k, cnt, sg.Back, la[c*w:][:cnt*w], st.rowStep)
 		}
-		ev.row(k, cnt, hazard, la[(row.Write+tOff)*w:][:cnt*w], st.rowStep)
 	}
-}
-
-// computePhasePlanned sweeps the tile through the compiled address
-// program: zero divisions, zero map lookups, zero allocations.
-func (st *rankState) computePhasePlanned(pl *distrib.TilePlan, t int64) {
-	st.ev.rows(st, pl, t)
-	st.markDirty((pl.MaxWrite + t*st.ChainStep + 1) * int64(st.p.Width))
+	st.markDirty((pl.MaxWrite + tOff + 1) * w)
 	st.chargePointDelay(int64(pl.Npts))
 }
 
 // rankInit holds one rank's boundary values: for every chain slot, the value
 // vectors Initial gives the sources of its boundary runs, in run order.
-// at[t] is where slot t's values start.
+// at[t] is where slot t's values start. rowAt[t][r] is where row r of slot
+// t's plan lies in the Global past its box's corner (writeBack).
 type rankInit struct {
-	once sync.Once
-	vals []float64
-	at   []int
+	once  sync.Once
+	vals  []float64
+	at    []int
+	rowAt [][]int64 // shared by consecutive slots of one plan
+	step  int64     // a row's stride in the Global
 }
 
-// boundaryValues returns rank r's boundary values, evaluating Initial over
-// the rank's boundary runs on first use: once per Program, not once per run.
+// boundaryValues returns rank r's boundary values and write-back offsets,
+// evaluating Initial over the rank's boundary runs on first use: once per
+// Program, not once per run.
 func (p *Program) boundaryValues(r int, rp *distrib.RankPlan) *rankInit {
 	ri := &p.inits[r]
 	ri.once.Do(func() {
 		pr := p.Dist.Protocol()
 		n := p.TS.T.N
 		w := p.Width
+		stride := make(ilin.Vec, n) // the Global's (NewGlobal), in values
+		for k, s := n-1, int64(w); k >= 0; k-- {
+			stride[k], s = s, s*(p.hi[k]-p.lo[k]+1)
+		}
+		ri.step = stride.Dot(pr.RowStep)
 		total := 0
-		ri.at = make([]int, len(rp.Slots))
-		for t := range rp.Slots {
+		ri.at, ri.rowAt = make([]int, len(rp.Slots)), make([][]int64, len(rp.Slots))
+		for t, sl := range rp.Slots {
 			ri.at[t] = total * w
-			total += rp.Slots[t].BoundaryValues()
+			total += sl.BoundaryValues()
+			if t > 0 && sl.Plan == rp.Slots[t-1].Plan {
+				ri.rowAt[t] = ri.rowAt[t-1]
+				continue
+			}
+			for r := range sl.Plan.Rows {
+				ri.rowAt[t] = append(ri.rowAt[t], stride.Dot(sl.Plan.Uz[r*n:r*n+n])-stride.Dot(sl.Plan.UzLo))
+			}
 		}
 		ri.vals = make([]float64, total*w)
 		src := make(ilin.Vec, n)
@@ -218,23 +230,32 @@ func (st *rankState) initPhasePlanned(sl *distrib.SlotPlan, t int64) {
 // via the computer-owns rule. Ranks own disjoint iteration points, so the
 // concurrent writes touch disjoint memory. Each chain slot's row table is
 // replayed — including the slots a chain resumed from a snapshot skipped,
-// whose LDS values were restored.
+// whose LDS values were restored — at the compiled row offsets, checked
+// once per slot: the plan's box, placed, holds every point of its rows.
 func (st *rankState) writeBack(g *Global) {
 	w := int64(st.p.Width)
-	n := st.p.TS.T.N
-	first, last := st.ev.j, st.ev.jb
-	for t := range st.Slots {
-		sl := &st.Slots[t]
-		pl := sl.Plan
+	lo, hi := st.ev.j, st.ev.jb
+	for t, sl := range st.Slots {
+		if sl.Npts == 0 {
+			continue
+		}
+		for k := range lo {
+			lo[k], hi[k] = sl.PBase[k]+sl.Plan.UzLo[k], sl.PBase[k]+sl.Plan.UzHi[k]
+		}
+		base := g.index(lo)
+		g.index(hi)
 		tOff := int64(t) * st.ChainStep
-		for r, row := range pl.Rows {
-			uz := pl.Uz[r*n : r*n+n]
-			for k := 0; k < n; k++ {
-				first[k] = sl.PBase[k] + uz[k]
-				last[k] = first[k] + int64(row.N-1)*st.rowStep[k]
+		for r, row := range sl.Plan.Rows {
+			at, nw := base+st.init.rowAt[t][r], int64(row.N)*w
+			src := st.la[(row.Write+tOff)*w:][:nw]
+			if st.init.step == w {
+				copy(g.data[at:at+nw], src)
+				continue
 			}
-			cell := (row.Write + tOff) * w
-			g.setRow(first, last, int(row.N), st.la[cell:cell+int64(row.N)*w])
+			for i := int64(0); i < nw; i += w {
+				copy(g.data[at:at+w], src[i:i+w])
+				at += st.init.step
+			}
 		}
 	}
 }

@@ -11,24 +11,32 @@ import (
 // BenchmarkRowKernel times the compute phase of the largest tile of each
 // shipped statement — Jacobi's 0.2·Σ5, SOR's two scaled folds at in-row
 // distance 1, Heat3D's Σ7/7 and ADI's width-2 statement with its Coef — and
-// reports nanoseconds per point.
+// reports nanoseconds per point. The arms tile rectangularly, with rows of
+// 24 to 108 points, but for sor_fine: the benchmark's SOR plan, non-rectangular
+// tiles whose rows hold at most 4 points.
 func BenchmarkRowKernel(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		build   func(t, n int64) (*apps.App, error)
 		t, n    int64
 		x, y, z int64
+		nr      bool // the app's first non-rectangular family, not Rect
 	}{
-		{"jacobi", apps.Jacobi, 8, 96, 2, 54, 108},
-		{"sor", apps.SOR, 8, 48, 4, 24, 48},
-		{"heat3d", apps.Heat3D, 4, 24, 2, 12, 24},
-		{"adi", apps.ADI, 8, 96, 2, 48, 96},
+		{"jacobi", apps.Jacobi, 8, 96, 2, 54, 108, false},
+		{"sor", apps.SOR, 8, 48, 4, 24, 48, false},
+		{"sor_fine", apps.SOR, 10, 40, 2, 4, 4, true},
+		{"heat3d", apps.Heat3D, 4, 24, 2, 12, 24, false},
+		{"adi", apps.ADI, 8, 96, 2, 48, 96, false},
 	} {
 		a, err := c.build(c.t, c.n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ts, err := tiling.Analyze(a.Nest, a.Rect.H(c.x, c.y, c.z))
+		fam := a.Rect
+		if c.nr {
+			fam = a.NonRect[0]
+		}
+		ts, err := tiling.Analyze(a.Nest, fam.H(c.x, c.y, c.z))
 		if err != nil {
 			b.Fatal(err)
 		}
