@@ -24,12 +24,20 @@ func adiCoef(i, j int64) float64 {
 	return 0.01 + float64((i*13+j*7)%8)/100
 }
 
-func kernel(j []int64, reads [][]float64, out []float64) {
-	a := adiCoef(j[1], j[2])
-	prev, up, left := reads[0], reads[1], reads[2]
-	out[0] = prev[0] + left[0]*a/left[1] - up[0]*a/up[1] // X
-	out[1] = prev[1] - a*a/left[1] - a*a/up[1]           // B
-}
+// kernel reads prev, up and left through dependences 0, 1 and 2; slot 0 is
+// X and slot 1 is B. The coefficient a = A[i,j] comes with its C form.
+var kernel = func() tilespace.Kernel {
+	a := tilespace.Coef(func(j []int64) float64 { return adiCoef(j[1], j[2]) }, "(0.01 + (double)((j[1]*13 + j[2]*7) % 8) / 100)")
+	x := func(dep int) *tilespace.Expr { return tilespace.Read(dep, 0) }
+	b := func(dep int) *tilespace.Expr { return tilespace.Read(dep, 1) }
+	aa := tilespace.Mul(a, a)
+	return tilespace.Statement(
+		// X = prev.X + left.X·a/left.B − up.X·a/up.B
+		tilespace.Sub(tilespace.Add(x(0), tilespace.Div(tilespace.Mul(x(2), a), b(2))), tilespace.Div(tilespace.Mul(x(1), a), b(1))),
+		// B = prev.B − a·a/left.B − a·a/up.B
+		tilespace.Sub(tilespace.Sub(b(0), tilespace.Div(aa, b(2))), tilespace.Div(aa, b(1))),
+	)
+}()
 
 func initial(j []int64, out []float64) {
 	out[0] = 1

@@ -55,9 +55,9 @@ func main() {
 	}
 
 	// Compile and verify the winner with a real stencil.
-	kernel := func(j []int64, reads [][]float64, out []float64) {
-		out[0] = 0.4*reads[0][0] + 0.3*reads[1][0] + 0.3*reads[2][0] + 1
-	}
+	// out[0] = ((0.4·r0 + 0.3·r1) + 0.3·r2) + 1, r_l read through dependence l.
+	term := func(c float64, l int) *tilespace.Expr { return tilespace.Mul(tilespace.Const(c), tilespace.Read(l, 0)) }
+	kernel := tilespace.Statement(tilespace.Add(tilespace.Add(tilespace.Add(term(0.4, 0), term(0.3, 1)), term(0.3, 2)), tilespace.Const(1)))
 	prog, err := tilespace.Compile(nest, tilespace.CandidateTiling(best),
 		tilespace.CompileOptions{MapDim: best.MapDim, Kernel: kernel})
 	if err != nil {

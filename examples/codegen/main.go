@@ -2,7 +2,7 @@
 // SOR — the deliverable of the paper's automatic code generation tool. The
 // loop nest, its skew, the tiling and the kernel all come from the DSL
 // program sor.nest (`tilec -src examples/codegen/sor.nest` compiles the same
-// file); the C kernel is the parsed statement printed (Source.KernelC), the
+// file); the C kernel is the parsed statement printed (Kernel.C), the
 // statement the Go executor runs. The output compiles with
 // `mpicc sor_nr.c -o sor_nr` on any MPI installation and runs with
 // `mpirun -np <procs> ./sor_nr`.
@@ -35,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	src, err := prog.GenerateC(tilespace.CodegenOptions{Name: "sor_nr", KernelStmt: parsed.KernelC})
+	src, err := prog.GenerateC(tilespace.CodegenOptions{Name: "sor_nr"})
 	if err != nil {
 		log.Fatal(err)
 	}

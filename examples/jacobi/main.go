@@ -38,9 +38,10 @@ func buildNest() (*tilespace.LoopNest, error) {
 	return nest.Skew([][]int64{{1, 0, 0}, {1, 1, 0}, {1, 0, 1}})
 }
 
-func kernel(j []int64, reads [][]float64, out []float64) {
-	out[0] = 0.2 * (reads[0][0] + reads[1][0] + reads[2][0] + reads[3][0] + reads[4][0])
-}
+// kernel is out[0] = 0.2·(r0 + r1 + r2 + r3 + r4), r_l being the value read
+// through dependence l, summed left to right.
+var kernel = tilespace.Statement(tilespace.Mul(tilespace.Const(0.2), tilespace.Add(tilespace.Add(tilespace.Add(tilespace.Add(
+	tilespace.Read(0, 0), tilespace.Read(1, 0)), tilespace.Read(2, 0)), tilespace.Read(3, 0)), tilespace.Read(4, 0))))
 
 func main() {
 	nest, err := buildNest()

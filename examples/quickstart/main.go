@@ -34,11 +34,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The loop body as a statement: out[0] = (1 + reads[0][0]) + reads[1][0],
+	// where reads[l] is the value at j − d_l.
+	one, up, left := tilespace.Const(1), tilespace.Read(0, 0), tilespace.Read(1, 0)
 	prog, err := tilespace.Compile(nest, h, tilespace.CompileOptions{
 		MapDim: -1, // map tiles along the longest dimension (§3.1)
-		Kernel: func(j []int64, reads [][]float64, out []float64) {
-			out[0] = 1 + reads[0][0] + reads[1][0]
-		},
+		Kernel: tilespace.Statement(tilespace.Add(tilespace.Add(one, up), left)),
 	})
 	if err != nil {
 		log.Fatal(err)

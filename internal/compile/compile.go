@@ -5,6 +5,7 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -33,8 +34,9 @@ type Spec struct {
 	// Width is the number of values per iteration point: 0 means 1, and a
 	// negative width is an error.
 	Width int
-	// Kernel computes one point; the zero Kernel is a no-op, for analysis
-	// and C emission only. Initial defaults to zeros.
+	// Kernel computes one point. The zero Kernel is a statement storing 0
+	// in every slot, for analysis and C emission only: C then needs
+	// KernelC. Initial defaults to zeros.
 	Kernel  exec.Kernel
 	Initial exec.Initial
 	// KernelC and InitialC are the generated program's kernel and boundary
@@ -65,6 +67,7 @@ type Artifact struct {
 	Prog            *exec.Program
 
 	name, kernelC, initialC string
+	noKernel                bool // the Spec gave no Kernel: Prog's stores zeros
 	report                  lazy[string]
 	points                  lazy[int64]
 	cert                    lazy[*verify.Report]
@@ -106,8 +109,13 @@ func Compile(s Spec) (*Artifact, error) {
 	if s.Width == 0 {
 		s.Width = 1
 	}
-	if s.Kernel.IsZero() {
-		s.Kernel = exec.PointKernel(func(ilin.Vec, [][]float64, []float64) {})
+	noKernel := s.Kernel.IsZero()
+	if noKernel && s.Width > 0 {
+		zeros := make([]*exec.Expr, s.Width)
+		for i := range zeros {
+			zeros[i] = exec.Const(0)
+		}
+		s.Kernel = exec.Statement(zeros...)
 	}
 	prog, err := exec.NewProgram(ts, s.MapDim, s.Width, s.Kernel, s.Initial)
 	if err != nil {
@@ -119,7 +127,7 @@ func Compile(s Spec) (*Artifact, error) {
 	return &Artifact{
 		Source: s.Source, Width: s.Width, Procs: prog.Dist.NumProcs(),
 		Tiles: ts.NumTiles(), TileSize: ts.T.TileSize, Prog: prog,
-		name: s.Name, kernelC: s.KernelC, initialC: s.InitialC,
+		name: s.Name, kernelC: s.KernelC, initialC: s.InitialC, noKernel: noKernel,
 	}, nil
 }
 
@@ -170,22 +178,25 @@ func (a *Artifact) Certificate() (*verify.Report, error) {
 // and its kernel and boundary values in C.
 func (a *Artifact) C() (string, error) {
 	return a.code.get(func() (string, error) {
-		kernelC := a.kernelC
-		if kernelC == "" {
-			var err error
-			if kernelC, err = a.Prog.Kernel.C(); err != nil {
-				return "", fmt.Errorf("codegen: the spec gives no C kernel (a statement block filling out from R0…): %w", err)
-			}
-		}
-		return a.Emit(codegen.Options{Name: a.name, KernelStmt: kernelC, InitialStmt: a.initialC})
+		return a.Emit(codegen.Options{Name: a.name, KernelStmt: a.kernelC, InitialStmt: a.initialC})
 	})
 }
 
-// Emit generates the C+MPI program under explicit options, uncached; a zero
-// Width is the program's.
+// Emit generates the C+MPI program under explicit options, uncached: a zero
+// Width is the program's, and an empty KernelStmt prints the program's
+// kernel (exec.Kernel.C), which a Spec without a Kernel does not have.
 func (a *Artifact) Emit(opts codegen.Options) (string, error) {
 	if opts.Width == 0 {
 		opts.Width = a.Prog.Width
+	}
+	if opts.KernelStmt == "" {
+		err := errors.New("compile: the spec gives no kernel")
+		if !a.noKernel {
+			opts.KernelStmt, err = a.Prog.Kernel.C()
+		}
+		if err != nil {
+			return "", fmt.Errorf("codegen: the spec gives no C kernel (a statement block filling out from R0…): %w", err)
+		}
 	}
 	g, err := codegen.New(a.Prog.Dist, opts)
 	if err != nil {

@@ -26,7 +26,6 @@ func ExampleCompile() {
 		sum = exec.Add(sum, exec.Read(l, 0)) // reads[l][0], left to right
 	}
 	kernel := exec.Statement(exec.Mul(exec.Const(0.2), sum))
-	// an opaque body is still a Kernel: exec.PointKernel(func(j, reads, out) {…})
 	art, _ := compile.Compile(compile.Spec{Nest: nest, H: h, MapDim: -1, Kernel: kernel, Initial: initial})
 	g, stats, _ := art.Prog.RunParallelOpts(exec.RunOptions{}) // art.Certificate(), art.C() on demand
 	// README: end

@@ -6,7 +6,6 @@ import (
 
 	"tilespace/internal/apps"
 	"tilespace/internal/exec"
-	"tilespace/internal/ilin"
 	"tilespace/internal/tiling"
 )
 
@@ -33,34 +32,6 @@ func classProgram(t *testing.T, build func(t, n int64) (*apps.App, error), m, n 
 	return p
 }
 
-// pointwise runs p in the original lexicographic order, one point at a time
-// through Kernel.Point, each read from the Global or, outside the space,
-// from Initial: the per-point form of the loop body, with no row in it.
-func pointwise(p *exec.Program, lo, hi ilin.Vec) *exec.Global {
-	g := exec.NewGlobal(lo, hi, p.Width)
-	q := p.TS.Nest.Q()
-	reads := make([][]float64, q)
-	buf := make([]float64, q*p.Width)
-	src := make(ilin.Vec, len(lo))
-	p.ScanSpace(func(j ilin.Vec) bool {
-		for l := range reads {
-			dep := p.TS.Nest.Dep(l)
-			for k := range src {
-				src[k] = j[k] - dep[k]
-			}
-			if p.TS.Nest.Space.Contains(src) {
-				reads[l] = g.At(src)
-			} else {
-				reads[l] = buf[l*p.Width : (l+1)*p.Width]
-				p.Initial(src, reads[l])
-			}
-		}
-		p.Kernel.Point(j, reads, g.At(j))
-		return true
-	})
-	return g
-}
-
 // TestRowClasses pins what the row classes rest on. On the benchmark's two
 // run plans — sor_fine (SOR, non-rectangular 2×4×4 tiles, rows of at most
 // 4 points) and jacobi_coarse (Jacobi, rectangular 2×102×204) — every
@@ -68,8 +39,8 @@ func pointwise(p *exec.Program, lo, hi ilin.Vec) *exec.Global {
 // write on every row. On Jacobi's non-rectangular tiling plans are cut into
 // several segments whose offset vectors interleave in scan order (one
 // recurs after another), and the executor, which runs a tile a segment at a
-// time, computes bit for bit what RunSequential and per-point Kernel.Point
-// compute.
+// time, computes bit for bit what RunSequential and the per-point tree walk
+// (RunPointwise) compute.
 func TestRowClasses(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -143,7 +114,7 @@ func TestRowClasses(t *testing.T) {
 	if at, differ := par.FirstBitDiff(seq); differ {
 		t.Errorf("the parallel run differs from RunSequential at %v", at)
 	}
-	if at, differ := par.FirstBitDiff(pointwise(p, seq.Lo, seq.Hi)); differ {
-		t.Errorf("the parallel run differs from per-point Kernel.Point at %v", at)
+	if at, differ := par.FirstBitDiff(p.RunPointwise()); differ {
+		t.Errorf("the parallel run differs from the per-point tree walk at %v", at)
 	}
 }

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"tilespace/internal/ilin"
@@ -12,18 +10,8 @@ import (
 	"tilespace/internal/tiling"
 )
 
-// sumKernel: out = 1 + Σ reads — integer-valued, any placement error
-// changes the result. An opaque per-point body.
-var sumKernel = PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-	s := 1.0
-	for _, r := range reads {
-		s += r[0]
-	}
-	out[0] = s
-})
-
-// sumStatement is sumKernel over q dependences as a statement: the same
-// additions in the same order, evaluated a row at a time.
+// sumStatement is out = 1 + Σ reads over q dependences, added left to right:
+// integer-valued, so any placement error changes the result.
 func sumStatement(q int) Kernel {
 	e := Const(1)
 	for l := 0; l < q; l++ {
@@ -89,7 +77,7 @@ func TestParallelRect2D(t *testing.T) {
 	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{19, 23},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(4, 4)
-	p := buildProgram(t, nest, tr.H, 0, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, tr.H, 0, 1, sumStatement(nest.Q()), zeroInit)
 	if p.Dist.NumProcs() != 6 {
 		t.Fatalf("procs = %d, want 6", p.Dist.NumProcs())
 	}
@@ -100,7 +88,7 @@ func TestParallelRect2DRaggedBoundary(t *testing.T) {
 	nest := mustBox(t, []string{"i", "j"}, []int64{1, 1}, []int64{17, 20},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(4, 3)
-	p := buildProgram(t, nest, tr.H, 1, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, tr.H, 1, 1, sumStatement(nest.Q()), zeroInit)
 	comparePrograms(t, p)
 }
 
@@ -111,7 +99,7 @@ func TestParallelNonRect2D(t *testing.T) {
 	}
 	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{15, 15},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
-	p := buildProgram(t, nest, h, 0, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, h, 0, 1, sumStatement(nest.Q()), zeroInit)
 	comparePrograms(t, p)
 }
 
@@ -120,7 +108,7 @@ func TestParallelNonZeroInitial(t *testing.T) {
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(3, 3)
 	init := func(j ilin.Vec, out []float64) { out[0] = float64(j[0]*3 + j[1]) }
-	p := buildProgram(t, nest, tr.H, 0, 1, sumKernel, init)
+	p := buildProgram(t, nest, tr.H, 0, 1, sumStatement(nest.Q()), init)
 	comparePrograms(t, p)
 }
 
@@ -150,14 +138,14 @@ func TestParallelSkewedSOR(t *testing.T) {
 	h.Set(1, 1, rat.New(1, 5))
 	h.Set(2, 0, rat.New(-1, 4))
 	h.Set(2, 2, rat.New(1, 4))
-	p := buildProgram(t, nest, h, 2, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, h, 2, 1, sumStatement(nest.Q()), zeroInit)
 	comparePrograms(t, p)
 }
 
 func TestParallelSkewedSORRect(t *testing.T) {
 	nest := sorNest(t, 4, 8)
 	tr, _ := tiling.Rectangular(2, 5, 4)
-	p := buildProgram(t, nest, tr.H, 2, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, tr.H, 2, 1, sumStatement(nest.Q()), zeroInit)
 	comparePrograms(t, p)
 }
 
@@ -175,7 +163,7 @@ func TestParallelJacobiStride2(t *testing.T) {
 	h.Set(0, 1, rat.New(-1, 4))
 	h.Set(1, 1, rat.New(1, 4))
 	h.Set(2, 2, rat.New(1, 5))
-	p := buildProgram(t, nest, h, 0, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, h, 0, 1, sumStatement(nest.Q()), zeroInit)
 	comparePrograms(t, p)
 }
 
@@ -184,35 +172,27 @@ func TestParallelWidth2(t *testing.T) {
 	deps := ilin.MatFromRows([]int64{1, 1, 1}, []int64{0, 1, 0}, []int64{0, 0, 1})
 	nest := mustBox(t, []string{"t", "i", "j"}, []int64{1, 1, 1}, []int64{6, 8, 8}, deps)
 	tr, _ := tiling.Rectangular(2, 3, 3)
-	k := PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-		out[0] = reads[0][0] + reads[1][1] + 1
-		out[1] = reads[2][0] - reads[0][1] + 0.5
-	})
-	init := func(j ilin.Vec, out []float64) { out[0], out[1] = 1, 2 }
-	p := buildProgram(t, nest, tr.H, 0, 2, k, init)
-	comparePrograms(t, p)
-	// The same body as a statement runs row-wise and must agree with it.
 	stmt := Statement(
 		Add(Add(Read(0, 0), Read(1, 1)), Const(1)),
 		Add(Sub(Read(2, 0), Read(0, 1)), Const(0.5)))
-	ps := buildProgram(t, nest, tr.H, 0, 2, stmt, init)
-	comparePrograms(t, ps)
-	gp, _, err := p.RunParallelOpts(RunOptions{})
+	init := func(j ilin.Vec, out []float64) { out[0], out[1] = 1, 2 }
+	p := buildProgram(t, nest, tr.H, 0, 2, stmt, init)
+	comparePrograms(t, p)
+	// The tree walk, point by point in lexicographic order, is the oracle.
+	want := p.RunPointwise()
+	got, _, err := p.RunParallelOpts(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, _, err := ps.RunParallelOpts(RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff, at := gp.MaxAbsDiff(gs, p.ScanSpace); diff != 0 {
-		t.Fatalf("statement differs from the opaque body by %g at %v", diff, at)
+	if diff, at := want.MaxAbsDiff(got, p.ScanSpace); diff != 0 {
+		t.Fatalf("row-wise statement differs from the tree walk by %g at %v", diff, at)
 	}
 }
 
-// TestSelfCheckingKernel directly validates communication placement: the
-// kernel writes enc(j) and asserts every dependence read equals enc(j−d)
-// (or the Initial marker when j−d is outside the space).
+// TestSelfCheckingKernel directly validates communication placement: slot 0
+// of a point is enc(j), and slot 1+l is what dependence l read minus what it
+// should have read, enc(j−d_l) or the Initial marker when j−d_l is outside
+// the space: every slot past 0 must be zero.
 func TestSelfCheckingKernel(t *testing.T) {
 	deps := ilin.MatFromRows(
 		[]int64{1, 0, 1, 1, 0},
@@ -230,42 +210,39 @@ func TestSelfCheckingKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := func(j ilin.Vec) float64 { return float64(j[0]*10000 + j[1]*100 + j[2]) }
-	var (
-		mu       sync.Mutex
-		firstErr string
-	)
-	depCols := make([]ilin.Vec, deps.Cols)
-	for l := range depCols {
-		depCols[l] = deps.Col(l)
-	}
-	kernel := PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-		for l, r := range reads {
-			src := j.Sub(depCols[l])
-			want := -1.0
+	const encC = "(double)(j[0]*10000 + j[1]*100 + j[2])"
+	slots := []*Expr{Coef(enc, encC)}
+	for l := 0; l < deps.Cols; l++ {
+		d := deps.Col(l)
+		want := Coef(func(j ilin.Vec) float64 {
+			src := j.Sub(d)
 			if nest.Space.Contains(src) {
-				want = enc(src)
+				return enc(src)
 			}
-			if r[0] != want {
-				mu.Lock()
-				if firstErr == "" {
-					firstErr = fmt.Sprintf("at %v dep %d (src %v): read %v, want %v", j, l, src, r[0], want)
-				}
-				mu.Unlock()
-			}
-		}
-		out[0] = enc(j)
-	})
-	init := func(j ilin.Vec, out []float64) { out[0] = -1 }
-	p, err := NewProgram(ts, 2, 1, kernel, init)
+			return -1
+		}, "0") // no C: the test never prints it
+		slots = append(slots, Sub(Read(l, 0), want))
+	}
+	init := func(j ilin.Vec, out []float64) {
+		clear(out)
+		out[0] = -1
+	}
+	p, err := NewProgram(ts, 2, len(slots), Statement(slots...), init)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.RunParallelOpts(RunOptions{}); err != nil {
+	g, _, err := p.RunParallelOpts(RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if firstErr != "" {
-		t.Fatalf("communication placement error: %s", firstErr)
-	}
+	p.ScanSpace(func(j ilin.Vec) bool {
+		for l, v := range g.At(j)[1:] {
+			if v != 0 {
+				t.Fatalf("at %v dependence %d read %v off its source's value", j, l, v)
+			}
+		}
+		return true
+	})
 }
 
 func TestNewProgramErrors(t *testing.T) {
@@ -276,7 +253,7 @@ func TestNewProgramErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProgram(ts, 0, 0, sumKernel, nil); err == nil {
+	if _, err := NewProgram(ts, 0, 0, sumStatement(ts.Nest.Q()), nil); err == nil {
 		t.Error("width 0 not rejected")
 	}
 	if _, err := NewProgram(ts, 0, 1, Kernel{}, nil); err == nil {
@@ -291,7 +268,7 @@ func TestNewProgramErrors(t *testing.T) {
 			t.Errorf("statement with %s not rejected", name)
 		}
 	}
-	if _, err := NewProgram(ts, 5, 1, sumKernel, nil); err == nil {
+	if _, err := NewProgram(ts, 5, 1, sumStatement(ts.Nest.Q()), nil); err == nil {
 		t.Error("bad mapping dim not rejected")
 	}
 }
@@ -301,7 +278,7 @@ func TestAutoMappingDim(t *testing.T) {
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(2, 2)
 	ts, _ := tiling.Analyze(nest, tr.H)
-	p, err := NewProgram(ts, -1, 1, sumKernel, nil)
+	p, err := NewProgram(ts, -1, 1, sumStatement(ts.Nest.Q()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +381,7 @@ func TestTiledSequentialMatchesOriginal(t *testing.T) {
 			nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{17, 13},
 				ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 			tr, _ := tiling.Rectangular(4, 3)
-			return buildProgram(t, nest, tr.H, 0, 1, sumKernel, zeroInit)
+			return buildProgram(t, nest, tr.H, 0, 1, sumStatement(nest.Q()), zeroInit)
 		}},
 		{"sorNR", func(t *testing.T) *Program {
 			nest := sorNest(t, 4, 8)
@@ -413,7 +390,7 @@ func TestTiledSequentialMatchesOriginal(t *testing.T) {
 			h.Set(1, 1, rat.New(1, 5))
 			h.Set(2, 0, rat.New(-1, 4))
 			h.Set(2, 2, rat.New(1, 4))
-			return buildProgram(t, nest, h, 2, 1, sumKernel, zeroInit)
+			return buildProgram(t, nest, h, 2, 1, sumStatement(nest.Q()), zeroInit)
 		}},
 		{"jacobiStride2", func(t *testing.T) *Program {
 			deps := ilin.MatFromRows(
@@ -427,7 +404,7 @@ func TestTiledSequentialMatchesOriginal(t *testing.T) {
 			h.Set(0, 1, rat.New(-1, 4))
 			h.Set(1, 1, rat.New(1, 4))
 			h.Set(2, 2, rat.New(1, 5))
-			return buildProgram(t, nest, h, 0, 1, sumKernel, zeroInit)
+			return buildProgram(t, nest, h, 0, 1, sumStatement(nest.Q()), zeroInit)
 		}},
 	}
 	for _, c := range cases {

@@ -16,7 +16,7 @@ import (
 // — lowered once to register code run an instruction at a time over a whole
 // TTIS row, a width-1 sum of scaled folds as one fused instruction (sum).
 // Every IEEE operation stays in the tree's order, so a row of length L
-// computes bit for bit what L per-point evaluations (Kernel.Point) do.
+// computes bit for bit what L rows of length one do.
 
 // Expr is a node of a statement's expression tree, built with Const, Read,
 // Coef, Add, Sub, Mul, Div and Neg. A node may be used more than once (a
@@ -78,21 +78,11 @@ func Div(l, r *Expr) *Expr { return &Expr{op: opDiv, l: l, r: r} }
 func Neg(x *Expr) *Expr { return &Expr{op: opNeg, l: x} }
 
 // Kernel is the loop body F: what computes an iteration point's value vector
-// from the value vectors read through each dependence. It is either a
-// statement (Statement), which the executor evaluates a TTIS row at a time,
-// or an opaque per-point body (PointKernel), which it calls once per point.
-// The zero Kernel is neither.
+// from the value vectors read through each dependence, as a statement
+// (Statement), which the executor evaluates a TTIS row at a time. The zero
+// Kernel has none.
 type Kernel struct {
-	stmt  *statement
-	point func(j ilin.Vec, reads [][]float64, out []float64)
-}
-
-// PointKernel wraps an opaque loop body: given the iteration point j and the
-// value vectors read through each dependence (reads[l] is the value at
-// j − d_l), f writes the point's value vector into out. f must not retain
-// the slices and must be safe for concurrent calls.
-func PointKernel(f func(j ilin.Vec, reads [][]float64, out []float64)) Kernel {
-	return Kernel{point: f}
+	stmt *statement
 }
 
 // Statement is the loop body given as data: slots[s] computes slot s of the
@@ -102,16 +92,13 @@ func Statement(slots ...*Expr) Kernel {
 	return Kernel{stmt: lower(slots)}
 }
 
-// IsZero reports whether the kernel carries neither form.
-func (k Kernel) IsZero() bool { return k.stmt == nil && k.point == nil }
+// IsZero reports whether the kernel carries no statement.
+func (k Kernel) IsZero() bool { return k.stmt == nil }
 
 // check reports whether the kernel fits a program of the given width over q
 // dependences.
 func (k Kernel) check(width, q int) error {
 	st := k.stmt
-	if st == nil {
-		return nil
-	}
 	if st.width != width {
 		return fmt.Errorf("exec: statement kernel computes %d slots, the program's width is %d", st.width, width)
 	}
@@ -124,27 +111,11 @@ func (k Kernel) check(width, q int) error {
 	return nil
 }
 
-// pointRegs is how many registers Point keeps on the stack.
-const pointRegs = 32
-
-// Point evaluates the kernel at one iteration point: the per-point form. A
-// statement runs its lowered code at length 1, on registers on the stack.
-func (k Kernel) Point(j ilin.Vec, reads [][]float64, out []float64) {
-	st := k.stmt
-	if st == nil {
-		k.point(j, reads, out)
-		return
-	}
-	var buf [pointRegs]float64
-	regs := slices.Grow(buf[:0], st.nreg)[:st.nreg] // the heap only past pointRegs
-	copy(regs, st.consts)
-	st.run(regs, 1, 1, reads, out, j, nil, j) // no step: nothing moves j
-}
-
 // Row evaluates the kernel at the n consecutive points j, j+step, …: reads[l]
 // holds the n value vectors read through dependence l and out receives the n
 // results, Width values per point, as the executor evaluates a TTIS row
-// (rowEval.row): n calls of Point bit for bit, if no read aliases an output.
+// (rowEval.row): n rows of one point bit for bit, if no read aliases an
+// output.
 func (k Kernel) Row(n int, j, step ilin.Vec, reads [][]float64, out []float64) {
 	ev := newRowEval(k, len(out)/n, len(j), len(reads), n)
 	copy(ev.reads, reads)
@@ -157,12 +128,9 @@ func (k Kernel) Row(n int, j, step ilin.Vec, reads [][]float64, out []float64) {
 // read through dependence l) and the point j, every operation parenthesised
 // in the executor's order, a shared node printed at each use, a constant as
 // its shortest round-trip decimal and a Coef as its C form. Compiled with
-// -ffp-contract=off it computes what Point computes, bit for bit. An opaque
-// PointKernel or a non-finite constant has no C form.
+// -ffp-contract=off it computes what Row computes, bit for bit. A non-finite
+// constant has no C form.
 func (k Kernel) C() (string, error) {
-	if k.stmt == nil {
-		return "", fmt.Errorf("exec: an opaque PointKernel has no C form")
-	}
 	for _, v := range k.stmt.consts {
 		if math.IsInf(v, 0) || math.IsNaN(v) {
 			return "", fmt.Errorf("exec: the constant %v has no C literal", v)

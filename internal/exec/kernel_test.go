@@ -12,8 +12,7 @@ import (
 
 // evalTree evaluates e at point j over reads by walking the tree, one IEEE
 // operation per node in the tree's order, every product rounded: it shares
-// nothing with lowering, so it is the oracle both Kernel.Point and
-// Kernel.Row are checked against.
+// nothing with lowering, so it is the oracle Kernel.Row is checked against.
 func evalTree(e *Expr, j ilin.Vec, reads [][]float64) float64 {
 	switch e.op {
 	case opConst:
@@ -37,13 +36,9 @@ func evalTree(e *Expr, j ilin.Vec, reads [][]float64) float64 {
 	return l / r
 }
 
-// treePoint is Kernel.Point by evalTree: every slot from the reads, then
-// every slot stored. An opaque body is called as it is.
+// treePoint evaluates the kernel at one point by evalTree: every slot from
+// the reads, then every slot stored.
 func (k Kernel) treePoint(j ilin.Vec, reads [][]float64, out []float64) {
-	if k.stmt == nil {
-		k.point(j, reads, out)
-		return
-	}
 	vals := make([]float64, len(out))
 	for s, e := range k.stmt.slots {
 		vals[s] = evalTree(e, j, reads)
@@ -240,12 +235,12 @@ func checkRowsMatchPoints(t *testing.T, data []byte) {
 			pt[l] = reads[l][i*width : (i+1)*width]
 		}
 		k.treePoint(j, pt, want[i*width:(i+1)*width])
-		k.Point(j, pt, point[i*width:(i+1)*width])
+		k.Row(1, j, step, pt, point[i*width:(i+1)*width])
 		for d := range j {
 			j[d] += step[d]
 		}
 	}
-	compare("Point", point, want)
+	compare("rows of one point", point, want)
 	for _, n := range []int{1, 3, most} {
 		got := make([]float64, n*width)
 		k.Row(n, j0, step, reads, got)
@@ -376,58 +371,16 @@ func TestStatementLowering(t *testing.T) {
 		t.Fatalf("a leaf root lowered to %+v, want one move, not one pass", leaf.code)
 	}
 	out := []float64{0, 0}
-	Statement(Add(aa, Read(0, 0)), Sub(aa, Read(0, 1))).Point(ilin.Vec{4, 4}, [][]float64{{1, 2}}, out)
+	Statement(Add(aa, Read(0, 0)), Sub(aa, Read(0, 1))).Row(1, ilin.Vec{4, 4}, ilin.Vec{0, 1}, [][]float64{{1, 2}}, out)
 	if out[0] != 2*2+1 || out[1] != 2*2-2 {
 		t.Fatalf("shared-node statement computed %v, want [5 2]", out)
-	}
-}
-
-// TestPointManyRegisters: a statement needing more registers than Point
-// keeps on its stack still evaluates (on a heap register file).
-func TestPointManyRegisters(t *testing.T) {
-	// A right-leaning chain keeps every left operand live: depth registers.
-	var build func(d int) *Expr
-	build = func(d int) *Expr {
-		if d == 0 {
-			return Read(0, 0)
-		}
-		return Add(Mul(Read(0, 0), Const(float64(d))), build(d-1))
-	}
-	const depth = 2 * pointRegs
-	k := Statement(build(depth))
-	if k.stmt.nreg <= pointRegs {
-		t.Fatalf("fixture needs %d registers, wanted more than %d", k.stmt.nreg, pointRegs)
-	}
-	out := []float64{0}
-	k.Point(ilin.Vec{0}, [][]float64{{1}}, out)
-	if want := float64(depth*(depth+1)/2 + 1); out[0] != want {
-		t.Fatalf("deep statement = %v, want %v", out[0], want)
-	}
-}
-
-// TestPointAllocatesNothing: Point evaluates on a stack register file and
-// the caller's j, fused or not, Coef or not — the facade's DSL body calls it
-// once per iteration point.
-func TestPointAllocatesNothing(t *testing.T) {
-	a := Coef(testCoef, testCoefC)
-	for name, k := range map[string]Kernel{
-		"jacobi": Statement(Mul(Const(0.2), Add(Add(Read(0, 0), Read(1, 0)), Read(2, 0)))),
-		"coef":   Statement(Sub(Read(0, 0), Div(Mul(a, a), Read(1, 1))), Add(Read(1, 0), a)),
-	} {
-		j, reads, out := ilin.Vec{3, 4}, [][]float64{{1, 2}, {3, 4}, {5, 6}}, []float64{0, 0}
-		if allocs := testing.AllocsPerRun(20, func() { k.Point(j, reads, out[:k.stmt.width]) }); allocs != 0 {
-			t.Errorf("%s: Point allocates %v times per call, want 0", name, allocs)
-		}
-		if !slices.Equal(j, ilin.Vec{3, 4}) {
-			t.Errorf("%s: Point moved the caller's point to %v", name, j)
-		}
 	}
 }
 
 // TestKernelC pins the C a statement prints: slots in order, every operation
 // parenthesised as evaluated, shared nodes at each use, constants as shortest
 // round-trip decimals that read as doubles, Coef as its C form — and the
-// kernels that have no C form.
+// non-finite constants that have no C form.
 func TestKernelC(t *testing.T) {
 	a := Coef(testCoef, testCoefC)
 	aa := Mul(a, a)
@@ -443,9 +396,6 @@ func TestKernelC(t *testing.T) {
 		"out[1] = ((" + testCoefC + " * " + testCoefC + ") + ((" + testCoefC + " * " + testCoefC + ") - (1e+21 * -0.2)));"
 	if got != want {
 		t.Errorf("C() =\n%s\nwant\n%s", got, want)
-	}
-	if _, err := PointKernel(func(ilin.Vec, [][]float64, []float64) {}).C(); err == nil {
-		t.Error("an opaque PointKernel printed as C")
 	}
 	for _, v := range []float64{math.Inf(1), math.NaN()} {
 		if c, err := Statement(Add(Read(0, 0), Const(v))).C(); err == nil {

@@ -159,7 +159,7 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 		}
 		j := global(st.p.TS, tile, z)
 		out := st.Addr.Flat(jp, t) * int64(w)
-		st.p.Kernel.Point(j, reads, st.la[out:out+int64(w)])
+		st.p.Kernel.treePoint(j, reads, st.la[out:out+int64(w)])
 		return true
 	})
 }

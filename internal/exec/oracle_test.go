@@ -69,7 +69,7 @@ func (p *Program) RunTiledSequential() (*Global, error) {
 
 // RunPointwise is the per-point sequential oracle: the original
 // lexicographic order, one point at a time through reference() — a
-// containment test per read and Kernel.Point per point, as RunSequential
+// containment test per read and the tree walk per point, as RunSequential
 // computed before it swept rows.
 func (p *Program) RunPointwise() *Global {
 	g, point := p.reference()

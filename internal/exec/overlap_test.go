@@ -18,7 +18,7 @@ func TestOverlapPerRankTraffic(t *testing.T) {
 	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{19, 23},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(4, 4)
-	p := buildProgram(t, nest, tr.H, 0, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, tr.H, 0, 1, sumStatement(nest.Q()), zeroInit)
 	_, st, err := p.RunParallelOpts(RunOptions{Overlap: true})
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestOverlapWithWatchdogCompletes(t *testing.T) {
 	h.Set(1, 1, rat.New(1, 5))
 	h.Set(2, 0, rat.New(-1, 4))
 	h.Set(2, 2, rat.New(1, 4))
-	p := buildProgram(t, nest, h, 2, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, h, 2, 1, sumStatement(nest.Q()), zeroInit)
 	seq, err := p.RunSequential()
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestOverlapInjectedCostFasterThanBlocking(t *testing.T) {
 	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{29, 31},
 		ilin.MatFromRows([]int64{1, 0}, []int64{0, 1}))
 	tr, _ := tiling.Rectangular(5, 4)
-	p := buildProgram(t, nest, tr.H, 0, 1, sumKernel, zeroInit)
+	p := buildProgram(t, nest, tr.H, 0, 1, sumStatement(nest.Q()), zeroInit)
 	// Inject both wire cost and per-point compute cost: overlap's win is
 	// transfer hidden behind the next tile's compute, so with zero compute
 	// the two modes tie (modulo scheduler noise) and the comparison is

@@ -30,7 +30,7 @@ type rowEval struct {
 	regs   []float64  // stmt.nreg registers of stride floats, constants filled
 	stride int
 	reads  [][]float64 // per dependence: the current row's reads
-	pt     [][]float64 // per dependence: the current chunk's (or point's) part of it
+	pt     [][]float64 // per dependence: the current chunk's part of it
 	j, jb  ilin.Vec
 }
 
@@ -40,9 +40,7 @@ func newRowEval(k Kernel, width, n, q, maxRow int) *rowEval {
 	views := make([][]float64, 2*q)
 	js := make(ilin.Vec, 2*n)
 	ev := &rowEval{width: int64(width), reads: views[:q:q], pt: views[q:], j: js[:n:n], jb: js[n:]}
-	if k.stmt != nil {
-		ev.fit(k.stmt, maxRow)
-	}
+	ev.fit(k.stmt, maxRow)
 	return ev
 }
 
@@ -64,34 +62,23 @@ func (ev *rowEval) fit(s *statement, maxRow int) {
 }
 
 // row evaluates kernel k at the cnt points of a row, the first at ev.j,
-// stepped by step (only Coef and opaque bodies read it): ev.reads[l] holds
-// the values read through dependence l and out receives the results. A read
+// stepped by step (only Coef reads it): ev.reads[l] holds the values read
+// through dependence l and out receives the results. A read
 // may alias out hazard points back (SOR's innermost dependence);
 // math.MaxInt64 means none does. Point order is kept: a statement runs over
 // chunks no longer than the hazard, so each read finds its point written,
 // unless it is one pass (onePass): a point reads before it writes, and point
 // i−hazard was written hazard points earlier.
 func (ev *rowEval) row(k Kernel, cnt, hazard int64, out []float64, step ilin.Vec) {
-	if s := k.stmt; s != nil && s.onePass && s.code[0].op == opSum && cnt <= int64(ev.stride) {
-		s.sum.run(out, ev.regs, ev.stride, ev.reads) // the fused sum alone, straight from the reads
+	st := k.stmt
+	if st.onePass && st.code[0].op == opSum && cnt <= int64(ev.stride) {
+		st.sum.run(out, ev.regs, ev.stride, ev.reads) // the fused sum alone, straight from the reads
 		return
 	}
 	w := ev.width
-	if k.stmt == nil {
-		for s := int64(0); s < cnt; s++ {
-			for l := range ev.reads {
-				ev.pt[l] = ev.reads[l][s*w:][:w]
-			}
-			k.point(ev.j, ev.pt, out[s*w:][:w])
-			for d := range ev.j {
-				ev.j[d] += step[d]
-			}
-		}
-		return
-	}
-	needJ := len(k.stmt.coefs) > 0
+	needJ := len(st.coefs) > 0
 	chunk := min(cnt, int64(ev.stride))
-	if !k.stmt.onePass {
+	if !st.onePass {
 		chunk = min(chunk, hazard)
 	}
 	for s := int64(0); s < cnt; s += chunk {
@@ -99,7 +86,7 @@ func (ev *rowEval) row(k Kernel, cnt, hazard int64, out []float64, step ilin.Vec
 		for l := range ev.reads {
 			ev.pt[l] = ev.reads[l][s*w:][:c*w]
 		}
-		k.stmt.run(ev.regs, ev.stride, int(c), ev.pt, out[s*w:][:c*w], ev.j, step, ev.jb)
+		st.run(ev.regs, ev.stride, int(c), ev.pt, out[s*w:][:c*w], ev.j, step, ev.jb)
 		if needJ {
 			for d := range ev.j {
 				ev.j[d] += c * step[d]
@@ -120,10 +107,8 @@ func (st *rankState) computePhasePlanned(pl *distrib.TilePlan, t int64) {
 	n := st.p.TS.T.N
 	tOff := t * st.ChainStep
 	la := st.la
-	if k.stmt != nil {
-		ev.fit(k.stmt, st.MaxRow) // a no-op unless the program's kernel was replaced
-	}
-	needJ := k.stmt == nil || len(k.stmt.coefs) > 0
+	ev.fit(k.stmt, st.MaxRow) // a no-op unless the program's kernel was replaced
+	needJ := len(k.stmt.coefs) > 0
 	for _, sg := range pl.Segs {
 		for i, row := range sg.Rows {
 			if needJ {

@@ -187,19 +187,20 @@ func TestComputePhasePlannedZeroAlloc(t *testing.T) {
 	}
 }
 
-// opaquePlanProgram is planProgram with the same body as an opaque
-// per-point kernel: the executor's other path through the same tables.
-func opaquePlanProgram(tb testing.TB) *Program {
+// coefPlanProgram is planProgram with a Coef added to its sum: the path
+// through the same tables that materialises the iteration point.
+func coefPlanProgram(tb testing.TB) *Program {
 	p := planProgram(tb)
-	p.Kernel = sumKernel
+	p.Kernel = Statement(Add(p.Kernel.stmt.slots[0], Coef(func(j ilin.Vec) float64 { return float64(j[0]) }, "(double)j[0]")))
 	return p
 }
 
 // TestWarmRankAllocatesNothing: with the plan, the boundary values and the
 // evaluator scratch warm, one rank's init + sweep over its whole chain and
-// its write-back allocate nothing, for a statement and for an opaque body.
+// its write-back allocate nothing, for a fused statement and for one with a
+// Coef.
 func TestWarmRankAllocatesNothing(t *testing.T) {
-	for name, p := range map[string]*Program{"statement": planProgram(t), "opaque": opaquePlanProgram(t)} {
+	for name, p := range map[string]*Program{"statement": planProgram(t), "coef": coefPlanProgram(t)} {
 		r, _ := boundarySlot(t, p)
 		st := mustRankState(t, p, r, RunOptions{})
 		g := NewGlobal(p.lo, p.hi, p.Width)
@@ -273,9 +274,9 @@ func TestWriteBackKeepsTheBox(t *testing.T) {
 // TestRowsAreNotMergedRunsInARun runs the configuration on which a row table
 // built by merging adjacent addresses goes wrong (distrib's
 // TestRowsAreNotMergedAddressRuns): consecutive TTIS rows adjacent in every
-// address, with the global point jumping between them. Kernels that read the
-// point — an opaque body and a Coef statement — must match the sequential
-// reference, which they would not with j stepped across a row end.
+// address, with the global point jumping between them. A kernel that reads
+// the point (a Coef) must match the sequential reference, which it would not
+// with j stepped across a row end.
 func TestRowsAreNotMergedRunsInARun(t *testing.T) {
 	nest := mustBox(t, nil, []int64{0, 0, 0}, []int64{5, 5, 5}, ilin.MatFromRows([]int64{2}, []int64{1}, []int64{0}))
 	tr, err := tiling.Rectangular(2, 2, 2)
@@ -283,12 +284,9 @@ func TestRowsAreNotMergedRunsInARun(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := func(j ilin.Vec) float64 { return float64(j[0]*10000 + j[1]*100 + j[2]) }
-	opaque := PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) { out[0] = enc(j) + 0.5*reads[0][0] })
 	stmt := Statement(Add(Coef(enc, "(double)(j[0]*10000 + j[1]*100 + j[2])"), Mul(Const(0.5), Read(0, 0))))
-	for name, k := range map[string]Kernel{"opaque": opaque, "statement": stmt} {
-		p := buildProgram(t, nest, tr.H, 0, 1, k, func(j ilin.Vec, out []float64) { out[0] = -enc(j) })
-		t.Run(name, func(t *testing.T) { comparePrograms(t, p) })
-	}
+	p := buildProgram(t, nest, tr.H, 0, 1, stmt, func(j ilin.Vec, out []float64) { out[0] = -enc(j) })
+	t.Run("statement", func(t *testing.T) { comparePrograms(t, p) })
 }
 
 // fullTileSlot returns a (rank, chain slot) holding a full tile, falling

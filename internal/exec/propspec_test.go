@@ -85,13 +85,11 @@ func specProgram(s propSpec) (*exec.Program, bool) {
 	if err != nil {
 		return nil, false
 	}
-	kernel := exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-		v := 1.0
-		for _, r := range reads {
-			v += 0.5 * r[0]
-		}
-		out[0] = v
-	})
+	v := exec.Const(1) // 1 + Σ 0.5·r_l, added left to right
+	for l := 0; l < nest.Q(); l++ {
+		v = exec.Add(v, exec.Mul(exec.Const(0.5), exec.Read(l, 0)))
+	}
+	kernel := exec.Statement(v)
 	p, err := exec.NewProgram(ts, -1, 1, kernel, nil)
 	return p, err == nil
 }

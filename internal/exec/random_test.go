@@ -60,7 +60,7 @@ func TestQuickRandomTilings2D(t *testing.T) {
 		if mapDim {
 			m = 1
 		}
-		prog, err := NewProgram(ts, m, 1, sumKernel, nil)
+		prog, err := NewProgram(ts, m, 1, sumStatement(ts.Nest.Q()), nil)
 		if err != nil {
 			// stride/extent divisibility violations are legitimate
 			// rejections
@@ -115,7 +115,7 @@ func TestFourDimensionalNest(t *testing.T) {
 	if got := ts.TotalPoints(); got != want {
 		t.Fatalf("TotalPoints = %d, want %d", got, want)
 	}
-	p, err := NewProgram(ts, -1, 1, sumKernel, nil)
+	p, err := NewProgram(ts, -1, 1, sumStatement(ts.Nest.Q()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestNonRect4D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := NewProgram(ts, 3, 1, sumKernel, nil)
+	prog, err := NewProgram(ts, 3, 1, sumStatement(ts.Nest.Q()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestEmptyTileInsideChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := NewProgram(ts, 0, 1, sumKernel, nil)
+	prog, err := NewProgram(ts, 0, 1, sumStatement(ts.Nest.Q()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,9 @@ func TestPooledWorldSurvivesFailedRun(t *testing.T) {
 	p := reuseProgram(t)
 	world := mpi.NewWorldOpts(p.Dist.NumProcs(), mpi.Options{})
 
-	boom, err := exec.NewProgram(p.TS, -1, p.Width, exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
+	boom, err := exec.NewProgram(p.TS, -1, p.Width, exec.Statement(exec.Coef(func(ilin.Vec) float64 {
 		panic("injected kernel failure")
-	}), nil)
+	}, "0.0")), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,10 +147,11 @@ func seqCases(t *testing.T) []seqCase {
 	add("hand/inner-2", box(9, 40), depMat([]int64{1, 0}, []int64{0, 2}), rect(3, 8), weighted(2))
 	add("hand/inner-5", box(9, 40), depMat([]int64{1, 0}, []int64{0, 5}), rect(3, 8), weighted(2))
 	add("hand/inner-5-2-coef", box(9, 40), depMat([]int64{0, 5}, []int64{1, 3}, []int64{0, 2}), rect(3, 8), weighted(3, coef))
+	// The body the point-kernel case once ran opaquely, as a statement: a
+	// product chain and a Coef over an in-row distance of 5.
 	add("hand/point-kernel", box(9, 40), depMat([]int64{1, 0}, []int64{0, 5}), rect(3, 8),
-		exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-			out[0] = reads[0][0]*0.5 + reads[1][0]*0.375 + float64(j[0]-j[1])/8
-		}))
+		exec.Statement(exec.Add(exec.Add(exec.Mul(exec.Read(0, 0), exec.Const(0.5)), exec.Mul(exec.Read(1, 0), exec.Const(0.375))),
+			exec.Coef(func(j ilin.Vec) float64 { return float64(j[0]-j[1]) / 8 }, "((double)(j[0] - j[1]) / 8)"))))
 	// A wedge: the box 0 ≤ i ≤ 10, −12 ≤ j ≤ 12 cut by the halfplanes
 	// j − i ≤ 3 and −j − i ≤ 3. Row i is one longer at each end than row
 	// i − 1, so (1, 0) and (1, 1) read rows with outside prefixes and
@@ -166,8 +167,8 @@ func seqCases(t *testing.T) []seqCase {
 
 // TestRunSequentialMatchesPointOracle: over the differential matrix, the
 // eight drawn DSL sources and the hand nests — innermost dependences at
-// distance 1 (SOR, the DSL), 2 and 5, ADI at width 2 with Coef, an opaque
-// PointKernel, and a wedge whose rows read outside prefixes, suffixes and
+// distance 1 (SOR, the DSL), 2 and 5, ADI at width 2 with Coef, a sum of
+// products with a Coef, and a wedge whose rows read outside prefixes, suffixes and
 // whole rows — the row sweep leaves every cell of the Global bit for bit
 // where the per-point sweep does, and agrees with the tiled order too.
 func TestRunSequentialMatchesPointOracle(t *testing.T) {

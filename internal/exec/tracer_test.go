@@ -176,16 +176,16 @@ func TestStatsDuringRunRaceFree(t *testing.T) {
 func TestAbortedRunLeavesPoolConsistent(t *testing.T) {
 	p := planProgram(t)
 	var calls atomic.Int64
-	kernel := p.Kernel
-	p.Kernel = PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-		// Trip partway through the schedule (the fixture has 256 points),
-		// late enough that halo messages and pooled buffers are already
-		// circulating between ranks.
+	// A Coef called once per point trips partway through the schedule (the
+	// fixture has 256 points), late enough that halo messages and pooled
+	// buffers are already circulating between ranks.
+	trip := Coef(func(ilin.Vec) float64 {
 		if calls.Add(1) == 120 {
 			panic("kernel abort (test)")
 		}
-		kernel.Point(j, reads, out)
-	})
+		return 0
+	}, "0.0")
+	p.Kernel = Statement(Add(p.Kernel.stmt.slots[0], trip))
 	for _, overlap := range []bool{false, true} {
 		calls.Store(0)
 		_, _, err := p.RunParallelOpts(RunOptions{Overlap: overlap, Trace: NewTracer()})

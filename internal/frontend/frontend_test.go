@@ -143,7 +143,7 @@ A[i] = (A[i-1] + 3) * 2 - 1/2
 		t.Fatal(err)
 	}
 	out := make([]float64, 1)
-	prog.Kernel.Point(ilin.NewVec(1), [][]float64{{5}}, out)
+	prog.Kernel.Row(1, ilin.NewVec(1), ilin.NewVec(1), [][]float64{{5}}, out)
 	if out[0] != (5+3)*2-0.5 {
 		t.Errorf("kernel = %v", out[0])
 	}
@@ -162,7 +162,7 @@ A[i] = -A[i-1] + -2.5
 		t.Fatal(err)
 	}
 	out := make([]float64, 1)
-	prog.Kernel.Point(ilin.NewVec(1), [][]float64{{4}}, out)
+	prog.Kernel.Row(1, ilin.NewVec(1), ilin.NewVec(1), [][]float64{{4}}, out)
 	if out[0] != -6.5 {
 		t.Errorf("kernel = %v", out[0])
 	}
@@ -281,7 +281,7 @@ func TestMultiArrayCrossReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]float64, 2)
-	prog.Kernel.Point(ilin.NewVec(1), [][]float64{{10, 20}}, out)
+	prog.Kernel.Row(1, ilin.NewVec(1), ilin.NewVec(1), [][]float64{{10, 20}}, out)
 	if out[0] != 21 || out[1] != 20 {
 		t.Errorf("kernel = %v", out)
 	}

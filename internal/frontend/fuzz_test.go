@@ -63,9 +63,8 @@ func seed(name string) string {
 }
 
 // runBothWays evaluates p's kernel over a row of random reads row-wise
-// (Kernel.Row, the executor's form) and per point (Kernel.Point, the
-// references' form): the values must be the same bits, any NaN equal to any
-// other.
+// (Kernel.Row, the executor's form) and per point (rows of one point): the
+// values must be the same bits, any NaN equal to any other.
 func runBothWays(t *testing.T, p *Program, seed int64) {
 	const n = 9
 	rng := rand.New(rand.NewSource(seed))
@@ -87,7 +86,7 @@ func runBothWays(t *testing.T, p *Program, seed int64) {
 		for l := range pt {
 			pt[l] = reads[l][i*w : (i+1)*w]
 		}
-		p.Kernel.Point(j, pt, out)
+		p.Kernel.Row(1, j, step, pt, out)
 		for s, v := range out {
 			if got := rows[i*w+s]; math.Float64bits(got) != math.Float64bits(v) && !(math.IsNaN(got) && math.IsNaN(v)) {
 				t.Fatalf("point %d slot %d: row-wise %v, per point %v", i, s, got, v)

@@ -48,15 +48,21 @@ func TestEvictionUnderLoad(t *testing.T) {
 	}
 
 	// Slow the victim runs down so the churn below overlaps them: seed the
-	// cache with an artifact of the victim whose kernel sleeps per point
-	// and then computes the compiled statement, so its values stay bit for
-	// bit those of the reference.
-	stmt := art.Prog.Kernel
+	// cache with an artifact of the victim whose kernel is the parsed
+	// statement (the same C, so the same tree) minus a Coef that sleeps per
+	// point and returns 0: x − 0 is x bit for bit, −0 included, so its values
+	// stay those of the reference.
+	heat := exec.Add(exec.Mul(exec.Const(0.5), exec.Add(exec.Read(0, 0), exec.Read(1, 0))), exec.Const(3))
+	parsedC, _ := art.Prog.Kernel.C()
+	if c, _ := exec.Statement(heat).C(); c != parsedC {
+		t.Fatalf("the slow kernel's statement prints %q, the parsed one %q", c, parsedC)
+	}
+	nap := exec.Coef(func(ilin.Vec) float64 {
+		time.Sleep(time.Millisecond)
+		return 0
+	}, "0.0")
 	slowProg, err := exec.NewProgram(art.Prog.TS, art.Prog.Dist.M, art.Prog.Width,
-		exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) {
-			time.Sleep(time.Millisecond)
-			stmt.Point(j, reads, out)
-		}), art.Prog.Initial)
+		exec.Statement(exec.Sub(heat, nap)), art.Prog.Initial)
 	if err != nil {
 		t.Fatal(err)
 	}

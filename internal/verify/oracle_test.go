@@ -100,6 +100,9 @@ func (rp *replayer) tilePointwise(s ilin.Vec) *Violation {
 		return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase,
 			Detail: fmt.Sprintf("row table of %d rows carries %d point and %d read-cell entries", len(pl.Rows), len(pl.Uz), len(pl.Read))}
 	}
+	if vio := rp.judgeSegments(r, sl); vio != nil {
+		return vio
+	}
 
 	// RECEIVE — the slot's rows in table order, each against its stream's
 	// FIFO head.

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"tilespace/internal/distrib"
@@ -135,6 +136,10 @@ type replayer struct {
 	// sent[r][t·|D^m|+dir] is 1 + the region size the walk of rank r's
 	// slot t counted for its send along dir, 0 where it sends none.
 	sent [][]int64
+	// judged holds the plans judgeSegments passed; rd is per dependence the
+	// read cell of the walk's row (scratch).
+	judged map[*distrib.TilePlan]bool
+	rd     []int64
 }
 
 // replay executes the compiled protocol — the tables the executor runs —
@@ -186,6 +191,7 @@ func newReplayer(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report
 		owner:   make([]int32, coder.size+1),
 		queues:  map[stream][]message{},
 		sent:    make([][]int64, len(plans)),
+		judged:  make(map[*distrib.TilePlan]bool, d.NumShapes()),
 	}
 	n := d.TS.T.N
 	rp.ustep = d.TS.T.U.Col(n - 1)
@@ -193,7 +199,7 @@ func newReplayer(d *distrib.Distribution, plans []*distrib.RankPlan, rep *Report
 	rp.j, rp.g, rp.src, rp.pS = make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n), make(ilin.Vec, n)
 	rp.flat, rp.want = make([][]int64, len(d.DM)), make([][]int64, len(d.DM))
 	deps := d.Protocol().Deps
-	rp.depShift = make([]int64, len(deps))
+	rp.depShift, rp.rd = make([]int64, len(deps)), make([]int64, len(deps))
 	for l, dep := range deps {
 		rp.depShift[l] = coder.shift(dep)
 	}
@@ -259,6 +265,9 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 	if len(pl.Uz) != len(pl.Rows)*n || len(pl.Read) != len(pl.Rows)*q {
 		return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase,
 			Detail: fmt.Sprintf("row table of %d rows carries %d point and %d read-cell entries", len(pl.Rows), len(pl.Uz), len(pl.Read))}
+	}
+	if vio := rp.judgeSegments(r, sl); vio != nil {
+		return vio
 	}
 
 	// RECEIVE — the slot's rows in table order, each against its stream's
@@ -364,7 +373,8 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 	}
 
 	// COMPUTE — the tile's own row walk is the reference: the plan's rows,
-	// walked with a cursor (row, i), must list exactly its points, every
+	// walked with a cursor (row, i) and read, as the executor reads them, at
+	// their segment's offsets (reads), must list exactly its points, every
 	// dependence read must resolve to the code of its source iteration, and
 	// the write claims ownership of the point. Per direction the slot sends
 	// along, the walk also collects the region reference: the points in the
@@ -375,7 +385,16 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 	// at once and the first failing point is judged alone by the per-point
 	// rule, so its violation is that rule's.
 	var vio *Violation
-	row, i, npts := 0, 0, 0
+	row, i, npts, seg := 0, 0, 0, 0
+	reads := func() []int64 { // the read cells of the cursor's row: its write cell + its segment's offsets
+		for sg := &pl.Segs[seg]; sg.First+len(sg.Rows) <= row; sg = &pl.Segs[seg] {
+			seg++
+		}
+		for l, o := range pl.Segs[seg].Off {
+			rp.rd[l] = pl.Rows[row].Write + o
+		}
+		return rp.rd
+	}
 	skipDone := func() { // move the cursor off rows it has exhausted (or that hold no point)
 		for row < len(pl.Rows) && i >= int(pl.Rows[row].N) {
 			row, i = row+1, 0
@@ -429,8 +448,8 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 			if stepped {
 				m = min(cnt, int64(pl.Rows[row].N)-int64(i))
 			}
-			code := rp.coder.enc(g)
-			good, w := rp.segment(content, pl.Read[row*q:row*q+q], pl.Rows[row].Write, int64(i)+tOff, code, m)
+			code, rd := rp.coder.enc(g), reads()
+			good, w := rp.segment(content, rd, pl.Rows[row].Write, int64(i)+tOff, code, m)
 			if commit(jp, code, w); good == m {
 				cnt -= m
 				continue
@@ -438,7 +457,7 @@ func (rp *replayer) tile(s ilin.Vec) *Violation {
 			cnt -= good + 1
 			code = rp.coder.enc(g) // the failing point, judged alone by the per-point rule
 			for l := 0; l < q; l++ {
-				c, ok := cell(pl.Read[row*q+l] + int64(i))
+				c, ok := cell(rd[l] + int64(i))
 				if !ok {
 					vio = oob("read", c, g)
 					return false
@@ -640,5 +659,53 @@ func (rp *replayer) epilogue() error {
 			Detail: fmt.Sprintf("%d of %d iterations computed", rp.rep.Points, total),
 		}
 	}
+	return nil
+}
+
+// judgeSegments checks, once per plan, the row classes rank r's executor
+// walks in place of slot sl's row table (distrib.TilePlan.Segs): the
+// segments' windows partition Rows in order, each row's reads sit at its
+// segment's offsets, so Read[r·q+l] = Rows[r].Write + Off[l], and Back is the
+// least −Off[l] > 0 (math.MaxInt64 if none), the in-row distance the
+// executor's chunks must not exceed.
+func (rp *replayer) judgeSegments(r int, sl *distrib.SlotPlan) *Violation {
+	pl, q := sl.Plan, len(rp.depShift)
+	if rp.judged[pl] {
+		return nil
+	}
+	fault := func(format string, args ...any) *Violation {
+		return &Violation{Rule: "address-program", Rank: r, Tile: sl.Tile, Point: sl.PBase, Detail: fmt.Sprintf(format, args...)}
+	}
+	next := 0
+	for k, sg := range pl.Segs {
+		if sg.First != next || len(sg.Rows) == 0 || next+len(sg.Rows) > len(pl.Rows) || len(sg.Off) != q {
+			return fault("segment %d holds rows [%d, %d) at %d offsets, where the plan's rows [%d, %d) over %d dependences remain",
+				k, sg.First, sg.First+len(sg.Rows), len(sg.Off), next, len(pl.Rows), q)
+		}
+		back := int64(math.MaxInt64)
+		for _, o := range sg.Off {
+			if o < 0 {
+				back = min(back, -o)
+			}
+		}
+		if sg.Back != back {
+			return fault("segment %d has Back %d, its offsets %v give %d", k, sg.Back, sg.Off, back)
+		}
+		for i, row := range sg.Rows {
+			if row != pl.Rows[next+i] {
+				return fault("segment %d row %d is %+v, the plan's row %d %+v", k, i, row, next+i, pl.Rows[next+i])
+			}
+			for l, o := range sg.Off {
+				if rd := pl.Read[(next+i)*q+l]; rd != row.Write+o {
+					return fault("row %d reads d_%d at cell %d, its segment %d at %d", next+i, l+1, rd, k, row.Write+o)
+				}
+			}
+		}
+		next += len(sg.Rows)
+	}
+	if next != len(pl.Rows) {
+		return fault("the segments hold %d of the plan's %d rows", next, len(pl.Rows))
+	}
+	rp.judged[pl] = true
 	return nil
 }

@@ -3,6 +3,7 @@ package verify_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -296,7 +297,10 @@ func pin(v *verify.Violation) string {
 }
 
 // runPins, schedulePins and rowPins are the violations each mutation drew
-// from the per-point replay, recorded before the replay judged segments.
+// from the per-point replay, recorded before the replay judged segments;
+// since the replay judges each plan's row classes first, a read cell off its
+// segment's offset (shifted-readoff) is an address-program fault at the
+// slot's base, and so is a corrupted row class.
 var runPins = map[string]string{
 	"doubled-run":    "comm-redundancy|0|(0, 0, 0)|(1, 3, 3)",
 	"dropped-tail":   "comm-soundness|0|(0, 0, 0)|(1, 3, 3)",
@@ -310,20 +314,23 @@ var schedulePins = map[string]string{
 }
 
 var rowPins = map[string]string{
-	"boundary-run-too-long":   "comm-soundness|9|(2, 3, 1)|(4, 12, 10)",
-	"boundary-run-too-short":  "comm-soundness|9|(2, 3, 1)|(4, 14, 11)",
-	"dropped-boundary-entry":  "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
-	"dropped-inbound-row":     "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
-	"inner-row-one-longer":    "address-program|9|(2, 3, 1)|(4, 13, 9)",
-	"row-one-longer":          "address-program|9|(2, 3, 3)|(4, 14, 19)",
-	"row-one-shorter":         "address-program|9|(2, 3, 3)|(4, 12, 16)",
-	"row-start-off-by-a-step": "address-program|9|(2, 3, 3)|(4, 14, 16)",
-	"shifted-readoff":         "comm-soundness|9|(2, 3, 3)|(4, 14, 16)",
-	"shrunk-pack-run":         "comm-soundness|8|(2, 2, 1)|(4, 11, 11)",
-	"spurious-boundary-entry": "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
-	"swapped-rows":            "fifo-order|9|(2, 3, 1)|(2, 2, 2)",
-	"wrong-dirshift":          "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
-	"wrong-tau":               "fifo-order|9|(2, 3, 3)|(1, 2, 2)",
+	"boundary-run-too-long":      "comm-soundness|9|(2, 3, 1)|(4, 12, 10)",
+	"boundary-run-too-short":     "comm-soundness|9|(2, 3, 1)|(4, 14, 11)",
+	"dropped-boundary-entry":     "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"dropped-inbound-row":        "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"inner-row-one-longer":       "address-program|9|(2, 3, 1)|(4, 13, 9)",
+	"row-one-longer":             "address-program|9|(2, 3, 3)|(4, 14, 19)",
+	"row-one-shorter":            "address-program|9|(2, 3, 3)|(4, 12, 16)",
+	"row-start-off-by-a-step":    "address-program|9|(2, 3, 3)|(4, 14, 16)",
+	"segment-offset-off-by-one":  "address-program|9|(2, 3, 3)|(4, 12, 16)",
+	"segment-back-one-too-large": "address-program|9|(2, 3, 1)|(4, 12, 8)",
+	"dropped-segment":            "address-program|9|(2, 3, 3)|(4, 12, 16)",
+	"shifted-readoff":            "address-program|9|(2, 3, 3)|(4, 12, 16)",
+	"shrunk-pack-run":            "comm-soundness|8|(2, 2, 1)|(4, 11, 11)",
+	"spurious-boundary-entry":    "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"swapped-rows":               "fifo-order|9|(2, 3, 1)|(2, 2, 2)",
+	"wrong-dirshift":             "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"wrong-tau":                  "fifo-order|9|(2, 3, 3)|(1, 2, 2)",
 }
 
 // TestMutationCorruptedScheduleRejected corrupts one schedule edge and
@@ -642,6 +649,25 @@ func TestMutationCompiledRowRejected(t *testing.T) {
 		"wrong-rowstep": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
 			step := c.d.Protocol().RowStep
 			step[len(step)-1]++
+		},
+		"segment-offset-off-by-one": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			lastRow(t, ps, func(pl *distrib.TilePlan, r int) { pl.Segs[len(pl.Segs)-1].Off[0]++ })
+		},
+		"segment-back-one-too-large": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			find(t, ps, func(rp *distrib.RankPlan) bool { // a segment whose rows read their own points
+				for i := range rp.Slots {
+					for k := range rp.Slots[i].Plan.Segs {
+						if sg := &rp.Slots[i].Plan.Segs[k]; sg.Back < math.MaxInt64 {
+							sg.Back++
+							return true
+						}
+					}
+				}
+				return false
+			})
+		},
+		"dropped-segment": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			lastRow(t, ps, func(pl *distrib.TilePlan, r int) { pl.Segs = pl.Segs[:len(pl.Segs)-1] })
 		},
 		"wrong-dirshift": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
 			find(t, ps, func(rp *distrib.RankPlan) bool {

@@ -417,6 +417,33 @@ func TestMPISpawnsOnlyRanks(t *testing.T) {
 	}
 }
 
+// TestExecMPILineGate pins the standing line gate: the non-test Go of
+// internal/exec and internal/mpi together stays within 4900 lines, so code
+// added to the executor or the runtime is paid for in code.
+func TestExecMPILineGate(t *testing.T) {
+	const gate = 4900
+	lines := 0
+	for _, dir := range []string{"internal/exec", "internal/mpi"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("%s: no Go source (%v)", dir, err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines += bytes.Count(src, []byte("\n"))
+		}
+	}
+	if lines > gate {
+		t.Errorf("non-test internal/exec + internal/mpi is %d lines, the gate %d", lines, gate)
+	}
+}
+
 // TestOneCompileDriver pins that the pipeline nest → H → tiled space →
 // program → certificate and C is wired once, in internal/compile: no other
 // non-test code uses tiling.Analyze, exec.NewProgram, verify.Certify or
@@ -468,7 +495,7 @@ var censusAllowed = map[string]string{
 	"tiling.OverflowError.Unwrap": "errors.As calls it through interface{ Unwrap() error }, a literal inside package errors that export data does not carry; tiling's TestDiagOverflow unwraps the rat.Overflow",
 
 	// Test-only names used from another package's tests.
-	"exec.Kernel.Row":                   "the row-wise statement evaluator the executor runs over a TTIS row, exposed for exec's TestStatementRowsMatchPoints and FuzzStmt and frontend's FuzzParse, which check it against Kernel.Point bit for bit",
+	"exec.Kernel.Row":                   "the row-wise statement evaluator the executor runs over a TTIS row, exposed for exec's TestStatementRowsMatchPoints and FuzzStmt, which check it against the tree walk bit for bit, and frontend's FuzzParse and kernel tests, which run it at rows of n and of one point",
 	"distrib.Distribution.CompileSteps": "the plan compiler's work counter, read by distrib's TestOneRankCompilesOneRank and TestScheduleLevelAgreesWithAddressLevel, exec's TestPlanCacheSharing, TestInitPhasePlannedZeroAlloc, TestNewProgramDoesNoPlanWork and TestCertifyThenRunCompilesOnce, and verify's TestCertifyRejectsForeignSpace",
 	"procrun.WriteRendezvous":           "the launcher half of the rendezvous file: cmd/tilerankd's end-to-end tests write it for the rank processes they start, and procrun's TestRendezvousRoundTrip and TestRendezvousRejectsGaps read it back with ReadRendezvous",
 	"procrun.Merge":                     "the launcher half of a multi-process run: cmd/tilerankd's TestRankdEndToEnd and TestRankdKillRelaunchRecovers and exec's TestRelaunchFromSnapshot merge rank fragments with it, and procrun's TestSplitMergeRoundTrip and TestMergeRejectsMissingAndDuplicate pin it",

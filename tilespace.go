@@ -29,11 +29,10 @@
 //	    []int64{0, 0}, []int64{99, 99},
 //	    [][]int64{{1, 0}, {0, 1}})               // deps as rows d_l
 //	h, _ := tilespace.RectangularTiling(10, 10)
+//	one, r0, r1 := tilespace.Const(1), tilespace.Read(0, 0), tilespace.Read(1, 0)
 //	prog, _ := tilespace.Compile(nest, h, tilespace.CompileOptions{
-//	    Kernel: func(j []int64, reads [][]float64, out []float64) {
-//	        out[0] = 1 + reads[0][0] + reads[1][0]
-//	    },
-//	})
+//	    Kernel: tilespace.Statement(tilespace.Add(tilespace.Add(one, r0), r1)),
+//	})                                           // out[0] = 1 + reads[0][0] + reads[1][0]
 //	res, _ := prog.RunParallel()
 //	_ = res.At([]int64{99, 99})
 package tilespace
@@ -131,9 +130,44 @@ func TilingFromRows(rows [][]string) (Tiling, error) {
 	return Tiling{h: h}, nil
 }
 
-// Kernel computes one iteration: reads[l] is the value vector at j − d_l,
-// out receives the value vector of j.
-type Kernel func(j []int64, reads [][]float64, out []float64)
+// Kernel is the loop body: a statement (Statement) computing an iteration
+// point's value vector from the value vectors read through each dependence.
+// The executor runs it a TTIS row at a time and GenerateC prints it as C.
+type Kernel = exec.Kernel
+
+// Expr is a node of a statement's expression tree.
+type Expr = exec.Expr
+
+// Statement is the loop body given as data: slots[s] computes slot s of the
+// point's value vector, so the program's width is len(slots). Every slot is
+// evaluated from the values read before any is stored.
+func Statement(slots ...*Expr) Kernel { return exec.Statement(slots...) }
+
+// Const is the constant v.
+func Const(v float64) *Expr { return exec.Const(v) }
+
+// Read is slot `slot` of the value vector read through dependence `dep`, the
+// value at j − d_dep.
+func Read(dep, slot int) *Expr { return exec.Read(dep, slot) }
+
+// Coef is a coefficient that depends on the iteration point j only: f must
+// be a pure function of j, safe for concurrent calls, and must not retain j.
+// c is f as a C expression over j[0…n), operation for operation.
+func Coef(f func(j []int64) float64, c string) *Expr {
+	return exec.Coef(func(j ilin.Vec) float64 { return f(j) }, c)
+}
+
+// Add is l + r.
+func Add(l, r *Expr) *Expr { return exec.Add(l, r) }
+
+// Sub is l − r.
+func Sub(l, r *Expr) *Expr { return exec.Sub(l, r) }
+
+// Mul is l × r.
+func Mul(l, r *Expr) *Expr { return exec.Mul(l, r) }
+
+// Div is l ÷ r.
+func Div(l, r *Expr) *Expr { return exec.Div(l, r) }
 
 // Initial supplies value vectors for points outside the iteration space.
 type Initial func(j []int64, out []float64)
@@ -145,8 +179,8 @@ type CompileOptions struct {
 	MapDim int
 	// Width is the number of values per iteration point (default 1).
 	Width int
-	// Kernel is required for execution (not for analysis/codegen-only use,
-	// where a no-op kernel may be passed).
+	// Kernel is required for execution. Without one the program stores
+	// zeros, for analysis only, and GenerateC needs a KernelStmt.
 	Kernel Kernel
 	// Initial defaults to zeros.
 	Initial Initial
@@ -159,10 +193,7 @@ type Program struct {
 
 // Compile analyzes the tiling against the nest and prepares execution.
 func Compile(ln *LoopNest, t Tiling, opts CompileOptions) (*Program, error) {
-	s := compile.Spec{Nest: ln.nest, H: t.h, MapDim: opts.MapDim, Width: opts.Width}
-	if k := opts.Kernel; k != nil {
-		s.Kernel = exec.PointKernel(func(j ilin.Vec, reads [][]float64, out []float64) { k(j, reads, out) })
-	}
+	s := compile.Spec{Nest: ln.nest, H: t.h, MapDim: opts.MapDim, Width: opts.Width, Kernel: opts.Kernel}
 	if init := opts.Initial; init != nil {
 		s.Initial = func(j ilin.Vec, out []float64) { init(j, out) }
 	}
@@ -248,7 +279,8 @@ func (p *Program) Simulate(par ClusterParams) (*SimReport, error) {
 // CodegenOptions configure GenerateC (re-exported).
 type CodegenOptions = codegen.Options
 
-// GenerateC emits the equivalent standalone C+MPI program.
+// GenerateC emits the equivalent standalone C+MPI program. An empty
+// KernelStmt prints the program's own kernel (Kernel.C).
 func (p *Program) GenerateC(opts CodegenOptions) (string, error) {
 	return p.art.Emit(opts)
 }
@@ -264,11 +296,9 @@ type Source struct {
 	Arrays []string
 	// Width is the number of values per iteration point.
 	Width int
-	// Kernel evaluates all statements for the Go executor.
+	// Kernel is the parsed statement: what the executor runs and what
+	// GenerateC prints.
 	Kernel Kernel
-	// KernelC is the parsed statement printed as C, the block
-	// CodegenOptions.KernelStmt takes: the same operations Kernel applies.
-	KernelC string
 	// Tiling is the parsed `tile` directive, or a zero Tiling when absent
 	// (check HasTiling).
 	Tiling Tiling
@@ -294,15 +324,11 @@ func ParseSource(text string) (*Source, error) {
 		return nil, err
 	}
 	src := &Source{
-		Nest:    &LoopNest{nest: p.Nest},
-		Arrays:  p.Arrays,
-		Width:   p.Width,
-		KernelC: p.KernelC,
-		MapDim:  p.MapDim,
-	}
-	k := p.Kernel
-	src.Kernel = func(j []int64, reads [][]float64, out []float64) {
-		k.Point(j, reads, out)
+		Nest:   &LoopNest{nest: p.Nest},
+		Arrays: p.Arrays,
+		Width:  p.Width,
+		Kernel: p.Kernel,
+		MapDim: p.MapDim,
 	}
 	if p.Tiling != nil {
 		src.Tiling = Tiling{h: p.Tiling}

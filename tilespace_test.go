@@ -20,12 +20,14 @@ func quickNest(t *testing.T) *LoopNest {
 	return n
 }
 
-func sumKernel(j []int64, reads [][]float64, out []float64) {
-	s := 1.0
-	for _, r := range reads {
-		s += r[0]
+// sumKernel is out[0] = 1 + Σ reads over ln's dependences, added left to
+// right.
+func sumKernel(ln *LoopNest) Kernel {
+	e := Const(1)
+	for l := 0; l < ln.nest.Q(); l++ {
+		e = Add(e, Read(l, 0))
 	}
-	out[0] = s
+	return Statement(e)
 }
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -34,7 +36,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := Compile(nest, h, CompileOptions{MapDim: -1, Kernel: sumKernel})
+	prog, err := Compile(nest, h, CompileOptions{MapDim: -1, Kernel: sumKernel(nest)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 func TestFacadeSimulateAndReport(t *testing.T) {
 	nest := quickNest(t)
 	h, _ := RectangularTiling(4, 5)
-	prog, err := Compile(nest, h, CompileOptions{Kernel: sumKernel})
+	prog, err := Compile(nest, h, CompileOptions{Kernel: sumKernel(nest)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestFacadeSimulateAndReport(t *testing.T) {
 func TestFacadeGenerateC(t *testing.T) {
 	nest := quickNest(t)
 	h, _ := RectangularTiling(4, 5)
-	prog, err := Compile(nest, h, CompileOptions{Kernel: sumKernel})
+	prog, err := Compile(nest, h, CompileOptions{Kernel: sumKernel(nest)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +103,83 @@ func TestFacadeGenerateC(t *testing.T) {
 	if !strings.Contains(src, "MPI_Init") || !strings.Contains(src, "quick") {
 		t.Error("generated C incomplete")
 	}
-	if _, err := prog.GenerateC(CodegenOptions{}); err == nil {
-		t.Error("missing kernel statement not rejected")
+	if _, err := prog.GenerateC(CodegenOptions{}); err != nil {
+		t.Errorf("the program's own kernel did not print: %v", err)
+	}
+	bare, err := Compile(nest, h, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bare.GenerateC(CodegenOptions{}); err == nil {
+		t.Error("a program compiled without a kernel printed C with no KernelStmt")
+	}
+}
+
+// TestGenerateCPrintsParsedKernel: a ParseSource program emits C with no
+// KernelStmt given, its kernel being the parsed statement printed.
+func TestGenerateCPrintsParsedKernel(t *testing.T) {
+	text, err := os.ReadFile("examples/codegen/sor.nest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseSource(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(parsed.Nest, parsed.Tiling, CompileOptions{MapDim: parsed.MapDim, Width: parsed.Width, Kernel: parsed.Kernel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := prog.GenerateC(CodegenOptions{Name: "sor_nr"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernelC, err := parsed.Kernel.C()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(src, kernelC) {
+		t.Errorf("the C lacks the parsed kernel %q", kernelC)
+	}
+}
+
+// TestQuickstartMatchesPlainLoop: quickstart's recurrence
+// A[i,j] = 1 + A[i-1,j] + A[i,j-1] over 400×400, zero outside, run by the
+// facade in parallel, equals a plain Go double loop bit for bit: an oracle
+// that shares no code with the executor.
+func TestQuickstartMatchesPlainLoop(t *testing.T) {
+	const n = 400
+	nest, err := NewLoopNest([]string{"i", "j"}, []int64{0, 0}, []int64{n - 1, n - 1}, [][]int64{{1, 0}, {0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := RectangularTiling(50, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(nest, h, CompileOptions{MapDim: -1, Kernel: Statement(Add(Add(Const(1), Read(0, 0)), Read(1, 0)))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := prog.RunParallel()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a [n][n]float64
+	for i := range n {
+		for j := range n {
+			up, left := 0.0, 0.0
+			if i > 0 {
+				up = a[i-1][j]
+			}
+			if j > 0 {
+				left = a[i][j-1]
+			}
+			a[i][j] = 1 + up + left
+			if got := par.At([]int64{int64(i), int64(j)})[0]; math.Float64bits(got) != math.Float64bits(a[i][j]) {
+				t.Fatalf("A[%d,%d]: parallel %v, plain loop %v", i, j, got, a[i][j])
+			}
+		}
 	}
 }
 
@@ -134,7 +211,7 @@ func TestSkewAndConeRays(t *testing.T) {
 		t.Fatal(err)
 	}
 	h, _ := RectangularTiling(4, 4)
-	if _, err := Compile(sk, h, CompileOptions{Kernel: sumKernel}); err != nil {
+	if _, err := Compile(sk, h, CompileOptions{Kernel: sumKernel(sk)}); err != nil {
 		t.Fatalf("skewed nest failed to compile: %v", err)
 	}
 }
@@ -158,7 +235,7 @@ func TestTilingConstructors(t *testing.T) {
 		t.Fatal(err)
 	}
 	nest := quickNest(t)
-	prog, err := Compile(nest, tl, CompileOptions{Kernel: sumKernel})
+	prog, err := Compile(nest, tl, CompileOptions{Kernel: sumKernel(nest)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +292,7 @@ map 1
 	if d, _ := seq.MaxAbsDiff(par); d != 0 {
 		t.Fatal("parsed source verification failed")
 	}
-	cSrc, err := prog.GenerateC(CodegenOptions{Name: "parsed", KernelStmt: parsed.KernelC})
+	cSrc, err := prog.GenerateC(CodegenOptions{Name: "parsed"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +353,7 @@ func TestFacadeOptimize(t *testing.T) {
 	if res.Best == nil {
 		t.Fatal("no winner")
 	}
-	prog, err := Compile(nest, CandidateTiling(res.Best), CompileOptions{MapDim: res.Best.MapDim, Kernel: sumKernel})
+	prog, err := Compile(nest, CandidateTiling(res.Best), CompileOptions{MapDim: res.Best.MapDim, Kernel: sumKernel(nest)})
 	if err != nil {
 		t.Fatalf("winner does not compile: %v", err)
 	}
@@ -297,18 +374,16 @@ func ExampleCompile() {
 	nest, _ := NewLoopNest([]string{"i", "j"},
 		[]int64{0, 0}, []int64{399, 399},
 		[][]int64{{1, 0}, {0, 1}}) // dependence vectors
-	h, _ := RectangularTiling(50, 50) // or TilingFromRows
+	h, _ := RectangularTiling(50, 50)                 // or TilingFromRows
+	one, up, left := Const(1), Read(0, 0), Read(1, 0) // reads through d_1, d_2
 	prog, _ := Compile(nest, h, CompileOptions{
-		Kernel: func(j []int64, reads [][]float64, out []float64) {
-			out[0] = 1 + reads[0][0] + reads[1][0]
-		},
+		Kernel: Statement(Add(Add(one, up), left)), // out[0] = 1 + up + left
 	})
-	par, _ := prog.RunParallel()                // real message-passing execution
-	seq, _ := prog.RunSequential()              // reference
-	diff, _ := seq.MaxAbsDiff(par)              // == 0
-	rep, _ := prog.Simulate(FastEthernetPIII()) // paper's testbed model
-	src, _ := prog.GenerateC(CodegenOptions{    // the paper's deliverable
-		Name: "demo", KernelStmt: "out[0] = 1 + R0[0] + R1[0];"})
-	fmt.Println(diff, rep.Procs, strings.Contains(src, "MPI_Init"))
+	par, _ := prog.RunParallel()                           // real message-passing execution
+	seq, _ := prog.RunSequential()                         // reference
+	diff, _ := seq.MaxAbsDiff(par)                         // == 0
+	rep, _ := prog.Simulate(FastEthernetPIII())            // paper's testbed model
+	src, _ := prog.GenerateC(CodegenOptions{Name: "demo"}) // the paper's deliverable
+	fmt.Println(diff, rep.Procs, strings.Contains(src, "out[0] = ((1.0 + R0[0]) + R1[0]);"))
 	// Output: 0 8 true
 }
