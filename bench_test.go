@@ -172,7 +172,7 @@ func BenchmarkAblationLDSCompression(b *testing.B) {
 		var lo, hi ilin.Vec
 		for t := int64(0); t < d.ChainLen[rank]; t++ {
 			tile := d.TileAt(rank, t)
-			ts.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+			tilePoints(ts, tile, func(z, jp ilin.Vec) bool {
 				j := unskew.MulVec(ts.T.P.MulVec(tile).Add(ts.T.U.MulVec(z)))
 				if lo == nil {
 					lo, hi = j.Clone(), j.Clone()
@@ -420,4 +420,20 @@ func BenchmarkOptimizerSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// tilePoints walks tile jS of ts point by point in scan order — the rows of
+// ScanTileRows expanded, z and jp reused buffers — until fn returns false.
+func tilePoints(ts *tiling.TiledSpace, jS ilin.Vec, fn func(z, jp ilin.Vec) bool) {
+	last := ts.T.N - 1
+	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
+		for ; n > 0; n-- {
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += ts.T.C[last]
+		}
+		return true
+	})
 }

@@ -26,13 +26,13 @@ type FaultComparison struct {
 	Scenario string
 	Procs    int
 
-	MeasuredBaseline time.Duration // fault-free measured makespan
-	MeasuredFaulty   time.Duration
+	MeasuredBaseline time.Duration // fault-free measured makespan, the median of measureRuns
+	MeasuredFaulty   time.Duration // the same under the scenario
 
 	MeasuredDegradation  float64 // MeasuredFaulty / MeasuredBaseline
 	PredictedDegradation float64 // simulated faulty / fault-free makespan
 
-	// Trace and Metrics expose the measured faulty run — including its
+	// Trace and Metrics expose the last measured faulty run — including its
 	// crash/restart markers — for export and reporting.
 	Trace   *simnet.Trace
 	Metrics []exec.RankMetrics
@@ -151,14 +151,22 @@ func RunFaultComparison(app *apps.App, h *ilin.RatMat, par simnet.Params, costSc
 		}
 		return tr.Trace().Result.Makespan, tr, nil
 	}
-	baseMk, _, err := measure(nil)
-	if err != nil {
-		return nil, fmt.Errorf("%s fault-free: %w", sc.Name, err)
+	// The arms alternate, measureRuns times each, and the degradation
+	// divides their medians: a run a loaded host slowed decides nothing.
+	var base, faulty []float64
+	var ftr *exec.Tracer
+	for range measureRuns {
+		mk, _, err := measure(nil)
+		if err != nil {
+			return nil, fmt.Errorf("%s fault-free: %w", sc.Name, err)
+		}
+		base = append(base, mk)
+		if mk, ftr, err = measure(plan); err != nil {
+			return nil, fmt.Errorf("%s faulty: %w", sc.Name, err)
+		}
+		faulty = append(faulty, mk)
 	}
-	faultMk, ftr, err := measure(plan)
-	if err != nil {
-		return nil, fmt.Errorf("%s faulty: %w", sc.Name, err)
-	}
+	baseMk, faultMk := median(base), median(faulty)
 	if baseMk <= 0 || simBase.Makespan <= 0 {
 		return nil, fmt.Errorf("%s: degenerate baseline makespan", sc.Name)
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,15 +25,16 @@ type PhaseComparison struct {
 	Procs int
 	Tiles int64
 
-	MeasuredCompute float64 // fraction of processor-time in the kernel sweep
-	MeasuredWait    float64 // fraction blocked on receives + idle fill/drain
+	MeasuredCompute float64 // fraction of processor-time in the kernel sweep (median of measureRuns)
+	MeasuredWait    float64 // fraction blocked on receives + idle fill/drain (median of measureRuns)
 	SimCompute      float64
 	SimWait         float64
 
-	MeasuredMakespan time.Duration // wall time at the injected cost scale
+	MeasuredMakespan time.Duration // wall time at the injected cost scale (median of measureRuns)
 	SimMakespan      time.Duration // model makespan × costScale
 
-	// Trace and Metrics expose the measured run for export and reporting.
+	// Trace and Metrics expose the last measured run for export and
+	// reporting.
 	Trace   *simnet.Trace
 	Metrics []exec.RankMetrics
 }
@@ -46,6 +48,16 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// measureRuns is how many times a measured comparison runs each arm: an
+// odd count, so a median is one run's figure.
+const measureRuns = 5
+
+// median returns the middle of xs, which it sorts.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[len(xs)/2]
 }
 
 // RunTraceComparison runs one workload both ways under the same cost
@@ -63,30 +75,38 @@ func RunTraceComparison(name string, app *apps.App, h *ilin.RatMat, par simnet.P
 		return nil, err
 	}
 
+	// The run is measured measureRuns times and each figure is the median:
+	// a run a loaded host slowed decides nothing.
+	var compute, wait, elapsed []float64
 	tr := exec.NewTracer()
-	start := time.Now()
-	_, _, err = p.RunParallelOpts(exec.RunOptions{
-		Overlap:    overlap,
-		Net:        par.NetOptions(costScale),
-		PointDelay: time.Duration(par.IterTime * costScale * float64(time.Second)),
-		Trace:      tr,
-	})
-	if err != nil {
-		return nil, err
+	for range measureRuns {
+		start := time.Now()
+		_, _, err = p.RunParallelOpts(exec.RunOptions{
+			Overlap:    overlap,
+			Net:        par.NetOptions(costScale),
+			PointDelay: time.Duration(par.IterTime * costScale * float64(time.Second)),
+			Trace:      tr,
+		})
+		if err != nil {
+			return nil, err
+		}
+		elapsed = append(elapsed, time.Since(start).Seconds())
+		c, w := tr.Trace().ComputeWaitFractions()
+		compute, wait = append(compute, c), append(wait, w)
 	}
-	elapsed := time.Since(start)
 
 	pc := &PhaseComparison{
-		App:         name,
-		Procs:       art.Procs,
-		Tiles:       art.Tiles,
-		SimMakespan: time.Duration(sim.Result.Makespan * costScale * float64(time.Second)),
-		Trace:       tr.Trace(),
-		Metrics:     tr.PerRank(),
+		App:              name,
+		Procs:            art.Procs,
+		Tiles:            art.Tiles,
+		SimMakespan:      time.Duration(sim.Result.Makespan * costScale * float64(time.Second)),
+		MeasuredMakespan: time.Duration(median(elapsed) * float64(time.Second)),
+		MeasuredCompute:  median(compute),
+		MeasuredWait:     median(wait),
+		Trace:            tr.Trace(),
+		Metrics:          tr.PerRank(),
 	}
-	pc.MeasuredMakespan = elapsed
 	pc.SimCompute, pc.SimWait = sim.ComputeWaitFractions()
-	pc.MeasuredCompute, pc.MeasuredWait = pc.Trace.ComputeWaitFractions()
 	return pc, nil
 }
 

@@ -204,7 +204,7 @@ func goChecksum(t *testing.T, prog *goexec.Program) float64 {
 		local := 0.0
 		for s := int64(0); s < d.ChainLen[r]; s++ {
 			tile := d.TileAt(r, s)
-			prog.TS.ScanTilePoints(tile, func(z, _ ilin.Vec) bool {
+			tilePoints(prog.TS, tile, func(z, _ ilin.Vec) bool {
 				for _, v := range g.At(prog.TS.T.P.MulVec(tile).Add(prog.TS.T.U.MulVec(z))) {
 					local += v
 				}
@@ -318,4 +318,20 @@ func TestDSLSeedsRunUnderMockMPI(t *testing.T) {
 			runDSL(t, name, string(src), ones, "for (int w = 0; w < WIDTH; w++) out[w] = 1.0;")
 		})
 	}
+}
+
+// tilePoints walks tile jS of ts point by point in scan order — the rows of
+// ScanTileRows expanded, z and jp reused buffers — until fn returns false.
+func tilePoints(ts *tiling.TiledSpace, jS ilin.Vec, fn func(z, jp ilin.Vec) bool) {
+	last := ts.T.N - 1
+	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
+		for ; n > 0; n-- {
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += ts.T.C[last]
+		}
+		return true
+	})
 }

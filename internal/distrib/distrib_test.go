@@ -273,8 +273,8 @@ func TestCommRegionCountMatchesScan(t *testing.T) {
 	d.Protocol()
 	ts.ScanTiles(func(jS ilin.Vec) bool {
 		f := d.tileOf(jS, true).shape
-		if got, want := f.npts, d.countMinJP(jS, nil); got != want || got != ts.TilePointCount(jS) {
-			t.Fatalf("tile %v: table %d points, closed %d, scan %d", jS, got, want, ts.TilePointCount(jS))
+		if got, want := f.npts, d.countMinJP(jS, nil); got != want || got != ts.CountTilePoints(jS) {
+			t.Fatalf("tile %v: table %d points, closed %d, tiling %d", jS, got, want, ts.CountTilePoints(jS))
 		}
 		for di, dm := range d.DM {
 			got, want := f.region[di], d.commRegion(jS, dm, nil)

@@ -39,7 +39,7 @@ func ttisPoints(tr *tiling.Transform, fn func(z, jp ilin.Vec) bool) {
 func (d *Distribution) commRegion(s, dm ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
 	cc := d.TS.CC
 	var count int64
-	d.TS.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
+	tilePoints(d.TS, s, func(z, jp ilin.Vec) bool {
 		idx := 0
 		for k := 0; k < d.TS.T.N; k++ {
 			if k == d.M {
@@ -210,4 +210,20 @@ func (d *Distribution) OracleMismatch(r int) error {
 		return fmt.Errorf("rank %d: compiled tables\n%+v\ndiffer from the oracles'\n%+v", r, got, want)
 	}
 	return nil
+}
+
+// tilePoints walks tile jS of ts point by point in scan order — the rows of
+// ScanTileRows expanded, z and jp reused buffers — until fn returns false.
+func tilePoints(ts *tiling.TiledSpace, jS ilin.Vec, fn func(z, jp ilin.Vec) bool) {
+	last := ts.T.N - 1
+	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
+		for ; n > 0; n-- {
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += ts.T.C[last]
+		}
+		return true
+	})
 }

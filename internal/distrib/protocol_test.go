@@ -30,7 +30,7 @@ func TestScheduleLevelAgreesWithAddressLevel(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ti, sl := range rp.Slots {
-			if sl.Npts != int64(sl.Plan.Npts) || sl.Npts != d.TS.TilePointCount(sl.Tile) {
+			if sl.Npts != int64(sl.Plan.Npts) || sl.Npts != d.TS.CountTilePoints(sl.Tile) {
 				t.Fatalf("rank %d slot %d: schedule says %d points, plan %d", r, ti, sl.Npts, sl.Plan.Npts)
 			}
 			for _, snd := range sl.Sends {

@@ -80,7 +80,7 @@ func checkRows(t *testing.T, name string, d *distrib.Distribution) (full, clampe
 				t.Fatalf("%s: rank %d slot %d: %d rows but %d/%d Uz/Read entries", name, r, ti, len(pl.Rows), len(pl.Uz), len(pl.Read))
 			}
 			row, i, pts, longest := 0, int64(0), 0, 0
-			ts.ScanTilePoints(sl.Tile, func(z, jp ilin.Vec) bool {
+			tilePoints(ts, sl.Tile, func(z, jp ilin.Vec) bool {
 				if row < len(pl.Rows) && i == int64(pl.Rows[row].N) {
 					row, i = row+1, 0
 				}
@@ -285,4 +285,20 @@ func TestPlanTablesDoNotGrowWithRowLength(t *testing.T) {
 	if longElems != shortElems {
 		t.Fatalf("tables hold %d elements at rows of 8 and %d at rows of 64: something in them is per point", shortElems, longElems)
 	}
+}
+
+// tilePoints walks tile jS of ts point by point in scan order — the rows of
+// ScanTileRows expanded, z and jp reused buffers — until fn returns false.
+func tilePoints(ts *tiling.TiledSpace, jS ilin.Vec, fn func(z, jp ilin.Vec) bool) {
+	last := ts.T.N - 1
+	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
+		for ; n > 0; n-- {
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += ts.T.C[last]
+		}
+		return true
+	})
 }

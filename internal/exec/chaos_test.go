@@ -269,10 +269,11 @@ func TestChaosAbortLeaksNothing(t *testing.T) {
 }
 
 // Regression for the watchdog/fault interplay at the executor level: with
-// every fault class active and every injected sleep (link delay, retry
+// every fault class active and every injected delay (link delay, retry
 // backoff, restart outage) longer than the watchdog period, the run must
-// complete — fault sleeps count as progress, so a tight watchdog cannot
-// misread injected slowness as deadlock.
+// complete — a message on the wire and a group waiting out a deadline are
+// activity, so a tight watchdog cannot misread injected slowness as
+// deadlock.
 func TestWatchdogToleratesInjectedFaults(t *testing.T) {
 	c := chaosCases(t)[0]
 	mid := c.p.Dist.NumProcs() / 2

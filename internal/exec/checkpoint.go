@@ -143,11 +143,13 @@ func (p *Program) StreamPositions(rank int, next int64) (recv, sent []mpi.Stream
 // logs reports whether the rank keeps held payloads for in-process recovery.
 func (ck *ckptState) logs() bool { return ck != nil && !ck.saved }
 
-// snapshotDue reports whether the slot just fired ends a snapshot period.
-// The end of the chain is not snapshotted — nothing is left to resume.
+// snapshotDue reports whether the rank, about to fire its current slot, is
+// to snapshot first: the slot ends a snapshot period and the last snapshot
+// (or the resumed one) is not at it. The end of the chain is not
+// snapshotted — nothing is left to resume.
 func (st *rankState) snapshotDue() bool {
 	ck := st.ckpt
-	return ck != nil && st.t%ck.every == 0 && st.t != int64(len(st.Slots))
+	return ck != nil && st.t%ck.every == 0 && st.t != ck.snap.NextTile && !st.done()
 }
 
 // snapshot records the rank's restartable state as of the current slot —

@@ -7,57 +7,140 @@ import (
 	"testing"
 	"time"
 
+	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
+	"tilespace/internal/tiling"
 )
 
 // TestFoldEveryGroupCount runs two fixtures folded into every group count
 // from one executor to one per rank, whatever GOMAXPROCS says, against the
 // same program on a world of groups of one: bit-identical Global, DeepEqual
-// Stats, and with tracing on one event per tile, the tracer's traffic
-// equal to the runtime's, and the ranks' busy time (unpack, compute, send)
-// at most E times the run's span: members of a group take turns, so no
-// member's tile time may count a sibling's.
+// Stats, and with tracing on the tracer's traffic equal to the runtime's.
+// It does so twice: plainly, and modelling time on every path a rank can be
+// busy (modelledRun). A plain run also traces one event per tile, and its
+// ranks' busy time (unpack, compute, send) is at most E times the run's
+// span: members of a group take turns, so no member's tile time may count a
+// sibling's. A modelled rank's compute and wire time overlap its siblings'
+// by design, so that bound is the plain runs' alone.
 func TestFoldEveryGroupCount(t *testing.T) {
 	for name, p := range map[string]*Program{"sor": planProgram(t), "adi": adiProgram(t)} {
 		n := p.Dist.NumProcs()
-		for _, overlap := range []bool{false, true} {
-			want, wantStats, err := p.runOn(mpi.NewWorldOpts(n, mpi.Options{}), RunOptions{Overlap: overlap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for e := 1; e <= n; e++ {
-				tr := NewTracer()
-				g, stats, err := p.runOn(mpi.NewGroupedWorld(n, e, mpi.Options{}), RunOptions{Overlap: overlap, Trace: tr})
+		for _, modelled := range []bool{false, true} {
+			for _, overlap := range []bool{false, true} {
+				opt := RunOptions{Overlap: overlap}
+				if modelled {
+					opt = modelledRun(t, p, overlap)
+				}
+				arm := fmt.Sprintf("%s modelled=%v overlap=%v", name, modelled, overlap)
+				want, wantStats, err := p.runOn(mpi.NewWorldOpts(n, opt.Net), opt)
 				if err != nil {
-					t.Fatalf("%s E=%d overlap=%v: %v", name, e, overlap, err)
+					t.Fatalf("%s groups of one: %v", arm, err)
 				}
-				if d, at := want.MaxAbsDiff(g, p.ScanSpace); d != 0 {
-					t.Fatalf("%s E=%d overlap=%v: folded run differs by %g at %v", name, e, overlap, d, at)
-				}
-				if !reflect.DeepEqual(stats, wantStats) {
-					t.Fatalf("%s E=%d overlap=%v: stats differ\n got %+v\nwant %+v", name, e, overlap, stats, wantStats)
-				}
-				if evs := len(tr.Trace().Events); int64(evs) != p.TS.NumTiles() {
-					t.Fatalf("%s E=%d: %d events for %d tiles", name, e, evs, p.TS.NumTiles())
-				}
-				var msgs, vals int64
-				var busy time.Duration
-				for _, m := range tr.PerRank() {
-					msgs += int64(m.MsgsRecvd)
-					vals += int64(m.ValuesRecvd)
-					busy += m.Unpack + m.Compute + m.Send
-					if m.Tiles > 0 && m.Span <= 0 || m.Wait < 0 || m.Unpack < 0 {
-						t.Fatalf("%s E=%d: rank %d metrics %+v", name, e, m.Rank, m)
+				for e := 1; e <= n; e++ {
+					tr := NewTracer()
+					traced := opt
+					traced.Trace = tr
+					g, stats, err := p.runOn(mpi.NewGroupedWorld(n, e, opt.Net), traced)
+					if err != nil {
+						t.Fatalf("%s E=%d: %v", arm, e, err)
 					}
-				}
-				if msgs != stats.Recvs || vals != stats.ValuesRecvd {
-					t.Fatalf("%s E=%d: tracer received %d/%d, mpi counted %d/%d", name, e, msgs, vals, stats.Recvs, stats.ValuesRecvd)
-				}
-				if span := tr.Trace().Result.Makespan; busy.Seconds() > float64(e)*span+1e-9 {
-					t.Fatalf("%s E=%d overlap=%v: ranks busy %.6f s in a %.6f s run", name, e, overlap, busy.Seconds(), span)
+					if d, at := want.MaxAbsDiff(g, p.ScanSpace); d != 0 {
+						t.Fatalf("%s E=%d: folded run differs by %g at %v", arm, e, d, at)
+					}
+					if !reflect.DeepEqual(stats, wantStats) {
+						t.Fatalf("%s E=%d: stats differ\n got %+v\nwant %+v", arm, e, stats, wantStats)
+					}
+					var msgs, vals, crashes int64
+					var busy time.Duration
+					for _, m := range tr.PerRank() {
+						msgs += int64(m.MsgsRecvd)
+						vals += int64(m.ValuesRecvd)
+						crashes += int64(m.Crashes)
+						busy += m.Unpack + m.Compute + m.Send
+						if m.Tiles > 0 && m.Span <= 0 || m.Wait < 0 || m.Unpack < 0 {
+							t.Fatalf("%s E=%d: rank %d metrics %+v", arm, e, m.Rank, m)
+						}
+					}
+					if msgs != stats.Recvs || vals != stats.ValuesRecvd {
+						t.Fatalf("%s E=%d: tracer received %d/%d, mpi counted %d/%d", arm, e, msgs, vals, stats.Recvs, stats.ValuesRecvd)
+					}
+					if modelled {
+						if crashes != 1 {
+							t.Fatalf("%s E=%d: %d crashes survived, want the planned one", arm, e, crashes)
+						}
+						continue
+					}
+					if evs := len(tr.Trace().Events); int64(evs) != p.TS.NumTiles() {
+						t.Fatalf("%s E=%d: %d events for %d tiles", arm, e, evs, p.TS.NumTiles())
+					}
+					if span := tr.Trace().Result.Makespan; busy.Seconds() > float64(e)*span+1e-9 {
+						t.Fatalf("%s E=%d: ranks busy %.6f s in a %.6f s run", arm, e, busy.Seconds(), span)
+					}
 				}
 			}
 		}
+	}
+}
+
+// modelledRun returns options that model time on every path a rank can be
+// busy: per-point compute, three times slower on the middle rank; wire cost
+// on every message, more on the middle rank's outbound links; transient send
+// failures; and a crash halfway along the middle rank's chain, recovered
+// from an in-memory checkpoint after a restart outage. The costs are small,
+// so a run takes milliseconds, but every one is a deadline some group waits
+// on.
+func modelledRun(tb testing.TB, p *Program, overlap bool) RunOptions {
+	mid := p.Dist.NumProcs() / 2
+	links := map[mpi.Link]mpi.LinkFault{}
+	for _, dst := range mustPlan(tb, p, mid).SendRank {
+		if dst >= 0 {
+			links[mpi.Link{Src: mid, Dst: dst}] = mpi.LinkFault{Delay: 40 * time.Microsecond, Jitter: 20 * time.Microsecond}
+		}
+	}
+	return RunOptions{
+		Overlap:    overlap,
+		PointDelay: time.Microsecond,
+		Net: mpi.Options{LinkLatency: 20 * time.Microsecond, PerValue: 100 * time.Nanosecond, Faults: &mpi.FaultPlan{
+			Seed:         7,
+			Slowdown:     map[int]float64{mid: 3},
+			Links:        links,
+			Sends:        &mpi.SendFaults{Rate: 0.3, MaxRetries: 2, Backoff: 10 * time.Microsecond},
+			Crash:        map[int]int64{mid: p.Dist.ChainLen[mid] / 2},
+			RestartDelay: 100 * time.Microsecond,
+		}},
+		Checkpoint: &CheckpointOptions{Every: 2},
+	}
+}
+
+// TestFoldedModelledComputeOverlaps: ranks folded onto one executor are
+// busy with their modelled compute at once, not one after another. The
+// fixture's ranks share no dependence, so each runs its chain alone and the
+// run takes about one rank's modelled compute; a group that slept each
+// member's compute in turn would take P times that.
+func TestFoldedModelledComputeOverlaps(t *testing.T) {
+	const delay = 500 * time.Microsecond
+	deps := ilin.MatFromRows([]int64{1}, []int64{0}) // along i only: no rank feeds another
+	nest := mustBox(t, []string{"i", "j"}, []int64{0, 0}, []int64{15, 15}, deps)
+	tr, _ := tiling.Rectangular(4, 4)
+	p := buildProgram(t, nest, tr.H, 0, 1, sumStatement(nest.Q()), zeroInit)
+	n := p.Dist.NumProcs()
+	if n < 4 {
+		t.Fatalf("fixture has %d ranks, want at least 4", n)
+	}
+	var one time.Duration // the largest rank's modelled compute
+	for r := 0; r < n; r++ {
+		var pts int64
+		for _, sl := range mustPlan(t, p, r).Slots {
+			pts += sl.Npts
+		}
+		one = max(one, time.Duration(pts)*delay)
+	}
+	start := time.Now()
+	if _, _, err := p.runOn(mpi.NewGroupedWorld(n, 1, mpi.Options{}), RunOptions{Overlap: true, PointDelay: delay}); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Duration(n)*one/2 {
+		t.Fatalf("%d ranks folded onto one executor took %v, one rank's modelled compute is %v: the members' compute ran one after another", n, took, one)
 	}
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
@@ -66,7 +67,8 @@ func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 			return err
 		}
 	}
-	c.WaitSends()
+	due, _ := c.WireClock()
+	time.Sleep(time.Until(due)) // the end of the chain waits for its overlapped sends
 	st.writeBackPerPoint(g)
 	return nil
 }
@@ -128,7 +130,7 @@ func (st *rankState) initPhase(tile ilin.Vec, t int64) {
 	n := st.p.TS.T.N
 	src := make(ilin.Vec, n)
 	buf := make([]float64, w)
-	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+	tilePoints(st.p.TS, tile, func(z, jp ilin.Vec) bool {
 		j := global(st.p.TS, tile, z)
 		for l := range st.deps {
 			for k := 0; k < n; k++ {
@@ -152,7 +154,7 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 	w := st.p.Width
 	q := len(st.deps)
 	reads := make([][]float64, q)
-	st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+	tilePoints(st.p.TS, tile, func(z, jp ilin.Vec) bool {
 		for l := 0; l < q; l++ {
 			cell := st.Addr.FlatRead(jp, st.dps[l], t) * int64(w)
 			reads[l] = st.la[cell : cell+int64(w)]
@@ -194,7 +196,7 @@ func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool) error {
 			return true
 		})
 		if overlap {
-			c.IsendOwned(st.SendRank[i], i, buf)
+			c.SendOwned(st.SendRank[i], i, buf, true)
 		} else {
 			c.Send(st.SendRank[i], i, buf)
 		}
@@ -208,7 +210,7 @@ func (st *rankState) writeBackPerPoint(g *Global) {
 	w := st.p.Width
 	for t := int64(0); t < st.p.Dist.ChainLen[st.rank]; t++ {
 		tile := st.p.Dist.TileAt(st.rank, t)
-		st.p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+		tilePoints(st.p.TS, tile, func(z, jp ilin.Vec) bool {
 			j := global(st.p.TS, tile, z)
 			cell := st.Addr.Flat(jp, t) * int64(w)
 			g.Set(j, st.la[cell:cell+int64(w)])
@@ -223,7 +225,7 @@ func (st *rankState) writeBackPerPoint(g *Global) {
 // d^m is 1. fn may be nil to just count.
 func commRegion(d *distrib.Distribution, s, dm ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
 	var count int64
-	d.TS.ScanTilePoints(s, func(z, jp ilin.Vec) bool {
+	tilePoints(d.TS, s, func(z, jp ilin.Vec) bool {
 		for k, i := 0, 0; k < len(jp); k++ {
 			if k == d.M {
 				continue

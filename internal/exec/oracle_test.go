@@ -58,7 +58,7 @@ func (p *Program) RunTiledSequential() (*Global, error) {
 	g, point := p.reference()
 	p.TS.ScanTiles(func(jS ilin.Vec) bool {
 		tile := jS.Clone()
-		p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+		tilePoints(p.TS, tile, func(z, jp ilin.Vec) bool {
 			point(global(p.TS, tile, z))
 			return true
 		})
@@ -99,4 +99,20 @@ func (g *Global) FirstBitDiff(o *Global) (ilin.Vec, bool) {
 		}
 	}
 	return nil, false
+}
+
+// tilePoints walks tile jS of ts point by point in scan order — the rows of
+// ScanTileRows expanded, z and jp reused buffers — until fn returns false.
+func tilePoints(ts *tiling.TiledSpace, jS ilin.Vec, fn func(z, jp ilin.Vec) bool) {
+	last := ts.T.N - 1
+	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
+		for ; n > 0; n-- {
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += ts.T.C[last]
+		}
+		return true
+	})
 }

@@ -5,7 +5,7 @@ import "tilespace/internal/distrib"
 // This file holds run-based packing into the rank's outbox (bulk copies over
 // the plan's LDS runs; unpack is its mirror in receive.go) and the buffer
 // pool. A sender packs into a pooled buffer, ownership rides the message
-// (mpi.SendOwned/IsendOwned) to the receiver, which recycles it into its own
+// (mpi.SendOwned) to the receiver, which recycles it into its own
 // pool — or, within a group, back into the sender's: steady state allocates
 // nothing per tile.
 

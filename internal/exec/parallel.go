@@ -43,8 +43,10 @@ type RunOptions struct {
 	// Dist.NumProcs() ranks and no run in flight — how a run goes over
 	// loopback TCP (mpi.NewTCPWorld), or one world serves run after run. It
 	// is Reset under Net first, so results and Stats are bit-identical to a
-	// fresh world's, and every rank runs on its own goroutine. Nil runs on a
-	// fresh in-process channel world, its ranks folded onto executors.
+	// fresh world's. Such a world has a mailbox per rank, so each rank is a
+	// group of its own, stepped on its own goroutine. Nil runs on a fresh
+	// in-process channel world, its ranks folded onto min(P, GOMAXPROCS)
+	// executors whatever else the options say.
 	World *mpi.World
 	// Deprecated: ignored; a rank receives in its inbound-message table's
 	// order (receive.go). Leave it unset.
@@ -72,23 +74,20 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 			return nil, mpi.Stats{}, fmt.Errorf("exec: Checkpoint.Resume is a snapshot of rank %d, the program has ranks 0..%d", r, n-1)
 		}
 	}
-	world := opt.World
-	if world != nil && world.Size() != p.Dist.NumProcs() {
+	switch world := opt.World; {
+	case world == nil:
+		return p.runOn(mpi.NewGroupedWorld(p.Dist.NumProcs(), runtime.GOMAXPROCS(0), opt.Net), opt)
+	case world.Size() != p.Dist.NumProcs():
 		return nil, mpi.Stats{}, fmt.Errorf("exec: pooled world has %d ranks, program needs %d", world.Size(), p.Dist.NumProcs())
-	}
-	if world != nil {
+	case !world.Remote():
 		// A remote world is per-process and single-use: it was just
 		// constructed — possibly over a mesh seeded from a checkpoint, with
 		// resent frames already queued that a Reset would destroy — and
 		// resetting one process of a live mesh cannot be coordinated from
 		// here.
-		if !world.Remote() {
-			world.Reset(opt.Net)
-		}
-	} else {
-		world = mpi.NewGroupedWorld(p.Dist.NumProcs(), executors(p.Dist.NumProcs(), opt), opt.Net)
+		world.Reset(opt.Net)
 	}
-	return p.runOn(world, opt)
+	return p.runOn(opt.World, opt)
 }
 
 // runOn runs the program on world, which is ready for the run. Everything
@@ -106,16 +105,6 @@ func (p *Program) runOn(world *mpi.World, opt RunOptions) (*Global, mpi.Stats, e
 		return nil, mpi.Stats{}, err
 	}
 	return g, world.Stats(), nil
-}
-
-// executors is E, the groups a run on a fresh world folds its n ranks into:
-// min(n, GOMAXPROCS), or n when the run models time — a PointDelay, wire
-// cost, fault or checkpoint sleeps or quiesces a rank, stalling its group.
-func executors(n int, opt RunOptions) int {
-	if opt.PointDelay > 0 || opt.Net.LinkLatency > 0 || opt.Net.PerValue > 0 || opt.Net.Faults != nil || opt.Checkpoint != nil {
-		return n
-	}
-	return min(n, runtime.GOMAXPROCS(0))
 }
 
 // rankState is one rank's machine for one run: the distribution's compiled
@@ -177,11 +166,9 @@ func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 		clear(st.la)
 		st.t, st.cur, st.tr, st.ckpt, st.pool.hits, st.pool.misses = 0, 0, nil, nil, 0, 0
 	}
-	st.pointDelay, st.crashAt = opt.PointDelay, opt.Net.Faults.CrashTile(r)
 	// A straggler's injected compute cost is its PointDelay, scaled.
-	if s := opt.Net.Faults.SlowdownOf(r); s > 1 {
-		st.pointDelay = time.Duration(float64(st.pointDelay) * s)
-	}
+	st.pointDelay = time.Duration(float64(opt.PointDelay) * opt.Net.Faults.SlowdownOf(r))
+	st.crashAt = opt.Net.Faults.CrashTile(r)
 	if opt.Trace != nil {
 		st.tr = newRankTracer(opt.Trace, r)
 	}
@@ -201,51 +188,68 @@ func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 
 // group is one executor: a block of rank machines stepped on one goroutine
 // (mpi.World.RunGroups), and the one place the executor calls the runtime.
-// A pass steps each unfinished member once, in rank order (lex-time), firing
-// at most one tile each. A message between members goes from the sender's
-// outbox straight into the receiver's queue for its direction. A group of
-// one blocks in Recv; a larger one takes only what has arrived, and after a
-// pass in which no member moved sleeps until a delivery reaches one.
+// A pass steps each unfinished member once, in rank order (lex-time), by at
+// most one tile each. A member never blocks and never sleeps: it takes only
+// what has arrived, and modelled time — a tile's compute, a blocking send's
+// wire cost, the drain before a snapshot or the chain's end, a crash's
+// restart — is a deadline it is busy until, stepping only once it passes.
+// After a pass in which no member moved, the group waits for a delivery to
+// a parked member or its earliest deadline (mpi.Group.Wait). A message
+// between members goes from the sender's outbox straight into the
+// receiver's queue for its direction when the run models no wire cost.
 type group struct {
 	*mpi.Group
 	g     *Global
 	opt   RunOptions
 	sts   []*rankState
-	local [][]mpi.Queue[[]float64] // per member, per inbound direction: a sibling's payloads
+	stage []int8                   // per member: what its next step does (claiming …)
+	busy  []time.Time              // per member: the deadline it is busy until (zero: none)
+	local [][]mpi.Queue[[]float64] // per member, per inbound direction: a sibling's payloads; nil when messages take the world's path
 	waits []mpi.Stream             // per member parked in the last pass: the receive it waits for
+	until time.Time                // the earliest deadline of a member busy in the last pass
 	now   time.Time                // traced: when the member about to step starts
 }
+
+// A member's stage: what its next step does once it is not busy.
+const (
+	claiming = iota // drain for a snapshot or the chain's end, claim the slot's rows and fire it
+	sending         // the compute is paid: issue the outbox
+	closing         // the blocking sends are due: close the tile
+	finished
+)
 
 // runGroup builds the machines of grp's ranks and runs them as a group.
 func (p *Program) runGroup(grp *mpi.Group, g *Global, opt RunOptions) error {
 	n := len(grp.Comms)
-	gr := &group{Group: grp, g: g, opt: opt, sts: make([]*rankState, n), local: make([][]mpi.Queue[[]float64], n)}
+	gr := &group{Group: grp, g: g, opt: opt, sts: make([]*rankState, n), stage: make([]int8, n), busy: make([]time.Time, n)}
+	// A sibling's message is handed over in memory only while it costs
+	// nothing on the wire; else it is due, counted and faulted as any other.
+	if n > 1 && opt.Net.LinkLatency == 0 && opt.Net.PerValue == 0 && opt.Net.Faults == nil {
+		gr.local = make([][]mpi.Queue[[]float64], n)
+	}
 	for i, c := range grp.Comms {
 		st, err := newRankState(p, c.Rank(), opt)
 		if err != nil {
 			return err
 		}
 		gr.sts[i] = st
-		if n > 1 {
+		if gr.local != nil {
 			gr.local[i] = make([]mpi.Queue[[]float64], len(st.RecvRank))
-		}
-		if st.done() {
-			gr.finish(i)
 		}
 	}
 	return gr.run()
 }
 
 // run steps the members until every chain is done. Sends are eager, so the
-// group sleeps only when each unfinished member waits on a receive — the
-// condition a rank on its own goroutine blocks on.
+// group waits only when each unfinished member is busy or waits on a
+// receive.
 func (gr *group) run() error {
 	gr.clock()
 	for {
 		moved, live := false, false
-		gr.waits = gr.waits[:0]
-		for i, st := range gr.sts {
-			if st.done() {
+		gr.waits, gr.until = gr.waits[:0], time.Time{}
+		for i := range gr.sts {
+			if gr.stage[i] == finished {
 				continue
 			}
 			live = true
@@ -262,7 +266,7 @@ func (gr *group) run() error {
 			return nil
 		}
 		if !moved {
-			gr.Wait(gr.waits)
+			gr.Wait(gr.waits, gr.until)
 			gr.clock()
 		}
 	}
@@ -284,131 +288,150 @@ func (gr *group) member(r int) int {
 	return -1
 }
 
-// step moves member i by at most one tile: it claims the rows next names as
-// long as they are there and fires the slot once it has them all. It carries
-// out a planned crash (sit out the restart, then crash the machine) and a
-// due snapshot (quiesce the wire, snapshot, hand the result to Save). It
-// reports whether the member moved.
+// await leaves member i at stage s, busy for d when d > 0, and reports
+// whether it is.
+func (gr *group) await(i int, d time.Duration, s int8) bool {
+	if gr.stage[i] = s; d > 0 {
+		gr.busy[i] = time.Now().Add(d)
+	}
+	return d > 0
+}
+
+// step moves member i by at most one tile, from its stage on, for as long
+// as it is not busy: it claims the rows next names as long as they are
+// there, fires the slot once it has them all, issues the outbox and closes
+// the tile. It carries out a due snapshot (quiesce the wire, snapshot, hand
+// the result to Save), the chain's end and a planned crash (crash the
+// machine, then sit out the restart). It reports whether the member moved.
 func (gr *group) step(i int) (bool, error) {
 	st, c := gr.sts[i], gr.Comms[i]
-	t, row := st.next()
-	// A planned crash strikes once, before tile t's receive; every send the
-	// rank issued still arrives, and the outage is fault activity to the
-	// watchdog. Without in-memory checkpointing crash panics.
-	if t == st.crashAt {
-		st.crashAt = -1
-		c.FaultSleep(gr.opt.Net.Faults.RestartDelay)
-		st.crash()
-		gr.clock()
-		return true, nil
-	}
-	if st.tr != nil {
-		st.tr.beginTile(gr.now)
-	}
-	moved := false
-	for ; row >= 0; _, row = st.next() {
-		var t0 time.Time
-		if st.tr != nil && len(gr.sts) == 1 {
-			t0 = time.Now() // only a group of one blocks in Recv
+	if b := gr.busy[i]; !b.IsZero() && time.Now().Before(b) {
+		if gr.until.IsZero() || b.Before(gr.until) {
+			gr.until = b
 		}
-		dir := st.Msgs[row].Dir
-		m, ok := gr.recv(i, st.RecvRank[dir], dir)
-		if !ok {
-			gr.waits = append(gr.waits, mpi.Stream{Rank: c.Rank(), Src: st.RecvRank[dir], Tag: dir})
-			if st.tr != nil {
-				if moved { // the rows claimed are this member's unpack
-					gr.clock()
+		return false, nil
+	}
+	gr.busy[i] = time.Time{}
+	switch gr.stage[i] {
+	case claiming:
+		if st.snapshotDue() || st.done() {
+			// Quiesced: everything sent so far is due and out of the
+			// transport, so "sent before the snapshot" is exact.
+			if due, _ := c.WireClock(); gr.await(i, time.Until(due), claiming) {
+				return true, nil
+			}
+			if st.done() { // the chain is over: its values go back
+				gr.stage[i] = finished
+				if st.tr != nil {
+					gr.now = st.tr.finish(&st.pool)
 				}
-				st.tr.park(gr.now)
+				st.writeBack(gr.g)
+				return true, nil
 			}
-			return moved, nil
+			c.FlushWire()
+			snap := st.snapshot()
+			if save := gr.opt.Checkpoint.Save; save != nil {
+				if err := save(snap); err != nil {
+					return false, fmt.Errorf("exec: rank %d checkpoint at tile %d: %w", st.rank, snap.NextTile, err)
+				}
+			}
+			gr.clock()
+		}
+		t, row := st.next()
+		// A planned crash strikes once, before tile t's receive; every send
+		// the rank issued still arrives, and the restart is an outage the
+		// rank is busy for. Without in-memory checkpointing crash panics.
+		if t == st.crashAt {
+			st.crashAt = -1
+			st.crash()
+			gr.await(i, gr.opt.Net.Faults.RestartDelay, claiming)
+			gr.clock()
+			return true, nil
 		}
 		if st.tr != nil {
-			// Blocked wait apart from time spent queued in the mailbox.
-			st.tr.noteRecv(t0, m.Delivered, time.Now(), len(m.Data))
+			st.tr.beginTile(gr.now)
 		}
-		if err := st.offer(row, m.Data); err != nil {
-			return false, err
+		moved := false
+		for ; row >= 0; _, row = st.next() {
+			dir := st.Msgs[row].Dir
+			m, ok := gr.recv(i, st.RecvRank[dir], dir)
+			if !ok {
+				gr.waits = append(gr.waits, mpi.Stream{Rank: c.Rank(), Src: st.RecvRank[dir], Tag: dir})
+				if st.tr != nil {
+					if moved { // the rows claimed are this member's unpack
+						gr.clock()
+					}
+					st.tr.park(gr.now)
+				}
+				return moved, nil
+			}
+			if st.tr != nil {
+				st.tr.noteRecv(m.Delivered, time.Now(), len(m.Data))
+			}
+			if err := st.offer(row, m.Data); err != nil {
+				return false, err
+			}
+			pool := &st.pool // but a buffer a sibling handed over returns to the sibling's
+			if j := gr.member(m.Source); j >= 0 && gr.local != nil {
+				pool = &gr.sts[j].pool
+			}
+			pool.put(m.Data)
+			moved = true
 		}
-		pool := &st.pool // but a sibling's buffer returns to the sibling's
-		if j := gr.member(m.Source); j >= 0 {
-			pool = &gr.sts[j].pool
+		// The tile fires: every dependence is satisfied.
+		if gr.await(i, st.fire(), sending) {
+			return true, nil
 		}
-		pool.put(m.Data)
-		moved = true
-	}
-	// The tile fires: every dependence is satisfied.
-	st.fire()
-	for _, m := range st.out {
-		if j := gr.member(m.dst); j >= 0 {
-			gr.local[j][m.tag].Push(m.data)
-			c.SendLocal(m.dst, len(m.data), gr.opt.Overlap)
-		} else if gr.opt.Overlap {
-			c.IsendOwned(m.dst, m.tag, m.data)
-		} else {
-			c.SendOwned(m.dst, m.tag, m.data)
-		}
-		if st.tr != nil {
-			st.tr.noteSend(len(m.data), c.PendingSends())
-		}
-	}
-	if st.tr != nil {
-		gr.now = st.tr.endTile(st.Slots[t].Tile)
-	}
-	// A completed tile is forward progress even if every other rank is
-	// parked waiting for its output — keep the watchdog quiet.
-	c.NoteProgress()
-	if st.snapshotDue() {
-		// Quiesced: everything sent so far is due and out of the
-		// transport, so "sent before the snapshot" is exact.
-		c.WaitSends()
-		c.FlushWire()
-		snap := st.snapshot()
-		if save := gr.opt.Checkpoint.Save; save != nil {
-			if err := save(snap); err != nil {
-				return false, fmt.Errorf("exec: rank %d checkpoint at tile %d: %w", st.rank, snap.NextTile, err)
+		fallthrough
+	case sending:
+		var due time.Time
+		for _, m := range st.out {
+			if j := gr.member(m.dst); j >= 0 && gr.local != nil {
+				gr.local[j][m.tag].Push(m.data)
+				c.SendLocal(m.dst, len(m.data), gr.opt.Overlap)
+			} else {
+				due = c.SendOwned(m.dst, m.tag, m.data, gr.opt.Overlap)
+			}
+			if st.tr != nil {
+				_, pending := c.WireClock()
+				st.tr.noteSend(len(m.data), pending)
 			}
 		}
-		gr.clock()
-	}
-	if st.done() {
-		gr.finish(i)
+		// A blocking sender is busy until its last message is due.
+		if !gr.opt.Overlap && gr.await(i, time.Until(due), closing) {
+			return true, nil
+		}
+		fallthrough
+	case closing:
+		if st.tr != nil {
+			gr.now = st.tr.endTile(st.Slots[st.t-1].Tile)
+		}
+		// A completed tile is forward progress even if every other rank is
+		// parked waiting for its output — keep the watchdog quiet.
+		c.NoteProgress()
+		gr.stage[i] = claiming
 	}
 	return true, nil
 }
 
-// recv claims member i's next message from rank src on tag dir: a sibling's
-// from its FIFO, another group's from the world — waiting for it in a group
-// of one, else only if it has arrived.
+// recv claims member i's next message from rank src on tag dir, if it has
+// arrived: a sibling's from its FIFO, any other from the world.
 func (gr *group) recv(i, src, dir int) (mpi.Message, bool) {
-	if gr.member(src) >= 0 {
+	if gr.local != nil && gr.member(src) >= 0 {
 		q := &gr.local[i][dir]
 		if q.Len() == 0 {
 			return mpi.Message{}, false
 		}
 		return mpi.Message{Source: src, Tag: dir, Data: q.Pop()}, true
 	}
-	if len(gr.sts) == 1 {
-		return gr.Comms[i].RecvMsg(src, dir), true
-	}
 	return gr.Comms[i].TryRecvMsg(src, dir)
-}
-
-// finish ends member i's chain once its last Isend is due, and writes its
-// values back.
-func (gr *group) finish(i int) {
-	st := gr.sts[i]
-	gr.Comms[i].WaitSends()
-	if st.tr != nil {
-		gr.now = st.tr.finish(&st.pool)
-	}
-	st.writeBack(gr.g)
 }
 
 // fire executes the current chain slot, once next reports none of its
 // inbound rows missing: boundary-value injection, compute and pack into the
-// outbox. Then the chain advances.
-func (st *rankState) fire() {
+// outbox. Then the chain advances. It returns the slot's modelled compute
+// cost, which the traced compute phase includes.
+func (st *rankState) fire() time.Duration {
 	t := st.t
 	sl := &st.Slots[t]
 	st.pBase = sl.PBase
@@ -416,20 +439,14 @@ func (st *rankState) fire() {
 	if st.tr != nil {
 		st.tr.noteRecvDone()
 	}
-	st.computePhasePlanned(sl.Plan, t)
+	cost := st.computePhasePlanned(sl.Plan, t)
 	if st.tr != nil {
-		st.tr.noteCompDone()
+		st.tr.noteCompDone(cost)
 	}
 	st.pack(sl, t)
 	st.t++
+	return cost
 }
 
 // done reports whether the chain has fired its last slot.
 func (st *rankState) done() bool { return st.t == int64(len(st.Slots)) }
-
-// chargePointDelay injects the modelled per-point CPU cost.
-func (st *rankState) chargePointDelay(pts int64) {
-	if st.pointDelay > 0 {
-		time.Sleep(time.Duration(pts) * st.pointDelay)
-	}
-}

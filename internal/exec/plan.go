@@ -2,6 +2,7 @@ package exec
 
 import (
 	"sync"
+	"time"
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
@@ -100,8 +101,10 @@ func (ev *rowEval) row(k Kernel, cnt, hazard int64, out []float64, step ilin.Vec
 // the rows of pl placed at chain slot t a segment at a time, in scan order:
 // across a segment each dependence reads at one offset from the written
 // cell, so a row is its write cell and length, and a read Back cells back in
-// the row is a hazard (row).
-func (st *rankState) computePhasePlanned(pl *distrib.TilePlan, t int64) {
+// the row is a hazard (row). It returns the tile's modelled CPU cost, its
+// points times the rank's PointDelay, which the driver makes the rank busy
+// for (group.step); the machine itself never waits.
+func (st *rankState) computePhasePlanned(pl *distrib.TilePlan, t int64) time.Duration {
 	ev, k := st.ev, st.p.Kernel
 	w := ev.width
 	n := st.p.TS.T.N
@@ -124,7 +127,7 @@ func (st *rankState) computePhasePlanned(pl *distrib.TilePlan, t int64) {
 		}
 	}
 	st.markDirty((pl.MaxWrite + tOff + 1) * w)
-	st.chargePointDelay(int64(pl.Npts))
+	return time.Duration(pl.Npts) * st.pointDelay
 }
 
 // rankInit holds one rank's boundary values: for every chain slot, the value

@@ -60,7 +60,7 @@ func TestPlanOffsetsMatchAddresser(t *testing.T) {
 			tile, pl := sl.Tile, sl.Plan
 			tOff := ti * st.ChainStep
 			row, i, pts := 0, int64(0), 0
-			p.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+			tilePoints(p.TS, tile, func(z, jp ilin.Vec) bool {
 				if row < len(pl.Rows) && i == int64(pl.Rows[row].N) {
 					row, i = row+1, 0
 				}
@@ -358,7 +358,7 @@ func (p *Program) CheckBoundaryReads() (slots, interior, nonEmpty int, err error
 		for ti, sl := range rp.Slots {
 			var want, got []int32
 			i := 0
-			p.TS.ScanTilePoints(sl.Tile, func(z, jp ilin.Vec) bool {
+			tilePoints(p.TS, sl.Tile, func(z, jp ilin.Vec) bool {
 				j := global(p.TS, sl.Tile, z)
 				for l, dep := range deps {
 					copy(src, j.Sub(dep))

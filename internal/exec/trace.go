@@ -14,11 +14,12 @@ import (
 // simulator's analytics apply to real traces and validate the cost model.
 
 // RankMetrics aggregates one rank's measured runtime behaviour over its
-// whole tile chain. Durations partition the rank's span: Wait (blocked in
-// Recv — for a rank folded into a group, also the time its group spent on
-// sibling ranks while this one waited), Unpack (LDS unpack plus boundary
-// Initial injection), Compute (kernel sweep incl. injected PointDelay),
-// Send (pack + send issue), Drain (end-of-chain WaitSends).
+// whole tile chain. Durations partition the rank's span: Wait (parked on a
+// receive: the time its group spent on sibling ranks, or waiting, while
+// this one waited), Unpack (LDS unpack plus boundary Initial injection),
+// Compute (kernel sweep incl. injected PointDelay), Send (pack + send issue,
+// incl. a blocking send's wire cost), Drain (the chain's end, until its
+// last send is due).
 type RankMetrics struct {
 	Rank  int
 	Tiles int
@@ -141,7 +142,7 @@ func (rt *rankTracer) sec(t time.Time) float64 { return t.Sub(rt.tr.epoch).Secon
 
 // beginTile opens the current slot's tile at now, or, when the group left
 // the tile waiting (park), resumes it: the time since — the group's on
-// sibling ranks, or asleep — is the rank's wait.
+// sibling ranks, or waiting — is the rank's wait.
 func (rt *rankTracer) beginTile(now time.Time) {
 	if !rt.parked.IsZero() {
 		rt.wait += now.Sub(rt.parked)
@@ -158,14 +159,11 @@ func (rt *rankTracer) beginTile(now time.Time) {
 // park notes that the rank's group leaves its tile waiting for a row.
 func (rt *rankTracer) park(now time.Time) { rt.parked = now }
 
-// noteRecv records one message claimed at now: how long the rank blocked
-// for it, from t0 (zero: a folded rank's receive never blocks), and how
-// long it had been sitting delivered (zero delivered: handed over by a
-// sibling, never queued in a mailbox).
-func (rt *rankTracer) noteRecv(t0, delivered, now time.Time, values int) {
-	if !t0.IsZero() {
-		rt.wait += now.Sub(t0)
-	}
+// noteRecv records one message claimed at now (a receive never blocks:
+// the rank's wait is the time its group left it parked) and how long it had
+// been sitting delivered (zero delivered: handed over by a sibling, never
+// queued in a mailbox).
+func (rt *rankTracer) noteRecv(delivered, now time.Time, values int) {
 	if queued := now.Sub(delivered); !delivered.IsZero() && queued > 0 {
 		rt.m.Queued += queued
 	}
@@ -182,7 +180,10 @@ func (rt *rankTracer) noteSend(values, pending int) {
 }
 
 func (rt *rankTracer) noteRecvDone() { rt.recvDone = time.Now() }
-func (rt *rankTracer) noteCompDone() { rt.compDone = time.Now() }
+
+// noteCompDone ends the compute phase cost past now: its modelled cost,
+// which the rank is busy for before it sends.
+func (rt *rankTracer) noteCompDone(cost time.Duration) { rt.compDone = time.Now().Add(cost) }
 
 // noteFault records a fault marker (kind "crash" or "restart") at the
 // given chain slot: an instant event (all timestamps equal) that the
@@ -226,7 +227,7 @@ func (rt *rankTracer) endTile(tile ilin.Vec) time.Time {
 	return now
 }
 
-// finish closes the rank's timeline after the end-of-chain WaitSends and
+// finish closes the rank's timeline once its last send is due and
 // publishes events and metrics to the shared tracer, returning when.
 func (rt *rankTracer) finish(pool *bufPool) time.Time {
 	now := time.Now()

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -146,7 +147,7 @@ func TestStatsDuringRunRaceFree(t *testing.T) {
 	p := planProgram(t)
 	tr := NewTracer()
 	opt := RunOptions{Overlap: true, Trace: tr}
-	world := mpi.NewGroupedWorld(p.Dist.NumProcs(), executors(p.Dist.NumProcs(), opt), opt.Net)
+	world := mpi.NewGroupedWorld(p.Dist.NumProcs(), runtime.GOMAXPROCS(0), opt.Net)
 	var stop atomic.Bool
 	pollDone := make(chan struct{})
 	go func() {

@@ -61,7 +61,8 @@ type FaultPlan struct {
 	// last checkpoint (RunOptions.Checkpoint) or aborts the run.
 	Crash map[int]int64
 	// RestartDelay models the time a crashed rank needs to come back
-	// (reboot, rejoin, restore); the executor sleeps it before restoring.
+	// (reboot, rejoin, restore): the executor keeps the rank busy that long
+	// after restoring, its group waiting on the deadline (Group.Wait).
 	RestartDelay time.Duration
 }
 
@@ -185,19 +186,6 @@ func (fp *FaultPlan) Validate() error {
 // race-free.
 func (w *World) linkSeq(src, dst int) int64 {
 	return w.linkSeqs[src*w.size+dst].Add(1) - 1
-}
-
-// FaultSleep sleeps d as injected fault time, counted as progress on wake.
-// The executor uses it for modelled outage time (FaultPlan.RestartDelay).
-// The sleeping rank is active and not parked in a wait, so the deadlock
-// watchdog reads the outage as activity. Skipped when the world is already
-// tearing down.
-func (c *Comm) FaultSleep(d time.Duration) {
-	if d <= 0 || c.world.aborted.Load() {
-		return
-	}
-	time.Sleep(d)
-	c.world.progress.Add(1)
 }
 
 // sendFaultDelay returns the plan's extra wire cost of one transmission on

@@ -104,12 +104,12 @@ func exchange(t *testing.T, opts Options, n int, overlap bool) (Stats, float64) 
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
 				if overlap {
-					c.IsendOwned(1, 3, []float64{float64(i), float64(i)})
+					c.SendOwned(1, 3, []float64{float64(i), float64(i)}, true)
 				} else {
 					c.Send(1, 3, []float64{float64(i), float64(i)})
 				}
 			}
-			c.WaitSends()
+			waitSends(c)
 		} else {
 			for i := 0; i < n; i++ {
 				last = c.Recv(0, 3)[0]

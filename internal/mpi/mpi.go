@@ -2,16 +2,19 @@
 // semantics: a fixed-size world of ranks, run by goroutines one block of
 // ranks each (RunGroups; RunE for one rank each), blocking typed
 // point-to-point Send/Recv with (source, tag) matching and per-stream FIFO
-// ordering, non-blocking Isends completed together (WaitSends) and a
-// barrier. Every send takes one path (Comm.transmit): it is handed to the
-// transport when issued, stamped with the time it is due; a blocking Send
-// differs from an Isend only in that its sender sleeps until then.
+// ordering, an owned send that never waits (SendOwned) and a barrier. Every
+// send takes one path (Comm.transmit): it is handed to the transport when
+// issued, stamped with the time it is due. A blocking Send sleeps until
+// then; SendOwned returns the due time, and its caller — the executor's
+// group driver — keeps the rank busy until then or not, as it models.
 //
 // A (source, tag) stream is a FIFO queue whose head a receiver claims —
 // waiting for it (Recv) or only if it is there (TryRecvMsg); there are no
 // posted receives and no per-message numbering: the executor's compiled
-// tables fix a stream's position at every chain slot. The barrier is built
-// from the same streams, so it shares their ordering, watchdog and abort.
+// tables fix a stream's position at every chain slot. A group with nothing
+// to claim waits in Group.Wait, for a head or for its ranks' earliest
+// modelled deadline. The barrier is built from the same streams, so it
+// shares their ordering, watchdog and abort.
 //
 // It substitutes for the paper's MPI-over-FastEthernet transport: the
 // compiled tile programs rely only on ordered point-to-point delivery plus
@@ -127,15 +130,16 @@ func (mb *mailbox) head(k Stream) (*Queue[Message], time.Duration) {
 }
 
 // take waits until the head of one of the streams ss is claimable and
-// returns its index, claiming it when claim is set; the waiter's parked
-// ranks (its own, or its whole group's) count as parked meanwhile. With a
-// watchdog it panics with a deadlock diagnostic naming ss[0] once the world
-// stalls (Options.Watchdog); when a peer has failed it panics with a
-// secondary abort so the world can drain. A head is claimable once due:
-// waiting for one still on the wire is wire activity, not a parked rank —
-// a timer wakes the waiter at the due time — and a head, once there, stays
-// until claimed, so a wait leaves the parked count at most once.
-func (mb *mailbox) take(ss []Stream, claim bool, w *World, parked int64, op string) (int, Message) {
+// returns its index, claiming it when claim is set, or until the deadline
+// until (zero: none) passes and returns −1; the waiter's parked ranks (its
+// own, or its whole group's) count as parked meanwhile. With a watchdog it
+// panics with a deadlock diagnostic naming ss[0] once the world stalls
+// (Options.Watchdog); when a peer has failed it panics with a secondary
+// abort so the world can drain. A head is claimable once due: waiting for
+// one still on the wire, or for a deadline, is activity, not a parked rank
+// — a timer wakes the waiter at the due time — and a head, once there,
+// stays until claimed, so a wait leaves the parked count at most once.
+func (mb *mailbox) take(ss []Stream, until time.Time, claim bool, w *World, parked int64, op string) (int, Message) {
 	watch := w.newStallWatch(&mb.mu, mb.cond)
 	defer watch.stop()
 	w.blocked.Add(parked)
@@ -155,6 +159,11 @@ func (mb *mailbox) take(ss []Stream, claim bool, w *World, parked int64, op stri
 			panic(abortPanic{fmt.Sprintf("rank %d abandoned %s(src=%d, tag=%d): a peer rank failed", k.Rank, op, k.Src, k.Tag)})
 		}
 		soonest := time.Duration(0)
+		if !until.IsZero() {
+			if soonest = time.Until(until); soonest <= 0 {
+				return -1, Message{}
+			}
+		}
 		for i, want := range ss {
 			s, wire := mb.head(want)
 			if s != nil && wire <= 0 {
@@ -269,9 +278,9 @@ type Options struct {
 	Watchdog time.Duration
 	// LinkLatency and PerValue inject synthetic wire cost: a message costs
 	// LinkLatency plus PerValue per float64, paid after the rank's earlier
-	// messages. A blocking Send sleeps until its message is due (as blocking
-	// MPI over TCP occupies the CPU); an Isend returns at once, which makes
-	// overlap measurable in-process. Zero injects nothing.
+	// messages. A blocking sender is busy until its message is due (as
+	// blocking MPI over TCP occupies the CPU); an overlapped one computes on,
+	// which makes overlap measurable in-process. Zero injects nothing.
 	LinkLatency time.Duration
 	PerValue    time.Duration
 	// Faults, when non-nil, adds the plan's deterministic perturbations
@@ -284,8 +293,8 @@ type Options struct {
 
 // RankTraffic is one rank's traffic, both directions.
 type RankTraffic struct {
-	BlockingSends   int64 // messages sent with Send
-	OverlappedSends int64 // messages sent with Isend
+	BlockingSends   int64 // messages sent blocking (Send, SendOwned)
+	OverlappedSends int64 // messages sent overlapped (SendOwned)
 	Values          int64 // float64 values across both
 	Recvs           int64 // messages claimed by Recv
 	ValuesRecvd     int64 // float64 values across claimed messages
@@ -297,7 +306,7 @@ type Stats struct {
 	Messages        int64 // point-to-point messages sent (all kinds)
 	Values          int64 // float64 values carried by those messages
 	BlockingSends   int64 // messages sent on the blocking path
-	OverlappedSends int64 // messages sent on the non-blocking (Isend) path
+	OverlappedSends int64 // messages sent on the overlapped path
 	Recvs           int64 // messages claimed by receivers
 	ValuesRecvd     int64 // float64 values claimed by receivers
 	SendRetries     int64 // injected transient send failures survived
@@ -339,8 +348,8 @@ type World struct {
 	// Watchdog progress observation (see Options.Watchdog): progress is
 	// bumped on every delivery and NoteProgress call; active counts ranks
 	// of running groups; blocked counts ranks parked in a blocking wait (a
-	// group's all at once). A rank sitting out an injected outage
-	// (FaultSleep) is active and not parked.
+	// group's all at once). A group waiting on a modelled deadline
+	// (Group.Wait) is active and not parked.
 	progress atomic.Uint64
 	active   atomic.Int64
 	blocked  atomic.Int64
@@ -350,10 +359,6 @@ type World struct {
 	// decision keys on.
 	linkSeqs []atomic.Int64
 }
-
-// NoteProgress records forward progress (the executor's completed tiles):
-// any watchdog about to fire re-arms instead. Deliveries count by themselves.
-func (w *World) NoteProgress() { w.progress.Add(1) }
 
 // stalled implements the watchdog's deadlock test. Given the progress
 // counter observed when the deadline was armed, it reports whether the
@@ -557,11 +562,11 @@ func (w *World) Stats() Stats {
 
 // transmit is the one send path through the transport: it stamps the
 // message with its due time, counts it against the sender (so Stats are
-// transport-independent) and hands it over, returning how far off the due
-// time is. A message costs LinkLatency plus PerValue per value plus the
-// fault plan's delay and backoffs, and a rank pays its costs one after
-// another: due = max(now, busyUntil) + cost — simnet's nicFree rule.
-func (c *Comm) transmit(dst, tag int, data []float64, overlapped bool) time.Duration {
+// transport-independent) and hands it over, returning the due time. A
+// message costs LinkLatency plus PerValue per value plus the fault plan's
+// delay and backoffs, and a rank pays its costs one after another:
+// due = max(now, busyUntil) + cost — simnet's nicFree rule.
+func (c *Comm) transmit(dst, tag int, data []float64, overlapped bool) time.Time {
 	w := c.world
 	cost := w.opts.LinkLatency + time.Duration(len(data))*w.opts.PerValue + w.sendFaultDelay(c.rank, dst)
 	now := time.Now()
@@ -578,7 +583,7 @@ func (c *Comm) transmit(dst, tag int, data []float64, overlapped bool) time.Dura
 	c.mu.Unlock()
 	w.countSend(c.rank, len(data), overlapped)
 	w.wire.Deliver(c.rank, dst, tag, data, due)
-	return due.Sub(now)
+	return due
 }
 
 // stillDue drops the due times that have passed from the front of dues,
@@ -589,14 +594,6 @@ func stillDue(dues []time.Time, now time.Time) []time.Time {
 		i++
 	}
 	return append(dues[:0], dues[i:]...)
-}
-
-// sleep pays d of wire time on the calling goroutine; a world tearing down
-// after a failure skips it, so it drains promptly.
-func (c *Comm) sleep(d time.Duration) {
-	if d > 0 && !c.world.aborted.Load() {
-		time.Sleep(d)
-	}
 }
 
 // countSend counts one issued message against the sending rank.
@@ -636,12 +633,17 @@ type Group struct {
 }
 
 // Wait blocks until the head of one of the streams ss — each a receive of
-// one of the group's ranks — is claimable; claiming it is the caller's.
-// Meanwhile the whole group counts as parked, so the watchdog and abort
-// hold as for a rank blocked in Recv, naming ss[0].
-func (g *Group) Wait(ss []Stream) {
+// one of the group's ranks — is claimable, or until the deadline until
+// (zero: none) passes: the earliest time one of its ranks is busy until.
+// Claiming is the caller's. Without a deadline the whole group counts as
+// parked meanwhile, so the watchdog and abort hold as for a rank blocked in
+// Recv, naming ss[0]; with one it counts as active, as a computing rank.
+func (g *Group) Wait(ss []Stream, until time.Time) {
 	c := g.Comms[0]
-	c.world.boxes[c.rank].take(ss, false, c.world, int64(len(g.Comms)), "Recv")
+	if len(ss) == 0 { // a wait for a deadline alone names no stream of its own
+		ss = []Stream{{Rank: c.rank, Src: -1, Tag: -1}}
+	}
+	c.world.boxes[c.rank].take(ss, until, false, c.world, int64(len(g.Comms)), "Recv")
 }
 
 // RunGroups executes fn once per group of local ranks (maximal runs of
@@ -761,70 +763,54 @@ func (c *Comm) check(peer, tag int) {
 
 // Send delivers a copy of data to dst with the given (non-negative) tag.
 // It is eager: the message goes to the transport at once, and the call
-// returns when it is due (injected wire cost is paid on the caller).
+// returns when it is due (injected wire cost is paid on the caller; a
+// world tearing down after a failure skips the wait, so it drains promptly).
 func (c *Comm) Send(dst, tag int, data []float64) {
 	c.check(dst, tag)
-	c.sleep(c.transmit(dst, tag, slices.Clone(data), false))
+	if d := time.Until(c.transmit(dst, tag, slices.Clone(data), false)); d > 0 && !c.world.aborted.Load() {
+		time.Sleep(d)
+	}
 }
 
-// SendOwned is Send without the copy: data passes to the receiver, whose
-// Recv returns the very same slice, so a pooled executor's communication
-// allocates nothing; the caller must not touch data after the call.
-// Envelope semantics, ordering and Stats are identical to Send.
-func (c *Comm) SendOwned(dst, tag int, data []float64) {
+// SendOwned is Send without the copy and without the wait: data passes to
+// the receiver, whose Recv returns the very same slice, so a pooled
+// executor's communication allocates nothing (the caller must not touch
+// data after the call), and the message's due time is returned. Counted as
+// overlapped or blocking, as the caller says: a blocking sender is the
+// caller's to keep busy until the due time; an overlapped one computes on.
+func (c *Comm) SendOwned(dst, tag int, data []float64, overlapped bool) time.Time {
 	c.check(dst, tag)
-	c.sleep(c.transmit(dst, tag, data, false))
+	return c.transmit(dst, tag, data, overlapped)
 }
 
-// IsendOwned is SendOwned without the wait: the message is with the
-// transport when the call returns, and the caller computes on while its
-// wire cost passes; data is the receiver's, as with SendOwned. Counted as
-// overlapped.
-func (c *Comm) IsendOwned(dst, tag int, data []float64) {
-	c.check(dst, tag)
-	c.transmit(dst, tag, data, true)
-}
-
-// PendingSends returns how many of this rank's sends are not yet due —
-// the overlap depth at this instant. Without injected wire cost every
-// send is due when issued: nothing is ever pending, and it reads no clock.
-func (c *Comm) PendingSends() int {
+// WireClock reads the rank's wire clock: when every send it has issued is
+// due (zero before its first), and how many are not yet — the overlap depth
+// at this instant. Without injected wire cost every send is due when
+// issued: nothing is ever pending, and it reads no clock. The clock is the
+// rank's own, never a peer's, so waiting for it cannot deadlock.
+func (c *Comm) WireClock() (due time.Time, pending int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.dues) > 0 {
 		c.dues = stillDue(c.dues, time.Now())
 	}
-	return len(c.dues)
-}
-
-// WaitSends blocks until every send this rank has issued is due. It waits
-// on the rank's own clock, never on a peer, so it cannot deadlock.
-func (c *Comm) WaitSends() {
-	c.mu.Lock()
-	d := time.Until(c.busyUntil)
-	c.mu.Unlock()
-	c.sleep(d)
+	return c.busyUntil, len(c.dues)
 }
 
 // Recv blocks until a message from src with the given tag arrives and
 // returns its payload. Messages on one (src, tag) stream arrive in send
 // order.
 func (c *Comm) Recv(src, tag int) []float64 {
-	return c.RecvMsg(src, tag).Data
-}
-
-// RecvMsg is Recv returning the full message envelope, including the
-// Delivered timestamp the tracing layer uses to split blocked time from
-// mailbox queue time. Matching and ordering are identical to Recv.
-func (c *Comm) RecvMsg(src, tag int) Message {
 	c.check(src, tag)
-	_, m := c.world.boxes[c.rank].take([]Stream{{c.rank, src, tag}}, true, c.world, 1, "Recv")
+	_, m := c.world.boxes[c.rank].take([]Stream{{c.rank, src, tag}}, time.Time{}, true, c.world, 1, "Recv")
 	c.world.noteRecv(c.rank, len(m.Data))
-	return m
+	return m.Data
 }
 
-// TryRecvMsg is RecvMsg without the wait: it claims the stream's head if it
-// is there and due, and reports whether it did.
+// TryRecvMsg is Recv without the wait, returning the full envelope: it
+// claims the stream's head if it is there and due, and reports whether it
+// did. Message.Delivered lets the tracing layer measure how long it sat
+// queued.
 func (c *Comm) TryRecvMsg(src, tag int) (Message, bool) {
 	c.check(src, tag)
 	mb := c.world.boxes[c.rank]
@@ -875,7 +861,7 @@ func (c *Comm) Barrier() {
 }
 
 func (c *Comm) barrierRecv(src int) {
-	c.world.boxes[c.rank].take([]Stream{{c.rank, src, tagBarrier}}, true, c.world, 1, "Barrier")
+	c.world.boxes[c.rank].take([]Stream{{c.rank, src, tagBarrier}}, time.Time{}, true, c.world, 1, "Barrier")
 }
 
 // FlushWire blocks until every message this rank has delivered is out of
@@ -884,8 +870,8 @@ func (c *Comm) barrierRecv(src int) {
 // wire-backed worlds.
 func (c *Comm) FlushWire() { c.world.wire.Flush(c.rank) }
 
-// NoteProgress is World.NoteProgress from inside a rank: programs call it
-// at natural units of forward progress (the executor calls it once per
-// completed tile) so the deadlock watchdog never mistakes a long pipeline
-// stage for a hang.
-func (c *Comm) NoteProgress() { c.world.NoteProgress() }
+// NoteProgress records forward progress: programs call it at natural units
+// of it (the executor calls it once per completed tile) so the deadlock
+// watchdog never mistakes a long pipeline stage for a hang — any watchdog
+// about to fire re-arms instead. Deliveries count by themselves.
+func (c *Comm) NoteProgress() { c.world.progress.Add(1) }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPingPong(t *testing.T) {
@@ -290,5 +291,52 @@ func runRanks(t testing.TB, w *World, fn func(c *Comm)) {
 	t.Helper()
 	if err := w.RunE(fn); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitSends sleeps until every send c has issued is due: what a blocking
+// program does at the end of its overlapped sends.
+func waitSends(c *Comm) {
+	due, _ := c.WireClock()
+	time.Sleep(time.Until(due))
+}
+
+// TestGroupWaitDeadline: a group with nothing to claim waits in Group.Wait
+// for its earliest modelled deadline — returning once it passes, with or
+// without streams to watch, and counted active meanwhile, so a watchdog far
+// shorter than the wait stays quiet — and a peer's failure wakes it at once.
+func TestGroupWaitDeadline(t *testing.T) {
+	const busy = 60 * time.Millisecond
+	w := NewGroupedWorld(2, 1, Options{Watchdog: 5 * time.Millisecond})
+	err := w.RunGroups(func(g *Group) error {
+		for _, ss := range [][]Stream{nil, {{Rank: 1, Src: 0, Tag: 4}}} {
+			start := time.Now()
+			g.Wait(ss, start.Add(busy))
+			if took := time.Since(start); took < busy {
+				t.Errorf("Wait(%v) returned after %v, before its %v deadline", ss, took, busy)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("a group waiting on its deadline tripped the watchdog: %v", err)
+	}
+
+	w = NewGroupedWorld(2, 2, Options{})
+	start := time.Now()
+	err = w.RunGroups(func(g *Group) error {
+		if g.Comms[0].Rank() == 1 {
+			time.Sleep(20 * time.Millisecond) // rank 0 is waiting on its deadline
+			panic("peer lost")
+		}
+		g.Wait(nil, time.Now().Add(10*time.Second))
+		t.Error("Wait outlived the world's abort")
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 1 panicked: peer lost") {
+		t.Fatalf("err = %v, want rank 1's diagnostic", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("RunGroups took %v to return after the panic", took)
 	}
 }

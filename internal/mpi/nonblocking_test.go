@@ -12,12 +12,12 @@ func TestIsendWaitDelivers(t *testing.T) {
 	var got []float64
 	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.IsendOwned(1, 7, []float64{1, 2, 3})
-			c.WaitSends()
-			// WaitSends must be idempotent, and PendingSends agree with it.
-			c.WaitSends()
-			if n := c.PendingSends(); n != 0 {
-				t.Errorf("PendingSends = %d after WaitSends", n)
+			c.SendOwned(1, 7, []float64{1, 2, 3}, true)
+			waitSends(c)
+			// The wait must be idempotent, and the pending count agree with it.
+			waitSends(c)
+			if _, n := c.WireClock(); n != 0 {
+				t.Errorf("%d sends pending after every send is due", n)
 			}
 		} else {
 			got = c.Recv(0, 7)
@@ -34,9 +34,9 @@ func TestIsendFIFOOrdering(t *testing.T) {
 	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				c.IsendOwned(1, 3, []float64{float64(i)})
+				c.SendOwned(1, 3, []float64{float64(i)}, true)
 			}
-			c.WaitSends()
+			waitSends(c)
 		} else {
 			for i := 0; i < n; i++ {
 				if v := c.Recv(0, 3); v[0] != float64(i) {
@@ -54,11 +54,11 @@ func TestStatsCountOverlappedVsBlocking(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			c.Send(2, 1, []float64{1, 2})
-			c.IsendOwned(2, 1, []float64{3})
-			c.WaitSends()
+			c.SendOwned(2, 1, []float64{3}, true)
+			waitSends(c)
 		case 1:
-			c.IsendOwned(2, 2, []float64{4, 5, 6})
-			c.WaitSends()
+			c.SendOwned(2, 2, []float64{4, 5, 6}, true)
+			waitSends(c)
 		case 2:
 			c.Recv(0, 1)
 			c.Recv(0, 1)
@@ -94,7 +94,7 @@ func TestUnwaitedIsendStillDelivered(t *testing.T) {
 	var got atomic.Bool
 	runRanks(t, w, func(c *Comm) {
 		if c.Rank() == 0 {
-			c.IsendOwned(1, 0, []float64{1}) // never waited for; with the transport once issued
+			c.SendOwned(1, 0, []float64{1}, true) // never waited for; with the transport once issued
 		} else {
 			c.Recv(0, 0)
 			got.Store(true)
@@ -206,8 +206,8 @@ func TestWatchdogSurvivesSlowWire(t *testing.T) {
 	w := NewWorldOpts(2, Options{Watchdog: 20 * time.Millisecond, LinkLatency: 150 * time.Millisecond})
 	err := w.RunE(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.IsendOwned(1, 0, []float64{1})
-			c.WaitSends()
+			c.SendOwned(1, 0, []float64{1}, true)
+			waitSends(c)
 		} else {
 			if v := c.Recv(0, 0); v[0] != 1 {
 				t.Errorf("got %v", v)
@@ -228,7 +228,7 @@ func TestWaitOnWireQuietWatchdog(t *testing.T) {
 	err := w.RunE(func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
-				c.IsendOwned(1, 0, []float64{float64(i)})
+				c.SendOwned(1, 0, []float64{float64(i)}, true)
 			}
 			c.Recv(1, 1) // parked until rank 1 has every message
 		} else {
@@ -253,7 +253,7 @@ func TestAbortWakesWaitOnWire(t *testing.T) {
 	start := time.Now()
 	err := w.RunE(func(c *Comm) {
 		if c.Rank() == 0 {
-			c.IsendOwned(1, 0, []float64{1})
+			c.SendOwned(1, 0, []float64{1}, true)
 			time.Sleep(20 * time.Millisecond) // rank 1 is waiting on the head
 			panic("sender lost")
 		}
@@ -280,13 +280,13 @@ func TestInjectedWireCostBlockingVsOverlap(t *testing.T) {
 				t0 := time.Now()
 				for i := 0; i < msgs; i++ {
 					if overlap {
-						c.IsendOwned(1, 0, []float64{1})
+						c.SendOwned(1, 0, []float64{1}, true)
 					} else {
 						c.Send(1, 0, []float64{1})
 					}
 				}
-				senderBusy = time.Since(t0) // before WaitSends: the compute window
-				c.WaitSends()
+				senderBusy = time.Since(t0) // before the wait: the compute window
+				waitSends(c)
 			} else {
 				for i := 0; i < msgs; i++ {
 					c.Recv(0, 0)

@@ -11,7 +11,7 @@ func TestSendOwnedTransfersOwnership(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			sent = []float64{1, 2, 3}
-			c.SendOwned(1, 7, sent)
+			c.SendOwned(1, 7, sent, false)
 		case 1:
 			got = c.Recv(0, 7)
 		}
@@ -25,9 +25,9 @@ func TestSendOwnedTransfersOwnership(t *testing.T) {
 	}
 }
 
-// TestIsendOwnedTransfersOwnership: same for the non-blocking path, and
+// TestIsendOwnedTransfersOwnership: same for the overlapped path, and
 // the payload must arrive intact and in order with respect to later
-// owned Isends on the same stream.
+// overlapped sends on the same stream.
 func TestIsendOwnedTransfersOwnership(t *testing.T) {
 	w := NewWorldOpts(2, Options{})
 	var first []float64
@@ -36,9 +36,9 @@ func TestIsendOwnedTransfersOwnership(t *testing.T) {
 		switch c.Rank() {
 		case 0:
 			first = []float64{10}
-			c.IsendOwned(1, 3, first)
-			c.IsendOwned(1, 3, []float64{20})
-			c.WaitSends()
+			c.SendOwned(1, 3, first, true)
+			c.SendOwned(1, 3, []float64{20}, true)
+			waitSends(c)
 		case 1:
 			a := c.Recv(0, 3)
 			b := c.Recv(0, 3)
@@ -59,10 +59,10 @@ func TestIsendOwnedTransfersOwnership(t *testing.T) {
 	}
 }
 
-// TestIsendOwnedSteadyStateAllocs: send completion is a count, not an
-// object — once the stream exists, an IsendOwned plus the
-// WaitSends that retires it allocates at most one object per message
-// (receiver included: AllocsPerRun counts the whole process).
+// TestIsendOwnedSteadyStateAllocs: send completion is a due time, not an
+// object — once the stream exists, an overlapped SendOwned plus the wait
+// for its due time allocates at most one object per message (receiver
+// included: AllocsPerRun counts the whole process).
 func TestIsendOwnedSteadyStateAllocs(t *testing.T) {
 	const runs = 200
 	w := NewWorldOpts(2, Options{})
@@ -76,11 +76,11 @@ func TestIsendOwnedSteadyStateAllocs(t *testing.T) {
 		}
 		buf := []float64{1, 2, 3, 4}
 		allocs = testing.AllocsPerRun(runs, func() {
-			c.IsendOwned(1, 5, buf)
-			c.WaitSends()
+			c.SendOwned(1, 5, buf, true)
+			waitSends(c)
 		})
 	})
 	if allocs > 1 {
-		t.Fatalf("IsendOwned+WaitSends allocates %.1f objects per message, want ≤ 1", allocs)
+		t.Fatalf("overlapped SendOwned and its wait allocate %.1f objects per message, want ≤ 1", allocs)
 	}
 }

@@ -4,7 +4,7 @@ package mpi
 // goroutines at once and is meant to run under -race in CI. The point is
 // not the arithmetic but the interleavings — concurrent Send/Recv on one
 // mailbox, Isend traffic racing blocking traffic on other streams,
-// PendingSends polling racing delivery, and Stats reads racing in-flight
+// wire-clock polling racing delivery, and Stats reads racing in-flight
 // sends.
 
 import (
@@ -62,9 +62,9 @@ func TestRaceConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestRaceIsendWaitConcurrent: many goroutines per rank issue Isends and
-// WaitSends on the rank's one counter while the receiver drains every
-// stream concurrently.
+// TestRaceIsendWaitConcurrent: many goroutines per rank issue overlapped
+// sends and wait on the rank's one wire clock while the receiver drains
+// every stream concurrently.
 func TestRaceIsendWaitConcurrent(t *testing.T) {
 	const (
 		senders = 6
@@ -79,9 +79,9 @@ func TestRaceIsendWaitConcurrent(t *testing.T) {
 				go func(s int) {
 					defer wg.Done()
 					for i := 0; i < msgs; i++ {
-						c.IsendOwned(1, s, []float64{float64(s*msgs + i)})
+						c.SendOwned(1, s, []float64{float64(s*msgs + i)}, true)
 					}
-					c.WaitSends()
+					waitSends(c)
 				}(s)
 			}
 			wg.Wait()
@@ -110,7 +110,7 @@ func TestRaceIsendWaitConcurrent(t *testing.T) {
 	}
 }
 
-// TestRaceTestPollingVsDelivery: the sender spins on PendingSends while its
+// TestRaceTestPollingVsDelivery: the sender spins on its wire clock while its
 // message reaches a receiver blocked in Recv — exercises the wire clock and
 // the take path against concurrent put.
 func TestRaceTestPollingVsDelivery(t *testing.T) {
@@ -124,8 +124,8 @@ func TestRaceTestPollingVsDelivery(t *testing.T) {
 				}
 				c.Send(1, 1, nil) // ack, keeps rounds in lockstep
 			} else {
-				c.IsendOwned(0, 0, []float64{float64(i)})
-				for c.PendingSends() != 0 {
+				c.SendOwned(0, 0, []float64{float64(i)}, true)
+				for _, n := c.WireClock(); n != 0; _, n = c.WireClock() {
 				}
 				c.Recv(0, 1)
 			}
@@ -164,7 +164,7 @@ func TestRaceStatsDuringTraffic(t *testing.T) {
 				if i%2 == 0 {
 					c.Send(1, 0, []float64{1})
 				} else {
-					c.IsendOwned(1, 0, []float64{1}) // unwaited: with the transport once issued
+					c.SendOwned(1, 0, []float64{1}, true) // unwaited: with the transport once issued
 				}
 			}
 		} else {

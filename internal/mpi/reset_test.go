@@ -21,7 +21,7 @@ func ringTraffic(c *Comm) {
 	for i := 0; i <= c.Rank(); i++ {
 		c.Send(next, 7, []float64{float64(c.Rank()), float64(i)})
 	}
-	c.IsendOwned(next, 8, make([]float64, 3+c.Rank()))
+	c.SendOwned(next, 8, make([]float64, 3+c.Rank()), true)
 	for i := 0; i <= prev; i++ {
 		if got := c.Recv(prev, 7); len(got) != 2 || got[0] != float64(prev) || got[1] != float64(i) {
 			panic(fmt.Sprintf("rank %d: message %d from rank %d reads %v", c.Rank(), i, prev, got))
@@ -30,7 +30,7 @@ func ringTraffic(c *Comm) {
 	if got := c.Recv(prev, 8); len(got) != 3+prev {
 		panic(fmt.Sprintf("rank %d: overlapped message from rank %d has %d values, want %d", c.Rank(), prev, len(got), 3+prev))
 	}
-	c.WaitSends()
+	waitSends(c)
 	c.Barrier()
 }
 
@@ -54,8 +54,8 @@ func TestWorldResetBitIdenticalStats(t *testing.T) {
 		c.Send((c.Rank()+1)%size, 9, make([]float64, 100))
 		c.Recv((c.Rank()-1+size)%size, 9)
 		c.Barrier()
-		c.IsendOwned((c.Rank()+2)%size, 3, make([]float64, 11))
-		c.WaitSends()
+		c.SendOwned((c.Rank()+2)%size, 3, make([]float64, 11), true)
+		waitSends(c)
 		c.Recv((c.Rank()-2+size)%size, 3)
 	}); err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestWorldResetAfterAbort(t *testing.T) {
 				}
 				c.Send(0, 9, []float64{1, 2, 3})
 				for i := 0; i < 8; i++ {
-					c.IsendOwned(1, 9, make([]float64, 64))
+					c.SendOwned(1, 9, make([]float64, 64), true)
 				}
 				w.Fail(errors.New("injected link loss"))
 			})

@@ -847,7 +847,7 @@ func (m *TCPMesh) readLoop(il *inLink, conn net.Conn) {
 			// compute activity, is alive: that is watchdog progress here.
 			if alive {
 				m.beats.Add(1)
-				m.w.NoteProgress()
+				m.w.progress.Add(1)
 			}
 		}
 	}

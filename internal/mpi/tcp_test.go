@@ -80,7 +80,7 @@ func TestTCPWorldResetBitIdentical(t *testing.T) {
 	err := reused.RunE(func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < held; i++ {
-				c.IsendOwned(1+(i%(size-1)), 11, make([]float64, 4096))
+				c.SendOwned(1+(i%(size-1)), 11, make([]float64, 4096), true)
 			}
 			panic("injected abort with frames in custody")
 		}
@@ -130,10 +130,10 @@ func TestTCPResetRacesLateFrames(t *testing.T) {
 		err := w.RunE(func(c *Comm) {
 			next := (c.Rank() + 1) % size
 			for i := 0; i < 8; i++ {
-				c.IsendOwned(next, 7+i%2, nil)
+				c.SendOwned(next, 7+i%2, nil, true)
 			}
 			for i := 0; i < held; i++ {
-				c.IsendOwned(next, 7, make([]float64, 1000))
+				c.SendOwned(next, 7, make([]float64, 1000), true)
 			}
 			if c.Rank() == 0 {
 				panic("injected abort with frames in flight")

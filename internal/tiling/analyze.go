@@ -253,39 +253,13 @@ func (b *scanBuf) rows(ts *TiledSpace, k int, fn func(z, jp ilin.Vec, count int6
 	return true
 }
 
-// ScanTilePoints enumerates the lattice points of tile j^S in
-// lexicographic z order, with boundary clamping applied: the rows of
-// ScanTileRows, each walked point by point. fn receives the lattice
-// coordinate z and the TTIS coordinate j' = H̃'·z in reusable buffers.
-// Returns the number of points visited.
-func (ts *TiledSpace) ScanTilePoints(jS ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
-	last := ts.T.N - 1
-	var count int64
-	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
-		for i := int64(0); i < n; i++ {
-			count++
-			if !fn(z, jp) {
-				return false
-			}
-			z[last]++
-			jp[last] += ts.T.C[last]
-		}
-		return true
-	})
-	return count
-}
-
-// TilePointCount returns the number of iterations in tile j^S.
-func (ts *TiledSpace) TilePointCount(jS ilin.Vec) int64 {
-	return ts.ScanTilePoints(jS, func(z, jp ilin.Vec) bool { return true })
-}
-
 // TotalPoints returns the total number of iterations across all tiles
-// (equals the nest size; pinned by tests).
+// (equals the nest size; pinned by tests): the tiles' CountTilePoints, so a
+// boundary tile costs its area, not its points.
 func (ts *TiledSpace) TotalPoints() int64 {
 	var total int64
 	ts.ScanTiles(func(jS ilin.Vec) bool {
-		total += ts.TilePointCount(jS)
+		total += ts.CountTilePoints(jS)
 		return true
 	})
 	return total

@@ -58,7 +58,7 @@ func TestAnalyzeBoundaryClamping(t *testing.T) {
 		t.Errorf("TotalPoints = %d, want 35", got)
 	}
 	// Corner tile (2,2) covers i=6, j=4: a single point.
-	if got := ts.TilePointCount(ilin.NewVec(2, 2)); got != 1 {
+	if got := ts.CountTilePoints(ilin.NewVec(2, 2)); got != 1 {
 		t.Errorf("corner tile count = %d, want 1", got)
 	}
 	if !ts.ValidTile(ilin.NewVec(2, 2)) || ts.ValidTile(ilin.NewVec(3, 0)) {
@@ -266,7 +266,7 @@ func TestTileFullyInsideConsistent(t *testing.T) {
 	ts.ScanTiles(func(jS ilin.Vec) bool {
 		if ts.TileFullyInside(jS) {
 			full++
-			if got := ts.TilePointCount(jS); got != ts.T.TileSize {
+			if got := ts.CountTilePoints(jS); got != ts.T.TileSize {
 				t.Fatalf("full tile %v has %d points", jS, got)
 			}
 		}
@@ -308,4 +308,26 @@ func BenchmarkScanTileRows(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchPoints = ts.ScanTileRows(tiles[i%len(tiles)], countRow)
 	}
+}
+
+// ScanTilePoints, the tests' point walk, enumerates the lattice points of
+// tile j^S in lexicographic z order, with boundary clamping applied: the
+// rows of ScanTileRows, each walked point by point. fn receives the lattice
+// coordinate z and the TTIS coordinate j' = H̃'·z in reusable buffers.
+// Returns the number of points visited.
+func (ts *TiledSpace) ScanTilePoints(jS ilin.Vec, fn func(z, jp ilin.Vec) bool) int64 {
+	last := ts.T.N - 1
+	var count int64
+	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
+		for i := int64(0); i < n; i++ {
+			count++
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += ts.T.C[last]
+		}
+		return true
+	})
+	return count
 }

@@ -99,8 +99,8 @@ func TestRandomTilings(t *testing.T) {
 				ts.ScanTiles(func(jS ilin.Vec) bool {
 					jS = jS.Clone()
 					want := brute[jS.String()]
-					if got := ts.TilePointCount(jS); got != want {
-						t.Fatalf("tile %v: TilePointCount %d != brute %d, P=%v space:\n%v", jS, got, want, p, s)
+					if got := ts.ScanTilePoints(jS, func(z, jp ilin.Vec) bool { return true }); got != want {
+						t.Fatalf("tile %v: ScanTilePoints visits %d != brute %d, P=%v space:\n%v", jS, got, want, p, s)
 					}
 					if got := ts.CountTilePoints(jS); got != want {
 						t.Fatalf("tile %v: CountTilePoints %d != brute %d, P=%v space:\n%v", jS, got, want, p, s)

@@ -195,7 +195,7 @@ func firstMessageTile(t *testing.T, d *distrib.Distribution) (tile ilin.Vec, dir
 // it to.
 func region(d *distrib.Distribution, tile ilin.Vec, dir int, addr *distrib.Addresser) (pts []ilin.Vec, cells []int64) {
 	dm := d.DM[dir]
-	d.TS.ScanTilePoints(tile, func(z, jp ilin.Vec) bool {
+	tilePoints(d.TS, tile, func(z, jp ilin.Vec) bool {
 		for k, i := 0, 0; k < len(jp); k++ {
 			if k == d.M {
 				continue
@@ -842,4 +842,20 @@ func BenchmarkCertify(b *testing.B) {
 			}
 		})
 	}
+}
+
+// tilePoints walks tile jS of ts point by point in scan order — the rows of
+// ScanTileRows expanded, z and jp reused buffers — until fn returns false.
+func tilePoints(ts *tiling.TiledSpace, jS ilin.Vec, fn func(z, jp ilin.Vec) bool) {
+	last := ts.T.N - 1
+	ts.ScanTileRows(jS, func(z, jp ilin.Vec, n int64) bool {
+		for ; n > 0; n-- {
+			if !fn(z, jp) {
+				return false
+			}
+			z[last]++
+			jp[last] += ts.T.C[last]
+		}
+		return true
+	})
 }

@@ -258,7 +258,7 @@ func TestOneCompiledProtocol(t *testing.T) {
 func TestOneRowWalkPerTile(t *testing.T) {
 	l := loadTree(t)
 	walks := map[types.Object]bool{}
-	for _, name := range []string{"ScanTileRows", "ScanTilePoints", "CountTilePoints", "TilePointCount", "TotalPoints"} {
+	for _, name := range []string{"ScanTileRows", "CountTilePoints", "TotalPoints"} {
 		walks[l.object(t, "tilespace/internal/tiling", "TiledSpace."+name)] = true
 	}
 	tileWalk := l.object(t, "tilespace/internal/verify", "replayer.tile")
@@ -298,9 +298,8 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	handles := map[types.Object]bool{l.object(t, mpi, "Comm"): true, l.object(t, mpi, "World"): true}
 	runtimeCalls := map[types.Object]bool{}
 	for _, m := range []string{
-		"Comm.Recv", "Comm.RecvMsg", "Comm.SendOwned", "Comm.IsendOwned", "Comm.WaitSends",
-		"Comm.FlushWire", "Comm.FaultSleep", "Comm.PendingSends", "Comm.NoteProgress", "World.NoteProgress",
-		"Comm.TryRecvMsg", "Comm.SendLocal", "Group.Wait",
+		"Comm.Recv", "Comm.SendOwned", "Comm.WireClock", "Comm.FlushWire",
+		"Comm.NoteProgress", "Comm.TryRecvMsg", "Comm.SendLocal", "Group.Wait",
 	} {
 		runtimeCalls[l.object(t, mpi, m)] = true
 	}
@@ -333,6 +332,38 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	}
 	if !sawState || !sawDriver {
 		t.Fatalf("found rankState %v, group's methods %v: the layering this test pins has moved", sawState, sawDriver)
+	}
+}
+
+// TestExecNeverWaits pins that a rank never sleeps and the executor has one
+// receive path: no non-test internal/exec code uses time.Sleep or a runtime
+// call that holds its goroutine on its own — Comm.Send, which sleeps out its
+// wire cost, or Comm.Recv and Comm.Barrier, which wait for a peer. A rank
+// claims only what has arrived (Comm.TryRecvMsg), its modelled time is a
+// deadline its group steps around, and all waiting is the group's, in
+// mpi.Group.Wait — so a rank folded with others stalls none of them.
+func TestExecNeverWaits(t *testing.T) {
+	l := loadTree(t)
+	const mpi = "tilespace/internal/mpi"
+	blocking := map[types.Object]bool{}
+	for _, m := range []string{"Comm.Send", "Comm.Recv", "Comm.Barrier"} {
+		blocking[l.object(t, mpi, m)] = true
+	}
+	tryRecv, wait := l.object(t, mpi, "Comm.TryRecvMsg"), l.object(t, mpi, "Group.Wait")
+	uses := map[types.Object]int{}
+	for _, f := range l.moduleFiles() {
+		if path.Dir(f.path) != "internal/exec" {
+			continue
+		}
+		eachUse(f.File, f.info, func(id *ast.Ident, obj types.Object) {
+			uses[obj]++
+			if pkg := obj.Pkg(); blocking[obj] || pkg != nil && pkg.Path() == "time" && obj.Name() == "Sleep" {
+				t.Errorf("%s: the executor waits in %s", l.fset.Position(id.Pos()), id.Name)
+			}
+		})
+	}
+	if uses[tryRecv] != 1 || uses[wait] != 1 {
+		t.Errorf("the executor calls TryRecvMsg %d times and Group.Wait %d times, want one receive and one wait", uses[tryRecv], uses[wait])
 	}
 }
 
