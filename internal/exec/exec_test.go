@@ -289,7 +289,7 @@ func TestAutoMappingDim(t *testing.T) {
 }
 
 func TestGlobalBasics(t *testing.T) {
-	g := NewGlobal(ilin.NewVec(-1, 0), ilin.NewVec(1, 2), 2)
+	g := nanGlobal(ilin.NewVec(-1, 0), ilin.NewVec(1, 2), 2)
 	g.Set(ilin.NewVec(0, 1), []float64{3, 4})
 	if v := g.At(ilin.NewVec(0, 1)); v[0] != 3 || v[1] != 4 {
 		t.Errorf("At = %v", v)
@@ -302,19 +302,21 @@ func TestGlobalBasics(t *testing.T) {
 	g.At(ilin.NewVec(9, 9))
 }
 
-// TestGlobalRows: a fresh Global is NaN throughout (whatever its size: the
-// fill doubles), and Row aliases the contiguous innermost run it names and
-// refuses one that leaves the box.
-func TestGlobalRows(t *testing.T) {
-	for _, hi := range []int64{0, 1, 2, 6, 15} {
-		g := NewGlobal(ilin.NewVec(0, 0), ilin.NewVec(2, hi), 3)
-		for i, v := range g.data {
-			if !math.IsNaN(v) {
-				t.Fatalf("box up to %d: cell %d of a fresh Global is %v, want NaN", hi, i, v)
-			}
-		}
+// nanGlobal allocates a Global over [lo, hi] that is NaN throughout, so
+// that a cell a test oracle or a lone rank leaves unwritten shows.
+func nanGlobal(lo, hi ilin.Vec, width int) *Global {
+	g := allocGlobal(lo, hi, width)
+	for i := range g.data {
+		g.data[i] = math.NaN()
 	}
-	g := NewGlobal(ilin.NewVec(-1, 0), ilin.NewVec(1, 4), 2)
+	return g
+}
+
+// TestGlobalRows: Row aliases the contiguous innermost run it names and
+// refuses one that leaves the box. (Where a run's Global holds NaN is
+// TestNaNOnlyOffSpace's.)
+func TestGlobalRows(t *testing.T) {
+	g := nanGlobal(ilin.NewVec(-1, 0), ilin.NewVec(1, 4), 2)
 	for i := range g.data {
 		g.data[i] = float64(i)
 	}
@@ -330,8 +332,8 @@ func TestGlobalRows(t *testing.T) {
 }
 
 func TestGlobalMaxAbsDiffNaN(t *testing.T) {
-	g1 := NewGlobal(ilin.NewVec(0), ilin.NewVec(1), 1)
-	g2 := NewGlobal(ilin.NewVec(0), ilin.NewVec(1), 1)
+	g1 := nanGlobal(ilin.NewVec(0), ilin.NewVec(1), 1)
+	g2 := nanGlobal(ilin.NewVec(0), ilin.NewVec(1), 1)
 	g1.Set(ilin.NewVec(0), []float64{1})
 	// g2 left NaN at 0.
 	pts := func(fn func(j ilin.Vec) bool) { fn(ilin.NewVec(0)) }
@@ -350,7 +352,7 @@ func TestGlobalMaxAbsDiffFirstWorst(t *testing.T) {
 		}
 	}
 	fill := func(lo, hi ilin.Vec, vals ...float64) *Global {
-		g := NewGlobal(lo, hi, 1)
+		g := nanGlobal(lo, hi, 1)
 		for i, v := range vals {
 			g.Set(ilin.NewVec(int64(i+1), 1), []float64{v})
 		}

@@ -16,7 +16,9 @@ import (
 // iteration point, over the integer bounding box of the iteration space.
 // (The paper's DS under the identity write reference f_w(j) = j, the case
 // of all three experiment kernels; value width > 1 models multi-array
-// statements such as ADI's X and B.)
+// statements such as ADI's X and B.) A run's Global comes from
+// Program.NewGlobal: NaN on the box cells off the space, which no run
+// writes, and each space cell written once, by the run.
 type Global struct {
 	Lo, Hi ilin.Vec
 	Width  int
@@ -24,9 +26,8 @@ type Global struct {
 	data   []float64
 }
 
-// NewGlobal allocates a global array over the box [lo, hi], filled with
-// NaN so that reads of never-written cells are detectable in tests.
-func NewGlobal(lo, hi ilin.Vec, width int) *Global {
+// allocGlobal allocates a zeroed global array over the box [lo, hi].
+func allocGlobal(lo, hi ilin.Vec, width int) *Global {
 	if len(lo) != len(hi) || width <= 0 {
 		panic("exec: bad Global shape")
 	}
@@ -40,14 +41,7 @@ func NewGlobal(lo, hi ilin.Vec, width int) *Global {
 		stride[k] = size
 		size *= hi[k] - lo[k] + 1
 	}
-	g := &Global{Lo: lo.Clone(), Hi: hi.Clone(), Width: width, stride: stride, data: make([]float64, size*int64(width))}
-	// Fill by doubling copies: this runs serially on every run's critical
-	// path, and memmove is several times faster than a scalar store loop.
-	g.data[0] = math.NaN()
-	for n := 1; n < len(g.data); n *= 2 {
-		copy(g.data[n:], g.data[:n])
-	}
-	return g
+	return &Global{Lo: lo.Clone(), Hi: hi.Clone(), Width: width, stride: stride, data: make([]float64, size*int64(width))}
 }
 
 func (g *Global) index(j ilin.Vec) int64 {

@@ -24,7 +24,7 @@ import (
 // in-process world, with blocking Sends or (overlap) Isends drained at
 // chain end.
 func (p *Program) RunLegacy(overlap bool) (*Global, mpi.Stats, error) {
-	g := NewGlobal(p.lo, p.hi, p.Width)
+	g := nanGlobal(p.lo, p.hi, p.Width)
 	world := mpi.NewWorldOpts(p.Dist.NumProcs(), mpi.Options{})
 	var (
 		mu     sync.Mutex

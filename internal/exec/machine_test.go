@@ -100,7 +100,7 @@ func handRun(t *testing.T, p *Program, seed int64, crash *handCrash) (*Global, i
 	if crash != nil && !crashed {
 		t.Fatalf("rank %d never fired slot %d", crash.rank, crash.slot)
 	}
-	g := NewGlobal(p.lo, p.hi, p.Width)
+	g := nanGlobal(p.lo, p.hi, p.Width)
 	for _, st := range states {
 		if slot, _ := st.next(); slot != int64(len(st.Slots)) {
 			t.Fatalf("rank %d stuck at slot %d of %d: no rank can step", st.rank, slot, len(st.Slots))

@@ -15,7 +15,7 @@ import (
 // and the executor — not even the lowered kernel — and is the oracle both
 // are checked against.
 func (p *Program) reference() (*Global, func(j ilin.Vec)) {
-	g := NewGlobal(p.lo, p.hi, p.Width)
+	g := nanGlobal(p.lo, p.hi, p.Width)
 	q := p.TS.Nest.Q()
 	reads := make([][]float64, q)
 	readBuf := make([]float64, q*p.Width)
@@ -89,16 +89,38 @@ func (g *Global) FirstBitDiff(o *Global) (ilin.Vec, bool) {
 	}
 	for i, v := range g.data {
 		if math.Float64bits(v) != math.Float64bits(o.data[i]) {
-			pt := make(ilin.Vec, len(g.Lo))
-			idx := int64(i / g.Width)
-			for k := range pt {
-				pt[k] = g.Lo[k] + idx/g.stride[k]
-				idx %= g.stride[k]
-			}
-			return pt, true
+			return g.pointOf(i), true
 		}
 	}
 	return nil, false
+}
+
+// FirstMisplacedNaN returns the first point of the box, in storage order,
+// that holds a NaN in p's iteration space or a number off it, and whether
+// there is one.
+func (g *Global) FirstMisplacedNaN(p *Program) (ilin.Vec, bool) {
+	in := make([]bool, len(g.data)/g.Width)
+	p.ScanSpace(func(j ilin.Vec) bool {
+		in[g.index(j)/int64(g.Width)] = true
+		return true
+	})
+	for i, v := range g.data {
+		if math.IsNaN(v) == in[i/g.Width] {
+			return g.pointOf(i), true
+		}
+	}
+	return nil, false
+}
+
+// pointOf returns the point whose value vector holds data[i].
+func (g *Global) pointOf(i int) ilin.Vec {
+	pt := make(ilin.Vec, len(g.Lo))
+	idx := int64(i / g.Width)
+	for k := range pt {
+		pt[k] = g.Lo[k] + idx/g.stride[k]
+		idx %= g.stride[k]
+	}
+	return pt
 }
 
 // tilePoints walks tile jS of ts point by point in scan order — the rows of

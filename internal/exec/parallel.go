@@ -91,9 +91,11 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 }
 
 // runOn runs the program on world, which is ready for the run. Everything
-// that can refuse the run has: only now is the result allocated.
+// that can refuse the run has: only now is the result allocated. Each rank
+// writes its own points back, so on a remote world only this process's
+// ranks' cells of the space are written (procrun merges the others).
 func (p *Program) runOn(world *mpi.World, opt RunOptions) (*Global, mpi.Stats, error) {
-	g := NewGlobal(p.lo, p.hi, p.Width)
+	g := p.NewGlobal()
 	if opt.Trace != nil {
 		opt.Trace.reset(p.Dist.NumProcs())
 	}
@@ -148,14 +150,16 @@ type rankState struct {
 // newRankState builds a rank's per-run state on top of its compiled chain
 // (compiled here on the distribution's first use of the rank): the LDS, the
 // inbound claim state, a few reused buffers and the checkpoint state — a
-// chain resumed from opt.Checkpoint.Resume starts at the snapshot. The
-// memory of a finished run's state is reused (group.run), the LDS zeroed.
+// chain resumed from opt.Checkpoint.Resume starts at the snapshot. It takes
+// the state the Program holds for the rank, if any (group.run returns one),
+// and clears its LDS; a run that finds none, one running concurrently, or
+// one after a run that aborted, allocates its own.
 func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 	rp, err := p.Dist.Plan(r)
 	if err != nil {
 		return nil, err
 	}
-	st, _ := p.idle[r].Get().(*rankState)
+	st := p.idle[r].Swap(nil)
 	if pr := p.Dist.Protocol(); st == nil {
 		st = &rankState{p: p, rank: r, RankPlan: rp, deps: pr.Deps, dps: pr.DPs, rowStep: pr.RowStep,
 			la:   make([]float64, rp.Addr.Size()*int64(p.Width)),
@@ -260,8 +264,8 @@ func (gr *group) run() error {
 			moved = moved || m
 		}
 		if !live {
-			for _, st := range gr.sts {
-				st.p.idle[st.rank].Put(st) // no run refers to it any more
+			for _, st := range gr.sts { // no run refers to it any more
+				st.p.idle[st.rank].CompareAndSwap(nil, st)
 			}
 			return nil
 		}

@@ -151,7 +151,7 @@ func (p *Program) boundaryValues(r int, rp *distrib.RankPlan) *rankInit {
 		pr := p.Dist.Protocol()
 		n := p.TS.T.N
 		w := p.Width
-		stride := make(ilin.Vec, n) // the Global's (NewGlobal), in values
+		stride := make(ilin.Vec, n) // the Global's (allocGlobal), in values
 		for k, s := n-1, int64(w); k >= 0; k-- {
 			stride[k], s = s, s*(p.hi[k]-p.lo[k]+1)
 		}

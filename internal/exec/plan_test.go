@@ -203,7 +203,7 @@ func TestWarmRankAllocatesNothing(t *testing.T) {
 	for name, p := range map[string]*Program{"statement": planProgram(t), "coef": coefPlanProgram(t)} {
 		r, _ := boundarySlot(t, p)
 		st := mustRankState(t, p, r, RunOptions{})
-		g := NewGlobal(p.lo, p.hi, p.Width)
+		g := nanGlobal(p.lo, p.hi, p.Width)
 		rank := func() {
 			for ti := range st.Slots {
 				sl := &st.Slots[ti]
@@ -242,7 +242,7 @@ func TestWriteBackKeepsTheBox(t *testing.T) {
 			for i := range st.la {
 				st.la[i] = float64(i) + 0.5
 			}
-			got, want := NewGlobal(p.lo, p.hi, p.Width), NewGlobal(p.lo, p.hi, p.Width)
+			got, want := nanGlobal(p.lo, p.hi, p.Width), nanGlobal(p.lo, p.hi, p.Width)
 			st.writeBack(got)
 			st.writeBackPerPoint(want)
 			if at, differ := got.FirstBitDiff(want); differ {
@@ -268,7 +268,7 @@ func TestWriteBackKeepsTheBox(t *testing.T) {
 			t.Error("a slot whose rows leave the Global's box wrote back without a panic")
 		}
 	}()
-	st.writeBack(NewGlobal(p.lo, p.hi, p.Width))
+	st.writeBack(nanGlobal(p.lo, p.hi, p.Width))
 }
 
 // TestRowsAreNotMergedRunsInARun runs the configuration on which a row table
@@ -475,7 +475,7 @@ func BenchmarkWriteBack(b *testing.B) {
 	p := planProgram(b)
 	r, _ := fullTileSlot(b, p)
 	st := mustRankState(b, p, r, RunOptions{})
-	g := NewGlobal(p.lo, p.hi, p.Width)
+	g := nanGlobal(p.lo, p.hi, p.Width)
 	var pts float64
 	for ti := range st.Slots {
 		pts += float64(st.Slots[ti].Plan.Npts)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"tilespace/internal/distrib"
 	"tilespace/internal/ilin"
@@ -36,9 +37,15 @@ type Program struct {
 	lo, hi ilin.Vec
 	bounds *poly.NestBounds
 	// inits[r] is rank r's boundary values (plan.go), compiled on the rank's
-	// first run; idle[r] holds rank states whose run finished (newRankState).
+	// first run. idle[r] holds one rank state whose run finished, for the
+	// next run to take (newRankState): an owner the garbage collector cannot
+	// empty, so a Program that has run keeps one run's rank states.
 	inits []rankInit
-	idle  []sync.Pool
+	idle  []atomic.Pointer[rankState]
+	// holes are the box cells off the space as (first value, count) runs
+	// of a Global's data, compiled on the first NewGlobal.
+	holesOnce sync.Once
+	holes     []int64
 }
 
 // NewProgram validates and assembles a program. The mapping dimension is
@@ -67,7 +74,7 @@ func NewProgram(ts *tiling.TiledSpace, m int, width int, kernel Kernel, initial 
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{TS: ts, Dist: d, Width: width, Kernel: kernel, Initial: initial, inits: make([]rankInit, d.NumProcs()), idle: make([]sync.Pool, d.NumProcs())}
+	p := &Program{TS: ts, Dist: d, Width: width, Kernel: kernel, Initial: initial, inits: make([]rankInit, d.NumProcs()), idle: make([]atomic.Pointer[rankState], d.NumProcs())}
 	if p.lo, p.hi, err = ts.Nest.BoundingBox(); err != nil {
 		return nil, err
 	}
@@ -75,6 +82,39 @@ func NewProgram(ts *tiling.TiledSpace, m int, width int, kernel Kernel, initial 
 		return nil, err
 	}
 	return p, nil
+}
+
+// NewGlobal allocates a Global over the program's bounding box, NaN on the
+// cells off the iteration space and zero on the space, whose every cell the
+// caller writes: a run's write-back, RunSequential's rows, procrun's merge.
+// That write-back reaches every space cell is proved, not left to a NaN
+// fill to show: the certifier rejects a plan that computes an iteration
+// twice or not at all. The cells off the space are compiled on first use,
+// as the runs between consecutive space rows; NewProgram does no such work.
+func (p *Program) NewGlobal() *Global {
+	g := allocGlobal(p.lo, p.hi, p.Width)
+	p.holesOnce.Do(func() {
+		var next int64
+		p.bounds.ScanRows(func(x ilin.Vec, cnt int64) bool {
+			at := g.index(x)
+			if at > next {
+				p.holes = append(p.holes, next, at-next)
+			}
+			next = at + cnt*int64(p.Width)
+			return true
+		})
+		if end := int64(len(g.data)); end > next {
+			p.holes = append(p.holes, next, end-next)
+		}
+	})
+	nan := math.NaN()
+	for i := 0; i < len(p.holes); i += 2 {
+		hole := g.data[p.holes[i]:][:p.holes[i+1]]
+		for k := range hole {
+			hole[k] = nan
+		}
+	}
+	return g
 }
 
 // RunSequential executes the program in the original lexicographic order
@@ -87,7 +127,7 @@ func NewProgram(ts *tiling.TiledSpace, m int, width int, kernel Kernel, initial 
 // c·e reads the row itself c points back, under the executor's hazard rule
 // (rowEval.row). Each value is the per-point order's, bit for bit.
 func (p *Program) RunSequential() (*Global, error) {
-	g := NewGlobal(p.lo, p.hi, p.Width)
+	g := p.NewGlobal()
 	n, q, w := p.TS.T.N, p.TS.Nest.Q(), int64(p.Width)
 	last := n - 1
 	maxRow := p.hi[last] - p.lo[last] + 1

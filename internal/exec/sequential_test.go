@@ -162,14 +162,19 @@ func seqCases(t *testing.T) []seqCase {
 	wedge.Add(poly.NewConstraint(ilin.RatVec{rat.FromInt(-1), rat.One}, rat.FromInt(3)))
 	wedge.Add(poly.NewConstraint(ilin.RatVec{rat.FromInt(-1), rat.FromInt(-1)}, rat.FromInt(3)))
 	add("hand/wedge", wedge, depMat([]int64{1, 0}, []int64{1, 1}, []int64{2, 5}, []int64{0, 1}), rect(3, 6), weighted(4, coef))
+	// A box with its last corner cut by i + j ≤ 44: the box's last cells lie
+	// off the space, so the Global ends in a run of them.
+	corner := box(9, 40)
+	corner.Add(poly.NewConstraint(ilin.RatVec{rat.One, rat.One}, rat.FromInt(44)))
+	add("hand/cut-corner", corner, depMat([]int64{1, 0}, []int64{0, 1}), rect(3, 8), weighted(2))
 	return out
 }
 
 // TestRunSequentialMatchesPointOracle: over the differential matrix, the
 // eight drawn DSL sources and the hand nests — innermost dependences at
 // distance 1 (SOR, the DSL), 2 and 5, ADI at width 2 with Coef, a sum of
-// products with a Coef, and a wedge whose rows read outside prefixes, suffixes and
-// whole rows — the row sweep leaves every cell of the Global bit for bit
+// products with a Coef, a wedge whose rows read outside prefixes, suffixes and
+// whole rows, and a box whose last corner is cut off — the row sweep leaves every cell of the Global bit for bit
 // where the per-point sweep does, and agrees with the tiled order too.
 func TestRunSequentialMatchesPointOracle(t *testing.T) {
 	for _, c := range seqCases(t) {

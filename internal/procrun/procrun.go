@@ -126,11 +126,7 @@ func Merge(p *exec.Program, results []*RankResult) (*exec.Global, mpi.Stats, err
 		}
 	}
 
-	lo, hi, err := p.TS.Nest.BoundingBox()
-	if err != nil {
-		return nil, mpi.Stats{}, err
-	}
-	g := exec.NewGlobal(lo, hi, p.Width)
+	g := p.NewGlobal()
 	cursor := make([]int, procs)
 	var werr error
 	p.ScanSpace(func(j ilin.Vec) bool {

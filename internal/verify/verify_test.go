@@ -300,7 +300,10 @@ func pin(v *verify.Violation) string {
 // from the per-point replay, recorded before the replay judged segments;
 // since the replay judges each plan's row classes first, a read cell off its
 // segment's offset (shifted-readoff) is an address-program fault at the
-// slot's base, and so is a corrupted row class.
+// slot's base, and so is a corrupted row class. No message and no later row
+// reads the row dropped-row drops: the tile's own walk finds its first point
+// missing from the plan — the cell a run's write-back would leave unwritten,
+// and exec.Program.NewGlobal fills no space cell.
 var runPins = map[string]string{
 	"doubled-run":    "comm-redundancy|0|(0, 0, 0)|(1, 3, 3)",
 	"dropped-tail":   "comm-soundness|0|(0, 0, 0)|(1, 3, 3)",
@@ -318,6 +321,7 @@ var rowPins = map[string]string{
 	"boundary-run-too-short":     "comm-soundness|9|(2, 3, 1)|(4, 14, 11)",
 	"dropped-boundary-entry":     "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
 	"dropped-inbound-row":        "comm-soundness|9|(2, 3, 1)|(4, 12, 9)",
+	"dropped-row":                "address-program|9|(2, 3, 3)|(4, 14, 16)",
 	"inner-row-one-longer":       "address-program|9|(2, 3, 1)|(4, 13, 9)",
 	"row-one-longer":             "address-program|9|(2, 3, 3)|(4, 14, 19)",
 	"row-one-shorter":            "address-program|9|(2, 3, 3)|(4, 12, 16)",
@@ -668,6 +672,26 @@ func TestMutationCompiledRowRejected(t *testing.T) {
 		},
 		"dropped-segment": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
 			lastRow(t, ps, func(pl *distrib.TilePlan, r int) { pl.Segs = pl.Segs[:len(pl.Segs)-1] })
+		},
+		"dropped-row": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
+			n, q := c.ts.T.N, c.ts.Nest.Q()
+			find(t, ps, func(rp *distrib.RankPlan) bool { // the last row of a chain's last tile, which sends nothing
+				sl := &rp.Slots[len(rp.Slots)-1]
+				pl := sl.Plan
+				if len(sl.Sends) > 0 || len(pl.Rows) < 2 {
+					return false
+				}
+				r := len(pl.Rows) - 1
+				pl.Npts -= int(pl.Rows[r].N)
+				sl.Npts -= int64(pl.Rows[r].N)
+				pl.Rows, pl.Uz, pl.Read = pl.Rows[:r], pl.Uz[:r*n], pl.Read[:r*q]
+				sg := &pl.Segs[len(pl.Segs)-1]
+				if sg.Rows = sg.Rows[:len(sg.Rows)-1]; len(sg.Rows) == 0 {
+					pl.Segs = pl.Segs[:len(pl.Segs)-1]
+				}
+				sl.Boundary = slices.DeleteFunc(sl.Boundary, func(b distrib.BoundaryRun) bool { return int(b.Row) == r })
+				return true
+			})
 		},
 		"wrong-dirshift": func(t *testing.T, c matrixCase, ps []*distrib.RankPlan) {
 			find(t, ps, func(rp *distrib.RankPlan) bool {
