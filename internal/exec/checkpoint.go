@@ -15,11 +15,12 @@ import (
 // rank becomes a rewind to it. snapshot and crash are pure transitions of
 // the machine; their wire effects are the driver's (parallel.go). With Save
 // the snapshot is persisted and recovery is a relaunched process; without,
-// a planned crash is recovered in-process: the rank holds a copy of every
-// payload claimed since the snapshot (no peer retains it), NaN-poisons its
-// LDS, restores the snapshot and the held payloads, and re-executes from
-// the snapshot's slot — re-claiming nothing and, below the crash slot (the
-// replay bound), packing nothing, so mpi.Stats count every message once.
+// a planned crash is recovered in-process: the rank holds every payload
+// claimed since the snapshot (its sender writes each once per run),
+// NaN-poisons its LDS, restores the snapshot and the held payloads, and
+// re-executes from the snapshot's slot — re-claiming nothing and, below the
+// crash slot (the replay bound), packing nothing, so mpi.Stats count every
+// message once.
 
 // CheckpointOptions enables tile-chain checkpointing (RunOptions).
 type CheckpointOptions struct {
@@ -52,7 +53,7 @@ type RankSnapshot struct {
 }
 
 // heldMsg is the payload of inbound-table row `row`, claimed since the last
-// snapshot and copied because the runtime cannot replay a claimed message.
+// snapshot and held because the runtime cannot replay a claimed message.
 type heldMsg struct {
 	row  int
 	data []float64

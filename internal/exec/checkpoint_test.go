@@ -38,11 +38,12 @@ func TestCrashRestartEveryWorkload(t *testing.T) {
 				// Every=2 makes the snapshot generally precede the crash
 				// tile, so recovery exercises receive replay and the resend
 				// cursor, not just a trivial rewind.
-				got, gotStats, err := c.p.RunParallelOpts(exec.RunOptions{
+				opt := exec.RunOptions{
 					Overlap:    overlap,
 					Net:        mpi.Options{Faults: &mpi.FaultPlan{Crash: map[int]int64{crashRank: crashTile}}},
 					Checkpoint: &exec.CheckpointOptions{Every: 2},
-				})
+				}
+				got, gotStats, err := c.p.RunParallelOpts(opt)
 				if err != nil {
 					t.Fatalf("crash-restart overlap=%v (rank %d, tile %d): %v", overlap, crashRank, crashTile, err)
 				}
@@ -52,6 +53,7 @@ func TestCrashRestartEveryWorkload(t *testing.T) {
 				if !reflect.DeepEqual(wantStats, gotStats) {
 					t.Fatalf("overlap=%v: traffic stats differ after crash-restart\nfault-free: %+v\nrestarted:  %+v", overlap, wantStats, gotStats)
 				}
+				rerunOnNaN(t, c.p, opt, got, gotStats)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"tilespace/internal/apps"
 	"tilespace/internal/exec"
+	"tilespace/internal/mpi"
 	"tilespace/internal/tiling"
 )
 
@@ -101,7 +102,29 @@ func TestPlannedMatchesLegacyDifferential(t *testing.T) {
 				if !reflect.DeepEqual(sL, sP) {
 					t.Fatalf("overlap=%v: traffic stats differ\nlegacy:  %+v\nplanned: %+v", overlap, sL, sP)
 				}
+				rerunOnNaN(t, c.p, exec.RunOptions{Overlap: overlap}, gP, sP)
 			}
 		})
+	}
+}
+
+// rerunOnNaN fills the LDS of every rank state p holds — the run before left
+// one per rank — with NaN and runs opt on them: a run reads no LDS cell it
+// did not write, so the Global must be want's bit for bit and the Stats
+// wantStats.
+func rerunOnNaN(t *testing.T, p *exec.Program, opt exec.RunOptions, want *exec.Global, wantStats mpi.Stats) {
+	t.Helper()
+	if n := p.FillHeldLDS(); n != p.Dist.NumProcs() {
+		t.Fatalf("%d rank states held after a run, want one per rank (%d)", n, p.Dist.NumProcs())
+	}
+	g, s, err := p.RunParallelOpts(opt)
+	if err != nil {
+		t.Fatalf("run on NaN-filled held states: %v", err)
+	}
+	if at, differ := g.FirstBitDiff(want); differ {
+		t.Fatalf("run on NaN-filled held states differs at %v", at)
+	}
+	if !reflect.DeepEqual(s, wantStats) {
+		t.Fatalf("run on NaN-filled held states: stats differ\n got %+v\nwant %+v", s, wantStats)
 	}
 }

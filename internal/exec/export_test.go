@@ -1,5 +1,7 @@
 package exec
 
+import "math"
+
 // LargestTileSweep returns the compute phase of the chain slot with the most
 // points — its rows only, no receive, boundary injection or send, over an
 // LDS seeded with ordinary values — and that point count: what
@@ -35,3 +37,19 @@ func (p *Program) LargestTileSweep() (sweep func(), points int, err error) {
 // Fused reports whether the kernel lowered to one fused instruction: one pass
 // over a row.
 func (k Kernel) Fused() bool { return k.stmt != nil && k.stmt.onePass && k.stmt.code[0].op == opSum }
+
+// FillHeldLDS fills the LDS of every rank state p holds for its next run
+// with NaN, and returns how many it filled: a run that takes them reads no
+// cell it did not write, so its Global and Stats must not move.
+func (p *Program) FillHeldLDS() int {
+	n := 0
+	for r := range p.idle {
+		if st := p.idle[r].Load(); st != nil {
+			for i := range st.la {
+				st.la[i] = math.NaN()
+			}
+			n++
+		}
+	}
+	return n
+}

@@ -93,18 +93,27 @@ func (p *Program) RunParallelOpts(opt RunOptions) (*Global, mpi.Stats, error) {
 // runOn runs the program on world, which is ready for the run. Everything
 // that can refuse the run has: only now is the result allocated. Each rank
 // writes its own points back, so on a remote world only this process's
-// ranks' cells of the space are written (procrun merges the others).
+// ranks' cells of the space are written (procrun merges the others). The
+// groups build their ranks' states into disjoint slots of sts. The states go
+// back to the Program (newRankState) only once every group is done: a payload
+// of a group that is done may still wait in another group's mailbox.
 func (p *Program) runOn(world *mpi.World, opt RunOptions) (*Global, mpi.Stats, error) {
 	g := p.NewGlobal()
 	if opt.Trace != nil {
 		opt.Trace.reset(p.Dist.NumProcs())
 	}
-	err := world.RunGroups(func(grp *mpi.Group) error { return p.runGroup(grp, g, opt) })
+	sts := make([]*rankState, p.Dist.NumProcs())
+	err := world.RunGroups(func(grp *mpi.Group) error { return p.runGroup(grp, g, sts, opt) })
 	if opt.Trace != nil {
 		opt.Trace.drain()
 	}
 	if err != nil {
 		return nil, mpi.Stats{}, err
+	}
+	for r, st := range sts {
+		if st != nil {
+			p.idle[r].CompareAndSwap(nil, st)
+		}
 	}
 	return g, world.Stats(), nil
 }
@@ -133,8 +142,9 @@ type rankState struct {
 	ev      *rowEval  // the row-evaluation scratch
 	init    *rankInit // the rank's boundary values, compiled once per Program
 
-	pool bufPool  // recycled message buffers
-	out  []outMsg // the outbox: the last fired slot's messages (pack.go)
+	sends  []float64 // the send array: every payload of the run, in send order (pack.go)
+	sendAt int       // the send array's cursor: the values packed so far this run
+	out    []outMsg  // the outbox: the last fired slot's messages
 
 	pointDelay time.Duration
 	crashAt    int64 // the planned crash's slot (Net.Faults), −1 once it struck
@@ -149,11 +159,13 @@ type rankState struct {
 
 // newRankState builds a rank's per-run state on top of its compiled chain
 // (compiled here on the distribution's first use of the rank): the LDS, the
-// inbound claim state, a few reused buffers and the checkpoint state — a
-// chain resumed from opt.Checkpoint.Resume starts at the snapshot. It takes
-// the state the Program holds for the rank, if any (group.run returns one),
-// and clears its LDS; a run that finds none, one running concurrently, or
-// one after a run that aborted, allocates its own.
+// send array, the inbound claim state, a few reused buffers and the
+// checkpoint state — a chain resumed from opt.Checkpoint.Resume starts at
+// the snapshot. It takes the state the Program holds for the rank, if any
+// (runOn returns one), as it is: every LDS cell a run reads, the run wrote
+// before (the certifier's replay proves it), and the send array is written
+// before it is sent. A run that finds none, one running concurrently, or one
+// after a run that aborted, allocates its own.
 func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 	rp, err := p.Dist.Plan(r)
 	if err != nil {
@@ -161,14 +173,20 @@ func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 	}
 	st := p.idle[r].Swap(nil)
 	if pr := p.Dist.Protocol(); st == nil {
+		var sends int64
+		for _, sl := range rp.Slots {
+			for _, snd := range sl.Sends {
+				sends += sl.Plan.Dirs[snd.Dir].Total
+			}
+		}
 		st = &rankState{p: p, rank: r, RankPlan: rp, deps: pr.Deps, dps: pr.DPs, rowStep: pr.RowStep,
-			la:   make([]float64, rp.Addr.Size()*int64(p.Width)),
-			ev:   newRowEval(p.Kernel, p.Width, p.TS.T.N, len(pr.DPs), rp.MaxRow),
-			init: p.boundaryValues(r, rp),
-			out:  make([]outMsg, 0, len(rp.SendRank))}
+			la:    make([]float64, rp.Addr.Size()*int64(p.Width)),
+			ev:    newRowEval(p.Kernel, p.Width, p.TS.T.N, len(pr.DPs), rp.MaxRow),
+			init:  p.boundaryValues(r, rp),
+			sends: make([]float64, sends*int64(p.Width)),
+			out:   make([]outMsg, 0, len(rp.SendRank))}
 	} else {
-		clear(st.la)
-		st.t, st.cur, st.tr, st.ckpt, st.pool.hits, st.pool.misses = 0, 0, nil, nil, 0, 0
+		st.t, st.cur, st.sendAt, st.tr, st.ckpt = 0, 0, 0, nil, nil
 	}
 	// A straggler's injected compute cost is its PointDelay, scaled.
 	st.pointDelay = time.Duration(float64(opt.PointDelay) * opt.Net.Faults.SlowdownOf(r))
@@ -222,10 +240,11 @@ const (
 	finished
 )
 
-// runGroup builds the machines of grp's ranks and runs them as a group.
-func (p *Program) runGroup(grp *mpi.Group, g *Global, opt RunOptions) error {
+// runGroup builds the machines of grp's ranks, into their slots of the run's
+// sts, and runs them as a group.
+func (p *Program) runGroup(grp *mpi.Group, g *Global, sts []*rankState, opt RunOptions) error {
 	n := len(grp.Comms)
-	gr := &group{Group: grp, g: g, opt: opt, sts: make([]*rankState, n), stage: make([]int8, n), busy: make([]time.Time, n)}
+	gr := &group{Group: grp, g: g, opt: opt, sts: sts[grp.Comms[0].Rank():][:n], stage: make([]int8, n), busy: make([]time.Time, n)}
 	// A sibling's message is handed over in memory only while it costs
 	// nothing on the wire; else it is due, counted and faulted as any other.
 	if n > 1 && opt.Net.LinkLatency == 0 && opt.Net.PerValue == 0 && opt.Net.Faults == nil {
@@ -264,9 +283,6 @@ func (gr *group) run() error {
 			moved = moved || m
 		}
 		if !live {
-			for _, st := range gr.sts { // no run refers to it any more
-				st.p.idle[st.rank].CompareAndSwap(nil, st)
-			}
 			return nil
 		}
 		if !moved {
@@ -327,7 +343,7 @@ func (gr *group) step(i int) (bool, error) {
 			if st.done() { // the chain is over: its values go back
 				gr.stage[i] = finished
 				if st.tr != nil {
-					gr.now = st.tr.finish(&st.pool)
+					gr.now = st.tr.finish()
 				}
 				st.writeBack(gr.g)
 				return true, nil
@@ -375,11 +391,6 @@ func (gr *group) step(i int) (bool, error) {
 			if err := st.offer(row, m.Data); err != nil {
 				return false, err
 			}
-			pool := &st.pool // but a buffer a sibling handed over returns to the sibling's
-			if j := gr.member(m.Source); j >= 0 && gr.local != nil {
-				pool = &gr.sts[j].pool
-			}
-			pool.put(m.Data)
 			moved = true
 		}
 		// The tile fires: every dependence is satisfied.

@@ -31,8 +31,8 @@ func (st *rankState) next() (int64, int) {
 
 // offer claims table row i with the payload its stream delivered: the row
 // must be the one next names and the payload the size the table says. The
-// payload is unpacked (the driver recycles it); in-memory recovery holds a
-// copy.
+// payload is unpacked; in-memory recovery holds it, and its sender writes it
+// once per run.
 func (st *rankState) offer(i int, data []float64) error {
 	if _, want := st.next(); i != want {
 		return fmt.Errorf("exec: rank %d chain slot %d: row %d offered out of order (the slot waits for row %d)", st.rank, st.t, i, want)
@@ -42,7 +42,7 @@ func (st *rankState) offer(i int, data []float64) error {
 		return fmt.Errorf("exec: rank %d chain slot %d: message from rank %d tag %d has %d values, expected %d", st.rank, m.T, st.RecvRank[m.Dir], m.Dir, len(data), want)
 	}
 	if ck := st.ckpt; ck.logs() {
-		ck.held = append(ck.held, heldMsg{row: i, data: append([]float64(nil), data...)})
+		ck.held = append(ck.held, heldMsg{row: i, data: data})
 	}
 	st.unpack(m, data)
 	st.cur++

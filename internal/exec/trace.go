@@ -42,9 +42,10 @@ type RankMetrics struct {
 	// bottleneck on its inbound edges.
 	Queued time.Duration
 
-	// Buffer-pool effectiveness and the overlap depth actually reached.
-	PoolHits    int
-	PoolMisses  int
+	// Deprecated: always 0; a rank packs into one send array, so there is
+	// no buffer pool.
+	PoolHits, PoolMisses int
+	// PendingPeak is the overlap depth actually reached.
 	PendingPeak int
 
 	// Crashes counts injected crashes this rank survived (restarting from
@@ -229,7 +230,7 @@ func (rt *rankTracer) endTile(tile ilin.Vec) time.Time {
 
 // finish closes the rank's timeline once its last send is due and
 // publishes events and metrics to the shared tracer, returning when.
-func (rt *rankTracer) finish(pool *bufPool) time.Time {
+func (rt *rankTracer) finish() time.Time {
 	now := time.Now()
 	if !rt.lastEnd.IsZero() {
 		rt.m.Drain = now.Sub(rt.lastEnd)
@@ -237,8 +238,6 @@ func (rt *rankTracer) finish(pool *bufPool) time.Time {
 	if !rt.first.IsZero() {
 		rt.m.Span = now.Sub(rt.first)
 	}
-	rt.m.PoolHits = pool.hits
-	rt.m.PoolMisses = pool.misses
 	rt.m.Workers = 1
 	rt.tr.ranks[rt.rank] = rt.m
 	rt.tr.events[rt.rank] = rt.events

@@ -97,13 +97,6 @@ func TestTracerRecordsTimeline(t *testing.T) {
 					t.Error("overlap run recorded no pending-send high-water mark")
 				}
 			}
-			hits := 0
-			for _, m := range tr.PerRank() {
-				hits += m.PoolHits
-			}
-			if hits == 0 {
-				t.Error("planned run recorded no buffer-pool hits")
-			}
 			if _, err := trace.TraceEventJSON(); err != nil {
 				t.Errorf("trace export: %v", err)
 			}

@@ -285,6 +285,15 @@ func relaunchFromSnapshot(t *testing.T, p *exec.Program, overlap bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The ranks run on the states an in-process run left, their LDSs NaN:
+	// the merged result must be that run's bit for bit.
+	whole, _, err := p.RunParallelOpts(exec.RunOptions{Overlap: overlap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := p.FillHeldLDS(); n != p.Dist.NumProcs() {
+		t.Fatalf("%d rank states held after a run, want one per rank (%d)", n, p.Dist.NumProcs())
+	}
 	// The victim: the first rank whose mid-chain snapshot has traffic both
 	// claimed and sent, so the relaunch resumes every kind of stream.
 	procs := p.Dist.NumProcs()
@@ -395,5 +404,8 @@ func relaunchFromSnapshot(t *testing.T, p *exec.Program, overlap bool) {
 	}
 	if diff, at := want.MaxAbsDiff(got, p.ScanSpace); diff != 0 {
 		t.Fatalf("rank %d relaunched at slot %d: the merged result differs from RunSequential by %g at %v", victim, snap.NextTile, diff, at)
+	}
+	if at, differ := got.FirstBitDiff(whole); differ {
+		t.Fatalf("rank %d relaunched at slot %d: the merged result differs from the in-process run at %v", victim, snap.NextTile, at)
 	}
 }

@@ -773,9 +773,9 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 }
 
 // SendOwned is Send without the copy and without the wait: data passes to
-// the receiver, whose Recv returns the very same slice, so a pooled
-// executor's communication allocates nothing (the caller must not touch
-// data after the call), and the message's due time is returned. Counted as
+// the receiver, whose Recv returns the very same slice, so communication
+// allocates nothing (the caller must not write data while the receiver may
+// still read it), and the message's due time is returned. Counted as
 // overlapped or blocking, as the caller says: a blocking sender is the
 // caller's to keep busy until the due time; an overlapped one computes on.
 func (c *Comm) SendOwned(dst, tag int, data []float64, overlapped bool) time.Time {
