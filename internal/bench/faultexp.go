@@ -9,7 +9,6 @@ import (
 	"tilespace/internal/compile"
 	"tilespace/internal/distrib"
 	"tilespace/internal/exec"
-	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
 	"tilespace/internal/simnet"
 )
@@ -109,10 +108,24 @@ func DefaultFaultScenarios() []FaultScenario {
 	}
 }
 
-// RunFaultComparison runs one workload fault-free and under the scenario,
-// both simulated and measured, and returns the degradation comparison.
-func RunFaultComparison(app *apps.App, h *ilin.RatMat, par simnet.Params, costScale float64, sc FaultScenario) (*FaultComparison, error) {
-	art, err := compile.Compile(compile.App(app, h))
+// FaultExperiment is the measured-vs-predicted degradation table over the
+// default scenarios on the 16-rank SOR acceptance configuration.
+type FaultExperiment struct {
+	Rows []*FaultComparison
+}
+
+// RunFaultExperiment runs every default scenario on SOR 6×16×16 under the
+// nr(2,5,5) tiling (16 ranks, the acceptance configuration shared with
+// RunTraceExperiment), simulated and measured. The measured runs go in
+// measureRuns rounds, each the fault-free run once and then every
+// scenario's faulty run, and a degradation divides the medians: a stretch
+// a loaded host slowed hits both arms alike and decides nothing.
+func RunFaultExperiment(par simnet.Params, costScale float64) (*FaultExperiment, error) {
+	app, err := apps.SOR(6, 16)
+	if err != nil {
+		return nil, err
+	}
+	art, err := compile.Compile(compile.App(app, app.NonRect[0].H(2, 5, 5)))
 	if err != nil {
 		return nil, err
 	}
@@ -122,20 +135,26 @@ func RunFaultComparison(app *apps.App, h *ilin.RatMat, par simnet.Params, costSc
 	// sender's CPU in both layers, and a crash can drop no in-flight
 	// messages — the regime where the model is tightest.
 	par.Overlap = false
-	plan := sc.Plan(p.Dist, par, costScale)
-
 	simBase, err := simnet.Simulate(p.Dist, par)
 	if err != nil {
 		return nil, err
 	}
-	simFault, err := simnet.SimulateFaults(p.Dist, par, simnet.FaultModel{
-		Plan: plan, CheckpointEvery: sc.CheckpointEvery, DurScale: costScale,
-	})
-	if err != nil {
-		return nil, err
+	scs := DefaultFaultScenarios()
+	plans := make([]*mpi.FaultPlan, len(scs))
+	e := &FaultExperiment{}
+	for i, sc := range scs {
+		plans[i] = sc.Plan(p.Dist, par, costScale)
+		simFault, err := simnet.SimulateFaults(p.Dist, par, simnet.FaultModel{
+			Plan: plans[i], CheckpointEvery: sc.CheckpointEvery, DurScale: costScale,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", sc.Name, err)
+		}
+		e.Rows = append(e.Rows, &FaultComparison{Scenario: sc.Name, Procs: p.Dist.NumProcs(),
+			PredictedDegradation: simFault.Makespan / simBase.Makespan})
 	}
 
-	measure := func(fp *mpi.FaultPlan) (float64, *exec.Tracer, error) {
+	measure := func(fp *mpi.FaultPlan, every int64) (float64, *exec.Tracer, error) {
 		tr := exec.NewTracer()
 		opt := exec.RunOptions{
 			Net:        par.NetOptions(costScale),
@@ -143,67 +162,40 @@ func RunFaultComparison(app *apps.App, h *ilin.RatMat, par simnet.Params, costSc
 			Trace:      tr,
 		}
 		opt.Net.Faults = fp
-		if fp != nil && sc.CheckpointEvery > 0 {
-			opt.Checkpoint = &exec.CheckpointOptions{Every: sc.CheckpointEvery}
+		if every > 0 {
+			opt.Checkpoint = &exec.CheckpointOptions{Every: every}
 		}
 		if _, _, err := p.RunParallelOpts(opt); err != nil {
 			return 0, nil, err
 		}
 		return tr.Trace().Result.Makespan, tr, nil
 	}
-	// The arms alternate, measureRuns times each, and the degradation
-	// divides their medians: a run a loaded host slowed decides nothing.
-	var base, faulty []float64
-	var ftr *exec.Tracer
+	var base []float64
+	faulty := make([][]float64, len(scs))
+	last := make([]*exec.Tracer, len(scs))
 	for range measureRuns {
-		mk, _, err := measure(nil)
+		mk, _, err := measure(nil, 0)
 		if err != nil {
-			return nil, fmt.Errorf("%s fault-free: %w", sc.Name, err)
+			return nil, fmt.Errorf("fault-free: %w", err)
 		}
 		base = append(base, mk)
-		if mk, ftr, err = measure(plan); err != nil {
-			return nil, fmt.Errorf("%s faulty: %w", sc.Name, err)
+		for i, sc := range scs {
+			if mk, last[i], err = measure(plans[i], sc.CheckpointEvery); err != nil {
+				return nil, fmt.Errorf("%s faulty: %w", sc.Name, err)
+			}
+			faulty[i] = append(faulty[i], mk)
 		}
-		faulty = append(faulty, mk)
 	}
-	baseMk, faultMk := median(base), median(faulty)
+	baseMk := median(base)
 	if baseMk <= 0 || simBase.Makespan <= 0 {
-		return nil, fmt.Errorf("%s: degenerate baseline makespan", sc.Name)
+		return nil, fmt.Errorf("degenerate baseline makespan")
 	}
-
-	return &FaultComparison{
-		Scenario:             sc.Name,
-		Procs:                p.Dist.NumProcs(),
-		MeasuredBaseline:     time.Duration(baseMk * float64(time.Second)),
-		MeasuredFaulty:       time.Duration(faultMk * float64(time.Second)),
-		MeasuredDegradation:  faultMk / baseMk,
-		PredictedDegradation: simFault.Makespan / simBase.Makespan,
-		Trace:                ftr.Trace(),
-		Metrics:              ftr.PerRank(),
-	}, nil
-}
-
-// FaultExperiment is the measured-vs-predicted degradation table over the
-// default scenarios on the 16-rank SOR acceptance configuration.
-type FaultExperiment struct {
-	Rows []*FaultComparison
-}
-
-// RunFaultExperiment runs every default scenario on SOR 6×16×16 under the
-// nr(2,5,5) tiling (16 ranks, the acceptance configuration shared with
-// RunTraceExperiment).
-func RunFaultExperiment(par simnet.Params, costScale float64) (*FaultExperiment, error) {
-	app, err := apps.SOR(6, 16)
-	if err != nil {
-		return nil, err
-	}
-	e := &FaultExperiment{}
-	for _, sc := range DefaultFaultScenarios() {
-		fc, err := RunFaultComparison(app, app.NonRect[0].H(2, 5, 5), par, costScale, sc)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		e.Rows = append(e.Rows, fc)
+	for i, fc := range e.Rows {
+		faultMk := median(faulty[i])
+		fc.MeasuredBaseline = time.Duration(baseMk * float64(time.Second))
+		fc.MeasuredFaulty = time.Duration(faultMk * float64(time.Second))
+		fc.MeasuredDegradation = faultMk / baseMk
+		fc.Trace, fc.Metrics = last[i].Trace(), last[i].PerRank()
 	}
 	return e, nil
 }

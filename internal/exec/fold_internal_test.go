@@ -15,7 +15,7 @@ import (
 // TestFoldEveryGroupCount runs two fixtures folded into every group count
 // from one executor to one per rank, whatever GOMAXPROCS says, against the
 // same program on a world of groups of one: bit-identical Global, DeepEqual
-// Stats, and with tracing on the tracer's traffic equal to the runtime's.
+// Stats, and the runtime's receive counts equal to the inbound tables' rows.
 // It does so twice: plainly, and modelling time on every path a rank can be
 // busy (modelledRun). A plain run also traces one event per tile, and its
 // ranks' busy time (unpack, compute, send) is at most E times the run's
@@ -50,20 +50,16 @@ func TestFoldEveryGroupCount(t *testing.T) {
 					if !reflect.DeepEqual(stats, wantStats) {
 						t.Fatalf("%s E=%d: stats differ\n got %+v\nwant %+v", arm, e, stats, wantStats)
 					}
-					var msgs, vals, crashes int64
+					var crashes int64
 					var busy time.Duration
 					for _, m := range tr.PerRank() {
-						msgs += int64(m.MsgsRecvd)
-						vals += int64(m.ValuesRecvd)
 						crashes += int64(m.Crashes)
 						busy += m.Unpack + m.Compute + m.Send
 						if m.Tiles > 0 && m.Span <= 0 || m.Wait < 0 || m.Unpack < 0 {
 							t.Fatalf("%s E=%d: rank %d metrics %+v", arm, e, m.Rank, m)
 						}
 					}
-					if msgs != stats.Recvs || vals != stats.ValuesRecvd {
-						t.Fatalf("%s E=%d: tracer received %d/%d, mpi counted %d/%d", arm, e, msgs, vals, stats.Recvs, stats.ValuesRecvd)
-					}
+					checkInboundTraffic(t, p, stats)
 					if modelled {
 						if crashes != 1 {
 							t.Fatalf("%s E=%d: %d crashes survived, want the planned one", arm, e, crashes)

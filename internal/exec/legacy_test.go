@@ -56,6 +56,7 @@ func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 	if err != nil {
 		return err
 	}
+	var due time.Time // when the last overlapped send is due
 	for t := int64(0); t < p.Dist.ChainLen[r]; t++ {
 		tile := p.Dist.TileAt(r, t)
 		if err := st.receivePhase(c, tile); err != nil {
@@ -63,11 +64,10 @@ func (p *Program) runRankLegacy(c *mpi.Comm, g *Global, overlap bool) error {
 		}
 		st.initPhase(tile, t)
 		st.computePhase(tile, t)
-		if err := st.sendPhase(c, tile, overlap); err != nil {
+		if err := st.sendPhase(c, tile, overlap, &due); err != nil {
 			return err
 		}
 	}
-	due, _ := c.WireClock()
 	time.Sleep(time.Until(due)) // the end of the chain waits for its overlapped sends
 	st.writeBackPerPoint(g)
 	return nil
@@ -171,8 +171,8 @@ func (st *rankState) computePhase(tile ilin.Vec, t int64) {
 // tile's communication region point by point (commRegion, which sender
 // and receiver evaluate identically, so contents pair up without
 // headers). Each message gets a fresh buffer; in overlap mode the rank
-// advances without waiting.
-func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool) error {
+// advances without waiting, and due is when its last send is due.
+func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool, due *time.Time) error {
 	d := st.p.Dist
 	w := st.p.Width
 	t := tile[d.M] - d.ChainStart[st.rank]
@@ -196,7 +196,7 @@ func (st *rankState) sendPhase(c *mpi.Comm, tile ilin.Vec, overlap bool) error {
 			return true
 		})
 		if overlap {
-			c.SendOwned(st.SendRank[i], i, buf, true)
+			*due = c.SendOwned(st.SendRank[i], i, buf, true)
 		} else {
 			c.Send(st.SendRank[i], i, buf)
 		}

@@ -192,7 +192,7 @@ func newRankState(p *Program, r int, opt RunOptions) (*rankState, error) {
 	st.pointDelay = time.Duration(float64(opt.PointDelay) * opt.Net.Faults.SlowdownOf(r))
 	st.crashAt = opt.Net.Faults.CrashTile(r)
 	if opt.Trace != nil {
-		st.tr = newRankTracer(opt.Trace, r)
+		st.tr = &rankTracer{tr: opt.Trace, rank: r}
 	}
 	if opt.Checkpoint != nil {
 		if st.ckpt, err = st.newCkptState(opt.Checkpoint); err != nil {
@@ -226,6 +226,7 @@ type group struct {
 	sts   []*rankState
 	stage []int8                   // per member: what its next step does (claiming …)
 	busy  []time.Time              // per member: the deadline it is busy until (zero: none)
+	wire  []time.Time              // per member: when its last send through the world is due
 	local [][]mpi.Queue[[]float64] // per member, per inbound direction: a sibling's payloads; nil when messages take the world's path
 	waits []mpi.Stream             // per member parked in the last pass: the receive it waits for
 	until time.Time                // the earliest deadline of a member busy in the last pass
@@ -244,7 +245,7 @@ const (
 // sts, and runs them as a group.
 func (p *Program) runGroup(grp *mpi.Group, g *Global, sts []*rankState, opt RunOptions) error {
 	n := len(grp.Comms)
-	gr := &group{Group: grp, g: g, opt: opt, sts: sts[grp.Comms[0].Rank():][:n], stage: make([]int8, n), busy: make([]time.Time, n)}
+	gr := &group{Group: grp, g: g, opt: opt, sts: sts[grp.Comms[0].Rank():][:n], stage: make([]int8, n), busy: make([]time.Time, n), wire: make([]time.Time, n)}
 	// A sibling's message is handed over in memory only while it costs
 	// nothing on the wire; else it is due, counted and faulted as any other.
 	if n > 1 && opt.Net.LinkLatency == 0 && opt.Net.PerValue == 0 && opt.Net.Faults == nil {
@@ -337,7 +338,7 @@ func (gr *group) step(i int) (bool, error) {
 		if st.snapshotDue() || st.done() {
 			// Quiesced: everything sent so far is due and out of the
 			// transport, so "sent before the snapshot" is exact.
-			if due, _ := c.WireClock(); gr.await(i, time.Until(due), claiming) {
+			if gr.await(i, time.Until(gr.wire[i]), claiming) {
 				return true, nil
 			}
 			if st.done() { // the chain is over: its values go back
@@ -386,7 +387,7 @@ func (gr *group) step(i int) (bool, error) {
 				return moved, nil
 			}
 			if st.tr != nil {
-				st.tr.noteRecv(m.Delivered, time.Now(), len(m.Data))
+				st.tr.noteRecv(m.Delivered, time.Now())
 			}
 			if err := st.offer(row, m.Data); err != nil {
 				return false, err
@@ -399,21 +400,21 @@ func (gr *group) step(i int) (bool, error) {
 		}
 		fallthrough
 	case sending:
-		var due time.Time
 		for _, m := range st.out {
+			var due time.Time // a sibling's payload is due at once
 			if j := gr.member(m.dst); j >= 0 && gr.local != nil {
 				gr.local[j][m.tag].Push(m.data)
 				c.SendLocal(m.dst, len(m.data), gr.opt.Overlap)
 			} else {
 				due = c.SendOwned(m.dst, m.tag, m.data, gr.opt.Overlap)
+				gr.wire[i] = due
 			}
 			if st.tr != nil {
-				_, pending := c.WireClock()
-				st.tr.noteSend(len(m.data), pending)
+				st.tr.noteSend(due)
 			}
 		}
 		// A blocking sender is busy until its last message is due.
-		if !gr.opt.Overlap && gr.await(i, time.Until(due), closing) {
+		if !gr.opt.Overlap && gr.await(i, time.Until(gr.wire[i]), closing) {
 			return true, nil
 		}
 		fallthrough

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"tilespace/internal/ilin"
@@ -13,13 +15,16 @@ import (
 // spans, as simnet.Events (seconds since the run's epoch), so the
 // simulator's analytics apply to real traces and validate the cost model.
 
-// RankMetrics aggregates one rank's measured runtime behaviour over its
-// whole tile chain. Durations partition the rank's span: Wait (parked on a
-// receive: the time its group spent on sibling ranks, or waiting, while
-// this one waited), Unpack (LDS unpack plus boundary Initial injection),
-// Compute (kernel sweep incl. injected PointDelay), Send (pack + send issue,
-// incl. a blocking send's wire cost), Drain (the chain's end, until its
-// last send is due).
+// RankMetrics is one rank's measured runtime behaviour over its whole tile
+// chain, folded from its tile events (simnet.Trace.Phases). Durations
+// partition the rank's span: Wait (parked on a receive: the time its group
+// spent on sibling ranks, or waiting, while this one waited), Unpack (LDS
+// unpack plus boundary Initial injection), Compute (kernel sweep incl.
+// injected PointDelay), Send (pack + send issue, incl. a blocking send's
+// wire cost), Drain (the chain's end, until its last send is due) — except
+// for the time between two of its tiles, when the rank's group steps its
+// siblings, quiesces for a snapshot or sits out a crash's restart. Its
+// message and value counts are the runtime's (mpi.Stats.PerRank).
 type RankMetrics struct {
 	Rank  int
 	Tiles int
@@ -33,10 +38,6 @@ type RankMetrics struct {
 	// write-back, which is outside the §3.2 protocol).
 	Span time.Duration
 
-	MsgsRecvd   int
-	ValuesRecvd int
-	MsgsSent    int
-	ValuesSent  int
 	// Queued totals the time received messages sat delivered-but-unclaimed
 	// in the mailbox: high values mean this rank, not the network, is the
 	// bottleneck on its inbound edges.
@@ -45,7 +46,8 @@ type RankMetrics struct {
 	// Deprecated: always 0; a rank packs into one send array, so there is
 	// no buffer pool.
 	PoolHits, PoolMisses int
-	// PendingPeak is the overlap depth actually reached.
+	// PendingPeak is the overlap depth actually reached: the most sends of
+	// the rank not yet due right after it issued one.
 	PendingPeak int
 
 	// Crashes counts injected crashes this rank survived (restarting from
@@ -59,11 +61,13 @@ type RankMetrics struct {
 // Tracer collects per-rank measured timelines from one RunParallelOpts
 // run (RunOptions.Trace). Each rank records privately and publishes once at
 // chain end: a few time.Now calls per phase and no cross-rank
-// synchronization. A Tracer may be reused across runs; each run resets it.
+// synchronization. Its events are the run's one record; the metrics are
+// folded from them. A Tracer may be reused across runs; each run resets it.
 type Tracer struct {
 	epoch  time.Time
 	events [][]simnet.Event // per rank, in time order
-	ranks  []RankMetrics
+	ranks  []RankMetrics    // per rank, what no event carries: Queued and PendingPeak
+	ends   []time.Duration  // per rank, when its chain ended (since epoch)
 
 	collected []simnet.Event
 }
@@ -76,6 +80,7 @@ func (tr *Tracer) reset(ranks int) {
 	tr.epoch = time.Now()
 	tr.events = make([][]simnet.Event, ranks)
 	tr.ranks = make([]RankMetrics, ranks)
+	tr.ends = make([]time.Duration, ranks)
 	tr.collected = nil
 }
 
@@ -89,54 +94,62 @@ func (tr *Tracer) drain() {
 	tr.events = nil
 }
 
-// PerRank returns the per-rank aggregate metrics of the last run.
-func (tr *Tracer) PerRank() []RankMetrics { return tr.ranks }
+// PerRank returns the per-rank metrics of the last run, folded from its
+// events: Drain and Span run to the chain's end.
+func (tr *Tracer) PerRank() []RankMetrics {
+	out := slices.Clone(tr.ranks)
+	for r, f := range tr.Trace().Phases(len(out)) {
+		m := &out[r]
+		m.Rank, m.Tiles, m.Crashes, m.Workers = r, f.Tiles, f.Crashes, 1
+		m.Wait, m.Unpack, m.Compute, m.Send = seconds(f.Wait), seconds(f.Recv), seconds(f.Compute), seconds(f.Send)
+		if f.Tiles > 0 {
+			m.Drain, m.Span = tr.ends[r]-seconds(f.Last), tr.ends[r]-seconds(f.First)
+		}
+	}
+	return out
+}
+
+// seconds converts seconds to the nearest time.Duration.
+func seconds(s float64) time.Duration { return time.Duration(math.Round(s * float64(time.Second))) }
 
 // Trace assembles the measured timeline as a simnet.Trace, making every
 // simulator analytic (Gantt, CriticalRank, PhaseFractions, Summary,
-// TraceEventJSON) available over real measurements. Result fields that
-// only the simulator knows (SeqTime, Speedup, Points, Steps) are zero.
+// TraceEventJSON) available over real measurements. Its Result holds the
+// tiles, makespan and compute utilization; the fields that only the
+// simulator knows (SeqTime, Speedup, Points, Steps) and the message counts
+// (mpi.Stats) are zero.
 func (tr *Tracer) Trace() *simnet.Trace {
 	tr.drain()
-	res := &simnet.Result{Procs: len(tr.ranks)}
-	var compute float64
-	for _, m := range tr.ranks {
-		res.Tiles += int64(m.Tiles)
-		res.Messages += int64(m.MsgsRecvd)
-		res.BytesSent += int64(m.ValuesRecvd) * 8
-		compute += m.Compute.Seconds()
+	t := &simnet.Trace{Result: &simnet.Result{Procs: len(tr.ranks)}, Events: tr.collected}
+	res, compute := t.Result, 0.0
+	for _, f := range t.Phases(res.Procs) {
+		res.Tiles += int64(f.Tiles)
+		res.Makespan = max(res.Makespan, f.Last)
+		compute += f.Compute
 	}
-	for _, e := range tr.collected {
-		if e.End > res.Makespan {
-			res.Makespan = e.End
-		}
-	}
-	if res.Makespan > 0 && res.Procs > 0 {
+	if res.Makespan > 0 {
 		res.Utilization = compute / (float64(res.Procs) * res.Makespan)
 	}
-	return &simnet.Trace{Result: res, Events: tr.collected}
+	return t
 }
 
 // rankTracer is one rank's private recording state; it touches no shared
-// memory until the single flush at chain end.
+// memory until the single flush at chain end. It keeps the current tile's
+// timestamps and wait, and the facts no event carries: the queued time,
+// the sends not yet due (for the pending peak), and the chain's end.
 type rankTracer struct {
 	tr   *Tracer
 	rank int
 
 	events []simnet.Event
-	m      RankMetrics
+	m      RankMetrics // Queued and PendingPeak
+	dues   []time.Time // the due times of the rank's sends not yet due
 
-	first     time.Time
 	tileStart time.Time
 	recvDone  time.Time
 	compDone  time.Time
-	lastEnd   time.Time
 	parked    time.Time     // when the rank's group last left it waiting; zero when it is not
 	wait      time.Duration // receive wait within the current tile
-}
-
-func newRankTracer(tr *Tracer, rank int) *rankTracer {
-	return &rankTracer{tr: tr, rank: rank, m: RankMetrics{Rank: rank}}
 }
 
 func (rt *rankTracer) sec(t time.Time) float64 { return t.Sub(rt.tr.epoch).Seconds() }
@@ -151,9 +164,6 @@ func (rt *rankTracer) beginTile(now time.Time) {
 		return
 	}
 	rt.tileStart = now
-	if rt.first.IsZero() {
-		rt.first = now
-	}
 	rt.wait = 0
 }
 
@@ -164,20 +174,21 @@ func (rt *rankTracer) park(now time.Time) { rt.parked = now }
 // the rank's wait is the time its group left it parked) and how long it had
 // been sitting delivered (zero delivered: handed over by a sibling, never
 // queued in a mailbox).
-func (rt *rankTracer) noteRecv(delivered, now time.Time, values int) {
+func (rt *rankTracer) noteRecv(delivered, now time.Time) {
 	if queued := now.Sub(delivered); !delivered.IsZero() && queued > 0 {
 		rt.m.Queued += queued
 	}
-	rt.m.MsgsRecvd++
-	rt.m.ValuesRecvd += values
 }
 
-func (rt *rankTracer) noteSend(values, pending int) {
-	rt.m.MsgsSent++
-	rt.m.ValuesSent += values
-	if pending > rt.m.PendingPeak {
-		rt.m.PendingPeak = pending
+// noteSend records a send issued now and due at due (zero: handed to a
+// sibling), and how many of the rank's sends are not yet due.
+func (rt *rankTracer) noteSend(due time.Time) {
+	now := time.Now()
+	rt.dues = slices.DeleteFunc(rt.dues, func(d time.Time) bool { return !d.After(now) })
+	if due.After(now) {
+		rt.dues = append(rt.dues, due)
 	}
+	rt.m.PendingPeak = max(rt.m.PendingPeak, len(rt.dues))
 }
 
 func (rt *rankTracer) noteRecvDone() { rt.recvDone = time.Now() }
@@ -197,23 +208,11 @@ func (rt *rankTracer) noteFault(kind string, slot int64) {
 		Start: s, RecvDone: s, CompDone: s, End: s,
 	}
 	rt.events = append(rt.events, ev)
-	if kind == "crash" {
-		rt.m.Crashes++
-	}
 }
 
 // endTile closes the current tile and returns when it ended.
 func (rt *rankTracer) endTile(tile ilin.Vec) time.Time {
 	now := time.Now()
-	unpack := rt.recvDone.Sub(rt.tileStart) - rt.wait
-	if unpack < 0 {
-		unpack = 0
-	}
-	rt.m.Wait += rt.wait
-	rt.m.Unpack += unpack
-	rt.m.Compute += rt.compDone.Sub(rt.recvDone)
-	rt.m.Send += now.Sub(rt.compDone)
-	rt.m.Tiles++
 	ev := simnet.Event{
 		Rank:     rt.rank,
 		Tile:     tile.String(),
@@ -224,7 +223,6 @@ func (rt *rankTracer) endTile(tile ilin.Vec) time.Time {
 		Waited:   rt.wait.Seconds(),
 	}
 	rt.events = append(rt.events, ev)
-	rt.lastEnd = now
 	return now
 }
 
@@ -232,14 +230,8 @@ func (rt *rankTracer) endTile(tile ilin.Vec) time.Time {
 // publishes events and metrics to the shared tracer, returning when.
 func (rt *rankTracer) finish() time.Time {
 	now := time.Now()
-	if !rt.lastEnd.IsZero() {
-		rt.m.Drain = now.Sub(rt.lastEnd)
-	}
-	if !rt.first.IsZero() {
-		rt.m.Span = now.Sub(rt.first)
-	}
-	rt.m.Workers = 1
 	rt.tr.ranks[rt.rank] = rt.m
+	rt.tr.ends[rt.rank] = now.Sub(rt.tr.epoch)
 	rt.tr.events[rt.rank] = rt.events
 	return now
 }

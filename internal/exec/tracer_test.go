@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"tilespace/internal/ilin"
 	"tilespace/internal/mpi"
+	"tilespace/internal/simnet"
 )
 
 // runTraced runs the planProgram fixture with a tracer attached and
@@ -33,8 +35,9 @@ func runTraced(t *testing.T, opt RunOptions) (*Tracer, mpi.Stats) {
 }
 
 // TestTracerRecordsTimeline: both send modes must produce one
-// event per tile, per-rank metrics consistent with mpi.Stats, and a
-// timeline the shared simnet analytics can digest.
+// event per tile, per-rank metrics that count every tile, runtime traffic
+// that claims each rank's inbound-table rows once, and a timeline the
+// shared simnet analytics can digest.
 func TestTracerRecordsTimeline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -55,13 +58,9 @@ func TestTracerRecordsTimeline(t *testing.T) {
 			if trace.Result.Makespan <= 0 {
 				t.Fatalf("makespan %v", trace.Result.Makespan)
 			}
-			var tiles, msgsIn, valsIn, msgsOut, valsOut int
+			var tiles int
 			for _, m := range tr.PerRank() {
 				tiles += m.Tiles
-				msgsIn += m.MsgsRecvd
-				valsIn += m.ValuesRecvd
-				msgsOut += m.MsgsSent
-				valsOut += m.ValuesSent
 				if m.Tiles > 0 && m.Span <= 0 {
 					t.Errorf("rank %d: %d tiles but span %v", m.Rank, m.Tiles, m.Span)
 				}
@@ -72,17 +71,7 @@ func TestTracerRecordsTimeline(t *testing.T) {
 			if int64(tiles) != trace.Result.Tiles {
 				t.Errorf("metric tiles %d != %d", tiles, trace.Result.Tiles)
 			}
-			// Every message sent is received exactly once, and the mpi
-			// layer's deterministic counters must agree with the tracer's.
-			if int64(msgsIn) != st.Messages || int64(valsIn) != st.Values {
-				t.Errorf("tracer received %d msgs / %d values, mpi counted %d / %d", msgsIn, valsIn, st.Messages, st.Values)
-			}
-			if msgsOut != msgsIn || valsOut != valsIn {
-				t.Errorf("tracer sent %d/%d but received %d/%d", msgsOut, valsOut, msgsIn, valsIn)
-			}
-			if int64(msgsIn) != st.Recvs || int64(valsIn) != st.ValuesRecvd {
-				t.Errorf("mpi recv counters (%d, %d) disagree with tracer (%d, %d)", st.Recvs, st.ValuesRecvd, msgsIn, valsIn)
-			}
+			checkInboundTraffic(t, planProgram(t), st)
 			if crit, idle := trace.CriticalRank(); crit < 0 || crit >= trace.Result.Procs || idle < 0 || idle > 1 {
 				t.Errorf("critical rank %d (%.2f idle) of %d ranks", crit, idle, trace.Result.Procs)
 			}
@@ -101,6 +90,29 @@ func TestTracerRecordsTimeline(t *testing.T) {
 				t.Errorf("trace export: %v", err)
 			}
 		})
+	}
+}
+
+// checkInboundTraffic checks the runtime's receive counts against the
+// compiled protocol: every rank claims each row of its inbound-message
+// table once, with the row's points' values, and the world's totals are
+// their sums.
+func checkInboundTraffic(t *testing.T, p *Program, st mpi.Stats) {
+	t.Helper()
+	var msgs, vals int64
+	for r, rt := range st.PerRank {
+		var want int64
+		rows := mustPlan(t, p, r).Msgs
+		for _, m := range rows {
+			want += m.Count * int64(p.Width)
+		}
+		if rt.Recvs != int64(len(rows)) || rt.ValuesRecvd != want {
+			t.Errorf("rank %d claimed %d messages / %d values, its inbound table has %d rows / %d values", r, rt.Recvs, rt.ValuesRecvd, len(rows), want)
+		}
+		msgs, vals = msgs+int64(len(rows)), vals+want
+	}
+	if st.Recvs != msgs || st.ValuesRecvd != vals || st.Messages != msgs || st.Values != vals {
+		t.Errorf("stats %+v, the inbound tables hold %d messages / %d values", st, msgs, vals)
 	}
 }
 
@@ -207,4 +219,146 @@ func TestExecSlowComputeSurvivesShortWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatalf("healthy slow-compute run tripped the watchdog: %v", err)
 	}
+}
+
+// TestTracerPhasesPartitionSpan pins the one fold on measured runs: on a
+// channel world folded into one and two groups and on a TCP world (groups of
+// one), blocking and overlapped, with and without a crash-restart, every
+// rank's Wait + Unpack + Compute + Send + Drain plus the time between its
+// tiles (its group on siblings, a snapshot's quiesce, a restart) is its
+// Span, no two of its tiles overlap, and PhaseFractions times the makespan
+// is its metrics. On groups of one with no checkpoint a rank's tiles abut,
+// so the phases alone make up the span.
+func TestTracerPhasesPartitionSpan(t *testing.T) {
+	const res = 10 * time.Nanosecond // the fold's rounding, far below the timer's
+	p := planProgram(t)
+	n := p.Dist.NumProcs()
+	mid := n / 2
+	crash := &mpi.FaultPlan{Crash: map[int]int64{mid: p.Dist.ChainLen[mid] / 2}, RestartDelay: 100 * time.Microsecond}
+	for _, world := range []struct {
+		name   string
+		groups int // 0: a TCP world
+	}{{"E=1", 1}, {"E=2", 2}, {"tcp", 0}} {
+		for _, overlap := range []bool{false, true} {
+			for _, crashes := range []bool{false, true} {
+				arm := fmt.Sprintf("%s overlap=%v crash=%v", world.name, overlap, crashes)
+				tr := NewTracer()
+				opt := RunOptions{Overlap: overlap, Trace: tr}
+				if crashes {
+					opt.Net.Faults, opt.Checkpoint = crash, &CheckpointOptions{Every: 2}
+				}
+				var st mpi.Stats
+				var err error
+				if world.groups > 0 {
+					_, st, err = p.runOn(mpi.NewGroupedWorld(n, world.groups, opt.Net), opt)
+				} else {
+					w, werr := mpi.NewTCPWorld(n, opt.Net)
+					if werr != nil {
+						t.Fatal(werr)
+					}
+					opt.World = w
+					_, st, err = p.RunParallelOpts(opt)
+					w.Close()
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", arm, err)
+				}
+				checkInboundTraffic(t, p, st)
+				trace := tr.Trace()
+				fr, mk := trace.PhaseFractions(), trace.Result.Makespan
+				var crashed int
+				for _, m := range tr.PerRank() {
+					crashed += m.Crashes
+					var between time.Duration
+					end := -1.0
+					for _, e := range trace.Events {
+						if e.Rank != m.Rank || e.Kind != "" {
+							continue
+						}
+						if end >= 0 {
+							between += seconds(e.Start - end)
+							if e.Start < end {
+								t.Errorf("%s: rank %d's tile %s starts %.9f s before the tile before it ends", arm, m.Rank, e.Tile, end-e.Start)
+							}
+						}
+						end = e.End
+					}
+					sum := m.Wait + m.Unpack + m.Compute + m.Send + m.Drain
+					if d := sum + between - m.Span; m.Tiles == 0 || d > res || d < -res {
+						t.Errorf("%s: rank %d: phases %v + between tiles %v, span %v (%d tiles)", arm, m.Rank, sum, between, m.Span, m.Tiles)
+					}
+					if world.groups == 0 && !crashes && between > res {
+						t.Errorf("%s: rank %d's tiles leave %v between them on a group of one", arm, m.Rank, between)
+					}
+					if s := fr[m.Rank]; !fractionsMatch(s, mk, m, res) {
+						t.Errorf("%s: rank %d: PhaseFractions %+v of makespan %.9f s, metrics %+v", arm, m.Rank, s, mk, m)
+					}
+				}
+				if want := map[bool]int{false: 0, true: 1}[crashes]; crashed != want {
+					t.Errorf("%s: %d crashes survived, want %d", arm, crashed, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTracerOneFold: a hand-built timeline — a tile whose wait exceeds its
+// receive phase (a negative unpack), a crash and a restart marker — gives
+// the same split through RankMetrics, PhaseFractions and CriticalRank, and
+// the split the fold defines: the negative unpack counts none, the markers
+// nothing but a crash.
+func TestTracerOneFold(t *testing.T) {
+	tr := NewTracer()
+	tr.reset(2)
+	tr.events = [][]simnet.Event{
+		{
+			{Rank: 0, Tile: "a", Start: 0, RecvDone: 0.1, CompDone: 0.5, End: 0.6, Waited: 0.3},
+			{Rank: 0, Tile: "slot=1", Kind: "crash", Start: 0.6, RecvDone: 0.6, CompDone: 0.6, End: 0.6},
+			{Rank: 0, Tile: "slot=1", Kind: "restart", Start: 0.7, RecvDone: 0.7, CompDone: 0.7, End: 0.7},
+			{Rank: 0, Tile: "b", Start: 0.7, RecvDone: 0.8, CompDone: 1, End: 1.2, Waited: 0.05},
+		},
+		{{Rank: 1, Tile: "c", Start: 0.1, RecvDone: 0.5, CompDone: 0.9, End: 1, Waited: 0.4}},
+	}
+	tr.ends = []time.Duration{1300 * time.Millisecond, 1100 * time.Millisecond}
+	ms := func(x float64) time.Duration { return time.Duration(x * float64(time.Millisecond)) }
+	want := []RankMetrics{
+		{Rank: 0, Tiles: 2, Crashes: 1, Wait: ms(350), Unpack: ms(50), Compute: ms(600), Send: ms(300), Drain: ms(100), Span: ms(1300), Workers: 1},
+		{Rank: 1, Tiles: 1, Wait: ms(400), Compute: ms(400), Send: ms(100), Drain: ms(100), Span: ms(1000), Workers: 1},
+	}
+	got := tr.PerRank()
+	const res = time.Nanosecond
+	near := func(a, b time.Duration) bool { return a-b <= res && b-a <= res }
+	for r, m := range got {
+		w := want[r]
+		if m.Rank != w.Rank || m.Tiles != w.Tiles || m.Crashes != w.Crashes || m.Workers != w.Workers ||
+			!near(m.Wait, w.Wait) || !near(m.Unpack, w.Unpack) || !near(m.Compute, w.Compute) ||
+			!near(m.Send, w.Send) || !near(m.Drain, w.Drain) || !near(m.Span, w.Span) {
+			t.Errorf("rank %d metrics %+v, want %+v", r, m, w)
+		}
+	}
+	trace := tr.Trace()
+	if trace.Result.Tiles != 3 || trace.Result.Makespan != 1.2 {
+		t.Errorf("result %+v, want 3 tiles over 1.2 s", trace.Result)
+	}
+	mk := trace.Result.Makespan
+	for r, s := range trace.PhaseFractions() {
+		if !fractionsMatch(s, mk, got[r], res) {
+			t.Errorf("rank %d: PhaseFractions %+v of %.1f s, metrics %+v", r, s, mk, got[r])
+		}
+	}
+	if crit, idle := trace.CriticalRank(); crit != 0 || !near(seconds(idle*mk), got[0].Wait) {
+		t.Errorf("critical rank %d, %.4f idle; want rank 0 waiting %v of %.1f s", crit, idle, got[0].Wait, mk)
+	}
+}
+
+// fractionsMatch reports whether PhaseFractions' split s of makespan mk
+// is the metrics m, within res.
+func fractionsMatch(s simnet.PhaseSplit, mk float64, m RankMetrics, res time.Duration) bool {
+	fr := []float64{s.Wait, s.Recv, s.Compute, s.Send}
+	for i, d := range []time.Duration{m.Wait, m.Unpack, m.Compute, m.Send} {
+		if e := seconds(fr[i]*mk) - d; e > res || e < -res {
+			return false
+		}
+	}
+	return true
 }

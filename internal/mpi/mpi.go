@@ -6,7 +6,10 @@
 // send takes one path (Comm.transmit): it is handed to the transport when
 // issued, stamped with the time it is due. A blocking Send sleeps until
 // then; SendOwned returns the due time, and its caller — the executor's
-// group driver — keeps the rank busy until then or not, as it models.
+// group driver — keeps the rank busy until then or not, as it models. A
+// rank's wire clock is the due time of its latest send, and it is all the
+// runtime keeps of its sends: a caller that waits for them, or counts those
+// not yet due, keeps the due times SendOwned returned.
 //
 // A (source, tag) stream is a FIFO queue whose head a receiver claims —
 // waiting for it (Recv) or only if it is there (TryRecvMsg); there are no
@@ -356,7 +359,7 @@ type World struct {
 
 	// linkSeqs[src*size+dst] numbers the messages transmitted on each
 	// directed link, in issue order — the coordinate every FaultPlan
-	// decision keys on.
+	// decision keys on; nil without a plan.
 	linkSeqs []atomic.Int64
 }
 
@@ -456,7 +459,6 @@ func newWorld(size, groups int, local []int, opts Options, tr Transport) *World 
 		}
 	}
 	w.perRank = make([]rankCounters, size)
-	w.linkSeqs = make([]atomic.Int64, size*size)
 	w.start(opts)
 	if tr == nil {
 		tr = &chanFabric{}
@@ -513,7 +515,10 @@ func (w *World) start(opts Options) {
 	clear(w.perRank)
 	w.progress.Store(0)
 	w.blocked.Store(0)
-	clear(w.linkSeqs)
+	w.linkSeqs = nil
+	if opts.Faults != nil { // only a fault plan numbers a link's messages
+		w.linkSeqs = make([]atomic.Int64, w.size*w.size)
+	}
 }
 
 // Reset returns the world to its just-constructed state under new options
@@ -537,10 +542,10 @@ func (w *World) Reset(opts Options) {
 
 // Stats returns the cumulative traffic counters.
 func (w *World) Stats() Stats {
-	st := Stats{PerRank: make([]RankTraffic, w.size)}
+	per := make([]RankTraffic, w.size)
 	for i := range w.perRank {
 		rc := &w.perRank[i]
-		rt := RankTraffic{
+		per[i] = RankTraffic{
 			BlockingSends:   rc.blocking.Load(),
 			OverlappedSends: rc.overlapped.Load(),
 			Values:          rc.values.Load(),
@@ -548,7 +553,15 @@ func (w *World) Stats() Stats {
 			ValuesRecvd:     rc.valuesRecvd.Load(),
 			SendRetries:     rc.sendRetries.Load(),
 		}
-		st.PerRank[i] = rt
+	}
+	return StatsOf(per)
+}
+
+// StatsOf returns the Stats of the given per-rank traffic: the world's
+// totals are their sums, wherever the ranks ran.
+func StatsOf(perRank []RankTraffic) Stats {
+	st := Stats{PerRank: perRank}
+	for _, rt := range perRank {
 		st.Messages += rt.BlockingSends + rt.OverlappedSends
 		st.Values += rt.Values
 		st.BlockingSends += rt.BlockingSends
@@ -577,23 +590,10 @@ func (c *Comm) transmit(dst, tag int, data []float64, overlapped bool) time.Time
 	}
 	due = due.Add(cost)
 	c.busyUntil = due
-	if due.After(now) {
-		c.dues = append(stillDue(c.dues, now), due)
-	}
 	c.mu.Unlock()
 	w.countSend(c.rank, len(data), overlapped)
 	w.wire.Deliver(c.rank, dst, tag, data, due)
 	return due
-}
-
-// stillDue drops the due times that have passed from the front of dues,
-// which is in issue order and so ascending.
-func stillDue(dues []time.Time, now time.Time) []time.Time {
-	i := 0
-	for i < len(dues) && !dues[i].After(now) {
-		i++
-	}
-	return append(dues[:0], dues[i:]...)
 }
 
 // countSend counts one issued message against the sending rank.
@@ -733,12 +733,10 @@ type Comm struct {
 	rank  int
 
 	// The rank's wire clock (transmit): busyUntil is the due time of its
-	// latest send, and dues the due times of its sends not yet due, in
-	// issue order. mu guards both, so a rank may send from several
+	// latest send. mu guards it, so a rank may send from several
 	// goroutines.
 	mu        sync.Mutex
 	busyUntil time.Time
-	dues      []time.Time
 }
 
 // Rank returns this endpoint's rank.
@@ -781,20 +779,6 @@ func (c *Comm) Send(dst, tag int, data []float64) {
 func (c *Comm) SendOwned(dst, tag int, data []float64, overlapped bool) time.Time {
 	c.check(dst, tag)
 	return c.transmit(dst, tag, data, overlapped)
-}
-
-// WireClock reads the rank's wire clock: when every send it has issued is
-// due (zero before its first), and how many are not yet — the overlap depth
-// at this instant. Without injected wire cost every send is due when
-// issued: nothing is ever pending, and it reads no clock. The clock is the
-// rank's own, never a peer's, so waiting for it cannot deadlock.
-func (c *Comm) WireClock() (due time.Time, pending int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.dues) > 0 {
-		c.dues = stillDue(c.dues, time.Now())
-	}
-	return c.busyUntil, len(c.dues)
 }
 
 // Recv blocks until a message from src with the given tag arrives and

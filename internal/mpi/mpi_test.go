@@ -294,12 +294,16 @@ func runRanks(t testing.TB, w *World, fn func(c *Comm)) {
 	}
 }
 
+// wireDue reads c's wire clock: when every send it has issued is due.
+func wireDue(c *Comm) time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.busyUntil
+}
+
 // waitSends sleeps until every send c has issued is due: what a blocking
 // program does at the end of its overlapped sends.
-func waitSends(c *Comm) {
-	due, _ := c.WireClock()
-	time.Sleep(time.Until(due))
-}
+func waitSends(c *Comm) { time.Sleep(time.Until(wireDue(c))) }
 
 // TestGroupWaitDeadline: a group with nothing to claim waits in Group.Wait
 // for its earliest modelled deadline — returning once it passes, with or

@@ -10,6 +10,7 @@ package mpi
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestRaceConcurrentStreams: each rank runs several worker goroutines,
@@ -125,7 +126,7 @@ func TestRaceTestPollingVsDelivery(t *testing.T) {
 				c.Send(1, 1, nil) // ack, keeps rounds in lockstep
 			} else {
 				c.SendOwned(0, 0, []float64{float64(i)}, true)
-				for _, n := c.WireClock(); n != 0; _, n = c.WireClock() {
+				for time.Now().Before(wireDue(c)) {
 				}
 				c.Recv(0, 1)
 			}

@@ -145,7 +145,8 @@ func TestWorldResetAfterAbort(t *testing.T) {
 // TestWorldResetClearsFaultState proves a fault plan attached to one run
 // does not leak into the next: the reused world injects nothing after a
 // Reset with clean options, and its link sequence counters restart so a
-// re-attached plan perturbs the same messages as on a fresh world.
+// re-attached plan perturbs the same messages as on a fresh world — also
+// on a world born without a plan, which has no counters until then.
 func TestWorldResetClearsFaultState(t *testing.T) {
 	const size = 3
 	plan := &FaultPlan{
@@ -181,6 +182,20 @@ func TestWorldResetClearsFaultState(t *testing.T) {
 	}
 	if got, want := w.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replanned reused world stats differ from fresh:\n got %+v\nwant %+v", got, want)
+	}
+
+	born := NewWorldOpts(size, Options{})
+	if born.linkSeqs != nil {
+		t.Fatal("a world without a fault plan allocated link sequence counters")
+	}
+	for _, opts := range []Options{{}, {Faults: plan}} {
+		born.Reset(opts)
+		if err := born.RunE(ringTraffic); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := born.Stats(), fresh.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("world born fault-free, replanned, differs from fresh:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -155,19 +155,11 @@ func Merge(p *exec.Program, results []*RankResult) (*exec.Global, mpi.Stats, err
 		}
 	}
 
-	st := mpi.Stats{PerRank: make([]mpi.RankTraffic, procs)}
+	per := make([]mpi.RankTraffic, procs)
 	for rank, r := range byRank {
-		rt := r.Traffic
-		st.PerRank[rank] = rt
-		st.Messages += rt.BlockingSends + rt.OverlappedSends
-		st.Values += rt.Values
-		st.BlockingSends += rt.BlockingSends
-		st.OverlappedSends += rt.OverlappedSends
-		st.Recvs += rt.Recvs
-		st.ValuesRecvd += rt.ValuesRecvd
-		st.SendRetries += rt.SendRetries
+		per[rank] = r.Traffic
 	}
-	return g, st, nil
+	return g, mpi.StatsOf(per), nil
 }
 
 // SaveSnapshot atomically persists a rank checkpoint (gob: snapshots

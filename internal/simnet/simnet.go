@@ -200,12 +200,7 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 	minWave, maxWave := int64(math.MaxInt64), int64(math.MinInt64)
 
 	for _, tr := range tiles {
-		if tr.wave < minWave {
-			minWave = tr.wave
-		}
-		if tr.wave > maxWave {
-			maxWave = tr.wave
-		}
+		minWave, maxWave = min(minWave, tr.wave), max(maxWave, tr.wave)
 		rp := plans[tr.rank]
 		sl := &rp.Slots[tr.t]
 		now := procClock[tr.rank]
@@ -330,9 +325,7 @@ func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent
 	}
 
 	for _, c := range procClock {
-		if c > res.Makespan {
-			res.Makespan = c
-		}
+		res.Makespan = max(res.Makespan, c)
 	}
 	var totalBusy float64
 	for _, b := range busy {

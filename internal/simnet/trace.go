@@ -62,9 +62,7 @@ func (tr *Trace) Gantt(width int) string {
 	maxRank := 0
 	for _, e := range tr.Events {
 		ranks[e.Rank] = append(ranks[e.Rank], e)
-		if e.Rank > maxRank {
-			maxRank = e.Rank
-		}
+		maxRank = max(maxRank, e.Rank)
 	}
 	// Segment starts floor into [0, width-1]; segment ends ceil into
 	// [0, width], so an event ending exactly at Makespan paints the last
@@ -126,24 +124,56 @@ func paint(row []byte, from, to int, c byte) {
 	}
 }
 
-// CriticalRank returns the rank that finishes last and its idle fraction —
-// where tuning effort should go.
-func (tr *Trace) CriticalRank() (rank int, idleFrac float64) {
-	var lastEnd float64
-	byRank := map[int]struct{ end, waited float64 }{}
+// RankPhases is one rank's tile events folded (Trace.Phases).
+type RankPhases struct {
+	Wait, Recv, Compute, Send float64 // seconds, summed over the rank's tiles
+	Tiles, Crashes            int
+	First, Last               float64 // when its first tile started and its last one ended
+}
+
+// Phases folds the events into one RankPhases per rank, for ranks 0 up to
+// the highest an event names and at least procs: the one definition of a
+// tile's phases, for simulated and measured traces alike. Wait is Waited,
+// Recv the unpack work besides (RecvDone − Start − Waited, none when
+// negative), Compute runs to CompDone and Send to End. A fault marker is an
+// instant: it adds to no phase, and a crash counts in Crashes.
+func (tr *Trace) Phases(procs int) []RankPhases {
 	for _, e := range tr.Events {
-		s := byRank[e.Rank]
-		if e.End > s.end {
-			s.end = e.End
+		procs = max(procs, e.Rank+1)
+	}
+	out := make([]RankPhases, procs)
+	for _, e := range tr.Events {
+		f := &out[e.Rank]
+		if e.Kind == "crash" {
+			f.Crashes++
 		}
-		s.waited += e.Waited
-		byRank[e.Rank] = s
-		if e.End > lastEnd {
-			lastEnd, rank = e.End, e.Rank
+		if e.Kind != "" {
+			continue
+		}
+		if f.Tiles == 0 {
+			f.First = e.Start
+		}
+		f.Tiles++
+		f.Last = max(f.Last, e.End)
+		f.Wait += e.Waited
+		f.Recv += max(e.RecvDone-e.Start-e.Waited, 0)
+		f.Compute += e.CompDone - e.RecvDone
+		f.Send += e.End - e.CompDone
+	}
+	return out
+}
+
+// CriticalRank returns the rank that finishes last (the lowest of a tie)
+// and its idle fraction — where tuning effort should go.
+func (tr *Trace) CriticalRank() (rank int, idleFrac float64) {
+	ph := tr.Phases(1)
+	for r, f := range ph {
+		if f.Last > ph[rank].Last {
+			rank = r
 		}
 	}
-	if s, ok := byRank[rank]; ok && s.end > 0 {
-		idleFrac = s.waited / s.end
+	if f := ph[rank]; f.Last > 0 {
+		idleFrac = f.Wait / f.Last
 	}
 	return rank, idleFrac
 }
@@ -153,51 +183,28 @@ func (tr *Trace) CriticalRank() (rank int, idleFrac float64) {
 // outside the wait), Compute, Send, and Idle (the remainder — pipeline
 // fill before the first tile and drain after the last).
 type PhaseSplit struct {
-	Rank    int
-	Wait    float64
-	Recv    float64
-	Compute float64
-	Send    float64
-	Idle    float64
+	Rank                            int
+	Wait, Recv, Compute, Send, Idle float64
 }
 
-// PhaseFractions splits each rank's timeline into phase fractions of the
-// makespan. It works identically for simulated and measured traces, which
-// is what makes the cost model directly comparable to the real runtime.
+// PhaseFractions is Phases as fractions of the makespan (the Result's, or
+// the last tile's end if later). It works identically for simulated and
+// measured traces, which is what makes the cost model directly comparable
+// to the real runtime.
 func (tr *Trace) PhaseFractions() []PhaseSplit {
+	ph := tr.Phases(0)
 	mk := 0.0
 	if tr.Result != nil {
 		mk = tr.Result.Makespan
 	}
-	maxRank := 0
-	for _, e := range tr.Events {
-		if e.Rank > maxRank {
-			maxRank = e.Rank
-		}
-		if e.End > mk {
-			mk = e.End
-		}
+	for _, f := range ph {
+		mk = max(mk, f.Last)
 	}
-	out := make([]PhaseSplit, maxRank+1)
-	for r := range out {
+	out := make([]PhaseSplit, len(ph))
+	for r, f := range ph {
 		out[r].Rank = r
-	}
-	if mk <= 0 {
-		return out
-	}
-	for _, e := range tr.Events {
-		s := &out[e.Rank]
-		s.Wait += e.Waited / mk
-		if un := (e.RecvDone - e.Start - e.Waited) / mk; un > 0 {
-			s.Recv += un
-		}
-		s.Compute += (e.CompDone - e.RecvDone) / mk
-		s.Send += (e.End - e.CompDone) / mk
-	}
-	for r := range out {
-		s := &out[r]
-		if idle := 1 - s.Wait - s.Recv - s.Compute - s.Send; idle > 0 {
-			s.Idle = idle
+		if mk > 0 {
+			out[r] = PhaseSplit{r, f.Wait / mk, f.Recv / mk, f.Compute / mk, f.Send / mk, max(1-(f.Wait+f.Recv+f.Compute+f.Send)/mk, 0)}
 		}
 	}
 	return out

@@ -298,7 +298,7 @@ func TestRankCoreMakesNoRuntimeCall(t *testing.T) {
 	handles := map[types.Object]bool{l.object(t, mpi, "Comm"): true, l.object(t, mpi, "World"): true}
 	runtimeCalls := map[types.Object]bool{}
 	for _, m := range []string{
-		"Comm.Recv", "Comm.SendOwned", "Comm.WireClock", "Comm.FlushWire",
+		"Comm.Recv", "Comm.SendOwned", "Comm.FlushWire",
 		"Comm.NoteProgress", "Comm.TryRecvMsg", "Comm.SendLocal", "Group.Wait",
 	} {
 		runtimeCalls[l.object(t, mpi, m)] = true
