@@ -15,24 +15,26 @@
 //	clusterbench -scale 4         # shrink every space dimension 4×
 //	clusterbench -overlap         # also run the overlap ablation (simulator)
 //	clusterbench -fig none -wirecheck wirecheck.json  # model-check the resume protocol
-//	clusterbench -trace out.json  # trace the real runtime, export Chrome JSON
-//	clusterbench -gantt           # text Gantt of the measured SOR timeline
-//	clusterbench -faults          # fault-injection degradation, measured vs predicted
-//	clusterbench -faulttrace f.json  # also export the crash-restart run's timeline
+//	clusterbench -fig none -simcheck simcheck  # check simnet against the runtime
 //	clusterbench -o results.txt   # tee output to a file
 //
-// -trace runs SOR/Jacobi/ADI through the real runtime with the per-rank
-// tracer attached, compares measured phase fractions against
-// simnet.SimulateTraced, and writes the measured 16-rank SOR timeline as
+// -simcheck runs SOR/Jacobi/ADI and SOR under three fault scenarios through
+// the real runtime with the per-rank tracer attached, compares measured
+// phase fractions and fault degradation against simnet.SimulateTraced,
+// prints a text Gantt of the measured 16-rank SOR timeline, and writes the
+// measured SOR and crash-restart timelines into the named directory as
 // Chrome trace_event JSON (open in chrome://tracing or ui.perfetto.dev).
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"tilespace/internal/bench"
@@ -42,17 +44,18 @@ import (
 
 func main() {
 	var (
-		figFlag  = flag.String("fig", "all", "figure to run: 5..10, all, or none (ablations only)")
-		scale    = flag.Int64("scale", 1, "shrink space dimensions by this factor (1 = paper scale)")
-		overlap  = flag.Bool("overlap", false, "also run the computation-communication overlap ablation")
-		tracePth = flag.String("trace", "", "trace the real runtime and write the measured SOR timeline as Chrome trace_event JSON to this path")
-		gantt    = flag.Bool("gantt", false, "with -trace (or alone): render a text Gantt of the measured SOR timeline")
-		faults   = flag.Bool("faults", false, "run the fault-injection degradation scenarios in the real runtime and compare with simnet's prediction")
-		faultTr  = flag.String("faulttrace", "", "with -faults: write the measured crash-restart timeline as Chrome trace_event JSON to this path")
-		wireChk  = flag.String("wirecheck", "", "exhaustively model-check the TCP resume protocol (certification matrix plus seeded mutations) and write the JSON report to this path (e.g. wirecheck.json)")
-		outPath  = flag.String("o", "", "also write the report to this file")
+		figFlag = flag.String("fig", "all", "figure to run: 5..10, all, or none (ablations only)")
+		scale   = flag.Int64("scale", 1, "shrink space dimensions by this factor (1 = paper scale)")
+		overlap = flag.Bool("overlap", false, "also run the computation-communication overlap ablation")
+		simChk  = flag.String("simcheck", "", "check simnet against the traced real runtime (phase fractions and fault degradation) and write the measured SOR and crash-restart timelines as Chrome trace_event JSON into this directory")
+		wireChk = flag.String("wirecheck", "", "exhaustively model-check the TCP resume protocol (certification matrix plus seeded mutations) and write the JSON report to this path (e.g. wirecheck.json)")
+		outPath = flag.String("o", "", "also write the report to this file")
 	)
 	flag.Parse()
+	if *scale < 1 {
+		fmt.Fprintf(os.Stderr, "clusterbench: -scale must be at least 1, got %d\n", *scale)
+		os.Exit(2)
+	}
 
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
@@ -124,12 +127,8 @@ func main() {
 		runOverlapAblation(out, bench.Scale(*scale), par)
 	}
 
-	if *tracePth != "" || *gantt {
-		runTraceReport(out, *tracePth, *gantt, par)
-	}
-
-	if *faults || *faultTr != "" {
-		runFaultReport(out, *faultTr, par)
+	if *simChk != "" {
+		runSimCheck(out, *simChk)
 	}
 
 	if *wireChk != "" {
@@ -240,77 +239,45 @@ func runWireCheck(out io.Writer, path string) {
 	}
 }
 
-// runFaultReport runs the fault-injection scenarios (straggler, slow
-// link, crash with checkpointed restart) through the real runtime and
-// prints the measured-vs-predicted degradation table; optionally exports
-// the measured crash-restart timeline — fault markers included — as
-// Chrome trace_event JSON.
-func runFaultReport(out io.Writer, path string, par simnet.Params) {
-	// Same cost balance as the trace report, scaled into OS-timer range.
-	par.Bandwidth = 3e5
-	par.IterTime = 5e-6
-	e, err := bench.RunFaultExperiment(par, 10)
+// runSimCheck runs the simulator check, prints its table, the 16-rank SOR
+// straggler summary and a text Gantt over the measured SOR timeline, and
+// exports the measured SOR and crash-restart timelines (fault markers
+// included) as Chrome trace_event JSON into dir.
+func runSimCheck(out io.Writer, dir string) {
+	c, err := bench.RunSimCheck()
 	if err != nil {
-		fail("faults", err)
+		fail("simcheck", err)
 	}
-	fmt.Fprint(out, e.Render())
-	if !e.Agree() {
-		fmt.Fprintf(out, "WARNING: degradation diverged beyond ±%.0f%%\n", bench.FaultTolerance*100)
+	fmt.Fprint(out, c.Render())
+	if !c.Agree() {
+		fmt.Fprintln(out, "WARNING: simnet and the runtime diverged beyond tolerance")
 	}
 	fmt.Fprintln(out)
 
-	if path != "" {
-		crash := e.Rows[len(e.Rows)-1]
-		js, err := crash.Trace.TraceEventJSON()
-		if err != nil {
-			fail("faults", err)
-		}
-		if err := os.WriteFile(path, js, 0o644); err != nil {
-			fail("faults", err)
-		}
-		fmt.Fprintf(out, "wrote fault-run Chrome trace_event JSON (%d bytes) to %s — crash/restart appear as instant markers\n\n", len(js), path)
-	}
-}
-
-// runTraceReport runs the measured-vs-simulated phase experiment, prints
-// the comparison table and the 16-rank SOR straggler summary, optionally
-// renders a text Gantt over the measured timeline, and exports the SOR
-// trace as Chrome trace_event JSON.
-func runTraceReport(out io.Writer, path string, gantt bool, par simnet.Params) {
-	// Compute vs transfer tuned so phases are visible, scaled 10× into
-	// OS-timer range.
-	par.Bandwidth = 3e5
-	par.IterTime = 5e-6
-	e, err := bench.RunTraceExperiment(par, 10)
-	if err != nil {
-		fail("trace", err)
-	}
-	fmt.Fprint(out, e.Render())
-	if !e.Agree() {
-		fmt.Fprintf(out, "WARNING: phase fractions diverged beyond ±%.2f\n", bench.PhaseTolerance)
-	}
-	fmt.Fprintln(out)
-
-	sor := e.Rows[0]
+	sor := c.Rows[0]
 	crit, idle := sor.Trace.CriticalRank()
 	fmt.Fprintf(out, "SOR measured: %d ranks, %d tiles, makespan %v (sim %v); critical rank %d, %.0f%% idle\n",
 		sor.Procs, sor.Tiles, sor.MeasuredMakespan.Round(time.Millisecond),
 		sor.SimMakespan.Round(time.Millisecond), crit, idle*100)
-	if gantt {
-		fmt.Fprint(out, sor.Trace.Gantt(72))
-	}
+	fmt.Fprint(out, sor.Trace.Gantt(72))
 	fmt.Fprintln(out)
 
-	if path != "" {
-		js, err := sor.Trace.TraceEventJSON()
-		if err != nil {
-			fail("trace", err)
-		}
-		if err := os.WriteFile(path, js, 0o644); err != nil {
-			fail("trace", err)
-		}
-		fmt.Fprintf(out, "wrote Chrome trace_event JSON (%d bytes) to %s — open in chrome://tracing or ui.perfetto.dev\n\n", len(js), path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fail("simcheck", err)
 	}
+	for _, r := range []*bench.SimCheckRow{sor, c.Rows[len(c.Rows)-1]} {
+		js, err := r.Trace.TraceEventJSON()
+		if err != nil {
+			fail("simcheck", err)
+		}
+		path := filepath.Join(dir, strings.ToLower(r.App)+"-"+cmp.Or(r.Scenario, "fault-free")+".json")
+		if err := os.WriteFile(path, js, 0o644); err != nil {
+			fail("simcheck", err)
+		}
+		fmt.Fprintf(out, "wrote Chrome trace_event JSON (%d bytes) to %s\n", len(js), path)
+	}
+	fmt.Fprintln(out, "(open in chrome://tracing or ui.perfetto.dev; crash/restart appear as instant markers)")
+	fmt.Fprintln(out)
 }
 
 // runOverlapAblation compares blocking sends with the overlapped scheme of

@@ -165,7 +165,7 @@ func main() {
 			res.Procs, res.Tiles, res.Steps, res.Makespan, res.Speedup, res.Utilization*100, res.Messages, res.BytesSent)
 	}
 	if *gantt {
-		tr, err := simnet.SimulateTraced(art.Prog.Dist, par)
+		tr, err := simnet.SimulateTraced(art.Prog.Dist, par, nil)
 		if err != nil {
 			fail("gantt: %v", err)
 		}

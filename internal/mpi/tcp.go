@@ -63,8 +63,11 @@ type StreamPos struct {
 // out of Stats deliberately: Stats must compare bit-identically across
 // transports, while these counters only exist when real bytes move.
 type WireStats struct {
-	// The three send counters are bumped before the socket write, so a
-	// receiver that already holds a frame never reads stats that miss it.
+	// The send counters (FramesSent, BytesSent, Batches and Resent) are
+	// bumped before the socket write, so a receiver that already holds a
+	// frame never reads stats that miss it; a failed resend takes its
+	// count back. Reconnects is bumped before the resend, FramesRecvd
+	// before the frame reaches a mailbox.
 	FramesSent  int64 // data frames handed to a socket write
 	BytesSent   int64 // data bytes of those frames (as encoded)
 	Batches     int64 // coalesced writev batches (one net.Buffers write each)
@@ -625,7 +628,11 @@ func (l *outLink) resendRetained(conn net.Conn) bool {
 	}
 	l.mu.Unlock()
 	if len(resend) > 0 {
+		// Counted before the write, as writeBatch counts: the peer may
+		// consume the frames and read WireStats before the write returns.
+		l.m.sResent.Add(int64(len(plan)))
 		if _, err := resend.WriteTo(conn); err != nil {
+			l.m.sResent.Add(-int64(len(plan)))
 			l.mu.Lock()
 			if l.conn == conn {
 				l.connDead = true
@@ -633,7 +640,6 @@ func (l *outLink) resendRetained(conn net.Conn) bool {
 			l.mu.Unlock()
 			return false
 		}
-		l.m.sResent.Add(int64(len(plan)))
 	}
 	l.mu.Lock()
 	for _, fr := range l.proto.RetainedFrames() {

@@ -2,10 +2,12 @@ package mpi
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -593,6 +595,55 @@ func TestTCPResumeAtConstruction(t *testing.T) {
 
 	if _, err := NewTCPMesh(TCPConfig{Size: 2, Recv: recv}); err == nil {
 		t.Error("resume positions on a mesh hosting every rank were accepted")
+	}
+}
+
+// A resend is in WireStats before its last byte is on the wire: the peer
+// may consume the frames and read the stats while the write is still in
+// progress. Over a net.Pipe the write cannot return until every byte is
+// read, so reading all but the last byte leaves it in progress. A resend
+// that fails takes its count back.
+func TestResendCountedBeforeWrite(t *testing.T) {
+	for _, fail := range []bool{false, true} {
+		m := &TCPMesh{}
+		l := &outLink{m: m, id: linkID{0, 1}, proto: NewSendCore(ProtocolRules{})}
+		l.cond = sync.NewCond(&l.mu)
+		var size int
+		for seq := range uint64(3) {
+			buf := encodeDataFrame(0, 3, seq, []float64{float64(seq)})
+			l.proto.Retain(3, seq, &wireFrame{kind: frameData, tag: 3, seq: seq, buf: buf})
+			size += len(buf)
+		}
+		local, peer := net.Pipe()
+		done := make(chan bool)
+		go func() { done <- l.resendRetained(local) }()
+		if fail {
+			peer.Close()
+			if <-done {
+				t.Fatal("resend over a closed pipe reported success")
+			}
+			if got := m.WireStats().Resent; got != 0 {
+				t.Errorf("failed resend: Resent = %d, want 0", got)
+			}
+			continue
+		}
+		if _, err := io.ReadFull(peer, make([]byte, size-1)); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.WireStats().Resent; got != 3 {
+			t.Errorf("write in progress: Resent = %d, want the 3 frames", got)
+		}
+		if _, err := io.ReadFull(peer, make([]byte, 1)); err != nil {
+			t.Fatal(err)
+		}
+		if !<-done {
+			t.Fatal("resend failed")
+		}
+		if got := m.WireStats().Resent; got != 3 {
+			t.Errorf("after the write: Resent = %d, want 3", got)
+		}
+		local.Close()
+		peer.Close()
 	}
 }
 

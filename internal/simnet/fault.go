@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"tilespace/internal/distrib"
-	"tilespace/internal/mpi"
-)
+import "tilespace/internal/mpi"
 
 // Fault modeling: the simulator advances the same cost model under the
 // same mpi.FaultPlan the runtime injects, so bench can compare predicted
@@ -28,7 +25,7 @@ import (
 //     incarnation issued is skipped. That is exact in both modes: the
 //     runtime's crash loses no issued send, in flight or not.
 
-// FaultModel configures a faulty simulation.
+// FaultModel configures a faulty simulation (SimulateTraced).
 type FaultModel struct {
 	// Plan is the same schedule handed to the runtime.
 	Plan *mpi.FaultPlan
@@ -40,21 +37,6 @@ type FaultModel struct {
 	// scale (Params.NetOptions(scale)), so the plan's sleeps divide by the
 	// same factor to land back in model units. Values <= 0 mean 1.
 	DurScale float64
-}
-
-// SimulateFaults runs the tile schedule under the fault model.
-func SimulateFaults(d *distrib.Distribution, par Params, fm FaultModel) (*Result, error) {
-	return simulateFaults(d, par, fm.normalize(), nil)
-}
-
-func (fm FaultModel) normalize() *FaultModel {
-	if fm.CheckpointEvery < 1 {
-		fm.CheckpointEvery = 1
-	}
-	if fm.DurScale <= 0 {
-		fm.DurScale = 1
-	}
-	return &fm
 }
 
 // faultState is the engine's per-run fault bookkeeping.

@@ -7,9 +7,19 @@ import (
 	"time"
 
 	"tilespace/internal/apps"
+	"tilespace/internal/distrib"
 	"tilespace/internal/mpi"
 	"tilespace/internal/simnet"
 )
+
+// faulty returns SimulateTraced's result under the fault model.
+func faulty(d *distrib.Distribution, par simnet.Params, fm simnet.FaultModel) (*simnet.Result, error) {
+	tr, err := simnet.SimulateTraced(d, par, &fm)
+	if err != nil {
+		return nil, err
+	}
+	return tr.Result, nil
+}
 
 // A fault-free FaultModel must change nothing: the fault path is a strict
 // superset of the engine and the zero model must collapse to Simulate.
@@ -24,7 +34,7 @@ func TestSimulateFaultsNilPlanMatchesSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := simnet.SimulateFaults(d, par, simnet.FaultModel{})
+	got, err := faulty(d, par, simnet.FaultModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +77,7 @@ func TestSimulateFaultsDegradeMakespan(t *testing.T) {
 			}},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
-				got, err := simnet.SimulateFaults(d, par, simnet.FaultModel{
+				got, err := faulty(d, par, simnet.FaultModel{
 					Plan: tc.plan, CheckpointEvery: 2, DurScale: 1,
 				})
 				if err != nil {
@@ -98,11 +108,11 @@ func TestSimulateFaultsDurScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := &mpi.FaultPlan{Links: map[mpi.Link]mpi.LinkFault{{Src: 0, Dst: 1}: {Delay: time.Second}}}
-	at1, err := simnet.SimulateFaults(d, par, simnet.FaultModel{Plan: plan, DurScale: 1})
+	at1, err := faulty(d, par, simnet.FaultModel{Plan: plan, DurScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	at10, err := simnet.SimulateFaults(d, par, simnet.FaultModel{Plan: plan, DurScale: 10})
+	at10, err := faulty(d, par, simnet.FaultModel{Plan: plan, DurScale: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +142,11 @@ func TestSimulateFaultsCheckpointDepth(t *testing.T) {
 	par.IterTime = 1e-3
 	crashRank := d.NumProcs() / 2
 	plan := &mpi.FaultPlan{Crash: map[int]int64{crashRank: d.ChainLen[crashRank] - 1}}
-	fine, err := simnet.SimulateFaults(d, par, simnet.FaultModel{Plan: plan, CheckpointEvery: 1})
+	fine, err := faulty(d, par, simnet.FaultModel{Plan: plan, CheckpointEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := simnet.SimulateFaults(d, par, simnet.FaultModel{Plan: plan, CheckpointEvery: 1 << 30})
+	coarse, err := faulty(d, par, simnet.FaultModel{Plan: plan, CheckpointEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +165,7 @@ func TestSimulateFaultsTraced(t *testing.T) {
 	d := distFor(t, app, app.Rect.H(3, 6, 7))
 	par := simnet.FastEthernetPIII()
 	crashRank := d.NumProcs() / 2
-	tr, err := simnet.SimulateFaultsTraced(d, par, simnet.FaultModel{
+	tr, err := simnet.SimulateTraced(d, par, &simnet.FaultModel{
 		Plan: &mpi.FaultPlan{
 			Crash:        map[int]int64{crashRank: d.ChainLen[crashRank] / 2},
 			RestartDelay: 100 * time.Millisecond,
@@ -206,7 +216,7 @@ func TestSimulateSurfacesChainError(t *testing.T) {
 		t.Errorf("Simulate returned %v, want the chain's error", err)
 	}
 	plan := &mpi.FaultPlan{Links: map[mpi.Link]mpi.LinkFault{{Src: 0, Dst: 1}: {Delay: time.Second}}}
-	if _, err := simnet.SimulateFaults(d, simnet.FastEthernetPIII(), simnet.FaultModel{Plan: plan}); !errors.Is(err, rp.Err) {
-		t.Errorf("SimulateFaults returned %v, want the chain's error", err)
+	if _, err := faulty(d, simnet.FastEthernetPIII(), simnet.FaultModel{Plan: plan}); !errors.Is(err, rp.Err) {
+		t.Errorf("SimulateTraced under faults returned %v, want the chain's error", err)
 	}
 }

@@ -29,13 +29,10 @@ func goldenLines(t *testing.T) []string {
 			res *simnet.Result
 			err error
 		)
-		if fm == nil {
-			if tr, err = simnet.SimulateTraced(d, par); err == nil {
+		if tr, err = simnet.SimulateTraced(d, par, fm); err == nil {
+			res = tr.Result
+			if fm == nil {
 				res, err = simnet.Simulate(d, par)
-			}
-		} else {
-			if tr, err = simnet.SimulateFaultsTraced(d, par, *fm); err == nil {
-				res, err = simnet.SimulateFaults(d, par, *fm)
 			}
 		}
 		if err != nil {

@@ -119,18 +119,13 @@ type Result struct {
 // Simulate runs the tile schedule of a distribution under the cost model
 // and returns the timing result.
 func Simulate(d *distrib.Distribution, par Params) (*Result, error) {
-	return simulate(d, par, nil)
+	return simulate(d, par, nil, nil)
 }
 
-// simulate is the engine; onEvent, when non-nil, receives one Event per
-// tile (used by SimulateTraced).
-func simulate(d *distrib.Distribution, par Params, onEvent func(Event)) (*Result, error) {
-	return simulateFaults(d, par, nil, onEvent)
-}
-
-// simulateFaults is simulate under a fault model (nil fm = fault-free);
-// see fault.go for what each fault class does to the clocks.
-func simulateFaults(d *distrib.Distribution, par Params, fm *FaultModel, onEvent func(Event)) (*Result, error) {
+// simulate is the engine: under a fault model when fm is non-nil (see
+// fault.go for what each fault class does to the clocks), and handing one
+// Event per tile to onEvent when that is non-nil (SimulateTraced).
+func simulate(d *distrib.Distribution, par Params, fm *FaultModel, onEvent func(Event)) (*Result, error) {
 	if err := par.Validate(); err != nil {
 		return nil, err
 	}

@@ -257,7 +257,7 @@ func TestSimulateTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := distFor(t, app, app.NonRect[0].H(2, 8, 4))
-	tr, err := simnet.SimulateTraced(d, simnet.FastEthernetPIII())
+	tr, err := simnet.SimulateTraced(d, simnet.FastEthernetPIII(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

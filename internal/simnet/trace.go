@@ -31,10 +31,20 @@ type Trace struct {
 	Events []Event
 }
 
-// SimulateTraced runs Simulate while recording one event per tile.
-func SimulateTraced(d *distrib.Distribution, par Params) (*Trace, error) {
+// SimulateTraced runs the tile schedule, under the fault model when fm is
+// non-nil, recording one Event per tile plus the crash/restart instants
+// (Event.Kind) of a fault model's crashes.
+func SimulateTraced(d *distrib.Distribution, par Params, fm *FaultModel) (*Trace, error) {
+	if fm != nil {
+		n := *fm
+		n.CheckpointEvery = max(n.CheckpointEvery, 1)
+		if n.DurScale <= 0 {
+			n.DurScale = 1
+		}
+		fm = &n
+	}
 	tr := &Trace{}
-	res, err := simulate(d, par, func(e Event) {
+	res, err := simulate(d, par, fm, func(e Event) {
 		tr.Events = append(tr.Events, e)
 	})
 	if err != nil {
